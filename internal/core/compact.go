@@ -295,25 +295,26 @@ type pidxCursor struct {
 	e        *Engine
 	c        *Cluster
 	blockIdx int64
-	entries  []pidxEntry
+	blk      pidxBlock
 	pos      int
 }
 
+// next returns the following entry; its key aliases the block it came from.
 func (cur *pidxCursor) next(p *sim.Proc) (pidxEntry, error) {
-	for cur.entries == nil || cur.pos >= len(cur.entries) {
+	for cur.pos >= cur.blk.len() {
 		total := cur.c.Len() / int64(cur.e.cfg.BlockBytes)
 		if cur.blockIdx >= total {
 			return pidxEntry{}, fmt.Errorf("core: pidx cursor exhausted")
 		}
-		entries, err := readIndexBlock(p, cur.c, cur.blockIdx, cur.e.cfg.BlockBytes, !cur.e.cfg.DisableVerify)
+		v, err := readIndexBlock(p, cur.c, cur.blockIdx, cur.e.cfg.BlockBytes, !cur.e.cfg.DisableVerify, pidxFormat)
 		if err != nil {
 			return pidxEntry{}, err
 		}
 		cur.blockIdx++
-		cur.entries = entries
+		cur.blk = pidxBlock{v}
 		cur.pos = 0
 	}
-	ent := cur.entries[cur.pos]
+	ent := cur.blk.entry(cur.pos)
 	cur.pos++
 	return ent, nil
 }
@@ -430,13 +431,14 @@ func (w *blockWriter) finish(p *sim.Proc) error {
 	return w.cluster.Seal(p)
 }
 
-// readIndexBlock reads and decodes one fixed-size index block (no cache).
-func readIndexBlock(p *sim.Proc, c *Cluster, blockIdx int64, blockSize int, verify bool) ([]pidxEntry, error) {
+// readIndexBlock reads one fixed-size index block from media and parses it
+// (no cache).
+func readIndexBlock(p *sim.Proc, c *Cluster, blockIdx int64, blockSize int, verify bool, f recFormat) (blockView, error) {
 	buf := make([]byte, blockSize)
 	if err := c.ReadAt(p, buf, blockIdx*int64(blockSize)); err != nil {
-		return nil, err
+		return blockView{}, err
 	}
-	return decodePidxBlock(buf, verify)
+	return parseIndexBlock(buf, verify, f)
 }
 
 // checkIndexBlock validates a block's framing; verify additionally demands
@@ -449,44 +451,4 @@ func checkIndexBlock(buf []byte, verify bool) error {
 		return fmt.Errorf("%w: index block checksum", ErrCorrupted)
 	}
 	return nil
-}
-
-// decodePidxBlock parses a count-prefixed PIDX block.
-func decodePidxBlock(buf []byte, verify bool) ([]pidxEntry, error) {
-	if err := checkIndexBlock(buf, verify); err != nil {
-		return nil, err
-	}
-	count := int(binary.LittleEndian.Uint16(buf))
-	out := make([]pidxEntry, 0, count)
-	pos := indexBlockHdr
-	codec := klogCodec{}
-	for i := 0; i < count; i++ {
-		rec, n, err := codec.Decode(buf[pos:], true)
-		if err != nil {
-			return nil, err
-		}
-		pos += n
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
-// decodeSidxBlock parses a count-prefixed SIDX block.
-func decodeSidxBlock(buf []byte, verify bool) ([]sidxEntry, error) {
-	if err := checkIndexBlock(buf, verify); err != nil {
-		return nil, err
-	}
-	count := int(binary.LittleEndian.Uint16(buf))
-	out := make([]sidxEntry, 0, count)
-	pos := indexBlockHdr
-	codec := sidxCodec{}
-	for i := 0; i < count; i++ {
-		rec, n, err := codec.Decode(buf[pos:], true)
-		if err != nil {
-			return nil, err
-		}
-		pos += n
-		out = append(out, rec)
-	}
-	return out, nil
 }

@@ -100,8 +100,8 @@ func (e *Engine) ZoneManager() *ZoneManager { return e.zm }
 func (e *Engine) DRAMGauge() *sim.Gauge { return e.dram }
 
 // SetObs attaches observability: background jobs become root "job" spans and
-// the engine publishes its DRAM and background-job gauges into reg. Either
-// argument may be nil.
+// the engine publishes its DRAM and background-job gauges and its index-cache
+// hit/miss counters into reg. Either argument may be nil.
 func (e *Engine) SetObs(tr *obs.Tracer, reg *obs.Registry) {
 	e.tr = tr
 	if reg == nil {
@@ -114,6 +114,10 @@ func (e *Engine) SetObs(tr *obs.Tracer, reg *obs.Registry) {
 	e.gPipeOcc.Set(float64(e.pipelineOcc))
 	e.gHostJobs = reg.Gauge("engine/host_merge_jobs")
 	e.gHostJobs.Set(float64(e.hostJobs))
+	if e.idxCache != nil {
+		reg.AddCounter("engine/idxcache_hits", &e.idxCache.hits)
+		reg.AddCounter("engine/idxcache_misses", &e.idxCache.misses)
+	}
 }
 
 // --- Collaborative compaction ---------------------------------------------

@@ -61,7 +61,7 @@ func tvalue(i int, energy float32) []byte {
 	return v
 }
 
-func ingestN(t *testing.T, p *sim.Proc, fx *engineFixture, ks string, n int, energyOf func(i int) float32) {
+func ingestN(t testing.TB, p *sim.Proc, fx *engineFixture, ks string, n int, energyOf func(i int) float32) {
 	t.Helper()
 	if err := fx.eng.CreateKeyspace(p, ks); err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func ingestN(t *testing.T, p *sim.Proc, fx *engineFixture, ks string, n int, ene
 	}
 }
 
-func compactAndWait(t *testing.T, p *sim.Proc, fx *engineFixture, ks string) {
+func compactAndWait(t testing.TB, p *sim.Proc, fx *engineFixture, ks string) {
 	t.Helper()
 	if err := fx.eng.Compact(p, ks); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"container/list"
 
 	"kvcsd/internal/sim"
+	"kvcsd/internal/stats"
 )
 
 // indexCache is a small SoC-DRAM LRU over PIDX/SIDX index blocks. KV-CSD
@@ -16,8 +17,10 @@ type indexCache struct {
 	used     int64
 	ll       *list.List
 	idx      map[idxKey]*list.Element
-	hits     int64
-	misses   int64
+	// hits and misses are read by the telemetry endpoint while the
+	// simulation runs; everything else belongs to the sim goroutine.
+	hits   stats.Counter
+	misses stats.Counter
 }
 
 type idxKey struct {
@@ -27,7 +30,7 @@ type idxKey struct {
 
 type idxEntry struct {
 	key  idxKey
-	data []byte
+	view blockView
 }
 
 func newIndexCache(capacity int64) *indexCache {
@@ -37,39 +40,44 @@ func newIndexCache(capacity int64) *indexCache {
 	return &indexCache{capacity: capacity, ll: list.New(), idx: make(map[idxKey]*list.Element)}
 }
 
-func (c *indexCache) get(cluster, block int64) ([]byte, bool) {
+func (c *indexCache) get(cluster, block int64) (blockView, bool) {
 	if c == nil {
-		return nil, false
+		return blockView{}, false
 	}
 	if el, ok := c.idx[idxKey{cluster, block}]; ok {
 		c.ll.MoveToFront(el)
-		c.hits++
-		return el.Value.(*idxEntry).data, true
+		c.hits.Add(1)
+		return el.Value.(*idxEntry).view, true
 	}
-	c.misses++
-	return nil, false
+	c.misses.Add(1)
+	return blockView{}, false
 }
 
-func (c *indexCache) put(cluster, block int64, data []byte) {
+// put caches a parsed block. The capacity budget counts raw block bytes only,
+// as it did when the cache held unparsed buffers.
+func (c *indexCache) put(cluster, block int64, v blockView) {
 	if c == nil {
 		return
 	}
 	key := idxKey{cluster, block}
 	if el, ok := c.idx[key]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*idxEntry).data = data
-		return
+		ent := el.Value.(*idxEntry)
+		c.used += int64(len(v.buf)) - int64(len(ent.view.buf))
+		ent.view = v
+	} else {
+		c.idx[key] = c.ll.PushFront(&idxEntry{key: key, view: v})
+		c.used += int64(len(v.buf))
 	}
-	el := c.ll.PushFront(&idxEntry{key: key, data: data})
-	c.idx[key] = el
-	c.used += int64(len(data))
 	for c.used > c.capacity && c.ll.Len() > 0 {
-		back := c.ll.Back()
-		ent := back.Value.(*idxEntry)
-		c.ll.Remove(back)
-		delete(c.idx, ent.key)
-		c.used -= int64(len(ent.data))
+		c.remove(c.ll.Back())
 	}
+}
+
+func (c *indexCache) remove(el *list.Element) {
+	ent := c.ll.Remove(el).(*idxEntry)
+	delete(c.idx, ent.key)
+	c.used -= int64(len(ent.view.buf))
 }
 
 // invalidateCluster drops all cached blocks of a released index cluster.
@@ -79,38 +87,37 @@ func (c *indexCache) invalidateCluster(cluster int64) {
 	}
 	for el := c.ll.Front(); el != nil; {
 		next := el.Next()
-		ent := el.Value.(*idxEntry)
-		if ent.key.cluster == cluster {
-			c.ll.Remove(el)
-			delete(c.idx, ent.key)
-			c.used -= int64(len(ent.data))
+		if el.Value.(*idxEntry).key.cluster == cluster {
+			c.remove(el)
 		}
 		el = next
 	}
 }
 
+// readViewCached returns the parsed view of one index block through the
+// engine's index cache. A block is parsed (and checksum-verified) when it
+// enters the cache; hits return the resident view as is. Blocks that fail to
+// parse are not cached.
+func (e *Engine) readViewCached(p *sim.Proc, c *Cluster, blockIdx int64, f recFormat) (blockView, error) {
+	if v, ok := e.idxCache.get(c.id, blockIdx); ok {
+		return v, nil
+	}
+	v, err := readIndexBlock(p, c, blockIdx, e.cfg.BlockBytes, !e.cfg.DisableVerify, f)
+	if err != nil {
+		return blockView{}, err
+	}
+	e.idxCache.put(c.id, blockIdx, v)
+	return v, nil
+}
+
 // readIndexBlockCached reads a PIDX block through the engine's index cache.
-func (e *Engine) readIndexBlockCached(p *sim.Proc, c *Cluster, blockIdx int64) ([]pidxEntry, error) {
-	if data, ok := e.idxCache.get(c.id, blockIdx); ok {
-		return decodePidxBlock(data, !e.cfg.DisableVerify)
-	}
-	buf := make([]byte, e.cfg.BlockBytes)
-	if err := c.ReadAt(p, buf, blockIdx*int64(e.cfg.BlockBytes)); err != nil {
-		return nil, err
-	}
-	e.idxCache.put(c.id, blockIdx, buf)
-	return decodePidxBlock(buf, !e.cfg.DisableVerify)
+func (e *Engine) readIndexBlockCached(p *sim.Proc, c *Cluster, blockIdx int64) (pidxBlock, error) {
+	v, err := e.readViewCached(p, c, blockIdx, pidxFormat)
+	return pidxBlock{v}, err
 }
 
 // readSidxBlockCached reads an SIDX block through the engine's index cache.
-func (e *Engine) readSidxBlockCached(p *sim.Proc, c *Cluster, blockIdx int64) ([]sidxEntry, error) {
-	if data, ok := e.idxCache.get(c.id, blockIdx); ok {
-		return decodeSidxBlock(data, !e.cfg.DisableVerify)
-	}
-	buf := make([]byte, e.cfg.BlockBytes)
-	if err := c.ReadAt(p, buf, blockIdx*int64(e.cfg.BlockBytes)); err != nil {
-		return nil, err
-	}
-	e.idxCache.put(c.id, blockIdx, buf)
-	return decodeSidxBlock(buf, !e.cfg.DisableVerify)
+func (e *Engine) readSidxBlockCached(p *sim.Proc, c *Cluster, blockIdx int64) (sidxBlock, error) {
+	v, err := e.readViewCached(p, c, blockIdx, sidxFormat)
+	return sidxBlock{v}, err
 }

@@ -80,23 +80,22 @@ func (e *Engine) Get(p *sim.Proc, name string, key []byte) ([]byte, bool, error)
 		return nil, false, nil
 	}
 	e.soc.Compares(p, 16) // sketch binary search
-	entries, err := e.readIndexBlockCached(p, ks.pidx, ks.sketch[bi].block)
+	blk, err := e.readIndexBlockCached(p, ks.pidx, ks.sketch[bi].block)
 	if err != nil {
 		return nil, false, err
 	}
 	e.soc.BlockOp(p, 1)
-	i := sort.Search(len(entries), func(i int) bool {
-		return bytes.Compare(entries[i].key, key) >= 0
-	})
+	i := blk.search(key)
 	e.soc.Compares(p, 8)
-	if i >= len(entries) || !bytes.Equal(entries[i].key, key) {
+	if i >= blk.len() || !bytes.Equal(blk.key(i), key) {
 		return nil, false, nil
 	}
-	val := make([]byte, entries[i].vlen)
-	if err := ks.sorted.ReadAt(p, val, int64(entries[i].vlogOff)); err != nil {
+	ent := blk.entry(i)
+	val := make([]byte, ent.vlen)
+	if err := ks.sorted.ReadAt(p, val, int64(ent.vlogOff)); err != nil {
 		return nil, false, err
 	}
-	ks.touchHeat(int64(entries[i].vlogOff), len(val), e.cfg.BlockBytes)
+	ks.touchHeat(int64(ent.vlogOff), len(val), e.cfg.BlockBytes)
 	e.st.AppRead.Add(int64(len(val)))
 	return val, true, nil
 }
@@ -115,15 +114,13 @@ func (e *Engine) Exist(p *sim.Proc, name string, key []byte) (bool, error) {
 		return false, nil
 	}
 	e.soc.Compares(p, 16)
-	entries, err := e.readIndexBlockCached(p, ks.pidx, ks.sketch[bi].block)
+	blk, err := e.readIndexBlockCached(p, ks.pidx, ks.sketch[bi].block)
 	if err != nil {
 		return false, err
 	}
 	e.soc.BlockOp(p, 1)
-	i := sort.Search(len(entries), func(i int) bool {
-		return bytes.Compare(entries[i].key, key) >= 0
-	})
-	return i < len(entries) && bytes.Equal(entries[i].key, key), nil
+	i := blk.search(key)
+	return i < blk.len() && bytes.Equal(blk.key(i), key), nil
 }
 
 // RangePrimary streams pairs with lo <= key < hi (nil bounds open) in key
@@ -152,12 +149,13 @@ func (e *Engine) RangePrimary(p *sim.Proc, name string, lo, hi []byte, limit int
 	var win []byte
 	var winOff int64 = -1
 	for ; bi < totalBlocks; bi++ {
-		entries, err := e.readIndexBlockCached(p, ks.pidx, bi)
+		blk, err := e.readIndexBlockCached(p, ks.pidx, bi)
 		if err != nil {
 			return emitted, err
 		}
 		e.soc.BlockOp(p, 1)
-		for _, ent := range entries {
+		for i := 0; i < blk.len(); i++ {
+			ent := blk.entry(i)
 			if lo != nil && bytes.Compare(ent.key, lo) < 0 {
 				continue
 			}
@@ -226,13 +224,14 @@ func (e *Engine) RangeSecondary(p *sim.Proc, name, index string, lo, hi []byte, 
 	totalBlocks := si.cluster.Len() / int64(e.cfg.BlockBytes)
 	var matches []sidxEntry
 	for ; bi < totalBlocks; bi++ {
-		entries, err := e.readSidxBlockCached(p, si.cluster, bi)
+		blk, err := e.readSidxBlockCached(p, si.cluster, bi)
 		if err != nil {
 			return 0, err
 		}
 		e.soc.BlockOp(p, 1)
 		done := false
-		for _, ent := range entries {
+		for i := 0; i < blk.len(); i++ {
+			ent := blk.entry(i)
 			if lo != nil && bytes.Compare(ent.skey, lo) < 0 {
 				continue
 			}

@@ -121,21 +121,28 @@ func TestPairCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// rawView is a cached block of n raw bytes holding recs records; the cache
+// looks at nothing else.
+func rawView(n, recs int) blockView {
+	return blockView{buf: make([]byte, n), offs: make([]uint16, recs)}
+}
+
 func TestIndexCacheBasics(t *testing.T) {
 	c := newIndexCache(100)
-	c.put(1, 0, make([]byte, 40))
-	c.put(1, 1, make([]byte, 40))
+	c.put(1, 0, rawView(40, 1))
+	c.put(1, 1, rawView(40, 1))
 	if _, ok := c.get(1, 0); !ok {
 		t.Fatal("miss on present block")
 	}
-	c.put(2, 0, make([]byte, 40)) // evicts LRU (1,1)
+	c.put(2, 0, rawView(40, 1)) // evicts LRU (1,1)
 	if _, ok := c.get(1, 1); ok {
 		t.Fatal("LRU block survived eviction")
 	}
-	// Update in place keeps a single entry.
-	c.put(2, 0, make([]byte, 40))
-	if c.hits == 0 || c.misses == 0 {
-		t.Fatal("hit/miss accounting")
+	if c.used != 80 || c.ll.Len() != 2 {
+		t.Fatalf("used %d in %d entries after eviction, want 80 in 2", c.used, c.ll.Len())
+	}
+	if c.hits.Value() != 1 || c.misses.Value() != 1 {
+		t.Fatalf("hits %d misses %d, want 1 and 1", c.hits.Value(), c.misses.Value())
 	}
 	c.invalidateCluster(1)
 	if _, ok := c.get(1, 0); ok {
@@ -144,6 +151,36 @@ func TestIndexCacheBasics(t *testing.T) {
 	if _, ok := c.get(2, 0); !ok {
 		t.Fatal("unrelated cluster evicted by invalidation")
 	}
+	if c.used != 40 || c.ll.Len() != 1 || len(c.idx) != 1 {
+		t.Fatalf("used %d in %d/%d entries after invalidation, want 40 in 1", c.used, c.ll.Len(), len(c.idx))
+	}
+}
+
+// A put over a resident key must swap in the new parse and re-account its
+// size: keeping the old view would serve stale records, and keeping the old
+// size lets the cache drift past (or starve below) its budget.
+func TestIndexCacheReplace(t *testing.T) {
+	c := newIndexCache(100)
+	c.put(1, 0, rawView(40, 1))
+	c.put(1, 1, rawView(40, 2))
+	c.put(1, 0, rawView(20, 3)) // smaller replacement, becomes MRU
+	if c.used != 60 || c.ll.Len() != 2 {
+		t.Fatalf("used %d in %d entries after shrinking replace, want 60 in 2", c.used, c.ll.Len())
+	}
+	if v, ok := c.get(1, 0); !ok || len(v.buf) != 20 || v.len() != 3 {
+		t.Fatalf("replace kept the stale view: %d bytes, %d records", len(v.buf), v.len())
+	}
+	c.put(1, 0, rawView(70, 4)) // growing replacement overflows: (1,1) is LRU
+	if _, ok := c.get(1, 1); ok {
+		t.Fatal("growing replace did not evict the LRU block")
+	}
+	if v, ok := c.get(1, 0); !ok || v.len() != 4 || c.used != 70 {
+		t.Fatalf("after growing replace: ok=%v records=%d used=%d, want true 4 70", ok, v.len(), c.used)
+	}
+	c.put(1, 0, rawView(101, 5)) // larger than the whole budget: not retained
+	if c.used != 0 || c.ll.Len() != 0 || len(c.idx) != 0 {
+		t.Fatalf("oversized block left used=%d entries=%d/%d", c.used, c.ll.Len(), len(c.idx))
+	}
 }
 
 func TestIndexCacheNilSafe(t *testing.T) {
@@ -151,7 +188,7 @@ func TestIndexCacheNilSafe(t *testing.T) {
 	if _, ok := c.get(1, 1); ok {
 		t.Fatal("nil cache hit")
 	}
-	c.put(1, 1, nil)
+	c.put(1, 1, blockView{})
 	c.invalidateCluster(1)
 	if newIndexCache(0) != nil {
 		t.Fatal("0-capacity cache should be nil")

@@ -84,7 +84,7 @@ type sidxSource struct {
 	spec SecondarySpec
 
 	blockIdx int64
-	entries  []pidxEntry
+	blk      pidxBlock
 	pos      int
 
 	win    []byte
@@ -92,21 +92,21 @@ type sidxSource struct {
 }
 
 func (s *sidxSource) next(p *sim.Proc) (sidxEntry, bool, error) {
-	for s.entries == nil || s.pos >= len(s.entries) {
+	for s.pos >= s.blk.len() {
 		totalBlocks := s.ks.pidx.Len() / int64(s.e.cfg.BlockBytes)
 		if s.blockIdx >= totalBlocks {
 			return sidxEntry{}, false, nil
 		}
-		entries, err := readIndexBlock(p, s.ks.pidx, s.blockIdx, s.e.cfg.BlockBytes, !s.e.cfg.DisableVerify)
+		v, err := readIndexBlock(p, s.ks.pidx, s.blockIdx, s.e.cfg.BlockBytes, !s.e.cfg.DisableVerify, pidxFormat)
 		if err != nil {
 			return sidxEntry{}, false, err
 		}
 		s.e.soc.BlockOp(p, 1)
 		s.blockIdx++
-		s.entries = entries
+		s.blk = pidxBlock{v}
 		s.pos = 0
 	}
-	ent := s.entries[s.pos]
+	ent := s.blk.entry(s.pos)
 	s.pos++
 
 	// Read the value (sequential: svOff increases monotonically here).

@@ -11,10 +11,11 @@ import (
 	"kvcsd/internal/stats"
 )
 
-// Registry is a named collection of gauges and histograms, plus an optional
-// view over an IOStats counter block. It is the aggregation side of the
-// observability layer: the tracer feeds per-op stage histograms into it, the
-// SSD and engine publish gauges, and cmd tools dump it after a run.
+// Registry is a named collection of gauges, histograms and counters, plus an
+// optional view over an IOStats counter block. It is the aggregation side of
+// the observability layer: the tracer feeds per-op stage histograms into it,
+// the SSD and engine publish gauges and counters, and cmd tools dump it after
+// a run.
 //
 // A registry can hand out namespaced views (Namespace) that share its
 // backing maps but prefix every metric name — how a multi-device array keeps
@@ -25,21 +26,23 @@ import (
 // registers metrics. All views share one lock, so a namespaced view and its
 // root never race on the common maps.
 type Registry struct {
-	env    *sim.Env
-	prefix string        // name prefix of this view ("" for the root)
-	mu     *sync.RWMutex // shared across all views of one registry
-	gauges map[string]*sim.Gauge
-	hists  map[string]*stats.Histogram
-	io     *stats.IOStats
+	env      *sim.Env
+	prefix   string        // name prefix of this view ("" for the root)
+	mu       *sync.RWMutex // shared across all views of one registry
+	gauges   map[string]*sim.Gauge
+	hists    map[string]*stats.Histogram
+	counters map[string]*stats.Counter
+	io       *stats.IOStats
 }
 
 // NewRegistry creates an empty registry bound to the environment.
 func NewRegistry(env *sim.Env) *Registry {
 	return &Registry{
-		env:    env,
-		mu:     &sync.RWMutex{},
-		gauges: make(map[string]*sim.Gauge),
-		hists:  make(map[string]*stats.Histogram),
+		env:      env,
+		mu:       &sync.RWMutex{},
+		gauges:   make(map[string]*sim.Gauge),
+		hists:    make(map[string]*stats.Histogram),
+		counters: make(map[string]*stats.Counter),
 	}
 }
 
@@ -59,11 +62,12 @@ func (r *Registry) Namespace(prefix string) *Registry {
 		return r
 	}
 	return &Registry{
-		env:    r.env,
-		prefix: r.prefix + prefix,
-		mu:     r.mu,
-		gauges: r.gauges,
-		hists:  r.hists,
+		env:      r.env,
+		prefix:   r.prefix + prefix,
+		mu:       r.mu,
+		gauges:   r.gauges,
+		hists:    r.hists,
+		counters: r.counters,
 	}
 }
 
@@ -91,6 +95,15 @@ func (r *Registry) AddGauge(name string, g *sim.Gauge) {
 	r.gauges[r.prefix+name] = g
 }
 
+// AddCounter publishes a counter its owner keeps incrementing (e.g. the
+// engine's index-cache hits). Re-adding a name replaces the earlier counter,
+// which is what a restarted engine wants.
+func (r *Registry) AddCounter(name string, c *stats.Counter) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.counters[r.prefix+name] = c
+}
+
 // Histogram returns the named histogram, creating it empty on first use.
 func (r *Registry) Histogram(name string) *stats.Histogram {
 	name = r.prefix + name
@@ -110,12 +123,11 @@ func (r *Registry) StageHistogram(op, stage string) *stats.Histogram {
 	return r.Histogram(op + "/" + stage)
 }
 
-// GaugeNames returns all gauge names visible from this view (full names,
-// filtered by the view's prefix), sorted.
-func (r *Registry) GaugeNames() []string {
+// visibleNames returns the keys of m under the view's prefix, sorted.
+func visibleNames[V any](r *Registry, m map[string]V) []string {
 	r.mu.RLock()
-	names := make([]string, 0, len(r.gauges))
-	for n := range r.gauges {
+	names := make([]string, 0, len(m))
+	for n := range m {
 		if strings.HasPrefix(n, r.prefix) {
 			names = append(names, n)
 		}
@@ -125,20 +137,17 @@ func (r *Registry) GaugeNames() []string {
 	return names
 }
 
+// GaugeNames returns all gauge names visible from this view (full names,
+// filtered by the view's prefix), sorted.
+func (r *Registry) GaugeNames() []string { return visibleNames(r, r.gauges) }
+
 // HistogramNames returns all histogram names visible from this view (full
 // names, filtered by the view's prefix), sorted.
-func (r *Registry) HistogramNames() []string {
-	r.mu.RLock()
-	names := make([]string, 0, len(r.hists))
-	for n := range r.hists {
-		if strings.HasPrefix(n, r.prefix) {
-			names = append(names, n)
-		}
-	}
-	r.mu.RUnlock()
-	sort.Strings(names)
-	return names
-}
+func (r *Registry) HistogramNames() []string { return visibleNames(r, r.hists) }
+
+// CounterNames returns all counter names visible from this view (full names,
+// filtered by the view's prefix), sorted.
+func (r *Registry) CounterNames() []string { return visibleNames(r, r.counters) }
 
 // LookupGauge returns the named gauge (full name) or nil — a read-only probe
 // that never registers.
@@ -156,9 +165,17 @@ func (r *Registry) LookupHistogram(name string) *stats.Histogram {
 	return r.hists[name]
 }
 
-// Dump renders the registry: attached counters, then gauges (current, time-
-// weighted mean, max), then histograms (count, mean, p50, p99, max). Output
-// order is sorted by name, so dumps are deterministic.
+// LookupCounter returns the named counter (full name) or nil.
+func (r *Registry) LookupCounter(name string) *stats.Counter {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.counters[name]
+}
+
+// Dump renders the registry: attached IOStats counters (non-zero ones), then
+// published counters, then gauges (current, time-weighted mean, max), then
+// histograms (count, mean, p50, p99, max). Output order is sorted by name, so
+// dumps are deterministic.
 func (r *Registry) Dump(w io.Writer) error {
 	if r.io != nil {
 		snap := r.io.Snapshot()
@@ -174,6 +191,11 @@ func (r *Registry) Dump(w io.Writer) error {
 			if _, err := fmt.Fprintf(w, "counter %-28s %d\n", n, snap[n]); err != nil {
 				return err
 			}
+		}
+	}
+	for _, n := range r.CounterNames() {
+		if _, err := fmt.Fprintf(w, "counter %-28s %d\n", n, r.LookupCounter(n).Value()); err != nil {
+			return err
 		}
 	}
 	for _, n := range r.GaugeNames() {

@@ -49,6 +49,9 @@ type group struct {
 	// in the log (config takes membership effect when appended).
 	members []int
 	epoch   uint64
+	// configWalked counts log entries recomputeConfig has visited; a test
+	// pins that steady-state appends add nothing to it.
+	configWalked int
 
 	// --- volatile -----------------------------------------------------------
 	role      int
@@ -143,19 +146,30 @@ func (g *group) isMember(id int) bool {
 func (g *group) quorum() int { return len(g.members)/2 + 1 }
 
 // recomputeConfig re-derives members/epoch from the snapshot config plus the
-// latest config entry still in the log — needed after a conflict truncation.
+// latest config entry still in the log — needed after a conflict truncation
+// or a snapshot install. It walks the whole log, which is never truncated
+// between snapshots, so paths that only append use applyConfig instead.
 func (g *group) recomputeConfig() {
 	g.members = append(g.members[:0], g.baseMembers...)
 	g.epoch = g.baseEpoch
+	g.configWalked += len(g.log)
 	for i := range g.log {
-		if g.log[i].Kind == entryConfig {
-			g.members = g.members[:0]
-			for _, m := range g.log[i].Members {
-				g.members = append(g.members, int(m))
-			}
-			g.epoch = g.log[i].Epoch
-		}
+		g.applyConfig(&g.log[i])
 	}
+}
+
+// applyConfig makes e the current configuration if it is a config entry. The
+// latest config entry in the log wins, so applying appended entries in order
+// keeps members/epoch equal to what recomputeConfig would derive.
+func (g *group) applyConfig(e *wire.ReplicaEntry) {
+	if e.Kind != entryConfig {
+		return
+	}
+	g.members = g.members[:0]
+	for _, m := range e.Members {
+		g.members = append(g.members, int(m))
+	}
+	g.epoch = e.Epoch
 }
 
 func (g *group) resetElectionDeadline() {
@@ -305,9 +319,7 @@ func (g *group) becomeLeader(p *sim.Proc) {
 func (g *group) appendLocal(p *sim.Proc, e wire.ReplicaEntry) uint64 {
 	e.Index = g.lastIndex() + 1
 	g.log = append(g.log, e)
-	if e.Kind == entryConfig {
-		g.recomputeConfig()
-	}
+	g.applyConfig(&e)
 	if len(g.members) == 1 && g.isMember(g.id) {
 		g.advanceCommit(p)
 	}
@@ -392,8 +404,8 @@ func (g *group) handleAppendEntries(p *sim.Proc, m *wire.ReplicaMsg) {
 
 	// Append, skipping entries the snapshot already covers and truncating on
 	// the first conflict.
-	changed := false
-	for _, e := range m.Entries {
+	for i := range m.Entries {
+		e := &m.Entries[i]
 		if e.Index <= g.base {
 			continue
 		}
@@ -401,14 +413,12 @@ func (g *group) handleAppendEntries(p *sim.Proc, m *wire.ReplicaMsg) {
 			if g.termAt(e.Index) == e.Term {
 				continue
 			}
+			// The dropped suffix may have held the current config.
 			g.log = g.log[:e.Index-g.base-1]
-			changed = true
+			g.recomputeConfig()
 		}
-		g.log = append(g.log, e)
-		changed = true
-	}
-	if changed {
-		g.recomputeConfig()
+		g.log = append(g.log, *e)
+		g.applyConfig(e)
 	}
 	reply.Success = true
 	reply.MatchIndex = m.PrevIndex + uint64(len(m.Entries))

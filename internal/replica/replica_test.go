@@ -420,3 +420,42 @@ func TestWireTrafficIsReal(t *testing.T) {
 		}
 	})
 }
+
+// A follower's append must cost the same whatever the log length: the
+// membership config is updated from the appended entries alone, and the
+// whole-log recomputeConfig walk is reserved for truncations and snapshot
+// installs. (It used to run on every successful append, so a round of puts
+// grew with the never-truncated log.)
+func TestFollowerAppendDoesNotWalkLog(t *testing.T) {
+	run(t, Options{Nodes: 3, Shards: 1, ReplicationFactor: 3, Seed: 1}, func(p *sim.Proc, c *Cluster) {
+		if _, err := c.WaitLeader(p, 0); err != nil {
+			t.Fatalf("WaitLeader: %v", err)
+		}
+		s := c.Client(1)
+		put := func(n int) {
+			for i := 0; i < n; i++ {
+				if err := s.Put(p, 0, []byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
+					t.Fatalf("Put %d: %v", i, err)
+				}
+			}
+		}
+		walked := func() (total, logLen int) {
+			for _, n := range c.nodes {
+				g := n.group(0)
+				total += g.configWalked
+				logLen = max(logLen, len(g.log))
+			}
+			return
+		}
+		put(8) // settle: the election's no-op and first appends are behind us
+		w0, l0 := walked()
+		put(256)
+		w1, l1 := walked()
+		if l1-l0 < 256 {
+			t.Fatalf("log grew %d entries over 256 puts", l1-l0)
+		}
+		if w1 != w0 {
+			t.Fatalf("256 steady-state puts walked %d log entries re-deriving the config (log length %d -> %d)", w1-w0, l0, l1)
+		}
+	})
+}

@@ -46,6 +46,17 @@ func (s *Server) gateway(p *sim.Proc) {
 	s.backend.Shutdown()
 }
 
+// rpcNames holds, per opcode, the handler proc's name and the rpc span's
+// name and op label, built once: the request path would otherwise
+// concatenate all three for every request, tracing on or off.
+var rpcNames = func() (t [256]struct{ proc, span, op string }) {
+	for i := range t {
+		s := wire.Op(i).String()
+		t[i].proc, t[i].span, t[i].op = "rpc-"+s, "rpc:"+s, "rpc/"+s
+	}
+	return t
+}()
+
 // putGroup is a set of same-keyspace puts coalesced into one bulk device
 // submission.
 type putGroup struct {
@@ -74,7 +85,7 @@ func (s *Server) runBatch(p *sim.Proc, batch []*task) {
 	}
 	for _, t := range singles {
 		t := t
-		procs = append(procs, env.Go("rpc-"+t.req.Op.String(), func(q *sim.Proc) {
+		procs = append(procs, env.Go(rpcNames[t.req.Op].proc, func(q *sim.Proc) {
 			s.handle(q, t)
 		}))
 	}
@@ -118,8 +129,8 @@ func coalescePuts(batch []*task) ([]*putGroup, []*task) {
 // request causes are descendants of the remote client span that sent it.
 func (s *Server) handle(q *sim.Proc, t *task) {
 	queueWait := time.Since(t.enq)
-	span := s.tr.StartRemoteRoot(q, "rpc:"+t.req.Op.String(), "rpc/"+t.req.Op.String(),
-		t.req.Trace.TraceID, t.req.Trace.SpanID)
+	names := &rpcNames[t.req.Op]
+	span := s.tr.StartRemoteRoot(q, names.span, names.op, t.req.Trace.TraceID, t.req.Trace.SpanID)
 	if span != nil {
 		s.tr.Push(q, span)
 	}

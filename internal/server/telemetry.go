@@ -18,8 +18,8 @@ import (
 // the wire-protocol listener serving
 //
 //	/metrics  Prometheus text exposition — RPC counters, per-opcode
-//	          dual-clock service summaries, sim registry gauges and stage
-//	          histograms, and engine I/O counters
+//	          dual-clock service summaries, sim registry gauges, counters
+//	          and stage histograms, and engine I/O counters
 //	/healthz  liveness + drain state as JSON
 //	/slowops  the bounded ring of over-budget ops with stage breakdowns
 //	/debug/pprof/...  the standard Go profiler handlers
@@ -281,6 +281,21 @@ func (s *Server) writePrometheus(w io.Writer) {
 				fmt.Fprintf(w, "kvcsd_sim_latency_seconds_sum{name=\"%s\"} %g\n", escapeLabel(n), secs(h.Sum()))
 				fmt.Fprintf(w, "kvcsd_sim_latency_seconds_count{name=\"%s\"} %d\n", escapeLabel(n), h.Count())
 			}
+		}
+		// A registry counter "<scope>/<base>" is a sample of the family
+		// kvcsd_<base>_total labelled by scope ("engine", or "dev3/engine"
+		// in an array); sorting by base keeps each family's samples together.
+		counters := reg.CounterNames()
+		base := func(n string) string { return n[strings.LastIndexByte(n, '/')+1:] }
+		sort.SliceStable(counters, func(i, j int) bool { return base(counters[i]) < base(counters[j]) })
+		for i, n := range counters {
+			b := base(n)
+			if i == 0 || b != base(counters[i-1]) {
+				fmt.Fprintf(w, "# HELP kvcsd_%s_total Simulation counter %s, by the component that publishes it.\n", b, b)
+				fmt.Fprintf(w, "# TYPE kvcsd_%s_total counter\n", b)
+			}
+			fmt.Fprintf(w, "kvcsd_%s_total{scope=\"%s\"} %d\n", b,
+				escapeLabel(strings.TrimSuffix(n, "/"+b)), reg.LookupCounter(n).Value())
 		}
 		if io := reg.IOStats(); io != nil {
 			snap := io.Snapshot()

@@ -202,6 +202,8 @@ func TestTelemetryEndpoints(t *testing.T) {
 		"kvcsd_rpc_accepted_total",
 		"kvcsd_rpc_slow_ops_total",
 		"kvcsd_sim_gauge{",
+		`kvcsd_idxcache_hits_total{scope="engine"} 0`, // one get so far:
+		`kvcsd_idxcache_misses_total{scope="engine"} 1`,
 		"kvcsd_io_total{",
 	} {
 		if !strings.Contains(body, want) {

@@ -3,8 +3,9 @@
 // The simulator provides virtual time, cooperatively scheduled processes,
 // capacity-limited FIFO resources, and one-shot events. Exactly one process
 // runs at a time: a process executes real Go code (building blocks, sorting
-// keys, moving bytes) and yields to the scheduler whenever it needs virtual
-// time to pass — sleeping, acquiring a busy resource, or waiting on an event.
+// keys, moving bytes) and gives the simulation up whenever it needs virtual
+// time to pass — sleeping, acquiring a busy resource, or waiting on an event —
+// by popping the next event and resuming that event's process directly.
 // Events with equal timestamps fire in the order they were scheduled, so every
 // run of a simulation is fully deterministic.
 //
@@ -15,7 +16,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"runtime/debug"
@@ -51,45 +51,77 @@ type event struct {
 	proc *Proc
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (a event) before(b event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+
+// eventQueue is a binary min-heap of events ordered by (at, seq). It holds
+// events by value and is sifted by hand: container/heap would box every
+// pushed event into an interface, one allocation per wake-up.
+type eventQueue []event
+
+func (q *eventQueue) push(ev event) {
+	h := append(*q, ev)
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h[i].before(h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	*q = h
+}
+
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = event{} // drop the proc reference
+	h = h[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && h[r].before(h[m]) {
+			m = r
+		}
+		if !h[m].before(h[i]) {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	*q = h
+	return top
 }
 
 // Env is a simulation environment: an event queue, a virtual clock, and the
-// set of live processes. An Env must be driven by Run from the goroutine that
-// created it.
+// set of live processes. There is no scheduler goroutine: the process that
+// blocks or returns pops the next event itself and resumes its owner
+// directly, so the state below is only ever touched by the one goroutine
+// that currently owns the simulation. Run starts the first process and waits
+// for the queue to drain.
 type Env struct {
 	now     Time
 	seq     uint64
 	events  eventQueue
-	yield   chan struct{} // running process -> scheduler
+	stopped chan struct{} // last process -> Run: queue empty or a panic
 	live    int           // processes spawned and not yet finished
 	procs   map[int]*Proc // live processes, for deadlock diagnostics
 	procSeq int
-	running *Proc
 	panicV  interface{} // panic propagated out of a process
 	didRun  bool
 }
 
 // NewEnv creates an empty simulation environment at virtual time zero.
 func NewEnv() *Env {
-	return &Env{yield: make(chan struct{}), procs: make(map[int]*Proc)}
+	return &Env{stopped: make(chan struct{}), procs: make(map[int]*Proc)}
 }
 
 // Now returns the current virtual time. Outside Run it reports the time the
@@ -102,7 +134,32 @@ func (e *Env) schedule(p *Proc, at Time) {
 		at = e.now
 	}
 	e.seq++
-	heap.Push(&e.events, &event{at: at, seq: e.seq, proc: p})
+	e.events.push(event{at: at, seq: e.seq, proc: p})
+}
+
+// next pops the earliest event of a process that has not finished, advances
+// the clock to it and returns its process; nil once the queue is empty.
+func (e *Env) next() *Proc {
+	for len(e.events) > 0 {
+		ev := e.events.pop()
+		if ev.proc.done {
+			continue
+		}
+		e.now = ev.at
+		return ev.proc
+	}
+	return nil
+}
+
+// handoff passes the simulation to the owner of the next event, or back to
+// Run when nothing is left to run or a process has panicked. The caller must
+// not touch simulation state afterwards until it is resumed.
+func (e *Env) handoff(next *Proc) {
+	if next == nil || e.panicV != nil {
+		e.stopped <- struct{}{}
+		return
+	}
+	next.resume <- struct{}{}
 }
 
 // Proc is a simulation process. Each process runs on its own goroutine but is
@@ -142,7 +199,7 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 			e.live--
 			delete(e.procs, p.id)
 			p.doneEv.Signal()
-			e.yield <- struct{}{}
+			e.handoff(e.next())
 		}()
 		fn(p)
 	}()
@@ -157,19 +214,12 @@ func (e *Env) Run() Time {
 		panic("sim: Env.Run called twice")
 	}
 	e.didRun = true
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*event)
-		if ev.proc.done {
-			continue
-		}
-		e.now = ev.at
-		e.running = ev.proc
-		ev.proc.resume <- struct{}{}
-		<-e.yield
-		e.running = nil
-		if e.panicV != nil {
-			panic(e.panicV)
-		}
+	if first := e.next(); first != nil {
+		first.resume <- struct{}{}
+		<-e.stopped
+	}
+	if e.panicV != nil {
+		panic(e.panicV)
 	}
 	if e.live > 0 {
 		var names []string
@@ -197,10 +247,16 @@ func (p *Proc) Now() Time { return p.env.now }
 // Done returns an event that fires when the process body has returned.
 func (p *Proc) Done() *Event { return p.doneEv }
 
-// block hands control back to the scheduler without scheduling a wake-up;
-// some other process must wake us via env.schedule(p, ...).
+// block gives up the simulation until some event of p comes due. Unless the
+// caller scheduled one (Sleep), another process must wake us via
+// env.schedule(p, ...). When the next event is p's own — a sleep with nothing
+// else runnable before it — block returns without any goroutine switch.
 func (p *Proc) block() {
-	p.env.yield <- struct{}{}
+	next := p.env.next()
+	if next == p {
+		return
+	}
+	p.env.handoff(next)
 	<-p.resume
 }
 
