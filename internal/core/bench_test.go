@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"kvcsd/internal/sim"
@@ -57,6 +60,167 @@ func BenchmarkRangePrimary128(b *testing.B) {
 			if err != nil || n != 128 {
 				b.Fatalf("scan from %d: %d pairs, err %v", k, n, err)
 			}
+		}
+	})
+}
+
+const benchSortRecords = 64 << 10
+
+// benchKlogEntries returns n KLOG entries in insertion order: 16-byte keys in
+// shuffled order, about one in ten a re-insertion of an earlier key.
+func benchKlogEntries(n int) []klogEntry {
+	rng := rand.New(rand.NewSource(14))
+	recs := make([]klogEntry, n)
+	for i := range recs {
+		k := rng.Intn(n * 10)
+		if i > 0 && rng.Intn(10) == 0 {
+			k = int(recs[rng.Intn(i)].vlen) // vlen remembers the key number
+		}
+		recs[i] = klogEntry{key: []byte(fmt.Sprintf("particle%08d", k)), vlen: uint32(k), vlogOff: uint64(i) * 32}
+	}
+	return recs
+}
+
+// benchSidxEntries returns n secondary entries in primary-key order with a
+// float-like 4-byte secondary key, about one in ten shared with another entry.
+func benchSidxEntries(n int) []sidxEntry {
+	rng := rand.New(rand.NewSource(15))
+	recs := make([]sidxEntry, n)
+	for i := range recs {
+		var skey [4]byte
+		binary.BigEndian.PutUint32(skey[:], uint32(rng.Intn(n*5)))
+		recs[i] = sidxEntry{skey: skey[:], pkey: []byte(fmt.Sprintf("particle%08d", i)), svOff: uint64(i) * 32, vlen: 32}
+	}
+	return recs
+}
+
+// benchSorter runs body inside a simulation with a sorter whose budget holds
+// all of benchSortRecords in one batch.
+func benchSorter[T any](b *testing.B, codec Codec[T], cmp func(a, b T) int, body func(p *sim.Proc, s *Sorter[T])) {
+	b.ReportAllocs()
+	fx := newSortFixture(64 << 20)
+	fx.env.Go("bench", func(p *sim.Proc) {
+		body(p, NewSorter(fx.zm, fx.soc, fx.cfg, codec, cmp))
+	})
+	fx.env.Run()
+}
+
+func benchMakeRuns[T any](b *testing.B, codec Codec[T], cmp func(a, b T) int, master []T) {
+	b.Run("makeRuns", func(b *testing.B) {
+		benchSorter(b, codec, cmp, func(p *sim.Proc, s *Sorter[T]) {
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				runs, err := s.makeRuns(p, &sliceSource[T]{recs: master})
+				if err != nil || len(runs) != 1 {
+					b.Fatalf("%d runs, err %v", len(runs), err)
+				}
+				b.StopTimer()
+				if err := releaseAll(p, runs); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
+	})
+	// The sort step alone, on a job's already-grown buffers: 0 allocs/op.
+	b.Run("sort", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf sortBuf[T]
+		buf.recs = append(buf.recs, master...)
+		buf.sort(cmp)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			copy(buf.recs, master)
+			buf.sort(cmp)
+		}
+	})
+}
+
+// BenchmarkSorterMakeRuns: run formation over 64k records (~10 % duplicate
+// keys) — sort one batch, encode it, append it to a scratch cluster.
+func BenchmarkSorterMakeRuns(b *testing.B) {
+	b.Run("klogEntry", func(b *testing.B) {
+		benchMakeRuns[klogEntry](b, klogCodec{}, compareKlog, benchKlogEntries(benchSortRecords))
+	})
+	b.Run("sidxEntry", func(b *testing.B) {
+		benchMakeRuns[sidxEntry](b, sidxCodec{}, compareSidx, benchSidxEntries(benchSortRecords))
+	})
+}
+
+func benchReadBucket[T any](b *testing.B, codec Codec[T], cmp func(a, b T) int, recs []T) {
+	b.ReportAllocs()
+	fx := newSortFixture(0)
+	fx.env.Go("bench", func(p *sim.Proc) {
+		c := fx.zm.NewCluster(ZoneTemp)
+		var enc []byte
+		for _, r := range recs {
+			enc = codec.Encode(enc[:0], r)
+			if err := c.Append(p, enc); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := c.Seal(p); err != nil {
+			b.Fatal(err)
+		}
+		var buf sortBuf[T]
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			got, err := readBucketSorted(p, fx.soc, c, codec, &buf, cmp)
+			if err != nil || len(got) != len(recs) {
+				b.Fatalf("%d records, err %v", len(got), err)
+			}
+		}
+	})
+	fx.env.Run()
+}
+
+// BenchmarkReadBucketSorted: the value pass's per-bucket read-decode-sort, on
+// both bucket record types, 64k records in a shuffled order. One compaction
+// reads many buckets through one buffer, as the loop here does.
+func BenchmarkReadBucketSorted(b *testing.B) {
+	perm := rand.New(rand.NewSource(16)).Perm(benchSortRecords)
+	b.Run("destEntry", func(b *testing.B) {
+		recs := make([]destEntry, len(perm))
+		for i, k := range perm {
+			recs[i] = destEntry{vlogOff: uint64(k) * 32, destOff: uint64(i) * 32, vlen: 32}
+		}
+		benchReadBucket[destEntry](b, destCodec{}, compareDest, recs)
+	})
+	b.Run("valueRec", func(b *testing.B) {
+		recs := make([]valueRec, len(perm))
+		for i, k := range perm {
+			recs[i] = valueRec{destOff: uint64(k) * 32, value: make([]byte, 32)}
+		}
+		benchReadBucket[valueRec](b, valueCodec{}, compareValue, recs)
+	})
+}
+
+// BenchmarkMergeRuns16: one 16-way merge pass — 16 sorted runs of 4096 KLOG
+// entries read from scratch clusters, merged, re-encoded and written out
+// (stages inline, no pipeline procs).
+func BenchmarkMergeRuns16(b *testing.B) {
+	benchSorter[klogEntry](b, klogCodec{}, compareKlog, func(p *sim.Proc, s *Sorter[klogEntry]) {
+		all := benchKlogEntries(benchSortRecords)
+		runs := make([]*Cluster, 16)
+		for i := range runs {
+			part := all[i*len(all)/16 : (i+1)*len(all)/16]
+			r, err := s.makeRuns(p, &sliceSource[klogEntry]{recs: part})
+			if err != nil {
+				b.Fatal(err)
+			}
+			runs[i] = r[0]
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out, err := s.mergeRuns(p, runs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if err := out.Release(p); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
 		}
 	})
 }

@@ -1,8 +1,7 @@
 package core
 
 import (
-	"sort"
-
+	"kvcsd/internal/host"
 	"kvcsd/internal/sim"
 )
 
@@ -80,18 +79,18 @@ func (w *bucketWriter) release(p *sim.Proc) error {
 	return nil
 }
 
-// readBucketSorted loads one bucket fully, decodes its records, sorts them by
-// key, and returns them. The per-bucket size is bounded by the bucket width
-// (plus skew), which newBucketWriter ties to the DRAM budget.
-func readBucketSorted[T any](p *sim.Proc, soc interface {
-	Compute(*sim.Proc, sim.Duration)
-	SortCost(int64) sim.Duration
-}, c *Cluster, codec Codec[T], keyOf func(T) uint64) ([]T, error) {
+// readBucketSorted loads one bucket fully into buf, decodes its records, and
+// stably sorts them by cmp (their uint64 ordering key). The records alias buf
+// and are valid until its next use: one compaction reuses a single buf — and
+// its merge scratch — for every bucket of a pass. The per-bucket size is
+// bounded by the bucket width (plus skew), which newBucketWriter ties to the
+// DRAM budget.
+func readBucketSorted[T any](p *sim.Proc, soc *host.Host, c *Cluster, codec Codec[T], buf *sortBuf[T], cmp func(a, b T) int) ([]T, error) {
 	if c == nil || c.Len() == 0 {
 		return nil, nil
 	}
 	sc := newScanner(c, codec, 0)
-	var recs []T
+	buf.recs = buf.recs[:0]
 	for {
 		rec, ok, err := sc.next(p)
 		if err != nil {
@@ -100,11 +99,11 @@ func readBucketSorted[T any](p *sim.Proc, soc interface {
 		if !ok {
 			break
 		}
-		recs = append(recs, rec)
+		buf.recs = append(buf.recs, rec)
 	}
-	soc.Compute(p, soc.SortCost(int64(len(recs))))
-	sort.SliceStable(recs, func(i, j int) bool { return keyOf(recs[i]) < keyOf(recs[j]) })
-	return recs, nil
+	soc.Compute(p, soc.SortCost(int64(len(buf.recs))))
+	buf.sort(cmp)
+	return buf.recs, nil
 }
 
 // buckets returns the bucket clusters in range order.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -41,21 +42,9 @@ func (e *Engine) compactInto(p *sim.Proc, ks *Keyspace, onPair func(*sim.Proc, [
 		return err
 	}
 
-	// Step 1: sort keys. Ties on equal keys keep the entry with the larger
-	// vlogOff (the most recently inserted duplicate wins). A tombstone does
-	// not advance the VLOG, so it can share a vlogOff with a LATER put of
-	// the same key — on that tie the put is newer and must sort first.
+	// Step 1: sort keys (compareKlog: newest duplicate of a key first).
 	ks.progress.Stage = compaction.StageSort
-	keySorter := NewSorter[klogEntry](e.zm, e.soc, e.cfg, klogCodec{}, func(a, b klogEntry) bool {
-		c := bytes.Compare(a.key, b.key)
-		if c != 0 {
-			return c < 0
-		}
-		if a.vlogOff != b.vlogOff {
-			return a.vlogOff > b.vlogOff
-		}
-		return !a.isTombstone() && b.isTombstone()
-	})
+	keySorter := NewSorter[klogEntry](e.zm, e.soc, e.cfg, klogCodec{}, compareKlog)
 	keySorter.Env = e.env
 	keySorter.PipelineWidth = e.pipelineWidth
 	keySorter.OnOccupancy = func(d int) { e.noteOccupancy(ks, d) }
@@ -109,6 +98,7 @@ func (e *Engine) compactInto(p *sim.Proc, ks *Keyspace, onPair func(*sim.Proc, [
 	sc := newScanner(sortedKeys, klogCodec{}, 0)
 	codec := klogCodec{}
 	dcodec := destCodec{}
+	var enc []byte // one record's encoding; the writers below copy it
 	for {
 		rec, ok, err := sc.next(p)
 		if err != nil {
@@ -128,11 +118,12 @@ func (e *Engine) compactInto(p *sim.Proc, ks *Keyspace, onPair func(*sim.Proc, [
 		}
 		livePairs++
 		de := destEntry{vlogOff: rec.vlogOff, destOff: destOff, vlen: rec.vlen}
-		if err := destBuckets.add(p, rec.vlogOff, dcodec.Encode(nil, de)); err != nil {
+		enc = dcodec.Encode(enc[:0], de)
+		if err := destBuckets.add(p, rec.vlogOff, enc); err != nil {
 			return err
 		}
-		entry := codec.Encode(nil, pidxEntry{key: rec.key, vlen: rec.vlen, vlogOff: destOff})
-		if err := pidxW.add(p, entry, rec.key); err != nil {
+		enc = codec.Encode(enc[:0], pidxEntry{key: rec.key, vlen: rec.vlen, vlogOff: destOff})
+		if err := pidxW.add(p, enc, rec.key); err != nil {
 			return err
 		}
 		destOff += uint64(rec.vlen)
@@ -158,8 +149,9 @@ func (e *Engine) compactInto(p *sim.Proc, ks *Keyspace, onPair func(*sim.Proc, [
 	valBuckets := newBucketWriter(e.zm, totalValueBytes+1, e.cfg.SortBudgetBytes)
 	vcodec := valueCodec{}
 	vlogWin := &clusterWindow{c: ks.vlog}
+	var destBuf sortBuf[destEntry]
 	for _, db := range destBuckets.buckets() {
-		dents, err := readBucketSorted[destEntry](p, e.soc, db, destCodec{}, func(d destEntry) uint64 { return d.vlogOff })
+		dents, err := readBucketSorted(p, e.soc, db, destCodec{}, &destBuf, compareDest)
 		if err != nil {
 			return err
 		}
@@ -168,7 +160,8 @@ func (e *Engine) compactInto(p *sim.Proc, ks *Keyspace, onPair func(*sim.Proc, [
 			if err != nil {
 				return err
 			}
-			if err := valBuckets.add(p, de.destOff, vcodec.Encode(nil, valueRec{destOff: de.destOff, value: val})); err != nil {
+			enc = vcodec.Encode(enc[:0], valueRec{destOff: de.destOff, value: val})
+			if err := valBuckets.add(p, de.destOff, enc); err != nil {
 				return err
 			}
 		}
@@ -209,8 +202,9 @@ func (e *Engine) compactInto(p *sim.Proc, ks *Keyspace, onPair func(*sim.Proc, [
 	if onPair != nil {
 		cursor = &pidxCursor{e: e, c: pidx}
 	}
+	var valBuf sortBuf[valueRec]
 	for _, vb := range valBuckets.buckets() {
-		vrecs, err := readBucketSorted[valueRec](p, e.soc, vb, valueCodec{}, func(v valueRec) uint64 { return v.destOff })
+		vrecs, err := readBucketSorted(p, e.soc, vb, valueCodec{}, &valBuf, compareValue)
 		if err != nil {
 			return err
 		}
@@ -239,7 +233,7 @@ func (e *Engine) compactInto(p *sim.Proc, ks *Keyspace, onPair func(*sim.Proc, [
 				}
 				if pw != nil {
 					// The write stage owns the pushed chunk now.
-					writeBuf = make([]byte, 0, 256<<10)
+					writeBuf = pw.buffer()
 				} else {
 					writeBuf = writeBuf[:0]
 				}
@@ -288,6 +282,34 @@ func (e *Engine) compactInto(p *sim.Proc, ks *Keyspace, onPair func(*sim.Proc, [
 	}
 	return oldVlog.Release(p)
 }
+
+// compareKlog orders KLOG entries for compaction, on the device and in the
+// host's share of a collaborative merge alike: key ascending, and among equal
+// keys the larger vlogOff first (the most recently inserted duplicate wins).
+// A tombstone does not advance the VLOG, so it can share a vlogOff with a
+// LATER put of the same key — on that tie the put is newer and sorts first.
+func compareKlog(a, b klogEntry) int {
+	if c := bytes.Compare(a.key, b.key); c != 0 {
+		return c
+	}
+	if a.vlogOff != b.vlogOff {
+		return cmp.Compare(b.vlogOff, a.vlogOff)
+	}
+	switch at, bt := a.isTombstone(), b.isTombstone(); {
+	case at == bt:
+		return 0
+	case bt:
+		return -1
+	default:
+		return 1
+	}
+}
+
+// compareDest orders destination entries by VLOG position (the order the
+// value pass streams the VLOG in); compareValue orders value records by
+// destination offset (their order in SORTED_VALUES).
+func compareDest(a, b destEntry) int { return cmp.Compare(a.vlogOff, b.vlogOff) }
+func compareValue(a, b valueRec) int { return cmp.Compare(a.destOff, b.destOff) }
 
 // pidxCursor walks PIDX entries in block order (used by consolidated index
 // construction to pair primary keys with the streaming sorted values).

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 
 	"kvcsd/internal/sim"
@@ -164,13 +163,7 @@ func (e *Engine) runConsolidated(p *sim.Proc, ks *Keyspace, sis []*secondaryInde
 			st.si.done.Signal()
 			return err
 		}
-		sorter := NewSorter[sidxEntry](e.zm, e.soc, e.cfg, sidxCodec{}, func(a, b sidxEntry) bool {
-			c := bytes.Compare(a.skey, b.skey)
-			if c != 0 {
-				return c < 0
-			}
-			return bytes.Compare(a.pkey, b.pkey) < 0
-		})
+		sorter := NewSorter[sidxEntry](e.zm, e.soc, e.cfg, sidxCodec{}, compareSidx)
 		sorted, err := sorter.SortCluster(p, st.cluster)
 		if err != nil {
 			st.si.done.Signal()
@@ -197,6 +190,7 @@ func (e *Engine) packSIDX(p *sim.Proc, si *secondaryIndex, sorted *Cluster) erro
 	w := newBlockWriter(cluster, e.cfg.BlockBytes)
 	sc := newScanner(sorted, sidxCodec{}, 0)
 	codec := sidxCodec{}
+	var enc []byte
 	for {
 		rec, ok, err := sc.next(p)
 		if err != nil {
@@ -205,7 +199,8 @@ func (e *Engine) packSIDX(p *sim.Proc, si *secondaryIndex, sorted *Cluster) erro
 		if !ok {
 			break
 		}
-		if err := w.add(p, codec.Encode(nil, rec), rec.skey); err != nil {
+		enc = codec.Encode(enc[:0], rec)
+		if err := w.add(p, enc, rec.skey); err != nil {
 			return err
 		}
 	}

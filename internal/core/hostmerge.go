@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-
 	"kvcsd/internal/host"
 	"kvcsd/internal/sim"
 )
@@ -18,70 +16,25 @@ import (
 // ties broken by run index — so a host-merged run is byte-for-byte a valid
 // input to the device's final merge.
 func MergeEncodedKlogRuns(p *sim.Proc, h *host.Host, runs [][]byte) ([]byte, error) {
-	codec := klogCodec{}
-	type cursor struct {
-		rec  klogEntry
-		data []byte
-	}
-	cursors := make([]*cursor, 0, len(runs))
+	// Empty runs neither join the merge nor count towards its fan-in.
+	live := make([][]byte, 0, len(runs))
 	var total int
 	for _, r := range runs {
 		total += len(r)
-		c := &cursor{data: r}
-		rec, n, err := codec.Decode(c.data, true)
-		if err != nil {
-			return nil, err
+		if len(r) > 0 {
+			live = append(live, r)
 		}
-		if n == 0 {
-			continue // empty run
-		}
-		c.rec, c.data = rec, c.data[n:]
-		cursors = append(cursors, c)
 	}
-
-	less := func(a, b klogEntry) bool {
-		c := bytes.Compare(a.key, b.key)
-		if c != 0 {
-			return c < 0
-		}
-		if a.vlogOff != b.vlogOff {
-			return a.vlogOff > b.vlogOff
-		}
-		return !a.isTombstone() && b.isTombstone()
-	}
-
-	logK := int64(1)
-	for k := len(cursors); k > 1; k >>= 1 {
-		logK++
-	}
+	codec := klogCodec{}
 	out := make([]byte, 0, total)
-	var pending int64
-	for len(cursors) > 0 {
-		best := 0
-		for i := 1; i < len(cursors); i++ {
-			if less(cursors[i].rec, cursors[best].rec) {
-				best = i
-			}
-		}
-		c := cursors[best]
-		out = codec.Encode(out, c.rec)
-		pending++
-		if pending >= 4096 {
-			h.Compares(p, pending*logK)
-			pending = 0
-		}
-		rec, n, err := codec.Decode(c.data, true)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			cursors = append(cursors[:best], cursors[best+1:]...)
-			continue
-		}
-		c.rec, c.data = rec, c.data[n:]
-	}
-	if pending > 0 {
-		h.Compares(p, pending*logK)
+	err := mergeSorted(p, len(live), func(i int) recordSource[klogEntry] {
+		return &memSource[klogEntry]{codec: codec, buf: live[i]}
+	}, compareKlog, h, func(_ *sim.Proc, rec klogEntry) error {
+		out = codec.Encode(out, rec)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	h.Copy(p, int64(total))
 	return out, nil

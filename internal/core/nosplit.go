@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 
@@ -59,6 +60,15 @@ func (pairCodec) Decode(data []byte, atEOF bool) (pairRec, int, error) {
 
 func (pairCodec) SizeHint(r pairRec) int { return 14 + len(r.key) + len(r.value) + 48 }
 
+// comparePair orders combined records by key ascending and, among equal keys,
+// the later insertion first (the low bit of seq is the deletion mark).
+func comparePair(a, b pairRec) int {
+	if c := bytes.Compare(a.key, b.key); c != 0 {
+		return c
+	}
+	return cmp.Compare(b.seq>>1, a.seq>>1)
+}
+
 // flushBufferCombined writes whole pairs into the KLOG (no VLOG).
 func (e *Engine) flushBufferCombined(p *sim.Proc, ks *Keyspace) error {
 	if len(ks.buf) == 0 {
@@ -93,19 +103,14 @@ func (e *Engine) runCompactionCombined(p *sim.Proc, ks *Keyspace) error {
 	if err := ks.vlog.Seal(p); err != nil {
 		return err
 	}
-	sorter := NewSorter[pairRec](e.zm, e.soc, e.cfg, pairCodec{}, func(a, b pairRec) bool {
-		c := bytes.Compare(a.key, b.key)
-		if c != 0 {
-			return c < 0
-		}
-		return a.seq>>1 > b.seq>>1
-	})
+	sorter := NewSorter[pairRec](e.zm, e.soc, e.cfg, pairCodec{}, comparePair)
 
 	pidx := e.zm.NewCluster(ZonePIDX)
 	pidxW := newBlockWriter(pidx, e.cfg.BlockBytes)
 	sorted := e.zm.NewCluster(ZoneSortedValues)
 	codec := klogCodec{}
 	writeBuf := make([]byte, 0, 256<<10)
+	var enc []byte
 	var destOff uint64
 	var livePairs int64
 	var lastKey []byte
@@ -120,9 +125,8 @@ func (e *Engine) runCompactionCombined(p *sim.Proc, ks *Keyspace) error {
 			return nil // newest record is a delete
 		}
 		livePairs++
-		if err := pidxW.add(sp, codec.Encode(nil, pidxEntry{
-			key: rec.key, vlen: uint32(len(rec.value)), vlogOff: destOff,
-		}), rec.key); err != nil {
+		enc = codec.Encode(enc[:0], pidxEntry{key: rec.key, vlen: uint32(len(rec.value)), vlogOff: destOff})
+		if err := pidxW.add(sp, enc, rec.key); err != nil {
 			return err
 		}
 		destOff += uint64(len(rec.value))

@@ -2,8 +2,9 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"kvcsd/internal/sim"
 )
@@ -259,7 +260,7 @@ func (e *Engine) RangeSecondary(p *sim.Proc, name, index string, lo, hi []byte, 
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return matches[order[a]].svOff < matches[order[b]].svOff })
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(matches[a].svOff, matches[b].svOff) })
 	e.soc.Compute(p, e.soc.SortCost(int64(len(order))))
 	values := make([][]byte, len(matches))
 	const coalesceGap = 64 << 10

@@ -32,46 +32,26 @@ func (e *Engine) runIndexBuild(p *sim.Proc, ks *Keyspace, si *secondaryIndex) er
 		ks:   ks,
 		spec: si.spec,
 	}
-	sorter := NewSorter[sidxEntry](e.zm, e.soc, e.cfg, sidxCodec{}, func(a, b sidxEntry) bool {
-		c := bytes.Compare(a.skey, b.skey)
-		if c != 0 {
-			return c < 0
-		}
-		return bytes.Compare(a.pkey, b.pkey) < 0
-	})
+	sorter := NewSorter[sidxEntry](e.zm, e.soc, e.cfg, sidxCodec{}, compareSidx)
 	sortedEntries, err := sorter.Sort(p, src)
 	if err != nil {
 		return err
 	}
 
-	// Pack the sorted entries into SIDX blocks.
-	cluster := e.zm.NewCluster(ZoneSIDX)
-	w := newBlockWriter(cluster, e.cfg.BlockBytes)
-	sc := newScanner(sortedEntries, sidxCodec{}, 0)
-	codec := sidxCodec{}
-	for {
-		rec, ok, err := sc.next(p)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if err := w.add(p, codec.Encode(nil, rec), rec.skey); err != nil {
-			return err
-		}
-	}
-	if err := w.finish(p); err != nil {
+	if err := e.packSIDX(p, si, sortedEntries); err != nil {
 		return err
 	}
-	if err := sortedEntries.Release(p); err != nil {
-		return err
-	}
-
-	si.cluster = cluster
-	si.sketch = w.sketch
 	si.buildNS = sim.Duration(p.Now() - start)
 	return e.mgr.Persist(p)
+}
+
+// compareSidx orders secondary-index entries by secondary key, then primary
+// key.
+func compareSidx(a, b sidxEntry) int {
+	if c := bytes.Compare(a.skey, b.skey); c != 0 {
+		return c
+	}
+	return bytes.Compare(a.pkey, b.pkey)
 }
 
 // sidxSource streams extraction results: it walks the PIDX blocks in order

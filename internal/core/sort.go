@@ -1,10 +1,8 @@
 package core
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
-	"sort"
 
 	"kvcsd/internal/compaction"
 	"kvcsd/internal/host"
@@ -134,7 +132,14 @@ type Sorter[T any] struct {
 	soc   *host.Host
 	cfg   Config
 	codec Codec[T]
-	less  func(a, b T) bool
+	cmp   func(a, b T) int
+
+	// batch and enc are this sorter's working buffers: the record batch with
+	// its merge scratch, and the 256 KiB encode buffer run formation and the
+	// unpipelined merge write through. They belong to the sort job and die
+	// with it.
+	batch sortBuf[T]
+	enc   []byte
 
 	// Runs and MergePasses record what the last Sort did (ablation metrics).
 	Runs        int
@@ -167,9 +172,10 @@ type Sorter[T any] struct {
 }
 
 // NewSorter builds a sorter using the engine's zone manager for scratch
-// space and the SoC host for CPU accounting.
-func NewSorter[T any](zm *ZoneManager, soc *host.Host, cfg Config, codec Codec[T], less func(a, b T) bool) *Sorter[T] {
-	return &Sorter[T]{zm: zm, soc: soc, cfg: cfg, codec: codec, less: less}
+// space and the SoC host for CPU accounting. cmp is a three-way comparison
+// (negative, zero, positive); records it calls equal keep their input order.
+func NewSorter[T any](zm *ZoneManager, soc *host.Host, cfg Config, codec Codec[T], cmp func(a, b T) int) *Sorter[T] {
+	return &Sorter[T]{zm: zm, soc: soc, cfg: cfg, codec: codec, cmp: cmp}
 }
 
 // SortCluster sorts the records of a cluster (not released — callers own it).
@@ -399,23 +405,39 @@ func releaseAll(p *sim.Proc, cs []*Cluster) error {
 	return nil
 }
 
-// makeRuns splits the input into sorted runs that fit the DRAM budget.
+// encChunk is the size at which encoded records are handed to a cluster.
+const encChunk = 256 << 10
+
+// encBuf returns the sorter's empty encode buffer, allocating it on first use
+// with room for the record that carries it past encChunk.
+func (s *Sorter[T]) encBuf() []byte {
+	if s.enc == nil {
+		s.enc = make([]byte, 0, encChunk+(4<<10))
+	}
+	return s.enc[:0]
+}
+
+// makeRuns splits the input into sorted runs that fit the DRAM budget. The
+// batch and its merge scratch grow once and serve every flush; they are
+// dropped on return so the merge passes that follow do not pin a DRAM
+// budget's worth of records.
 func (s *Sorter[T]) makeRuns(p *sim.Proc, sc recordSource[T]) ([]*Cluster, error) {
 	var runs []*Cluster
-	var batch []T
 	var batchBytes int
+	defer func() { s.batch = sortBuf[T]{} }()
 
 	flush := func() error {
+		batch := s.batch.recs
 		if len(batch) == 0 {
 			return nil
 		}
 		s.soc.Compute(p, s.soc.SortCost(int64(len(batch))))
-		sort.SliceStable(batch, func(i, j int) bool { return s.less(batch[i], batch[j]) })
+		s.batch.sort(s.cmp)
 		run := s.zm.NewCluster(ZoneTemp)
-		buf := make([]byte, 0, 256<<10)
+		buf := s.encBuf()
 		for _, rec := range batch {
 			buf = s.codec.Encode(buf, rec)
-			if len(buf) >= 256<<10 {
+			if len(buf) >= encChunk {
 				s.BytesWritten += int64(len(buf))
 				if err := run.Append(p, buf); err != nil {
 					return err
@@ -423,6 +445,7 @@ func (s *Sorter[T]) makeRuns(p *sim.Proc, sc recordSource[T]) ([]*Cluster, error
 				buf = buf[:0]
 			}
 		}
+		s.enc = buf
 		if len(buf) > 0 {
 			s.BytesWritten += int64(len(buf))
 			if err := run.Append(p, buf); err != nil {
@@ -433,7 +456,7 @@ func (s *Sorter[T]) makeRuns(p *sim.Proc, sc recordSource[T]) ([]*Cluster, error
 			return err
 		}
 		runs = append(runs, run)
-		batch = batch[:0]
+		s.batch.recs = batch[:0]
 		batchBytes = 0
 		return nil
 	}
@@ -446,7 +469,7 @@ func (s *Sorter[T]) makeRuns(p *sim.Proc, sc recordSource[T]) ([]*Cluster, error
 		if !ok {
 			break
 		}
-		batch = append(batch, rec)
+		s.batch.recs = append(s.batch.recs, rec)
 		batchBytes += s.codec.SizeHint(rec)
 		if batchBytes >= s.cfg.SortBudgetBytes {
 			if err := flush(); err != nil {
@@ -458,37 +481,6 @@ func (s *Sorter[T]) makeRuns(p *sim.Proc, sc recordSource[T]) ([]*Cluster, error
 		return nil, err
 	}
 	return runs, nil
-}
-
-// mergeItem / mergeHeapT implement the k-way merge.
-type mergeItem[T any] struct {
-	rec T
-	src int
-}
-
-type mergeHeapT[T any] struct {
-	items []mergeItem[T]
-	less  func(a, b T) bool
-}
-
-func (h *mergeHeapT[T]) Len() int { return len(h.items) }
-func (h *mergeHeapT[T]) Less(i, j int) bool {
-	if h.less(h.items[i].rec, h.items[j].rec) {
-		return true
-	}
-	if h.less(h.items[j].rec, h.items[i].rec) {
-		return false
-	}
-	return h.items[i].src < h.items[j].src
-}
-func (h *mergeHeapT[T]) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *mergeHeapT[T]) Push(x interface{}) { h.items = append(h.items, x.(mergeItem[T])) }
-func (h *mergeHeapT[T]) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
 }
 
 // mergeRuns k-way merges sorted runs into one sorted cluster. When the
@@ -505,16 +497,24 @@ func (s *Sorter[T]) mergeRunsMixed(p *sim.Proc, runs []*Cluster, mem [][]byte) (
 	if s.pipelined() {
 		w = newPipelineWriter(s.Env, out, s.PipelineWidth, s.OnOccupancy)
 	}
-	buf := make([]byte, 0, 256<<10)
+	// The write stage owns every chunk pushed to it and hands it back once
+	// appended; the inline merge reuses the sorter's one buffer.
+	var buf []byte
+	if w != nil {
+		buf = w.buffer()
+	} else {
+		buf = s.encBuf()
+		defer func() { s.enc = buf }()
+	}
 	err := s.mergeMixed(p, runs, mem, func(mp *sim.Proc, rec T) error {
 		buf = s.codec.Encode(buf, rec)
-		if len(buf) >= 256<<10 {
+		if len(buf) >= encChunk {
 			s.BytesWritten += int64(len(buf))
 			if w != nil {
 				if err := w.write(mp, buf); err != nil {
 					return err
 				}
-				buf = make([]byte, 0, 256<<10)
+				buf = w.buffer()
 			} else {
 				if err := out.Append(mp, buf); err != nil {
 					return err
@@ -568,7 +568,6 @@ func (s *Sorter[T]) merge(p *sim.Proc, runs []*Cluster, emit func(p *sim.Proc, r
 // mergeMixed k-way merges cluster-backed runs plus optional in-memory runs
 // (host-merged results that arrive over PCIe and never touch the media).
 func (s *Sorter[T]) mergeMixed(p *sim.Proc, runs []*Cluster, mem [][]byte, emit func(p *sim.Proc, rec T) error) error {
-	srcs := make([]recordSource[T], 0, len(runs)+len(mem))
 	var pfs []*prefetcher
 	if s.pipelined() {
 		defer func() {
@@ -577,49 +576,58 @@ func (s *Sorter[T]) mergeMixed(p *sim.Proc, runs []*Cluster, mem [][]byte, emit 
 			}
 		}()
 	}
-	h := &mergeHeapT[T]{less: s.less}
-	for _, r := range runs {
-		sc := newScanner(r, s.codec, 0)
+	open := func(i int) recordSource[T] {
+		if i >= len(runs) {
+			return &memSource[T]{codec: s.codec, buf: mem[i-len(runs)]}
+		}
+		sc := newScanner(runs[i], s.codec, 0)
 		if s.pipelined() {
-			pf := startPrefetcher(s.Env, r, sc.chunk, s.PipelineWidth, s.OnOccupancy)
-			sc.pf = pf
-			pfs = append(pfs, pf)
+			sc.pf = startPrefetcher(s.Env, runs[i], sc.chunk, s.PipelineWidth, s.OnOccupancy)
+			pfs = append(pfs, sc.pf)
 		}
-		srcs = append(srcs, sc)
-		rec, ok, err := sc.next(p)
+		return sc
+	}
+	return mergeSorted(p, len(runs)+len(mem), open, s.cmp, s.soc, emit)
+}
+
+// mergeSorted is the k-way merge loop: it streams the records of k sorted
+// sources to emit in ascending cmp order, records that compare equal leaving
+// in source-index order (which is what keeps a multi-run sort stable). Source
+// i is opened just before its first record is read — opening a pipelined run
+// starts its read-ahead proc, and the model's event order depends on when.
+// The merge compute is charged to cpu in 4096-record slices at log2(k)
+// compares per record.
+func mergeSorted[T any](p *sim.Proc, k int, open func(i int) recordSource[T], cmp func(a, b T) int,
+	cpu *host.Host, emit func(p *sim.Proc, rec T) error) error {
+	srcs := make([]recordSource[T], k)
+	h := mergeHeap[T]{items: make([]mergeItem[T], 0, k), cmp: cmp}
+	for i := range srcs {
+		srcs[i] = open(i)
+		rec, ok, err := srcs[i].next(p)
 		if err != nil {
 			return err
 		}
 		if ok {
-			h.items = append(h.items, mergeItem[T]{rec: rec, src: len(srcs) - 1})
+			h.items = append(h.items, mergeItem[T]{rec: rec, src: i})
 		}
 	}
-	for _, b := range mem {
-		ms := &memSource[T]{codec: s.codec, buf: b}
-		srcs = append(srcs, ms)
-		rec, ok, err := ms.next(p)
-		if err != nil {
-			return err
-		}
-		if ok {
-			h.items = append(h.items, mergeItem[T]{rec: rec, src: len(srcs) - 1})
-		}
+	for i := len(h.items)/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
-	heap.Init(h)
 
 	logK := int64(1)
-	for k := len(srcs); k > 1; k >>= 1 {
+	for n := k; n > 1; n >>= 1 {
 		logK++
 	}
 	var pending int64 // records merged since last CPU charge
-	for h.Len() > 0 {
-		top := h.items[0]
+	for len(h.items) > 0 {
+		top := &h.items[0]
 		if err := emit(p, top.rec); err != nil {
 			return err
 		}
 		pending++
 		if pending >= 4096 {
-			s.soc.Compares(p, pending*logK)
+			cpu.Compares(p, pending*logK)
 			pending = 0
 		}
 		rec, ok, err := srcs[top.src].next(p)
@@ -627,16 +635,65 @@ func (s *Sorter[T]) mergeMixed(p *sim.Proc, runs []*Cluster, mem [][]byte, emit 
 			return err
 		}
 		if ok {
-			h.items[0] = mergeItem[T]{rec: rec, src: top.src}
-			heap.Fix(h, 0)
+			top.rec = rec
 		} else {
-			heap.Pop(h)
+			last := len(h.items) - 1
+			*top = h.items[last]
+			h.items[last] = mergeItem[T]{}
+			h.items = h.items[:last]
 		}
+		h.down(0)
 	}
 	if pending > 0 {
-		s.soc.Compares(p, pending*logK)
+		cpu.Compares(p, pending*logK)
 	}
 	return nil
+}
+
+// mergeItem is one source's current record in the merge heap.
+type mergeItem[T any] struct {
+	rec T
+	src int
+}
+
+// mergeHeap is a binary min-heap of the sources' current records, ordered by
+// cmp and then by source index. It is sifted by hand on typed items:
+// container/heap would box every record and dispatch each comparison through
+// an interface.
+type mergeHeap[T any] struct {
+	items []mergeItem[T]
+	cmp   func(a, b T) int
+}
+
+func (h *mergeHeap[T]) less(a, b *mergeItem[T]) bool {
+	if c := h.cmp(a.rec, b.rec); c != 0 {
+		return c < 0
+	}
+	return a.src < b.src
+}
+
+// down restores heap order below index i.
+func (h *mergeHeap[T]) down(i int) {
+	n := len(h.items)
+	if i >= n {
+		return
+	}
+	it := h.items[i]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h.less(&h.items[c+1], &h.items[c]) {
+			c++
+		}
+		if !h.less(&h.items[c], &it) {
+			break
+		}
+		h.items[i] = h.items[c]
+		i = c
+	}
+	h.items[i] = it
 }
 
 // prefetcher is the pipeline's read stage: a proc streaming a cluster's
@@ -701,6 +758,7 @@ type pipelineWriter struct {
 	proc *sim.Proc
 	out  *Cluster
 	err  error
+	free [][]byte // chunks the stage has appended, for the producer to refill
 }
 
 func newPipelineWriter(env *sim.Env, out *Cluster, width int, onDelta func(int)) *pipelineWriter {
@@ -717,9 +775,22 @@ func newPipelineWriter(env *sim.Env, out *Cluster, width int, onDelta func(int))
 			if err := out.Append(p, buf); err != nil {
 				w.err = err
 			}
+			w.free = append(w.free, buf[:0]) // Append copied it
 		}
 	})
 	return w
+}
+
+// buffer returns an empty chunk for the producer to fill and write: one the
+// stage is done with when there is one, so a merge cycles through at most
+// ring-width + 2 chunks instead of allocating one per 256 KiB of output.
+func (w *pipelineWriter) buffer() []byte {
+	if n := len(w.free); n > 0 {
+		buf := w.free[n-1]
+		w.free = w.free[:n-1]
+		return buf
+	}
+	return make([]byte, 0, encChunk)
 }
 
 // write hands one chunk to the write stage. The caller must not reuse buf.

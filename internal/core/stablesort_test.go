@@ -1,0 +1,288 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"kvcsd/internal/host"
+	"kvcsd/internal/sim"
+)
+
+// checkStableSort requires stableSort to produce exactly the permutation
+// sort.SliceStable does. Records carry a field the comparator ignores, so a
+// pair of equal records swapped is a visible difference.
+func checkStableSort[T any](t *testing.T, recs []T, cmp func(a, b T) int) {
+	t.Helper()
+	want := append([]T(nil), recs...)
+	sort.SliceStable(want, func(i, j int) bool { return cmp(want[i], want[j]) < 0 })
+	got := append([]T(nil), recs...)
+	stableSort(got, make([]T, len(got)), cmp)
+	if !reflect.DeepEqual(got, want) {
+		for i := range got {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("%T: %d records, first difference at %d: got %+v want %+v", got, len(got), i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// checkAllRecordTypes builds one input per sorted record type from the same
+// key stream — keys[i] picks record i's ordering key out of a small set, so
+// most records have equal neighbours — and checks each against the reference.
+func checkAllRecordTypes(t *testing.T, keys []byte) {
+	t.Helper()
+	var (
+		klog  []klogEntry
+		sidx  []sidxEntry
+		pairs []pairRec
+		dests []destEntry
+		vals  []valueRec
+	)
+	for i, k := range keys {
+		key := []byte{'k', k >> 4, k & 15}
+		tag := uint32(i)
+		// Equal under compareKlog: same key, vlogOff and tombstone-ness; vlen
+		// is the tag (tombstones have only one vlen, so they tag nothing).
+		ke := klogEntry{key: key, vlogOff: uint64(k & 3), vlen: tag}
+		if k&8 != 0 {
+			ke.vlen = tombstoneVlen
+		}
+		klog = append(klog, ke)
+		sidx = append(sidx, sidxEntry{skey: key[:2], pkey: key[2:], svOff: uint64(tag)})
+		pairs = append(pairs, pairRec{key: key, seq: uint64(k&3)<<1 | uint64(i&1), value: []byte{byte(i), byte(i >> 8)}})
+		dests = append(dests, destEntry{vlogOff: uint64(k), destOff: uint64(tag)})
+		vals = append(vals, valueRec{destOff: uint64(k), value: []byte{byte(i), byte(i >> 8)}})
+	}
+	checkStableSort(t, klog, compareKlog)
+	checkStableSort(t, sidx, compareSidx)
+	checkStableSort(t, pairs, comparePair)
+	checkStableSort(t, dests, compareDest)
+	checkStableSort(t, vals, compareValue)
+}
+
+func TestStableSortMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	sizes := []int{0, 1, 2, sortBlock - 1, sortBlock, sortBlock + 1, 2*sortBlock - 1, 2 * sortBlock, 2*sortBlock + 1,
+		3 * sortBlock, 100, 1000, 4097}
+	for _, n := range sizes {
+		for _, distinct := range []int{1, 3, 16, 256} {
+			keys := make([]byte, n)
+			for i := range keys {
+				keys[i] = byte(rng.Intn(distinct))
+			}
+			checkAllRecordTypes(t, keys)
+			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] }) // presorted: the merge skip path
+			checkAllRecordTypes(t, keys)
+			for i, j := 0, len(keys)-1; i < j; i, j = i+1, j-1 {
+				keys[i], keys[j] = keys[j], keys[i]
+			}
+			checkAllRecordTypes(t, keys)
+		}
+	}
+}
+
+func FuzzStableSort(f *testing.F) {
+	f.Add([]byte(nil))
+	f.Add([]byte{1})
+	f.Add(bytes.Repeat([]byte{7, 7, 3, 7, 1, 3}, 11))
+	f.Add(bytes.Repeat([]byte{255, 0, 128, 8, 9, 10, 8}, 40))
+	f.Fuzz(func(t *testing.T, keys []byte) {
+		if len(keys) > 1<<12 {
+			keys = keys[:1<<12]
+		}
+		checkAllRecordTypes(t, keys)
+	})
+}
+
+// TestSortBufSortNoAllocs: once a sort job's buffers have grown to its batch
+// size, sorting allocates nothing.
+func TestSortBufSortNoAllocs(t *testing.T) {
+	master := benchKlogEntries(4096)
+	var b sortBuf[klogEntry]
+	b.recs = append(b.recs, master...)
+	b.sort(compareKlog) // warm-up: sizes the scratch
+	if n := testing.AllocsPerRun(10, func() {
+		copy(b.recs, master)
+		b.sort(compareKlog)
+	}); n != 0 {
+		t.Fatalf("sortBuf.sort allocated %v times per run after warm-up", n)
+	}
+}
+
+// sliceSource streams a slice of records (a run already in DRAM, decoded).
+type sliceSource[T any] struct {
+	recs []T
+	pos  int
+}
+
+func (s *sliceSource[T]) next(*sim.Proc) (rec T, ok bool, err error) {
+	if s.pos >= len(s.recs) {
+		return rec, false, nil
+	}
+	s.pos++
+	return s.recs[s.pos-1], true, nil
+}
+
+// TestMergeSortedTieBreak: records that compare equal leave the merge in
+// source-index order, whatever order the heap met them in.
+func TestMergeSortedTieBreak(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, k := range []int{1, 2, 3, 5, 16, 33} {
+		runs := make([][]klogEntry, k)
+		var all []klogEntry
+		for i := range runs {
+			n := rng.Intn(200)
+			if i == k/2 {
+				n = 0 // an empty source in the middle
+			}
+			for j := 0; j < n; j++ {
+				// vlen names the source and position; compareKlog ignores it.
+				runs[i] = append(runs[i], klogEntry{key: []byte{byte(rng.Intn(6))}, vlogOff: uint64(rng.Intn(2)), vlen: uint32(i<<16 | j)})
+			}
+			r := runs[i]
+			sort.SliceStable(r, func(a, b int) bool { return compareKlog(r[a], r[b]) < 0 })
+			all = append(all, r...)
+		}
+		// Reference: a stable sort of the runs concatenated in source order.
+		sort.SliceStable(all, func(a, b int) bool { return compareKlog(all[a], all[b]) < 0 })
+
+		env := sim.NewEnv()
+		cpu := host.New(env, host.DefaultSoCConfig())
+		var got []klogEntry
+		env.Go("merge", func(p *sim.Proc) {
+			err := mergeSorted(p, k, func(i int) recordSource[klogEntry] { return &sliceSource[klogEntry]{recs: runs[i]} },
+				compareKlog, cpu, func(_ *sim.Proc, rec klogEntry) error {
+					got = append(got, rec)
+					return nil
+				})
+			if err != nil {
+				t.Error(err)
+			}
+		})
+		env.Run()
+		if !reflect.DeepEqual(got, all) {
+			t.Fatalf("k=%d: merge order differs from the stable reference", k)
+		}
+	}
+}
+
+// refMergeEncodedKlogRuns is the linear-scan merge MergeEncodedKlogRuns
+// carried before it moved onto mergeSorted, kept as the reference for its
+// output bytes and its CPU charge.
+func refMergeEncodedKlogRuns(p *sim.Proc, h *host.Host, runs [][]byte) ([]byte, error) {
+	codec := klogCodec{}
+	type cursor struct {
+		rec  klogEntry
+		data []byte
+	}
+	cursors := make([]*cursor, 0, len(runs))
+	var total int
+	for _, r := range runs {
+		total += len(r)
+		c := &cursor{data: r}
+		rec, n, err := codec.Decode(c.data, true)
+		if err != nil {
+			return nil, err
+		}
+		if n == 0 {
+			continue // empty run
+		}
+		c.rec, c.data = rec, c.data[n:]
+		cursors = append(cursors, c)
+	}
+	logK := int64(1)
+	for k := len(cursors); k > 1; k >>= 1 {
+		logK++
+	}
+	out := make([]byte, 0, total)
+	var pending int64
+	for len(cursors) > 0 {
+		best := 0
+		for i := 1; i < len(cursors); i++ {
+			if compareKlog(cursors[i].rec, cursors[best].rec) < 0 {
+				best = i
+			}
+		}
+		c := cursors[best]
+		out = codec.Encode(out, c.rec)
+		pending++
+		if pending >= 4096 {
+			h.Compares(p, pending*logK)
+			pending = 0
+		}
+		rec, n, err := codec.Decode(c.data, true)
+		if err != nil {
+			return nil, err
+		}
+		if n == 0 {
+			cursors = append(cursors[:best], cursors[best+1:]...)
+			continue
+		}
+		c.rec, c.data = rec, c.data[n:]
+	}
+	if pending > 0 {
+		h.Compares(p, pending*logK)
+	}
+	h.Copy(p, int64(total))
+	return out, nil
+}
+
+// TestMergeEncodedKlogRunsUnchanged: same bytes out, same virtual time
+// charged, with duplicate keys across runs, tombstones and empty runs.
+func TestMergeEncodedKlogRunsUnchanged(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, k := range []int{1, 2, 4, 7, 16} {
+		runs := make([][]byte, k)
+		for i := range runs {
+			if k > 2 && i == 1 {
+				continue // empty run: must not count towards the fan-in
+			}
+			recs := make([]klogEntry, 1500+rng.Intn(3000))
+			for j := range recs {
+				recs[j] = klogEntry{key: []byte(fmt.Sprintf("key-%04d", rng.Intn(800))), vlogOff: uint64(rng.Intn(4)) * 32, vlen: uint32(i<<16 | j)}
+				if rng.Intn(10) == 0 {
+					recs[j].vlen = tombstoneVlen
+				}
+			}
+			sort.SliceStable(recs, func(a, b int) bool { return compareKlog(recs[a], recs[b]) < 0 })
+			for _, r := range recs {
+				runs[i] = klogCodec{}.Encode(runs[i], r)
+			}
+		}
+		merge := func(fn func(*sim.Proc, *host.Host, [][]byte) ([]byte, error)) ([]byte, sim.Time) {
+			env := sim.NewEnv()
+			cpu := host.New(env, host.DefaultSoCConfig())
+			var out []byte
+			env.Go("merge", func(p *sim.Proc) {
+				var err error
+				if out, err = fn(p, cpu, runs); err != nil {
+					t.Error(err)
+				}
+			})
+			env.Run()
+			return out, env.Now()
+		}
+		want, wantT := merge(refMergeEncodedKlogRuns)
+		got, gotT := merge(MergeEncodedKlogRuns)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("k=%d: merged bytes differ from the reference merge", k)
+		}
+		if gotT != wantT {
+			t.Fatalf("k=%d: merge charged %v of virtual time, reference %v", k, gotT, wantT)
+		}
+	}
+	// A torn run is still an error, not a silent truncation.
+	env := sim.NewEnv()
+	cpu := host.New(env, host.DefaultSoCConfig())
+	env.Go("merge", func(p *sim.Proc) {
+		good := klogCodec{}.Encode(nil, klogEntry{key: []byte("a"), vlen: 1})
+		if _, err := MergeEncodedKlogRuns(p, cpu, [][]byte{good, good[:len(good)-1]}); err == nil {
+			t.Error("torn run merged without error")
+		}
+	})
+	env.Run()
+}

@@ -323,32 +323,56 @@ func (c *Cluster) Append(p *sim.Proc, data []byte) error {
 		if err := c.ensureStripe(first + int64(full) - 1); err != nil {
 			return err
 		}
-		// Gather granules by zone (granules of one zone are stride-W apart
-		// in the logical stream but contiguous inside the zone).
-		bufs := make(map[int][]byte)
-		var order []int
-		for g := 0; g < full; g++ {
-			zone, _ := c.locate(first + int64(g))
-			if _, ok := bufs[zone]; !ok {
-				order = append(order, zone)
-			}
-			bufs[zone] = append(bufs[zone], c.tail[g*c.blockSz:(g+1)*c.blockSz]...)
-		}
-		zones := make([]int, len(order))
-		data := make([][]byte, len(order))
-		for i, z := range order {
-			zones[i] = z
-			data[i] = bufs[z]
-		}
+		zones, data := c.gatherByZone(first, full)
 		if err := c.zm.dev.WriteZoneSpans(p, zones, data); err != nil {
 			return err
 		}
 		for g := 0; g < full; g++ {
 			c.noteGranule(first+int64(g), c.tail[g*c.blockSz:(g+1)*c.blockSz])
 		}
-		c.tail = c.tail[full*c.blockSz:]
+		// Move the remainder to the front instead of reslicing past it: the
+		// tail keeps its capacity, so the next Append does not reallocate it.
+		c.tail = c.tail[:copy(c.tail, c.tail[full*c.blockSz:])]
 	}
 	return nil
+}
+
+// gatherByZone copies the first full granules of the tail (granules first,
+// first+1, ... of the cluster, all within one stripe) into one contiguous
+// buffer per zone, zones in order of first use: granules of one zone are
+// stride-W apart in the logical stream but contiguous inside the zone. The
+// buffers are carved from a single allocation of exactly full granules.
+func (c *Cluster) gatherByZone(first int64, full int) (zones []int, data [][]byte) {
+	slot := func(zone int) int {
+		for i, z := range zones {
+			if z == zone {
+				return i
+			}
+		}
+		return -1
+	}
+	var counts []int
+	for g := 0; g < full; g++ {
+		zone, _ := c.locate(first + int64(g))
+		i := slot(zone)
+		if i < 0 {
+			i = len(zones)
+			zones = append(zones, zone)
+			counts = append(counts, 0)
+		}
+		counts[i]++
+	}
+	buf := make([]byte, full*c.blockSz)
+	data = make([][]byte, len(zones))
+	for i, n := range counts {
+		data[i], buf = buf[:0:n*c.blockSz], buf[n*c.blockSz:]
+	}
+	for g := 0; g < full; g++ {
+		zone, _ := c.locate(first + int64(g))
+		i := slot(zone)
+		data[i] = append(data[i], c.tail[g*c.blockSz:(g+1)*c.blockSz]...)
+	}
+	return zones, data
 }
 
 // noteGranule records the checksum of one flushed granule's full bytes.
@@ -449,6 +473,23 @@ func (c *Cluster) readFlushed(p *sim.Proc, buf []byte, off int64) error {
 	firstG := off / int64(c.blockSz)
 	lastG := (off + int64(len(buf)) - 1) / int64(c.blockSz)
 
+	// A point read touches one granule, or a few that sit in one zone: that
+	// is a single span, built in place.
+	zone, zoff := c.locate(firstG)
+	oneZone := true
+	for g := firstG + 1; g <= lastG && oneZone; g++ {
+		z, _ := c.locate(g)
+		oneZone = z == zone
+	}
+	if oneZone {
+		req := [1]ssd.ZoneSpan{{Zone: zone, Off: zoff, N: int(lastG-firstG+1) * c.blockSz}}
+		datas, err := c.zm.dev.ReadZoneSpans(p, req[:])
+		if err != nil {
+			return err
+		}
+		return c.scatterSpan(buf, off, zone, zoff, firstG, datas[0])
+	}
+
 	// Group consecutive granules per zone into spans (contiguous in-zone).
 	type spanAcc struct {
 		zone   int
@@ -462,7 +503,6 @@ func (c *Cluster) readFlushed(p *sim.Proc, buf []byte, off int64) error {
 		zone, zoff := c.locate(g)
 		if acc, ok := spans[zone]; ok {
 			acc.n += int64(c.blockSz)
-			_ = zoff
 		} else {
 			spans[zone] = &spanAcc{zone: zone, start: zoff, n: int64(c.blockSz), firstG: g}
 			order = append(order, zone)
@@ -479,41 +519,48 @@ func (c *Cluster) readFlushed(p *sim.Proc, buf []byte, off int64) error {
 	if err != nil {
 		return err
 	}
-	// Scatter span bytes back into the caller buffer, verifying each whole
-	// granule against its recorded checksum on the way (spans are granule
-	// aligned, so verification needs no extra I/O).
-	w := int64(c.zm.cfg.StripeWidth)
-	verify := !c.zm.cfg.DisableVerify
 	for i, z := range order {
 		acc := spans[z]
-		data := datas[i]
-		// Granules of this zone are acc.firstG, acc.firstG+w, ...
-		for k := int64(0); k*int64(c.blockSz) < int64(len(data)); k++ {
-			g := acc.firstG + k*w
-			if verify && g < int64(len(c.sums)) && c.sums[g] != 0 {
-				block := data[k*int64(c.blockSz) : (k+1)*int64(c.blockSz)]
-				if crc32.Checksum(block, castagnoli) != c.sums[g] {
-					c.zm.dev.Stats().CorruptDetected.Add(1)
-					return &CorruptionError{Type: c.typ, Cluster: c.id, Granule: g,
-						Zone: z, ZoneOff: acc.start + k*int64(c.blockSz)}
-				}
-			}
-			gStart := g * int64(c.blockSz) // logical offset of granule start
-			// Intersect [gStart, gStart+blockSz) with [off, off+len(buf)).
-			lo := gStart
-			if lo < off {
-				lo = off
-			}
-			hi := gStart + int64(c.blockSz)
-			if hi > off+int64(len(buf)) {
-				hi = off + int64(len(buf))
-			}
-			if lo >= hi {
-				continue
-			}
-			srcOff := k*int64(c.blockSz) + (lo - gStart)
-			copy(buf[lo-off:hi-off], data[srcOff:srcOff+(hi-lo)])
+		if err := c.scatterSpan(buf, off, z, acc.start, acc.firstG, datas[i]); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// scatterSpan copies one zone span's bytes (granules firstG, firstG+W, ... of
+// the cluster, read from in-zone offset start) into the caller buffer, which
+// holds logical range [off, off+len(buf)), verifying each whole granule
+// against its recorded checksum on the way (spans are granule aligned, so
+// verification needs no extra I/O).
+func (c *Cluster) scatterSpan(buf []byte, off int64, zone int, start, firstG int64, data []byte) error {
+	w := int64(c.zm.cfg.StripeWidth)
+	verify := !c.zm.cfg.DisableVerify
+	for k := int64(0); k*int64(c.blockSz) < int64(len(data)); k++ {
+		g := firstG + k*w
+		if verify && g < int64(len(c.sums)) && c.sums[g] != 0 {
+			block := data[k*int64(c.blockSz) : (k+1)*int64(c.blockSz)]
+			if crc32.Checksum(block, castagnoli) != c.sums[g] {
+				c.zm.dev.Stats().CorruptDetected.Add(1)
+				return &CorruptionError{Type: c.typ, Cluster: c.id, Granule: g,
+					Zone: zone, ZoneOff: start + k*int64(c.blockSz)}
+			}
+		}
+		gStart := g * int64(c.blockSz) // logical offset of granule start
+		// Intersect [gStart, gStart+blockSz) with [off, off+len(buf)).
+		lo := gStart
+		if lo < off {
+			lo = off
+		}
+		hi := gStart + int64(c.blockSz)
+		if hi > off+int64(len(buf)) {
+			hi = off + int64(len(buf))
+		}
+		if lo >= hi {
+			continue
+		}
+		srcOff := k*int64(c.blockSz) + (lo - gStart)
+		copy(buf[lo-off:hi-off], data[srcOff:srcOff+(hi-lo)])
 	}
 	return nil
 }

@@ -63,7 +63,7 @@ func New(env *Env, opts Options) *Cluster {
 		rng:   sim.NewRNG(opts.Seed).Fork(0x5245504C), // "REPL"
 		calls: map[uint64]*call{},
 	}
-	c.net = newTransport(c, opts.LinkDelay)
+	c.net = newTransport(c, opts.LinkDelay, opts.Nodes)
 	for i := 0; i < opts.Nodes; i++ {
 		c.nodes = append(c.nodes, &node{c: c, id: i, running: true, groups: map[int]*group{}})
 	}

@@ -27,13 +27,23 @@ type transport struct {
 	// blocked holds directed (from, to) pairs a partition currently severs.
 	blocked map[[2]int]bool
 
+	// procNames[from*nodes+to] names the delivery proc of a frame on that
+	// link; built once, because ship runs for every frame.
+	procNames []string
+
 	framesSent    int64
 	framesDropped int64
 	bytesSent     int64
 }
 
-func newTransport(c *Cluster, delay sim.Duration) *transport {
-	return &transport{c: c, delay: delay, blocked: map[[2]int]bool{}}
+func newTransport(c *Cluster, delay sim.Duration, nodes int) *transport {
+	t := &transport{c: c, delay: delay, blocked: map[[2]int]bool{}, procNames: make([]string, nodes*nodes)}
+	for from := 0; from < nodes; from++ {
+		for to := 0; to < nodes; to++ {
+			t.procNames[from*nodes+to] = fmt.Sprintf("replica:net:%d->%d", from, to)
+		}
+	}
+	return t
 }
 
 func (t *transport) cut(a, b int) {
@@ -70,7 +80,7 @@ func (t *transport) ship(from, to int, frame []byte) {
 	}
 	t.framesSent++
 	t.bytesSent += int64(len(frame))
-	c.env.Go(fmt.Sprintf("replica:net:%d->%d", from, to), func(p *sim.Proc) {
+	c.env.Go(t.procNames[from*len(c.nodes)+to], func(p *sim.Proc) {
 		p.Sleep(t.delay)
 		if c.stopped || t.severed(from, to) || !c.nodes[to].running {
 			t.framesDropped++
