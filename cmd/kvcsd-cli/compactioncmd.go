@@ -1,87 +1,25 @@
-// Compaction-control plumbing shared by the local and remote `compact` and
-// `stats` verbs: flag parsing for the policy/width pair and rendering of the
-// per-keyspace compaction progress section.
+// Rendering of the per-keyspace compaction progress section shared by the
+// local and remote `compact` and `stats` verbs.
 package main
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
-	"kvcsd/internal/array"
-	"kvcsd/internal/compaction"
 	"kvcsd/internal/stats"
+	"kvcsd/internal/wire"
 )
-
-// compactionConfigFlags folds the -policy/-width flags into a config; set
-// reports whether anything was requested at all.
-func compactionConfigFlags(policy string, width int) (compaction.Config, bool, error) {
-	if policy == "" && width == 0 {
-		return compaction.Config{}, false, nil
-	}
-	cfg := compaction.Config{PipelineWidth: width}
-	if policy != "" {
-		pol, err := compaction.ParsePolicy(policy)
-		if err != nil {
-			return compaction.Config{}, false, err
-		}
-		cfg.Policy = pol
-	}
-	return cfg, true, nil
-}
-
-// compactionRow is one keyspace's progress line.
-type compactionRow struct {
-	keyspace string
-	progress compaction.Progress
-}
-
-// progressRows aggregates the fleet's per-shard compaction progress into one
-// row per logical keyspace (shards are "<keyspace>#pN" on their devices),
-// mirroring the wire StatsReport aggregation.
-func progressRows(a *array.Array) []compactionRow {
-	byKs := make(map[string]*compaction.Progress)
-	var names []string
-	for _, m := range a.Members() {
-		if m.Dev.PoweredOff() {
-			continue
-		}
-		for _, row := range m.Dev.Engine().Progresses() {
-			name, _, _ := strings.Cut(row.Keyspace, "#")
-			agg, ok := byKs[name]
-			if !ok {
-				cp := row.Progress
-				byKs[name] = &cp
-				names = append(names, name)
-				continue
-			}
-			agg.GranulesDone += row.Progress.GranulesDone
-			agg.GranulesTotal += row.Progress.GranulesTotal
-			agg.BytesMoved += row.Progress.BytesMoved
-			agg.HostRuns += row.Progress.HostRuns
-			agg.DeviceRuns += row.Progress.DeviceRuns
-			agg.Occupancy += row.Progress.Occupancy
-		}
-	}
-	sort.Strings(names)
-	rows := make([]compactionRow, 0, len(names))
-	for _, name := range names {
-		rows = append(rows, compactionRow{keyspace: name, progress: *byKs[name]})
-	}
-	return rows
-}
 
 // printCompactions renders the compaction progress section (no-op when no
 // keyspace has compaction activity).
-func printCompactions(rows []compactionRow) {
+func printCompactions(rows []wire.CompactionProgress) {
 	if len(rows) == 0 {
 		return
 	}
 	fmt.Printf("compactions:\n")
 	for _, r := range rows {
-		pr := r.progress
+		pr := r.Progress
 		fmt.Printf("  %-12s stage=%-8s granules=%d/%d moved=%s runs=host:%d/device:%d occupancy=%d\n",
-			r.keyspace, pr.Stage, pr.GranulesDone, pr.GranulesTotal,
+			r.Keyspace, pr.Stage, pr.GranulesDone, pr.GranulesTotal,
 			stats.HumanBytes(int64(pr.BytesMoved)), pr.HostRuns, pr.DeviceRuns, pr.Occupancy)
 	}
 }

@@ -36,37 +36,36 @@ func parseExtentKind(s string) (core.ExtentKind, error) {
 	return 0, fmt.Errorf("unknown extent kind %q (try klog, vlog, pidx, sorted, sidx)", s)
 }
 
+// holds reports whether dev carries a replica of partition pi of ks.
+func holds(ks *array.Keyspace, pi, dev int) bool {
+	for _, d := range ks.Replicas(pi) {
+		if d == dev {
+			return true
+		}
+	}
+	return false
+}
+
 // shardOn returns the index of the first partition of ks with a replica on
 // dev, -1 when the device holds none of the keyspace.
 func shardOn(ks *array.Keyspace, dev int) int {
 	for pi := 0; pi < ks.Partitions(); pi++ {
-		for _, d := range ks.Replicas(pi) {
-			if d == dev {
-				return pi
-			}
+		if holds(ks, pi, dev) {
+			return pi
 		}
 	}
 	return -1
 }
 
 func runCorrupt(cfg cliConfig, args []string) error {
-	fs := flag.NewFlagSet("corrupt", flag.ContinueOnError)
-	dev := fs.Int("dev", 0, "device to poison")
-	kind := fs.String("kind", "sorted", "extent kind: klog, vlog, pidx, sorted, sidx")
-	index := fs.String("index", "", "secondary index name (sidx extents)")
-	granule := fs.Int64("granule", 0, "granule index within the extent")
-	bits := fs.Int("bits", 16, "bits to flip")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	kd, err := parseExtentKind(*kind)
+	ca, err := parseCorrupt(args)
 	if err != nil {
 		return err
 	}
+	if err := checkDev(cfg, ca.dev); err != nil {
+		return err
+	}
 	return runArray(cfg, func(p *sim.Proc, a *array.Array) error {
-		if *dev < 0 || *dev >= cfg.devices {
-			return fmt.Errorf("device %d out of range (0..%d)", *dev, cfg.devices-1)
-		}
 		ks, err := load(p, a, cfg)
 		if err != nil {
 			return err
@@ -74,37 +73,28 @@ func runCorrupt(cfg cliConfig, args []string) error {
 		if err := ks.Compact(p); err != nil {
 			return err
 		}
-		pi := shardOn(ks, *dev)
+		pi := shardOn(ks, ca.dev)
 		if pi < 0 {
-			return fmt.Errorf("device %d holds no shard of %s", *dev, cfg.ksName)
+			return fmt.Errorf("device %d holds no shard of %s", ca.dev, cfg.ksName)
 		}
-		addr := nvme.ExtentAddr{Kind: uint8(kd), Index: *index, Granule: *granule, Bits: *bits}
-		flipped, err := a.CorruptExtent(p, *dev, ks.ShardName(pi), addr)
+		flipped, err := a.CorruptExtent(p, ca.dev, ks.ShardName(pi), ca.addr.NVMe())
 		if err != nil {
 			return err
 		}
 		fmt.Printf("flipped %d bits in %s of %s granule %d on device %d\n",
-			flipped, kd, ks.ShardName(pi), *granule, *dev)
+			flipped, ca.kind, ks.ShardName(pi), ca.addr.Granule, ca.dev)
 
 		// Reads must now either verify byte-exact on this replica, fail over
 		// to a peer, or fail typed — never return the poisoned bytes.
-		found, errs := 0, 0
-		for q := 0; q < cfg.queries; q++ {
-			i := int(mix(uint64(q)^0x51A75) % uint64(maxOf(cfg.keys, 1)))
-			if _, ok, err := ks.Get(p, cliKey(cfg.seed, i)); err != nil {
-				errs++
-			} else if ok {
-				found++
-			}
-		}
+		found, errs, _ := probe(p, ks, cfg)
 		a.WaitRepairsIdle(p) // drain the read-repair passes corrupted reads scheduled
 		fmt.Printf("queries over poisoned media: %d/%d found, %d typed errors (replicas=%d)\n",
 			found, cfg.queries, errs, a.Options().Replicas)
-		rep, err := a.ScrubDevice(p, *dev)
+		rep, err := a.ScrubDevice(p, ca.dev)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("post-repair scrub of device %d: %s\n", *dev, rep)
+		fmt.Printf("post-repair scrub of device %d: %s\n", ca.dev, rep)
 		printIntegrityCounters(a.Stats())
 		return nil
 	})
@@ -112,16 +102,16 @@ func runCorrupt(cfg cliConfig, args []string) error {
 
 func runScrub(cfg cliConfig, args []string) error {
 	fs := flag.NewFlagSet("scrub", flag.ContinueOnError)
-	dev := fs.Int("dev", 0, "device to scrub")
+	dev := devFlag(fs)
 	poison := fs.Int("poison", 1, "granules to poison before the scrub (0 = scrub clean media)")
 	repair := fs.Bool("repair", true, "repair corrupt extents from replica copies")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkDev(cfg, *dev); err != nil {
+		return err
+	}
 	return runArray(cfg, func(p *sim.Proc, a *array.Array) error {
-		if *dev < 0 || *dev >= cfg.devices {
-			return fmt.Errorf("device %d out of range (0..%d)", *dev, cfg.devices-1)
-		}
 		ks, err := load(p, a, cfg)
 		if err != nil {
 			return err
@@ -131,11 +121,7 @@ func runScrub(cfg cliConfig, args []string) error {
 		}
 		poisoned := 0
 		for pi := 0; pi < ks.Partitions() && poisoned < *poison; pi++ {
-			onDev := false
-			for _, d := range ks.Replicas(pi) {
-				onDev = onDev || d == *dev
-			}
-			if !onDev {
+			if !holds(ks, pi, *dev) {
 				continue
 			}
 			addr := nvme.ExtentAddr{Kind: uint8(core.ExtentSorted), Granule: 0, Bits: 16}

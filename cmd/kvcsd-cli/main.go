@@ -39,6 +39,7 @@ package main
 
 import (
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -46,6 +47,7 @@ import (
 
 	"kvcsd"
 	"kvcsd/internal/array"
+	"kvcsd/internal/client"
 	"kvcsd/internal/device"
 	"kvcsd/internal/sim"
 	"kvcsd/internal/stats"
@@ -90,48 +92,50 @@ func main() {
 		args = args[1:]
 	}
 
-	if cfg.addr != "" {
-		if err := runRemote(cfg, cmd, args); err != nil {
-			fmt.Fprintf(os.Stderr, "kvcsd-cli: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	var err error
-	switch cmd {
-	case "session":
-		err = runSession(cfg)
-	case "put":
-		err = runPut(cfg, args)
-	case "get":
-		err = runGet(cfg, args)
-	case "scan":
-		err = runScan(cfg, args)
-	case "compact":
-		err = runCompact(cfg, args)
-	case "delete-keyspace":
-		err = runDeleteKeyspace(cfg)
-	case "stats":
-		err = runStats(cfg)
-	case "power-cut":
-		err = runPowerCut(cfg, args)
-	case "recover":
-		err = runRecover(cfg, args)
-	case "inject-fault":
-		err = runInjectFault(cfg, args)
-	case "scrub":
-		err = runScrub(cfg, args)
-	case "corrupt":
-		err = runCorrupt(cfg, args)
-	default:
-		fmt.Fprintf(os.Stderr, "kvcsd-cli: unknown command %q (try session, put, get, scan, compact, delete-keyspace, stats, power-cut, recover, inject-fault, scrub, corrupt)\n", cmd)
-		os.Exit(2)
-	}
-	if err != nil {
+	if err := dispatch(cfg, cmd, args); err != nil {
 		fmt.Fprintf(os.Stderr, "kvcsd-cli: %v\n", err)
+		if errors.Is(err, errUnknownCommand) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
+}
+
+var errUnknownCommand = errors.New("unknown command")
+
+// dispatch runs one subcommand: against the server at cfg.addr when set,
+// otherwise against a fresh in-process simulation.
+func dispatch(cfg cliConfig, cmd string, args []string) error {
+	if cfg.addr != "" {
+		return runRemote(cfg, cmd, args)
+	}
+	switch cmd {
+	case "session":
+		return runSession(cfg)
+	case "put":
+		return runPut(cfg, args)
+	case "get":
+		return runGet(cfg, args)
+	case "scan":
+		return runScan(cfg, args)
+	case "compact":
+		return runCompact(cfg, args)
+	case "delete-keyspace":
+		return runDeleteKeyspace(cfg)
+	case "stats":
+		return runStats(cfg)
+	case "power-cut":
+		return runPowerCut(cfg, args)
+	case "recover":
+		return runRecover(cfg, args)
+	case "inject-fault":
+		return runInjectFault(cfg, args)
+	case "scrub":
+		return runScrub(cfg, args)
+	case "corrupt":
+		return runCorrupt(cfg, args)
+	}
+	return fmt.Errorf("%w %q (try session, put, get, scan, compact, delete-keyspace, stats, power-cut, recover, inject-fault, scrub, corrupt)", errUnknownCommand, cmd)
 }
 
 // --- Array plumbing shared by the subcommands ------------------------------
@@ -225,10 +229,7 @@ func runArray(cfg cliConfig, fn func(p *sim.Proc, a *array.Array) error) error {
 // --- Subcommands -----------------------------------------------------------
 
 func runPut(cfg cliConfig, args []string) error {
-	if len(args) != 2 {
-		return fmt.Errorf("usage: kvcsd-cli put <key> <value>")
-	}
-	key, err := parseKey(args[0])
+	key, err := putArgs(cfg, args)
 	if err != nil {
 		return err
 	}
@@ -247,10 +248,7 @@ func runPut(cfg cliConfig, args []string) error {
 }
 
 func runGet(cfg cliConfig, args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("usage: kvcsd-cli get <key>  (0x… for hex)")
-	}
-	key, err := parseKey(args[0])
+	key, err := getArgs(cfg, args)
 	if err != nil {
 		return err
 	}
@@ -277,24 +275,9 @@ func runGet(cfg cliConfig, args []string) error {
 }
 
 func runScan(cfg cliConfig, args []string) error {
-	fs := flag.NewFlagSet("scan", flag.ContinueOnError)
-	lo := fs.String("lo", "", "low key bound, inclusive (0x… for hex)")
-	hi := fs.String("hi", "", "high key bound, exclusive (0x… for hex)")
-	limit := fs.Int("limit", 20, "max pairs to return (0 = all)")
-	if err := fs.Parse(args); err != nil {
+	sa, err := parseScan(args)
+	if err != nil {
 		return err
-	}
-	var loB, hiB []byte
-	var err error
-	if *lo != "" {
-		if loB, err = parseKey(*lo); err != nil {
-			return err
-		}
-	}
-	if *hi != "" {
-		if hiB, err = parseKey(*hi); err != nil {
-			return err
-		}
 	}
 	return runArray(cfg, func(p *sim.Proc, a *array.Array) error {
 		ks, err := load(p, a, cfg)
@@ -305,7 +288,7 @@ func runScan(cfg cliConfig, args []string) error {
 			return err
 		}
 		t0 := p.Now()
-		pairs, err := ks.Scan(p, loB, hiB, *limit)
+		pairs, err := ks.Scan(p, sa.lo, sa.hi, sa.limit)
 		if err != nil {
 			return err
 		}
@@ -319,19 +302,13 @@ func runScan(cfg cliConfig, args []string) error {
 }
 
 func runCompact(cfg cliConfig, args []string) error {
-	fs := flag.NewFlagSet("compact", flag.ContinueOnError)
-	policy := fs.String("policy", "", "install a compaction policy first: device, host, or collaborative")
-	width := fs.Int("width", 0, "install a device compaction pipeline width (0 = sequential)")
-	cold := fs.Bool("migrate-cold", false, "after compaction, sweep every device's cold tier and report zones moved")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ccfg, set, err := compactionConfigFlags(*policy, *width)
+	ca, err := parseCompact(cfg, args)
 	if err != nil {
 		return err
 	}
 	return runArray(cfg, func(p *sim.Proc, a *array.Array) error {
-		if set {
+		if ca.set {
+			ccfg := ca.cfg
 			for _, m := range a.Members() {
 				if ccfg, err = m.Client.SetCompactionConfig(p, ccfg); err != nil {
 					return err
@@ -358,8 +335,8 @@ func runCompact(cfg cliConfig, args []string) error {
 		for _, row := range ks.ShardMap() {
 			fmt.Printf("  shard %s\n", row)
 		}
-		printCompactions(progressRows(a))
-		if *cold {
+		printCompactions(a.Compactions())
+		if ca.cold {
 			var total int64
 			for _, m := range a.Members() {
 				moved, err := m.Client.MigrateCold(p)
@@ -397,11 +374,8 @@ func runStats(cfg cliConfig) error {
 		if err := ks.Compact(p); err != nil {
 			return err
 		}
-		for q := 0; q < cfg.queries; q++ {
-			i := int(mix(uint64(q)^0x51A75) % uint64(maxOf(cfg.keys, 1)))
-			if _, _, err := ks.Get(p, cliKey(cfg.seed, i)); err != nil {
-				return err
-			}
+		if _, _, err := probe(p, ks, cfg); err != nil {
+			return err
 		}
 		fmt.Printf("array: %d devices, %d replicas, %d keys preloaded, %d queries\n",
 			cfg.devices, a.Options().Replicas, cfg.keys, cfg.queries)
@@ -413,13 +387,9 @@ func runStats(cfg cliConfig) error {
 		}
 		fmt.Printf("health:\n")
 		for _, h := range a.Health() {
-			state := "up"
-			if h.Down {
-				state = "DOWN"
-			}
-			fmt.Printf("  device %d: %s (consecutive failures: %d)\n", h.ID, state, h.Failures)
+			fmt.Printf("  device %d: %s (consecutive failures: %d)\n", h.ID, upDown(h.Down), h.Failures)
 		}
-		printCompactions(progressRows(a))
+		printCompactions(a.Compactions())
 		fmt.Printf("virtual time: %v\n", p.Now())
 		return nil
 	})
@@ -434,11 +404,27 @@ func printIOStats(indent string, st *stats.IOStats) {
 		st.Commands.Value(), st.WriteAmplification())
 }
 
-func maxOf(a, b int) int {
-	if a > b {
-		return a
+// probe issues cfg.queries seeded point gets over the preloaded keys and
+// reports how many hit, how many failed, and the first failure.
+func probe(p *sim.Proc, ks client.Contract, cfg cliConfig) (found, failed int, first error) {
+	for q := 0; q < cfg.queries; q++ {
+		i := int(mix(uint64(q)^0x51A75) % uint64(max(cfg.keys, 1)))
+		if _, ok, err := ks.Get(p, cliKey(cfg.seed, i)); err != nil {
+			if failed++; first == nil {
+				first = err
+			}
+		} else if ok {
+			found++
+		}
 	}
-	return b
+	return found, failed, first
+}
+
+func upDown(down bool) string {
+	if down {
+		return "DOWN"
+	}
+	return "up"
 }
 
 // --- The classic single-device session -------------------------------------
@@ -524,12 +510,7 @@ func runSession(cfg cliConfig) error {
 	}
 
 	fmt.Printf("\ndevice statistics:\n")
-	fmt.Printf("  media write: %s   media read: %s\n",
-		stats.HumanBytes(sys.Stats.MediaWrite.Value()), stats.HumanBytes(sys.Stats.MediaRead.Value()))
-	fmt.Printf("  host->device: %s  device->host: %s\n",
-		stats.HumanBytes(sys.Stats.HostToDevice.Value()), stats.HumanBytes(sys.Stats.DeviceToHost.Value()))
-	fmt.Printf("  commands: %d  write amplification: %.2f\n",
-		sys.Stats.Commands.Value(), sys.Stats.WriteAmplification())
+	printIOStats("  ", sys.Stats)
 	fmt.Printf("  total virtual time: %v\n", sys.Elapsed())
 	return nil
 }

@@ -17,15 +17,14 @@ import (
 )
 
 func runPowerCut(cfg cliConfig, args []string) error {
-	fs := flag.NewFlagSet("power-cut", flag.ContinueOnError)
-	dev := fs.Int("dev", 0, "device to cut power to")
-	if err := fs.Parse(args); err != nil {
+	dev, err := parseDev("power-cut", args)
+	if err != nil {
+		return err
+	}
+	if err := checkDev(cfg, dev); err != nil {
 		return err
 	}
 	return runArray(cfg, func(p *sim.Proc, a *array.Array) error {
-		if *dev < 0 || *dev >= cfg.devices {
-			return fmt.Errorf("device %d out of range (0..%d)", *dev, cfg.devices-1)
-		}
 		ks, err := load(p, a, cfg)
 		if err != nil {
 			return err
@@ -36,27 +35,15 @@ func runPowerCut(cfg cliConfig, args []string) error {
 		if err := ks.Compact(p); err != nil {
 			return err
 		}
-		rep := a.PowerCut(p, *dev)
+		rep := a.PowerCut(p, dev)
 		fmt.Printf("power cut device %d at %v: %d in-flight appends, %d zones torn, %s destroyed\n",
-			*dev, p.Now(), rep.InFlightAppends, rep.TornZones, stats.HumanBytes(rep.TornBytes))
+			dev, p.Now(), rep.InFlightAppends, rep.TornZones, stats.HumanBytes(rep.TornBytes))
 		// Degraded reads: the router fails over to surviving replicas.
-		found, failed := 0, 0
-		for q := 0; q < cfg.queries; q++ {
-			i := int(mix(uint64(q)^0x51A75) % uint64(maxOf(cfg.keys, 1)))
-			if _, ok, err := ks.Get(p, cliKey(cfg.seed, i)); err != nil {
-				failed++
-			} else if ok {
-				found++
-			}
-		}
+		found, failed, _ := probe(p, ks, cfg)
 		fmt.Printf("degraded reads: %d/%d found, %d failed (replicas=%d)\n",
 			found, cfg.queries, failed, a.Options().Replicas)
 		for _, h := range a.Health() {
-			state := "up"
-			if h.Down {
-				state = "DOWN"
-			}
-			fmt.Printf("  device %d: %s\n", h.ID, state)
+			fmt.Printf("  device %d: %s\n", h.ID, upDown(h.Down))
 		}
 		return nil
 	})
@@ -64,15 +51,15 @@ func runPowerCut(cfg cliConfig, args []string) error {
 
 func runRecover(cfg cliConfig, args []string) error {
 	fs := flag.NewFlagSet("recover", flag.ContinueOnError)
-	dev := fs.Int("dev", 0, "device to power-cycle")
+	dev := devFlag(fs)
 	midLoad := fs.Bool("mid-load", true, "cut during load (torn writes) instead of after compaction")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkDev(cfg, *dev); err != nil {
+		return err
+	}
 	return runArray(cfg, func(p *sim.Proc, a *array.Array) error {
-		if *dev < 0 || *dev >= cfg.devices {
-			return fmt.Errorf("device %d out of range (0..%d)", *dev, cfg.devices-1)
-		}
 		ks, err := a.CreateRangeSharded(p, cfg.ksName, cfg.devices)
 		if err != nil {
 			return err
@@ -119,14 +106,9 @@ func runRecover(cfg cliConfig, args []string) error {
 		if err := ks.Compact(p); err != nil {
 			return err
 		}
-		found := 0
-		for q := 0; q < cfg.queries; q++ {
-			i := int(mix(uint64(q)^0x51A75) % uint64(maxOf(cfg.keys, 1)))
-			if _, ok, err := ks.Get(p, cliKey(cfg.seed, i)); err != nil {
-				return err
-			} else if ok {
-				found++
-			}
+		found, _, err := probe(p, ks, cfg)
+		if err != nil {
+			return err
 		}
 		fmt.Printf("post-recovery queries: %d/%d found\n", found, cfg.queries)
 		return nil
@@ -135,7 +117,7 @@ func runRecover(cfg cliConfig, args []string) error {
 
 func runInjectFault(cfg cliConfig, args []string) error {
 	fs := flag.NewFlagSet("inject-fault", flag.ContinueOnError)
-	dev := fs.Int("dev", 0, "device to arm the fault profile on")
+	dev := devFlag(fs)
 	kind := fs.String("kind", "zone-read", "operation kind: zone-read, zone-write, block-read, block-write")
 	errRate := fs.Float64("error-rate", 0.05, "probability a matching op fails")
 	latRate := fs.Float64("latency-rate", 0.0, "probability a matching op pays extra latency")
@@ -143,10 +125,10 @@ func runInjectFault(cfg cliConfig, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkDev(cfg, *dev); err != nil {
+		return err
+	}
 	return runArray(cfg, func(p *sim.Proc, a *array.Array) error {
-		if *dev < 0 || *dev >= cfg.devices {
-			return fmt.Errorf("device %d out of range (0..%d)", *dev, cfg.devices-1)
-		}
 		ks, err := load(p, a, cfg)
 		if err != nil {
 			return err
@@ -163,23 +145,11 @@ func runInjectFault(cfg cliConfig, args []string) error {
 		fmt.Printf("armed fault profile on device %d: kind=%s error-rate=%.3f latency-rate=%.3f extra=%v\n",
 			*dev, *kind, *errRate, *latRate, *extra)
 		t0 := p.Now()
-		found, errs := 0, 0
-		for q := 0; q < cfg.queries; q++ {
-			i := int(mix(uint64(q)^0x51A75) % uint64(maxOf(cfg.keys, 1)))
-			if _, ok, err := ks.Get(p, cliKey(cfg.seed, i)); err != nil {
-				errs++
-			} else if ok {
-				found++
-			}
-		}
+		found, errs, _ := probe(p, ks, cfg)
 		fmt.Printf("queries under faults: %d/%d found, %d client-visible errors in %v\n",
 			found, cfg.queries, errs, p.Now()-t0)
 		for _, h := range a.Health() {
-			state := "up"
-			if h.Down {
-				state = "DOWN"
-			}
-			fmt.Printf("  device %d: %s (consecutive failures: %d)\n", h.ID, state, h.Failures)
+			fmt.Printf("  device %d: %s (consecutive failures: %d)\n", h.ID, upDown(h.Down), h.Failures)
 		}
 		return nil
 	})

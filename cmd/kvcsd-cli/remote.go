@@ -2,7 +2,6 @@ package main
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"time"
 
@@ -45,9 +44,9 @@ func runRemote(cfg cliConfig, cmd string, args []string) error {
 	case "stats":
 		return remoteStats(c)
 	case "power-cut":
-		return remoteDeviceFault(c, cfg, args, "power-cut", c.PowerCut)
+		return remoteDeviceFault(c, args, "power-cut", c.PowerCut)
 	case "recover":
-		return remoteDeviceFault(c, cfg, args, "recover", c.Recover)
+		return remoteDeviceFault(c, args, "recover", c.Recover)
 	case "scrub":
 		return remoteScrub(c, args)
 	case "corrupt":
@@ -75,10 +74,7 @@ func openOrCreate(c *remote.Client, cfg cliConfig) (*remote.Keyspace, error) {
 }
 
 func remotePut(c *remote.Client, cfg cliConfig, args []string) error {
-	if len(args) != 2 {
-		return fmt.Errorf("usage: kvcsd-cli -addr host:port put <key> <value>")
-	}
-	key, err := parseKey(args[0])
+	key, err := putArgs(cfg, args)
 	if err != nil {
 		return err
 	}
@@ -96,10 +92,7 @@ func remotePut(c *remote.Client, cfg cliConfig, args []string) error {
 }
 
 func remoteGet(c *remote.Client, cfg cliConfig, args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("usage: kvcsd-cli -addr host:port get <key>  (0x… for hex)")
-	}
-	key, err := parseKey(args[0])
+	key, err := getArgs(cfg, args)
 	if err != nil {
 		return err
 	}
@@ -122,31 +115,16 @@ func remoteGet(c *remote.Client, cfg cliConfig, args []string) error {
 }
 
 func remoteScan(c *remote.Client, cfg cliConfig, args []string) error {
-	fs := flag.NewFlagSet("scan", flag.ContinueOnError)
-	lo := fs.String("lo", "", "low key bound, inclusive (0x… for hex)")
-	hi := fs.String("hi", "", "high key bound, exclusive (0x… for hex)")
-	limit := fs.Int("limit", 20, "max pairs to return (0 = all)")
-	if err := fs.Parse(args); err != nil {
+	sa, err := parseScan(args)
+	if err != nil {
 		return err
-	}
-	var loB, hiB []byte
-	var err error
-	if *lo != "" {
-		if loB, err = parseKey(*lo); err != nil {
-			return err
-		}
-	}
-	if *hi != "" {
-		if hiB, err = parseKey(*hi); err != nil {
-			return err
-		}
 	}
 	ks, err := c.OpenKeyspace(cfg.ksName)
 	if err != nil {
 		return err
 	}
 	t0 := time.Now()
-	pairs, err := ks.Scan(loB, hiB, *limit)
+	pairs, err := ks.Scan(sa.lo, sa.hi, sa.limit)
 	if err != nil {
 		return err
 	}
@@ -158,20 +136,13 @@ func remoteScan(c *remote.Client, cfg cliConfig, args []string) error {
 }
 
 func remoteCompact(c *remote.Client, cfg cliConfig, args []string) error {
-	fs := flag.NewFlagSet("compact", flag.ContinueOnError)
-	policy := fs.String("policy", "", "install a compaction policy first: device, host, or collaborative")
-	width := fs.Int("width", 0, "install a device compaction pipeline width (0 = sequential)")
-	status := fs.Bool("status", false, "only report compaction progress, do not start a compaction")
-	cold := fs.Bool("migrate-cold", false, "after compaction, sweep device cold tiers and report zones moved")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ccfg, set, err := compactionConfigFlags(*policy, *width)
+	ca, err := parseCompact(cfg, args)
 	if err != nil {
 		return err
 	}
-	if set {
-		if ccfg, err = c.SetCompactionPolicy(ccfg); err != nil {
+	if ca.set {
+		ccfg, err := c.SetCompactionPolicy(ca.cfg)
+		if err != nil {
 			return err
 		}
 		fmt.Printf("installed compaction config: policy=%s width=%d\n", ccfg.Policy, ccfg.PipelineWidth)
@@ -180,7 +151,7 @@ func remoteCompact(c *remote.Client, cfg cliConfig, args []string) error {
 	if err != nil {
 		return err
 	}
-	if *status {
+	if ca.status {
 		pr, done, err := ks.CompactionProgress()
 		if err != nil {
 			return err
@@ -207,9 +178,9 @@ func remoteCompact(c *remote.Client, cfg cliConfig, args []string) error {
 		fmt.Printf("split: host runs=%d device runs=%d bytes moved=%s\n",
 			pr.HostRuns, pr.DeviceRuns, stats.HumanBytes(int64(pr.BytesMoved)))
 	}
-	if *cold {
+	if ca.cold {
 		var total int64
-		for dev := 0; dev < maxOf(cfg.devices, 1); dev++ {
+		for dev := 0; dev < max(cfg.devices, 1); dev++ {
 			moved, err := c.MigrateCold(dev)
 			if err != nil {
 				return err
@@ -243,11 +214,7 @@ func remoteStats(c *remote.Client) error {
 	if len(rep.Health) > 0 {
 		fmt.Printf("health:\n")
 		for _, h := range rep.Health {
-			state := "up"
-			if h.Down {
-				state = "DOWN"
-			}
-			fmt.Printf("  device %d: %s (consecutive failures: %d)\n", h.ID, state, h.Failures)
+			fmt.Printf("  device %d: %s (consecutive failures: %d)\n", h.ID, upDown(h.Down), h.Failures)
 		}
 	}
 	if len(rep.Ring) > 0 {
@@ -276,15 +243,7 @@ func remoteStats(c *remote.Client) error {
 			}
 		}
 	}
-	if len(rep.Compactions) > 0 {
-		fmt.Printf("compactions:\n")
-		for _, row := range rep.Compactions {
-			pr := row.Progress
-			fmt.Printf("  %-12s stage=%-8s granules=%d/%d moved=%s runs=host:%d/device:%d occupancy=%d\n",
-				row.Keyspace, pr.Stage, pr.GranulesDone, pr.GranulesTotal,
-				stats.HumanBytes(int64(pr.BytesMoved)), pr.HostRuns, pr.DeviceRuns, pr.Occupancy)
-		}
-	}
+	printCompactions(rep.Compactions)
 	if r := rep.RPC; r != nil {
 		fmt.Printf("rpc gateway:\n")
 		fmt.Printf("  accepted: %d  shed: %d  refused: %d  bad frames: %d  slow ops: %d\n",
@@ -306,16 +265,15 @@ func remoteStats(c *remote.Client) error {
 // array and prints the report (an array-level scrub repairs what it finds
 // from replica copies).
 func remoteScrub(c *remote.Client, args []string) error {
-	fs := flag.NewFlagSet("scrub", flag.ContinueOnError)
-	dev := fs.Int("dev", 0, "target device index")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	rep, report, err := c.Scrub(*dev)
+	dev, err := parseDev("scrub", args)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("scrub device %d on %s:\n%s\n", *dev, c.Addr(), report)
+	rep, report, err := c.Scrub(dev)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("scrub device %d on %s:\n%s\n", dev, c.Addr(), report)
 	if rep != nil {
 		for _, ext := range rep.Corrupt {
 			fmt.Printf("  corrupt: %s %s granule %d (zone %d)\n",
@@ -329,25 +287,11 @@ func remoteScrub(c *remote.Client, args []string) error {
 // fault-injection counterpart of scrub. -ks must name the device-side shard
 // ("data#p0" for range-sharded keyspaces).
 func remoteCorrupt(c *remote.Client, cfg cliConfig, args []string) error {
-	fs := flag.NewFlagSet("corrupt", flag.ContinueOnError)
-	dev := fs.Int("dev", 0, "target device index")
-	kind := fs.String("kind", "sorted", "extent kind: klog, vlog, pidx, sorted, sidx")
-	index := fs.String("index", "", "secondary index name (sidx extents)")
-	granule := fs.Int64("granule", 0, "granule index within the extent")
-	bits := fs.Int("bits", 16, "bits to flip")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	kd, err := parseExtentKind(*kind)
+	ca, err := parseCorrupt(args)
 	if err != nil {
 		return err
 	}
-	report, err := c.Corrupt(*dev, cfg.ksName, wire.ExtentAddr{
-		Kind:    uint8(kd),
-		Index:   *index,
-		Granule: *granule,
-		Bits:    uint32(*bits),
-	})
+	report, err := c.Corrupt(ca.dev, cfg.ksName, ca.addr)
 	if err != nil {
 		return err
 	}
@@ -355,16 +299,15 @@ func remoteCorrupt(c *remote.Client, cfg cliConfig, args []string) error {
 	return nil
 }
 
-func remoteDeviceFault(c *remote.Client, cfg cliConfig, args []string, verb string, do func(int) (string, error)) error {
-	fs := flag.NewFlagSet(verb, flag.ContinueOnError)
-	dev := fs.Int("dev", 0, "target device index")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	rep, err := do(*dev)
+func remoteDeviceFault(c *remote.Client, args []string, verb string, do func(int) (string, error)) error {
+	dev, err := parseDev(verb, args)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s device %d on %s:\n%s\n", verb, *dev, c.Addr(), rep)
+	rep, err := do(dev)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%s device %d on %s:\n%s\n", verb, dev, c.Addr(), rep)
 	return nil
 }

@@ -47,7 +47,6 @@ func main() {
 		seed        = flag.Int64("seed", 1, "simulation seed (same seed = same virtual cluster)")
 		maxInflight = flag.Int("max-inflight", 0, "admission cap: max requests in service before shedding (0 = default)")
 		pipeline    = flag.Int("pipeline", 0, "per-connection pipeline window (0 = default)")
-		noCoalesce  = flag.Bool("no-coalesce", false, "disable write coalescing of batched puts")
 		drain       = flag.Duration("drain", 5*time.Second, "graceful-drain timeout on shutdown")
 		telemetry   = flag.String("telemetry", "", "serve /metrics, /healthz, /slowops and pprof on this HTTP address")
 		slowOp      = flag.Duration("slow-op", 0, "flag ops whose virtual service time exceeds this budget (0 = off)")
@@ -68,7 +67,6 @@ func main() {
 	if *pipeline > 0 {
 		cfg.MaxPipeline = *pipeline
 	}
-	cfg.DisableWriteCoalescing = *noCoalesce
 	cfg.DrainTimeout = *drain
 	if *slowOp > 0 {
 		cfg.SlowOpThreshold = *slowOp

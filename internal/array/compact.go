@@ -2,10 +2,14 @@ package array
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"time"
 
 	"kvcsd/internal/client"
+	"kvcsd/internal/compaction"
 	"kvcsd/internal/sim"
+	"kvcsd/internal/wire"
 )
 
 // compactJob is one device-side compaction: one replica of one shard.
@@ -201,4 +205,56 @@ func (k *Keyspace) WaitCompacted(p *sim.Proc) error {
 		}
 	}
 	return nil
+}
+
+// Compactions folds the fleet's per-shard compaction progress into one row
+// per logical keyspace (shards are named "<keyspace>#pN" on their devices),
+// sorted by name: counters sum across shards and replicas, and the stage shown
+// is the furthest-behind shard's — any active stage outranks idle, and among
+// active stages the earliest pipeline stage wins. Powered-off devices are
+// skipped.
+func (a *Array) Compactions() []wire.CompactionProgress {
+	byKs := make(map[string]*compaction.Progress)
+	var names []string
+	for _, m := range a.members {
+		if m.Dev.PoweredOff() {
+			continue
+		}
+		for _, row := range m.Dev.Engine().Progresses() {
+			name, _, _ := strings.Cut(row.Keyspace, "#")
+			agg, ok := byKs[name]
+			if !ok {
+				cp := row.Progress
+				byKs[name] = &cp
+				names = append(names, name)
+				continue
+			}
+			agg.GranulesDone += row.Progress.GranulesDone
+			agg.GranulesTotal += row.Progress.GranulesTotal
+			agg.BytesMoved += row.Progress.BytesMoved
+			agg.HostRuns += row.Progress.HostRuns
+			agg.DeviceRuns += row.Progress.DeviceRuns
+			agg.Occupancy += row.Progress.Occupancy
+			if stageBehind(row.Progress.Stage, agg.Stage) {
+				agg.Stage = row.Progress.Stage
+			}
+		}
+	}
+	sort.Strings(names)
+	out := make([]wire.CompactionProgress, 0, len(names))
+	for _, name := range names {
+		out = append(out, wire.CompactionProgress{Keyspace: name, Progress: *byKs[name]})
+	}
+	return out
+}
+
+// stageBehind reports whether stage a is further behind than b.
+func stageBehind(a, b compaction.Stage) bool {
+	if a == compaction.StageIdle {
+		return false
+	}
+	if b == compaction.StageIdle {
+		return true
+	}
+	return a < b
 }

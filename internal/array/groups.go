@@ -288,6 +288,83 @@ func (k *ReplicatedKeyspace) Get(p *sim.Proc, key []byte) ([]byte, bool, error) 
 	return s.Get(p, k.shardFor(key), key)
 }
 
+// Exist is a linearizable Get that drops the value.
+func (k *ReplicatedKeyspace) Exist(p *sim.Proc, key []byte) (bool, error) {
+	_, ok, err := k.Get(p, key)
+	return ok, err
+}
+
+// BulkPut commits the pair at once: a quorum write has no host-side staging
+// to batch into, so the bulk verbs are the single-pair verbs.
+func (k *ReplicatedKeyspace) BulkPut(p *sim.Proc, key, value []byte) error {
+	return k.Put(p, key, value)
+}
+
+// BulkDelete commits the deletion at once (see BulkPut).
+func (k *ReplicatedKeyspace) BulkDelete(p *sim.Proc, key []byte) error {
+	return k.Delete(p, key)
+}
+
+// Flush is a no-op: nothing is staged.
+func (k *ReplicatedKeyspace) Flush(*sim.Proc) error { return nil }
+
+// Sync is a no-op: every committed write is already at quorum.
+func (k *ReplicatedKeyspace) Sync(*sim.Proc) error { return nil }
+
+// ErrUnsupported reports a contract verb that consensus-backed keyspaces do
+// not replicate yet: scans, secondary indexes, compaction and keyspace info
+// are refused rather than silently served stale from one member. The error
+// text names the verb as the wire protocol does ("Scan not supported on
+// replicated keyspace k").
+var ErrUnsupported = errors.New("not supported on replicated keyspace")
+
+func (k *ReplicatedKeyspace) refuse(verb wire.Op) error {
+	return fmt.Errorf("%s %w %s", verb, ErrUnsupported, k.name)
+}
+
+// Scan is refused (see ErrUnsupported), as is every method below.
+func (k *ReplicatedKeyspace) Scan(*sim.Proc, []byte, []byte, int) ([]nvme.KVPair, error) {
+	return nil, k.refuse(wire.OpScan)
+}
+
+func (k *ReplicatedKeyspace) QuerySecondaryRange(*sim.Proc, string, []byte, []byte, int) ([]nvme.KVPair, error) {
+	return nil, k.refuse(wire.OpSecondaryRange)
+}
+
+func (k *ReplicatedKeyspace) QuerySecondaryPoint(*sim.Proc, string, []byte, int) ([]nvme.KVPair, error) {
+	return nil, k.refuse(wire.OpSecondaryPoint)
+}
+
+func (k *ReplicatedKeyspace) Compact(*sim.Proc) error { return k.refuse(wire.OpCompact) }
+
+func (k *ReplicatedKeyspace) CompactWithIndexes(*sim.Proc, []client.IndexSpec) error {
+	return k.refuse(wire.OpCompactWithIndexes)
+}
+
+func (k *ReplicatedKeyspace) CompactDone(*sim.Proc) (bool, error) {
+	return false, k.refuse(wire.OpCompactStatus)
+}
+
+func (k *ReplicatedKeyspace) WaitCompacted(*sim.Proc) error { return k.refuse(wire.OpCompactStatus) }
+
+func (k *ReplicatedKeyspace) BuildSecondaryIndex(*sim.Proc, client.IndexSpec) error {
+	return k.refuse(wire.OpBuildIndex)
+}
+
+func (k *ReplicatedKeyspace) IndexBuilt(*sim.Proc, string) (bool, error) {
+	return false, k.refuse(wire.OpIndexStatus)
+}
+
+func (k *ReplicatedKeyspace) WaitIndexBuilt(*sim.Proc, string) error {
+	return k.refuse(wire.OpIndexStatus)
+}
+
+func (k *ReplicatedKeyspace) Info(*sim.Proc) (nvme.KeyspaceInfo, error) {
+	return nvme.KeyspaceInfo{}, k.refuse(wire.OpKeyspaceInfo)
+}
+
+var _ client.Contract = (*ReplicatedKeyspace)(nil)
+
 // Leader returns the device currently leading a shard group (-1 unknown).
 func (k *ReplicatedKeyspace) Leader(shard int) int { return k.cluster.Leader(shard) }
 

@@ -33,6 +33,8 @@ type Keyspace struct {
 	specs []client.IndexSpec // secondary indexes declared through the array
 }
 
+var _ client.Contract = (*Keyspace)(nil)
+
 // Name returns the keyspace name.
 func (k *Keyspace) Name() string { return k.name }
 

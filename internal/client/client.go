@@ -16,7 +16,6 @@ import (
 	"kvcsd/internal/core"
 	"kvcsd/internal/device"
 	"kvcsd/internal/host"
-	"kvcsd/internal/keyenc"
 	"kvcsd/internal/nvme"
 	"kvcsd/internal/obs"
 	"kvcsd/internal/pcie"
@@ -327,6 +326,42 @@ func (c *Client) CorruptMedia(p *sim.Proc, keyspace string, addr nvme.ExtentAddr
 	return comp.Count, nil
 }
 
+// Contract is the in-simulation keyspace contract: the one method set every
+// keyspace handle that runs inside the simulation offers — this package's
+// Keyspace (one device), array.Keyspace (fan-out replication over a fleet)
+// and array.ReplicatedKeyspace (consensus shard groups, which refuse the
+// verbs they do not replicate yet). The server's dispatch and the conformance
+// suite are written against it, so a backend is whatever hands out a
+// Contract. workload.KS is a subset.
+type Contract interface {
+	Name() string
+
+	Put(p *sim.Proc, key, value []byte) error
+	Delete(p *sim.Proc, key []byte) error
+	BulkPut(p *sim.Proc, key, value []byte) error
+	BulkDelete(p *sim.Proc, key []byte) error
+	Flush(p *sim.Proc) error
+	Sync(p *sim.Proc) error
+
+	Get(p *sim.Proc, key []byte) ([]byte, bool, error)
+	Exist(p *sim.Proc, key []byte) (bool, error)
+	Scan(p *sim.Proc, lo, hi []byte, limit int) ([]nvme.KVPair, error)
+	QuerySecondaryRange(p *sim.Proc, index string, lo, hi []byte, limit int) ([]nvme.KVPair, error)
+	QuerySecondaryPoint(p *sim.Proc, index string, key []byte, limit int) ([]nvme.KVPair, error)
+
+	Compact(p *sim.Proc) error
+	CompactWithIndexes(p *sim.Proc, specs []IndexSpec) error
+	CompactDone(p *sim.Proc) (bool, error)
+	WaitCompacted(p *sim.Proc) error
+	BuildSecondaryIndex(p *sim.Proc, spec IndexSpec) error
+	IndexBuilt(p *sim.Proc, name string) (bool, error)
+	WaitIndexBuilt(p *sim.Proc, name string) error
+
+	Info(p *sim.Proc) (nvme.KeyspaceInfo, error)
+}
+
+var _ Contract = (*Keyspace)(nil)
+
 // Keyspace is a handle for operations on one keyspace.
 type Keyspace struct {
 	c    *Client
@@ -437,14 +472,10 @@ func (k *Keyspace) CompactWithIndexes(p *sim.Proc, specs []IndexSpec) error {
 	if err := k.Flush(p); err != nil {
 		return err
 	}
-	ixs := make([]nvme.SecondaryIndexSpec, len(specs))
-	for i, s := range specs {
-		ixs[i] = nvme.SecondaryIndexSpec{Name: s.Name, Offset: s.Offset, Length: s.Length, Type: s.Type}
-	}
 	_, err := k.c.roundTrip(p, &nvme.Command{
 		Op:       nvme.OpCompactWithIndexes,
 		Keyspace: k.name,
-		Indexes:  ixs,
+		Indexes:  append([]IndexSpec(nil), specs...),
 	})
 	return err
 }
@@ -460,25 +491,23 @@ func (k *Keyspace) CompactDone(p *sim.Proc) (bool, error) {
 
 // WaitCompacted polls until compaction completes.
 func (k *Keyspace) WaitCompacted(p *sim.Proc) error {
+	return poll(p, func() (bool, error) { return k.CompactDone(p) })
+}
+
+// poll asks done every 5 ms of virtual time until it says yes or fails.
+func poll(p *sim.Proc, done func() (bool, error)) error {
 	for {
-		done, err := k.CompactDone(p)
-		if err != nil {
+		ok, err := done()
+		if err != nil || ok {
 			return err
-		}
-		if done {
-			return nil
 		}
 		p.Sleep(5 * time.Millisecond)
 	}
 }
 
-// IndexSpec mirrors the paper's secondary index configuration.
-type IndexSpec struct {
-	Name   string
-	Offset int
-	Length int
-	Type   keyenc.SecondaryType
-}
+// IndexSpec is the paper's secondary index configuration, in the form the
+// device command carries it.
+type IndexSpec = nvme.SecondaryIndexSpec
 
 // BuildSecondaryIndex configures and starts building a secondary index over
 // the given value byte range; the build runs asynchronously in the device.
@@ -486,12 +515,7 @@ func (k *Keyspace) BuildSecondaryIndex(p *sim.Proc, spec IndexSpec) error {
 	_, err := k.c.roundTrip(p, &nvme.Command{
 		Op:       nvme.OpBuildSecondaryIndex,
 		Keyspace: k.name,
-		Index: nvme.SecondaryIndexSpec{
-			Name:   spec.Name,
-			Offset: spec.Offset,
-			Length: spec.Length,
-			Type:   spec.Type,
-		},
+		Index:    spec,
 	})
 	return err
 }
@@ -511,16 +535,7 @@ func (k *Keyspace) IndexBuilt(p *sim.Proc, name string) (bool, error) {
 
 // WaitIndexBuilt polls until the named index is ready.
 func (k *Keyspace) WaitIndexBuilt(p *sim.Proc, name string) error {
-	for {
-		done, err := k.IndexBuilt(p, name)
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		p.Sleep(5 * time.Millisecond)
-	}
+	return poll(p, func() (bool, error) { return k.IndexBuilt(p, name) })
 }
 
 // Get retrieves the value for a key.

@@ -8,6 +8,7 @@ import (
 
 	"kvcsd/internal/nvme"
 	"kvcsd/internal/sim"
+	"kvcsd/internal/wire"
 )
 
 // TestRetryableTable pins the status → retryability classification: device
@@ -68,6 +69,45 @@ func TestIdempotentOpTable(t *testing.T) {
 	for op, w := range want {
 		if got := idempotentOp(op); got != w {
 			t.Errorf("idempotentOp(%s) = %v, want %v", op, got, w)
+		}
+	}
+}
+
+// TestIdempotencyDriftFromWire lists exactly the wire verbs whose replay rule
+// (wire.Op.Idempotent, applied by the remote client and the session layer)
+// differs from this library's rule for the NVMe opcode the verb maps to
+// (idempotentOp, applied by roundTrip). The two lists are maintained
+// separately and already disagree; this table makes the next drift a failure
+// instead of a surprise.
+func TestIdempotencyDriftFromWire(t *testing.T) {
+	want := map[wire.Op]string{
+		// Device-side maintenance verbs the wire layer replays (re-scrubbing,
+		// re-installing a config or re-sweeping a drained tier converge) but
+		// roundTrip does not retry.
+		wire.OpScrub:         "wire replays, client does not",
+		wire.OpCompactPolicy: "wire replays, client does not",
+		wire.OpMigrateCold:   "wire replays, client does not",
+		// Transport-only verbs with no device command: Op.NVMe() stands
+		// OpKeyspaceInfo in for them, which idempotentOp would replay, while
+		// the wire layer must not (a replayed Recover or consensus message is
+		// not harmless).
+		wire.OpRecover:       "client stand-in replays, wire does not",
+		wire.OpRequestVote:   "client stand-in replays, wire does not",
+		wire.OpAppendEntries: "client stand-in replays, wire does not",
+		wire.OpMigrate:       "client stand-in replays, wire does not",
+	}
+	for _, op := range wire.Ops() {
+		w, c := op.Idempotent(), idempotentOp(op.NVMe())
+		got := ""
+		switch {
+		case w && !c:
+			got = "wire replays, client does not"
+		case c && !w:
+			got = "client stand-in replays, wire does not"
+		}
+		if got != want[op] {
+			t.Errorf("%s: wire.Idempotent=%v, client.idempotentOp(%s)=%v: drift %q, pinned %q",
+				op, w, op.NVMe(), c, got, want[op])
 		}
 	}
 }

@@ -16,6 +16,13 @@ func (e *Engine) runIndexBuild(p *sim.Proc, ks *Keyspace, si *secondaryIndex) er
 	defer si.done.Signal()
 	start := p.Now()
 
+	// The build was queued behind a compaction (BuildSecondaryIndex waits on
+	// compactDone, which fires on failure too): if that compaction was cut
+	// short — a power cut, a media fault — there is no primary index to scan.
+	if e.halted || ks.state != StateCompacted {
+		return fmt.Errorf("%w: %s is %s, not compacted; index %s not built", ErrKeyspaceState, ks.name, ks.state, si.spec.Name)
+	}
+
 	if ks.count == 0 {
 		si.cluster = e.zm.NewCluster(ZoneSIDX)
 		if err := si.cluster.Seal(p); err != nil {

@@ -444,8 +444,8 @@ func (c *Client) Stats() (*wire.StatsReport, error) {
 	return resp.Stats, nil
 }
 
-// PowerCut yanks power on a device (array member id; 0 on a single-device
-// server) and returns the server's report.
+// PowerCut yanks power on a device (array member id; a single-device server
+// has only device 0) and returns the server's report.
 func (c *Client) PowerCut(device int) (string, error) {
 	resp, err := c.call(&wire.Request{Op: wire.OpPowerCut, Device: uint32(device)})
 	if err != nil {
@@ -463,8 +463,8 @@ func (c *Client) Recover(device int) (string, error) {
 	return resp.Report, nil
 }
 
-// Scrub runs a media scrub of one device (array member id; 0 on a
-// single-device server). An array server also repairs what it finds from
+// Scrub runs a media scrub of one device (array member id; a single-device
+// server has only device 0). An array server also repairs what it finds from
 // healthy replica copies. Returns the decoded report plus the server's
 // one-line summary.
 func (c *Client) Scrub(device int) (*core.ScrubReport, string, error) {
@@ -500,8 +500,8 @@ func (c *Client) CompactionPolicy() (compaction.Config, error) {
 }
 
 // MigrateCold triggers one lifetime-aware cold-placement sweep on a device
-// (array member id; 0 on a single-device server) and returns how many zones
-// moved to the cold tier.
+// (array member id; a single-device server has only device 0) and returns how
+// many zones moved to the cold tier.
 func (c *Client) MigrateCold(device int) (int64, error) {
 	resp, err := c.call(&wire.Request{Op: wire.OpMigrateCold, Device: uint32(device)})
 	if err != nil {

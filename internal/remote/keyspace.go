@@ -27,11 +27,7 @@ type Keyspace struct {
 // CreateKeyspace creates a keyspace and returns a handle to it. Against an
 // array backend the keyspace is pinned to one ring position.
 func (c *Client) CreateKeyspace(name string) (*Keyspace, error) {
-	_, err := c.call(&wire.Request{Op: wire.OpCreateKeyspace, Keyspace: name})
-	if err != nil {
-		return nil, err
-	}
-	return &Keyspace{c: c, name: name}, nil
+	return c.CreateRangeSharded(name, 0)
 }
 
 // CreateRangeSharded creates a range-sharded keyspace with parts partitions
@@ -62,23 +58,6 @@ func (c *Client) DeleteKeyspace(name string) error {
 
 // Name returns the keyspace name.
 func (k *Keyspace) Name() string { return k.name }
-
-func wireSpec(s client.IndexSpec) wire.IndexSpec {
-	return wire.IndexSpec{
-		Name:   s.Name,
-		Offset: uint32(s.Offset),
-		Length: uint32(s.Length),
-		Type:   uint8(s.Type),
-	}
-}
-
-func wireSpecs(specs []client.IndexSpec) []wire.IndexSpec {
-	out := make([]wire.IndexSpec, len(specs))
-	for i, s := range specs {
-		out[i] = wireSpec(s)
-	}
-	return out
-}
 
 // Put stores one pair.
 func (k *Keyspace) Put(key, value []byte) error {
@@ -213,7 +192,11 @@ func (k *Keyspace) Compact() error {
 // CompactWithIndexes kicks a compaction that also builds the given
 // secondary indexes in the same pass.
 func (k *Keyspace) CompactWithIndexes(specs []client.IndexSpec) error {
-	_, err := k.c.call(&wire.Request{Op: wire.OpCompactWithIndexes, Keyspace: k.name, Indexes: wireSpecs(specs)})
+	indexes := make([]wire.IndexSpec, len(specs))
+	for i, s := range specs {
+		indexes[i] = wire.IndexSpecOf(s)
+	}
+	_, err := k.c.call(&wire.Request{Op: wire.OpCompactWithIndexes, Keyspace: k.name, Indexes: indexes})
 	return err
 }
 
@@ -249,7 +232,7 @@ func (k *Keyspace) WaitCompacted() error {
 
 // BuildSecondaryIndex declares and starts building a secondary index.
 func (k *Keyspace) BuildSecondaryIndex(spec client.IndexSpec) error {
-	_, err := k.c.call(&wire.Request{Op: wire.OpBuildIndex, Keyspace: k.name, Index: wireSpec(spec)})
+	_, err := k.c.call(&wire.Request{Op: wire.OpBuildIndex, Keyspace: k.name, Index: wire.IndexSpecOf(spec)})
 	return err
 }
 

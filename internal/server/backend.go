@@ -3,8 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 
 	"kvcsd/internal/array"
 	"kvcsd/internal/client"
@@ -12,10 +10,10 @@ import (
 	"kvcsd/internal/core"
 	"kvcsd/internal/device"
 	"kvcsd/internal/host"
-	"kvcsd/internal/keyenc"
 	"kvcsd/internal/nvme"
 	"kvcsd/internal/obs"
 	"kvcsd/internal/sim"
+	"kvcsd/internal/ssd"
 	"kvcsd/internal/stats"
 	"kvcsd/internal/wire"
 )
@@ -67,6 +65,8 @@ func statusFromErr(err error) (wire.Status, string) {
 		return wire.StatusExists, err.Error()
 	case errors.Is(err, array.ErrNoReplicas):
 		return wire.StatusUnavailable, err.Error()
+	case errors.Is(err, array.ErrUnsupported):
+		return wire.StatusBadRequest, err.Error()
 	}
 	return wire.StatusInternal, err.Error()
 }
@@ -78,29 +78,16 @@ func respErr(err error) *wire.Response {
 
 func respOK() *wire.Response { return &wire.Response{Status: wire.StatusOK} }
 
-func clientSpec(s wire.IndexSpec) client.IndexSpec {
-	return client.IndexSpec{
-		Name:   s.Name,
-		Offset: int(s.Offset),
-		Length: int(s.Length),
-		Type:   keyenc.SecondaryType(s.Type),
-	}
+func respUnhandled(op wire.Op) *wire.Response {
+	return &wire.Response{Status: wire.StatusBadRequest, Err: "unhandled opcode " + op.String()}
 }
 
-func clientSpecs(specs []wire.IndexSpec) []client.IndexSpec {
-	out := make([]client.IndexSpec, len(specs))
-	for i, s := range specs {
-		out[i] = clientSpec(s)
+// respPairs answers a query verb with its result pairs.
+func respPairs(pairs []nvme.KVPair, err error) *wire.Response {
+	if err != nil {
+		return respErr(err)
 	}
-	return out
-}
-
-// extentAddr converts the wire extent body to the NVMe command form.
-func extentAddr(e *wire.ExtentAddr) (nvme.ExtentAddr, bool) {
-	if e == nil {
-		return nvme.ExtentAddr{}, false
-	}
-	return nvme.ExtentAddr{Kind: e.Kind, Index: e.Index, Granule: e.Granule, Bits: int(e.Bits)}, true
+	return &wire.Response{Status: wire.StatusOK, Pairs: pairs}
 }
 
 // scrubResponse renders a scrub report as both the human-readable Report
@@ -113,296 +100,204 @@ func scrubResponse(rep *core.ScrubReport) *wire.Response {
 	}
 }
 
-// --- Single-device backend -------------------------------------------------
+// fleet is the member surface the backend stands on beside the keyspace
+// contract: device i and its client, the fault and repair verbs addressed to
+// one device, and the stats, health, ring and progress rows. *array.Array
+// offers most of it under these very names (arrayFleet adds the rest);
+// deviceFleet is a lone device answering as member 0.
+type fleet interface {
+	// create makes a keyspace with parts partitions (0 or 1 = unsharded; a
+	// lone device ignores it), open resolves a name to its handle.
+	create(p *sim.Proc, name string, parts int) error
+	open(p *sim.Proc, name string) (client.Contract, error)
+	DeleteKeyspace(p *sim.Proc, name string) error
+	// compactStatus answers OpCompactStatus: the done flag plus the live
+	// pipeline progress, from wherever this fleet keeps the latter.
+	compactStatus(p *sim.Proc, ks client.Contract) (compaction.Progress, bool, error)
 
-// deviceBackend fronts one simulated device through the client library.
-type deviceBackend struct {
-	env *sim.Env
-	h   *host.Host
-	dev *device.Device
-	cl  *client.Client
-	st  *stats.IOStats
+	Members() []*array.Member
+	PowerCut(p *sim.Proc, id int) ssd.PowerCutReport
+	RestartDevice(p *sim.Proc, id int) (*core.RecoveryReport, error)
+	// scrub runs a media scrub of one device, repairing what it finds where
+	// the fleet holds another copy.
+	scrub(p *sim.Proc, id int) (*core.ScrubReport, error)
+	CorruptExtent(p *sim.Proc, id int, keyspace string, addr nvme.ExtentAddr) (int64, error)
 
-	ks    map[string]*client.Keyspace
-	locks map[string]*sim.Resource
+	Stats() *stats.IOStats
+	Health() []array.DeviceHealth
+	RingTable() []wire.RingEntry
+	Compactions() []wire.CompactionProgress
+
+	WaitBackgroundIdle(p *sim.Proc) error
+	Shutdown()
+	Tracer() *obs.Tracer
+	Registry() *obs.Registry
 }
 
-func newDeviceBackend(env *sim.Env, opts device.Options) *deviceBackend {
+// deviceFleet fronts one simulated device through the client library; the
+// device's own WaitBackgroundIdle, Shutdown, Tracer and Registry serve as the
+// fleet's.
+type deviceFleet struct {
+	*device.Device
+	cl      *client.Client
+	members []*array.Member // the device as member 0
+	// ks caches open handles: a device keyspace handle stages bulk pairs, so
+	// every request for a name must reach the same one.
+	ks map[string]*client.Keyspace
+}
+
+func newDeviceFleet(env *sim.Env, opts device.Options) *deviceFleet {
 	st := stats.NewIOStats()
 	h := host.New(env, host.DefaultHostConfig())
 	dev := device.New(env, opts, st)
-	return &deviceBackend{
-		env:   env,
-		h:     h,
-		dev:   dev,
-		cl:    client.New(h, dev),
-		st:    st,
-		ks:    make(map[string]*client.Keyspace),
-		locks: make(map[string]*sim.Resource),
+	cl := client.New(h, dev)
+	return &deviceFleet{
+		Device:  dev,
+		cl:      cl,
+		members: []*array.Member{{ID: 0, Dev: dev, Client: cl, Stats: st}},
+		ks:      make(map[string]*client.Keyspace),
 	}
 }
 
-func (b *deviceBackend) handle(p *sim.Proc, name string) (*client.Keyspace, error) {
-	if ks, ok := b.ks[name]; ok {
+func (f *deviceFleet) create(p *sim.Proc, name string, _ int) error {
+	ks, err := f.cl.CreateKeyspace(p, name)
+	if err == nil {
+		f.ks[name] = ks
+	}
+	return err
+}
+
+func (f *deviceFleet) open(p *sim.Proc, name string) (client.Contract, error) {
+	if ks, ok := f.ks[name]; ok {
 		return ks, nil
 	}
-	ks, err := b.cl.OpenKeyspace(p, name)
+	ks, err := f.cl.OpenKeyspace(p, name)
 	if err != nil {
 		return nil, err
 	}
-	b.ks[name] = ks
+	f.ks[name] = ks
 	return ks, nil
 }
 
-// lock serializes bulk staging per keyspace: the client library stages bulk
-// pairs on the shared handle and flushes them as one message, which must not
-// interleave across concurrently running RPC handlers.
-func (b *deviceBackend) lock(name string) *sim.Resource {
-	r, ok := b.locks[name]
-	if !ok {
-		r = sim.NewResource(b.env, "bulk:"+name, 1)
-		b.locks[name] = r
-	}
-	return r
+func (f *deviceFleet) DeleteKeyspace(p *sim.Proc, name string) error {
+	delete(f.ks, name)
+	return f.cl.DeleteKeyspace(p, name)
 }
 
-func (b *deviceBackend) Apply(p *sim.Proc, req *wire.Request) *wire.Response {
-	switch req.Op {
-	case wire.OpPing:
-		return respOK()
-
-	case wire.OpCreateKeyspace:
-		ks, err := b.cl.CreateKeyspace(p, req.Keyspace)
-		if err != nil {
-			return respErr(err)
-		}
-		b.ks[req.Keyspace] = ks
-		return respOK()
-
-	case wire.OpOpenKeyspace:
-		_, err := b.handle(p, req.Keyspace)
-		return respErr(err)
-
-	case wire.OpDeleteKeyspace:
-		delete(b.ks, req.Keyspace)
-		delete(b.locks, req.Keyspace)
-		return respErr(b.cl.DeleteKeyspace(p, req.Keyspace))
-
-	case wire.OpStats:
-		return b.statsReport()
-
-	case wire.OpPowerCut:
-		rep := b.dev.PowerCut(p)
-		return &wire.Response{Status: wire.StatusOK, Report: fmt.Sprintf("%+v", rep)}
-
-	case wire.OpRecover:
-		rep, err := b.dev.Restart(p)
-		if err != nil {
-			return respErr(err)
-		}
-		return &wire.Response{Status: wire.StatusOK, Report: fmt.Sprintf("%+v", rep)}
-
-	case wire.OpScrub:
-		rep, err := b.cl.ScrubMedia(p)
-		if err != nil {
-			return respErr(err)
-		}
-		return scrubResponse(rep)
-
-	case wire.OpCompactPolicy:
-		return compactPolicy(p, b.cl, req.Value)
-
-	case wire.OpMigrateCold:
-		moved, err := b.cl.MigrateCold(p)
-		if err != nil {
-			return respErr(err)
-		}
-		return &wire.Response{Status: wire.StatusOK, Moved: moved}
-
-	case wire.OpCorrupt:
-		addr, ok := extentAddr(req.Extent)
-		if !ok {
-			return &wire.Response{Status: wire.StatusInvalid, Err: "corrupt: missing extent address"}
-		}
-		flips, err := b.cl.CorruptMedia(p, req.Keyspace, addr)
-		if err != nil {
-			return respErr(err)
-		}
-		return &wire.Response{Status: wire.StatusOK,
-			Report: fmt.Sprintf("flipped %d bits in %s granule %d", flips, req.Keyspace, addr.Granule)}
-	}
-
-	ks, err := b.handle(p, req.Keyspace)
-	if err != nil {
-		return respErr(err)
-	}
-
-	switch req.Op {
-	case wire.OpPut:
-		return respErr(ks.Put(p, req.Key, req.Value))
-	case wire.OpDelete:
-		return respErr(ks.Delete(p, req.Key))
-	case wire.OpBulkPut:
-		return b.BulkApply(p, req.Keyspace, req.Pairs)
-	case wire.OpSync:
-		return respErr(ks.Sync(p))
-	case wire.OpGet:
-		v, ok, err := ks.Get(p, req.Key)
-		if err != nil {
-			return respErr(err)
-		}
-		if !ok {
-			return &wire.Response{Status: wire.StatusNotFound}
-		}
-		return &wire.Response{Status: wire.StatusOK, Value: v, Exists: true}
-	case wire.OpExist:
-		ok, err := ks.Exist(p, req.Key)
-		if err != nil {
-			return respErr(err)
-		}
-		return &wire.Response{Status: wire.StatusOK, Exists: ok}
-	case wire.OpScan:
-		pairs, err := ks.Scan(p, req.Low, req.High, int(req.Limit))
-		if err != nil {
-			return respErr(err)
-		}
-		return &wire.Response{Status: wire.StatusOK, Pairs: pairs}
-	case wire.OpSecondaryRange:
-		pairs, err := ks.QuerySecondaryRange(p, req.Index.Name, req.Low, req.High, int(req.Limit))
-		if err != nil {
-			return respErr(err)
-		}
-		return &wire.Response{Status: wire.StatusOK, Pairs: pairs}
-	case wire.OpSecondaryPoint:
-		pairs, err := ks.QuerySecondaryPoint(p, req.Index.Name, req.Key, int(req.Limit))
-		if err != nil {
-			return respErr(err)
-		}
-		return &wire.Response{Status: wire.StatusOK, Pairs: pairs}
-	case wire.OpCompact:
-		return respErr(ks.Compact(p))
-	case wire.OpCompactWithIndexes:
-		return respErr(ks.CompactWithIndexes(p, clientSpecs(req.Indexes)))
-	case wire.OpCompactStatus:
-		pr, done, err := ks.CompactionProgress(p)
-		if err != nil {
-			return respErr(err)
-		}
-		return &wire.Response{Status: wire.StatusOK, Done: done, Progress: &pr}
-	case wire.OpBuildIndex:
-		return respErr(ks.BuildSecondaryIndex(p, clientSpec(req.Index)))
-	case wire.OpIndexStatus:
-		done, err := ks.IndexBuilt(p, req.Index.Name)
-		if err != nil {
-			return respErr(err)
-		}
-		return &wire.Response{Status: wire.StatusOK, Done: done}
-	case wire.OpKeyspaceInfo:
-		info, err := ks.Info(p)
-		if err != nil {
-			return respErr(err)
-		}
-		return &wire.Response{Status: wire.StatusOK, HasInfo: true, Info: info}
-	}
-	return &wire.Response{Status: wire.StatusBadRequest, Err: "unhandled opcode " + req.Op.String()}
+// compactStatus reads done flag and progress off the one status command.
+func (f *deviceFleet) compactStatus(p *sim.Proc, ks client.Contract) (compaction.Progress, bool, error) {
+	return ks.(*client.Keyspace).CompactionProgress(p)
 }
 
-// compactPolicy serves OpCompactPolicy against one device client: a non-empty
-// body installs the config, and either way the response echoes the device's
-// active config.
-func compactPolicy(p *sim.Proc, cl *client.Client, body []byte) *wire.Response {
-	var cfg compaction.Config
-	var err error
-	if len(body) > 0 {
-		want, derr := compaction.DecodeConfig(body)
-		if derr != nil {
-			return &wire.Response{Status: wire.StatusBadRequest, Err: derr.Error()}
-		}
-		cfg, err = cl.SetCompactionConfig(p, want)
-	} else {
-		cfg, err = cl.CompactionConfig(p)
-	}
-	if err != nil {
-		return respErr(err)
-	}
-	return &wire.Response{Status: wire.StatusOK, Value: compaction.EncodeConfig(cfg)}
+func (f *deviceFleet) Members() []*array.Member { return f.members }
+
+func (f *deviceFleet) PowerCut(p *sim.Proc, _ int) ssd.PowerCutReport {
+	return f.Device.PowerCut(p)
 }
 
-func (b *deviceBackend) BulkApply(p *sim.Proc, keyspace string, pairs []nvme.KVPair) *wire.Response {
-	ks, err := b.handle(p, keyspace)
-	if err != nil {
-		return respErr(err)
-	}
-	lk := b.lock(keyspace)
-	p.Acquire(lk)
-	defer p.Release(lk)
-	for _, kv := range pairs {
-		if kv.Tombstone {
-			err = ks.BulkDelete(p, kv.Key)
-		} else {
-			err = ks.BulkPut(p, kv.Key, kv.Value)
-		}
-		if err != nil {
-			return respErr(err)
-		}
-	}
-	return respErr(ks.Flush(p))
+func (f *deviceFleet) RestartDevice(p *sim.Proc, _ int) (*core.RecoveryReport, error) {
+	return f.Restart(p)
 }
 
-func (b *deviceBackend) statsReport() *wire.Response {
-	rep := &wire.StatsReport{
-		Devices:      1,
-		Commands:     b.st.Commands.Value(),
-		MediaRead:    b.st.MediaRead.Value(),
-		MediaWrite:   b.st.MediaWrite.Value(),
-		HostToDevice: b.st.HostToDevice.Value(),
-		DeviceToHost: b.st.DeviceToHost.Value(),
-		AppWrite:     b.st.AppWrite.Value(),
-		VirtualNanos: int64(b.env.Now()),
-		Health:       []wire.DeviceHealth{{ID: 0, Down: b.dev.PoweredOff()}},
-	}
-	if !b.dev.PoweredOff() {
-		for _, pr := range b.dev.Engine().Progresses() {
-			rep.Compactions = append(rep.Compactions,
-				wire.CompactionProgress{Keyspace: pr.Keyspace, Progress: pr.Progress})
-		}
-	}
-	return &wire.Response{Status: wire.StatusOK, Stats: rep}
+// scrub only detects: a lone device has no second copy to repair from.
+func (f *deviceFleet) scrub(p *sim.Proc, _ int) (*core.ScrubReport, error) {
+	return f.cl.ScrubMedia(p)
 }
 
-func (b *deviceBackend) BackgroundJobs() int { return b.dev.Engine().BackgroundJobs() }
+func (f *deviceFleet) CorruptExtent(p *sim.Proc, _ int, keyspace string, addr nvme.ExtentAddr) (int64, error) {
+	return f.cl.CorruptMedia(p, keyspace, addr)
+}
 
-func (b *deviceBackend) WaitIdle(p *sim.Proc) error { return b.dev.WaitBackgroundIdle(p) }
+func (f *deviceFleet) Stats() *stats.IOStats { return f.members[0].Stats }
 
-func (b *deviceBackend) Shutdown() { b.dev.Shutdown() }
+func (f *deviceFleet) Health() []array.DeviceHealth {
+	return []array.DeviceHealth{{ID: 0, Down: f.PoweredOff()}}
+}
 
-func (b *deviceBackend) Tracer() *obs.Tracer { return b.dev.Tracer() }
+func (f *deviceFleet) RingTable() []wire.RingEntry { return nil }
 
-func (b *deviceBackend) Registry() *obs.Registry { return b.dev.Registry() }
+// Compactions lists the device's keyspaces as they are: nothing is sharded,
+// so there is nothing to fold.
+func (f *deviceFleet) Compactions() []wire.CompactionProgress {
+	if f.PoweredOff() {
+		return nil
+	}
+	var rows []wire.CompactionProgress
+	for _, pr := range f.Engine().Progresses() {
+		rows = append(rows, wire.CompactionProgress{Keyspace: pr.Keyspace, Progress: pr.Progress})
+	}
+	return rows
+}
 
-// --- Array backend ---------------------------------------------------------
-
-// arrayBackend fronts a sharded, replicated device array. With replicated
-// set, keyspaces are created consensus-backed: writes commit at quorum
-// through per-shard leaders and reads go through the leader's read-index
-// (see array.CreateReplicated).
-type arrayBackend struct {
-	env        *sim.Env
-	arr        *array.Array
-	locks      map[string]*sim.Resource
+// arrayFleet is a sharded, replicated device array. With replicated set,
+// keyspaces are created consensus-backed: writes commit at quorum through
+// per-shard leaders and reads go through the leader's read-index (see
+// array.CreateReplicated).
+type arrayFleet struct {
+	*array.Array
 	replicated bool
 }
 
-func newArrayBackend(env *sim.Env, opts array.Options, replicated bool) *arrayBackend {
-	return &arrayBackend{
-		env:        env,
-		arr:        array.New(env, opts),
-		locks:      make(map[string]*sim.Resource),
-		replicated: replicated,
+func (f arrayFleet) create(p *sim.Proc, name string, parts int) error {
+	var err error
+	switch {
+	case f.replicated:
+		_, err = f.CreateReplicated(p, name, parts)
+	case parts > 1:
+		_, err = f.CreateRangeSharded(p, name, parts)
+	default:
+		_, err = f.CreateKeyspace(p, name)
 	}
+	return err
 }
 
-func (b *arrayBackend) lock(name string) *sim.Resource {
+func (f arrayFleet) open(_ *sim.Proc, name string) (client.Contract, error) {
+	if rk, err := f.OpenReplicated(name); err == nil {
+		return rk, nil
+	}
+	ks, err := f.OpenKeyspace(name)
+	if err != nil {
+		return nil, err
+	}
+	return ks, nil
+}
+
+// compactStatus polls the shards for the done flag and takes the progress
+// from the keyspace's row of the fleet aggregate.
+func (f arrayFleet) compactStatus(p *sim.Proc, ks client.Contract) (compaction.Progress, bool, error) {
+	done, err := ks.CompactDone(p)
+	if err != nil {
+		return compaction.Progress{}, false, err
+	}
+	for _, row := range f.Compactions() {
+		if row.Keyspace == ks.Name() {
+			return row.Progress, done, nil
+		}
+	}
+	return compaction.Progress{}, done, nil
+}
+
+// scrub repairs what it finds from healthy replica copies.
+func (f arrayFleet) scrub(p *sim.Proc, id int) (*core.ScrubReport, error) {
+	return f.RepairDevice(p, id)
+}
+
+// backend executes wire requests against a fleet: one dispatch, whatever the
+// fleet is.
+type backend struct {
+	fleet // Shutdown, Tracer and Registry are the fleet's
+	env   *sim.Env
+	locks map[string]*sim.Resource
+}
+
+func newBackend(env *sim.Env, f fleet) *backend {
+	return &backend{env: env, fleet: f, locks: make(map[string]*sim.Resource)}
+}
+
+// lock serializes bulk staging per keyspace: handles stage bulk pairs and
+// flush them as one message, which must not interleave across concurrently
+// running RPC handlers.
+func (b *backend) lock(name string) *sim.Resource {
 	r, ok := b.locks[name]
 	if !ok {
 		r = sim.NewResource(b.env, "bulk:"+name, 1)
@@ -411,123 +306,34 @@ func (b *arrayBackend) lock(name string) *sim.Resource {
 	return r
 }
 
-func (b *arrayBackend) Apply(p *sim.Proc, req *wire.Request) *wire.Response {
+func (b *backend) Apply(p *sim.Proc, req *wire.Request) *wire.Response {
 	switch req.Op {
 	case wire.OpPing:
 		return respOK()
-
 	case wire.OpCreateKeyspace:
-		var err error
-		switch {
-		case b.replicated:
-			_, err = b.arr.CreateReplicated(p, req.Keyspace, int(req.Parts))
-		case req.Parts > 1:
-			_, err = b.arr.CreateRangeSharded(p, req.Keyspace, int(req.Parts))
-		default:
-			_, err = b.arr.CreateKeyspace(p, req.Keyspace)
-		}
-		return respErr(err)
-
+		return respErr(b.create(p, req.Keyspace, int(req.Parts)))
 	case wire.OpOpenKeyspace:
-		if _, err := b.arr.OpenReplicated(req.Keyspace); err == nil {
-			return respOK()
-		}
-		_, err := b.arr.OpenKeyspace(req.Keyspace)
+		_, err := b.open(p, req.Keyspace)
 		return respErr(err)
-
 	case wire.OpDeleteKeyspace:
 		delete(b.locks, req.Keyspace)
-		return respErr(b.arr.DeleteKeyspace(p, req.Keyspace))
-
+		return respErr(b.DeleteKeyspace(p, req.Keyspace))
 	case wire.OpStats:
 		return b.statsReport()
-
-	case wire.OpPowerCut:
-		id := int(req.Device)
-		if id < 0 || id >= len(b.arr.Members()) {
-			return &wire.Response{Status: wire.StatusInvalid, Err: fmt.Sprintf("device %d out of range", id)}
-		}
-		rep := b.arr.PowerCut(p, id)
-		return &wire.Response{Status: wire.StatusOK, Report: fmt.Sprintf("%+v", rep)}
-
-	case wire.OpRecover:
-		id := int(req.Device)
-		if id < 0 || id >= len(b.arr.Members()) {
-			return &wire.Response{Status: wire.StatusInvalid, Err: fmt.Sprintf("device %d out of range", id)}
-		}
-		rep, err := b.arr.RestartDevice(p, id)
-		if err != nil {
-			return respErr(err)
-		}
-		return &wire.Response{Status: wire.StatusOK, Report: fmt.Sprintf("%+v", rep)}
-
-	case wire.OpScrub:
-		id := int(req.Device)
-		if id < 0 || id >= len(b.arr.Members()) {
-			return &wire.Response{Status: wire.StatusInvalid, Err: fmt.Sprintf("device %d out of range", id)}
-		}
-		// An array scrub repairs what it finds from healthy replica copies.
-		rep, err := b.arr.RepairDevice(p, id)
-		if err != nil {
-			return respErr(err)
-		}
-		return scrubResponse(rep)
-
-	case wire.OpCorrupt:
-		id := int(req.Device)
-		if id < 0 || id >= len(b.arr.Members()) {
-			return &wire.Response{Status: wire.StatusInvalid, Err: fmt.Sprintf("device %d out of range", id)}
-		}
-		addr, ok := extentAddr(req.Extent)
-		if !ok {
-			return &wire.Response{Status: wire.StatusInvalid, Err: "corrupt: missing extent address"}
-		}
-		flips, err := b.arr.CorruptExtent(p, id, req.Keyspace, addr)
-		if err != nil {
-			return respErr(err)
-		}
-		return &wire.Response{Status: wire.StatusOK,
-			Report: fmt.Sprintf("flipped %d bits in %s granule %d on device %d", flips, req.Keyspace, addr.Granule, id)}
-
 	case wire.OpCompactPolicy:
-		// Fan the config out to every healthy member; the echo is the last
-		// member's active config (members share one template, so they agree).
-		var last *wire.Response
-		for _, m := range b.arr.Members() {
-			if !m.Healthy() {
-				continue
-			}
-			last = compactPolicy(p, m.Client, req.Value)
-			if last.Status != wire.StatusOK {
-				return last
-			}
-		}
-		if last == nil {
-			return &wire.Response{Status: wire.StatusUnavailable, Err: "compact-policy: no healthy device"}
-		}
-		return last
-
-	case wire.OpMigrateCold:
+		return b.compactPolicy(p, req.Value)
+	case wire.OpPowerCut, wire.OpRecover, wire.OpScrub, wire.OpCorrupt, wire.OpMigrateCold:
 		id := int(req.Device)
-		if id < 0 || id >= len(b.arr.Members()) {
+		if id < 0 || id >= len(b.Members()) {
 			return &wire.Response{Status: wire.StatusInvalid, Err: fmt.Sprintf("device %d out of range", id)}
 		}
-		moved, err := b.arr.Member(id).Client.MigrateCold(p)
-		if err != nil {
-			return respErr(err)
-		}
-		return &wire.Response{Status: wire.StatusOK, Moved: moved}
+		return b.applyMember(p, id, req)
 	}
 
-	if rk, err := b.arr.OpenReplicated(req.Keyspace); err == nil {
-		return b.applyReplicated(p, rk, req)
-	}
-
-	ks, err := b.arr.OpenKeyspace(req.Keyspace)
+	ks, err := b.open(p, req.Keyspace)
 	if err != nil {
 		return respErr(err)
 	}
-
 	switch req.Op {
 	case wire.OpPut:
 		return respErr(ks.Put(p, req.Key, req.Value))
@@ -553,42 +359,27 @@ func (b *arrayBackend) Apply(p *sim.Proc, req *wire.Request) *wire.Response {
 		}
 		return &wire.Response{Status: wire.StatusOK, Exists: ok}
 	case wire.OpScan:
-		pairs, err := ks.Scan(p, req.Low, req.High, int(req.Limit))
-		if err != nil {
-			return respErr(err)
-		}
-		return &wire.Response{Status: wire.StatusOK, Pairs: pairs}
+		return respPairs(ks.Scan(p, req.Low, req.High, int(req.Limit)))
 	case wire.OpSecondaryRange:
-		pairs, err := ks.QuerySecondaryRange(p, req.Index.Name, req.Low, req.High, int(req.Limit))
-		if err != nil {
-			return respErr(err)
-		}
-		return &wire.Response{Status: wire.StatusOK, Pairs: pairs}
+		return respPairs(ks.QuerySecondaryRange(p, req.Index.Name, req.Low, req.High, int(req.Limit)))
 	case wire.OpSecondaryPoint:
-		pairs, err := ks.QuerySecondaryPoint(p, req.Index.Name, req.Key, int(req.Limit))
-		if err != nil {
-			return respErr(err)
-		}
-		return &wire.Response{Status: wire.StatusOK, Pairs: pairs}
+		return respPairs(ks.QuerySecondaryPoint(p, req.Index.Name, req.Key, int(req.Limit)))
 	case wire.OpCompact:
 		return respErr(ks.Compact(p))
 	case wire.OpCompactWithIndexes:
-		return respErr(ks.CompactWithIndexes(p, clientSpecs(req.Indexes)))
+		specs := make([]client.IndexSpec, len(req.Indexes))
+		for i, s := range req.Indexes {
+			specs[i] = s.NVMe()
+		}
+		return respErr(ks.CompactWithIndexes(p, specs))
 	case wire.OpCompactStatus:
-		done, err := ks.CompactDone(p)
+		pr, done, err := b.compactStatus(p, ks)
 		if err != nil {
 			return respErr(err)
 		}
-		pr := compaction.Progress{}
-		for _, row := range b.aggregateCompactions() {
-			if row.Keyspace == req.Keyspace {
-				pr = row.Progress
-				break
-			}
-		}
 		return &wire.Response{Status: wire.StatusOK, Done: done, Progress: &pr}
 	case wire.OpBuildIndex:
-		return respErr(ks.BuildSecondaryIndex(p, clientSpec(req.Index)))
+		return respErr(ks.BuildSecondaryIndex(p, req.Index.NVMe()))
 	case wire.OpIndexStatus:
 		done, err := ks.IndexBuilt(p, req.Index.Name)
 		if err != nil {
@@ -602,109 +393,80 @@ func (b *arrayBackend) Apply(p *sim.Proc, req *wire.Request) *wire.Response {
 		}
 		return &wire.Response{Status: wire.StatusOK, HasInfo: true, Info: info}
 	}
-	return &wire.Response{Status: wire.StatusBadRequest, Err: "unhandled opcode " + req.Op.String()}
+	return respUnhandled(req.Op)
 }
 
-// aggregateCompactions folds the fleet's per-shard compaction progress into
-// one row per logical keyspace (shards are named "<keyspace>#pN" on their
-// devices): counters sum across shards and replicas, and the stage shown is
-// the furthest-behind shard's — any active stage outranks idle, and among
-// active stages the earliest pipeline stage wins.
-func (b *arrayBackend) aggregateCompactions() []wire.CompactionProgress {
-	byKs := make(map[string]*compaction.Progress)
-	var names []string
-	for _, m := range b.arr.Members() {
-		if m.Dev.PoweredOff() {
+// applyMember serves the verbs addressed to one device (id is in range).
+func (b *backend) applyMember(p *sim.Proc, id int, req *wire.Request) *wire.Response {
+	switch req.Op {
+	case wire.OpPowerCut:
+		rep := b.PowerCut(p, id)
+		return &wire.Response{Status: wire.StatusOK, Report: fmt.Sprintf("%+v", rep)}
+	case wire.OpRecover:
+		rep, err := b.RestartDevice(p, id)
+		if err != nil {
+			return respErr(err)
+		}
+		return &wire.Response{Status: wire.StatusOK, Report: fmt.Sprintf("%+v", rep)}
+	case wire.OpScrub:
+		rep, err := b.scrub(p, id)
+		if err != nil {
+			return respErr(err)
+		}
+		return scrubResponse(rep)
+	case wire.OpCorrupt:
+		if req.Extent == nil {
+			return &wire.Response{Status: wire.StatusInvalid, Err: "corrupt: missing extent address"}
+		}
+		flips, err := b.CorruptExtent(p, id, req.Keyspace, req.Extent.NVMe())
+		if err != nil {
+			return respErr(err)
+		}
+		return &wire.Response{Status: wire.StatusOK,
+			Report: fmt.Sprintf("flipped %d bits in %s granule %d on device %d", flips, req.Keyspace, req.Extent.Granule, id)}
+	case wire.OpMigrateCold:
+		moved, err := b.Members()[id].Client.MigrateCold(p)
+		if err != nil {
+			return respErr(err)
+		}
+		return &wire.Response{Status: wire.StatusOK, Moved: moved}
+	}
+	return respUnhandled(req.Op)
+}
+
+// compactPolicy serves OpCompactPolicy: a non-empty body installs the config
+// on every healthy member, and either way the response echoes the last
+// member's active config (members share one template, so they agree).
+func (b *backend) compactPolicy(p *sim.Proc, body []byte) *wire.Response {
+	var want compaction.Config
+	if len(body) > 0 {
+		var err error
+		if want, err = compaction.DecodeConfig(body); err != nil {
+			return &wire.Response{Status: wire.StatusBadRequest, Err: err.Error()}
+		}
+	}
+	resp := &wire.Response{Status: wire.StatusUnavailable, Err: "compact-policy: no healthy device"}
+	for _, m := range b.Members() {
+		if !m.Healthy() {
 			continue
 		}
-		for _, row := range m.Dev.Engine().Progresses() {
-			name, _, _ := strings.Cut(row.Keyspace, "#")
-			agg, ok := byKs[name]
-			if !ok {
-				cp := row.Progress
-				byKs[name] = &cp
-				names = append(names, name)
-				continue
-			}
-			agg.GranulesDone += row.Progress.GranulesDone
-			agg.GranulesTotal += row.Progress.GranulesTotal
-			agg.BytesMoved += row.Progress.BytesMoved
-			agg.HostRuns += row.Progress.HostRuns
-			agg.DeviceRuns += row.Progress.DeviceRuns
-			agg.Occupancy += row.Progress.Occupancy
-			if stageBehind(row.Progress.Stage, agg.Stage) {
-				agg.Stage = row.Progress.Stage
-			}
+		var cfg compaction.Config
+		var err error
+		if len(body) > 0 {
+			cfg, err = m.Client.SetCompactionConfig(p, want)
+		} else {
+			cfg, err = m.Client.CompactionConfig(p)
 		}
-	}
-	sort.Strings(names)
-	out := make([]wire.CompactionProgress, 0, len(names))
-	for _, name := range names {
-		out = append(out, wire.CompactionProgress{Keyspace: name, Progress: *byKs[name]})
-	}
-	return out
-}
-
-// stageBehind reports whether stage a is further behind than b.
-func stageBehind(a, b compaction.Stage) bool {
-	if a == compaction.StageIdle {
-		return false
-	}
-	if b == compaction.StageIdle {
-		return true
-	}
-	return a < b
-}
-
-// applyReplicated serves the consensus-backed keyspace operation set. Ops
-// outside it (scans, secondary indexes, compaction) are not replicated yet
-// and are refused rather than silently served stale.
-func (b *arrayBackend) applyReplicated(p *sim.Proc, rk *array.ReplicatedKeyspace, req *wire.Request) *wire.Response {
-	switch req.Op {
-	case wire.OpPut:
-		return respErr(rk.Put(p, req.Key, req.Value))
-	case wire.OpDelete:
-		return respErr(rk.Delete(p, req.Key))
-	case wire.OpBulkPut:
-		return b.BulkApply(p, req.Keyspace, req.Pairs)
-	case wire.OpSync:
-		return respOK() // every committed write is already at quorum
-	case wire.OpGet:
-		v, ok, err := rk.Get(p, req.Key)
 		if err != nil {
 			return respErr(err)
 		}
-		if !ok {
-			return &wire.Response{Status: wire.StatusNotFound}
-		}
-		return &wire.Response{Status: wire.StatusOK, Value: v, Exists: true}
-	case wire.OpExist:
-		_, ok, err := rk.Get(p, req.Key)
-		if err != nil {
-			return respErr(err)
-		}
-		return &wire.Response{Status: wire.StatusOK, Exists: ok}
+		resp = &wire.Response{Status: wire.StatusOK, Value: compaction.EncodeConfig(cfg)}
 	}
-	return &wire.Response{Status: wire.StatusBadRequest,
-		Err: req.Op.String() + " not supported on replicated keyspace " + rk.Name()}
+	return resp
 }
 
-func (b *arrayBackend) BulkApply(p *sim.Proc, keyspace string, pairs []nvme.KVPair) *wire.Response {
-	if rk, err := b.arr.OpenReplicated(keyspace); err == nil {
-		for _, kv := range pairs {
-			var err error
-			if kv.Tombstone {
-				err = rk.Delete(p, kv.Key)
-			} else {
-				err = rk.Put(p, kv.Key, kv.Value)
-			}
-			if err != nil {
-				return respErr(err)
-			}
-		}
-		return respOK()
-	}
-	ks, err := b.arr.OpenKeyspace(keyspace)
+func (b *backend) BulkApply(p *sim.Proc, keyspace string, pairs []nvme.KVPair) *wire.Response {
+	ks, err := b.open(p, keyspace)
 	if err != nil {
 		return respErr(err)
 	}
@@ -724,15 +486,15 @@ func (b *arrayBackend) BulkApply(p *sim.Proc, keyspace string, pairs []nvme.KVPa
 	return respErr(ks.Flush(p))
 }
 
-func (b *arrayBackend) statsReport() *wire.Response {
-	st := b.arr.Stats()
-	health := b.arr.Health()
+func (b *backend) statsReport() *wire.Response {
+	st := b.Stats()
+	health := b.Health()
 	wh := make([]wire.DeviceHealth, len(health))
 	for i, h := range health {
 		wh[i] = wire.DeviceHealth{ID: uint32(h.ID), Down: h.Down, Failures: uint32(h.Failures)}
 	}
-	rep := &wire.StatsReport{
-		Devices:      uint32(len(b.arr.Members())),
+	return &wire.Response{Status: wire.StatusOK, Stats: &wire.StatsReport{
+		Devices:      uint32(len(b.Members())),
 		Commands:     st.Commands.Value(),
 		MediaRead:    st.MediaRead.Value(),
 		MediaWrite:   st.MediaWrite.Value(),
@@ -741,24 +503,17 @@ func (b *arrayBackend) statsReport() *wire.Response {
 		AppWrite:     st.AppWrite.Value(),
 		VirtualNanos: int64(b.env.Now()),
 		Health:       wh,
-		Ring:         b.arr.RingTable(),
-		Compactions:  b.aggregateCompactions(),
-	}
-	return &wire.Response{Status: wire.StatusOK, Stats: rep}
+		Ring:         b.RingTable(),
+		Compactions:  b.Compactions(),
+	}}
 }
 
-func (b *arrayBackend) BackgroundJobs() int {
+func (b *backend) BackgroundJobs() int {
 	n := 0
-	for _, m := range b.arr.Members() {
+	for _, m := range b.Members() {
 		n += m.Dev.Engine().BackgroundJobs()
 	}
 	return n
 }
 
-func (b *arrayBackend) WaitIdle(p *sim.Proc) error { return b.arr.WaitBackgroundIdle(p) }
-
-func (b *arrayBackend) Shutdown() { b.arr.Shutdown() }
-
-func (b *arrayBackend) Tracer() *obs.Tracer { return b.arr.Tracer() }
-
-func (b *arrayBackend) Registry() *obs.Registry { return b.arr.Registry() }
+func (b *backend) WaitIdle(p *sim.Proc) error { return b.WaitBackgroundIdle(p) }

@@ -71,17 +71,13 @@ type putGroup struct {
 func (s *Server) runBatch(p *sim.Proc, batch []*task) {
 	env := p.Env()
 	var procs []*sim.Proc
-	singles := batch
-	if !s.cfg.DisableWriteCoalescing {
-		var groups []*putGroup
-		groups, singles = coalescePuts(batch)
-		for _, g := range groups {
-			g := g
-			s.met.addCoalesced(len(g.tasks))
-			procs = append(procs, env.Go("rpc-put-batch", func(q *sim.Proc) {
-				s.handleGroup(q, g)
-			}))
-		}
+	groups, singles := coalescePuts(batch)
+	for _, g := range groups {
+		g := g
+		s.met.addCoalesced(len(g.tasks))
+		procs = append(procs, env.Go("rpc-put-batch", func(q *sim.Proc) {
+			s.handleGroup(q, g)
+		}))
 	}
 	for _, t := range singles {
 		t := t

@@ -176,6 +176,16 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	return sn
 }
 
+// ops lists the opcodes the snapshot has counters for, in numeric order.
+func (sn MetricsSnapshot) ops() []wire.Op {
+	ops := make([]wire.Op, 0, len(sn.PerOp))
+	for op := range sn.PerOp {
+		ops = append(ops, op)
+	}
+	sort.Slice(ops, func(i, j int) bool { return ops[i] < ops[j] })
+	return ops
+}
+
 // wireReport converts the snapshot to its wire form, so remote stats clients
 // receive the gateway's RPC counters alongside engine stats.
 func (sn MetricsSnapshot) wireReport() *wire.RPCReport {
@@ -188,11 +198,7 @@ func (sn MetricsSnapshot) wireReport() *wire.RPCReport {
 		Batches:   sn.Batches,
 		SlowOps:   sn.SlowOps,
 	}
-	ops := make([]wire.Op, 0, len(sn.PerOp))
-	for op := range sn.PerOp {
-		ops = append(ops, op)
-	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i] < ops[j] })
+	ops := sn.ops()
 	for _, op := range ops {
 		s := sn.PerOp[op]
 		r.Ops = append(r.Ops, wire.RPCOpStats{
@@ -211,11 +217,7 @@ func (sn MetricsSnapshot) wireReport() *wire.RPCReport {
 
 // Dump renders the snapshot as a per-opcode stage table plus totals.
 func (sn MetricsSnapshot) Dump(w io.Writer) {
-	ops := make([]wire.Op, 0, len(sn.PerOp))
-	for op := range sn.PerOp {
-		ops = append(ops, op)
-	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i] < ops[j] })
+	ops := sn.ops()
 	fmt.Fprintf(w, "%-20s %8s %6s %12s %12s %12s %12s %12s\n",
 		"op", "count", "errs", "decode", "queue", "service", "virtual", "write")
 	for _, op := range ops {

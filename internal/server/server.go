@@ -67,9 +67,6 @@ type Config struct {
 	// ChunkPairs splits large scan results into streamed frames of this many
 	// pairs (FlagMore). Default 128. Negative disables streaming.
 	ChunkPairs int
-	// DisableWriteCoalescing turns off the put-coalescing optimization that
-	// merges a batch's puts per keyspace into one bulk device submission.
-	DisableWriteCoalescing bool
 	// BackgroundSlice is the virtual-time slice the gateway sleeps while the
 	// socket side is idle but device background work (compaction, index
 	// builds) is still running. Default 500µs.
@@ -196,13 +193,13 @@ func New(env *sim.Env, b Backend, cfg Config) *Server {
 // NewDevice builds a server over one simulated device.
 func NewDevice(opts device.Options, cfg Config) *Server {
 	env := sim.NewEnv()
-	return New(env, newDeviceBackend(env, opts), cfg)
+	return New(env, newBackend(env, newDeviceFleet(env, opts)), cfg)
 }
 
 // NewArray builds a server over a sharded, replicated device array.
 func NewArray(opts array.Options, cfg Config) *Server {
 	env := sim.NewEnv()
-	return New(env, newArrayBackend(env, opts, cfg.Replicated), cfg)
+	return New(env, newBackend(env, arrayFleet{array.New(env, opts), cfg.Replicated}), cfg)
 }
 
 // Env returns the simulation environment the server drives.

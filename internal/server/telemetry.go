@@ -118,11 +118,7 @@ func (s *Server) writePrometheus(w io.Writer) {
 
 	fmt.Fprint(w, "# HELP kvcsd_rpc_requests_total RPC requests handled, by opcode.\n")
 	fmt.Fprint(w, "# TYPE kvcsd_rpc_requests_total counter\n")
-	ops := make([]wire.Op, 0, len(sn.PerOp))
-	for op := range sn.PerOp {
-		ops = append(ops, op)
-	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i] < ops[j] })
+	ops := sn.ops()
 	for _, op := range ops {
 		fmt.Fprintf(w, "kvcsd_rpc_requests_total{op=%q} %d\n", op, sn.PerOp[op].Count)
 	}

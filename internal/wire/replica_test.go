@@ -122,21 +122,3 @@ func TestRingTableRoundTrip(t *testing.T) {
 		t.Fatalf("ring table round trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
 }
-
-func TestConsensusOpNames(t *testing.T) {
-	for op, want := range map[Op]string{
-		OpRequestVote:   "RequestVote",
-		OpAppendEntries: "AppendEntries",
-		OpMigrate:       "Migrate",
-	} {
-		if !op.Valid() {
-			t.Errorf("%s: not Valid()", want)
-		}
-		if op.String() != want {
-			t.Errorf("op %d: String() = %q, want %q", op, op.String(), want)
-		}
-		if op.Idempotent() {
-			t.Errorf("%s: consensus verbs must not be client-retryable", want)
-		}
-	}
-}

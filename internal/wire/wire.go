@@ -24,6 +24,7 @@ import (
 	"fmt"
 
 	"kvcsd/internal/compaction"
+	"kvcsd/internal/keyenc"
 	"kvcsd/internal/nvme"
 )
 
@@ -150,43 +151,93 @@ const (
 	opMax // one past the last valid opcode
 )
 
-var opNames = map[Op]string{
-	OpPing:               "Ping",
-	OpCreateKeyspace:     "CreateKeyspace",
-	OpOpenKeyspace:       "OpenKeyspace",
-	OpDeleteKeyspace:     "DeleteKeyspace",
-	OpPut:                "Put",
-	OpDelete:             "Delete",
-	OpBulkPut:            "BulkPut",
-	OpSync:               "Sync",
-	OpGet:                "Get",
-	OpExist:              "Exist",
-	OpScan:               "Scan",
-	OpSecondaryRange:     "SecondaryRange",
-	OpSecondaryPoint:     "SecondaryPoint",
-	OpCompact:            "Compact",
-	OpCompactWithIndexes: "CompactWithIndexes",
-	OpCompactStatus:      "CompactStatus",
-	OpBuildIndex:         "BuildIndex",
-	OpIndexStatus:        "IndexStatus",
-	OpKeyspaceInfo:       "KeyspaceInfo",
-	OpStats:              "Stats",
-	OpPowerCut:           "PowerCut",
-	OpRecover:            "Recover",
-	OpRequestVote:        "RequestVote",
-	OpAppendEntries:      "AppendEntries",
-	OpMigrate:            "Migrate",
-	OpHello:              "Hello",
-	OpScrub:              "Scrub",
-	OpCorrupt:            "Corrupt",
-	OpCompactPolicy:      "CompactPolicy",
-	OpMigrateCold:        "MigrateCold",
+// verb is one row of the verb table: everything the protocol knows about an
+// opcode apart from its payload fields. Adding a verb means one row here, one
+// payload field (if it carries something new) and one arm in the server's
+// dispatch.
+type verb struct {
+	name string
+	// nvme is the device opcode the verb executes as, so remote errors can be
+	// expressed with the client library's error types (client.StatusError
+	// carries an nvme.Opcode). Transport-only verbs have no device command and
+	// carry OpKeyspaceInfo as a stand-in.
+	nvme nvme.Opcode
+	// idempotent: the verb can be replayed after an ambiguous failure
+	// (connection loss, timeout, shed) without changing the outcome.
+	idempotent bool
+	// lane is the default QoS lane; a session class or a per-frame override
+	// (Request.Lane) takes precedence.
+	lane Lane
+}
+
+// verbs is the verb table, indexed by opcode. Replay rules: reads and status
+// polls are idempotent trivially, writes because duplicate log records
+// deduplicate at compaction, PowerCut because it is idempotent while the
+// device is off, Scrub because re-verifying (and re-repairing with
+// content-identical bytes) converges to the same state, CompactPolicy because
+// a replay installs the same config again, MigrateCold because a replay sweeps
+// a tier the first sweep already drained. Lifecycle verbs (create/delete
+// keyspace, compaction and index kicks, recover) are not replayed: a replay of
+// one that actually landed would report a different status. Neither is
+// Corrupt — a replay flips additional bits. Lanes: point reads and cheap
+// status polls are latency-sensitive, foreground writes and range queries
+// normal, bulk ingest and maintenance bulk.
+var verbs = [opMax]verb{
+	OpPing:               {"Ping", nvme.OpOpenKeyspace, true, LaneLatency},
+	OpCreateKeyspace:     {"CreateKeyspace", nvme.OpCreateKeyspace, false, LaneNormal},
+	OpOpenKeyspace:       {"OpenKeyspace", nvme.OpOpenKeyspace, true, LaneLatency},
+	OpDeleteKeyspace:     {"DeleteKeyspace", nvme.OpDeleteKeyspace, false, LaneNormal},
+	OpPut:                {"Put", nvme.OpStore, true, LaneNormal},
+	OpDelete:             {"Delete", nvme.OpDelete, true, LaneNormal},
+	OpBulkPut:            {"BulkPut", nvme.OpBulkStore, true, LaneBulk},
+	OpSync:               {"Sync", nvme.OpSync, true, LaneNormal},
+	OpGet:                {"Get", nvme.OpRetrieve, true, LaneLatency},
+	OpExist:              {"Exist", nvme.OpExist, true, LaneLatency},
+	OpScan:               {"Scan", nvme.OpQueryPrimaryRange, true, LaneNormal},
+	OpSecondaryRange:     {"SecondaryRange", nvme.OpQuerySecondaryRange, true, LaneNormal},
+	OpSecondaryPoint:     {"SecondaryPoint", nvme.OpQuerySecondaryPoint, true, LaneNormal},
+	OpCompact:            {"Compact", nvme.OpCompact, false, LaneBulk},
+	OpCompactWithIndexes: {"CompactWithIndexes", nvme.OpCompactWithIndexes, false, LaneBulk},
+	OpCompactStatus:      {"CompactStatus", nvme.OpCompactStatus, true, LaneLatency},
+	OpBuildIndex:         {"BuildIndex", nvme.OpBuildSecondaryIndex, false, LaneBulk},
+	OpIndexStatus:        {"IndexStatus", nvme.OpIndexStatus, true, LaneLatency},
+	OpKeyspaceInfo:       {"KeyspaceInfo", nvme.OpKeyspaceInfo, true, LaneLatency},
+	OpStats:              {"Stats", nvme.OpKeyspaceInfo, true, LaneLatency},
+	OpPowerCut:           {"PowerCut", nvme.OpKeyspaceInfo, true, LaneBulk},
+	OpRecover:            {"Recover", nvme.OpKeyspaceInfo, false, LaneBulk},
+	OpRequestVote:        {"RequestVote", nvme.OpKeyspaceInfo, false, LaneNormal},
+	OpAppendEntries:      {"AppendEntries", nvme.OpKeyspaceInfo, false, LaneNormal},
+	OpMigrate:            {"Migrate", nvme.OpKeyspaceInfo, false, LaneBulk},
+	OpHello:              {"Hello", nvme.OpKeyspaceInfo, true, LaneLatency},
+	OpScrub:              {"Scrub", nvme.OpScrubMedia, true, LaneBulk},
+	OpCorrupt:            {"Corrupt", nvme.OpCorruptMedia, false, LaneBulk},
+	OpCompactPolicy:      {"CompactPolicy", nvme.OpCompactPolicy, true, LaneLatency},
+	OpMigrateCold:        {"MigrateCold", nvme.OpMigrateCold, true, LaneBulk},
+}
+
+// Ops lists every valid opcode in numeric order.
+func Ops() []Op {
+	out := make([]Op, 0, opMax-1)
+	for o := OpPing; o < opMax; o++ {
+		out = append(out, o)
+	}
+	return out
+}
+
+// unknownVerb is the row unknown opcodes read as.
+var unknownVerb = verb{nvme: nvme.OpKeyspaceInfo, lane: LaneNormal}
+
+func (o Op) row() *verb {
+	if o.Valid() {
+		return &verbs[o]
+	}
+	return &unknownVerb
 }
 
 // String names the opcode.
 func (o Op) String() string {
-	if s, ok := opNames[o]; ok {
-		return s
+	if o.Valid() {
+		return verbs[o].name
 	}
 	return fmt.Sprintf("Op(%d)", uint8(o))
 }
@@ -194,83 +245,15 @@ func (o Op) String() string {
 // Valid reports whether o is a known request opcode.
 func (o Op) Valid() bool { return o >= OpPing && o < opMax }
 
-// NVMe maps a wire verb to the NVMe opcode the device executes for it, so
-// remote errors can be expressed with the client library's error types
-// (client.StatusError carries an nvme.Opcode). Transport-only verbs map to
-// the nearest device-side equivalent.
-func (o Op) NVMe() nvme.Opcode {
-	switch o {
-	case OpCreateKeyspace:
-		return nvme.OpCreateKeyspace
-	case OpOpenKeyspace, OpPing:
-		return nvme.OpOpenKeyspace
-	case OpDeleteKeyspace:
-		return nvme.OpDeleteKeyspace
-	case OpPut:
-		return nvme.OpStore
-	case OpDelete:
-		return nvme.OpDelete
-	case OpBulkPut:
-		return nvme.OpBulkStore
-	case OpSync:
-		return nvme.OpSync
-	case OpGet:
-		return nvme.OpRetrieve
-	case OpExist:
-		return nvme.OpExist
-	case OpScan:
-		return nvme.OpQueryPrimaryRange
-	case OpSecondaryRange:
-		return nvme.OpQuerySecondaryRange
-	case OpSecondaryPoint:
-		return nvme.OpQuerySecondaryPoint
-	case OpCompact:
-		return nvme.OpCompact
-	case OpCompactWithIndexes:
-		return nvme.OpCompactWithIndexes
-	case OpCompactStatus:
-		return nvme.OpCompactStatus
-	case OpBuildIndex:
-		return nvme.OpBuildSecondaryIndex
-	case OpIndexStatus:
-		return nvme.OpIndexStatus
-	case OpScrub:
-		return nvme.OpScrubMedia
-	case OpCorrupt:
-		return nvme.OpCorruptMedia
-	case OpCompactPolicy:
-		return nvme.OpCompactPolicy
-	case OpMigrateCold:
-		return nvme.OpMigrateCold
-	case OpKeyspaceInfo, OpStats, OpPowerCut, OpRecover,
-		OpRequestVote, OpAppendEntries, OpMigrate, OpHello:
-		return nvme.OpKeyspaceInfo
-	}
-	return nvme.OpKeyspaceInfo
-}
+// NVMe maps a wire verb to the NVMe opcode the device executes for it.
+func (o Op) NVMe() nvme.Opcode { return o.row().nvme }
 
 // Idempotent reports whether a verb can be replayed after an ambiguous
-// failure (connection loss, timeout, shed) without changing the outcome —
-// the same replay rules the client library applies to NVMe commands: reads
-// and status polls trivially, writes because duplicate log records
-// deduplicate at compaction, PowerCut because it is idempotent while the
-// device is off, and Scrub because re-verifying (and re-repairing with
-// content-identical bytes) converges to the same state. CompactPolicy
-// replays install the same config again; a MigrateCold replay sweeps a tier
-// the first sweep already drained. Lifecycle verbs
-// (create/delete keyspace, compaction and index kicks, recover) are not
-// replayed: a replay of one that actually landed would report a different
-// status. Neither is Corrupt — a replay flips additional bits.
-func (o Op) Idempotent() bool {
-	switch o {
-	case OpPing, OpOpenKeyspace, OpPut, OpDelete, OpBulkPut, OpSync,
-		OpGet, OpExist, OpScan, OpSecondaryRange, OpSecondaryPoint,
-		OpCompactStatus, OpIndexStatus, OpKeyspaceInfo, OpStats, OpPowerCut,
-		OpHello, OpScrub, OpCompactPolicy, OpMigrateCold:
-		return true
-	}
-	return false
-}
+// failure without changing the outcome (see verbs for the rules). This is the
+// wire layer's own list, not a mirror of the client library's: the verbs on
+// which it differs from client.idempotentOp(o.NVMe()) are pinned by
+// TestIdempotencyDriftFromWire in internal/client.
+func (o Op) Idempotent() bool { return o.row().idempotent }
 
 // Status is a response outcome. Values 0..15 mirror nvme.Status; values from
 // 32 are transport-level.
@@ -378,6 +361,21 @@ type IndexSpec struct {
 	Type   uint8
 }
 
+// IndexSpecOf converts a device index declaration to its wire form.
+func IndexSpecOf(s nvme.SecondaryIndexSpec) IndexSpec {
+	return IndexSpec{Name: s.Name, Offset: uint32(s.Offset), Length: uint32(s.Length), Type: uint8(s.Type)}
+}
+
+// NVMe converts the wire form back to the device index declaration.
+func (s IndexSpec) NVMe() nvme.SecondaryIndexSpec {
+	return nvme.SecondaryIndexSpec{
+		Name:   s.Name,
+		Offset: int(s.Offset),
+		Length: int(s.Length),
+		Type:   keyenc.SecondaryType(s.Type),
+	}
+}
+
 // TraceContext is the cross-process trace linkage carried in every frame
 // header: TraceID names the end-to-end trace a request belongs to, SpanID the
 // sender-side span that caused the frame. Zero values mean "untraced".
@@ -413,21 +411,9 @@ func (l Lane) String() string {
 	return fmt.Sprintf("Lane(%d)", uint8(l))
 }
 
-// LaneOf maps an opcode to its default service lane: point reads and cheap
-// status polls are latency-sensitive, foreground writes and range queries are
-// normal, and bulk ingest plus maintenance verbs are bulk. A session class or
+// LaneOf maps an opcode to its default service lane. A session class or
 // per-frame override (Request.Lane) takes precedence over this mapping.
-func LaneOf(op Op) Lane {
-	switch op {
-	case OpPing, OpGet, OpExist, OpKeyspaceInfo, OpCompactStatus,
-		OpIndexStatus, OpStats, OpOpenKeyspace, OpHello, OpCompactPolicy:
-		return LaneLatency
-	case OpBulkPut, OpCompact, OpCompactWithIndexes, OpBuildIndex,
-		OpPowerCut, OpRecover, OpMigrate, OpScrub, OpCorrupt, OpMigrateCold:
-		return LaneBulk
-	}
-	return LaneNormal
-}
+func LaneOf(op Op) Lane { return op.row().lane }
 
 // LaneOverride encodes a lane as the Request.Lane override byte (lane+1, so
 // zero keeps meaning "no override").
@@ -483,8 +469,9 @@ type Request struct {
 	// partitions (0 or 1 = pinned) — meaningful only against an array.
 	Parts uint32
 
-	// Device targets an array member (PowerCut/Recover/Scrub/Corrupt);
-	// ignored by a single-device server.
+	// Device targets one device of the server's fleet (PowerCut/Recover/
+	// Scrub/Corrupt/MigrateCold); a single-device server has only device 0.
+	// An index the fleet does not have is answered StatusInvalid.
 	Device uint32
 
 	// Extent addresses one checksummed granule for OpCorrupt frames (nil on
@@ -508,6 +495,11 @@ type ExtentAddr struct {
 	Index   string
 	Granule int64
 	Bits    uint32
+}
+
+// NVMe converts the wire extent body to the NVMe command form.
+func (e ExtentAddr) NVMe() nvme.ExtentAddr {
+	return nvme.ExtentAddr{Kind: e.Kind, Index: e.Index, Granule: e.Granule, Bits: int(e.Bits)}
 }
 
 // DeviceHealth is one array member's health in a stats report.

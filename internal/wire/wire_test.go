@@ -3,8 +3,11 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"kvcsd/internal/nvme"
@@ -249,18 +252,31 @@ func TestStatusMapping(t *testing.T) {
 	}
 }
 
-func TestIdempotentMirrorsClientRules(t *testing.T) {
-	for _, tc := range []struct {
-		op   Op
-		want bool
-	}{
-		{OpGet, true}, {OpPut, true}, {OpBulkPut, true}, {OpScan, true},
-		{OpStats, true}, {OpPowerCut, true},
-		{OpCreateKeyspace, false}, {OpCompact, false}, {OpRecover, false},
-		{OpBuildIndex, false}, {OpDeleteKeyspace, false},
-	} {
-		if got := tc.op.Idempotent(); got != tc.want {
-			t.Errorf("%v.Idempotent() = %v, want %v", tc.op, got, tc.want)
+// TestVerbTableGolden pins every row of the verb table — name, NVMe opcode,
+// idempotency, default lane — against testdata/verbs.golden, which was
+// recorded from the four per-verb switches (opNames, NVMe, Idempotent,
+// LaneOf) the table replaced. A new verb adds a line; an existing line must
+// never change without a protocol version bump.
+func TestVerbTableGolden(t *testing.T) {
+	var b strings.Builder
+	for _, o := range Ops() {
+		if !o.Valid() {
+			t.Errorf("Ops() lists %d, which is not Valid()", uint8(o))
+		}
+		fmt.Fprintf(&b, "%d %s nvme=%d/%s idempotent=%v lane=%s\n",
+			uint8(o), o, uint8(o.NVMe()), o.NVMe(), o.Idempotent(), LaneOf(o))
+	}
+	want, err := os.ReadFile("testdata/verbs.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Fatalf("verb table drifted from testdata/verbs.golden:\n got:\n%s\nwant:\n%s", b.String(), want)
+	}
+	for _, o := range []Op{0, opMax, 255} {
+		if o.Valid() || o.Idempotent() || o.NVMe() != nvme.OpKeyspaceInfo || LaneOf(o) != LaneNormal ||
+			o.String() != fmt.Sprintf("Op(%d)", uint8(o)) {
+			t.Errorf("unknown opcode %d must be invalid, non-idempotent, normal-lane and unnamed", uint8(o))
 		}
 	}
 }

@@ -141,7 +141,7 @@ func RunInsert(p *sim.Proc, tgt Target, cfg InsertConfig) (InsertResult, error) 
 					return
 				}
 			}
-			errs[t] = ks.FlushBulk(wp)
+			errs[t] = ks.Flush(wp)
 		}))
 	}
 	p.Join(writers...)

@@ -16,11 +16,13 @@ import (
 	"kvcsd/internal/vfs"
 )
 
-// KS is the keyspace surface the driver uses.
+// KS is the keyspace surface the driver uses: the subset of client.Contract
+// the software baseline can also offer.
 type KS interface {
 	Put(p *sim.Proc, key, value []byte) error
 	BulkPut(p *sim.Proc, key, value []byte) error
-	FlushBulk(p *sim.Proc) error
+	// Flush sends any staged bulk pairs.
+	Flush(p *sim.Proc) error
 	Get(p *sim.Proc, key []byte) ([]byte, bool, error)
 }
 
@@ -58,24 +60,13 @@ func NewKVCSDTarget(h *host.Host, dev *device.Device) *KVCSDTarget {
 // Name identifies the engine in reports.
 func (t *KVCSDTarget) Name() string { return "kvcsd" }
 
-type kvcsdKS struct{ ks *client.Keyspace }
-
-func (k *kvcsdKS) Put(p *sim.Proc, key, value []byte) error { return k.ks.Put(p, key, value) }
-func (k *kvcsdKS) BulkPut(p *sim.Proc, key, value []byte) error {
-	return k.ks.BulkPut(p, key, value)
-}
-func (k *kvcsdKS) FlushBulk(p *sim.Proc) error { return k.ks.Flush(p) }
-func (k *kvcsdKS) Get(p *sim.Proc, key []byte) ([]byte, bool, error) {
-	return k.ks.Get(p, key)
-}
-
 // CreateKeyspace creates a device keyspace.
 func (t *KVCSDTarget) CreateKeyspace(p *sim.Proc, name string) (KS, error) {
 	ks, err := t.cl.CreateKeyspace(p, name)
 	if err != nil {
 		return nil, err
 	}
-	return &kvcsdKS{ks: ks}, nil
+	return ks, nil
 }
 
 // OpenKeyspace opens an existing device keyspace.
@@ -84,18 +75,18 @@ func (t *KVCSDTarget) OpenKeyspace(p *sim.Proc, name string) (KS, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &kvcsdKS{ks: ks}, nil
+	return ks, nil
 }
 
 // EndInsert invokes deferred compaction; the device does the rest
 // asynchronously, so the host returns immediately.
 func (t *KVCSDTarget) EndInsert(p *sim.Proc, ks KS) error {
-	return ks.(*kvcsdKS).ks.Compact(p)
+	return ks.(*client.Keyspace).Compact(p)
 }
 
 // ReadyForQueries waits for the device to finish compacting.
 func (t *KVCSDTarget) ReadyForQueries(p *sim.Proc, ks KS) error {
-	return ks.(*kvcsdKS).ks.WaitCompacted(p)
+	return ks.(*client.Keyspace).WaitCompacted(p)
 }
 
 // DropCaches is a no-op: KV-CSD does not cache data in host or device
@@ -131,7 +122,10 @@ func (k *rocksKS) Put(p *sim.Proc, key, value []byte) error { return k.db.Put(p,
 
 // BulkPut degrades to Put: the baseline has no device-side bulk command.
 func (k *rocksKS) BulkPut(p *sim.Proc, key, value []byte) error { return k.db.Put(p, key, value) }
-func (k *rocksKS) FlushBulk(*sim.Proc) error                    { return nil }
+
+// Flush is a no-op: BulkPut stages nothing.
+func (k *rocksKS) Flush(*sim.Proc) error { return nil }
+
 func (k *rocksKS) Get(p *sim.Proc, key []byte) ([]byte, bool, error) {
 	return k.db.Get(p, key)
 }
