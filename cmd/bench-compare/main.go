@@ -4,6 +4,9 @@
 // regression gate: virtual-clock figures are deterministic for a fixed
 // (scale, seed), so any drift there is a real behavior change, while
 // wall-clock figures are machine-dependent and only gated with -gate-wall.
+// A baselined figure the current run did not produce, or produced with a
+// different number of rows, fails the gate whatever its clock: a figure that
+// silently stopped being regenerated is not a pass.
 //
 // Usage:
 //
@@ -15,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -22,47 +26,61 @@ import (
 	"kvcsd/internal/bench"
 )
 
-func main() {
-	baseline := flag.String("baseline", "", "baseline trajectory file or directory")
-	current := flag.String("current", "", "current trajectory file or directory")
-	tolerance := flag.Float64("tolerance", 0.15, "allowed relative drift before a gated metric counts as a regression")
-	gateWall := flag.Bool("gate-wall", false, "also gate wall-clock figures (machine-dependent; off by default)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: 0 = pass, 1 = the gate failed (regression, missing
+// figure, row-count mismatch), 2 = it could not compare at all.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bench-compare", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	baseline := fs.String("baseline", "", "baseline trajectory file or directory")
+	current := fs.String("current", "", "current trajectory file or directory")
+	tolerance := fs.Float64("tolerance", 0.15, "allowed relative drift before a gated metric counts as a regression")
+	gateWall := fs.Bool("gate-wall", false, "also gate wall-clock figures (machine-dependent; off by default)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *baseline == "" || *current == "" {
-		fmt.Fprintln(os.Stderr, "bench-compare: -baseline and -current are required")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "bench-compare: -baseline and -current are required")
+		return 2
 	}
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "bench-compare: %v\n", err)
-		os.Exit(2)
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "bench-compare: %v\n", err)
+		return 2
 	}
 
 	basePaths, err := trajectoryPaths(*baseline)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	if len(basePaths) == 0 {
-		fail(fmt.Errorf("no BENCH_*.json files under %s", *baseline))
+		return fail(fmt.Errorf("no BENCH_*.json files under %s", *baseline))
 	}
 
 	var regressions []bench.Regression
-	compared, skippedWall, missing := 0, 0, 0
+	compared, skippedWall, missing, mismatched := 0, 0, 0, 0
 	for _, bp := range basePaths {
 		base, err := bench.ReadTrajectory(bp)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		cp := counterpart(*current, bp)
 		cur, err := bench.ReadTrajectory(cp)
 		if os.IsNotExist(err) {
-			fmt.Printf("MISSING  %-12s baseline has %s but current run did not produce it\n",
+			fmt.Fprintf(stdout, "MISSING  %-12s baseline has %s but current run did not produce it\n",
 				base.Fig, filepath.Base(bp))
 			missing++
 			continue
 		}
 		if err != nil {
-			fail(err)
+			return fail(err)
+		}
+		if len(cur.Rows) != len(base.Rows) {
+			// Rows are matched by label, so a dropped row would otherwise
+			// just not be compared.
+			fmt.Fprintf(stdout, "ROWS     %-12s %d rows vs %d in the baseline\n", base.Fig, len(cur.Rows), len(base.Rows))
+			mismatched++
 		}
 		regs := bench.CompareTrajectories(base, cur, *tolerance)
 		gated := base.Clock != bench.ClockWall || *gateWall
@@ -73,10 +91,10 @@ func main() {
 				tag += " [wall clock, not gated]"
 			}
 		}
-		fmt.Printf("%-8s %-12s %d rows vs %d, clock=%s: %s\n",
+		fmt.Fprintf(stdout, "%-8s %-12s %d rows vs %d, clock=%s: %s\n",
 			verdict(len(regs) > 0 && gated), base.Fig, len(cur.Rows), len(base.Rows), base.Clock, tag)
 		for _, r := range regs {
-			fmt.Printf("         %s\n", r)
+			fmt.Fprintf(stdout, "         %s\n", r)
 		}
 		if gated {
 			regressions = append(regressions, regs...)
@@ -86,16 +104,18 @@ func main() {
 		compared++
 	}
 
-	fmt.Printf("\nbench-compare: %d figure(s) compared, %d missing, tolerance %.0f%%\n",
-		compared, missing, *tolerance*100)
+	fmt.Fprintf(stdout, "\nbench-compare: %d figure(s) compared, %d missing, %d with a different row count, tolerance %.0f%%\n",
+		compared, missing, mismatched, *tolerance*100)
 	if skippedWall > 0 {
-		fmt.Printf("bench-compare: %d wall-clock figure(s) drifted but are not gated (use -gate-wall)\n", skippedWall)
+		fmt.Fprintf(stdout, "bench-compare: %d wall-clock figure(s) drifted but are not gated (use -gate-wall)\n", skippedWall)
 	}
-	if len(regressions) > 0 {
-		fmt.Printf("bench-compare: FAIL — %d gated regression(s)\n", len(regressions))
-		os.Exit(1)
+	if len(regressions) > 0 || missing > 0 || mismatched > 0 {
+		fmt.Fprintf(stdout, "bench-compare: FAIL — %d gated regression(s), %d missing figure(s), %d row-count mismatch(es)\n",
+			len(regressions), missing, mismatched)
+		return 1
 	}
-	fmt.Println("bench-compare: PASS")
+	fmt.Fprintln(stdout, "bench-compare: PASS")
+	return 0
 }
 
 func verdict(bad bool) string {

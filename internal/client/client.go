@@ -210,13 +210,22 @@ func (c *Client) roundTrip(p *sim.Proc, cmd *nvme.Command) (*nvme.Completion, er
 	return comp, err
 }
 
+// cmdSpanNames holds each opcode's root span name, built once: sendOnce runs
+// for every command, tracing on or off.
+var cmdSpanNames = func() (t [256]string) {
+	for i := range t {
+		t[i] = "cmd:" + nvme.Opcode(i).String()
+	}
+	return t
+}()
+
 // sendOnce performs one command round trip, charging packing CPU and both
 // PCIe directions. With tracing on, the round trip becomes one root span
 // whose stage children (prep + transfers = link, queue-wait = queue,
 // dispatch = service, channel time = media) partition the client-observed
 // latency exactly.
 func (c *Client) sendOnce(p *sim.Proc, cmd *nvme.Command) (*nvme.Completion, error) {
-	span := c.tr.StartRoot(p, "cmd:"+cmd.Op.String(), cmd.Op.String())
+	span := c.tr.StartRoot(p, cmdSpanNames[cmd.Op], cmd.Op.String())
 	if span != nil {
 		cmd.Span = span
 		c.tr.Push(p, span)

@@ -11,6 +11,7 @@ import (
 	"kvcsd/internal/device"
 	"kvcsd/internal/host"
 	"kvcsd/internal/keyenc"
+	"kvcsd/internal/nvme"
 	"kvcsd/internal/sim"
 	"kvcsd/internal/ssd"
 	"kvcsd/internal/stats"
@@ -313,4 +314,22 @@ func TestConcurrentClients(t *testing.T) {
 		fx.dev.Shutdown()
 	})
 	fx.env.Run()
+}
+
+// TestCommandSpanNamesAreTabled: sendOnce names its span for every command,
+// tracing on or off; the name must come out of the table built at start-up —
+// the same string concatenation produced — without allocating.
+func TestCommandSpanNamesAreTabled(t *testing.T) {
+	var sink string
+	for i := 0; i < 256; i++ {
+		op := nvme.Opcode(i)
+		if got, want := cmdSpanNames[op], "cmd:"+op.String(); got != want {
+			t.Fatalf("span name of opcode %d = %q, want %q", i, got, want)
+		}
+	}
+	op := nvme.OpRetrieve
+	if n := testing.AllocsPerRun(100, func() { sink = cmdSpanNames[op] }); n != 0 {
+		t.Fatalf("span name lookup allocates %.1f times", n)
+	}
+	_ = sink
 }

@@ -20,7 +20,7 @@ import (
 // the popped job's payload into an abandoned handle, and the job would never
 // reach a host merge loop.
 func (c *Client) sendBlocking(p *sim.Proc, cmd *nvme.Command) (*nvme.Completion, error) {
-	span := c.tr.StartRoot(p, "cmd:"+cmd.Op.String(), cmd.Op.String())
+	span := c.tr.StartRoot(p, cmdSpanNames[cmd.Op], cmd.Op.String())
 	if span != nil {
 		cmd.Span = span
 		c.tr.Push(p, span)

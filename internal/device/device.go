@@ -298,15 +298,16 @@ func (d *Device) dispatchLoop(p *sim.Proc) {
 			d.tr.Pop(p)
 			svc.End()
 		}
-		resp.Complete(comp)
+		resp.Complete(&comp)
 	}
 }
 
 // execute runs one command synchronously (background ops return fast and
-// continue as engine jobs).
-func (d *Device) execute(p *sim.Proc, cmd *nvme.Command) *nvme.Completion {
+// continue as engine jobs). The completion is returned by value: Complete
+// copies it into the submission, so none is allocated per command.
+func (d *Device) execute(p *sim.Proc, cmd *nvme.Command) nvme.Completion {
 	if d.poweredOff {
-		return &nvme.Completion{Status: nvme.StatusPoweredOff}
+		return nvme.Completion{Status: nvme.StatusPoweredOff}
 	}
 	eng := d.engine
 	switch cmd.Op {
@@ -359,16 +360,16 @@ func (d *Device) execute(p *sim.Proc, cmd *nvme.Command) *nvme.Completion {
 			return statusOnly(ks.CompactErr())
 		}
 		pr := ks.CompactionProgress()
-		return &nvme.Completion{Status: nvme.StatusOK, Done: done, Progress: &pr}
+		return nvme.Completion{Status: nvme.StatusOK, Done: done, Progress: &pr}
 
 	case nvme.OpHostMergePoll:
 		// Long-poll: the dispatcher parks until a merge job arrives (there
 		// are several dispatch loops, so foreground commands keep flowing).
 		job, ok := eng.AssistQueue().Poll(p, cmd.ResultLimit)
 		if !ok {
-			return &nvme.Completion{Status: nvme.StatusOK, Done: true}
+			return nvme.Completion{Status: nvme.StatusOK, Done: true}
 		}
-		return &nvme.Completion{Status: nvme.StatusOK, Value: job.Payload, Count: int64(job.ID)}
+		return nvme.Completion{Status: nvme.StatusOK, Value: job.Payload, Count: int64(job.ID)}
 
 	case nvme.OpHostMergePush:
 		var herr error
@@ -378,24 +379,24 @@ func (d *Device) execute(p *sim.Proc, cmd *nvme.Command) *nvme.Completion {
 		// Unknown job IDs (stale pushes after a power cut rebuilt the
 		// engine) are ignored by the queue.
 		eng.AssistQueue().Complete(uint64(cmd.Extent.Granule), cmd.Value, herr)
-		return &nvme.Completion{Status: nvme.StatusOK}
+		return nvme.Completion{Status: nvme.StatusOK}
 
 	case nvme.OpCompactPolicy:
 		if len(cmd.Value) > 0 {
 			cc, err := compaction.DecodeConfig(cmd.Value)
 			if err != nil {
-				return &nvme.Completion{Status: nvme.StatusInvalid}
+				return nvme.Completion{Status: nvme.StatusInvalid}
 			}
 			eng.SetCompactionConfig(cc)
 		}
-		return &nvme.Completion{Status: nvme.StatusOK, Value: compaction.EncodeConfig(eng.CompactionConfig())}
+		return nvme.Completion{Status: nvme.StatusOK, Value: compaction.EncodeConfig(eng.CompactionConfig())}
 
 	case nvme.OpMigrateCold:
 		moved, err := eng.MigrateCold(p)
 		if err != nil {
 			return statusOnly(err)
 		}
-		return &nvme.Completion{Status: nvme.StatusOK, Count: int64(moved)}
+		return nvme.Completion{Status: nvme.StatusOK, Count: int64(moved)}
 
 	case nvme.OpBuildSecondaryIndex:
 		spec := core.SecondarySpec{
@@ -413,10 +414,10 @@ func (d *Device) execute(p *sim.Proc, cmd *nvme.Command) *nvme.Completion {
 		}
 		for _, n := range ks.SecondaryIndexNames() {
 			if n == cmd.Index.Name {
-				return &nvme.Completion{Status: nvme.StatusOK, Done: true}
+				return nvme.Completion{Status: nvme.StatusOK, Done: true}
 			}
 		}
-		return &nvme.Completion{Status: nvme.StatusOK, Done: false}
+		return nvme.Completion{Status: nvme.StatusOK, Done: false}
 
 	case nvme.OpRetrieve:
 		v, found, err := eng.Get(p, cmd.Keyspace, cmd.Key)
@@ -424,16 +425,16 @@ func (d *Device) execute(p *sim.Proc, cmd *nvme.Command) *nvme.Completion {
 			return statusOnly(err)
 		}
 		if !found {
-			return &nvme.Completion{Status: nvme.StatusNotFound}
+			return nvme.Completion{Status: nvme.StatusNotFound}
 		}
-		return &nvme.Completion{Status: nvme.StatusOK, Value: v}
+		return nvme.Completion{Status: nvme.StatusOK, Value: v}
 
 	case nvme.OpExist:
 		ok, err := eng.Exist(p, cmd.Keyspace, cmd.Key)
 		if err != nil {
 			return statusOnly(err)
 		}
-		return &nvme.Completion{Status: nvme.StatusOK, Exists: ok}
+		return nvme.Completion{Status: nvme.StatusOK, Exists: ok}
 
 	case nvme.OpQueryPrimaryRange, nvme.OpList:
 		var pairs []nvme.KVPair
@@ -444,7 +445,7 @@ func (d *Device) execute(p *sim.Proc, cmd *nvme.Command) *nvme.Completion {
 		if err != nil {
 			return statusOnly(err)
 		}
-		return &nvme.Completion{Status: nvme.StatusOK, Pairs: pairs}
+		return nvme.Completion{Status: nvme.StatusOK, Pairs: pairs}
 
 	case nvme.OpQuerySecondaryRange:
 		var pairs []nvme.KVPair
@@ -455,7 +456,7 @@ func (d *Device) execute(p *sim.Proc, cmd *nvme.Command) *nvme.Completion {
 		if err != nil {
 			return statusOnly(err)
 		}
-		return &nvme.Completion{Status: nvme.StatusOK, Pairs: pairs}
+		return nvme.Completion{Status: nvme.StatusOK, Pairs: pairs}
 
 	case nvme.OpQuerySecondaryPoint:
 		var pairs []nvme.KVPair
@@ -466,21 +467,21 @@ func (d *Device) execute(p *sim.Proc, cmd *nvme.Command) *nvme.Completion {
 		if err != nil {
 			return statusOnly(err)
 		}
-		return &nvme.Completion{Status: nvme.StatusOK, Pairs: pairs}
+		return nvme.Completion{Status: nvme.StatusOK, Pairs: pairs}
 
 	case nvme.OpScrubMedia:
 		rep, err := eng.MediaScrub(p)
 		if err != nil {
 			return statusOnly(err)
 		}
-		return &nvme.Completion{Status: nvme.StatusOK, Value: core.EncodeScrubReport(rep)}
+		return nvme.Completion{Status: nvme.StatusOK, Value: core.EncodeScrubReport(rep)}
 
 	case nvme.OpReadExtent:
 		data, err := eng.ReadExtent(p, extentRef(cmd))
 		if err != nil {
 			return statusOnly(err)
 		}
-		return &nvme.Completion{Status: nvme.StatusOK, Value: data}
+		return nvme.Completion{Status: nvme.StatusOK, Value: data}
 
 	case nvme.OpRepairExtent:
 		return statusOnly(eng.RepairExtent(p, extentRef(cmd), cmd.Value))
@@ -490,14 +491,14 @@ func (d *Device) execute(p *sim.Proc, cmd *nvme.Command) *nvme.Completion {
 		if err != nil {
 			return statusOnly(err)
 		}
-		return &nvme.Completion{Status: nvme.StatusOK, Count: int64(flips)}
+		return nvme.Completion{Status: nvme.StatusOK, Count: int64(flips)}
 
 	case nvme.OpKeyspaceInfo:
 		info, err := eng.KeyspaceInfo(cmd.Keyspace)
 		if err != nil {
 			return statusOnly(err)
 		}
-		return &nvme.Completion{Status: nvme.StatusOK, Info: nvme.KeyspaceInfo{
+		return nvme.Completion{Status: nvme.StatusOK, Info: nvme.KeyspaceInfo{
 			Name:       info.Name,
 			State:      info.State.String(),
 			Pairs:      info.Pairs,
@@ -510,7 +511,7 @@ func (d *Device) execute(p *sim.Proc, cmd *nvme.Command) *nvme.Completion {
 		}}
 
 	default:
-		return &nvme.Completion{Status: nvme.StatusInvalid}
+		return nvme.Completion{Status: nvme.StatusInvalid}
 	}
 }
 
@@ -525,8 +526,8 @@ func extentRef(cmd *nvme.Command) core.ExtentRef {
 }
 
 // statusOnly maps an engine error to a completion status.
-func statusOnly(err error) *nvme.Completion {
-	return &nvme.Completion{Status: statusOf(err)}
+func statusOnly(err error) nvme.Completion {
+	return nvme.Completion{Status: statusOf(err)}
 }
 
 func statusOf(err error) nvme.Status {

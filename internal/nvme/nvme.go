@@ -64,7 +64,8 @@ const (
 	OpMigrateCold
 )
 
-var opNames = map[Opcode]string{
+// opNames names every opcode; the order is the declaration order above.
+var opNames = [...]string{
 	OpStore:               "Store",
 	OpRetrieve:            "Retrieve",
 	OpDelete:              "Delete",
@@ -96,8 +97,8 @@ var opNames = map[Opcode]string{
 
 // String names the opcode.
 func (o Opcode) String() string {
-	if s, ok := opNames[o]; ok {
-		return s
+	if int(o) < len(opNames) {
+		return opNames[o]
 	}
 	return fmt.Sprintf("Opcode(%d)", uint8(o))
 }
@@ -292,11 +293,15 @@ type KeyspaceInfo struct {
 	CompactDur sim.Time // device-side compaction duration, once finished
 }
 
-// submission couples a command with its completion rendezvous.
+// submission is one command in flight: the command, the completion the device
+// fills, and the event the submitter waits on, in one allocation. The
+// submitter holds it as a *Handle and the dispatcher as a *Responder — two
+// views of the same object, so a round trip allocates once.
 type submission struct {
+	q    *QueuePair
 	cmd  *Command
-	comp *Completion
-	done *sim.Event
+	comp Completion
+	done sim.Event
 	// at is when Submit was called — the start of the queue-wait stage,
 	// including any time spent blocked on a full submission queue.
 	at sim.Time
@@ -370,11 +375,12 @@ func (q *QueuePair) Submit(p *sim.Proc, cmd *Command) *Handle {
 		q.pushWait = append(q.pushWait, p)
 		p.Block()
 	}
-	sub := &submission{cmd: cmd, comp: &Completion{}, done: sim.NewEvent(q.env), at: at}
+	sub := &submission{q: q, cmd: cmd, at: at}
+	sub.done.Init(q.env)
 	q.queue = append(q.queue, sub)
 	q.submitted++
 	q.wake(&q.popWait)
-	return &Handle{env: q.env, sub: sub}
+	return (*Handle)(sub)
 }
 
 // Pop removes the oldest submission, blocking while the queue is empty.
@@ -394,24 +400,21 @@ func (q *QueuePair) Pop(p *sim.Proc) (*Command, *Responder) {
 	q.wake(&q.pushWait)
 	// Close out the queue-wait stage: submit call to dispatcher pickup.
 	sub.cmd.Span.ChildFrom("queue-wait", obs.StageQueue, sub.at).End()
-	return sub.cmd, &Responder{q: q, sub: sub}
+	return sub.cmd, (*Responder)(sub)
 }
 
 // Handle lets a submitter wait for its command's completion.
-type Handle struct {
-	env *sim.Env
-	sub *submission
-}
+type Handle submission
 
 // Wait blocks until the device completes the command and returns the
 // completion.
 func (h *Handle) Wait(p *sim.Proc) *Completion {
-	p.Wait(h.sub.done)
-	return h.sub.comp
+	p.Wait(&h.done)
+	return &h.comp
 }
 
 // Ready reports whether the completion has been posted.
-func (h *Handle) Ready() bool { return h.sub.done.Fired() }
+func (h *Handle) Ready() bool { return h.done.Fired() }
 
 // WaitTimeout blocks until the completion arrives or d of virtual time
 // passes, whichever is first, returning (completion, true) or (nil, false).
@@ -426,34 +429,32 @@ func (h *Handle) WaitTimeout(p *sim.Proc, d sim.Duration) (*Completion, bool) {
 	if d <= 0 {
 		return h.Wait(p), true
 	}
-	if h.sub.done.Fired() {
-		return h.sub.comp, true
+	if h.done.Fired() {
+		return &h.comp, true
 	}
-	either := sim.NewEvent(h.env)
-	h.env.Go("nvme-timeout", func(tp *sim.Proc) {
+	env := h.q.env
+	either := sim.NewEvent(env)
+	env.Go("nvme-timeout", func(tp *sim.Proc) {
 		tp.Sleep(d)
 		either.Signal()
 	})
-	h.env.Go("nvme-completion-watch", func(wp *sim.Proc) {
-		wp.Wait(h.sub.done)
+	env.Go("nvme-completion-watch", func(wp *sim.Proc) {
+		wp.Wait(&h.done)
 		either.Signal()
 	})
 	p.Wait(either)
-	if h.sub.done.Fired() {
-		return h.sub.comp, true
+	if h.done.Fired() {
+		return &h.comp, true
 	}
 	return nil, false
 }
 
 // Responder posts the completion for a popped command.
-type Responder struct {
-	q   *QueuePair
-	sub *submission
-}
+type Responder submission
 
 // Complete fills in the completion and wakes the submitter.
 func (r *Responder) Complete(comp *Completion) {
-	*r.sub.comp = *comp
+	r.comp = *comp
 	r.q.completed++
-	r.sub.done.Signal()
+	r.done.Signal()
 }

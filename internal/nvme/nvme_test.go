@@ -326,3 +326,30 @@ func TestPopDrainsQueueBeforeCloseReturnsNil(t *testing.T) {
 		t.Fatalf("served %d", served)
 	}
 }
+
+// TestRoundTripAllocatesOnce is the allocation budget of a command's trip
+// through the queue pair: Submit, Pop, Complete and Wait share one allocation
+// (the submission, which is also the Handle and the Responder).
+func TestRoundTripAllocatesOnce(t *testing.T) {
+	env := sim.NewEnv()
+	q := NewQueuePair(env, 4)
+	var allocs float64
+	env.Go("both-ends", func(p *sim.Proc) {
+		cmd := &Command{Op: OpRetrieve, Keyspace: "ks", Key: []byte("k")}
+		done := Completion{Status: StatusOK, Value: []byte("v")}
+		trip := func() {
+			h := q.Submit(p, cmd)
+			_, r := q.Pop(p)
+			r.Complete(&done)
+			if comp := h.Wait(p); comp.Status != StatusOK || len(comp.Value) != 1 {
+				t.Errorf("completion %+v", comp)
+			}
+		}
+		trip()
+		allocs = testing.AllocsPerRun(200, trip)
+	})
+	env.Run()
+	if allocs != 1 {
+		t.Fatalf("submit+pop+complete+wait: %.1f allocs/op, want 1", allocs)
+	}
+}

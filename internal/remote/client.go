@@ -17,6 +17,7 @@
 package remote
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -149,10 +150,14 @@ func (c *Client) dialConn(resume uint64) (*poolConn, error) {
 	}
 	pc := &poolConn{
 		nc:      nc,
+		br:      bufio.NewReaderSize(nc, 64<<10),
 		pending: make(map[uint64]chan *wire.Response),
 		acc:     make(map[uint64]*wire.Response),
-		slots:   make(chan struct{}, c.opts.Pipeline),
+		slots:   make(chan chan *wire.Response, c.opts.Pipeline),
 		broken:  make(chan struct{}),
+	}
+	for i := 0; i < c.opts.Pipeline; i++ {
+		pc.slots <- make(chan *wire.Response, 1)
 	}
 	if c.opts.Tenant != "" {
 		if err := c.handshake(pc, resume); err != nil {
@@ -177,7 +182,7 @@ func (c *Client) handshake(pc *poolConn, resume uint64) error {
 	if err := wire.WriteRequest(pc.nc, req); err != nil {
 		return fmt.Errorf("remote: session handshake write: %w", err)
 	}
-	h, payload, err := wire.ReadFrame(pc.nc)
+	h, payload, err := wire.ReadFrame(pc.br)
 	if err != nil {
 		return fmt.Errorf("remote: session handshake read: %w", err)
 	}
@@ -195,6 +200,7 @@ func (c *Client) handshake(pc *poolConn, resume uint64) error {
 		return fmt.Errorf("remote: session handshake reply carried no token")
 	}
 	pc.sess = resp.Hello.Token
+	resp.Release()
 	return nil
 }
 
@@ -227,14 +233,22 @@ func (c *Client) conn() (*poolConn, error) {
 // poolConn is one multiplexed connection.
 type poolConn struct {
 	nc net.Conn
-	// wmu serializes frame writes from concurrent callers.
-	wmu sync.Mutex
+	// br buffers reads, so a response costs one socket read, not one for its
+	// header and one for its body; only the handshake and then the reader
+	// goroutine touch it.
+	br *bufio.Reader
+	// wmu serializes frame writes from concurrent callers and guards wbuf,
+	// the frame buffer they encode into.
+	wmu  sync.Mutex
+	wbuf []byte
 	// mu guards pending; acc is touched only by the reader.
 	mu      sync.Mutex
 	pending map[uint64]chan *wire.Response
 	acc     map[uint64]*wire.Response
-	// slots bounds the pipeline depth.
-	slots chan struct{}
+	// slots bounds the pipeline depth and holds what a call in the pipeline
+	// needs: each slot is the (cap 1) channel its response is delivered on,
+	// taken for the length of one attempt and put back empty.
+	slots chan chan *wire.Response
 	// broken is closed when the connection dies; err holds the cause.
 	broken   chan struct{}
 	dead     atomic.Bool
@@ -246,10 +260,12 @@ type poolConn struct {
 }
 
 // readLoop demultiplexes response frames to waiting callers, accumulating
-// streamed chunks (FlagMore) so each caller receives one whole response.
+// streamed chunks (FlagMore) so each caller receives one whole response. A
+// response that arrives in one frame is delivered as decoded — pooled with
+// its frame body, released by the caller (see call).
 func (pc *poolConn) readLoop() {
 	for {
-		h, payload, err := wire.ReadFrame(pc.nc)
+		h, payload, err := wire.ReadFrame(pc.br)
 		if err != nil {
 			pc.markDead(fmt.Errorf("%w: %v", errConnBroken, err))
 			return
@@ -264,6 +280,11 @@ func (pc *poolConn) readLoop() {
 			return
 		}
 		full, done := wire.Accumulate(pc.acc[h.ID], chunk)
+		if full != chunk {
+			// Folded into an accumulator, which now holds its pairs; the
+			// chunk's body goes with them.
+			chunk.Release()
+		}
 		if !done {
 			pc.acc[h.ID] = full
 			continue
@@ -275,6 +296,8 @@ func (pc *poolConn) readLoop() {
 		pc.mu.Unlock()
 		if ch != nil {
 			ch <- full // cap 1: never blocks, and abandoned waiters removed themselves
+		} else {
+			full.Release() // late response to a call that gave up
 		}
 	}
 }
@@ -288,18 +311,22 @@ func (pc *poolConn) markDead(cause error) {
 	})
 }
 
-func (pc *poolConn) addWaiter(id uint64) chan *wire.Response {
-	ch := make(chan *wire.Response, 1)
+// addWaiter registers ch as where id's response will be delivered.
+func (pc *poolConn) addWaiter(id uint64, ch chan *wire.Response) {
 	pc.mu.Lock()
 	pc.pending[id] = ch
 	pc.mu.Unlock()
-	return ch
 }
 
-func (pc *poolConn) removeWaiter(id uint64) {
+// removeWaiter withdraws a call that is giving up. It reports false when the
+// reader has already claimed the waiter: the response is then in the channel
+// or about to be, and the caller must take it.
+func (pc *poolConn) removeWaiter(id uint64) bool {
 	pc.mu.Lock()
+	_, waiting := pc.pending[id]
 	delete(pc.pending, id)
 	pc.mu.Unlock()
+	return waiting
 }
 
 // Retryable reports whether an error may be safely retried for an
@@ -341,12 +368,21 @@ func respError(op wire.Op, resp *wire.Response) error {
 	return &client.StatusError{Op: op.NVMe(), Status: ns}
 }
 
+// spanNames holds each opcode's attempt span name, built once: doOnce runs
+// for every attempt, tracing on or off.
+var spanNames = func() (t [256]string) {
+	for i := range t {
+		t[i] = "remote:" + wire.Op(i).String()
+	}
+	return t
+}()
+
 // doOnce performs a single attempt: admit into the pipeline, write the
 // frame, wait for the demultiplexed response or a timeout. Each attempt gets
 // its own wall span (and trace context), so a retried call shows every
 // attempt — and which one the server-side work belongs to — in the trace.
 func (c *Client) doOnce(req *wire.Request, timeout time.Duration) (*wire.Response, error) {
-	span := c.opts.Tracer.Start("remote:"+req.Op.String(), 0)
+	span := c.opts.Tracer.Start(spanNames[req.Op], 0)
 	defer span.End()
 	req.Trace = wire.TraceContext{TraceID: span.TraceID(), SpanID: span.ID()}
 
@@ -354,18 +390,31 @@ func (c *Client) doOnce(req *wire.Request, timeout time.Duration) (*wire.Respons
 	if err != nil {
 		return nil, err
 	}
+	var ch chan *wire.Response
 	select {
-	case pc.slots <- struct{}{}:
+	case ch = <-pc.slots:
 	case <-pc.broken:
 		return nil, pc.err
 	}
-	defer func() { <-pc.slots }()
+	// Every path below leaves ch empty with nobody about to send on it.
+	defer func() { pc.slots <- ch }()
 
 	req.Session = pc.sess
-	ch := pc.addWaiter(req.ID)
+	pc.addWaiter(req.ID, ch)
 	pc.wmu.Lock()
-	err = wire.WriteRequest(pc.nc, req)
+	frame, ferr := wire.AppendRequestFrame(pc.wbuf[:0], req)
+	if ferr == nil {
+		_, err = pc.nc.Write(frame)
+		if pc.wbuf = frame; cap(frame) > wire.MaxKeptBuffer {
+			pc.wbuf = nil
+		}
+	}
 	pc.wmu.Unlock()
+	if ferr != nil {
+		// Too large to frame: nothing was written, the connection is fine.
+		pc.removeWaiter(req.ID)
+		return nil, ferr
+	}
 	if err != nil {
 		pc.removeWaiter(req.ID)
 		pc.markDead(fmt.Errorf("%w: write: %v", errConnBroken, err))
@@ -382,20 +431,25 @@ func (c *Client) doOnce(req *wire.Request, timeout time.Duration) (*wire.Respons
 	case resp := <-ch:
 		return resp, nil
 	case <-pc.broken:
-		pc.removeWaiter(req.ID)
-		return nil, pc.err
+		err = pc.err
 	case <-timeoutC:
 		// The request may still complete server-side; the reader will find
 		// no waiter and drop the late response.
-		pc.removeWaiter(req.ID)
-		return nil, &client.TimeoutError{Op: req.Op.NVMe(), Timeout: timeout}
+		err = &client.TimeoutError{Op: req.Op.NVMe(), Timeout: timeout}
 	}
+	if !pc.removeWaiter(req.ID) {
+		// The reader got there first: the response is ours after all.
+		return <-ch, nil
+	}
+	return nil, err
 }
 
 // call runs one request under the retry policy. Non-idempotent verbs get a
 // single attempt regardless of policy — a replay of one that actually
-// landed would report a wrong outcome.
-func (c *Client) call(req *wire.Request) (*wire.Response, error) {
+// landed would report a wrong outcome. The response comes back by value: the
+// decoded one is pooled with its frame body and detached here, which hands
+// the body to the byte slices (a value, pairs) the copy references.
+func (c *Client) call(req *wire.Request) (wire.Response, error) {
 	// One ID per logical call, stable across attempts: a sessioned server
 	// recognizes a retry of a request it already holds (in flight, applied,
 	// or backlogged) and answers it without applying twice.
@@ -407,14 +461,14 @@ func (c *Client) call(req *wire.Request) (*wire.Response, error) {
 		attempts++
 		resp, err := c.doOnce(req, pol.Timeout)
 		if err == nil {
-			err = respError(req.Op, resp)
-			if err == nil {
-				return resp, nil
+			out := resp.Detach()
+			if err = respError(req.Op, &out); err == nil {
+				return out, nil
 			}
 		}
 		if !req.Op.Idempotent() || !Retryable(err) ||
 			pol.MaxAttempts <= 1 || attempts >= pol.MaxAttempts {
-			return nil, err
+			return wire.Response{}, err
 		}
 		if backoff > 0 {
 			time.Sleep(backoff)

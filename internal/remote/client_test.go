@@ -15,7 +15,7 @@ import (
 	"kvcsd/internal/wire"
 )
 
-func startTestServer(t *testing.T) (*server.Server, string) {
+func startTestServer(t testing.TB) (*server.Server, string) {
 	t.Helper()
 	opts := device.DefaultOptions()
 	opts.Seed = 11

@@ -371,14 +371,31 @@ func (c *Cluster) Client(id uint64) *Session {
 // has committed and the leader has applied it.
 func (s *Session) Put(p *sim.Proc, shard int, key, value []byte) error {
 	s.seq++
+	key, value = ownedCopy(key, value)
 	return s.mutate(p, shard, wire.ReplicaEntry{
 		Kind: entryPut, Client: s.id, Seq: s.seq, Key: key, Value: value,
 	})
 }
 
+// ownedCopy copies key and value into one allocation. A log entry outlives
+// whatever it was built from: a proposed one stays in the leader's log — and
+// is re-sent to lagging followers — long after the call that proposed it has
+// returned (a server request body is recycled once its response is written),
+// and a follower's arrives as views into a frame that is not kept.
+func ownedCopy(key, value []byte) (k, v []byte) {
+	buf := make([]byte, len(key)+len(value))
+	n := copy(buf, key)
+	copy(buf[n:], value)
+	if len(value) > 0 {
+		v = buf[n:]
+	}
+	return buf[:n:n], v
+}
+
 // Delete replicates a tombstone.
 func (s *Session) Delete(p *sim.Proc, shard int, key []byte) error {
 	s.seq++
+	key, _ = ownedCopy(key, nil)
 	return s.mutate(p, shard, wire.ReplicaEntry{
 		Kind: entryDelete, Client: s.id, Seq: s.seq, Key: key,
 	})

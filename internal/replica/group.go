@@ -417,7 +417,11 @@ func (g *group) handleAppendEntries(p *sim.Proc, m *wire.ReplicaMsg) {
 			g.log = g.log[:e.Index-g.base-1]
 			g.recomputeConfig()
 		}
-		g.log = append(g.log, *e)
+		// The entry's bytes are views into the delivered frame, which also
+		// carries every entry this log already holds: keep a copy, not the frame.
+		own := *e
+		own.Key, own.Value = ownedCopy(e.Key, e.Value)
+		g.log = append(g.log, own)
 		g.applyConfig(e)
 	}
 	reply.Success = true

@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"bytes"
 	"fmt"
 
 	"kvcsd/internal/sim"
@@ -59,14 +58,18 @@ func (t *transport) severed(from, to int) bool { return t.blocked[[2]int{from, t
 // `to`; delivery happens one link delay later unless the link is severed or
 // the target is down at delivery time.
 func (t *transport) sendRequest(from, to int, req *wire.Request) {
-	frame := wire.AppendFrame(nil, wire.KindRequest, req.Op, 0, req.ID, wire.EncodeRequest(req))
+	frame, err := wire.AppendRequestFrame(nil, req)
+	if err != nil {
+		// Larger than any frame a link carries: lost like a dropped frame.
+		t.framesDropped++
+		return
+	}
 	t.ship(from, to, frame)
 }
 
 // sendResponse frames and ships a consensus reply.
 func (t *transport) sendResponse(from, to int, resp *wire.Response) {
-	frame := wire.AppendFrame(nil, wire.KindResponse, resp.Op, 0, resp.ID, wire.EncodeResponse(resp))
-	t.ship(from, to, frame)
+	t.ship(from, to, wire.AppendResponseFrames(nil, resp, 0))
 }
 
 func (t *transport) ship(from, to int, frame []byte) {
@@ -92,9 +95,11 @@ func (t *transport) ship(from, to int, frame []byte) {
 
 // deliver decodes one frame on the receiving node and dispatches it to the
 // shard group it names. Malformed frames are dropped, exactly as a gateway
-// would drop them.
+// would drop them. The frame is parsed where it lies: log entries and snapshot
+// pairs the group keeps are views into it, and a shipped frame is never
+// written again.
 func (n *node) deliver(p *sim.Proc, frame []byte) {
-	h, payload, err := wire.ReadFrame(bytes.NewReader(frame))
+	h, payload, err := wire.ParseFrame(frame)
 	if err != nil {
 		n.c.net.framesDropped++
 		return

@@ -6,6 +6,7 @@ import (
 
 	"kvcsd/internal/nvme"
 	"kvcsd/internal/obs"
+	"kvcsd/internal/session"
 	"kvcsd/internal/sim"
 	"kvcsd/internal/wire"
 )
@@ -30,11 +31,7 @@ func (s *Server) gateway(p *sim.Proc) {
 		}
 		items, ok := s.sched.NextBatch(s.cfg.MaxBatch)
 		if len(items) > 0 {
-			batch := make([]*task, len(items))
-			for i, it := range items {
-				batch[i] = it.Value.(*task)
-			}
-			s.runBatch(p, batch)
+			s.runBatch(p, items)
 		}
 		if !ok {
 			break
@@ -44,15 +41,21 @@ func (s *Server) gateway(p *sim.Proc) {
 	// work, then stop the device dispatch loops so the simulation can end.
 	_ = s.backend.WaitIdle(p)
 	s.backend.Shutdown()
+	// Parked handler procs have no wake-up pending; woken with no work they
+	// return, so the simulation ends with nothing blocked.
+	for _, h := range s.idle {
+		p.Env().Wake(h.p)
+	}
+	s.idle = nil
 }
 
-// rpcNames holds, per opcode, the handler proc's name and the rpc span's
-// name and op label, built once: the request path would otherwise
-// concatenate all three for every request, tracing on or off.
-var rpcNames = func() (t [256]struct{ proc, span, op string }) {
+// rpcNames holds, per opcode, the rpc span's name and op label, built once:
+// the request path would otherwise concatenate both for every request,
+// tracing on or off.
+var rpcNames = func() (t [256]struct{ span, op string }) {
 	for i := range t {
 		s := wire.Op(i).String()
-		t[i].proc, t[i].span, t[i].op = "rpc-"+s, "rpc:"+s, "rpc/"+s
+		t[i].span, t[i].op = "rpc:"+s, "rpc/"+s
 	}
 	return t
 }()
@@ -64,74 +67,126 @@ type putGroup struct {
 	tasks    []*task
 }
 
-// runBatch executes one admitted batch: coalescable puts become one bulk
-// submission per keyspace, everything else runs as its own handler proc.
-// All handlers start at the same virtual instant; Join holds the gateway
-// until the batch completes so batches never interleave.
-func (s *Server) runBatch(p *sim.Proc, batch []*task) {
-	env := p.Env()
-	var procs []*sim.Proc
-	groups, singles := coalescePuts(batch)
-	for _, g := range groups {
-		g := g
-		s.met.addCoalesced(len(g.tasks))
-		procs = append(procs, env.Go("rpc-put-batch", func(q *sim.Proc) {
-			s.handleGroup(q, g)
-		}))
-	}
-	for _, t := range singles {
-		t := t
-		procs = append(procs, env.Go(rpcNames[t.req.Op].proc, func(q *sim.Proc) {
-			s.handle(q, t)
-		}))
-	}
-	p.Join(procs...)
+// handler is a resident handler proc: it runs one unit of a batch (a request
+// or a coalesced put group), parks itself on the server's idle list, and is
+// woken with the next one. A request therefore costs no goroutine, Proc,
+// channel, Event or closure, and runs on a stack that has already grown.
+type handler struct {
+	p *sim.Proc
+	// Exactly one of t and g is set while the handler has work.
+	t *task
+	g *putGroup
 }
 
-// coalescePuts splits a batch into per-keyspace put groups (two or more
-// puts) and the remaining singles, preserving first-seen order so the
-// grouping is deterministic for a given batch.
-func coalescePuts(batch []*task) ([]*putGroup, []*task) {
-	byKS := make(map[string]*putGroup)
-	var order []*putGroup
-	var singles []*task
-	for _, t := range batch {
-		if t.req.Op != wire.OpPut {
-			singles = append(singles, t)
-			continue
+// dispatch hands one unit of the running batch to an idle handler, spawning
+// one only when none is parked. Waking a parked proc and starting a new one
+// schedule the same event — the handler's first step at the current virtual
+// instant, after everything dispatched before it — so which of the two
+// happens does not show in virtual time.
+func (s *Server) dispatch(env *sim.Env, t *task, g *putGroup) {
+	s.pending++
+	if n := len(s.idle); n > 0 {
+		h := s.idle[n-1]
+		s.idle = s.idle[:n-1]
+		h.t, h.g = t, g
+		env.Wake(h.p)
+		return
+	}
+	h := &handler{t: t, g: g}
+	h.p = env.Go("rpc-handler", func(q *sim.Proc) { s.serve(q, h) })
+}
+
+// serve is a handler proc's body: run the unit in hand, report it done, park.
+// The handler that finishes a batch's last unit wakes the gateway.
+func (s *Server) serve(q *sim.Proc, h *handler) {
+	for {
+		switch {
+		case h.t != nil:
+			s.handle(q, h.t)
+		case h.g != nil:
+			s.handleGroup(q, h.g)
+		default:
+			return // woken with nothing to do: the gateway is shutting down
 		}
-		g, ok := byKS[t.req.Keyspace]
+		h.t, h.g = nil, nil
+		s.idle = append(s.idle, h)
+		if s.pending--; s.pending == 0 {
+			q.Env().Wake(s.gw)
+		}
+		q.Block()
+	}
+}
+
+// runBatch executes one admitted batch: coalescable puts become one bulk
+// submission per keyspace, everything else runs on its own handler proc. All
+// handlers start at the same virtual instant, groups first and then singles
+// in batch order; the gateway parks until the last of them finishes, so
+// batches never interleave.
+func (s *Server) runBatch(p *sim.Proc, items []*session.Item) {
+	env := p.Env()
+	groups := s.splitBatch(items)
+	for _, g := range groups {
+		s.met.addCoalesced(len(g.tasks))
+		s.dispatch(env, nil, g)
+	}
+	for _, t := range s.singles {
+		s.dispatch(env, t, nil)
+	}
+	p.Block()
+}
+
+// splitBatch sorts a batch into s.singles and per-keyspace put groups (two or
+// more puts), preserving first-seen order so the grouping is deterministic for
+// a given batch; a lone put gains nothing from the bulk path and runs after
+// the other singles. A batch with fewer than two puts — every batch of a read
+// workload — has nothing to group and touches only the server's scratch.
+func (s *Server) splitBatch(items []*session.Item) []*putGroup {
+	s.singles, s.puts = s.singles[:0], s.puts[:0]
+	for _, it := range items {
+		if t := it.Value.(*task); t.req.Op == wire.OpPut {
+			s.puts = append(s.puts, t)
+		} else {
+			s.singles = append(s.singles, t)
+		}
+	}
+	if len(s.puts) < 2 {
+		s.singles = append(s.singles, s.puts...)
+		return nil
+	}
+	clear(s.byKS)
+	var order, groups []*putGroup
+	for _, t := range s.puts {
+		g, ok := s.byKS[t.req.Keyspace]
 		if !ok {
 			g = &putGroup{keyspace: t.req.Keyspace}
-			byKS[t.req.Keyspace] = g
+			s.byKS[t.req.Keyspace] = g
 			order = append(order, g)
 		}
 		g.tasks = append(g.tasks, t)
 	}
-	var groups []*putGroup
 	for _, g := range order {
 		if len(g.tasks) < 2 {
-			// A lone put gains nothing from the bulk path; run it as-is.
-			singles = append(singles, g.tasks...)
+			s.singles = append(s.singles, g.tasks...)
 			continue
 		}
 		groups = append(groups, g)
 	}
-	return groups, singles
+	return groups
 }
 
 // handle runs one request in its own sim proc. The request's trace context
 // (propagated in the frame header) seeds the rpc span, so device spans the
 // request causes are descendants of the remote client span that sent it.
 func (s *Server) handle(q *sim.Proc, t *task) {
-	queueWait := time.Since(t.enq)
+	// One clock read ends the queue stage and starts the service stage.
+	r0 := time.Now()
+	queueWait := r0.Sub(t.enq)
 	names := &rpcNames[t.req.Op]
 	span := s.tr.StartRemoteRoot(q, names.span, names.op, t.req.Trace.TraceID, t.req.Trace.SpanID)
 	if span != nil {
 		s.tr.Push(q, span)
 	}
 	v0 := q.Now()
-	r0 := time.Now()
 	resp := s.backend.Apply(q, t.req)
 	svc := time.Since(r0)
 	virt := time.Duration(q.Now() - v0)
@@ -148,10 +203,11 @@ func (s *Server) handle(q *sim.Proc, t *task) {
 	}
 	s.met.observeService(t.req.Op, queueWait, svc, virt, resp.Status)
 	s.noteSlowOp(t.req.Op.String(), queueWait, svc, virt, span)
-	if t.sess != nil {
-		t.sess.MarkApplied(t.req.ID, resp.Status)
+	if t.Sess != nil {
+		t.Sess.MarkApplied(t.req.ID, resp.Status)
 	}
-	t.c.respond(t, resp)
+	t.resp = resp
+	t.c.out <- t
 }
 
 // handleGroup runs one coalesced put group: a single bulk submission whose
@@ -179,17 +235,18 @@ func (s *Server) handleGroup(q *sim.Proc, g *putGroup) {
 	s.noteSlowOp("PutBatch", 0, svc, virt, span)
 	for _, t := range g.tasks {
 		s.met.observeService(t.req.Op, r0.Sub(t.enq), svc, virt, out.Status)
-		if t.sess != nil {
-			t.sess.MarkApplied(t.req.ID, out.Status)
+		if t.Sess != nil {
+			t.Sess.MarkApplied(t.req.ID, out.Status)
 		}
-		t.c.respond(t, &wire.Response{
+		t.resp = &wire.Response{
 			ID:      t.req.ID,
 			Op:      t.req.Op,
 			Trace:   t.req.Trace,
 			Session: t.req.Session,
 			Status:  out.Status,
 			Err:     out.Err,
-		})
+		}
+		t.c.out <- t
 	}
 }
 

@@ -50,7 +50,7 @@ const slowRingCap = 128
 // mutex.
 type metrics struct {
 	mu        sync.Mutex
-	perOp     map[wire.Op]*rpcStats
+	perOp     [256]*rpcStats // indexed by opcode; nil until the op is seen
 	accepted  int64
 	shed      int64
 	refused   int64 // draining refusals
@@ -61,13 +61,11 @@ type metrics struct {
 	slowRing  []SlowOp
 }
 
-func newMetrics() *metrics {
-	return &metrics{perOp: make(map[wire.Op]*rpcStats)}
-}
+func newMetrics() *metrics { return &metrics{} }
 
 func (m *metrics) op(op wire.Op) *rpcStats {
-	s, ok := m.perOp[op]
-	if !ok {
+	s := m.perOp[op]
+	if s == nil {
 		s = &rpcStats{
 			RealHist: stats.NewHistogram(op.String() + "/real"),
 			VirtHist: stats.NewHistogram(op.String() + "/virtual"),
@@ -158,7 +156,7 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	sn := MetricsSnapshot{
-		PerOp:     make(map[wire.Op]rpcStats, len(m.perOp)),
+		PerOp:     make(map[wire.Op]rpcStats),
 		Accepted:  m.accepted,
 		Shed:      m.shed,
 		Refused:   m.refused,
@@ -168,10 +166,13 @@ func (m *metrics) snapshot() MetricsSnapshot {
 		SlowOps:   m.slowOps,
 	}
 	for op, s := range m.perOp {
+		if s == nil {
+			continue
+		}
 		c := *s
 		c.RealHist = s.RealHist.Clone()
 		c.VirtHist = s.VirtHist.Clone()
-		sn.PerOp[op] = c
+		sn.PerOp[wire.Op(op)] = c
 	}
 	return sn
 }

@@ -128,15 +128,47 @@ func (c *Config) normalize() {
 	}
 }
 
-// task is one admitted request traveling from a socket to the gateway,
-// carrying its session-layer classification.
+// task is one frame's worth of work on its way from a connection's reader to
+// its writer: an admitted request traveling through the scheduler and the
+// gateway, a reply made on the socket side (shed, malformed, handshake), or
+// pre-framed bytes to replay. Tasks are pooled; an admitted task is itself
+// the scheduler's queue entry (the embedded Item, whose Value is the task),
+// and it owns the request's frame body until the writer releases both.
 type task struct {
-	req    *wire.Request
-	c      *conn
-	enq    time.Time
-	sess   *session.Session // nil for unsessioned requests
-	tenant *session.Tenant
-	lane   wire.Lane
+	session.Item // Sess (nil when unsessioned), Tenant, Lane, Cost
+
+	c *conn
+	// req is the decoded request, pooled with its frame body; nil on a reply
+	// that was made without one.
+	req *wire.Request
+	// Exactly one of resp and raw is set by the time the task reaches the
+	// writer: resp is encoded there, raw is pre-framed bytes (a backlog replay
+	// or a duplicate re-serve) written verbatim.
+	resp *wire.Response
+	raw  []byte
+	id   uint64
+	// enq is when decoding ended and the request was handed to the scheduler.
+	enq time.Time
+	// admitted marks a request that holds an admission slot and is billed to
+	// its tenant.
+	admitted bool
+}
+
+var taskPool = sync.Pool{New: func() any { return new(task) }}
+
+func newTask(c *conn) *task {
+	t := taskPool.Get().(*task)
+	t.c = c
+	return t
+}
+
+// free releases the request's frame body and returns the task to the pool.
+func (t *task) free() {
+	if t.req != nil {
+		t.req.Release()
+	}
+	*t = task{}
+	taskPool.Put(t)
 }
 
 // Server bridges TCP connections into one simulation.
@@ -161,6 +193,17 @@ type Server struct {
 
 	slowMu sync.Mutex // serializes SlowOpLog writes
 
+	// Gateway state, touched only inside the simulation: the gateway proc,
+	// the resident handler procs parked for work, how many dispatched units
+	// of the running batch have not finished, and scratch for splitting a
+	// batch (see gateway.go).
+	gw      *sim.Proc
+	idle    []*handler
+	pending int
+	singles []*task
+	puts    []*task
+	byKS    map[string]*putGroup
+
 	telemetry *telemetryServer
 
 	simDone    chan struct{}
@@ -183,10 +226,11 @@ func New(env *sim.Env, b Backend, cfg Config) *Server {
 		mgr:        session.NewManager(cfg.QoS),
 		sched:      session.NewScheduler(cfg.QoS, cfg.MaxInflight),
 		conns:      make(map[*conn]struct{}),
+		byKS:       make(map[string]*putGroup),
 		simDone:    make(chan struct{}),
 		acceptDone: make(chan struct{}),
 	}
-	env.Go("gateway", s.gateway)
+	s.gw = env.Go("gateway", s.gateway)
 	return s
 }
 
@@ -261,7 +305,7 @@ func (s *Server) acceptLoop() {
 		c := &conn{
 			s:      s,
 			nc:     nc,
-			out:    make(chan outMsg, s.cfg.MaxPipeline),
+			out:    make(chan *task, s.cfg.MaxPipeline),
 			window: make(chan struct{}, s.cfg.MaxPipeline),
 		}
 		s.connMu.Lock()
@@ -319,20 +363,6 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// outMsg is one response owed to a connection. Exactly one of resp and raw is
-// set: resp is encoded by the writer, raw is pre-framed bytes (a backlog
-// replay or a duplicate re-serve) written verbatim. Every outMsg holds one
-// window slot, so the sim side can never block on a full out channel.
-type outMsg struct {
-	resp     *wire.Response
-	raw      []byte
-	id       uint64
-	sess     *session.Session
-	tenant   *session.Tenant
-	lane     wire.Lane
-	admitted bool
-}
-
 // conn is one client connection: a reader goroutine (framing, session
 // handshakes, admission), a writer goroutine (encoding, slot release,
 // backlog spill), and a window semaphore bounding requests outstanding
@@ -340,9 +370,10 @@ type outMsg struct {
 type conn struct {
 	s  *Server
 	nc net.Conn
-	// out carries responses to the writer; capacity MaxPipeline so enqueues
-	// never block (each queued response holds a window slot).
-	out chan outMsg
+	// out carries tasks whose response is ready to the writer; capacity
+	// MaxPipeline so enqueues never block (each queued task holds a window
+	// slot), which is what keeps the sim side from ever blocking on it.
+	out chan *task
 	// window is the per-connection pipeline semaphore: the reader takes a
 	// slot per request (blocking — per-connection backpressure), the writer
 	// returns it once the response is on the wire.
@@ -353,20 +384,27 @@ type conn struct {
 	dead atomic.Bool
 	// sess is the session opened by OpHello on this connection; reader-owned.
 	sess *session.Session
+	// wbuf is the writer's frame buffer, kept between responses.
+	wbuf []byte
 }
 
-// reply queues a response generated on the socket side (shed, malformed,
-// draining, handshake) without touching the simulation. Caller must hold a
+// reply queues a response made on the socket side (shed, malformed,
+// draining, handshake) without touching the simulation; the task's request,
+// if it has one, is released by the writer like any other. Caller must hold a
 // window slot.
-func (c *conn) reply(resp *wire.Response) {
+func (c *conn) reply(t *task, resp *wire.Response) {
+	t.resp = resp
 	c.owed.Add(1)
-	c.out <- outMsg{resp: resp}
+	c.out <- t
 }
 
-// respond queues an admitted request's response from the sim side. The
-// reader already counted it in owed at admission.
-func (c *conn) respond(t *task, resp *wire.Response) {
-	c.out <- outMsg{resp: resp, id: t.req.ID, sess: t.sess, tenant: t.tenant, lane: t.lane, admitted: true}
+// replay queues pre-framed bytes (a backlog record or a duplicate's spilled
+// response) to be written verbatim. Caller must hold a window slot.
+func (c *conn) replay(t *task, id uint64, frames []byte, sess *session.Session, lane wire.Lane) {
+	t.raw, t.id = frames, id
+	t.Sess, t.Lane = sess, lane
+	c.owed.Add(1)
+	c.out <- t
 }
 
 func (c *conn) readLoop() {
@@ -385,7 +423,6 @@ func (c *conn) readLoop() {
 	}()
 	br := bufio.NewReaderSize(c.nc, 64<<10)
 	for {
-		t0 := time.Now()
 		h, payload, err := wire.ReadFrame(br)
 		if err != nil {
 			// A framing error is fatal for the connection: with the length
@@ -398,23 +435,30 @@ func (c *conn) readLoop() {
 			}
 			return
 		}
+		// The decode clock starts with the frame in hand: time spent waiting
+		// for a client to send is not the server's.
+		t0 := time.Now()
 		// Take a pipeline slot; the writer returns it after the response.
 		c.window <- struct{}{}
+		t := newTask(c)
 		if h.Kind != wire.KindRequest {
-			c.reply(&wire.Response{ID: h.ID, Op: h.Op, Trace: h.Trace, Status: wire.StatusBadRequest, Err: "expected request frame"})
+			c.reply(t, &wire.Response{ID: h.ID, Op: h.Op, Trace: h.Trace, Status: wire.StatusBadRequest, Err: "expected request frame"})
 			continue
 		}
 		req, derr := wire.DecodeRequest(h, payload)
-		c.s.met.observeDecode(h.Op, time.Since(t0))
+		// One clock read closes the decode stage and opens the queue stage.
+		t.enq = time.Now()
+		c.s.met.observeDecode(h.Op, t.enq.Sub(t0))
 		if derr != nil {
 			c.s.met.addBadFrame()
-			c.reply(&wire.Response{ID: h.ID, Op: h.Op, Trace: h.Trace, Status: wire.StatusBadRequest, Err: derr.Error()})
+			c.reply(t, &wire.Response{ID: h.ID, Op: h.Op, Trace: h.Trace, Status: wire.StatusBadRequest, Err: derr.Error()})
 			continue
 		}
+		t.req, t.id = req, req.ID
 		if req.Op == wire.OpHello {
 			// The handshake is handled socket-side: it never enters the fair
 			// scheduler, so an overloaded server still accepts resumes.
-			c.handleHello(req)
+			c.handleHello(t)
 			continue
 		}
 		// Classify: a session token is honored only on the connection that
@@ -431,14 +475,14 @@ func (c *conn) readLoop() {
 		}
 		lane := session.ResolveLane(req.Op, req.Lane, class)
 		if req.Session != 0 && sess == nil {
-			c.reply(&wire.Response{ID: req.ID, Op: req.Op, Trace: req.Trace, Session: req.Session,
+			c.reply(t, &wire.Response{ID: req.ID, Op: req.Op, Trace: req.Trace, Session: req.Session,
 				Status: wire.StatusSessionUnknown, Err: "session token not opened on this connection"})
 			continue
 		}
 		if c.s.draining.Load() {
 			c.s.met.addRefused()
 			tenant.NoteShed(lane, session.CauseDraining)
-			c.reply(&wire.Response{ID: req.ID, Op: req.Op, Trace: req.Trace, Session: req.Session, Status: wire.StatusShuttingDown})
+			c.reply(t, &wire.Response{ID: req.ID, Op: req.Op, Trace: req.Trace, Session: req.Session, Status: wire.StatusShuttingDown})
 			continue
 		}
 		if sess != nil {
@@ -448,23 +492,23 @@ func (c *conn) readLoop() {
 			// id still in flight is dropped silently (the original's response
 			// answers it).
 			if frames, ok := sess.LookupFrame(req.ID); ok {
-				c.owed.Add(1)
-				c.out <- outMsg{raw: frames, id: req.ID, sess: sess, tenant: tenant, lane: lane}
+				c.replay(t, req.ID, frames, sess, lane)
 				continue
 			}
 			if st, ok := sess.LookupApplied(req.ID); ok && !req.Op.Idempotent() {
-				c.reply(&wire.Response{ID: req.ID, Op: req.Op, Trace: req.Trace, Session: req.Session, Status: st})
+				c.reply(t, &wire.Response{ID: req.ID, Op: req.Op, Trace: req.Trace, Session: req.Session, Status: st})
 				continue
 			}
 			dup, full := sess.BeginPending(req.ID)
 			if dup {
+				t.free()
 				<-c.window
 				continue
 			}
 			if full {
 				c.s.met.addShed()
 				tenant.NoteShed(lane, session.CauseSession)
-				c.reply(&wire.Response{ID: req.ID, Op: req.Op, Trace: req.Trace, Session: req.Session,
+				c.reply(t, &wire.Response{ID: req.ID, Op: req.Op, Trace: req.Trace, Session: req.Session,
 					Status: wire.StatusOverloaded, Err: "admission refused: " + session.CauseSession.String()})
 				continue
 			}
@@ -473,10 +517,9 @@ func (c *conn) readLoop() {
 		// side can never complete a task the reader has not counted.
 		c.owed.Add(1)
 		c.s.inflight.Add(1)
-		t := &task{req: req, c: c, enq: time.Now(), sess: sess, tenant: tenant, lane: lane}
-		cause := c.s.sched.Enqueue(&session.Item{
-			Sess: sess, Tenant: tenant, Lane: lane, Cost: session.RequestCost(req), Value: t,
-		})
+		t.Item = session.Item{Sess: sess, Tenant: tenant, Lane: lane, Cost: session.RequestCost(req), Value: t}
+		t.admitted = true
+		cause := c.s.sched.Enqueue(&t.Item)
 		if cause != session.CauseNone {
 			c.s.inflight.Add(-1)
 			if sess != nil {
@@ -491,8 +534,10 @@ func (c *conn) readLoop() {
 				c.s.met.addShed()
 			}
 			// Reuse the owed slot charged above for the shed reply.
-			c.out <- outMsg{resp: &wire.Response{ID: req.ID, Op: req.Op, Trace: req.Trace, Session: req.Session,
-				Status: status, Err: "admission refused: " + cause.String()}}
+			t.admitted = false
+			t.resp = &wire.Response{ID: req.ID, Op: req.Op, Trace: req.Trace, Session: req.Session,
+				Status: status, Err: "admission refused: " + cause.String()}
+			c.out <- t
 			continue
 		}
 		c.s.met.addAccepted()
@@ -507,11 +552,12 @@ func (c *conn) readLoop() {
 // Each replay frame takes a window slot like any other response, so a huge
 // backlog applies backpressure to the resuming reader instead of growing the
 // out channel.
-func (c *conn) handleHello(req *wire.Request) {
+func (c *conn) handleHello(t *task) {
+	req := t.req
 	resp := &wire.Response{ID: req.ID, Op: req.Op, Trace: req.Trace}
 	if req.Hello == nil {
 		resp.Status, resp.Err = wire.StatusBadRequest, "hello without handshake body"
-		c.reply(resp)
+		c.reply(t, resp)
 		return
 	}
 	sess, replay, resumed, prev, err := c.s.mgr.Hello(req.Hello, c)
@@ -522,7 +568,7 @@ func (c *conn) handleHello(req *wire.Request) {
 			resp.Status = wire.StatusBadRequest
 		}
 		resp.Err = err.Error()
-		c.reply(resp)
+		c.reply(t, resp)
 		return
 	}
 	if prevC, ok := prev.(*conn); ok && prevC != nil && prevC != c {
@@ -538,11 +584,10 @@ func (c *conn) handleHello(req *wire.Request) {
 	resp.Status = wire.StatusOK
 	resp.Session = sess.Token()
 	resp.Hello = &wire.HelloReply{Token: sess.Token(), Resumed: resumed, Replayed: uint32(len(replay))}
-	c.reply(resp)
+	c.reply(t, resp)
 	for _, e := range replay {
 		c.window <- struct{}{}
-		c.owed.Add(1)
-		c.out <- outMsg{raw: e.Frames, id: e.ID, sess: sess, tenant: sess.Tenant(), lane: wire.LaneNormal}
+		c.replay(newTask(c), e.ID, e.Frames, sess, wire.LaneNormal)
 	}
 }
 
@@ -553,11 +598,12 @@ func (c *conn) writeLoop() {
 		delete(c.s.conns, c)
 		c.s.connMu.Unlock()
 	}()
-	for m := range c.out {
+	for t := range c.out {
 		t0 := time.Now()
-		frames := m.raw
+		frames := t.raw
 		if frames == nil {
-			frames = wire.AppendResponseFrames(nil, m.resp, c.s.cfg.ChunkPairs)
+			c.wbuf = wire.AppendResponseFrames(c.wbuf[:0], t.resp, c.s.cfg.ChunkPairs)
+			frames = c.wbuf
 		}
 		delivered := false
 		if !c.dead.Load() {
@@ -568,19 +614,26 @@ func (c *conn) writeLoop() {
 				delivered = true
 			}
 		}
-		if m.resp != nil {
-			c.s.met.observeWrite(m.resp.Op, time.Since(t0))
+		if t.resp != nil {
+			c.s.met.observeWrite(t.resp.Op, time.Since(t0))
 		}
-		if !delivered && m.sess != nil && (m.admitted || m.raw != nil) {
+		if !delivered && t.Sess != nil && (t.admitted || t.raw != nil) {
 			// The exact bytes that failed to reach the socket go to the
-			// session backlog, to replay verbatim on resume.
-			m.sess.Spill(m.id, m.lane, frames)
+			// session backlog, to replay verbatim on resume. Spill copies
+			// them: frames may be this connection's write buffer.
+			t.Sess.Spill(t.id, t.Lane, frames)
 		}
-		if m.admitted {
+		if t.admitted {
 			c.s.sched.Release(1)
 			c.s.inflight.Add(-1)
-			m.tenant.NoteCompleted(m.lane)
+			t.Tenant.NoteCompleted(t.Lane)
 		}
+		if cap(c.wbuf) > wire.MaxKeptBuffer {
+			c.wbuf = nil
+		}
+		// The response is on the socket (or spilled): the request's frame
+		// body, which the handler may have read until now, can be recycled.
+		t.free()
 		c.owed.Done()
 		<-c.window
 	}

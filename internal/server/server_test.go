@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"kvcsd/internal/device"
 	"kvcsd/internal/nvme"
 	"kvcsd/internal/obs"
+	"kvcsd/internal/session"
 	"kvcsd/internal/sim"
 	"kvcsd/internal/wire"
 )
@@ -209,27 +211,41 @@ func TestWriteCoalescing(t *testing.T) {
 	}
 }
 
-// TestCoalescePutsGrouping is the white-box grouping unit test: puts group
-// per keyspace in first-seen order, lone puts and non-puts stay singles.
-func TestCoalescePutsGrouping(t *testing.T) {
-	mk := func(op wire.Op, ks string) *task {
-		return &task{req: &wire.Request{Op: op, Keyspace: ks}}
+// TestSplitBatchGrouping is the white-box grouping unit test: puts group per
+// keyspace in first-seen order; non-puts stay singles in batch order and lone
+// puts follow them, with or without a group in the batch.
+func TestSplitBatchGrouping(t *testing.T) {
+	mk := func(op wire.Op, ks string) *session.Item {
+		tk := &task{req: &wire.Request{Op: op, Keyspace: ks}}
+		tk.Value = tk
+		return &tk.Item
 	}
-	batch := []*task{
+	s := &Server{byKS: make(map[string]*putGroup)}
+	describe := func(ts []*task) string {
+		var names []string
+		for _, tk := range ts {
+			names = append(names, tk.req.Op.String()+"/"+tk.req.Keyspace)
+		}
+		return strings.Join(names, " ")
+	}
+	groups := s.splitBatch([]*session.Item{
 		mk(wire.OpPut, "a"),
 		mk(wire.OpGet, "a"),
 		mk(wire.OpPut, "b"),
 		mk(wire.OpPut, "a"),
 		mk(wire.OpScan, "b"),
-		mk(wire.OpPut, "c"), // lone put: stays single
-	}
-	groups, singles := coalescePuts(batch)
+		mk(wire.OpPut, "c"),
+	})
 	if len(groups) != 1 || groups[0].keyspace != "a" || len(groups[0].tasks) != 2 {
 		t.Fatalf("groups = %+v, want one group of 2 puts on a", groups)
 	}
-	// b has only one put -> single; plus get, scan, and the lone c put.
-	if len(singles) != 4 {
-		t.Fatalf("singles = %d, want 4", len(singles))
+	if got, want := describe(s.singles), "Get/a Scan/b Put/b Put/c"; got != want {
+		t.Fatalf("singles = %q, want %q", got, want)
+	}
+	// One put in the batch: nothing to group, and it still runs last.
+	groups = s.splitBatch([]*session.Item{mk(wire.OpPut, "a"), mk(wire.OpGet, "a"), mk(wire.OpGet, "b")})
+	if got, want := describe(s.singles), "Get/a Get/b Put/a"; len(groups) != 0 || got != want {
+		t.Fatalf("one put: %d groups, singles = %q, want none and %q", len(groups), got, want)
 	}
 }
 

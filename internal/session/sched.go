@@ -39,37 +39,49 @@ func (c Cause) String() string {
 	return "unknown"
 }
 
-// Item is one request parked in the scheduler.
+// Item is one request parked in the scheduler. The caller owns it and may
+// embed it in its own per-request object (the server's task does), so parking
+// a request allocates nothing; once NextBatch has handed it back it can be
+// enqueued again.
 type Item struct {
 	Sess   *Session // nil for anonymous (unsessioned) requests
 	Tenant *Tenant
 	Lane   wire.Lane
 	Cost   int64 // service cost in quantum units (see RequestCost)
 	Value  any   // the server's task
+
+	next *Item // FIFO link within the tenant's flow while parked
 }
 
-// flow is one tenant's FIFO within a lane, with its DRR deficit counter.
+// flow is one tenant's FIFO within a lane, with its DRR deficit counter. A
+// flow stays in its lane's table once created (there is one per tenant ever
+// seen on the lane) and joins the round-robin ring only while it holds items.
 type flow struct {
-	tenant  *Tenant
-	items   []*Item
-	head    int
-	deficit int64
+	tenant     *Tenant
+	head, tail *Item
+	deficit    int64
 }
 
-func (f *flow) push(it *Item) { f.items = append(f.items, it) }
+func (f *flow) push(it *Item) {
+	it.next = nil
+	if f.tail == nil {
+		f.head = it
+	} else {
+		f.tail.next = it
+	}
+	f.tail = it
+}
 
 func (f *flow) pop() *Item {
-	it := f.items[f.head]
-	f.items[f.head] = nil
-	f.head++
-	if f.head > 64 && f.head*2 > len(f.items) {
-		f.items = append(f.items[:0], f.items[f.head:]...)
-		f.head = 0
+	it := f.head
+	f.head, it.next = it.next, nil
+	if f.head == nil {
+		f.tail = nil
 	}
 	return it
 }
 
-func (f *flow) empty() bool { return f.head == len(f.items) }
+func (f *flow) empty() bool { return f.head == nil }
 
 // laneQ is one priority lane: a deficit round-robin over active tenant flows
 // plus the lane's own weighted credit against the other lanes.
@@ -87,6 +99,8 @@ func (lq *laneQ) push(it *Item) {
 	if f == nil {
 		f = &flow{tenant: it.Tenant}
 		lq.flows[it.Tenant] = f
+	}
+	if f.empty() {
 		lq.ring = append(lq.ring, f)
 		if len(lq.ring) == 1 {
 			lq.fresh = true
@@ -109,7 +123,7 @@ func (lq *laneQ) pop(quantum int64) *Item {
 			f.deficit += quantum * int64(f.tenant.Weight)
 			lq.fresh = false
 		}
-		head := f.items[f.head]
+		head := f.head
 		if f.deficit < head.Cost {
 			lq.cur = (lq.cur + 1) % len(lq.ring)
 			lq.fresh = true
@@ -121,7 +135,7 @@ func (lq *laneQ) pop(quantum int64) *Item {
 		if f.empty() {
 			// An emptied flow leaves the round-robin and forfeits its
 			// deficit, so idle tenants cannot bank credit.
-			delete(lq.flows, f.tenant)
+			f.deficit = 0
 			lq.ring = append(lq.ring[:lq.cur], lq.ring[lq.cur+1:]...)
 			if len(lq.ring) > 0 {
 				lq.cur %= len(lq.ring)
@@ -151,6 +165,7 @@ type Scheduler struct {
 	queued   int
 	closed   bool
 	lanes    [wire.NumLanes]laneQ
+	batch    []*Item // NextBatch's result, reused by the next call
 }
 
 // NewScheduler builds a scheduler for the given (normalized) config;
@@ -200,7 +215,8 @@ func (s *Scheduler) Enqueue(it *Item) Cause {
 
 // NextBatch blocks until at least one item is parked (or intake is closed),
 // then pops up to max items in fair order. ok is false once the scheduler is
-// closed and fully drained.
+// closed and fully drained. The returned slice is the scheduler's own and is
+// overwritten by the next call: there is one consumer, the gateway.
 func (s *Scheduler) NextBatch(max int) ([]*Item, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -213,10 +229,11 @@ func (s *Scheduler) NextBatch(max int) ([]*Item, bool) {
 	if max <= 0 {
 		max = 1
 	}
-	batch := make([]*Item, 0, min(max, s.queued))
+	batch := s.batch[:0]
 	for len(batch) < max && s.queued > 0 {
 		batch = append(batch, s.popLocked())
 	}
+	s.batch = batch
 	return batch, !s.closed || s.queued > 0
 }
 

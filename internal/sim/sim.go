@@ -462,10 +462,18 @@ type Event struct {
 	fired   bool
 	at      Time
 	waiters []*Proc
+	// first backs waiters while there is one: most events (a command's
+	// completion, a process's Done) only ever have a single waiter.
+	first [1]*Proc
 }
 
 // NewEvent creates an unfired event.
 func NewEvent(e *Env) *Event { return &Event{env: e} }
+
+// Init resets ev to an unfired event of e. It is for events embedded by value
+// in a larger allocation (an NVMe submission); an Event must not be copied
+// once a process waits on it.
+func (ev *Event) Init(e *Env) { *ev = Event{env: e} }
 
 // Fired reports whether Signal has been called.
 func (ev *Event) Fired() bool { return ev.fired }
@@ -484,7 +492,7 @@ func (ev *Event) Signal() {
 	for _, w := range ev.waiters {
 		ev.env.schedule(w, ev.env.now)
 	}
-	ev.waiters = nil
+	ev.waiters, ev.first[0] = nil, nil
 }
 
 // Wait blocks the process until the event fires. Returns immediately if it
@@ -492,6 +500,9 @@ func (ev *Event) Signal() {
 func (p *Proc) Wait(ev *Event) {
 	if ev.fired {
 		return
+	}
+	if ev.waiters == nil {
+		ev.waiters = ev.first[:0]
 	}
 	ev.waiters = append(ev.waiters, p)
 	p.block()

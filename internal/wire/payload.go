@@ -50,9 +50,14 @@ func (e *encoder) str(v string) {
 
 // --- decoder ---------------------------------------------------------------
 
+// decoder walks one payload. Byte fields it returns are views into the
+// payload, not copies (see "Who owns a frame buffer" in frame.go).
 type decoder struct {
 	b   []byte
 	err error
+	// viewed is set once a non-empty byte view has been handed out: the
+	// decoded struct then keeps the payload's backing store alive.
+	viewed bool
 }
 
 func (d *decoder) fail() {
@@ -111,13 +116,18 @@ func (d *decoder) bytes() []byte {
 	if n == 0 {
 		return nil
 	}
-	v := make([]byte, n)
-	copy(v, d.b[:n])
+	v := d.b[:n:n]
 	d.b = d.b[n:]
+	d.viewed = true
 	return v
 }
 
-func (d *decoder) str() string {
+func (d *decoder) str() string { return d.strLike("") }
+
+// strLike reads a string, returning prev itself when the bytes spell it —
+// strings are copies, and a caller that decodes the same name again and
+// again (a keyspace) passes the last one to save the allocation.
+func (d *decoder) strLike(prev string) string {
 	n := d.uvarint()
 	if d.err != nil {
 		return ""
@@ -126,7 +136,10 @@ func (d *decoder) str() string {
 		d.fail()
 		return ""
 	}
-	v := string(d.b[:n])
+	v := prev
+	if string(d.b[:n]) != prev {
+		v = string(d.b[:n])
+	}
 	d.b = d.b[n:]
 	return v
 }
@@ -170,12 +183,16 @@ func encodePairs(e *encoder, pairs []nvme.KVPair) {
 	}
 }
 
-func decodePairs(d *decoder) []nvme.KVPair {
+// decodePairs appends the decoded pairs to scratch[:0] (nil allocates).
+func decodePairs(d *decoder, scratch []nvme.KVPair) []nvme.KVPair {
 	n := d.count(3)
 	if d.err != nil || n == 0 {
 		return nil
 	}
-	pairs := make([]nvme.KVPair, 0, n)
+	pairs := scratch[:0]
+	if cap(pairs) < n {
+		pairs = make([]nvme.KVPair, 0, n)
+	}
 	for i := 0; i < n; i++ {
 		p := nvme.KVPair{Key: d.bytes(), Value: d.bytes(), Tombstone: d.boolean()}
 		if d.err != nil {
@@ -204,10 +221,29 @@ func decodeIndexSpec(d *decoder) IndexSpec {
 
 // --- request ---------------------------------------------------------------
 
-// EncodeRequest serializes a request payload (everything but the frame
-// header, which carries ID and Op).
+// EncodeRequest serializes a request payload alone (everything but the frame
+// header, which carries ID and Op). AppendRequestFrame builds whole frames.
 func EncodeRequest(r *Request) []byte {
-	e := &encoder{}
+	var e encoder
+	encodeRequest(&e, r)
+	return e.b
+}
+
+// AppendRequestFrame appends r as one complete frame to dst — the payload is
+// encoded in place behind the reserved header, carrying the request's trace
+// context, session token and lane override — and returns the extended slice.
+// A payload over MaxPayload leaves dst as it was.
+func AppendRequestFrame(dst []byte, r *Request) ([]byte, error) {
+	off := len(dst)
+	e := encoder{b: beginFrame(dst)}
+	encodeRequest(&e, r)
+	if len(e.b)-off-HeaderSize > MaxPayload {
+		return dst, ErrFrameTooLarge
+	}
+	return finishFrame(e.b, off, KindRequest, r.Op, laneFlags(r.Lane), r.ID, r.Trace, r.Session), nil
+}
+
+func encodeRequest(e *encoder, r *Request) {
 	e.str(r.Keyspace)
 	e.bytes(r.Key)
 	e.bytes(r.Value)
@@ -237,36 +273,64 @@ func EncodeRequest(r *Request) []byte {
 		e.varint(r.Extent.Granule)
 		e.uvarint(uint64(r.Extent.Bits))
 	}
-	return e.b
 }
 
-// DecodeRequest parses a request payload for the given frame header.
+// DecodeRequest parses a request payload for the given frame header. Byte
+// fields of the result are views into payload. With a header from ReadFrame
+// the request is pooled with the frame's body and DecodeRequest takes both
+// over: valid until Release, and released here when the payload is malformed.
 func DecodeRequest(h Header, payload []byte) (*Request, error) {
+	r, err := decodeRequest(h, payload)
+	if err != nil {
+		if h.body != nil {
+			h.body.release(false)
+		}
+		return nil, err
+	}
+	return r, nil
+}
+
+func decodeRequest(h Header, payload []byte) (*Request, error) {
+	fb := h.body
 	if !h.Op.Valid() {
 		return nil, fmt.Errorf("%w: opcode %d", ErrDecode, uint8(h.Op))
 	}
-	d := &decoder{b: payload}
-	r := &Request{ID: h.ID, Op: h.Op, Trace: h.Trace,
-		Session: h.Session, Lane: laneFromFlags(h.Flags)}
-	r.Keyspace = d.str()
+	d := decoder{b: payload}
+	var r *Request
+	var lastKeyspace string
+	var pairScratch []nvme.KVPair
+	if fb != nil {
+		r, lastKeyspace, pairScratch = &fb.req, fb.keyspace, fb.pairs
+	} else {
+		r = new(Request)
+	}
+	*r = Request{ID: h.ID, Op: h.Op, Trace: h.Trace,
+		Session: h.Session, Lane: laneFromFlags(h.Flags), body: fb}
+	r.Keyspace = d.strLike(lastKeyspace)
 	r.Key = d.bytes()
 	r.Value = d.bytes()
 	r.Low = d.bytes()
 	r.High = d.bytes()
-	r.Pairs = decodePairs(d)
-	r.Index = decodeIndexSpec(d)
+	r.Pairs = decodePairs(&d, pairScratch)
+	if fb != nil {
+		fb.keyspace = r.Keyspace
+		if r.Pairs != nil {
+			fb.pairs = r.Pairs[:0]
+		}
+	}
+	r.Index = decodeIndexSpec(&d)
 	n := d.count(4)
 	for i := 0; i < n && d.err == nil; i++ {
-		r.Indexes = append(r.Indexes, decodeIndexSpec(d))
+		r.Indexes = append(r.Indexes, decodeIndexSpec(&d))
 	}
 	r.Limit = uint32(d.uvarint())
 	r.Parts = uint32(d.uvarint())
 	r.Device = uint32(d.uvarint())
 	if d.boolean() {
-		r.Replica = decodeReplicaMsg(d)
+		r.Replica = decodeReplicaMsg(&d)
 	}
 	if d.boolean() {
-		r.Hello = decodeHelloMsg(d)
+		r.Hello = decodeHelloMsg(&d)
 	}
 	if d.boolean() {
 		r.Extent = &ExtentAddr{
@@ -280,6 +344,16 @@ func DecodeRequest(h Header, payload []byte) (*Request, error) {
 		return nil, err
 	}
 	return r, nil
+}
+
+// Release ends the request's use of its frame body: the request and every
+// byte slice decoded into it are invalid afterwards. It does nothing for a
+// request that was not decoded from a ReadFrame body, or on a second call.
+func (r *Request) Release() {
+	if fb := r.body; fb != nil {
+		r.body = nil
+		fb.release(false)
+	}
 }
 
 // --- response --------------------------------------------------------------
@@ -443,9 +517,15 @@ func decodeStats(d *decoder) *StatsReport {
 	return s
 }
 
-// EncodeResponse serializes a response payload.
+// EncodeResponse serializes a response payload alone; AppendResponseFrames
+// builds whole frames.
 func EncodeResponse(r *Response) []byte {
-	e := &encoder{}
+	var e encoder
+	encodeResponse(&e, r)
+	return e.b
+}
+
+func encodeResponse(e *encoder, r *Response) {
 	e.u8(uint8(r.Status))
 	e.str(r.Err)
 	e.bytes(r.Value)
@@ -474,33 +554,54 @@ func EncodeResponse(r *Response) []byte {
 		e.bytes(compaction.EncodeProgress(*r.Progress))
 	}
 	e.varint(r.Moved)
-	return e.b
 }
 
-// DecodeResponse parses a response payload for the given frame header.
+// DecodeResponse parses a response payload for the given frame header. Byte
+// fields of the result are views into payload. With a header from ReadFrame
+// the response is pooled with the frame's body and DecodeResponse takes both
+// over: valid until Release, and released here when the payload is malformed.
 func DecodeResponse(h Header, payload []byte) (*Response, error) {
-	d := &decoder{b: payload}
-	r := &Response{ID: h.ID, Op: h.Op, Trace: h.Trace,
-		Session: h.Session, More: h.Flags&FlagMore != 0}
+	r, err := decodeResponse(h, payload)
+	if err != nil {
+		if h.body != nil {
+			h.body.release(false)
+		}
+		return nil, err
+	}
+	return r, nil
+}
+
+func decodeResponse(h Header, payload []byte) (*Response, error) {
+	fb := h.body
+	d := decoder{b: payload}
+	var r *Response
+	if fb != nil {
+		r = &fb.resp
+	} else {
+		r = new(Response)
+	}
+	*r = Response{ID: h.ID, Op: h.Op, Trace: h.Trace,
+		Session: h.Session, More: h.Flags&FlagMore != 0, body: fb}
 	r.Status = Status(d.u8())
 	r.Err = d.str()
 	r.Value = d.bytes()
 	r.Exists = d.boolean()
 	r.Done = d.boolean()
-	r.Pairs = decodePairs(d)
+	// The pairs slice goes to the caller with the result: never scratch.
+	r.Pairs = decodePairs(&d, nil)
 	r.HasInfo = d.boolean()
 	if d.err == nil && r.HasInfo {
-		r.Info = decodeInfo(d)
+		r.Info = decodeInfo(&d)
 	}
 	if d.boolean() {
-		r.Stats = decodeStats(d)
+		r.Stats = decodeStats(&d)
 	}
 	r.Report = d.str()
 	if d.boolean() {
-		r.Replica = decodeReplicaReply(d)
+		r.Replica = decodeReplicaReply(&d)
 	}
 	if d.boolean() {
-		r.Hello = decodeHelloReply(d)
+		r.Hello = decodeHelloReply(&d)
 	}
 	if d.boolean() {
 		pr, err := compaction.DecodeProgress(d.bytes())
@@ -514,16 +615,52 @@ func DecodeResponse(h Header, payload []byte) (*Response, error) {
 	if err := d.done(); err != nil {
 		return nil, err
 	}
+	if fb != nil {
+		fb.handOff = d.viewed
+	}
 	return r, nil
+}
+
+// Release ends the response's use of its frame body: the struct is invalid
+// afterwards (Detach keeps a copy). Byte slices decoded into it stay valid —
+// a body that carries any is handed to whoever holds them instead of going
+// back to the pool. It does nothing for a response that was not decoded from
+// a ReadFrame body, or on a second call.
+func (r *Response) Release() {
+	if fb := r.body; fb != nil {
+		r.body = nil
+		fb.release(fb.handOff)
+	}
+}
+
+// Detach releases the response and returns a copy of it that owns everything
+// it references.
+func (r *Response) Detach() Response {
+	out := *r
+	out.body = nil
+	r.Release()
+	return out
 }
 
 // --- streaming -------------------------------------------------------------
 
-// WriteRequest frames and writes one request, carrying its trace context,
-// session token, and lane override in the frame header.
+// WriteRequest frames and writes one request (see AppendRequestFrame).
 func WriteRequest(w io.Writer, r *Request) error {
-	return WriteFrameSession(w, KindRequest, r.Op, laneFlags(r.Lane), r.ID,
-		r.Trace, r.Session, EncodeRequest(r))
+	buf, err := AppendRequestFrame(nil, r)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf)
+	return err
+}
+
+// appendResponseFrame appends one response frame, payload encoded in place.
+// The header fields come from hdr, which a streamed chunk does not repeat.
+func appendResponseFrame(dst []byte, hdr, r *Response, flags uint8) []byte {
+	off := len(dst)
+	e := encoder{b: beginFrame(dst)}
+	encodeResponse(&e, r)
+	return finishFrame(e.b, off, KindResponse, hdr.Op, flags, hdr.ID, hdr.Trace, hdr.Session)
 }
 
 // AppendResponseFrames appends the exact frame bytes WriteResponse would
@@ -535,17 +672,17 @@ func WriteRequest(w io.Writer, r *Request) error {
 // backlog spill an undeliverable response and later replay it byte-identical.
 func AppendResponseFrames(dst []byte, r *Response, chunkPairs int) []byte {
 	if chunkPairs <= 0 || len(r.Pairs) <= chunkPairs || r.Status != StatusOK {
-		return AppendFrameFull(dst, KindResponse, r.Op, 0, r.ID, r.Trace, r.Session, EncodeResponse(r))
+		return appendResponseFrame(dst, r, r, 0)
 	}
 	pairs := r.Pairs
 	for len(pairs) > chunkPairs {
-		chunk := &Response{ID: r.ID, Op: r.Op, Status: StatusOK, Pairs: pairs[:chunkPairs]}
-		dst = AppendFrameFull(dst, KindResponse, r.Op, FlagMore, r.ID, r.Trace, r.Session, EncodeResponse(chunk))
+		chunk := Response{ID: r.ID, Op: r.Op, Status: StatusOK, Pairs: pairs[:chunkPairs]}
+		dst = appendResponseFrame(dst, r, &chunk, FlagMore)
 		pairs = pairs[chunkPairs:]
 	}
 	last := *r
 	last.Pairs = pairs
-	return AppendFrameFull(dst, KindResponse, r.Op, 0, r.ID, r.Trace, r.Session, EncodeResponse(&last))
+	return appendResponseFrame(dst, r, &last, 0)
 }
 
 // WriteResponse frames and writes a response (see AppendResponseFrames for
@@ -557,11 +694,18 @@ func WriteResponse(w io.Writer, r *Response, chunkPairs int) error {
 }
 
 // Accumulate folds a streamed chunk into acc (nil acc starts a new
-// accumulation) and reports whether the response is complete.
+// accumulation) and reports whether the response is complete. A response that
+// arrives whole is returned as it is; the first chunk of a streamed one is
+// copied into a fresh accumulator, and the caller releases every chunk it
+// folded (pair bytes stay valid — see Response.Release).
 func Accumulate(acc, chunk *Response) (*Response, bool) {
 	if acc == nil {
+		if !chunk.More {
+			return chunk, true
+		}
 		cp := *chunk
-		return &cp, !chunk.More
+		cp.body = nil
+		return &cp, false
 	}
 	acc.Pairs = append(acc.Pairs, chunk.Pairs...)
 	if !chunk.More {

@@ -485,6 +485,9 @@ type Request struct {
 	// Hello carries the session handshake body for OpHello frames (nil on
 	// every other verb).
 	Hello *HelloMsg
+
+	// body is the pooled frame body the byte fields view (see Release).
+	body *frameBody
 }
 
 // ExtentAddr is the wire form of a logical extent address (keyspace comes
@@ -640,4 +643,7 @@ type Response struct {
 	// Moved reports how many zones an OpMigrateCold sweep placed on the
 	// cold tier.
 	Moved int64
+
+	// body is the pooled frame body the byte fields view (see Release).
+	body *frameBody
 }
