@@ -3,7 +3,9 @@ package array
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"time"
 
 	"kvcsd/internal/client"
 	"kvcsd/internal/nvme"
@@ -31,6 +33,9 @@ type ReplicatedKeyspace struct {
 	name    string
 	shards  int
 	cluster *replica.Cluster
+	// sms are the state machines the cluster runs on, one per shard and
+	// device: what DeleteKeyspace has to take off the devices again.
+	sms []*deviceSM
 
 	// sessions is the idle-session pool; nextClient numbers fresh sessions.
 	// Sim procs are cooperatively scheduled and checkout/checkin never yield,
@@ -74,6 +79,43 @@ type deviceSM struct {
 	node int    // device ID
 	h    *client.Keyspace
 	mem  map[string][]byte
+
+	// busy counts the Apply and Restore calls inside the device; dropped is
+	// set once the keyspace is being deleted, and refuses further ones.
+	busy    int
+	dropped bool
+}
+
+var errDropped = errors.New("array: replicated keyspace deleted")
+
+// enter admits one Apply or Restore (leave ends it) unless the machine has
+// been dropped.
+func (s *deviceSM) enter() error {
+	if s.dropped {
+		return errDropped
+	}
+	s.busy++
+	return nil
+}
+
+func (s *deviceSM) leave() { s.busy-- }
+
+// drop retires the machine: no new command reaches the device, the ones
+// inside it finish, and the device keyspace — if state ever landed on this
+// member — is deleted with its zones.
+func (s *deviceSM) drop(p *sim.Proc) error {
+	s.dropped = true
+	for s.busy > 0 {
+		p.Sleep(10 * time.Microsecond)
+	}
+	if s.h == nil {
+		return nil
+	}
+	if err := s.a.members[s.node].Client.DeleteKeyspace(p, s.ks); err != nil {
+		return err
+	}
+	s.h, s.mem = nil, nil
+	return nil
 }
 
 func (s *deviceSM) handle(p *sim.Proc) (*client.Keyspace, error) {
@@ -95,6 +137,10 @@ func (s *deviceSM) handle(p *sim.Proc) (*client.Keyspace, error) {
 // Apply implements replica.StateMachine: updates the DRAM view and ingests
 // the pair (or tombstone) into the device keyspace.
 func (s *deviceSM) Apply(p *sim.Proc, cmd replica.Command) error {
+	if err := s.enter(); err != nil {
+		return err
+	}
+	defer s.leave()
 	h, err := s.handle(p)
 	if err != nil {
 		return err
@@ -149,6 +195,10 @@ func (s *deviceSM) Restore(p *sim.Proc, pairs []nvme.KVPair) error {
 	if s.h == nil && s.mem == nil && len(pairs) == 0 {
 		return nil // nothing materialized, nothing to reset
 	}
+	if err := s.enter(); err != nil {
+		return err
+	}
+	defer s.leave()
 	s.mem = make(map[string][]byte, len(pairs))
 	m := s.a.members[s.node]
 	if s.h != nil {
@@ -205,7 +255,9 @@ func (a *Array) CreateReplicated(p *sim.Proc, name string, shards int) (*Replica
 			return a.ring.Owners(groupName(name, shard), rf)
 		},
 		NewSM: func(shard, node int) replica.StateMachine {
-			return &deviceSM{a: a, ks: groupName(name, shard), node: node}
+			sm := &deviceSM{a: a, ks: groupName(name, shard), node: node}
+			k.sms = append(k.sms, sm)
+			return sm
 		},
 		Registry:    a.reg,
 		GaugePrefix: name + "/",
@@ -223,6 +275,26 @@ func (a *Array) CreateReplicated(p *sim.Proc, name string, shards int) (*Replica
 	a.replicated[name] = k
 	a.repOrder = append(a.repOrder, name)
 	return k, nil
+}
+
+// deleteReplicated stops the keyspace's cluster — tickers, delivery procs and
+// waiting clients all return — and deletes the device keyspace of every shard
+// group member that materialised one. The name stays registered if a device
+// could not be reached, so the delete can be repeated once it is back.
+func (a *Array) deleteReplicated(p *sim.Proc, k *ReplicatedKeyspace) error {
+	k.cluster.Stop()
+	var first error
+	for _, sm := range k.sms {
+		if err := sm.drop(p); err != nil && first == nil {
+			first = fmt.Errorf("delete %s on device %d: %w", sm.ks, sm.node, err)
+		}
+	}
+	if first != nil {
+		return first
+	}
+	delete(a.replicated, k.name)
+	a.repOrder = slices.DeleteFunc(a.repOrder, func(n string) bool { return n == k.name })
+	return nil
 }
 
 // groupName is the device-side keyspace name of one shard group.

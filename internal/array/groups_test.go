@@ -1,9 +1,12 @@
 package array
 
 import (
+	"errors"
 	"fmt"
 	"testing"
+	"time"
 
+	"kvcsd/internal/replica"
 	"kvcsd/internal/sim"
 	"kvcsd/internal/wire"
 )
@@ -224,6 +227,63 @@ func TestArrayRingTable(t *testing.T) {
 		}
 		if _, err := a.CreateKeyspace(p, "orders"); err == nil {
 			t.Fatalf("plain over replicated name must fail")
+		}
+	})
+}
+
+// Deleting a replicated keyspace under load: writers in flight fail with the
+// cluster's stop error instead of hanging, commands already inside a device
+// finish before its keyspace goes, nothing recreates a device keyspace behind
+// the delete, and the simulation ends with no ticker or delivery proc left.
+func TestDeleteReplicatedKeyspaceUnderLoad(t *testing.T) {
+	runReplicated(t, DefaultOptions(), func(p *sim.Proc, a *Array) {
+		k, err := a.CreateReplicated(p, "orders", 2)
+		if err != nil {
+			t.Fatalf("CreateReplicated: %v", err)
+		}
+		var writers []*sim.Proc
+		stopped := 0
+		for w := 0; w < 4; w++ {
+			writers = append(writers, p.Env().Go("writer", func(q *sim.Proc) {
+				for i := 0; ; i++ {
+					if err := k.Put(q, []byte(fmt.Sprintf("%c-key-%04d", 'a'+w*6, i)), make([]byte, 4096)); err != nil {
+						if errors.Is(err, replica.ErrStopped) {
+							stopped++
+						} else {
+							t.Errorf("writer %d: %v", w, err)
+						}
+						return
+					}
+				}
+			}))
+		}
+		p.Sleep(20 * time.Millisecond)
+		if err := a.DeleteKeyspace(p, "orders"); err != nil {
+			t.Fatalf("DeleteKeyspace: %v", err)
+		}
+		p.Join(writers...)
+		if stopped != len(writers) {
+			t.Errorf("%d of %d writers saw the keyspace stop", stopped, len(writers))
+		}
+		if _, err := a.OpenReplicated("orders"); !errors.Is(err, ErrKeyspaceUnknown) {
+			t.Errorf("open after delete: %v", err)
+		}
+		if names := a.ReplicatedKeyspaces(); len(names) != 0 {
+			t.Errorf("still registered: %v", names)
+		}
+		if err := a.DeleteKeyspace(p, "orders"); !errors.Is(err, ErrKeyspaceUnknown) {
+			t.Errorf("second delete: %v", err)
+		}
+		p.Sleep(5 * time.Millisecond) // anything still in flight would land now
+		for _, m := range a.Members() {
+			for s := 0; s < 2; s++ {
+				if _, err := m.Client.OpenKeyspace(p, groupName("orders", s)); err == nil {
+					t.Errorf("device %d still holds %s", m.ID, groupName("orders", s))
+				}
+			}
+			if n := m.Dev.Engine().ZoneManager().UsedZones(); n != 0 {
+				t.Errorf("device %d holds %d zones after the delete", m.ID, n)
+			}
 		}
 	})
 }

@@ -146,8 +146,12 @@ func (a *Array) Keyspaces() []string {
 	return append([]string(nil), a.ksOrder...)
 }
 
-// DeleteKeyspace removes a keyspace from every owning device.
+// DeleteKeyspace removes a keyspace — fan-out or consensus-backed — from
+// every owning device.
 func (a *Array) DeleteKeyspace(p *sim.Proc, name string) error {
+	if rk, ok := a.replicated[name]; ok {
+		return a.deleteReplicated(p, rk)
+	}
 	k, ok := a.keyspaces[name]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrKeyspaceUnknown, name)

@@ -266,8 +266,7 @@ func fullSuite(p *sim.Proc, d driver, parts int) error {
 // replicatedSuite drives what a consensus-backed keyspace supports (writes at
 // quorum, read-index gets — readable at once, no compaction) and checks that
 // every other verb of the contract is refused by name, not served stale.
-func replicatedSuite(p *sim.Proc, d driver, parts int) error {
-	const n = 60
+func replicatedSuite(p *sim.Proc, d driver, parts, n int) error {
 	ks, err := d.create(p, confName, parts)
 	if err != nil {
 		return fmt.Errorf("create: %w", err)
@@ -297,9 +296,26 @@ func replicatedSuite(p *sim.Proc, d driver, parts int) error {
 		if err == nil || !strings.Contains(err.Error(), want) {
 			return fmt.Errorf("%s on a replicated keyspace: %v, want %q", verb, err, want)
 		}
-		if !errors.Is(err, wire.ErrBadRequest) {
+		if !errors.Is(err, wire.ErrBadRequest) && !errors.Is(err, array.ErrUnsupported) {
 			return fmt.Errorf("%s refusal is %v, want a bad-request", verb, err)
 		}
+	}
+	// Lifecycle: a deleted keyspace is gone with everything in it, and its
+	// name is free again.
+	if err := d.drop(p, confName); err != nil {
+		return fmt.Errorf("delete keyspace: %w", err)
+	}
+	if _, err := d.open(p, confName); !errors.Is(err, client.ErrNotFound) && !errors.Is(err, array.ErrKeyspaceUnknown) {
+		return fmt.Errorf("open after delete: %v, want not found", err)
+	}
+	if ks, err = d.create(p, confName, parts); err != nil {
+		return fmt.Errorf("recreate under the same name: %w", err)
+	}
+	if _, ok, err := ks.Get(p, confKey(1)); err != nil || ok {
+		return fmt.Errorf("get of a pair the deleted keyspace held: ok=%v err=%v", ok, err)
+	}
+	if err := d.drop(p, confName); err != nil {
+		return fmt.Errorf("delete recreated keyspace: %w", err)
 	}
 	return nil
 }
@@ -345,6 +361,25 @@ func (d arrayDriver) open(_ *sim.Proc, name string) (client.Contract, error) {
 }
 
 func (d arrayDriver) drop(p *sim.Proc, name string) error { return d.a.DeleteKeyspace(p, name) }
+
+// replicatedDriver is arrayDriver with consensus-backed keyspaces.
+type replicatedDriver struct{ arrayDriver }
+
+func (d replicatedDriver) create(p *sim.Proc, name string, parts int) (client.Contract, error) {
+	ks, err := d.a.CreateReplicated(p, name, parts)
+	if err != nil {
+		return nil, err
+	}
+	return ks, nil
+}
+
+func (d replicatedDriver) open(_ *sim.Proc, name string) (client.Contract, error) {
+	ks, err := d.a.OpenReplicated(name)
+	if err != nil {
+		return nil, err
+	}
+	return ks, nil
+}
 
 // --- Loopback driver -------------------------------------------------------
 
@@ -406,7 +441,7 @@ func (r remoteKS) BuildSecondaryIndex(_ *sim.Proc, spec client.IndexSpec) error 
 	return r.ks.BuildSecondaryIndex(spec)
 }
 
-// --- The five drivers ------------------------------------------------------
+// --- The six drivers -------------------------------------------------------
 
 func confDeviceOptions() device.Options {
 	opts := device.DefaultOptions()
@@ -483,11 +518,37 @@ func TestContractConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	t.Run("array-replicated-in-process", func(t *testing.T) {
+		env := sim.NewEnv()
+		a := array.New(env, confArrayOptions())
+		usedZones := func() (n int) {
+			for _, m := range a.Members() {
+				n += m.Dev.Engine().ZoneManager().UsedZones()
+			}
+			return n
+		}
+		var err error
+		env.Go("suite", func(p *sim.Proc) {
+			defer a.Shutdown()
+			before := usedZones()
+			// Enough pairs that every member's ingest buffer spills into zones.
+			if err = replicatedSuite(p, replicatedDriver{arrayDriver{a}}, 2, 10*confKeys); err != nil {
+				return
+			}
+			if after := usedZones(); after != before {
+				err = fmt.Errorf("devices hold %d zones after the keyspace was deleted, %d before it was created", after, before)
+			}
+		})
+		env.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
 	t.Run("array-replicated-loopback", func(t *testing.T) {
 		cfg := server.DefaultConfig()
 		cfg.Replicated = true
 		rc := serve(t, server.NewArray(confArrayOptions(), cfg))
-		if err := replicatedSuite(nil, remoteDriver{rc}, 2); err != nil {
+		if err := replicatedSuite(nil, remoteDriver{rc}, 2, 60); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -45,6 +45,12 @@ type Cluster struct {
 
 	elections int64
 	snapshots int64
+	// The append stream's ledger: entries carried by AppendEntries frames,
+	// entries followers appended from them, and catch-ups started. A healthy
+	// group sends each entry to each follower once, so sent / appended is 1.
+	entriesSent     int64
+	entriesAppended int64
+	probes          int64
 
 	gauges *gauges
 }
@@ -120,13 +126,15 @@ func (c *Cluster) nextMsgID() uint64 {
 }
 
 // Stop shuts the cluster down: tickers exit on their next tick, in-flight
-// frames are dropped, and every waiting client unblocks with ErrStopped.
-// Idempotent. After Stop the env can drain to completion without deadlock.
+// frames are dropped, delivery procs return, and every waiting client unblocks
+// with ErrStopped. Idempotent. After Stop the env can drain to completion
+// without deadlock.
 func (c *Cluster) Stop() {
 	if c.stopped {
 		return
 	}
 	c.stopped = true
+	c.net.procs.Release()
 	for _, n := range c.nodes {
 		for _, g := range n.groups {
 			g.failPending(ErrStopped, ErrStopped)
@@ -176,13 +184,26 @@ func (c *Cluster) Restart(p *sim.Proc, id int) {
 func (c *Cluster) Running(id int) bool { return c.nodes[id].running }
 
 // Partition severs the link between two nodes in both directions.
-func (c *Cluster) Partition(a, b int) { c.net.cut(a, b) }
+func (c *Cluster) Partition(a, b int) { c.net.sever(a, b) }
+
+// DropNext loses the next n frames node from sends to node to: a fault hook
+// for tests, finer than Partition — one AppendEntries gone from the middle of
+// a stream, one ack. A second call replaces the first.
+func (c *Cluster) DropNext(from, to, n int) {
+	c.net.lose = func(f, t int) bool {
+		if f != from || t != to || n <= 0 {
+			return false
+		}
+		n--
+		return true
+	}
+}
 
 // Isolate severs every link touching the node.
 func (c *Cluster) Isolate(id int) {
 	for i := range c.nodes {
 		if i != id {
-			c.net.cut(id, i)
+			c.net.sever(id, i)
 		}
 	}
 }
@@ -277,6 +298,12 @@ type gauges struct {
 	snapshots  *sim.Gauge
 	stepdowns  *sim.Gauge
 	migrations *sim.Gauge
+
+	framesSent      *sim.Gauge
+	bytesSent       *sim.Gauge
+	entriesSent     *sim.Gauge
+	entriesAppended *sim.Gauge
+	probes          *sim.Gauge
 }
 
 func newGauges(reg *obs.Registry, prefix string, shards int) *gauges {
@@ -285,6 +312,12 @@ func newGauges(reg *obs.Registry, prefix string, shards int) *gauges {
 		snapshots:  reg.Gauge(prefix + "replica.snapshots_total"),
 		stepdowns:  reg.Gauge(prefix + "replica.stepdowns_total"),
 		migrations: reg.Gauge(prefix + "replica.migrations_total"),
+
+		framesSent:      reg.Gauge(prefix + "replica.frames_sent_total"),
+		bytesSent:       reg.Gauge(prefix + "replica.bytes_sent_total"),
+		entriesSent:     reg.Gauge(prefix + "replica.entries_sent_total"),
+		entriesAppended: reg.Gauge(prefix + "replica.entries_appended_total"),
+		probes:          reg.Gauge(prefix + "replica.probes_total"),
 	}
 	for s := 0; s < shards; s++ {
 		lg := reg.Gauge(fmt.Sprintf("%sreplica.shard%d.leader", prefix, s))
@@ -310,6 +343,30 @@ func (c *Cluster) countSnapshot(shard int) {
 	c.snapshots++
 	if c.gauges != nil {
 		c.gauges.snapshots.Add(1)
+	}
+}
+
+func (c *Cluster) countEntriesSent(n int) {
+	if n == 0 {
+		return
+	}
+	c.entriesSent += int64(n)
+	if c.gauges != nil {
+		c.gauges.entriesSent.Set(float64(c.entriesSent))
+	}
+}
+
+func (c *Cluster) countEntryAppended() {
+	c.entriesAppended++
+	if c.gauges != nil {
+		c.gauges.entriesAppended.Set(float64(c.entriesAppended))
+	}
+}
+
+func (c *Cluster) countProbe() {
+	c.probes++
+	if c.gauges != nil {
+		c.gauges.probes.Set(float64(c.probes))
 	}
 }
 

@@ -62,11 +62,10 @@ type group struct {
 	sm        StateMachine
 	sessions  map[uint64]uint64 // client -> highest applied seq
 
-	votes        map[int]bool
-	next         map[int]uint64
-	match        map[int]uint64
-	lastAck      map[int]sim.Time
-	lastAckRound map[int]uint64
+	votes map[int]bool
+	// peers is the leader's view of every node, indexed by node ID and reset
+	// when this node wins an election.
+	peers []progress
 
 	electionDeadline sim.Time
 	heartbeatDue     sim.Time
@@ -82,11 +81,38 @@ type group struct {
 	staging       []nvme.KVPair
 	stagingStream uint64
 
-	// snapDue rate-limits leader catch-up snapshots per peer: while one is in
-	// flight there is no point re-shipping the full state every heartbeat.
-	snapDue map[int]sim.Time
-
 	rng *sim.RNG
+}
+
+// progress is what a leader knows about one peer's log, and with it the state
+// of the append stream to that peer.
+//
+// Replicating (probe == 0): every entry is sent once. sendAppend ships
+// log[next:] and moves next past it at send time, without waiting for the ack,
+// so whatever else goes to the peer meanwhile — the next proposal, a
+// read-index round, a heartbeat — carries only entries not sent yet. A success
+// ack only ever raises match and next.
+//
+// Probing (probe != 0): the peer refused a frame — one before it was lost, or
+// its log diverges — and named where its log ends or stops matching. One
+// catch-up AppendEntries from probe is in flight; until the peer acknowledges
+// an index at or past probe-1, further refusals that name probe or later say
+// nothing new (they answer frames sent before the catch-up) and are ignored,
+// a refusal that names an earlier index moves the probe back, and a catch-up
+// that has drawn no answer a heartbeat interval later is sent again by the
+// ticker. A lost or refused frame thus costs the gap plus what was in flight,
+// once.
+type progress struct {
+	match uint64 // highest index known to be in the peer's log
+	next  uint64 // first index not sent yet
+	probe uint64 // first index of the catch-up in flight; 0 when replicating
+
+	probeDue sim.Time // when an unanswered catch-up is sent again
+	lastAck  sim.Time // last reply of any kind, for CheckQuorum
+	ackRound uint64   // highest read-index round acknowledged
+	// snapDue rate-limits catch-up snapshots: while one is in flight there is
+	// no point re-shipping the full state every heartbeat.
+	snapDue sim.Time
 }
 
 func newGroup(c *Cluster, shard, id int, members []int, sm StateMachine) *group {
@@ -104,6 +130,7 @@ func newGroup(c *Cluster, shard, id int, members []int, sm StateMachine) *group 
 		members:      append([]int(nil), members...),
 		epoch:        1,
 		props:        map[uint64]*pending{},
+		peers:        make([]progress, c.opts.Nodes),
 		rng:          c.rng.Fork(int64(shard)*1024 + int64(id) + 1),
 	}
 	g.resetElectionDeadline()
@@ -178,8 +205,8 @@ func (g *group) resetElectionDeadline() {
 	g.electionDeadline = g.c.env.Now().Add(et + jitter)
 }
 
-// tick drives timers: election timeout on followers/candidates, heartbeats
-// and the CheckQuorum rule on leaders.
+// tick drives timers: election timeout on followers/candidates; heartbeats,
+// unanswered catch-ups and the CheckQuorum rule on leaders.
 func (g *group) tick(p *sim.Proc) {
 	now := g.c.env.Now()
 	switch g.role {
@@ -193,6 +220,13 @@ func (g *group) tick(p *sim.Proc) {
 				// retry loops (and the simulation) from hanging forever.
 				g.stepDown(g.term, -1)
 				return
+			}
+		}
+		for _, m := range g.members {
+			if pr := &g.peers[m]; m != g.id && pr.probe != 0 && now >= pr.probeDue {
+				// The catch-up or its ack was lost.
+				g.startProbe(pr, pr.probe)
+				g.sendAppend(m, 0)
 			}
 		}
 		if now >= g.heartbeatDue {
@@ -211,7 +245,7 @@ func (g *group) hasQuorumContact(now sim.Time) bool {
 		if m == g.id {
 			continue
 		}
-		if now-g.lastAck[m] <= sim.Time(g.c.opts.ElectionTimeout) {
+		if now-g.peers[m].lastAck <= sim.Time(g.c.opts.ElectionTimeout) {
 			contact++
 		}
 	}
@@ -296,14 +330,8 @@ func (g *group) becomeLeader(p *sim.Proc) {
 	now := g.c.env.Now()
 	g.role = roleLeader
 	g.leader = g.id
-	g.next = map[int]uint64{}
-	g.match = map[int]uint64{}
-	g.lastAck = map[int]sim.Time{}
-	g.lastAckRound = map[int]uint64{}
-	g.snapDue = map[int]sim.Time{}
-	for _, m := range g.members {
-		g.next[m] = g.lastIndex() + 1
-		g.lastAck[m] = now
+	for i := range g.peers {
+		g.peers[i] = progress{next: g.lastIndex() + 1, lastAck: now}
 	}
 	g.quorumCheckDue = now.Add(g.c.opts.ElectionTimeout)
 	g.c.noteLeader(g.shard, g.id, g.term)
@@ -338,21 +366,20 @@ func (g *group) broadcastAppend(round uint64) {
 	}
 }
 
+// sendAppend ships every entry not yet sent to the peer — none, for a
+// heartbeat or a read-index round on a peer that is up to date — straight from
+// the log, and counts it sent (see progress).
 func (g *group) sendAppend(to int, round uint64) {
-	next := g.next[to]
-	if next == 0 {
-		next = 1
-	}
-	if next <= g.base {
+	pr := &g.peers[to]
+	if pr.next <= g.base {
 		// The peer is behind our snapshot horizon: ship the snapshot itself.
 		g.sendSnapshot(to)
 		return
 	}
-	prev := next - 1
-	var entries []wire.ReplicaEntry
-	if next <= g.lastIndex() {
-		entries = append(entries, g.log[next-g.base-1:]...)
-	}
+	prev := pr.next - 1
+	entries := g.log[prev-g.base:]
+	pr.next = g.lastIndex() + 1
+	g.c.countEntriesSent(len(entries))
 	g.c.net.sendRequest(g.id, to, &wire.Request{
 		ID: g.c.nextMsgID(),
 		Op: wire.OpAppendEntries,
@@ -369,17 +396,24 @@ func (g *group) sendAppend(to int, round uint64) {
 	})
 }
 
+// startProbe makes the next AppendEntries to the peer a catch-up from index
+// from.
+func (g *group) startProbe(pr *progress, from uint64) {
+	pr.probe, pr.next = from, from
+	pr.probeDue = g.c.env.Now().Add(g.c.opts.HeartbeatInterval)
+	g.c.countProbe()
+}
+
+// handleAppendEntries is the follower side. The reply goes out as soon as the
+// entries are in the log and the commit index is updated, and only then are
+// newly committed entries applied: the log is the persistent state and
+// applying is replaying it, so what the leader waits for is what is logged —
+// a follower that crashes between the two replays the entry after restart.
 func (g *group) handleAppendEntries(p *sim.Proc, m *wire.ReplicaMsg) {
-	reply := &wire.ReplicaReply{Shard: uint32(g.shard), From: uint32(g.id)}
-	defer func() {
-		reply.Term = g.term
-		g.c.net.sendResponse(g.id, int(m.From), &wire.Response{
-			ID: g.c.nextMsgID(), Op: wire.OpAppendEntries, Status: wire.StatusOK,
-			Replica: reply,
-		})
-	}()
+	reply := wire.ReplicaReply{Shard: uint32(g.shard), From: uint32(g.id)}
 	if m.Term < g.term {
-		return // Success=false, stale leader learns our term
+		g.replyAppend(m, &reply) // Success=false, stale leader learns our term
+		return
 	}
 	if m.Term > g.term || g.role != roleFollower {
 		g.stepDown(m.Term, int(m.From))
@@ -390,15 +424,12 @@ func (g *group) handleAppendEntries(p *sim.Proc, m *wire.ReplicaMsg) {
 	// Log-matching check at (PrevIndex, PrevTerm).
 	if m.PrevIndex > g.lastIndex() {
 		reply.MatchIndex = g.lastIndex()
+		g.replyAppend(m, &reply)
 		return
 	}
 	if m.PrevIndex >= g.base && g.termAt(m.PrevIndex) != m.PrevTerm {
-		back := m.PrevIndex - 1
-		if back > g.base {
-			reply.MatchIndex = back
-		} else {
-			reply.MatchIndex = g.base
-		}
+		reply.MatchIndex = max(m.PrevIndex-1, g.base)
+		g.replyAppend(m, &reply)
 		return
 	}
 
@@ -417,20 +448,33 @@ func (g *group) handleAppendEntries(p *sim.Proc, m *wire.ReplicaMsg) {
 			g.log = g.log[:e.Index-g.base-1]
 			g.recomputeConfig()
 		}
-		// The entry's bytes are views into the delivered frame, which also
-		// carries every entry this log already holds: keep a copy, not the frame.
+		// The entry's bytes are views into the delivered frame, which goes
+		// back to the transport: keep a copy.
 		own := *e
 		own.Key, own.Value = ownedCopy(e.Key, e.Value)
 		g.log = append(g.log, own)
 		g.applyConfig(e)
+		g.c.countEntryAppended()
 	}
 	reply.Success = true
 	reply.MatchIndex = m.PrevIndex + uint64(len(m.Entries))
 	reply.Round = m.Round
-	if m.Commit > g.commit {
+	committed := m.Commit > g.commit
+	if committed {
 		g.commit = min(m.Commit, g.lastIndex())
+	}
+	g.replyAppend(m, &reply)
+	if committed {
 		g.applyCommitted(p)
 	}
+}
+
+func (g *group) replyAppend(m *wire.ReplicaMsg, reply *wire.ReplicaReply) {
+	reply.Term = g.term
+	g.c.net.sendResponse(g.id, int(m.From), &wire.Response{
+		ID: g.c.nextMsgID(), Op: wire.OpAppendEntries, Status: wire.StatusOK,
+		Replica: reply,
+	})
 }
 
 func (g *group) handleAppendReply(p *sim.Proc, r *wire.ReplicaReply) {
@@ -438,36 +482,32 @@ func (g *group) handleAppendReply(p *sim.Proc, r *wire.ReplicaReply) {
 		g.stepDown(r.Term, -1)
 		return
 	}
-	if g.role != roleLeader || r.Term != g.term {
+	if g.role != roleLeader || r.Term != g.term || int(r.From) >= len(g.peers) {
 		return
 	}
 	from := int(r.From)
-	g.lastAck[from] = g.c.env.Now()
+	pr := &g.peers[from]
+	pr.lastAck = g.c.env.Now()
 	if !r.Success {
-		// Back off next[] toward the follower's hint and re-probe.
-		n := r.MatchIndex + 1
-		if n < 1 {
-			n = 1
+		// The peer's log ends, or stops matching ours, at MatchIndex.
+		at := r.MatchIndex + 1
+		if pr.probe != 0 && at >= pr.probe {
+			return // answers a frame sent before the catch-up in flight
 		}
-		if n < g.next[from] {
-			g.next[from] = n
-		} else if g.next[from] > 1 {
-			g.next[from]--
-		}
+		g.startProbe(pr, at)
 		g.sendAppend(from, 0)
 		return
 	}
-	if r.MatchIndex > g.match[from] {
-		g.match[from] = r.MatchIndex
-		g.next[from] = r.MatchIndex + 1
+	pr.match = max(pr.match, r.MatchIndex)
+	pr.next = max(pr.next, r.MatchIndex+1)
+	if r.MatchIndex+1 >= pr.probe {
+		pr.probe = 0
 	}
-	if r.Round > g.lastAckRound[from] {
-		g.lastAckRound[from] = r.Round
-	}
+	pr.ackRound = max(pr.ackRound, r.Round)
 	g.advanceCommit(p)
 	g.serveReads(p)
-	// Keep pushing if the follower is still behind.
-	if g.next[from] <= g.lastIndex() {
+	// Keep pushing if there is something the follower has not been sent.
+	if pr.next <= g.lastIndex() {
 		g.sendAppend(from, 0)
 	}
 }
@@ -485,7 +525,7 @@ func (g *group) advanceCommit(p *sim.Proc) {
 				if g.lastIndex() >= n {
 					count++
 				}
-			} else if g.match[m] >= n {
+			} else if g.peers[m].match >= n {
 				count++
 			}
 		}
@@ -556,27 +596,29 @@ func (g *group) applyCommitted(p *sim.Proc) {
 		}
 	}
 	g.c.noteCommit(g.shard, g.id)
+	// A confirmed read may have been waiting for this drain, and nothing else
+	// is due to look at it before the next reply arrives.
+	g.serveReads(p)
 }
 
 // --- snapshots --------------------------------------------------------------
 
 // sendSnapshot ships the leader's snapshot to a peer that has fallen behind
 // the log base, as a single Migrate frame with Round=0 (no coordinator call):
-// the ack comes back through handleSnapshotReply, which advances next[to] so
-// post-snapshot entries follow via ordinary AppendEntries. While one snapshot
-// is in flight, re-sends to the same peer are suppressed.
+// the ack comes back through handleSnapshotReply, which advances the peer's
+// next so post-snapshot entries follow via ordinary AppendEntries. While one
+// snapshot is in flight, re-sends to the same peer are suppressed.
 func (g *group) sendSnapshot(to int) {
-	now := g.c.env.Now()
-	if now < g.snapDue[to] {
+	pr, now := &g.peers[to], g.c.env.Now()
+	if now < pr.snapDue {
 		return
 	}
-	g.snapDue[to] = now.Add(g.c.opts.ElectionTimeout)
-	pairs := append([]nvme.KVPair(nil), g.snapPairs...)
+	pr.snapDue = now.Add(g.c.opts.ElectionTimeout)
 	g.c.countSnapshot(g.shard)
 	g.c.net.sendRequest(g.id, to, &wire.Request{
 		ID:    g.c.nextMsgID(),
 		Op:    wire.OpMigrate,
-		Pairs: pairs,
+		Pairs: g.snapPairs,
 		Replica: &wire.ReplicaMsg{
 			Shard:     uint32(g.shard),
 			From:      uint32(g.id),
@@ -605,21 +647,19 @@ func (g *group) handleSnapshotReply(p *sim.Proc, r *wire.ReplicaReply) {
 		g.stepDown(r.Term, -1)
 		return
 	}
-	if g.role != roleLeader || r.Term != g.term {
+	if g.role != roleLeader || r.Term != g.term || int(r.From) >= len(g.peers) {
 		return
 	}
 	from := int(r.From)
-	g.lastAck[from] = g.c.env.Now()
-	g.snapDue[from] = 0
-	if r.MatchIndex > g.match[from] {
-		g.match[from] = r.MatchIndex
-	}
-	if r.MatchIndex+1 > g.next[from] {
-		g.next[from] = r.MatchIndex + 1
-	}
+	pr := &g.peers[from]
+	pr.lastAck = g.c.env.Now()
+	pr.snapDue = 0
+	pr.match = max(pr.match, r.MatchIndex)
+	pr.next = max(pr.next, r.MatchIndex+1)
+	pr.probe = 0
 	g.advanceCommit(p)
 	g.serveReads(p)
-	if g.next[from] <= g.lastIndex() {
+	if pr.next <= g.lastIndex() {
 		g.sendAppend(from, 0)
 	}
 }
@@ -660,7 +700,11 @@ func (g *group) handleMigrate(p *sim.Proc, req *wire.Request) {
 		send()
 		return
 	}
-	g.staging = append(g.staging, req.Pairs...)
+	// Staged pairs outlive this chunk's frame.
+	for _, kv := range req.Pairs {
+		kv.Key, kv.Value = ownedCopy(kv.Key, kv.Value)
+		g.staging = append(g.staging, kv)
+	}
 	if !m.Done {
 		reply.Success = true
 		send()
@@ -675,7 +719,7 @@ func (g *group) handleMigrate(p *sim.Proc, req *wire.Request) {
 	g.base = m.SnapIndex
 	g.baseTerm = m.SnapTerm
 	g.log = nil
-	g.snapPairs = append([]nvme.KVPair(nil), pairs...)
+	g.snapPairs = pairs
 	g.snapSessions = map[uint64]uint64{}
 	g.sessions = map[uint64]uint64{}
 	for _, s := range m.Sessions {
@@ -799,7 +843,7 @@ func (g *group) serveReads(p *sim.Proc) {
 	for _, rd := range g.reads {
 		count := 1 // self
 		for _, m := range g.members {
-			if m != g.id && g.lastAckRound[m] >= rd.round {
+			if m != g.id && g.peers[m].ackRound >= rd.round {
 				count++
 			}
 		}

@@ -19,9 +19,15 @@
 // owner over Migrate frames and then runs add-then-remove config changes, so
 // any two successive configs share a quorum.
 //
+// A leader sends every log entry to every follower once: it counts an entry
+// sent when it ships it, not when it is acknowledged, and goes back only when
+// a follower refuses a frame (see progress in group.go). Followers
+// acknowledge what is in their log and apply afterwards.
+//
 // Every consensus message is genuinely encoded to a wire frame (CRC and all)
 // on send and decoded on delivery: the transport is the same protocol a
-// remote shard group would speak, just running over simulated links.
+// remote shard group would speak, just running over simulated links (who owns
+// such a frame is stated in transport.go).
 package replica
 
 import (

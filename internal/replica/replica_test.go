@@ -376,6 +376,10 @@ func TestGaugesPublished(t *testing.T) {
 		if err := s.Put(p, 0, []byte("k"), []byte("v")); err != nil {
 			t.Errorf("Put: %v", err)
 		}
+		if _, err := c.WaitLeader(p, 1); err != nil {
+			t.Errorf("WaitLeader: %v", err)
+		}
+		p.Sleep(c.opts.LinkDelay) // nothing sent is still on a link
 	})
 	env.Run()
 	if g := reg.LookupGauge("replica.shard0.leader"); g == nil || g.Value() < 0 {
@@ -386,6 +390,22 @@ func TestGaugesPublished(t *testing.T) {
 	}
 	if g := reg.LookupGauge("replica.shard0.commit"); g == nil || g.Value() < 1 {
 		t.Fatalf("commit gauge missing or zero")
+	}
+	// The append stream's ledger matches the cluster's own counters; no frame
+	// was lost, so every entry sent was appended and nothing was caught up.
+	for name, want := range map[string]int64{
+		"replica.frames_sent_total":      c.FramesSent(),
+		"replica.bytes_sent_total":       c.BytesSent(),
+		"replica.entries_sent_total":     c.entriesSent,
+		"replica.entries_appended_total": c.entriesAppended,
+		"replica.probes_total":           0,
+	} {
+		if g := reg.LookupGauge(name); g == nil || int64(g.Value()) != want {
+			t.Errorf("gauge %s = %v, want %d", name, g, want)
+		}
+	}
+	if c.entriesSent == 0 || c.entriesSent != c.entriesAppended {
+		t.Errorf("%d entries sent, %d appended on a healthy cluster", c.entriesSent, c.entriesAppended)
 	}
 }
 

@@ -21,7 +21,7 @@ const migrateChunkPairs = 128
 // ack arrives or the timeout proc fires.
 type call struct {
 	ev    *sim.Event
-	reply *wire.ReplicaReply
+	reply wire.ReplicaReply
 	err   error
 }
 
@@ -34,7 +34,7 @@ func (c *Cluster) resolveCall(r *wire.ReplicaReply) bool {
 		return false
 	}
 	delete(c.calls, r.Round)
-	cl.reply = r
+	cl.reply = *r // r is the delivery's scratch: the coordinator reads a copy
 	cl.ev.Signal()
 	return true
 }
@@ -61,7 +61,7 @@ func (c *Cluster) rpcMigrate(p *sim.Proc, from, to int, req *wire.Request) (*wir
 	if cl.err != nil {
 		return nil, cl.err
 	}
-	return cl.reply, nil
+	return &cl.reply, nil
 }
 
 // MoveShard reshards: it streams the shard's state to node `to` over Migrate

@@ -1,8 +1,6 @@
 package replica
 
 import (
-	"fmt"
-
 	"kvcsd/internal/sim"
 	"kvcsd/internal/wire"
 )
@@ -19,49 +17,89 @@ const (
 // message is encoded to a real wire frame on send and decoded on delivery, so
 // the bytes counted here are the bytes a physical deployment would move, and
 // a frame a partition drops is a frame the protocol never saw.
+//
+// # Who owns a consensus frame
+//
+// A frame is encoded into a buffer the transport lends, carried by one
+// resident delivery proc — sleep the link delay, decode into that proc's
+// scratch, run the handler — and the buffer goes back to the transport when
+// the handler returns. Everything a handler is given (the request or reply,
+// its entries, the key, value and pair bytes they view) is therefore valid
+// until that handler returns, across any virtual time it spends applying, and
+// not after: what a group keeps — a log entry, a staged snapshot pair, a
+// migrate call's reply — it copies.
 type transport struct {
 	c     *Cluster
 	delay sim.Duration
 
-	// blocked holds directed (from, to) pairs a partition currently severs.
-	blocked map[[2]int]bool
+	// cut[from*nodes+to] marks a directed link a partition currently severs.
+	cut []bool
+	// lose, when set, is asked about every frame a link accepts and loses the
+	// ones it answers true for: the fault hook behind DropNext.
+	lose func(from, to int) bool
 
-	// procNames[from*nodes+to] names the delivery proc of a frame on that
-	// link; built once, because ship runs for every frame.
-	procNames []string
+	procs *sim.ResidentProcs[delivery]
+	// free holds the frame buffers not on a link.
+	free [][]byte
 
 	framesSent    int64
 	framesDropped int64
 	bytesSent     int64
 }
 
+// delivery is the state of one delivery proc: the frame it carries and the
+// structs that frame is decoded into.
+type delivery struct {
+	from, to int
+	frame    []byte
+	scratch  wire.DecodeScratch
+}
+
+// frameReserve is the capacity of a fresh frame buffer: room for a heartbeat,
+// a vote or an AppendEntries with a few small entries without growing.
+const frameReserve = 1 << 10
+
 func newTransport(c *Cluster, delay sim.Duration, nodes int) *transport {
-	t := &transport{c: c, delay: delay, blocked: map[[2]int]bool{}, procNames: make([]string, nodes*nodes)}
-	for from := 0; from < nodes; from++ {
-		for to := 0; to < nodes; to++ {
-			t.procNames[from*nodes+to] = fmt.Sprintf("replica:net:%d->%d", from, to)
-		}
-	}
+	t := &transport{c: c, delay: delay, cut: make([]bool, nodes*nodes)}
+	t.procs = sim.NewResidentProcs(c.env, "replica:net", t.carry)
 	return t
 }
 
-func (t *transport) cut(a, b int) {
-	t.blocked[[2]int{a, b}] = true
-	t.blocked[[2]int{b, a}] = true
+func (t *transport) sever(a, b int) {
+	n := len(t.c.nodes)
+	t.cut[a*n+b], t.cut[b*n+a] = true, true
 }
 
-func (t *transport) heal() { t.blocked = map[[2]int]bool{} }
+func (t *transport) heal() { clear(t.cut) }
 
-func (t *transport) severed(from, to int) bool { return t.blocked[[2]int{from, to}] }
+func (t *transport) severed(from, to int) bool { return t.cut[from*len(t.c.nodes)+to] }
+
+func (t *transport) buffer() []byte {
+	if n := len(t.free); n > 0 {
+		b := t.free[n-1]
+		t.free = t.free[:n-1]
+		return b
+	}
+	return make([]byte, 0, frameReserve)
+}
+
+func (t *transport) recycle(frame []byte) {
+	if cap(frame) <= wire.MaxKeptBuffer {
+		wire.Poison(frame)
+		t.free = append(t.free, frame[:0])
+	}
+}
 
 // sendRequest frames and ships a consensus request from node `from` to node
 // `to`; delivery happens one link delay later unless the link is severed or
-// the target is down at delivery time.
+// the target is down at delivery time. Encoding is synchronous: req and all it
+// references are the caller's again when sendRequest returns.
 func (t *transport) sendRequest(from, to int, req *wire.Request) {
-	frame, err := wire.AppendRequestFrame(nil, req)
+	frame, err := wire.AppendRequestFrame(t.buffer(), req)
 	if err != nil {
 		// Larger than any frame a link carries: lost like a dropped frame.
 		t.framesDropped++
+		t.recycle(frame)
 		return
 	}
 	t.ship(from, to, frame)
@@ -69,36 +107,48 @@ func (t *transport) sendRequest(from, to int, req *wire.Request) {
 
 // sendResponse frames and ships a consensus reply.
 func (t *transport) sendResponse(from, to int, resp *wire.Response) {
-	t.ship(from, to, wire.AppendResponseFrames(nil, resp, 0))
+	t.ship(from, to, wire.AppendResponseFrames(t.buffer(), resp, 0))
 }
 
 func (t *transport) ship(from, to int, frame []byte) {
 	c := t.c
 	if c.stopped || from == to || to < 0 || to >= len(c.nodes) {
+		t.recycle(frame)
 		return
 	}
-	if t.severed(from, to) || !c.nodes[from].running {
+	if t.severed(from, to) || !c.nodes[from].running || (t.lose != nil && t.lose(from, to)) {
 		t.framesDropped++
+		t.recycle(frame)
 		return
 	}
 	t.framesSent++
 	t.bytesSent += int64(len(frame))
-	c.env.Go(t.procNames[from*len(c.nodes)+to], func(p *sim.Proc) {
-		p.Sleep(t.delay)
-		if c.stopped || t.severed(from, to) || !c.nodes[to].running {
-			t.framesDropped++
-			return
-		}
-		c.nodes[to].deliver(p, frame)
-	})
+	if c.gauges != nil {
+		c.gauges.framesSent.Set(float64(t.framesSent))
+		c.gauges.bytesSent.Set(float64(t.bytesSent))
+	}
+	d := t.procs.Dispatch()
+	d.from, d.to, d.frame = from, to, frame
+}
+
+// carry is a delivery proc's body: one frame across its link.
+func (t *transport) carry(p *sim.Proc, d *delivery) {
+	p.Sleep(t.delay)
+	c := t.c
+	if c.stopped || t.severed(d.from, d.to) || !c.nodes[d.to].running {
+		t.framesDropped++
+	} else {
+		c.nodes[d.to].deliver(p, d.frame, &d.scratch)
+	}
+	t.recycle(d.frame)
+	d.frame = nil
 }
 
 // deliver decodes one frame on the receiving node and dispatches it to the
 // shard group it names. Malformed frames are dropped, exactly as a gateway
-// would drop them. The frame is parsed where it lies: log entries and snapshot
-// pairs the group keeps are views into it, and a shipped frame is never
-// written again.
-func (n *node) deliver(p *sim.Proc, frame []byte) {
+// would drop them. The frame is parsed where it lies and decoded into sc (see
+// "Who owns a consensus frame").
+func (n *node) deliver(p *sim.Proc, frame []byte, sc *wire.DecodeScratch) {
 	h, payload, err := wire.ParseFrame(frame)
 	if err != nil {
 		n.c.net.framesDropped++
@@ -106,7 +156,7 @@ func (n *node) deliver(p *sim.Proc, frame []byte) {
 	}
 	switch h.Kind {
 	case wire.KindRequest:
-		req, err := wire.DecodeRequest(h, payload)
+		req, err := sc.DecodeRequest(h, payload)
 		if err != nil || req.Replica == nil {
 			n.c.net.framesDropped++
 			return
@@ -124,7 +174,7 @@ func (n *node) deliver(p *sim.Proc, frame []byte) {
 			g.handleMigrate(p, req)
 		}
 	case wire.KindResponse:
-		resp, err := wire.DecodeResponse(h, payload)
+		resp, err := sc.DecodeResponse(h, payload)
 		if err != nil || resp.Replica == nil {
 			n.c.net.framesDropped++
 			return

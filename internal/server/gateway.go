@@ -41,12 +41,9 @@ func (s *Server) gateway(p *sim.Proc) {
 	// work, then stop the device dispatch loops so the simulation can end.
 	_ = s.backend.WaitIdle(p)
 	s.backend.Shutdown()
-	// Parked handler procs have no wake-up pending; woken with no work they
-	// return, so the simulation ends with nothing blocked.
-	for _, h := range s.idle {
-		p.Env().Wake(h.p)
-	}
-	s.idle = nil
+	// Parked handler procs have no wake-up pending: let them return, so the
+	// simulation ends with nothing blocked.
+	s.handlers.Release()
 }
 
 // rpcNames holds, per opcode, the rpc span's name and op label, built once:
@@ -67,53 +64,32 @@ type putGroup struct {
 	tasks    []*task
 }
 
-// handler is a resident handler proc: it runs one unit of a batch (a request
-// or a coalesced put group), parks itself on the server's idle list, and is
-// woken with the next one. A request therefore costs no goroutine, Proc,
-// channel, Event or closure, and runs on a stack that has already grown.
+// handler is the state of one resident handler proc (sim.ResidentProcs): the
+// unit of a batch it has been handed — a request or a coalesced put group.
+// Exactly one of t and g is set while it runs.
 type handler struct {
-	p *sim.Proc
-	// Exactly one of t and g is set while the handler has work.
 	t *task
 	g *putGroup
 }
 
-// dispatch hands one unit of the running batch to an idle handler, spawning
-// one only when none is parked. Waking a parked proc and starting a new one
-// schedule the same event — the handler's first step at the current virtual
-// instant, after everything dispatched before it — so which of the two
-// happens does not show in virtual time.
-func (s *Server) dispatch(env *sim.Env, t *task, g *putGroup) {
+// dispatch hands one unit of the running batch to a resident handler proc.
+func (s *Server) dispatch(t *task, g *putGroup) {
 	s.pending++
-	if n := len(s.idle); n > 0 {
-		h := s.idle[n-1]
-		s.idle = s.idle[:n-1]
-		h.t, h.g = t, g
-		env.Wake(h.p)
-		return
-	}
-	h := &handler{t: t, g: g}
-	h.p = env.Go("rpc-handler", func(q *sim.Proc) { s.serve(q, h) })
+	h := s.handlers.Dispatch()
+	h.t, h.g = t, g
 }
 
-// serve is a handler proc's body: run the unit in hand, report it done, park.
+// serve is a handler proc's body: run the unit in hand and report it done.
 // The handler that finishes a batch's last unit wakes the gateway.
 func (s *Server) serve(q *sim.Proc, h *handler) {
-	for {
-		switch {
-		case h.t != nil:
-			s.handle(q, h.t)
-		case h.g != nil:
-			s.handleGroup(q, h.g)
-		default:
-			return // woken with nothing to do: the gateway is shutting down
-		}
-		h.t, h.g = nil, nil
-		s.idle = append(s.idle, h)
-		if s.pending--; s.pending == 0 {
-			q.Env().Wake(s.gw)
-		}
-		q.Block()
+	if h.t != nil {
+		s.handle(q, h.t)
+	} else {
+		s.handleGroup(q, h.g)
+	}
+	h.t, h.g = nil, nil
+	if s.pending--; s.pending == 0 {
+		q.Env().Wake(s.gw)
 	}
 }
 
@@ -123,14 +99,13 @@ func (s *Server) serve(q *sim.Proc, h *handler) {
 // in batch order; the gateway parks until the last of them finishes, so
 // batches never interleave.
 func (s *Server) runBatch(p *sim.Proc, items []*session.Item) {
-	env := p.Env()
 	groups := s.splitBatch(items)
 	for _, g := range groups {
 		s.met.addCoalesced(len(g.tasks))
-		s.dispatch(env, nil, g)
+		s.dispatch(nil, g)
 	}
 	for _, t := range s.singles {
-		s.dispatch(env, t, nil)
+		s.dispatch(t, nil)
 	}
 	p.Block()
 }

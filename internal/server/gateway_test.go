@@ -68,6 +68,7 @@ type gatewayRig struct {
 func newGatewayRig(env *sim.Env, window int) *gatewayRig {
 	b := &orderBackend{resp: wire.Response{Status: wire.StatusOK}}
 	s := &Server{env: env, backend: b, met: newMetrics(), byKS: make(map[string]*putGroup)}
+	s.handlers = sim.NewResidentProcs(env, "rpc-handler", s.serve)
 	return &gatewayRig{s: s, b: b, c: &conn{s: s, out: make(chan *task, window)}}
 }
 
@@ -90,12 +91,7 @@ func (g *gatewayRig) run(p *sim.Proc, items []*session.Item) {
 }
 
 // stop lets the parked handlers return so the simulation can end.
-func (g *gatewayRig) stop(p *sim.Proc) {
-	for _, h := range g.s.idle {
-		p.Env().Wake(h.p)
-	}
-	g.s.idle = nil
-}
+func (g *gatewayRig) stop() { g.s.handlers.Release() }
 
 // TestResidentHandlersKeepBatchOrder: the units of a batch reach the backend
 // in batch order whether their handlers were just spawned, all reused, or a
@@ -105,7 +101,7 @@ func TestResidentHandlersKeepBatchOrder(t *testing.T) {
 	g := newGatewayRig(env, 8)
 	env.Go("driver", func(p *sim.Proc) {
 		g.s.gw = p
-		defer g.stop(p)
+		defer g.stop()
 		for _, ids := range [][]uint64{{1, 2, 3}, {4, 5, 6}, {7}, {8, 9, 10, 11, 12}, {13, 14}} {
 			g.b.order = g.b.order[:0]
 			g.run(p, g.batch(ids...))
@@ -120,8 +116,8 @@ func TestResidentHandlersKeepBatchOrder(t *testing.T) {
 				}
 			}
 		}
-		if len(g.s.idle) != 5 {
-			t.Errorf("%d handler procs after batches of at most 5, want 5", len(g.s.idle))
+		if n := g.s.handlers.Idle(); n != 5 {
+			t.Errorf("%d handler procs after batches of at most 5, want 5", n)
 		}
 	})
 	env.Run()
@@ -136,7 +132,7 @@ func TestResidentDispatchAllocs(t *testing.T) {
 	var allocs float64
 	env.Go("driver", func(p *sim.Proc) {
 		g.s.gw = p
-		defer g.stop(p)
+		defer g.stop()
 		items := g.batch(1)
 		g.b.order = make([]uint64, 0, 4096)
 		for i := 0; i < 64; i++ { // spawn the handler, grow the histograms

@@ -197,12 +197,12 @@ type Server struct {
 	// the resident handler procs parked for work, how many dispatched units
 	// of the running batch have not finished, and scratch for splitting a
 	// batch (see gateway.go).
-	gw      *sim.Proc
-	idle    []*handler
-	pending int
-	singles []*task
-	puts    []*task
-	byKS    map[string]*putGroup
+	gw       *sim.Proc
+	handlers *sim.ResidentProcs[handler]
+	pending  int
+	singles  []*task
+	puts     []*task
+	byKS     map[string]*putGroup
 
 	telemetry *telemetryServer
 
@@ -231,6 +231,7 @@ func New(env *sim.Env, b Backend, cfg Config) *Server {
 		acceptDone: make(chan struct{}),
 	}
 	s.gw = env.Go("gateway", s.gateway)
+	s.handlers = sim.NewResidentProcs(env, "rpc-handler", s.serve)
 	return s
 }
 

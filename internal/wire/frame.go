@@ -127,18 +127,25 @@ const poisonByte = 0xDB
 // own tests.
 var poisonReleased = raceEnabled
 
-// release returns fb to the pool. With handOff the buffer stays with whoever
-// holds views into it.
-func (fb *frameBody) release(handOff bool) {
-	switch {
-	case handOff || cap(fb.buf) > MaxKeptBuffer:
-		fb.buf = nil
-	case poisonReleased:
-		b := fb.buf[:cap(fb.buf)]
+// Poison overwrites a buffer that is about to be reused, in builds that poison
+// (see poisonReleased) and nowhere else: whoever still holds a view into it
+// then reads garbage, not the bytes of the frame before.
+func Poison(b []byte) {
+	if poisonReleased {
+		b = b[:cap(b)]
 		for i := range b {
 			b[i] = poisonByte
 		}
 	}
+}
+
+// release returns fb to the pool. With handOff the buffer stays with whoever
+// holds views into it.
+func (fb *frameBody) release(handOff bool) {
+	if handOff || cap(fb.buf) > MaxKeptBuffer {
+		fb.buf = nil
+	}
+	Poison(fb.buf)
 	// req.Pairs is backed by fb.pairs: drop the views it holds, keep the array.
 	clear(fb.req.Pairs)
 	if cap(fb.pairs) > maxPooledPairs {

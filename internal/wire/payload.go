@@ -280,7 +280,7 @@ func encodeRequest(e *encoder, r *Request) {
 // the request is pooled with the frame's body and DecodeRequest takes both
 // over: valid until Release, and released here when the payload is malformed.
 func DecodeRequest(h Header, payload []byte) (*Request, error) {
-	r, err := decodeRequest(h, payload)
+	r, err := decodeRequest(h, payload, nil)
 	if err != nil {
 		if h.body != nil {
 			h.body.release(false)
@@ -290,7 +290,9 @@ func DecodeRequest(h Header, payload []byte) (*Request, error) {
 	return r, nil
 }
 
-func decodeRequest(h Header, payload []byte) (*Request, error) {
+// decodeRequest decodes into the body's pooled request, else into sc's, else
+// into a new one.
+func decodeRequest(h Header, payload []byte, sc *DecodeScratch) (*Request, error) {
 	fb := h.body
 	if !h.Op.Valid() {
 		return nil, fmt.Errorf("%w: opcode %d", ErrDecode, uint8(h.Op))
@@ -299,9 +301,12 @@ func decodeRequest(h Header, payload []byte) (*Request, error) {
 	var r *Request
 	var lastKeyspace string
 	var pairScratch []nvme.KVPair
-	if fb != nil {
+	switch {
+	case fb != nil:
 		r, lastKeyspace, pairScratch = &fb.req, fb.keyspace, fb.pairs
-	} else {
+	case sc != nil:
+		r = &sc.req
+	default:
 		r = new(Request)
 	}
 	*r = Request{ID: h.ID, Op: h.Op, Trace: h.Trace,
@@ -327,7 +332,11 @@ func decodeRequest(h Header, payload []byte) (*Request, error) {
 	r.Parts = uint32(d.uvarint())
 	r.Device = uint32(d.uvarint())
 	if d.boolean() {
-		r.Replica = decodeReplicaMsg(&d)
+		if sc != nil {
+			r.Replica = decodeReplicaMsg(&d, &sc.msg)
+		} else {
+			r.Replica = decodeReplicaMsg(&d, new(ReplicaMsg))
+		}
 	}
 	if d.boolean() {
 		r.Hello = decodeHelloMsg(&d)
@@ -561,7 +570,7 @@ func encodeResponse(e *encoder, r *Response) {
 // the response is pooled with the frame's body and DecodeResponse takes both
 // over: valid until Release, and released here when the payload is malformed.
 func DecodeResponse(h Header, payload []byte) (*Response, error) {
-	r, err := decodeResponse(h, payload)
+	r, err := decodeResponse(h, payload, nil)
 	if err != nil {
 		if h.body != nil {
 			h.body.release(false)
@@ -571,13 +580,18 @@ func DecodeResponse(h Header, payload []byte) (*Response, error) {
 	return r, nil
 }
 
-func decodeResponse(h Header, payload []byte) (*Response, error) {
+// decodeResponse decodes into the body's pooled response, else into sc's,
+// else into a new one.
+func decodeResponse(h Header, payload []byte, sc *DecodeScratch) (*Response, error) {
 	fb := h.body
 	d := decoder{b: payload}
 	var r *Response
-	if fb != nil {
+	switch {
+	case fb != nil:
 		r = &fb.resp
-	} else {
+	case sc != nil:
+		r = &sc.resp
+	default:
 		r = new(Response)
 	}
 	*r = Response{ID: h.ID, Op: h.Op, Trace: h.Trace,
@@ -598,7 +612,11 @@ func decodeResponse(h Header, payload []byte) (*Response, error) {
 	}
 	r.Report = d.str()
 	if d.boolean() {
-		r.Replica = decodeReplicaReply(&d)
+		if sc != nil {
+			r.Replica = decodeReplicaReply(&d, &sc.reply)
+		} else {
+			r.Replica = decodeReplicaReply(&d, new(ReplicaReply))
+		}
 	}
 	if d.boolean() {
 		r.Hello = decodeHelloReply(&d)

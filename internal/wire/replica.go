@@ -98,6 +98,30 @@ type ReplicaReply struct {
 	Round uint64
 }
 
+// DecodeScratch is where a receiver that handles one in-memory frame at a time
+// (ParseFrame) and keeps nothing decoded from it has its frames decoded: the
+// request or response a decode returns, its consensus body and that body's
+// entry array are the scratch's own and are overwritten by its next decode,
+// so a delivered consensus frame allocates nothing. Byte fields are views into
+// the payload, as from DecodeRequest; pairs, a config entry's members and the
+// client-verb bodies are allocated as they are there.
+type DecodeScratch struct {
+	req   Request
+	resp  Response
+	msg   ReplicaMsg
+	reply ReplicaReply
+}
+
+// DecodeRequest is the package's DecodeRequest, decoding into the scratch.
+func (s *DecodeScratch) DecodeRequest(h Header, payload []byte) (*Request, error) {
+	return decodeRequest(h, payload, s)
+}
+
+// DecodeResponse is the package's DecodeResponse, decoding into the scratch.
+func (s *DecodeScratch) DecodeResponse(h Header, payload []byte) (*Response, error) {
+	return decodeResponse(h, payload, s)
+}
+
 // --- codecs -----------------------------------------------------------------
 
 func encodeReplicaEntry(e *encoder, en *ReplicaEntry) {
@@ -159,8 +183,11 @@ func encodeReplicaMsg(e *encoder, m *ReplicaMsg) {
 	e.uvarint(m.Stream)
 }
 
-func decodeReplicaMsg(d *decoder) *ReplicaMsg {
-	m := &ReplicaMsg{
+// decodeReplicaMsg decodes into m, reusing the entry and session arrays it
+// holds (a fresh m has none).
+func decodeReplicaMsg(d *decoder, m *ReplicaMsg) *ReplicaMsg {
+	entries, sessions := m.Entries[:0], m.Sessions[:0]
+	*m = ReplicaMsg{
 		Shard:        uint32(d.uvarint()),
 		From:         uint32(d.uvarint()),
 		Term:         d.uvarint(),
@@ -173,16 +200,18 @@ func decodeReplicaMsg(d *decoder) *ReplicaMsg {
 	}
 	n := d.count(8)
 	for i := 0; i < n && d.err == nil; i++ {
-		m.Entries = append(m.Entries, decodeReplicaEntry(d))
+		entries = append(entries, decodeReplicaEntry(d))
 	}
+	m.Entries = entries
 	m.SnapIndex = d.uvarint()
 	m.SnapTerm = d.uvarint()
 	m.Epoch = d.uvarint()
 	m.Done = d.boolean()
 	n = d.count(2)
 	for i := 0; i < n && d.err == nil; i++ {
-		m.Sessions = append(m.Sessions, ReplicaSession{Client: d.uvarint(), Seq: d.uvarint()})
+		sessions = append(sessions, ReplicaSession{Client: d.uvarint(), Seq: d.uvarint()})
 	}
+	m.Sessions = sessions
 	m.Stream = d.uvarint()
 	if d.err != nil {
 		return nil
@@ -199,8 +228,8 @@ func encodeReplicaReply(e *encoder, r *ReplicaReply) {
 	e.uvarint(r.Round)
 }
 
-func decodeReplicaReply(d *decoder) *ReplicaReply {
-	r := &ReplicaReply{
+func decodeReplicaReply(d *decoder, r *ReplicaReply) *ReplicaReply {
+	*r = ReplicaReply{
 		Shard:      uint32(d.uvarint()),
 		From:       uint32(d.uvarint()),
 		Term:       d.uvarint(),
