@@ -9,18 +9,18 @@
 //	kvcsd-bench -fig array -devices 8 -replicas 2   # multi-device scaling
 //	kvcsd-bench -config             # print the simulated hardware (Table I)
 //
-// Observability (runs an instrumented bulk-insert + compaction + foreground
-// session instead of a figure unless -fig is given explicitly):
+// Observability (-fig stages: an instrumented bulk-insert + compaction +
+// foreground session; these flags select it unless -fig is given explicitly):
 //
 //	kvcsd-bench -trace=out.json     # Chrome trace of every command (Perfetto)
 //	kvcsd-bench -metrics            # stage histograms, gauges, counters
 //	kvcsd-bench -sample-interval=1ms -sample-csv=series.csv
 //
-// Perf trajectory (machine-readable results for regression gating):
+// Machine-readable results (the rows committed in testdata/bench-baseline and
+// compared byte for byte by `go test ./internal/bench/`):
 //
 //	kvcsd-bench -fig all -json-dir out/        # BENCH_<fig>.json per figure
 //	kvcsd-bench -remote-trace merged.json      # merged client+server trace
-//	bench-compare -baseline base/ -current out/
 package main
 
 import (
@@ -34,8 +34,23 @@ import (
 	"kvcsd/internal/bench"
 )
 
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "kvcsd-bench: %v\n", err)
+	os.Exit(1)
+}
+
+// must returns a figure, or exits with the error that kept it from running.
+func must(t *bench.Table, err error) *bench.Table {
+	if err != nil {
+		fail(err)
+	}
+	return t
+}
+
+const figNames = "7a, 7b, 8, 9, 10a, 10b, table1, ablations, array, failover, fairness, scrub, compactsplit, stages, all"
+
 func main() {
-	fig := flag.String("fig", "all", "figure to reproduce: 7a, 7b, 8, 9, 10a, 10b, table1, ablations, array, remote, failover, fairness, scrub, compactsplit, all")
+	fig := flag.String("fig", "all", "figure to reproduce: "+figNames)
 	scale := flag.Int("scale", 1, "multiply dataset sizes by this factor")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	devices := flag.Int("devices", 8, "largest device count in the array-scaling sweep")
@@ -44,7 +59,7 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print the metrics registry of an instrumented run")
 	sampleInterval := flag.Duration("sample-interval", 0, "virtual-time sampling period for the instrumented run (default 250µs)")
 	sampleCSV := flag.String("sample-csv", "", "write the sampler time series to FILE (- for stdout)")
-	jsonDir := flag.String("json-dir", "", "also write each figure as DIR/BENCH_<fig>.json for bench-compare")
+	jsonDir := flag.String("json-dir", "", "also write each figure as DIR/BENCH_<fig>.json")
 	remoteTrace := flag.String("remote-trace", "", "run a traced remote session and write the merged client+server Chrome trace to FILE")
 	flag.Parse()
 
@@ -52,52 +67,35 @@ func main() {
 	s.Seed = *seed
 	out := os.Stdout
 
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "kvcsd-bench: %v\n", err)
-		os.Exit(1)
-	}
-
 	// emit mirrors a printed figure into -json-dir as one trajectory file.
-	emit := func(figID, clock string, t *bench.Table, keys ...string) {
+	emit := func(t *bench.Table) {
 		if *jsonDir == "" {
 			return
 		}
-		path, err := bench.WriteTrajectory(*jsonDir, bench.TrajectoryFromTable(figID, clock, s, t, keys...))
+		path, err := bench.WriteTrajectory(*jsonDir, bench.TrajectoryFromTable(s, t))
 		if err != nil {
 			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "kvcsd-bench: wrote %s\n", path)
 	}
 
-	if *remoteTrace != "" {
-		if err := runRemoteTraceDemo(s, out, *remoteTrace); err != nil {
-			fail(err)
-		}
-		figRequestedEarly := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "fig" {
-				figRequestedEarly = true
-			}
-		})
-		if !figRequestedEarly {
-			return
-		}
-	}
-
-	obsRequested := *traceFile != "" || *metrics || *sampleInterval > 0 || *sampleCSV != ""
 	figRequested := false
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "fig" {
 			figRequested = true
 		}
 	})
-	if obsRequested || *jsonDir != "" {
-		if err := runObserve(s, out, *jsonDir, *traceFile, *metrics, *sampleInterval, *sampleCSV); err != nil {
+	if *remoteTrace != "" {
+		if err := runRemoteTraceDemo(s, out, *remoteTrace); err != nil {
 			fail(err)
 		}
 		if !figRequested {
 			return
 		}
+	}
+	obsRequested := *traceFile != "" || *metrics || *sampleInterval > 0 || *sampleCSV != ""
+	if obsRequested && !figRequested {
+		*fig = "stages"
 	}
 
 	want := func(names ...string) bool {
@@ -111,8 +109,14 @@ func main() {
 		}
 		return false
 	}
-
 	ran := false
+	// show prints a figure and mirrors it into -json-dir.
+	show := func(t *bench.Table) {
+		t.Print(out)
+		emit(t)
+		ran = true
+	}
+
 	if want("table1", "1") {
 		bench.Table1().Print(out)
 		ran = true
@@ -123,32 +127,17 @@ func main() {
 			fail(err)
 		}
 		if want("7a", "7") {
-			a.Print(out)
-			emit("7a", bench.ClockVirtual, a, "threads")
+			show(a)
 		}
 		if want("7b", "7") {
-			b.Print(out)
-			emit("7b", bench.ClockVirtual, b, "threads", "engine")
+			show(b)
 		}
-		ran = true
 	}
 	if want("8") {
-		t, err := bench.Fig8(s)
-		if err != nil {
-			fail(err)
-		}
-		t.Print(out)
-		emit("8", bench.ClockVirtual, t, "value_size")
-		ran = true
+		show(must(bench.Fig8(s)))
 	}
 	if want("9") {
-		t, err := bench.Fig9(s)
-		if err != nil {
-			fail(err)
-		}
-		t.Print(out)
-		emit("9", bench.ClockVirtual, t, "keyspaces")
-		ran = true
+		show(must(bench.Fig9(s)))
 	}
 	if want("10a", "10b", "10") {
 		a, b, err := bench.Fig10(s)
@@ -156,135 +145,68 @@ func main() {
 			fail(err)
 		}
 		if want("10a", "10") {
-			a.Print(out)
-			emit("10a", bench.ClockVirtual, a, "queries")
+			show(a)
 		}
 		if want("10b", "10") {
-			b.Print(out)
-			emit("10b", bench.ClockVirtual, b, "queries", "engine")
+			show(b)
 		}
-		ran = true
-	}
-	if want("remote") {
-		t, err := bench.RemoteThroughput(s)
-		if err != nil {
-			fail(err)
-		}
-		t.Print(out)
-		emit("remote", bench.ClockWall, t, "conns", "pipeline")
-		ran = true
 	}
 	if want("array") {
-		t, err := bench.ArrayScaling(s, *devices, *replicas)
-		if err != nil {
-			fail(err)
-		}
-		t.Print(out)
-		emit("array", bench.ClockVirtual, t, "devices", "replicas")
-		ran = true
+		show(must(bench.ArrayScaling(s, *devices, *replicas)))
 	}
 	if want("failover") {
-		t, err := bench.FailoverLatency(s)
-		if err != nil {
-			fail(err)
-		}
-		t.Print(out)
-		emit("failover", bench.ClockVirtual, t, "nodes")
-		ran = true
+		show(must(bench.FailoverLatency(s)))
 	}
 	if want("fairness") {
-		t, err := bench.OverloadFairness(s)
-		if err != nil {
-			fail(err)
-		}
-		t.Print(out)
-		emit("fairness", bench.ClockVirtual, t, "phase", "tenant")
-		ran = true
+		show(must(bench.OverloadFairness(s)))
 	}
 	if want("scrub") {
-		t, err := bench.ScrubOverhead(s)
-		if err != nil {
-			fail(err)
-		}
-		t.Print(out)
-		emit("scrub", bench.ClockVirtual, t, "scrub_interval")
-		ran = true
+		show(must(bench.ScrubOverhead(s)))
 	}
 	if want("compactsplit") {
-		t, err := bench.CompactSplit(s)
-		if err != nil {
-			fail(err)
-		}
-		t.Print(out)
-		emit("compactsplit", bench.ClockVirtual, t, "policy", "width")
+		show(must(bench.CompactSplit(s)))
+	}
+	if want("stages") || obsRequested {
+		// runObserve prints the stage table itself, ahead of the outputs the
+		// observability flags add.
+		emit(must(runObserve(s, out, *traceFile, *metrics, *sampleInterval, *sampleCSV)))
 		ran = true
 	}
 	if want("ablations") {
-		type abl struct {
-			name string
-			key  string
-			fn   func(bench.Scale) (*bench.Table, error)
+		for _, abl := range bench.Ablations {
+			show(must(abl(s)))
 		}
-		for _, a := range []abl{
-			{"bulk-put", "mode", bench.AblationBulkPut},
-			{"kv-separation", "layout", bench.AblationKVSeparation},
-			{"striping", "stripe_width", bench.AblationStriping},
-			{"deferred-compaction", "policy", bench.AblationDeferredCompaction},
-			{"sort-budget", "budget", bench.AblationSortBudget},
-			{"ingest-buffer", "buffer", bench.AblationIngestBuffer},
-			{"consolidated-indexing", "strategy", bench.AblationConsolidatedIndexing},
-			{"remote-access", "link", bench.AblationRemoteAccess},
-		} {
-			t, err := a.fn(s)
-			if err != nil {
-				fail(fmt.Errorf("%s: %w", a.name, err))
-			}
-			t.Print(out)
-			emit("ablation-"+a.name, bench.ClockVirtual, t, a.key)
-		}
-		ran = true
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "kvcsd-bench: unknown -fig %q (try 7a, 7b, 8, 9, 10a, 10b, table1, ablations, array, remote, failover, fairness, scrub, compactsplit, all)\n", *fig)
+		fmt.Fprintf(os.Stderr, "kvcsd-bench: unknown -fig %q (try %s)\n", *fig, figNames)
 		os.Exit(2)
 	}
 }
 
-// runObserve executes the instrumented session and writes whichever outputs
-// were requested.
-func runObserve(s bench.Scale, out io.Writer, jsonDir, traceFile string, metrics bool, sampleInterval time.Duration, sampleCSV string) error {
-	res, err := bench.Observe(s, bench.ObserveConfig{
-		SampleInterval: sampleInterval,
-		Trace:          true, // the stage-breakdown summary needs spans
-	})
+// runObserve executes the instrumented session, prints its stage table and
+// writes whichever other outputs were requested.
+func runObserve(s bench.Scale, out io.Writer, traceFile string, metrics bool, sampleInterval time.Duration, sampleCSV string) (*bench.Table, error) {
+	res, err := bench.Observe(s, sampleInterval)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	res.Summary.Print(out)
-	if jsonDir != "" {
-		path, err := bench.WriteTrajectory(jsonDir,
-			bench.TrajectoryFromTable("stages", bench.ClockVirtual, s, res.Summary, "op"))
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "kvcsd-bench: wrote %s\n", path)
-	}
 	if metrics {
 		fmt.Fprintf(out, "\n== Metrics registry ==\n")
 		if err := res.Registry.Dump(out); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if traceFile != "" {
 		f, err := os.Create(traceFile)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if err := res.Tracer.WriteChromeTrace(f); err == nil {
 			err = f.Close()
 		}
 		if err != nil {
-			return fmt.Errorf("write trace: %w", err)
+			return nil, fmt.Errorf("write trace: %w", err)
 		}
 		fmt.Fprintf(out, "\ntrace written to %s (open in https://ui.perfetto.dev)\n", traceFile)
 	}
@@ -293,7 +215,7 @@ func runObserve(s bench.Scale, out io.Writer, jsonDir, traceFile string, metrics
 		if sampleCSV != "-" {
 			f, err := os.Create(sampleCSV)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			defer f.Close()
 			w = f
@@ -301,11 +223,11 @@ func runObserve(s bench.Scale, out io.Writer, jsonDir, traceFile string, metrics
 			fmt.Fprintf(out, "\n== Sampler time series ==\n")
 		}
 		if err := res.Sampler.WriteCSV(w); err != nil {
-			return fmt.Errorf("write sampler csv: %w", err)
+			return nil, fmt.Errorf("write sampler csv: %w", err)
 		}
 		if sampleCSV != "-" {
 			fmt.Fprintf(out, "\nsampler time series written to %s\n", sampleCSV)
 		}
 	}
-	return nil
+	return res.Summary, nil
 }

@@ -9,7 +9,7 @@
 //	vpic-bench                      # both figures at default scale
 //	vpic-bench -fig 12 -scale 4     # Figure 12 with 4x more particles
 //	vpic-bench -particles 65536     # particles per file, explicitly
-//	vpic-bench -json-dir out/       # BENCH_11/12.json for bench-compare
+//	vpic-bench -json-dir out/       # BENCH_11.json and BENCH_12.json
 package main
 
 import (
@@ -26,7 +26,7 @@ func main() {
 	particles := flag.Int("particles", 0, "particles per file (overrides -scale for the dataset)")
 	files := flag.Int("files", 0, "number of particle files (default 16, as the paper)")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	jsonDir := flag.String("json-dir", "", "also write each figure as DIR/BENCH_<fig>.json for bench-compare")
+	jsonDir := flag.String("json-dir", "", "also write each figure as DIR/BENCH_<fig>.json")
 	flag.Parse()
 
 	s := bench.DefaultScale().Multiply(*scale)
@@ -47,11 +47,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "vpic-bench: %v\n", err)
 		os.Exit(1)
 	}
-	emit := func(figID string, t *bench.Table, keys ...string) {
+	emit := func(t *bench.Table) {
 		if *jsonDir == "" {
 			return
 		}
-		path, err := bench.WriteTrajectory(*jsonDir, bench.TrajectoryFromTable(figID, bench.ClockVirtual, s, t, keys...))
+		path, err := bench.WriteTrajectory(*jsonDir, bench.TrajectoryFromTable(s, t))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "vpic-bench: %v\n", err)
 			os.Exit(1)
@@ -61,15 +61,15 @@ func main() {
 	switch *fig {
 	case "11":
 		res.Fig11.Print(os.Stdout)
-		emit("11", res.Fig11, "engine")
+		emit(res.Fig11)
 	case "12":
 		res.Fig12.Print(os.Stdout)
-		emit("12", res.Fig12, "selectivity_pct")
+		emit(res.Fig12)
 	case "all":
 		res.Fig11.Print(os.Stdout)
 		res.Fig12.Print(os.Stdout)
-		emit("11", res.Fig11, "engine")
-		emit("12", res.Fig12, "selectivity_pct")
+		emit(res.Fig11)
+		emit(res.Fig12)
 	default:
 		fmt.Fprintf(os.Stderr, "vpic-bench: unknown -fig %q (try 11, 12, all)\n", *fig)
 		os.Exit(2)

@@ -48,8 +48,6 @@ type Options struct {
 	// Replicas is the number of copies of every keyspace (clamped to
 	// Devices; default 1 = no replication).
 	Replicas int
-	// VirtualNodes per device on the placement ring (default 64).
-	VirtualNodes int
 	// Seed drives ring placement and per-device seeds.
 	Seed int64
 	// Device is the per-device template; the zero value means
@@ -183,7 +181,7 @@ func New(env *sim.Env, opts Options) *Array {
 		env:        env,
 		h:          host.New(env, hcfg),
 		opts:       opts,
-		ring:       NewRing(opts.Seed, opts.Devices, opts.VirtualNodes),
+		ring:       NewRing(opts.Seed, opts.Devices),
 		gate:       sim.NewResource(env, "array-compact-gate", opts.MaxConcurrentCompactions),
 		keyspaces:  make(map[string]*Keyspace),
 		replicated: make(map[string]*ReplicatedKeyspace),

@@ -25,8 +25,8 @@ func run(t *testing.T, env *sim.Env, fn func(p *sim.Proc) error) {
 
 func TestRingPlacementDeterministic(t *testing.T) {
 	names := []string{"alpha", "beta", "gamma", "delta", "vpic-ts0", "vpic-ts1"}
-	r1 := NewRing(7, 8, 0)
-	r2 := NewRing(7, 8, 0)
+	r1 := NewRing(7, 8)
+	r2 := NewRing(7, 8)
 	for _, n := range names {
 		a, b := r1.Owners(n, 3), r2.Owners(n, 3)
 		if fmt.Sprint(a) != fmt.Sprint(b) {
@@ -44,7 +44,7 @@ func TestRingPlacementDeterministic(t *testing.T) {
 		}
 	}
 	// A different seed must move at least one placement.
-	r3 := NewRing(8, 8, 0)
+	r3 := NewRing(8, 8)
 	moved := false
 	for _, n := range names {
 		if fmt.Sprint(r1.Owners(n, 3)) != fmt.Sprint(r3.Owners(n, 3)) {
@@ -55,7 +55,7 @@ func TestRingPlacementDeterministic(t *testing.T) {
 		t.Fatal("seed change did not move any placement")
 	}
 	// Replica clamp.
-	if got := len(NewRing(1, 2, 0).Owners("x", 5)); got != 2 {
+	if got := len(NewRing(1, 2).Owners("x", 5)); got != 2 {
 		t.Fatalf("owners not clamped to device count: %d", got)
 	}
 }

@@ -29,29 +29,27 @@ type ringPoint struct {
 }
 
 // Ring is a seeded consistent-hash ring over device IDs. Placement depends
-// only on (seed, devices, vnodes, name), so every run — and every process —
+// only on (seed, devices, name), so every run — and every process —
 // computes the same shard map.
 type Ring struct {
 	seed    int64
 	devices int
-	vnodes  int
 	points  []ringPoint
 }
 
-// NewRing builds a ring with vnodes virtual nodes per device. vnodes <= 0
-// defaults to 64, enough to keep per-device load within a few percent of
-// even for small fleets.
-func NewRing(seed int64, devices, vnodes int) *Ring {
+// virtualNodes is how many points each device owns on the ring: enough to
+// keep per-device load within a few percent of even for small fleets.
+const virtualNodes = 64
+
+// NewRing builds a ring with virtualNodes points per device.
+func NewRing(seed int64, devices int) *Ring {
 	if devices < 1 {
 		panic("array: ring needs at least one device")
 	}
-	if vnodes <= 0 {
-		vnodes = 64
-	}
-	r := &Ring{seed: seed, devices: devices, vnodes: vnodes}
-	r.points = make([]ringPoint, 0, devices*vnodes)
+	r := &Ring{seed: seed, devices: devices}
+	r.points = make([]ringPoint, 0, devices*virtualNodes)
 	for d := 0; d < devices; d++ {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			h := ringHash(seed, fmt.Sprintf("dev-%d-vn-%d", d, v))
 			r.points = append(r.points, ringPoint{hash: h, dev: d})
 		}

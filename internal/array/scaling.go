@@ -65,6 +65,8 @@ type ScalingResult struct {
 	Throughput float64
 	// GetP99 is the client-observed 99th-percentile GET latency.
 	GetP99 time.Duration
+	// VirtualEnd is the virtual clock at which the run's simulation stopped.
+	VirtualEnd sim.Time
 
 	// Stats is the fleet-wide sum; PerDevice the per-member blocks.
 	Stats     *stats.IOStats
@@ -198,6 +200,7 @@ func RunScaling(cfg ScalingConfig) (*ScalingResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	res.VirtualEnd = env.Now()
 	if res.InsertTime > 0 {
 		res.Throughput = float64(cfg.TotalKeys) / res.InsertTime.Seconds()
 	}

@@ -18,10 +18,23 @@ import (
 // batching, key-value separation, zone-cluster striping, deferred
 // compaction, and the SoC DRAM sort budget.
 
+// Ablations lists every ablation in the order kvcsd-bench prints them.
+var Ablations = []func(Scale) (*Table, error){
+	AblationBulkPut,
+	AblationKVSeparation,
+	AblationStriping,
+	AblationDeferredCompaction,
+	AblationSortBudget,
+	AblationIngestBuffer,
+	AblationConsolidatedIndexing,
+	AblationRemoteAccess,
+}
+
 // AblationBulkPut compares regular PUTs with 128 KiB bulk PUTs (paper: bulk
 // messages are ~7x faster).
 func AblationBulkPut(s Scale) (*Table, error) {
 	t := &Table{
+		Fig: "ablation-bulk-put", Keys: []string{"mode"},
 		Title:  "Ablation: regular PUT vs 128KiB bulk PUT",
 		Header: []string{"mode", "keys", "write_s", "cmds", "speedup"},
 	}
@@ -33,7 +46,7 @@ func AblationBulkPut(s Scale) (*Table, error) {
 			Threads: 4, KeysPerThread: keys / 4, KeySize: 16, ValueSize: 32,
 			Bulk: bulk, Seed: s.Seed, KeyspacePrefix: "abl-bulk",
 		}
-		out, err := runKVCSDInsert(4, cfg)
+		out, err := runKVCSDInsert(t, 4, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -50,6 +63,7 @@ func AblationBulkPut(s Scale) (*Table, error) {
 // every merge round).
 func AblationKVSeparation(s Scale) (*Table, error) {
 	t := &Table{
+		Fig: "ablation-kv-separation", Keys: []string{"layout"},
 		Title:  "Ablation: key-value separation vs combined pair records",
 		Header: []string{"layout", "value_size", "compact_s", "media_write", "media_read"},
 	}
@@ -67,7 +81,7 @@ func AblationKVSeparation(s Scale) (*Table, error) {
 			})
 			var compactDur time.Duration
 			var mw, mr int64
-			err := runSim(rig.env, func(p *sim.Proc) error {
+			err := t.runSim(rig.env, func(p *sim.Proc) error {
 				cfg := workload.InsertConfig{
 					Threads: 1, KeysPerThread: keys, KeySize: 16, ValueSize: vs,
 					Bulk: true, Seed: s.Seed, KeyspacePrefix: "abl-sep",
@@ -101,6 +115,7 @@ func AblationKVSeparation(s Scale) (*Table, error) {
 // random-offset striping over SSD channels).
 func AblationStriping(s Scale) (*Table, error) {
 	t := &Table{
+		Fig: "ablation-striping", Keys: []string{"stripe_width"},
 		Title:  "Ablation: zone-cluster stripe width (channel parallelism)",
 		Header: []string{"stripe_width", "write_s", "ready_s"},
 	}
@@ -111,7 +126,7 @@ func AblationStriping(s Scale) (*Table, error) {
 			o.Engine.StripeWidth = w
 		})
 		var res workload.InsertResult
-		err := runSim(rig.env, func(p *sim.Proc) error {
+		err := t.runSim(rig.env, func(p *sim.Proc) error {
 			var err error
 			res, err = workload.RunInsert(p, rig.tgt, workload.InsertConfig{
 				Threads: 8, KeysPerThread: keys / 8, KeySize: 16, ValueSize: 128,
@@ -133,6 +148,7 @@ func AblationStriping(s Scale) (*Table, error) {
 // effective write time gap of Figure 11.
 func AblationDeferredCompaction(s Scale) (*Table, error) {
 	t := &Table{
+		Fig: "ablation-deferred-compaction", Keys: []string{"policy"},
 		Title:  "Ablation: deferred (async) vs awaited device compaction",
 		Header: []string{"policy", "host_visible_s", "total_to_queryable_s"},
 	}
@@ -140,7 +156,7 @@ func AblationDeferredCompaction(s Scale) (*Table, error) {
 		Threads: 8, KeysPerThread: s.Fig7TotalKeys / 8, KeySize: 16, ValueSize: 32,
 		Bulk: true, Seed: s.Seed, KeyspacePrefix: "abl-defer",
 	}
-	out, err := runKVCSDInsert(8, cfg)
+	out, err := runKVCSDInsert(t, 8, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -155,6 +171,7 @@ func AblationDeferredCompaction(s Scale) (*Table, error) {
 // available SoC DRAM space").
 func AblationSortBudget(s Scale) (*Table, error) {
 	t := &Table{
+		Fig: "ablation-sort-budget", Keys: []string{"budget"},
 		Title:  "Ablation: SoC DRAM sort budget vs device compaction time",
 		Header: []string{"budget", "compact_s"},
 	}
@@ -166,7 +183,7 @@ func AblationSortBudget(s Scale) (*Table, error) {
 			o.Engine.MergeFanin = 8
 		})
 		var res workload.InsertResult
-		err := runSim(rig.env, func(p *sim.Proc) error {
+		err := t.runSim(rig.env, func(p *sim.Proc) error {
 			var err error
 			res, err = workload.RunInsert(p, rig.tgt, workload.InsertConfig{
 				Threads: 1, KeysPerThread: keys, KeySize: 16, ValueSize: 32,
@@ -186,6 +203,7 @@ func AblationSortBudget(s Scale) (*Table, error) {
 // AblationIngestBuffer sweeps the device ingest buffer (paper: 192 KiB).
 func AblationIngestBuffer(s Scale) (*Table, error) {
 	t := &Table{
+		Fig: "ablation-ingest-buffer", Keys: []string{"buffer"},
 		Title:  "Ablation: device ingest buffer size",
 		Header: []string{"buffer", "write_s"},
 	}
@@ -196,7 +214,7 @@ func AblationIngestBuffer(s Scale) (*Table, error) {
 			o.Engine.IngestBufferBytes = buf
 		})
 		var res workload.InsertResult
-		err := runSim(rig.env, func(p *sim.Proc) error {
+		err := t.runSim(rig.env, func(p *sim.Proc) error {
 			var err error
 			res, err = workload.RunInsert(p, rig.tgt, workload.InsertConfig{
 				Threads: 4, KeysPerThread: keys / 4, KeySize: 16, ValueSize: 32,
@@ -219,6 +237,7 @@ func AblationIngestBuffer(s Scale) (*Table, error) {
 // the paper proposes as future work.
 func AblationConsolidatedIndexing(s Scale) (*Table, error) {
 	t := &Table{
+		Fig: "ablation-consolidated-indexing", Keys: []string{"strategy"},
 		Title:  "Ablation: separate vs consolidated secondary index construction",
 		Header: []string{"strategy", "indexes", "device_busy_s", "media_read", "media_write"},
 	}
@@ -233,7 +252,7 @@ func AblationConsolidatedIndexing(s Scale) (*Table, error) {
 		rig := newKVCSDRig(32, data*2, s.Seed)
 		var busy time.Duration
 		var mr, mw int64
-		err := runSim(rig.env, func(p *sim.Proc) error {
+		err := t.runSim(rig.env, func(p *sim.Proc) error {
 			cl := client.New(rig.h, rig.dev)
 			ks, err := cl.CreateKeyspace(p, "abl-con")
 			if err != nil {
@@ -291,6 +310,7 @@ func AblationConsolidatedIndexing(s Scale) (*Table, error) {
 // only results — the data-movement advantage grows when the wire is slower.
 func AblationRemoteAccess(s Scale) (*Table, error) {
 	t := &Table{
+		Fig: "ablation-remote-access", Keys: []string{"link"},
 		Title:  "Ablation: local PCIe vs NVMe-over-Fabrics attachment",
 		Header: []string{"link", "insert_s", "get_p99_us", "scan1k_s"},
 	}
@@ -305,7 +325,7 @@ func AblationRemoteAccess(s Scale) (*Table, error) {
 		var insert time.Duration
 		var p99 time.Duration
 		var scanDur time.Duration
-		err := runSim(rig.env, func(p *sim.Proc) error {
+		err := t.runSim(rig.env, func(p *sim.Proc) error {
 			cfg := workload.InsertConfig{
 				Threads: 8, KeysPerThread: keys / 8, KeySize: 16, ValueSize: 32,
 				Bulk: true, Seed: s.Seed, KeyspacePrefix: "abl-remote",

@@ -24,6 +24,7 @@ func ArrayScaling(s Scale, maxDevices, replicas int) (*Table, error) {
 		replicas = 1
 	}
 	t := &Table{
+		Fig: "array", Keys: []string{"devices", "replicas"},
 		Title: fmt.Sprintf("Array scaling: %d keys over 1..%d devices, R=%d (KV-CSD array)",
 			s.ArrayTotalKeys, maxDevices, replicas),
 		Header: []string{"devices", "replicas", "insert_s", "keys_per_s", "speedup", "get_p99_us", "media_wr_MiB", "write_amp"},
@@ -48,6 +49,7 @@ func ArrayScaling(s Scale, maxDevices, replicas int) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("array scaling at %d devices: %w", d, err)
 		}
+		t.VirtualEndNs = append(t.VirtualEndNs, int64(res.VirtualEnd))
 		if base == 0 {
 			base = res.Throughput
 		}

@@ -51,8 +51,6 @@ type Scale struct {
 	// random GETs issued after the fleet compaction.
 	ArrayTotalKeys int
 	ArrayQueries   int
-	// Remote throughput: operations per phase of the network sweep.
-	RemoteOps int
 	// Overload fairness: point gets per reader tenant per phase (the other
 	// profiles are sized relative to this).
 	FairnessOps int
@@ -75,7 +73,6 @@ func DefaultScale() Scale {
 		Selectivities:        []float64{0.001, 0.005, 0.01, 0.05, 0.20},
 		ArrayTotalKeys:       16384,
 		ArrayQueries:         2048,
-		RemoteOps:            2048,
 		FairnessOps:          512,
 		Seed:                 1,
 	}
@@ -92,7 +89,6 @@ func (s Scale) Multiply(f int) Scale {
 	s.Fig10KeysPerKS *= f
 	s.VPICParticlesPerFile *= f
 	s.ArrayTotalKeys *= f
-	s.RemoteOps *= f
 	s.FairnessOps *= f
 	for i := range s.Fig10Queries {
 		s.Fig10Queries[i] *= f
@@ -102,10 +98,19 @@ func (s Scale) Multiply(f int) Scale {
 
 // Table is one rendered experiment result.
 type Table struct {
+	// Fig is the figure id ("7a", "ablation-striping", ...), which names the
+	// figure's trajectory file, and Keys the header columns that identify a
+	// row in it; neither is printed.
+	Fig    string
+	Keys   []string
 	Title  string
 	Header []string
 	Rows   [][]string
 	Notes  []string
+	// VirtualEndNs is the virtual clock at which each simulation the figure
+	// ran stopped, in run order. Cells are rounded for reading; these are
+	// exact, so a model change too small to move a cell still moves them.
+	VirtualEndNs []int64
 }
 
 // Add appends a row of stringified cells.
@@ -200,19 +205,7 @@ func kvcsdSSDConfig(dataBytes int64) ssd.Config {
 }
 
 func newKVCSDRig(hostCores int, dataBytes int64, seed int64) *kvcsdRig {
-	env := sim.NewEnv()
-	st := stats.NewIOStats()
-	hcfg := host.DefaultHostConfig()
-	if hostCores > 0 {
-		hcfg.Cores = hostCores
-	}
-	h := host.New(env, hcfg)
-	opts := device.DefaultOptions()
-	opts.SSD = kvcsdSSDConfig(dataBytes)
-	opts.Engine.SortBudgetBytes = 4 << 20
-	opts.Seed = seed
-	dev := device.New(env, opts, st)
-	return &kvcsdRig{env: env, h: h, dev: dev, st: st, tgt: workload.NewKVCSDTarget(h, dev)}
+	return newKVCSDRigWith(hostCores, dataBytes, seed, nil)
 }
 
 // rocksRig is one host + ext4 + RocksDB-baseline environment.
@@ -284,11 +277,16 @@ func newRocksRigPer(hostCores int, mode rocks.CompactionMode, dataBytes, perInst
 	}
 }
 
-// runOne executes fn as the master process of a fresh simulation and returns
-// any error it reports.
-func runSim(env *sim.Env, fn func(p *sim.Proc) error) error {
+// run drives env until no events remain and lists the clock it stopped at.
+func (t *Table) run(env *sim.Env) {
+	t.VirtualEndNs = append(t.VirtualEndNs, int64(env.Run()))
+}
+
+// runSim executes fn as the master process of a fresh simulation run on
+// behalf of t and returns any error it reports.
+func (t *Table) runSim(env *sim.Env, fn func(p *sim.Proc) error) error {
 	var err error
 	env.Go("experiment", func(p *sim.Proc) { err = fn(p) })
-	env.Run()
+	t.run(env)
 	return err
 }

@@ -8,8 +8,27 @@ package bench
 
 import (
 	"os"
+	"path/filepath"
 	"testing"
+
+	"kvcsd/internal/golden"
 )
+
+// checkGolden is the model gate: the figure a shape test just ran, rendered
+// as its trajectory, must equal testdata/bench-baseline/BENCH_<fig>.json byte
+// for byte (`go test ./internal/bench/ -update` rewrites the files). The
+// goldens are therefore at the scale the shape tests run — calScale, except
+// where a test says otherwise — which for 7a, array, failover, fairness,
+// scrub, compactsplit and stages is what kvcsd-bench -json-dir writes at its
+// defaults (array with -devices 4).
+func checkGolden(t *testing.T, s Scale, tab *Table) {
+	t.Helper()
+	b, err := TrajectoryFromTable(s, tab).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, filepath.Join("..", "..", "testdata", "bench-baseline", TrajectoryFileName(tab.Fig)), b)
+}
 
 // calScale trims sweeps so the whole calibration suite stays fast.
 func calScale() Scale {
@@ -22,7 +41,7 @@ func calScale() Scale {
 }
 
 func TestCalibrationFig7Shape(t *testing.T) {
-	s := calScale()
+	s := DefaultScale() // the whole thread sweep: the headline figure is pinned in full
 	a, b, err := Fig7(s)
 	if err != nil {
 		t.Fatal(err)
@@ -31,9 +50,12 @@ func TestCalibrationFig7Shape(t *testing.T) {
 		a.Print(os.Stderr)
 		b.Print(os.Stderr)
 	}
+	checkGolden(t, s, a)
+	checkGolden(t, s, b)
+	const at2, at32 = 1, 5 // rows of the 1, 2, 4, 8, 16, 32 sweep
 	// KV-CSD wins at every core count (paper: 7.9x at 2 cores, 4.2x at 32).
-	sp2 := a.Float(0, "speedup")
-	sp32 := a.Float(1, "speedup")
+	sp2 := a.Float(at2, "speedup")
+	sp32 := a.Float(at32, "speedup")
 	if sp2 < 3 || sp2 > 40 {
 		t.Errorf("fig7a speedup @2 cores = %.1fx, expected roughly 4-20x", sp2)
 	}
@@ -41,10 +63,10 @@ func TestCalibrationFig7Shape(t *testing.T) {
 		t.Errorf("fig7a speedup @32 cores = %.1fx, expected roughly 2-15x", sp32)
 	}
 	// RocksDB improves with cores; KV-CSD barely changes (peaks early).
-	if r2, r32 := a.Float(0, "rocksdb_write_s"), a.Float(1, "rocksdb_write_s"); r32 >= r2 {
+	if r2, r32 := a.Float(at2, "rocksdb_write_s"), a.Float(at32, "rocksdb_write_s"); r32 >= r2 {
 		t.Errorf("rocksdb did not improve with cores: %.4fs -> %.4fs", r2, r32)
 	}
-	k2, k32 := a.Float(0, "kvcsd_write_s"), a.Float(1, "kvcsd_write_s")
+	k2, k32 := a.Float(at2, "kvcsd_write_s"), a.Float(at32, "kvcsd_write_s")
 	if k32 < k2*0.5 || k32 > k2*2 {
 		t.Errorf("kvcsd write time should be core-insensitive: %.4fs vs %.4fs", k2, k32)
 	}
@@ -60,6 +82,7 @@ func TestCalibrationFig8Shape(t *testing.T) {
 	if testing.Verbose() {
 		tb.Print(os.Stderr)
 	}
+	checkGolden(t, s, tb)
 	// KV-CSD wins at every value size, by a growing factor as values grow
 	// (paper: ~10x at 4 KiB), and 2 host cores suffice for KV-CSD.
 	small := tb.Float(0, "speedup32")
@@ -87,6 +110,7 @@ func TestCalibrationFig9Shape(t *testing.T) {
 	if testing.Verbose() {
 		tb.Print(os.Stderr)
 	}
+	checkGolden(t, s, tb)
 	last := len(tb.Rows) - 1
 	vsAuto := tb.Float(last, "vs_auto")
 	vsDefer := tb.Float(last, "vs_defer")
@@ -117,6 +141,8 @@ func TestCalibrationFig10Shape(t *testing.T) {
 		a.Print(os.Stderr)
 		b.Print(os.Stderr)
 	}
+	checkGolden(t, s, a)
+	checkGolden(t, s, b)
 	// Both engines answer random GETs fast; the gap is small (paper: KV-CSD
 	// up to 1.3x faster, narrowing as RocksDB's client-side caching warms).
 	first := a.Float(0, "speedup")
@@ -152,6 +178,8 @@ func TestCalibrationFig11Fig12Shape(t *testing.T) {
 		res.Fig11.Print(os.Stderr)
 		res.Fig12.Print(os.Stderr)
 	}
+	checkGolden(t, s, res.Fig11)
+	checkGolden(t, s, res.Fig12)
 	// Fig 11: effective write-time speedup (paper: ~10.6x); KV-CSD's
 	// compaction+indexing run in the async device window.
 	eff := float64(res.RocksTotal) / float64(res.KVCSDInsert)
@@ -189,6 +217,7 @@ func TestCalibrationAblations(t *testing.T) {
 	if testing.Verbose() {
 		bulk.Print(os.Stderr)
 	}
+	checkGolden(t, s, bulk)
 	// Paper: bulk puts ~7x faster than regular puts.
 	if sp := bulk.Float(1, "speedup"); sp < 2 {
 		t.Errorf("bulk put speedup = %.1fx, want >= 2x", sp)
@@ -201,6 +230,7 @@ func TestCalibrationAblations(t *testing.T) {
 	if testing.Verbose() {
 		stripe.Print(os.Stderr)
 	}
+	checkGolden(t, s, stripe)
 	// Wider stripes should not be slower than width 1.
 	w1 := stripe.Float(0, "write_s")
 	w8 := stripe.Float(3, "write_s")
@@ -215,6 +245,7 @@ func TestCalibrationAblations(t *testing.T) {
 	if testing.Verbose() {
 		defer1.Print(os.Stderr)
 	}
+	checkGolden(t, s, defer1)
 	if hostVis := defer1.Float(0, "host_visible_s"); hostVis >= defer1.Float(1, "host_visible_s") {
 		t.Error("deferred compaction should reduce host-visible time")
 	}
@@ -226,6 +257,7 @@ func TestCalibrationAblations(t *testing.T) {
 	if testing.Verbose() {
 		budget.Print(os.Stderr)
 	}
+	checkGolden(t, s, budget)
 	// More DRAM budget should not make device compaction slower.
 	if tight, roomy := budget.Float(0, "compact_s"), budget.Float(3, "compact_s"); roomy > tight*1.1 {
 		t.Errorf("bigger sort budget slower: %.4fs -> %.4fs", tight, roomy)
@@ -238,6 +270,7 @@ func TestCalibrationAblations(t *testing.T) {
 	if testing.Verbose() {
 		buf.Print(os.Stderr)
 	}
+	checkGolden(t, s, buf)
 
 	sep, err := AblationKVSeparation(s)
 	if err != nil {
@@ -246,6 +279,7 @@ func TestCalibrationAblations(t *testing.T) {
 	if testing.Verbose() {
 		sep.Print(os.Stderr)
 	}
+	checkGolden(t, s, sep)
 
 	remote, err := AblationRemoteAccess(s)
 	if err != nil {
@@ -254,6 +288,7 @@ func TestCalibrationAblations(t *testing.T) {
 	if testing.Verbose() {
 		remote.Print(os.Stderr)
 	}
+	checkGolden(t, s, remote)
 	// The fabric adds per-command latency: remote inserts are slower, but
 	// not catastrophically (data still moves once, queries return results
 	// only).
@@ -273,6 +308,7 @@ func TestCalibrationAblations(t *testing.T) {
 	if testing.Verbose() {
 		cons.Print(os.Stderr)
 	}
+	checkGolden(t, s, cons)
 	// The point of consolidation: fewer media reads (no per-index
 	// keyspace read-back).
 	if sepReads, conReads := cons.Rows[0][3], cons.Rows[1][3]; sepReads == "" || conReads == "" {

@@ -64,9 +64,10 @@ type compactSplitResult struct {
 // collaborative rows run a live host merge loop over the NVMe assist ops, so
 // host runs pay the PCIe round trips and contend with the application for
 // cores; device runs contend with the foreground readers for the SoC.
-// Virtual-clock, deterministic, gated by bench-compare.
+// Virtual-clock, deterministic.
 func CompactSplit(s Scale) (*Table, error) {
 	t := &Table{
+		Fig: "compactsplit", Keys: []string{"policy", "width"},
 		Title:  "Compaction split: merge placement x pipeline width under foreground load (virtual clock)",
 		Header: []string{"policy", "width", "load_s", "compact_s", "fg_gets", "fg_p99_ms", "host_runs", "device_runs", "speedup"},
 		Notes: []string{
@@ -77,7 +78,7 @@ func CompactSplit(s Scale) (*Table, error) {
 	}
 	var base time.Duration
 	for _, c := range compactSplitSweep {
-		res, err := compactSplitRun(s, c.policy, c.width)
+		res, err := compactSplitRun(t, s, c.policy, c.width)
 		if err != nil {
 			return nil, fmt.Errorf("policy %v width %d: %w", c.policy, c.width, err)
 		}
@@ -104,7 +105,7 @@ func CompactSplit(s Scale) (*Table, error) {
 // compactSplitRun executes one cell: load and compact a hot keyspace, bulk
 // load the victim keyspace, then compact the victim while the foreground and
 // application loads run, timing both sides.
-func compactSplitRun(s Scale, pol compaction.Policy, width int) (compactSplitResult, error) {
+func compactSplitRun(t *Table, s Scale, pol compaction.Policy, width int) (compactSplitResult, error) {
 	env := sim.NewEnv()
 	st := stats.NewIOStats()
 	opts := device.DefaultOptions()
@@ -266,7 +267,7 @@ func compactSplitRun(s Scale, pol compaction.Policy, width int) (compactSplitRes
 			return nil
 		}()
 	})
-	env.Run()
+	t.run(env)
 	if runErr == nil {
 		runErr = probeErr
 	}

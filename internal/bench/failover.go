@@ -31,9 +31,10 @@ type failoverResult struct {
 // leader is ready (elected and its no-op entry committed) is the election
 // latency, and the time until the next client write commits at quorum is the
 // recovery latency. All timings are virtual-clock, so the figure is
-// deterministic for a given seed and gateable by bench-compare.
+// deterministic for a given seed.
 func FailoverLatency(s Scale) (*Table, error) {
 	t := &Table{
+		Fig: "failover", Keys: []string{"nodes"},
 		Title:  "Consensus failover: leader crash to restored service (virtual clock)",
 		Header: []string{"nodes", "first_elect_us", "elect_us", "recover_us", "elections"},
 		Notes: []string{
@@ -42,7 +43,7 @@ func FailoverLatency(s Scale) (*Table, error) {
 		},
 	}
 	for _, n := range failoverNodeSweep {
-		res, err := failoverRun(n, s.Seed)
+		res, err := failoverRun(t, n, s.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("failover at %d nodes: %w", n, err)
 		}
@@ -57,8 +58,8 @@ func FailoverLatency(s Scale) (*Table, error) {
 	return t, nil
 }
 
-// failoverRun executes the crash cycles for one group size.
-func failoverRun(nodes int, seed int64) (failoverResult, error) {
+// failoverRun executes the crash cycles for one group size on behalf of t.
+func failoverRun(t *Table, nodes int, seed int64) (failoverResult, error) {
 	env := sim.NewEnv()
 	c := replica.New(env, replica.Options{
 		Nodes:             nodes,
@@ -111,6 +112,6 @@ func failoverRun(nodes int, seed int64) (failoverResult, error) {
 		res.recover = recoverSum / failoverTrials
 		res.elections = c.Elections()
 	})
-	env.Run()
+	t.run(env)
 	return res, runErr
 }

@@ -37,16 +37,8 @@ func OverloadFairness(s Scale) (*Table, error) {
 	}
 	seed := s.Seed
 
-	solo, err := runFairPhase(fairProfiles(ops, false), seed)
-	if err != nil {
-		return nil, fmt.Errorf("solo phase: %w", err)
-	}
-	over, err := runFairPhase(fairProfiles(ops, true), seed)
-	if err != nil {
-		return nil, fmt.Errorf("overload phase: %w", err)
-	}
-
 	t := &Table{
+		Fig: "fairness", Keys: []string{"phase", "tenant"},
 		Title:  "Overload fairness: weighted-fair admission under a 2x bulk flood",
 		Header: []string{"phase", "tenant", "lane", "ops", "ops_s", "p99_ms", "shed", "jain", "p99_ratio"},
 		Notes: []string{
@@ -55,6 +47,15 @@ func OverloadFairness(s Scale) (*Table, error) {
 			"abusive tenant keeps 16 bulk messages (~1.5 admission windows of scheduler credit) outstanding, retrying sheds immediately",
 			"jain = Jain's fairness index over the readers' overload throughputs; p99_ratio = pooled reader p99, overload / solo",
 		},
+	}
+
+	solo, err := runFairPhase(t, fairProfiles(ops, false), seed)
+	if err != nil {
+		return nil, fmt.Errorf("solo phase: %w", err)
+	}
+	over, err := runFairPhase(t, fairProfiles(ops, true), seed)
+	if err != nil {
+		return nil, fmt.Errorf("overload phase: %w", err)
 	}
 
 	var soloLat, overLat []time.Duration
@@ -161,11 +162,11 @@ type fairResult struct {
 }
 
 // runFairPhase drives the profiles through a session.Scheduler in one
-// discrete-event loop: due arrivals are admitted (or shed and backed off),
-// then the modeled gateway pops a fair batch and applies it serially in
-// virtual service time. The loop ends once every finite profile completes;
-// the flood, if present, runs for the whole phase.
-func runFairPhase(profiles []fairProfile, seed int64) ([]*fairResult, error) {
+// discrete-event loop run on behalf of t: due arrivals are admitted (or shed
+// and backed off), then the modeled gateway pops a fair batch and applies it
+// serially in virtual service time. The loop ends once every finite profile
+// completes; the flood, if present, runs for the whole phase.
+func runFairPhase(t *Table, profiles []fairProfile, seed int64) ([]*fairResult, error) {
 	mgr := session.NewManager(session.Config{TenantQueue: fairTenantQueue, Seed: seed})
 	sched := session.NewScheduler(mgr.Config(), fairInflight)
 	rng := sim.NewRNG(seed)
@@ -255,7 +256,7 @@ func runFairPhase(profiles []fairProfile, seed int64) ([]*fairResult, error) {
 			p.SleepUntil(next)
 		}
 	})
-	env.Run()
+	t.run(env)
 	return results, nil
 }
 

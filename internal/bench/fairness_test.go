@@ -16,6 +16,7 @@ func TestOverloadFairnessSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, DefaultScale(), tab)
 	// 3 solo readers + 3 overload readers + writer + flood + summary.
 	if len(tab.Rows) != 9 {
 		t.Fatalf("table has %d rows, want 9", len(tab.Rows))

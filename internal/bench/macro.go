@@ -47,7 +47,18 @@ type MacroResult struct {
 // RunMacro executes the full write + query phases for both engines.
 func RunMacro(s Scale) (*MacroResult, error) {
 	ds := vpic.Generate(s.Seed, s.VPICFiles, s.VPICParticlesPerFile)
-	out := &MacroResult{}
+	out := &MacroResult{
+		Fig11: &Table{
+			Fig: "11", Keys: []string{"engine"},
+			Title:  "Figure 11: breakdown of KV-CSD and RocksDB insertion time (VPIC dump)",
+			Header: []string{"engine", "insert_s", "compaction_s", "sec_index_s", "effective_write_s", "where"},
+		},
+		Fig12: &Table{
+			Fig: "12", Keys: []string{"selectivity_pct"},
+			Title:  "Figure 12: KV-CSD vs RocksDB secondary index (energy) query time",
+			Header: []string{"selectivity_pct", "matches", "kvcsd_s", "rocksdb_s", "speedup"},
+		},
+	}
 
 	kvQueryTimes, kvCounts, err := runMacroKVCSD(s, ds, out)
 	if err != nil {
@@ -58,10 +69,6 @@ func RunMacro(s Scale) (*MacroResult, error) {
 		return nil, fmt.Errorf("macro rocks: %w", err)
 	}
 
-	out.Fig11 = &Table{
-		Title:  "Figure 11: breakdown of KV-CSD and RocksDB insertion time (VPIC dump)",
-		Header: []string{"engine", "insert_s", "compaction_s", "sec_index_s", "effective_write_s", "where"},
-	}
 	out.Fig11.Add("kvcsd", secs(out.KVCSDInsert), secs(out.KVCSDCompact), secs(out.KVCSDIndex),
 		secs(out.KVCSDInsert), "compaction+indexing async in device")
 	out.Fig11.Add("rocksdb", secs(out.RocksInsert), secs(out.RocksTotal-out.RocksInsert), "(in compaction)",
@@ -71,10 +78,7 @@ func RunMacro(s Scale) (*MacroResult, error) {
 		fmt.Sprintf("dataset: %d files x %d particles (48B each)", s.VPICFiles, s.VPICParticlesPerFile),
 		"paper: 66s effective vs 704s => ~10.6x")
 
-	out.Fig12 = &Table{
-		Title:  "Figure 12: KV-CSD vs RocksDB secondary index (energy) query time",
-		Header: []string{"selectivity_pct", "matches", "kvcsd_s", "rocksdb_s", "speedup"},
-	}
+	out.Fig12.VirtualEndNs = out.Fig11.VirtualEndNs // both tables read the same runs
 	for i, sel := range s.Selectivities {
 		out.Fig12.Add(fmt.Sprintf("%.2f", sel*100), fmt.Sprint(kvCounts[i]),
 			secs(kvQueryTimes[i]), secs(rkQueryTimes[i]), ratio(rkQueryTimes[i], kvQueryTimes[i]))
@@ -93,7 +97,7 @@ func runMacroKVCSD(s Scale, ds *vpic.Dataset, out *MacroResult) ([]time.Duration
 	rig := newKVCSDRig(32, data*2, s.Seed)
 	queryTimes := make([]time.Duration, len(s.Selectivities))
 	counts := make([]int, len(s.Selectivities))
-	err := runSim(rig.env, func(p *sim.Proc) error {
+	err := out.Fig11.runSim(rig.env, func(p *sim.Proc) error {
 		cl := client.New(rig.h, rig.dev)
 		// Write phase: 16 loader threads, one keyspace per file.
 		start := p.Now()
@@ -190,7 +194,7 @@ func runMacroRocks(s Scale, ds *vpic.Dataset, out *MacroResult) ([]time.Duration
 	rig := newRocksRig(32, rocks.CompactionAuto, data, s.Seed)
 	queryTimes := make([]time.Duration, len(s.Selectivities))
 	counts := make([]int, len(s.Selectivities))
-	err := runSim(rig.env, func(p *sim.Proc) error {
+	err := out.Fig11.runSim(rig.env, func(p *sim.Proc) error {
 		start := p.Now()
 		var loaders []*sim.Proc
 		kss := make([]workload.KS, len(ds.Files))

@@ -16,12 +16,12 @@ type insertOutcome struct {
 	st  *stats.IOStats
 }
 
-// runKVCSDInsert executes one KV-CSD insertion experiment.
-func runKVCSDInsert(hostCores int, cfg workload.InsertConfig) (insertOutcome, error) {
+// runKVCSDInsert executes one KV-CSD insertion experiment on behalf of t.
+func runKVCSDInsert(t *Table, hostCores int, cfg workload.InsertConfig) (insertOutcome, error) {
 	data := int64(cfg.Threads*cfg.KeysPerThread) * int64(cfg.KeySize+cfg.ValueSize)
 	rig := newKVCSDRig(hostCores, data, cfg.Seed)
 	var out insertOutcome
-	err := runSim(rig.env, func(p *sim.Proc) error {
+	err := t.runSim(rig.env, func(p *sim.Proc) error {
 		res, err := workload.RunInsert(p, rig.tgt, cfg)
 		if err != nil {
 			return err
@@ -36,7 +36,7 @@ func runKVCSDInsert(hostCores int, cfg workload.InsertConfig) (insertOutcome, er
 // runRocksInsert executes one baseline insertion experiment. LSM knobs are
 // sized to the per-instance data so flushes and compactions occur at bench
 // scale just as they do at paper scale.
-func runRocksInsert(hostCores int, mode rocks.CompactionMode, cfg workload.InsertConfig) (insertOutcome, error) {
+func runRocksInsert(t *Table, hostCores int, mode rocks.CompactionMode, cfg workload.InsertConfig) (insertOutcome, error) {
 	data := int64(cfg.Threads*cfg.KeysPerThread) * int64(cfg.KeySize+cfg.ValueSize)
 	perInstance := data
 	if !cfg.SharedKeyspace && cfg.Threads > 0 {
@@ -44,7 +44,7 @@ func runRocksInsert(hostCores int, mode rocks.CompactionMode, cfg workload.Inser
 	}
 	rig := newRocksRigPer(hostCores, mode, data, perInstance, cfg.Seed)
 	var out insertOutcome
-	err := runSim(rig.env, func(p *sim.Proc) error {
+	err := t.runSim(rig.env, func(p *sim.Proc) error {
 		res, err := workload.RunInsert(p, rig.tgt, cfg)
 		if err != nil {
 			return err
@@ -80,10 +80,12 @@ func closeRocks(p *sim.Proc, tgt *workload.RocksTarget, cfg workload.InsertConfi
 // storage I/O from compaction.
 func Fig7(s Scale) (*Table, *Table, error) {
 	a := &Table{
+		Fig: "7a", Keys: []string{"threads"},
 		Title:  "Figure 7a: time to insert keys into a single keyspace vs host CPU cores",
 		Header: []string{"threads", "kvcsd_write_s", "rocksdb_write_s", "speedup", "kvcsd_compact_s"},
 	}
 	b := &Table{
+		Fig: "7b", Keys: []string{"threads", "engine"},
 		Title:  "Figure 7b: I/O statistics during insertion",
 		Header: []string{"threads", "engine", "media_write", "media_read", "host_dev_xfer", "write_amp"},
 	}
@@ -95,11 +97,11 @@ func Fig7(s Scale) (*Table, *Table, error) {
 		}
 		kcfg := base
 		kcfg.Bulk = true
-		kv, err := runKVCSDInsert(th, kcfg)
+		kv, err := runKVCSDInsert(a, th, kcfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("fig7 kvcsd t=%d: %w", th, err)
 		}
-		rk, err := runRocksInsert(th, rocks.CompactionAuto, base)
+		rk, err := runRocksInsert(a, th, rocks.CompactionAuto, base)
 		if err != nil {
 			return nil, nil, fmt.Errorf("fig7 rocks t=%d: %w", th, err)
 		}
@@ -121,6 +123,7 @@ func Fig7(s Scale) (*Table, *Table, error) {
 		"kvcsd write time excludes device-side compaction (deferred+offloaded); kvcsd_compact_s is the async device window",
 		"rocksdb write time includes waiting for background compaction to drain (paper methodology)")
 	b.Notes = append(b.Notes, "host_dev_xfer for rocksdb counts block traffic to the drive; for kvcsd it is PCIe command/DMA traffic")
+	b.VirtualEndNs = a.VirtualEndNs // both tables read the same runs
 	return a, b, nil
 }
 
@@ -129,6 +132,7 @@ func Fig7(s Scale) (*Table, *Table, error) {
 // paper's point that 2 cores already saturate the device.
 func Fig8(s Scale) (*Table, error) {
 	t := &Table{
+		Fig: "8", Keys: []string{"value_size"},
 		Title:  "Figure 8: time to insert keys with different value sizes",
 		Header: []string{"value_size", "rocksdb32_s", "kvcsd32_s", "kvcsd2_s", "speedup32", "speedup2"},
 	}
@@ -141,15 +145,15 @@ func Fig8(s Scale) (*Table, error) {
 		}
 		kcfg := base
 		kcfg.Bulk = true
-		rk, err := runRocksInsert(32, rocks.CompactionAuto, base)
+		rk, err := runRocksInsert(t, 32, rocks.CompactionAuto, base)
 		if err != nil {
 			return nil, fmt.Errorf("fig8 rocks v=%d: %w", vs, err)
 		}
-		kv32, err := runKVCSDInsert(32, kcfg)
+		kv32, err := runKVCSDInsert(t, 32, kcfg)
 		if err != nil {
 			return nil, fmt.Errorf("fig8 kvcsd32 v=%d: %w", vs, err)
 		}
-		kv2, err := runKVCSDInsert(2, kcfg)
+		kv2, err := runKVCSDInsert(t, 2, kcfg)
 		if err != nil {
 			return nil, fmt.Errorf("fig8 kvcsd2 v=%d: %w", vs, err)
 		}
@@ -165,6 +169,7 @@ func Fig8(s Scale) (*Table, error) {
 // keyspaces KV-CSD is ~7.8x/6.1x/2.9x faster than auto/deferred/disabled.
 func Fig9(s Scale) (*Table, error) {
 	t := &Table{
+		Fig: "9", Keys: []string{"keyspaces"},
 		Title:  "Figure 9: insertion time as keyspace count and data size increase",
 		Header: []string{"keyspaces", "kvcsd_s", "rocks_auto_s", "rocks_defer_s", "rocks_none_s", "vs_auto", "vs_defer", "vs_none"},
 	}
@@ -175,13 +180,13 @@ func Fig9(s Scale) (*Table, error) {
 		}
 		kcfg := base
 		kcfg.Bulk = true
-		kv, err := runKVCSDInsert(th, kcfg)
+		kv, err := runKVCSDInsert(t, th, kcfg)
 		if err != nil {
 			return nil, fmt.Errorf("fig9 kvcsd k=%d: %w", th, err)
 		}
 		times := map[rocks.CompactionMode]time.Duration{}
 		for _, mode := range []rocks.CompactionMode{rocks.CompactionAuto, rocks.CompactionDeferred, rocks.CompactionDisabled} {
-			rk, err := runRocksInsert(th, mode, base)
+			rk, err := runRocksInsert(t, th, mode, base)
 			if err != nil {
 				return nil, fmt.Errorf("fig9 rocks %v k=%d: %w", mode, th, err)
 			}
@@ -204,10 +209,12 @@ func Fig9(s Scale) (*Table, error) {
 // from storage than it returns (read inflation).
 func Fig10(s Scale) (*Table, *Table, error) {
 	a := &Table{
+		Fig: "10a", Keys: []string{"queries"},
 		Title:  "Figure 10a: time to execute random GET operations",
 		Header: []string{"queries", "kvcsd_s", "rocksdb_s", "speedup", "kvcsd_p99_us", "rocks_p99_us"},
 	}
 	b := &Table{
+		Fig: "10b", Keys: []string{"queries", "engine"},
 		Title:  "Figure 10b: GET-phase I/O statistics",
 		Header: []string{"queries", "engine", "media_read", "app_read", "read_inflation", "cache_hit_rate"},
 	}
@@ -223,7 +230,7 @@ func Fig10(s Scale) (*Table, *Table, error) {
 	kvTimes := map[int]sim.Duration{}
 	kvP99 := map[int]sim.Duration{}
 	kvIO := map[int][2]int64{} // media read, app read
-	err := runSim(kvRig.env, func(p *sim.Proc) error {
+	err := a.runSim(kvRig.env, func(p *sim.Proc) error {
 		kcfg := insert
 		kcfg.Bulk = true
 		if _, err := workload.RunInsert(p, kvRig.tgt, kcfg); err != nil {
@@ -254,7 +261,7 @@ func Fig10(s Scale) (*Table, *Table, error) {
 	rkP99 := map[int]sim.Duration{}
 	rkIO := map[int][2]int64{}
 	rkHit := map[int]float64{}
-	err = runSim(rkRig.env, func(p *sim.Proc) error {
+	err = a.runSim(rkRig.env, func(p *sim.Proc) error {
 		if _, err := workload.RunInsert(p, rkRig.tgt, insert); err != nil {
 			return err
 		}
@@ -300,5 +307,6 @@ func Fig10(s Scale) (*Table, *Table, error) {
 			fmt.Sprintf("%.1f", inflR), fmt.Sprintf("%.2f", rkHit[q]))
 	}
 	a.Notes = append(a.Notes, "caches dropped before each query round; rocksdb block cache warms across a round (client-side caching)")
+	b.VirtualEndNs = a.VirtualEndNs // both tables read the same runs
 	return a, b, nil
 }

@@ -13,71 +13,64 @@ import (
 	"kvcsd/internal/stats"
 )
 
-// ObserveConfig shapes the observability run: a Fig-9-flavoured session —
-// bulk insert, device-side compaction, foreground traffic riding alongside it
-// — executed with tracing, metrics, and the periodic sampler enabled.
-type ObserveConfig struct {
-	// Keys bulk-inserted into the compacted keyspace (0 = from Scale).
-	Keys int
-	// ForegroundOps is the number of Store/Retrieve pairs issued against a
-	// second keyspace while the compaction runs in the background.
-	ForegroundOps int
-	// ValueSize of every pair.
-	ValueSize int
-	// SampleInterval is the virtual-time sampling period (0 = 250µs).
-	SampleInterval time.Duration
-	// Trace enables span collection (off keeps only metrics + sampler).
-	Trace bool
-}
+// The observability run is a Fig-9-flavoured session — bulk insert,
+// device-side compaction, foreground traffic riding alongside it — executed
+// with tracing, metrics, and the periodic sampler enabled.
+const (
+	// observeForegroundOps is the number of Store/Retrieve pairs issued
+	// against a second keyspace while the compaction runs in the background.
+	observeForegroundOps = 512
+	// observeValueSize is the size of every value.
+	observeValueSize = 32
+)
 
 // ObserveResult bundles everything the run produced.
 type ObserveResult struct {
-	Tracer   *obs.Tracer   // nil unless cfg.Trace
-	Registry *obs.Registry // always populated
-	Sampler  *obs.Sampler  // time series per device.SamplerColumns
-	Summary  *Table        // per-opcode stage latency breakdown
+	Tracer   *obs.Tracer
+	Registry *obs.Registry
+	Sampler  *obs.Sampler // time series per device.SamplerColumns
+	Summary  *Table       // per-opcode stage latency breakdown
 	// MaxStageErr is the worst relative |stage-sum - client latency| over all
-	// traced command spans (0 when tracing is off). The stage model is exact,
-	// so anything above ~1% indicates an attribution bug.
+	// command spans. The stage model is exact, so anything above ~1%
+	// indicates an attribution bug.
 	MaxStageErr float64
 }
 
 // Observe runs the instrumented session and reports stage-attributed
 // latencies. The sampler rows cover the whole run, so plotting cmds_per_s
 // against bg_jobs shows foreground throughput across the background
-// compaction — the effect Figure 9 quantifies end-to-end.
-func Observe(s Scale, cfg ObserveConfig) (*ObserveResult, error) {
-	if cfg.Keys <= 0 {
-		cfg.Keys = s.Fig9KeysPerKeyspace
-	}
-	if cfg.ForegroundOps <= 0 {
-		cfg.ForegroundOps = 512
-	}
-	if cfg.ValueSize <= 0 {
-		cfg.ValueSize = 32
-	}
-	if cfg.SampleInterval <= 0 {
-		cfg.SampleInterval = 250 * time.Microsecond
+// compaction — the effect Figure 9 quantifies end-to-end. sampleInterval is
+// the sampler's virtual-time period (0 = 250µs).
+func Observe(s Scale, sampleInterval time.Duration) (*ObserveResult, error) {
+	keys := s.Fig9KeysPerKeyspace // bulk-inserted into the compacted keyspace
+	if sampleInterval <= 0 {
+		sampleInterval = 250 * time.Microsecond
 	}
 
 	env := sim.NewEnv()
 	st := stats.NewIOStats()
 	h := host.New(env, host.DefaultHostConfig())
 	opts := device.DefaultOptions()
-	opts.SSD = kvcsdSSDConfig(int64(cfg.Keys) * int64(16+cfg.ValueSize))
+	opts.SSD = kvcsdSSDConfig(int64(keys) * int64(16+observeValueSize))
 	opts.Engine.SortBudgetBytes = 4 << 20
 	opts.Seed = s.Seed
-	opts.Trace = cfg.Trace
+	opts.Trace = true // the stage table needs spans
 	opts.Metrics = true
 	dev := device.New(env, opts, st)
 	cl := client.New(h, dev)
-	sampler := dev.StartSampler(cfg.SampleInterval)
+	sampler := dev.StartSampler(sampleInterval)
 
 	rng := sim.NewRNG(s.Seed)
 	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%012d", i)) }
-	val := make([]byte, cfg.ValueSize)
+	val := make([]byte, observeValueSize)
 
-	err := runSim(env, func(p *sim.Proc) error {
+	summary := &Table{
+		Fig: "stages", Keys: []string{"op"},
+		Title: "Command latency by stage (mean µs per command)",
+		Header: []string{"op", "n", "total_us", "p99_us",
+			"queue_us", "link_us", "service_us", "media_us"},
+	}
+	err := summary.runSim(env, func(p *sim.Proc) error {
 		// Always shut the device down, even on error: the sampler schedules
 		// events forever, so leaving it running would hang env.Run.
 		defer dev.Shutdown()
@@ -104,7 +97,7 @@ func Observe(s Scale, cfg ObserveConfig) (*ObserveResult, error) {
 		if err != nil {
 			return err
 		}
-		for i := 0; i < cfg.Keys; i++ {
+		for i := 0; i < keys; i++ {
 			if err := bulk.BulkPut(p, key(i), val); err != nil {
 				return err
 			}
@@ -124,8 +117,8 @@ func Observe(s Scale, cfg ObserveConfig) (*ObserveResult, error) {
 		if err := bulk.Compact(p); err != nil {
 			return err
 		}
-		for i := 0; i < cfg.ForegroundOps; i++ {
-			if err := fg.Put(p, key(rng.Intn(cfg.ForegroundOps)), val); err != nil {
+		for i := 0; i < observeForegroundOps; i++ {
+			if err := fg.Put(p, key(rng.Intn(observeForegroundOps)), val); err != nil {
 				return err
 			}
 			if _, _, err := read.Get(p, key(rng.Intn(64))); err != nil {
@@ -135,8 +128,8 @@ func Observe(s Scale, cfg ObserveConfig) (*ObserveResult, error) {
 		if err := bulk.WaitCompacted(p); err != nil {
 			return err
 		}
-		for i := 0; i < cfg.ForegroundOps; i++ {
-			if _, ok, err := bulk.Get(p, key(rng.Intn(cfg.Keys))); err != nil {
+		for i := 0; i < observeForegroundOps; i++ {
+			if _, ok, err := bulk.Get(p, key(rng.Intn(keys))); err != nil {
 				return err
 			} else if !ok {
 				return fmt.Errorf("observe: key missing after compaction")
@@ -152,37 +145,31 @@ func Observe(s Scale, cfg ObserveConfig) (*ObserveResult, error) {
 		Tracer:   dev.Tracer(),
 		Registry: dev.Registry(),
 		Sampler:  sampler,
-		Summary:  observeSummary(dev.Registry()),
+		Summary:  summary,
 	}
-	if tr := dev.Tracer(); tr != nil {
-		for _, sp := range tr.Finished() {
-			// Only command round trips partition exactly; background job spans
-			// stage their media time but not their SoC compute.
-			if sp.Parent() != nil || sp.Duration() <= 0 || !strings.HasPrefix(sp.Name(), "cmd:") {
-				continue
-			}
-			rel := float64(sp.Duration()-sp.StageSum()) / float64(sp.Duration())
-			if rel < 0 {
-				rel = -rel
-			}
-			if rel > res.MaxStageErr {
-				res.MaxStageErr = rel
-			}
+	observeSummary(summary, dev.Registry())
+	for _, sp := range dev.Tracer().Finished() {
+		// Only command round trips partition exactly; background job spans
+		// stage their media time but not their SoC compute.
+		if sp.Parent() != nil || sp.Duration() <= 0 || !strings.HasPrefix(sp.Name(), "cmd:") {
+			continue
 		}
-		res.Summary.Notes = append(res.Summary.Notes,
-			fmt.Sprintf("stage sums match client-observed latency within %.4f%% (worst span)", res.MaxStageErr*100))
+		rel := float64(sp.Duration()-sp.StageSum()) / float64(sp.Duration())
+		if rel < 0 {
+			rel = -rel
+		}
+		if rel > res.MaxStageErr {
+			res.MaxStageErr = rel
+		}
 	}
+	res.Summary.Notes = append(res.Summary.Notes,
+		fmt.Sprintf("stage sums match client-observed latency within %.4f%% (worst span)", res.MaxStageErr*100))
 	return res, nil
 }
 
-// observeSummary renders the per-opcode stage histograms as a table: where a
+// observeSummary fills t with the per-opcode stage histograms: where a
 // command's latency goes — queue wait, link, device service CPU, or media.
-func observeSummary(reg *obs.Registry) *Table {
-	t := &Table{
-		Title: "Command latency by stage (mean µs per command)",
-		Header: []string{"op", "n", "total_us", "p99_us",
-			"queue_us", "link_us", "service_us", "media_us"},
-	}
+func observeSummary(t *Table, reg *obs.Registry) {
 	us := func(d time.Duration) string { return fmt.Sprintf("%.2f", float64(d)/1e3) }
 	seen := map[string]bool{}
 	for _, name := range reg.HistogramNames() {
@@ -206,5 +193,4 @@ func observeSummary(reg *obs.Registry) *Table {
 	t.Notes = append(t.Notes,
 		"stages partition each command's client-observed latency: queue = submission-queue wait,",
 		"link = host prep + PCIe both directions, service = on-SoC execution, media = NAND channel time")
-	return t
 }

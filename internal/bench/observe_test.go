@@ -4,20 +4,16 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestObserveStageSumsAndSampler(t *testing.T) {
+	// The session kvcsd-bench -fig stages runs, so the golden is its output.
 	s := DefaultScale()
-	s.Fig9KeysPerKeyspace = 2048
-	res, err := Observe(s, ObserveConfig{
-		ForegroundOps:  128,
-		SampleInterval: 500 * time.Microsecond,
-		Trace:          true,
-	})
+	res, err := Observe(s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, s, res.Summary)
 	// The acceptance bar: every command's stages sum to its client-observed
 	// latency within 1%. The attribution model is exact, so in practice this
 	// is 0 — anything above the bar is a real regression.

@@ -29,9 +29,10 @@ type scrubRunResult struct {
 // the row's cadence — its reads go through the same SSD channels and its
 // checksum work through the same SoC cores, so the slowdown is contention,
 // not modeling fiat. The first row (scrub off) is the baseline the overhead
-// ratios divide by. Virtual-clock, deterministic, gated by bench-compare.
+// ratios divide by. Virtual-clock, deterministic.
 func ScrubOverhead(s Scale) (*Table, error) {
 	t := &Table{
+		Fig: "scrub", Keys: []string{"scrub_interval"},
 		Title:  "Background scrub overhead: verified point reads under a live scrubber (virtual clock)",
 		Header: []string{"scrub_interval", "load_s", "query_s", "scrub_mb", "detected", "overhead"},
 		Notes: []string{
@@ -41,7 +42,7 @@ func ScrubOverhead(s Scale) (*Table, error) {
 	}
 	var base time.Duration
 	for _, iv := range scrubIntervalSweep {
-		res, err := scrubRun(s, iv)
+		res, err := scrubRun(t, s, iv)
 		if err != nil {
 			return nil, fmt.Errorf("scrub interval %v: %w", iv, err)
 		}
@@ -64,8 +65,9 @@ func ScrubOverhead(s Scale) (*Table, error) {
 	return t, nil
 }
 
-// scrubRun executes one cadence: load + compact, then the timed GET sweep.
-func scrubRun(s Scale, interval time.Duration) (scrubRunResult, error) {
+// scrubRun executes one cadence on behalf of t: load + compact, then the
+// timed GET sweep.
+func scrubRun(t *Table, s Scale, interval time.Duration) (scrubRunResult, error) {
 	env := sim.NewEnv()
 	dopts := device.DefaultOptions()
 	dopts.SSD = kvcsdSSDConfig(int64(s.ArrayTotalKeys) * 96)
@@ -110,7 +112,7 @@ func scrubRun(s Scale, interval time.Duration) (scrubRunResult, error) {
 		}
 		res.query = time.Duration(p.Now() - t1)
 	})
-	env.Run()
+	t.run(env)
 	if runErr != nil {
 		return res, runErr
 	}

@@ -2,32 +2,32 @@ package bench
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// TrajectorySchema is bumped whenever the JSON layout changes incompatibly;
-// bench-compare refuses to diff trajectories with mismatched schemas.
+// TrajectorySchema is bumped whenever the JSON layout changes incompatibly.
 const TrajectorySchema = 1
 
 // Trajectory is the machine-readable form of one figure: the same numbers the
-// rendered Table prints, keyed so that two runs of the same figure can be
-// diffed row by row. Virtual-clock figures are deterministic for a given
-// (scale, seed); wall-clock figures are machine-dependent and only gated on
-// explicit request.
+// rendered Table prints plus the exact end clock of every simulation behind
+// them. Every figure runs on the virtual clock and is deterministic for a
+// given (scale, seed), so two trajectories of one figure are compared with
+// diff: testdata/bench-baseline holds the committed one, and the test that
+// runs the figure fails on any byte that differs.
 type Trajectory struct {
-	Schema int             `json:"schema"`
-	Fig    string          `json:"fig"`
-	Title  string          `json:"title"`
-	Clock  string          `json:"clock"` // "virtual" or "wall"
-	Scale  int             `json:"scale"`
-	Seed   int64           `json:"seed"`
-	Rows   []TrajectoryRow `json:"rows"`
-	Notes  []string        `json:"notes,omitempty"`
+	Schema       int             `json:"schema"`
+	Fig          string          `json:"fig"`
+	Title        string          `json:"title"`
+	Clock        string          `json:"clock"`
+	Scale        int             `json:"scale"`
+	Seed         int64           `json:"seed"`
+	VirtualEndNs []int64         `json:"virtual_end_ns"`
+	Rows         []TrajectoryRow `json:"rows"`
+	Notes        []string        `json:"notes,omitempty"`
 }
 
 // TrajectoryRow is one table row split into identifying labels (the sweep
@@ -37,46 +37,21 @@ type TrajectoryRow struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// Key returns a stable row identity built from the sorted label set, used to
-// match rows across two trajectories of the same figure.
-func (r TrajectoryRow) Key() string {
-	names := make([]string, 0, len(r.Labels))
-	for n := range r.Labels {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	parts := make([]string, len(names))
-	for i, n := range names {
-		parts[i] = n + "=" + r.Labels[n]
-	}
-	return strings.Join(parts, ",")
-}
-
-// ClockVirtual and ClockWall tag how a figure's numbers were measured.
-const (
-	ClockVirtual = "virtual"
-	ClockWall    = "wall"
-)
-
-// TrajectoryFromTable converts a rendered Table into a Trajectory. Columns
-// named in keyCols become labels (the row identity); every other cell is
+// TrajectoryFromTable converts a rendered Table into a Trajectory. The
+// table's Keys columns become labels (the row identity); every other cell is
 // parsed as a metric when numeric ("17.7x" ratios and plain numbers both
 // count) and as a label otherwise. Cells that parse to non-finite values are
-// dropped — JSON has no encoding for them and a figure that produces one has
-// nothing comparable to gate on.
-func TrajectoryFromTable(fig, clock string, s Scale, t *Table, keyCols ...string) *Trajectory {
-	key := make(map[string]bool, len(keyCols))
-	for _, c := range keyCols {
-		key[c] = true
-	}
+// dropped — JSON has no encoding for them.
+func TrajectoryFromTable(s Scale, t *Table) *Trajectory {
 	tr := &Trajectory{
-		Schema: TrajectorySchema,
-		Fig:    fig,
-		Title:  t.Title,
-		Clock:  clock,
-		Scale:  scaleFactor(s),
-		Seed:   s.Seed,
-		Notes:  t.Notes,
+		Schema:       TrajectorySchema,
+		Fig:          t.Fig,
+		Title:        t.Title,
+		Clock:        "virtual",
+		Scale:        scaleFactor(s),
+		Seed:         s.Seed,
+		VirtualEndNs: t.VirtualEndNs,
+		Notes:        t.Notes,
 	}
 	for _, row := range t.Rows {
 		out := TrajectoryRow{
@@ -88,14 +63,15 @@ func TrajectoryFromTable(fig, clock string, s Scale, t *Table, keyCols ...string
 				break
 			}
 			name := t.Header[i]
-			if key[name] {
+			if slices.Contains(t.Keys, name) {
 				out.Labels[name] = cell
 				continue
 			}
-			if v, ok := parseMetric(cell); ok {
-				out.Metrics[name] = v
-			} else if !nonFinite(cell) {
+			switch v, finite, ok := parseMetric(cell); {
+			case !ok:
 				out.Labels[name] = cell
+			case finite:
+				out.Metrics[name] = v
 			}
 		}
 		tr.Rows = append(tr.Rows, out)
@@ -103,23 +79,12 @@ func TrajectoryFromTable(fig, clock string, s Scale, t *Table, keyCols ...string
 	return tr
 }
 
-// parseMetric accepts plain numbers and "NNx" speedup ratios; it rejects
-// non-finite values (inf appears when a baseline denominator is zero).
-func parseMetric(cell string) (float64, bool) {
-	s := strings.TrimSuffix(strings.TrimSpace(cell), "x")
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v != v || v > 1e308 || v < -1e308 {
-		return 0, false
-	}
-	return v, true
-}
-
-// nonFinite reports cells that parse as numbers but are not finite — those
-// are dropped entirely rather than demoted to labels.
-func nonFinite(cell string) bool {
-	s := strings.TrimSuffix(strings.TrimSpace(cell), "x")
-	v, err := strconv.ParseFloat(s, 64)
-	return err == nil && (v != v || v > 1e308 || v < -1e308)
+// parseMetric accepts plain numbers and "NNx" speedup ratios. finite is
+// false for a number JSON cannot carry (inf appears when a baseline
+// denominator is zero); such cells are dropped, not demoted to labels.
+func parseMetric(cell string) (v float64, finite, ok bool) {
+	v, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimSpace(cell), "x"), 64)
+	return v, v == v && v <= 1e308 && v >= -1e308, err == nil
 }
 
 // scaleFactor recovers the -scale multiplier from a Scale by comparing
@@ -136,21 +101,15 @@ func scaleFactor(s Scale) int {
 	return f
 }
 
-// TrajectoryFileName maps a figure id to its on-disk name, sanitizing
-// path-hostile characters so ids like "ablation/bulk-put" stay one file.
-func TrajectoryFileName(fig string) string {
-	clean := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-			return r
-		case r == '-' || r == '_':
-			return r
-		default:
-			return '_'
-		}
-	}, fig)
-	return "BENCH_" + clean + ".json"
+// Encode renders the trajectory as it is stored: indented JSON and a final
+// newline.
+func (tr *Trajectory) Encode() ([]byte, error) {
+	b, err := json.MarshalIndent(tr, "", "  ")
+	return append(b, '\n'), err
 }
+
+// TrajectoryFileName maps a figure id to its file name.
+func TrajectoryFileName(fig string) string { return "BENCH_" + fig + ".json" }
 
 // WriteTrajectory serializes one trajectory to dir/BENCH_<fig>.json and
 // returns the path written.
@@ -158,142 +117,13 @@ func WriteTrajectory(dir string, tr *Trajectory) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	b, err := json.MarshalIndent(tr, "", "  ")
+	b, err := tr.Encode()
 	if err != nil {
 		return "", err
 	}
 	path := filepath.Join(dir, TrajectoryFileName(tr.Fig))
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(path, b, 0o644); err != nil {
 		return "", err
 	}
 	return path, nil
-}
-
-// ReadTrajectory loads and schema-checks one trajectory file.
-func ReadTrajectory(path string) (*Trajectory, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var tr Trajectory
-	if err := json.Unmarshal(b, &tr); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if tr.Schema != TrajectorySchema {
-		return nil, fmt.Errorf("%s: schema %d, this build understands %d",
-			path, tr.Schema, TrajectorySchema)
-	}
-	return &tr, nil
-}
-
-// MetricDirection classifies a metric name for regression gating.
-type MetricDirection int
-
-const (
-	// DirectionUnknown metrics are reported but never gated.
-	DirectionUnknown MetricDirection = iota
-	// DirectionHigherBetter gates on drops (throughput, speedup).
-	DirectionHigherBetter
-	// DirectionLowerBetter gates on rises (latency, amplification, sheds).
-	DirectionLowerBetter
-)
-
-// ClassifyMetric infers gating direction from the column-naming conventions
-// used across the figures: *_ops_s / *_per_s / speedup* / *hit_rate are
-// throughput-like, while durations (*_s, *_us, *_ns), percentiles, counts of
-// bad events (shed, errs) and amplification factors are cost-like.
-func ClassifyMetric(name string) MetricDirection {
-	n := strings.ToLower(name)
-	switch {
-	case strings.Contains(n, "ops_s"), strings.Contains(n, "per_s"),
-		strings.Contains(n, "speedup"), strings.HasPrefix(n, "vs_"),
-		strings.Contains(n, "hit_rate"):
-		return DirectionHigherBetter
-	case strings.HasSuffix(n, "_s"), strings.HasSuffix(n, "_us"),
-		strings.HasSuffix(n, "_ns"), strings.Contains(n, "p99"),
-		strings.Contains(n, "p50"), strings.Contains(n, "amp"),
-		strings.Contains(n, "inflation"), strings.Contains(n, "shed"),
-		strings.Contains(n, "errs"), strings.Contains(n, "media_"):
-		return DirectionLowerBetter
-	default:
-		return DirectionUnknown
-	}
-}
-
-// Regression is one gated metric that moved past tolerance in the bad
-// direction between a baseline and a current trajectory.
-type Regression struct {
-	Fig      string
-	RowKey   string
-	Metric   string
-	Baseline float64
-	Current  float64
-	// Ratio is current/baseline (>1 means the value rose).
-	Ratio float64
-}
-
-func (r Regression) String() string {
-	return fmt.Sprintf("%s[%s] %s: %.6g -> %.6g (%.2fx)",
-		r.Fig, r.RowKey, r.Metric, r.Baseline, r.Current, r.Ratio)
-}
-
-// CompareTrajectories diffs current against baseline row by row and returns
-// the regressions beyond tolerance (0.15 = 15% allowed drift). Rows present
-// on only one side and DirectionUnknown metrics are skipped: the gate only
-// judges numbers it understands on rows it can match.
-func CompareTrajectories(baseline, current *Trajectory, tolerance float64) []Regression {
-	base := make(map[string]TrajectoryRow, len(baseline.Rows))
-	for _, r := range baseline.Rows {
-		base[r.Key()] = r
-	}
-	var regs []Regression
-	for _, cur := range current.Rows {
-		b, ok := base[cur.Key()]
-		if !ok {
-			continue
-		}
-		names := make([]string, 0, len(cur.Metrics))
-		for n := range cur.Metrics {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			bv, ok := b.Metrics[name]
-			if !ok {
-				continue
-			}
-			cv := cur.Metrics[name]
-			dir := ClassifyMetric(name)
-			if dir == DirectionUnknown {
-				continue
-			}
-			bad := false
-			switch dir {
-			case DirectionHigherBetter:
-				bad = cv < bv*(1-tolerance)
-			case DirectionLowerBetter:
-				bad = cv > bv*(1+tolerance)
-			}
-			// Tiny absolute values are all noise: a 0.0001s stage doubling
-			// to 0.0002s is not a regression worth failing CI over.
-			if bad && bv < 1e-6 && cv < 1e-6 {
-				bad = false
-			}
-			if bad {
-				ratio := 0.0
-				if bv != 0 {
-					ratio = cv / bv
-				}
-				regs = append(regs, Regression{
-					Fig:      current.Fig,
-					RowKey:   cur.Key(),
-					Metric:   name,
-					Baseline: bv,
-					Current:  cv,
-					Ratio:    ratio,
-				})
-			}
-		}
-	}
-	return regs
 }

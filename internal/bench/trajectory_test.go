@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -8,9 +9,11 @@ import (
 
 func sampleTrajectoryTable() *Table {
 	t := &Table{
-		Title:  "sample",
-		Header: []string{"threads", "engine", "write_s", "keys_per_s", "speedup", "write_amp"},
-		Notes:  []string{"a note"},
+		Fig: "sample", Keys: []string{"threads", "engine"},
+		Title:        "sample",
+		Header:       []string{"threads", "engine", "write_s", "keys_per_s", "speedup", "write_amp"},
+		Notes:        []string{"a note"},
+		VirtualEndNs: []int64{1234567, 89},
 	}
 	t.Add("1", "kvcsd", "0.0100", "100000", "2.5x", "3.5")
 	t.Add("1", "rocksdb", "0.0250", "40000", "1.0x", "inf")
@@ -20,9 +23,12 @@ func sampleTrajectoryTable() *Table {
 func TestTrajectoryFromTable(t *testing.T) {
 	s := DefaultScale()
 	s.Seed = 7
-	tr := TrajectoryFromTable("7a", ClockVirtual, s, sampleTrajectoryTable(), "threads", "engine")
-	if tr.Schema != TrajectorySchema || tr.Fig != "7a" || tr.Clock != ClockVirtual || tr.Seed != 7 {
+	tr := TrajectoryFromTable(s, sampleTrajectoryTable())
+	if tr.Schema != TrajectorySchema || tr.Fig != "sample" || tr.Clock != "virtual" || tr.Seed != 7 {
 		t.Fatalf("header fields wrong: %+v", tr)
+	}
+	if len(tr.VirtualEndNs) != 2 || tr.VirtualEndNs[0] != 1234567 {
+		t.Errorf("end clocks not carried over: %v", tr.VirtualEndNs)
 	}
 	if len(tr.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tr.Rows))
@@ -45,121 +51,28 @@ func TestTrajectoryFromTable(t *testing.T) {
 	if _, ok := r1.Labels["write_amp"]; ok {
 		t.Error("inf cell stored as label")
 	}
-	if r0.Key() == r1.Key() {
-		t.Error("distinct rows share a key")
-	}
 }
 
+// TestTrajectoryRoundTrip: the file WriteTrajectory leaves is exactly Encode's
+// bytes under the figure's name — the same bytes the golden tests compare.
 func TestTrajectoryRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	s := DefaultScale()
-	tr := TrajectoryFromTable("array", ClockVirtual, s, sampleTrajectoryTable(), "threads", "engine")
-	path, err := WriteTrajectory(dir, tr)
+	tr := TrajectoryFromTable(DefaultScale(), sampleTrajectoryTable())
+	path, err := WriteTrajectory(filepath.Join(t.TempDir(), "sub"), tr)
 	if err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	if filepath.Base(path) != "BENCH_array.json" {
+	if filepath.Base(path) != "BENCH_sample.json" {
 		t.Errorf("file name = %s", filepath.Base(path))
 	}
-	got, err := ReadTrajectory(path)
+	got, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if got.Fig != tr.Fig || len(got.Rows) != len(tr.Rows) || got.Rows[0].Key() != tr.Rows[0].Key() {
-		t.Fatalf("round trip mismatch: %+v vs %+v", got, tr)
-	}
-
-	// A future schema must be refused, not half-parsed.
-	bad := filepath.Join(dir, "BENCH_future.json")
-	if err := os.WriteFile(bad, []byte(`{"schema":99,"fig":"future"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadTrajectory(bad); err == nil {
-		t.Error("schema 99 accepted")
+	want, err := tr.Encode()
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestClassifyMetric(t *testing.T) {
-	cases := map[string]MetricDirection{
-		"keys_per_s":     DirectionHigherBetter,
-		"get_ops_s":      DirectionHigherBetter,
-		"speedup32":      DirectionHigherBetter,
-		"vs_auto":        DirectionHigherBetter,
-		"cache_hit_rate": DirectionHigherBetter,
-		"insert_s":       DirectionLowerBetter,
-		"get_p99_us":     DirectionLowerBetter,
-		"write_amp":      DirectionLowerBetter,
-		"read_inflation": DirectionLowerBetter,
-		"shed":           DirectionLowerBetter,
-		"media_wr_MiB":   DirectionLowerBetter,
-		"matches":        DirectionUnknown,
-		"cmds":           DirectionUnknown,
-	}
-	for name, want := range cases {
-		if got := ClassifyMetric(name); got != want {
-			t.Errorf("ClassifyMetric(%q) = %v, want %v", name, got, want)
-		}
-	}
-}
-
-func trajWithMetric(fig, label string, metrics map[string]float64) *Trajectory {
-	return &Trajectory{
-		Schema: TrajectorySchema,
-		Fig:    fig,
-		Clock:  ClockVirtual,
-		Rows: []TrajectoryRow{{
-			Labels:  map[string]string{"k": label},
-			Metrics: metrics,
-		}},
-	}
-}
-
-func TestCompareTrajectories(t *testing.T) {
-	base := trajWithMetric("f", "a", map[string]float64{
-		"insert_s": 1.0, "keys_per_s": 1000, "cmds": 5,
-	})
-
-	// Within tolerance both ways: clean.
-	cur := trajWithMetric("f", "a", map[string]float64{
-		"insert_s": 1.1, "keys_per_s": 950, "cmds": 99,
-	})
-	if regs := CompareTrajectories(base, cur, 0.15); len(regs) != 0 {
-		t.Fatalf("within-tolerance drift flagged: %v", regs)
-	}
-
-	// Lower-better metric rose past tolerance.
-	cur = trajWithMetric("f", "a", map[string]float64{"insert_s": 1.5, "keys_per_s": 1000})
-	regs := CompareTrajectories(base, cur, 0.15)
-	if len(regs) != 1 || regs[0].Metric != "insert_s" {
-		t.Fatalf("slowdown not flagged: %v", regs)
-	}
-	if regs[0].Ratio < 1.49 || regs[0].Ratio > 1.51 {
-		t.Errorf("ratio = %v", regs[0].Ratio)
-	}
-
-	// Higher-better metric dropped past tolerance.
-	cur = trajWithMetric("f", "a", map[string]float64{"insert_s": 1.0, "keys_per_s": 500})
-	regs = CompareTrajectories(base, cur, 0.15)
-	if len(regs) != 1 || regs[0].Metric != "keys_per_s" {
-		t.Fatalf("throughput drop not flagged: %v", regs)
-	}
-
-	// An improvement is never a regression.
-	cur = trajWithMetric("f", "a", map[string]float64{"insert_s": 0.5, "keys_per_s": 2000})
-	if regs = CompareTrajectories(base, cur, 0.15); len(regs) != 0 {
-		t.Fatalf("improvement flagged: %v", regs)
-	}
-
-	// Unmatched rows are skipped, not compared against the wrong baseline.
-	cur = trajWithMetric("f", "other", map[string]float64{"insert_s": 99})
-	if regs = CompareTrajectories(base, cur, 0.15); len(regs) != 0 {
-		t.Fatalf("unmatched row compared: %v", regs)
-	}
-
-	// Sub-microsecond noise stays under the floor.
-	tiny := trajWithMetric("f", "a", map[string]float64{"insert_s": 1e-8})
-	tinyCur := trajWithMetric("f", "a", map[string]float64{"insert_s": 5e-8})
-	if regs = CompareTrajectories(tiny, tinyCur, 0.15); len(regs) != 0 {
-		t.Fatalf("noise-floor value flagged: %v", regs)
+	if !bytes.Equal(got, want) || !bytes.HasSuffix(got, []byte("}\n")) {
+		t.Errorf("file holds %q, Encode gives %q", got, want)
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"kvcsd/internal/device"
+	"kvcsd/internal/host"
 	"kvcsd/internal/keyenc"
 	"kvcsd/internal/nvme"
 	"kvcsd/internal/sim"
@@ -144,8 +145,9 @@ func keyIndex(key []byte) (int, bool) {
 	return n, err == nil
 }
 
-// Run executes the campaign: every load-phase crash point, then a probe run
-// measuring the compaction window, then every compaction-phase crash point.
+// Run executes the campaign: every load-phase crash point, then, for each of
+// the compaction, pipelined-compaction and cold-migration phases, a probe
+// replay and the phase's crash points.
 func Run(opts Options) *Result {
 	if opts.Ops <= 0 {
 		opts.Ops = DefaultOptions().Ops
@@ -161,32 +163,42 @@ func Run(opts Options) *Result {
 	}
 	res := &Result{Seed: opts.Seed}
 	for cut := opts.CutEvery - 1; cut < opts.Ops; cut += opts.CutEvery {
-		pt := runLoadPoint(opts, cut)
+		pt, _ := runPoint(opts, pointSpec{phase: "load", salt: int64(cut), upto: cut})
 		res.Points = append(res.Points, pt)
 	}
-	if opts.CompactionCuts > 0 {
-		window := probeCompaction(opts)
-		rng := sim.NewRNG(opts.Seed).Fork(0x43484153) // "CHAS"
-		for j := 0; j < opts.CompactionCuts; j++ {
-			off := sim.Duration(rng.Float64() * float64(window))
-			pt := runCompactPoint(opts, j, off)
+	// The other phases cut at seeded offsets into something the fully loaded
+	// and synced workload has running; a probe replay with no cut measures
+	// how long that runs, and the offsets are drawn from its window.
+	for n, ph := range []struct {
+		cuts    int
+		cutSeed int64 // forks the offset RNG
+		spec    pointSpec
+	}{
+		{opts.CompactionCuts, 0x43484153, // "CHAS"
+			pointSpec{phase: "compact", start: startCompact}},
+		{opts.PipelineCuts, 0x50495045, // "PIPE"
+			pointSpec{phase: "pipeline", start: startCompact, tune: tunePipeline, assist: true}},
+		{opts.MigrationCuts, 0x4D494752, // "MIGR"
+			pointSpec{phase: "migrate", start: startMigrate, tune: tuneMigrate}},
+	} {
+		if ph.cuts <= 0 {
+			continue
+		}
+		phase := int64(n + 1)
+		spec := ph.spec
+		spec.upto = opts.Ops - 1
+		spec.salt, spec.probe = -phase, true
+		_, window := runPoint(opts, spec)
+		if window <= 0 {
+			window = time.Millisecond
+		}
+		spec.probe = false
+		rng := sim.NewRNG(opts.Seed).Fork(ph.cutSeed)
+		for j := 0; j < ph.cuts; j++ {
+			spec.salt = phase<<20 + int64(j)
+			spec.off = sim.Duration(rng.Float64() * float64(window))
+			pt, _ := runPoint(opts, spec)
 			res.Points = append(res.Points, pt)
-		}
-	}
-	if opts.PipelineCuts > 0 {
-		window := probeTunedWindow(opts, -2, tunePipeline, true, false)
-		rng := sim.NewRNG(opts.Seed).Fork(0x50495045) // "PIPE"
-		for j := 0; j < opts.PipelineCuts; j++ {
-			off := sim.Duration(rng.Float64() * float64(window))
-			res.Points = append(res.Points, runPipelinePoint(opts, j, off))
-		}
-	}
-	if opts.MigrationCuts > 0 {
-		window := probeTunedWindow(opts, -3, tuneMigrate, false, true)
-		rng := sim.NewRNG(opts.Seed).Fork(0x4D494752) // "MIGR"
-		for j := 0; j < opts.MigrationCuts; j++ {
-			off := sim.Duration(rng.Float64() * float64(window))
-			res.Points = append(res.Points, runMigratePoint(opts, j, off))
 		}
 	}
 	for _, pt := range res.Points {
@@ -197,18 +209,26 @@ func Run(opts Options) *Result {
 	return res
 }
 
+// smallDevice is the campaigns' device template: zones, buffers and sort
+// budget small enough that a few hundred pairs cross flush, stripe and run
+// boundaries, so faults land on interesting media states quickly.
+func smallDevice() device.Options {
+	dopts := device.DefaultOptions()
+	dopts.SSD.ZoneSize = 256 << 10
+	dopts.SSD.NumZones = 1024
+	dopts.Engine.IngestBufferBytes = 16 << 10
+	dopts.Engine.SortBudgetBytes = 64 << 10
+	dopts.Engine.StripeWidth = 2
+	return dopts
+}
+
 // newPointDevice builds a fresh simulation and device for one crash point;
 // tune (optional) reshapes the device template for phase-specific points.
 func newPointDevice(opts Options, salt int64, tune func(*device.Options)) (*sim.Env, *device.Device) {
 	env := sim.NewEnv()
 	dopts := opts.Device
 	if dopts.QueueDepth == 0 && dopts.SSD.Channels == 0 {
-		dopts = device.DefaultOptions()
-		dopts.SSD.ZoneSize = 256 << 10
-		dopts.SSD.NumZones = 1024
-		dopts.Engine.IngestBufferBytes = 16 << 10
-		dopts.Engine.SortBudgetBytes = 64 << 10
-		dopts.Engine.StripeWidth = 2
+		dopts = smallDevice()
 	}
 	if tune != nil {
 		tune(&dopts)
@@ -269,32 +289,26 @@ func compactAndIndex(p *sim.Proc, d *device.Device) error {
 			return fmt.Errorf("build index: %v", c.Status)
 		}
 	}
-	for i := 0; ; i++ {
-		if i > 100000 {
-			return fmt.Errorf("compaction stuck")
-		}
-		c := submit(p, d, &nvme.Command{Op: nvme.OpCompactStatus, Keyspace: "chaos"})
-		if c.Status != nvme.StatusOK {
-			return fmt.Errorf("compact status: %v", c.Status)
-		}
-		if c.Done {
-			break
-		}
-		p.Sleep(time.Millisecond)
+	if err := waitDone(p, d, nvme.Command{Op: nvme.OpCompactStatus, Keyspace: "chaos"}, time.Millisecond); err != nil {
+		return err
 	}
-	for i := 0; ; i++ {
-		if i > 100000 {
-			return fmt.Errorf("index build stuck")
-		}
-		c := submit(p, d, &nvme.Command{Op: nvme.OpIndexStatus, Keyspace: "chaos", Index: secSpec()})
+	return waitDone(p, d, nvme.Command{Op: nvme.OpIndexStatus, Keyspace: "chaos", Index: secSpec()}, time.Millisecond)
+}
+
+// waitDone polls a status command every `every` until it reports done.
+func waitDone(p *sim.Proc, d *device.Device, poll nvme.Command, every time.Duration) error {
+	for i := 0; i <= 100000; i++ {
+		cmd := poll
+		c := submit(p, d, &cmd)
 		if c.Status != nvme.StatusOK {
-			return fmt.Errorf("index status: %v", c.Status)
+			return fmt.Errorf("%v: %v", poll.Op, c.Status)
 		}
 		if c.Done {
 			return nil
 		}
-		p.Sleep(time.Millisecond)
+		p.Sleep(every)
 	}
+	return fmt.Errorf("%v never done", poll.Op)
 }
 
 // verify checks the three recovery invariants after the keyspace is
@@ -366,118 +380,148 @@ func verify(p *sim.Proc, d *device.Device, opts Options, pt *Point, lastStored i
 	}
 }
 
-// runLoadPoint crashes after acking op `cut` during load.
-func runLoadPoint(opts Options, cut int) Point {
-	pt := Point{Phase: "load", Cut: int64(cut)}
-	env, d := newPointDevice(opts, int64(cut), nil)
-	env.Go("chaos", func(p *sim.Proc) {
-		defer d.Shutdown()
-		if err := prologue(p, d); err != nil {
-			pt.Err = err.Error()
+// What a crash point has running when the power goes.
+const (
+	startNothing = iota // the cut follows the ack of the last loaded op
+	startCompact        // a compaction of the fully loaded, synced workload
+	startMigrate        // a cold-tier migration sweep, after that compaction finished
+)
+
+// pointSpec is how one replay of the scripted workload differs from the
+// others: how far it loads, what it starts, where it cuts and whether a host
+// assist loop runs.
+type pointSpec struct {
+	phase  string                // Point.Phase
+	salt   int64                 // derives the replay's device seed
+	tune   func(*device.Options) // reshapes the device template (nil: as it is)
+	upto   int                   // stores ops [0, upto]
+	start  int                   // startNothing, startCompact or startMigrate
+	assist bool                  // a host assist loop serves merge jobs, before the cut and after restart
+	off    sim.Duration          // the cut lands this far into what was started
+	probe  bool                  // no cut: report how long what was started ran
+}
+
+// runPoint replays the scripted workload once: prologue, load, and — for the
+// phases that load everything — a final sync, then whatever the spec starts;
+// power is cut spec.off into that, the device restarts, and the recovered
+// keyspace is compacted, indexed and verified. With everything synced, every
+// single pair must survive. A probe replay stops where the cut would come and
+// returns the virtual time the started work took instead.
+//
+// A pipeline cut can land with a merge job in flight on the host (the
+// submitter falls back via ErrAssistClosed), between pipeline stages, or
+// inside the value distribution; after restart a fresh assist loop
+// re-attaches, so the re-compaction that builds the verification index is
+// itself collaborative. A migration sweep persists the metadata snapshot
+// referencing fresh cold zones before releasing the hot originals, so a cut at
+// any offset leaves either tier fully readable — at worst orphan cold zones
+// for the recovery sweep to reclaim — and never a value that moved but is
+// referenced nowhere.
+func runPoint(opts Options, spec pointSpec) (pt Point, window sim.Duration) {
+	pt = Point{Phase: spec.phase, Cut: int64(spec.off)}
+	if spec.start == startNothing {
+		pt.Cut = int64(spec.upto)
+	}
+	env, d := newPointDevice(opts, spec.salt, spec.tune)
+	h := host.New(env, host.DefaultHostConfig())
+	liveAssists := 0
+	spawnAssist := func() {
+		if !spec.assist {
 			return
 		}
-		synced, err := load(p, d, opts, cut)
+		liveAssists++
+		env.Go("assist", func(ap *sim.Proc) {
+			defer func() { liveAssists-- }()
+			assistLoop(ap, d, h, &pt.HostJobs)
+		})
+	}
+	// script is the replay; an error is a harness failure or a refused step.
+	script := func(p *sim.Proc) error {
+		step := func(what string, op nvme.Opcode) error {
+			if c := submit(p, d, &nvme.Command{Op: op, Keyspace: "chaos"}); c.Status != nvme.StatusOK {
+				return fmt.Errorf("%s: %v", what, c.Status)
+			}
+			return nil
+		}
+		if err := prologue(p, d); err != nil {
+			return err
+		}
+		synced, err := load(p, d, opts, spec.upto)
 		if err != nil {
-			pt.Err = err.Error()
-			return
+			return err
 		}
 		pt.Synced = synced
+		// The sweep runs inside one command; in a cut replay it is on a proc
+		// of its own, so the cut lands mid-sweep and the command completes
+		// with StatusPoweredOff.
+		migrated := false
+		migrate := func(mp *sim.Proc) {
+			submit(mp, d, &nvme.Command{Op: nvme.OpMigrateCold})
+			migrated = true
+		}
+		if spec.start != startNothing {
+			if err := step("final sync", nvme.OpSync); err != nil {
+				return err
+			}
+			pt.Synced = spec.upto + 1
+			spawnAssist()
+			started := p.Now()
+			if err := step("compact", nvme.OpCompact); err != nil {
+				return err
+			}
+			if spec.start == startMigrate || spec.probe {
+				if err := waitDone(p, d, nvme.Command{Op: nvme.OpCompactStatus, Keyspace: "chaos"}, 10*time.Microsecond); err != nil {
+					return err
+				}
+			}
+			if spec.start == startMigrate {
+				started = p.Now()
+				if spec.probe {
+					migrate(p)
+				} else {
+					env.Go("migrate", migrate)
+				}
+			}
+			if spec.probe {
+				window = sim.Duration(p.Now() - started)
+				return nil
+			}
+			p.Sleep(spec.off)
+		}
 		d.PowerCut(p)
-		rep, err := d.Restart(p)
-		if err != nil {
-			pt.Err = fmt.Sprintf("restart: %v", err)
-			return
-		}
-		pt.TornRecords, pt.RecoveredFrames = rep.TornRecords, rep.RecoveredFrames
-		pt.RepairedZones, pt.OrphanZones, pt.LostBytes = rep.RepairedZones, rep.OrphanZones, rep.LostBytes
-		if err := compactAndIndex(p, d); err != nil {
-			pt.Err = err.Error()
-			return
-		}
-		verify(p, d, opts, &pt, cut)
-	})
-	env.Run()
-	return pt
-}
-
-// probeCompaction runs the workload once with no cut and measures the
-// compaction window (virtual time from issue to done); compaction-phase cut
-// offsets are drawn from it.
-func probeCompaction(opts Options) sim.Duration {
-	var window sim.Duration
-	env, d := newPointDevice(opts, -1, nil)
-	env.Go("chaos", func(p *sim.Proc) {
-		defer d.Shutdown()
-		if err := prologue(p, d); err != nil {
-			return
-		}
-		if _, err := load(p, d, opts, opts.Ops-1); err != nil {
-			return
-		}
-		submit(p, d, &nvme.Command{Op: nvme.OpSync, Keyspace: "chaos"})
-		start := p.Now()
-		if c := submit(p, d, &nvme.Command{Op: nvme.OpCompact, Keyspace: "chaos"}); c.Status != nvme.StatusOK {
-			return
-		}
-		for {
-			c := submit(p, d, &nvme.Command{Op: nvme.OpCompactStatus, Keyspace: "chaos"})
-			if c.Status != nvme.StatusOK {
-				return
-			}
-			if c.Done {
-				break
-			}
+		for spec.start == startMigrate && !migrated {
 			p.Sleep(10 * time.Microsecond)
 		}
-		window = sim.Duration(p.Now() - start)
-	})
-	env.Run()
-	if window <= 0 {
-		window = time.Millisecond
-	}
-	return window
-}
-
-// runCompactPoint loads and syncs the full workload, starts compaction, cuts
-// power `off` into it, and verifies recovery: with everything synced, every
-// single pair must survive.
-func runCompactPoint(opts Options, idx int, off sim.Duration) Point {
-	pt := Point{Phase: "compact", Cut: int64(off)}
-	env, d := newPointDevice(opts, int64(1<<20+idx), nil)
-	env.Go("chaos", func(p *sim.Proc) {
-		defer d.Shutdown()
-		if err := prologue(p, d); err != nil {
-			pt.Err = err.Error()
-			return
-		}
-		if _, err := load(p, d, opts, opts.Ops-1); err != nil {
-			pt.Err = err.Error()
-			return
-		}
-		if c := submit(p, d, &nvme.Command{Op: nvme.OpSync, Keyspace: "chaos"}); c.Status != nvme.StatusOK {
-			pt.Err = fmt.Sprintf("final sync: %v", c.Status)
-			return
-		}
-		pt.Synced = opts.Ops
-		if c := submit(p, d, &nvme.Command{Op: nvme.OpCompact, Keyspace: "chaos"}); c.Status != nvme.StatusOK {
-			pt.Err = fmt.Sprintf("compact: %v", c.Status)
-			return
-		}
-		p.Sleep(off)
-		d.PowerCut(p)
 		rep, err := d.Restart(p)
 		if err != nil {
-			pt.Err = fmt.Sprintf("restart: %v", err)
-			return
+			return fmt.Errorf("restart: %v", err)
 		}
 		pt.TornRecords, pt.RecoveredFrames = rep.TornRecords, rep.RecoveredFrames
 		pt.RepairedZones, pt.OrphanZones, pt.LostBytes = rep.RepairedZones, rep.OrphanZones, rep.LostBytes
+		spawnAssist()
 		if err := compactAndIndex(p, d); err != nil {
-			pt.Err = err.Error()
-			return
+			return err
 		}
-		verify(p, d, opts, &pt, opts.Ops-1)
+		verify(p, d, opts, &pt, spec.upto)
+		return nil
+	}
+	env.Go("chaos", func(p *sim.Proc) {
+		defer d.Shutdown()
+		if spec.assist {
+			// Quiesce before the queue closes: closing the assist queue
+			// unparks any polling loop, which then observes Done and exits
+			// without submitting to a closed queue.
+			defer func() {
+				d.Engine().CloseAssist()
+				for liveAssists > 0 {
+					p.Sleep(10 * time.Microsecond)
+				}
+			}()
+		}
+		if err := script(p); err != nil {
+			pt.Err = err.Error()
+		}
 	})
 	env.Run()
-	return pt
+	return pt, window
 }

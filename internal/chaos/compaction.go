@@ -9,9 +9,6 @@
 package chaos
 
 import (
-	"fmt"
-	"time"
-
 	"kvcsd/internal/compaction"
 	"kvcsd/internal/core"
 	"kvcsd/internal/device"
@@ -66,192 +63,4 @@ func assistLoop(p *sim.Proc, d *device.Device, h *host.Host, jobs *int) {
 		}
 		*jobs++
 	}
-}
-
-// waitCompactDone polls the keyspace until compaction reports done.
-func waitCompactDone(p *sim.Proc, d *device.Device) error {
-	for i := 0; ; i++ {
-		if i > 100000 {
-			return fmt.Errorf("compaction stuck")
-		}
-		c := submit(p, d, &nvme.Command{Op: nvme.OpCompactStatus, Keyspace: "chaos"})
-		if c.Status != nvme.StatusOK {
-			return fmt.Errorf("compact status: %v", c.Status)
-		}
-		if c.Done {
-			return nil
-		}
-		p.Sleep(10 * time.Microsecond)
-	}
-}
-
-// probeTunedWindow measures, with no cut, the virtual-time window the
-// compaction-phase (or, with migrate set, the migration-phase) of a tuned
-// point occupies; crash offsets for that phase are drawn from it.
-func probeTunedWindow(opts Options, salt int64, tune func(*device.Options), withAssist, migrate bool) sim.Duration {
-	var window sim.Duration
-	env, d := newPointDevice(opts, salt, tune)
-	h := host.New(env, host.DefaultHostConfig())
-	env.Go("chaos", func(p *sim.Proc) {
-		defer d.Shutdown()
-		if err := prologue(p, d); err != nil {
-			return
-		}
-		if _, err := load(p, d, opts, opts.Ops-1); err != nil {
-			return
-		}
-		submit(p, d, &nvme.Command{Op: nvme.OpSync, Keyspace: "chaos"})
-		if withAssist {
-			var jobs int
-			env.Go("assist", func(ap *sim.Proc) { assistLoop(ap, d, h, &jobs) })
-		}
-		start := p.Now()
-		if c := submit(p, d, &nvme.Command{Op: nvme.OpCompact, Keyspace: "chaos"}); c.Status != nvme.StatusOK {
-			return
-		}
-		if err := waitCompactDone(p, d); err != nil {
-			return
-		}
-		if migrate {
-			start = p.Now()
-			if c := submit(p, d, &nvme.Command{Op: nvme.OpMigrateCold}); c.Status != nvme.StatusOK {
-				return
-			}
-		}
-		window = sim.Duration(p.Now() - start)
-	})
-	env.Run()
-	if window <= 0 {
-		window = time.Millisecond
-	}
-	return window
-}
-
-// runPipelinePoint loads and syncs the full workload, starts a collaborative
-// width-4 compaction with a live host assist loop, and cuts power `off` into
-// it. The cut can land with a merge job in flight on the host (the submitter
-// falls back via ErrAssistClosed), between pipeline stages, or inside the
-// value distribution; in every case recovery must surface exactly the synced
-// pairs. After restart a fresh assist loop re-attaches, so the re-compaction
-// that builds the verification index is itself collaborative.
-func runPipelinePoint(opts Options, idx int, off sim.Duration) Point {
-	pt := Point{Phase: "pipeline", Cut: int64(off)}
-	env, d := newPointDevice(opts, int64(2<<20+idx), tunePipeline)
-	h := host.New(env, host.DefaultHostConfig())
-	liveAssists := 0
-	spawnAssist := func() {
-		liveAssists++
-		env.Go("assist", func(ap *sim.Proc) {
-			defer func() { liveAssists-- }()
-			assistLoop(ap, d, h, &pt.HostJobs)
-		})
-	}
-	env.Go("chaos", func(p *sim.Proc) {
-		defer d.Shutdown()
-		// Quiesce before the queue closes: closing the assist queue unparks
-		// any polling loop, which then observes Done and exits without
-		// submitting to a closed queue.
-		defer func() {
-			d.Engine().CloseAssist()
-			for liveAssists > 0 {
-				p.Sleep(10 * time.Microsecond)
-			}
-		}()
-		if err := prologue(p, d); err != nil {
-			pt.Err = err.Error()
-			return
-		}
-		if _, err := load(p, d, opts, opts.Ops-1); err != nil {
-			pt.Err = err.Error()
-			return
-		}
-		if c := submit(p, d, &nvme.Command{Op: nvme.OpSync, Keyspace: "chaos"}); c.Status != nvme.StatusOK {
-			pt.Err = fmt.Sprintf("final sync: %v", c.Status)
-			return
-		}
-		pt.Synced = opts.Ops
-		spawnAssist()
-		if c := submit(p, d, &nvme.Command{Op: nvme.OpCompact, Keyspace: "chaos"}); c.Status != nvme.StatusOK {
-			pt.Err = fmt.Sprintf("compact: %v", c.Status)
-			return
-		}
-		p.Sleep(off)
-		d.PowerCut(p)
-		rep, err := d.Restart(p)
-		if err != nil {
-			pt.Err = fmt.Sprintf("restart: %v", err)
-			return
-		}
-		pt.TornRecords, pt.RecoveredFrames = rep.TornRecords, rep.RecoveredFrames
-		pt.RepairedZones, pt.OrphanZones, pt.LostBytes = rep.RepairedZones, rep.OrphanZones, rep.LostBytes
-		spawnAssist()
-		if err := compactAndIndex(p, d); err != nil {
-			pt.Err = err.Error()
-			return
-		}
-		verify(p, d, opts, &pt, opts.Ops-1)
-	})
-	env.Run()
-	return pt
-}
-
-// runMigratePoint compacts the full synced workload, then cuts power `off`
-// into a cold-tier migration sweep. The sweep persists the metadata snapshot
-// referencing fresh cold zones before releasing the hot originals, so a cut
-// at any offset leaves either tier fully readable — at worst orphan cold
-// zones for the recovery sweep to reclaim — and never a value that moved
-// but is referenced nowhere.
-func runMigratePoint(opts Options, idx int, off sim.Duration) Point {
-	pt := Point{Phase: "migrate", Cut: int64(off)}
-	env, d := newPointDevice(opts, int64(3<<20+idx), tuneMigrate)
-	env.Go("chaos", func(p *sim.Proc) {
-		defer d.Shutdown()
-		if err := prologue(p, d); err != nil {
-			pt.Err = err.Error()
-			return
-		}
-		if _, err := load(p, d, opts, opts.Ops-1); err != nil {
-			pt.Err = err.Error()
-			return
-		}
-		if c := submit(p, d, &nvme.Command{Op: nvme.OpSync, Keyspace: "chaos"}); c.Status != nvme.StatusOK {
-			pt.Err = fmt.Sprintf("final sync: %v", c.Status)
-			return
-		}
-		pt.Synced = opts.Ops
-		if c := submit(p, d, &nvme.Command{Op: nvme.OpCompact, Keyspace: "chaos"}); c.Status != nvme.StatusOK {
-			pt.Err = fmt.Sprintf("compact: %v", c.Status)
-			return
-		}
-		if err := waitCompactDone(p, d); err != nil {
-			pt.Err = err.Error()
-			return
-		}
-		// The sweep runs inside one command on another proc; the cut lands
-		// mid-sweep and the command completes with StatusPoweredOff.
-		migrateDone := false
-		env.Go("migrate", func(mp *sim.Proc) {
-			submit(mp, d, &nvme.Command{Op: nvme.OpMigrateCold})
-			migrateDone = true
-		})
-		p.Sleep(off)
-		d.PowerCut(p)
-		for !migrateDone {
-			p.Sleep(10 * time.Microsecond)
-		}
-		rep, err := d.Restart(p)
-		if err != nil {
-			pt.Err = fmt.Sprintf("restart: %v", err)
-			return
-		}
-		pt.TornRecords, pt.RecoveredFrames = rep.TornRecords, rep.RecoveredFrames
-		pt.RepairedZones, pt.OrphanZones, pt.LostBytes = rep.RepairedZones, rep.OrphanZones, rep.LostBytes
-		if err := compactAndIndex(p, d); err != nil {
-			pt.Err = err.Error()
-			return
-		}
-		verify(p, d, opts, &pt, opts.Ops-1)
-	})
-	env.Run()
-	return pt
 }

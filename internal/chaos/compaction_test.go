@@ -39,22 +39,5 @@ func TestCompactionChaosSmoke(t *testing.T) {
 	if migrated != opts.MigrationCuts {
 		t.Errorf("ran %d migration points, want %d", migrated, opts.MigrationCuts)
 	}
-}
-
-// TestCompactionChaosDeterministic reruns a tiny compaction-subsystem
-// campaign and requires byte-identical summaries: the pipeline's stage
-// procs, the assist loop, and the migration sweep must all stay on the
-// seeded virtual-time clock.
-func TestCompactionChaosDeterministic(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Ops = 96
-	opts.CutEvery = opts.Ops + 1
-	opts.CompactionCuts = 0
-	opts.PipelineCuts = 2
-	opts.MigrationCuts = 2
-	a := Run(opts).Summary()
-	b := Run(opts).Summary()
-	if a != b {
-		t.Fatalf("summaries differ across reruns:\n--- first\n%s--- second\n%s", a, b)
-	}
+	checkSummary(t, "compaction", res.Summary())
 }

@@ -7,7 +7,6 @@ import (
 
 	"kvcsd/internal/array"
 	"kvcsd/internal/core"
-	"kvcsd/internal/device"
 	"kvcsd/internal/nvme"
 	"kvcsd/internal/sim"
 	"kvcsd/internal/ssd"
@@ -167,19 +166,6 @@ func RunCorruption(opts CorruptionOptions) *CorruptionResult {
 	return res
 }
 
-// corruptionDevice is the small per-scenario device template (mirrors the
-// power-cut campaign's newPointDevice sizing).
-func corruptionDevice(disableVerify bool) device.Options {
-	dopts := device.DefaultOptions()
-	dopts.SSD.ZoneSize = 256 << 10
-	dopts.SSD.NumZones = 1024
-	dopts.Engine.IngestBufferBytes = 16 << 10
-	dopts.Engine.SortBudgetBytes = 64 << 10
-	dopts.Engine.StripeWidth = 2
-	dopts.Engine.DisableVerify = disableVerify
-	return dopts
-}
-
 // rotBits is how many bits each targeted injection flips — enough that a
 // poisoned granule virtually always breaks the workload's value bytes.
 const rotBits = 16
@@ -193,6 +179,8 @@ func runCorruptionScenario(opts CorruptionOptions, idx int) CorruptionScenario {
 	sc := CorruptionScenario{Index: idx, Nemesis: rotNemesisNames[nem], Seed: seed}
 
 	env := sim.NewEnv()
+	dopts := smallDevice()
+	dopts.Engine.DisableVerify = opts.DisableVerify
 	arr := array.New(env, array.Options{
 		Devices:                  3,
 		Replicas:                 2,
@@ -200,7 +188,7 @@ func runCorruptionScenario(opts CorruptionOptions, idx int) CorruptionScenario {
 		ReadPreference:           array.ReadRoundRobin,
 		FailureThreshold:         3,
 		MaxConcurrentCompactions: 2,
-		Device:                   corruptionDevice(opts.DisableVerify),
+		Device:                   dopts,
 	})
 	env.Go("corruption-chaos", func(p *sim.Proc) {
 		defer arr.Shutdown()
@@ -327,7 +315,7 @@ func corruptionScenarioBody(p *sim.Proc, arr *array.Array, opts CorruptionOption
 	}
 	arr.WaitRepairsIdle(p)
 	// Three passes: enough for repairable rot to heal and for unrepairable
-	// zones to accumulate quarantine strikes (Config.QuarantineThreshold).
+	// zones to accumulate quarantine strikes (three per zone).
 	for pass := 0; pass < 3; pass++ {
 		for _, dev := range owners {
 			if _, err := arr.RepairDevice(p, dev); err != nil {

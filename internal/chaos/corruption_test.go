@@ -35,6 +35,7 @@ func TestCorruptionChaos(t *testing.T) {
 	if quarantined == 0 {
 		t.Fatalf("two-replica rot never quarantined a zone\n%s", res.Summary())
 	}
+	checkSummary(t, "corruption", res.Summary())
 }
 
 // TestCorruptionChaosSmoke is the CI-sized subset (one scenario per nemesis,
@@ -44,18 +45,6 @@ func TestCorruptionChaosSmoke(t *testing.T) {
 	opts.Scenarios = 4
 	res := RunCorruption(opts)
 	assertCorruptionClean(t, res)
-}
-
-// TestCorruptionChaosDeterministic re-runs a slice of the campaign and
-// demands an identical summary: the whole fault model is seeded.
-func TestCorruptionChaosDeterministic(t *testing.T) {
-	opts := DefaultCorruptionOptions()
-	opts.Scenarios = 4
-	a := RunCorruption(opts).Summary()
-	b := RunCorruption(opts).Summary()
-	if a != b {
-		t.Fatalf("campaign not deterministic:\n--- run 1\n%s--- run 2\n%s", a, b)
-	}
 }
 
 // TestCorruptionNegativeControl disables checksum verification and asserts

@@ -133,23 +133,6 @@ func DefaultRetryPolicy() RetryPolicy {
 	}
 }
 
-// idempotentOp reports whether a command can be replayed after an ambiguous
-// failure (timeout, powered-off) without changing the outcome: reads and
-// status polls trivially, and writes because replayed puts/deletes land as
-// duplicate log records that deduplicate at compaction. Lifecycle commands
-// (create/delete keyspace, compact, index builds) are not replayed — a
-// replay of a command that actually landed would report a different status.
-func idempotentOp(op nvme.Opcode) bool {
-	switch op {
-	case nvme.OpStore, nvme.OpBulkStore, nvme.OpDelete, nvme.OpSync,
-		nvme.OpRetrieve, nvme.OpExist, nvme.OpList,
-		nvme.OpQueryPrimaryRange, nvme.OpQuerySecondaryRange, nvme.OpQuerySecondaryPoint,
-		nvme.OpOpenKeyspace, nvme.OpCompactStatus, nvme.OpIndexStatus, nvme.OpKeyspaceInfo:
-		return true
-	}
-	return false
-}
-
 // BulkMessageBytes is the bulk PUT message size from the paper.
 const BulkMessageBytes = 128 << 10
 
@@ -190,7 +173,7 @@ func (c *Client) Device() *device.Device { return c.dev }
 // record and deduplicates at compaction.
 func (c *Client) roundTrip(p *sim.Proc, cmd *nvme.Command) (*nvme.Completion, error) {
 	comp, err := c.sendOnce(p, cmd)
-	if err == nil || c.policy.MaxAttempts <= 1 || !idempotentOp(cmd.Op) {
+	if err == nil || c.policy.MaxAttempts <= 1 || !cmd.Op.Idempotent() {
 		return comp, err
 	}
 	backoff := c.policy.BaseBackoff

@@ -41,9 +41,10 @@ func TestRetryableTable(t *testing.T) {
 }
 
 // TestIdempotentOpTable pins which opcodes the retry loop may replay after an
-// ambiguous failure: reads, status polls, and log-structured writes (replays
-// deduplicate at compaction) — but never lifecycle commands, whose replay
-// would report a different status than the original.
+// ambiguous failure: reads, status polls, log-structured writes (replays
+// deduplicate at compaction) and the maintenance commands whose replay
+// converges — but never lifecycle commands, whose replay would report a
+// different status than the original.
 func TestIdempotentOpTable(t *testing.T) {
 	want := map[nvme.Opcode]bool{
 		nvme.OpStore:               true,
@@ -65,49 +66,39 @@ func TestIdempotentOpTable(t *testing.T) {
 		nvme.OpKeyspaceInfo:        true,
 		nvme.OpSync:                true,
 		nvme.OpCompactWithIndexes:  false,
+		nvme.OpScrubMedia:          true,
+		nvme.OpReadExtent:          false,
+		nvme.OpRepairExtent:        false,
+		nvme.OpCorruptMedia:        false,
+		nvme.OpHostMergePoll:       false,
+		nvme.OpHostMergePush:       false,
+		nvme.OpCompactPolicy:       true,
+		nvme.OpMigrateCold:         true,
 	}
 	for op, w := range want {
-		if got := idempotentOp(op); got != w {
-			t.Errorf("idempotentOp(%s) = %v, want %v", op, got, w)
+		if got := op.Idempotent(); got != w {
+			t.Errorf("%s.Idempotent() = %v, want %v", op, got, w)
 		}
+	}
+	if nvme.Opcode(len(want)).Idempotent() {
+		t.Errorf("an opcode past the table replays")
 	}
 }
 
-// TestIdempotencyDriftFromWire lists exactly the wire verbs whose replay rule
-// (wire.Op.Idempotent, applied by the remote client and the session layer)
-// differs from this library's rule for the NVMe opcode the verb maps to
-// (idempotentOp, applied by roundTrip). The two lists are maintained
-// separately and already disagree; this table makes the next drift a failure
-// instead of a surprise.
+// TestIdempotencyDriftFromWire: there is one retry rule. A wire verb that
+// executes a device command replays exactly when the command does
+// (nvme.Opcode.Idempotent, which roundTrip applies); only the transport-only
+// verbs, which have no device command — Op.NVMe() is a stand-in for error
+// reporting there — state their own.
 func TestIdempotencyDriftFromWire(t *testing.T) {
-	want := map[wire.Op]string{
-		// Device-side maintenance verbs the wire layer replays (re-scrubbing,
-		// re-installing a config or re-sweeping a drained tier converge) but
-		// roundTrip does not retry.
-		wire.OpScrub:         "wire replays, client does not",
-		wire.OpCompactPolicy: "wire replays, client does not",
-		wire.OpMigrateCold:   "wire replays, client does not",
-		// Transport-only verbs with no device command: Op.NVMe() stands
-		// OpKeyspaceInfo in for them, which idempotentOp would replay, while
-		// the wire layer must not (a replayed Recover or consensus message is
-		// not harmless).
-		wire.OpRecover:       "client stand-in replays, wire does not",
-		wire.OpRequestVote:   "client stand-in replays, wire does not",
-		wire.OpAppendEntries: "client stand-in replays, wire does not",
-		wire.OpMigrate:       "client stand-in replays, wire does not",
+	transportOnly := map[wire.Op]bool{
+		wire.OpPing: true, wire.OpStats: true, wire.OpPowerCut: true, wire.OpRecover: true,
+		wire.OpRequestVote: true, wire.OpAppendEntries: true, wire.OpMigrate: true, wire.OpHello: true,
 	}
 	for _, op := range wire.Ops() {
-		w, c := op.Idempotent(), idempotentOp(op.NVMe())
-		got := ""
-		switch {
-		case w && !c:
-			got = "wire replays, client does not"
-		case c && !w:
-			got = "client stand-in replays, wire does not"
-		}
-		if got != want[op] {
-			t.Errorf("%s: wire.Idempotent=%v, client.idempotentOp(%s)=%v: drift %q, pinned %q",
-				op, w, op.NVMe(), c, got, want[op])
+		if !transportOnly[op] && op.Idempotent() != op.NVMe().Idempotent() {
+			t.Errorf("%s replays=%v but its device command %s replays=%v",
+				op, op.Idempotent(), op.NVMe(), op.NVMe().Idempotent())
 		}
 	}
 }

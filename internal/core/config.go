@@ -27,6 +27,14 @@ import (
 	"kvcsd/internal/keyenc"
 )
 
+// metadataZones is the number of zones, the first of the namespace, reserved
+// for keyspace metadata.
+const metadataZones = 2
+
+// quarantineThreshold is how many corruption detections a zone absorbs before
+// it is quarantined and its cluster rebuilt onto a fresh zone.
+const quarantineThreshold = 3
+
 // Config sizes the device engine. Defaults follow the paper's prototype
 // where stated (192 KiB ingest buffer) and use scaled-down values elsewhere.
 type Config struct {
@@ -47,8 +55,6 @@ type Config struct {
 	// (KV-CSD caches no application data; this mirrors the baseline pinning
 	// its SSTable index blocks).
 	IndexCacheBytes int64
-	// MetadataZones is the number of zones reserved for keyspace metadata.
-	MetadataZones int
 	// MaxKeyLen and MaxValueLen bound record sizes.
 	MaxKeyLen   int
 	MaxValueLen int
@@ -65,9 +71,6 @@ type Config struct {
 	// scrubber; zero disables it. Scrub reads and SoC CPU contend with
 	// foreground work like compaction does.
 	ScrubInterval time.Duration
-	// QuarantineThreshold is how many corruption detections a zone absorbs
-	// before it is quarantined and its cluster rebuilt onto a fresh zone.
-	QuarantineThreshold int
 	// CompactionPolicy selects who merges sorted runs during compaction:
 	// the device SoC alone (default), the host alone, or a collaborative
 	// split driven by live load signals (requires a host assist loop).
@@ -88,20 +91,18 @@ type Config struct {
 // DefaultConfig returns simulation defaults.
 func DefaultConfig() Config {
 	return Config{
-		IngestBufferBytes:   192 << 10,
-		BlockBytes:          4096,
-		StripeWidth:         4,
-		SortBudgetBytes:     8 << 20,
-		MergeFanin:          16,
-		DRAMBytes:           8 << 30,
-		IndexCacheBytes:     32 << 20,
-		MetadataZones:       2,
-		MaxKeyLen:           1 << 10,
-		MaxValueLen:         64 << 10,
-		QuarantineThreshold: 3,
-		PipelineWidth:       4,
-		ColdHeatThreshold:   1,
-		ColdMigrateBatch:    4,
+		IngestBufferBytes: 192 << 10,
+		BlockBytes:        4096,
+		StripeWidth:       4,
+		SortBudgetBytes:   8 << 20,
+		MergeFanin:        16,
+		DRAMBytes:         8 << 30,
+		IndexCacheBytes:   32 << 20,
+		MaxKeyLen:         1 << 10,
+		MaxValueLen:       64 << 10,
+		PipelineWidth:     4,
+		ColdHeatThreshold: 1,
+		ColdMigrateBatch:  4,
 	}
 }
 
@@ -132,17 +133,11 @@ func (c Config) sanitize() Config {
 	if c.IndexCacheBytes < 0 {
 		c.IndexCacheBytes = 0
 	}
-	if c.MetadataZones <= 0 {
-		c.MetadataZones = d.MetadataZones
-	}
 	if c.MaxKeyLen <= 0 {
 		c.MaxKeyLen = d.MaxKeyLen
 	}
 	if c.MaxValueLen <= 0 {
 		c.MaxValueLen = d.MaxValueLen
-	}
-	if c.QuarantineThreshold <= 0 {
-		c.QuarantineThreshold = d.QuarantineThreshold
 	}
 	if c.PipelineWidth <= 0 {
 		c.PipelineWidth = d.PipelineWidth

@@ -60,7 +60,7 @@ type Engine struct {
 	halted bool
 
 	// zoneStrikes counts corruption detections per zone across scrub passes;
-	// at Config.QuarantineThreshold the zone is quarantined and replaced.
+	// at quarantineThreshold the zone is quarantined and replaced.
 	zoneStrikes map[int]int
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"sort"
 	"time"
 
@@ -321,6 +322,17 @@ type metaSnapshot struct {
 	Keyspaces []metaKeyspace
 }
 
+// gob numbers types process-wide in order of first use, and the numbers are
+// part of every stream. Numbering the schema here, before anything runs,
+// keeps the size of a metadata frame — and, through the media time it costs,
+// every virtual clock after it — from depending on whether something else in
+// the process (the RocksDB baseline's manifest) used gob first.
+func init() {
+	if err := gob.NewEncoder(io.Discard).Encode(&metaSnapshot{}); err != nil {
+		panic(err)
+	}
+}
+
 type metaKeyspace struct {
 	Name      string
 	State     uint8
@@ -475,7 +487,7 @@ func (m *Manager) persistFrame(p *sim.Proc, dirty map[int64]bool) error {
 	if zi.WritePointer+int64(len(frame)) > dev.ZoneSize() {
 		// Switch to the other metadata zone; its first frame carries every
 		// sums table.
-		m.activeMeta = (m.activeMeta + 1) % m.cfg.MetadataZones
+		m.activeMeta = (m.activeMeta + 1) % metadataZones
 		if err := dev.ResetZone(p, m.activeMeta); err != nil {
 			return err
 		}
@@ -554,7 +566,7 @@ func (m *Manager) encodeFrame(full bool, dirty map[int64]bool) ([]byte, error) {
 func (m *Manager) Recover(p *sim.Proc) error {
 	var best *metaSnapshot
 	var bestSums map[int64][]uint32
-	for z := 0; z < m.cfg.MetadataZones; z++ {
+	for z := 0; z < metadataZones; z++ {
 		snap, folded, err := m.scanMetaZone(p, z)
 		if err != nil {
 			return err
@@ -665,7 +677,7 @@ func validateSnapshot(snap *metaSnapshot) error {
 // may hold a torn frame that would shadow anything appended behind it — and
 // persists a fresh snapshot into the next zone.
 func (m *Manager) rotateMeta(p *sim.Proc) error {
-	next := (m.activeMeta + 1) % m.cfg.MetadataZones
+	next := (m.activeMeta + 1) % metadataZones
 	if err := m.zm.dev.ResetZone(p, next); err != nil {
 		return err
 	}

@@ -91,7 +91,7 @@ func raced(err error) bool {
 
 // MediaScrub walks every keyspace's persisted extents, verifying each
 // checksummed granule against its recorded CRC, and returns the corrupt ones.
-// Zones accumulating QuarantineThreshold corrupt granules (across passes) are
+// Zones accumulating quarantineThreshold corrupt granules (across passes) are
 // quarantined: the cluster is rebuilt onto a freshly allocated zone — corrupt
 // bytes copy as-is and still need extent repair — and the bad zone never
 // allocates again.
@@ -143,7 +143,7 @@ func (e *Engine) scrubCluster(p *sim.Proc, name string, tgt scrubTarget, rep *Sc
 				Granule: g, Zone: int32(zone),
 			})
 			e.zoneStrikes[zone]++
-			if e.zoneStrikes[zone] >= e.cfg.QuarantineThreshold {
+			if e.zoneStrikes[zone] >= quarantineThreshold {
 				delete(e.zoneStrikes, zone)
 				if _, err := tgt.c.replaceZone(p, zone); err != nil {
 					if errors.Is(err, ErrNoZones) {

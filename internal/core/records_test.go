@@ -201,7 +201,7 @@ func TestConfigSanitizeAllDefaults(t *testing.T) {
 	if c.IngestBufferBytes != d.IngestBufferBytes || c.BlockBytes != d.BlockBytes ||
 		c.StripeWidth != d.StripeWidth || c.SortBudgetBytes != d.SortBudgetBytes ||
 		c.MergeFanin != d.MergeFanin || c.DRAMBytes != d.DRAMBytes ||
-		c.IndexCacheBytes != d.IndexCacheBytes || c.MetadataZones != d.MetadataZones ||
+		c.IndexCacheBytes != d.IndexCacheBytes ||
 		c.MaxKeyLen != d.MaxKeyLen || c.MaxValueLen != d.MaxValueLen {
 		t.Fatalf("sanitize mismatch: %+v", c)
 	}

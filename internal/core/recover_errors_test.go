@@ -98,7 +98,7 @@ func TestRecoverEmptyMetaZones(t *testing.T) {
 		if err := fx.eng.CreateKeyspace(p, "doomed"); err != nil {
 			t.Fatal(err)
 		}
-		for z := 0; z < smallEngineConfig().MetadataZones; z++ {
+		for z := 0; z < metadataZones; z++ {
 			if err := fx.dev.ResetZone(p, z); err != nil {
 				t.Fatal(err)
 			}

@@ -341,7 +341,7 @@ func repairLogCluster(p *sim.Proc, c *Cluster) (logRepair, error) {
 func (zm *ZoneManager) sweepOrphans(p *sim.Proc) (int, int64, error) {
 	count := 0
 	var lost int64
-	for z := zm.cfg.MetadataZones; z < zm.dev.NumZones(); z++ {
+	for z := metadataZones; z < zm.dev.NumZones(); z++ {
 		if _, ok := zm.used[z]; ok {
 			continue
 		}

@@ -51,7 +51,7 @@ func (t ZoneType) String() string {
 }
 
 // ZoneManager allocates and frees zones of the underlying ZNS SSD and builds
-// zone clusters. The first Config.MetadataZones zones are reserved for the
+// zone clusters. The first metadataZones zones are reserved for the
 // keyspace manager's metadata.
 type ZoneManager struct {
 	dev         *ssd.Device
@@ -77,10 +77,10 @@ func NewZoneManager(dev *ssd.Device, cfg Config, rng *sim.RNG) *ZoneManager {
 	zm := &ZoneManager{dev: dev, cfg: cfg, rng: rng, used: make(map[int]ZoneType),
 		quarantined: make(map[int]bool), sumsDirty: make(map[int64]bool)}
 	zm.coldStart = dev.NumZones()
-	if cz := dev.Config().ColdZones; cz > 0 && cz < dev.NumZones()-cfg.MetadataZones {
+	if cz := dev.Config().ColdZones; cz > 0 && cz < dev.NumZones()-metadataZones {
 		zm.coldStart = dev.NumZones() - cz
 	}
-	for i := dev.NumZones() - 1; i >= cfg.MetadataZones; i-- {
+	for i := dev.NumZones() - 1; i >= metadataZones; i-- {
 		if i >= zm.coldStart {
 			zm.freeCold = append(zm.freeCold, i)
 		} else {

@@ -25,6 +25,11 @@ import (
 	"kvcsd/internal/stats"
 )
 
+// dispatchersPerCore is the number of command dispatch loops per SoC core
+// (SPDK-style async I/O: each core juggles several outstanding commands; CPU
+// bursts still contend for the real cores).
+const dispatchersPerCore = 4
+
 // Options assembles a device.
 type Options struct {
 	SSD    ssd.Config
@@ -33,8 +38,6 @@ type Options struct {
 	Engine core.Config
 	// QueueDepth is the NVMe submission queue depth.
 	QueueDepth int
-	// Dispatchers is the number of command dispatch loops (default: SoC cores).
-	Dispatchers int
 	// Seed drives all device-internal randomness.
 	Seed int64
 	// Trace enables command/job span tracing (internal/obs). Off by default;
@@ -99,11 +102,6 @@ func New(env *sim.Env, opts Options, st *stats.IOStats) *Device {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 256
 	}
-	if opts.Dispatchers <= 0 {
-		// SPDK-style async I/O: each core juggles several outstanding
-		// commands; CPU bursts still contend for the real cores.
-		opts.Dispatchers = opts.SoC.Cores * 4
-	}
 	rng := sim.NewRNG(opts.Seed)
 	dev := ssd.New(env, opts.SSD, st)
 	dev.SetSeed(opts.Seed)
@@ -148,7 +146,7 @@ func New(env *sim.Env, opts Options, st *stats.IOStats) *Device {
 		d.engine.SetObs(d.tr, gaugeReg)
 		d.link.SetTracer(d.tr)
 	}
-	for i := 0; i < opts.Dispatchers; i++ {
+	for i := 0; i < opts.SoC.Cores*dispatchersPerCore; i++ {
 		env.Go("kvcsd-dispatch", d.dispatchLoop)
 	}
 	if opts.Engine.ScrubInterval > 0 {

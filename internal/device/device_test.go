@@ -148,9 +148,11 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	}
 }
 
-func TestDefaultDispatchersMatchSoCCores(t *testing.T) {
+// TestDispatchersServeConcurrentCommands: the device runs dispatchersPerCore
+// dispatch loops per SoC core, so four commands submitted back to back are
+// all in service at once.
+func TestDispatchersServeConcurrentCommands(t *testing.T) {
 	env, d, _ := newTestDevice()
-	// 4 dispatchers should allow 4 commands to be serviced concurrently.
 	env.Go("host", func(p *sim.Proc) {
 		defer d.Shutdown()
 		var hs []*nvme.Handle

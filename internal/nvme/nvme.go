@@ -64,44 +64,63 @@ const (
 	OpMigrateCold
 )
 
-// opNames names every opcode; the order is the declaration order above.
-var opNames = [...]string{
-	OpStore:               "Store",
-	OpRetrieve:            "Retrieve",
-	OpDelete:              "Delete",
-	OpExist:               "Exist",
-	OpList:                "List",
-	OpCreateKeyspace:      "CreateKeyspace",
-	OpOpenKeyspace:        "OpenKeyspace",
-	OpDeleteKeyspace:      "DeleteKeyspace",
-	OpBulkStore:           "BulkStore",
-	OpCompact:             "Compact",
-	OpCompactStatus:       "CompactStatus",
-	OpBuildSecondaryIndex: "BuildSecondaryIndex",
-	OpIndexStatus:         "IndexStatus",
-	OpQueryPrimaryRange:   "QueryPrimaryRange",
-	OpQuerySecondaryPoint: "QuerySecondaryPoint",
-	OpQuerySecondaryRange: "QuerySecondaryRange",
-	OpKeyspaceInfo:        "KeyspaceInfo",
-	OpSync:                "Sync",
-	OpCompactWithIndexes:  "CompactWithIndexes",
-	OpScrubMedia:          "ScrubMedia",
-	OpReadExtent:          "ReadExtent",
-	OpRepairExtent:        "RepairExtent",
-	OpCorruptMedia:        "CorruptMedia",
-	OpHostMergePoll:       "HostMergePoll",
-	OpHostMergePush:       "HostMergePush",
-	OpCompactPolicy:       "CompactPolicy",
-	OpMigrateCold:         "MigrateCold",
+// opcodes is the opcode table, in declaration order: each opcode's name and
+// whether it is idempotent — a replay after an ambiguous failure (timeout,
+// power loss, a lost connection) leaves the same outcome. Reads and status
+// polls are, trivially; writes because a replayed put or delete lands as a
+// duplicate log record that deduplicates at compaction; ScrubMedia because
+// re-verifying (and re-repairing with content-identical bytes) converges;
+// CompactPolicy because a replay installs the same config again; MigrateCold
+// because a replay sweeps a tier the first sweep already drained. Lifecycle
+// commands (create/delete keyspace, compaction and index kicks) are not: a
+// replay of one that landed reports a different status. Neither are
+// CorruptMedia (a replay flips more bits) or the extent and host-merge
+// commands. This is the one retry rule: the in-process client's retry loop
+// and every device-backed row of the wire verb table read it.
+var opcodes = [...]struct {
+	name       string
+	idempotent bool
+}{
+	OpStore:               {"Store", true},
+	OpRetrieve:            {"Retrieve", true},
+	OpDelete:              {"Delete", true},
+	OpExist:               {"Exist", true},
+	OpList:                {"List", true},
+	OpCreateKeyspace:      {"CreateKeyspace", false},
+	OpOpenKeyspace:        {"OpenKeyspace", true},
+	OpDeleteKeyspace:      {"DeleteKeyspace", false},
+	OpBulkStore:           {"BulkStore", true},
+	OpCompact:             {"Compact", false},
+	OpCompactStatus:       {"CompactStatus", true},
+	OpBuildSecondaryIndex: {"BuildSecondaryIndex", false},
+	OpIndexStatus:         {"IndexStatus", true},
+	OpQueryPrimaryRange:   {"QueryPrimaryRange", true},
+	OpQuerySecondaryPoint: {"QuerySecondaryPoint", true},
+	OpQuerySecondaryRange: {"QuerySecondaryRange", true},
+	OpKeyspaceInfo:        {"KeyspaceInfo", true},
+	OpSync:                {"Sync", true},
+	OpCompactWithIndexes:  {"CompactWithIndexes", false},
+	OpScrubMedia:          {"ScrubMedia", true},
+	OpReadExtent:          {"ReadExtent", false},
+	OpRepairExtent:        {"RepairExtent", false},
+	OpCorruptMedia:        {"CorruptMedia", false},
+	OpHostMergePoll:       {"HostMergePoll", false},
+	OpHostMergePush:       {"HostMergePush", false},
+	OpCompactPolicy:       {"CompactPolicy", true},
+	OpMigrateCold:         {"MigrateCold", true},
 }
 
 // String names the opcode.
 func (o Opcode) String() string {
-	if int(o) < len(opNames) {
-		return opNames[o]
+	if int(o) < len(opcodes) {
+		return opcodes[o].name
 	}
 	return fmt.Sprintf("Opcode(%d)", uint8(o))
 }
+
+// Idempotent reports whether the command can be replayed after an ambiguous
+// failure without changing the outcome (see opcodes for the rules).
+func (o Opcode) Idempotent() bool { return int(o) < len(opcodes) && opcodes[o].idempotent }
 
 // Status is a command completion status.
 type Status uint8

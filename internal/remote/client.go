@@ -40,6 +40,9 @@ var ErrClosed = errors.New("remote: client closed")
 // underlying cause is wrapped.
 var errConnBroken = errors.New("remote: connection broken")
 
+// dialTimeout bounds connection establishment.
+const dialTimeout = 5 * time.Second
+
 // Options tunes a Client.
 type Options struct {
 	// Conns is the connection pool size (default 1).
@@ -50,8 +53,6 @@ type Options struct {
 	// Retry bounds attempts and backoff, interpreted in real time. The zero
 	// value means a single attempt with no timeout.
 	Retry client.RetryPolicy
-	// DialTimeout bounds connection establishment (default 5s).
-	DialTimeout time.Duration
 	// Tracer, when set, records one wall-clock span per RPC attempt and
 	// propagates its trace context in the frame header, so server-side spans
 	// caused by the call become its descendants in a merged trace
@@ -72,10 +73,9 @@ type Options struct {
 // library's default retry policy.
 func DefaultOptions() Options {
 	return Options{
-		Conns:       1,
-		Pipeline:    64,
-		Retry:       client.DefaultRetryPolicy(),
-		DialTimeout: 5 * time.Second,
+		Conns:    1,
+		Pipeline: 64,
+		Retry:    client.DefaultRetryPolicy(),
 	}
 }
 
@@ -85,9 +85,6 @@ func (o *Options) normalize() {
 	}
 	if o.Pipeline <= 0 {
 		o.Pipeline = 64
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
 	}
 }
 
@@ -141,7 +138,7 @@ func (c *Client) Addr() string { return c.addr }
 // incarnation's token so a redial resumes its session and the server replays
 // backlogged responses.
 func (c *Client) dialConn(resume uint64) (*poolConn, error) {
-	nc, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
+	nc, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}

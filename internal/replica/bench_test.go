@@ -103,7 +103,7 @@ func TestAppendRoundAllocs(t *testing.T) {
 					g.appendLocal(p, e)
 				}
 				g.broadcastAppend(0)
-				p.Sleep(2*c.opts.LinkDelay + time.Microsecond)
+				p.Sleep(2*linkDelay + time.Microsecond)
 			}
 		}
 		for i := 0; i < 64; i++ { // spawn the procs, grow the buffers and the event queue

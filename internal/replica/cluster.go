@@ -69,7 +69,7 @@ func New(env *Env, opts Options) *Cluster {
 		rng:   sim.NewRNG(opts.Seed).Fork(0x5245504C), // "REPL"
 		calls: map[uint64]*call{},
 	}
-	c.net = newTransport(c, opts.LinkDelay, opts.Nodes)
+	c.net = newTransport(c, opts.Nodes)
 	for i := 0; i < opts.Nodes; i++ {
 		c.nodes = append(c.nodes, &node{c: c, id: i, running: true, groups: map[int]*group{}})
 	}
@@ -106,7 +106,7 @@ func (c *Cluster) startTicker(id int) {
 	n := c.nodes[id]
 	c.env.Go(fmt.Sprintf("replica:tick:%d", id), func(p *sim.Proc) {
 		for !c.stopped {
-			p.Sleep(c.opts.TickInterval)
+			p.Sleep(tickInterval)
 			if c.stopped {
 				return
 			}
@@ -258,7 +258,7 @@ func (c *Cluster) WaitLeader(p *sim.Proc, shard int) (int, error) {
 				return id, nil
 			}
 		}
-		p.Sleep(c.opts.TickInterval)
+		p.Sleep(tickInterval)
 	}
 	return -1, ErrNoLeader
 }
@@ -420,7 +420,7 @@ func (c *Cluster) Client(id uint64) *Session {
 		c:       c,
 		id:      id,
 		rng:     c.rng.Fork(int64(id)),
-		backoff: c.opts.HeartbeatInterval,
+		backoff: heartbeatInterval,
 	}
 }
 

@@ -200,9 +200,8 @@ func (g *group) applyConfig(e *wire.ReplicaEntry) {
 }
 
 func (g *group) resetElectionDeadline() {
-	et := g.c.opts.ElectionTimeout
-	jitter := sim.Duration(g.rng.Int63() % int64(et))
-	g.electionDeadline = g.c.env.Now().Add(et + jitter)
+	jitter := sim.Duration(g.rng.Int63() % int64(electionTimeout))
+	g.electionDeadline = g.c.env.Now().Add(electionTimeout + jitter)
 }
 
 // tick drives timers: election timeout on followers/candidates; heartbeats,
@@ -212,7 +211,7 @@ func (g *group) tick(p *sim.Proc) {
 	switch g.role {
 	case roleLeader:
 		if now >= g.quorumCheckDue {
-			g.quorumCheckDue = now.Add(g.c.opts.ElectionTimeout)
+			g.quorumCheckDue = now.Add(electionTimeout)
 			if !g.hasQuorumContact(now) {
 				// CheckQuorum: an isolated leader must stop pretending.
 				// Stepping down fails every pending proposal with ErrUnknown
@@ -245,7 +244,7 @@ func (g *group) hasQuorumContact(now sim.Time) bool {
 		if m == g.id {
 			continue
 		}
-		if now-g.peers[m].lastAck <= sim.Time(g.c.opts.ElectionTimeout) {
+		if now-g.peers[m].lastAck <= sim.Time(electionTimeout) {
 			contact++
 		}
 	}
@@ -333,7 +332,7 @@ func (g *group) becomeLeader(p *sim.Proc) {
 	for i := range g.peers {
 		g.peers[i] = progress{next: g.lastIndex() + 1, lastAck: now}
 	}
-	g.quorumCheckDue = now.Add(g.c.opts.ElectionTimeout)
+	g.quorumCheckDue = now.Add(electionTimeout)
 	g.c.noteLeader(g.shard, g.id, g.term)
 	// A fresh leader cannot commit entries from older terms by counting
 	// replicas; the no-op commits the current term and unblocks read-index.
@@ -357,7 +356,7 @@ func (g *group) appendLocal(p *sim.Proc, e wire.ReplicaEntry) uint64 {
 // broadcastAppend sends AppendEntries to every peer, carrying round as a
 // read-index confirmation tag when non-zero.
 func (g *group) broadcastAppend(round uint64) {
-	g.heartbeatDue = g.c.env.Now().Add(g.c.opts.HeartbeatInterval)
+	g.heartbeatDue = g.c.env.Now().Add(heartbeatInterval)
 	for _, m := range g.members {
 		if m == g.id {
 			continue
@@ -400,7 +399,7 @@ func (g *group) sendAppend(to int, round uint64) {
 // from.
 func (g *group) startProbe(pr *progress, from uint64) {
 	pr.probe, pr.next = from, from
-	pr.probeDue = g.c.env.Now().Add(g.c.opts.HeartbeatInterval)
+	pr.probeDue = g.c.env.Now().Add(heartbeatInterval)
 	g.c.countProbe()
 }
 
@@ -613,7 +612,7 @@ func (g *group) sendSnapshot(to int) {
 	if now < pr.snapDue {
 		return
 	}
-	pr.snapDue = now.Add(g.c.opts.ElectionTimeout)
+	pr.snapDue = now.Add(electionTimeout)
 	g.c.countSnapshot(g.shard)
 	g.c.net.sendRequest(g.id, to, &wire.Request{
 		ID:    g.c.nextMsgID(),

@@ -155,6 +155,19 @@ func (s *MemKV) Restore(p *sim.Proc, pairs []nvme.KVPair) error {
 	return nil
 }
 
+// Protocol timing, on the virtual clock.
+const (
+	// electionTimeout is the base of the randomized election timer, and how
+	// long a leader keeps serving without hearing from a quorum.
+	electionTimeout sim.Duration = 10 * time.Millisecond
+	// heartbeatInterval is how often an idle leader sends AppendEntries.
+	heartbeatInterval sim.Duration = 2 * time.Millisecond
+	// tickInterval is the period of every node's timer proc.
+	tickInterval sim.Duration = time.Millisecond
+	// linkDelay is the one-way latency of a consensus frame between nodes.
+	linkDelay sim.Duration = 200 * time.Microsecond
+)
+
 // Options configures a cluster of shard groups.
 type Options struct {
 	// Nodes is the number of replica nodes (IDs 0..Nodes-1).
@@ -165,12 +178,6 @@ type Options struct {
 	ReplicationFactor int
 	// Seed drives election jitter and client backoff.
 	Seed int64
-
-	// Timing (virtual). Zero values take the defaults below.
-	ElectionTimeout   sim.Duration
-	HeartbeatInterval sim.Duration
-	TickInterval      sim.Duration
-	LinkDelay         sim.Duration
 
 	// NewSM builds the state machine for (shard, node); nil means MemKV.
 	NewSM func(shard, node int) StateMachine
@@ -208,18 +215,6 @@ func (o *Options) defaults() {
 	}
 	if o.ReplicationFactor <= 0 || o.ReplicationFactor > o.Nodes {
 		o.ReplicationFactor = min(3, o.Nodes)
-	}
-	if o.ElectionTimeout <= 0 {
-		o.ElectionTimeout = 10 * time.Millisecond
-	}
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = 2 * time.Millisecond
-	}
-	if o.TickInterval <= 0 {
-		o.TickInterval = time.Millisecond
-	}
-	if o.LinkDelay <= 0 {
-		o.LinkDelay = 200 * time.Microsecond
 	}
 	if o.RetryAttempts <= 0 {
 		o.RetryAttempts = 40

@@ -224,9 +224,9 @@ func TestMoveShardSurvivesMidMigrationPowerCut(t *testing.T) {
 		from := members[0]
 		// Power-cut the migration target shortly after the stream starts.
 		c.env.Go("nemesis", func(np *sim.Proc) {
-			np.Sleep(c.opts.LinkDelay * 2)
+			np.Sleep(linkDelay * 2)
 			c.Crash(3)
-			np.Sleep(c.opts.ElectionTimeout * 20)
+			np.Sleep(electionTimeout * 20)
 			if !c.stopped {
 				c.Restart(np, 3)
 			}
@@ -379,7 +379,7 @@ func TestGaugesPublished(t *testing.T) {
 		if _, err := c.WaitLeader(p, 1); err != nil {
 			t.Errorf("WaitLeader: %v", err)
 		}
-		p.Sleep(c.opts.LinkDelay) // nothing sent is still on a link
+		p.Sleep(linkDelay) // nothing sent is still on a link
 	})
 	env.Run()
 	if g := reg.LookupGauge("replica.shard0.leader"); g == nil || g.Value() < 0 {

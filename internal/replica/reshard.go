@@ -50,7 +50,7 @@ func (c *Cluster) rpcMigrate(p *sim.Proc, from, to int, req *wire.Request) (*wir
 	c.calls[id] = cl
 	c.net.sendRequest(from, to, req)
 	c.env.Go(fmt.Sprintf("replica:migrate-timeout:%d", id), func(tp *sim.Proc) {
-		tp.Sleep(5 * c.opts.ElectionTimeout)
+		tp.Sleep(5 * electionTimeout)
 		if pending := c.calls[id]; pending == cl {
 			delete(c.calls, id)
 			cl.err = fmt.Errorf("%w: chunk ack timeout", ErrMigrate)
@@ -223,7 +223,7 @@ func (c *Cluster) proposeConfig(p *sim.Proc, shard int, members []uint32) error 
 		if err == ErrStopped {
 			return err
 		}
-		p.Sleep(c.opts.HeartbeatInterval * sim.Duration(1+attempt/4))
+		p.Sleep(heartbeatInterval * sim.Duration(1+attempt/4))
 	}
 	return fmt.Errorf("%w: config change: %v", ErrMigrate, lastErr)
 }

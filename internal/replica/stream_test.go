@@ -107,7 +107,7 @@ func TestDroppedAppendCostsTheGapOnce(t *testing.T) {
 		g, followers := leaderOf(t, p, c)
 		victim := c.nodes[followers[0]].groups[0]
 		p.Wait(propose(t, p, g, 1).ev)
-		p.Sleep(c.opts.LinkDelay) // followers learn the commit index on the way
+		p.Sleep(linkDelay) // followers learn the commit index on the way
 
 		s0, a0 := c.entriesSent, c.entriesAppended
 		c.DropNext(g.id, victim.id, 1)
@@ -122,7 +122,7 @@ func TestDroppedAppendCostsTheGapOnce(t *testing.T) {
 				t.Fatalf("put during the gap: %v", pd.err)
 			}
 		}
-		deadline := t0.Add(c.opts.HeartbeatInterval + 2*c.opts.LinkDelay)
+		deadline := t0.Add(heartbeatInterval + 2*linkDelay)
 		for victim.lastIndex() < g.lastIndex() && p.Now() < deadline {
 			p.Sleep(10 * time.Microsecond)
 		}
@@ -130,10 +130,10 @@ func TestDroppedAppendCostsTheGapOnce(t *testing.T) {
 			t.Fatalf("follower at index %d of %d one heartbeat and two link delays after the drop",
 				victim.lastIndex(), g.lastIndex())
 		}
-		if took := time.Duration(p.Now() - t0); took > 3*c.opts.LinkDelay+10*time.Microsecond {
+		if took := time.Duration(p.Now() - t0); took > 3*linkDelay+10*time.Microsecond {
 			t.Errorf("converged after %v, want three link delays (refusal, its reply, the catch-up)", took)
 		}
-		p.Sleep(4 * c.opts.LinkDelay) // the stale refusals and the catch-up's ack come home
+		p.Sleep(4 * linkDelay) // the stale refusals and the catch-up's ack come home
 		// Six entries reached the followers; the victim's three were sent twice:
 		// once in the lost frame and the two refused ones, once in the catch-up.
 		sent, appended := c.entriesSent-s0, c.entriesAppended-a0
@@ -162,7 +162,7 @@ func TestStaleRepliesDoNotResend(t *testing.T) {
 				t.Fatalf("Put: %v", err)
 			}
 		}
-		p.Sleep(2 * c.opts.LinkDelay)
+		p.Sleep(2 * linkDelay)
 		last := g.lastIndex()
 		pr := &g.peers[f]
 		if pr.next != last+1 || pr.match != last {
@@ -191,7 +191,7 @@ func TestStaleRepliesDoNotResend(t *testing.T) {
 		if c.probes != 2 || c.entriesSent != sent+3+5 || pr.probe != last-4 {
 			t.Fatalf("lower refusal: %d catch-ups, %d entries sent, probe=%d; want 2, 8, %d", c.probes, c.entriesSent-sent, pr.probe, last-4)
 		}
-		p.Sleep(3 * c.opts.LinkDelay) // the real follower holds every entry and says so
+		p.Sleep(3 * linkDelay) // the real follower holds every entry and says so
 		if pr.probe != 0 || pr.next != last+1 {
 			t.Fatalf("after the catch-up's ack: probe=%d next=%d, want 0 and %d", pr.probe, pr.next, last+1)
 		}
@@ -217,12 +217,12 @@ func TestLostCatchUpIsSentAgain(t *testing.T) {
 		}
 		p.Wait(propose(t, p, g, 2).ev)
 		p.Wait(propose(t, p, g, 3).ev)
-		p.Sleep(c.opts.LinkDelay)
+		p.Sleep(linkDelay)
 		if c.probes != 1 || len(lost) != 0 || victim.lastIndex() == g.lastIndex() {
 			t.Fatalf("setup: %d catch-ups, %d frames still to lose, follower at %d of %d",
 				c.probes, len(lost), victim.lastIndex(), g.lastIndex())
 		}
-		p.Sleep(c.opts.HeartbeatInterval + c.opts.TickInterval + c.opts.LinkDelay)
+		p.Sleep(heartbeatInterval + tickInterval + linkDelay)
 		if victim.lastIndex() != g.lastIndex() {
 			t.Fatalf("follower at index %d of %d a heartbeat after its catch-up was lost", victim.lastIndex(), g.lastIndex())
 		}
@@ -260,7 +260,7 @@ func TestFollowersAckBeforeApply(t *testing.T) {
 	run(t, slowOpts(59), func(p *sim.Proc, c *Cluster) {
 		leaderOf(t, p, c)
 		s := c.Client(1)
-		want := 2*c.opts.LinkDelay + time.Millisecond
+		want := 2*linkDelay + time.Millisecond
 		for i := 0; i < 4; i++ {
 			t0 := p.Now()
 			if err := s.Put(p, 0, []byte{byte(i)}, []byte("v")); err != nil {
@@ -287,7 +287,7 @@ func TestConfirmedReadServedWhenApplyDrains(t *testing.T) {
 		}
 		// All of them commit two link delays on; the followers hear of it from
 		// the next heartbeat and start on 40 ms of applying.
-		p.Sleep(2 * c.opts.HeartbeatInterval)
+		p.Sleep(2 * heartbeatInterval)
 		c.Crash(g.id)
 		id, err := c.WaitLeader(p, 0)
 		if err != nil {
@@ -358,7 +358,7 @@ func TestLeaderCrashWithOptimisticNext(t *testing.T) {
 		if err := s.Put(p, 0, []byte("after"), []byte("restart")); err != nil {
 			t.Fatalf("Put after restart: %v", err)
 		}
-		p.Sleep(c.opts.HeartbeatInterval + 4*c.opts.LinkDelay)
+		p.Sleep(heartbeatInterval + 4*linkDelay)
 		if g.lastIndex() != ng.lastIndex() || g.termAt(acked+1) != ng.termAt(acked+1) {
 			t.Fatalf("old leader's log: last=%d term@%d=%d, want the new leader's %d and %d",
 				g.lastIndex(), acked+1, g.termAt(acked+1), ng.lastIndex(), ng.termAt(acked+1))

@@ -29,8 +29,7 @@ const (
 // not after: what a group keeps — a log entry, a staged snapshot pair, a
 // migrate call's reply — it copies.
 type transport struct {
-	c     *Cluster
-	delay sim.Duration
+	c *Cluster
 
 	// cut[from*nodes+to] marks a directed link a partition currently severs.
 	cut []bool
@@ -59,8 +58,8 @@ type delivery struct {
 // a vote or an AppendEntries with a few small entries without growing.
 const frameReserve = 1 << 10
 
-func newTransport(c *Cluster, delay sim.Duration, nodes int) *transport {
-	t := &transport{c: c, delay: delay, cut: make([]bool, nodes*nodes)}
+func newTransport(c *Cluster, nodes int) *transport {
+	t := &transport{c: c, cut: make([]bool, nodes*nodes)}
 	t.procs = sim.NewResidentProcs(c.env, "replica:net", t.carry)
 	return t
 }
@@ -133,7 +132,7 @@ func (t *transport) ship(from, to int, frame []byte) {
 
 // carry is a delivery proc's body: one frame across its link.
 func (t *transport) carry(p *sim.Proc, d *delivery) {
-	p.Sleep(t.delay)
+	p.Sleep(linkDelay)
 	c := t.c
 	if c.stopped || t.severed(d.from, d.to) || !c.nodes[d.to].running {
 		t.framesDropped++

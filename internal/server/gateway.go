@@ -27,7 +27,7 @@ func (s *Server) gateway(p *sim.Proc) {
 		// progress. Without this pump, background jobs would stay frozen
 		// between requests and a WaitCompacted poll loop would never finish.
 		for s.sched.Queued() == 0 && s.backend.BackgroundJobs() > 0 {
-			p.Sleep(s.cfg.BackgroundSlice)
+			p.Sleep(backgroundSlice)
 		}
 		items, ok := s.sched.NextBatch(s.cfg.MaxBatch)
 		if len(items) > 0 {

@@ -51,6 +51,15 @@ import (
 	"kvcsd/internal/wire"
 )
 
+// chunkPairs is how many pairs one streamed frame (FlagMore) of a large scan
+// result carries.
+const chunkPairs = 128
+
+// backgroundSlice is the virtual-time slice the gateway sleeps while the
+// socket side is idle but device background work (compaction, index builds)
+// is still running.
+const backgroundSlice = 500 * time.Microsecond
+
 // Config tunes the server's concurrency and batching.
 type Config struct {
 	// MaxInflight is the server-wide admission cap: requests executing or
@@ -64,13 +73,6 @@ type Config struct {
 	// MaxBatch caps how many queued requests the gateway admits into one
 	// virtual-time batch. Default: MaxInflight.
 	MaxBatch int
-	// ChunkPairs splits large scan results into streamed frames of this many
-	// pairs (FlagMore). Default 128. Negative disables streaming.
-	ChunkPairs int
-	// BackgroundSlice is the virtual-time slice the gateway sleeps while the
-	// socket side is idle but device background work (compaction, index
-	// builds) is still running. Default 500µs.
-	BackgroundSlice time.Duration
 	// DrainTimeout bounds Close: connections that cannot absorb their final
 	// responses within it are cut. Default 5s (real time).
 	DrainTimeout time.Duration
@@ -98,11 +100,9 @@ type Config struct {
 // DefaultConfig returns the default server tuning.
 func DefaultConfig() Config {
 	return Config{
-		MaxInflight:     256,
-		MaxPipeline:     64,
-		ChunkPairs:      128,
-		BackgroundSlice: 500 * time.Microsecond,
-		DrainTimeout:    5 * time.Second,
+		MaxInflight:  256,
+		MaxPipeline:  64,
+		DrainTimeout: 5 * time.Second,
 	}
 }
 
@@ -116,12 +116,6 @@ func (c *Config) normalize() {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = c.MaxInflight
-	}
-	if c.ChunkPairs == 0 {
-		c.ChunkPairs = d.ChunkPairs
-	}
-	if c.BackgroundSlice <= 0 {
-		c.BackgroundSlice = d.BackgroundSlice
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = d.DrainTimeout
@@ -603,7 +597,7 @@ func (c *conn) writeLoop() {
 		t0 := time.Now()
 		frames := t.raw
 		if frames == nil {
-			c.wbuf = wire.AppendResponseFrames(c.wbuf[:0], t.resp, c.s.cfg.ChunkPairs)
+			c.wbuf = wire.AppendResponseFrames(c.wbuf[:0], t.resp, chunkPairs)
 			frames = c.wbuf
 		}
 		delivered := false

@@ -116,7 +116,7 @@ func (lq *laneQ) push(it *Item) {
 // visit ends and the next flow gets its turn. Heavier tenants therefore
 // drain proportionally more cost per round, and an expensive head item waits
 // a bounded number of rounds rather than blocking the lane.
-func (lq *laneQ) pop(quantum int64) *Item {
+func (lq *laneQ) pop() *Item {
 	for {
 		f := lq.ring[lq.cur]
 		if lq.fresh {
@@ -156,8 +156,6 @@ type Scheduler struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	quantum     int64
-	laneWeights [wire.NumLanes]int64
 	tenantQueue int
 	maxInflight int
 
@@ -168,12 +166,10 @@ type Scheduler struct {
 	batch    []*Item // NextBatch's result, reused by the next call
 }
 
-// NewScheduler builds a scheduler for the given (normalized) config;
-// maxInflight is the server-wide cap on requests parked or executing.
+// NewScheduler builds a scheduler for the given config; maxInflight is the
+// server-wide cap on requests parked or executing.
 func NewScheduler(cfg Config, maxInflight int) *Scheduler {
-	cfg = cfg.withDefaults()
 	s := &Scheduler{
-		quantum:     int64(cfg.Quantum),
 		tenantQueue: cfg.TenantQueue,
 		maxInflight: maxInflight,
 	}
@@ -183,7 +179,6 @@ func NewScheduler(cfg Config, maxInflight int) *Scheduler {
 		s.tenantQueue = maxInflight
 	}
 	for l := 0; l < wire.NumLanes; l++ {
-		s.laneWeights[l] = int64(cfg.LaneWeights[l])
 		s.lanes[l].flows = make(map[*Tenant]*flow)
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -257,8 +252,8 @@ func (s *Scheduler) popLocked() *Item {
 		}
 		if s.lanes[best].credit <= 0 {
 			for l := 0; l < wire.NumLanes; l++ {
-				capCredit := 4 * s.quantum * s.laneWeights[l]
-				s.lanes[l].credit += s.quantum * s.laneWeights[l]
+				capCredit := 4 * quantum * laneWeights[l]
+				s.lanes[l].credit += quantum * laneWeights[l]
 				if s.lanes[l].credit > capCredit {
 					s.lanes[l].credit = capCredit
 				}
@@ -266,7 +261,7 @@ func (s *Scheduler) popLocked() *Item {
 			continue
 		}
 		lq := &s.lanes[best]
-		it := lq.pop(s.quantum)
+		it := lq.pop()
 		lq.credit -= it.Cost
 		s.queued--
 		it.Tenant.queued[it.Lane].Add(-1)

@@ -13,20 +13,9 @@ import (
 // Config tunes the session layer. Zero values take defaults.
 type Config struct {
 	// Weights maps tenant name -> DRR weight; unnamed tenants get
-	// DefaultWeight. A heavier tenant drains proportionally more cost per
+	// defaultWeight. A heavier tenant drains proportionally more cost per
 	// scheduling round within its lane.
 	Weights map[string]int
-	// DefaultWeight is the weight for tenants absent from Weights. Default 4.
-	DefaultWeight int
-	// LaneWeights sets the credit ratio between the latency, normal, and
-	// bulk lanes under contention. Default {8, 3, 1}.
-	LaneWeights [wire.NumLanes]int
-	// Quantum is the deficit each flow gains per round-robin visit, per
-	// weight unit, in cost units (one unit ≈ one small request; large
-	// payloads cost more — see RequestCost). Small quanta interleave
-	// tenants finely; large quanta serve longer per-tenant bursts.
-	// Default 1.
-	Quantum int
 	// TenantQueue caps how many requests one tenant may have parked per
 	// lane; beyond it the tenant is shed (CauseTenant) while others keep
 	// being admitted. Default: the server's MaxInflight (single-tenant
@@ -37,41 +26,34 @@ type Config struct {
 	SessionPending int
 	// BacklogBytes caps each session's spilled-response backlog. Default 1 MiB.
 	BacklogBytes int
-	// MaxSessions caps concurrently open sessions server-wide. Default 1<<20.
-	MaxSessions int
-	// AppliedWindow is how many (request id -> status) outcomes a session
-	// retains for duplicate suppression. Default 1024.
-	AppliedWindow int
 	// Seed makes session token generation deterministic for a fixed seed.
 	Seed int64
 }
 
+const (
+	// defaultWeight is the DRR weight of tenants absent from Config.Weights.
+	defaultWeight = 4
+	// quantum is the deficit each flow gains per round-robin visit, per
+	// weight unit, in cost units (one unit ≈ one small request; large
+	// payloads cost more — see RequestCost): tenants interleave finely.
+	quantum = 1
+	// maxSessions caps concurrently open sessions server-wide.
+	maxSessions = 1 << 20
+	// appliedWindow is how many (request id -> status) outcomes a session
+	// retains for duplicate suppression.
+	appliedWindow = 1024
+)
+
+// laneWeights is the credit ratio between the latency, normal and bulk lanes
+// under contention.
+var laneWeights = [wire.NumLanes]int64{8, 3, 1}
+
 func (c Config) withDefaults() Config {
-	if c.DefaultWeight <= 0 {
-		c.DefaultWeight = 4
-	}
-	if c.LaneWeights == ([wire.NumLanes]int{}) {
-		c.LaneWeights = [wire.NumLanes]int{8, 3, 1}
-	}
-	for l := range c.LaneWeights {
-		if c.LaneWeights[l] <= 0 {
-			c.LaneWeights[l] = 1
-		}
-	}
-	if c.Quantum <= 0 {
-		c.Quantum = 1
-	}
 	if c.SessionPending <= 0 {
 		c.SessionPending = 64
 	}
 	if c.BacklogBytes <= 0 {
 		c.BacklogBytes = 1 << 20
-	}
-	if c.MaxSessions <= 0 {
-		c.MaxSessions = 1 << 20
-	}
-	if c.AppliedWindow <= 0 {
-		c.AppliedWindow = 1024
 	}
 	return c
 }
@@ -179,7 +161,7 @@ func (m *Manager) tenantLocked(name string) *Tenant {
 	if !ok {
 		w := m.cfg.Weights[name]
 		if w <= 0 {
-			w = m.cfg.DefaultWeight
+			w = defaultWeight
 		}
 		t = &Tenant{Name: name, Weight: w}
 		m.tenants[name] = t
@@ -244,9 +226,9 @@ func (m *Manager) Hello(h *wire.HelloMsg, conn any) (sess *Session, replay []Rep
 			return s, s.Replay(), true, prev, nil
 		}
 	}
-	if len(m.sessions) >= m.cfg.MaxSessions {
+	if len(m.sessions) >= maxSessions {
 		m.mu.Unlock()
-		return nil, nil, false, nil, fmt.Errorf("%w (cap %d)", ErrTooManySessions, m.cfg.MaxSessions)
+		return nil, nil, false, nil, fmt.Errorf("%w (cap %d)", ErrTooManySessions, maxSessions)
 	}
 	t := m.tenantLocked(h.Tenant)
 	tok := m.newTokenLocked()
@@ -255,7 +237,6 @@ func (m *Manager) Hello(h *wire.HelloMsg, conn any) (sess *Session, replay []Rep
 		tenant:     t,
 		class:      h.Class,
 		pendingCap: m.cfg.SessionPending,
-		appliedCap: m.cfg.AppliedWindow,
 		pending:    make(map[uint64]struct{}),
 		applied:    make(map[uint64]wire.Status),
 		backlog:    NewBacklog(m.cfg.BacklogBytes),
@@ -291,7 +272,6 @@ type Session struct {
 	tenant     *Tenant
 	class      uint8
 	pendingCap int
-	appliedCap int
 
 	mu           sync.Mutex
 	attached     any
@@ -358,14 +338,14 @@ func (s *Session) AbortPending(id uint64) {
 
 // MarkApplied records a request's outcome for duplicate suppression and
 // clears its pending slot. The applied window is bounded: the oldest entry
-// falls out once appliedCap outcomes are retained.
+// falls out once appliedWindow outcomes are retained.
 func (s *Session) MarkApplied(id uint64, status wire.Status) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.pending, id)
 	if _, ok := s.applied[id]; !ok {
 		s.appliedOrder = append(s.appliedOrder, id)
-		if len(s.appliedOrder) > s.appliedCap {
+		if len(s.appliedOrder) > appliedWindow {
 			old := s.appliedOrder[0]
 			s.appliedOrder = s.appliedOrder[1:]
 			delete(s.applied, old)

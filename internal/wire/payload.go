@@ -681,13 +681,13 @@ func appendResponseFrame(dst []byte, hdr, r *Response, flags uint8) []byte {
 	return finishFrame(e.b, off, KindResponse, hdr.Op, flags, hdr.ID, hdr.Trace, hdr.Session)
 }
 
-// AppendResponseFrames appends the exact frame bytes WriteResponse would
-// write for r to dst and returns the extended slice, streaming pairs in
-// chunks of chunkPairs per frame (0 = everything in one frame). Non-final
-// chunks carry FlagMore and StatusOK; the final frame carries the real
-// status and every scalar field — the shape clients reassemble in
-// ReadResponse order. Having the bytes first-class is what lets the session
-// backlog spill an undeliverable response and later replay it byte-identical.
+// AppendResponseFrames appends the frames of r to dst and returns the
+// extended slice, streaming pairs in chunks of chunkPairs per frame (0 =
+// everything in one frame). Non-final chunks carry FlagMore and StatusOK; the
+// final frame carries the real status and every scalar field — the shape
+// clients reassemble in ReadResponse order. Having the bytes first-class is
+// what lets the session backlog spill an undeliverable response and later
+// replay it byte-identical.
 func AppendResponseFrames(dst []byte, r *Response, chunkPairs int) []byte {
 	if chunkPairs <= 0 || len(r.Pairs) <= chunkPairs || r.Status != StatusOK {
 		return appendResponseFrame(dst, r, r, 0)
@@ -701,14 +701,6 @@ func AppendResponseFrames(dst []byte, r *Response, chunkPairs int) []byte {
 	last := *r
 	last.Pairs = pairs
 	return appendResponseFrame(dst, r, &last, 0)
-}
-
-// WriteResponse frames and writes a response (see AppendResponseFrames for
-// the chunking contract).
-func WriteResponse(w io.Writer, r *Response, chunkPairs int) error {
-	buf := AppendResponseFrames(nil, r, chunkPairs)
-	_, err := w.Write(buf)
-	return err
 }
 
 // Accumulate folds a streamed chunk into acc (nil acc starts a new

@@ -75,11 +75,8 @@ func TestReplicaResponseRoundTrip(t *testing.T) {
 			Round:      5,
 		},
 	}
-	var buf bytes.Buffer
-	if err := WriteResponse(&buf, want, 0); err != nil {
-		t.Fatalf("WriteResponse: %v", err)
-	}
-	h, payload, err := ReadFrame(&buf)
+	buf := bytes.NewBuffer(AppendResponseFrames(nil, want, 0))
+	h, payload, err := ReadFrame(buf)
 	if err != nil {
 		t.Fatalf("ReadFrame: %v", err)
 	}
@@ -106,11 +103,8 @@ func TestRingTableRoundTrip(t *testing.T) {
 			},
 		},
 	}
-	var buf bytes.Buffer
-	if err := WriteResponse(&buf, want, 0); err != nil {
-		t.Fatalf("WriteResponse: %v", err)
-	}
-	h, payload, err := ReadFrame(&buf)
+	buf := bytes.NewBuffer(AppendResponseFrames(nil, want, 0))
+	h, payload, err := ReadFrame(buf)
 	if err != nil {
 		t.Fatalf("ReadFrame: %v", err)
 	}

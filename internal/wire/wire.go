@@ -163,45 +163,48 @@ type verb struct {
 	// carry OpKeyspaceInfo as a stand-in.
 	nvme nvme.Opcode
 	// idempotent: the verb can be replayed after an ambiguous failure
-	// (connection loss, timeout, shed) without changing the outcome.
+	// (connection loss, timeout, shed) without changing the outcome. A verb
+	// that executes a device command takes the command's answer (dev); only
+	// a transport-only verb states its own.
 	idempotent bool
 	// lane is the default QoS lane; a session class or a per-frame override
 	// (Request.Lane) takes precedence.
 	lane Lane
 }
 
-// verbs is the verb table, indexed by opcode. Replay rules: reads and status
-// polls are idempotent trivially, writes because duplicate log records
-// deduplicate at compaction, PowerCut because it is idempotent while the
-// device is off, Scrub because re-verifying (and re-repairing with
-// content-identical bytes) converges to the same state, CompactPolicy because
-// a replay installs the same config again, MigrateCold because a replay sweeps
-// a tier the first sweep already drained. Lifecycle verbs (create/delete
-// keyspace, compaction and index kicks, recover) are not replayed: a replay of
-// one that actually landed would report a different status. Neither is
-// Corrupt — a replay flips additional bits. Lanes: point reads and cheap
-// status polls are latency-sensitive, foreground writes and range queries
-// normal, bulk ingest and maintenance bulk.
+// dev is the row of a verb that executes device command op: whether it may be
+// replayed is the command's own rule (nvme.Opcode.Idempotent).
+func dev(name string, op nvme.Opcode, lane Lane) verb {
+	return verb{name, op, op.Idempotent(), lane}
+}
+
+// verbs is the verb table, indexed by opcode. Replay rules of the
+// transport-only verbs, whose rows are written out: Ping, Stats and Hello
+// read; PowerCut is idempotent while the device is off; a replayed Recover
+// would report a different status and a replayed consensus message is not
+// harmless. Lanes: point reads and cheap status polls are latency-sensitive,
+// foreground writes and range queries normal, bulk ingest and maintenance
+// bulk.
 var verbs = [opMax]verb{
 	OpPing:               {"Ping", nvme.OpOpenKeyspace, true, LaneLatency},
-	OpCreateKeyspace:     {"CreateKeyspace", nvme.OpCreateKeyspace, false, LaneNormal},
-	OpOpenKeyspace:       {"OpenKeyspace", nvme.OpOpenKeyspace, true, LaneLatency},
-	OpDeleteKeyspace:     {"DeleteKeyspace", nvme.OpDeleteKeyspace, false, LaneNormal},
-	OpPut:                {"Put", nvme.OpStore, true, LaneNormal},
-	OpDelete:             {"Delete", nvme.OpDelete, true, LaneNormal},
-	OpBulkPut:            {"BulkPut", nvme.OpBulkStore, true, LaneBulk},
-	OpSync:               {"Sync", nvme.OpSync, true, LaneNormal},
-	OpGet:                {"Get", nvme.OpRetrieve, true, LaneLatency},
-	OpExist:              {"Exist", nvme.OpExist, true, LaneLatency},
-	OpScan:               {"Scan", nvme.OpQueryPrimaryRange, true, LaneNormal},
-	OpSecondaryRange:     {"SecondaryRange", nvme.OpQuerySecondaryRange, true, LaneNormal},
-	OpSecondaryPoint:     {"SecondaryPoint", nvme.OpQuerySecondaryPoint, true, LaneNormal},
-	OpCompact:            {"Compact", nvme.OpCompact, false, LaneBulk},
-	OpCompactWithIndexes: {"CompactWithIndexes", nvme.OpCompactWithIndexes, false, LaneBulk},
-	OpCompactStatus:      {"CompactStatus", nvme.OpCompactStatus, true, LaneLatency},
-	OpBuildIndex:         {"BuildIndex", nvme.OpBuildSecondaryIndex, false, LaneBulk},
-	OpIndexStatus:        {"IndexStatus", nvme.OpIndexStatus, true, LaneLatency},
-	OpKeyspaceInfo:       {"KeyspaceInfo", nvme.OpKeyspaceInfo, true, LaneLatency},
+	OpCreateKeyspace:     dev("CreateKeyspace", nvme.OpCreateKeyspace, LaneNormal),
+	OpOpenKeyspace:       dev("OpenKeyspace", nvme.OpOpenKeyspace, LaneLatency),
+	OpDeleteKeyspace:     dev("DeleteKeyspace", nvme.OpDeleteKeyspace, LaneNormal),
+	OpPut:                dev("Put", nvme.OpStore, LaneNormal),
+	OpDelete:             dev("Delete", nvme.OpDelete, LaneNormal),
+	OpBulkPut:            dev("BulkPut", nvme.OpBulkStore, LaneBulk),
+	OpSync:               dev("Sync", nvme.OpSync, LaneNormal),
+	OpGet:                dev("Get", nvme.OpRetrieve, LaneLatency),
+	OpExist:              dev("Exist", nvme.OpExist, LaneLatency),
+	OpScan:               dev("Scan", nvme.OpQueryPrimaryRange, LaneNormal),
+	OpSecondaryRange:     dev("SecondaryRange", nvme.OpQuerySecondaryRange, LaneNormal),
+	OpSecondaryPoint:     dev("SecondaryPoint", nvme.OpQuerySecondaryPoint, LaneNormal),
+	OpCompact:            dev("Compact", nvme.OpCompact, LaneBulk),
+	OpCompactWithIndexes: dev("CompactWithIndexes", nvme.OpCompactWithIndexes, LaneBulk),
+	OpCompactStatus:      dev("CompactStatus", nvme.OpCompactStatus, LaneLatency),
+	OpBuildIndex:         dev("BuildIndex", nvme.OpBuildSecondaryIndex, LaneBulk),
+	OpIndexStatus:        dev("IndexStatus", nvme.OpIndexStatus, LaneLatency),
+	OpKeyspaceInfo:       dev("KeyspaceInfo", nvme.OpKeyspaceInfo, LaneLatency),
 	OpStats:              {"Stats", nvme.OpKeyspaceInfo, true, LaneLatency},
 	OpPowerCut:           {"PowerCut", nvme.OpKeyspaceInfo, true, LaneBulk},
 	OpRecover:            {"Recover", nvme.OpKeyspaceInfo, false, LaneBulk},
@@ -209,10 +212,10 @@ var verbs = [opMax]verb{
 	OpAppendEntries:      {"AppendEntries", nvme.OpKeyspaceInfo, false, LaneNormal},
 	OpMigrate:            {"Migrate", nvme.OpKeyspaceInfo, false, LaneBulk},
 	OpHello:              {"Hello", nvme.OpKeyspaceInfo, true, LaneLatency},
-	OpScrub:              {"Scrub", nvme.OpScrubMedia, true, LaneBulk},
-	OpCorrupt:            {"Corrupt", nvme.OpCorruptMedia, false, LaneBulk},
-	OpCompactPolicy:      {"CompactPolicy", nvme.OpCompactPolicy, true, LaneLatency},
-	OpMigrateCold:        {"MigrateCold", nvme.OpMigrateCold, true, LaneBulk},
+	OpScrub:              dev("Scrub", nvme.OpScrubMedia, LaneBulk),
+	OpCorrupt:            dev("Corrupt", nvme.OpCorruptMedia, LaneBulk),
+	OpCompactPolicy:      dev("CompactPolicy", nvme.OpCompactPolicy, LaneLatency),
+	OpMigrateCold:        dev("MigrateCold", nvme.OpMigrateCold, LaneBulk),
 }
 
 // Ops lists every valid opcode in numeric order.
@@ -249,10 +252,7 @@ func (o Op) Valid() bool { return o >= OpPing && o < opMax }
 func (o Op) NVMe() nvme.Opcode { return o.row().nvme }
 
 // Idempotent reports whether a verb can be replayed after an ambiguous
-// failure without changing the outcome (see verbs for the rules). This is the
-// wire layer's own list, not a mirror of the client library's: the verbs on
-// which it differs from client.idempotentOp(o.NVMe()) are pinned by
-// TestIdempotencyDriftFromWire in internal/client.
+// failure without changing the outcome.
 func (o Op) Idempotent() bool { return o.row().idempotent }
 
 // Status is a response outcome. Values 0..15 mirror nvme.Status; values from

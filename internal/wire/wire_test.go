@@ -134,11 +134,8 @@ func TestRequestRoundTrip(t *testing.T) {
 
 func TestResponseRoundTrip(t *testing.T) {
 	want := sampleResponse()
-	var buf bytes.Buffer
-	if err := WriteResponse(&buf, want, 0); err != nil {
-		t.Fatalf("WriteResponse: %v", err)
-	}
-	h, payload, err := ReadFrame(&buf)
+	buf := bytes.NewBuffer(AppendResponseFrames(nil, want, 0))
+	h, payload, err := ReadFrame(buf)
 	if err != nil {
 		t.Fatalf("ReadFrame: %v", err)
 	}
@@ -153,14 +150,11 @@ func TestResponseRoundTrip(t *testing.T) {
 
 func TestResponseStreaming(t *testing.T) {
 	want := sampleResponse()
-	var buf bytes.Buffer
-	if err := WriteResponse(&buf, want, 1); err != nil { // 1 pair per frame -> 3 frames
-		t.Fatalf("WriteResponse: %v", err)
-	}
+	buf := bytes.NewBuffer(AppendResponseFrames(nil, want, 1)) // 1 pair per frame -> 3 frames
 	var acc *Response
 	frames := 0
 	for {
-		h, payload, err := ReadFrame(&buf)
+		h, payload, err := ReadFrame(buf)
 		if err != nil {
 			t.Fatalf("ReadFrame (frame %d): %v", frames, err)
 		}

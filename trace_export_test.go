@@ -3,17 +3,14 @@ package kvcsd
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"kvcsd/internal/golden"
 	"kvcsd/internal/obs"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // smallTraceRun executes a tiny traced workload — one Store and one Retrieve
 // against a fresh keyspace — and returns the tracer. The simulation is fully
@@ -56,19 +53,7 @@ func TestTraceExportGolden(t *testing.T) {
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "trace_small.json")
-	if *updateGolden {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (run `go test -run TraceExportGolden -update` to create): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("trace output differs from golden file %s\n(re-run with -update after intentional changes)\ngot %d bytes, want %d bytes", golden, buf.Len(), len(want))
-	}
+	golden.Check(t, filepath.Join("testdata", "trace_small.json"), buf.Bytes())
 }
 
 func TestTraceExportWellFormed(t *testing.T) {
