@@ -66,6 +66,13 @@ type compactSplitResult struct {
 // cores; device runs contend with the foreground readers for the SoC.
 // Virtual-clock, deterministic.
 func CompactSplit(s Scale) (*Table, error) {
+	t, _, err := compactSplit(s)
+	return t, err
+}
+
+// compactSplit is CompactSplit plus each row's unrounded compaction time,
+// which the shape test orders by: two policies can land in one rounded cell.
+func compactSplit(s Scale) (*Table, []time.Duration, error) {
 	t := &Table{
 		Fig: "compactsplit", Keys: []string{"policy", "width"},
 		Title:  "Compaction split: merge placement x pipeline width under foreground load (virtual clock)",
@@ -77,14 +84,16 @@ func CompactSplit(s Scale) (*Table, error) {
 		},
 	}
 	var base time.Duration
+	var compact []time.Duration
 	for _, c := range compactSplitSweep {
 		res, err := compactSplitRun(t, s, c.policy, c.width)
 		if err != nil {
-			return nil, fmt.Errorf("policy %v width %d: %w", c.policy, c.width, err)
+			return nil, nil, fmt.Errorf("policy %v width %d: %w", c.policy, c.width, err)
 		}
 		if c.policy == compaction.PolicyDevice && c.width == 1 {
 			base = res.compact
 		}
+		compact = append(compact, res.compact)
 		t.Add(
 			c.policy.String(),
 			fmt.Sprintf("%d", c.width),
@@ -99,7 +108,7 @@ func CompactSplit(s Scale) (*Table, error) {
 			fmt.Sprintf("%.2fx", float64(base)/float64(res.compact)),
 		)
 	}
-	return t, nil
+	return t, compact, nil
 }
 
 // compactSplitRun executes one cell: load and compact a hot keyspace, bulk

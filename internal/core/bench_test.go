@@ -147,7 +147,7 @@ func BenchmarkSorterMakeRuns(b *testing.B) {
 	})
 }
 
-func benchReadBucket[T any](b *testing.B, codec Codec[T], cmp func(a, b T) int, recs []T) {
+func benchReadBucket[T any](b *testing.B, codec Codec[T], key func(T) uint64, recs []T) {
 	b.ReportAllocs()
 	fx := newSortFixture(0)
 	fx.env.Go("bench", func(p *sim.Proc) {
@@ -165,7 +165,7 @@ func benchReadBucket[T any](b *testing.B, codec Codec[T], cmp func(a, b T) int, 
 		var buf sortBuf[T]
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			got, err := readBucketSorted(p, fx.soc, c, codec, &buf, cmp)
+			got, err := readBucketSorted(p, fx.soc, c, codec, &buf, key)
 			if err != nil || len(got) != len(recs) {
 				b.Fatalf("%d records, err %v", len(got), err)
 			}
@@ -184,14 +184,14 @@ func BenchmarkReadBucketSorted(b *testing.B) {
 		for i, k := range perm {
 			recs[i] = destEntry{vlogOff: uint64(k) * 32, destOff: uint64(i) * 32, vlen: 32}
 		}
-		benchReadBucket[destEntry](b, destCodec{}, compareDest, recs)
+		benchReadBucket[destEntry](b, destCodec{}, destKey, recs)
 	})
 	b.Run("valueRec", func(b *testing.B) {
 		recs := make([]valueRec, len(perm))
 		for i, k := range perm {
 			recs[i] = valueRec{destOff: uint64(k) * 32, value: make([]byte, 32)}
 		}
-		benchReadBucket[valueRec](b, valueCodec{}, compareValue, recs)
+		benchReadBucket[valueRec](b, valueCodec{}, valueKey, recs)
 	})
 }
 

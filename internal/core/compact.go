@@ -151,7 +151,7 @@ func (e *Engine) compactInto(p *sim.Proc, ks *Keyspace, onPair func(*sim.Proc, [
 	vlogWin := &clusterWindow{c: ks.vlog}
 	var destBuf sortBuf[destEntry]
 	for _, db := range destBuckets.buckets() {
-		dents, err := readBucketSorted(p, e.soc, db, destCodec{}, &destBuf, compareDest)
+		dents, err := readBucketSorted(p, e.soc, db, destCodec{}, &destBuf, destKey)
 		if err != nil {
 			return err
 		}
@@ -204,7 +204,7 @@ func (e *Engine) compactInto(p *sim.Proc, ks *Keyspace, onPair func(*sim.Proc, [
 	}
 	var valBuf sortBuf[valueRec]
 	for _, vb := range valBuckets.buckets() {
-		vrecs, err := readBucketSorted(p, e.soc, vb, valueCodec{}, &valBuf, compareValue)
+		vrecs, err := readBucketSorted(p, e.soc, vb, valueCodec{}, &valBuf, valueKey)
 		if err != nil {
 			return err
 		}
@@ -305,11 +305,12 @@ func compareKlog(a, b klogEntry) int {
 	}
 }
 
-// compareDest orders destination entries by VLOG position (the order the
-// value pass streams the VLOG in); compareValue orders value records by
-// destination offset (their order in SORTED_VALUES).
-func compareDest(a, b destEntry) int { return cmp.Compare(a.vlogOff, b.vlogOff) }
-func compareValue(a, b valueRec) int { return cmp.Compare(a.destOff, b.destOff) }
+// destKey orders destination entries by VLOG position (the order the value
+// pass streams the VLOG in); valueKey orders value records by destination
+// offset (their order in SORTED_VALUES). Zero-length values share both with
+// their successor, so the sort by either must be stable.
+func destKey(e destEntry) uint64 { return e.vlogOff }
+func valueKey(r valueRec) uint64 { return r.destOff }
 
 // pidxCursor walks PIDX entries in block order (used by consolidated index
 // construction to pair primary keys with the streaming sorted values).

@@ -2,11 +2,15 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"kvcsd/internal/host"
 	"kvcsd/internal/sim"
@@ -30,6 +34,42 @@ func checkStableSort[T any](t *testing.T, recs []T, cmp func(a, b T) int) {
 	}
 }
 
+// checkRadixSort requires radixSort to produce exactly the permutation
+// stableSort does when ordering by the same key, and to report one pass per
+// byte of the key span.
+func checkRadixSort[T any](t *testing.T, recs []T, key func(T) uint64) {
+	t.Helper()
+	want := append([]T(nil), recs...)
+	stableSort(want, make([]T, len(want)), func(a, b T) int { return cmp.Compare(key(a), key(b)) })
+	got := append([]T(nil), recs...)
+	passes := radixSort(got, make([]T, len(got)), key)
+	if !reflect.DeepEqual(got, want) {
+		for i := range got {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("%T: %d records, first difference at %d: got %+v want %+v", got, len(got), i, got[i], want[i])
+			}
+		}
+	}
+	wantPasses := 0
+	if len(want) > 1 {
+		for span := key(want[len(want)-1]) - key(want[0]); span > 0; span >>= 8 {
+			wantPasses++
+		}
+	}
+	if passes != wantPasses {
+		t.Fatalf("%T: %d records, %d radix passes, want %d", got, len(got), passes, wantPasses)
+	}
+}
+
+// radixSpreads map a small test key onto the uint64 key space: one digit,
+// all eight digits (up to 2^64−1 itself, span included), and the top of the
+// range.
+var radixSpreads = []func(k byte) uint64{
+	func(k byte) uint64 { return uint64(k) },
+	func(k byte) uint64 { return uint64(k) * 0x0101_0101_0101_0101 },
+	func(k byte) uint64 { return math.MaxUint64 - uint64(k) },
+}
+
 // checkAllRecordTypes builds one input per sorted record type from the same
 // key stream — keys[i] picks record i's ordering key out of a small set, so
 // most records have equal neighbours — and checks each against the reference.
@@ -39,9 +79,20 @@ func checkAllRecordTypes(t *testing.T, keys []byte) {
 		klog  []klogEntry
 		sidx  []sidxEntry
 		pairs []pairRec
-		dests []destEntry
-		vals  []valueRec
 	)
+	for _, spread := range radixSpreads {
+		var (
+			dests []destEntry
+			vals  []valueRec
+		)
+		for i, k := range keys {
+			// destOff and the value bytes tag the record; the key ignores them.
+			dests = append(dests, destEntry{vlogOff: spread(k), destOff: uint64(i)})
+			vals = append(vals, valueRec{destOff: spread(k), value: []byte{byte(i), byte(i >> 8)}})
+		}
+		checkRadixSort(t, dests, destKey)
+		checkRadixSort(t, vals, valueKey)
+	}
 	for i, k := range keys {
 		key := []byte{'k', k >> 4, k & 15}
 		tag := uint32(i)
@@ -54,14 +105,10 @@ func checkAllRecordTypes(t *testing.T, keys []byte) {
 		klog = append(klog, ke)
 		sidx = append(sidx, sidxEntry{skey: key[:2], pkey: key[2:], svOff: uint64(tag)})
 		pairs = append(pairs, pairRec{key: key, seq: uint64(k&3)<<1 | uint64(i&1), value: []byte{byte(i), byte(i >> 8)}})
-		dests = append(dests, destEntry{vlogOff: uint64(k), destOff: uint64(tag)})
-		vals = append(vals, valueRec{destOff: uint64(k), value: []byte{byte(i), byte(i >> 8)}})
 	}
 	checkStableSort(t, klog, compareKlog)
 	checkStableSort(t, sidx, compareSidx)
 	checkStableSort(t, pairs, comparePair)
-	checkStableSort(t, dests, compareDest)
-	checkStableSort(t, vals, compareValue)
 }
 
 func TestStableSortMatchesSliceStable(t *testing.T) {
@@ -110,6 +157,70 @@ func TestSortBufSortNoAllocs(t *testing.T) {
 		b.sort(compareKlog)
 	}); n != 0 {
 		t.Fatalf("sortBuf.sort allocated %v times per run after warm-up", n)
+	}
+}
+
+// TestRadixSortNoAllocs: the bucket sort allocates nothing once its scratch
+// is sized.
+func TestRadixSortNoAllocs(t *testing.T) {
+	perm := rand.New(rand.NewSource(16)).Perm(4096)
+	master := make([]destEntry, len(perm))
+	for i, k := range perm {
+		master[i] = destEntry{vlogOff: uint64(k) * 32, destOff: uint64(i) * 32, vlen: 32}
+	}
+	var b sortBuf[destEntry]
+	b.recs = append(b.recs, master...)
+	b.radix(destKey) // warm-up: sizes the scratch
+	if n := testing.AllocsPerRun(10, func() {
+		copy(b.recs, master)
+		b.radix(destKey)
+	}); n != 0 {
+		t.Fatalf("sortBuf.radix allocated %v times per run after warm-up", n)
+	}
+}
+
+// TestReadBucketSortedCharge: a bucket of n records whose keys span S costs
+// the SoC exactly n·⌈bits.Len64(S)/8⌉ key comparisons — one per record per
+// digit pass — and nothing for a bucket that needs no pass.
+func TestReadBucketSortedCharge(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		span uint64
+	}{{1, 0}, {300, 0}, {300, 255}, {300, 256}, {5000, 10240 * 32}, {5000, math.MaxUint64}} {
+		fx := newSortFixture(0)
+		cfg := fx.soc.Config()
+		fx.run(t, func(p *sim.Proc) {
+			c := fx.zm.NewCluster(ZoneTemp)
+			var enc []byte
+			rng := rand.New(rand.NewSource(int64(tc.n)))
+			for i := 0; i < tc.n; i++ {
+				k := uint64(0)
+				switch {
+				case i == 1:
+					k = tc.span // the span's two ends are present
+				case i > 1 && tc.span > 0:
+					k = rng.Uint64() % tc.span
+				}
+				enc = destCodec{}.Encode(enc, destEntry{vlogOff: k, destOff: uint64(i)})
+			}
+			if err := c.Append(p, enc); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Seal(p); err != nil {
+				t.Fatal(err)
+			}
+			var buf sortBuf[destEntry]
+			busy0 := fx.soc.CPU().BusyTime()
+			got, err := readBucketSorted(p, fx.soc, c, destCodec{}, &buf, destKey)
+			if err != nil || len(got) != tc.n {
+				t.Fatalf("n=%d: %d records, err %v", tc.n, len(got), err)
+			}
+			passes := (bits.Len64(tc.span) + 7) / 8
+			want := time.Duration(float64(time.Duration(tc.n*passes)*cfg.CompareCost) / cfg.Speed)
+			if d := fx.soc.CPU().BusyTime() - busy0; d != want {
+				t.Errorf("n=%d span=%d: SoC busy +%v, want %v (%d passes)", tc.n, tc.span, d, want, passes)
+			}
+		})
 	}
 }
 
