@@ -103,7 +103,10 @@ type valueRec struct {
 	value   []byte
 }
 
-// valueCodec serializes value records: destOff u64 | vlen u32 | bytes.
+// valueCodec serializes value records: destOff u64 | vlen u32 | bytes. Decode
+// returns the value as a view of data, so its input must outlive the record:
+// readBucketSorted decodes from a buffer it owns, which a scanner's refilled
+// window is not.
 type valueCodec struct{}
 
 func (valueCodec) Encode(dst []byte, r valueRec) []byte {
@@ -130,7 +133,7 @@ func (valueCodec) Decode(data []byte, atEOF bool) (valueRec, int, error) {
 	}
 	return valueRec{
 		destOff: binary.LittleEndian.Uint64(data[0:]),
-		value:   append([]byte(nil), data[12:12+vlen]...),
+		value:   data[12 : 12+vlen : 12+vlen],
 	}, 12 + vlen, nil
 }
 

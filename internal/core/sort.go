@@ -43,9 +43,14 @@ type scanner[T any] struct {
 	pf    *prefetcher
 }
 
+// scanChunk is a scanner's default read size. Refills land on multiples of
+// it, so a cluster is read as ReadAt calls of scanChunk bytes in order, the
+// last one short.
+const scanChunk = 256 << 10
+
 func newScanner[T any](c *Cluster, codec Codec[T], chunk int) *scanner[T] {
 	if chunk <= 0 {
-		chunk = 256 << 10
+		chunk = scanChunk
 	}
 	return &scanner[T]{c: c, codec: codec, chunk: chunk}
 }

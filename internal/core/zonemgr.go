@@ -490,38 +490,32 @@ func (c *Cluster) readFlushed(p *sim.Proc, buf []byte, off int64) error {
 		return c.scatterSpan(buf, off, zone, zoff, firstG, datas[0])
 	}
 
-	// Group consecutive granules per zone into spans (contiguous in-zone).
-	type spanAcc struct {
-		zone   int
-		start  int64 // in-zone offset
-		n      int64
-		firstG int64
-	}
-	spans := make(map[int]*spanAcc)
-	var order []int
+	// Group consecutive granules per zone into spans (contiguous in-zone), in
+	// the order their zones first appear. A range touches a stripe's few
+	// zones, so a linear search beats a map.
+	req := make([]ssd.ZoneSpan, 0, c.zm.cfg.StripeWidth+1)
+	first := make([]int64, 0, c.zm.cfg.StripeWidth+1) // each span's first granule
 	for g := firstG; g <= lastG; g++ {
 		zone, zoff := c.locate(g)
-		if acc, ok := spans[zone]; ok {
-			acc.n += int64(c.blockSz)
-		} else {
-			spans[zone] = &spanAcc{zone: zone, start: zoff, n: int64(c.blockSz), firstG: g}
-			order = append(order, zone)
+		i := 0
+		for i < len(req) && req[i].Zone != zone {
+			i++
 		}
-	}
-	req := make([]ssd.ZoneSpan, len(order))
-	for i, z := range order {
-		acc := spans[z]
-		// Clamp the last granule's span to the zone write pointer is not
-		// needed: flushed granules are always whole blocks.
-		req[i] = ssd.ZoneSpan{Zone: acc.zone, Off: acc.start, N: int(acc.n)}
+		if i < len(req) {
+			// Flushed granules are always whole blocks: no clamp to the
+			// zone write pointer is needed.
+			req[i].N += c.blockSz
+		} else {
+			req = append(req, ssd.ZoneSpan{Zone: zone, Off: zoff, N: c.blockSz})
+			first = append(first, g)
+		}
 	}
 	datas, err := c.zm.dev.ReadZoneSpans(p, req)
 	if err != nil {
 		return err
 	}
-	for i, z := range order {
-		acc := spans[z]
-		if err := c.scatterSpan(buf, off, z, acc.start, acc.firstG, datas[i]); err != nil {
+	for i, s := range req {
+		if err := c.scatterSpan(buf, off, s.Zone, s.Off, first[i], datas[i]); err != nil {
 			return err
 		}
 	}
