@@ -28,8 +28,9 @@ const (
 type ObserveResult struct {
 	Tracer   *obs.Tracer
 	Registry *obs.Registry
-	Sampler  *obs.Sampler // time series per device.SamplerColumns
-	Summary  *Table       // per-opcode stage latency breakdown
+	Sampler  *obs.Sampler  // time series per device.SamplerColumns
+	SoC      *sim.Resource // the device's SoC core pool
+	Summary  *Table        // per-opcode stage latency breakdown
 	// MaxStageErr is the worst relative |stage-sum - client latency| over all
 	// command spans. The stage model is exact, so anything above ~1%
 	// indicates an attribution bug.
@@ -145,6 +146,7 @@ func Observe(s Scale, sampleInterval time.Duration) (*ObserveResult, error) {
 		Tracer:   dev.Tracer(),
 		Registry: dev.Registry(),
 		Sampler:  sampler,
+		SoC:      dev.SoC().CPU(),
 		Summary:  summary,
 	}
 	observeSummary(summary, dev.Registry())

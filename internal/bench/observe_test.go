@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -49,6 +50,24 @@ func TestObserveStageSumsAndSampler(t *testing.T) {
 	}
 	if !sawBusy || !sawIdle {
 		t.Errorf("bg_jobs timeline never transitioned (busy=%v idle=%v)", sawBusy, sawIdle)
+	}
+
+	// soc_busy_cores closes exactly: its time-weighted mean over the run is
+	// the SoC pool's lifetime utilisation in cores (the bound only absorbs
+	// float rounding of the per-row division).
+	socCol := len(res.Sampler.Header()) - 1
+	if res.Sampler.Header()[socCol] != "soc_busy_cores" {
+		t.Fatalf("last sampler column is %q, want soc_busy_cores", res.Sampler.Header()[socCol])
+	}
+	times := res.Sampler.Times()
+	var coreNs float64
+	for i := 1; i < len(rows); i++ {
+		coreNs += rows[i][socCol] * float64(times[i]-times[i-1])
+	}
+	mean := coreNs / float64(times[len(times)-1]-times[0])
+	want := res.SoC.Utilization() * float64(res.SoC.Capacity())
+	if math.Abs(mean-want) > 1e-9*want {
+		t.Errorf("soc_busy_cores time-weighted mean %.12f, SoC utilisation × cores %.12f", mean, want)
 	}
 
 	var buf bytes.Buffer

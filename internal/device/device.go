@@ -193,6 +193,9 @@ func (d *Device) Engine() *core.Engine { return d.engine }
 // SSD exposes the underlying drive (tools, tests).
 func (d *Device) SSD() *ssd.Device { return d.ssd }
 
+// SoC exposes the device's ARM core pool (tools, tests).
+func (d *Device) SoC() *host.Host { return d.soc }
+
 // Stats returns the device's I/O statistics block.
 func (d *Device) Stats() *stats.IOStats { return d.st }
 
@@ -214,13 +217,14 @@ var SamplerColumns = []string{
 	"d2h_Bps",     // PCIe device->host bytes per second
 	"outstanding", // commands submitted but not completed
 	"open_zones",
-	"bg_jobs", // running background jobs (compaction, index builds)
+	"bg_jobs",        // running background jobs (compaction, index builds)
+	"soc_busy_cores", // mean SoC cores in use over the interval, all work included
 }
 
 // SamplerUnits carries one unit per SamplerColumns entry; StartSampler
 // attaches them so WriteCSV emits a "# units:" line under the header.
 var SamplerUnits = []string{
-	"1/s", "B/s", "B/s", "B/s", "B/s", "B/s", "cmds", "zones", "jobs",
+	"1/s", "B/s", "B/s", "B/s", "B/s", "B/s", "cmds", "zones", "jobs", "cores",
 }
 
 // StartSampler begins recording a device time-series every interval of
@@ -229,12 +233,21 @@ var SamplerUnits = []string{
 func (d *Device) StartSampler(interval time.Duration) *obs.Sampler {
 	prev := d.st.Clone()
 	var prevCmds int64
+	prevHeld := d.soc.CPU().HeldTime()
 	s := obs.StartSampler(d.env, interval, SamplerColumns, func(now sim.Time, dt time.Duration) []float64 {
 		cur := d.st
 		delta := cur.Delta(prev)
 		cmds := d.queue.Completed() - prevCmds
 		prev = cur.Clone()
 		prevCmds = d.queue.Completed()
+		// Core-time actually elapsed inside the interval: BusyTime would
+		// count each Use in full at its start.
+		held := d.soc.CPU().HeldTime()
+		busyCores := 0.0
+		if dt > 0 {
+			busyCores = float64(held-prevHeld) / float64(dt)
+		}
+		prevHeld = held
 		sec := dt.Seconds()
 		rate := func(n int64) float64 {
 			if sec <= 0 {
@@ -252,6 +265,7 @@ func (d *Device) StartSampler(interval time.Duration) *obs.Sampler {
 			float64(d.queue.Submitted() - d.queue.Completed()),
 			float64(d.ssd.OpenZones()),
 			float64(d.engine.BackgroundJobs()),
+			busyCores,
 		}
 	})
 	s.SetUnits(SamplerUnits)

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"kvcsd/internal/sim"
+	"kvcsd/internal/stats"
 )
 
 // Config prices software work. Durations are for Speed == 1.0 (a host-class
@@ -70,8 +71,9 @@ func DefaultSoCConfig() Config {
 
 // Host is a core pool bound to a simulation environment.
 type Host struct {
-	cfg Config
-	cpu *sim.Resource
+	cfg  Config
+	cpu  *sim.Resource
+	busy stats.Counter // ns of core time charged, as cpu.BusyTime, readable off the sim
 }
 
 // New creates a host with cfg.Cores cores.
@@ -91,12 +93,19 @@ func (h *Host) Config() Config { return h.cfg }
 // CPU exposes the core pool for inspection.
 func (h *Host) CPU() *sim.Resource { return h.cpu }
 
+// BusyNs is the core time charged so far in nanoseconds — the pool's
+// BusyTime as a counter a metrics registry can publish and other goroutines
+// can read.
+func (h *Host) BusyNs() *stats.Counter { return &h.busy }
+
 // Compute occupies one core for d (scaled by Speed) of virtual time.
 func (h *Host) Compute(p *sim.Proc, d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	p.Use(h.cpu, time.Duration(float64(d)/h.cfg.Speed))
+	d = time.Duration(float64(d) / h.cfg.Speed)
+	h.busy.Add(int64(d))
+	p.Use(h.cpu, d)
 }
 
 // Syscall charges one kernel crossing.

@@ -299,7 +299,7 @@ type Resource struct {
 	busy        Duration // total server-busy virtual time
 	acquires    int64
 	lastChange  Time
-	utilWeight  float64 // integral of inUse over time, for Utilization
+	held        Duration // integral of inUse over time, up to lastChange
 	createdAt   Time
 	maxObserved int
 }
@@ -326,7 +326,7 @@ func (r *Resource) QueueLen() int { return len(r.waiters) }
 
 func (r *Resource) accumulate() {
 	now := r.env.now
-	r.utilWeight += float64(r.inUse) * float64(now-r.lastChange)
+	r.held += Duration(r.inUse) * Duration(now-r.lastChange)
 	r.lastChange = now
 }
 
@@ -444,14 +444,22 @@ func (r *Resource) NextFree() Time {
 	return best
 }
 
+// HeldTime returns the exact integral of held servers over virtual time up to
+// now: server-time in use so far. Unlike BusyTime, which charges a Use's
+// whole duration when it starts, it counts only the part already elapsed, so
+// its difference over an interval is the interval's server-time.
+func (r *Resource) HeldTime() Duration {
+	r.accumulate()
+	return r.held
+}
+
 // Utilization reports mean busy servers / capacity over the resource lifetime.
 func (r *Resource) Utilization() float64 {
-	r.accumulate()
 	elapsed := float64(r.env.now - r.createdAt)
 	if elapsed <= 0 {
 		return 0
 	}
-	return r.utilWeight / (elapsed * float64(r.capacity))
+	return float64(r.HeldTime()) / (elapsed * float64(r.capacity))
 }
 
 // Event is a one-shot broadcast: processes Wait on it; Signal wakes all
