@@ -96,18 +96,18 @@ func benchSidxEntries(n int) []sidxEntry {
 
 // benchSorter runs body inside a simulation with a sorter whose budget holds
 // all of benchSortRecords in one batch.
-func benchSorter[T any](b *testing.B, codec Codec[T], cmp func(a, b T) int, body func(p *sim.Proc, s *Sorter[T])) {
+func benchSorter[T any](b *testing.B, codec Codec[T], key func(T) []byte, cmp func(a, b T) int, body func(p *sim.Proc, s *Sorter[T])) {
 	b.ReportAllocs()
 	fx := newSortFixture(64 << 20)
 	fx.env.Go("bench", func(p *sim.Proc) {
-		body(p, NewSorter(fx.zm, fx.soc, fx.cfg, codec, cmp))
+		body(p, NewSorter(fx.zm, fx.soc, fx.cfg, codec, key, cmp))
 	})
 	fx.env.Run()
 }
 
-func benchMakeRuns[T any](b *testing.B, codec Codec[T], cmp func(a, b T) int, master []T) {
+func benchMakeRuns[T any](b *testing.B, codec Codec[T], key func(T) []byte, cmp func(a, b T) int, master []T) {
 	b.Run("makeRuns", func(b *testing.B) {
-		benchSorter(b, codec, cmp, func(p *sim.Proc, s *Sorter[T]) {
+		benchSorter(b, codec, key, cmp, func(p *sim.Proc, s *Sorter[T]) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				runs, err := s.makeRuns(p, &sliceSource[T]{recs: master})
@@ -127,11 +127,11 @@ func benchMakeRuns[T any](b *testing.B, codec Codec[T], cmp func(a, b T) int, ma
 		b.ReportAllocs()
 		var buf sortBuf[T]
 		buf.recs = append(buf.recs, master...)
-		buf.sort(cmp)
+		buf.msd(key, cmp)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			copy(buf.recs, master)
-			buf.sort(cmp)
+			buf.msd(key, cmp)
 		}
 	})
 }
@@ -140,10 +140,10 @@ func benchMakeRuns[T any](b *testing.B, codec Codec[T], cmp func(a, b T) int, ma
 // keys) — sort one batch, encode it, append it to a scratch cluster.
 func BenchmarkSorterMakeRuns(b *testing.B) {
 	b.Run("klogEntry", func(b *testing.B) {
-		benchMakeRuns[klogEntry](b, klogCodec{}, compareKlog, benchKlogEntries(benchSortRecords))
+		benchMakeRuns[klogEntry](b, klogCodec{}, klogKey, compareKlog, benchKlogEntries(benchSortRecords))
 	})
 	b.Run("sidxEntry", func(b *testing.B) {
-		benchMakeRuns[sidxEntry](b, sidxCodec{}, compareSidx, benchSidxEntries(benchSortRecords))
+		benchMakeRuns[sidxEntry](b, sidxCodec{}, sidxKey, compareSidx, benchSidxEntries(benchSortRecords))
 	})
 }
 
@@ -199,7 +199,7 @@ func BenchmarkReadBucketSorted(b *testing.B) {
 // entries read from scratch clusters, merged, re-encoded and written out
 // (stages inline, no pipeline procs).
 func BenchmarkMergeRuns16(b *testing.B) {
-	benchSorter[klogEntry](b, klogCodec{}, compareKlog, func(p *sim.Proc, s *Sorter[klogEntry]) {
+	benchSorter[klogEntry](b, klogCodec{}, klogKey, compareKlog, func(p *sim.Proc, s *Sorter[klogEntry]) {
 		all := benchKlogEntries(benchSortRecords)
 		runs := make([]*Cluster, 16)
 		for i := range runs {

@@ -44,7 +44,7 @@ func (e *Engine) compactInto(p *sim.Proc, ks *Keyspace, onPair func(*sim.Proc, [
 
 	// Step 1: sort keys (compareKlog: newest duplicate of a key first).
 	ks.progress.Stage = compaction.StageSort
-	keySorter := NewSorter[klogEntry](e.zm, e.soc, e.cfg, klogCodec{}, compareKlog)
+	keySorter := NewSorter[klogEntry](e.zm, e.soc, e.cfg, klogCodec{}, klogKey, compareKlog)
 	keySorter.Env = e.env
 	keySorter.PipelineWidth = e.pipelineWidth
 	keySorter.OnOccupancy = func(d int) { e.noteOccupancy(ks, d) }
@@ -282,6 +282,9 @@ func (e *Engine) compactInto(p *sim.Proc, ks *Keyspace, onPair func(*sim.Proc, [
 	}
 	return oldVlog.Release(p)
 }
+
+// klogKey is a KLOG entry's sort key.
+func klogKey(e klogEntry) []byte { return e.key }
 
 // compareKlog orders KLOG entries for compaction, on the device and in the
 // host's share of a collaborative merge alike: key ascending, and among equal

@@ -163,7 +163,7 @@ func (e *Engine) runConsolidated(p *sim.Proc, ks *Keyspace, sis []*secondaryInde
 			st.si.done.Signal()
 			return err
 		}
-		sorter := NewSorter[sidxEntry](e.zm, e.soc, e.cfg, sidxCodec{}, compareSidx)
+		sorter := NewSorter[sidxEntry](e.zm, e.soc, e.cfg, sidxCodec{}, sidxKey, compareSidx)
 		sorted, err := sorter.SortCluster(p, st.cluster)
 		if err != nil {
 			st.si.done.Signal()

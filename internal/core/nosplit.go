@@ -60,6 +60,9 @@ func (pairCodec) Decode(data []byte, atEOF bool) (pairRec, int, error) {
 
 func (pairCodec) SizeHint(r pairRec) int { return 14 + len(r.key) + len(r.value) + 48 }
 
+// pairKey is a combined record's sort key.
+func pairKey(r pairRec) []byte { return r.key }
+
 // comparePair orders combined records by key ascending and, among equal keys,
 // the later insertion first (the low bit of seq is the deletion mark).
 func comparePair(a, b pairRec) int {
@@ -103,7 +106,7 @@ func (e *Engine) runCompactionCombined(p *sim.Proc, ks *Keyspace) error {
 	if err := ks.vlog.Seal(p); err != nil {
 		return err
 	}
-	sorter := NewSorter[pairRec](e.zm, e.soc, e.cfg, pairCodec{}, comparePair)
+	sorter := NewSorter[pairRec](e.zm, e.soc, e.cfg, pairCodec{}, pairKey, comparePair)
 
 	pidx := e.zm.NewCluster(ZonePIDX)
 	pidxW := newBlockWriter(pidx, e.cfg.BlockBytes)

@@ -39,7 +39,7 @@ func (e *Engine) runIndexBuild(p *sim.Proc, ks *Keyspace, si *secondaryIndex) er
 		ks:   ks,
 		spec: si.spec,
 	}
-	sorter := NewSorter[sidxEntry](e.zm, e.soc, e.cfg, sidxCodec{}, compareSidx)
+	sorter := NewSorter[sidxEntry](e.zm, e.soc, e.cfg, sidxCodec{}, sidxKey, compareSidx)
 	sortedEntries, err := sorter.Sort(p, src)
 	if err != nil {
 		return err
@@ -51,6 +51,9 @@ func (e *Engine) runIndexBuild(p *sim.Proc, ks *Keyspace, si *secondaryIndex) er
 	si.buildNS = sim.Duration(p.Now() - start)
 	return e.mgr.Persist(p)
 }
+
+// sidxKey is a secondary-index entry's sort key: its secondary key.
+func sidxKey(e sidxEntry) []byte { return e.skey }
 
 // compareSidx orders secondary-index entries by secondary key, then primary
 // key.

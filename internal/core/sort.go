@@ -137,6 +137,7 @@ type Sorter[T any] struct {
 	soc   *host.Host
 	cfg   Config
 	codec Codec[T]
+	key   func(T) []byte
 	cmp   func(a, b T) int
 
 	// batch and enc are this sorter's working buffers: the record batch with
@@ -177,10 +178,12 @@ type Sorter[T any] struct {
 }
 
 // NewSorter builds a sorter using the engine's zone manager for scratch
-// space and the SoC host for CPU accounting. cmp is a three-way comparison
-// (negative, zero, positive); records it calls equal keep their input order.
-func NewSorter[T any](zm *ZoneManager, soc *host.Host, cfg Config, codec Codec[T], cmp func(a, b T) int) *Sorter[T] {
-	return &Sorter[T]{zm: zm, soc: soc, cfg: cfg, codec: codec, cmp: cmp}
+// space and the SoC host for CPU accounting. key returns a record's sort-key
+// bytes and cmp is a three-way comparison (negative, zero, positive) that
+// orders by bytes.Compare of key first and then by the record type's tie
+// rule; records it calls equal keep their input order.
+func NewSorter[T any](zm *ZoneManager, soc *host.Host, cfg Config, codec Codec[T], key func(T) []byte, cmp func(a, b T) int) *Sorter[T] {
+	return &Sorter[T]{zm: zm, soc: soc, cfg: cfg, codec: codec, key: key, cmp: cmp}
 }
 
 // SortCluster sorts the records of a cluster (not released — callers own it).
@@ -422,10 +425,10 @@ func (s *Sorter[T]) encBuf() []byte {
 	return s.enc[:0]
 }
 
-// makeRuns splits the input into sorted runs that fit the DRAM budget. The
-// batch and its merge scratch grow once and serve every flush; they are
-// dropped on return so the merge passes that follow do not pin a DRAM
-// budget's worth of records.
+// makeRuns splits the input into sorted runs that fit the DRAM budget, each
+// batch ordered by msdSort and charged what it reports. The batch and its
+// scratch grow once and serve every flush; they are dropped on return so the
+// merge passes that follow do not pin a DRAM budget's worth of records.
 func (s *Sorter[T]) makeRuns(p *sim.Proc, sc recordSource[T]) ([]*Cluster, error) {
 	var runs []*Cluster
 	var batchBytes int
@@ -436,8 +439,7 @@ func (s *Sorter[T]) makeRuns(p *sim.Proc, sc recordSource[T]) ([]*Cluster, error
 		if len(batch) == 0 {
 			return nil
 		}
-		s.soc.Compute(p, s.soc.SortCost(int64(len(batch))))
-		s.batch.sort(s.cmp)
+		s.soc.Compares(p, s.batch.msd(s.key, s.cmp))
 		run := s.zm.NewCluster(ZoneTemp)
 		buf := s.encBuf()
 		for _, rec := range batch {

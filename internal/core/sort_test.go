@@ -91,7 +91,7 @@ func TestSorterSingleRun(t *testing.T) {
 		in := writeKlogCluster(t, p, fx, 500, func(i int) []byte {
 			return []byte(fmt.Sprintf("k-%04d", (i*7919)%10000))
 		})
-		s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, compareKlog)
+		s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, klogKey, compareKlog)
 		out, err := s.SortCluster(p, in)
 		if err != nil {
 			t.Fatal(err)
@@ -118,7 +118,7 @@ func TestSorterMultiRunMerge(t *testing.T) {
 		in := writeKlogCluster(t, p, fx, n, func(i int) []byte {
 			return []byte(fmt.Sprintf("k-%05d", (i*104729)%99991))
 		})
-		s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, compareKlog)
+		s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, klogKey, compareKlog)
 		out, err := s.SortCluster(p, in)
 		if err != nil {
 			t.Fatal(err)
@@ -149,7 +149,7 @@ func TestSorterMultiPassWhenRunsExceedFanin(t *testing.T) {
 		in := writeKlogCluster(t, p, fx, n, func(i int) []byte {
 			return []byte(fmt.Sprintf("k-%05d", (n-i)*3%99991))
 		})
-		s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, compareKlog)
+		s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, klogKey, compareKlog)
 		out, err := s.SortCluster(p, in)
 		if err != nil {
 			t.Fatal(err)
@@ -169,7 +169,7 @@ func TestSorterEmptyInput(t *testing.T) {
 	fx.run(t, func(p *sim.Proc) {
 		in := fx.zm.NewCluster(ZoneKLOG)
 		_ = in.Seal(p)
-		s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, compareKlog)
+		s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, klogKey, compareKlog)
 		out, err := s.SortCluster(p, in)
 		if err != nil {
 			t.Fatal(err)
@@ -192,7 +192,7 @@ func TestSorterStability(t *testing.T) {
 		}
 		_ = in.Append(p, buf)
 		_ = in.Seal(p)
-		s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, compareKlog)
+		s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, klogKey, compareKlog)
 		out, err := s.SortCluster(p, in)
 		if err != nil {
 			t.Fatal(err)
@@ -213,7 +213,7 @@ func TestSorterReleasesTempZones(t *testing.T) {
 			return []byte(fmt.Sprintf("k-%05d", (i*31)%1000))
 		})
 		used0 := fx.zm.UsedZones()
-		s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, compareKlog)
+		s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, klogKey, compareKlog)
 		out, err := s.SortCluster(p, in)
 		if err != nil {
 			t.Fatal(err)
@@ -232,7 +232,7 @@ func TestSortToStreamsInOrder(t *testing.T) {
 		in := writeKlogCluster(t, p, fx, 1500, func(i int) []byte {
 			return []byte(fmt.Sprintf("k-%05d", (1500-i)*7%9973))
 		})
-		s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, compareKlog)
+		s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, klogKey, compareKlog)
 		var prev []byte
 		count := 0
 		err := s.SortTo(p, newScanner(in, klogCodec{}, 0), func(sp *sim.Proc, rec klogEntry) error {
@@ -276,7 +276,7 @@ func TestSorterPropertySortsArbitraryKeys(t *testing.T) {
 				return
 			}
 			_ = in.Seal(p)
-			s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, compareKlog)
+			s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, klogKey, compareKlog)
 			out, err := s.SortCluster(p, in)
 			if err != nil {
 				ok = false

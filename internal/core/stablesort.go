@@ -3,7 +3,7 @@ package core
 import "math/bits"
 
 // sortBlock is the length of the insertion-sorted blocks the merge passes
-// start from.
+// start from, and the largest group msdSort hands to stableSort unsplit.
 const sortBlock = 16
 
 // stableSort sorts data by cmp, keeping equal records in their input order —
@@ -117,6 +117,102 @@ func radixSort[T any](data, scratch []T, key func(T) uint64) (passes int) {
 	return passes
 }
 
+// msdSort stably orders data by key(r) in bytes.Compare order and records
+// with equal keys by cmp. cmp must order by bytes.Compare of key first, as
+// compareKlog, compareSidx and comparePair do; the result is then exactly the
+// order stableSort(data, cmp) gives. Every key must share data's first depth
+// bytes.
+//
+// A group of more than sortBlock records takes one pass comparing each key
+// with the first to skip the bytes they all share, then one pass distributing
+// the records stably into 257 buckets on the first byte that differs — bucket
+// 0 for keys that end there, which sort first — and each bucket is sorted in
+// turn. Groups of at most sortBlock records, and groups whose keys are all
+// equal, go to stableSort, where cmp settles the ties.
+//
+// It returns the key comparisons the work is charged as: n per pass over a
+// group of n, and m·⌊log2 m⌋ for a group of m handed to stableSort. With more
+// than sortBlock records, scratch must be at least as long as data; its
+// contents are overwritten.
+func msdSort[T any](data, scratch []T, depth int, key func(T) []byte, cmp func(a, b T) int) (compares int64) {
+	n := len(data)
+	if n <= sortBlock {
+		stableSort(data, scratch, cmp)
+		return sortCompares(n)
+	}
+	first := key(data[0])[depth:]
+	shared, sameLen := len(first), true
+	for _, r := range data[1:] {
+		k := key(r)[depth:]
+		sameLen = sameLen && len(k) == len(first)
+		shared = commonPrefix(first[:shared], k)
+	}
+	compares = int64(n)
+	if sameLen && shared == len(first) {
+		stableSort(data, scratch, cmp)
+		return compares + sortCompares(n)
+	}
+	d := depth + shared
+	// next[b] is where bucket b's next record goes; after the scatter it is
+	// where bucket b ends.
+	var next [257]int
+	for _, r := range data {
+		next[msdBucket(key(r), d)]++
+	}
+	at := 0
+	for b, c := range next {
+		next[b] = at
+		at += c
+	}
+	for _, r := range data {
+		b := msdBucket(key(r), d)
+		scratch[next[b]] = r
+		next[b]++
+	}
+	copy(data, scratch[:n])
+	compares += int64(n)
+	lo := 0
+	for b, hi := range next {
+		switch {
+		case hi == lo:
+		case b == 0:
+			stableSort(data[lo:hi], scratch[lo:hi], cmp)
+			compares += sortCompares(hi - lo)
+		default:
+			compares += msdSort(data[lo:hi], scratch[lo:hi], d+1, key, cmp)
+		}
+		lo = hi
+	}
+	return compares
+}
+
+// msdBucket is key's bucket at byte d: 0 when the key ends there, else the
+// byte plus one.
+func msdBucket(key []byte, d int) int {
+	if d >= len(key) {
+		return 0
+	}
+	return int(key[d]) + 1
+}
+
+// commonPrefix returns the length of the longest common prefix of a and b.
+func commonPrefix(a, b []byte) int {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
+// sortCompares is what stableSort on m records is charged as: m·⌊log2 m⌋ key
+// comparisons.
+func sortCompares(m int) int64 {
+	if m < 2 {
+		return 0
+	}
+	return int64(m) * int64(bits.Len(uint(m))-1)
+}
+
 // sortBuf is the record batch and merge scratch one sort job reuses across
 // its flushes, buckets and runs, plus the bytes of the bucket readBucketSorted
 // decoded the batch from. It is owned by that job and dies with it; nothing
@@ -127,12 +223,13 @@ type sortBuf[T any] struct {
 	raw     []byte
 }
 
-// sort stably orders b.recs by cmp with stableSort.
-func (b *sortBuf[T]) sort(cmp func(a, b T) int) {
+// msd stably orders b.recs by key bytes, then cmp, with msdSort over the
+// batch's scratch and returns the key comparisons it is charged as.
+func (b *sortBuf[T]) msd(key func(T) []byte, cmp func(a, b T) int) int64 {
 	if n := len(b.recs); n > sortBlock {
 		b.growScratch(n)
 	}
-	stableSort(b.recs, b.scratch, cmp)
+	return msdSort(b.recs, b.scratch, 0, key, cmp)
 }
 
 // radix stably orders b.recs by key with radixSort over the same scratch and

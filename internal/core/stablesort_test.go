@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"kvcsd/internal/host"
+	"kvcsd/internal/keyenc"
 	"kvcsd/internal/sim"
 )
 
@@ -60,6 +61,66 @@ func checkRadixSort[T any](t *testing.T, recs []T, key func(T) uint64) {
 		t.Fatalf("%T: %d records, %d radix passes, want %d", got, len(got), passes, wantPasses)
 	}
 }
+
+// checkMsdSort requires msdSort to produce exactly the permutation
+// stableSort(cmp) does and to report the charge refMsdCompares computes.
+func checkMsdSort[T any](t *testing.T, recs []T, key func(T) []byte, cmp func(a, b T) int) {
+	t.Helper()
+	want := append([]T(nil), recs...)
+	stableSort(want, make([]T, len(want)), cmp)
+	got := append([]T(nil), recs...)
+	compares := msdSort(got, make([]T, len(got)), 0, key, cmp)
+	if !reflect.DeepEqual(got, want) {
+		for i := range got {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("%T: %d records, first difference at %d: got %+v want %+v", got, len(got), i, got[i], want[i])
+			}
+		}
+	}
+	keys := make([][]byte, len(want))
+	for i, r := range want {
+		keys[i] = key(r)
+	}
+	if wantCompares := refMsdCompares(keys, 0); compares != wantCompares {
+		t.Fatalf("%T: %d records charged %d compares, want %d", got, len(got), compares, wantCompares)
+	}
+}
+
+// refMsdCompares is msdSort's charge rule worked out over keys already in
+// order, where the records sharing a prefix are one contiguous range: n per
+// pass over a group of more than sortBlock, m·⌊log2 m⌋ for a group handed to
+// stableSort.
+func refMsdCompares(keys [][]byte, depth int) int64 {
+	n := len(keys)
+	floorLog := func(m int) int64 { return int64(m) * int64(bits.Len(uint(m))-1) }
+	if n <= sortBlock {
+		return floorLog(n)
+	}
+	first, last := keys[0][depth:], keys[n-1][depth:]
+	d := depth + commonPrefix(first, last)
+	if len(keys[0]) == d && len(keys[n-1]) == d {
+		return int64(n) + floorLog(n) // every key equal
+	}
+	c := 2 * int64(n)
+	for i := 0; i < n; {
+		ended := len(keys[i]) == d
+		j := i + 1
+		for j < n && len(keys[j]) > d == !ended && (ended || keys[j][d] == keys[i][d]) {
+			j++
+		}
+		if ended {
+			c += floorLog(j - i)
+		} else {
+			c += refMsdCompares(keys[i:j], d+1)
+		}
+		i = j
+	}
+	return c
+}
+
+// msdKeyPrefix is the long prefix checkAllRecordTypes shares between every
+// key in one of its byte-string inputs.
+var msdKeyPrefix = bytes.Repeat([]byte("shared-prefix/"), 4)
 
 // radixSpreads map a small test key onto the uint64 key space: one digit,
 // all eight digits (up to 2^64−1 itself, span included), and the top of the
@@ -109,6 +170,28 @@ func checkAllRecordTypes(t *testing.T, keys []byte) {
 	checkStableSort(t, klog, compareKlog)
 	checkStableSort(t, sidx, compareSidx)
 	checkStableSort(t, pairs, comparePair)
+
+	// msdSort against stableSort on keys of 0–3 bytes after an optional long
+	// prefix, so empty keys and keys that are prefixes of others occur.
+	for _, prefix := range [][]byte{nil, msdKeyPrefix} {
+		klog, sidx, pairs = klog[:0], sidx[:0], pairs[:0]
+		for i, k := range keys {
+			key := append(append([]byte(nil), prefix...), k>>6, k>>4&3, k>>2&3)[:len(prefix)+int(k&3)]
+			tag := uint32(i)
+			// A tombstone sharing a vlogOff with a put of its key, or with
+			// another tombstone, ties on everything but its kind.
+			ke := klogEntry{key: key, vlogOff: uint64(i & 1), vlen: tag}
+			if i%3 == 0 {
+				ke.vlen = tombstoneVlen
+			}
+			klog = append(klog, ke)
+			sidx = append(sidx, sidxEntry{skey: key, pkey: []byte{byte(i % 3)}, svOff: uint64(tag)})
+			pairs = append(pairs, pairRec{key: key, seq: uint64(i&3)<<1 | uint64(i&1), value: []byte{byte(i), byte(i >> 8)}})
+		}
+		checkMsdSort(t, klog, klogKey, compareKlog)
+		checkMsdSort(t, sidx, sidxKey, compareSidx)
+		checkMsdSort(t, pairs, pairKey, comparePair)
+	}
 }
 
 func TestStableSortMatchesSliceStable(t *testing.T) {
@@ -137,6 +220,8 @@ func FuzzStableSort(f *testing.F) {
 	f.Add([]byte{1})
 	f.Add(bytes.Repeat([]byte{7, 7, 3, 7, 1, 3}, 11))
 	f.Add(bytes.Repeat([]byte{255, 0, 128, 8, 9, 10, 8}, 40))
+	f.Add(bytes.Repeat([]byte{3}, sortBlock-1))
+	f.Add(bytes.Repeat([]byte{3, 7, 0}, 6)[:sortBlock+1])
 	f.Fuzz(func(t *testing.T, keys []byte) {
 		if len(keys) > 1<<12 {
 			keys = keys[:1<<12]
@@ -145,19 +230,55 @@ func FuzzStableSort(f *testing.F) {
 	})
 }
 
-// TestSortBufSortNoAllocs: once a sort job's buffers have grown to its batch
-// size, sorting allocates nothing.
-func TestSortBufSortNoAllocs(t *testing.T) {
+// TestMsdSortNoAllocs: once a sort job's buffers have grown to its batch
+// size, run formation's sort allocates nothing; its bucket counts live on the
+// stack.
+func TestMsdSortNoAllocs(t *testing.T) {
 	master := benchKlogEntries(4096)
 	var b sortBuf[klogEntry]
 	b.recs = append(b.recs, master...)
-	b.sort(compareKlog) // warm-up: sizes the scratch
+	b.msd(klogKey, compareKlog) // warm-up: sizes the scratch
 	if n := testing.AllocsPerRun(10, func() {
 		copy(b.recs, master)
-		b.sort(compareKlog)
+		b.msd(klogKey, compareKlog)
 	}); n != 0 {
-		t.Fatalf("sortBuf.sort allocated %v times per run after warm-up", n)
+		t.Fatalf("sortBuf.msd allocated %v times per run after warm-up", n)
 	}
+}
+
+// TestMakeRunsCharge: forming one run of 10 240 vpic-style 16-byte keys
+// (eight zero bytes, then a big-endian hashed id) costs the SoC exactly the
+// comparisons refMsdCompares counts, priced at CompareCost/Speed each, and
+// far fewer than the n·⌊log2 n⌋ a comparison sort is charged.
+func TestMakeRunsCharge(t *testing.T) {
+	const n = 10240
+	rng := rand.New(rand.NewSource(23))
+	recs := make([]klogEntry, n)
+	keys := make([][]byte, n)
+	for i := range recs {
+		k := keyenc.MakeFixedKey16(rng.Uint64())
+		recs[i] = klogEntry{key: k.Bytes(), vlen: 32, vlogOff: uint64(i) * 32}
+		keys[i] = recs[i].key
+	}
+	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
+	compares := refMsdCompares(keys, 0)
+	if perRec := float64(compares) / n; perRec > 5 {
+		t.Fatalf("%.2f compares per record, want at most 5", perRec)
+	}
+	fx := newSortFixture(64 << 20)
+	cfg := fx.soc.Config()
+	fx.run(t, func(p *sim.Proc) {
+		s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, klogKey, compareKlog)
+		busy0 := fx.soc.CPU().BusyTime()
+		runs, err := s.makeRuns(p, &sliceSource[klogEntry]{recs: recs})
+		if err != nil || len(runs) != 1 {
+			t.Fatalf("%d runs, err %v", len(runs), err)
+		}
+		want := time.Duration(float64(time.Duration(compares)*cfg.CompareCost) / cfg.Speed)
+		if d := fx.soc.CPU().BusyTime() - busy0; d != want {
+			t.Errorf("SoC busy +%v, want %v (%d compares)", d, want, compares)
+		}
+	})
 }
 
 // TestRadixSortNoAllocs: the bucket sort allocates nothing once its scratch
