@@ -148,6 +148,9 @@ type Client struct {
 	queue  *nvme.QueuePair
 	tr     *obs.Tracer // device tracer; nil when tracing is off
 	policy RetryPolicy
+	// abandoned counts commands left in flight by a timeout: the device may
+	// still read such a command's payload after the call has returned.
+	abandoned int64
 }
 
 // New binds a client to a device using the host's CPU for packing costs.
@@ -229,6 +232,7 @@ func (c *Client) sendOnce(p *sim.Proc, cmd *nvme.Command) (*nvme.Completion, err
 		if !done {
 			// The command stays in flight inside the device; the abandoned
 			// handle absorbs its eventual completion.
+			c.abandoned++
 			if span != nil {
 				c.tr.Pop(p)
 				span.End()
@@ -355,10 +359,18 @@ type Contract interface {
 var _ Contract = (*Keyspace)(nil)
 
 // Keyspace is a handle for operations on one keyspace.
+//
+// Bulk staging owns its bytes: BulkPut and BulkDelete copy each pair into
+// arena, the current message's byte arena, and stage a view of the copy in
+// bulk. When a full message goes out and the device has answered it, the
+// next message reuses both — a streaming load allocates them once — unless a
+// timed-out attempt may still be reading them inside the device. An explicit
+// Flush drops them, so an idle handle pins nothing.
 type Keyspace struct {
 	c    *Client
 	name string
 
+	arena     []byte
 	bulk      []nvme.KVPair
 	bulkBytes int64
 }
@@ -368,15 +380,18 @@ func (k *Keyspace) Name() string { return k.name }
 
 // Put stores a single pair with one command (the paper's regular PUT).
 // Staged bulk pairs are flushed first so device order matches program order.
+// Key and value are copied into one allocation: the command may outlive the
+// call when it times out.
 func (k *Keyspace) Put(p *sim.Proc, key, value []byte) error {
 	if err := k.Flush(p); err != nil {
 		return err
 	}
+	kv := append(append(make([]byte, 0, len(key)+len(value)), key...), value...)
 	_, err := k.c.roundTrip(p, &nvme.Command{
 		Op:       nvme.OpStore,
 		Keyspace: k.name,
-		Key:      append([]byte(nil), key...),
-		Value:    append([]byte(nil), value...),
+		Key:      kv[:len(key):len(key)],
+		Value:    kv[len(key):],
 	})
 	return err
 }
@@ -399,13 +414,10 @@ func (k *Keyspace) Delete(p *sim.Proc, key []byte) error {
 // BulkDelete stages a deletion into the current bulk message (the paper's
 // bulk deletes share the bulk-put transport).
 func (k *Keyspace) BulkDelete(p *sim.Proc, key []byte) error {
-	k.bulk = append(k.bulk, nvme.KVPair{
-		Key:       append([]byte(nil), key...),
-		Tombstone: true,
-	})
+	k.bulk = append(k.bulk, nvme.KVPair{Key: k.stage(key), Tombstone: true})
 	k.bulkBytes += int64(len(key) + 8)
 	if k.bulkBytes >= BulkMessageBytes {
-		return k.Flush(p)
+		return k.send(p, true)
 	}
 	return nil
 }
@@ -413,26 +425,42 @@ func (k *Keyspace) BulkDelete(p *sim.Proc, key []byte) error {
 // BulkPut stages a pair into the current 128 KiB bulk message, sending it
 // when full. Call Flush to push a final partial message.
 func (k *Keyspace) BulkPut(p *sim.Proc, key, value []byte) error {
-	k.bulk = append(k.bulk, nvme.KVPair{
-		Key:   append([]byte(nil), key...),
-		Value: append([]byte(nil), value...),
-	})
+	k.bulk = append(k.bulk, nvme.KVPair{Key: k.stage(key), Value: k.stage(value)})
 	k.bulkBytes += int64(len(key) + len(value) + 8)
 	if k.bulkBytes >= BulkMessageBytes {
-		return k.Flush(p)
+		return k.send(p, true)
 	}
 	return nil
 }
 
-// Flush sends any staged bulk pairs.
-func (k *Keyspace) Flush(p *sim.Proc) error {
+// stage copies b into the message arena and returns the copy, clipped to its
+// length. Growing the arena moves later copies only: earlier ones keep
+// viewing the array they were made in.
+func (k *Keyspace) stage(b []byte) []byte {
+	k.arena = append(k.arena, b...)
+	n := len(k.arena)
+	return k.arena[n-len(b) : n : n]
+}
+
+// Flush sends any staged bulk pairs and drops the staging buffers.
+func (k *Keyspace) Flush(p *sim.Proc) error { return k.send(p, false) }
+
+// send ships the staged pairs as one bulk command. With reuse, the arena
+// and pair slice serve the next message once the device has answered this
+// one — if no other proc started a message on the handle meanwhile;
+// otherwise they go with the command.
+func (k *Keyspace) send(p *sim.Proc, reuse bool) error {
 	if len(k.bulk) == 0 {
 		return nil
 	}
-	pairs := k.bulk
-	k.bulk = nil
-	k.bulkBytes = 0
+	pairs, arena := k.bulk, k.arena
+	k.bulk, k.arena, k.bulkBytes = nil, nil, 0
+	abandoned := k.c.abandoned
 	_, err := k.c.roundTrip(p, &nvme.Command{Op: nvme.OpBulkStore, Keyspace: k.name, Pairs: pairs})
+	if reuse && err == nil && k.c.abandoned == abandoned && k.bulk == nil {
+		clear(pairs)
+		k.arena, k.bulk = arena[:0], pairs[:0]
+	}
 	return err
 }
 

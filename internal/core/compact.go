@@ -351,10 +351,13 @@ type clusterWindow struct {
 	c      *Cluster
 	win    []byte
 	winOff int64
+	last   []byte // the span read handed out last
 }
 
-// read returns n bytes at offset off (copied).
+// read returns n bytes at offset off as a view of the window, valid until the
+// next read (the window slides in place; see recordSource).
 func (w *clusterWindow) read(p *sim.Proc, off int64, n int) ([]byte, error) {
+	poison(w.last)
 	need := int64(n)
 	if off < w.winOff || off+need > w.winOff+int64(len(w.win)) {
 		chunk := int64(256 << 10)
@@ -377,7 +380,8 @@ func (w *clusterWindow) read(p *sim.Proc, off int64, n int) ([]byte, error) {
 		w.winOff = off
 	}
 	o := off - w.winOff
-	return append([]byte(nil), w.win[o:o+need]...), nil
+	w.last = w.win[o : o+need : o+need]
+	return w.last, nil
 }
 
 // indexBlockHdr is the fixed index-block header: u16 entry count + u32
@@ -396,7 +400,7 @@ func indexBlockSum(buf []byte) uint32 {
 // blockWriter packs length-prefixed entries into fixed-size blocks: each
 // block starts with the indexBlockHdr header, entries never span blocks, and
 // the remainder is zero padding. The first key of each block becomes a sketch
-// pivot.
+// pivot. One block buffer serves every block: Append copies it.
 type blockWriter struct {
 	cluster   *Cluster
 	blockSize int
@@ -407,7 +411,7 @@ type blockWriter struct {
 }
 
 func newBlockWriter(c *Cluster, blockSize int) *blockWriter {
-	return &blockWriter{cluster: c, blockSize: blockSize}
+	return &blockWriter{cluster: c, blockSize: blockSize, cur: make([]byte, 0, blockSize)}
 }
 
 // add appends one encoded entry, starting a new block when needed.
@@ -437,8 +441,8 @@ func (w *blockWriter) flush(p *sim.Proc) error {
 		return nil
 	}
 	binary.LittleEndian.PutUint16(w.cur[0:], w.count)
-	padded := make([]byte, w.blockSize)
-	copy(padded, w.cur)
+	padded := w.cur[:w.blockSize]
+	clear(padded[len(w.cur):])
 	binary.LittleEndian.PutUint32(padded[2:], indexBlockSum(padded))
 	if err := w.cluster.Append(p, padded); err != nil {
 		return err

@@ -85,10 +85,7 @@ func (e *Engine) CompactWithIndexes(p *sim.Proc, name string, specs []SecondaryS
 		return err
 	}
 	e.spawnJob("compact+idx-"+name, func(jp *sim.Proc) error {
-		jp.Acquire(ks.ingestLock)
-		err := e.flushBuffer(jp, ks)
-		jp.Release(ks.ingestLock)
-		if err != nil {
+		if err := e.takeIngest(jp, ks); err != nil {
 			ks.compactDone.Signal()
 			for _, si := range sis {
 				si.done.Signal()
@@ -105,6 +102,7 @@ type sidxStage struct {
 	si      *secondaryIndex
 	cluster *Cluster
 	buf     []byte
+	skey    []byte // the secondary key being extracted, reused per pair
 }
 
 // runConsolidated is runCompaction with in-flight secondary key extraction.
@@ -123,10 +121,11 @@ func (e *Engine) runConsolidated(p *sim.Proc, ks *Keyspace, sis []*secondaryInde
 				return fmt.Errorf("core: secondary byte range [%d,%d) exceeds %d-byte value",
 					spec.Offset, spec.Offset+spec.Length, len(value))
 			}
-			skey, err := spec.Type.Normalize(value[spec.Offset : spec.Offset+spec.Length])
+			skey, err := spec.Type.AppendNormalized(st.skey[:0], value[spec.Offset:spec.Offset+spec.Length])
 			if err != nil {
 				return err
 			}
+			st.skey = skey
 			st.buf = codec.Encode(st.buf, sidxEntry{
 				skey: skey, pkey: pkey, svOff: svOff, vlen: uint32(len(value)),
 			})

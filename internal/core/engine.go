@@ -291,25 +291,8 @@ func (e *Engine) Put(p *sim.Proc, name string, key, value []byte) error {
 	e.st.Puts.Add(1)
 	p.Acquire(ks.ingestLock)
 	defer p.Release(ks.ingestLock)
-	return e.ingest(p, ks, key, value, false)
-}
-
-// BulkPut inserts many pairs with one command (paper: bulk puts hide
-// insertion latency; each 128 KiB message carries up to ~2570 pairs).
-func (e *Engine) BulkPut(p *sim.Proc, name string, pairs []bufferedPair) error {
-	ks, err := e.writableKeyspace(p, name)
-	if err != nil {
-		return err
-	}
-	e.st.BulkPuts.Add(1)
-	p.Acquire(ks.ingestLock)
-	defer p.Release(ks.ingestLock)
-	for _, pr := range pairs {
-		if err := e.ingest(p, ks, pr.key, pr.value, pr.tomb); err != nil {
-			return err
-		}
-	}
-	return nil
+	slab := make([]byte, 0, len(key)+len(value))
+	return e.ingest(p, ks, &slab, key, value, false)
 }
 
 // Delete marks a key deleted: a tombstone lands in the KLOG and the key
@@ -323,7 +306,8 @@ func (e *Engine) Delete(p *sim.Proc, name string, key []byte) error {
 	e.st.Deletes.Add(1)
 	p.Acquire(ks.ingestLock)
 	defer p.Release(ks.ingestLock)
-	return e.ingest(p, ks, key, nil, true)
+	slab := make([]byte, 0, len(key))
+	return e.ingest(p, ks, &slab, key, nil, true)
 }
 
 // KVOp is one element of a mixed bulk operation.
@@ -333,7 +317,9 @@ type KVOp struct {
 	Delete bool
 }
 
-// BulkOps applies a mixed batch of puts and deletes with one command.
+// BulkOps applies a mixed batch of puts and deletes with one command (paper:
+// bulk puts hide insertion latency; each 128 KiB message carries up to ~2570
+// pairs). The command's pairs are copied into one slab sized to hold them.
 func (e *Engine) BulkOps(p *sim.Proc, name string, ops []KVOp) error {
 	ks, err := e.writableKeyspace(p, name)
 	if err != nil {
@@ -342,27 +328,35 @@ func (e *Engine) BulkOps(p *sim.Proc, name string, ops []KVOp) error {
 	e.st.BulkPuts.Add(1)
 	p.Acquire(ks.ingestLock)
 	defer p.Release(ks.ingestLock)
+	n := 0
+	for _, op := range ops {
+		n += len(op.Key)
+		if !op.Delete {
+			n += len(op.Value)
+		}
+	}
+	slab := make([]byte, 0, n)
 	for _, op := range ops {
 		if op.Delete {
 			e.st.Deletes.Add(1)
 		}
-		if err := e.ingest(p, ks, op.Key, op.Value, op.Delete); err != nil {
+		if err := e.ingest(p, ks, &slab, op.Key, op.Value, op.Delete); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// BulkPutKV adapts raw key/value slices to BulkPut.
+// BulkPutKV applies raw key/value slices as one bulk put.
 func (e *Engine) BulkPutKV(p *sim.Proc, name string, keys, values [][]byte) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("core: bulk put keys/values length mismatch")
 	}
-	pairs := make([]bufferedPair, len(keys))
+	ops := make([]KVOp, len(keys))
 	for i := range keys {
-		pairs[i] = bufferedPair{key: keys[i], value: values[i]}
+		ops[i] = KVOp{Key: keys[i], Value: values[i]}
 	}
-	return e.BulkPut(p, name, pairs)
+	return e.BulkOps(p, name, ops)
 }
 
 func (e *Engine) writableKeyspace(p *sim.Proc, name string) (*Keyspace, error) {
@@ -391,17 +385,21 @@ func (e *Engine) writableKeyspace(p *sim.Proc, name string) (*Keyspace, error) {
 
 // ingest stages one pair (or tombstone) in the keyspace's SoC DRAM buffer,
 // flushing to the KLOG/VLOG clusters when the buffer fills (paper: 192 KiB).
-func (e *Engine) ingest(p *sim.Proc, ks *Keyspace, key, value []byte, tomb bool) error {
+// The buffer keeps views of the command's slab, which the caller sized to
+// hold every pair of the command; ingest copies key and value into it. The
+// key bounds are copied on their own, so a keyspace never pins a slab once
+// its buffer has flushed.
+func (e *Engine) ingest(p *sim.Proc, ks *Keyspace, slab *[]byte, key, value []byte, tomb bool) error {
 	if len(key) > e.cfg.MaxKeyLen {
 		return fmt.Errorf("%w: %d bytes", ErrKeyTooLarge, len(key))
 	}
 	if len(value) > e.cfg.MaxValueLen {
 		return fmt.Errorf("%w: %d bytes", ErrValueTooLarge, len(value))
 	}
-	k := append([]byte(nil), key...)
+	k := slabCopy(slab, key)
 	var v []byte
 	if !tomb {
-		v = append([]byte(nil), value...)
+		v = slabCopy(slab, value)
 	}
 	ks.buf = append(ks.buf, bufferedPair{key: k, value: v, tomb: tomb})
 	ks.bufBytes += len(k) + len(v)
@@ -410,16 +408,23 @@ func (e *Engine) ingest(p *sim.Proc, ks *Keyspace, key, value []byte, tomb bool)
 		ks.count++
 		e.st.AppWrite.Add(int64(len(k) + len(v)))
 		if ks.minKey == nil || bytes.Compare(k, ks.minKey) < 0 {
-			ks.minKey = k
+			ks.minKey = append([]byte(nil), k...)
 		}
 		if ks.maxKey == nil || bytes.Compare(k, ks.maxKey) > 0 {
-			ks.maxKey = k
+			ks.maxKey = append([]byte(nil), k...)
 		}
 	}
 	if ks.bufBytes >= e.cfg.IngestBufferBytes {
 		return e.flushBuffer(p, ks)
 	}
 	return nil
+}
+
+// slabCopy appends b to the slab and returns the copy, clipped to its length.
+func slabCopy(slab *[]byte, b []byte) []byte {
+	s := append(*slab, b...)
+	*slab = s
+	return s[len(s)-len(b) : len(s) : len(s)]
 }
 
 // flushBuffer drains the ingest buffer through the configured layout.
@@ -440,28 +445,46 @@ func (e *Engine) flushBufferSeparated(p *sim.Proc, ks *Keyspace) error {
 	e.soc.Compute(p, time.Duration(len(ks.buf))*e.soc.Config().KVOpCost)
 	e.dram.Add(float64(ks.bufBytes))
 
-	var klogBuf, vlogBuf []byte
+	// The values first, then the KLOG frame, through one scratch buffer.
+	base := uint64(ks.vlog.Len())
+	buf := e.zm.scratch.get(0)
+	for _, pr := range ks.buf {
+		buf = append(buf, pr.value...)
+	}
+	if err := ks.vlog.Append(p, buf); err != nil {
+		return err
+	}
+	buf = append(buf[:0], logFrameReserve[:]...)
 	codec := klogCodec{}
+	off := base
 	for _, pr := range ks.buf {
 		if pr.tomb {
 			// Tombstone: key-only record; vlogOff still orders recency.
-			off := uint64(ks.vlog.Len()) + uint64(len(vlogBuf))
-			klogBuf = codec.Encode(klogBuf, klogEntry{key: pr.key, vlen: tombstoneVlen, vlogOff: off})
+			buf = codec.Encode(buf, klogEntry{key: pr.key, vlen: tombstoneVlen, vlogOff: off})
 			continue
 		}
-		off := uint64(ks.vlog.Len()) + uint64(len(vlogBuf))
-		vlogBuf = append(vlogBuf, pr.value...)
-		klogBuf = codec.Encode(klogBuf, klogEntry{key: pr.key, vlen: uint32(len(pr.value)), vlogOff: off})
+		buf = codec.Encode(buf, klogEntry{key: pr.key, vlen: uint32(len(pr.value)), vlogOff: off})
+		off += uint64(len(pr.value))
 	}
-	if err := ks.vlog.Append(p, vlogBuf); err != nil {
+	if err := ks.appendLogFrame(p, buf); err != nil {
 		return err
 	}
-	if err := ks.appendLogFrame(p, klogBuf); err != nil {
-		return err
-	}
+	e.zm.scratch.put(buf)
 	e.dram.Add(-float64(ks.bufBytes))
+	ks.resetBuffer()
+	return nil
+}
+
+// takeIngest flushes what is left in a keyspace's ingest buffer when a
+// compaction takes the keyspace over, and drops the buffer: the keyspace
+// takes no more writes.
+func (e *Engine) takeIngest(p *sim.Proc, ks *Keyspace) error {
+	p.Acquire(ks.ingestLock)
+	defer p.Release(ks.ingestLock)
+	if err := e.flushBuffer(p, ks); err != nil {
+		return err
+	}
 	ks.buf = nil
-	ks.bufBytes = 0
 	return nil
 }
 
@@ -567,10 +590,7 @@ func (e *Engine) Compact(p *sim.Proc, name string) error {
 	e.spawnJob("compact-"+name, func(jp *sim.Proc) error {
 		ks.progress = compaction.Progress{Stage: compaction.StageFlush}
 		defer func() { ks.progress.Stage = compaction.StageIdle }()
-		jp.Acquire(ks.ingestLock)
-		err := e.flushBuffer(jp, ks)
-		jp.Release(ks.ingestLock)
-		if err != nil {
+		if err := e.takeIngest(jp, ks); err != nil {
 			ks.compactDone.Signal()
 			ks.compactErr = err
 			return err

@@ -40,35 +40,38 @@ func appendExtent(exts []frameExtent, start, end int64) []frameExtent {
 	return append(exts, frameExtent{Start: start, End: end})
 }
 
-// encodeLogFrame wraps one flush batch in a frame.
-func encodeLogFrame(payload []byte) []byte {
-	frame := make([]byte, logFrameHdr+len(payload))
+// logFrameReserve is the room a flush leaves at the front of its KLOG buffer
+// for the frame header appendLogFrame writes there.
+var logFrameReserve [logFrameHdr]byte
+
+// appendLogFrame appends one CRC-framed flush batch to the keyspace's KLOG
+// and extends its valid-frame extents. frame is the batch's records behind
+// logFrameHdr reserved bytes, which become the header in place.
+func (ks *Keyspace) appendLogFrame(p *sim.Proc, frame []byte) error {
+	payload := frame[logFrameHdr:]
 	binary.LittleEndian.PutUint32(frame[0:], logFrameMagic)
 	binary.LittleEndian.PutUint32(frame[4:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[8:], crc32.ChecksumIEEE(payload))
-	copy(frame[logFrameHdr:], payload)
-	return frame
-}
-
-// appendLogFrame appends one CRC-framed flush batch to the keyspace's KLOG
-// and extends its valid-frame extents.
-func (ks *Keyspace) appendLogFrame(p *sim.Proc, payload []byte) error {
 	start := ks.klog.Len()
-	if err := ks.klog.Append(p, encodeLogFrame(payload)); err != nil {
+	if err := ks.klog.Append(p, frame); err != nil {
 		return err
 	}
 	ks.logFrames = appendExtent(ks.logFrames, start, ks.klog.Len())
 	return nil
 }
 
-// readLogFrame reads and verifies one frame at off; limit bounds how far the
-// frame may extend. Returns (payload, frameBytes, nil) on success and
-// (nil, 0, nil) when the bytes at off are not a whole valid frame.
-func readLogFrame(p *sim.Proc, c *Cluster, off, limit int64) ([]byte, int64, error) {
+// logFrameReader reads log frames into one buffer it reuses, so a payload it
+// returns is valid until its next read.
+type logFrameReader struct{ buf []byte }
+
+// read reads and verifies one frame at off; limit bounds how far the frame
+// may extend. Returns (payload, frameBytes, nil) on success and (nil, 0, nil)
+// when the bytes at off are not a whole valid frame.
+func (r *logFrameReader) read(p *sim.Proc, c *Cluster, off, limit int64) ([]byte, int64, error) {
 	if off+logFrameHdr > limit {
 		return nil, 0, nil
 	}
-	hdr := make([]byte, logFrameHdr)
+	hdr := r.grow(logFrameHdr)
 	if err := c.ReadAt(p, hdr, off); err != nil {
 		return nil, 0, err
 	}
@@ -79,28 +82,42 @@ func readLogFrame(p *sim.Proc, c *Cluster, off, limit int64) ([]byte, int64, err
 	if off+logFrameHdr+plen > limit {
 		return nil, 0, nil
 	}
-	payload := make([]byte, plen)
+	frame := r.grow(logFrameHdr + int(plen))
+	payload := frame[logFrameHdr:]
 	if err := c.ReadAt(p, payload, off+logFrameHdr); err != nil {
 		return nil, 0, err
 	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[8:]) {
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[8:]) {
 		return nil, 0, nil
 	}
 	return payload, logFrameHdr + plen, nil
 }
 
+// grow returns the reader's buffer resized to n bytes, keeping its first
+// logFrameHdr bytes (the header just read).
+func (r *logFrameReader) grow(n int) []byte {
+	if cap(r.buf) < n {
+		r.buf = append(make([]byte, 0, n), r.buf...)
+	}
+	r.buf = r.buf[:n]
+	return r.buf
+}
+
 // frameSource streams records of type T out of a log cluster's valid frame
 // extents, verifying each frame's magic and checksum before decoding. Records
 // never span frames (one frame per flush batch), so each payload decodes with
-// atEOF semantics.
+// atEOF semantics. Every frame is read into the same buffer, so a record is
+// valid until the next call to next (see recordSource).
 type frameSource[T any] struct {
 	c       *Cluster
 	codec   Codec[T]
 	extents []frameExtent
 	ei      int
 	off     int64
+	frames  logFrameReader
 	payload []byte
 	pos     int
+	last    int // start of the record handed out last, within payload
 }
 
 func newFrameSource[T any](c *Cluster, codec Codec[T], extents []frameExtent) *frameSource[T] {
@@ -112,6 +129,7 @@ func newFrameSource[T any](c *Cluster, codec Codec[T], extents []frameExtent) *f
 }
 
 func (s *frameSource[T]) next(p *sim.Proc) (rec T, ok bool, err error) {
+	poison(s.payload[s.last:s.pos])
 	for {
 		if s.pos < len(s.payload) {
 			r, n, derr := s.codec.Decode(s.payload[s.pos:], true)
@@ -121,6 +139,7 @@ func (s *frameSource[T]) next(p *sim.Proc) (rec T, ok bool, err error) {
 			if n == 0 {
 				return rec, false, fmt.Errorf("%w: trailing %d bytes in frame", ErrRecordCorrupt, len(s.payload)-s.pos)
 			}
+			s.last = s.pos
 			s.pos += n
 			return r, true, nil
 		}
@@ -135,14 +154,14 @@ func (s *frameSource[T]) next(p *sim.Proc) (rec T, ok bool, err error) {
 			}
 			continue
 		}
-		payload, n, err := readLogFrame(p, s.c, s.off, ext.End)
+		payload, n, err := s.frames.read(p, s.c, s.off, ext.End)
 		if err != nil {
 			return rec, false, err
 		}
 		if n == 0 {
 			return rec, false, fmt.Errorf("%w: invalid frame at %d inside validated extent", ErrRecordCorrupt, s.off)
 		}
-		s.payload, s.pos = payload, 0
+		s.payload, s.pos, s.last = payload, 0, 0
 		s.off += n
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 )
 
 // FuzzFrameReplayable drives the crash-recovery roll-forward gate with
@@ -60,16 +61,35 @@ func FuzzFrameReplayable(f *testing.F) {
 	})
 }
 
+// checkView fails unless field is a view of data[:n] whose capacity ends
+// where it does, so that appending to it cannot write over what follows.
+func checkView(t *testing.T, codec string, field, data []byte, n int) {
+	t.Helper()
+	if cap(field) != len(field) {
+		t.Fatalf("%s: field of %d bytes has capacity %d", codec, len(field), cap(field))
+	}
+	if len(field) == 0 {
+		return
+	}
+	base := uintptr(unsafe.Pointer(unsafe.SliceData(data)))
+	at := uintptr(unsafe.Pointer(unsafe.SliceData(field)))
+	if at < base || at+uintptr(len(field)) > base+uintptr(n) {
+		t.Fatalf("%s: field of %d bytes is not inside the %d bytes consumed", codec, len(field), n)
+	}
+}
+
 // FuzzRecordCodecs feeds arbitrary bytes to every log-record codec. Each
 // Decode must never panic; on success it must consume a positive, in-bounds
-// byte count and the record must round-trip through Encode to the exact
-// consumed bytes (the codecs are canonical).
+// byte count, every byte field must be a clipped view of the consumed bytes,
+// and the record must round-trip through Encode to the exact consumed bytes
+// (the codecs are canonical).
 func FuzzRecordCodecs(f *testing.F) {
 	kc := klogCodec{}
 	f.Add(kc.Encode(nil, klogEntry{key: []byte("key"), vlen: 9, vlogOff: 42}))
 	f.Add(destCodec{}.Encode(nil, destEntry{vlogOff: 1, destOff: 2, vlen: 3}))
 	f.Add(valueCodec{}.Encode(nil, valueRec{destOff: 5, value: []byte("payload")}))
 	f.Add(sidxCodec{}.Encode(nil, sidxEntry{skey: []byte("sk"), pkey: []byte("pk"), svOff: 8, vlen: 4}))
+	f.Add(pairCodec{}.Encode(nil, pairRec{key: []byte("key"), value: []byte("value"), seq: 9}))
 	torn := kc.Encode(nil, klogEntry{key: []byte("longer-key-torn"), vlen: 1, vlogOff: 1})
 	f.Add(torn[:len(torn)-4]) // torn record
 
@@ -79,6 +99,7 @@ func FuzzRecordCodecs(f *testing.F) {
 				if n > len(data) {
 					t.Fatalf("klog consumed %d of %d bytes", n, len(data))
 				}
+				checkView(t, "klog key", e.key, data, n)
 				if enc := (klogCodec{}).Encode(nil, e); !bytes.Equal(enc, data[:n]) {
 					t.Fatalf("klog round-trip mismatch for %d consumed bytes", n)
 				}
@@ -95,6 +116,7 @@ func FuzzRecordCodecs(f *testing.F) {
 				if n > len(data) {
 					t.Fatalf("value consumed %d of %d bytes", n, len(data))
 				}
+				checkView(t, "value", r.value, data, n)
 				if enc := (valueCodec{}).Encode(nil, r); !bytes.Equal(enc, data[:n]) {
 					t.Fatalf("value round-trip mismatch for %d consumed bytes", n)
 				}
@@ -103,6 +125,8 @@ func FuzzRecordCodecs(f *testing.F) {
 				if n > len(data) {
 					t.Fatalf("sidx consumed %d of %d bytes", n, len(data))
 				}
+				checkView(t, "sidx skey", e.skey, data, n)
+				checkView(t, "sidx pkey", e.pkey, data, n)
 				if enc := (sidxCodec{}).Encode(nil, e); !bytes.Equal(enc, data[:n]) {
 					t.Fatalf("sidx round-trip mismatch for %d consumed bytes", n)
 				}
@@ -111,6 +135,8 @@ func FuzzRecordCodecs(f *testing.F) {
 				if n > len(data) {
 					t.Fatalf("pair consumed %d of %d bytes", n, len(data))
 				}
+				checkView(t, "pair key", r.key, data, n)
+				checkView(t, "pair value", r.value, data, n)
 				if enc := (pairCodec{}).Encode(nil, r); !bytes.Equal(enc, data[:n]) {
 					t.Fatalf("pair round-trip mismatch for %d consumed bytes", n)
 				}

@@ -119,10 +119,21 @@ type Keyspace struct {
 	pipelineOcc int
 }
 
+// bufferedPair is one staged pair; key and value view the slab of the command
+// that carried it (see Engine.ingest).
 type bufferedPair struct {
 	key   []byte
 	value []byte
 	tomb  bool // deletion marker (paper §I: bulk deletes)
+}
+
+// resetBuffer empties the ingest buffer after a flush. The slots are cleared
+// before the slice is reused, so pairs already written do not pin their
+// commands' slabs until the next flush overwrites them.
+func (ks *Keyspace) resetBuffer() {
+	clear(ks.buf)
+	ks.buf = ks.buf[:0]
+	ks.bufBytes = 0
 }
 
 // Name returns the keyspace name.

@@ -51,11 +51,12 @@ func (pairCodec) Decode(data []byte, atEOF bool) (pairRec, int, error) {
 		}
 		return pairRec{}, 0, nil
 	}
+	k, n := 14+klen, 14+klen+vlen
 	return pairRec{
 		seq:   binary.LittleEndian.Uint64(data[6:]),
-		key:   append([]byte(nil), data[14:14+klen]...),
-		value: append([]byte(nil), data[14+klen:14+klen+vlen]...),
-	}, 14 + klen + vlen, nil
+		key:   data[14:k:k],
+		value: data[k:n:n],
+	}, n, nil
 }
 
 func (pairCodec) SizeHint(r pairRec) int { return 14 + len(r.key) + len(r.value) + 48 }
@@ -79,7 +80,7 @@ func (e *Engine) flushBufferCombined(p *sim.Proc, ks *Keyspace) error {
 	}
 	e.soc.Compute(p, sim.Duration(len(ks.buf))*e.soc.Config().KVOpCost)
 	codec := pairCodec{}
-	var buf []byte
+	buf := append(e.zm.scratch.get(0), logFrameReserve[:]...)
 	for _, pr := range ks.buf {
 		ks.combinedSeq++
 		seq := ks.combinedSeq << 1
@@ -91,8 +92,8 @@ func (e *Engine) flushBufferCombined(p *sim.Proc, ks *Keyspace) error {
 	if err := ks.appendLogFrame(p, buf); err != nil {
 		return err
 	}
-	ks.buf = nil
-	ks.bufBytes = 0
+	e.zm.scratch.put(buf)
+	ks.resetBuffer()
 	return nil
 }
 

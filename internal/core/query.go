@@ -147,8 +147,15 @@ func (e *Engine) RangePrimary(p *sim.Proc, name string, lo, hi []byte, limit int
 	}
 	totalBlocks := ks.pidx.Len() / int64(e.cfg.BlockBytes)
 	emitted := 0
+	// The window is lent by the device's scratch list: the scan holds it
+	// across the reads it yields in, while other scans run.
 	var win []byte
 	var winOff int64 = -1
+	defer func() {
+		if win != nil {
+			e.zm.scratch.put(win)
+		}
+	}()
 	for ; bi < totalBlocks; bi++ {
 		blk, err := e.readIndexBlockCached(p, ks.pidx, bi)
 		if err != nil {
@@ -173,16 +180,22 @@ func (e *Engine) RangePrimary(p *sim.Proc, name string, lo, hi []byte, limit int
 				if rem := ks.sorted.Len() - start; chunk > rem {
 					chunk = rem
 				}
-				win = make([]byte, chunk)
+				if cap(win) < int(chunk) {
+					if win != nil {
+						e.zm.scratch.put(win)
+					}
+					win = e.zm.scratch.get(int(chunk))
+				}
+				win = win[:chunk]
 				if err := ks.sorted.ReadAt(p, win, start); err != nil {
 					return emitted, err
 				}
 				ks.touchHeat(start, len(win), e.cfg.BlockBytes)
 				winOff = start
 			}
-			val := append([]byte(nil), win[start-winOff:start-winOff+need]...)
-			e.st.AppRead.Add(int64(len(val)))
-			if !fn(Pair{Key: append([]byte(nil), ent.key...), Value: val}) {
+			pr := ownedPair(ent.key, win[start-winOff:start-winOff+need])
+			e.st.AppRead.Add(int64(len(pr.Value)))
+			if !fn(pr) {
 				return emitted + 1, nil
 			}
 			emitted++
@@ -262,7 +275,7 @@ func (e *Engine) RangeSecondary(p *sim.Proc, name, index string, lo, hi []byte, 
 	}
 	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(matches[a].svOff, matches[b].svOff) })
 	e.soc.Compute(p, e.soc.SortCost(int64(len(order))))
-	values := make([][]byte, len(matches))
+	pairs := make([]Pair, len(matches))
 	const coalesceGap = 64 << 10
 	i := 0
 	for i < len(order) {
@@ -288,20 +301,29 @@ func (e *Engine) RangeSecondary(p *sim.Proc, name, index string, lo, hi []byte, 
 		for k := i; k <= j; k++ {
 			m := matches[order[k]]
 			off := int64(m.svOff) - start
-			values[order[k]] = append([]byte(nil), span[off:off+int64(m.vlen)]...)
+			pairs[order[k]] = ownedPair(m.pkey, span[off:off+int64(m.vlen)])
 		}
 		i = j + 1
 	}
 
 	emitted := 0
-	for idx, m := range matches {
-		e.st.AppRead.Add(int64(len(values[idx])))
-		if !fn(Pair{Key: append([]byte(nil), m.pkey...), Value: values[idx]}) {
+	for _, pr := range pairs {
+		e.st.AppRead.Add(int64(len(pr.Value)))
+		if !fn(pr) {
 			return emitted + 1, nil
 		}
 		emitted++
 	}
 	return emitted, nil
+}
+
+// ownedPair copies a result's key and value into one allocation: a result
+// leaves the engine, so it must not view the block or window it was read from.
+func ownedPair(key, value []byte) Pair {
+	kv := make([]byte, len(key)+len(value))
+	n := copy(kv, key)
+	copy(kv[n:], value)
+	return Pair{Key: kv[:n:n], Value: kv[n:]}
 }
 
 // GetSecondary answers a secondary point query (all pairs whose secondary

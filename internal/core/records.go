@@ -21,6 +21,12 @@ const tombstoneVlen = ^uint32(0)
 // isTombstone reports whether the entry is a deletion marker.
 func (e klogEntry) isTombstone() bool { return e.vlen == tombstoneVlen }
 
+// Every codec's Decode returns a record whose byte fields are views of its
+// input, each clipped to its own length by a full slice expression so that
+// appending to one cannot write over the bytes after it. A decoded record is
+// therefore valid only as long as the bytes it was decoded from; see
+// recordSource for how long that is and who copies.
+
 // klogCodec serializes klog entries:
 // klen u16 | vlen u32 | vlogOff u64 | key.
 type klogCodec struct{}
@@ -48,12 +54,12 @@ func (klogCodec) Decode(data []byte, atEOF bool) (klogEntry, int, error) {
 		}
 		return klogEntry{}, 0, nil
 	}
-	e := klogEntry{
+	n := 14 + klen
+	return klogEntry{
 		vlen:    binary.LittleEndian.Uint32(data[2:]),
 		vlogOff: binary.LittleEndian.Uint64(data[6:]),
-		key:     append([]byte(nil), data[14:14+klen]...),
-	}
-	return e, 14 + klen, nil
+		key:     data[14:n:n],
+	}, n, nil
 }
 
 func (klogCodec) SizeHint(e klogEntry) int { return 14 + len(e.key) + 24 }
@@ -103,10 +109,7 @@ type valueRec struct {
 	value   []byte
 }
 
-// valueCodec serializes value records: destOff u64 | vlen u32 | bytes. Decode
-// returns the value as a view of data, so its input must outlive the record:
-// readBucketSorted decodes from a buffer it owns, which a scanner's refilled
-// window is not.
+// valueCodec serializes value records: destOff u64 | vlen u32 | bytes.
 type valueCodec struct{}
 
 func (valueCodec) Encode(dst []byte, r valueRec) []byte {
@@ -178,12 +181,13 @@ func (sidxCodec) Decode(data []byte, atEOF bool) (sidxEntry, int, error) {
 		}
 		return sidxEntry{}, 0, nil
 	}
+	sk, n := 16+sklen, 16+sklen+pklen
 	return sidxEntry{
 		vlen:  binary.LittleEndian.Uint32(data[4:]),
 		svOff: binary.LittleEndian.Uint64(data[8:]),
-		skey:  append([]byte(nil), data[16:16+sklen]...),
-		pkey:  append([]byte(nil), data[16+sklen:16+sklen+pklen]...),
-	}, 16 + sklen + pklen, nil
+		skey:  data[16:sk:sk],
+		pkey:  data[sk:n:n],
+	}, n, nil
 }
 
 func (sidxCodec) SizeHint(e sidxEntry) int { return 16 + len(e.skey) + len(e.pkey) + 48 }

@@ -117,8 +117,9 @@ func (e *Engine) scrubKeyspace(p *sim.Proc, ks *Keyspace, rep *RecoveryReport) e
 	}
 	off := scanStart
 	validEnd := scanStart
+	var frames logFrameReader
 	for off < kr.resume {
-		payload, n, err := readLogFrame(p, ks.klog, off, kr.resume)
+		payload, n, err := frames.read(p, ks.klog, off, kr.resume)
 		if err != nil {
 			return err
 		}

@@ -67,7 +67,10 @@ func compareSidx(a, b sidxEntry) int {
 // sidxSource streams extraction results: it walks the PIDX blocks in order
 // and reads the co-sorted values sequentially, emitting one sidxEntry per
 // pair. This is the "full scan of the keyspace data" of the paper, fused
-// with run generation so extracted pairs feed the sorter directly.
+// with run generation so extracted pairs feed the sorter directly. An entry's
+// primary key views the PIDX block it came from and its secondary key views
+// the source's normalization buffer; both are valid until the next call (see
+// recordSource).
 type sidxSource struct {
 	e    *Engine
 	ks   *Keyspace
@@ -79,9 +82,14 @@ type sidxSource struct {
 
 	win    []byte
 	winOff int64
+
+	skey []byte // the last entry's normalized secondary key
+	pkey []byte // the last entry's primary key, a view of its block
 }
 
 func (s *sidxSource) next(p *sim.Proc) (sidxEntry, bool, error) {
+	poison(s.skey)
+	poison(s.pkey)
 	for s.pos >= s.blk.len() {
 		totalBlocks := s.ks.pidx.Len() / int64(s.e.cfg.BlockBytes)
 		if s.blockIdx >= totalBlocks {
@@ -128,13 +136,14 @@ func (s *sidxSource) next(p *sim.Proc) (sidxEntry, bool, error) {
 			"core: secondary byte range [%d,%d) exceeds %d-byte value of key %x",
 			s.spec.Offset, s.spec.Offset+s.spec.Length, len(value), ent.key)
 	}
-	skey, err := s.spec.Type.Normalize(value[s.spec.Offset : s.spec.Offset+s.spec.Length])
+	skey, err := s.spec.Type.AppendNormalized(s.skey[:0], value[s.spec.Offset:s.spec.Offset+s.spec.Length])
 	if err != nil {
 		return sidxEntry{}, false, err
 	}
+	s.skey, s.pkey = skey, ent.key
 	return sidxEntry{
-		skey:  skey,
-		pkey:  append([]byte(nil), ent.key...),
+		skey:  skey[:len(skey):len(skey)],
+		pkey:  ent.key[:len(ent.key):len(ent.key)],
 		svOff: ent.vlogOff,
 		vlen:  ent.vlen,
 	}, true, nil

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"kvcsd/internal/compaction"
 	"kvcsd/internal/host"
@@ -20,14 +21,41 @@ type Codec[T any] interface {
 	// bytes consumed, or n == 0 when data holds an incomplete record (only
 	// possible when atEOF is false).
 	Decode(data []byte, atEOF bool) (rec T, n int, err error)
-	// SizeHint estimates the in-memory bytes of one record (DRAM budget).
+	// SizeHint estimates the in-memory bytes of one record (DRAM budget). It
+	// is never less than the record's encoded size.
 	SizeHint(rec T) int
 }
 
 // recordSource streams records of type T; implemented by cluster scanners
 // and by in-flight generators (the value-sorting pass).
+//
+// A record from next views bytes the source owns and is valid until the
+// source's next call to next: a scanner refills its window in place, a frame
+// source reads the next frame into the same buffer. A consumer that needs a
+// record longer copies it once, into a buffer it owns — run formation into its
+// batch arena, the compaction passes into the encoding they write — and the
+// k-way merge, which holds one record per source and asks a source for its
+// next record only after emitting the current one, copies nothing. With
+// poisonReleased set, every source that owns its buffer overwrites the bytes
+// of the record it handed out last at the next call, so a view kept too long
+// reads poisonByte instead of a plausible record.
 type recordSource[T any] interface {
 	next(p *sim.Proc) (rec T, ok bool, err error)
+}
+
+// poisonByte overwrites the bytes of records a source has taken back.
+const poisonByte = 0xDB
+
+// poisonReleased turns poisoning on. It is set in every race-detector build.
+var poisonReleased = raceEnabled
+
+// poison overwrites b with poisonByte when poisonReleased is set.
+func poison(b []byte) {
+	if poisonReleased {
+		for i := range b {
+			b[i] = poisonByte
+		}
+	}
 }
 
 // scanner streams records of type T from a cluster. When pf is set, refills
@@ -38,6 +66,7 @@ type scanner[T any] struct {
 	codec Codec[T]
 	buf   []byte
 	pos   int   // parse position within buf
+	last  int   // start of the record handed out last, within buf
 	off   int64 // logical cluster offset of buf[0]
 	chunk int
 	pf    *prefetcher
@@ -48,6 +77,10 @@ type scanner[T any] struct {
 // last one short.
 const scanChunk = 256 << 10
 
+// scanSlack is the room a scanner's window keeps past one chunk for the
+// partial record a refill carries over, so refills reuse the window in place.
+const scanSlack = 4 << 10
+
 func newScanner[T any](c *Cluster, codec Codec[T], chunk int) *scanner[T] {
 	if chunk <= 0 {
 		chunk = scanChunk
@@ -55,8 +88,10 @@ func newScanner[T any](c *Cluster, codec Codec[T], chunk int) *scanner[T] {
 	return &scanner[T]{c: c, codec: codec, chunk: chunk}
 }
 
-// next returns the next record, or ok=false at end of stream.
+// next returns the next record, or ok=false at end of stream. The record
+// views the scanner's window (see recordSource).
 func (s *scanner[T]) next(p *sim.Proc) (rec T, ok bool, err error) {
+	poison(s.buf[s.last:s.pos])
 	for {
 		atEOF := s.off+int64(len(s.buf)) >= s.c.Len()
 		if s.pos < len(s.buf) {
@@ -65,6 +100,7 @@ func (s *scanner[T]) next(p *sim.Proc) (rec T, ok bool, err error) {
 				return rec, false, derr
 			}
 			if n > 0 {
+				s.last = s.pos
 				s.pos += n
 				return r, true, nil
 			}
@@ -74,17 +110,21 @@ func (s *scanner[T]) next(p *sim.Proc) (rec T, ok bool, err error) {
 		} else if atEOF {
 			return rec, false, nil
 		}
-		// Refill: keep the unparsed remainder, read the next chunk.
+		// Refill: keep the unparsed remainder, read the next chunk behind it.
 		rem := len(s.buf) - s.pos
 		s.off += int64(s.pos)
 		copy(s.buf, s.buf[s.pos:])
 		s.buf = s.buf[:rem]
-		s.pos = 0
+		s.pos, s.last = 0, 0
 		want := s.chunk
 		if avail := s.c.Len() - (s.off + int64(rem)); int64(want) > avail {
 			want = int(avail)
 		}
 		if want > 0 {
+			if need := rem + want; cap(s.buf) < need {
+				s.buf = append(make([]byte, 0, need+scanSlack), s.buf...)
+			}
+			s.buf = s.buf[:rem+want]
 			if s.pf != nil {
 				data, err := s.pf.next(p)
 				if err != nil {
@@ -93,13 +133,9 @@ func (s *scanner[T]) next(p *sim.Proc) (rec T, ok bool, err error) {
 				if len(data) != want {
 					return rec, false, fmt.Errorf("%w: prefetch chunk %d, want %d", ErrRecordCorrupt, len(data), want)
 				}
-				s.buf = append(s.buf, data...)
-			} else {
-				start := len(s.buf)
-				s.buf = append(s.buf, make([]byte, want)...)
-				if err := s.c.ReadAt(p, s.buf[start:], s.off+int64(start)); err != nil {
-					return rec, false, err
-				}
+				copy(s.buf[rem:], data)
+			} else if err := s.c.ReadAt(p, s.buf[rem:], s.off+int64(rem)); err != nil {
+				return rec, false, err
 			}
 		}
 	}
@@ -107,7 +143,8 @@ func (s *scanner[T]) next(p *sim.Proc) (rec T, ok bool, err error) {
 
 // memSource streams records straight out of SoC DRAM — the landing path for
 // a host-merged run, which arrives over PCIe and feeds the final merge
-// without ever touching the media.
+// without ever touching the media. Its records view a buffer it does not own,
+// so it never poisons them.
 type memSource[T any] struct {
 	codec Codec[T]
 	buf   []byte
@@ -140,11 +177,12 @@ type Sorter[T any] struct {
 	key   func(T) []byte
 	cmp   func(a, b T) int
 
-	// batch and enc are this sorter's working buffers: the record batch with
-	// its merge scratch, and the 256 KiB encode buffer run formation and the
-	// unpipelined merge write through. They belong to the sort job and die
-	// with it.
+	// batch, arena and enc are this sorter's working buffers: the record
+	// batch with its merge scratch, the bytes of the batch's records, and the
+	// 256 KiB encode buffer run formation and the unpipelined merge write
+	// through. They belong to the sort job and die with it.
 	batch sortBuf[T]
+	arena batchArena
 	enc   []byte
 
 	// Runs and MergePasses record what the last Sort did (ablation metrics).
@@ -425,14 +463,66 @@ func (s *Sorter[T]) encBuf() []byte {
 	return s.enc[:0]
 }
 
+// arenaChunk is the size of one batchArena chunk.
+const arenaChunk = 256 << 10
+
+// batchArena holds the bytes of one run-formation batch. Records are copied
+// into fixed-size chunks that are never regrown — a record that does not fit
+// the chunk being filled starts the next one — so a view into a chunk stays
+// valid until reset, and reset keeps every chunk for the next batch: the
+// arena grows to one batch's bytes once per sort and never copies itself.
+type batchArena struct {
+	chunks [][]byte
+	cur    int // index of the chunk being filled
+}
+
+// room returns an empty slice with capacity for n bytes at the end of the
+// chunk being filled, moving to the next chunk when this one is too full.
+func (a *batchArena) room(n int) []byte {
+	for ; a.cur < len(a.chunks); a.cur++ {
+		if c := a.chunks[a.cur]; cap(c)-len(c) >= n {
+			return c[len(c):]
+		}
+	}
+	a.chunks = append(a.chunks, make([]byte, 0, max(arenaChunk, n)))
+	return a.chunks[a.cur]
+}
+
+// commit records that the n bytes after the current chunk's end were used.
+func (a *batchArena) commit(n int) {
+	c := a.chunks[a.cur]
+	a.chunks[a.cur] = c[:len(c)+n]
+}
+
+// reset empties every chunk for the next batch.
+func (a *batchArena) reset() {
+	for i := range a.chunks {
+		a.chunks[i] = a.chunks[i][:0]
+	}
+	a.cur = 0
+}
+
+// own copies rec, whose SizeHint is hint, into the batch arena and returns a
+// record that views the copy: rec is encoded into the arena and decoded back,
+// so a record from a source that reuses its buffer survives in the batch
+// until the flush.
+func (s *Sorter[T]) own(rec T, hint int) (T, error) {
+	enc := s.codec.Encode(s.arena.room(hint), rec)
+	s.arena.commit(len(enc))
+	kept, _, err := s.codec.Decode(enc, true)
+	return kept, err
+}
+
 // makeRuns splits the input into sorted runs that fit the DRAM budget, each
-// batch ordered by msdSort and charged what it reports. The batch and its
-// scratch grow once and serve every flush; they are dropped on return so the
-// merge passes that follow do not pin a DRAM budget's worth of records.
+// batch ordered by msdSort and charged what it reports. Every record is
+// copied once, into the batch arena, because its source may reuse the bytes
+// at its next call. The batch, its scratch and the arena grow once and serve
+// every flush; they are dropped on return so the merge passes that follow do
+// not pin a DRAM budget's worth of records.
 func (s *Sorter[T]) makeRuns(p *sim.Proc, sc recordSource[T]) ([]*Cluster, error) {
 	var runs []*Cluster
 	var batchBytes int
-	defer func() { s.batch = sortBuf[T]{} }()
+	defer func() { s.batch, s.arena = sortBuf[T]{}, batchArena{} }()
 
 	flush := func() error {
 		batch := s.batch.recs
@@ -464,6 +554,7 @@ func (s *Sorter[T]) makeRuns(p *sim.Proc, sc recordSource[T]) ([]*Cluster, error
 		}
 		runs = append(runs, run)
 		s.batch.recs = batch[:0]
+		s.arena.reset()
 		batchBytes = 0
 		return nil
 	}
@@ -476,8 +567,17 @@ func (s *Sorter[T]) makeRuns(p *sim.Proc, sc recordSource[T]) ([]*Cluster, error
 		if !ok {
 			break
 		}
+		hint := s.codec.SizeHint(rec)
+		if rec, err = s.own(rec, hint); err != nil {
+			return nil, err
+		}
+		if n := len(s.batch.recs); n == cap(s.batch.recs) {
+			// Double: append grows a large slice by a quarter at a time,
+			// which copies a big batch several times over.
+			s.batch.recs = slices.Grow(s.batch.recs, max(n, 256))
+		}
 		s.batch.recs = append(s.batch.recs, rec)
-		batchBytes += s.codec.SizeHint(rec)
+		batchBytes += hint
 		if batchBytes >= s.cfg.SortBudgetBytes {
 			if err := flush(); err != nil {
 				return nil, err

@@ -81,6 +81,7 @@ func collectSorted(t *testing.T, p *sim.Proc, out *Cluster) []klogEntry {
 		if !ok {
 			return got
 		}
+		rec.key = bytes.Clone(rec.key) // the scanner takes its view back
 		got = append(got, rec)
 	}
 }

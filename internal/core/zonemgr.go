@@ -68,6 +68,52 @@ type ZoneManager struct {
 	// (unchanged tables are omitted and folded forward at recovery) — without
 	// this, every full-table snapshot rewrites O(total granules) of CRCs.
 	sumsDirty map[int64]bool
+	// scratch lends the device's short-lived chunk buffers: a burst's
+	// per-zone gather, an ingest flush's log bytes, a scan's read window.
+	scratch bufList
+	// gatherZones, gatherData and gatherCounts are gatherByZone's burst
+	// layout, reused from one burst to the next.
+	gatherZones  []int
+	gatherData   [][]byte
+	gatherCounts []int
+}
+
+// bufList is a free list of chunk buffers for work that holds a buffer
+// across the yields of its I/O, where concurrent procs each need their own.
+// The simulation runs one proc at a time, so it needs no lock. It keeps at
+// most keptScratch buffers of at most maxScratch bytes: what a burst of
+// concurrent users needs beyond that is garbage afterwards, and an idle
+// device pins no more than that.
+type bufList struct{ free [][]byte }
+
+const (
+	// scratchSize is a lent buffer's least capacity: a 256 KiB scan window,
+	// or a 256 KiB append's granules plus the one its tail carried.
+	scratchSize = scanChunk + 4<<10
+	keptScratch = 1
+	maxScratch  = 1 << 20
+)
+
+// get returns a buffer of length n with capacity at least max(n, scratchSize).
+func (l *bufList) get(n int) []byte {
+	if k := len(l.free); k > 0 {
+		b := l.free[k-1]
+		l.free[k-1] = nil
+		l.free = l.free[:k-1]
+		if cap(b) >= n {
+			return b[:n]
+		}
+	}
+	return make([]byte, n, max(n, scratchSize))
+}
+
+// put hands a buffer back. Its bytes are poisoned (see poisonReleased): no
+// view of them may outlive this call.
+func (l *bufList) put(b []byte) {
+	poison(b[:cap(b)])
+	if len(l.free) < keptScratch && cap(b) <= maxScratch {
+		l.free = append(l.free, b)
+	}
 }
 
 // NewZoneManager creates a manager over all non-reserved zones. The device's
@@ -303,7 +349,10 @@ func (c *Cluster) ensureStripe(granule int64) error {
 
 // Append adds data to the logical stream. Full granules are gathered into
 // per-zone write bursts (one large sequential write per zone, issued in
-// parallel across channels); the ragged tail stays buffered.
+// parallel across channels); the ragged tail stays buffered. data is copied
+// into the tail before Append first yields, so while this proc waits on the
+// media another may already refill the caller's buffer — the shared scratch
+// buffers and the block writers rely on that.
 func (c *Cluster) Append(p *sim.Proc, data []byte) error {
 	if c.sealed {
 		return ErrClusterSealed
@@ -323,10 +372,13 @@ func (c *Cluster) Append(p *sim.Proc, data []byte) error {
 		if err := c.ensureStripe(first + int64(full) - 1); err != nil {
 			return err
 		}
-		zones, data := c.gatherByZone(first, full)
+		buf := c.zm.scratch.get(full * c.blockSz)
+		zones, data := c.gatherByZone(first, full, buf)
 		if err := c.zm.dev.WriteZoneSpans(p, zones, data); err != nil {
 			return err
 		}
+		clear(data) // the kept layout must not pin buf
+		c.zm.scratch.put(buf)
 		for g := 0; g < full; g++ {
 			c.noteGranule(first+int64(g), c.tail[g*c.blockSz:(g+1)*c.blockSz])
 		}
@@ -339,10 +391,14 @@ func (c *Cluster) Append(p *sim.Proc, data []byte) error {
 
 // gatherByZone copies the first full granules of the tail (granules first,
 // first+1, ... of the cluster, all within one stripe) into one contiguous
-// buffer per zone, zones in order of first use: granules of one zone are
-// stride-W apart in the logical stream but contiguous inside the zone. The
-// buffers are carved from a single allocation of exactly full granules.
-func (c *Cluster) gatherByZone(first int64, full int) (zones []int, data [][]byte) {
+// span of buf per zone, zones in order of first use: granules of one zone are
+// stride-W apart in the logical stream but contiguous inside the zone. buf
+// holds exactly full granules. The layout slices are the zone manager's and
+// the next burst reuses them: WriteZoneSpans copies the spans into the zones
+// before it first yields, and Append reads none of them after it returns.
+func (c *Cluster) gatherByZone(first int64, full int, buf []byte) (zones []int, data [][]byte) {
+	zm := c.zm
+	zones, data, counts := zm.gatherZones[:0], zm.gatherData[:0], zm.gatherCounts[:0]
 	slot := func(zone int) int {
 		for i, z := range zones {
 			if z == zone {
@@ -351,7 +407,6 @@ func (c *Cluster) gatherByZone(first int64, full int) (zones []int, data [][]byt
 		}
 		return -1
 	}
-	var counts []int
 	for g := 0; g < full; g++ {
 		zone, _ := c.locate(first + int64(g))
 		i := slot(zone)
@@ -362,16 +417,15 @@ func (c *Cluster) gatherByZone(first int64, full int) (zones []int, data [][]byt
 		}
 		counts[i]++
 	}
-	buf := make([]byte, full*c.blockSz)
-	data = make([][]byte, len(zones))
-	for i, n := range counts {
-		data[i], buf = buf[:0:n*c.blockSz], buf[n*c.blockSz:]
+	for _, n := range counts {
+		data, buf = append(data, buf[:0:n*c.blockSz]), buf[n*c.blockSz:]
 	}
 	for g := 0; g < full; g++ {
 		zone, _ := c.locate(first + int64(g))
 		i := slot(zone)
 		data[i] = append(data[i], c.tail[g*c.blockSz:(g+1)*c.blockSz]...)
 	}
+	zm.gatherZones, zm.gatherData, zm.gatherCounts = zones, data, counts
 	return zones, data
 }
 

@@ -62,13 +62,16 @@ func Int64(b []byte) int64 {
 // PutFloat32 encodes an IEEE-754 float32 order-preservingly (total order with
 // -0 < +0 treated by bit pattern; NaNs sort above +Inf).
 func PutFloat32(v float32) []byte {
-	bits := math.Float32bits(v)
+	return PutUint32(orderFloat32(math.Float32bits(v)))
+}
+
+// orderFloat32 maps float32 bits onto a uint32 whose unsigned order is the
+// float order.
+func orderFloat32(bits uint32) uint32 {
 	if bits&(1<<31) != 0 {
-		bits = ^bits // negative: flip all bits
-	} else {
-		bits |= 1 << 31 // positive: flip sign bit
+		return ^bits // negative: flip all bits
 	}
-	return PutUint32(bits)
+	return bits | 1<<31 // positive: flip sign bit
 }
 
 // Float32 decodes a key written by PutFloat32.
@@ -84,13 +87,15 @@ func Float32(b []byte) float32 {
 
 // PutFloat64 encodes an IEEE-754 float64 order-preservingly.
 func PutFloat64(v float64) []byte {
-	bits := math.Float64bits(v)
+	return PutUint64(orderFloat64(math.Float64bits(v)))
+}
+
+// orderFloat64 is orderFloat32 for float64 bits.
+func orderFloat64(bits uint64) uint64 {
 	if bits&(1<<63) != 0 {
-		bits = ^bits
-	} else {
-		bits |= 1 << 63
+		return ^bits
 	}
-	return PutUint64(bits)
+	return bits | 1<<63
 }
 
 // Float64 decodes a key written by PutFloat64.
@@ -176,27 +181,33 @@ func (t SecondaryType) Width() int {
 // (how a simulation writes struct fields), and the result compares in numeric
 // order.
 func (t SecondaryType) Normalize(raw []byte) ([]byte, error) {
+	return t.AppendNormalized(nil, raw)
+}
+
+// AppendNormalized appends the key Normalize returns for raw to dst and
+// returns the extended slice (dst unchanged on error), so a caller that
+// normalizes one field after another can reuse one buffer.
+func (t SecondaryType) AppendNormalized(dst, raw []byte) ([]byte, error) {
 	if w := t.Width(); w != 0 && len(raw) != w {
-		return nil, fmt.Errorf("keyenc: %s field requires %d bytes, got %d", t, w, len(raw))
+		return dst, fmt.Errorf("keyenc: %s field requires %d bytes, got %d", t, w, len(raw))
 	}
+	be := binary.BigEndian
 	switch t {
 	case TypeBytes:
-		out := make([]byte, len(raw))
-		copy(out, raw)
-		return out, nil
+		return append(dst, raw...), nil
 	case TypeUint32:
-		return PutUint32(binary.LittleEndian.Uint32(raw)), nil
+		return be.AppendUint32(dst, binary.LittleEndian.Uint32(raw)), nil
 	case TypeInt32:
-		return PutInt32(int32(binary.LittleEndian.Uint32(raw))), nil
+		return be.AppendUint32(dst, binary.LittleEndian.Uint32(raw)^0x80000000), nil
 	case TypeUint64:
-		return PutUint64(binary.LittleEndian.Uint64(raw)), nil
+		return be.AppendUint64(dst, binary.LittleEndian.Uint64(raw)), nil
 	case TypeInt64:
-		return PutInt64(int64(binary.LittleEndian.Uint64(raw))), nil
+		return be.AppendUint64(dst, binary.LittleEndian.Uint64(raw)^(1<<63)), nil
 	case TypeFloat32:
-		return PutFloat32(math.Float32frombits(binary.LittleEndian.Uint32(raw))), nil
+		return be.AppendUint32(dst, orderFloat32(binary.LittleEndian.Uint32(raw))), nil
 	case TypeFloat64:
-		return PutFloat64(math.Float64frombits(binary.LittleEndian.Uint64(raw))), nil
+		return be.AppendUint64(dst, orderFloat64(binary.LittleEndian.Uint64(raw))), nil
 	default:
-		return nil, fmt.Errorf("keyenc: unknown secondary type %d", uint8(t))
+		return dst, fmt.Errorf("keyenc: unknown secondary type %d", uint8(t))
 	}
 }

@@ -2,6 +2,7 @@ package keyenc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -223,6 +224,45 @@ func TestNormalizeNumericOrder(t *testing.T) {
 func TestNormalizeUnknownType(t *testing.T) {
 	if _, err := SecondaryType(42).Normalize(nil); err == nil {
 		t.Fatal("expected error for unknown type")
+	}
+}
+
+// TestAppendNormalizedMatchesNormalize: for every type, appending a field's
+// key to a non-empty buffer leaves the buffer's bytes alone and adds exactly
+// what Normalize returns, which in turn is what the Put* encoders give for
+// the field's little-endian value.
+func TestAppendNormalizedMatchesNormalize(t *testing.T) {
+	le := binary.LittleEndian
+	ref := map[SecondaryType]func(raw []byte) []byte{
+		TypeBytes:   func(raw []byte) []byte { return raw },
+		TypeUint32:  func(raw []byte) []byte { return PutUint32(le.Uint32(raw)) },
+		TypeInt32:   func(raw []byte) []byte { return PutInt32(int32(le.Uint32(raw))) },
+		TypeUint64:  func(raw []byte) []byte { return PutUint64(le.Uint64(raw)) },
+		TypeInt64:   func(raw []byte) []byte { return PutInt64(int64(le.Uint64(raw))) },
+		TypeFloat32: func(raw []byte) []byte { return PutFloat32(math.Float32frombits(le.Uint32(raw))) },
+		TypeFloat64: func(raw []byte) []byte { return PutFloat64(math.Float64frombits(le.Uint64(raw))) },
+	}
+	for typ, want := range ref {
+		check := func(prefix, field []byte) bool {
+			raw := field
+			if w := typ.Width(); w != 0 {
+				raw = append(field, make([]byte, w)...)[:w]
+			}
+			norm, err := typ.Normalize(raw)
+			if err != nil || !bytes.Equal(norm, want(raw)) {
+				return false
+			}
+			dst := append([]byte(nil), prefix...)
+			got, err := typ.AppendNormalized(dst, raw)
+			return err == nil && bytes.Equal(got, append(append([]byte(nil), prefix...), norm...))
+		}
+		if err := quick.Check(check, nil); err != nil {
+			t.Errorf("%s: %v", typ, err)
+		}
+	}
+	dst := []byte{7}
+	if got, err := TypeUint32.AppendNormalized(dst, []byte{1}); err == nil || !bytes.Equal(got, dst) {
+		t.Fatalf("width error appended %v, err %v", got, err)
 	}
 }
 

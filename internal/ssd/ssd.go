@@ -431,7 +431,8 @@ func (d *Device) ReadZoneSpans(p *sim.Proc, spans []ZoneSpan) ([][]byte, error) 
 
 // WriteZoneSpans appends data to several zones as one parallel burst. Each
 // write must land exactly at its zone's write pointer (spans for the same
-// zone must be given in order).
+// zone must be given in order). The bytes are copied into the zones before
+// the call sleeps, so the caller may reuse data while it waits.
 func (d *Device) WriteZoneSpans(p *sim.Proc, zones []int, data [][]byte) error {
 	if len(zones) != len(data) {
 		return fmt.Errorf("ssd: zones/data length mismatch")
