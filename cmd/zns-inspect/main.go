@@ -126,8 +126,10 @@ func main() {
 		if err := eng2.Recover(p); err != nil {
 			return fmt.Errorf("recovery check failed: %w", err)
 		}
-		fmt.Printf("recovery check: %d keyspace(s) reconstructed from metadata zones: %v\n\n",
-			len(eng2.Manager().Names()), eng2.Manager().Names())
+		fmt.Printf("recovery check: %d keyspace(s) reconstructed from metadata zones: %v (metadata log: %d frames, %s)\n\n",
+			len(eng2.Manager().Names()), eng2.Manager().Names(),
+			reg.LookupCounter("engine/meta_frames").Value(),
+			stats.HumanBytes(reg.LookupCounter("engine/meta_bytes").Value()))
 		return nil
 	})
 	if err != nil {

@@ -83,17 +83,18 @@ func (h *HeatTable) MaxInRange(lo, hi int) uint32 {
 	return max
 }
 
-// EncodeHeat renders the canonical byte form of a table: the granule count
-// followed by delta-free uvarint counters (most are tiny, so this stays
+// EncodeHeat renders the canonical byte form of a table.
+func EncodeHeat(h *HeatTable) []byte { return AppendHeat(nil, h) }
+
+// AppendHeat appends the canonical byte form of a table to dst: the granule
+// count followed by delta-free uvarint counters (most are tiny, so this stays
 // compact without a second pass).
-func EncodeHeat(h *HeatTable) []byte {
-	n := h.Len()
-	buf := make([]byte, 0, 2+n)
-	buf = binary.AppendUvarint(buf, uint64(n))
+func AppendHeat(dst []byte, h *HeatTable) []byte {
+	dst = binary.AppendUvarint(dst, uint64(h.Len()))
 	for _, c := range h.counts {
-		buf = binary.AppendUvarint(buf, uint64(c))
+		dst = binary.AppendUvarint(dst, uint64(c))
 	}
-	return buf
+	return dst
 }
 
 // maxHeatGranules bounds decoder allocation against hostile lengths.

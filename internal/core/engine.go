@@ -101,8 +101,8 @@ func (e *Engine) DRAMGauge() *sim.Gauge { return e.dram }
 
 // SetObs attaches observability: background jobs become root "job" spans and
 // the engine publishes its DRAM and background-job gauges, the SoC's busy
-// core time and its index-cache hit/miss counters into reg. Either argument
-// may be nil.
+// core time, the metadata log's frame and byte counts and its index-cache
+// hit/miss counters into reg. Either argument may be nil.
 func (e *Engine) SetObs(tr *obs.Tracer, reg *obs.Registry) {
 	e.tr = tr
 	if reg == nil {
@@ -110,6 +110,8 @@ func (e *Engine) SetObs(tr *obs.Tracer, reg *obs.Registry) {
 	}
 	reg.AddGauge("engine/dram", e.dram)
 	reg.AddCounter("engine/soc_busy_ns", e.soc.BusyNs())
+	reg.AddCounter("engine/meta_frames", &e.mgr.metaFrames)
+	reg.AddCounter("engine/meta_bytes", &e.mgr.metaBytes)
 	e.gBgJobs = reg.Gauge("engine/bg_jobs")
 	e.gBgJobs.Set(float64(e.bgJobs))
 	e.gPipeOcc = reg.Gauge("engine/pipeline_occupancy")

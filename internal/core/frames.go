@@ -165,27 +165,3 @@ func (s *frameSource[T]) next(p *sim.Proc) (rec T, ok bool, err error) {
 		s.off += n
 	}
 }
-
-// extentsMeta and extentsFromMeta convert frame extents to/from their
-// persisted form.
-func extentsMeta(exts []frameExtent) [][2]int64 {
-	if len(exts) == 0 {
-		return nil
-	}
-	out := make([][2]int64, len(exts))
-	for i, e := range exts {
-		out[i] = [2]int64{e.Start, e.End}
-	}
-	return out
-}
-
-func extentsFromMeta(m [][2]int64) []frameExtent {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]frameExtent, len(m))
-	for i, e := range m {
-		out[i] = frameExtent{Start: e[0], End: e[1]}
-	}
-	return out
-}

@@ -3,11 +3,10 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -15,6 +14,7 @@ import (
 	"kvcsd/internal/keyenc"
 	"kvcsd/internal/sim"
 	"kvcsd/internal/ssd"
+	"kvcsd/internal/stats"
 )
 
 // KeyspaceState is the paper's keyspace lifecycle (§IV, Keyspace Manager).
@@ -239,6 +239,13 @@ type Manager struct {
 	metaSeq     uint64
 	activeMeta  int // which metadata zone receives appends
 	persistLock *sim.Resource
+	meta        metaWriter
+	// metaFrames and metaBytes count what Persist appended to the metadata
+	// zones (engine/meta_frames, engine/meta_bytes).
+	metaFrames, metaBytes stats.Counter
+	// persistHook, when set, runs between encoding a frame and writing it:
+	// tests check that each frame recovers the table it was encoded from.
+	persistHook func(p *sim.Proc)
 }
 
 // NewManager creates a keyspace manager.
@@ -327,295 +334,326 @@ func (m *Manager) Remove(p *sim.Proc, name string) error {
 
 // --- Metadata persistence ------------------------------------------------
 
-// Persisted snapshot schema (gob).
-type metaSnapshot struct {
-	Seq       uint64
-	Keyspaces []metaKeyspace
+// metaWriter is the metadata log's writer state, kept from frame to frame.
+type metaWriter struct {
+	// written holds each keyspace's record as last written to the active
+	// zone: a frame carries a record only when its encoding differs. nil
+	// means what the zone holds is unknown (a write failed, or the table was
+	// just recovered), so the next frame is a snapshot.
+	written map[string][]byte
+	frame   []byte
+	// The frame being built: where each record it carries lies in frame,
+	// and the written names it removes.
+	upserts []recordSpan
+	removed []string
+	// Scratch for encodeFrame: the table's names, the record being encoded
+	// (viewing its keyspace's live fields) and the table's clusters in
+	// record order.
+	names    []string
+	snames   []string
+	rec      metaKeyspace
+	clusters []metaCluster
+	heat     []byte
+	live     []*Cluster
 }
 
-// gob numbers types process-wide in order of first use, and the numbers are
-// part of every stream. Numbering the schema here, before anything runs,
-// keeps the size of a metadata frame — and, through the media time it costs,
-// every virtual clock after it — from depending on whether something else in
-// the process (the RocksDB baseline's manifest) used gob first.
-func init() {
-	if err := gob.NewEncoder(io.Discard).Encode(&metaSnapshot{}); err != nil {
-		panic(err)
+type recordSpan struct {
+	name       string
+	start, end int
+}
+
+// record points w.rec at ks's live fields without copying any of them, so it
+// is good until the next yield, and appends ks's clusters to w.live.
+func (w *metaWriter) record(ks *Keyspace) *metaKeyspace {
+	w.snames = w.snames[:0]
+	for n := range ks.secondary {
+		w.snames = append(w.snames, n)
 	}
+	slices.Sort(w.snames)
+	if n := 4 + len(w.snames); len(w.clusters) < n {
+		w.clusters = make([]metaCluster, n)
+	}
+	cl := w.clusters
+	secondary := w.rec.secondary[:0]
+	w.rec = metaKeyspace{
+		name:      ks.name,
+		state:     uint8(ks.state),
+		count:     ks.count,
+		bytes:     ks.bytes,
+		minKey:    ks.minKey,
+		maxKey:    ks.maxKey,
+		klog:      w.cluster(&cl[0], ks.klog),
+		vlog:      w.cluster(&cl[1], ks.vlog),
+		pidx:      w.cluster(&cl[2], ks.pidx),
+		sorted:    w.cluster(&cl[3], ks.sorted),
+		logFrames: ks.logFrames,
+		sketch:    ks.sketch,
+	}
+	for i, n := range w.snames {
+		si := ks.secondary[n]
+		secondary = append(secondary, metaSecondary{
+			name:    si.spec.Name,
+			offset:  si.spec.Offset,
+			length:  si.spec.Length,
+			typ:     uint8(si.spec.Type),
+			built:   si.done.Fired(),
+			cluster: w.cluster(&cl[4+i], si.cluster),
+			sketch:  si.sketch,
+		})
+	}
+	w.rec.secondary = secondary
+	w.heat = w.heat[:0]
+	if ks.heat != nil {
+		w.heat = compaction.AppendHeat(w.heat, ks.heat)
+	}
+	w.rec.heat = w.heat
+	return &w.rec
 }
 
-type metaKeyspace struct {
-	Name      string
-	State     uint8
-	Count     int64
-	Bytes     int64
-	MinKey    []byte
-	MaxKey    []byte
-	KLOG      *metaCluster
-	VLOG      *metaCluster
-	PIDX      *metaCluster
-	Sorted    *metaCluster
-	LogFrames [][2]int64 // validated KLOG frame extents [start, end)
-	Sketch    []metaSketch
-	Secondary []metaSecondary
-	// Heat is the encoded per-granule read-heat table (compaction.EncodeHeat);
-	// empty when the keyspace has no compacted data yet.
-	Heat []byte
-}
-
-type metaCluster struct {
-	// ID is the cluster's manager-lifetime identity, persisted so the sums
-	// delta scheme below can match tables across frames. Recovery bumps the
-	// zone manager's cluster sequence past every recovered ID, keeping IDs
-	// unique across restarts even though frames from several runs share a zone.
-	ID      int64
-	Type    uint8
-	Stripes [][]int
-	Offset  int
-	Length  int64
-	Sealed  bool
-	Tail    []byte
-	// Sums is the per-granule CRC32-C table (0 = unverified), persisted as a
-	// delta: a snapshot carries it (HasSums true) only when it changed since
-	// the previous frame, or when the frame is the first in its zone — earlier
-	// frames are gone, so the table must be self-contained. Recovery folds
-	// sums forward across the winning zone's frames by cluster ID. Without
-	// the delta, every full-table snapshot rewrites O(total granules) of CRCs
-	// and metadata persistence dominates ingest.
-	HasSums bool
-	Sums    []uint32
-}
-
-type metaSketch struct {
-	Pivot []byte
-	Block int64
-}
-
-type metaSecondary struct {
-	Name    string
-	Offset  int
-	Length  int
-	Type    uint8
-	Built   bool
-	Cluster *metaCluster
-	Sketch  []metaSketch
-}
-
-func clusterMeta(c *Cluster, withSums bool) *metaCluster {
+func (w *metaWriter) cluster(mc *metaCluster, c *Cluster) *metaCluster {
 	if c == nil {
 		return nil
 	}
-	mc := &metaCluster{
-		ID:      c.id,
-		Type:    uint8(c.typ),
-		Stripes: c.stripes,
-		Offset:  c.offset,
-		Length:  c.length,
-		Sealed:  c.sealed,
-		Tail:    append([]byte(nil), c.tail...),
-	}
-	if withSums {
-		mc.HasSums = true
-		mc.Sums = append([]uint32(nil), c.sums...)
-	}
+	*mc = metaCluster{id: c.id, typ: uint8(c.typ), stripes: c.stripes, offset: c.offset,
+		length: c.length, sealed: c.sealed, tail: c.tail}
+	w.live = append(w.live, c)
 	return mc
 }
 
-// clusterFromMeta rebuilds a cluster from the winning snapshot, taking its
-// checksum table from the snapshot itself when present or from the sums folded
-// across the zone's earlier frames otherwise.
-func (m *Manager) clusterFromMeta(mc *metaCluster, folded map[int64][]uint32) *Cluster {
-	if mc == nil {
-		return nil
+// commit records what a frame just written put in the zone.
+func (w *metaWriter) commit() {
+	if w.written == nil {
+		w.written = make(map[string][]byte, len(w.upserts))
 	}
-	c := m.zm.NewCluster(ZoneType(mc.Type))
-	c.id = mc.ID
-	if mc.ID > m.zm.clusterSeq {
-		m.zm.clusterSeq = mc.ID
+	for _, n := range w.removed {
+		delete(w.written, n)
 	}
-	c.stripes = mc.Stripes
-	c.offset = mc.Offset
-	c.length = mc.Length
-	c.sealed = mc.Sealed
-	c.tail = append([]byte(nil), mc.Tail...)
-	if mc.HasSums {
-		c.sums = append([]uint32(nil), mc.Sums...)
-	} else {
-		c.sums = append([]uint32(nil), folded[mc.ID]...)
+	for _, u := range w.upserts {
+		w.written[u.name] = append(w.written[u.name][:0], w.frame[u.start:u.end]...)
 	}
-	for _, s := range mc.Stripes {
-		for _, z := range s {
-			m.zm.claim(z, ZoneType(mc.Type))
-		}
-	}
-	return c
 }
 
-func sketchMeta(s []sketchEntry) []metaSketch {
-	out := make([]metaSketch, len(s))
-	for i, e := range s {
-		out[i] = metaSketch{Pivot: e.pivot, Block: e.block}
-	}
-	return out
-}
-
-func sketchFromMeta(ms []metaSketch) []sketchEntry {
-	out := make([]sketchEntry, len(ms))
-	for i, e := range ms {
-		out[i] = sketchEntry{pivot: e.Pivot, block: e.Block}
-	}
-	return out
-}
-
-// Persist appends a full-table snapshot to the active metadata zone,
-// switching (and resetting) zones when the active one fills. Concurrent
-// callers serialize so frames and zone switches never interleave. Checksum
-// tables are written as deltas: only clusters marked dirty since the previous
-// frame carry their sums, unless the frame opens a fresh zone (the frames a
-// recovery would fold over were just destroyed, so it must be self-contained).
+// Persist appends a frame holding what changed since the previous one to the
+// active metadata zone, switching (and resetting) zones when the active one
+// fills. Concurrent callers serialize so frames and zone switches never
+// interleave. After a failure what the zone holds is unknown, so the next
+// frame is a snapshot.
 func (m *Manager) Persist(p *sim.Proc) error {
 	p.Acquire(m.persistLock)
 	defer p.Release(m.persistLock)
 	m.metaSeq++
-	dirty := m.zm.takeSumsDirty()
-	if err := m.persistFrame(p, dirty); err != nil {
-		m.zm.mergeSumsDirty(dirty)
+	if err := m.persistFrame(p); err != nil {
+		m.meta.written = nil
 		return err
 	}
 	return nil
 }
 
-func (m *Manager) persistFrame(p *sim.Proc, dirty map[int64]bool) error {
+func (m *Manager) persistFrame(p *sim.Proc) error {
 	dev := m.zm.dev
 	zi, err := dev.Zone(m.activeMeta)
 	if err != nil {
 		return err
 	}
-	frame, err := m.encodeFrame(zi.WritePointer == 0, dirty)
-	if err != nil {
-		return err
-	}
+	frame := m.encodeFrame(zi.WritePointer == 0)
 	if zi.WritePointer+int64(len(frame)) > dev.ZoneSize() {
-		// Switch to the other metadata zone; its first frame carries every
-		// sums table.
+		// Switch to the other metadata zone, which a snapshot opens.
 		m.activeMeta = (m.activeMeta + 1) % metadataZones
 		if err := dev.ResetZone(p, m.activeMeta); err != nil {
 			return err
 		}
-		if frame, err = m.encodeFrame(true, dirty); err != nil {
-			return err
-		}
+		frame = m.encodeFrame(true)
 	}
-	return dev.WriteZone(p, m.activeMeta, frame)
+	if m.persistHook != nil {
+		m.persistHook(p)
+	}
+	if err := dev.WriteZone(p, m.activeMeta, frame); err != nil {
+		return err
+	}
+	m.meta.commit()
+	m.metaFrames.Add(1)
+	m.metaBytes.Add(int64(len(frame)))
+	return nil
 }
 
-// encodeFrame builds one snapshot frame. A cluster's sums table is included
-// when full is set or the cluster is in the dirty set.
-func (m *Manager) encodeFrame(full bool, dirty map[int64]bool) ([]byte, error) {
-	withSums := func(c *Cluster) bool {
-		return full || (c != nil && dirty[c.id])
-	}
-	snap := metaSnapshot{Seq: m.metaSeq}
-	var names []string
+// encodeFrame builds the next frame: each record whose encoding differs from
+// the one last written, the names last written that left the table, and the
+// checksum tables marked changed. A snapshot carries every record and every
+// table instead. Checksum marks are consumed here, before the write yields:
+// a granule noted during the write marks its table again for the next frame,
+// and a failed write makes the next frame a snapshot anyway.
+func (m *Manager) encodeFrame(snapshot bool) []byte {
+	w := &m.meta
+	snapshot = snapshot || w.written == nil
+	w.names = w.names[:0]
 	for n := range m.table {
-		names = append(names, n)
+		w.names = append(w.names, n)
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		ks := m.table[n]
-		mk := metaKeyspace{
-			Name:      ks.name,
-			State:     uint8(ks.state),
-			Count:     ks.count,
-			Bytes:     ks.bytes,
-			MinKey:    ks.minKey,
-			MaxKey:    ks.maxKey,
-			KLOG:      clusterMeta(ks.klog, withSums(ks.klog)),
-			VLOG:      clusterMeta(ks.vlog, withSums(ks.vlog)),
-			PIDX:      clusterMeta(ks.pidx, withSums(ks.pidx)),
-			Sorted:    clusterMeta(ks.sorted, withSums(ks.sorted)),
-			LogFrames: extentsMeta(ks.logFrames),
-			Sketch:    sketchMeta(ks.sketch),
+	slices.Sort(w.names)
+
+	b := beginMetaFrame(w.frame[:0], m.metaSeq, snapshot)
+	at := len(b)
+	w.upserts, w.live = w.upserts[:0], w.live[:0]
+	for _, n := range w.names {
+		start := len(b)
+		b = appendMetaRecord(b, w.record(m.table[n]))
+		if !snapshot && bytes.Equal(b[start:], w.written[n]) {
+			b = b[:start]
+			continue
 		}
-		if ks.heat != nil {
-			mk.Heat = compaction.EncodeHeat(ks.heat)
-		}
-		var snames []string
-		for sn := range ks.secondary {
-			snames = append(snames, sn)
-		}
-		sort.Strings(snames)
-		for _, sn := range snames {
-			si := ks.secondary[sn]
-			mk.Secondary = append(mk.Secondary, metaSecondary{
-				Name:    si.spec.Name,
-				Offset:  si.spec.Offset,
-				Length:  si.spec.Length,
-				Type:    uint8(si.spec.Type),
-				Built:   si.done.Fired(),
-				Cluster: clusterMeta(si.cluster, withSums(si.cluster)),
-				Sketch:  sketchMeta(si.sketch),
-			})
-		}
-		snap.Keyspaces = append(snap.Keyspaces, mk)
+		w.upserts = append(w.upserts, recordSpan{name: n, start: start, end: len(b)})
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
-		return nil, fmt.Errorf("core: metadata encode: %w", err)
+	b, k := insertCount(b, at, len(w.upserts))
+	for i := range w.upserts {
+		w.upserts[i].start += k
+		w.upserts[i].end += k
 	}
-	frame := make([]byte, 12+buf.Len())
-	binary.LittleEndian.PutUint32(frame[0:], uint32(buf.Len()))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(buf.Bytes()))
-	binary.LittleEndian.PutUint32(frame[8:], 0x4b564d44) // "KVMD"
-	copy(frame[12:], buf.Bytes())
-	return frame, nil
+
+	w.removed = w.removed[:0]
+	for n := range w.written {
+		if _, ok := m.table[n]; !ok {
+			w.removed = append(w.removed, n)
+		}
+	}
+	slices.Sort(w.removed)
+	if snapshot {
+		b = appendInt(b, 0) // the fold starts over: nothing to remove
+	} else {
+		b = appendInt(b, int64(len(w.removed)))
+		for _, n := range w.removed {
+			b = appendField(b, n)
+		}
+	}
+
+	at, n := len(b), 0
+	for _, c := range w.live {
+		if snapshot || m.zm.sumsDirty[c.id] {
+			b = appendClusterSums(b, c.id, c.sums)
+			delete(m.zm.sumsDirty, c.id)
+			n++
+		}
+	}
+	clear(w.live) // the next frame's record fill must not pin released clusters
+	b, _ = insertCount(b, at, n)
+	finishMetaFrame(b)
+	w.frame = b
+	return b
 }
 
-// Recover rebuilds the keyspace table from the metadata zones, using the
-// snapshot with the highest sequence number. Partially written (torn) tail
-// frames are ignored.
+// metaFold is one zone's frames folded forward: the live records by name and
+// the latest checksum table of each cluster ID.
+type metaFold struct {
+	seq     uint64
+	records map[string]metaKeyspace
+	sums    map[int64][]uint32
+}
+
+// apply folds one frame in, in payload order. A removal of a name the fold
+// does not hold is a no-op: a frame may repeat one whose earlier write failed
+// after reaching the zone.
+func (f *metaFold) apply(fr *metaFrame) error {
+	if fr.snapshot {
+		clear(f.records)
+		clear(f.sums)
+	}
+	f.seq = fr.seq
+	seen := make(map[string]bool, len(fr.upserts))
+	for _, u := range fr.upserts {
+		// Believing either copy would silently drop the other.
+		if seen[u.name] {
+			return fmt.Errorf("%w: duplicate keyspace %q in frame %d", ErrMetaCorrupt, u.name, fr.seq)
+		}
+		seen[u.name] = true
+		f.records[u.name] = u
+	}
+	for _, n := range fr.removals {
+		delete(f.records, n)
+	}
+	for _, s := range fr.sums {
+		f.sums[s.id] = s.sums
+	}
+	return nil
+}
+
+// clusterFromMeta rebuilds a cluster from its recovered record and the
+// checksum table folded for its ID.
+func (m *Manager) clusterFromMeta(mc *metaCluster, sums map[int64][]uint32) *Cluster {
+	if mc == nil {
+		return nil
+	}
+	c := m.zm.NewCluster(ZoneType(mc.typ))
+	c.id = mc.id
+	if mc.id > m.zm.clusterSeq {
+		m.zm.clusterSeq = mc.id
+	}
+	c.stripes = mc.stripes
+	c.offset = mc.offset
+	c.length = mc.length
+	c.sealed = mc.sealed
+	c.tail = append([]byte(nil), mc.tail...)
+	c.sums = append([]uint32(nil), sums[mc.id]...)
+	for _, s := range mc.stripes {
+		for _, z := range s {
+			m.zm.claim(z, ZoneType(mc.typ))
+		}
+	}
+	return c
+}
+
+// Recover rebuilds the keyspace table from the metadata zones: the zone whose
+// last valid frame has the highest sequence number wins, and its frames,
+// folded, are the table. Partially written (torn) tail frames are ignored.
 func (m *Manager) Recover(p *sim.Proc) error {
-	var best *metaSnapshot
-	var bestSums map[int64][]uint32
+	var best *metaFold
 	for z := 0; z < metadataZones; z++ {
-		snap, folded, err := m.scanMetaZone(p, z)
+		fold, err := m.scanMetaZone(p, z)
 		if err != nil {
 			return err
 		}
-		if snap != nil && (best == nil || snap.Seq > best.Seq) {
-			best = snap
-			bestSums = folded
+		if fold != nil && (best == nil || fold.seq > best.seq) {
+			best = fold
 			m.activeMeta = z
 		}
 	}
 	m.table = make(map[string]*Keyspace)
+	m.meta.written = nil
 	if best == nil {
 		return nil
 	}
-	if err := validateSnapshot(best); err != nil {
+	names := make([]string, 0, len(best.records))
+	for n := range best.records {
+		names = append(names, n)
+	}
+	slices.Sort(names)
+	records := make([]metaKeyspace, len(names))
+	for i, n := range names {
+		records[i] = best.records[n]
+	}
+	if err := validateSnapshot(records); err != nil {
 		return err
 	}
-	m.metaSeq = best.Seq
-	for _, mk := range best.Keyspaces {
+	m.metaSeq = best.seq
+	for i := range records {
+		mk := &records[i]
 		ks := &Keyspace{
-			name:        mk.Name,
-			ingestLock:  sim.NewResource(m.env, "ingest-"+mk.Name, 1),
-			state:       KeyspaceState(mk.State),
-			count:       mk.Count,
-			bytes:       mk.Bytes,
-			minKey:      mk.MinKey,
-			maxKey:      mk.MaxKey,
-			klog:        m.clusterFromMeta(mk.KLOG, bestSums),
-			vlog:        m.clusterFromMeta(mk.VLOG, bestSums),
-			pidx:        m.clusterFromMeta(mk.PIDX, bestSums),
-			sorted:      m.clusterFromMeta(mk.Sorted, bestSums),
-			logFrames:   extentsFromMeta(mk.LogFrames),
-			sketch:      sketchFromMeta(mk.Sketch),
+			name:        mk.name,
+			ingestLock:  sim.NewResource(m.env, "ingest-"+mk.name, 1),
+			state:       KeyspaceState(mk.state),
+			count:       mk.count,
+			bytes:       mk.bytes,
+			minKey:      mk.minKey,
+			maxKey:      mk.maxKey,
+			klog:        m.clusterFromMeta(mk.klog, best.sums),
+			vlog:        m.clusterFromMeta(mk.vlog, best.sums),
+			pidx:        m.clusterFromMeta(mk.pidx, best.sums),
+			sorted:      m.clusterFromMeta(mk.sorted, best.sums),
+			logFrames:   mk.logFrames,
+			sketch:      mk.sketch,
 			secondary:   make(map[string]*secondaryIndex),
 			compactDone: sim.NewEvent(m.env),
 		}
-		if len(mk.Heat) > 0 {
-			if ht, err := compaction.DecodeHeat(mk.Heat); err == nil {
+		if len(mk.heat) > 0 {
+			if ht, err := compaction.DecodeHeat(mk.heat); err == nil {
 				ks.heat = ht
 			}
 			// Undecodable heat is advisory: placement restarts cold.
@@ -628,55 +666,50 @@ func (m *Manager) Recover(p *sim.Proc) error {
 		if ks.state == StateCompacted {
 			ks.compactDone.Signal()
 		}
-		for _, ms := range mk.Secondary {
-			if !ms.Built {
+		for _, ms := range mk.secondary {
+			if !ms.built {
 				continue // incomplete index builds vanish; reinvoke
 			}
 			si := &secondaryIndex{
 				spec: SecondarySpec{
-					Name:   ms.Name,
-					Offset: ms.Offset,
-					Length: ms.Length,
-					Type:   keyenc.SecondaryType(ms.Type),
+					Name:   ms.name,
+					Offset: ms.offset,
+					Length: ms.length,
+					Type:   keyenc.SecondaryType(ms.typ),
 				},
-				cluster: m.clusterFromMeta(ms.Cluster, bestSums),
-				sketch:  sketchFromMeta(ms.Sketch),
+				cluster: m.clusterFromMeta(ms.cluster, best.sums),
+				sketch:  ms.sketch,
 				done:    sim.NewEvent(m.env),
 			}
 			si.done.Signal()
-			ks.secondary[ms.Name] = si
+			ks.secondary[ms.name] = si
 		}
-		m.table[mk.Name] = ks
+		m.table[mk.name] = ks
 	}
 	return nil
 }
 
-// validateSnapshot guards Recover against corrupt-but-CRC-valid metadata:
-// a duplicate keyspace name would silently collapse two table entries, and a
+// validateSnapshot guards Recover against corrupt-but-CRC-valid metadata: a
 // zone claimed by two clusters would poison the free pool (claim is
-// idempotent), so both fail recovery with ErrMetaCorrupt.
-func validateSnapshot(snap *metaSnapshot) error {
-	names := make(map[string]bool)
+// idempotent), so it fails recovery with ErrMetaCorrupt. (A name upserted
+// twice in one frame is caught by the fold.)
+func validateSnapshot(records []metaKeyspace) error {
 	owners := make(map[int]string)
-	for _, mk := range snap.Keyspaces {
-		if names[mk.Name] {
-			return fmt.Errorf("%w: duplicate keyspace %q", ErrMetaCorrupt, mk.Name)
-		}
-		names[mk.Name] = true
-		clusters := []*metaCluster{mk.KLOG, mk.VLOG, mk.PIDX, mk.Sorted}
-		for _, ms := range mk.Secondary {
-			clusters = append(clusters, ms.Cluster)
+	for _, mk := range records {
+		clusters := []*metaCluster{mk.klog, mk.vlog, mk.pidx, mk.sorted}
+		for _, ms := range mk.secondary {
+			clusters = append(clusters, ms.cluster)
 		}
 		for _, mc := range clusters {
 			if mc == nil {
 				continue
 			}
-			for _, stripe := range mc.Stripes {
+			for _, stripe := range mc.stripes {
 				for _, z := range stripe {
 					if owner, ok := owners[z]; ok {
-						return fmt.Errorf("%w: zone %d claimed by both %q and %q", ErrMetaCorrupt, z, owner, mk.Name)
+						return fmt.Errorf("%w: zone %d claimed by both %q and %q", ErrMetaCorrupt, z, owner, mk.name)
 					}
-					owners[z] = mk.Name
+					owners[z] = mk.name
 				}
 			}
 		}
@@ -696,59 +729,60 @@ func (m *Manager) rotateMeta(p *sim.Proc) error {
 	return m.Persist(p)
 }
 
-// scanMetaZone reads frames until the write pointer, returning the last valid
-// snapshot in the zone (nil if none) plus the checksum tables folded forward
-// across every valid frame, keyed by cluster ID — snapshots persist sums as
-// deltas, so a cluster's current table may live in an earlier frame than the
-// winning one.
-func (m *Manager) scanMetaZone(p *sim.Proc, zone int) (*metaSnapshot, map[int64][]uint32, error) {
+// scanMetaZone reads a zone's frames up to the write pointer and folds them
+// (nil if the zone holds none). A torn or checksum-failing frame ends the
+// scan; a whole frame of another version, one that does not decode, or a
+// zone whose first frame is not a snapshot is ErrMetaCorrupt.
+func (m *Manager) scanMetaZone(p *sim.Proc, zone int) (*metaFold, error) {
 	zi, err := m.zm.dev.Zone(zone)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var last *metaSnapshot
-	folded := make(map[int64][]uint32)
+	var fold *metaFold
 	var off int64
-	for off+12 <= zi.WritePointer {
-		hdr, err := m.zm.dev.ReadZone(p, zone, off, 12)
+	for off+metaHeaderLen <= zi.WritePointer {
+		hdr, err := m.zm.dev.ReadZone(p, zone, off, metaHeaderLen)
 		if err != nil {
 			if errors.Is(err, ssd.ErrReadBeyondWP) {
 				break
 			}
-			return nil, nil, err
+			return nil, err
 		}
 		plen := int64(binary.LittleEndian.Uint32(hdr[0:]))
 		wantCRC := binary.LittleEndian.Uint32(hdr[4:])
-		if binary.LittleEndian.Uint32(hdr[8:]) != 0x4b564d44 {
+		magic := binary.LittleEndian.Uint32(hdr[8:])
+		if magic&^0xff != metaMagicFamily {
 			break // unrecognized frame: stop scanning this zone
 		}
-		if off+12+plen > zi.WritePointer {
+		if off+metaHeaderLen+plen > zi.WritePointer {
 			break // torn frame
 		}
-		payload, err := m.zm.dev.ReadZone(p, zone, off+12, int(plen))
+		payload, err := m.zm.dev.ReadZone(p, zone, off+metaHeaderLen, int(plen))
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if crc32.ChecksumIEEE(payload) != wantCRC {
 			break
 		}
-		var snap metaSnapshot
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrMetaCorrupt, err)
+		if v := magic & 0xff; v != metaVersion {
+			return nil, fmt.Errorf("%w: zone %d offset %d: frame version %d", ErrMetaCorrupt, zone, off, v)
 		}
-		for _, mk := range snap.Keyspaces {
-			clusters := []*metaCluster{mk.KLOG, mk.VLOG, mk.PIDX, mk.Sorted}
-			for _, ms := range mk.Secondary {
-				clusters = append(clusters, ms.Cluster)
-			}
-			for _, mc := range clusters {
-				if mc != nil && mc.HasSums {
-					folded[mc.ID] = mc.Sums
-				}
-			}
+		// The frame's fields view its payload, so it gets a copy of its own:
+		// ReadZone lends zone memory.
+		fr, err := decodeMetaPayload(bytes.Clone(payload))
+		if err != nil {
+			return nil, fmt.Errorf("%w: zone %d offset %d: %v", ErrMetaCorrupt, zone, off, err)
 		}
-		last = &snap
-		off += 12 + plen
+		if fold == nil {
+			if !fr.snapshot {
+				return nil, fmt.Errorf("%w: zone %d opens with a delta frame", ErrMetaCorrupt, zone)
+			}
+			fold = &metaFold{records: make(map[string]metaKeyspace), sums: make(map[int64][]uint32)}
+		}
+		if err := fold.apply(fr); err != nil {
+			return nil, err
+		}
+		off += metaHeaderLen + plen
 	}
-	return last, folded, nil
+	return fold, nil
 }

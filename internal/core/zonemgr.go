@@ -63,10 +63,10 @@ type ZoneManager struct {
 	used        map[int]ZoneType
 	quarantined map[int]bool // retired zones: never allocated again
 	clusterSeq  int64
-	// sumsDirty names clusters whose checksum table changed since the last
-	// metadata snapshot. Persist consumes it to write sums tables as deltas
-	// (unchanged tables are omitted and folded forward at recovery) — without
-	// this, every full-table snapshot rewrites O(total granules) of CRCs.
+	// sumsDirty names clusters whose checksum table changed since a metadata
+	// frame last carried it. Persist writes only those tables (recovery folds
+	// the rest forward) and clears their marks; a cluster not yet in the
+	// keyspace table keeps its mark until it joins the table or is released.
 	sumsDirty map[int64]bool
 	// scratch lends the device's short-lived chunk buffers: a burst's
 	// per-zone gather, an ingest flush's log bytes, a scan's read window.
@@ -439,25 +439,9 @@ func (c *Cluster) noteGranule(g int64, b []byte) {
 }
 
 // markSums flags the cluster's checksum table as changed so the next metadata
-// snapshot persists it. Every mutation of c.sums must call this.
+// frame persists it. Every mutation of c.sums must call this.
 func (c *Cluster) markSums() {
 	c.zm.sumsDirty[c.id] = true
-}
-
-// takeSumsDirty hands the current dirty set to a metadata persist and starts a
-// fresh one, so marks arriving while the snapshot is being written are not
-// lost when the persist clears its set.
-func (zm *ZoneManager) takeSumsDirty() map[int64]bool {
-	taken := zm.sumsDirty
-	zm.sumsDirty = make(map[int64]bool)
-	return taken
-}
-
-// mergeSumsDirty returns a taken dirty set after a failed persist.
-func (zm *ZoneManager) mergeSumsDirty(taken map[int64]bool) {
-	for id := range taken {
-		zm.sumsDirty[id] = true
-	}
 }
 
 // Seal flushes the tail (zero-padded to a granule) and freezes the cluster.
@@ -624,6 +608,7 @@ func (c *Cluster) Release(p *sim.Proc) error {
 	c.length = 0
 	c.sealed = true
 	c.sums = nil
+	delete(c.zm.sumsDirty, c.id)
 	return c.zm.release(p, zones)
 }
 

@@ -204,6 +204,8 @@ func TestTelemetryEndpoints(t *testing.T) {
 		"kvcsd_sim_gauge{",
 		`kvcsd_idxcache_hits_total{scope="engine"} 0`, // one get so far:
 		`kvcsd_idxcache_misses_total{scope="engine"} 1`,
+		`kvcsd_meta_frames_total{scope="engine"} `, // the metadata log's cost
+		`kvcsd_meta_bytes_total{scope="engine"} `,
 		"kvcsd_io_total{",
 	} {
 		if !strings.Contains(body, want) {
