@@ -100,7 +100,7 @@ func TestHeatTable(t *testing.T) {
 	if h.Heat(3) != 1 || h.Heat(9) != 0 {
 		t.Fatalf("decay: %d %d", h.Heat(3), h.Heat(9))
 	}
-	got, err := DecodeHeat(EncodeHeat(h))
+	got, err := DecodeHeat(AppendHeat(nil, h))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,11 @@
 package compaction
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math"
+
+	"kvcsd/internal/codec"
+)
 
 // HeatTable tracks per-granule read heat on a keyspace's sorted cluster.
 // Foreground Get/Scan paths Touch the granules they read; the cold-migration
@@ -83,9 +88,6 @@ func (h *HeatTable) MaxInRange(lo, hi int) uint32 {
 	return max
 }
 
-// EncodeHeat renders the canonical byte form of a table.
-func EncodeHeat(h *HeatTable) []byte { return AppendHeat(nil, h) }
-
 // AppendHeat appends the canonical byte form of a table to dst: the granule
 // count followed by delta-free uvarint counters (most are tiny, so this stays
 // compact without a second pass).
@@ -97,28 +99,23 @@ func AppendHeat(dst []byte, h *HeatTable) []byte {
 	return dst
 }
 
-// maxHeatGranules bounds decoder allocation against hostile lengths.
+// maxHeatGranules bounds the tables a decode accepts.
 const maxHeatGranules = 1 << 22
 
 // DecodeHeat parses a heat table, rejecting oversized lengths, out-of-range
 // counters, and trailing bytes.
 func DecodeHeat(b []byte) (*HeatTable, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || n > maxHeatGranules {
+	d := codec.NewDecoder(b)
+	n := d.Count(1)
+	if n > maxHeatGranules {
 		return nil, errCodec
 	}
-	rest := b[sz:]
 	h := &HeatTable{counts: make([]uint32, n)}
 	for i := range h.counts {
-		v, m := binary.Uvarint(rest)
-		if m <= 0 || v > 1<<32-1 {
-			return nil, errCodec
-		}
-		h.counts[i] = uint32(v)
-		rest = rest[m:]
+		h.counts[i] = uint32(d.Uint(math.MaxUint32))
 	}
-	if len(rest) != 0 {
-		return nil, errCodec
+	if err := decoded(&d, true); err != nil {
+		return nil, err
 	}
 	return h, nil
 }

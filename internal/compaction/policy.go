@@ -6,14 +6,16 @@
 // lifetime-aware tiered placement, the host-merge assist queue, and the
 // bounded ring buffers that stage the parallel device pipeline.
 //
-// The package depends only on internal/sim so every layer of the stack can
-// import it without cycles.
+// The package depends only on internal/sim and internal/codec so every layer
+// of the stack can import it without cycles.
 package compaction
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"kvcsd/internal/codec"
 )
 
 // Policy selects who merges the sorted runs of a compaction.
@@ -82,19 +84,22 @@ func EncodeConfig(c Config) []byte {
 // DecodeConfig parses a Config, rejecting trailing bytes and out-of-range
 // values so the codec stays canonical.
 func DecodeConfig(b []byte) (Config, error) {
-	if len(b) < 1 {
-		return Config{}, errCodec
+	d := codec.NewDecoder(b)
+	c := Config{Policy: Policy(d.U8()), PipelineWidth: int(d.Uint(1 << 20))}
+	if err := decoded(&d, c.Policy <= PolicyCollaborative); err != nil {
+		return Config{}, err
 	}
-	pol := Policy(b[0])
-	if pol > PolicyCollaborative {
-		return Config{}, errCodec
+	return c, nil
+}
+
+// decoded ends a decode: a malformed field, or a value ok rejects, is
+// errCodec.
+func decoded(d *codec.Decoder, ok bool) error {
+	if err := d.Done(); err != nil {
+		return fmt.Errorf("%w: %v", errCodec, err)
 	}
-	w, n := binary.Uvarint(b[1:])
-	if n <= 0 || w > 1<<20 {
-		return Config{}, errCodec
+	if !ok {
+		return errCodec
 	}
-	if 1+n != len(b) {
-		return Config{}, errCodec
-	}
-	return Config{Policy: pol, PipelineWidth: int(w)}, nil
+	return nil
 }

@@ -1,6 +1,11 @@
 package compaction
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math"
+
+	"kvcsd/internal/codec"
+)
 
 // Stage labels where a compaction (or cold migration) currently is.
 type Stage uint8
@@ -81,51 +86,18 @@ func EncodeProgress(pr Progress) []byte {
 // DecodeProgress parses a Progress, rejecting unknown stages, out-of-range
 // fields, and trailing bytes.
 func DecodeProgress(b []byte) (Progress, error) {
-	if len(b) < 1 || Stage(b[0]) >= stageMax {
-		return Progress{}, errCodec
+	d := codec.NewDecoder(b)
+	pr := Progress{
+		Stage:         Stage(d.U8()),
+		GranulesDone:  uint32(d.Uint(math.MaxUint32)),
+		GranulesTotal: uint32(d.Uint(math.MaxUint32)),
+		BytesMoved:    d.Uvarint(),
+		HostRuns:      uint16(d.Uint(math.MaxUint16)),
+		DeviceRuns:    uint16(d.Uint(math.MaxUint16)),
+		Occupancy:     uint16(d.Uint(math.MaxUint16)),
 	}
-	pr := Progress{Stage: Stage(b[0])}
-	rest := b[1:]
-	u32 := func() (uint32, bool) {
-		v, n := binary.Uvarint(rest)
-		if n <= 0 || v > 1<<32-1 {
-			return 0, false
-		}
-		rest = rest[n:]
-		return uint32(v), true
-	}
-	var ok bool
-	if pr.GranulesDone, ok = u32(); !ok {
-		return Progress{}, errCodec
-	}
-	if pr.GranulesTotal, ok = u32(); !ok {
-		return Progress{}, errCodec
-	}
-	v, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return Progress{}, errCodec
-	}
-	pr.BytesMoved = v
-	rest = rest[n:]
-	u16 := func() (uint16, bool) {
-		v, n := binary.Uvarint(rest)
-		if n <= 0 || v > 1<<16-1 {
-			return 0, false
-		}
-		rest = rest[n:]
-		return uint16(v), true
-	}
-	if pr.HostRuns, ok = u16(); !ok {
-		return Progress{}, errCodec
-	}
-	if pr.DeviceRuns, ok = u16(); !ok {
-		return Progress{}, errCodec
-	}
-	if pr.Occupancy, ok = u16(); !ok {
-		return Progress{}, errCodec
-	}
-	if len(rest) != 0 {
-		return Progress{}, errCodec
+	if err := decoded(&d, pr.Stage < stageMax); err != nil {
+		return Progress{}, err
 	}
 	return pr, nil
 }

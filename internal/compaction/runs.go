@@ -1,11 +1,10 @@
 package compaction
 
-import "encoding/binary"
+import (
+	"encoding/binary"
 
-// maxRunBytes bounds a single host-merge payload; a run group larger than
-// this should never be shipped (the planner splits at run granularity and
-// runs are sort-budget sized).
-const maxRunBytes = 1 << 30
+	"kvcsd/internal/codec"
+)
 
 // EncodeRuns frames a group of encoded sorted runs into one host-merge
 // payload: run count, then per-run length-prefixed bytes.
@@ -24,24 +23,16 @@ func EncodeRuns(runs [][]byte) []byte {
 }
 
 // DecodeRuns parses a host-merge payload back into its runs, rejecting
-// oversized counts and trailing bytes. Returned slices alias the input.
+// counts the payload cannot hold and trailing bytes. Returned slices alias
+// the input.
 func DecodeRuns(b []byte) ([][]byte, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || n > 1<<16 {
-		return nil, errCodec
+	d := codec.NewDecoder(b)
+	runs := make([][]byte, d.Count(1))
+	for i := range runs {
+		runs[i] = d.Bytes()
 	}
-	rest := b[sz:]
-	runs := make([][]byte, 0, n)
-	for i := uint64(0); i < n; i++ {
-		l, m := binary.Uvarint(rest)
-		if m <= 0 || l > maxRunBytes || uint64(len(rest)-m) < l {
-			return nil, errCodec
-		}
-		runs = append(runs, rest[m:m+int(l)])
-		rest = rest[m+int(l):]
-	}
-	if len(rest) != 0 {
-		return nil, errCodec
+	if err := decoded(&d, true); err != nil {
+		return nil, err
 	}
 	return runs, nil
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+
+	"kvcsd/internal/codec"
 )
 
 // End-to-end integrity model (DESIGN.md §11). Every persisted extent is
@@ -121,13 +123,18 @@ func (r *ScrubReport) String() string {
 //
 // Scrub reports and extent refs cross the device command boundary as opaque
 // bytes (nvme.Completion.Value / Command.Value), so they need a deliberate
-// binary form: length-prefixed strings, fixed-width integers, and a trailing
-// CRC32-C over the body so a mangled report is rejected, not misread.
+// binary form: u16-length-prefixed strings, fixed-width integers, and a
+// trailing CRC32-C over the body so a mangled report is rejected, not misread.
+// Decoding follows internal/codec's rules.
 
 const scrubReportMagic = 0x4b565352 // "KVSR"
 
-// EncodeExtentRef appends the wire form of one extent ref.
-func EncodeExtentRef(dst []byte, e ExtentRef) []byte {
+// minExtentRef is the smallest encoded extent ref: two empty strings, the
+// kind, the granule and the zone.
+const minExtentRef = 2 + 1 + 2 + 8 + 4
+
+// appendExtentRef appends the wire form of one extent ref.
+func appendExtentRef(dst []byte, e ExtentRef) []byte {
 	dst = appendString(dst, e.Keyspace)
 	dst = append(dst, byte(e.Kind))
 	dst = appendString(dst, e.Index)
@@ -136,35 +143,15 @@ func EncodeExtentRef(dst []byte, e ExtentRef) []byte {
 	return dst
 }
 
-// DecodeExtentRef decodes one extent ref, returning the bytes consumed.
-func DecodeExtentRef(data []byte) (ExtentRef, int, error) {
-	var e ExtentRef
-	ks, n, err := readString(data)
-	if err != nil {
-		return e, 0, err
+func decodeExtentRef(d *codec.Decoder) ExtentRef {
+	return ExtentRef{
+		Keyspace: string(d.Take(int(d.U16()))),
+		Kind:     ExtentKind(d.U8()),
+		Index:    string(d.Take(int(d.U16()))),
+		Granule:  int64(d.U64()),
+		Zone:     int32(d.U32()),
 	}
-	pos := n
-	if len(data) < pos+1 {
-		return e, 0, errShortExtent
-	}
-	e.Keyspace = ks
-	e.Kind = ExtentKind(data[pos])
-	pos++
-	idx, n, err := readString(data[pos:])
-	if err != nil {
-		return e, 0, err
-	}
-	pos += n
-	if len(data) < pos+12 {
-		return e, 0, errShortExtent
-	}
-	e.Index = idx
-	e.Granule = int64(binary.LittleEndian.Uint64(data[pos:]))
-	e.Zone = int32(binary.LittleEndian.Uint32(data[pos+8:]))
-	return e, pos + 12, nil
 }
-
-var errShortExtent = errors.New("core: short extent ref encoding")
 
 // ErrBadScrubReport reports an undecodable scrub-report payload.
 var ErrBadScrubReport = errors.New("core: bad scrub report encoding")
@@ -178,7 +165,7 @@ func EncodeScrubReport(r *ScrubReport) []byte {
 	body = binary.LittleEndian.AppendUint32(body, uint32(r.Quarantined))
 	body = binary.LittleEndian.AppendUint32(body, uint32(len(r.Corrupt)))
 	for _, e := range r.Corrupt {
-		body = EncodeExtentRef(body, e)
+		body = appendExtentRef(body, e)
 	}
 	out := make([]byte, 0, 8+len(body)+4)
 	out = binary.LittleEndian.AppendUint32(out, scrubReportMagic)
@@ -190,38 +177,28 @@ func EncodeScrubReport(r *ScrubReport) []byte {
 
 // DecodeScrubReport parses and verifies an encoded report.
 func DecodeScrubReport(data []byte) (*ScrubReport, error) {
-	if len(data) < 12 {
+	d := codec.NewDecoder(data)
+	magic := d.U32()
+	body := d.Take(int(d.U32()))
+	sum := d.U32()
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadScrubReport, err)
+	}
+	if magic != scrubReportMagic || crc32.Checksum(body, castagnoli) != sum {
 		return nil, ErrBadScrubReport
 	}
-	if binary.LittleEndian.Uint32(data) != scrubReportMagic {
-		return nil, ErrBadScrubReport
-	}
-	blen := int64(binary.LittleEndian.Uint32(data[4:]))
-	if blen < 20 || int64(len(data)) < 8+blen+4 {
-		return nil, ErrBadScrubReport
-	}
-	body := data[8 : 8+blen]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[8+blen:]) {
-		return nil, ErrBadScrubReport
-	}
+	d = codec.NewDecoder(body)
 	r := &ScrubReport{
-		Keyspaces:    int32(binary.LittleEndian.Uint32(body)),
-		ScannedBytes: int64(binary.LittleEndian.Uint64(body[4:])),
-		Repaired:     int32(binary.LittleEndian.Uint32(body[12:])),
-		Quarantined:  int32(binary.LittleEndian.Uint32(body[16:])),
+		Keyspaces:    int32(d.U32()),
+		ScannedBytes: int64(d.U64()),
+		Repaired:     int32(d.U32()),
+		Quarantined:  int32(d.U32()),
 	}
-	count := int(binary.LittleEndian.Uint32(body[16+4:]))
-	pos := 24
-	for i := 0; i < count; i++ {
-		e, n, err := DecodeExtentRef(body[pos:])
-		if err != nil {
-			return nil, fmt.Errorf("%w: extent %d: %v", ErrBadScrubReport, i, err)
-		}
-		pos += n
-		r.Corrupt = append(r.Corrupt, e)
+	for range d.Fit(uint64(d.U32()), minExtentRef) {
+		r.Corrupt = append(r.Corrupt, decodeExtentRef(&d))
 	}
-	if pos != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadScrubReport, len(body)-pos)
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadScrubReport, err)
 	}
 	return r, nil
 }
@@ -229,15 +206,4 @@ func DecodeScrubReport(data []byte) (*ScrubReport, error) {
 func appendString(dst []byte, s string) []byte {
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
 	return append(dst, s...)
-}
-
-func readString(data []byte) (string, int, error) {
-	if len(data) < 2 {
-		return "", 0, errShortExtent
-	}
-	n := int(binary.LittleEndian.Uint16(data))
-	if len(data) < 2+n {
-		return "", 0, errShortExtent
-	}
-	return string(data[2 : 2+n]), 2 + n, nil
 }

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"time"
 
+	"kvcsd/internal/codec"
 	"kvcsd/internal/compaction"
 	"kvcsd/internal/keyenc"
 	"kvcsd/internal/sim"
@@ -517,11 +518,11 @@ func (m *Manager) encodeFrame(snapshot bool) []byte {
 	}
 	slices.Sort(w.removed)
 	if snapshot {
-		b = appendInt(b, 0) // the fold starts over: nothing to remove
+		b = binary.AppendUvarint(b, 0) // the fold starts over: nothing to remove
 	} else {
-		b = appendInt(b, int64(len(w.removed)))
+		b = binary.AppendUvarint(b, uint64(len(w.removed)))
 		for _, n := range w.removed {
-			b = appendField(b, n)
+			b = codec.AppendBytes(b, n)
 		}
 	}
 

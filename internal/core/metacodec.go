@@ -3,7 +3,11 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"math"
+
+	"kvcsd/internal/codec"
 )
 
 // Metadata frames (DESIGN.md §6, "Metadata"). Each frame appended to a
@@ -17,7 +21,7 @@ import (
 //	seq | flags | upserts | removals | sums
 //
 // Integers are uvarints, byte fields are length-prefixed, and each list is a
-// count followed by its items:
+// count followed by its items, read by internal/codec's rules:
 //
 //   - upserts: whole keyspace records (appendMetaRecord), checksum tables
 //     excluded;
@@ -124,265 +128,179 @@ func insertCount(b []byte, at, n int) ([]byte, int) {
 	return b, k
 }
 
-func appendInt(b []byte, v int64) []byte { return binary.AppendUvarint(b, uint64(v)) }
-
-func appendField[T string | []byte](b []byte, v T) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(v))), v...)
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
 func appendMetaCluster(b []byte, c *metaCluster) []byte {
+	b = codec.AppendBool(b, c != nil)
 	if c == nil {
-		return append(b, 0)
+		return b
 	}
-	b = append(b, 1)
-	b = appendInt(b, c.id)
-	b = appendInt(b, int64(c.typ))
-	b = appendInt(b, int64(len(c.stripes)))
+	b = binary.AppendUvarint(b, uint64(c.id))
+	b = binary.AppendUvarint(b, uint64(c.typ))
+	b = binary.AppendUvarint(b, uint64(len(c.stripes)))
 	for _, s := range c.stripes {
-		b = appendInt(b, int64(len(s)))
+		b = binary.AppendUvarint(b, uint64(len(s)))
 		for _, z := range s {
-			b = appendInt(b, int64(z))
+			b = binary.AppendUvarint(b, uint64(z))
 		}
 	}
-	b = appendInt(b, int64(c.offset))
-	b = appendInt(b, c.length)
-	b = appendBool(b, c.sealed)
-	return appendField(b, c.tail)
+	b = binary.AppendUvarint(b, uint64(c.offset))
+	b = binary.AppendUvarint(b, uint64(c.length))
+	b = codec.AppendBool(b, c.sealed)
+	return codec.AppendBytes(b, c.tail)
 }
 
 func appendSketch(b []byte, s []sketchEntry) []byte {
-	b = appendInt(b, int64(len(s)))
+	b = binary.AppendUvarint(b, uint64(len(s)))
 	for _, e := range s {
-		b = appendField(b, e.pivot)
-		b = appendInt(b, e.block)
+		b = codec.AppendBytes(b, e.pivot)
+		b = binary.AppendUvarint(b, uint64(e.block))
 	}
 	return b
 }
 
 // appendMetaRecord appends one keyspace record, fields in a fixed order.
 func appendMetaRecord(b []byte, r *metaKeyspace) []byte {
-	b = appendField(b, r.name)
-	b = appendInt(b, int64(r.state))
-	b = appendInt(b, r.count)
-	b = appendInt(b, r.bytes)
-	b = appendField(b, r.minKey)
-	b = appendField(b, r.maxKey)
+	b = codec.AppendBytes(b, r.name)
+	b = binary.AppendUvarint(b, uint64(r.state))
+	b = binary.AppendUvarint(b, uint64(r.count))
+	b = binary.AppendUvarint(b, uint64(r.bytes))
+	b = codec.AppendBytes(b, r.minKey)
+	b = codec.AppendBytes(b, r.maxKey)
 	for _, c := range [...]*metaCluster{r.klog, r.vlog, r.pidx, r.sorted} {
 		b = appendMetaCluster(b, c)
 	}
-	b = appendInt(b, int64(len(r.logFrames)))
+	b = binary.AppendUvarint(b, uint64(len(r.logFrames)))
 	for _, e := range r.logFrames {
-		b = appendInt(b, e.Start)
-		b = appendInt(b, e.End)
+		b = binary.AppendUvarint(b, uint64(e.Start))
+		b = binary.AppendUvarint(b, uint64(e.End))
 	}
 	b = appendSketch(b, r.sketch)
-	b = appendInt(b, int64(len(r.secondary)))
+	b = binary.AppendUvarint(b, uint64(len(r.secondary)))
 	for i := range r.secondary {
 		s := &r.secondary[i]
-		b = appendField(b, s.name)
-		b = appendInt(b, int64(s.offset))
-		b = appendInt(b, int64(s.length))
-		b = appendInt(b, int64(s.typ))
-		b = appendBool(b, s.built)
+		b = codec.AppendBytes(b, s.name)
+		b = binary.AppendUvarint(b, uint64(s.offset))
+		b = binary.AppendUvarint(b, uint64(s.length))
+		b = binary.AppendUvarint(b, uint64(s.typ))
+		b = codec.AppendBool(b, s.built)
 		b = appendMetaCluster(b, s.cluster)
 		b = appendSketch(b, s.sketch)
 	}
-	return appendField(b, r.heat)
+	return codec.AppendBytes(b, r.heat)
 }
 
 func appendClusterSums(b []byte, id int64, sums []uint32) []byte {
-	b = appendInt(b, id)
-	b = appendInt(b, int64(len(sums)))
+	b = binary.AppendUvarint(b, uint64(id))
+	b = binary.AppendUvarint(b, uint64(len(sums)))
 	for _, s := range sums {
 		b = binary.LittleEndian.AppendUint32(b, s)
 	}
 	return b
 }
 
-// metaReader decodes a payload. The first malformed field sets bad and every
-// later read returns zero values, so decoders check once at the end.
-type metaReader struct {
-	b   []byte
-	bad bool
-}
-
-func (r *metaReader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *metaReader) fail() { r.bad, r.b = true, nil }
-
-func (r *metaReader) int() int64 { return int64(r.uvarint()) }
-
-// count reads a list length, refusing one longer than the bytes left could
-// hold at min bytes per item — a hostile length must not size an allocation.
-func (r *metaReader) count(min int) int {
-	n := r.uvarint()
-	if n > uint64(len(r.b)/min) {
-		r.fail()
-		return 0
-	}
-	return int(n)
-}
-
-func (r *metaReader) small() uint8 {
-	v := r.uvarint()
-	if v > 0xff {
-		r.fail()
-		return 0
-	}
-	return uint8(v)
-}
-
-func (r *metaReader) bool() bool {
-	if len(r.b) == 0 || r.b[0] > 1 {
-		r.fail()
-		return false
-	}
-	v := r.b[0] == 1
-	r.b = r.b[1:]
-	return v
-}
-
-// field returns a length-prefixed byte field as a view, nil when empty.
-func (r *metaReader) field() []byte {
-	n := r.uvarint()
-	if n > uint64(len(r.b)) {
-		r.fail()
+func decodeMetaCluster(d *codec.Decoder) *metaCluster {
+	if !d.Bool() {
 		return nil
 	}
-	v := r.b[:n:n]
-	r.b = r.b[n:]
-	if n == 0 {
-		return nil
-	}
-	return v
-}
-
-func (r *metaReader) cluster() *metaCluster {
-	if !r.bool() {
-		return nil
-	}
-	c := &metaCluster{id: r.int(), typ: r.small()}
-	if n := r.count(1); n > 0 {
+	c := &metaCluster{id: int64(d.Uvarint()), typ: uint8(d.Uint(math.MaxUint8))}
+	if n := d.Count(1); n > 0 {
 		c.stripes = make([][]int, n)
 		for i := range c.stripes {
-			s := make([]int, r.count(1))
+			s := make([]int, d.Count(1))
 			for j := range s {
-				s[j] = int(r.int())
+				s[j] = int(d.Uvarint())
 			}
 			c.stripes[i] = s
 		}
 	}
-	c.offset = int(r.int())
-	c.length = r.int()
-	c.sealed = r.bool()
-	c.tail = r.field()
+	c.offset = int(d.Uvarint())
+	c.length = int64(d.Uvarint())
+	c.sealed = d.Bool()
+	c.tail = d.Bytes()
 	return c
 }
 
-func (r *metaReader) sketch() []sketchEntry {
-	n := r.count(2)
+func decodeSketch(d *codec.Decoder) []sketchEntry {
+	n := d.Count(2)
 	if n == 0 {
 		return nil
 	}
 	s := make([]sketchEntry, n)
 	for i := range s {
-		s[i] = sketchEntry{pivot: r.field(), block: r.int()}
+		s[i] = sketchEntry{pivot: d.Bytes(), block: int64(d.Uvarint())}
 	}
 	return s
 }
 
-func (r *metaReader) record() metaKeyspace {
+func decodeMetaRecord(d *codec.Decoder) metaKeyspace {
 	k := metaKeyspace{
-		name:   string(r.field()),
-		state:  r.small(),
-		count:  r.int(),
-		bytes:  r.int(),
-		minKey: r.field(),
-		maxKey: r.field(),
-		klog:   r.cluster(),
-		vlog:   r.cluster(),
-		pidx:   r.cluster(),
-		sorted: r.cluster(),
+		name:   string(d.Bytes()),
+		state:  uint8(d.Uint(math.MaxUint8)),
+		count:  int64(d.Uvarint()),
+		bytes:  int64(d.Uvarint()),
+		minKey: d.Bytes(),
+		maxKey: d.Bytes(),
+		klog:   decodeMetaCluster(d),
+		vlog:   decodeMetaCluster(d),
+		pidx:   decodeMetaCluster(d),
+		sorted: decodeMetaCluster(d),
 	}
-	if n := r.count(2); n > 0 {
+	if n := d.Count(2); n > 0 {
 		k.logFrames = make([]frameExtent, n)
 		for i := range k.logFrames {
-			k.logFrames[i] = frameExtent{Start: r.int(), End: r.int()}
+			k.logFrames[i] = frameExtent{Start: int64(d.Uvarint()), End: int64(d.Uvarint())}
 		}
 	}
-	k.sketch = r.sketch()
-	if n := r.count(7); n > 0 {
+	k.sketch = decodeSketch(d)
+	if n := d.Count(7); n > 0 {
 		k.secondary = make([]metaSecondary, n)
 		for i := range k.secondary {
 			k.secondary[i] = metaSecondary{
-				name:    string(r.field()),
-				offset:  int(r.int()),
-				length:  int(r.int()),
-				typ:     r.small(),
-				built:   r.bool(),
-				cluster: r.cluster(),
-				sketch:  r.sketch(),
+				name:    string(d.Bytes()),
+				offset:  int(d.Uvarint()),
+				length:  int(d.Uvarint()),
+				typ:     uint8(d.Uint(math.MaxUint8)),
+				built:   d.Bool(),
+				cluster: decodeMetaCluster(d),
+				sketch:  decodeSketch(d),
 			}
 		}
 	}
-	k.heat = r.field()
+	k.heat = d.Bytes()
 	return k
 }
 
 // decodeMetaPayload decodes a version-1 payload. The frame's byte fields view
 // payload, which the caller must own.
 func decodeMetaPayload(payload []byte) (*metaFrame, error) {
-	r := &metaReader{b: payload}
-	f := &metaFrame{seq: r.uvarint()}
-	switch flags := r.small(); flags {
-	case 0, metaFlagSnapshot:
-		f.snapshot = flags == metaFlagSnapshot
-	default:
-		r.fail()
-	}
-	if n := r.count(14); n > 0 {
+	d := codec.NewDecoder(payload)
+	f := &metaFrame{seq: d.Uvarint(), snapshot: d.Uint(metaFlagSnapshot) == metaFlagSnapshot}
+	if n := d.Count(14); n > 0 {
 		f.upserts = make([]metaKeyspace, n)
 		for i := range f.upserts {
-			f.upserts[i] = r.record()
+			f.upserts[i] = decodeMetaRecord(&d)
 		}
 	}
-	if n := r.count(1); n > 0 {
+	if n := d.Count(1); n > 0 {
 		f.removals = make([]string, n)
 		for i := range f.removals {
-			f.removals[i] = string(r.field())
+			f.removals[i] = string(d.Bytes())
 		}
 	}
-	if n := r.count(2); n > 0 {
+	if n := d.Count(2); n > 0 {
 		f.sums = make([]clusterSums, n)
 		for i := range f.sums {
-			s := clusterSums{id: r.int()}
-			if g := r.count(4); g > 0 {
+			s := clusterSums{id: int64(d.Uvarint())}
+			if g := d.Count(4); g > 0 {
 				s.sums = make([]uint32, g)
 				for j := range s.sums {
-					s.sums[j] = binary.LittleEndian.Uint32(r.b[4*j:])
+					s.sums[j] = d.U32()
 				}
-				r.b = r.b[4*g:]
 			}
 			f.sums[i] = s
 		}
 	}
-	if r.bad || len(r.b) != 0 {
-		return nil, errMetaDecode
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("%w: %v", errMetaDecode, err)
 	}
 	return f, nil
 }

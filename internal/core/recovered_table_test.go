@@ -69,7 +69,7 @@ func dumpTable(b *bytes.Buffer, m *Manager) {
 			dumpCluster(b, "  sidx", si.cluster)
 		}
 		if ks.heat != nil {
-			enc := compaction.EncodeHeat(ks.heat)
+			enc := compaction.AppendHeat(nil, ks.heat)
 			fmt.Fprintf(b, "  heat granules=%d crc=%08x\n", ks.heat.Len(), crc32.ChecksumIEEE(enc))
 		}
 	}

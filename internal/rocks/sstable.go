@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 
+	"kvcsd/internal/codec"
 	"kvcsd/internal/host"
 	"kvcsd/internal/sim"
 	"kvcsd/internal/vfs"
@@ -216,28 +217,14 @@ func openTable(p *sim.Proc, f *vfs.File, h *host.Host, cache *blockCache, meta t
 }
 
 func (r *tableReader) unmarshalIndex(data []byte) error {
-	if len(data) < 4 {
-		return errTableCorrupt
+	d := codec.NewDecoder(data)
+	r.index = make([]indexEntry, d.Fit(uint64(d.U32()), 4+8+4)) // key length, offset, length
+	for i := range r.index {
+		key := append([]byte(nil), d.Take(int(d.U32()))...)
+		r.index[i] = indexEntry{lastKey: key, offset: int64(d.U64()), length: int(d.U32())}
 	}
-	n := int(binary.LittleEndian.Uint32(data))
-	pos := 4
-	r.index = make([]indexEntry, 0, n)
-	for i := 0; i < n; i++ {
-		if pos+4 > len(data) {
-			return errTableCorrupt
-		}
-		klen := int(binary.LittleEndian.Uint32(data[pos:]))
-		pos += 4
-		if pos+klen+12 > len(data) {
-			return errTableCorrupt
-		}
-		key := append([]byte(nil), data[pos:pos+klen]...)
-		pos += klen
-		off := int64(binary.LittleEndian.Uint64(data[pos:]))
-		pos += 8
-		length := int(binary.LittleEndian.Uint32(data[pos:]))
-		pos += 4
-		r.index = append(r.index, indexEntry{lastKey: key, offset: off, length: length})
+	if d.Done() != nil {
+		return errTableCorrupt
 	}
 	return nil
 }
@@ -286,36 +273,16 @@ type blockEntry struct {
 // decodeEntries parses a data block.
 func decodeEntries(data []byte) ([]blockEntry, error) {
 	var out []blockEntry
-	pos := 0
-	for pos < len(data) {
-		klen, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return nil, errTableCorrupt
-		}
-		pos += n
-		vlen, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return nil, errTableCorrupt
-		}
-		pos += n
-		if pos >= len(data) {
-			return nil, errTableCorrupt
-		}
-		kind := entryKind(data[pos])
-		pos++
-		seq, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return nil, errTableCorrupt
-		}
-		pos += n
-		if pos+int(klen)+int(vlen) > len(data) {
-			return nil, errTableCorrupt
-		}
-		key := data[pos : pos+int(klen)]
-		pos += int(klen)
-		value := data[pos : pos+int(vlen)]
-		pos += int(vlen)
-		out = append(out, blockEntry{key: key, value: value, kind: kind, seq: seq})
+	d := codec.NewDecoder(data)
+	for d.Len() > 0 {
+		klen, vlen := d.Uvarint(), d.Uvarint()
+		e := blockEntry{kind: entryKind(d.U8()), seq: d.Uvarint()}
+		e.key = d.Take(int(klen))
+		e.value = d.Take(int(vlen))
+		out = append(out, e)
+	}
+	if d.Done() != nil {
+		return nil, errTableCorrupt
 	}
 	return out, nil
 }

@@ -2,10 +2,11 @@ package rocks
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"sort"
 
+	"kvcsd/internal/codec"
 	"kvcsd/internal/sim"
 )
 
@@ -113,19 +114,74 @@ func (l *levels) candidateForKey(level int, key []byte) *tableHandle {
 	return nil
 }
 
-// manifestState is the durable form of the version state.
-type manifestState struct {
-	NextFileNum uint64
-	LastSeq     uint64
-	Levels      [][]manifestTable
+// The manifest is one snapshot of the version state, rewritten whole on
+// every change:
+//
+//	magic u32 | version u8 | nextFileNum | lastSeq | levels
+//
+// where levels is a count of levels, each a count of tables, each table
+// fileNum | size | entries | smallest | largest. Integers are uvarints and
+// keys are length-prefixed, read by internal/codec's rules.
+const (
+	manifestMagic   = 0x464d564b // "KVMF"
+	manifestVersion = 1
+)
+
+// appendManifest appends the encoded version state.
+func (db *DB) appendManifest(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, manifestMagic)
+	b = append(b, manifestVersion)
+	b = binary.AppendUvarint(b, db.nextFileNum)
+	b = binary.AppendUvarint(b, db.seq)
+	b = binary.AppendUvarint(b, uint64(len(db.levels.files)))
+	for _, fs := range db.levels.files {
+		b = binary.AppendUvarint(b, uint64(len(fs)))
+		for _, t := range fs {
+			b = binary.AppendUvarint(b, t.meta.fileNum)
+			b = binary.AppendUvarint(b, uint64(t.meta.size))
+			b = binary.AppendUvarint(b, uint64(t.meta.entries))
+			b = codec.AppendBytes(b, t.meta.smallest)
+			b = codec.AppendBytes(b, t.meta.largest)
+		}
+	}
+	return b
 }
 
-type manifestTable struct {
-	FileNum  uint64
-	Size     int64
-	Entries  int64
-	Smallest []byte
-	Largest  []byte
+// decodeManifest restores the version state from data. Levels beyond
+// opts.Levels are ignored.
+func (db *DB) decodeManifest(data []byte) error {
+	d := codec.NewDecoder(data)
+	if magic := d.U32(); magic != manifestMagic {
+		d.Fail(fmt.Errorf("magic %#x", magic))
+	}
+	if version := d.U8(); version != manifestVersion {
+		d.Fail(fmt.Errorf("version %d", version))
+	}
+	db.nextFileNum = d.Uvarint()
+	db.seq = d.Uvarint()
+	db.levels = newLevels(db.opts.Levels)
+	for i := range d.Count(1) {
+		for range d.Count(5) {
+			h := &tableHandle{meta: tableMeta{
+				fileNum:  d.Uvarint(),
+				size:     int64(d.Uvarint()),
+				entries:  int64(d.Uvarint()),
+				smallest: d.Bytes(),
+				largest:  d.Bytes(),
+			}}
+			switch {
+			case i >= db.opts.Levels:
+			case i == 0:
+				db.levels.files[0] = append(db.levels.files[0], h)
+			default:
+				db.levels.addSorted(i, h)
+			}
+		}
+	}
+	if err := d.Done(); err != nil {
+		return fmt.Errorf("rocks: manifest decode: %w", err)
+	}
+	return nil
 }
 
 // saveManifest rewrites the manifest atomically (write temp + rename).
@@ -134,30 +190,14 @@ type manifestTable struct {
 func (db *DB) saveManifest(p *sim.Proc) error {
 	p.Acquire(db.manifestLock)
 	defer p.Release(db.manifestLock)
-	state := manifestState{NextFileNum: db.nextFileNum, LastSeq: db.seq}
-	state.Levels = make([][]manifestTable, len(db.levels.files))
-	for i, fs := range db.levels.files {
-		for _, t := range fs {
-			state.Levels[i] = append(state.Levels[i], manifestTable{
-				FileNum:  t.meta.fileNum,
-				Size:     t.meta.size,
-				Entries:  t.meta.entries,
-				Smallest: t.meta.smallest,
-				Largest:  t.meta.largest,
-			})
-		}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&state); err != nil {
-		return fmt.Errorf("rocks: manifest encode: %w", err)
-	}
+	buf := db.appendManifest(nil)
 	db.manifestSeq++
 	tmp := fmt.Sprintf("%s/MANIFEST.%06d.tmp", db.name, db.manifestSeq)
 	f, err := db.fs.Create(p, tmp)
 	if err != nil {
 		return err
 	}
-	if err := f.Append(p, buf.Bytes()); err != nil {
+	if err := f.Append(p, buf); err != nil {
 		return err
 	}
 	if err := f.Sync(p); err != nil {
@@ -180,31 +220,8 @@ func (db *DB) loadManifest(p *sim.Proc) (bool, error) {
 	if err := f.ReadAt(p, data, 0); err != nil {
 		return false, err
 	}
-	var state manifestState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&state); err != nil {
-		return false, fmt.Errorf("rocks: manifest decode: %w", err)
-	}
-	db.nextFileNum = state.NextFileNum
-	db.seq = state.LastSeq
-	db.levels = newLevels(db.opts.Levels)
-	for i, fs := range state.Levels {
-		if i >= db.opts.Levels {
-			break
-		}
-		for _, mt := range fs {
-			h := &tableHandle{meta: tableMeta{
-				fileNum:  mt.FileNum,
-				size:     mt.Size,
-				entries:  mt.Entries,
-				smallest: mt.Smallest,
-				largest:  mt.Largest,
-			}}
-			if i == 0 {
-				db.levels.files[0] = append(db.levels.files[0], h)
-			} else {
-				db.levels.addSorted(i, h)
-			}
-		}
+	if err := db.decodeManifest(data); err != nil {
+		return false, err
 	}
 	return true, nil
 }

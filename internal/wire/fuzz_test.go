@@ -27,7 +27,7 @@ func copyingDecodeResponse(h Header, payload []byte) (*Response, error) {
 // bit-flipped frames must surface as errors, never crash a server or client.
 // A frame that decodes must decode to the same struct as views into the pooled
 // body and as a copying decode, must parse the same from memory (ParseFrame),
-// and must re-encode to an equivalent frame (round-trip closure), so the
+// and must re-encode to exactly its payload (the codec is canonical), so the
 // fuzzer also guards codec asymmetries.
 func FuzzFrameDecode(f *testing.F) {
 	// Seed with valid frames of both kinds...
@@ -53,6 +53,9 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte{0x4B, 0x43})
 	f.Add([]byte{})
+	// An overlong uvarint: the keyspace name's length 0 written as 0x80 0x00.
+	overlong := append([]byte{0x80}, EncodeRequest(&Request{Op: OpGet})...)
+	f.Add(AppendFrameFull(nil, KindRequest, OpGet, 0, 5, TraceContext{}, 0, overlong))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, payload, err := ReadFrame(bytes.NewReader(data))
@@ -91,6 +94,9 @@ func FuzzFrameDecode(f *testing.F) {
 			if rerr != nil {
 				t.Fatalf("re-encoded request frame rejected: %v", rerr)
 			}
+			if !bytes.Equal(p2, ppayload) {
+				t.Fatalf("request payload %x re-encodes to %x", ppayload, p2)
+			}
 			req2, derr2 := DecodeRequest(h2, p2)
 			if derr2 != nil {
 				t.Fatalf("re-encoded request payload rejected: %v", derr2)
@@ -118,6 +124,9 @@ func FuzzFrameDecode(f *testing.F) {
 			h2, p2, rerr := ReadFrame(bytes.NewReader(re))
 			if rerr != nil {
 				t.Fatalf("re-encoded response frame rejected: %v", rerr)
+			}
+			if !bytes.Equal(p2, ppayload) {
+				t.Fatalf("response payload %x re-encodes to %x", ppayload, p2)
 			}
 			resp2, derr2 := DecodeResponse(h2, p2)
 			if derr2 != nil {

@@ -5,217 +5,104 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
+	"kvcsd/internal/codec"
 	"kvcsd/internal/compaction"
 	"kvcsd/internal/nvme"
 	"kvcsd/internal/sim"
 )
 
-// Payload encoding: a flat field sequence per message type. Variable-length
-// byte strings and lists are uvarint-length-prefixed; integers are uvarint
-// (values) or fixed little-endian 64-bit (counters that can be negative are
-// zig-zag varints). Every decode path is bounds-checked: malformed input
-// yields ErrDecode, never a panic — the frame-decoder fuzz target holds the
-// package to that.
+// Payload encoding: a flat field sequence per message type, written and read
+// with internal/codec. Variable-length byte strings and lists are
+// uvarint-length-prefixed; integers are uvarint (values) or zig-zag varints
+// (counters that can be negative). Decoding follows codec's rules, so
+// malformed input yields ErrDecode, never a panic, and an accepted payload
+// re-encodes to itself — the frame-decoder fuzz target holds the package to
+// both.
 
 // ErrDecode reports a structurally invalid payload.
 var ErrDecode = errors.New("wire: malformed payload")
 
-// --- encoder ---------------------------------------------------------------
-
-type encoder struct{ b []byte }
-
-func (e *encoder) u8(v uint8) { e.b = append(e.b, v) }
-func (e *encoder) uvarint(v uint64) {
-	e.b = binary.AppendUvarint(e.b, v)
-}
-func (e *encoder) varint(v int64) {
-	e.b = binary.AppendVarint(e.b, v)
-}
-func (e *encoder) boolean(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-func (e *encoder) bytes(v []byte) {
-	e.uvarint(uint64(len(v)))
-	e.b = append(e.b, v...)
-}
-func (e *encoder) str(v string) {
-	e.uvarint(uint64(len(v)))
-	e.b = append(e.b, v...)
-}
-
-// --- decoder ---------------------------------------------------------------
-
 // decoder walks one payload. Byte fields it returns are views into the
 // payload, not copies (see "Who owns a frame buffer" in frame.go).
 type decoder struct {
-	b   []byte
-	err error
+	codec.Decoder
 	// viewed is set once a non-empty byte view has been handed out: the
 	// decoded struct then keeps the payload's backing store alive.
 	viewed bool
 }
 
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = ErrDecode
-	}
-}
-
-func (d *decoder) u8() uint8 {
-	if d.err != nil || len(d.b) < 1 {
-		d.fail()
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *decoder) boolean() bool { return d.u8() != 0 }
-
 func (d *decoder) bytes() []byte {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
+	v := d.Bytes()
+	if v != nil {
+		d.viewed = true
 	}
-	if n > uint64(len(d.b)) {
-		d.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	v := d.b[:n:n]
-	d.b = d.b[n:]
-	d.viewed = true
 	return v
 }
 
-func (d *decoder) str() string { return d.strLike("") }
+func (d *decoder) str() string { return string(d.Bytes()) }
 
 // strLike reads a string, returning prev itself when the bytes spell it —
 // strings are copies, and a caller that decodes the same name again and
 // again (a keyspace) passes the last one to save the allocation.
 func (d *decoder) strLike(prev string) string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
+	if v := d.Bytes(); string(v) != prev {
+		return string(v)
 	}
-	if n > uint64(len(d.b)) {
-		d.fail()
-		return ""
-	}
-	v := prev
-	if string(d.b[:n]) != prev {
-		v = string(d.b[:n])
-	}
-	d.b = d.b[n:]
-	return v
+	return prev
 }
 
-// count reads a list length and rejects lengths that could not possibly fit
-// in the remaining payload (each element needs at least min bytes), bounding
-// allocations on corrupt input.
-func (d *decoder) count(min int) int {
-	n := d.uvarint()
-	if d.err != nil {
-		return 0
-	}
-	if min < 1 {
-		min = 1
-	}
-	if n > uint64(len(d.b)/min)+1 {
-		d.fail()
-		return 0
-	}
-	return int(n)
-}
+func (d *decoder) u32() uint32 { return uint32(d.Uint(math.MaxUint32)) }
 
 func (d *decoder) done() error {
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrDecode, len(d.b))
+	if err := d.Done(); err != nil {
+		return fmt.Errorf("%w: %v", ErrDecode, err)
 	}
 	return nil
 }
 
 // --- pairs -----------------------------------------------------------------
 
-func encodePairs(e *encoder, pairs []nvme.KVPair) {
-	e.uvarint(uint64(len(pairs)))
+func appendPairs(b []byte, pairs []nvme.KVPair) []byte {
+	b = binary.AppendUvarint(b, uint64(len(pairs)))
 	for _, p := range pairs {
-		e.bytes(p.Key)
-		e.bytes(p.Value)
-		e.boolean(p.Tombstone)
+		b = codec.AppendBytes(b, p.Key)
+		b = codec.AppendBytes(b, p.Value)
+		b = codec.AppendBool(b, p.Tombstone)
 	}
+	return b
 }
 
 // decodePairs appends the decoded pairs to scratch[:0] (nil allocates).
 func decodePairs(d *decoder, scratch []nvme.KVPair) []nvme.KVPair {
-	n := d.count(3)
-	if d.err != nil || n == 0 {
+	n := d.Count(3)
+	if n == 0 {
 		return nil
 	}
 	pairs := scratch[:0]
 	if cap(pairs) < n {
 		pairs = make([]nvme.KVPair, 0, n)
 	}
-	for i := 0; i < n; i++ {
-		p := nvme.KVPair{Key: d.bytes(), Value: d.bytes(), Tombstone: d.boolean()}
-		if d.err != nil {
-			return nil
-		}
-		pairs = append(pairs, p)
+	for range n {
+		pairs = append(pairs, nvme.KVPair{Key: d.bytes(), Value: d.bytes(), Tombstone: d.Bool()})
 	}
 	return pairs
 }
 
-func encodeIndexSpec(e *encoder, s IndexSpec) {
-	e.str(s.Name)
-	e.uvarint(uint64(s.Offset))
-	e.uvarint(uint64(s.Length))
-	e.u8(s.Type)
+func appendIndexSpec(b []byte, s IndexSpec) []byte {
+	b = codec.AppendBytes(b, s.Name)
+	b = binary.AppendUvarint(b, uint64(s.Offset))
+	b = binary.AppendUvarint(b, uint64(s.Length))
+	return append(b, s.Type)
 }
 
 func decodeIndexSpec(d *decoder) IndexSpec {
 	return IndexSpec{
 		Name:   d.str(),
-		Offset: uint32(d.uvarint()),
-		Length: uint32(d.uvarint()),
-		Type:   d.u8(),
+		Offset: d.u32(),
+		Length: d.u32(),
+		Type:   d.U8(),
 	}
 }
 
@@ -223,11 +110,7 @@ func decodeIndexSpec(d *decoder) IndexSpec {
 
 // EncodeRequest serializes a request payload alone (everything but the frame
 // header, which carries ID and Op). AppendRequestFrame builds whole frames.
-func EncodeRequest(r *Request) []byte {
-	var e encoder
-	encodeRequest(&e, r)
-	return e.b
-}
+func EncodeRequest(r *Request) []byte { return appendRequest(nil, r) }
 
 // AppendRequestFrame appends r as one complete frame to dst — the payload is
 // encoded in place behind the reserved header, carrying the request's trace
@@ -235,44 +118,44 @@ func EncodeRequest(r *Request) []byte {
 // A payload over MaxPayload leaves dst as it was.
 func AppendRequestFrame(dst []byte, r *Request) ([]byte, error) {
 	off := len(dst)
-	e := encoder{b: beginFrame(dst)}
-	encodeRequest(&e, r)
-	if len(e.b)-off-HeaderSize > MaxPayload {
+	b := appendRequest(beginFrame(dst), r)
+	if len(b)-off-HeaderSize > MaxPayload {
 		return dst, ErrFrameTooLarge
 	}
-	return finishFrame(e.b, off, KindRequest, r.Op, laneFlags(r.Lane), r.ID, r.Trace, r.Session), nil
+	return finishFrame(b, off, KindRequest, r.Op, laneFlags(r.Lane), r.ID, r.Trace, r.Session), nil
 }
 
-func encodeRequest(e *encoder, r *Request) {
-	e.str(r.Keyspace)
-	e.bytes(r.Key)
-	e.bytes(r.Value)
-	e.bytes(r.Low)
-	e.bytes(r.High)
-	encodePairs(e, r.Pairs)
-	encodeIndexSpec(e, r.Index)
-	e.uvarint(uint64(len(r.Indexes)))
+func appendRequest(b []byte, r *Request) []byte {
+	b = codec.AppendBytes(b, r.Keyspace)
+	b = codec.AppendBytes(b, r.Key)
+	b = codec.AppendBytes(b, r.Value)
+	b = codec.AppendBytes(b, r.Low)
+	b = codec.AppendBytes(b, r.High)
+	b = appendPairs(b, r.Pairs)
+	b = appendIndexSpec(b, r.Index)
+	b = binary.AppendUvarint(b, uint64(len(r.Indexes)))
 	for _, ix := range r.Indexes {
-		encodeIndexSpec(e, ix)
+		b = appendIndexSpec(b, ix)
 	}
-	e.uvarint(uint64(r.Limit))
-	e.uvarint(uint64(r.Parts))
-	e.uvarint(uint64(r.Device))
-	e.boolean(r.Replica != nil)
+	b = binary.AppendUvarint(b, uint64(r.Limit))
+	b = binary.AppendUvarint(b, uint64(r.Parts))
+	b = binary.AppendUvarint(b, uint64(r.Device))
+	b = codec.AppendBool(b, r.Replica != nil)
 	if r.Replica != nil {
-		encodeReplicaMsg(e, r.Replica)
+		b = appendReplicaMsg(b, r.Replica)
 	}
-	e.boolean(r.Hello != nil)
+	b = codec.AppendBool(b, r.Hello != nil)
 	if r.Hello != nil {
-		encodeHelloMsg(e, r.Hello)
+		b = appendHelloMsg(b, r.Hello)
 	}
-	e.boolean(r.Extent != nil)
+	b = codec.AppendBool(b, r.Extent != nil)
 	if r.Extent != nil {
-		e.u8(r.Extent.Kind)
-		e.str(r.Extent.Index)
-		e.varint(r.Extent.Granule)
-		e.uvarint(uint64(r.Extent.Bits))
+		b = append(b, r.Extent.Kind)
+		b = codec.AppendBytes(b, r.Extent.Index)
+		b = binary.AppendVarint(b, r.Extent.Granule)
+		b = binary.AppendUvarint(b, uint64(r.Extent.Bits))
 	}
+	return b
 }
 
 // DecodeRequest parses a request payload for the given frame header. Byte
@@ -297,7 +180,7 @@ func decodeRequest(h Header, payload []byte, sc *DecodeScratch) (*Request, error
 	if !h.Op.Valid() {
 		return nil, fmt.Errorf("%w: opcode %d", ErrDecode, uint8(h.Op))
 	}
-	d := decoder{b: payload}
+	d := decoder{Decoder: codec.NewDecoder(payload)}
 	var r *Request
 	var lastKeyspace string
 	var pairScratch []nvme.KVPair
@@ -324,29 +207,28 @@ func decodeRequest(h Header, payload []byte, sc *DecodeScratch) (*Request, error
 		}
 	}
 	r.Index = decodeIndexSpec(&d)
-	n := d.count(4)
-	for i := 0; i < n && d.err == nil; i++ {
+	for range d.Count(4) {
 		r.Indexes = append(r.Indexes, decodeIndexSpec(&d))
 	}
-	r.Limit = uint32(d.uvarint())
-	r.Parts = uint32(d.uvarint())
-	r.Device = uint32(d.uvarint())
-	if d.boolean() {
+	r.Limit = d.u32()
+	r.Parts = d.u32()
+	r.Device = d.u32()
+	if d.Bool() {
 		if sc != nil {
 			r.Replica = decodeReplicaMsg(&d, &sc.msg)
 		} else {
 			r.Replica = decodeReplicaMsg(&d, new(ReplicaMsg))
 		}
 	}
-	if d.boolean() {
+	if d.Bool() {
 		r.Hello = decodeHelloMsg(&d)
 	}
-	if d.boolean() {
+	if d.Bool() {
 		r.Extent = &ExtentAddr{
-			Kind:    d.u8(),
+			Kind:    d.U8(),
 			Index:   d.str(),
-			Granule: d.varint(),
-			Bits:    uint32(d.uvarint()),
+			Granule: d.Varint(),
+			Bits:    d.u32(),
 		}
 	}
 	if err := d.done(); err != nil {
@@ -367,202 +249,193 @@ func (r *Request) Release() {
 
 // --- response --------------------------------------------------------------
 
-func encodeInfo(e *encoder, info *nvme.KeyspaceInfo) {
-	e.str(info.Name)
-	e.str(info.State)
-	e.varint(info.Pairs)
-	e.varint(info.Bytes)
-	e.bytes(info.MinKey)
-	e.bytes(info.MaxKey)
-	e.uvarint(uint64(len(info.Secondary)))
+func appendInfo(b []byte, info *nvme.KeyspaceInfo) []byte {
+	b = codec.AppendBytes(b, info.Name)
+	b = codec.AppendBytes(b, info.State)
+	b = binary.AppendVarint(b, info.Pairs)
+	b = binary.AppendVarint(b, info.Bytes)
+	b = codec.AppendBytes(b, info.MinKey)
+	b = codec.AppendBytes(b, info.MaxKey)
+	b = binary.AppendUvarint(b, uint64(len(info.Secondary)))
 	for _, s := range info.Secondary {
-		e.str(s)
+		b = codec.AppendBytes(b, s)
 	}
-	e.uvarint(uint64(info.ZoneCount))
-	e.varint(int64(info.CompactDur))
+	b = binary.AppendUvarint(b, uint64(info.ZoneCount))
+	return binary.AppendVarint(b, int64(info.CompactDur))
 }
 
 func decodeInfo(d *decoder) nvme.KeyspaceInfo {
 	var info nvme.KeyspaceInfo
 	info.Name = d.str()
 	info.State = d.str()
-	info.Pairs = d.varint()
-	info.Bytes = d.varint()
+	info.Pairs = d.Varint()
+	info.Bytes = d.Varint()
 	info.MinKey = d.bytes()
 	info.MaxKey = d.bytes()
-	n := d.count(1)
-	for i := 0; i < n && d.err == nil; i++ {
+	for range d.Count(1) {
 		info.Secondary = append(info.Secondary, d.str())
 	}
-	info.ZoneCount = int(d.uvarint())
-	info.CompactDur = sim.Time(d.varint())
+	info.ZoneCount = int(d.Uvarint())
+	info.CompactDur = sim.Time(d.Varint())
 	return info
 }
 
-func encodeStats(e *encoder, s *StatsReport) {
-	e.uvarint(uint64(s.Devices))
-	e.varint(s.Commands)
-	e.varint(s.MediaRead)
-	e.varint(s.MediaWrite)
-	e.varint(s.HostToDevice)
-	e.varint(s.DeviceToHost)
-	e.varint(s.AppWrite)
-	e.varint(s.VirtualNanos)
-	e.uvarint(uint64(len(s.Health)))
+func appendStats(b []byte, s *StatsReport) []byte {
+	b = binary.AppendUvarint(b, uint64(s.Devices))
+	b = binary.AppendVarint(b, s.Commands)
+	b = binary.AppendVarint(b, s.MediaRead)
+	b = binary.AppendVarint(b, s.MediaWrite)
+	b = binary.AppendVarint(b, s.HostToDevice)
+	b = binary.AppendVarint(b, s.DeviceToHost)
+	b = binary.AppendVarint(b, s.AppWrite)
+	b = binary.AppendVarint(b, s.VirtualNanos)
+	b = binary.AppendUvarint(b, uint64(len(s.Health)))
 	for _, h := range s.Health {
-		e.uvarint(uint64(h.ID))
-		e.boolean(h.Down)
-		e.uvarint(uint64(h.Failures))
+		b = binary.AppendUvarint(b, uint64(h.ID))
+		b = codec.AppendBool(b, h.Down)
+		b = binary.AppendUvarint(b, uint64(h.Failures))
 	}
-	e.boolean(s.RPC != nil)
+	b = codec.AppendBool(b, s.RPC != nil)
 	if s.RPC != nil {
-		encodeRPC(e, s.RPC)
+		b = appendRPC(b, s.RPC)
 	}
-	encodeRing(e, s.Ring)
-	encodeTenants(e, s.Tenants)
-	encodeCompactions(e, s.Compactions)
+	b = appendRing(b, s.Ring)
+	b = appendTenants(b, s.Tenants)
+	return appendCompactions(b, s.Compactions)
 }
 
-func encodeCompactions(e *encoder, cs []CompactionProgress) {
-	e.uvarint(uint64(len(cs)))
+func appendCompactions(b []byte, cs []CompactionProgress) []byte {
+	b = binary.AppendUvarint(b, uint64(len(cs)))
 	for _, c := range cs {
-		e.str(c.Keyspace)
-		e.bytes(compaction.EncodeProgress(c.Progress))
+		b = codec.AppendBytes(b, c.Keyspace)
+		b = codec.AppendBytes(b, compaction.EncodeProgress(c.Progress))
 	}
+	return b
 }
 
 func decodeCompactions(d *decoder) []CompactionProgress {
-	n := d.count(2)
 	var cs []CompactionProgress
-	for i := 0; i < n && d.err == nil; i++ {
+	for range d.Count(9) {
 		name := d.str()
-		pr, err := compaction.DecodeProgress(d.bytes())
-		if err != nil {
-			d.fail()
-			return nil
-		}
-		cs = append(cs, CompactionProgress{Keyspace: name, Progress: pr})
+		cs = append(cs, CompactionProgress{Keyspace: name, Progress: decodeProgress(d)})
 	}
 	return cs
 }
 
-func encodeRPC(e *encoder, r *RPCReport) {
-	e.uvarint(uint64(len(r.Ops)))
-	for _, o := range r.Ops {
-		e.u8(uint8(o.Op))
-		e.varint(o.Count)
-		e.varint(o.Errs)
-		e.varint(o.DecodeNs)
-		e.varint(o.QueueNs)
-		e.varint(o.ServiceNs)
-		e.varint(o.VirtualNs)
-		e.varint(o.WriteNs)
+// decodeProgress reads a length-prefixed compaction.Progress.
+func decodeProgress(d *decoder) compaction.Progress {
+	pr, err := compaction.DecodeProgress(d.bytes())
+	if err != nil {
+		d.Fail(err)
 	}
-	e.varint(r.Accepted)
-	e.varint(r.Shed)
-	e.varint(r.Refused)
-	e.varint(r.BadFrames)
-	e.varint(r.Coalesced)
-	e.varint(r.Batches)
-	e.varint(r.SlowOps)
+	return pr
+}
+
+func appendRPC(b []byte, r *RPCReport) []byte {
+	b = binary.AppendUvarint(b, uint64(len(r.Ops)))
+	for _, o := range r.Ops {
+		b = append(b, uint8(o.Op))
+		b = binary.AppendVarint(b, o.Count)
+		b = binary.AppendVarint(b, o.Errs)
+		b = binary.AppendVarint(b, o.DecodeNs)
+		b = binary.AppendVarint(b, o.QueueNs)
+		b = binary.AppendVarint(b, o.ServiceNs)
+		b = binary.AppendVarint(b, o.VirtualNs)
+		b = binary.AppendVarint(b, o.WriteNs)
+	}
+	b = binary.AppendVarint(b, r.Accepted)
+	b = binary.AppendVarint(b, r.Shed)
+	b = binary.AppendVarint(b, r.Refused)
+	b = binary.AppendVarint(b, r.BadFrames)
+	b = binary.AppendVarint(b, r.Coalesced)
+	b = binary.AppendVarint(b, r.Batches)
+	return binary.AppendVarint(b, r.SlowOps)
 }
 
 func decodeRPC(d *decoder) *RPCReport {
 	r := &RPCReport{}
-	n := d.count(8)
-	for i := 0; i < n && d.err == nil; i++ {
+	for range d.Count(8) {
 		r.Ops = append(r.Ops, RPCOpStats{
-			Op:        Op(d.u8()),
-			Count:     d.varint(),
-			Errs:      d.varint(),
-			DecodeNs:  d.varint(),
-			QueueNs:   d.varint(),
-			ServiceNs: d.varint(),
-			VirtualNs: d.varint(),
-			WriteNs:   d.varint(),
+			Op:        Op(d.U8()),
+			Count:     d.Varint(),
+			Errs:      d.Varint(),
+			DecodeNs:  d.Varint(),
+			QueueNs:   d.Varint(),
+			ServiceNs: d.Varint(),
+			VirtualNs: d.Varint(),
+			WriteNs:   d.Varint(),
 		})
 	}
-	r.Accepted = d.varint()
-	r.Shed = d.varint()
-	r.Refused = d.varint()
-	r.BadFrames = d.varint()
-	r.Coalesced = d.varint()
-	r.Batches = d.varint()
-	r.SlowOps = d.varint()
-	if d.err != nil {
-		return nil
-	}
+	r.Accepted = d.Varint()
+	r.Shed = d.Varint()
+	r.Refused = d.Varint()
+	r.BadFrames = d.Varint()
+	r.Coalesced = d.Varint()
+	r.Batches = d.Varint()
+	r.SlowOps = d.Varint()
 	return r
 }
 
 func decodeStats(d *decoder) *StatsReport {
 	s := &StatsReport{
-		Devices:      uint32(d.uvarint()),
-		Commands:     d.varint(),
-		MediaRead:    d.varint(),
-		MediaWrite:   d.varint(),
-		HostToDevice: d.varint(),
-		DeviceToHost: d.varint(),
-		AppWrite:     d.varint(),
-		VirtualNanos: d.varint(),
+		Devices:      d.u32(),
+		Commands:     d.Varint(),
+		MediaRead:    d.Varint(),
+		MediaWrite:   d.Varint(),
+		HostToDevice: d.Varint(),
+		DeviceToHost: d.Varint(),
+		AppWrite:     d.Varint(),
+		VirtualNanos: d.Varint(),
 	}
-	n := d.count(3)
-	for i := 0; i < n && d.err == nil; i++ {
+	for range d.Count(3) {
 		s.Health = append(s.Health, DeviceHealth{
-			ID:       uint32(d.uvarint()),
-			Down:     d.boolean(),
-			Failures: uint32(d.uvarint()),
+			ID:       d.u32(),
+			Down:     d.Bool(),
+			Failures: d.u32(),
 		})
 	}
-	if d.boolean() {
+	if d.Bool() {
 		s.RPC = decodeRPC(d)
 	}
 	s.Ring = decodeRing(d)
 	s.Tenants = decodeTenants(d)
 	s.Compactions = decodeCompactions(d)
-	if d.err != nil {
-		return nil
-	}
 	return s
 }
 
 // EncodeResponse serializes a response payload alone; AppendResponseFrames
 // builds whole frames.
-func EncodeResponse(r *Response) []byte {
-	var e encoder
-	encodeResponse(&e, r)
-	return e.b
-}
+func EncodeResponse(r *Response) []byte { return appendResponse(nil, r) }
 
-func encodeResponse(e *encoder, r *Response) {
-	e.u8(uint8(r.Status))
-	e.str(r.Err)
-	e.bytes(r.Value)
-	e.boolean(r.Exists)
-	e.boolean(r.Done)
-	encodePairs(e, r.Pairs)
-	e.boolean(r.HasInfo)
+func appendResponse(b []byte, r *Response) []byte {
+	b = append(b, uint8(r.Status))
+	b = codec.AppendBytes(b, r.Err)
+	b = codec.AppendBytes(b, r.Value)
+	b = codec.AppendBool(b, r.Exists)
+	b = codec.AppendBool(b, r.Done)
+	b = appendPairs(b, r.Pairs)
+	b = codec.AppendBool(b, r.HasInfo)
 	if r.HasInfo {
-		encodeInfo(e, &r.Info)
+		b = appendInfo(b, &r.Info)
 	}
-	e.boolean(r.Stats != nil)
+	b = codec.AppendBool(b, r.Stats != nil)
 	if r.Stats != nil {
-		encodeStats(e, r.Stats)
+		b = appendStats(b, r.Stats)
 	}
-	e.str(r.Report)
-	e.boolean(r.Replica != nil)
+	b = codec.AppendBytes(b, r.Report)
+	b = codec.AppendBool(b, r.Replica != nil)
 	if r.Replica != nil {
-		encodeReplicaReply(e, r.Replica)
+		b = appendReplicaReply(b, r.Replica)
 	}
-	e.boolean(r.Hello != nil)
+	b = codec.AppendBool(b, r.Hello != nil)
 	if r.Hello != nil {
-		encodeHelloReply(e, r.Hello)
+		b = appendHelloReply(b, r.Hello)
 	}
-	e.boolean(r.Progress != nil)
+	b = codec.AppendBool(b, r.Progress != nil)
 	if r.Progress != nil {
-		e.bytes(compaction.EncodeProgress(*r.Progress))
+		b = codec.AppendBytes(b, compaction.EncodeProgress(*r.Progress))
 	}
-	e.varint(r.Moved)
+	return binary.AppendVarint(b, r.Moved)
 }
 
 // DecodeResponse parses a response payload for the given frame header. Byte
@@ -584,7 +457,7 @@ func DecodeResponse(h Header, payload []byte) (*Response, error) {
 // else into a new one.
 func decodeResponse(h Header, payload []byte, sc *DecodeScratch) (*Response, error) {
 	fb := h.body
-	d := decoder{b: payload}
+	d := decoder{Decoder: codec.NewDecoder(payload)}
 	var r *Response
 	switch {
 	case fb != nil:
@@ -596,40 +469,36 @@ func decodeResponse(h Header, payload []byte, sc *DecodeScratch) (*Response, err
 	}
 	*r = Response{ID: h.ID, Op: h.Op, Trace: h.Trace,
 		Session: h.Session, More: h.Flags&FlagMore != 0, body: fb}
-	r.Status = Status(d.u8())
+	r.Status = Status(d.U8())
 	r.Err = d.str()
 	r.Value = d.bytes()
-	r.Exists = d.boolean()
-	r.Done = d.boolean()
+	r.Exists = d.Bool()
+	r.Done = d.Bool()
 	// The pairs slice goes to the caller with the result: never scratch.
 	r.Pairs = decodePairs(&d, nil)
-	r.HasInfo = d.boolean()
-	if d.err == nil && r.HasInfo {
+	r.HasInfo = d.Bool()
+	if r.HasInfo {
 		r.Info = decodeInfo(&d)
 	}
-	if d.boolean() {
+	if d.Bool() {
 		r.Stats = decodeStats(&d)
 	}
 	r.Report = d.str()
-	if d.boolean() {
+	if d.Bool() {
 		if sc != nil {
 			r.Replica = decodeReplicaReply(&d, &sc.reply)
 		} else {
 			r.Replica = decodeReplicaReply(&d, new(ReplicaReply))
 		}
 	}
-	if d.boolean() {
+	if d.Bool() {
 		r.Hello = decodeHelloReply(&d)
 	}
-	if d.boolean() {
-		pr, err := compaction.DecodeProgress(d.bytes())
-		if err != nil {
-			d.fail()
-		} else {
-			r.Progress = &pr
-		}
+	if d.Bool() {
+		pr := decodeProgress(&d)
+		r.Progress = &pr
 	}
-	r.Moved = d.varint()
+	r.Moved = d.Varint()
 	if err := d.done(); err != nil {
 		return nil, err
 	}
@@ -676,9 +545,8 @@ func WriteRequest(w io.Writer, r *Request) error {
 // The header fields come from hdr, which a streamed chunk does not repeat.
 func appendResponseFrame(dst []byte, hdr, r *Response, flags uint8) []byte {
 	off := len(dst)
-	e := encoder{b: beginFrame(dst)}
-	encodeResponse(&e, r)
-	return finishFrame(e.b, off, KindResponse, hdr.Op, flags, hdr.ID, hdr.Trace, hdr.Session)
+	b := appendResponse(beginFrame(dst), r)
+	return finishFrame(b, off, KindResponse, hdr.Op, flags, hdr.ID, hdr.Trace, hdr.Session)
 }
 
 // AppendResponseFrames appends the frames of r to dst and returns the

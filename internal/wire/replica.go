@@ -1,5 +1,13 @@
 package wire
 
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+
+	"kvcsd/internal/codec"
+)
+
 // Consensus message bodies. The replica groups (internal/replica) speak
 // Raft-style RPCs — RequestVote, AppendEntries, and a snapshot-streaming
 // Migrate verb — and every one of them travels as an ordinary wire frame:
@@ -124,63 +132,72 @@ func (s *DecodeScratch) DecodeResponse(h Header, payload []byte) (*Response, err
 
 // --- codecs -----------------------------------------------------------------
 
-func encodeReplicaEntry(e *encoder, en *ReplicaEntry) {
-	e.uvarint(en.Term)
-	e.uvarint(en.Index)
-	e.u8(en.Kind)
-	e.uvarint(en.Client)
-	e.uvarint(en.Seq)
-	e.bytes(en.Key)
-	e.bytes(en.Value)
-	e.uvarint(uint64(len(en.Members)))
-	for _, m := range en.Members {
-		e.uvarint(uint64(m))
-	}
-	e.uvarint(en.Epoch)
+func appendReplicaEntry(b []byte, en *ReplicaEntry) []byte {
+	b = binary.AppendUvarint(b, en.Term)
+	b = binary.AppendUvarint(b, en.Index)
+	b = append(b, en.Kind)
+	b = binary.AppendUvarint(b, en.Client)
+	b = binary.AppendUvarint(b, en.Seq)
+	b = codec.AppendBytes(b, en.Key)
+	b = codec.AppendBytes(b, en.Value)
+	b = appendMembers(b, en.Members)
+	return binary.AppendUvarint(b, en.Epoch)
 }
 
 func decodeReplicaEntry(d *decoder) ReplicaEntry {
-	en := ReplicaEntry{
-		Term:   d.uvarint(),
-		Index:  d.uvarint(),
-		Kind:   d.u8(),
-		Client: d.uvarint(),
-		Seq:    d.uvarint(),
-		Key:    d.bytes(),
-		Value:  d.bytes(),
+	return ReplicaEntry{
+		Term:    d.Uvarint(),
+		Index:   d.Uvarint(),
+		Kind:    d.U8(),
+		Client:  d.Uvarint(),
+		Seq:     d.Uvarint(),
+		Key:     d.bytes(),
+		Value:   d.bytes(),
+		Members: decodeMembers(d),
+		Epoch:   d.Uvarint(),
 	}
-	n := d.count(1)
-	for i := 0; i < n && d.err == nil; i++ {
-		en.Members = append(en.Members, uint32(d.uvarint()))
-	}
-	en.Epoch = d.uvarint()
-	return en
 }
 
-func encodeReplicaMsg(e *encoder, m *ReplicaMsg) {
-	e.uvarint(uint64(m.Shard))
-	e.uvarint(uint64(m.From))
-	e.uvarint(m.Term)
-	e.uvarint(m.LastLogIndex)
-	e.uvarint(m.LastLogTerm)
-	e.uvarint(m.PrevIndex)
-	e.uvarint(m.PrevTerm)
-	e.uvarint(m.Commit)
-	e.uvarint(m.Round)
-	e.uvarint(uint64(len(m.Entries)))
+func appendMembers(b []byte, members []uint32) []byte {
+	b = binary.AppendUvarint(b, uint64(len(members)))
+	for _, m := range members {
+		b = binary.AppendUvarint(b, uint64(m))
+	}
+	return b
+}
+
+func decodeMembers(d *decoder) []uint32 {
+	var members []uint32
+	for range d.Count(1) {
+		members = append(members, d.u32())
+	}
+	return members
+}
+
+func appendReplicaMsg(b []byte, m *ReplicaMsg) []byte {
+	b = binary.AppendUvarint(b, uint64(m.Shard))
+	b = binary.AppendUvarint(b, uint64(m.From))
+	b = binary.AppendUvarint(b, m.Term)
+	b = binary.AppendUvarint(b, m.LastLogIndex)
+	b = binary.AppendUvarint(b, m.LastLogTerm)
+	b = binary.AppendUvarint(b, m.PrevIndex)
+	b = binary.AppendUvarint(b, m.PrevTerm)
+	b = binary.AppendUvarint(b, m.Commit)
+	b = binary.AppendUvarint(b, m.Round)
+	b = binary.AppendUvarint(b, uint64(len(m.Entries)))
 	for i := range m.Entries {
-		encodeReplicaEntry(e, &m.Entries[i])
+		b = appendReplicaEntry(b, &m.Entries[i])
 	}
-	e.uvarint(m.SnapIndex)
-	e.uvarint(m.SnapTerm)
-	e.uvarint(m.Epoch)
-	e.boolean(m.Done)
-	e.uvarint(uint64(len(m.Sessions)))
+	b = binary.AppendUvarint(b, m.SnapIndex)
+	b = binary.AppendUvarint(b, m.SnapTerm)
+	b = binary.AppendUvarint(b, m.Epoch)
+	b = codec.AppendBool(b, m.Done)
+	b = binary.AppendUvarint(b, uint64(len(m.Sessions)))
 	for _, s := range m.Sessions {
-		e.uvarint(s.Client)
-		e.uvarint(s.Seq)
+		b = binary.AppendUvarint(b, s.Client)
+		b = binary.AppendUvarint(b, s.Seq)
 	}
-	e.uvarint(m.Stream)
+	return binary.AppendUvarint(b, m.Stream)
 }
 
 // decodeReplicaMsg decodes into m, reusing the entry and session arrays it
@@ -188,96 +205,84 @@ func encodeReplicaMsg(e *encoder, m *ReplicaMsg) {
 func decodeReplicaMsg(d *decoder, m *ReplicaMsg) *ReplicaMsg {
 	entries, sessions := m.Entries[:0], m.Sessions[:0]
 	*m = ReplicaMsg{
-		Shard:        uint32(d.uvarint()),
-		From:         uint32(d.uvarint()),
-		Term:         d.uvarint(),
-		LastLogIndex: d.uvarint(),
-		LastLogTerm:  d.uvarint(),
-		PrevIndex:    d.uvarint(),
-		PrevTerm:     d.uvarint(),
-		Commit:       d.uvarint(),
-		Round:        d.uvarint(),
+		Shard:        d.u32(),
+		From:         d.u32(),
+		Term:         d.Uvarint(),
+		LastLogIndex: d.Uvarint(),
+		LastLogTerm:  d.Uvarint(),
+		PrevIndex:    d.Uvarint(),
+		PrevTerm:     d.Uvarint(),
+		Commit:       d.Uvarint(),
+		Round:        d.Uvarint(),
 	}
-	n := d.count(8)
-	for i := 0; i < n && d.err == nil; i++ {
+	for range d.Count(9) {
 		entries = append(entries, decodeReplicaEntry(d))
 	}
 	m.Entries = entries
-	m.SnapIndex = d.uvarint()
-	m.SnapTerm = d.uvarint()
-	m.Epoch = d.uvarint()
-	m.Done = d.boolean()
-	n = d.count(2)
-	for i := 0; i < n && d.err == nil; i++ {
-		sessions = append(sessions, ReplicaSession{Client: d.uvarint(), Seq: d.uvarint()})
+	m.SnapIndex = d.Uvarint()
+	m.SnapTerm = d.Uvarint()
+	m.Epoch = d.Uvarint()
+	m.Done = d.Bool()
+	for range d.Count(2) {
+		sessions = append(sessions, ReplicaSession{Client: d.Uvarint(), Seq: d.Uvarint()})
 	}
 	m.Sessions = sessions
-	m.Stream = d.uvarint()
-	if d.err != nil {
-		return nil
-	}
+	m.Stream = d.Uvarint()
 	return m
 }
 
-func encodeReplicaReply(e *encoder, r *ReplicaReply) {
-	e.uvarint(uint64(r.Shard))
-	e.uvarint(uint64(r.From))
-	e.uvarint(r.Term)
-	e.boolean(r.Success)
-	e.uvarint(r.MatchIndex)
-	e.uvarint(r.Round)
+func appendReplicaReply(b []byte, r *ReplicaReply) []byte {
+	b = binary.AppendUvarint(b, uint64(r.Shard))
+	b = binary.AppendUvarint(b, uint64(r.From))
+	b = binary.AppendUvarint(b, r.Term)
+	b = codec.AppendBool(b, r.Success)
+	b = binary.AppendUvarint(b, r.MatchIndex)
+	return binary.AppendUvarint(b, r.Round)
 }
 
 func decodeReplicaReply(d *decoder, r *ReplicaReply) *ReplicaReply {
 	*r = ReplicaReply{
-		Shard:      uint32(d.uvarint()),
-		From:       uint32(d.uvarint()),
-		Term:       d.uvarint(),
-		Success:    d.boolean(),
-		MatchIndex: d.uvarint(),
-		Round:      d.uvarint(),
-	}
-	if d.err != nil {
-		return nil
+		Shard:      d.u32(),
+		From:       d.u32(),
+		Term:       d.Uvarint(),
+		Success:    d.Bool(),
+		MatchIndex: d.Uvarint(),
+		Round:      d.Uvarint(),
 	}
 	return r
 }
 
-func encodeRing(e *encoder, ring []RingEntry) {
-	e.uvarint(uint64(len(ring)))
+func appendRing(b []byte, ring []RingEntry) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ring)))
 	for _, r := range ring {
-		e.str(r.Keyspace)
-		e.uvarint(uint64(r.Shard))
-		e.uvarint(r.Epoch)
-		e.varint(int64(r.Leader))
-		e.uvarint(uint64(len(r.Members)))
-		for _, m := range r.Members {
-			e.uvarint(uint64(m))
-		}
+		b = codec.AppendBytes(b, r.Keyspace)
+		b = binary.AppendUvarint(b, uint64(r.Shard))
+		b = binary.AppendUvarint(b, r.Epoch)
+		b = binary.AppendVarint(b, int64(r.Leader))
+		b = appendMembers(b, r.Members)
 	}
+	return b
 }
 
 func decodeRing(d *decoder) []RingEntry {
-	n := d.count(5)
-	if d.err != nil || n == 0 {
+	n := d.Count(5)
+	if n == 0 {
 		return nil
 	}
 	ring := make([]RingEntry, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
+	for range n {
 		r := RingEntry{
 			Keyspace: d.str(),
-			Shard:    uint32(d.uvarint()),
-			Epoch:    d.uvarint(),
-			Leader:   int32(d.varint()),
+			Shard:    d.u32(),
+			Epoch:    d.Uvarint(),
 		}
-		k := d.count(1)
-		for j := 0; j < k && d.err == nil; j++ {
-			r.Members = append(r.Members, uint32(d.uvarint()))
+		leader := d.Varint()
+		if leader < math.MinInt32 || leader > math.MaxInt32 {
+			d.Fail(fmt.Errorf("ring leader %d out of range", leader))
 		}
+		r.Leader = int32(leader)
+		r.Members = decodeMembers(d)
 		ring = append(ring, r)
-	}
-	if d.err != nil {
-		return nil
 	}
 	return ring
 }

@@ -1,5 +1,11 @@
 package wire
 
+import (
+	"encoding/binary"
+
+	"kvcsd/internal/codec"
+)
+
 // Session handshake bodies (PR 8). A client opens a session by sending
 // OpHello as the first frame on a connection: the request names the tenant
 // the connection bills to, an optional priority class, and an optional resume
@@ -35,40 +41,32 @@ type HelloReply struct {
 	Replayed uint32
 }
 
-func encodeHelloMsg(e *encoder, m *HelloMsg) {
-	e.str(m.Tenant)
-	e.u8(m.Class)
-	e.uvarint(m.Resume)
+func appendHelloMsg(b []byte, m *HelloMsg) []byte {
+	b = codec.AppendBytes(b, m.Tenant)
+	b = append(b, m.Class)
+	return binary.AppendUvarint(b, m.Resume)
 }
 
 func decodeHelloMsg(d *decoder) *HelloMsg {
-	m := &HelloMsg{
+	return &HelloMsg{
 		Tenant: d.str(),
-		Class:  d.u8(),
-		Resume: d.uvarint(),
+		Class:  d.U8(),
+		Resume: d.Uvarint(),
 	}
-	if d.err != nil {
-		return nil
-	}
-	return m
 }
 
-func encodeHelloReply(e *encoder, m *HelloReply) {
-	e.uvarint(m.Token)
-	e.boolean(m.Resumed)
-	e.uvarint(uint64(m.Replayed))
+func appendHelloReply(b []byte, m *HelloReply) []byte {
+	b = binary.AppendUvarint(b, m.Token)
+	b = codec.AppendBool(b, m.Resumed)
+	return binary.AppendUvarint(b, uint64(m.Replayed))
 }
 
 func decodeHelloReply(d *decoder) *HelloReply {
-	m := &HelloReply{
-		Token:    d.uvarint(),
-		Resumed:  d.boolean(),
-		Replayed: uint32(d.uvarint()),
+	return &HelloReply{
+		Token:    d.Uvarint(),
+		Resumed:  d.Bool(),
+		Replayed: d.u32(),
 	}
-	if d.err != nil {
-		return nil
-	}
-	return m
 }
 
 // LaneStats is one tenant's accounting on one service lane.
@@ -95,60 +93,57 @@ type TenantStats struct {
 	Lanes       []LaneStats
 }
 
-func encodeTenants(e *encoder, ts []TenantStats) {
-	e.uvarint(uint64(len(ts)))
+func appendTenants(b []byte, ts []TenantStats) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ts)))
 	for i := range ts {
 		t := &ts[i]
-		e.str(t.Tenant)
-		e.varint(t.Weight)
-		e.varint(t.Sessions)
-		e.varint(t.BacklogBytes)
-		e.varint(t.ShedSession)
-		e.varint(t.ShedTenant)
-		e.varint(t.ShedGlobal)
-		e.varint(t.ShedBacklog)
-		e.uvarint(uint64(len(t.Lanes)))
+		b = codec.AppendBytes(b, t.Tenant)
+		b = binary.AppendVarint(b, t.Weight)
+		b = binary.AppendVarint(b, t.Sessions)
+		b = binary.AppendVarint(b, t.BacklogBytes)
+		b = binary.AppendVarint(b, t.ShedSession)
+		b = binary.AppendVarint(b, t.ShedTenant)
+		b = binary.AppendVarint(b, t.ShedGlobal)
+		b = binary.AppendVarint(b, t.ShedBacklog)
+		b = binary.AppendUvarint(b, uint64(len(t.Lanes)))
 		for _, l := range t.Lanes {
-			e.u8(l.Lane)
-			e.varint(l.Admitted)
-			e.varint(l.Completed)
-			e.varint(l.Shed)
-			e.varint(l.Queued)
+			b = append(b, l.Lane)
+			b = binary.AppendVarint(b, l.Admitted)
+			b = binary.AppendVarint(b, l.Completed)
+			b = binary.AppendVarint(b, l.Shed)
+			b = binary.AppendVarint(b, l.Queued)
 		}
 	}
+	return b
 }
 
 func decodeTenants(d *decoder) []TenantStats {
-	n := d.count(9)
-	if d.err != nil || n == 0 {
+	n := d.Count(9)
+	if n == 0 {
 		return nil
 	}
 	ts := make([]TenantStats, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
+	for range n {
 		t := TenantStats{
 			Tenant:       d.str(),
-			Weight:       d.varint(),
-			Sessions:     d.varint(),
-			BacklogBytes: d.varint(),
-			ShedSession:  d.varint(),
-			ShedTenant:   d.varint(),
-			ShedGlobal:   d.varint(),
-			ShedBacklog:  d.varint(),
+			Weight:       d.Varint(),
+			Sessions:     d.Varint(),
+			BacklogBytes: d.Varint(),
+			ShedSession:  d.Varint(),
+			ShedTenant:   d.Varint(),
+			ShedGlobal:   d.Varint(),
+			ShedBacklog:  d.Varint(),
 		}
-		m := d.count(5)
-		for j := 0; j < m && d.err == nil; j++ {
+		for range d.Count(5) {
 			t.Lanes = append(t.Lanes, LaneStats{
-				Lane:      d.u8(),
-				Admitted:  d.varint(),
-				Completed: d.varint(),
-				Shed:      d.varint(),
-				Queued:    d.varint(),
+				Lane:      d.U8(),
+				Admitted:  d.Varint(),
+				Completed: d.Varint(),
+				Shed:      d.Varint(),
+				Queued:    d.Varint(),
 			})
 		}
 		ts = append(ts, t)
-	}
-	if d.err != nil {
-		return nil
 	}
 	return ts
 }

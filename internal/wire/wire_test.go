@@ -289,3 +289,55 @@ func TestVerbTableGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestListBoundsAcceptSmallestItems encodes every list in a payload with many
+// copies of its smallest legal item and decodes it. A list count may not
+// exceed what the bytes after it can hold at the decoder's minimum item size,
+// so a minimum set above the real one refuses these payloads.
+func TestListBoundsAcceptSmallestItems(t *testing.T) {
+	const n = 256
+	stats := func(s StatsReport) *Response { return &Response{Op: OpStats, Stats: &s} }
+	for _, tc := range []struct {
+		name string
+		req  *Request
+		resp *Response
+	}{
+		{name: "request pairs", req: &Request{Pairs: make([]nvme.KVPair, n)}},
+		{name: "index specs", req: &Request{Indexes: make([]IndexSpec, n)}},
+		{name: "replica entries", req: &Request{Replica: &ReplicaMsg{Entries: make([]ReplicaEntry, n)}}},
+		{name: "replica sessions", req: &Request{Replica: &ReplicaMsg{Sessions: make([]ReplicaSession, n)}}},
+		{name: "entry members", req: &Request{Replica: &ReplicaMsg{Entries: []ReplicaEntry{{Members: make([]uint32, n)}}}}},
+		{name: "response pairs", resp: &Response{Pairs: make([]nvme.KVPair, n)}},
+		{name: "secondaries", resp: &Response{HasInfo: true, Info: nvme.KeyspaceInfo{Secondary: make([]string, n)}}},
+		{name: "health", resp: stats(StatsReport{Health: make([]DeviceHealth, n)})},
+		{name: "rpc ops", resp: stats(StatsReport{RPC: &RPCReport{Ops: make([]RPCOpStats, n)}})},
+		{name: "tenants", resp: stats(StatsReport{Tenants: make([]TenantStats, n)})},
+		{name: "lanes", resp: stats(StatsReport{Tenants: []TenantStats{{Lanes: make([]LaneStats, n)}}})},
+		{name: "compactions", resp: stats(StatsReport{Compactions: make([]CompactionProgress, n)})},
+		{name: "ring", resp: stats(StatsReport{Ring: make([]RingEntry, n)})},
+		{name: "ring members", resp: stats(StatsReport{Ring: []RingEntry{{Members: make([]uint32, n)}}})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var payload, again []byte
+			if tc.req != nil {
+				tc.req.Op = OpPut
+				payload = EncodeRequest(tc.req)
+				r, err := DecodeRequest(Header{Kind: KindRequest, Op: OpPut}, payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				again = EncodeRequest(r)
+			} else {
+				payload = EncodeResponse(tc.resp)
+				r, err := DecodeResponse(Header{Kind: KindResponse, Op: tc.resp.Op}, payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				again = EncodeResponse(r)
+			}
+			if !bytes.Equal(again, payload) {
+				t.Fatal("decoded payload re-encodes differently")
+			}
+		})
+	}
+}
