@@ -180,6 +180,7 @@ func TestCalibrationFig11Fig12Shape(t *testing.T) {
 	}
 	checkGolden(t, s, res.Fig11)
 	checkGolden(t, s, res.Fig12)
+	checkGolden(t, s, res.SoCLedger)
 	// Fig 11: effective write-time speedup (paper: ~10.6x); KV-CSD's
 	// compaction+indexing run in the async device window.
 	eff := float64(res.RocksTotal) / float64(res.KVCSDInsert)

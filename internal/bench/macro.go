@@ -36,6 +36,10 @@ const (
 type MacroResult struct {
 	Fig11 *Table
 	Fig12 *Table
+	// SoCLedger is where the KV-CSD run's SoC core time went, per engine
+	// phase, over the whole run: ingest, the device-side compaction and index
+	// builds, and the Fig 12 queries.
+	SoCLedger *Table
 
 	KVCSDInsert  time.Duration
 	KVCSDCompact time.Duration
@@ -57,6 +61,11 @@ func RunMacro(s Scale) (*MacroResult, error) {
 			Fig: "12", Keys: []string{"selectivity_pct"},
 			Title:  "Figure 12: KV-CSD vs RocksDB secondary index (energy) query time",
 			Header: []string{"selectivity_pct", "matches", "kvcsd_s", "rocksdb_s", "speedup"},
+		},
+		SoCLedger: &Table{
+			Fig: "socledger", Keys: []string{"phase"},
+			Title:  "SoC ledger: KV-CSD SoC core time per engine phase (Figure 11/12 run)",
+			Header: []string{"phase", "soc_ms", "share_pct", "units_per_record"},
 		},
 	}
 
@@ -186,7 +195,33 @@ func runMacroKVCSD(s Scale, ds *vpic.Dataset, out *MacroResult) ([]time.Duration
 		rig.dev.Shutdown()
 		return nil
 	})
+	if err == nil {
+		err = socLedgerRows(out.SoCLedger, rig, int64(ds.TotalParticles()))
+	}
+	out.SoCLedger.VirtualEndNs = out.Fig11.VirtualEndNs
 	return queryTimes, counts, err
+}
+
+// socLedgerRows fills t from the device engine's SoC ledger: core time per
+// phase, its share of the total, and its size in compare units (one
+// CompareCost on the SoC, 40 ns / 0.45) per record loaded. The phases must sum
+// to the SoC's busy time exactly.
+func socLedgerRows(t *Table, rig *kvcsdRig, records int64) error {
+	soc := rig.dev.SoC()
+	busy := soc.BusyNs().Value()
+	unit := float64(soc.Config().CompareCost) / soc.Config().Speed
+	var sum int64
+	for _, ph := range rig.dev.Engine().SoCLedger() {
+		sum += ph.Ns
+		t.Add(ph.Phase, fmt.Sprintf("%.3f", float64(ph.Ns)/1e6), fmt.Sprintf("%.1f", 100*float64(ph.Ns)/float64(busy)),
+			fmt.Sprintf("%.2f", float64(ph.Ns)/unit/float64(records)))
+	}
+	if sum != busy {
+		return fmt.Errorf("soc ledger sums to %d ns, busy %d ns", sum, busy)
+	}
+	t.Add("total", fmt.Sprintf("%.3f", float64(busy)/1e6), "100.0", fmt.Sprintf("%.2f", float64(busy)/unit/float64(records)))
+	t.Notes = append(t.Notes, fmt.Sprintf("%d records loaded; one unit = CompareCost/Speed = %.1f ns; phases sum exactly to engine/soc_busy_ns", records, unit))
+	return nil
 }
 
 func runMacroRocks(s Scale, ds *vpic.Dataset, out *MacroResult) ([]time.Duration, []int, error) {

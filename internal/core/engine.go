@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"time"
 
 	"kvcsd/internal/compaction"
 	"kvcsd/internal/host"
@@ -28,6 +27,7 @@ type Engine struct {
 	cfg Config
 	env *sim.Env
 	soc *host.Host
+	cpu [numSocPhases]host.Meter // the SoC, one meter per ledger phase
 	zm  *ZoneManager
 	mgr *Manager
 	st  *stats.IOStats
@@ -73,6 +73,7 @@ func NewEngine(env *sim.Env, dev *ssd.Device, soc *host.Host, cfg Config, rng *s
 		cfg:           cfg,
 		env:           env,
 		soc:           soc,
+		cpu:           socMeters(soc),
 		zm:            zm,
 		mgr:           NewManager(env, zm, cfg),
 		st:            st,
@@ -101,8 +102,9 @@ func (e *Engine) DRAMGauge() *sim.Gauge { return e.dram }
 
 // SetObs attaches observability: background jobs become root "job" spans and
 // the engine publishes its DRAM and background-job gauges, the SoC's busy
-// core time, the metadata log's frame and byte counts and its index-cache
-// hit/miss counters into reg. Either argument may be nil.
+// core time and its ledger (engine/soc_ns/<phase>, which sum to
+// engine/soc_busy_ns), the metadata log's frame and byte counts and its
+// index-cache hit/miss counters into reg. Either argument may be nil.
 func (e *Engine) SetObs(tr *obs.Tracer, reg *obs.Registry) {
 	e.tr = tr
 	if reg == nil {
@@ -110,6 +112,9 @@ func (e *Engine) SetObs(tr *obs.Tracer, reg *obs.Registry) {
 	}
 	reg.AddGauge("engine/dram", e.dram)
 	reg.AddCounter("engine/soc_busy_ns", e.soc.BusyNs())
+	for ph, m := range e.cpu {
+		reg.AddCounter("engine/soc_ns/"+socPhaseNames[ph], m.Ns())
+	}
 	reg.AddCounter("engine/meta_frames", &e.mgr.metaFrames)
 	reg.AddCounter("engine/meta_bytes", &e.mgr.metaBytes)
 	e.gBgJobs = reg.Gauge("engine/bg_jobs")
@@ -234,7 +239,7 @@ func (e *Engine) collectAssist(p *sim.Proc, job *compaction.Job) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	e.soc.Copy(p, int64(len(merged))) // DMA landing into SoC DRAM
+	e.cpu[phaseAssistLand].Copy(p, int64(len(merged))) // DMA landing into SoC DRAM
 	return merged, nil
 }
 
@@ -444,7 +449,7 @@ func (e *Engine) flushBufferSeparated(p *sim.Proc, ks *Keyspace) error {
 		return nil
 	}
 	// Per-pair engine CPU on the SoC cores, charged in one burst.
-	e.soc.Compute(p, time.Duration(len(ks.buf))*e.soc.Config().KVOpCost)
+	e.cpu[phaseIngest].KVOp(p, int64(len(ks.buf)))
 	e.dram.Add(float64(ks.bufBytes))
 
 	// The values first, then the KLOG frame, through one scratch buffer.

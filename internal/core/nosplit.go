@@ -78,7 +78,7 @@ func (e *Engine) flushBufferCombined(p *sim.Proc, ks *Keyspace) error {
 	if len(ks.buf) == 0 {
 		return nil
 	}
-	e.soc.Compute(p, sim.Duration(len(ks.buf))*e.soc.Config().KVOpCost)
+	e.cpu[phaseIngest].KVOp(p, int64(len(ks.buf)))
 	codec := pairCodec{}
 	buf := append(e.zm.scratch.get(0), logFrameReserve[:]...)
 	for _, pr := range ks.buf {
@@ -107,7 +107,7 @@ func (e *Engine) runCompactionCombined(p *sim.Proc, ks *Keyspace) error {
 	if err := ks.vlog.Seal(p); err != nil {
 		return err
 	}
-	sorter := NewSorter[pairRec](e.zm, e.soc, e.cfg, pairCodec{}, pairKey, comparePair)
+	sorter := newEngineSorter[pairRec](e, phaseRunPair, pairCodec{}, pairKey, comparePair)
 
 	pidx := e.zm.NewCluster(ZonePIDX)
 	pidxW := newBlockWriter(pidx, e.cfg.BlockBytes)

@@ -80,14 +80,14 @@ func (e *Engine) Get(p *sim.Proc, name string, key []byte) ([]byte, bool, error)
 	if bi < 0 {
 		return nil, false, nil
 	}
-	e.soc.Compares(p, 16) // sketch binary search
+	e.cpu[phaseQuery].Compares(p, 16) // sketch binary search
 	blk, err := e.readIndexBlockCached(p, ks.pidx, ks.sketch[bi].block)
 	if err != nil {
 		return nil, false, err
 	}
-	e.soc.BlockOp(p, 1)
+	e.cpu[phaseQuery].BlockOp(p, 1)
 	i := blk.search(key)
-	e.soc.Compares(p, 8)
+	e.cpu[phaseQuery].Compares(p, 8)
 	if i >= blk.len() || !bytes.Equal(blk.key(i), key) {
 		return nil, false, nil
 	}
@@ -114,12 +114,12 @@ func (e *Engine) Exist(p *sim.Proc, name string, key []byte) (bool, error) {
 	if bi < 0 {
 		return false, nil
 	}
-	e.soc.Compares(p, 16)
+	e.cpu[phaseQuery].Compares(p, 16)
 	blk, err := e.readIndexBlockCached(p, ks.pidx, ks.sketch[bi].block)
 	if err != nil {
 		return false, err
 	}
-	e.soc.BlockOp(p, 1)
+	e.cpu[phaseQuery].BlockOp(p, 1)
 	i := blk.search(key)
 	return i < blk.len() && bytes.Equal(blk.key(i), key), nil
 }
@@ -143,7 +143,7 @@ func (e *Engine) RangePrimary(p *sim.Proc, name string, lo, hi []byte, limit int
 		if i > 0 {
 			bi = ks.sketch[i].block
 		}
-		e.soc.Compares(p, 16)
+		e.cpu[phaseQuery].Compares(p, 16)
 	}
 	totalBlocks := ks.pidx.Len() / int64(e.cfg.BlockBytes)
 	emitted := 0
@@ -161,7 +161,7 @@ func (e *Engine) RangePrimary(p *sim.Proc, name string, lo, hi []byte, limit int
 		if err != nil {
 			return emitted, err
 		}
-		e.soc.BlockOp(p, 1)
+		e.cpu[phaseQuery].BlockOp(p, 1)
 		for i := 0; i < blk.len(); i++ {
 			ent := blk.entry(i)
 			if lo != nil && bytes.Compare(ent.key, lo) < 0 {
@@ -233,7 +233,7 @@ func (e *Engine) RangeSecondary(p *sim.Proc, name, index string, lo, hi []byte, 
 	var bi int64
 	if lo != nil {
 		bi = si.sketch[sketchStart(si.sketch, lo)].block
-		e.soc.Compares(p, 16)
+		e.cpu[phaseQuery].Compares(p, 16)
 	}
 	totalBlocks := si.cluster.Len() / int64(e.cfg.BlockBytes)
 	var matches []sidxEntry
@@ -242,7 +242,7 @@ func (e *Engine) RangeSecondary(p *sim.Proc, name, index string, lo, hi []byte, 
 		if err != nil {
 			return 0, err
 		}
-		e.soc.BlockOp(p, 1)
+		e.cpu[phaseQuery].BlockOp(p, 1)
 		done := false
 		for i := 0; i < blk.len(); i++ {
 			ent := blk.entry(i)
@@ -274,7 +274,7 @@ func (e *Engine) RangeSecondary(p *sim.Proc, name, index string, lo, hi []byte, 
 		order[i] = i
 	}
 	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(matches[a].svOff, matches[b].svOff) })
-	e.soc.Compute(p, e.soc.SortCost(int64(len(order))))
+	e.cpu[phaseQuery].Compute(p, e.soc.SortCost(int64(len(order))))
 	pairs := make([]Pair, len(matches))
 	const coalesceGap = 64 << 10
 	i := 0

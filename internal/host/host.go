@@ -74,6 +74,8 @@ type Host struct {
 	cfg  Config
 	cpu  *sim.Resource
 	busy stats.Counter // ns of core time charged, as cpu.BusyTime, readable off the sim
+
+	accounts map[string]*stats.Counter // named shares of busy, see Account
 }
 
 // New creates a host with cfg.Cores cores.
@@ -99,36 +101,86 @@ func (h *Host) CPU() *sim.Resource { return h.cpu }
 func (h *Host) BusyNs() *stats.Counter { return &h.busy }
 
 // Compute occupies one core for d (scaled by Speed) of virtual time.
-func (h *Host) Compute(p *sim.Proc, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	d = time.Duration(float64(d) / h.cfg.Speed)
-	h.busy.Add(int64(d))
-	p.Use(h.cpu, d)
-}
+func (h *Host) Compute(p *sim.Proc, d time.Duration) { Meter{h: h}.Compute(p, d) }
 
 // Syscall charges one kernel crossing.
 func (h *Host) Syscall(p *sim.Proc) { h.Compute(p, h.cfg.SyscallCost) }
 
 // Copy charges an in-memory move/checksum of n bytes.
-func (h *Host) Copy(p *sim.Proc, n int64) {
-	h.Compute(p, sim.TransferTime(n, h.cfg.MemBandwidth))
+func (h *Host) Copy(p *sim.Proc, n int64) { Meter{h: h}.Copy(p, n) }
+
+// KVOp charges n key-value engine operations.
+func (h *Host) KVOp(p *sim.Proc, n int64) { Meter{h: h}.KVOp(p, n) }
+
+// Compares charges n key comparisons (sort/merge work).
+func (h *Host) Compares(p *sim.Proc, n int64) { Meter{h: h}.Compares(p, n) }
+
+// BlockOp charges assembling/decoding n blocks.
+func (h *Host) BlockOp(p *sim.Proc, n int64) { Meter{h: h}.BlockOp(p, n) }
+
+// Account returns the meter of the named share of this host's core time,
+// creating the share at zero on first use. A meter adds what it charges to its
+// share in the same step as to BusyNs, so when every charge goes through an
+// account the shares sum to BusyNs exactly, at every instant. Shares belong to
+// the host, not to whoever charges them: an engine rebuilt after a restart
+// keeps counting into the same ones. The empty name is no share: its meter
+// counts only into BusyNs, as the Host's own methods do.
+func (h *Host) Account(name string) Meter {
+	if name == "" {
+		return Meter{h: h}
+	}
+	if h.accounts == nil {
+		h.accounts = make(map[string]*stats.Counter)
+	}
+	ns, ok := h.accounts[name]
+	if !ok {
+		ns = new(stats.Counter)
+		h.accounts[name] = ns
+	}
+	return Meter{h: h, ns: ns}
+}
+
+// Meter charges work to a host's cores on behalf of one account.
+type Meter struct {
+	h  *Host
+	ns *stats.Counter
+}
+
+// Ns is the core time charged through this meter's account so far, in
+// nanoseconds; nil for the empty account.
+func (m Meter) Ns() *stats.Counter { return m.ns }
+
+// Compute occupies one core for d (scaled by Speed) of virtual time.
+func (m Meter) Compute(p *sim.Proc, d time.Duration) {
+	if d <= 0 {
+		return
+	}
+	d = time.Duration(float64(d) / m.h.cfg.Speed)
+	m.h.busy.Add(int64(d))
+	if m.ns != nil {
+		m.ns.Add(int64(d))
+	}
+	p.Use(m.h.cpu, d)
+}
+
+// Copy charges an in-memory move/checksum of n bytes.
+func (m Meter) Copy(p *sim.Proc, n int64) {
+	m.Compute(p, sim.TransferTime(n, m.h.cfg.MemBandwidth))
 }
 
 // KVOp charges n key-value engine operations.
-func (h *Host) KVOp(p *sim.Proc, n int64) {
-	h.Compute(p, time.Duration(n)*h.cfg.KVOpCost)
+func (m Meter) KVOp(p *sim.Proc, n int64) {
+	m.Compute(p, time.Duration(n)*m.h.cfg.KVOpCost)
 }
 
 // Compares charges n key comparisons (sort/merge work).
-func (h *Host) Compares(p *sim.Proc, n int64) {
-	h.Compute(p, time.Duration(n)*h.cfg.CompareCost)
+func (m Meter) Compares(p *sim.Proc, n int64) {
+	m.Compute(p, time.Duration(n)*m.h.cfg.CompareCost)
 }
 
 // BlockOp charges assembling/decoding n blocks.
-func (h *Host) BlockOp(p *sim.Proc, n int64) {
-	h.Compute(p, time.Duration(n)*h.cfg.BlockOpCost)
+func (m Meter) BlockOp(p *sim.Proc, n int64) {
+	m.Compute(p, time.Duration(n)*m.h.cfg.BlockOpCost)
 }
 
 // SortCost returns the CPU duration for comparison-sorting n keys

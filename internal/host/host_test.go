@@ -119,3 +119,31 @@ func TestDefaultsSane(t *testing.T) {
 		t.Fatal("SPDK userspace driver should have no syscall cost")
 	}
 }
+
+// TestAccountsSumToBusy: charges through named accounts add to BusyNs and to
+// their share in one step, a name names one share, and a Host's own methods
+// (the empty account) count only into BusyNs.
+func TestAccountsSumToBusy(t *testing.T) {
+	env := sim.NewEnv()
+	h := New(env, DefaultSoCConfig())
+	var a, b, busy int64
+	env.Go("w", func(p *sim.Proc) {
+		h.Account("a").Compares(p, 7)
+		h.Account("b").BlockOp(p, 3)
+		h.Account("a").Copy(p, 4096)
+		h.Account("b").KVOp(p, 5)
+		a, b, busy = h.Account("a").Ns().Value(), h.Account("b").Ns().Value(), h.BusyNs().Value()
+		h.Compares(p, 9)
+		h.Account("").Compares(p, 9)
+	})
+	env.Run()
+	if a == 0 || b == 0 || a+b != busy {
+		t.Fatalf("accounts %d + %d, busy %d", a, b, busy)
+	}
+	if h.BusyNs().Value() == busy || h.Account("a").Ns().Value() != a || h.Account("b").Ns().Value() != b {
+		t.Fatalf("the host's own charge moved an account or missed BusyNs")
+	}
+	if got := int64(h.CPU().BusyTime()); got != h.BusyNs().Value() {
+		t.Fatalf("pool busy %d, BusyNs %d", got, h.BusyNs().Value())
+	}
+}
