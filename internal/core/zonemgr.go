@@ -619,12 +619,26 @@ func (c *Cluster) mediaGranules() int64 {
 	return (fl + int64(c.blockSz) - 1) / int64(c.blockSz)
 }
 
+// errReleased reports a cluster released while a scan of it was reading: the
+// bytes read may belong to the zones' next owner.
+var errReleased = errors.New("core: cluster released during the scan")
+
+// corruptGranule is one granule a scan found corrupt, with the zone that held
+// it when the scan read it.
+type corruptGranule struct {
+	g    int64
+	zone int
+}
+
 // scanGranules reads back the flushed granules in [lo, hi] (clamped to media)
-// and checks each against its recorded checksum, returning the corrupt granule
-// indices in order plus the bytes read. Granules without coverage are read but
-// not judged. Counters are the caller's job — the scrubber owns its own
-// accounting, and a scan must not double-count with the read path.
-func (c *Cluster) scanGranules(p *sim.Proc, lo, hi int64) ([]int64, int64, error) {
+// and checks each against its recorded checksum, returning the corrupt
+// granules in order plus the bytes read. Granules without coverage are read
+// but not judged. Every granule's zone is resolved before the read yields; a
+// cluster released during the read (compaction retiring a log, keyspace
+// deletion) fails the scan with errReleased. Counters are the caller's job —
+// the scrubber owns its own accounting, and a scan must not double-count with
+// the read path.
+func (c *Cluster) scanGranules(p *sim.Proc, lo, hi int64) ([]corruptGranule, int64, error) {
 	if mg := c.mediaGranules(); hi >= mg {
 		hi = mg - 1
 	}
@@ -643,8 +657,10 @@ func (c *Cluster) scanGranules(p *sim.Proc, lo, hi int64) ([]int64, int64, error
 	}
 	spans := make(map[int]*spanAcc)
 	var order []int
+	zones := make([]int, 0, hi-lo+1)
 	for g := lo; g <= hi; g++ {
 		zone, zoff := c.locate(g)
+		zones = append(zones, zone)
 		if acc, ok := spans[zone]; ok {
 			acc.n += int64(c.blockSz)
 		} else {
@@ -661,15 +677,18 @@ func (c *Cluster) scanGranules(p *sim.Proc, lo, hi int64) ([]int64, int64, error
 	if err != nil {
 		return nil, 0, err
 	}
+	if c.stripes == nil {
+		return nil, 0, errReleased
+	}
 	byZone := make(map[int][]byte, len(order))
 	for i, z := range order {
 		byZone[z] = datas[i]
 	}
-	var corrupt []int64
+	var corrupt []corruptGranule
 	var scanned int64
 	w := int64(c.zm.cfg.StripeWidth)
 	for g := lo; g <= hi; g++ {
-		zone, _ := c.locate(g)
+		zone := zones[g-lo]
 		acc := spans[zone]
 		k := (g - acc.firstG) / w
 		block := byZone[zone][k*int64(c.blockSz) : (k+1)*int64(c.blockSz)]
@@ -678,7 +697,7 @@ func (c *Cluster) scanGranules(p *sim.Proc, lo, hi int64) ([]int64, int64, error
 			continue
 		}
 		if crc32.Checksum(block, castagnoli) != c.sums[g] {
-			corrupt = append(corrupt, g)
+			corrupt = append(corrupt, corruptGranule{g: g, zone: zone})
 		}
 	}
 	return corrupt, scanned, nil
