@@ -147,43 +147,23 @@ func BenchmarkSorterMakeRuns(b *testing.B) {
 	})
 }
 
-func benchReadBucket[T any](b *testing.B, codec Codec[T], key func(T) uint64, recs []T) {
+// BenchmarkGatherDestBucket: the destination pass's per-bucket
+// read-decode-gather, 64k entries of 32-byte values in a shuffled VLOG order,
+// through one gatherer.
+func BenchmarkGatherDestBucket(b *testing.B) {
 	b.ReportAllocs()
 	fx := newSortFixture(0)
 	fx.env.Go("bench", func(p *sim.Proc) {
-		c := fx.zm.NewCluster(ZoneTemp)
-		var enc []byte
-		for _, r := range recs {
-			enc = codec.Encode(enc[:0], r)
-			if err := c.Append(p, enc); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := c.Seal(p); err != nil {
-			b.Fatal(err)
-		}
-		var buf sortBuf[T]
+		bucket, vlog := writeDestBucket(b, p, fx, shuffledDests(benchSortRecords, 32, 16), testVlog(benchSortRecords*32))
+		var g valueGatherer
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			got, err := readBucketSorted(p, fx.soc.Account(""), c, codec, &buf, key)
-			if err != nil || len(got) != len(recs) {
+			if got, err := g.gather(p, fx.soc.Account(""), bucket, vlog, 0, benchSortRecords*32); err != nil || len(got) != benchSortRecords {
 				b.Fatalf("%d records, err %v", len(got), err)
 			}
 		}
 	})
 	fx.env.Run()
-}
-
-// BenchmarkReadBucketSorted: the destination pass's per-bucket
-// read-decode-sort, 64k records in a shuffled order. One compaction reads many
-// buckets through one buffer, as the loop here does.
-func BenchmarkReadBucketSorted(b *testing.B) {
-	perm := rand.New(rand.NewSource(16)).Perm(benchSortRecords)
-	recs := make([]destEntry, len(perm))
-	for i, k := range perm {
-		recs[i] = destEntry{vlogOff: uint64(k) * 32, destOff: uint64(i) * 32, vlen: 32}
-	}
-	benchReadBucket[destEntry](b, destCodec{}, destKey, recs)
 }
 
 // BenchmarkPlaceValueBucket: the value pass's per-bucket read-decode-place,

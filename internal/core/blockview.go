@@ -40,17 +40,22 @@ type blockView struct {
 
 func (v blockView) len() int { return len(v.offs) }
 
-// parseIndexBlock builds the view of a count-prefixed index block; verify
-// additionally demands the header checksum. A count that runs past the
-// records present is corruption.
-func parseIndexBlock(buf []byte, verify bool, f recFormat) (blockView, error) {
+// parseIndexBlock builds the view of a count-prefixed index block, its record
+// offsets in offs's storage when that has room (a walk that holds one block at
+// a time reuses it); verify additionally demands the header checksum. A count
+// that runs past the records present is corruption.
+func parseIndexBlock(offs []uint16, buf []byte, verify bool, f recFormat) (blockView, error) {
 	if err := checkIndexBlock(buf, verify); err != nil {
 		return blockView{}, err
 	}
 	if len(buf) > 1<<16 {
 		return blockView{}, fmt.Errorf("core: %d-byte index block exceeds 16-bit record offsets", len(buf))
 	}
-	offs := make([]uint16, binary.LittleEndian.Uint16(buf))
+	if n := int(binary.LittleEndian.Uint16(buf)); cap(offs) >= n {
+		offs = offs[:n]
+	} else {
+		offs = make([]uint16, n)
+	}
 	pos := indexBlockHdr
 	for i := range offs {
 		if len(buf)-pos < f.hdr {

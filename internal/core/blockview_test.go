@@ -95,7 +95,7 @@ func FuzzIndexBlockView(f *testing.F) {
 		}
 		for _, verify := range []bool{true, false} {
 			want, werr := refDecodeBlock[pidxEntry](buf, verify, klogCodec{})
-			v, err := parseIndexBlock(buf, verify, pidxFormat)
+			v, err := parseIndexBlock(nil, buf, verify, pidxFormat)
 			if (err == nil) != (werr == nil) {
 				t.Fatalf("pidx verify=%v: view err %v, reference err %v", verify, err, werr)
 			}
@@ -114,7 +114,7 @@ func FuzzIndexBlockView(f *testing.F) {
 			}
 
 			swant, swerr := refDecodeBlock[sidxEntry](buf, verify, sidxCodec{})
-			v, err = parseIndexBlock(buf, verify, sidxFormat)
+			v, err = parseIndexBlock(nil, buf, verify, sidxFormat)
 			if (err == nil) != (swerr == nil) {
 				t.Fatalf("sidx verify=%v: view err %v, reference err %v", verify, err, swerr)
 			}
@@ -136,7 +136,7 @@ func FuzzIndexBlockView(f *testing.F) {
 }
 
 func TestPidxBlockSearch(t *testing.T) {
-	v, err := parseIndexBlock(testPidxBlock(136), true, pidxFormat)
+	v, err := parseIndexBlock(nil, testPidxBlock(136), true, pidxFormat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"kvcsd/internal/host"
 	"kvcsd/internal/sim"
@@ -9,11 +10,11 @@ import (
 
 // bucketWriter partitions records by a uint64 ordering key into contiguous
 // range buckets, each a temp zone cluster written sequentially. Together
-// with a per-bucket in-DRAM sort on read-back, this gives a two-pass
-// distribution sort: the mechanism that lets KV-CSD move value bytes exactly
-// twice during compaction regardless of dataset size, which is the point of
-// key-value separation (paper §V: values are sorted "using the sorted keys"
-// rather than merged through log-many rounds).
+// with a per-bucket in-DRAM pass on read-back (valueGatherer, valuePlacer),
+// this gives a two-pass distribution sort: the mechanism that lets KV-CSD
+// move value bytes exactly twice during compaction regardless of dataset
+// size, which is the point of key-value separation (paper §V: values are
+// sorted "using the sorted keys" rather than merged through log-many rounds).
 type bucketWriter struct {
 	zm       *ZoneManager
 	width    uint64 // ordering-key span per bucket
@@ -45,7 +46,7 @@ func (w *bucketWriter) add(p *sim.Proc, k uint64, encoded []byte) error {
 		w.bufs = append(w.bufs, nil)
 	}
 	w.bufs[b] = append(w.bufs[b], encoded...)
-	if len(w.bufs[b]) >= 64<<10 {
+	if len(w.bufs[b]) >= appendBurst {
 		if err := w.clusters[b].Append(p, w.bufs[b]); err != nil {
 			return err
 		}
@@ -81,44 +82,72 @@ func (w *bucketWriter) release(p *sim.Proc) error {
 	return nil
 }
 
-// readBucketSorted loads one bucket fully into buf, decodes its records, and
-// orders them by key, their uint64 ordering key, with a radix sort. The SoC is
-// charged one key comparison's worth per record per digit pass: each pass
-// reads and moves every record once. The bucket is read with the ReadAt
-// sequence a scanner would issue, into buf.raw, and the records may view it:
-// they are valid until buf's next use. One compaction reuses a single buf —
-// bytes, records and scratch — for every bucket of a pass. The per-bucket
-// size is bounded by the bucket width (plus skew), which newBucketWriter ties
-// to the DRAM budget.
-func readBucketSorted[T any](p *sim.Proc, cpu host.Meter, c *Cluster, codec Codec[T], buf *sortBuf[T], key func(T) uint64) ([]T, error) {
+// valueGatherer copies the values of destination buckets out of the VLOG
+// without sorting the buckets. A destination bucket holds the entries whose
+// vlogOff falls in its range [lo, lo+width), so its values lie inside one
+// VLOG span no longer than the width plus one value — the bound the value
+// buckets already keep in DRAM. The gatherer reads that span once and hands
+// each value out of it in the order the entries came in. One compaction
+// reuses a single gatherer — entries and span buffer — for every bucket, as
+// it does its valuePlacer.
+type valueGatherer struct {
+	ents   []destEntry
+	buf    []byte // the bucket's bytes, then the VLOG span
+	spanAt uint64 // VLOG offset of buf[0] once the span is read
+}
+
+// gather reads destination bucket c and the span of vlog its entries cover,
+// and returns the entries in bucket order, valid until the gatherer's next
+// use; value returns each one's bytes. It charges cpu one compare per record.
+// An entry starting outside [lo, lo+width), or ending past vlog, is an error.
+func (g *valueGatherer) gather(p *sim.Proc, cpu host.Meter, c, vlog *Cluster, lo, width uint64) ([]destEntry, error) {
+	g.ents = g.ents[:0]
 	if c == nil || c.Len() == 0 {
 		return nil, nil
 	}
-	n := int(c.Len())
-	if cap(buf.raw) < n {
-		buf.raw = make([]byte, n)
+	if err := g.read(p, c, 0, c.Len()); err != nil {
+		return nil, err
 	}
-	data := buf.raw[:n]
-	for off := 0; off < n; off += scanChunk {
-		if err := c.ReadAt(p, data[off:min(off+scanChunk, n)], int64(off)); err != nil {
-			return nil, err
-		}
-	}
-	buf.recs = buf.recs[:0]
+	data := g.buf
+	first, end := uint64(vlog.Len()), uint64(0)
 	for len(data) > 0 {
-		rec, k, err := codec.Decode(data, true)
+		de, k, err := destCodec{}.Decode(data, true)
 		if err != nil {
 			return nil, err
 		}
-		if k == 0 {
-			return nil, fmt.Errorf("%w: trailing %d bytes", ErrRecordCorrupt, len(data))
+		if de.vlogOff < lo || de.vlogOff-lo >= width || de.vlogOff+uint64(de.vlen) > uint64(vlog.Len()) {
+			return nil, fmt.Errorf("core: destination entry %d+%d outside the span from %d of bucket width %d",
+				de.vlogOff, de.vlen, lo, width)
 		}
-		buf.recs = append(buf.recs, rec)
+		g.ents = append(g.ents, de)
+		first, end = min(first, de.vlogOff), max(end, de.vlogOff+uint64(de.vlen))
 		data = data[k:]
 	}
-	passes := buf.radix(key)
-	cpu.Compares(p, int64(len(buf.recs)*passes))
-	return buf.recs, nil
+	if err := g.read(p, vlog, int64(first), int64(end-first)); err != nil {
+		return nil, err
+	}
+	g.spanAt = first
+	cpu.Compares(p, int64(len(g.ents)))
+	return g.ents, nil
+}
+
+// value returns the bytes of de, an entry the last gather returned, as a
+// view of the span.
+func (g *valueGatherer) value(de destEntry) []byte {
+	o := de.vlogOff - g.spanAt
+	return g.buf[o : o+uint64(de.vlen) : o+uint64(de.vlen)]
+}
+
+// read fills the buffer with the n bytes of c at off, in the ReadAt sequence
+// a scanner issues: scanChunk bytes at a time, in order.
+func (g *valueGatherer) read(p *sim.Proc, c *Cluster, off, n int64) error {
+	g.buf = slices.Grow(g.buf[:0], int(n))[:n]
+	for o := int64(0); o < n; o += scanChunk {
+		if err := c.ReadAt(p, g.buf[o:min(o+scanChunk, n)], off+o); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // valuePlacer lays value buckets out in SORTED_VALUES order without sorting
@@ -126,9 +155,8 @@ func readBucketSorted[T any](p *sim.Proc, cpu host.Meter, c *Cluster, codec Code
 // range, and destination offsets were assigned back to back, so the values of
 // one bucket tile one contiguous span exactly: copying each to destOff − lo
 // leaves the span in order. One compaction reuses a single placer — the read
-// window, the placed span and the tiling check's bitmap — for every bucket,
-// as readBucketSorted reuses its sortBuf; the span and bitmap grow to the
-// largest bucket once.
+// window, the placed span and the tiling check's bitmap — for every bucket;
+// the span and bitmap grow to the largest bucket once.
 type valuePlacer struct {
 	sc     scanner[valueRec] // streams the bucket's records through one window
 	out    []byte            // the bucket's values, each at its destOff − lo

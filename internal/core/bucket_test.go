@@ -153,3 +153,114 @@ func TestPlaceValueBucketAllocs(t *testing.T) {
 		}
 	})
 }
+
+// writeDestBucket encodes ents into a sealed destination bucket, and vlog
+// bytes into a sealed VLOG cluster.
+func writeDestBucket(tb testing.TB, p *sim.Proc, fx *sortFixture, ents []destEntry, vlog []byte) (bucket, log *Cluster) {
+	tb.Helper()
+	var enc []byte
+	for _, de := range ents {
+		enc = destCodec{}.Encode(enc, de)
+	}
+	bucket, log = fx.zm.NewCluster(ZoneTemp), fx.zm.NewCluster(ZoneVLOG)
+	for _, c := range []struct {
+		c    *Cluster
+		data []byte
+	}{{bucket, enc}, {log, vlog}} {
+		if err := c.c.Append(p, c.data); err != nil {
+			tb.Fatal(err)
+		}
+		if err := c.c.Seal(p); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return bucket, log
+}
+
+// testVlog returns n VLOG bytes, each a function of its offset.
+func testVlog(n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*7 + i>>8)
+	}
+	return b
+}
+
+// TestGatherDestBucket: the gather hands out every entry of a bucket in the
+// order the bucket holds them, each with its own VLOG bytes — zero-length
+// values and a value running past the bucket's range included — and rejects an
+// entry that starts outside [lo, lo+width) or ends past the VLOG.
+func TestGatherDestBucket(t *testing.T) {
+	const lo, width, vlogLen = 5000, 4000, 12000
+	vlog := testVlog(vlogLen)
+	var ents []destEntry
+	for i, size := range []int{0, 32, 300, 1, 0, 64, 2500, 7, 33} {
+		off := lo + (i*1237)%width
+		ents = append(ents, destEntry{vlogOff: uint64(off), destOff: uint64(i) * 1000, vlen: uint32(size)})
+	}
+	ents = append(ents, destEntry{vlogOff: lo + width - 1, destOff: 99, vlen: 700}) // runs past the range
+	with := func(de destEntry) []destEntry { return append(append([]destEntry(nil), ents...), de) }
+	for _, tc := range []struct {
+		name string
+		ents []destEntry
+		ok   bool
+	}{
+		{"in range", ents, true},
+		{"before the range", with(destEntry{vlogOff: lo - 1, vlen: 1}), false},
+		{"at the range's end", with(destEntry{vlogOff: lo + width}), false},
+		{"past the vlog", with(destEntry{vlogOff: lo + width - 1, vlen: vlogLen}), false},
+	} {
+		fx := newSortFixture(0)
+		fx.run(t, func(p *sim.Proc) {
+			bucket, log := writeDestBucket(t, p, fx, tc.ents, vlog)
+			var g valueGatherer
+			got, err := g.gather(p, fx.soc.Account(""), bucket, log, lo, width)
+			if !tc.ok {
+				if err == nil || !strings.Contains(err.Error(), "outside the span") {
+					t.Errorf("%s: err %v, want an outside-the-span error", tc.name, err)
+				}
+				return
+			}
+			if err != nil || len(got) != len(tc.ents) {
+				t.Fatalf("%s: %d entries, err %v", tc.name, len(got), err)
+			}
+			for i, de := range got {
+				if de != tc.ents[i] || !bytes.Equal(g.value(de), vlog[de.vlogOff:de.vlogOff+uint64(de.vlen)]) {
+					t.Fatalf("%s: entry %d is %+v with %d bytes, want %+v", tc.name, i, de, len(g.value(de)), tc.ents[i])
+				}
+			}
+		})
+	}
+}
+
+// TestGatherDestBucketCharge: gathering a bucket of n records costs the SoC n
+// compares, one per record, whatever their order — no sort pass.
+func TestGatherDestBucketCharge(t *testing.T) {
+	for _, n := range []int{1, 300, 5000} {
+		fx := newSortFixture(0)
+		cfg := fx.soc.Config()
+		fx.run(t, func(p *sim.Proc) {
+			ents := shuffledDests(n, 32, int64(n))
+			bucket, log := writeDestBucket(t, p, fx, ents, testVlog(n*32))
+			var g valueGatherer
+			busy0 := fx.soc.CPU().BusyTime()
+			if got, err := g.gather(p, fx.soc.Account(""), bucket, log, 0, uint64(n*32)); err != nil || len(got) != n {
+				t.Fatalf("n=%d: %d records, err %v", n, len(got), err)
+			}
+			want := time.Duration(float64(time.Duration(n)*cfg.CompareCost) / cfg.Speed)
+			if d := fx.soc.CPU().BusyTime() - busy0; d != want {
+				t.Errorf("n=%d: SoC busy +%v, want %v", n, d, want)
+			}
+		})
+	}
+}
+
+// shuffledDests returns n destination entries of size-byte values that tile
+// the VLOG [0, n·size) in a shuffled order, each bound for its own slot.
+func shuffledDests(n, size int, seed int64) []destEntry {
+	ents := make([]destEntry, n)
+	for i, k := range rand.New(rand.NewSource(seed)).Perm(n) {
+		ents[i] = destEntry{vlogOff: uint64(k * size), destOff: uint64(i * size), vlen: uint32(size)}
+	}
+	return ents
+}

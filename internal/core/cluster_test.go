@@ -278,3 +278,23 @@ func TestClusterPropertyRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSealDropsTail: a sealed cluster holds no tail buffer, whether its
+// last Append left a partial granule or only whole ones.
+func TestSealDropsTail(t *testing.T) {
+	for _, n := range []int{100, 64 << 10} {
+		fx := newClusterFixture(DefaultConfig())
+		fx.run(t, func(p *sim.Proc) {
+			c := fx.zm.NewCluster(ZonePIDX)
+			if err := c.Append(p, make([]byte, n)); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Seal(p); err != nil {
+				t.Fatal(err)
+			}
+			if c.tail != nil {
+				t.Errorf("%d bytes appended: a sealed cluster keeps a tail of capacity %d", n, cap(c.tail))
+			}
+		})
+	}
+}

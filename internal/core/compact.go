@@ -6,8 +6,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"kvcsd/internal/compaction"
+	"kvcsd/internal/host"
 	"kvcsd/internal/sim"
 )
 
@@ -16,10 +18,10 @@ import (
 //
 //  1. sort the keys — an external merge sort of the KLOG entries;
 //  2. use the sorted keys to sort the values — compute each value's
-//     destination offset, invert the permutation by sorting destination
-//     entries by VLOG position, then stream the VLOG once, scattering values
-//     into buckets by destination, and copy each bucket's values to their
-//     destinations in SORTED_VALUES order;
+//     destination offset, bucket the destination entries by VLOG position,
+//     gather each bucket's values out of the VLOG span it covers and scatter
+//     them into buckets by destination, then copy each bucket's values to
+//     their destinations in SORTED_VALUES order;
 //
 // and then build the PIDX blocks plus the in-memory sketch (one pivot per
 // 4 KiB block). All intermediate runs live in temporarily allocated zone
@@ -141,27 +143,22 @@ func (e *Engine) compactInto(p *sim.Proc, ks *Keyspace, onPair func(*sim.Proc, [
 	}
 
 	// Step 2: sort the values using the sorted keys — a two-pass
-	// distribution sort. Pass one streams the VLOG in order (guided by the
-	// per-bucket destination entries) and scatters values into buckets by
+	// distribution sort. Pass one reads, per destination bucket, the VLOG
+	// span its entries cover and scatters their values into buckets by
 	// destination; pass two reads each value bucket, copies every value to
 	// its destination within the span the bucket tiles, and appends the span
 	// to SORTED_VALUES. Value bytes move exactly twice regardless of dataset
 	// size — the payoff of key-value separation.
 	valBuckets := newBucketWriter(e.zm, totalValueBytes+1, e.cfg.SortBudgetBytes)
-	vcodec := valueCodec{}
-	vlogWin := &clusterWindow{c: ks.vlog}
-	var destBuf sortBuf[destEntry]
-	for _, db := range destBuckets.buckets() {
-		dents, err := readBucketSorted(p, e.cpu[phaseDestPass], db, destCodec{}, &destBuf, destKey)
+	var gatherer valueGatherer
+	for b, db := range destBuckets.buckets() {
+		lo := uint64(b) * destBuckets.width
+		dents, err := gatherer.gather(p, e.cpu[phaseDestPass], db, ks.vlog, lo, destBuckets.width)
 		if err != nil {
 			return err
 		}
 		for _, de := range dents {
-			val, err := vlogWin.read(p, int64(de.vlogOff), int(de.vlen))
-			if err != nil {
-				return err
-			}
-			enc = vcodec.Encode(enc[:0], valueRec{destOff: de.destOff, value: val})
+			enc = valueCodec{}.Encode(enc[:0], valueRec{destOff: de.destOff, value: gatherer.value(de)})
 			if err := valBuckets.add(p, de.destOff, enc); err != nil {
 				return err
 			}
@@ -201,7 +198,7 @@ func (e *Engine) compactInto(p *sim.Proc, ks *Keyspace, onPair func(*sim.Proc, [
 	var nextDest uint64
 	var cursor *pidxCursor
 	if onPair != nil {
-		cursor = &pidxCursor{e: e, c: pidx}
+		cursor = &pidxCursor{win: clusterWindow{c: pidx}, cfg: e.cfg}
 	}
 	var placer valuePlacer
 	for _, vb := range valBuckets.buckets() {
@@ -214,11 +211,11 @@ func (e *Engine) compactInto(p *sim.Proc, ks *Keyspace, onPair func(*sim.Proc, [
 			// its value out of the placed span by vlen.
 			at, end := nextDest, nextDest+uint64(len(vals))
 			for i := 0; i < n; i++ {
-				ent, err := cursor.next(p)
+				ent, ok, err := cursor.next(p)
 				if err != nil {
 					return err
 				}
-				if ent.vlogOff != at || at+uint64(ent.vlen) > end {
+				if !ok || ent.vlogOff != at || at+uint64(ent.vlen) > end {
 					return fmt.Errorf("core: pidx/value streams diverged: %d+%d vs %d", ent.vlogOff, ent.vlen, at)
 				}
 				o := at - nextDest
@@ -318,43 +315,50 @@ func compareKlog(a, b klogEntry) int {
 	}
 }
 
-// destKey orders destination entries by VLOG position (the order the value
-// pass streams the VLOG in). Zero-length values share it with their
-// successor, so the sort must be stable.
-func destKey(e destEntry) uint64 { return e.vlogOff }
-
 // valueChunk is the size of the chunks the value pass appends to
 // SORTED_VALUES.
 const valueChunk = 256 << 10
 
-// pidxCursor walks PIDX entries in block order (used by consolidated index
-// construction to pair primary keys with the streaming sorted values).
+// pidxCursor walks PIDX entries in block order — a separate index build's
+// scan, and the consolidated build pairing primary keys with the streaming
+// sorted values. It reads the blocks through a clusterWindow, 256 KiB (64
+// blocks) per ReadAt, and parses and verifies each block from the window when
+// the walk reaches it, into one reused offset table.
 type pidxCursor struct {
-	e        *Engine
-	c        *Cluster
-	blockIdx int64
+	win clusterWindow
+	cfg Config // BlockBytes, DisableVerify
+	// blockCPU, when set, is charged one BlockOp per block parsed.
+	blockCPU *host.Meter
+	blockIdx int64 // the next block to parse
 	blk      pidxBlock
 	pos      int
 }
 
-// next returns the following entry; its key aliases the block it came from.
-func (cur *pidxCursor) next(p *sim.Proc) (pidxEntry, error) {
+// next returns the following entry, or ok=false after the last one. Its key
+// views the window and is valid until the next call (see recordSource).
+func (cur *pidxCursor) next(p *sim.Proc) (ent pidxEntry, ok bool, err error) {
 	for cur.pos >= cur.blk.len() {
-		total := cur.c.Len() / int64(cur.e.cfg.BlockBytes)
-		if cur.blockIdx >= total {
-			return pidxEntry{}, fmt.Errorf("core: pidx cursor exhausted")
+		bs := cur.cfg.BlockBytes
+		if (cur.blockIdx+1)*int64(bs) > cur.win.c.Len() {
+			return pidxEntry{}, false, nil
 		}
-		v, err := readIndexBlock(p, cur.c, cur.blockIdx, cur.e.cfg.BlockBytes, !cur.e.cfg.DisableVerify, pidxFormat)
+		b, err := cur.win.read(p, cur.blockIdx*int64(bs), bs)
 		if err != nil {
-			return pidxEntry{}, err
+			return pidxEntry{}, false, err
+		}
+		v, err := parseIndexBlock(cur.blk.offs, b, !cur.cfg.DisableVerify, pidxFormat)
+		if err != nil {
+			return pidxEntry{}, false, err
+		}
+		if cur.blockCPU != nil {
+			cur.blockCPU.BlockOp(p, 1)
 		}
 		cur.blockIdx++
-		cur.blk = pidxBlock{v}
-		cur.pos = 0
+		cur.blk, cur.pos = pidxBlock{v}, 0
 	}
-	ent := cur.blk.entry(cur.pos)
+	ent = cur.blk.entry(cur.pos)
 	cur.pos++
-	return ent, nil
+	return ent, true, nil
 }
 
 // clusterWindow reads byte spans from a cluster through a sliding chunked
@@ -372,20 +376,11 @@ func (w *clusterWindow) read(p *sim.Proc, off int64, n int) ([]byte, error) {
 	poison(w.last)
 	need := int64(n)
 	if off < w.winOff || off+need > w.winOff+int64(len(w.win)) {
-		chunk := int64(256 << 10)
-		if need > chunk {
-			chunk = need
-		}
-		if rem := w.c.Len() - off; chunk > rem {
-			chunk = rem
-		}
+		chunk := min(max(need, scanChunk), w.c.Len()-off)
 		if chunk < need {
 			return nil, fmt.Errorf("core: cluster truncated at %d", off)
 		}
-		if int64(cap(w.win)) < chunk {
-			w.win = make([]byte, chunk)
-		}
-		w.win = w.win[:chunk]
+		w.win = slices.Grow(w.win[:0], int(chunk))[:chunk]
 		if err := w.c.ReadAt(p, w.win, off); err != nil {
 			return nil, err
 		}
@@ -409,21 +404,28 @@ func indexBlockSum(buf []byte) uint32 {
 	return crc32.Update(sum, castagnoli, buf[indexBlockHdr:])
 }
 
+// appendBurst is the size of the bursts staged index blocks and bucket records
+// are appended to their clusters in.
+const appendBurst = 64 << 10
+
 // blockWriter packs length-prefixed entries into fixed-size blocks: each
 // block starts with the indexBlockHdr header, entries never span blocks, and
 // the remainder is zero padding. The first key of each block becomes a sketch
-// pivot. One block buffer serves every block: Append copies it.
+// pivot. Finished blocks are staged and appended appendBurst bytes at a time;
+// staging a block reserves its stripe, so the cluster takes its zones from the
+// pool exactly when an Append per block would have.
 type blockWriter struct {
 	cluster   *Cluster
 	blockSize int
-	cur       []byte
+	buf       []byte // staged blocks, then the block being built from cur on
+	cur       int
 	count     uint16
 	blockIdx  int64
 	sketch    []sketchEntry
 }
 
 func newBlockWriter(c *Cluster, blockSize int) *blockWriter {
-	return &blockWriter{cluster: c, blockSize: blockSize, cur: make([]byte, 0, blockSize)}
+	return &blockWriter{cluster: c, blockSize: blockSize, buf: make([]byte, 0, max(appendBurst, blockSize))}
 }
 
 // add appends one encoded entry, starting a new block when needed.
@@ -431,56 +433,55 @@ func (w *blockWriter) add(p *sim.Proc, entry []byte, firstKey []byte) error {
 	if len(entry)+indexBlockHdr > w.blockSize {
 		return fmt.Errorf("core: index entry of %d bytes exceeds block size %d", len(entry), w.blockSize)
 	}
-	if len(w.cur) > 0 && len(w.cur)+len(entry) > w.blockSize {
-		if err := w.flush(p); err != nil {
+	if len(w.buf) > w.cur && len(w.buf)-w.cur+len(entry) > w.blockSize {
+		if err := w.endBlock(p, false); err != nil {
 			return err
 		}
 	}
-	if len(w.cur) == 0 {
-		w.cur = append(w.cur, 0, 0, 0, 0, 0, 0) // count + CRC placeholder
+	if len(w.buf) == w.cur {
+		w.buf = append(w.buf, 0, 0, 0, 0, 0, 0) // count + CRC placeholder
 		w.sketch = append(w.sketch, sketchEntry{
 			pivot: append([]byte(nil), firstKey...),
 			block: w.blockIdx,
 		})
 	}
-	w.cur = append(w.cur, entry...)
+	w.buf = append(w.buf, entry...)
 	w.count++
 	return nil
 }
 
-func (w *blockWriter) flush(p *sim.Proc) error {
-	if len(w.cur) == 0 {
+// endBlock pads and checksums the block being built and reserves the stripe
+// it lands in. It appends the staged blocks when another would not fit the
+// stage, or when last is set; Append copies them before it yields.
+func (w *blockWriter) endBlock(p *sim.Proc, last bool) error {
+	if len(w.buf) > w.cur {
+		blk := w.buf[w.cur : w.cur+w.blockSize]
+		clear(blk[len(w.buf)-w.cur:])
+		binary.LittleEndian.PutUint16(blk[0:], w.count)
+		binary.LittleEndian.PutUint32(blk[2:], indexBlockSum(blk))
+		w.buf, w.cur, w.count = w.buf[:w.cur+w.blockSize], w.cur+w.blockSize, 0
+		w.blockIdx++
+		c := w.cluster
+		if err := c.ensureStripe((c.Len() + int64(len(w.buf)) - 1) / int64(c.blockSz)); err != nil {
+			return err
+		}
+	}
+	if len(w.buf) == 0 || !last && len(w.buf)+w.blockSize <= cap(w.buf) {
 		return nil
 	}
-	binary.LittleEndian.PutUint16(w.cur[0:], w.count)
-	padded := w.cur[:w.blockSize]
-	clear(padded[len(w.cur):])
-	binary.LittleEndian.PutUint32(padded[2:], indexBlockSum(padded))
-	if err := w.cluster.Append(p, padded); err != nil {
+	if err := w.cluster.Append(p, w.buf); err != nil {
 		return err
 	}
-	w.cur = w.cur[:0]
-	w.count = 0
-	w.blockIdx++
+	w.buf, w.cur = w.buf[:0], 0
 	return nil
 }
 
-// finish flushes the last block and seals the cluster.
+// finish appends the last blocks and seals the cluster.
 func (w *blockWriter) finish(p *sim.Proc) error {
-	if err := w.flush(p); err != nil {
+	if err := w.endBlock(p, true); err != nil {
 		return err
 	}
 	return w.cluster.Seal(p)
-}
-
-// readIndexBlock reads one fixed-size index block from media and parses it
-// (no cache).
-func readIndexBlock(p *sim.Proc, c *Cluster, blockIdx int64, blockSize int, verify bool, f recFormat) (blockView, error) {
-	buf := make([]byte, blockSize)
-	if err := c.ReadAt(p, buf, blockIdx*int64(blockSize)); err != nil {
-		return blockView{}, err
-	}
-	return parseIndexBlock(buf, verify, f)
 }
 
 // checkIndexBlock validates a block's framing; verify additionally demands

@@ -102,7 +102,11 @@ func (e *Engine) readViewCached(p *sim.Proc, c *Cluster, blockIdx int64, f recFo
 	if v, ok := e.idxCache.get(c.id, blockIdx); ok {
 		return v, nil
 	}
-	v, err := readIndexBlock(p, c, blockIdx, e.cfg.BlockBytes, !e.cfg.DisableVerify, f)
+	buf := make([]byte, e.cfg.BlockBytes)
+	if err := c.ReadAt(p, buf, blockIdx*int64(len(buf))); err != nil {
+		return blockView{}, err
+	}
+	v, err := parseIndexBlock(nil, buf, !e.cfg.DisableVerify, f)
 	if err != nil {
 		return blockView{}, err
 	}

@@ -34,12 +34,7 @@ func (e *Engine) runIndexBuild(p *sim.Proc, ks *Keyspace, si *secondaryIndex) er
 
 	// Validate the byte range against actual values lazily: the extractor
 	// errors on the first undersized value.
-	src := &sidxSource{
-		e:    e,
-		ks:   ks,
-		spec: si.spec,
-	}
-	sortedEntries, err := e.newSidxSorter(si.spec).Sort(p, src)
+	sortedEntries, err := e.newSidxSorter(si.spec).Sort(p, e.newSidxSource(ks, si.spec))
 	if err != nil {
 		return err
 	}
@@ -91,73 +86,39 @@ func compareSidx(a, b sidxEntry) int {
 	return bytes.Compare(a.pkey, b.pkey)
 }
 
-// sidxSource streams extraction results: it walks the PIDX blocks in order
-// and reads the co-sorted values sequentially, emitting one sidxEntry per
-// pair. This is the "full scan of the keyspace data" of the paper, fused
-// with run generation so extracted pairs feed the sorter directly. An entry's
-// primary key views the PIDX block it came from and its secondary key views
-// the source's normalization buffer; both are valid until the next call (see
-// recordSource).
+// sidxSource streams extraction results: it walks PIDX in order and reads the
+// co-sorted values sequentially, emitting one sidxEntry per pair. This is the
+// "full scan of the keyspace data" of the paper, fused with run generation so
+// extracted pairs feed the sorter directly. An entry's primary key views the
+// PIDX cursor's window and its secondary key views the source's normalization
+// buffer; both are valid until the next call (see recordSource).
 type sidxSource struct {
-	e    *Engine
-	ks   *Keyspace
 	spec SecondarySpec
-
-	blockIdx int64
-	blk      pidxBlock
-	pos      int
-
-	win    []byte
-	winOff int64
+	pidx *pidxCursor
+	vals clusterWindow // SORTED_VALUES, read ascending
 
 	skey []byte // the last entry's normalized secondary key
-	pkey []byte // the last entry's primary key, a view of its block
+	pkey []byte // the last entry's primary key, a view of the cursor's window
+}
+
+// newSidxSource returns the scan of compacted keyspace ks for index spec; each
+// PIDX block it decodes is charged to the extraction phase.
+func (e *Engine) newSidxSource(ks *Keyspace, spec SecondarySpec) *sidxSource {
+	cur := &pidxCursor{win: clusterWindow{c: ks.pidx}, cfg: e.cfg, blockCPU: &e.cpu[phaseSidxExtract]}
+	return &sidxSource{spec: spec, pidx: cur, vals: clusterWindow{c: ks.sorted}}
 }
 
 func (s *sidxSource) next(p *sim.Proc) (sidxEntry, bool, error) {
 	poison(s.skey)
 	poison(s.pkey)
-	for s.pos >= s.blk.len() {
-		totalBlocks := s.ks.pidx.Len() / int64(s.e.cfg.BlockBytes)
-		if s.blockIdx >= totalBlocks {
-			return sidxEntry{}, false, nil
-		}
-		v, err := readIndexBlock(p, s.ks.pidx, s.blockIdx, s.e.cfg.BlockBytes, !s.e.cfg.DisableVerify, pidxFormat)
-		if err != nil {
-			return sidxEntry{}, false, err
-		}
-		s.e.cpu[phaseSidxExtract].BlockOp(p, 1)
-		s.blockIdx++
-		s.blk = pidxBlock{v}
-		s.pos = 0
+	ent, ok, err := s.pidx.next(p)
+	if err != nil || !ok {
+		return sidxEntry{}, false, err
 	}
-	ent := s.blk.entry(s.pos)
-	s.pos++
-
-	// Read the value (sequential: svOff increases monotonically here).
-	need := int64(ent.vlen)
-	start := int64(ent.vlogOff) // svOff in PIDX entries
-	if start < s.winOff || start+need > s.winOff+int64(len(s.win)) {
-		chunk := int64(256 << 10)
-		if need > chunk {
-			chunk = need
-		}
-		if rem := s.ks.sorted.Len() - start; chunk > rem {
-			chunk = rem
-		}
-		if chunk < need {
-			return sidxEntry{}, false, fmt.Errorf("core: sorted values truncated at %d", start)
-		}
-		if cap(s.win) < int(chunk) {
-			s.win = make([]byte, chunk)
-		}
-		s.win = s.win[:chunk]
-		if err := s.ks.sorted.ReadAt(p, s.win, start); err != nil {
-			return sidxEntry{}, false, err
-		}
-		s.winOff = start
+	value, err := s.vals.read(p, int64(ent.vlogOff), int(ent.vlen)) // svOff in PIDX entries
+	if err != nil {
+		return sidxEntry{}, false, err
 	}
-	value := s.win[start-s.winOff : start-s.winOff+need]
 	if s.spec.Offset+s.spec.Length > len(value) {
 		return sidxEntry{}, false, fmt.Errorf(
 			"core: secondary byte range [%d,%d) exceeds %d-byte value of key %x",

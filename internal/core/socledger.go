@@ -17,7 +17,7 @@ const (
 	phaseRunSidx                     // run formation of secondary-index entries
 	phaseRunPair                     // run formation of combined records (DisableKVSeparation)
 	phaseMerge                       // k-way merges of every record type
-	phaseDestPass                    // ordering each destination bucket by VLOG position
+	phaseDestPass                    // gathering each destination bucket's values out of the VLOG
 	phaseValuePass                   // ordering each value bucket by destination
 	phaseSidxExtract                 // PIDX block decodes of a separate index build's scan
 	phaseScrub                       // media-scrub checksums

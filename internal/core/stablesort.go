@@ -214,13 +214,11 @@ func sortCompares(m int) int64 {
 }
 
 // sortBuf is the record batch and merge scratch one sort job reuses across
-// its flushes, buckets and runs, plus the bytes of the bucket readBucketSorted
-// decoded the batch from. It is owned by that job and dies with it; nothing
+// its flushes and runs. It is owned by that job and dies with it; nothing
 // here is pooled across jobs.
 type sortBuf[T any] struct {
 	recs    []T
 	scratch []T
-	raw     []byte
 }
 
 // msd stably orders b.recs by key bytes, then cmp, with msdSort over the

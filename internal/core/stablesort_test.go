@@ -148,7 +148,7 @@ func checkAllRecordTypes(t *testing.T, keys []byte) {
 			// destOff tags the record; the key ignores it.
 			dests = append(dests, destEntry{vlogOff: spread(k), destOff: uint64(i)})
 		}
-		checkRadixSort(t, dests, destKey)
+		checkRadixSort(t, dests, vlogOrder)
 	}
 	for i, k := range keys {
 		key := []byte{'k', k >> 4, k & 15}
@@ -325,7 +325,11 @@ func checkRunCharge[T any](t *testing.T, fx *sortFixture, s *Sorter[T], recs []T
 	})
 }
 
-// TestRadixSortNoAllocs: the bucket sort allocates nothing once its scratch
+// vlogOrder is a uint64 radix key of a fixed-size record type, for the
+// radixSort tests.
+func vlogOrder(e destEntry) uint64 { return e.vlogOff }
+
+// TestRadixSortNoAllocs: the radix sort allocates nothing once its scratch
 // is sized.
 func TestRadixSortNoAllocs(t *testing.T) {
 	perm := rand.New(rand.NewSource(16)).Perm(4096)
@@ -335,57 +339,12 @@ func TestRadixSortNoAllocs(t *testing.T) {
 	}
 	var b sortBuf[destEntry]
 	b.recs = append(b.recs, master...)
-	b.radix(destKey) // warm-up: sizes the scratch
+	b.radix(vlogOrder) // warm-up: sizes the scratch
 	if n := testing.AllocsPerRun(10, func() {
 		copy(b.recs, master)
-		b.radix(destKey)
+		b.radix(vlogOrder)
 	}); n != 0 {
 		t.Fatalf("sortBuf.radix allocated %v times per run after warm-up", n)
-	}
-}
-
-// TestReadBucketSortedCharge: a bucket of n records whose keys span S costs
-// the SoC exactly n·⌈bits.Len64(S)/8⌉ key comparisons — one per record per
-// digit pass — and nothing for a bucket that needs no pass.
-func TestReadBucketSortedCharge(t *testing.T) {
-	for _, tc := range []struct {
-		n    int
-		span uint64
-	}{{1, 0}, {300, 0}, {300, 255}, {300, 256}, {5000, 10240 * 32}, {5000, math.MaxUint64}} {
-		fx := newSortFixture(0)
-		cfg := fx.soc.Config()
-		fx.run(t, func(p *sim.Proc) {
-			c := fx.zm.NewCluster(ZoneTemp)
-			var enc []byte
-			rng := rand.New(rand.NewSource(int64(tc.n)))
-			for i := 0; i < tc.n; i++ {
-				k := uint64(0)
-				switch {
-				case i == 1:
-					k = tc.span // the span's two ends are present
-				case i > 1 && tc.span > 0:
-					k = rng.Uint64() % tc.span
-				}
-				enc = destCodec{}.Encode(enc, destEntry{vlogOff: k, destOff: uint64(i)})
-			}
-			if err := c.Append(p, enc); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Seal(p); err != nil {
-				t.Fatal(err)
-			}
-			var buf sortBuf[destEntry]
-			busy0 := fx.soc.CPU().BusyTime()
-			got, err := readBucketSorted(p, fx.soc.Account(""), c, destCodec{}, &buf, destKey)
-			if err != nil || len(got) != tc.n {
-				t.Fatalf("n=%d: %d records, err %v", tc.n, len(got), err)
-			}
-			passes := (bits.Len64(tc.span) + 7) / 8
-			want := time.Duration(float64(time.Duration(tc.n*passes)*cfg.CompareCost) / cfg.Speed)
-			if d := fx.soc.CPU().BusyTime() - busy0; d != want {
-				t.Errorf("n=%d span=%d: SoC busy +%v, want %v (%d passes)", tc.n, tc.span, d, want, passes)
-			}
-		})
 	}
 }
 

@@ -462,8 +462,8 @@ func (c *Cluster) Seal(p *sim.Proc) error {
 			return err
 		}
 		c.noteGranule(granule, padded)
-		c.tail = nil
 	}
+	c.tail = nil // Append kept its capacity for a next Append; there is none
 	c.sealed = true
 	return nil
 }
