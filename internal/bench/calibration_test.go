@@ -211,109 +211,68 @@ func TestCalibrationFig11Fig12Shape(t *testing.T) {
 
 func TestCalibrationAblations(t *testing.T) {
 	s := calScale()
-	bulk, err := AblationBulkPut(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if testing.Verbose() {
-		bulk.Print(os.Stderr)
-	}
-	checkGolden(t, s, bulk)
-	// Paper: bulk puts ~7x faster than regular puts.
-	if sp := bulk.Float(1, "speedup"); sp < 2 {
-		t.Errorf("bulk put speedup = %.1fx, want >= 2x", sp)
-	}
-
-	stripe, err := AblationStriping(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if testing.Verbose() {
-		stripe.Print(os.Stderr)
-	}
-	checkGolden(t, s, stripe)
-	// Wider stripes should not be slower than width 1.
-	w1 := stripe.Float(0, "write_s")
-	w8 := stripe.Float(3, "write_s")
-	if w8 > w1*1.1 {
-		t.Errorf("striping should help or be neutral: width1=%.4fs width8=%.4fs", w1, w8)
-	}
-
-	defer1, err := AblationDeferredCompaction(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if testing.Verbose() {
-		defer1.Print(os.Stderr)
-	}
-	checkGolden(t, s, defer1)
-	if hostVis := defer1.Float(0, "host_visible_s"); hostVis >= defer1.Float(1, "host_visible_s") {
-		t.Error("deferred compaction should reduce host-visible time")
-	}
-
-	budget, err := AblationSortBudget(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if testing.Verbose() {
-		budget.Print(os.Stderr)
-	}
-	checkGolden(t, s, budget)
-	// More DRAM budget should not make device compaction slower.
-	if tight, roomy := budget.Float(0, "compact_s"), budget.Float(3, "compact_s"); roomy > tight*1.1 {
-		t.Errorf("bigger sort budget slower: %.4fs -> %.4fs", tight, roomy)
-	}
-
-	buf, err := AblationIngestBuffer(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if testing.Verbose() {
-		buf.Print(os.Stderr)
-	}
-	checkGolden(t, s, buf)
-
-	sep, err := AblationKVSeparation(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if testing.Verbose() {
-		sep.Print(os.Stderr)
-	}
-	checkGolden(t, s, sep)
-
-	remote, err := AblationRemoteAccess(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if testing.Verbose() {
-		remote.Print(os.Stderr)
-	}
-	checkGolden(t, s, remote)
-	// The fabric adds per-command latency: remote inserts are slower, but
-	// not catastrophically (data still moves once, queries return results
-	// only).
-	local := remote.Float(0, "insert_s")
-	fabric := remote.Float(1, "insert_s")
-	if fabric <= local {
-		t.Error("NVMeOF attachment should cost more than local PCIe")
-	}
-	if fabric > local*20 {
-		t.Errorf("NVMeOF overhead implausibly high: %.4fs vs %.4fs", fabric, local)
-	}
-
-	cons, err := AblationConsolidatedIndexing(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if testing.Verbose() {
-		cons.Print(os.Stderr)
-	}
-	checkGolden(t, s, cons)
-	// The point of consolidation: fewer media reads (no per-index
-	// keyspace read-back).
-	if sepReads, conReads := cons.Rows[0][3], cons.Rows[1][3]; sepReads == "" || conReads == "" {
-		t.Error("consolidated ablation rows empty")
+	// Each ablation table is checked against its golden, then for its shape
+	// (nil: the golden is the whole check).
+	for _, ab := range []struct {
+		run   func(Scale) (*Table, error)
+		shape func(t *testing.T, tb *Table)
+	}{
+		{AblationBulkPut, func(t *testing.T, tb *Table) {
+			// Paper: bulk puts ~7x faster than regular puts.
+			if sp := tb.Float(1, "speedup"); sp < 2 {
+				t.Errorf("bulk put speedup = %.1fx, want >= 2x", sp)
+			}
+		}},
+		{AblationStriping, func(t *testing.T, tb *Table) {
+			// Wider stripes should not be slower than width 1.
+			if w1, w8 := tb.Float(0, "write_s"), tb.Float(3, "write_s"); w8 > w1*1.1 {
+				t.Errorf("striping should help or be neutral: width1=%.4fs width8=%.4fs", w1, w8)
+			}
+		}},
+		{AblationDeferredCompaction, func(t *testing.T, tb *Table) {
+			if hostVis := tb.Float(0, "host_visible_s"); hostVis >= tb.Float(1, "host_visible_s") {
+				t.Error("deferred compaction should reduce host-visible time")
+			}
+		}},
+		{AblationSortBudget, func(t *testing.T, tb *Table) {
+			// More DRAM budget should not make device compaction slower.
+			if tight, roomy := tb.Float(0, "compact_s"), tb.Float(3, "compact_s"); roomy > tight*1.1 {
+				t.Errorf("bigger sort budget slower: %.4fs -> %.4fs", tight, roomy)
+			}
+		}},
+		{AblationIngestBuffer, nil},
+		{AblationKVSeparation, nil},
+		{AblationRemoteAccess, func(t *testing.T, tb *Table) {
+			// The fabric adds per-command latency: remote inserts are slower,
+			// but not catastrophically (data still moves once, queries return
+			// results only).
+			local, fabric := tb.Float(0, "insert_s"), tb.Float(1, "insert_s")
+			if fabric <= local {
+				t.Error("NVMeOF attachment should cost more than local PCIe")
+			}
+			if fabric > local*20 {
+				t.Errorf("NVMeOF overhead implausibly high: %.4fs vs %.4fs", fabric, local)
+			}
+		}},
+		{AblationConsolidatedIndexing, func(t *testing.T, tb *Table) {
+			// The point of consolidation: fewer media reads (no per-index
+			// keyspace read-back).
+			if sepReads, conReads := tb.Rows[0][3], tb.Rows[1][3]; sepReads == "" || conReads == "" {
+				t.Error("consolidated ablation rows empty")
+			}
+		}},
+	} {
+		tb, err := ab.run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if testing.Verbose() {
+			tb.Print(os.Stderr)
+		}
+		checkGolden(t, s, tb)
+		if ab.shape != nil {
+			ab.shape(t, tb)
+		}
 	}
 }
 

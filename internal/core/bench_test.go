@@ -201,7 +201,7 @@ func BenchmarkMergeRuns16(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			out, err := s.mergeRuns(p, runs)
+			out, err := mergeKeep(p, s, runs)
 			if err != nil {
 				b.Fatal(err)
 			}

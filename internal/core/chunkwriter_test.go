@@ -1,0 +1,216 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"runtime"
+	"slices"
+	"testing"
+
+	"kvcsd/internal/sim"
+	"kvcsd/internal/ssd"
+)
+
+// appendLog is a chunkSink that records the size of every Append before
+// handing it to the cluster.
+type appendLog struct {
+	*Cluster
+	sizes []int
+}
+
+func (l *appendLog) Append(p *sim.Proc, data []byte) error {
+	l.sizes = append(l.sizes, len(data))
+	return l.Cluster.Append(p, data)
+}
+
+// writerInput is the test input of one flush rule: the pieces to add and the
+// Append sizes the rule makes of them.
+type writerInput struct {
+	name   string
+	pieces [][]byte
+	add    func(w *chunkWriter, p *sim.Proc, b []byte) error
+	want   []int
+}
+
+// writerInputs returns a record stream for the first flush rule — records of
+// 1 byte to 9 KiB, some longer than the buffer's slack — and a raw stream for
+// the second, in pieces of 1 byte to 300 KiB.
+func writerInputs() []writerInput {
+	var recs, raw [][]byte
+	var recWant, rawWant []int
+	acc, total := 0, 0
+	for i := 0; total < 3<<20; i++ {
+		b := bytes.Repeat([]byte{byte(i)}, 1+(i*7919)%9000)
+		recs = append(recs, b)
+		total += len(b)
+		if acc += len(b); acc >= writeChunk {
+			recWant, acc = append(recWant, acc), 0
+		}
+	}
+	if acc > 0 {
+		recWant = append(recWant, acc)
+	}
+	total = 0
+	for i := 0; total < 3<<20; i++ {
+		b := bytes.Repeat([]byte{byte(i)}, 1+(i*104729)%(300<<10))
+		raw = append(raw, b)
+		total += len(b)
+	}
+	for ; total > 0; total -= writeChunk {
+		rawWant = append(rawWant, min(total, writeChunk))
+	}
+	return []writerInput{
+		{"records", recs, (*chunkWriter).put, recWant},
+		{"raw", raw, (*chunkWriter).write, rawWant},
+	}
+}
+
+// TestChunkWriterFlushRules pins the Append sizes of both flush rules, inline
+// and through the write stage: records are appended once the buffer holds
+// writeChunk bytes or more and never split, raw bytes are cut at exactly
+// writeChunk. The output bytes are the input in order, and the inline writer
+// issues the media writes plain Appends of those sizes issue.
+func TestChunkWriterFlushRules(t *testing.T) {
+	const width = 3
+	for _, in := range writerInputs() {
+		for _, staged := range []bool{false, true} {
+			fx := newSortFixture(0)
+			fx.run(t, func(p *sim.Proc) {
+				pl := pipeline{}
+				if staged {
+					pl = pipeline{env: fx.env, width: width}
+				}
+				log := &appendLog{Cluster: fx.zm.NewCluster(ZoneTemp)}
+				var moved uint64
+				var w chunkWriter
+				writes := mediaOps(p, fx.zm, "write", func() {
+					w.open(log, pl, &moved)
+					for _, b := range in.pieces {
+						if err := in.add(&w, p, b); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := w.finish(p); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if !slices.Equal(log.sizes, in.want) {
+					t.Fatalf("%s, staged %v: Append sizes %v, want %v", in.name, staged, log.sizes, in.want)
+				}
+				want := bytes.Join(in.pieces, nil)
+				got := make([]byte, log.Len())
+				if err := log.ReadAt(p, got, 0); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) || moved != uint64(len(want)) {
+					t.Fatalf("%s, staged %v: %d bytes out of %d in, %d counted moved", in.name, staged, len(got), len(want), moved)
+				}
+				if staged {
+					return // the appends ran on the stage proc, which mediaOps does not trace
+				}
+				plain := fx.zm.NewCluster(ZoneTemp)
+				direct := mediaOps(p, fx.zm, "write", func() {
+					off := 0
+					for _, n := range in.want {
+						if err := plain.Append(p, want[off:off+n]); err != nil {
+							t.Fatal(err)
+						}
+						off += n
+					}
+					if err := plain.Seal(p); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if writes != direct {
+					t.Fatalf("%s: the writer issued %d media writes, plain Appends of its sizes %d", in.name, writes, direct)
+				}
+			})
+		}
+	}
+}
+
+// TestChunkWriterStagedAppendError: an Append failing in the middle of a
+// staged write reaches the producer, and stopping the writer drains the ring
+// and joins the stage proc, leaving no chunk counted in the pipeline.
+func TestChunkWriterStagedAppendError(t *testing.T) {
+	fx := newSortFixture(0)
+	fx.run(t, func(p *sim.Proc) {
+		occupancy := 0
+		var w chunkWriter
+		w.open(fx.zm.NewCluster(ZoneTemp), pipeline{env: fx.env, width: 3, onDelta: func(d int) { occupancy += d }}, nil)
+		stage := w.stage
+		fx.zm.dev.InjectFault("zone-write", -1, 9) // a few Appends land first
+		raw := make([]byte, writeChunk)
+		var err error
+		appended := 0
+		for ; appended < 64 && err == nil; appended++ {
+			err = w.write(p, raw)
+		}
+		if err == nil {
+			err = w.finish(p)
+		}
+		if serr := w.stop(p); serr != nil && err == nil {
+			err = serr
+		}
+		if !errors.Is(err, ssd.ErrInjectedFault) || appended < 2 {
+			t.Fatalf("after %d chunks: %v, want the injected fault mid-stream", appended, err)
+		}
+		if !stage.proc.Done().Fired() || w.stage != nil {
+			t.Fatal("the write stage proc was not joined")
+		}
+		if occupancy != 0 || stage.ring.Len() != 0 {
+			t.Fatalf("%d chunks still counted in the pipeline, %d in the ring", occupancy, stage.ring.Len())
+		}
+	})
+}
+
+// nopSink is a chunkSink that keeps nothing.
+type nopSink struct{}
+
+func (nopSink) Append(*sim.Proc, []byte) error { return nil }
+func (nopSink) Seal(*sim.Proc) error           { return nil }
+
+// allocBytes returns the bytes f allocates on its second run.
+func allocBytes(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestChunkWriterAllocs: a reopened inline writer reuses its one buffer, so
+// a pass allocates nothing; a staged pass cycles at most ring width + 2
+// chunks, however many it writes — the stage's rings and wake lists are what
+// else it allocates.
+func TestChunkWriterAllocs(t *testing.T) {
+	const width = 4
+	fx := newSortFixture(0)
+	fx.run(t, func(p *sim.Proc) {
+		raw := make([]byte, writeChunk)
+		var w chunkWriter
+		pass := func(pl pipeline, chunks int) func() {
+			return func() {
+				w.open(nopSink{}, pl, nil)
+				for i := 0; i < chunks; i++ {
+					if err := w.write(p, raw); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := w.finish(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if n := testing.AllocsPerRun(10, pass(pipeline{}, 64)); n != 0 {
+			t.Errorf("an inline pass of 64 chunks allocated %v times, want 0", n)
+		}
+		staged := pipeline{env: fx.env, width: width}
+		chunk := uint64(writeChunk + scanSlack)
+		if got := allocBytes(pass(staged, 64)); got > (width+2)*chunk {
+			t.Errorf("a staged pass of 64 chunks allocated %d bytes, more than %d chunks", got, width+2)
+		}
+	})
+}

@@ -13,7 +13,67 @@ import (
 	"kvcsd/internal/sim"
 )
 
-// runCompaction executes the paper's two-step deferred compaction on the
+// runCompaction is the body of a compaction job once the ingest buffer is
+// flushed: it seals the logs, sorts them in the keyspace's layout, and
+// installs the result. With stages set (consolidated index construction)
+// every surviving pair is also handed to the stages' extractor as the value
+// pass streams it.
+func (e *Engine) runCompaction(p *sim.Proc, ks *Keyspace, stages []*sidxStage) error {
+	if err := ks.klog.Seal(p); err != nil {
+		return err
+	}
+	if err := ks.vlog.Seal(p); err != nil {
+		return err
+	}
+	var out compacted
+	var err error
+	if e.cfg.DisableKVSeparation {
+		out, err = e.sortPairs(p, ks)
+	} else {
+		out, err = e.sortSeparated(p, ks, stages)
+	}
+	if err != nil {
+		return err
+	}
+	return e.install(p, ks, out)
+}
+
+// compacted is a compaction's output: the PIDX cluster and its sketch, the
+// SORTED_VALUES cluster, the live pair count, and the heat table to start
+// from (nil for a layout that keeps none).
+type compacted struct {
+	pidx, sorted *Cluster
+	sketch       []sketchEntry
+	live         int64
+	heat         *compaction.HeatTable
+}
+
+// install replaces the logs with the indexed form. It persists before
+// releasing the old log zones: a power cut after the Persist leaves them as
+// orphans for the recovery sweep, whereas releasing first would let a cut
+// recover a snapshot whose keyspace still claims reset (or reused) zones.
+func (e *Engine) install(p *sim.Proc, ks *Keyspace, out compacted) error {
+	oldKlog, oldVlog := ks.klog, ks.vlog
+	ks.klog, ks.vlog = nil, nil
+	ks.pidx, ks.sorted, ks.sketch, ks.count, ks.heat = out.pidx, out.sorted, out.sketch, out.live, out.heat
+	ks.state = StateCompacted
+	ks.compactFinish = p.Now()
+	if err := e.mgr.Persist(p); err != nil {
+		return err
+	}
+	if err := oldKlog.Release(p); err != nil {
+		return err
+	}
+	return oldVlog.Release(p)
+}
+
+// pipeline returns the stage configuration of a compaction of ks: the
+// engine's width, with ring occupancy noted against ks.
+func (e *Engine) pipeline(ks *Keyspace) pipeline {
+	return pipeline{env: e.env, width: e.pipelineWidth, onDelta: func(d int) { e.noteOccupancy(ks, d) }}
+}
+
+// sortSeparated executes the paper's two-step deferred compaction on the
 // device (§V, "Compaction"):
 //
 //  1. sort the keys — an external merge sort of the KLOG entries;
@@ -25,32 +85,12 @@ import (
 //
 // and then build the PIDX blocks plus the in-memory sketch (one pivot per
 // 4 KiB block). All intermediate runs live in temporarily allocated zone
-// clusters released as the sort proceeds; the original KLOG/VLOG clusters
-// are deleted at the end and replaced by PIDX and SORTED_VALUES.
-func (e *Engine) runCompaction(p *sim.Proc, ks *Keyspace) error {
-	// The done event fires even on error so waiters never deadlock; they
-	// observe the failure through Engine.BackgroundErr.
-	defer ks.compactDone.Signal()
-	return e.compactInto(p, ks, nil)
-}
-
-// compactInto is the compaction pipeline; when onPair is non-nil, every
-// surviving (primary key, value) pair is additionally handed to it in sorted
-// order during the final value pass (consolidated index construction).
-func (e *Engine) compactInto(p *sim.Proc, ks *Keyspace, onPair func(*sim.Proc, []byte, uint64, []byte) error) error {
-	if err := ks.klog.Seal(p); err != nil {
-		return err
-	}
-	if err := ks.vlog.Seal(p); err != nil {
-		return err
-	}
-
+// clusters released as the sort proceeds.
+func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace, stages []*sidxStage) (compacted, error) {
 	// Step 1: sort keys (compareKlog: newest duplicate of a key first).
 	ks.progress.Stage = compaction.StageSort
 	keySorter := newEngineSorter[klogEntry](e, phaseRunKlog, klogCodec{}, klogKey, compareKlog)
-	keySorter.Env = e.env
-	keySorter.PipelineWidth = e.pipelineWidth
-	keySorter.OnOccupancy = func(d int) { e.noteOccupancy(ks, d) }
+	keySorter.pipe = e.pipeline(ks)
 	// The split decision samples utilization over the run-formation phase,
 	// not just the instant the merge starts: closed-loop foreground readers
 	// keep at most one command in flight each, so they are invisible to
@@ -60,7 +100,7 @@ func (e *Engine) compactInto(p *sim.Proc, ks *Keyspace, onPair func(*sim.Proc, [
 	socCPU := e.soc.CPU()
 	sortBusy0, sortT0 := socCPU.BusyTime(), e.env.Now()
 	chBusy0 := e.zm.channelBusyTimes(nil)
-	keySorter.PlanSplit = func(n int) int {
+	keySorter.planSplit = func(n int) int {
 		sig := e.signals()
 		if dt := e.env.Now() - sortT0; dt > 0 {
 			sig.SoCUtil = float64(socCPU.BusyTime()-sortBusy0) /
@@ -73,15 +113,15 @@ func (e *Engine) compactInto(p *sim.Proc, ks *Keyspace, onPair func(*sim.Proc, [
 		}
 		return compaction.DecideSplit(e.compactPolicy, sig, n).HostRuns
 	}
-	keySorter.SubmitAssist = e.submitAssist
-	keySorter.CollectAssist = e.collectAssist
+	keySorter.submitAssist = e.submitAssist
+	keySorter.collectAssist = e.collectAssist
 	sortedKeys, err := keySorter.Sort(p, newFrameSource(ks.klog, klogCodec{}, ks.logFrames))
 	if err != nil {
-		return err
+		return compacted{}, err
 	}
-	ks.progress.BytesMoved += uint64(keySorter.BytesWritten)
-	ks.progress.HostRuns = clampU16(keySorter.HostRuns)
-	ks.progress.DeviceRuns = clampU16(keySorter.DeviceRuns)
+	ks.progress.BytesMoved += keySorter.written
+	ks.progress.HostRuns = clampU16(keySorter.hostRuns)
+	ks.progress.DeviceRuns = clampU16(keySorter.deviceRuns)
 
 	// Pass over sorted keys: drop duplicate keys, assign destination
 	// offsets, build PIDX blocks + sketch, and scatter destination entries
@@ -105,7 +145,7 @@ func (e *Engine) compactInto(p *sim.Proc, ks *Keyspace, onPair func(*sim.Proc, [
 	for {
 		rec, ok, err := sc.next(p)
 		if err != nil {
-			return err
+			return compacted{}, err
 		}
 		if !ok {
 			break
@@ -123,23 +163,23 @@ func (e *Engine) compactInto(p *sim.Proc, ks *Keyspace, onPair func(*sim.Proc, [
 		de := destEntry{vlogOff: rec.vlogOff, destOff: destOff, vlen: rec.vlen}
 		enc = dcodec.Encode(enc[:0], de)
 		if err := destBuckets.add(p, rec.vlogOff, enc); err != nil {
-			return err
+			return compacted{}, err
 		}
 		enc = codec.Encode(enc[:0], pidxEntry{key: rec.key, vlen: rec.vlen, vlogOff: destOff})
 		if err := pidxW.add(p, enc, rec.key); err != nil {
-			return err
+			return compacted{}, err
 		}
 		destOff += uint64(rec.vlen)
 	}
 	totalValueBytes := destOff
 	if err := destBuckets.finish(p); err != nil {
-		return err
+		return compacted{}, err
 	}
 	if err := pidxW.finish(p); err != nil {
-		return err
+		return compacted{}, err
 	}
 	if err := sortedKeys.Release(p); err != nil {
-		return err
+		return compacted{}, err
 	}
 
 	// Step 2: sort the values using the sorted keys — a two-pass
@@ -155,139 +195,78 @@ func (e *Engine) compactInto(p *sim.Proc, ks *Keyspace, onPair func(*sim.Proc, [
 		lo := uint64(b) * destBuckets.width
 		dents, err := gatherer.gather(p, e.cpu[phaseDestPass], db, ks.vlog, lo, destBuckets.width)
 		if err != nil {
-			return err
+			return compacted{}, err
 		}
 		for _, de := range dents {
 			enc = valueCodec{}.Encode(enc[:0], valueRec{destOff: de.destOff, value: gatherer.value(de)})
 			if err := valBuckets.add(p, de.destOff, enc); err != nil {
-				return err
+				return compacted{}, err
 			}
 		}
 	}
 	if err := valBuckets.finish(p); err != nil {
-		return err
+		return compacted{}, err
 	}
 	if err := destBuckets.release(p); err != nil {
-		return err
+		return compacted{}, err
 	}
 
 	sorted := e.zm.NewCluster(ZoneSortedValues)
 	ks.progress.Stage = compaction.StageValues
 	ks.progress.GranulesDone = 0
 	ks.progress.GranulesTotal = uint32((int64(totalValueBytes) + blockSz - 1) / blockSz)
-	// The zone-write stage: when the pipeline is enabled, sorted-value chunks
-	// push into a bounded ring and land on media from a dedicated proc,
-	// overlapping bucket reads with zone writes.
-	var pw *pipelineWriter
-	if e.env != nil && e.pipelineWidth > 1 {
-		pw = newPipelineWriter(e.env, sorted, e.pipelineWidth, func(d int) { e.noteOccupancy(ks, d) })
-		defer func() {
-			if pw != nil {
-				pw.finish(p)
-			}
-		}()
-	}
-	appendSorted := func(buf []byte) error {
-		ks.progress.BytesMoved += uint64(len(buf))
-		if pw != nil {
-			return pw.write(p, buf)
-		}
-		return sorted.Append(p, buf)
-	}
-	writeBuf := make([]byte, 0, valueChunk)
+	var w chunkWriter
+	w.open(sorted, e.pipeline(ks), &ks.progress.BytesMoved)
+	defer w.stop(p)
 	var nextDest uint64
 	var cursor *pidxCursor
-	if onPair != nil {
+	if len(stages) > 0 {
 		cursor = &pidxCursor{win: clusterWindow{c: pidx}, cfg: e.cfg}
 	}
 	var placer valuePlacer
 	for _, vb := range valBuckets.buckets() {
 		vals, n, err := placer.place(p, e.cpu[phaseValuePass], vb, nextDest)
 		if err != nil {
-			return err
+			return compacted{}, err
 		}
-		if onPair != nil {
+		if cursor != nil {
 			// The bucket's n records are the next n PIDX entries; each slices
 			// its value out of the placed span by vlen.
 			at, end := nextDest, nextDest+uint64(len(vals))
 			for i := 0; i < n; i++ {
 				ent, ok, err := cursor.next(p)
 				if err != nil {
-					return err
+					return compacted{}, err
 				}
 				if !ok || ent.vlogOff != at || at+uint64(ent.vlen) > end {
-					return fmt.Errorf("core: pidx/value streams diverged: %d+%d vs %d", ent.vlogOff, ent.vlen, at)
+					return compacted{}, fmt.Errorf("core: pidx/value streams diverged: %d+%d vs %d", ent.vlogOff, ent.vlen, at)
 				}
 				o := at - nextDest
-				if err := onPair(p, ent.key, at, vals[o:o+uint64(ent.vlen)]); err != nil {
-					return err
+				if err := extractStaged(p, stages, ent.key, at, vals[o:o+uint64(ent.vlen)]); err != nil {
+					return compacted{}, err
 				}
 				at += uint64(ent.vlen)
 			}
 		}
 		nextDest += uint64(len(vals))
 		ks.progress.GranulesDone = uint32(int64(nextDest) / blockSz)
-		for len(vals) > 0 {
-			k := min(len(vals), valueChunk-len(writeBuf))
-			writeBuf = append(writeBuf, vals[:k]...)
-			vals = vals[k:]
-			if len(writeBuf) == valueChunk {
-				if err := appendSorted(writeBuf); err != nil {
-					return err
-				}
-				if pw != nil {
-					// The write stage owns the pushed chunk now.
-					writeBuf = pw.buffer()
-				} else {
-					writeBuf = writeBuf[:0]
-				}
-			}
+		if err := w.write(p, vals); err != nil {
+			return compacted{}, err
 		}
 	}
 	if nextDest != totalValueBytes {
-		return fmt.Errorf("core: value sort produced gap: %d of %d value bytes placed", nextDest, totalValueBytes)
+		return compacted{}, fmt.Errorf("core: value sort produced gap: %d of %d value bytes placed", nextDest, totalValueBytes)
 	}
-	if len(writeBuf) > 0 {
-		if err := appendSorted(writeBuf); err != nil {
-			return err
-		}
-	}
-	if pw != nil {
-		ferr := pw.finish(p)
-		pw = nil
-		if ferr != nil {
-			return ferr
-		}
-	}
-	if err := sorted.Seal(p); err != nil {
-		return err
+	if err := w.finish(p); err != nil {
+		return compacted{}, err
 	}
 	if err := valBuckets.release(p); err != nil {
-		return err
+		return compacted{}, err
 	}
-
-	// Replace the logs with the indexed form. Persist before releasing the
-	// old log zones: a power cut after the Persist leaves them as orphans for
-	// the recovery sweep, whereas releasing first would let a cut recover a
-	// snapshot whose keyspace still claims reset (or reused) zones.
-	oldKlog, oldVlog := ks.klog, ks.vlog
-	ks.klog, ks.vlog = nil, nil
-	ks.pidx = pidx
-	ks.sorted = sorted
-	ks.sketch = pidxW.sketch
-	ks.count = livePairs
-	ks.state = StateCompacted
-	ks.compactFinish = p.Now()
 	// Fresh heat table sized to the sorted-values granules: placement
 	// decisions restart from cold after every compaction pass.
-	ks.heat = compaction.NewHeatTable(int((sorted.Len() + blockSz - 1) / blockSz))
-	if err := e.mgr.Persist(p); err != nil {
-		return err
-	}
-	if err := oldKlog.Release(p); err != nil {
-		return err
-	}
-	return oldVlog.Release(p)
+	heat := compaction.NewHeatTable(int((sorted.Len() + blockSz - 1) / blockSz))
+	return compacted{pidx: pidx, sorted: sorted, sketch: pidxW.sketch, live: livePairs, heat: heat}, nil
 }
 
 // klogKey is a KLOG entry's sort key.
@@ -314,10 +293,6 @@ func compareKlog(a, b klogEntry) int {
 		return 1
 	}
 }
-
-// valueChunk is the size of the chunks the value pass appends to
-// SORTED_VALUES.
-const valueChunk = 256 << 10
 
 // pidxCursor walks PIDX entries in block order — a separate index build's
 // scan, and the consolidated build pairing primary keys with the streaming

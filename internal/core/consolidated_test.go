@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"slices"
 	"testing"
+	"time"
 
+	"kvcsd/internal/compaction"
 	"kvcsd/internal/keyenc"
 	"kvcsd/internal/sim"
 )
@@ -270,5 +274,98 @@ func TestConsolidatedClientPath(t *testing.T) {
 			}
 		}
 		_ = fmt.Sprint() // keep fmt import
+	})
+}
+
+// clusterCRC reads all of c and returns its CRC-32.
+func clusterCRC(t *testing.T, p *sim.Proc, c *Cluster) uint32 {
+	t.Helper()
+	buf := make([]byte, c.Len())
+	if err := c.ReadAt(p, buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	return crc32.ChecksumIEEE(buf)
+}
+
+// TestCompactWithIndexesCombinedLayout: the combined layout has no value
+// pass to extract secondary keys from, so CompactWithIndexes compacts and
+// builds each index separately, to the same bytes Compact followed by
+// BuildSecondaryIndex writes.
+func TestCompactWithIndexesCombinedLayout(t *testing.T) {
+	specs := []SecondarySpec{energySpec("e"), energySpec2("b")}
+	build := func(declared bool) (crcs []uint32) {
+		cfg := smallEngineConfig()
+		cfg.DisableKVSeparation = true
+		fx := newEngineFixture(cfg)
+		fx.run(t, func(p *sim.Proc) {
+			ingestN(t, p, fx, "ks", 1500, func(i int) float32 { return float32(i % 37) })
+			if declared {
+				if err := fx.eng.CompactWithIndexes(p, "ks", specs); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				if err := fx.eng.Compact(p, "ks"); err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range specs {
+					if err := fx.eng.BuildSecondaryIndex(p, "ks", s); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := fx.eng.WaitBackgroundIdle(p); err != nil {
+				t.Fatal(err)
+			}
+			ks, _ := fx.eng.Keyspace("ks")
+			if ks.State() != StateCompacted || ks.CompactErr() != nil {
+				t.Fatalf("keyspace %s, compaction error %v", ks.State(), ks.CompactErr())
+			}
+			crcs = append(crcs, clusterCRC(t, p, ks.pidx), clusterCRC(t, p, ks.sorted))
+			for _, s := range specs {
+				crcs = append(crcs, clusterCRC(t, p, ks.secondary[s.Name].cluster))
+			}
+		})
+		return crcs
+	}
+	declared, separate := build(true), build(false)
+	if !slices.Equal(declared, separate) {
+		t.Fatalf("PIDX, SORTED_VALUES, SIDX CRCs: declared %08x, separate %08x", declared, separate)
+	}
+}
+
+// TestCompactWithIndexesStatus: a consolidated compaction reports its stage
+// and its failure like any other. After it succeeds the keyspace's progress
+// reads idle; when a declared byte range runs past the values, the attempt
+// fails with a compaction error within a bounded number of polls instead of
+// leaving the keyspace COMPACTING with nothing to report.
+func TestCompactWithIndexesStatus(t *testing.T) {
+	fx := newEngineFixture(smallEngineConfig())
+	fx.run(t, func(p *sim.Proc) {
+		ingestN(t, p, fx, "good", 800, func(i int) float32 { return float32(i) })
+		if err := fx.eng.CompactWithIndexes(p, "good", []SecondarySpec{energySpec("e")}); err != nil {
+			t.Fatal(err)
+		}
+		if err := fx.eng.WaitBackgroundIdle(p); err != nil {
+			t.Fatal(err)
+		}
+		if pr, _ := fx.eng.Progress("good"); pr.Stage != compaction.StageIdle {
+			t.Errorf("progress after a consolidated compaction reads %s, want idle", pr.Stage)
+		}
+
+		ingestN(t, p, fx, "bad", 800, func(i int) float32 { return float32(i) })
+		past := SecondarySpec{Name: "past", Offset: 30, Length: 4, Type: keyenc.TypeBytes} // values are 32 bytes
+		if err := fx.eng.CompactWithIndexes(p, "bad", []SecondarySpec{past}); err != nil {
+			t.Fatal(err)
+		}
+		ks, _ := fx.eng.Keyspace("bad")
+		for i := 0; i < 200 && ks.CompactErr() == nil; i++ {
+			p.Sleep(time.Millisecond)
+		}
+		if ks.CompactErr() == nil || ks.State() == StateCompacted {
+			t.Fatalf("keyspace %s, compaction error %v: want a failed attempt", ks.State(), ks.CompactErr())
+		}
+		if pr, _ := fx.eng.Progress("bad"); pr.Stage != compaction.StageIdle {
+			t.Errorf("progress after a failed consolidated compaction reads %s, want idle", pr.Stage)
+		}
 	})
 }

@@ -568,7 +568,22 @@ func (e *Engine) BackgroundJobs() int { return e.bgJobs }
 // Compact transitions a keyspace to COMPACTING and starts the device-side
 // sort asynchronously; the call returns as soon as the job is scheduled (the
 // paper's deferred compaction). Waiters use WaitCompacted.
-func (e *Engine) Compact(p *sim.Proc, name string) error {
+func (e *Engine) Compact(p *sim.Proc, name string) error { return e.compact(p, name, nil) }
+
+// CompactWithIndexes invokes compaction with secondary indexes declared
+// upfront. The call returns immediately like Compact; WaitCompacted and
+// WaitIndexBuilt observe the phases.
+func (e *Engine) CompactWithIndexes(p *sim.Proc, name string, specs []SecondarySpec) error {
+	return e.compact(p, name, specs)
+}
+
+// compact is the one entry of every compaction job. It validates the
+// request, makes the route decision — when the engine consolidates the specs
+// the job extracts their keys in flight (see consolidated.go), otherwise the
+// keyspace compacts and each index then builds on its own, as
+// BuildSecondaryIndex would — and runs the job: ingest takeover, the
+// compaction, its progress stage and error, and the staged index builds.
+func (e *Engine) compact(p *sim.Proc, name string, specs []SecondarySpec) error {
 	ks, err := e.Keyspace(name)
 	if err != nil {
 		return err
@@ -576,15 +591,37 @@ func (e *Engine) Compact(p *sim.Proc, name string) error {
 	if ks.pendingDelete {
 		return ErrDeleted
 	}
-	switch ks.state {
-	case StateWritable:
-	case StateEmpty:
+	if ks.state != StateWritable && ks.state != StateEmpty {
+		return fmt.Errorf("%w: %s is %s", ErrKeyspaceState, name, ks.state)
+	}
+	if err := ks.checkSpecs(specs); err != nil {
+		return err
+	}
+	if len(specs) > 0 && !e.consolidates(len(specs)) {
+		if err := e.compact(p, name, nil); err != nil {
+			return err
+		}
+		for _, spec := range specs {
+			if err := e.BuildSecondaryIndex(p, name, spec); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	sis := make([]*secondaryIndex, len(specs))
+	for i, spec := range specs {
+		sis[i] = &secondaryIndex{spec: spec, done: sim.NewEvent(e.env)}
+		ks.secondary[spec.Name] = sis[i]
+	}
+	if ks.state == StateEmpty {
 		// Compacting an empty keyspace trivially succeeds.
 		ks.state = StateCompacted
 		ks.compactDone.Signal()
+		for _, si := range sis {
+			si.cluster = e.zm.NewCluster(ZoneSIDX)
+			si.done.Signal()
+		}
 		return e.mgr.Persist(p)
-	default:
-		return fmt.Errorf("%w: %s is %s", ErrKeyspaceState, name, ks.state)
 	}
 	ks.state = StateCompacting
 	ks.compactStart = p.Now()
@@ -592,23 +629,35 @@ func (e *Engine) Compact(p *sim.Proc, name string) error {
 	if err := e.mgr.Persist(p); err != nil {
 		return err
 	}
+	job := "compact-" + name
+	if len(sis) > 0 {
+		job = "compact+idx-" + name
+	}
 	// The remaining ingest-buffer flush is part of the background job: the
-	// Compact command itself returns immediately (deferred compaction).
-	e.spawnJob("compact-"+name, func(jp *sim.Proc) error {
+	// command itself returns immediately (deferred compaction).
+	e.spawnJob(job, func(jp *sim.Proc) error {
 		ks.progress = compaction.Progress{Stage: compaction.StageFlush}
-		defer func() { ks.progress.Stage = compaction.StageIdle }()
-		if err := e.takeIngest(jp, ks); err != nil {
-			ks.compactDone.Signal()
-			ks.compactErr = err
+		err := e.takeIngest(jp, ks)
+		var stages []*sidxStage
+		if err == nil {
+			stages = e.newSidxStages(sis)
+			err = e.runCompaction(jp, ks, stages)
+		}
+		// The done event fires even on error so waiters never deadlock; they
+		// observe the failure through CompactErr and BackgroundErr.
+		ks.progress.Stage = compaction.StageIdle
+		ks.compactErr = err
+		ks.compactDone.Signal()
+		if err != nil {
+			for _, si := range sis {
+				si.done.Signal()
+			}
 			return err
 		}
-		if e.cfg.DisableKVSeparation {
-			err = e.runCompactionCombined(jp, ks)
-		} else {
-			err = e.runCompaction(jp, ks)
+		if len(stages) == 0 {
+			return nil
 		}
-		ks.compactErr = err
-		return err
+		return e.buildStaged(jp, stages)
 	})
 	return nil
 }
@@ -745,14 +794,8 @@ func (e *Engine) BuildSecondaryIndex(p *sim.Proc, name string, spec SecondarySpe
 	if ks.state != StateCompacted && ks.state != StateCompacting {
 		return fmt.Errorf("%w: %s is %s", ErrKeyspaceState, name, ks.state)
 	}
-	if spec.Name == "" || spec.Offset < 0 || spec.Length <= 0 {
-		return fmt.Errorf("core: invalid secondary index spec %+v", spec)
-	}
-	if w := spec.Type.Width(); w != 0 && spec.Length != w {
-		return fmt.Errorf("core: secondary type %s needs length %d", spec.Type, w)
-	}
-	if _, ok := ks.secondary[spec.Name]; ok {
-		return fmt.Errorf("%w: %s", ErrIndexExists, spec.Name)
+	if err := ks.checkSpecs([]SecondarySpec{spec}); err != nil {
+		return err
 	}
 	si := &secondaryIndex{spec: spec, done: sim.NewEvent(e.env)}
 	ks.secondary[spec.Name] = si

@@ -97,23 +97,17 @@ func (e *Engine) flushBufferCombined(p *sim.Proc, ks *Keyspace) error {
 	return nil
 }
 
-// runCompactionCombined sorts combined pair records — one external sort in
-// which every merge round reads and writes the full values.
-func (e *Engine) runCompactionCombined(p *sim.Proc, ks *Keyspace) error {
-	defer ks.compactDone.Signal()
-	if err := ks.klog.Seal(p); err != nil {
-		return err
-	}
-	if err := ks.vlog.Seal(p); err != nil {
-		return err
-	}
+// sortPairs is the combined layout's compaction: one external sort of pair
+// records in which every merge round reads and writes the full values. The
+// final merge streams the newest live version of each key into PIDX and its
+// value into SORTED_VALUES. It keeps no heat table.
+func (e *Engine) sortPairs(p *sim.Proc, ks *Keyspace) (compacted, error) {
 	sorter := newEngineSorter[pairRec](e, phaseRunPair, pairCodec{}, pairKey, comparePair)
-
 	pidx := e.zm.NewCluster(ZonePIDX)
 	pidxW := newBlockWriter(pidx, e.cfg.BlockBytes)
 	sorted := e.zm.NewCluster(ZoneSortedValues)
-	codec := klogCodec{}
-	writeBuf := make([]byte, 0, 256<<10)
+	var w chunkWriter
+	w.open(sorted, pipeline{}, nil)
 	var enc []byte
 	var destOff uint64
 	var livePairs int64
@@ -129,50 +123,18 @@ func (e *Engine) runCompactionCombined(p *sim.Proc, ks *Keyspace) error {
 			return nil // newest record is a delete
 		}
 		livePairs++
-		enc = codec.Encode(enc[:0], pidxEntry{key: rec.key, vlen: uint32(len(rec.value)), vlogOff: destOff})
+		enc = klogCodec{}.Encode(enc[:0], pidxEntry{key: rec.key, vlen: uint32(len(rec.value)), vlogOff: destOff})
 		if err := pidxW.add(sp, enc, rec.key); err != nil {
 			return err
 		}
 		destOff += uint64(len(rec.value))
-		writeBuf = append(writeBuf, rec.value...)
-		if len(writeBuf) >= 256<<10 {
-			if err := sorted.Append(sp, writeBuf); err != nil {
-				return err
-			}
-			writeBuf = writeBuf[:0]
-		}
-		return nil
+		return w.put(sp, rec.value)
 	})
-	if err != nil {
-		return err
+	if err == nil {
+		err = w.finish(p)
 	}
-	if len(writeBuf) > 0 {
-		if err := sorted.Append(p, writeBuf); err != nil {
-			return err
-		}
+	if err == nil {
+		err = pidxW.finish(p)
 	}
-	if err := sorted.Seal(p); err != nil {
-		return err
-	}
-	if err := pidxW.finish(p); err != nil {
-		return err
-	}
-	// Persist before releasing the old log zones (see runCompaction: a cut
-	// between a release and the Persist would recover a snapshot claiming
-	// reset zones).
-	oldKlog, oldVlog := ks.klog, ks.vlog
-	ks.klog, ks.vlog = nil, nil
-	ks.pidx = pidx
-	ks.sorted = sorted
-	ks.sketch = pidxW.sketch
-	ks.count = livePairs
-	ks.state = StateCompacted
-	ks.compactFinish = p.Now()
-	if err := e.mgr.Persist(p); err != nil {
-		return err
-	}
-	if err := oldKlog.Release(p); err != nil {
-		return err
-	}
-	return oldVlog.Release(p)
+	return compacted{pidx: pidx, sorted: sorted, sketch: pidxW.sketch, live: livePairs}, err
 }

@@ -59,8 +59,8 @@ func checkSortOwnsRecords[T any](t *testing.T, codec Codec[T], key func(T) []byt
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.Runs < 2 {
-			t.Fatalf("%d runs, want several", s.Runs)
+		if s.runs < 2 {
+			t.Fatalf("%d runs, want several", s.runs)
 		}
 		sc := newScanner(out, codec, 0)
 		for i := 0; ; i++ {
@@ -270,7 +270,7 @@ func TestMergeSortedAllocs(t *testing.T) {
 			runs[i] = r[0]
 		}
 		n := testing.AllocsPerRun(3, func() {
-			out, err := s.mergeRuns(p, runs)
+			out, err := mergeKeep(p, s, runs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -282,4 +282,20 @@ func TestMergeSortedAllocs(t *testing.T) {
 			t.Fatalf("16-way merge of %d records allocated %v times, want at most 300", len(all), n)
 		}
 	})
+}
+
+// mergeKeep is mergeRuns without the release: it merges runs into a new
+// sealed cluster through the sorter's writer and leaves them in place, so a
+// test or benchmark can merge the same runs again.
+func mergeKeep[T any](p *sim.Proc, s *Sorter[T], runs []*Cluster) (*Cluster, error) {
+	out := s.zm.NewCluster(ZoneTemp)
+	s.out.open(out, s.pipe, &s.written)
+	err := s.merge(p, runs, nil, func(mp *sim.Proc, rec T) error {
+		return putRecord(mp, &s.out, s.codec, rec)
+	})
+	if err != nil {
+		s.out.stop(p)
+		return nil, err
+	}
+	return out, s.out.finish(p)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"kvcsd/internal/sim"
 )
@@ -119,20 +120,50 @@ func (s *sidxSource) next(p *sim.Proc) (sidxEntry, bool, error) {
 	if err != nil {
 		return sidxEntry{}, false, err
 	}
-	if s.spec.Offset+s.spec.Length > len(value) {
-		return sidxEntry{}, false, fmt.Errorf(
-			"core: secondary byte range [%d,%d) exceeds %d-byte value of key %x",
-			s.spec.Offset, s.spec.Offset+s.spec.Length, len(value), ent.key)
-	}
-	skey, err := s.spec.Type.AppendNormalized(s.skey[:0], value[s.spec.Offset:s.spec.Offset+s.spec.Length])
+	se, err := extractSidx(s.spec, s.skey, ent.key, ent.vlogOff, value)
 	if err != nil {
 		return sidxEntry{}, false, err
 	}
-	s.skey, s.pkey = skey, ent.key
+	s.skey, s.pkey = se.skey, se.pkey
+	return se, true, nil
+}
+
+// extractSidx returns the index entry of spec for the pair (pkey, value),
+// whose value sits at svOff in SORTED_VALUES. The secondary key is
+// normalized onto skey[:0], a buffer the caller reuses from call to call; a
+// byte range running past the value is an error.
+func extractSidx(spec SecondarySpec, skey, pkey []byte, svOff uint64, value []byte) (sidxEntry, error) {
+	if spec.Offset+spec.Length > len(value) {
+		return sidxEntry{}, fmt.Errorf("core: secondary byte range [%d,%d) exceeds %d-byte value of key %x",
+			spec.Offset, spec.Offset+spec.Length, len(value), pkey)
+	}
+	skey, err := spec.Type.AppendNormalized(skey[:0], value[spec.Offset:spec.Offset+spec.Length])
+	if err != nil {
+		return sidxEntry{}, err
+	}
 	return sidxEntry{
 		skey:  skey[:len(skey):len(skey)],
-		pkey:  ent.key[:len(ent.key):len(ent.key)],
-		svOff: ent.vlogOff,
-		vlen:  ent.vlen,
-	}, true, nil
+		pkey:  pkey[:len(pkey):len(pkey)],
+		svOff: svOff,
+		vlen:  uint32(len(value)),
+	}, nil
+}
+
+// checkSpecs validates index specs about to be declared on ks: each needs a
+// name, a byte range, and the width its type demands, and no two may share a
+// name with each other or with an index ks has.
+func (ks *Keyspace) checkSpecs(specs []SecondarySpec) error {
+	for i, spec := range specs {
+		if spec.Name == "" || spec.Offset < 0 || spec.Length <= 0 {
+			return fmt.Errorf("core: invalid secondary index spec %+v", spec)
+		}
+		if w := spec.Type.Width(); w != 0 && spec.Length != w {
+			return fmt.Errorf("core: secondary type %s needs length %d", spec.Type, w)
+		}
+		_, exists := ks.secondary[spec.Name]
+		if exists || slices.ContainsFunc(specs[:i], func(s SecondarySpec) bool { return s.Name == spec.Name }) {
+			return fmt.Errorf("%w: %s", ErrIndexExists, spec.Name)
+		}
+	}
+	return nil
 }

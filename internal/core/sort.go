@@ -182,46 +182,41 @@ type Sorter[T any] struct {
 	// batch in cmp order without comparing a tie.
 	radix func(T) uint64
 
-	// batch, arena and enc are this sorter's working buffers: the record
+	// batch, arena and out are this sorter's working buffers: the record
 	// batch with its merge scratch, the bytes of the batch's records, and the
-	// 256 KiB encode buffer run formation and the unpipelined merge write
-	// through. They belong to the sort job and die with it.
+	// writer every run and merge output goes through. They belong to the
+	// sort job and die with it.
 	batch sortBuf[T]
 	arena batchArena
-	enc   []byte
+	out   chunkWriter
 
-	// Runs and MergePasses record what the last Sort did (ablation metrics).
-	Runs        int
-	MergePasses int
+	// runs and merges record what the last Sort did: runs formed and k-way
+	// merges made.
+	runs, merges int
 	// runCPU and mergeCPU are where run formation and merges charge the SoC:
 	// the engine's run-formation phase of the record type and its merge phase
 	// (newEngineSorter); NewSorter points both at the SoC's empty account.
 	runCPU, mergeCPU host.Meter
-	// BytesWritten counts bytes this sorter appended to scratch and output
+	// written counts bytes this sorter appended to scratch and output
 	// clusters (compaction progress accounting).
-	BytesWritten int64
-	// HostRuns and DeviceRuns record how the last Sort split its reduced
-	// runs between the host assist loop and the device (zero/zero when the
-	// sort ran device-only).
-	HostRuns, DeviceRuns int
+	written uint64
+	// hostRuns and deviceRuns record how the last Sort split its reduced runs
+	// between the host assist loop and the device (zero/zero when the sort
+	// ran device-only).
+	hostRuns, deviceRuns int
 
-	// Pipeline configuration. When Env is set and PipelineWidth > 1, merges
-	// run as staged procs — per-run read prefetchers and a zone-write stage —
-	// connected by bounded rings so granule reads, the k-way merge, and zone
-	// writes overlap across SoC cores. OnOccupancy (optional) observes every
-	// buffered chunk entering (+1) and leaving (-1) the pipeline.
-	Env           *sim.Env
-	PipelineWidth int
-	OnOccupancy   func(int)
+	// pipe stages the merges: with it on, every run is read ahead by a
+	// prefetch proc and the output lands through a zone-write stage proc.
+	pipe pipeline
 
-	// Host-assist hooks (collaborative compaction). PlanSplit decides how
-	// many of the reduced runs ship to the host; SubmitAssist frames and
-	// enqueues them (non-blocking) and CollectAssist waits for the merged
+	// Host-assist hooks (collaborative compaction). planSplit decides how
+	// many of the reduced runs ship to the host; submitAssist frames and
+	// enqueues them (non-blocking) and collectAssist waits for the merged
 	// run. A collect error falls back to device-side merging. All three must
 	// be set for splitting to happen.
-	PlanSplit     func(nRuns int) int
-	SubmitAssist  func(p *sim.Proc, runs []*Cluster) (*compaction.Job, error)
-	CollectAssist func(p *sim.Proc, job *compaction.Job) ([]byte, error)
+	planSplit     func(nRuns int) int
+	submitAssist  func(p *sim.Proc, runs []*Cluster) (*compaction.Job, error)
+	collectAssist func(p *sim.Proc, job *compaction.Job) ([]byte, error)
 }
 
 // NewSorter builds a sorter using the engine's zone manager for scratch
@@ -260,9 +255,9 @@ func (s *Sorter[T]) Sort(p *sim.Proc, src recordSource[T]) (*Cluster, error) {
 		out := s.zm.NewCluster(ZoneTemp)
 		return out, out.Seal(p)
 	}
-	s.HostRuns, s.DeviceRuns = 0, 0
-	if s.PlanSplit != nil && s.SubmitAssist != nil && s.CollectAssist != nil && len(runs) > 1 {
-		if h := s.PlanSplit(len(runs)); h > 0 && h <= len(runs) {
+	s.hostRuns, s.deviceRuns = 0, 0
+	if s.planSplit != nil && s.submitAssist != nil && s.collectAssist != nil && len(runs) > 1 {
+		if h := s.planSplit(len(runs)); h > 0 && h <= len(runs) {
 			merged, err, ok := s.sortSplit(p, runs, h)
 			if ok {
 				return merged, err
@@ -271,16 +266,8 @@ func (s *Sorter[T]) Sort(p *sim.Proc, src recordSource[T]) (*Cluster, error) {
 		}
 	}
 	if len(runs) > 1 {
-		s.MergePasses++
-		s.DeviceRuns = len(runs)
-		merged, err := s.mergeRuns(p, runs)
-		if err != nil {
-			return nil, err
-		}
-		if err := releaseAll(p, runs); err != nil {
-			return nil, err
-		}
-		return merged, nil
+		s.deviceRuns = len(runs)
+		return s.mergeRuns(p, runs)
 	}
 	return runs[0], nil
 }
@@ -301,30 +288,25 @@ func (s *Sorter[T]) sortSplit(p *sim.Proc, runs []*Cluster, h int) (*Cluster, er
 		subDone bool
 		waiter  *sim.Proc
 	)
-	if s.Env != nil && len(devGroup) > 1 {
-		s.Env.Go("assist-submit", func(sp *sim.Proc) {
-			job, subErr = s.SubmitAssist(sp, hostGroup)
+	if env := s.pipe.env; env != nil && len(devGroup) > 1 {
+		env.Go("assist-submit", func(sp *sim.Proc) {
+			job, subErr = s.submitAssist(sp, hostGroup)
 			subDone = true
 			if waiter != nil {
-				s.Env.Wake(waiter)
+				env.Wake(waiter)
 			}
 		})
 	} else {
-		job, subErr = s.SubmitAssist(p, hostGroup)
+		job, subErr = s.submitAssist(p, hostGroup)
 		subDone = true
 	}
-	s.HostRuns, s.DeviceRuns = h, len(devGroup)
+	s.hostRuns, s.deviceRuns = h, len(devGroup)
 	// Device share merges while the host chews on its group: the submit is
 	// non-blocking past its reads and the assist loop runs as its own procs.
 	var devRun *Cluster
 	var err error
 	if len(devGroup) > 1 {
-		s.MergePasses++
-		devRun, err = s.mergeRuns(p, devGroup)
-		if err != nil {
-			return nil, err, true
-		}
-		if err := releaseAll(p, devGroup); err != nil {
+		if devRun, err = s.mergeRuns(p, devGroup); err != nil {
 			return nil, err, true
 		}
 	} else if len(devGroup) == 1 {
@@ -335,29 +317,18 @@ func (s *Sorter[T]) sortSplit(p *sim.Proc, runs []*Cluster, h int) (*Cluster, er
 		p.Block()
 	}
 	waiter = nil
-	if subErr != nil {
-		if devRun != nil && len(devGroup) > 1 {
-			// The device share is already merged; fold the unshipped host
-			// group in rather than abandoning the pass.
-			s.HostRuns = 0
-			fallback := append([]*Cluster{devRun}, hostGroup...)
-			s.MergePasses++
-			merged, err := s.mergeRuns(p, fallback)
-			if err != nil {
-				return nil, err, true
-			}
-			if err := releaseAll(p, fallback); err != nil {
-				return nil, err, true
-			}
-			return merged, nil, true
-		}
+	if subErr != nil && len(devGroup) <= 1 {
 		return nil, nil, false
 	}
-	hostRun, herr := s.CollectAssist(p, job)
-	if herr != nil {
-		// Host went away mid-merge (halt, power cut): merge the host group
-		// on the device instead. devRun keeps its pre-merged form.
-		s.HostRuns = 0
+	var hostRun []byte
+	if subErr == nil {
+		hostRun, subErr = s.collectAssist(p, job)
+	}
+	if subErr != nil {
+		// The host group never shipped, or the host went away mid-merge
+		// (halt, power cut): merge it on the device instead, behind the
+		// device share's pre-merged run.
+		s.hostRuns = 0
 		fallback := hostGroup
 		if devRun != nil {
 			fallback = append([]*Cluster{devRun}, hostGroup...)
@@ -365,15 +336,8 @@ func (s *Sorter[T]) sortSplit(p *sim.Proc, runs []*Cluster, h int) (*Cluster, er
 		if len(fallback) == 1 {
 			return fallback[0], nil, true
 		}
-		s.MergePasses++
 		merged, err := s.mergeRuns(p, fallback)
-		if err != nil {
-			return nil, err, true
-		}
-		if err := releaseAll(p, fallback); err != nil {
-			return nil, err, true
-		}
-		return merged, nil, true
+		return merged, err, true
 	}
 	if err := releaseAll(p, hostGroup); err != nil {
 		return nil, err, true
@@ -382,49 +346,30 @@ func (s *Sorter[T]) sortSplit(p *sim.Proc, runs []*Cluster, h int) (*Cluster, er
 		// The host merged everything; there is nothing to merge against, so
 		// land the bytes in one raw pass without re-decoding them.
 		out := s.zm.NewCluster(ZoneTemp)
-		for off := 0; off < len(hostRun); off += 256 << 10 {
-			end := off + 256<<10
-			if end > len(hostRun) {
-				end = len(hostRun)
-			}
-			s.BytesWritten += int64(end - off)
-			if err := out.Append(p, hostRun[off:end]); err != nil {
-				return nil, err, true
-			}
+		s.out.open(out, pipeline{}, &s.written)
+		if err := s.out.write(p, hostRun); err != nil {
+			return nil, err, true
 		}
-		return out, out.Seal(p), true
+		return out, s.out.finish(p), true
 	}
 	// Final merge: the device's pre-merged run off the media against the
 	// host's run streamed straight from DRAM (it arrived over PCIe and is
 	// never landed in a scratch cluster — that extra media pass is what made
 	// naive pre-merge splits lose to a monolithic device merge).
-	s.MergePasses++
-	merged, err := s.mergeRunsMixed(p, []*Cluster{devRun}, [][]byte{hostRun})
-	if err != nil {
-		return nil, err, true
-	}
-	if err := releaseAll(p, []*Cluster{devRun}); err != nil {
-		return nil, err, true
-	}
-	return merged, nil, true
+	merged, err := s.mergeRuns(p, []*Cluster{devRun}, hostRun)
+	return merged, err, true
 }
 
-// pipelined reports whether merges should run as staged procs.
-func (s *Sorter[T]) pipelined() bool { return s.Env != nil && s.PipelineWidth > 1 }
-
 // SortTo sorts the source and streams the ordered records to emit instead of
-// materializing a final cluster — used by the value-sorting pass so sorted
-// values land directly in the SORTED_VALUES cluster.
+// materializing a final cluster — used by the combined layout's compaction,
+// so sorted records land directly in PIDX and SORTED_VALUES.
 func (s *Sorter[T]) SortTo(p *sim.Proc, src recordSource[T], emit func(p *sim.Proc, rec T) error) error {
 	runs, err := s.reduce(p, src)
-	if err != nil {
+	if err != nil || len(runs) == 0 {
 		return err
 	}
-	if len(runs) == 0 {
-		return nil
-	}
-	s.MergePasses++
-	if err := s.mergeInto(p, runs, emit); err != nil {
+	s.merges++
+	if err := s.merge(p, runs, nil, emit); err != nil {
 		return err
 	}
 	return releaseAll(p, runs)
@@ -436,21 +381,13 @@ func (s *Sorter[T]) reduce(p *sim.Proc, src recordSource[T]) ([]*Cluster, error)
 	if err != nil {
 		return nil, err
 	}
-	s.Runs = len(runs)
-	s.MergePasses = 0
+	s.runs = len(runs)
+	s.merges = 0
 	for len(runs) > s.cfg.MergeFanin {
-		s.MergePasses++
 		var next []*Cluster
 		for i := 0; i < len(runs); i += s.cfg.MergeFanin {
-			end := i + s.cfg.MergeFanin
-			if end > len(runs) {
-				end = len(runs)
-			}
-			merged, err := s.mergeRuns(p, runs[i:end])
+			merged, err := s.mergeRuns(p, runs[i:min(i+s.cfg.MergeFanin, len(runs))])
 			if err != nil {
-				return nil, err
-			}
-			if err := releaseAll(p, runs[i:end]); err != nil {
 				return nil, err
 			}
 			next = append(next, merged)
@@ -467,18 +404,6 @@ func releaseAll(p *sim.Proc, cs []*Cluster) error {
 		}
 	}
 	return nil
-}
-
-// encChunk is the size at which encoded records are handed to a cluster.
-const encChunk = 256 << 10
-
-// encBuf returns the sorter's empty encode buffer, allocating it on first use
-// with room for the record that carries it past encChunk.
-func (s *Sorter[T]) encBuf() []byte {
-	if s.enc == nil {
-		s.enc = make([]byte, 0, encChunk+(4<<10))
-	}
-	return s.enc[:0]
 }
 
 // arenaChunk is the size of one batchArena chunk.
@@ -549,25 +474,13 @@ func (s *Sorter[T]) makeRuns(p *sim.Proc, sc recordSource[T]) ([]*Cluster, error
 		}
 		s.runCPU.Compares(p, s.sortBatch())
 		run := s.zm.NewCluster(ZoneTemp)
-		buf := s.encBuf()
+		s.out.open(run, pipeline{}, &s.written)
 		for _, rec := range batch {
-			buf = s.codec.Encode(buf, rec)
-			if len(buf) >= encChunk {
-				s.BytesWritten += int64(len(buf))
-				if err := run.Append(p, buf); err != nil {
-					return err
-				}
-				buf = buf[:0]
-			}
-		}
-		s.enc = buf
-		if len(buf) > 0 {
-			s.BytesWritten += int64(len(buf))
-			if err := run.Append(p, buf); err != nil {
+			if err := putRecord(p, &s.out, s.codec, rec); err != nil {
 				return err
 			}
 		}
-		if err := run.Seal(p); err != nil {
+		if err := s.out.finish(p); err != nil {
 			return err
 		}
 		runs = append(runs, run)
@@ -629,106 +542,48 @@ func (s *Sorter[T]) sortBatch() int64 {
 	return int64(len(s.batch.recs) * passes)
 }
 
-// mergeRuns k-way merges sorted runs into one sorted cluster. When the
-// pipeline is on, appends go through a dedicated zone-write stage proc so the
-// merge never stalls on channel time.
-func (s *Sorter[T]) mergeRuns(p *sim.Proc, runs []*Cluster) (*Cluster, error) {
-	return s.mergeRunsMixed(p, runs, nil)
-}
-
-// mergeRunsMixed is mergeRuns plus in-memory runs (see mergeMixed).
-func (s *Sorter[T]) mergeRunsMixed(p *sim.Proc, runs []*Cluster, mem [][]byte) (*Cluster, error) {
+// mergeRuns merges runs, then any host-merged runs in mem, into a new
+// sealed scratch cluster through the sorter's writer and releases runs — one
+// k-way merge, counted.
+func (s *Sorter[T]) mergeRuns(p *sim.Proc, runs []*Cluster, mem ...[]byte) (*Cluster, error) {
+	s.merges++
 	out := s.zm.NewCluster(ZoneTemp)
-	var w *pipelineWriter
-	if s.pipelined() {
-		w = newPipelineWriter(s.Env, out, s.PipelineWidth, s.OnOccupancy)
-	}
-	// The write stage owns every chunk pushed to it and hands it back once
-	// appended; the inline merge reuses the sorter's one buffer.
-	var buf []byte
-	if w != nil {
-		buf = w.buffer()
-	} else {
-		buf = s.encBuf()
-		defer func() { s.enc = buf }()
-	}
-	err := s.mergeMixed(p, runs, mem, func(mp *sim.Proc, rec T) error {
-		buf = s.codec.Encode(buf, rec)
-		if len(buf) >= encChunk {
-			s.BytesWritten += int64(len(buf))
-			if w != nil {
-				if err := w.write(mp, buf); err != nil {
-					return err
-				}
-				buf = w.buffer()
-			} else {
-				if err := out.Append(mp, buf); err != nil {
-					return err
-				}
-				buf = buf[:0]
-			}
-		}
-		return nil
+	s.out.open(out, s.pipe, &s.written)
+	err := s.merge(p, runs, mem, func(mp *sim.Proc, rec T) error {
+		return putRecord(mp, &s.out, s.codec, rec)
 	})
+	if err == nil {
+		err = s.out.finish(p)
+	}
 	if err != nil {
-		if w != nil {
-			w.finish(p) // drain the write stage; the cluster is abandoned
-		}
+		s.out.stop(p) // the cluster is abandoned
 		return nil, err
 	}
-	if len(buf) > 0 {
-		s.BytesWritten += int64(len(buf))
-		if w != nil {
-			err = w.write(p, buf)
-		} else {
-			err = out.Append(p, buf)
-		}
-		if err != nil {
-			if w != nil {
-				w.finish(p)
-			}
-			return nil, err
-		}
+	if err := releaseAll(p, runs); err != nil {
+		return nil, err
 	}
-	if w != nil {
-		if err := w.finish(p); err != nil {
-			return nil, err
-		}
-	}
-	return out, out.Seal(p)
+	return out, nil
 }
 
-// mergeInto k-way merges runs, streaming records to emit.
-func (s *Sorter[T]) mergeInto(p *sim.Proc, runs []*Cluster, emit func(p *sim.Proc, rec T) error) error {
-	return s.merge(p, runs, emit)
-}
-
-// merge is the k-way merge core over cluster-backed runs. When the pipeline
-// is on, each run gets a read-stage prefetcher proc streaming chunks ahead of
-// the merge through a bounded ring; all stage procs are joined before merge
-// returns, on every path, so no proc outlives its compaction.
-func (s *Sorter[T]) merge(p *sim.Proc, runs []*Cluster, emit func(p *sim.Proc, rec T) error) error {
-	return s.mergeMixed(p, runs, nil, emit)
-}
-
-// mergeMixed k-way merges cluster-backed runs plus optional in-memory runs
-// (host-merged results that arrive over PCIe and never touch the media).
-func (s *Sorter[T]) mergeMixed(p *sim.Proc, runs []*Cluster, mem [][]byte, emit func(p *sim.Proc, rec T) error) error {
+// merge is the sorter's k-way merge: it streams the records of the
+// cluster-backed runs, then of the in-memory runs in mem (host-merged results
+// that arrive over PCIe and never touch the media), to emit in order. With
+// the pipeline on, each run gets a read-stage prefetcher proc streaming
+// chunks ahead of the merge through a bounded ring; all of them are joined
+// before merge returns, on every path, so no proc outlives its compaction.
+func (s *Sorter[T]) merge(p *sim.Proc, runs []*Cluster, mem [][]byte, emit func(p *sim.Proc, rec T) error) error {
 	var pfs []*prefetcher
-	if s.pipelined() {
-		defer func() {
-			for _, pf := range pfs {
-				pf.stop(p)
-			}
-		}()
-	}
+	defer func() {
+		for _, pf := range pfs {
+			pf.stop(p)
+		}
+	}()
 	open := func(i int) recordSource[T] {
 		if i >= len(runs) {
 			return &memSource[T]{codec: s.codec, buf: mem[i-len(runs)]}
 		}
 		sc := newScanner(runs[i], s.codec, 0)
-		if s.pipelined() {
-			sc.pf = startPrefetcher(s.Env, runs[i], sc.chunk, s.PipelineWidth, s.OnOccupancy)
+		if sc.pf = s.pipe.prefetch(runs[i], sc.chunk); sc.pf != nil {
 			pfs = append(pfs, sc.pf)
 		}
 		return sc
@@ -842,6 +697,20 @@ func (h *mergeHeap[T]) down(i int) {
 	h.items[i] = it
 }
 
+// pipeline configures a compaction's stage procs. When it is on — env set
+// and width over 1 — merges read each run through a prefetch proc and
+// writers append through a zone-write stage proc, connected by bounded rings
+// of width chunks, so granule reads, the k-way merge, and zone writes overlap
+// across SoC cores. onDelta (optional) observes every buffered chunk
+// entering (+1) and leaving (-1) a ring. The zero pipeline is off.
+type pipeline struct {
+	env     *sim.Env
+	width   int
+	onDelta func(int)
+}
+
+func (pl pipeline) on() bool { return pl.env != nil && pl.width > 1 }
+
 // prefetcher is the pipeline's read stage: a proc streaming a cluster's
 // bytes sequentially in chunk-sized pieces through a bounded ring, so the
 // merge stage consumes granules the read stage fetched one-or-more chunks
@@ -852,9 +721,14 @@ type prefetcher struct {
 	err  error
 }
 
-func startPrefetcher(env *sim.Env, c *Cluster, chunk, width int, onDelta func(int)) *prefetcher {
-	pf := &prefetcher{ring: compaction.NewRing[[]byte](env, width, onDelta)}
-	pf.proc = env.Go("compact:read", func(p *sim.Proc) {
+// prefetch starts the read stage of cluster c, or returns nil when the
+// pipeline is off and the scanner reads inline.
+func (pl pipeline) prefetch(c *Cluster, chunk int) *prefetcher {
+	if !pl.on() {
+		return nil
+	}
+	pf := &prefetcher{ring: compaction.NewRing[[]byte](pl.env, pl.width, pl.onDelta)}
+	pf.proc = pl.env.Go("compact:read", func(p *sim.Proc) {
 		defer pf.ring.Close()
 		for off := int64(0); off < c.Len(); {
 			n := int64(chunk)
@@ -896,20 +770,143 @@ func (pf *prefetcher) stop(p *sim.Proc) {
 	pf.ring.Discard()
 }
 
-// pipelineWriter is the pipeline's zone-write stage: merged chunks push into
-// a bounded ring and a dedicated proc appends them to the output cluster, so
-// merge compute and zone writes overlap.
+// writeChunk is the size of a chunkWriter's appends.
+const writeChunk = 256 << 10
+
+// chunkSink is where a chunkWriter lands its output: a *Cluster.
+type chunkSink interface {
+	Append(p *sim.Proc, data []byte) error
+	Seal(p *sim.Proc) error
+}
+
+// chunkWriter carries every compaction pass that writes a cluster — run
+// formation, merges, the landing of a host-merged run, the value pass into
+// SORTED_VALUES, consolidated SIDX staging — in appends of writeChunk bytes.
+// Append sizes decide media bursts and zone order, so it keeps two flush
+// rules:
+//
+//   - records (putRecord, put) are added whole, and the buffer is appended
+//     once it holds writeChunk bytes or more, so a record never splits;
+//   - raw bytes (write) are cut at exactly writeChunk.
+//
+// The appends run inline on the caller's proc, or, when the pipeline is on,
+// on a zone-write stage proc (pipelineWriter) fed through a bounded ring.
+// This is the one place that choice is made. A writer is reopened for each
+// output and keeps its buffer across them.
+type chunkWriter struct {
+	out   chunkSink
+	buf   []byte          // the chunk being filled
+	stage *pipelineWriter // the zone-write stage; nil when appends run inline
+	moved *uint64         // when set, advanced by the bytes of every append
+}
+
+// open points the writer at out, staging its appends when pl is on, and
+// counts the bytes of each append into moved when it is set.
+func (w *chunkWriter) open(out chunkSink, pl pipeline, moved *uint64) {
+	if cap(w.buf) < writeChunk {
+		w.buf = make([]byte, 0, writeChunk+scanSlack)
+	}
+	w.out, w.buf, w.moved = out, w.buf[:0], moved
+	if pl.on() {
+		w.stage = newPipelineWriter(pl, out)
+	}
+}
+
+// putRecord encodes rec onto the writer: the first flush rule.
+func putRecord[T any](p *sim.Proc, w *chunkWriter, codec Codec[T], rec T) error {
+	w.buf = codec.Encode(w.buf, rec)
+	return w.spill(p)
+}
+
+// put adds rec's bytes as one record: the first flush rule.
+func (w *chunkWriter) put(p *sim.Proc, rec []byte) error {
+	w.buf = append(w.buf, rec...)
+	return w.spill(p)
+}
+
+// spill appends the buffer once it holds writeChunk bytes or more.
+func (w *chunkWriter) spill(p *sim.Proc) error {
+	if len(w.buf) < writeChunk {
+		return nil
+	}
+	return w.flush(p)
+}
+
+// write adds raw bytes, appending every time the buffer reaches exactly
+// writeChunk: the second flush rule.
+func (w *chunkWriter) write(p *sim.Proc, b []byte) error {
+	for len(b) > 0 {
+		k := min(len(b), writeChunk-len(w.buf))
+		w.buf, b = append(w.buf, b[:k]...), b[k:]
+		if len(w.buf) == writeChunk {
+			if err := w.flush(p); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// flush appends the buffer, or hands it to the write stage and takes an
+// empty chunk back.
+func (w *chunkWriter) flush(p *sim.Proc) error {
+	if w.moved != nil {
+		*w.moved += uint64(len(w.buf))
+	}
+	if w.stage == nil {
+		err := w.out.Append(p, w.buf)
+		w.buf = w.buf[:0]
+		return err
+	}
+	if err := w.stage.write(p, w.buf); err != nil {
+		return err
+	}
+	w.buf = w.stage.buffer()
+	return nil
+}
+
+// finish appends what is buffered, stops the write stage and seals the
+// output.
+func (w *chunkWriter) finish(p *sim.Proc) error {
+	var err error
+	if len(w.buf) > 0 {
+		err = w.flush(p)
+	}
+	if serr := w.stop(p); err == nil {
+		err = serr
+	}
+	if err != nil {
+		return err
+	}
+	return w.out.Seal(p)
+}
+
+// stop drains the write stage, joins its proc and reports its append error;
+// it does nothing once the stage is stopped or when there is none, so error
+// paths may always call it. The writer keeps one of the stage's chunks as its
+// buffer.
+func (w *chunkWriter) stop(p *sim.Proc) error {
+	if w.stage == nil {
+		return nil
+	}
+	err := w.stage.finish(p)
+	w.buf, w.stage = w.stage.buffer(), nil
+	return err
+}
+
+// pipelineWriter is the pipeline's zone-write stage: chunks push into a
+// bounded ring and a dedicated proc appends them to the output, so merge
+// compute and zone writes overlap.
 type pipelineWriter struct {
 	ring *compaction.Ring[[]byte]
 	proc *sim.Proc
-	out  *Cluster
 	err  error
 	free [][]byte // chunks the stage has appended, for the producer to refill
 }
 
-func newPipelineWriter(env *sim.Env, out *Cluster, width int, onDelta func(int)) *pipelineWriter {
-	w := &pipelineWriter{ring: compaction.NewRing[[]byte](env, width, onDelta), out: out}
-	w.proc = env.Go("compact:write", func(p *sim.Proc) {
+func newPipelineWriter(pl pipeline, out chunkSink) *pipelineWriter {
+	w := &pipelineWriter{ring: compaction.NewRing[[]byte](pl.env, pl.width, pl.onDelta)}
+	w.proc = pl.env.Go("compact:write", func(p *sim.Proc) {
 		for {
 			buf, ok := w.ring.Pop(p)
 			if !ok {
@@ -928,7 +925,7 @@ func newPipelineWriter(env *sim.Env, out *Cluster, width int, onDelta func(int))
 }
 
 // buffer returns an empty chunk for the producer to fill and write: one the
-// stage is done with when there is one, so a merge cycles through at most
+// stage is done with when there is one, so a pass cycles through at most
 // ring-width + 2 chunks instead of allocating one per 256 KiB of output.
 func (w *pipelineWriter) buffer() []byte {
 	if n := len(w.free); n > 0 {
@@ -936,7 +933,7 @@ func (w *pipelineWriter) buffer() []byte {
 		w.free = w.free[:n-1]
 		return buf
 	}
-	return make([]byte, 0, encChunk)
+	return make([]byte, 0, writeChunk+scanSlack)
 }
 
 // write hands one chunk to the write stage. The caller must not reuse buf.

@@ -219,3 +219,36 @@ func TestDeleteWhileIndexBuildingDeferred(t *testing.T) {
 	})
 	env.Run()
 }
+
+// TestCompactWithIndexesFailureSurfaces: a consolidated compaction whose
+// declared byte range runs past the values fails, and the status poll says
+// so within a bounded number of polls instead of answering "not done"
+// forever.
+func TestCompactWithIndexesFailureSurfaces(t *testing.T) {
+	env, d, _ := newTestDevice()
+	env.Go("host", func(p *sim.Proc) {
+		defer d.Shutdown()
+		if err := loadParticles(p, d, "ks", 1000); err != nil {
+			t.Error(err)
+			return
+		}
+		past := nvme.SecondaryIndexSpec{Name: "past", Offset: 14, Length: 4, Type: keyenc.TypeBytes} // values are 16 bytes
+		if c := submit(p, d, &nvme.Command{Op: nvme.OpCompactWithIndexes, Keyspace: "ks", Indexes: []nvme.SecondaryIndexSpec{past}}); c.Status != nvme.StatusOK {
+			t.Errorf("compact with indexes: %v", c.Status)
+			return
+		}
+		for i := 0; i < 200; i++ {
+			c := submit(p, d, &nvme.Command{Op: nvme.OpCompactStatus, Keyspace: "ks"})
+			if c.Status != nvme.StatusOK {
+				return
+			}
+			if c.Done {
+				t.Error("compaction with an out-of-range index reported done")
+				return
+			}
+			p.Sleep(1e6)
+		}
+		t.Error("status still OK and not done after 200 polls")
+	})
+	env.Run()
+}
