@@ -193,7 +193,7 @@ func (k *Keyspace) CompactDone(p *sim.Proc) (bool, error) {
 	return all, nil
 }
 
-// WaitCompacted polls until every shard reports compaction complete on the
+// WaitCompacted waits until every shard reports compaction complete on the
 // healthy replicas (used after an async Compact issued elsewhere).
 func (k *Keyspace) WaitCompacted(p *sim.Proc) error {
 	for _, pt := range k.parts {

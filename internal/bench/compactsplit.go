@@ -249,8 +249,9 @@ func compactSplitRun(t *Table, s Scale, pol compaction.Policy, width int) (compa
 				return err
 			}
 			compacting = false
-			// The status polls quantize wall time to their 5ms cadence, so
-			// read the job's exact duration from the engine instead.
+			// The client's wait also spans the Compact command and the
+			// answer's transfer, so read the job's exact duration from the
+			// engine instead.
 			cks, err := dev.Engine().Keyspace("bulk")
 			if err != nil {
 				return err

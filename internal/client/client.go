@@ -226,7 +226,10 @@ func (c *Client) sendOnce(p *sim.Proc, cmd *nvme.Command) (*nvme.Completion, err
 	c.link.Transfer(p, pcie.HostToDevice, size)
 	handle := c.queue.Submit(p, cmd)
 	var comp *nvme.Completion
-	if c.policy.Timeout > 0 {
+	// A status wait takes as long as its job does: the device answers it when
+	// the job ends, or at a power cut or shutdown, so no attempt timeout
+	// applies.
+	if c.policy.Timeout > 0 && !cmd.Wait {
 		var done bool
 		comp, done = handle.WaitTimeout(p, c.policy.Timeout)
 		if !done {
@@ -500,28 +503,37 @@ func (k *Keyspace) CompactWithIndexes(p *sim.Proc, specs []IndexSpec) error {
 	return err
 }
 
-// CompactDone polls whether compaction has finished.
+// CompactDone asks once whether compaction has finished.
 func (k *Keyspace) CompactDone(p *sim.Proc) (bool, error) {
-	comp, err := k.c.roundTrip(p, &nvme.Command{Op: nvme.OpCompactStatus, Keyspace: k.name})
+	return k.status(p, &nvme.Command{Op: nvme.OpCompactStatus, Keyspace: k.name})
+}
+
+// WaitCompacted blocks until compaction completes: the status command carries
+// the wait bit, so the device answers it the instant the compaction job ends.
+// A failed compaction surfaces as its typed status.
+func (k *Keyspace) WaitCompacted(p *sim.Proc) error {
+	return k.wait(p, &nvme.Command{Op: nvme.OpCompactStatus, Keyspace: k.name, Wait: true})
+}
+
+// status sends one status command and returns its Done bit.
+func (k *Keyspace) status(p *sim.Proc, cmd *nvme.Command) (bool, error) {
+	comp, err := k.c.roundTrip(p, cmd)
 	if err != nil {
 		return false, err
 	}
 	return comp.Done, nil
 }
 
-// WaitCompacted polls until compaction completes.
-func (k *Keyspace) WaitCompacted(p *sim.Proc) error {
-	return poll(p, func() (bool, error) { return k.CompactDone(p) })
-}
-
-// poll asks done every 5 ms of virtual time until it says yes or fails.
-func poll(p *sim.Proc, done func() (bool, error)) error {
+// wait sends a status command with the wait bit until it reports Done. The
+// device answers a wait only when its job has ended, so one round trip is
+// the rule; should the job end without finishing what was asked, the
+// command goes again.
+func (k *Keyspace) wait(p *sim.Proc, cmd *nvme.Command) error {
 	for {
-		ok, err := done()
-		if err != nil || ok {
+		done, err := k.status(p, cmd)
+		if err != nil || done {
 			return err
 		}
-		p.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -540,22 +552,25 @@ func (k *Keyspace) BuildSecondaryIndex(p *sim.Proc, spec IndexSpec) error {
 	return err
 }
 
-// IndexBuilt polls whether a secondary index has finished building.
+// IndexBuilt asks once whether a secondary index has finished building.
 func (k *Keyspace) IndexBuilt(p *sim.Proc, name string) (bool, error) {
-	comp, err := k.c.roundTrip(p, &nvme.Command{
+	return k.status(p, &nvme.Command{
 		Op:       nvme.OpIndexStatus,
 		Keyspace: k.name,
 		Index:    nvme.SecondaryIndexSpec{Name: name},
 	})
-	if err != nil {
-		return false, err
-	}
-	return comp.Done, nil
 }
 
-// WaitIndexBuilt polls until the named index is ready.
+// WaitIndexBuilt blocks until the named index is ready, with one status
+// command carrying the wait bit. An index that was never requested fails
+// with a StatusNotFound error.
 func (k *Keyspace) WaitIndexBuilt(p *sim.Proc, name string) error {
-	return poll(p, func() (bool, error) { return k.IndexBuilt(p, name) })
+	return k.wait(p, &nvme.Command{
+		Op:       nvme.OpIndexStatus,
+		Keyspace: k.name,
+		Index:    nvme.SecondaryIndexSpec{Name: name},
+		Wait:     true,
+	})
 }
 
 // Get retrieves the value for a key.

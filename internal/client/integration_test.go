@@ -79,8 +79,8 @@ func TestBackgroundFaultSurfacesWithoutHangingOtherKeyspaces(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := good.WaitCompacted(p); err == nil {
-			// WaitCompacted polls device state; the good keyspace must reach
-			// COMPACTED despite the other's failure.
+			// WaitCompacted reads device state when the job ends; the good
+			// keyspace must reach COMPACTED despite the other's failure.
 			v, found, err := good.Get(p, key(13))
 			if err != nil || !found || !bytes.Equal(v, value(13, 0)) {
 				t.Fatalf("good keyspace degraded: %v %v", found, err)

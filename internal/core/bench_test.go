@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"kvcsd/internal/keyenc"
 	"kvcsd/internal/sim"
 )
 
@@ -145,6 +146,28 @@ func BenchmarkSorterMakeRuns(b *testing.B) {
 	b.Run("sidxEntry", func(b *testing.B) {
 		benchMakeRuns[sidxEntry](b, sidxCodec{}, sidxKey, compareSidx, benchSidxEntries(benchSortRecords))
 	})
+}
+
+// BenchmarkRadixSort: one SIDX batch's sort — 10 240 float32 energies drawn
+// from Exp(1), in primary-key order as an index build delivers them, radix
+// sorted on a job's already-grown buffers.
+func BenchmarkRadixSort(b *testing.B) {
+	const n = 10240
+	rng := rand.New(rand.NewSource(23))
+	master := make([]sidxEntry, n)
+	for i := range master {
+		master[i] = sidxEntry{skey: keyenc.PutFloat32(float32(rng.ExpFloat64())), pkey: keyenc.MakeFixedKey16(uint64(i)).Bytes(), vlen: 32}
+	}
+	key := sidxRadixKey(4)
+	var buf sortBuf[sidxEntry]
+	buf.recs = append(buf.recs, master...)
+	buf.radix(key)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(buf.recs, master)
+		buf.radix(key)
+	}
 }
 
 // BenchmarkGatherDestBucket: the destination pass's per-bucket

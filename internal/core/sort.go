@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"kvcsd/internal/compaction"
@@ -596,34 +597,34 @@ func (s *Sorter[T]) merge(p *sim.Proc, runs []*Cluster, mem [][]byte, emit func(
 // in source-index order (which is what keeps a multi-run sort stable). Source
 // i is opened just before its first record is read — opening a pipelined run
 // starts its read-ahead proc, and the model's event order depends on when.
-// The merge compute is charged to cpu in 4096-record slices at log2(k)
-// compares per record.
+// The sources meet in a loser tree: each record out replays one leaf-to-root
+// path of at most ⌈log2 k⌉ matches, and the merge compute is charged to cpu
+// at that many compares per record, in 4096-record slices.
 func mergeSorted[T any](p *sim.Proc, k int, open func(i int) recordSource[T], cmp func(a, b T) int,
 	cpu host.Meter, emit func(p *sim.Proc, rec T) error) error {
-	srcs := make([]recordSource[T], k)
-	h := mergeHeap[T]{items: make([]mergeItem[T], 0, k), cmp: cmp}
-	for i := range srcs {
-		srcs[i] = open(i)
-		rec, ok, err := srcs[i].next(p)
+	if k == 0 {
+		return nil
+	}
+	t := loserTree[T]{leaves: make([]mergeLeaf[T], k), tree: make([]int, k), cmp: cmp}
+	for i := range t.leaves {
+		lf := &t.leaves[i]
+		lf.src = open(i)
+		rec, ok, err := lf.src.next(p)
 		if err != nil {
 			return err
 		}
-		if ok {
-			h.items = append(h.items, mergeItem[T]{rec: rec, src: i})
-		}
+		lf.rec, lf.done = rec, !ok
 	}
-	for i := len(h.items)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-
-	logK := int64(1)
-	for n := k; n > 1; n >>= 1 {
-		logK++
-	}
+	t.tree[0] = t.play(1)
+	logK := int64(bits.Len(uint(k - 1)))
 	var pending int64 // records merged since last CPU charge
-	for len(h.items) > 0 {
-		top := &h.items[0]
-		if err := emit(p, top.rec); err != nil {
+	for {
+		w := t.tree[0]
+		lf := &t.leaves[w]
+		if lf.done {
+			break
+		}
+		if err := emit(p, lf.rec); err != nil {
 			return err
 		}
 		pending++
@@ -631,19 +632,12 @@ func mergeSorted[T any](p *sim.Proc, k int, open func(i int) recordSource[T], cm
 			cpu.Compares(p, pending*logK)
 			pending = 0
 		}
-		rec, ok, err := srcs[top.src].next(p)
+		rec, ok, err := lf.src.next(p)
 		if err != nil {
 			return err
 		}
-		if ok {
-			top.rec = rec
-		} else {
-			last := len(h.items) - 1
-			*top = h.items[last]
-			h.items[last] = mergeItem[T]{}
-			h.items = h.items[:last]
-		}
-		h.down(0)
+		lf.rec, lf.done = rec, !ok
+		t.replay(w)
 	}
 	if pending > 0 {
 		cpu.Compares(p, pending*logK)
@@ -651,50 +645,64 @@ func mergeSorted[T any](p *sim.Proc, k int, open func(i int) recordSource[T], cm
 	return nil
 }
 
-// mergeItem is one source's current record in the merge heap.
-type mergeItem[T any] struct {
-	rec T
-	src int
+// mergeLeaf is one source of a merge and its current record; done once the
+// source has run dry.
+type mergeLeaf[T any] struct {
+	src  recordSource[T]
+	rec  T
+	done bool
 }
 
-// mergeHeap is a binary min-heap of the sources' current records, ordered by
-// cmp and then by source index. It is sifted by hand on typed items:
-// container/heap would box every record and dispatch each comparison through
-// an interface.
-type mergeHeap[T any] struct {
-	items []mergeItem[T]
-	cmp   func(a, b T) int
+// loserTree is a tournament over k merge sources in heap layout: source i is
+// the leaf at node k+i, internal node n (1 ≤ n < k) holds the source that
+// lost the match played there, and tree[0] holds the overall winner. Records
+// are ordered by cmp, then by source index; a source that has run dry loses
+// to every other. It is played by hand on typed leaves: container/heap would
+// box every record and dispatch each comparison through an interface.
+type loserTree[T any] struct {
+	leaves []mergeLeaf[T]
+	tree   []int
+	cmp    func(a, b T) int
 }
 
-func (h *mergeHeap[T]) less(a, b *mergeItem[T]) bool {
-	if c := h.cmp(a.rec, b.rec); c != 0 {
-		return c < 0
+// less reports whether source a's current record goes out before source b's.
+func (t *loserTree[T]) less(a, b int) bool {
+	la, lb := &t.leaves[a], &t.leaves[b]
+	if la.done != lb.done {
+		return lb.done
 	}
-	return a.src < b.src
+	if !la.done {
+		if c := t.cmp(la.rec, lb.rec); c != 0 {
+			return c < 0
+		}
+	}
+	return a < b
 }
 
-// down restores heap order below index i.
-func (h *mergeHeap[T]) down(i int) {
-	n := len(h.items)
-	if i >= n {
-		return
+// play fills in the matches of the subtree at node n and returns its winner.
+func (t *loserTree[T]) play(n int) int {
+	k := len(t.leaves)
+	if n >= k {
+		return n - k
 	}
-	it := h.items[i]
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && h.less(&h.items[c+1], &h.items[c]) {
-			c++
-		}
-		if !h.less(&h.items[c], &it) {
-			break
-		}
-		h.items[i] = h.items[c]
-		i = c
+	w, l := t.play(2*n), t.play(2*n+1)
+	if t.less(l, w) {
+		w, l = l, w
 	}
-	h.items[i] = it
+	t.tree[n] = l
+	return w
+}
+
+// replay moves source s's new record up from its leaf, playing each match on
+// the way against the loser stored there, and records the new winner.
+func (t *loserTree[T]) replay(s int) {
+	w := s
+	for n := (s + len(t.leaves)) / 2; n >= 1; n /= 2 {
+		if t.less(t.tree[n], w) {
+			t.tree[n], w = w, t.tree[n]
+		}
+	}
+	t.tree[0] = w
 }
 
 // pipeline configures a compaction's stage procs. When it is on — env set

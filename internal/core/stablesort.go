@@ -67,13 +67,21 @@ func mergeHalves[T any](dst, left, right []T, cmp func(a, b T) int) {
 	copy(dst[k:], right[j:])
 }
 
+// radixDigitBits caps the width of one radixSort digit: a digit's histogram
+// has at most 2^radixDigitBits counters.
+const radixDigitBits = 11
+
+// radixMaxPasses is the most digit passes a 64-bit key span takes.
+const radixMaxPasses = (64 + radixDigitBits - 1) / radixDigitBits
+
 // radixSort stably orders data by key with a least-significant-digit radix
-// sort over key−min in 8-bit digits: one counting pass over data builds every
-// digit's histogram, then each digit pass moves every record once between
-// data and scratch. It returns the number of digit passes,
-// ⌈bits.Len64(max−min)/8⌉ — 0 when len(data) < 2 or every key is equal, in
-// which case nothing moves. With more than one record, scratch must be at
-// least as long as data; its contents are overwritten.
+// sort over key−min. An L-bit span (L = bits.Len64(max−min)) takes the fewest
+// passes whose digits are at most radixDigitBits wide, ⌈L/11⌉, each digit
+// ⌈L/passes⌉ bits: one counting pass over data builds every digit's
+// histogram, then each digit pass moves every record once between data and
+// scratch. It returns the pass count — 0 when len(data) < 2 or every key is
+// equal, in which case nothing moves. With more than one record, scratch must
+// be at least as long as data; its contents are overwritten.
 func radixSort[T any](data, scratch []T, key func(T) uint64) (passes int) {
 	n := len(data)
 	if n < 2 {
@@ -84,28 +92,31 @@ func radixSort[T any](data, scratch []T, key func(T) uint64) (passes int) {
 		k := key(r)
 		lo, hi = min(lo, k), max(hi, k)
 	}
-	passes = (bits.Len64(hi-lo) + 7) / 8
+	span := bits.Len64(hi - lo)
+	passes = (span + radixDigitBits - 1) / radixDigitBits
 	if passes == 0 {
 		return 0
 	}
-	var count [8][256]int
+	width := uint((span + passes - 1) / passes)
+	mask := uint64(1)<<width - 1
+	var count [radixMaxPasses][1 << radixDigitBits]int
 	for _, r := range data {
 		k := key(r) - lo
 		for d := 0; d < passes; d++ {
-			count[d][byte(k>>(8*d))]++
+			count[d][k>>(width*uint(d))&mask]++
 		}
 	}
 	src, dst := data, scratch[:n]
 	for d := 0; d < passes; d++ {
-		next := &count[d]
+		next := count[d][:mask+1]
 		at := 0
 		for i, c := range next {
 			next[i] = at
 			at += c
 		}
-		shift := uint(8 * d)
+		shift := width * uint(d)
 		for _, r := range src {
-			b := byte((key(r) - lo) >> shift)
+			b := (key(r) - lo) >> shift & mask
 			dst[next[b]] = r
 			next[b]++
 		}
@@ -123,22 +134,42 @@ func radixSort[T any](data, scratch []T, key func(T) uint64) (passes int) {
 // order stableSort(data, cmp) gives. Every key must share data's first depth
 // bytes.
 //
-// A group of more than sortBlock records takes one pass comparing each key
-// with the first to skip the bytes they all share, then one pass distributing
-// the records stably into 257 buckets on the first byte that differs — bucket
-// 0 for keys that end there, which sort first — and each bucket is sorted in
-// turn. Groups of at most sortBlock records, and groups whose keys are all
-// equal, go to stableSort, where cmp settles the ties.
+// A group of more than sortBlock records is distributed stably into 257
+// buckets on one key byte — bucket 0 for keys that end there, which sort
+// first — and each bucket is sorted in turn. The batch itself (depth 0) first
+// takes one pass comparing each key with the first to skip the bytes they all
+// share, and distributes on the first byte that differs. A deeper group
+// counts its records per bucket on byte depth and, when they fall in more
+// than one bucket, distributes straight off those counts; only when they all
+// share that byte does it take the prefix pass too. Groups of at most
+// sortBlock records, and groups whose keys are all equal, go to stableSort,
+// where cmp settles the ties.
 //
 // It returns the key comparisons the work is charged as: n per pass over a
-// group of n, and m·⌊log2 m⌋ for a group of m handed to stableSort. With more
-// than sortBlock records, scratch must be at least as long as data; its
-// contents are overwritten.
+// group of n — the prefix pass, and a count pass together with the
+// distribution that follows it — and m·⌊log2 m⌋ for a group of m handed to
+// stableSort. With more than sortBlock records, scratch must be at least as
+// long as data; its contents are overwritten.
 func msdSort[T any](data, scratch []T, depth int, key func(T) []byte, cmp func(a, b T) int) (compares int64) {
 	n := len(data)
 	if n <= sortBlock {
 		stableSort(data, scratch, cmp)
 		return sortCompares(n)
+	}
+	// next[b] counts bucket b's records; distribute turns it into where each
+	// bucket ends.
+	var next [257]int
+	if depth > 0 {
+		compares = int64(n)
+		countBuckets(data, depth, key, &next)
+		switch b := msdBucket(key(data[0]), depth); {
+		case next[b] < n:
+			return compares + distribute(data, scratch, depth, &next, key, cmp)
+		case b == 0: // every key ends at depth: all equal
+			stableSort(data, scratch, cmp)
+			return compares + sortCompares(n)
+		}
+		next = [257]int{}
 	}
 	first := key(data[0])[depth:]
 	shared, sameLen := len(first), true
@@ -147,18 +178,28 @@ func msdSort[T any](data, scratch []T, depth int, key func(T) []byte, cmp func(a
 		sameLen = sameLen && len(k) == len(first)
 		shared = commonPrefix(first[:shared], k)
 	}
-	compares = int64(n)
+	compares += int64(n)
 	if sameLen && shared == len(first) {
 		stableSort(data, scratch, cmp)
 		return compares + sortCompares(n)
 	}
 	d := depth + shared
-	// next[b] is where bucket b's next record goes; after the scatter it is
-	// where bucket b ends.
-	var next [257]int
+	countBuckets(data, d, key, &next)
+	return compares + int64(n) + distribute(data, scratch, d, &next, key, cmp)
+}
+
+// countBuckets adds each record to its msdBucket count at byte d.
+func countBuckets[T any](data []T, d int, key func(T) []byte, count *[257]int) {
 	for _, r := range data {
-		next[msdBucket(key(r), d)]++
+		count[msdBucket(key(r), d)]++
 	}
+}
+
+// distribute moves data stably into its buckets at byte d, whose sizes next
+// holds, through scratch, then sorts each bucket and returns what sorting the
+// buckets is charged as. Afterwards next[b] is where bucket b ends.
+func distribute[T any](data, scratch []T, d int, next *[257]int, key func(T) []byte, cmp func(a, b T) int) (compares int64) {
+	n := len(data)
 	at := 0
 	for b, c := range next {
 		next[b] = at
@@ -170,7 +211,6 @@ func msdSort[T any](data, scratch []T, depth int, key func(T) []byte, cmp func(a
 		next[b]++
 	}
 	copy(data, scratch[:n])
-	compares += int64(n)
 	lo := 0
 	for b, hi := range next {
 		switch {

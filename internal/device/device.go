@@ -7,11 +7,14 @@
 // pops commands from the submission queue and executes them on the engine.
 // Long-running operations — compaction, secondary index construction — are
 // acknowledged immediately and continue as device background jobs, which is
-// what makes them invisible to foreground host threads (paper §V).
+// what makes them invisible to foreground host threads (paper §V). A status
+// command with the wait bit set is answered when its job ends, by a waiter
+// proc of its own, so no dispatcher is held while it waits.
 package device
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"kvcsd/internal/compaction"
@@ -88,6 +91,9 @@ type Device struct {
 	// Power-loss state (see restart.go).
 	poweredOff bool
 	restarts   int
+
+	// parked holds the status waits not yet answered, in arrival order.
+	parked []*statusWait
 
 	// Observability (nil unless enabled in Options).
 	tr       *obs.Tracer
@@ -278,13 +284,15 @@ func (d *Device) WaitBackgroundIdle(p *sim.Proc) error {
 	return d.engine.WaitBackgroundIdle(p)
 }
 
-// Shutdown closes the command queue: in-flight commands complete, then the
-// dispatch loops exit. Any running samplers record a final row and stop.
+// Shutdown closes the command queue: in-flight commands complete — a status
+// command parked on the wait bit with StatusAborted — then the dispatch loops
+// exit. Any running samplers record a final row and stop.
 func (d *Device) Shutdown() {
 	d.closed = true
 	// Fail outstanding host-merge jobs and release parked poll dispatchers;
 	// in-flight compactions fall back to device-side merging.
 	d.engine.CloseAssist()
+	d.answerParked(nvme.StatusAborted)
 	d.queue.Close()
 	for _, s := range d.samplers {
 		s.Stop()
@@ -308,9 +316,77 @@ func (d *Device) dispatchLoop(p *sim.Proc) {
 		comp := d.execute(p, cmd)
 		if svc != nil {
 			d.tr.Pop(p)
-			svc.End()
 		}
+		if cmd.Wait && comp.Status == nvme.StatusOK && !comp.Done &&
+			(cmd.Op == nvme.OpCompactStatus || cmd.Op == nvme.OpIndexStatus) {
+			d.park(cmd, resp, svc)
+			continue
+		}
+		svc.End()
 		resp.Complete(&comp)
+	}
+}
+
+// statusWait is a status command parked until the compaction or index build
+// it asks about ends. Its service span stays open until it is answered.
+type statusWait struct {
+	resp     *nvme.Responder
+	svc      *obs.Span
+	waiter   *sim.Proc
+	answered bool
+}
+
+// park hands a status command whose job is still running to a waiter proc,
+// which blocks on the engine's own wait — the event the job fires when it
+// ends, on success or failure — and then answers with exactly what the
+// non-blocking status command returns at that instant. Waiting for an index
+// nobody asked to build answers StatusNotFound at once.
+func (d *Device) park(cmd *nvme.Command, resp *nvme.Responder, svc *obs.Span) {
+	w := &statusWait{resp: resp, svc: svc}
+	d.parked = append(d.parked, w)
+	eng := d.engine
+	w.waiter = d.env.Go("kvcsd-status-wait", func(p *sim.Proc) {
+		var err error
+		if !w.answered {
+			if cmd.Op == nvme.OpCompactStatus {
+				err = eng.WaitCompacted(p, cmd.Keyspace)
+			} else {
+				err = eng.WaitIndexBuilt(p, cmd.Keyspace, cmd.Index.Name)
+			}
+		}
+		if w.answered {
+			return // answered by a power cut or a shutdown
+		}
+		comp := d.execute(p, cmd)
+		if errors.Is(err, core.ErrIndexNotFound) {
+			comp = statusOnly(err)
+		}
+		d.answer(w, &comp)
+	})
+}
+
+// answer completes a parked status command and forgets it.
+func (d *Device) answer(w *statusWait, comp *nvme.Completion) {
+	w.answered = true
+	if i := slices.Index(d.parked, w); i >= 0 {
+		d.parked = slices.Delete(d.parked, i, i+1)
+	}
+	w.svc.End()
+	w.resp.Complete(comp)
+}
+
+// answerParked completes every parked status command with status: a power
+// cut or a shutdown ends the wait, whether or not its job ever ends. Each
+// waiter proc is still blocked in the engine's wait — on an event that may
+// now never fire, such as a halted engine's keyspace nobody compacts — so it
+// is woken as well: its Proc.Wait returns when the proc is resumed, it finds
+// its command answered and exits, and should the event fire later, the
+// scheduler drops the wake-up of a finished proc.
+func (d *Device) answerParked(status nvme.Status) {
+	for len(d.parked) > 0 {
+		w := d.parked[0]
+		d.answer(w, &nvme.Completion{Status: status})
+		d.env.Wake(w.waiter)
 	}
 }
 

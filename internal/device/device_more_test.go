@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"kvcsd/internal/keyenc"
 	"kvcsd/internal/nvme"
@@ -249,6 +250,43 @@ func TestCompactWithIndexesFailureSurfaces(t *testing.T) {
 			p.Sleep(1e6)
 		}
 		t.Error("status still OK and not done after 200 polls")
+	})
+	env.Run()
+}
+
+// TestCompactWithIndexesFailureWakesParkedWait: the same failing compaction,
+// waited for with the status wait bit, answers in one round trip with the
+// typed status the non-blocking poll gives once the job has died.
+func TestCompactWithIndexesFailureWakesParkedWait(t *testing.T) {
+	env, d, _ := newTestDevice()
+	env.Go("host", func(p *sim.Proc) {
+		defer d.Shutdown()
+		if err := loadParticles(p, d, "ks", 1000); err != nil {
+			t.Error(err)
+			return
+		}
+		past := nvme.SecondaryIndexSpec{Name: "past", Offset: 14, Length: 4, Type: keyenc.TypeBytes} // values are 16 bytes
+		if c := submit(p, d, &nvme.Command{Op: nvme.OpCompactWithIndexes, Keyspace: "ks", Indexes: []nvme.SecondaryIndexSpec{past}}); c.Status != nvme.StatusOK {
+			t.Errorf("compact with indexes: %v", c.Status)
+			return
+		}
+		sent := d.Queue().Submitted()
+		h := d.Queue().Submit(p, &nvme.Command{Op: nvme.OpCompactStatus, Keyspace: "ks", Wait: true})
+		p.Sleep(time.Microsecond)
+		if len(d.parked) != 1 {
+			t.Errorf("%d status waits parked while the compaction runs, want 1", len(d.parked))
+		}
+		c := h.Wait(p)
+		if n := d.Queue().Submitted() - sent; n != 1 {
+			t.Errorf("the wait took %d commands, want 1", n)
+		}
+		if c.Status == nvme.StatusOK {
+			t.Errorf("wait on a failed compaction answered OK (done=%v)", c.Done)
+			return
+		}
+		if poll := submit(p, d, &nvme.Command{Op: nvme.OpCompactStatus, Keyspace: "ks"}); poll.Status != c.Status {
+			t.Errorf("wait answered %v, the poll after it %v", c.Status, poll.Status)
+		}
 	})
 	env.Run()
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"kvcsd/internal/core"
+	"kvcsd/internal/nvme"
 	"kvcsd/internal/sim"
 	"kvcsd/internal/ssd"
 )
@@ -22,9 +23,10 @@ func (d *Device) PoweredOff() bool { return d.poweredOff }
 func (d *Device) Restarts() int { return d.restarts }
 
 // PowerCut cuts power at the current instant. The SSD tears the in-flight
-// zone append at a seeded offset and freezes; every command — in flight or
-// submitted later — completes with StatusPoweredOff; background jobs die at
-// their next media operation. Idempotent while powered off.
+// zone append at a seeded offset and freezes; every command — in flight,
+// parked on the status wait bit, or submitted later — completes with
+// StatusPoweredOff; background jobs die at their next media operation.
+// Idempotent while powered off.
 func (d *Device) PowerCut(p *sim.Proc) ssd.PowerCutReport {
 	if d.poweredOff {
 		return ssd.PowerCutReport{}
@@ -35,6 +37,7 @@ func (d *Device) PowerCut(p *sim.Proc) ssd.PowerCutReport {
 	// compactions fall back to device merging and then die against the
 	// powered-off media; the host assist loop sees Done and exits.
 	d.engine.CloseAssist()
+	d.answerParked(nvme.StatusPoweredOff)
 	return d.ssd.PowerCut(p)
 }
 

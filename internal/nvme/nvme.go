@@ -136,6 +136,7 @@ const (
 	StatusInternal
 	StatusPoweredOff // device lost power; retry after it is restarted
 	StatusCorrupted  // checksum mismatch on the read path; retry on another replica
+	StatusAborted    // the queue shut down while the command waited; do not retry
 )
 
 // String names the status.
@@ -159,6 +160,8 @@ func (s Status) String() string {
 		return "PoweredOff"
 	case StatusCorrupted:
 		return "Corrupted"
+	case StatusAborted:
+		return "Aborted"
 	default:
 		return fmt.Sprintf("Status(%d)", uint8(s))
 	}
@@ -231,6 +234,12 @@ type Command struct {
 	// ResultLimit caps query results (0 = unlimited).
 	ResultLimit int
 
+	// Wait is the status wait bit (OpCompactStatus, OpIndexStatus): the
+	// device holds the command until the compaction or index build it asks
+	// about has finished, then answers as the plain status command would. A
+	// power cut answers it StatusPoweredOff and a shutdown StatusAborted.
+	Wait bool
+
 	// Extent addresses one checksummed granule (OpReadExtent, OpRepairExtent,
 	// OpCorruptMedia); the granule's keyspace is Command.Keyspace and repair
 	// payloads travel in Command.Value.
@@ -278,7 +287,7 @@ type Completion struct {
 	Exists bool
 	// Info carries keyspace metadata (OpKeyspaceInfo / status ops).
 	Info KeyspaceInfo
-	// Done reports background-operation completion for status polls.
+	// Done reports background-operation completion for status commands.
 	Done bool
 	// Progress carries compaction-pipeline progress on OpCompactStatus
 	// (nil when the device predates the extension).
