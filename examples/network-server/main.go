@@ -85,7 +85,8 @@ func main() {
 	fmt.Printf("loaded %d records over the wire\n", records)
 
 	// Deferred compaction: the verb returns once the device accepts the
-	// job; WaitCompacted polls CompactStatus until the fleet finishes.
+	// job; WaitCompacted is one CompactStatus request with the wait flag,
+	// which the server answers when the fleet finishes.
 	if err := ks.Compact(); err != nil {
 		log.Fatalf("network-server: compact: %v", err)
 	}

@@ -175,36 +175,20 @@ func (a *Array) drainPipelines(q *sim.Proc, prev []*compactJob) {
 // WaitCompacted, used by status RPCs that must not park the caller.
 func (k *Keyspace) CompactDone(p *sim.Proc) (bool, error) {
 	all := true
-	for _, pt := range k.parts {
-		pt := pt
-		if err := k.writeAll(p, pt, func(q *sim.Proc, h *client.Keyspace) error {
-			done, err := h.CompactDone(q)
-			if err != nil {
-				return err
-			}
-			if !done {
-				all = false
-			}
-			return nil
-		}); err != nil {
-			return false, err
+	err := k.writeEach(p, func(q *sim.Proc, h *client.Keyspace) error {
+		done, err := h.CompactDone(q)
+		if err == nil && !done {
+			all = false
 		}
-	}
-	return all, nil
+		return err
+	})
+	return all && err == nil, err
 }
 
 // WaitCompacted waits until every shard reports compaction complete on the
 // healthy replicas (used after an async Compact issued elsewhere).
 func (k *Keyspace) WaitCompacted(p *sim.Proc) error {
-	for _, pt := range k.parts {
-		pt := pt
-		if err := k.writeAll(p, pt, func(q *sim.Proc, h *client.Keyspace) error {
-			return h.WaitCompacted(q)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return k.writeEach(p, func(q *sim.Proc, h *client.Keyspace) error { return h.WaitCompacted(q) })
 }
 
 // Compactions folds the fleet's per-shard compaction progress into one row

@@ -297,6 +297,17 @@ func (k *Keyspace) writeAll(p *sim.Proc, pt *partition, fn func(q *sim.Proc, h *
 	return k.a.writeOutcome(folded, errs)
 }
 
+// writeEach applies fn through writeAll to every partition in turn and stops
+// at the first that fails.
+func (k *Keyspace) writeEach(p *sim.Proc, fn func(q *sim.Proc, h *client.Keyspace) error) error {
+	for _, pt := range k.parts {
+		if err := k.writeAll(p, pt, fn); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // --- Writes ---------------------------------------------------------------
 
 // Put stores one pair on every replica of the owning shard (write fan-out).

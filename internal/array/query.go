@@ -130,15 +130,7 @@ func mergeStreams(streams [][]nvme.KVPair, limit int, less func(a, b nvme.KVPair
 // secondary queries can re-derive each result's secondary key for the merge.
 func (k *Keyspace) BuildSecondaryIndex(p *sim.Proc, spec client.IndexSpec) error {
 	k.rememberSpec(spec)
-	for _, pt := range k.parts {
-		pt := pt
-		if err := k.writeAll(p, pt, func(q *sim.Proc, h *client.Keyspace) error {
-			return h.BuildSecondaryIndex(q, spec)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return k.writeEach(p, func(q *sim.Proc, h *client.Keyspace) error { return h.BuildSecondaryIndex(q, spec) })
 }
 
 // IndexBuilt polls every shard once and reports whether the named index is
@@ -146,37 +138,21 @@ func (k *Keyspace) BuildSecondaryIndex(p *sim.Proc, spec client.IndexSpec) error
 // WaitIndexBuilt for status RPCs.
 func (k *Keyspace) IndexBuilt(p *sim.Proc, name string) (bool, error) {
 	all := true
-	for _, pt := range k.parts {
-		pt := pt
-		if err := k.writeAll(p, pt, func(q *sim.Proc, h *client.Keyspace) error {
-			done, err := h.IndexBuilt(q, name)
-			if err != nil {
-				return err
-			}
-			if !done {
-				all = false
-			}
-			return nil
-		}); err != nil {
-			return false, err
+	err := k.writeEach(p, func(q *sim.Proc, h *client.Keyspace) error {
+		done, err := h.IndexBuilt(q, name)
+		if err == nil && !done {
+			all = false
 		}
-	}
-	return all, nil
+		return err
+	})
+	return all && err == nil, err
 }
 
 // WaitIndexBuilt waits until the named index is ready on the healthy
 // replicas of every shard. A replica that errors retryably is tolerated as
 // long as one copy per shard finishes — reads fail over past the laggard.
 func (k *Keyspace) WaitIndexBuilt(p *sim.Proc, name string) error {
-	for _, pt := range k.parts {
-		pt := pt
-		if err := k.writeAll(p, pt, func(q *sim.Proc, h *client.Keyspace) error {
-			return h.WaitIndexBuilt(q, name)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return k.writeEach(p, func(q *sim.Proc, h *client.Keyspace) error { return h.WaitIndexBuilt(q, name) })
 }
 
 // rememberSpec records (or replaces) a declared index spec.

@@ -21,6 +21,7 @@ import (
 	"strings"
 	"time"
 
+	"kvcsd/internal/client"
 	"kvcsd/internal/device"
 	"kvcsd/internal/host"
 	"kvcsd/internal/keyenc"
@@ -80,8 +81,9 @@ type Point struct {
 	Phase string
 	// Cut is the op index (load) or the virtual-ns offset into the phase.
 	Cut int64
-	// HostJobs counts merge jobs the host assist loop completed at a
-	// pipeline point (before the cut plus during the re-compaction).
+	// HostJobs counts the runs the host merged at a pipeline point, as the
+	// device's compaction progress reports them (HostRuns): the pass the cut
+	// interrupted plus the re-compaction.
 	HostJobs int
 	// Synced is how many pairs were acked and synced before the cut.
 	Synced int
@@ -289,26 +291,20 @@ func compactAndIndex(p *sim.Proc, d *device.Device) error {
 			return fmt.Errorf("build index: %v", c.Status)
 		}
 	}
-	if err := waitDone(p, d, nvme.Command{Op: nvme.OpCompactStatus, Keyspace: "chaos"}, time.Millisecond); err != nil {
+	if err := waitDone(p, d, nvme.Command{Op: nvme.OpCompactStatus, Keyspace: "chaos"}); err != nil {
 		return err
 	}
-	return waitDone(p, d, nvme.Command{Op: nvme.OpIndexStatus, Keyspace: "chaos", Index: secSpec()}, time.Millisecond)
+	return waitDone(p, d, nvme.Command{Op: nvme.OpIndexStatus, Keyspace: "chaos", Index: secSpec()})
 }
 
-// waitDone polls a status command every `every` until it reports done.
-func waitDone(p *sim.Proc, d *device.Device, poll nvme.Command, every time.Duration) error {
-	for i := 0; i <= 100000; i++ {
-		cmd := poll
-		c := submit(p, d, &cmd)
-		if c.Status != nvme.StatusOK {
-			return fmt.Errorf("%v: %v", poll.Op, c.Status)
-		}
-		if c.Done {
-			return nil
-		}
-		p.Sleep(every)
+// waitDone sends the status command with the wait bit: the device answers it
+// when the job it asks about has ended.
+func waitDone(p *sim.Proc, d *device.Device, cmd nvme.Command) error {
+	cmd.Wait = true
+	if c := submit(p, d, &cmd); c.Status != nvme.StatusOK || !c.Done {
+		return fmt.Errorf("%v: %v (done=%v)", cmd.Op, c.Status, c.Done)
 	}
-	return fmt.Errorf("%v never done", poll.Op)
+	return nil
 }
 
 // verify checks the three recovery invariants after the keyspace is
@@ -424,16 +420,18 @@ func runPoint(opts Options, spec pointSpec) (pt Point, window sim.Duration) {
 	}
 	env, d := newPointDevice(opts, spec.salt, spec.tune)
 	h := host.New(env, host.DefaultHostConfig())
-	liveAssists := 0
+	var assists []*sim.Proc
 	spawnAssist := func() {
 		if !spec.assist {
 			return
 		}
-		liveAssists++
-		env.Go("assist", func(ap *sim.Proc) {
-			defer func() { liveAssists-- }()
-			assistLoop(ap, d, h, &pt.HostJobs)
-		})
+		assists = append(assists, env.Go("assist", func(ap *sim.Proc) {
+			client.New(h, d).ServeHostMerges(ap, nil)
+		}))
+	}
+	hostRuns := func() int {
+		pr, _ := d.Engine().Progress("chaos")
+		return int(pr.HostRuns)
 	}
 	// script is the replay; an error is a harness failure or a refused step.
 	script := func(p *sim.Proc) error {
@@ -454,11 +452,8 @@ func runPoint(opts Options, spec pointSpec) (pt Point, window sim.Duration) {
 		// The sweep runs inside one command; in a cut replay it is on a proc
 		// of its own, so the cut lands mid-sweep and the command completes
 		// with StatusPoweredOff.
-		migrated := false
-		migrate := func(mp *sim.Proc) {
-			submit(mp, d, &nvme.Command{Op: nvme.OpMigrateCold})
-			migrated = true
-		}
+		migrate := func(mp *sim.Proc) { submit(mp, d, &nvme.Command{Op: nvme.OpMigrateCold}) }
+		var migrator *sim.Proc
 		if spec.start != startNothing {
 			if err := step("final sync", nvme.OpSync); err != nil {
 				return err
@@ -470,7 +465,7 @@ func runPoint(opts Options, spec pointSpec) (pt Point, window sim.Duration) {
 				return err
 			}
 			if spec.start == startMigrate || spec.probe {
-				if err := waitDone(p, d, nvme.Command{Op: nvme.OpCompactStatus, Keyspace: "chaos"}, 10*time.Microsecond); err != nil {
+				if err := waitDone(p, d, nvme.Command{Op: nvme.OpCompactStatus, Keyspace: "chaos"}); err != nil {
 					return err
 				}
 			}
@@ -479,7 +474,7 @@ func runPoint(opts Options, spec pointSpec) (pt Point, window sim.Duration) {
 				if spec.probe {
 					migrate(p)
 				} else {
-					env.Go("migrate", migrate)
+					migrator = env.Go("migrate", migrate)
 				}
 			}
 			if spec.probe {
@@ -488,9 +483,10 @@ func runPoint(opts Options, spec pointSpec) (pt Point, window sim.Duration) {
 			}
 			p.Sleep(spec.off)
 		}
+		pt.HostJobs = hostRuns()
 		d.PowerCut(p)
-		for spec.start == startMigrate && !migrated {
-			p.Sleep(10 * time.Microsecond)
+		if migrator != nil {
+			p.Join(migrator)
 		}
 		rep, err := d.Restart(p)
 		if err != nil {
@@ -502,6 +498,7 @@ func runPoint(opts Options, spec pointSpec) (pt Point, window sim.Duration) {
 		if err := compactAndIndex(p, d); err != nil {
 			return err
 		}
+		pt.HostJobs += hostRuns()
 		verify(p, d, opts, &pt, spec.upto)
 		return nil
 	}
@@ -513,9 +510,7 @@ func runPoint(opts Options, spec pointSpec) (pt Point, window sim.Duration) {
 			// without submitting to a closed queue.
 			defer func() {
 				d.Engine().CloseAssist()
-				for liveAssists > 0 {
-					p.Sleep(10 * time.Microsecond)
-				}
+				p.Join(assists...)
 			}()
 		}
 		if err := script(p); err != nil {

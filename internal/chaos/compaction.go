@@ -10,11 +10,7 @@ package chaos
 
 import (
 	"kvcsd/internal/compaction"
-	"kvcsd/internal/core"
 	"kvcsd/internal/device"
-	"kvcsd/internal/host"
-	"kvcsd/internal/nvme"
-	"kvcsd/internal/sim"
 )
 
 // tunePipeline reshapes the point device so the scripted workload exercises
@@ -35,32 +31,4 @@ func tuneMigrate(d *device.Options) {
 	d.SSD.ColdZones = 128
 	d.SSD.ColdReadFactor = 3
 	d.SSD.ColdWriteFactor = 2
-}
-
-// assistLoop is the campaign's host half of collaborative compaction — a
-// raw-opcode ServeHostMerges. It long-polls merge jobs, k-way merges them on
-// a modeled host CPU, and pushes each result back; it exits when the device
-// closes the assist queue (power cut or shutdown) or transport fails. jobs
-// counts completed merges so tests can assert the split actually engaged.
-func assistLoop(p *sim.Proc, d *device.Device, h *host.Host, jobs *int) {
-	for {
-		comp := submit(p, d, &nvme.Command{Op: nvme.OpHostMergePoll})
-		if comp.Status != nvme.StatusOK || comp.Done {
-			return
-		}
-		var merged []byte
-		if runs, err := compaction.DecodeRuns(comp.Value); err == nil {
-			merged, _ = core.MergeEncodedKlogRuns(p, h, runs)
-		}
-		// An empty push reports host failure; the device re-merges on the SoC.
-		c := submit(p, d, &nvme.Command{
-			Op:     nvme.OpHostMergePush,
-			Extent: nvme.ExtentAddr{Granule: comp.Count},
-			Value:  merged,
-		})
-		if c.Status != nvme.StatusOK {
-			return
-		}
-		*jobs++
-	}
 }

@@ -175,7 +175,14 @@ func (c *Client) Device() *device.Device { return c.dev }
 // write is safe — a duplicate that actually landed becomes a duplicate log
 // record and deduplicates at compaction.
 func (c *Client) roundTrip(p *sim.Proc, cmd *nvme.Command) (*nvme.Completion, error) {
-	comp, err := c.sendOnce(p, cmd)
+	// A status wait takes as long as its job does: the device answers it when
+	// the job ends, or at a power cut or shutdown, so no attempt timeout
+	// applies.
+	timeout := c.policy.Timeout
+	if cmd.Wait {
+		timeout = 0
+	}
+	comp, err := c.sendOnce(p, cmd, timeout)
 	if err == nil || c.policy.MaxAttempts <= 1 || !cmd.Op.Idempotent() {
 		return comp, err
 	}
@@ -188,7 +195,7 @@ func (c *Client) roundTrip(p *sim.Proc, cmd *nvme.Command) (*nvme.Completion, er
 		if c.policy.MaxBackoff > 0 && backoff > c.policy.MaxBackoff {
 			backoff = c.policy.MaxBackoff
 		}
-		comp, err = c.sendOnce(p, cmd)
+		comp, err = c.sendOnce(p, cmd, timeout)
 		if err == nil {
 			return comp, nil
 		}
@@ -209,8 +216,8 @@ var cmdSpanNames = func() (t [256]string) {
 // PCIe directions. With tracing on, the round trip becomes one root span
 // whose stage children (prep + transfers = link, queue-wait = queue,
 // dispatch = service, channel time = media) partition the client-observed
-// latency exactly.
-func (c *Client) sendOnce(p *sim.Proc, cmd *nvme.Command) (*nvme.Completion, error) {
+// latency exactly. A positive timeout caps the wait for the completion.
+func (c *Client) sendOnce(p *sim.Proc, cmd *nvme.Command, timeout time.Duration) (*nvme.Completion, error) {
 	span := c.tr.StartRoot(p, cmdSpanNames[cmd.Op], cmd.Op.String())
 	if span != nil {
 		cmd.Span = span
@@ -226,12 +233,9 @@ func (c *Client) sendOnce(p *sim.Proc, cmd *nvme.Command) (*nvme.Completion, err
 	c.link.Transfer(p, pcie.HostToDevice, size)
 	handle := c.queue.Submit(p, cmd)
 	var comp *nvme.Completion
-	// A status wait takes as long as its job does: the device answers it when
-	// the job ends, or at a power cut or shutdown, so no attempt timeout
-	// applies.
-	if c.policy.Timeout > 0 && !cmd.Wait {
+	if timeout > 0 {
 		var done bool
-		comp, done = handle.WaitTimeout(p, c.policy.Timeout)
+		comp, done = handle.WaitTimeout(p, timeout)
 		if !done {
 			// The command stays in flight inside the device; the abandoned
 			// handle absorbs its eventual completion.
@@ -240,7 +244,7 @@ func (c *Client) sendOnce(p *sim.Proc, cmd *nvme.Command) (*nvme.Completion, err
 				c.tr.Pop(p)
 				span.End()
 			}
-			return nil, &TimeoutError{Op: cmd.Op, Timeout: c.policy.Timeout}
+			return nil, &TimeoutError{Op: cmd.Op, Timeout: timeout}
 		}
 	} else {
 		comp = handle.Wait(p)

@@ -10,36 +10,8 @@ import (
 	"kvcsd/internal/compaction"
 	"kvcsd/internal/core"
 	"kvcsd/internal/nvme"
-	"kvcsd/internal/obs"
-	"kvcsd/internal/pcie"
 	"kvcsd/internal/sim"
 )
-
-// sendBlocking is sendOnce without the per-command timeout. Host-merge polls
-// park inside the device until work arrives; cutting one short would complete
-// the popped job's payload into an abandoned handle, and the job would never
-// reach a host merge loop.
-func (c *Client) sendBlocking(p *sim.Proc, cmd *nvme.Command) (*nvme.Completion, error) {
-	span := c.tr.StartRoot(p, cmdSpanNames[cmd.Op], cmd.Op.String())
-	if span != nil {
-		cmd.Span = span
-		c.tr.Push(p, span)
-	}
-	prep := span.Child("prep", obs.StageLink)
-	c.h.Compute(p, perCommandCost)
-	size := cmd.WireSize()
-	c.h.Copy(p, size-64)
-	prep.End()
-	c.link.Transfer(p, pcie.HostToDevice, size)
-	handle := c.queue.Submit(p, cmd)
-	comp := handle.Wait(p)
-	c.link.Transfer(p, pcie.DeviceToHost, comp.WireSize())
-	if span != nil {
-		c.tr.Pop(p)
-		span.End()
-	}
-	return comp, statusErr(cmd.Op, comp.Status)
-}
 
 // ServeHostMerges runs the host half of collaborative compaction on the
 // calling proc: long-poll a merge job, k-way merge its runs on the host CPU,
@@ -47,14 +19,16 @@ func (c *Client) sendBlocking(p *sim.Proc, cmd *nvme.Command) (*nvme.Completion,
 // run-queue length with each poll — the planner's host-pressure signal. The
 // loop returns nil when the device closes its assist queue (shutdown or power
 // cut) and an error on transport failure; call again after a device restart
-// to re-attach.
+// to re-attach. Its commands are untimed: a poll parks inside the device
+// until work arrives, and cutting one short would complete the popped job's
+// payload into an abandoned handle, where no host merge loop would see it.
 func (c *Client) ServeHostMerges(p *sim.Proc, load func() int) error {
 	for {
 		poll := &nvme.Command{Op: nvme.OpHostMergePoll}
 		if load != nil {
 			poll.ResultLimit = load()
 		}
-		comp, err := c.sendBlocking(p, poll)
+		comp, err := c.sendOnce(p, poll, 0)
 		if err != nil {
 			return err
 		}
@@ -73,7 +47,7 @@ func (c *Client) ServeHostMerges(p *sim.Proc, load func() int) error {
 			Extent: nvme.ExtentAddr{Granule: jobID},
 			Value:  merged,
 		}
-		if _, err := c.sendBlocking(p, push); err != nil {
+		if _, err := c.sendOnce(p, push, 0); err != nil {
 			return err
 		}
 	}
@@ -103,7 +77,7 @@ func (c *Client) CompactionConfig(p *sim.Proc) (compaction.Config, error) {
 // to completion inside the command (untimed: a batch can outlive the
 // per-command timeout).
 func (c *Client) MigrateCold(p *sim.Proc) (int64, error) {
-	comp, err := c.sendBlocking(p, &nvme.Command{Op: nvme.OpMigrateCold})
+	comp, err := c.sendOnce(p, &nvme.Command{Op: nvme.OpMigrateCold}, 0)
 	if err != nil {
 		return 0, err
 	}

@@ -51,7 +51,8 @@ type Options struct {
 	// (default 64).
 	Pipeline int
 	// Retry bounds attempts and backoff, interpreted in real time. The zero
-	// value means a single attempt with no timeout.
+	// value means a single attempt with no timeout. A wait (WaitCompacted,
+	// WaitIndexBuilt) is exempt from the attempt timeout.
 	Retry client.RetryPolicy
 	// Tracer, when set, records one wall-clock span per RPC attempt and
 	// propagates its trace context in the frame header, so server-side spans
@@ -452,11 +453,17 @@ func (c *Client) call(req *wire.Request) (wire.Response, error) {
 	// or backlogged) and answers it without applying twice.
 	req.ID = c.nextID.Add(1)
 	pol := c.opts.Retry
+	// A wait takes as long as its job does: the server answers it when the
+	// job ends, or at a power cut or shutdown, so no attempt timeout applies.
+	timeout := pol.Timeout
+	if req.Wait {
+		timeout = 0
+	}
 	backoff := pol.BaseBackoff
 	attempts := 0
 	for {
 		attempts++
-		resp, err := c.doOnce(req, pol.Timeout)
+		resp, err := c.doOnce(req, timeout)
 		if err == nil {
 			out := resp.Detach()
 			if err = respError(req.Op, &out); err == nil {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"kvcsd/internal/client"
 	"kvcsd/internal/compaction"
@@ -200,7 +199,7 @@ func (k *Keyspace) CompactWithIndexes(specs []client.IndexSpec) error {
 	return err
 }
 
-// CompactDone polls whether the last compaction has finished.
+// CompactDone asks once whether the last compaction has finished.
 func (k *Keyspace) CompactDone() (bool, error) {
 	resp, err := k.c.call(&wire.Request{Op: wire.OpCompactStatus, Keyspace: k.name})
 	if err != nil {
@@ -223,11 +222,10 @@ func (k *Keyspace) CompactionProgress() (compaction.Progress, bool, error) {
 	return *resp.Progress, resp.Done, nil
 }
 
-// WaitCompacted polls until compaction completes. The server advances the
-// device's virtual clock while background work runs, so real-time polling
-// terminates.
+// WaitCompacted blocks until compaction completes: one CompactStatus request
+// with the wait flag, which the server answers when the compaction job ends.
 func (k *Keyspace) WaitCompacted() error {
-	return k.poll(func() (bool, error) { return k.CompactDone() })
+	return k.wait(&wire.Request{Op: wire.OpCompactStatus, Keyspace: k.name, Wait: true})
 }
 
 // BuildSecondaryIndex declares and starts building a secondary index.
@@ -236,7 +234,7 @@ func (k *Keyspace) BuildSecondaryIndex(spec client.IndexSpec) error {
 	return err
 }
 
-// IndexBuilt polls whether the named index is ready.
+// IndexBuilt asks once whether the named index is ready.
 func (k *Keyspace) IndexBuilt(name string) (bool, error) {
 	resp, err := k.c.call(&wire.Request{Op: wire.OpIndexStatus, Keyspace: k.name, Index: wire.IndexSpec{Name: name}})
 	if err != nil {
@@ -245,21 +243,23 @@ func (k *Keyspace) IndexBuilt(name string) (bool, error) {
 	return resp.Done, nil
 }
 
-// WaitIndexBuilt polls until the named index is ready.
+// WaitIndexBuilt blocks until the named index is ready, with one IndexStatus
+// request carrying the wait flag. An index that was never requested fails
+// with a StatusNotFound error.
 func (k *Keyspace) WaitIndexBuilt(name string) error {
-	return k.poll(func() (bool, error) { return k.IndexBuilt(name) })
+	return k.wait(&wire.Request{Op: wire.OpIndexStatus, Keyspace: k.name, Index: wire.IndexSpec{Name: name}, Wait: true})
 }
 
-func (k *Keyspace) poll(done func() (bool, error)) error {
+// wait sends a wait-flagged status request until it reports done. The server
+// answers a wait only when its job has ended, so one request is the rule;
+// should the job end without finishing what was asked, the request goes
+// again.
+func (k *Keyspace) wait(req *wire.Request) error {
 	for {
-		ok, err := done()
-		if err != nil {
+		resp, err := k.c.call(req)
+		if err != nil || resp.Done {
 			return err
 		}
-		if ok {
-			return nil
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -25,7 +25,8 @@ import (
 // anything they do not explicitly guard.
 type Backend interface {
 	// Apply executes one request and returns its response (ID/Op are filled
-	// in by the caller). It must not return nil.
+	// in by the caller). It must not return nil. A wait-flagged status
+	// request returns only when the job it asks about has ended.
 	Apply(p *sim.Proc, req *wire.Request) *wire.Response
 	// BulkApply stages a coalesced batch of puts/deletes into one keyspace
 	// and flushes it as a single device submission.
@@ -34,8 +35,6 @@ type Backend interface {
 	// builds) so the gateway can keep virtual time advancing while the
 	// socket side is idle.
 	BackgroundJobs() int
-	// WaitIdle parks until background work has drained (called on shutdown).
-	WaitIdle(p *sim.Proc) error
 	// Shutdown finalizes metrics gauges after the sim has drained.
 	Shutdown()
 	// Tracer exposes the backend's span collector (may be nil).
@@ -128,15 +127,13 @@ type fleet interface {
 	RingTable() []wire.RingEntry
 	Compactions() []wire.CompactionProgress
 
-	WaitBackgroundIdle(p *sim.Proc) error
 	Shutdown()
 	Tracer() *obs.Tracer
 	Registry() *obs.Registry
 }
 
 // deviceFleet fronts one simulated device through the client library; the
-// device's own WaitBackgroundIdle, Shutdown, Tracer and Registry serve as the
-// fleet's.
+// device's own Shutdown, Tracer and Registry serve as the fleet's.
 type deviceFleet struct {
 	*device.Device
 	cl      *client.Client
@@ -262,7 +259,7 @@ func (f arrayFleet) open(_ *sim.Proc, name string) (client.Contract, error) {
 	return ks, nil
 }
 
-// compactStatus polls the shards for the done flag and takes the progress
+// compactStatus asks the shards once for the done flag and takes the progress
 // from the keyspace's row of the fleet aggregate.
 func (f arrayFleet) compactStatus(p *sim.Proc, ks client.Contract) (compaction.Progress, bool, error) {
 	done, err := ks.CompactDone(p)
@@ -373,6 +370,11 @@ func (b *backend) Apply(p *sim.Proc, req *wire.Request) *wire.Response {
 		}
 		return respErr(ks.CompactWithIndexes(p, specs))
 	case wire.OpCompactStatus:
+		if req.Wait {
+			if err := ks.WaitCompacted(p); err != nil {
+				return respErr(err)
+			}
+		}
 		pr, done, err := b.compactStatus(p, ks)
 		if err != nil {
 			return respErr(err)
@@ -381,6 +383,11 @@ func (b *backend) Apply(p *sim.Proc, req *wire.Request) *wire.Response {
 	case wire.OpBuildIndex:
 		return respErr(ks.BuildSecondaryIndex(p, req.Index.NVMe()))
 	case wire.OpIndexStatus:
+		if req.Wait {
+			if err := ks.WaitIndexBuilt(p, req.Index.Name); err != nil {
+				return respErr(err)
+			}
+		}
 		done, err := ks.IndexBuilt(p, req.Index.Name)
 		if err != nil {
 			return respErr(err)
@@ -515,5 +522,3 @@ func (b *backend) BackgroundJobs() int {
 	}
 	return n
 }
-
-func (b *backend) WaitIdle(p *sim.Proc) error { return b.WaitBackgroundIdle(p) }

@@ -21,14 +21,7 @@ import (
 // the device model.
 func (s *Server) gateway(p *sim.Proc) {
 	for {
-		// While the socket side is quiet but the device still has
-		// background work (compaction, index builds), advance virtual time
-		// in small slices so status polls from remote clients observe
-		// progress. Without this pump, background jobs would stay frozen
-		// between requests and a WaitCompacted poll loop would never finish.
-		for s.sched.Queued() == 0 && s.backend.BackgroundJobs() > 0 {
-			p.Sleep(backgroundSlice)
-		}
+		s.pump(p)
 		items, ok := s.sched.NextBatch(s.cfg.MaxBatch)
 		if len(items) > 0 {
 			s.runBatch(p, items)
@@ -38,12 +31,25 @@ func (s *Server) gateway(p *sim.Proc) {
 		}
 	}
 	// Drain: intake is closed and the scheduler is empty. Finish background
-	// work, then stop the device dispatch loops so the simulation can end.
-	_ = s.backend.WaitIdle(p)
+	// work and let the status waits under way park or return, then stop the
+	// device dispatch loops — which answers the waits still parked — so the
+	// simulation can end.
+	s.pump(p)
 	s.backend.Shutdown()
 	// Parked handler procs have no wake-up pending: let them return, so the
 	// simulation ends with nothing blocked.
 	s.handlers.Release()
+}
+
+// pump advances virtual time in small slices while no request is queued but
+// the simulation has work of its own: background jobs (compaction, index
+// builds), or a status wait on its way to park or back from it (some proc
+// besides the gateway has an event). Without it that work, and the waits on
+// it, would stay frozen until the next request arrived.
+func (s *Server) pump(p *sim.Proc) {
+	for s.sched.Queued() == 0 && (s.backend.BackgroundJobs() > 0 || s.waits > 0 && s.env.Busy()) {
+		p.Sleep(backgroundSlice)
+	}
 }
 
 // rpcNames holds, per opcode, the rpc span's name and op label, built once:
@@ -80,14 +86,32 @@ func (s *Server) dispatch(t *task, g *putGroup) {
 }
 
 // serve is a handler proc's body: run the unit in hand and report it done.
-// The handler that finishes a batch's last unit wakes the gateway.
+// The handler that finishes a batch's last unit wakes the gateway. A status
+// wait (wire.FlagWait) parks until its job ends, so it leaves its batch as it
+// starts and counts in s.waits instead: a parked wait never holds the
+// gateway, and the batches behind it keep their admission instants.
 func (s *Server) serve(q *sim.Proc, h *handler) {
+	wait := h.t != nil && h.t.req.Wait
+	if wait {
+		s.waits++
+		s.unitDone(q)
+	}
 	if h.t != nil {
 		s.handle(q, h.t)
 	} else {
 		s.handleGroup(q, h.g)
 	}
 	h.t, h.g = nil, nil
+	if wait {
+		s.waits--
+	} else {
+		s.unitDone(q)
+	}
+}
+
+// unitDone counts one unit of the running batch out and wakes the gateway
+// when it was the last.
+func (s *Server) unitDone(q *sim.Proc) {
 	if s.pending--; s.pending == 0 {
 		q.Env().Wake(s.gw)
 	}

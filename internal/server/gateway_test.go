@@ -52,7 +52,6 @@ func (b *orderBackend) Apply(_ *sim.Proc, req *wire.Request) *wire.Response {
 }
 func (b *orderBackend) BulkApply(*sim.Proc, string, []nvme.KVPair) *wire.Response { return &b.resp }
 func (b *orderBackend) BackgroundJobs() int                                       { return 0 }
-func (b *orderBackend) WaitIdle(*sim.Proc) error                                  { return nil }
 func (b *orderBackend) Shutdown()                                                 {}
 func (b *orderBackend) Tracer() *obs.Tracer                                       { return nil }
 func (b *orderBackend) Registry() *obs.Registry                                   { return nil }

@@ -57,7 +57,7 @@ const chunkPairs = 128
 
 // backgroundSlice is the virtual-time slice the gateway sleeps while the
 // socket side is idle but device background work (compaction, index builds)
-// is still running.
+// is still running, or a status wait still has work on its way.
 const backgroundSlice = 500 * time.Microsecond
 
 // Config tunes the server's concurrency and batching.
@@ -189,11 +189,13 @@ type Server struct {
 
 	// Gateway state, touched only inside the simulation: the gateway proc,
 	// the resident handler procs parked for work, how many dispatched units
-	// of the running batch have not finished, and scratch for splitting a
-	// batch (see gateway.go).
+	// of the running batch have not finished, how many status waits are in
+	// flight outside any batch, and scratch for splitting a batch (see
+	// gateway.go).
 	gw       *sim.Proc
 	handlers *sim.ResidentProcs[handler]
 	pending  int
+	waits    int
 	singles  []*task
 	puts     []*task
 	byKS     map[string]*putGroup

@@ -52,11 +52,10 @@ func (b *gateBackend) BulkApply(p *sim.Proc, keyspace string, pairs []nvme.KVPai
 	return &wire.Response{Status: wire.StatusOK}
 }
 
-func (b *gateBackend) BackgroundJobs() int        { return 0 }
-func (b *gateBackend) WaitIdle(p *sim.Proc) error { return nil }
-func (b *gateBackend) Shutdown()                  {}
-func (b *gateBackend) Tracer() *obs.Tracer        { return nil }
-func (b *gateBackend) Registry() *obs.Registry    { return nil }
+func (b *gateBackend) BackgroundJobs() int     { return 0 }
+func (b *gateBackend) Shutdown()               {}
+func (b *gateBackend) Tracer() *obs.Tracer     { return nil }
+func (b *gateBackend) Registry() *obs.Registry { return nil }
 
 func (b *gateBackend) bulkCalls() [][]nvme.KVPair {
 	b.mu.Lock()

@@ -128,6 +128,18 @@ func NewEnv() *Env {
 // clock stopped at.
 func (e *Env) Now() Time { return e.now }
 
+// Busy reports whether a live process other than the caller has an event
+// scheduled. False means every other process is blocked until someone wakes
+// it: left alone, the simulation would stand still.
+func (e *Env) Busy() bool {
+	for _, ev := range e.events {
+		if !ev.proc.done {
+			return true
+		}
+	}
+	return false
+}
+
 // schedule enqueues a wake-up for p at time at.
 func (e *Env) schedule(p *Proc, at Time) {
 	if at < e.now {

@@ -154,6 +154,17 @@ func TestFrameBytesGolden(t *testing.T) {
 		fmt.Fprintf(&sb, "%s response %s\n", op, hex.EncodeToString(AppendResponseFrames(nil, goldenResponse(op), 0)))
 		fmt.Fprintf(&sb, "%s chunked %s\n", op, hex.EncodeToString(AppendResponseFrames(nil, goldenResponse(op), 2)))
 	}
+	// The wait-flagged status requests come last, so the lines above keep the
+	// bytes they were recorded with.
+	for _, op := range []Op{OpCompactStatus, OpIndexStatus} {
+		r := goldenRequest(op)
+		r.Wait = true
+		req, err := AppendRequestFrame(nil, r)
+		if err != nil {
+			t.Fatalf("%s wait: %v", op, err)
+		}
+		fmt.Fprintf(&sb, "%s wait-request %s\n", op, hex.EncodeToString(req))
+	}
 	const path = "testdata/frames.golden"
 	if *updateFrames {
 		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {

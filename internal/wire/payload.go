@@ -122,7 +122,11 @@ func AppendRequestFrame(dst []byte, r *Request) ([]byte, error) {
 	if len(b)-off-HeaderSize > MaxPayload {
 		return dst, ErrFrameTooLarge
 	}
-	return finishFrame(b, off, KindRequest, r.Op, laneFlags(r.Lane), r.ID, r.Trace, r.Session), nil
+	flags := laneFlags(r.Lane)
+	if r.Wait {
+		flags |= FlagWait
+	}
+	return finishFrame(b, off, KindRequest, r.Op, flags, r.ID, r.Trace, r.Session), nil
 }
 
 func appendRequest(b []byte, r *Request) []byte {
@@ -180,6 +184,10 @@ func decodeRequest(h Header, payload []byte, sc *DecodeScratch) (*Request, error
 	if !h.Op.Valid() {
 		return nil, fmt.Errorf("%w: opcode %d", ErrDecode, uint8(h.Op))
 	}
+	wait := h.Flags&FlagWait != 0
+	if wait && h.Op != OpCompactStatus && h.Op != OpIndexStatus {
+		return nil, fmt.Errorf("%w: wait flag on %s", ErrDecode, h.Op)
+	}
 	d := decoder{Decoder: codec.NewDecoder(payload)}
 	var r *Request
 	var lastKeyspace string
@@ -193,7 +201,7 @@ func decodeRequest(h Header, payload []byte, sc *DecodeScratch) (*Request, error
 		r = new(Request)
 	}
 	*r = Request{ID: h.ID, Op: h.Op, Trace: h.Trace,
-		Session: h.Session, Lane: laneFromFlags(h.Flags), body: fb}
+		Session: h.Session, Lane: laneFromFlags(h.Flags), Wait: wait, body: fb}
 	r.Keyspace = d.strLike(lastKeyspace)
 	r.Key = d.bytes()
 	r.Value = d.bytes()

@@ -76,6 +76,11 @@ const (
 	// payload, so admission control can classify a frame without decoding it.
 	flagLaneShift       = 1
 	flagLaneMask  uint8 = 0x3 << flagLaneShift
+
+	// FlagWait is the status wait bit of nvme.Command on the wire (valid on
+	// OpCompactStatus and OpIndexStatus only, no payload bytes): the server
+	// answers the request when the job it asks about has ended, not at once.
+	FlagWait uint8 = 1 << 3
 )
 
 // laneFlags folds a lane-override byte (0 = none, else lane+1) into flags.
@@ -447,6 +452,9 @@ type Request struct {
 	// Lane is the per-request lane override carried in the frame flags
 	// (0 = none; otherwise uint8(lane)+1 — see LaneOverride).
 	Lane uint8
+
+	// Wait is FlagWait: a status request answered when its job has ended.
+	Wait bool
 
 	Key   []byte
 	Value []byte

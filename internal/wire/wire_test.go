@@ -242,6 +242,41 @@ func TestDecodeRequestRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestWaitFlag: the wait flag rides in the header flags byte next to the lane
+// bits, adds no payload byte, survives a round trip on the two status verbs
+// and is refused on every other verb.
+func TestWaitFlag(t *testing.T) {
+	for _, op := range Ops() {
+		req := &Request{ID: 7, Op: op, Keyspace: "ks", Lane: LaneOverride(LaneBulk), Wait: true}
+		frame, err := AppendRequestFrame(nil, req)
+		if err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		h, payload, err := ReadFrame(bytes.NewReader(frame))
+		if err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		if h.Flags&FlagWait == 0 || laneFromFlags(h.Flags) != req.Lane {
+			t.Fatalf("%s: flags %#x", op, h.Flags)
+		}
+		req.Wait = false
+		if plain := EncodeRequest(req); !bytes.Equal(payload, plain) {
+			t.Fatalf("%s: wait flag changed the payload", op)
+		}
+		got, err := DecodeRequest(h, payload)
+		if op != OpCompactStatus && op != OpIndexStatus {
+			if !errors.Is(err, ErrDecode) {
+				t.Errorf("%s with the wait flag decoded (err %v)", op, err)
+			}
+			continue
+		}
+		if err != nil || !got.Wait || got.Lane != req.Lane {
+			t.Fatalf("%s: decoded %+v, err %v", op, got, err)
+		}
+		got.Release()
+	}
+}
+
 func TestStatusMapping(t *testing.T) {
 	for _, ns := range []nvme.Status{nvme.StatusOK, nvme.StatusNotFound, nvme.StatusNoSpace, nvme.StatusPoweredOff} {
 		ws := FromNVMe(ns)
