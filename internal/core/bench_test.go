@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -45,11 +46,76 @@ func benchGets(b *testing.B, cfg Config) {
 func BenchmarkEngineGetHit(b *testing.B) { benchGets(b, smallEngineConfig()) }
 
 // BenchmarkEngineGetMiss: the cache holds a single block, so every get reads
-// and parses its PIDX block and evicts the previous one.
+// and parses its PIDX block and evicts the previous one (the record demoted
+// from it does not fit beside the new block and is evicted too).
 func BenchmarkEngineGetMiss(b *testing.B) {
 	cfg := smallEngineConfig()
 	cfg.IndexCacheBytes = int64(cfg.BlockBytes)
 	benchGets(b, cfg)
+}
+
+// BenchmarkEngineGetZipf: zipf(0.99) point gets with the index cache at 1/8
+// of the PIDX, after one warm-up get per pair, so hot records outlive their
+// blocks in the cache. Reports the cache hit ratio and virtual µs per get.
+func BenchmarkEngineGetZipf(b *testing.B) {
+	benchQueries(b, smallEngineConfig(), benchPairs, func(p *sim.Proc, eng *Engine) {
+		ks, _ := eng.Keyspace("ks")
+		c := eng.idxCache
+		c.capacity = ks.pidx.Len() / 8
+		z := newZipf(rand.New(rand.NewSource(99)), benchPairs, 0.99)
+		get := func() {
+			k := z.next()
+			if _, ok, err := eng.Get(p, "ks", tkey(k)); err != nil || !ok {
+				b.Fatalf("get %d: found=%v err=%v", k, ok, err)
+			}
+		}
+		for i := 0; i < benchPairs; i++ {
+			get()
+		}
+		hits, lookups, start := c.hits.Value(), c.hits.Value()+c.misses.Value(), p.Now()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			get()
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(c.hits.Value()-hits)/float64(c.hits.Value()+c.misses.Value()-lookups), "hit_ratio")
+		b.ReportMetric(float64(p.Now()-start)/1e3/float64(b.N), "virt_us/get")
+	})
+}
+
+// zipf draws ranks 0..n-1 with P(rank) ∝ 1/(rank+1)^theta for theta < 1
+// (Gray et al.'s generator, as YCSB uses) and scatters rank r to item
+// r·7919 mod n, so hot items fall in many index blocks.
+type zipf struct {
+	n                 int
+	theta, alpha, eta float64
+	zetan             float64
+	rng               *rand.Rand
+}
+
+func newZipf(rng *rand.Rand, n int, theta float64) *zipf {
+	z := &zipf{n: n, theta: theta, rng: rng}
+	for i := 1; i <= n; i++ {
+		z.zetan += 1 / math.Pow(float64(i), theta)
+	}
+	zeta2 := 1 + 1/math.Pow(2, theta)
+	z.alpha = 1 / (1 - theta)
+	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta2/z.zetan)
+	return z
+}
+
+func (z *zipf) next() int {
+	u := z.rng.Float64()
+	uz := u * z.zetan
+	rank := 0
+	switch {
+	case uz < 1:
+	case uz < 1+math.Pow(0.5, z.theta):
+		rank = 1
+	default:
+		rank = min(int(float64(z.n)*math.Pow(z.eta*u-z.eta+1, z.alpha)), z.n-1)
+	}
+	return rank * 7919 % z.n
 }
 
 // BenchmarkRangePrimary128: 128-pair primary scans from rotating start keys,

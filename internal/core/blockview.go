@@ -33,17 +33,27 @@ var (
 // checksum are verified once, when the view is built; after that lookups
 // binary-search and iterate the records in place, and every key they return
 // aliases buf. Nothing may write to buf once the view exists.
+//
+// touched is the one mutable part: a bit per record that a point lookup
+// found, which the index cache reads when it evicts the block (see
+// indexCache). It shares the offset table's allocation and is nil in a view
+// parsed into a reused table.
 type blockView struct {
-	buf  []byte
-	offs []uint16
+	buf     []byte
+	offs    []uint16
+	touched []uint16
 }
 
 func (v blockView) len() int { return len(v.offs) }
 
+// touch marks record i as found by a point lookup.
+func (v blockView) touch(i int) { v.touched[i>>4] |= 1 << (i & 15) }
+
 // parseIndexBlock builds the view of a count-prefixed index block, its record
 // offsets in offs's storage when that has room (a walk that holds one block at
 // a time reuses it); verify additionally demands the header checksum. A count
-// that runs past the records present is corruption.
+// that runs past the records present is corruption. A view whose table is
+// allocated here carries a cleared touched bitmap behind the offsets.
 func parseIndexBlock(offs []uint16, buf []byte, verify bool, f recFormat) (blockView, error) {
 	if err := checkIndexBlock(buf, verify); err != nil {
 		return blockView{}, err
@@ -51,10 +61,12 @@ func parseIndexBlock(offs []uint16, buf []byte, verify bool, f recFormat) (block
 	if len(buf) > 1<<16 {
 		return blockView{}, fmt.Errorf("core: %d-byte index block exceeds 16-bit record offsets", len(buf))
 	}
+	var touched []uint16
 	if n := int(binary.LittleEndian.Uint16(buf)); cap(offs) >= n {
 		offs = offs[:n]
 	} else {
-		offs = make([]uint16, n)
+		all := make([]uint16, n+(n+15)/16)
+		offs, touched = all[:n:n], all[n:]
 	}
 	pos := indexBlockHdr
 	for i := range offs {
@@ -68,7 +80,7 @@ func parseIndexBlock(offs []uint16, buf []byte, verify bool, f recFormat) (block
 		offs[i] = uint16(pos)
 		pos += n
 	}
-	return blockView{buf: buf, offs: offs}, nil
+	return blockView{buf: buf, offs: offs, touched: touched}, nil
 }
 
 // pidxBlock reads a view as primary-index records.

@@ -51,9 +51,11 @@ type Config struct {
 	MergeFanin int
 	// DRAMBytes is the total SoC DRAM (budget enforcement; paper: 8 GiB).
 	DRAMBytes int64
-	// IndexCacheBytes sizes the SoC-DRAM LRU over PIDX/SIDX index blocks
-	// (KV-CSD caches no application data; this mirrors the baseline pinning
-	// its SSTable index blocks).
+	// IndexCacheBytes is the one SoC-DRAM budget of the index cache: PIDX/SIDX
+	// blocks charged their raw bytes, and the PIDX records point lookups
+	// found in evicted blocks, each charged its on-media bytes (header +
+	// key). Blocks are evicted before records (KV-CSD caches no application
+	// data; this mirrors the baseline pinning its SSTable index blocks).
 	IndexCacheBytes int64
 	// MaxKeyLen and MaxValueLen bound record sizes.
 	MaxKeyLen   int

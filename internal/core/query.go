@@ -65,33 +65,19 @@ func sketchStart(sketch []sketchEntry, lo []byte) int {
 	return i
 }
 
-// Get answers a primary point query: sketch -> one PIDX block -> one value
-// read. All work happens in the device (paper §V, "Query Processing").
+// Get answers a primary point query: sketch -> one PIDX record (from the
+// index cache, or from its block) -> one value read. All work happens in the
+// device (paper §V, "Query Processing").
 func (e *Engine) Get(p *sim.Proc, name string, key []byte) ([]byte, bool, error) {
 	ks, err := e.queryableKeyspace(name)
 	if err != nil {
 		return nil, false, err
 	}
 	e.st.Gets.Add(1)
-	if ks.count == 0 || bytes.Compare(key, ks.minKey) < 0 || bytes.Compare(key, ks.maxKey) > 0 {
-		return nil, false, nil
-	}
-	bi := sketchFind(ks.sketch, key)
-	if bi < 0 {
-		return nil, false, nil
-	}
-	e.cpu[phaseQuery].Compares(p, 16) // sketch binary search
-	blk, err := e.readIndexBlockCached(p, ks.pidx, ks.sketch[bi].block)
-	if err != nil {
+	ent, ok, err := e.lookupPidx(p, ks, key, 8)
+	if err != nil || !ok {
 		return nil, false, err
 	}
-	e.cpu[phaseQuery].BlockOp(p, 1)
-	i := blk.search(key)
-	e.cpu[phaseQuery].Compares(p, 8)
-	if i >= blk.len() || !bytes.Equal(blk.key(i), key) {
-		return nil, false, nil
-	}
-	ent := blk.entry(i)
 	val := make([]byte, ent.vlen)
 	if err := ks.sorted.ReadAt(p, val, int64(ent.vlogOff)); err != nil {
 		return nil, false, err
@@ -107,21 +93,44 @@ func (e *Engine) Exist(p *sim.Proc, name string, key []byte) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	_, ok, err := e.lookupPidx(p, ks, key, 0)
+	return ok, err
+}
+
+// lookupPidx finds key's PIDX record: the sketch names its block, then the
+// index cache's record list answers, or else the block (cached or read from
+// media) is binary-searched and a found record marked touched, so that it
+// outlives the block in the cache. Either way the SoC is charged the sketch
+// search, one block op and searchCompares for the in-block search (Get 8,
+// Exist none), so a record hit costs what a block hit does. The entry's key
+// views the cache.
+func (e *Engine) lookupPidx(p *sim.Proc, ks *Keyspace, key []byte, searchCompares int64) (pidxEntry, bool, error) {
 	if ks.count == 0 || bytes.Compare(key, ks.minKey) < 0 || bytes.Compare(key, ks.maxKey) > 0 {
-		return false, nil
+		return pidxEntry{}, false, nil
 	}
 	bi := sketchFind(ks.sketch, key)
 	if bi < 0 {
-		return false, nil
+		return pidxEntry{}, false, nil
 	}
-	e.cpu[phaseQuery].Compares(p, 16)
-	blk, err := e.readIndexBlockCached(p, ks.pidx, ks.sketch[bi].block)
+	e.cpu[phaseQuery].Compares(p, 16) // sketch binary search
+	block := ks.sketch[bi].block
+	if ent, ok := e.idxCache.getRecord(ks.pidx.id, block, key); ok {
+		e.cpu[phaseQuery].BlockOp(p, 1)
+		e.cpu[phaseQuery].Compares(p, searchCompares)
+		return ent, true, nil
+	}
+	blk, err := e.readIndexBlockCached(p, ks.pidx, block)
 	if err != nil {
-		return false, err
+		return pidxEntry{}, false, err
 	}
 	e.cpu[phaseQuery].BlockOp(p, 1)
 	i := blk.search(key)
-	return i < blk.len() && bytes.Equal(blk.key(i), key), nil
+	e.cpu[phaseQuery].Compares(p, searchCompares)
+	if i >= blk.len() || !bytes.Equal(blk.key(i), key) {
+		return pidxEntry{}, false, nil
+	}
+	blk.touch(i)
+	return blk.entry(i), true, nil
 }
 
 // RangePrimary streams pairs with lo <= key < hi (nil bounds open) in key

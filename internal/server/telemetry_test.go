@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"regexp"
 	"strings"
@@ -204,6 +205,9 @@ func TestTelemetryEndpoints(t *testing.T) {
 		"kvcsd_sim_gauge{",
 		`kvcsd_idxcache_hits_total{scope="engine"} 0`, // one get so far:
 		`kvcsd_idxcache_misses_total{scope="engine"} 1`,
+		// The cache fits: nothing evicted, no record kept.
+		`kvcsd_idxcache_record_hits_total{scope="engine"} 0`,
+		`kvcsd_sim_gauge{name="engine/idxcache_records"} 0`,
 		`kvcsd_meta_frames_total{scope="engine"} `, // the metadata log's cost
 		`kvcsd_meta_bytes_total{scope="engine"} `,
 		"kvcsd_io_total{",
@@ -283,6 +287,66 @@ func TestTelemetryEndpoints(t *testing.T) {
 
 // TestRemoteStatsCarriesRPCReport verifies the satellite: a remote Stats call
 // returns the gateway's RPC counters alongside engine stats.
+// The index-cache lines of /metrics explain the hit ratio: a get answered
+// from a record the cache kept after evicting its block is a hit and a record
+// hit, and the gauge shows the records the cache holds.
+func TestTelemetryIndexCacheRecords(t *testing.T) {
+	opts := device.DefaultOptions()
+	opts.Seed = 11
+	opts.Metrics = true
+	opts.Engine.IndexCacheBytes = int64(opts.Engine.BlockBytes) + 512 // one PIDX block and a few records
+	srv := NewDevice(opts, DefaultConfig())
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	defer srv.Close()
+	rc, err := remote.Dial(addr.String(), remote.DefaultOptions())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer rc.Close()
+	ks, err := rc.CreateKeyspace("cache")
+	if err != nil {
+		t.Fatalf("create keyspace: %v", err)
+	}
+	const n = 1000 // several PIDX blocks
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%06d", i)) }
+	for i := 0; i < n; i++ {
+		if err := ks.BulkPut(key(i), []byte("v")); err != nil {
+			t.Fatalf("put: %v", err)
+		}
+	}
+	if err := ks.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	if err := ks.Compact(); err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	if err := ks.WaitCompacted(); err != nil {
+		t.Fatalf("wait compacted: %v", err)
+	}
+	// The last key's block evicts the first key's, which leaves its record.
+	for _, k := range [][]byte{key(0), key(n - 1), key(0)} {
+		if _, ok, err := ks.Get(k); err != nil || !ok {
+			t.Fatalf("get %s: %v %v", k, ok, err)
+		}
+	}
+	rec := httptest.NewRecorder()
+	srv.TelemetryHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	body := rec.Body.String()
+	for _, want := range []string{
+		`kvcsd_idxcache_hits_total{scope="engine"} 1`,
+		`kvcsd_idxcache_record_hits_total{scope="engine"} 1`,
+		`kvcsd_idxcache_misses_total{scope="engine"} 2`,
+		`kvcsd_sim_gauge{name="engine/idxcache_records"} 1`,
+	} {
+		if !strings.Contains(body, want+"\n") {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}
+
 func TestRemoteStatsCarriesRPCReport(t *testing.T) {
 	var slowLog bytes.Buffer
 	srv, _ := startTracedServer(t, &slowLog)
