@@ -1,10 +1,15 @@
-// Command kvcsd-bench regenerates the paper's micro-benchmark figures
-// (Figures 7a, 7b, 8, 9, 10a, 10b and Table I) on the simulator.
+// Command kvcsd-bench regenerates the paper's figures on the simulator: the
+// micro-benchmarks (Figures 7a, 7b, 8, 9, 10a, 10b and Table I) and, when
+// named, the VPIC macro-benchmark (Figures 11 and 12: a synthetic particle
+// dump loaded into KV-CSD and the RocksDB-like baseline, a secondary index
+// built on kinetic energy, and energy-threshold queries at several
+// selectivities).
 //
 // Usage:
 //
 //	kvcsd-bench -fig all            # every micro figure at default scale
 //	kvcsd-bench -fig 7a -scale 8    # Figure 7a with 8x larger datasets
+//	kvcsd-bench -fig 12 -scale 4    # Figure 12 with 4x more particles
 //	kvcsd-bench -fig ablations      # the design-choice ablations
 //	kvcsd-bench -fig array -devices 8 -replicas 2   # multi-device scaling
 //	kvcsd-bench -config             # print the simulated hardware (Table I)
@@ -47,7 +52,7 @@ func must(t *bench.Table, err error) *bench.Table {
 	return t
 }
 
-const figNames = "7a, 7b, 8, 9, 10a, 10b, table1, ablations, array, failover, fairness, scrub, compactsplit, stages, all"
+const figNames = "7a, 7b, 8, 9, 10a, 10b, 11, 12, table1, ablations, array, failover, fairness, scrub, compactsplit, stages, all"
 
 func main() {
 	fig := flag.String("fig", "all", "figure to reproduce: "+figNames)
@@ -149,6 +154,18 @@ func main() {
 		}
 		if want("10b", "10") {
 			show(b)
+		}
+	}
+	// The macro-benchmark runs only when named; -fig all keeps to the rest.
+	if *fig == "11" || *fig == "12" {
+		res, err := bench.RunMacro(s)
+		if err != nil {
+			fail(err)
+		}
+		if *fig == "11" {
+			show(res.Fig11)
+		} else {
+			show(res.Fig12)
 		}
 	}
 	if want("array") {

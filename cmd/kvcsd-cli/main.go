@@ -326,7 +326,7 @@ func runCompact(cfg cliConfig, args []string) error {
 		}
 		fmt.Printf("fleet compaction of %s (%d shards, cap %d, stagger %v): %v\n",
 			cfg.ksName, ks.Partitions(), a.Options().MaxConcurrentCompactions,
-			a.Options().CompactionStagger, p.Now()-t0)
+			array.CompactionStagger, p.Now()-t0)
 		info, err := ks.Info(p)
 		if err != nil {
 			return err

@@ -114,7 +114,7 @@ func run(p *sim.Proc, a *array.Array) error {
 		return err
 	}
 	fmt.Printf("fleet compaction + index build (cap %d, stagger %v): %v\n",
-		a.Options().MaxConcurrentCompactions, a.Options().CompactionStagger, p.Now()-t0)
+		a.Options().MaxConcurrentCompactions, array.CompactionStagger, p.Now()-t0)
 
 	// 4. Scatter-gather range scan: every overlapping shard streams its slice
 	// and the router merges them into one key-ordered result.

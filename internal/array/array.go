@@ -3,14 +3,12 @@ package array
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"kvcsd/internal/client"
 	"kvcsd/internal/core"
 	"kvcsd/internal/device"
 	"kvcsd/internal/host"
 	"kvcsd/internal/obs"
-	"kvcsd/internal/pcie"
 	"kvcsd/internal/sim"
 	"kvcsd/internal/ssd"
 	"kvcsd/internal/stats"
@@ -53,11 +51,6 @@ type Options struct {
 	// Device is the per-device template; the zero value means
 	// device.DefaultOptions(). Each device gets a distinct derived seed.
 	Device device.Options
-	// Host configures the router host (zero value = default host).
-	Host host.Config
-	// NVMeOF attaches devices over NVMe-over-Fabrics instead of local PCIe
-	// (the paper's Figure 2 deployment).
-	NVMeOF bool
 	// ReadPreference selects the replica read order.
 	ReadPreference ReadPreference
 	// FailureThreshold is the number of consecutive device-level errors
@@ -67,9 +60,6 @@ type Options struct {
 	// MaxConcurrentCompactions caps how many devices may run scheduled
 	// compactions at once (default 2).
 	MaxConcurrentCompactions int
-	// CompactionStagger delays successive compaction admissions so the
-	// fleet's background I/O ramps instead of bursting (default 100µs).
-	CompactionStagger time.Duration
 	// Trace collects every device's command spans into one fleet tracer.
 	Trace bool
 	// Metrics publishes all devices into one registry, gauges namespaced
@@ -86,7 +76,6 @@ func DefaultOptions() Options {
 		ReadPreference:           ReadRoundRobin,
 		FailureThreshold:         3,
 		MaxConcurrentCompactions: 2,
-		CompactionStagger:        100 * time.Microsecond,
 	}
 }
 
@@ -170,16 +159,9 @@ func New(env *sim.Env, opts Options) *Array {
 	if opts.MaxConcurrentCompactions <= 0 {
 		opts.MaxConcurrentCompactions = 2
 	}
-	if opts.CompactionStagger < 0 {
-		opts.CompactionStagger = 0
-	}
-	hcfg := opts.Host
-	if hcfg.Cores == 0 {
-		hcfg = host.DefaultHostConfig()
-	}
 	a := &Array{
 		env:        env,
-		h:          host.New(env, hcfg),
+		h:          host.New(env, host.DefaultHostConfig()),
 		opts:       opts,
 		ring:       NewRing(opts.Seed, opts.Devices),
 		gate:       sim.NewResource(env, "array-compact-gate", opts.MaxConcurrentCompactions),
@@ -200,9 +182,6 @@ func New(env *sim.Env, opts Options) *Array {
 	devTemplate := opts.Device
 	if isZeroDeviceOptions(devTemplate) {
 		devTemplate = device.DefaultOptions()
-	}
-	if opts.NVMeOF {
-		devTemplate.Link = pcie.NVMeOFConfig()
 	}
 	for i := 0; i < opts.Devices; i++ {
 		dopts := devTemplate

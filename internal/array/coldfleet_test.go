@@ -24,8 +24,7 @@ func coldFleetOptions() Options {
 	d.SSD.ColdZones = 512
 	d.Engine.IngestBufferBytes = 16 << 10
 	d.Engine.SortBudgetBytes = 64 << 10
-	d.Engine.CompactionPolicy = compaction.PolicyDevice
-	d.Engine.PipelineWidth = 4
+	d.Engine.Compaction = compaction.Config{Policy: compaction.PolicyDevice, PipelineWidth: 4}
 	d.Engine.ColdHeatThreshold = 1
 	d.Engine.ColdMigrateBatch = 64
 	opts.Device = d

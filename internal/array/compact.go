@@ -100,6 +100,10 @@ func (a *Array) compact(p *sim.Proc, kss []*Keyspace, specs []client.IndexSpec) 
 	return nil
 }
 
+// CompactionStagger is the least gap between successive compaction
+// admissions, so the fleet's background I/O ramps instead of bursting.
+const CompactionStagger = 100 * time.Microsecond
+
 // runDeviceCompactions admits one device into the compaction window and
 // drives its jobs: issue every compaction (the device acks immediately and
 // compacts asynchronously), then poll each to completion.
@@ -107,16 +111,14 @@ func (a *Array) runDeviceCompactions(q *sim.Proc, jobs []*compactJob) {
 	q.Acquire(a.gate)
 	defer q.Release(a.gate)
 	// Stagger successive admissions so background I/O ramps across the fleet.
-	if a.opts.CompactionStagger > 0 {
-		if a.admits > 0 {
-			next := a.lastAdmit + sim.Time(a.opts.CompactionStagger)
-			if q.Now() < next {
-				q.SleepUntil(next)
-			}
+	if a.admits > 0 {
+		next := a.lastAdmit + sim.Time(CompactionStagger)
+		if q.Now() < next {
+			q.SleepUntil(next)
 		}
-		a.admits++
-		a.lastAdmit = q.Now()
 	}
+	a.admits++
+	a.lastAdmit = q.Now()
 	// Occupancy-aware stagger: beyond the fixed delay, hold this admission
 	// until the previously admitted device's compaction pipelines have
 	// drained their buffered chunks — admission by live backpressure.

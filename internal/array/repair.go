@@ -90,26 +90,6 @@ func (a *Array) ScrubDevice(p *sim.Proc, dev int) (*core.ScrubReport, error) {
 	return a.members[dev].Client.ScrubMedia(p)
 }
 
-// ScrubAll scrubs every healthy device and merges the reports (device order).
-func (a *Array) ScrubAll(p *sim.Proc) (*core.ScrubReport, error) {
-	total := &core.ScrubReport{}
-	for _, m := range a.members {
-		if !m.Healthy() {
-			continue
-		}
-		rep, err := m.Client.ScrubMedia(p)
-		if err != nil {
-			return nil, err
-		}
-		total.Keyspaces += rep.Keyspaces
-		total.ScannedBytes += rep.ScannedBytes
-		total.Corrupt = append(total.Corrupt, rep.Corrupt...)
-		total.Repaired += rep.Repaired
-		total.Quarantined += rep.Quarantined
-	}
-	return total, nil
-}
-
 // partitionByName resolves a device-side keyspace name (shard name) back to
 // its partition, across every routed keyspace.
 func (a *Array) partitionByName(name string) *partition {

@@ -12,6 +12,9 @@ import (
 	"kvcsd/internal/stats"
 )
 
+// scalingValueBytes is the value size of every pair a scaling run loads.
+const scalingValueBytes = 128
+
 // ScalingConfig parameterizes one array-scaling run: a fixed total workload
 // spread over a varying device count, so throughput growth measures how
 // close the fleet is to linear scaling.
@@ -21,18 +24,10 @@ type ScalingConfig struct {
 	Replicas int
 	// TotalKeys is the fixed total insert volume (split across devices).
 	TotalKeys int
-	// ValueBytes per pair (default 128).
-	ValueBytes int
-	// Writers is the number of concurrent client writer procs (default =
-	// 4 per device, enough to overlap bulk-flush round trips with device
-	// ingest so the sweep measures device bandwidth, not client latency).
-	Writers int
 	// Queries is the number of random point GETs after compaction.
 	Queries int
 	// Seed drives placement, per-device behavior, and the workload.
 	Seed int64
-	// NVMeOF attaches devices over NVMe-over-Fabrics.
-	NVMeOF bool
 	// Trace and Metrics enable fleet-wide observability for the run.
 	Trace   bool
 	Metrics bool
@@ -41,12 +36,11 @@ type ScalingConfig struct {
 // DefaultScalingConfig returns a small, fast run (the bench default).
 func DefaultScalingConfig() ScalingConfig {
 	return ScalingConfig{
-		Devices:    4,
-		Replicas:   1,
-		TotalKeys:  16384,
-		ValueBytes: 128,
-		Queries:    2048,
-		Seed:       1,
+		Devices:   4,
+		Replicas:  1,
+		TotalKeys: 16384,
+		Queries:   2048,
+		Seed:      1,
 	}
 }
 
@@ -94,23 +88,21 @@ func scalingSSDConfig(dataBytes int64) ssd.Config {
 }
 
 // RunScaling executes one array-scaling experiment in a fresh simulation:
-// Writers concurrent clients bulk-load TotalKeys uniform pairs into one
-// range-sharded keyspace (one partition per device), the fleet compaction
-// scheduler sorts every shard, and Queries random GETs measure read latency.
+// four concurrent clients per device bulk-load TotalKeys uniform pairs into
+// one range-sharded keyspace (one partition per device), the fleet
+// compaction scheduler sorts every shard, and Queries random GETs measure
+// read latency.
 // Everything is derived from Seed, so two runs with equal configs produce
 // byte-identical traces.
 func RunScaling(cfg ScalingConfig) (*ScalingResult, error) {
 	if cfg.Devices < 1 {
 		cfg.Devices = 1
 	}
-	if cfg.ValueBytes <= 0 {
-		cfg.ValueBytes = 128
-	}
-	if cfg.Writers <= 0 {
-		cfg.Writers = 4 * cfg.Devices
-	}
+	// Four writers per device overlap bulk-flush round trips with device
+	// ingest, so the sweep measures device bandwidth, not client latency.
+	writers := 4 * cfg.Devices
 	env := sim.NewEnv()
-	perDevBytes := int64(cfg.TotalKeys) * int64(16+cfg.ValueBytes) / int64(cfg.Devices)
+	perDevBytes := int64(cfg.TotalKeys) * int64(16+scalingValueBytes) / int64(cfg.Devices)
 	dopts := device.DefaultOptions()
 	dopts.SSD = scalingSSDConfig(perDevBytes * int64(cfg.Replicas))
 	dopts.Engine.SortBudgetBytes = 4 << 20
@@ -119,11 +111,9 @@ func RunScaling(cfg ScalingConfig) (*ScalingResult, error) {
 		Replicas:                 cfg.Replicas,
 		Seed:                     cfg.Seed,
 		Device:                   dopts,
-		NVMeOF:                   cfg.NVMeOF,
 		ReadPreference:           ReadRoundRobin,
 		FailureThreshold:         3,
 		MaxConcurrentCompactions: maxInt(2, (cfg.Devices+1)/2),
-		CompactionStagger:        100 * time.Microsecond,
 		Trace:                    cfg.Trace,
 		Metrics:                  cfg.Metrics,
 	}
@@ -143,16 +133,16 @@ func RunScaling(cfg ScalingConfig) (*ScalingResult, error) {
 		}
 		res.ShardMap = ks.ShardMap()
 
-		// Insert phase: Writers concurrent procs, interleaved key ranges.
+		// Insert phase: concurrent writer procs, interleaved key ranges.
 		t0 := p.Now()
-		werrs := make([]error, cfg.Writers)
-		procs := make([]*sim.Proc, cfg.Writers)
-		for w := 0; w < cfg.Writers; w++ {
+		werrs := make([]error, writers)
+		procs := make([]*sim.Proc, writers)
+		for w := 0; w < writers; w++ {
 			w := w
 			procs[w] = env.Go(fmt.Sprintf("writer-%d", w), func(q *sim.Proc) {
-				for i := w; i < cfg.TotalKeys; i += cfg.Writers {
+				for i := w; i < cfg.TotalKeys; i += writers {
 					key := scaleKey(cfg.Seed, i)
-					val := scaleValue(cfg.Seed, i, cfg.ValueBytes)
+					val := scaleValue(cfg.Seed, i, scalingValueBytes)
 					if err := ks.BulkPut(q, key, val); err != nil {
 						werrs[w] = err
 						return

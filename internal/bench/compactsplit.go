@@ -123,8 +123,7 @@ func compactSplitRun(t *Table, s Scale, pol compaction.Policy, width int) (compa
 	opts.SSD.NumZones = 4096
 	opts.Engine.IngestBufferBytes = 16 << 10
 	opts.Engine.SortBudgetBytes = 96 << 10
-	opts.Engine.CompactionPolicy = pol
-	opts.Engine.PipelineWidth = width
+	opts.Engine.Compaction = compaction.Config{Policy: pol, PipelineWidth: width}
 	opts.Seed = s.Seed
 	dev := device.New(env, opts, st)
 	hcfg := host.DefaultHostConfig()

@@ -18,8 +18,7 @@ import (
 // pipeline, the collaborative policy, and a sort budget small enough that
 // the campaign's ops form several klog runs for the planner to split.
 func tunePipeline(d *device.Options) {
-	d.Engine.CompactionPolicy = compaction.PolicyCollaborative
-	d.Engine.PipelineWidth = 4
+	d.Engine.Compaction = compaction.Config{Policy: compaction.PolicyCollaborative, PipelineWidth: 4}
 	d.Engine.SortBudgetBytes = 2 << 10
 }
 

@@ -70,7 +70,7 @@ func (e *Engine) install(p *sim.Proc, ks *Keyspace, out compacted) error {
 // pipeline returns the stage configuration of a compaction of ks: the
 // engine's width, with ring occupancy noted against ks.
 func (e *Engine) pipeline(ks *Keyspace) pipeline {
-	return pipeline{env: e.env, width: e.pipelineWidth, onDelta: func(d int) { e.noteOccupancy(ks, d) }}
+	return pipeline{env: e.env, width: e.compactCfg.PipelineWidth, onDelta: func(d int) { e.noteOccupancy(ks, d) }}
 }
 
 // sortSeparated executes the paper's two-step deferred compaction on the
@@ -111,7 +111,7 @@ func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace, stages []*sidxStage) (
 				}
 			}
 		}
-		return compaction.DecideSplit(e.compactPolicy, sig, n).HostRuns
+		return compaction.DecideSplit(e.compactCfg.Policy, sig, n).HostRuns
 	}
 	keySorter.submitAssist = e.submitAssist
 	keySorter.collectAssist = e.collectAssist

@@ -71,8 +71,7 @@ func verifyAll(t *testing.T, p *sim.Proc, fx *engineFixture, ks string, n int) {
 
 func TestCollaborativeCompactionSplit(t *testing.T) {
 	cfg := smallEngineConfig()
-	cfg.CompactionPolicy = compaction.PolicyCollaborative
-	cfg.PipelineWidth = 4
+	cfg.Compaction = compaction.Config{Policy: compaction.PolicyCollaborative, PipelineWidth: 4}
 	fx := newSplitFixture(cfg, nil)
 	startHostAssist(fx, false)
 	fx.run(t, func(p *sim.Proc) {
@@ -102,7 +101,7 @@ func TestCollaborativeCompactionSplit(t *testing.T) {
 
 func TestHostOnlyCompactionPolicy(t *testing.T) {
 	cfg := smallEngineConfig()
-	cfg.CompactionPolicy = compaction.PolicyHost
+	cfg.Compaction.Policy = compaction.PolicyHost
 	fx := newSplitFixture(cfg, nil)
 	startHostAssist(fx, false)
 	fx.run(t, func(p *sim.Proc) {
@@ -122,7 +121,7 @@ func TestHostOnlyCompactionPolicy(t *testing.T) {
 // sorter falls back to merging the host group on the device.
 func TestHostAssistFailureFallsBack(t *testing.T) {
 	cfg := smallEngineConfig()
-	cfg.CompactionPolicy = compaction.PolicyCollaborative
+	cfg.Compaction.Policy = compaction.PolicyCollaborative
 	fx := newSplitFixture(cfg, nil)
 	startHostAssist(fx, true)
 	fx.run(t, func(p *sim.Proc) {
@@ -142,7 +141,7 @@ func TestHostAssistFailureFallsBack(t *testing.T) {
 // merging regardless of policy.
 func TestNoAssistLoopMeansDeviceOnly(t *testing.T) {
 	cfg := smallEngineConfig()
-	cfg.CompactionPolicy = compaction.PolicyHost
+	cfg.Compaction.Policy = compaction.PolicyHost
 	fx := newSplitFixture(cfg, nil)
 	fx.run(t, func(p *sim.Proc) {
 		const n = 2000
@@ -161,7 +160,7 @@ func TestNoAssistLoopMeansDeviceOnly(t *testing.T) {
 func TestPipelineCompactionWallTime(t *testing.T) {
 	elapse := func(width int) sim.Duration {
 		cfg := smallEngineConfig()
-		cfg.PipelineWidth = width
+		cfg.Compaction.PipelineWidth = width
 		fx := newSplitFixture(cfg, nil)
 		var dur sim.Duration
 		fx.run(t, func(p *sim.Proc) {
@@ -185,7 +184,7 @@ func TestPipelineCompactionWallTime(t *testing.T) {
 // fast while a pipelined compaction of another keyspace saturates the device.
 func TestForegroundLatencyDuringPipelineCompaction(t *testing.T) {
 	cfg := smallEngineConfig()
-	cfg.PipelineWidth = 4
+	cfg.Compaction.PipelineWidth = 4
 	fx := newSplitFixture(cfg, nil)
 	fx.run(t, func(p *sim.Proc) {
 		ingestN(t, p, fx, "hot", 1000, func(i int) float32 { return float32(i) })

@@ -73,14 +73,13 @@ type Config struct {
 	// scrubber; zero disables it. Scrub reads and SoC CPU contend with
 	// foreground work like compaction does.
 	ScrubInterval time.Duration
-	// CompactionPolicy selects who merges sorted runs during compaction:
-	// the device SoC alone (default), the host alone, or a collaborative
-	// split driven by live load signals (requires a host assist loop).
-	CompactionPolicy compaction.Policy
-	// PipelineWidth bounds the in-flight 256 KiB buffers between the
-	// compaction pipeline's read, merge, and write stages. 1 disables the
-	// pipeline (stages run sequentially in one proc).
-	PipelineWidth int
+	// Compaction is the starting compaction configuration, the one
+	// Engine.SetCompactionConfig replaces at runtime: who merges sorted runs
+	// (the device SoC alone by default, the host alone, or a collaborative
+	// split driven by live load signals, which needs a host assist loop) and
+	// how many 256 KiB buffers are in flight between the pipeline's read,
+	// merge and write stages (default 4; 1 runs the stages sequentially).
+	Compaction compaction.Config
 	// ColdHeatThreshold is the per-granule read count below which a sorted
 	// zone counts as cold and becomes a migration candidate. Zones whose
 	// hottest granule stays under the threshold move to the cold tier.
@@ -102,7 +101,7 @@ func DefaultConfig() Config {
 		IndexCacheBytes:   32 << 20,
 		MaxKeyLen:         1 << 10,
 		MaxValueLen:       64 << 10,
-		PipelineWidth:     4,
+		Compaction:        compaction.Config{PipelineWidth: 4},
 		ColdHeatThreshold: 1,
 		ColdMigrateBatch:  4,
 	}
@@ -141,8 +140,8 @@ func (c Config) sanitize() Config {
 	if c.MaxValueLen <= 0 {
 		c.MaxValueLen = d.MaxValueLen
 	}
-	if c.PipelineWidth <= 0 {
-		c.PipelineWidth = d.PipelineWidth
+	if c.Compaction.PipelineWidth <= 0 {
+		c.Compaction.PipelineWidth = d.Compaction.PipelineWidth
 	}
 	if c.ColdHeatThreshold <= 0 {
 		c.ColdHeatThreshold = d.ColdHeatThreshold

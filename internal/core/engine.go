@@ -42,13 +42,12 @@ type Engine struct {
 	gHostJobs *sim.Gauge
 
 	// Collaborative compaction state: the assist queue host merge loops poll,
-	// the active policy (runtime-settable), and the total chunks buffered in
-	// compaction pipelines right now (the device's drain signal).
-	assist        *compaction.AssistQueue
-	compactPolicy compaction.Policy
-	pipelineWidth int
-	pipelineOcc   int
-	hostJobs      int
+	// the active compaction config (runtime-settable), and the total chunks
+	// buffered in compaction pipelines right now (the device's drain signal).
+	assist      *compaction.AssistQueue
+	compactCfg  compaction.Config
+	pipelineOcc int
+	hostJobs    int
 	// queueProbe, when set by the device runtime, reports the NVMe
 	// submission-queue backlog — the planner's foreground-pressure signal.
 	queueProbe func() int
@@ -70,19 +69,18 @@ func NewEngine(env *sim.Env, dev *ssd.Device, soc *host.Host, cfg Config, rng *s
 	cfg = cfg.sanitize()
 	zm := NewZoneManager(dev, cfg, rng)
 	eng := &Engine{
-		cfg:           cfg,
-		env:           env,
-		soc:           soc,
-		cpu:           socMeters(soc),
-		zm:            zm,
-		mgr:           NewManager(env, zm, cfg),
-		st:            st,
-		dram:          sim.NewGauge(env),
-		idxCache:      newIndexCache(cfg.IndexCacheBytes),
-		zoneStrikes:   make(map[int]int),
-		assist:        compaction.NewAssistQueue(env),
-		compactPolicy: cfg.CompactionPolicy,
-		pipelineWidth: cfg.PipelineWidth,
+		cfg:         cfg,
+		env:         env,
+		soc:         soc,
+		cpu:         socMeters(soc),
+		zm:          zm,
+		mgr:         NewManager(env, zm, cfg),
+		st:          st,
+		dram:        sim.NewGauge(env),
+		idxCache:    newIndexCache(cfg.IndexCacheBytes),
+		zoneStrikes: make(map[int]int),
+		assist:      compaction.NewAssistQueue(env),
+		compactCfg:  cfg.Compaction,
 	}
 	eng.mgr.onRelease = func(id int64) { eng.idxCache.invalidateCluster(id) }
 	return eng
@@ -151,15 +149,15 @@ func (e *Engine) SetQueueProbe(fn func() int) { e.queueProbe = fn }
 // SetCompactionConfig updates the compaction policy and pipeline width at
 // runtime. Zero width keeps the current one.
 func (e *Engine) SetCompactionConfig(c compaction.Config) {
-	e.compactPolicy = c.Policy
-	if c.PipelineWidth > 0 {
-		e.pipelineWidth = c.PipelineWidth
+	if c.PipelineWidth <= 0 {
+		c.PipelineWidth = e.compactCfg.PipelineWidth
 	}
+	e.compactCfg = c
 }
 
 // CompactionConfig returns the active compaction policy and pipeline width.
 func (e *Engine) CompactionConfig() compaction.Config {
-	return compaction.Config{Policy: e.compactPolicy, PipelineWidth: e.pipelineWidth}
+	return e.compactCfg
 }
 
 // PipelineOccupancy returns the chunks currently buffered across compaction

@@ -162,16 +162,6 @@ func (e *Engine) scrubCluster(p *sim.Proc, name string, tgt scrubTarget, rep *Sc
 	return nil
 }
 
-// ExtentCount returns how many media granules the addressed cluster holds —
-// the address space for ReadExtent/RepairExtent/CorruptExtent.
-func (e *Engine) ExtentCount(keyspace string, kind ExtentKind, index string) (int64, error) {
-	c, err := e.clusterForExtent(ExtentRef{Keyspace: keyspace, Kind: kind, Index: index})
-	if err != nil {
-		return 0, err
-	}
-	return c.mediaGranules(), nil
-}
-
 // ReadExtent returns the verified media bytes of one granule — the donor side
 // of replica repair. Corruption on the donor surfaces as *CorruptionError
 // with keyspace attribution.

@@ -38,8 +38,7 @@ func checkLedgerSums(t *testing.T, fx *engineFixture, reg *obs.Registry, want ..
 // scrub — and requires the per-phase ledger to sum to the SoC's busy time.
 func TestSoCLedgerSumsToBusy(t *testing.T) {
 	cfg := smallEngineConfig()
-	cfg.CompactionPolicy = compaction.PolicyCollaborative
-	cfg.PipelineWidth = 4
+	cfg.Compaction = compaction.Config{Policy: compaction.PolicyCollaborative, PipelineWidth: 4}
 	fx := newSplitFixture(cfg, nil)
 	reg := obs.NewRegistry(fx.env)
 	fx.eng.SetObs(nil, reg)

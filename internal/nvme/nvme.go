@@ -356,9 +356,6 @@ func NewQueuePair(env *sim.Env, depth int) *QueuePair {
 	return &QueuePair{env: env, depth: depth}
 }
 
-// Depth returns the configured queue depth.
-func (q *QueuePair) Depth() int { return q.depth }
-
 // Pending returns the number of commands waiting in the submission queue.
 func (q *QueuePair) Pending() int { return len(q.queue) }
 

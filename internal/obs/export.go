@@ -43,6 +43,19 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		_, err := io.WriteString(w, `{"traceEvents":[]}`+"\n")
 		return err
 	}
+	events := t.appendThreadNames(nil, tracePid)
+	for _, s := range t.sortedDone() {
+		events = append(events, spanEvent(s, tracePid, 0))
+	}
+	return writeTraceEvents(w, events)
+}
+
+// sortedDone returns the finished spans ordered by start time then span id;
+// nil for a nil tracer.
+func (t *Tracer) sortedDone() []*Span {
+	if t == nil {
+		return nil
+	}
 	spans := append([]*Span(nil), t.done...)
 	sort.Slice(spans, func(i, j int) bool {
 		if spans[i].start != spans[j].start {
@@ -50,8 +63,15 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		}
 		return spans[i].id < spans[j].id
 	})
+	return spans
+}
 
-	var events []any
+// appendThreadNames appends one thread_name metadata event per track on
+// process pid, in tid order.
+func (t *Tracer) appendThreadNames(events []any, pid int) []any {
+	if t == nil {
+		return events
+	}
 	tids := make([]int, 0, len(t.tracks))
 	for tid := range t.tracks {
 		tids = append(tids, tid)
@@ -59,27 +79,29 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	sort.Ints(tids)
 	for _, tid := range tids {
 		events = append(events, chromeMeta{
-			Name: "thread_name", Ph: "M", Pid: tracePid, Tid: tid,
+			Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
 			Args: map[string]any{"name": t.tracks[tid]},
 		})
 	}
-	for _, s := range spans {
-		ev := chromeEvent{
-			Name: s.name,
-			Cat:  spanCat(s),
-			Ph:   "X",
-			Ts:   usec(int64(s.start)),
-			Dur:  usec(int64(s.end - s.start)),
-			Pid:  tracePid,
-			Tid:  s.tid,
-		}
-		if args := spanArgs(s); len(args) > 0 {
-			ev.Args = args
-		}
-		events = append(events, ev)
-	}
+	return events
+}
 
-	return writeTraceEvents(w, events)
+// spanEvent renders one finished span as a complete event on process pid,
+// its start shifted back by t0 nanoseconds.
+func spanEvent(s *Span, pid int, t0 int64) chromeEvent {
+	ev := chromeEvent{
+		Name: s.name,
+		Cat:  spanCat(s),
+		Ph:   "X",
+		Ts:   usec(int64(s.start) - t0),
+		Dur:  usec(int64(s.end - s.start)),
+		Pid:  pid,
+		Tid:  s.tid,
+	}
+	if args := spanArgs(s); len(args) > 0 {
+		ev.Args = args
+	}
+	return ev
 }
 
 func spanCat(s *Span) string {

@@ -43,16 +43,7 @@ func WriteMergedChromeTrace(w io.Writer, wall *WallTracer, srv *Tracer) error {
 		}
 		return wallSpans[i].id < wallSpans[j].id
 	})
-	var srvSpans []*Span
-	if srv != nil {
-		srvSpans = append([]*Span(nil), srv.done...)
-		sort.Slice(srvSpans, func(i, j int) bool {
-			if srvSpans[i].start != srvSpans[j].start {
-				return srvSpans[i].start < srvSpans[j].start
-			}
-			return srvSpans[i].id < srvSpans[j].id
-		})
-	}
+	srvSpans := srv.sortedDone()
 
 	var clientT0 int64
 	if len(wallSpans) > 0 {
@@ -72,19 +63,7 @@ func WriteMergedChromeTrace(w io.Writer, wall *WallTracer, srv *Tracer) error {
 		chromeMeta{Name: "process_name", Ph: "M", Pid: mergedServerPid, Tid: 0,
 			Args: map[string]any{"name": "kvcsd-server (virtual clock)"}},
 	)
-	if srv != nil {
-		tids := make([]int, 0, len(srv.tracks))
-		for tid := range srv.tracks {
-			tids = append(tids, tid)
-		}
-		sort.Ints(tids)
-		for _, tid := range tids {
-			events = append(events, chromeMeta{
-				Name: "thread_name", Ph: "M", Pid: mergedServerPid, Tid: tid,
-				Args: map[string]any{"name": srv.tracks[tid]},
-			})
-		}
-	}
+	events = srv.appendThreadNames(events, mergedServerPid)
 
 	// byTrace locates the client span that originated each propagated trace
 	// id, so server roots can be linked back to their cause.
@@ -111,19 +90,7 @@ func WriteMergedChromeTrace(w io.Writer, wall *WallTracer, srv *Tracer) error {
 	}
 
 	for _, s := range srvSpans {
-		ev := chromeEvent{
-			Name: s.name,
-			Cat:  spanCat(s),
-			Ph:   "X",
-			Ts:   usec(int64(s.start) - serverT0),
-			Dur:  usec(int64(s.end - s.start)),
-			Pid:  mergedServerPid,
-			Tid:  s.tid,
-		}
-		if args := spanArgs(s); len(args) > 0 {
-			ev.Args = args
-		}
-		events = append(events, ev)
+		events = append(events, spanEvent(s, mergedServerPid, serverT0))
 		// A server root whose remote parent is a known client span gets a
 		// flow arrow client->server carrying the shared trace id.
 		if s == s.root && s.remoteParent != 0 {

@@ -88,9 +88,6 @@ func (s *Sampler) SetUnits(units []string) {
 	s.units = units
 }
 
-// Units returns the column units set via SetUnits, or nil.
-func (s *Sampler) Units() []string { return s.units }
-
 // Times returns the sample timestamps.
 func (s *Sampler) Times() []sim.Time { return s.times }
 

@@ -180,9 +180,6 @@ func (c *Cluster) Restart(p *sim.Proc, id int) {
 	n.running = true
 }
 
-// Running reports whether the node is up.
-func (c *Cluster) Running(id int) bool { return c.nodes[id].running }
-
 // Partition severs the link between two nodes in both directions.
 func (c *Cluster) Partition(a, b int) { c.net.sever(a, b) }
 

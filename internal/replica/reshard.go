@@ -152,12 +152,6 @@ func (c *Cluster) MoveShard(p *sim.Proc, shard, from, to int) error {
 	return c.removeMember(p, shard, from)
 }
 
-// AddMember grows a shard group by one node (snapshot stream + config add)
-// without removing anyone — the first half of MoveShard.
-func (c *Cluster) AddMember(p *sim.Proc, shard, to int) error {
-	return c.MoveShard(p, shard, -1, to)
-}
-
 // removeMember proposes the config without `from`; from == -1 is a no-op.
 func (c *Cluster) removeMember(p *sim.Proc, shard, from int) error {
 	if from < 0 {

@@ -113,9 +113,6 @@ func (db *DB) walFileName(n uint64) string { return fmt.Sprintf("%s/wal-%06d.log
 
 // recoverWALs replays surviving log files (oldest first) into the memtable.
 func (db *DB) recoverWALs(p *sim.Proc) error {
-	if db.opts.DisableWAL {
-		return nil
-	}
 	prefix := db.name + "/wal-"
 	var logs []string
 	for _, f := range db.fs.List() {
@@ -163,9 +160,6 @@ func (db *DB) recoverWALs(p *sim.Proc) error {
 
 // rotateWAL starts a fresh log file for the current memtable.
 func (db *DB) rotateWAL(p *sim.Proc) error {
-	if db.opts.DisableWAL {
-		return nil
-	}
 	db.walSeq++
 	name := db.walFileName(db.walSeq)
 	f, err := db.fs.Create(p, name)
@@ -290,15 +284,8 @@ func (db *DB) write(p *sim.Proc, key, value []byte, kind entryKind) error {
 	}
 	db.maybeStall(p)
 	db.seq++
-	if !db.opts.DisableWAL {
-		if err := db.wal.append(p, kind, db.seq, key, value); err != nil {
-			return err
-		}
-		if db.opts.SyncWrites {
-			if err := db.wal.sync(p); err != nil {
-				return err
-			}
-		}
+	if err := db.wal.append(p, kind, db.seq, key, value); err != nil {
+		return err
 	}
 	db.mem.add(key, value, kind, db.seq)
 	db.h.KVOp(p, 1)
@@ -548,10 +535,8 @@ func (db *DB) Close(p *sim.Proc) error {
 	if db.closed {
 		return ErrClosed
 	}
-	if !db.opts.DisableWAL && db.wal != nil {
-		if err := db.wal.sync(p); err != nil {
-			return err
-		}
+	if err := db.wal.sync(p); err != nil {
+		return err
 	}
 	db.closed = true
 	db.signalWork()

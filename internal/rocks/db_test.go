@@ -356,22 +356,6 @@ func TestReopenAfterCleanClose(t *testing.T) {
 	})
 }
 
-func TestDisableWALSkipsLogFiles(t *testing.T) {
-	fx := newDBFixture()
-	fx.run(t, func(p *sim.Proc) {
-		opts := smallOpts(CompactionAuto)
-		opts.DisableWAL = true
-		db, _ := Open(p, fx.h, fx.fs, fx.rng, "db0", opts)
-		_ = db.Put(p, []byte("k"), []byte("v"))
-		for _, f := range fx.fs.List() {
-			if bytes.Contains([]byte(f), []byte("wal-")) {
-				t.Fatalf("WAL file exists with WAL disabled: %s", f)
-			}
-		}
-		_ = db.Close(p)
-	})
-}
-
 func TestWriteStallUnderLoad(t *testing.T) {
 	fx := newDBFixture()
 	fx.run(t, func(p *sim.Proc) {

@@ -73,10 +73,6 @@ type Options struct {
 	CompactionWorkers int
 	// CompactionMode selects auto / deferred / disabled.
 	CompactionMode CompactionMode
-	// DisableWAL skips write-ahead logging.
-	DisableWAL bool
-	// SyncWrites fsyncs the WAL on every write batch.
-	SyncWrites bool
 	// SlowdownDelay is the per-write penalty in the slowdown regime.
 	SlowdownDelay time.Duration
 }
@@ -97,8 +93,6 @@ func DefaultOptions() Options {
 		TargetFileBytes:     8 << 20,
 		CompactionWorkers:   2,
 		CompactionMode:      CompactionAuto,
-		DisableWAL:          false,
-		SyncWrites:          false,
 		SlowdownDelay:       time.Millisecond,
 	}
 }

@@ -197,7 +197,7 @@ func (s *Server) handle(q *sim.Proc, t *task) {
 	if resp.Stats != nil {
 		// Stats responses carry the gateway's RPC counters alongside the
 		// engine's, so remote clients see the whole stack in one report.
-		resp.Stats.RPC = s.met.snapshot().wireReport()
+		resp.Stats.RPC = s.met.wireReport()
 		resp.Stats.Tenants = s.mgr.WireStats()
 	}
 	s.met.observeService(t.req.Op, queueWait, svc, virt, resp.Status)

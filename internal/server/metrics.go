@@ -187,23 +187,27 @@ func (sn MetricsSnapshot) ops() []wire.Op {
 	return ops
 }
 
-// wireReport converts the snapshot to its wire form, so remote stats clients
-// receive the gateway's RPC counters alongside engine stats.
-func (sn MetricsSnapshot) wireReport() *wire.RPCReport {
+// wireReport renders the RPC counters in their wire form, so remote stats
+// clients receive the gateway's counters alongside engine stats. It reads the
+// counters under the lock and copies no latency samples.
+func (m *metrics) wireReport() *wire.RPCReport {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	r := &wire.RPCReport{
-		Accepted:  sn.Accepted,
-		Shed:      sn.Shed,
-		Refused:   sn.Refused,
-		BadFrames: sn.BadFrames,
-		Coalesced: sn.Coalesced,
-		Batches:   sn.Batches,
-		SlowOps:   sn.SlowOps,
+		Accepted:  m.accepted,
+		Shed:      m.shed,
+		Refused:   m.refused,
+		BadFrames: m.badFrames,
+		Coalesced: m.coalesced,
+		Batches:   m.batches,
+		SlowOps:   m.slowOps,
 	}
-	ops := sn.ops()
-	for _, op := range ops {
-		s := sn.PerOp[op]
+	for op, s := range m.perOp {
+		if s == nil {
+			continue
+		}
 		r.Ops = append(r.Ops, wire.RPCOpStats{
-			Op:        op,
+			Op:        wire.Op(op),
 			Count:     s.Count,
 			Errs:      s.Errs,
 			DecodeNs:  int64(s.Decode),

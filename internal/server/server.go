@@ -395,7 +395,7 @@ func (c *conn) reply(t *task, resp *wire.Response) {
 	c.out <- t
 }
 
-// replay queues pre-framed bytes (a backlog record or a duplicate's spilled
+// replay queues pre-framed bytes (a backlog entry or a duplicate's spilled
 // response) to be written verbatim. Caller must hold a window slot.
 func (c *conn) replay(t *task, id uint64, frames []byte, sess *session.Session, lane wire.Lane) {
 	t.raw, t.id = frames, id
@@ -545,7 +545,7 @@ func (c *conn) readLoop() {
 // handleHello opens or resumes a session, entirely on the socket side. The
 // previous connection (if any) is kicked so its in-flight responses spill to
 // the backlog, the handshake reply is queued, and then every unreplayed
-// backlog record is queued verbatim — original order, byte-identical frames.
+// backlog entry is queued verbatim — original order, byte-identical frames.
 // Each replay frame takes a window slot like any other response, so a huge
 // backlog applies backpressure to the resuming reader instead of growing the
 // out channel.

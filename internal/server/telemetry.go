@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"kvcsd/internal/stats"
 	"kvcsd/internal/wire"
 )
 
@@ -149,22 +150,25 @@ func (s *Server) writePrometheus(w io.Writer) {
 	for _, clock := range []struct {
 		metric string
 		help   string
-		pick   func(st rpcStats) *histView
+		pick   func(st rpcStats) *stats.Histogram
 	}{
 		{"kvcsd_rpc_service_seconds", "RPC service latency, wall clock.",
-			func(st rpcStats) *histView { return newHistView(st.RealHist.Samples()) }},
+			func(st rpcStats) *stats.Histogram { return st.RealHist }},
 		{"kvcsd_rpc_service_virtual_seconds", "RPC service latency, virtual device clock.",
-			func(st rpcStats) *histView { return newHistView(st.VirtHist.Samples()) }},
+			func(st rpcStats) *stats.Histogram { return st.VirtHist }},
 	} {
 		fmt.Fprintf(w, "# HELP %s %s\n", clock.metric, clock.help)
 		fmt.Fprintf(w, "# TYPE %s summary\n", clock.metric)
 		for _, op := range ops {
+			// The snapshot's histograms are its own clones: the
+			// quantile/sum/count triple is self-consistent, and the
+			// quantile rule is kvcsd_sim_latency_seconds' nearest rank.
 			h := clock.pick(sn.PerOp[op])
 			for _, q := range promQuantiles {
-				fmt.Fprintf(w, "%s{op=%q,quantile=\"%g\"} %g\n", clock.metric, op, q, secs(h.quantile(q)))
+				fmt.Fprintf(w, "%s{op=%q,quantile=\"%g\"} %g\n", clock.metric, op, q, secs(h.Quantile(q)))
 			}
-			fmt.Fprintf(w, "%s_sum{op=%q} %g\n", clock.metric, op, secs(h.sum()))
-			fmt.Fprintf(w, "%s_count{op=%q} %d\n", clock.metric, op, h.count())
+			fmt.Fprintf(w, "%s_sum{op=%q} %g\n", clock.metric, op, secs(h.Sum()))
+			fmt.Fprintf(w, "%s_count{op=%q} %d\n", clock.metric, op, h.Count())
 		}
 	}
 
@@ -191,7 +195,7 @@ func (s *Server) writePrometheus(w io.Writer) {
 
 	// Per-tenant QoS accounting from the session manager: admission outcomes
 	// and queue depth per (tenant, lane), shed causes, open sessions, and
-	// persistent backlog bytes.
+	// retained backlog bytes.
 	tenants := s.mgr.WireStats()
 	for _, c := range []struct {
 		metric, help string
@@ -239,7 +243,7 @@ func (s *Server) writePrometheus(w io.Writer) {
 	for _, ts := range tenants {
 		fmt.Fprintf(w, "kvcsd_tenant_sessions{tenant=\"%s\"} %d\n", escapeLabel(ts.Tenant), ts.Sessions)
 	}
-	fmt.Fprint(w, "# HELP kvcsd_tenant_backlog_bytes Persistent per-session response backlog, summed per tenant.\n")
+	fmt.Fprint(w, "# HELP kvcsd_tenant_backlog_bytes Retained per-session response backlog, summed per tenant.\n")
 	fmt.Fprint(w, "# TYPE kvcsd_tenant_backlog_bytes gauge\n")
 	for _, ts := range tenants {
 		fmt.Fprintf(w, "kvcsd_tenant_backlog_bytes{tenant=\"%s\"} %d\n", escapeLabel(ts.Tenant), ts.BacklogBytes)
@@ -307,38 +311,4 @@ func (s *Server) writePrometheus(w io.Writer) {
 			}
 		}
 	}
-}
-
-// histView computes summary statistics over one consistent sample snapshot,
-// so the quantile/sum/count triple exposed for a metric is self-consistent.
-type histView struct{ samples []time.Duration }
-
-func newHistView(samples []time.Duration) *histView {
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	return &histView{samples: samples}
-}
-
-func (h *histView) count() int { return len(h.samples) }
-
-func (h *histView) sum() time.Duration {
-	var s time.Duration
-	for _, d := range h.samples {
-		s += d
-	}
-	return s
-}
-
-func (h *histView) quantile(q float64) time.Duration {
-	n := len(h.samples)
-	if n == 0 {
-		return 0
-	}
-	idx := int(float64(n)*q+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return h.samples[idx]
 }

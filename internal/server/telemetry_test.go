@@ -14,6 +14,8 @@ import (
 	"kvcsd/internal/device"
 	"kvcsd/internal/obs"
 	"kvcsd/internal/remote"
+	"kvcsd/internal/sim"
+	"kvcsd/internal/wire"
 )
 
 // startTracedServer runs a device server with tracing and metrics on, a tiny
@@ -285,8 +287,6 @@ func TestTelemetryEndpoints(t *testing.T) {
 	}
 }
 
-// TestRemoteStatsCarriesRPCReport verifies the satellite: a remote Stats call
-// returns the gateway's RPC counters alongside engine stats.
 // The index-cache lines of /metrics explain the hit ratio: a get answered
 // from a record the cache kept after evicting its block is a hit and a record
 // hit, and the gauge shows the records the cache holds.
@@ -347,6 +347,35 @@ func TestTelemetryIndexCacheRecords(t *testing.T) {
 	}
 }
 
+// TestTelemetryQuantileNearestRank pins the quantile rule of the per-opcode
+// service summaries to stats.Histogram's nearest rank, the rule
+// kvcsd_sim_latency_seconds uses: of 16 samples of 1..16 µs the 0.9 quantile
+// is the 15th (⌈16·0.9⌉ = 15), not the 14th a rounded index picks.
+func TestTelemetryQuantileNearestRank(t *testing.T) {
+	srv := New(sim.NewEnv(), newGateBackend(), DefaultConfig())
+	for i := 16; i >= 1; i-- {
+		d := time.Duration(i) * time.Microsecond
+		srv.met.observeService(wire.OpGet, 0, d, d, wire.StatusOK)
+	}
+	rec := httptest.NewRecorder()
+	srv.TelemetryHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	body := rec.Body.String()
+	for _, metric := range []string{"kvcsd_rpc_service_seconds", "kvcsd_rpc_service_virtual_seconds"} {
+		for _, want := range []string{
+			fmt.Sprintf(`%s{op="Get",quantile="0.5"} %g`, metric, secs(8*time.Microsecond)),
+			fmt.Sprintf(`%s{op="Get",quantile="0.9"} %g`, metric, secs(15*time.Microsecond)),
+			fmt.Sprintf(`%s{op="Get",quantile="0.99"} %g`, metric, secs(16*time.Microsecond)),
+			fmt.Sprintf(`%s_count{op="Get"} 16`, metric),
+		} {
+			if !strings.Contains(body, want+"\n") {
+				t.Errorf("/metrics missing %q", want)
+			}
+		}
+	}
+}
+
+// TestRemoteStatsCarriesRPCReport verifies that a remote Stats call returns
+// the gateway's RPC counters alongside engine stats.
 func TestRemoteStatsCarriesRPCReport(t *testing.T) {
 	var slowLog bytes.Buffer
 	srv, _ := startTracedServer(t, &slowLog)

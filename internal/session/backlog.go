@@ -9,99 +9,68 @@
 // within a lane, round-robins tenants by weighted deficit — so one abusive
 // bulk loader cannot starve thousands of latency-sensitive readers. A
 // response that cannot be delivered (slow or dead client) spills into the
-// session's CRC-framed backlog and replays, byte-identical and in order, when
-// the client resumes the session with its token.
+// session's backlog and replays, byte-identical and in order, when the client
+// resumes the session with its token.
 package session
 
-import (
-	"encoding/binary"
-	"errors"
-	"hash/crc32"
-)
+import "errors"
 
-// Backlog framing mirrors the KLOG durability framing (internal/core): every
-// spilled response is one CRC-framed record
-//
-//	magic u32 ("KVBL") | plen u32 | crc32 u32 | payload
-//
-// where payload = request ID (u64 LE) followed by the exact response frame
-// bytes the writer would have put on the socket. A torn tail (the process
-// died mid-append) fails the checksum and recovery rolls forward to the last
-// whole record, exactly like KLOG crash recovery. Replayed records are
-// retained (until evicted under the byte cap) so a duplicate request ID can
-// be answered with the identical bytes instead of re-applying.
-
-const (
-	backlogMagic  = 0x4C42564B // "KVBL"
-	backlogHdr    = 12
-	backlogIDSize = 8
-)
+// A backlog entry is the exact response frame bytes the writer would have put
+// on the socket, kept in memory under its request ID. It needs no framing of
+// its own: every wire frame already ends in its CRC32-C, which the client
+// checks on replay. Replayed entries are retained (until evicted under the
+// byte cap) so a duplicate request ID can be answered with the identical
+// bytes instead of re-applying.
 
 // ErrBacklogFull reports a spill refused because the session's backlog byte
-// cap is reached and no replayed record can be evicted.
+// cap is reached and no replayed entry can be evicted.
 var ErrBacklogFull = errors.New("session: backlog full")
 
-// bentry is one spilled response: the full framed record plus its parsed id.
+// bentry is one spilled response.
 type bentry struct {
 	id       uint64
-	framed   []byte
+	frames   []byte
 	replayed bool
 }
 
-// frames returns the response frame bytes inside the record.
-func (e *bentry) frames() []byte { return e.framed[backlogHdr+backlogIDSize:] }
-
-// Backlog is a bounded, CRC-framed log of undeliverable responses for one
+// Backlog is a bounded, in-memory list of undeliverable responses for one
 // session. Not safe for concurrent use; Session serializes access.
 type Backlog struct {
 	limit   int
-	total   int // sum of framed record bytes
+	total   int // sum of retained frame bytes
 	entries []*bentry
-	index   map[uint64]*bentry // request id -> latest record
+	index   map[uint64]*bentry // request id -> latest entry
 }
 
-// NewBacklog returns an empty backlog bounded to limit bytes of framed
-// records.
+// NewBacklog returns an empty backlog bounded to limit frame bytes.
 func NewBacklog(limit int) *Backlog {
 	return &Backlog{limit: limit, index: make(map[uint64]*bentry)}
 }
 
-func encodeBacklogRecord(id uint64, frames []byte) []byte {
-	rec := make([]byte, backlogHdr+backlogIDSize+len(frames))
-	payload := rec[backlogHdr:]
-	binary.LittleEndian.PutUint64(payload, id)
-	copy(payload[backlogIDSize:], frames)
-	binary.LittleEndian.PutUint32(rec[0:], backlogMagic)
-	binary.LittleEndian.PutUint32(rec[4:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rec[8:], crc32.ChecksumIEEE(payload))
-	return rec
-}
-
 // Append spills one response (its wire frame bytes, possibly several chunked
-// frames) under the given request id. When the byte cap is reached, replayed
-// records are evicted oldest-first to make room; if the record still does not
-// fit, the spill is refused with ErrBacklogFull.
+// frames) under the given request id, copying the bytes. When the byte cap is
+// reached, replayed entries are evicted oldest-first to make room; if the
+// response still does not fit, the spill is refused with ErrBacklogFull.
 func (b *Backlog) Append(id uint64, frames []byte) error {
-	rec := encodeBacklogRecord(id, frames)
-	for b.total+len(rec) > b.limit {
+	for b.total+len(frames) > b.limit {
 		if !b.evictOneReplayed() {
 			return ErrBacklogFull
 		}
 	}
-	e := &bentry{id: id, framed: rec}
+	e := &bentry{id: id, frames: append([]byte(nil), frames...)}
 	b.entries = append(b.entries, e)
 	b.index[id] = e
-	b.total += len(rec)
+	b.total += len(frames)
 	return nil
 }
 
-// evictOneReplayed drops the oldest replayed record; false if none exists.
+// evictOneReplayed drops the oldest replayed entry; false if none exists.
 func (b *Backlog) evictOneReplayed() bool {
 	for i, e := range b.entries {
 		if !e.replayed {
 			continue
 		}
-		b.total -= len(e.framed)
+		b.total -= len(e.frames)
 		if b.index[e.id] == e {
 			delete(b.index, e.id)
 		}
@@ -117,8 +86,8 @@ type ReplayEntry struct {
 	Frames []byte
 }
 
-// Replay returns every not-yet-replayed record in append order and marks them
-// replayed. The records stay in the backlog (evictable) so duplicate request
+// Replay returns every not-yet-replayed entry in append order and marks them
+// replayed. The entries stay in the backlog (evictable) so duplicate request
 // IDs keep resolving to the identical bytes.
 func (b *Backlog) Replay() []ReplayEntry {
 	var out []ReplayEntry
@@ -127,7 +96,7 @@ func (b *Backlog) Replay() []ReplayEntry {
 			continue
 		}
 		e.replayed = true
-		out = append(out, ReplayEntry{ID: e.id, Frames: e.frames()})
+		out = append(out, ReplayEntry{ID: e.id, Frames: e.frames})
 	}
 	return out
 }
@@ -138,10 +107,10 @@ func (b *Backlog) Frame(id uint64) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return e.frames(), true
+	return e.frames, true
 }
 
-// Pending counts records not yet replayed.
+// Pending counts entries not yet replayed.
 func (b *Backlog) Pending() int {
 	n := 0
 	for _, e := range b.entries {
@@ -152,49 +121,5 @@ func (b *Backlog) Pending() int {
 	return n
 }
 
-// Bytes is the total framed size of retained records.
+// Bytes is the total frame bytes of retained entries.
 func (b *Backlog) Bytes() int { return b.total }
-
-// Snapshot serializes the backlog as a contiguous framed log — the
-// persistent form RecoverBacklog parses back.
-func (b *Backlog) Snapshot() []byte {
-	out := make([]byte, 0, b.total)
-	for _, e := range b.entries {
-		out = append(out, e.framed...)
-	}
-	return out
-}
-
-// RecoverBacklog rolls forward through a framed log, keeping the valid
-// prefix: parsing stops at the first record whose magic, length, or checksum
-// does not hold (a torn tail), and consumed reports how many bytes of data
-// were recovered. Recovered records count as not yet replayed — they are
-// responses the client never acknowledged seeing.
-func RecoverBacklog(data []byte, limit int) (b *Backlog, consumed int) {
-	b = NewBacklog(limit)
-	off := 0
-	for off+backlogHdr+backlogIDSize <= len(data) {
-		if binary.LittleEndian.Uint32(data[off:]) != backlogMagic {
-			break
-		}
-		plen := int(binary.LittleEndian.Uint32(data[off+4:]))
-		if plen < backlogIDSize || off+backlogHdr+plen > len(data) {
-			break
-		}
-		payload := data[off+backlogHdr : off+backlogHdr+plen]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[off+8:]) {
-			break
-		}
-		id := binary.LittleEndian.Uint64(payload)
-		frames := append([]byte(nil), payload[backlogIDSize:]...)
-		// Recovered records bypass the cap check: they were admitted before
-		// the restart and truncating them would drop acknowledged work.
-		rec := encodeBacklogRecord(id, frames)
-		e := &bentry{id: id, framed: rec}
-		b.entries = append(b.entries, e)
-		b.index[id] = e
-		b.total += len(rec)
-		off += backlogHdr + plen
-	}
-	return b, off
-}

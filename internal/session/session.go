@@ -399,7 +399,7 @@ func (s *Session) BacklogBytes() int {
 	return s.backlog.Bytes()
 }
 
-// BacklogPending reports backlog records not yet replayed.
+// BacklogPending reports backlog entries not yet replayed.
 func (s *Session) BacklogPending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -42,8 +42,8 @@ func TestBacklogAppendReplayFrame(t *testing.T) {
 }
 
 func TestBacklogCapEvictsReplayedOnly(t *testing.T) {
-	rec := len(encodeBacklogRecord(1, bytes.Repeat([]byte("x"), 100)))
-	b := NewBacklog(2 * rec)
+	// The cap counts frame bytes: room for exactly two 100-byte responses.
+	b := NewBacklog(200)
 	must := func(id uint64) {
 		t.Helper()
 		if err := b.Append(id, bytes.Repeat([]byte("x"), 100)); err != nil {
@@ -52,6 +52,9 @@ func TestBacklogCapEvictsReplayedOnly(t *testing.T) {
 	}
 	must(1)
 	must(2)
+	if got := b.Bytes(); got != 200 {
+		t.Fatalf("bytes = %d, want 200 frame bytes", got)
+	}
 	// Full of unreplayed records: the next spill is refused, not dropped-oldest.
 	if err := b.Append(3, bytes.Repeat([]byte("x"), 100)); err != ErrBacklogFull {
 		t.Fatalf("overflow append: err = %v, want ErrBacklogFull", err)
@@ -65,44 +68,8 @@ func TestBacklogCapEvictsReplayedOnly(t *testing.T) {
 	if _, ok := b.Frame(3); !ok {
 		t.Fatal("new record missing after eviction")
 	}
-}
-
-func TestBacklogRecoverStopsAtTornTail(t *testing.T) {
-	b := NewBacklog(1 << 16)
-	for i := 1; i <= 4; i++ {
-		if err := b.Append(uint64(i), []byte(fmt.Sprintf("frame-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := b.Snapshot()
-
-	// A clean snapshot recovers fully.
-	r, n := RecoverBacklog(snap, 1<<16)
-	if n != len(snap) || r.Pending() != 4 {
-		t.Fatalf("clean recover: consumed %d/%d, pending %d", n, len(snap), r.Pending())
-	}
-
-	// Tear the tail mid-record: recovery rolls forward to the last whole one.
-	torn := snap[:len(snap)-3]
-	r, n = RecoverBacklog(torn, 1<<16)
-	if r.Pending() != 3 {
-		t.Fatalf("torn recover: pending = %d, want 3", r.Pending())
-	}
-	if n >= len(torn) {
-		t.Fatalf("torn recover consumed the torn record (%d bytes)", n)
-	}
-
-	// Flip a bit inside the third record's payload: its CRC fails and
-	// recovery stops before it, keeping records 1-2.
-	flipped := append([]byte(nil), snap...)
-	third := 2 * (backlogHdr + backlogIDSize + len("frame-1"))
-	flipped[third+backlogHdr+backlogIDSize] ^= 0x40
-	r, _ = RecoverBacklog(flipped, 1<<16)
-	if r.Pending() != 2 {
-		t.Fatalf("corrupt recover: pending = %d, want 2", r.Pending())
-	}
-	if fr, ok := r.Frame(2); !ok || string(fr) != "frame-2" {
-		t.Fatalf("corrupt recover Frame(2) = %q, %v", fr, ok)
+	if got := b.Bytes(); got != 200 {
+		t.Fatalf("bytes after eviction = %d, want 200", got)
 	}
 }
 

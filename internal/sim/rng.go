@@ -36,9 +36,6 @@ func (g *RNG) Float64() float64 { return g.r.Float64() }
 // ExpFloat64 returns an exponentially distributed float64 with mean 1.
 func (g *RNG) ExpFloat64() float64 { return g.r.ExpFloat64() }
 
-// NormFloat64 returns a standard normal float64.
-func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
-
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 

@@ -528,13 +528,6 @@ func (p *Proc) Wait(ev *Event) {
 	p.block()
 }
 
-// WaitAll blocks until every event in evs has fired.
-func (p *Proc) WaitAll(evs ...*Event) {
-	for _, ev := range evs {
-		p.Wait(ev)
-	}
-}
-
 // Join waits for all given processes to finish.
 func (p *Proc) Join(procs ...*Proc) {
 	for _, q := range procs {
@@ -615,14 +608,4 @@ func TransferTime(n int64, bytesPerSec float64) Duration {
 	}
 	ns := float64(n) / bytesPerSec * 1e9
 	return Duration(math.Ceil(ns))
-}
-
-// SortedResourceNames is a test helper: returns names sorted, for stable output.
-func SortedResourceNames(rs []*Resource) []string {
-	names := make([]string, len(rs))
-	for i, r := range rs {
-		names[i] = r.name
-	}
-	sort.Strings(names)
-	return names
 }

@@ -212,17 +212,6 @@ func (d *Device) ChannelBacklog() float64 {
 	return float64(busy) / float64(len(d.channels))
 }
 
-// ChannelBusyTime returns the busy virtual time summed across all channels —
-// paired with a wall-clock window it yields mean channel utilization, the
-// sustained complement to ChannelBacklog's instantaneous sample.
-func (d *Device) ChannelBusyTime() time.Duration {
-	var t time.Duration
-	for _, ch := range d.channels {
-		t += ch.BusyTime()
-	}
-	return t
-}
-
 // ChannelBusyTimes returns each channel's busy virtual time. Hot data pins
 // individual channels while the mean stays low, and a striped operation is
 // gated by its busiest channel — so planners should difference these over a

@@ -55,7 +55,7 @@ import (
 //   - A request body belongs to the server task built from it and is released
 //     by the connection's writer after the response is on the socket. Code that
 //     keeps request bytes past that point — a log entry, a staged pair, a hint
-//     — must copy them. Bytes retained as a frame (a session backlog record, a
+//     — must copy them. Bytes retained as a frame (a session backlog entry, a
 //     replayed duplicate) are copies too, never views of a write buffer.
 //   - A response body that carries bytes the caller asked for (a value, pairs,
 //     key bounds) is handed to the caller on Release: it becomes the backing
