@@ -34,6 +34,8 @@ type Engine struct {
 
 	dram     *sim.Gauge // SoC DRAM in use (buffers + sort batches)
 	idxCache *indexCache
+	// scanPlans lends RangePrimary the buffers it plans its windows in.
+	scanPlans [][]pidxEntry
 
 	// Observability (optional).
 	tr        *obs.Tracer

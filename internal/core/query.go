@@ -136,7 +136,12 @@ func (e *Engine) lookupPidx(p *sim.Proc, ks *Keyspace, key []byte, searchCompare
 // RangePrimary streams pairs with lo <= key < hi (nil bounds open) in key
 // order to fn until fn returns false or limit pairs are emitted (0 = all).
 // Because SORTED_VALUES co-sorts values with keys, the value bytes of a
-// primary range are one contiguous span read sequentially.
+// primary range are one contiguous span. The scan plans each window before
+// it reads: it walks PIDX, one block op per block, collecting the entries it
+// will emit until hi, the limit, scanWindowEntries, or an entry that would
+// stretch the value span past scanChunk; then it reads exactly that span in
+// one ReadAt and emits from it. A short scan reads only its granules, a long
+// one reads in scanChunk bursts.
 func (e *Engine) RangePrimary(p *sim.Proc, name string, lo, hi []byte, limit int, fn func(Pair) bool) (int, error) {
 	ks, err := e.queryableKeyspace(name)
 	if err != nil {
@@ -155,65 +160,114 @@ func (e *Engine) RangePrimary(p *sim.Proc, name string, lo, hi []byte, limit int
 		e.cpu[phaseQuery].Compares(p, 16)
 	}
 	totalBlocks := ks.pidx.Len() / int64(e.cfg.BlockBytes)
-	emitted := 0
-	// The window is lent by the device's scratch list: the scan holds it
-	// across the reads it yields in, while other scans run.
+	// The plan and the window are lent by the engine's free lists: the scan
+	// holds them across the reads it yields in, while other scans run.
+	plan := e.getPlan(limit)
+	planned := 0 // the longest plan so far: what putPlan must clear
 	var win []byte
-	var winOff int64 = -1
 	defer func() {
+		e.putPlan(plan[:max(planned, len(plan))])
 		if win != nil {
 			e.zm.scratch.put(win)
 		}
 	}()
-	for ; bi < totalBlocks; bi++ {
-		blk, err := e.readIndexBlockCached(p, ks.pidx, bi)
-		if err != nil {
-			return emitted, err
-		}
-		e.cpu[phaseQuery].BlockOp(p, 1)
-		for i := 0; i < blk.len(); i++ {
+	var blk pidxBlock
+	i, emitted, end := 0, 0, false
+	for !end {
+		planned = max(planned, len(plan))
+		plan = plan[:0]
+		var start, stop int64 // the planned value span
+		for len(plan) < scanWindowEntries && (limit == 0 || emitted+len(plan) < limit) {
+			if i == blk.len() {
+				if bi == totalBlocks {
+					end = true
+					break
+				}
+				if blk, err = e.readIndexBlockCached(p, ks.pidx, bi); err != nil {
+					return emitted, err
+				}
+				e.cpu[phaseQuery].BlockOp(p, 1)
+				bi, i = bi+1, 0
+				continue
+			}
 			ent := blk.entry(i)
 			if lo != nil && bytes.Compare(ent.key, lo) < 0 {
+				i++
 				continue
 			}
 			if hi != nil && bytes.Compare(ent.key, hi) >= 0 {
-				return emitted, nil
+				end = true
+				break
 			}
-			start := int64(ent.vlogOff)
-			need := int64(ent.vlen)
-			if winOff < 0 || start < winOff || start+need > winOff+int64(len(win)) {
-				chunk := int64(256 << 10)
-				if need > chunk {
-					chunk = need
-				}
-				if rem := ks.sorted.Len() - start; chunk > rem {
-					chunk = rem
-				}
-				if cap(win) < int(chunk) {
-					if win != nil {
-						e.zm.scratch.put(win)
-					}
-					win = e.zm.scratch.get(int(chunk))
-				}
-				win = win[:chunk]
-				if err := ks.sorted.ReadAt(p, win, start); err != nil {
-					return emitted, err
-				}
-				ks.touchHeat(start, len(win), e.cfg.BlockBytes)
-				winOff = start
+			vs, ve := int64(ent.vlogOff), int64(ent.vlogOff)+int64(ent.vlen)
+			if len(plan) == 0 {
+				start, stop = vs, ve
+			} else if vs < start || max(stop, ve)-start > scanChunk {
+				break // ent opens the next window
 			}
-			pr := ownedPair(ent.key, win[start-winOff:start-winOff+need])
+			stop = max(stop, ve)
+			plan = append(plan, ent)
+			i++
+		}
+		if len(plan) == 0 {
+			break
+		}
+		if n := int(stop - start); cap(win) < n {
+			if win != nil {
+				e.zm.scratch.put(win)
+			}
+			win = e.zm.scratch.get(n)
+		} else {
+			win = win[:n]
+		}
+		if err := ks.sorted.ReadAt(p, win, start); err != nil {
+			return emitted, err
+		}
+		ks.touchHeat(start, len(win), e.cfg.BlockBytes)
+		for _, ent := range plan {
+			off := int64(ent.vlogOff) - start
+			pr := ownedPair(ent.key, win[off:off+int64(ent.vlen)])
 			e.st.AppRead.Add(int64(len(pr.Value)))
 			if !fn(pr) {
 				return emitted + 1, nil
 			}
 			emitted++
-			if limit > 0 && emitted >= limit {
-				return emitted, nil
-			}
+		}
+		if limit > 0 && emitted >= limit {
+			break
 		}
 	}
 	return emitted, nil
+}
+
+// scanWindowEntries caps the entries one RangePrimary window plans, so a
+// keyspace of tiny values cannot grow a plan without bound.
+const scanWindowEntries = scanChunk / 32
+
+// keptPlans is how many planning buffers the engine keeps between scans.
+const keptPlans = 4
+
+// getPlan lends a cleared, empty planning buffer; a new one is sized for a
+// scan of limit pairs.
+func (e *Engine) getPlan(limit int) []pidxEntry {
+	n := len(e.scanPlans)
+	if n == 0 {
+		return make([]pidxEntry, 0, min(max(limit, 0), scanWindowEntries))
+	}
+	b := e.scanPlans[n-1]
+	e.scanPlans[n-1] = nil
+	e.scanPlans = e.scanPlans[:n-1]
+	return b
+}
+
+// putPlan hands a planning buffer back; b must cover every entry a window
+// planned in it. They are cleared first, so a kept buffer pins no index
+// block.
+func (e *Engine) putPlan(b []pidxEntry) {
+	clear(b)
+	if len(e.scanPlans) < keptPlans && cap(b) > 0 {
+		e.scanPlans = append(e.scanPlans, b[:0])
+	}
 }
 
 // RangeSecondary streams pairs whose secondary key is in [lo, hi) to fn in

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"sort"
 	"testing"
+	"time"
 
 	"kvcsd/internal/compaction"
+	"kvcsd/internal/host"
 	"kvcsd/internal/keyenc"
 	"kvcsd/internal/obs"
 	"kvcsd/internal/sim"
@@ -97,4 +100,39 @@ func TestSoCLedgerSumsToBusy(t *testing.T) {
 		compactAndWait(t, p, fx, "ks")
 	})
 	checkLedgerSums(t, fx, reg, phaseIngest, phaseRunPair, phaseMerge)
+}
+
+// TestRangePrimaryChargesEachBlockOnce: a primary scan charges the query
+// phase the sketch search (when lo is given) and one block op per PIDX block
+// it visits — a window that breaks inside a block does not charge the block
+// again, and a limit met on a block's last entry visits no further block.
+func TestRangePrimaryChargesEachBlockOnce(t *testing.T) {
+	soc := host.DefaultSoCConfig()
+	charge := func(d time.Duration) int64 { return int64(time.Duration(float64(d) / soc.Speed)) }
+	withRangeKeyspace(t, func(p *sim.Proc, fx *engineFixture, ks *Keyspace, starts []int) {
+		blockOf := func(i int) int {
+			return sort.Search(len(starts), func(b int) bool { return starts[b] > i }) - 1
+		}
+		query := fx.eng.cpu[phaseQuery].Ns()
+		check := func(name string, lo, hi []byte, limit, blocks int) {
+			t.Helper()
+			want := int64(blocks) * charge(soc.BlockOpCost)
+			if lo != nil {
+				want += charge(16 * soc.CompareCost)
+			}
+			before := query.Value()
+			if _, err := fx.eng.RangePrimary(p, "ks", lo, hi, limit, func(Pair) bool { return true }); err != nil {
+				t.Fatal(err)
+			}
+			if got := query.Value() - before; got != want {
+				t.Fatalf("%s: query phase charged %d ns, want %d (%d blocks)", name, got, want, blocks)
+			}
+		}
+		const perWindow = scanChunk / 32
+		b := 3
+		check("full scan", nil, nil, 0, len(starts)-1)
+		check("window break inside a block", tkey(100), tkey(100+perWindow+50), 0, blockOf(100+perWindow+50)-blockOf(100)+1)
+		check("limit on a block's last entry", tkey(starts[b]), nil, starts[b+1]-starts[b], 1)
+		check("hi inside the next block", tkey(starts[b]+3), tkey(starts[b+1]+10), 0, 2)
+	})
 }

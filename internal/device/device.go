@@ -525,7 +525,7 @@ func (d *Device) execute(p *sim.Proc, cmd *nvme.Command) nvme.Completion {
 		return nvme.Completion{Status: nvme.StatusOK, Exists: ok}
 
 	case nvme.OpQueryPrimaryRange, nvme.OpList:
-		var pairs []nvme.KVPair
+		pairs := make([]nvme.KVPair, 0, resultCap(cmd.ResultLimit))
 		_, err := eng.RangePrimary(p, cmd.Keyspace, cmd.Low, cmd.High, cmd.ResultLimit, func(pr core.Pair) bool {
 			pairs = append(pairs, nvme.KVPair{Key: pr.Key, Value: pr.Value})
 			return true
@@ -536,7 +536,7 @@ func (d *Device) execute(p *sim.Proc, cmd *nvme.Command) nvme.Completion {
 		return nvme.Completion{Status: nvme.StatusOK, Pairs: pairs}
 
 	case nvme.OpQuerySecondaryRange:
-		var pairs []nvme.KVPair
+		pairs := make([]nvme.KVPair, 0, resultCap(cmd.ResultLimit))
 		_, err := eng.RangeSecondary(p, cmd.Keyspace, cmd.Index.Name, cmd.Low, cmd.High, cmd.ResultLimit, func(pr core.Pair) bool {
 			pairs = append(pairs, nvme.KVPair{Key: pr.Key, Value: pr.Value})
 			return true
@@ -547,7 +547,7 @@ func (d *Device) execute(p *sim.Proc, cmd *nvme.Command) nvme.Completion {
 		return nvme.Completion{Status: nvme.StatusOK, Pairs: pairs}
 
 	case nvme.OpQuerySecondaryPoint:
-		var pairs []nvme.KVPair
+		pairs := make([]nvme.KVPair, 0, resultCap(cmd.ResultLimit))
 		_, err := eng.GetSecondary(p, cmd.Keyspace, cmd.Index.Name, cmd.Key, cmd.ResultLimit, func(pr core.Pair) bool {
 			pairs = append(pairs, nvme.KVPair{Key: pr.Key, Value: pr.Value})
 			return true
@@ -612,6 +612,10 @@ func extentRef(cmd *nvme.Command) core.ExtentRef {
 		Granule:  cmd.Extent.Granule,
 	}
 }
+
+// resultCap presizes a query's result list: the command's result limit, at
+// most 1024 pairs, and nothing for an unlimited query.
+func resultCap(limit int) int { return min(max(limit, 0), 1024) }
 
 // statusOnly maps an engine error to a completion status.
 func statusOnly(err error) nvme.Completion {
