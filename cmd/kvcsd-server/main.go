@@ -51,7 +51,7 @@ func main() {
 		telemetry   = flag.String("telemetry", "", "serve /metrics, /healthz, /slowops and pprof on this HTTP address")
 		slowOp      = flag.Duration("slow-op", 0, "flag ops whose virtual service time exceeds this budget (0 = off)")
 		trace       = flag.Bool("trace", false, "record device spans (gives slow-op records their stage breakdown)")
-		replicated  = flag.Bool("replicated", false, "consensus-backed keyspaces: quorum writes and read-index reads (array mode)")
+		replicated  = flag.Bool("replicated", false, "consensus-backed keyspaces: quorum writes and leader-lease reads (array mode)")
 
 		tenantQueue    = flag.Int("tenant-queue", 0, "per-tenant per-lane admission quota (0 = one tenant may fill the window)")
 		tenantWeights  = flag.String("tenant-weights", "", "DRR weights per tenant, e.g. \"analytics=8,batch=1\" (others get the default weight)")

@@ -17,9 +17,10 @@ import (
 // ReplicatedKeyspace is a consensus-backed array keyspace: the key range is
 // split into shards, each shard a replicated state machine whose members are
 // device-side keyspaces ("name#g<s>") on ring-placed devices. Writes commit
-// at quorum through the shard's leader and reads go through the leader's
-// read-index, so — unlike the fan-out replication of plain array keyspaces —
-// a power-cut replica can never serve stale data.
+// at quorum through the shard's leader and reads are served by the leader
+// under its lease (or after a read-index round), so — unlike the fan-out
+// replication of plain array keyspaces — a power-cut replica can never serve
+// stale data.
 //
 // The handle is safe for concurrent simulation processes (the server gateway
 // runs pipelined requests as overlapping procs): each operation checks a
@@ -353,7 +354,7 @@ func (k *ReplicatedKeyspace) Delete(p *sim.Proc, key []byte) error {
 	return s.Delete(p, k.shardFor(key), key)
 }
 
-// Get performs a linearizable read via the shard leader's read-index.
+// Get performs a linearizable read on the shard leader.
 func (k *ReplicatedKeyspace) Get(p *sim.Proc, key []byte) ([]byte, bool, error) {
 	s := k.checkout()
 	defer k.checkin(s)

@@ -12,9 +12,9 @@ import (
 
 // ClusterOptions configures a cluster-consistency campaign: many short
 // seeded scenarios, each a fresh replica cluster under concurrent client
-// load with one nemesis injection — a leader kill, a partition, or a
-// resharding migration with a mid-stream power cut — followed by a
-// linearizability check of the full operation history.
+// load with one nemesis injection — a leader kill, a partition, a resharding
+// migration with a mid-stream power cut, or a race against the leader lease —
+// followed by a linearizability check of the full operation history.
 type ClusterOptions struct {
 	// Seed derives every scenario's cluster seed, workload, and nemesis.
 	Seed int64
@@ -59,10 +59,11 @@ const (
 	nemesisIsolate
 	nemesisReshard
 	nemesisBlackout
+	nemesisLeaseSplit
 	nemesisKinds
 )
 
-var nemesisNames = [...]string{"leader-kill", "partition", "isolate", "reshard", "blackout"}
+var nemesisNames = [...]string{"leader-kill", "partition", "isolate", "reshard", "blackout", "lease-split"}
 
 // ClusterScenario is the outcome of one scenario.
 type ClusterScenario struct {
@@ -300,6 +301,35 @@ func runNemesis(p *sim.Proc, c *replica.Cluster, opts ClusterOptions, kind int, 
 			c.Isolate(other)
 		}
 		p.Sleep(sim.Duration(30+rng.Intn(15)) * time.Millisecond)
+		c.Heal()
+
+	case nemesisLeaseSplit:
+		// Race the leader lease: cut the leader off from one follower, which
+		// campaigns while the lease the others granted still holds, and
+		// power-cycle another member, which forgets whose lease it backed.
+		// Gets the old leader serves under its lease must not miss a write
+		// a new leader commits.
+		var followers []int
+		for _, m := range c.Members(shard) {
+			if m != leader {
+				followers = append(followers, m)
+			}
+		}
+		if len(followers) < 2 {
+			return
+		}
+		cut := followers[rng.Intn(len(followers))]
+		bounce := followers[0]
+		if bounce == cut {
+			bounce = followers[1]
+		}
+		c.Partition(leader, cut)
+		// The cut node campaigns 10–20 ms on: bounce the other around then.
+		p.Sleep(sim.Duration(5+rng.Intn(10)) * time.Millisecond)
+		c.Crash(bounce)
+		p.Sleep(sim.Duration(rng.Intn(int(2 * time.Millisecond))))
+		c.Restart(p, bounce)
+		p.Sleep(sim.Duration(5+rng.Intn(10)) * time.Millisecond)
 		c.Heal()
 	}
 }

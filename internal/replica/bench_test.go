@@ -49,9 +49,11 @@ func BenchmarkQuorumPut3(b *testing.B) {
 	})
 }
 
-// BenchmarkReadIndexGet3 is one linearizable get on a three-node group: a
-// read-index round of two empty AppendEntries and their acks, then the lookup.
-func BenchmarkReadIndexGet3(b *testing.B) {
+// BenchmarkLeaseGet3 is one linearizable get on a three-node group: the
+// leader's lease holds, so it is the lookup alone and sends no frame (the
+// read-index fallback's four frames are pinned by
+// TestReadIndexFallbackCostsOneRound).
+func BenchmarkLeaseGet3(b *testing.B) {
 	key := []byte("key-00")
 	benchGroup(b, func(p *sim.Proc, s *Session, i int) error {
 		key[4], key[5] = byte('0'+i/10%6), byte('0'+i%10)
@@ -102,7 +104,7 @@ func TestAppendRoundAllocs(t *testing.T) {
 				for i := 0; i < entries; i++ {
 					g.appendLocal(p, e)
 				}
-				g.broadcastAppend(0)
+				g.broadcastAppend()
 				p.Sleep(2*linkDelay + time.Microsecond)
 			}
 		}

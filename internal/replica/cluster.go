@@ -51,6 +51,10 @@ type Cluster struct {
 	entriesSent     int64
 	entriesAppended int64
 	probes          int64
+	// Reads the leader lease served without a round, and reads that needed
+	// a read-index round.
+	leaseReads     int64
+	readIndexReads int64
 
 	gauges *gauges
 }
@@ -301,6 +305,8 @@ type gauges struct {
 	entriesSent     *sim.Gauge
 	entriesAppended *sim.Gauge
 	probes          *sim.Gauge
+	leaseReads      *sim.Gauge
+	readIndexReads  *sim.Gauge
 }
 
 func newGauges(reg *obs.Registry, prefix string, shards int) *gauges {
@@ -315,6 +321,8 @@ func newGauges(reg *obs.Registry, prefix string, shards int) *gauges {
 		entriesSent:     reg.Gauge(prefix + "replica.entries_sent_total"),
 		entriesAppended: reg.Gauge(prefix + "replica.entries_appended_total"),
 		probes:          reg.Gauge(prefix + "replica.probes_total"),
+		leaseReads:      reg.Gauge(prefix + "replica.lease_reads_total"),
+		readIndexReads:  reg.Gauge(prefix + "replica.readindex_reads_total"),
 	}
 	for s := 0; s < shards; s++ {
 		lg := reg.Gauge(fmt.Sprintf("%sreplica.shard%d.leader", prefix, s))
@@ -364,6 +372,18 @@ func (c *Cluster) countProbe() {
 	c.probes++
 	if c.gauges != nil {
 		c.gauges.probes.Set(float64(c.probes))
+	}
+}
+
+func (c *Cluster) countRead(lease bool) {
+	if lease {
+		c.leaseReads++
+	} else {
+		c.readIndexReads++
+	}
+	if c.gauges != nil {
+		c.gauges.leaseReads.Set(float64(c.leaseReads))
+		c.gauges.readIndexReads.Set(float64(c.readIndexReads))
 	}
 }
 
@@ -500,8 +520,9 @@ func (s *Session) mutate(p *sim.Proc, shard int, e wire.ReplicaEntry) error {
 	return fail(lastErr)
 }
 
-// Get performs a linearizable read via the leader's read-index (or a stale
-// local read when the cluster was built with UnsafeStaleReads).
+// Get performs a linearizable read on the leader, under its lease or through a
+// read-index round (or a stale local read when the cluster was built with
+// UnsafeStaleReads).
 func (s *Session) Get(p *sim.Proc, shard int, key []byte) ([]byte, bool, error) {
 	var lastErr error = ErrNoLeader
 	for attempt := 0; attempt < s.c.opts.RetryAttempts; attempt++ {
@@ -531,7 +552,9 @@ func (s *Session) Get(p *sim.Proc, shard int, key []byte) ([]byte, bool, error) 
 		}
 		rd, err := g.read(p, key)
 		if err == nil {
-			p.Wait(rd.ev)
+			if rd.ev != nil {
+				p.Wait(rd.ev)
+			}
 			if rd.err == nil {
 				return rd.value, rd.found, nil
 			}

@@ -1,6 +1,8 @@
 package replica
 
 import (
+	"slices"
+
 	"kvcsd/internal/nvme"
 	"kvcsd/internal/sim"
 	"kvcsd/internal/wire"
@@ -14,7 +16,8 @@ type pending struct {
 	err    error
 }
 
-// pendingRead is a read-index read waiting for a quorum heartbeat round.
+// pendingRead is a read waiting for a quorum to acknowledge its round (0 for
+// a read the lease serves) and for the leader to apply up to its index.
 type pendingRead struct {
 	round uint64
 	index uint64
@@ -71,9 +74,27 @@ type group struct {
 	heartbeatDue     sim.Time
 	quorumCheckDue   sim.Time
 
-	readSeq uint64
-	props   map[uint64]*pending
-	reads   []*pendingRead
+	props map[uint64]*pending
+	reads []*pendingRead
+
+	// Every broadcastAppend is a numbered round. rounds holds the leader's
+	// rounds no quorum has acknowledged yet, oldest first, with their send
+	// times; confirmed is the highest round a quorum has acknowledged.
+	round     uint64
+	rounds    []roundStamp
+	confirmed uint64
+
+	// The leader lease (see read): reads need no round before leaseUntil, and
+	// only a round numbered leaseRound or later can extend it, so an event
+	// that ends the lease is followed by a round sent after it.
+	leaseUntil sim.Time
+	leaseRound uint64
+
+	// Vote stickiness: until holdUntil this node ignores RequestVote from any
+	// candidate but holdFor, the leader whose lease it may be backing (-1
+	// after a restart, which forgets whose it was).
+	holdFor   int
+	holdUntil sim.Time
 
 	// staging accumulates migrate chunks until the Done chunk installs them;
 	// stagingStream is the stream ID the staged chunks belong to, so chunks
@@ -82,6 +103,12 @@ type group struct {
 	stagingStream uint64
 
 	rng *sim.RNG
+}
+
+// roundStamp is when the leader sent a round.
+type roundStamp struct {
+	round uint64
+	sent  sim.Time
 }
 
 // progress is what a leader knows about one peer's log, and with it the state
@@ -109,7 +136,7 @@ type progress struct {
 
 	probeDue sim.Time // when an unanswered catch-up is sent again
 	lastAck  sim.Time // last reply of any kind, for CheckQuorum
-	ackRound uint64   // highest read-index round acknowledged
+	ackRound uint64   // highest round acknowledged
 	// snapDue rate-limits catch-up snapshots: while one is in flight there is
 	// no point re-shipping the full state every heartbeat.
 	snapDue sim.Time
@@ -122,6 +149,7 @@ func newGroup(c *Cluster, shard, id int, members []int, sm StateMachine) *group 
 		id:           id,
 		votedFor:     -1,
 		leader:       -1,
+		holdFor:      -1,
 		sm:           sm,
 		sessions:     map[uint64]uint64{},
 		snapSessions: map[uint64]uint64{},
@@ -177,6 +205,7 @@ func (g *group) quorum() int { return len(g.members)/2 + 1 }
 // or a snapshot install. It walks the whole log, which is never truncated
 // between snapshots, so paths that only append use applyConfig instead.
 func (g *group) recomputeConfig() {
+	g.endLease()
 	g.members = append(g.members[:0], g.baseMembers...)
 	g.epoch = g.baseEpoch
 	g.configWalked += len(g.log)
@@ -187,11 +216,13 @@ func (g *group) recomputeConfig() {
 
 // applyConfig makes e the current configuration if it is a config entry. The
 // latest config entry in the log wins, so applying appended entries in order
-// keeps members/epoch equal to what recomputeConfig would derive.
+// keeps members/epoch equal to what recomputeConfig would derive. A new
+// configuration has new quorums, so it ends the lease.
 func (g *group) applyConfig(e *wire.ReplicaEntry) {
 	if e.Kind != entryConfig {
 		return
 	}
+	g.endLease()
 	g.members = g.members[:0]
 	for _, m := range e.Members {
 		g.members = append(g.members, int(m))
@@ -229,7 +260,7 @@ func (g *group) tick(p *sim.Proc) {
 			}
 		}
 		if now >= g.heartbeatDue {
-			g.broadcastAppend(0)
+			g.broadcastAppend()
 		}
 	default:
 		if now >= g.electionDeadline && g.isMember(g.id) && g.node().running {
@@ -283,7 +314,16 @@ func (g *group) startElection(p *sim.Proc) {
 	}
 }
 
+// handleRequestVote answers a candidate, unless a lease may still be serving
+// reads: a leader ignores every candidate while its own lease holds, and any
+// other node ignores all but the leader it last heard from for electionTimeout
+// after that leader's last AppendEntries (for electionTimeout after a restart,
+// all of them). It neither adopts the candidate's term nor answers, so no
+// quorum can elect a new leader before the old lease has run out.
 func (g *group) handleRequestVote(p *sim.Proc, m *wire.ReplicaMsg) {
+	if now := g.c.env.Now(); now < g.leaseUntil || now < g.holdUntil && int(m.From) != g.holdFor {
+		return
+	}
 	if m.Term > g.term {
 		g.stepDown(m.Term, -1)
 	}
@@ -332,12 +372,14 @@ func (g *group) becomeLeader(p *sim.Proc) {
 	for i := range g.peers {
 		g.peers[i] = progress{next: g.lastIndex() + 1, lastAck: now}
 	}
+	g.rounds = g.rounds[:0]
+	g.endLease()
 	g.quorumCheckDue = now.Add(electionTimeout)
 	g.c.noteLeader(g.shard, g.id, g.term)
 	// A fresh leader cannot commit entries from older terms by counting
-	// replicas; the no-op commits the current term and unblocks read-index.
+	// replicas; the no-op commits the current term and unblocks reads.
 	g.appendLocal(p, wire.ReplicaEntry{Term: g.term, Kind: entryNop})
-	g.broadcastAppend(0)
+	g.broadcastAppend()
 }
 
 // --- log replication --------------------------------------------------------
@@ -353,16 +395,27 @@ func (g *group) appendLocal(p *sim.Proc, e wire.ReplicaEntry) uint64 {
 	return e.Index
 }
 
-// broadcastAppend sends AppendEntries to every peer, carrying round as a
-// read-index confirmation tag when non-zero.
-func (g *group) broadcastAppend(round uint64) {
-	g.heartbeatDue = g.c.env.Now().Add(heartbeatInterval)
+// broadcastAppend sends AppendEntries to every peer as the next round and
+// returns its number. A peer's ack of the round proves it still followed this
+// leader when the round arrived, which is what confirms a read-index read and
+// extends the lease.
+func (g *group) broadcastAppend() uint64 {
+	now := g.c.env.Now()
+	g.heartbeatDue = now.Add(heartbeatInterval)
+	g.round++
+	sent := false
 	for _, m := range g.members {
-		if m == g.id {
-			continue
+		if m != g.id {
+			g.sendAppend(m, g.round)
+			sent = true
 		}
-		g.sendAppend(m, round)
 	}
+	if sent {
+		g.rounds = append(g.rounds, roundStamp{round: g.round, sent: now})
+	} else {
+		g.confirmed = g.round // a group of one is its own quorum
+	}
+	return g.round
 }
 
 // sendAppend ships every entry not yet sent to the peer — none, for a
@@ -418,6 +471,7 @@ func (g *group) handleAppendEntries(p *sim.Proc, m *wire.ReplicaMsg) {
 		g.stepDown(m.Term, int(m.From))
 	}
 	g.leader = int(m.From)
+	g.holdFor, g.holdUntil = g.leader, g.c.env.Now().Add(electionTimeout)
 	g.resetElectionDeadline()
 
 	// Log-matching check at (PrevIndex, PrevTerm).
@@ -503,6 +557,7 @@ func (g *group) handleAppendReply(p *sim.Proc, r *wire.ReplicaReply) {
 		pr.probe = 0
 	}
 	pr.ackRound = max(pr.ackRound, r.Round)
+	g.confirmRounds()
 	g.advanceCommit(p)
 	g.serveReads(p)
 	// Keep pushing if there is something the follower has not been sent.
@@ -756,6 +811,7 @@ func (g *group) stepDown(newTerm uint64, leader int) {
 	g.role = roleFollower
 	g.leader = leader
 	g.votes = nil
+	g.endLease()
 	g.failPending(ErrUnknown, &NotLeaderError{Hint: leader})
 	g.resetElectionDeadline()
 	g.c.noteStepDown(g.shard, g.id)
@@ -801,11 +857,16 @@ func (g *group) propose(p *sim.Proc, e wire.ReplicaEntry) (*pending, error) {
 	}
 	pd := &pending{client: e.Client, seq: e.Seq, ev: sim.NewEvent(g.c.env)}
 	g.props[idx] = pd
-	g.broadcastAppend(0)
+	g.broadcastAppend()
 	return pd, nil
 }
 
-// read starts a read-index read and returns the pending the caller waits on.
+// read starts a linearizable read at the commit index. While the lease holds
+// no other leader can exist, so the read needs no round: it is served at once
+// when the leader has applied that far — the pending comes back with no event
+// to wait on — and otherwise as soon as it has. Without the lease it is a
+// read-index read, waiting for a quorum to acknowledge a round sent after it
+// arrived.
 func (g *group) read(p *sim.Proc, key []byte) (*pendingRead, error) {
 	if g.c.stopped {
 		return nil, ErrStopped
@@ -821,39 +882,82 @@ func (g *group) read(p *sim.Proc, key []byte) (*pendingRead, error) {
 		// commit index is current. The no-op will fix this within a round.
 		return nil, ErrNotReady
 	}
-	g.readSeq++
-	rd := &pendingRead{round: g.readSeq, index: g.commit, key: key, ev: sim.NewEvent(g.c.env)}
+	rd := &pendingRead{index: g.commit, key: key}
+	if g.c.env.Now() < g.leaseUntil {
+		g.c.countRead(true)
+		if g.applied >= rd.index {
+			rd.value, rd.found, rd.err = g.sm.Lookup(p, key)
+			return rd, nil
+		}
+	} else {
+		g.c.countRead(false)
+		rd.round = g.broadcastAppend()
+	}
+	rd.ev = sim.NewEvent(g.c.env)
 	g.reads = append(g.reads, rd)
 	if len(g.members) == 1 && g.isMember(g.id) {
-		g.serveUpTo(p, g.readSeq)
-		return rd, nil
+		g.serveReads(p)
 	}
-	g.broadcastAppend(g.readSeq)
 	return rd, nil
 }
 
-// serveReads completes reads whose confirmation round a quorum has acked.
+// serveReads completes reads whose round a quorum has acknowledged.
 func (g *group) serveReads(p *sim.Proc) {
 	if len(g.reads) == 0 || g.role != roleLeader {
 		return
 	}
-	// A peer acking round R confirms every round <= R.
-	confirmed := uint64(0)
-	for _, rd := range g.reads {
-		count := 1 // self
-		for _, m := range g.members {
-			if m != g.id && g.peers[m].ackRound >= rd.round {
-				count++
+	g.serveUpTo(p, g.confirmed)
+}
+
+// confirmRounds raises confirmed to the highest round a quorum of members has
+// acknowledged (a peer acking round R has seen every round before it, the
+// leader itself every round it sent) and extends the lease to that round's
+// send time plus electionTimeout − leaseDrift. Every member that acknowledged
+// it ignores other candidates until at least electionTimeout after the round
+// reached it, so no rival can win a vote before the lease runs out.
+func (g *group) confirmRounds() {
+	q := uint64(0)
+	for _, m := range g.members {
+		r := g.round
+		if m != g.id {
+			r = g.peers[m].ackRound
+		}
+		if r <= q {
+			continue
+		}
+		acked := 0
+		for _, o := range g.members {
+			if o == g.id || g.peers[o].ackRound >= r {
+				acked++
 			}
 		}
-		if count >= g.quorum() {
-			confirmed = rd.round
+		if acked >= g.quorum() {
+			q = r
 		}
 	}
-	if confirmed == 0 {
+	if q <= g.confirmed {
 		return
 	}
-	g.serveUpTo(p, confirmed)
+	g.confirmed = q
+	n := 0
+	for n < len(g.rounds) && g.rounds[n].round <= q {
+		n++
+	}
+	if n == 0 {
+		return
+	}
+	last := g.rounds[n-1]
+	g.rounds = g.rounds[:copy(g.rounds, g.rounds[n:])]
+	if last.round >= g.leaseRound {
+		g.leaseUntil = max(g.leaseUntil, last.sent.Add(electionTimeout-leaseDrift))
+	}
+}
+
+// endLease ends the leader lease: until a round sent from now on is
+// acknowledged by a quorum, reads go through read-index rounds.
+func (g *group) endLease() {
+	g.leaseUntil = 0
+	g.leaseRound = g.round + 1
 }
 
 func (g *group) serveUpTo(p *sim.Proc, round uint64) {
@@ -890,6 +994,8 @@ func (g *group) crash() {
 	g.role = roleFollower
 	g.leader = -1
 	g.votes = nil
+	g.endLease()
+	g.holdFor, g.holdUntil = -1, 0
 	g.commit = g.base
 	g.applied = g.base
 	g.staging = nil
@@ -902,6 +1008,9 @@ func (g *group) crash() {
 func (g *group) restart(p *sim.Proc) {
 	g.role = roleFollower
 	g.leader = -1
+	// Whose lease this node backed was volatile: refuse every vote for as long
+	// as any lease it may have backed can last.
+	g.holdFor, g.holdUntil = -1, g.c.env.Now().Add(electionTimeout)
 	g.commit = g.base
 	g.applied = g.base
 	g.sessions = map[uint64]uint64{}
@@ -932,18 +1041,10 @@ func sessionList(sessions map[uint64]uint64) []wire.ReplicaSession {
 	for c := range sessions {
 		clients = append(clients, c)
 	}
-	sortUint64(clients)
+	slices.Sort(clients)
 	out := make([]wire.ReplicaSession, 0, len(clients))
 	for _, c := range clients {
 		out = append(out, wire.ReplicaSession{Client: c, Seq: sessions[c]})
 	}
 	return out
-}
-
-func sortUint64(v []uint64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }

@@ -6,12 +6,15 @@
 //
 // The protocol is Raft-shaped: terms, RequestVote with log-up-to-date checks,
 // AppendEntries with log matching and quorum commit, a no-op entry appended by
-// every fresh leader, CheckQuorum leader step-down, and read-index reads (a
-// leader confirms its leadership with a heartbeat round before serving a read
-// at its commit index). Writes carry a (client, seq) session identity and the
-// state machine deduplicates applies, so a client that retries after an
-// ambiguous failure cannot double-apply — the property the linearizability
-// checker in internal/linearize leans on.
+// every fresh leader, CheckQuorum leader step-down, and leader-lease reads: a
+// leader serves a read at its commit index with no frame while a quorum
+// acknowledged one of its rounds within the last election timeout (less a
+// clock-drift margin), because a node that acknowledged it refuses to vote
+// for anyone else until the election timeout has passed; without the lease a
+// read waits for a read-index round. Writes carry a (client, seq) session
+// identity and the state machine deduplicates applies, so a client that
+// retries after an ambiguous failure cannot double-apply — the property the
+// linearizability checker in internal/linearize leans on.
 //
 // Membership changes are single-server config entries that take membership
 // effect when appended and flip the routing table (with an epoch bump) when
@@ -166,6 +169,10 @@ const (
 	tickInterval sim.Duration = time.Millisecond
 	// linkDelay is the one-way latency of a consensus frame between nodes.
 	linkDelay sim.Duration = 200 * time.Microsecond
+	// leaseDrift is how much sooner a leader's lease runs out than the vote
+	// stickiness of the followers that granted it: the margin for clocks that
+	// run at different rates, here up to 10 % apart.
+	leaseDrift sim.Duration = time.Millisecond
 )
 
 // Options configures a cluster of shard groups.

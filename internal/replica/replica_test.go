@@ -376,6 +376,9 @@ func TestGaugesPublished(t *testing.T) {
 		if err := s.Put(p, 0, []byte("k"), []byte("v")); err != nil {
 			t.Errorf("Put: %v", err)
 		}
+		if _, _, err := s.Get(p, 0, []byte("k")); err != nil {
+			t.Errorf("Get: %v", err)
+		}
 		if _, err := c.WaitLeader(p, 1); err != nil {
 			t.Errorf("WaitLeader: %v", err)
 		}
@@ -393,12 +396,15 @@ func TestGaugesPublished(t *testing.T) {
 	}
 	// The append stream's ledger matches the cluster's own counters; no frame
 	// was lost, so every entry sent was appended and nothing was caught up.
+	// The get after the quorum put found the lease held.
 	for name, want := range map[string]int64{
 		"replica.frames_sent_total":      c.FramesSent(),
 		"replica.bytes_sent_total":       c.BytesSent(),
 		"replica.entries_sent_total":     c.entriesSent,
 		"replica.entries_appended_total": c.entriesAppended,
 		"replica.probes_total":           0,
+		"replica.lease_reads_total":      1,
+		"replica.readindex_reads_total":  0,
 	} {
 		if g := reg.LookupGauge(name); g == nil || int64(g.Value()) != want {
 			t.Errorf("gauge %s = %v, want %d", name, g, want)
