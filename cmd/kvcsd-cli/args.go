@@ -10,7 +10,7 @@ import (
 
 	"kvcsd/internal/compaction"
 	"kvcsd/internal/core"
-	"kvcsd/internal/wire"
+	"kvcsd/internal/nvme"
 )
 
 // prog is how this invocation spells the program in usage errors.
@@ -135,7 +135,7 @@ func parseDev(verb string, args []string) (int, error) {
 type corruptArgs struct {
 	dev  int
 	kind core.ExtentKind
-	addr wire.ExtentAddr
+	addr nvme.ExtentAddr
 }
 
 func parseCorrupt(args []string) (corruptArgs, error) {
@@ -152,6 +152,6 @@ func parseCorrupt(args []string) (corruptArgs, error) {
 	if err != nil {
 		return corruptArgs{}, err
 	}
-	addr := wire.ExtentAddr{Kind: uint8(kd), Index: *index, Granule: *granule, Bits: uint32(*bits)}
+	addr := nvme.ExtentAddr{Kind: uint8(kd), Index: *index, Granule: *granule, Bits: *bits}
 	return corruptArgs{dev: *dev, kind: kd, addr: addr}, nil
 }

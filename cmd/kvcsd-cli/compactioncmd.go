@@ -5,13 +5,13 @@ package main
 import (
 	"fmt"
 
+	"kvcsd/internal/compaction"
 	"kvcsd/internal/stats"
-	"kvcsd/internal/wire"
 )
 
 // printCompactions renders the compaction progress section (no-op when no
 // keyspace has compaction activity).
-func printCompactions(rows []wire.CompactionProgress) {
+func printCompactions(rows []compaction.KeyspaceProgress) {
 	if len(rows) == 0 {
 		return
 	}

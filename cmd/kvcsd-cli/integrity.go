@@ -77,7 +77,7 @@ func runCorrupt(cfg cliConfig, args []string) error {
 		if pi < 0 {
 			return fmt.Errorf("device %d holds no shard of %s", ca.dev, cfg.ksName)
 		}
-		flipped, err := a.CorruptExtent(p, ca.dev, ks.ShardName(pi), ca.addr.NVMe())
+		flipped, err := a.CorruptExtent(p, ca.dev, ks.ShardName(pi), ca.addr)
 		if err != nil {
 			return err
 		}

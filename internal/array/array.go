@@ -12,6 +12,7 @@ import (
 	"kvcsd/internal/sim"
 	"kvcsd/internal/ssd"
 	"kvcsd/internal/stats"
+	"kvcsd/internal/wire"
 )
 
 // Errors returned by the array router.
@@ -95,13 +96,6 @@ func (m *Member) Healthy() bool { return !m.down }
 
 // Failures returns the current consecutive-failure count.
 func (m *Member) Failures() int { return m.failures }
-
-// DeviceHealth is a point-in-time health snapshot of one member.
-type DeviceHealth struct {
-	ID       int
-	Down     bool
-	Failures int
-}
 
 // Array is a host-side router over N KV-CSD devices.
 type Array struct {
@@ -248,10 +242,10 @@ func (a *Array) Stats() *stats.IOStats {
 }
 
 // Health returns a snapshot of every member's health, in device-ID order.
-func (a *Array) Health() []DeviceHealth {
-	out := make([]DeviceHealth, len(a.members))
+func (a *Array) Health() []wire.DeviceHealth {
+	out := make([]wire.DeviceHealth, len(a.members))
 	for i, m := range a.members {
-		out[i] = DeviceHealth{ID: m.ID, Down: m.down, Failures: m.failures}
+		out[i] = wire.DeviceHealth{ID: uint32(m.ID), Down: m.down, Failures: uint32(m.failures)}
 	}
 	return out
 }

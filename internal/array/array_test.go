@@ -281,7 +281,7 @@ func TestFaultIsolation(t *testing.T) {
 			}
 		}
 		for _, h := range a.Health() {
-			if h.ID == victim {
+			if int(h.ID) == victim {
 				if !h.Down {
 					t.Errorf("victim device %d not marked down", victim)
 				}

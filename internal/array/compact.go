@@ -9,7 +9,6 @@ import (
 	"kvcsd/internal/client"
 	"kvcsd/internal/compaction"
 	"kvcsd/internal/sim"
-	"kvcsd/internal/wire"
 )
 
 // compactJob is one device-side compaction: one replica of one shard.
@@ -199,7 +198,7 @@ func (k *Keyspace) WaitCompacted(p *sim.Proc) error {
 // is the furthest-behind shard's — any active stage outranks idle, and among
 // active stages the earliest pipeline stage wins. Powered-off devices are
 // skipped.
-func (a *Array) Compactions() []wire.CompactionProgress {
+func (a *Array) Compactions() []compaction.KeyspaceProgress {
 	byKs := make(map[string]*compaction.Progress)
 	var names []string
 	for _, m := range a.members {
@@ -227,9 +226,9 @@ func (a *Array) Compactions() []wire.CompactionProgress {
 		}
 	}
 	sort.Strings(names)
-	out := make([]wire.CompactionProgress, 0, len(names))
+	out := make([]compaction.KeyspaceProgress, 0, len(names))
 	for _, name := range names {
-		out = append(out, wire.CompactionProgress{Keyspace: name, Progress: *byKs[name]})
+		out = append(out, compaction.KeyspaceProgress{Keyspace: name, Progress: *byKs[name]})
 	}
 	return out
 }

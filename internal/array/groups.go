@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"kvcsd/internal/client"
@@ -67,8 +66,8 @@ func (k *ReplicatedKeyspace) checkin(s *replica.Session) {
 // interface. The device keyspace lifecycle is the paper's write-once ingest
 // pipeline (WRITABLE until compaction seals it), so interleaved point reads
 // cannot be served by the device while ingest is open; the state machine
-// therefore keeps its working view in SoC DRAM (the mem map below, the same
-// place the engine's ingest index lives) and pushes every apply into the
+// therefore keeps its working view in SoC DRAM (mem below, the same place
+// the engine's ingest index lives) and pushes every apply into the
 // device keyspace as durable ingest traffic — charging real device put
 // latency on the apply path. Snapshot streams from the DRAM view; Restore
 // drops and rebuilds the device keyspace from the snapshot. The keyspace is
@@ -79,7 +78,7 @@ type deviceSM struct {
 	ks   string // device-side keyspace name
 	node int    // device ID
 	h    *client.Keyspace
-	mem  map[string][]byte
+	mem  *replica.MemKV // the DRAM view; nil until state lands here
 
 	// busy counts the Apply and Restore calls inside the device; dropped is
 	// set once the keyspace is being deleted, and refuses further ones.
@@ -147,46 +146,37 @@ func (s *deviceSM) Apply(p *sim.Proc, cmd replica.Command) error {
 		return err
 	}
 	if s.mem == nil {
-		s.mem = make(map[string][]byte)
+		s.mem = replica.NewMemKV()
 	}
-	if cmd.Kind == wire.EntryDelete {
-		if _, ok := s.mem[string(cmd.Key)]; !ok {
-			return nil // absent key: skip the device tombstone too
-		}
-		delete(s.mem, string(cmd.Key))
-		err = h.Delete(p, cmd.Key)
-		if errors.Is(err, client.ErrNotFound) {
-			err = nil
-		}
+	del := cmd.Kind == wire.EntryDelete
+	if del && !s.mem.Has(cmd.Key) {
+		return nil // absent key: skip the device tombstone too
+	}
+	_ = s.mem.Apply(p, cmd) // the in-memory machine never fails
+	if !del {
+		return h.Put(p, cmd.Key, cmd.Value)
+	}
+	if err := h.Delete(p, cmd.Key); !errors.Is(err, client.ErrNotFound) {
 		return err
 	}
-	v := append([]byte(nil), cmd.Value...)
-	s.mem[string(cmd.Key)] = v
-	return h.Put(p, cmd.Key, cmd.Value)
+	return nil
 }
 
 // Lookup implements replica.StateMachine, serving from the DRAM view (the
 // device keyspace is still in its ingest phase and cannot point-read).
 func (s *deviceSM) Lookup(p *sim.Proc, key []byte) ([]byte, bool, error) {
-	v, ok := s.mem[string(key)]
-	if !ok {
+	if s.mem == nil {
 		return nil, false, nil
 	}
-	return append([]byte(nil), v...), true, nil
+	return s.mem.Lookup(p, key)
 }
 
-// Snapshot implements replica.StateMachine; pairs are sorted for determinism.
+// Snapshot implements replica.StateMachine, from the DRAM view.
 func (s *deviceSM) Snapshot(p *sim.Proc) ([]nvme.KVPair, error) {
-	keys := make([]string, 0, len(s.mem))
-	for k := range s.mem {
-		keys = append(keys, k)
+	if s.mem == nil {
+		return nil, nil
 	}
-	sort.Strings(keys)
-	pairs := make([]nvme.KVPair, 0, len(keys))
-	for _, k := range keys {
-		pairs = append(pairs, nvme.KVPair{Key: []byte(k), Value: s.mem[k]})
-	}
-	return pairs, nil
+	return s.mem.Snapshot(p)
 }
 
 // Restore implements replica.StateMachine: the device keyspace is dropped and
@@ -200,7 +190,10 @@ func (s *deviceSM) Restore(p *sim.Proc, pairs []nvme.KVPair) error {
 		return err
 	}
 	defer s.leave()
-	s.mem = make(map[string][]byte, len(pairs))
+	if s.mem == nil {
+		s.mem = replica.NewMemKV()
+	}
+	_ = s.mem.Restore(p, pairs) // the in-memory machine never fails
 	m := s.a.members[s.node]
 	if s.h != nil {
 		if err := m.Client.DeleteKeyspace(p, s.ks); err != nil {
@@ -213,7 +206,6 @@ func (s *deviceSM) Restore(p *sim.Proc, pairs []nvme.KVPair) error {
 		return err
 	}
 	for _, kv := range pairs {
-		s.mem[string(kv.Key)] = append([]byte(nil), kv.Value...)
 		if err := h.BulkPut(p, kv.Key, kv.Value); err != nil {
 			return err
 		}

@@ -180,11 +180,10 @@ func (k *Keyspace) specFor(index string) (client.IndexSpec, bool) {
 // value, exactly as the device-side extractor does, so shard streams ordered
 // by secondary key can be merged host-side.
 func secondaryKey(spec client.IndexSpec, pair nvme.KVPair) []byte {
-	end := spec.Offset + spec.Length
-	if spec.Offset < 0 || end > len(pair.Value) {
+	if spec.Offset < 0 || spec.Offset > len(pair.Value)-spec.Length {
 		return nil
 	}
-	norm, err := spec.Type.Normalize(pair.Value[spec.Offset:end])
+	norm, err := spec.Type.Normalize(pair.Value[spec.Offset : spec.Offset+spec.Length])
 	if err != nil {
 		return nil
 	}

@@ -117,7 +117,7 @@ func TestDeviceRestartRecoversClientVisibleState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ksInfo.Pairs != int64(n) || ksInfo.State.String() != "COMPACTED" {
+		if ksInfo.Pairs != int64(n) || ksInfo.State != "COMPACTED" {
 			t.Fatalf("recovered info %+v", ksInfo)
 		}
 	})

@@ -62,6 +62,13 @@ type Progress struct {
 	Occupancy uint16
 }
 
+// KeyspaceProgress is one keyspace's compaction progress: a row of the stats
+// compaction section, from the engine through the array and the wire.
+type KeyspaceProgress struct {
+	Keyspace string
+	Progress Progress
+}
+
 // WireSize is the modeled completion payload cost of shipping a Progress.
 func (pr *Progress) WireSize() int64 {
 	if pr == nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"kvcsd/internal/keyenc"
+	"kvcsd/internal/nvme"
 	"kvcsd/internal/sim"
 )
 
@@ -123,7 +124,7 @@ func (z *zipf) next() int {
 func BenchmarkRangePrimary128(b *testing.B) {
 	benchQueries(b, smallEngineConfig(), benchPairs, func(p *sim.Proc, eng *Engine) {
 		for i, k := 0, 0; i < b.N; i, k = i+1, (k+7919)%(benchPairs-128) {
-			n, err := eng.RangePrimary(p, "ks", tkey(k), nil, 128, func(Pair) bool { return true })
+			n, err := eng.RangePrimary(p, "ks", tkey(k), nil, 128, func(nvme.KVPair) bool { return true })
 			if err != nil || n != 128 {
 				b.Fatalf("scan from %d: %d pairs, err %v", k, n, err)
 			}
@@ -139,7 +140,7 @@ func BenchmarkRangePrimaryFull(b *testing.B) {
 	const n = 2 * benchPairs
 	benchQueries(b, smallEngineConfig(), n, func(p *sim.Proc, eng *Engine) {
 		scan := func() {
-			if got, err := eng.RangePrimary(p, "ks", nil, nil, 0, func(Pair) bool { return true }); err != nil || got != n {
+			if got, err := eng.RangePrimary(p, "ks", nil, nil, 0, func(nvme.KVPair) bool { return true }); err != nil || got != n {
 				b.Fatalf("full scan: %d pairs, err %v", got, err)
 			}
 		}

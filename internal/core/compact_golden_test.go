@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"kvcsd/internal/keyenc"
+	"kvcsd/internal/nvme"
 	"kvcsd/internal/sim"
 )
 
@@ -26,22 +27,22 @@ func compactionOutputCRCs(t *testing.T, path string) []byte {
 	cfg := smallEngineConfig()
 	cfg.DisableKVSeparation = path == "combined"
 	fx := newEngineFixture(cfg)
-	spec := SecondarySpec{Name: "energy", Offset: 28, Length: 4, Type: keyenc.TypeFloat32}
+	spec := nvme.SecondaryIndexSpec{Name: "energy", Offset: 28, Length: 4, Type: keyenc.TypeFloat32}
 	var out bytes.Buffer
 	fx.run(t, func(p *sim.Proc) {
 		if err := fx.eng.CreateKeyspace(p, "ks"); err != nil {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(14))
-		var ops []KVOp
+		var ops []nvme.KVPair
 		for i := 0; i < 12000; i++ {
 			k := rng.Intn(3000)
-			put := KVOp{Key: tkey(k), Value: tvalue(i, float32(rng.Intn(48)))}
+			put := nvme.KVPair{Key: tkey(k), Value: tvalue(i, float32(rng.Intn(48)))}
 			switch r := rng.Intn(20); {
 			case r == 0:
-				ops = append(ops, KVOp{Key: tkey(k), Delete: true})
+				ops = append(ops, nvme.KVPair{Key: tkey(k), Tombstone: true})
 			case r == 1:
-				ops = append(ops, KVOp{Key: tkey(k), Delete: true}, put)
+				ops = append(ops, nvme.KVPair{Key: tkey(k), Tombstone: true}, put)
 			default:
 				ops = append(ops, put)
 			}
@@ -56,7 +57,7 @@ func compactionOutputCRCs(t *testing.T, path string) []byte {
 			t.Fatal(err)
 		}
 		if path == "consolidated" {
-			if err := fx.eng.CompactWithIndexes(p, "ks", []SecondarySpec{spec}); err != nil {
+			if err := fx.eng.CompactWithIndexes(p, "ks", []nvme.SecondaryIndexSpec{spec}); err != nil {
 				t.Fatal(err)
 			}
 		} else {

@@ -7,6 +7,7 @@ import (
 
 	"kvcsd/internal/compaction"
 	"kvcsd/internal/host"
+	"kvcsd/internal/nvme"
 	"kvcsd/internal/sim"
 	"kvcsd/internal/ssd"
 	"kvcsd/internal/stats"
@@ -192,12 +193,11 @@ func TestForegroundLatencyDuringPipelineCompaction(t *testing.T) {
 		if err := fx.eng.CreateKeyspace(p, "bulk"); err != nil {
 			t.Fatal(err)
 		}
-		var keys, vals [][]byte
-		for i := 0; i < 6000; i++ {
-			keys = append(keys, tkey(i))
-			vals = append(vals, tvalue(i, float32(i)))
+		pairs := make([]nvme.KVPair, 6000)
+		for i := range pairs {
+			pairs[i] = nvme.KVPair{Key: tkey(i), Value: tvalue(i, float32(i))}
 		}
-		if err := fx.eng.BulkPutKV(p, "bulk", keys, vals); err != nil {
+		if err := fx.eng.BulkOps(p, "bulk", pairs); err != nil {
 			t.Fatal(err)
 		}
 		if err := fx.eng.Compact(p, "bulk"); err != nil {
@@ -246,7 +246,7 @@ func TestColdMigration(t *testing.T) {
 		ingestN(t, p, fx, "ks", n, func(i int) float32 { return float32(i) })
 		compactAndWait(t, p, fx, "ks")
 		// Heat every granule: a full scan touches the whole value range.
-		if _, err := fx.eng.RangePrimary(p, "ks", nil, nil, 0, func(Pair) bool { return true }); err != nil {
+		if _, err := fx.eng.RangePrimary(p, "ks", nil, nil, 0, func(nvme.KVPair) bool { return true }); err != nil {
 			t.Fatal(err)
 		}
 		moved, err := fx.eng.MigrateCold(p)

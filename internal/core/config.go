@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"kvcsd/internal/compaction"
-	"kvcsd/internal/keyenc"
 )
 
 // metadataZones is the number of zones, the first of the namespace, reserved
@@ -150,12 +149,4 @@ func (c Config) sanitize() Config {
 		c.ColdMigrateBatch = d.ColdMigrateBatch
 	}
 	return c
-}
-
-// SecondarySpec re-exports the client-facing secondary index configuration.
-type SecondarySpec struct {
-	Name   string
-	Offset int
-	Length int
-	Type   keyenc.SecondaryType
 }

@@ -80,12 +80,12 @@ func (e *Engine) buildStaged(p *sim.Proc, stages []*sidxStage) error {
 		}
 		if err != nil {
 			for _, rest := range stages[i:] {
-				rest.si.done.Signal()
+				rest.si.finish(err)
 			}
 			return err
 		}
 		st.si.buildNS = sim.Duration(p.Now() - start)
-		st.si.done.Signal()
+		st.si.finish(nil)
 	}
 	return e.mgr.Persist(p)
 }

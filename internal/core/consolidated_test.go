@@ -11,24 +11,25 @@ import (
 
 	"kvcsd/internal/compaction"
 	"kvcsd/internal/keyenc"
+	"kvcsd/internal/nvme"
 	"kvcsd/internal/sim"
 )
 
-func energySpec(name string) SecondarySpec {
-	return SecondarySpec{Name: name, Offset: 28, Length: 4, Type: keyenc.TypeFloat32}
+func energySpec(name string) nvme.SecondaryIndexSpec {
+	return nvme.SecondaryIndexSpec{Name: name, Offset: 28, Length: 4, Type: keyenc.TypeFloat32}
 }
 
 func TestConsolidatedBuildMatchesSeparate(t *testing.T) {
 	// The consolidated path must produce the same query results as the
 	// classic compaction + per-index build.
-	build := func(consolidated bool) ([]Pair, *engineFixture) {
+	build := func(consolidated bool) ([]nvme.KVPair, *engineFixture) {
 		fx := newEngineFixture(smallEngineConfig())
-		var got []Pair
+		var got []nvme.KVPair
 		fx.run(t, func(p *sim.Proc) {
 			n := 2000
 			ingestN(t, p, fx, "ks", n, func(i int) float32 { return float32(i % 100) })
 			if consolidated {
-				if err := fx.eng.CompactWithIndexes(p, "ks", []SecondarySpec{energySpec("e")}); err != nil {
+				if err := fx.eng.CompactWithIndexes(p, "ks", []nvme.SecondaryIndexSpec{energySpec("e")}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -51,7 +52,7 @@ func TestConsolidatedBuildMatchesSeparate(t *testing.T) {
 				return
 			}
 			_, err := fx.eng.RangeSecondary(p, "ks", "e",
-				keyenc.PutFloat32(10), keyenc.PutFloat32(20), 0, func(pr Pair) bool {
+				keyenc.PutFloat32(10), keyenc.PutFloat32(20), 0, func(pr nvme.KVPair) bool {
 					got = append(got, pr)
 					return true
 				})
@@ -86,7 +87,7 @@ func TestConsolidatedReadsLessThanSeparate(t *testing.T) {
 	// keyspace, so media reads drop when building several indexes.
 	measure := func(consolidated bool) int64 {
 		fx := newEngineFixture(smallEngineConfig())
-		specs := []SecondarySpec{
+		specs := []nvme.SecondaryIndexSpec{
 			{Name: "a", Offset: 0, Length: 4, Type: keyenc.TypeBytes},
 			{Name: "b", Offset: 8, Length: 4, Type: keyenc.TypeBytes},
 			{Name: "e", Offset: 28, Length: 4, Type: keyenc.TypeFloat32},
@@ -126,7 +127,7 @@ func TestConsolidatedFallsBackWhenDRAMTight(t *testing.T) {
 	fx := newEngineFixture(cfg)
 	fx.run(t, func(p *sim.Proc) {
 		ingestN(t, p, fx, "ks", 500, func(i int) float32 { return float32(i) })
-		specs := []SecondarySpec{energySpec("e1"), energySpec2("e2")}
+		specs := []nvme.SecondaryIndexSpec{energySpec("e1"), energySpec2("e2")}
 		if err := fx.eng.CompactWithIndexes(p, "ks", specs); err != nil {
 			t.Fatal(err)
 		}
@@ -146,31 +147,31 @@ func TestConsolidatedFallsBackWhenDRAMTight(t *testing.T) {
 	})
 }
 
-func energySpec2(name string) SecondarySpec {
-	return SecondarySpec{Name: name, Offset: 24, Length: 4, Type: keyenc.TypeBytes}
+func energySpec2(name string) nvme.SecondaryIndexSpec {
+	return nvme.SecondaryIndexSpec{Name: name, Offset: 24, Length: 4, Type: keyenc.TypeBytes}
 }
 
 func TestConsolidatedValidation(t *testing.T) {
 	fx := newEngineFixture(smallEngineConfig())
 	fx.run(t, func(p *sim.Proc) {
 		ingestN(t, p, fx, "ks", 100, func(i int) float32 { return 0 })
-		bad := []SecondarySpec{
+		bad := []nvme.SecondaryIndexSpec{
 			{Name: "", Offset: 0, Length: 4, Type: keyenc.TypeFloat32},
 			{Name: "x", Offset: -1, Length: 4, Type: keyenc.TypeFloat32},
 			{Name: "x", Offset: 0, Length: 3, Type: keyenc.TypeFloat32},
 		}
 		for i, s := range bad {
-			if err := fx.eng.CompactWithIndexes(p, "ks", []SecondarySpec{s}); err == nil {
+			if err := fx.eng.CompactWithIndexes(p, "ks", []nvme.SecondaryIndexSpec{s}); err == nil {
 				t.Errorf("bad spec %d accepted", i)
 			}
 		}
 		// Duplicate name rejected.
-		if err := fx.eng.CompactWithIndexes(p, "ks", []SecondarySpec{energySpec("d"), energySpec("d")}); err == nil {
+		if err := fx.eng.CompactWithIndexes(p, "ks", []nvme.SecondaryIndexSpec{energySpec("d"), energySpec("d")}); err == nil {
 			t.Error("duplicate index names accepted")
 		}
 		// Keyspace state honored.
 		compactAndWait(t, p, fx, "ks")
-		if err := fx.eng.CompactWithIndexes(p, "ks", []SecondarySpec{energySpec("e")}); !errors.Is(err, ErrKeyspaceState) {
+		if err := fx.eng.CompactWithIndexes(p, "ks", []nvme.SecondaryIndexSpec{energySpec("e")}); !errors.Is(err, ErrKeyspaceState) {
 			t.Errorf("compact on COMPACTED: %v", err)
 		}
 	})
@@ -180,14 +181,14 @@ func TestConsolidatedEmptyKeyspace(t *testing.T) {
 	fx := newEngineFixture(smallEngineConfig())
 	fx.run(t, func(p *sim.Proc) {
 		_ = fx.eng.CreateKeyspace(p, "empty")
-		if err := fx.eng.CompactWithIndexes(p, "empty", []SecondarySpec{energySpec("e")}); err != nil {
+		if err := fx.eng.CompactWithIndexes(p, "empty", []nvme.SecondaryIndexSpec{energySpec("e")}); err != nil {
 			t.Fatal(err)
 		}
 		ks, _ := fx.eng.Keyspace("empty")
 		if ks.State() != StateCompacted {
 			t.Fatalf("state %v", ks.State())
 		}
-		n, err := fx.eng.RangeSecondary(p, "empty", "e", nil, nil, 0, func(Pair) bool { return true })
+		n, err := fx.eng.RangeSecondary(p, "empty", "e", nil, nil, 0, func(nvme.KVPair) bool { return true })
 		if err != nil || n != 0 {
 			t.Fatalf("empty secondary query: %d %v", n, err)
 		}
@@ -199,7 +200,7 @@ func TestConsolidatedPersistsAcrossRestart(t *testing.T) {
 	fx.run(t, func(p *sim.Proc) {
 		n := 1000
 		ingestN(t, p, fx, "ks", n, func(i int) float32 { return float32(i % 10) })
-		if err := fx.eng.CompactWithIndexes(p, "ks", []SecondarySpec{energySpec("e")}); err != nil {
+		if err := fx.eng.CompactWithIndexes(p, "ks", []nvme.SecondaryIndexSpec{energySpec("e")}); err != nil {
 			t.Fatal(err)
 		}
 		if err := fx.eng.WaitBackgroundIdle(p); err != nil {
@@ -211,7 +212,7 @@ func TestConsolidatedPersistsAcrossRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		count, err := eng2.RangeSecondary(p, "ks", "e",
-			keyenc.PutFloat32(3), keyenc.PutFloat32(4), 0, func(Pair) bool { return true })
+			keyenc.PutFloat32(3), keyenc.PutFloat32(4), 0, func(nvme.KVPair) bool { return true })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,14 +230,14 @@ func TestConsolidatedDuplicateKeysStillDeduped(t *testing.T) {
 			_ = fx.eng.Put(p, "ks", []byte("dup"), tvalue(i, 5))
 		}
 		_ = fx.eng.Put(p, "ks", []byte("other"), tvalue(999, 7))
-		if err := fx.eng.CompactWithIndexes(p, "ks", []SecondarySpec{energySpec("e")}); err != nil {
+		if err := fx.eng.CompactWithIndexes(p, "ks", []nvme.SecondaryIndexSpec{energySpec("e")}); err != nil {
 			t.Fatal(err)
 		}
 		if err := fx.eng.WaitBackgroundIdle(p); err != nil {
 			t.Fatal(err)
 		}
 		// Only the surviving version appears in the secondary index.
-		count, err := fx.eng.GetSecondary(p, "ks", "e", keyenc.PutFloat32(5), 0, func(pr Pair) bool {
+		count, err := fx.eng.GetSecondary(p, "ks", "e", keyenc.PutFloat32(5), 0, func(pr nvme.KVPair) bool {
 			if string(pr.Key) != "dup" {
 				t.Errorf("unexpected key %q", pr.Key)
 			}
@@ -257,7 +258,7 @@ func TestConsolidatedClientPath(t *testing.T) {
 	fx := newEngineFixture(smallEngineConfig())
 	fx.run(t, func(p *sim.Proc) {
 		ingestN(t, p, fx, "ks", 600, func(i int) float32 { return float32(i) })
-		specs := []SecondarySpec{energySpec("e"), energySpec2("b")}
+		specs := []nvme.SecondaryIndexSpec{energySpec("e"), energySpec2("b")}
 		if err := fx.eng.CompactWithIndexes(p, "ks", specs); err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +293,7 @@ func clusterCRC(t *testing.T, p *sim.Proc, c *Cluster) uint32 {
 // builds each index separately, to the same bytes Compact followed by
 // BuildSecondaryIndex writes.
 func TestCompactWithIndexesCombinedLayout(t *testing.T) {
-	specs := []SecondarySpec{energySpec("e"), energySpec2("b")}
+	specs := []nvme.SecondaryIndexSpec{energySpec("e"), energySpec2("b")}
 	build := func(declared bool) (crcs []uint32) {
 		cfg := smallEngineConfig()
 		cfg.DisableKVSeparation = true
@@ -342,7 +343,7 @@ func TestCompactWithIndexesStatus(t *testing.T) {
 	fx := newEngineFixture(smallEngineConfig())
 	fx.run(t, func(p *sim.Proc) {
 		ingestN(t, p, fx, "good", 800, func(i int) float32 { return float32(i) })
-		if err := fx.eng.CompactWithIndexes(p, "good", []SecondarySpec{energySpec("e")}); err != nil {
+		if err := fx.eng.CompactWithIndexes(p, "good", []nvme.SecondaryIndexSpec{energySpec("e")}); err != nil {
 			t.Fatal(err)
 		}
 		if err := fx.eng.WaitBackgroundIdle(p); err != nil {
@@ -353,8 +354,8 @@ func TestCompactWithIndexesStatus(t *testing.T) {
 		}
 
 		ingestN(t, p, fx, "bad", 800, func(i int) float32 { return float32(i) })
-		past := SecondarySpec{Name: "past", Offset: 30, Length: 4, Type: keyenc.TypeBytes} // values are 32 bytes
-		if err := fx.eng.CompactWithIndexes(p, "bad", []SecondarySpec{past}); err != nil {
+		past := nvme.SecondaryIndexSpec{Name: "past", Offset: 30, Length: 4, Type: keyenc.TypeBytes} // values are 32 bytes
+		if err := fx.eng.CompactWithIndexes(p, "bad", []nvme.SecondaryIndexSpec{past}); err != nil {
 			t.Fatal(err)
 		}
 		ks, _ := fx.eng.Keyspace("bad")

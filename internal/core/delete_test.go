@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"kvcsd/internal/keyenc"
+	"kvcsd/internal/nvme"
 	"kvcsd/internal/sim"
 )
 
@@ -39,7 +40,7 @@ func TestDeleteHidesKeyAfterCompaction(t *testing.T) {
 				}
 			}
 			// Range scans skip deleted keys too.
-			n, err := fx.eng.RangePrimary(p, "ks", nil, nil, 0, func(Pair) bool { return true })
+			n, err := fx.eng.RangePrimary(p, "ks", nil, nil, 0, func(nvme.KVPair) bool { return true })
 			if err != nil || n != 900 {
 				t.Fatalf("combined=%v scan: %d %v", combined, n, err)
 			}
@@ -103,12 +104,12 @@ func TestBulkOpsMixedPutsAndDeletes(t *testing.T) {
 	fx := newEngineFixture(smallEngineConfig())
 	fx.run(t, func(p *sim.Proc) {
 		_ = fx.eng.CreateKeyspace(p, "ks")
-		var ops []KVOp
+		var ops []nvme.KVPair
 		for i := 0; i < 500; i++ {
-			ops = append(ops, KVOp{Key: tkey(i), Value: tvalue(i, 0)})
+			ops = append(ops, nvme.KVPair{Key: tkey(i), Value: tvalue(i, 0)})
 		}
 		for i := 0; i < 500; i += 2 {
-			ops = append(ops, KVOp{Key: tkey(i), Delete: true})
+			ops = append(ops, nvme.KVPair{Key: tkey(i), Tombstone: true})
 		}
 		if err := fx.eng.BulkOps(p, "ks", ops); err != nil {
 			t.Fatal(err)
@@ -136,16 +137,16 @@ func TestDeletedKeysAbsentFromSecondaryIndex(t *testing.T) {
 			_ = fx.eng.Delete(p, "ks", tkey(i))
 		}
 		compactAndWait(t, p, fx, "ks")
-		spec := SecondarySpec{Name: "e", Offset: 28, Length: 4, Type: keyenc.TypeFloat32}
+		spec := nvme.SecondaryIndexSpec{Name: "e", Offset: 28, Length: 4, Type: keyenc.TypeFloat32}
 		_ = fx.eng.BuildSecondaryIndex(p, "ks", spec)
 		if err := fx.eng.WaitIndexBuilt(p, "ks", "e"); err != nil {
 			t.Fatal(err)
 		}
-		n, err := fx.eng.GetSecondary(p, "ks", "e", keyenc.PutFloat32(2), 0, func(Pair) bool { return true })
+		n, err := fx.eng.GetSecondary(p, "ks", "e", keyenc.PutFloat32(2), 0, func(nvme.KVPair) bool { return true })
 		if err != nil || n != 0 {
 			t.Fatalf("deleted keys in secondary index: %d %v", n, err)
 		}
-		n, _ = fx.eng.GetSecondary(p, "ks", "e", keyenc.PutFloat32(1), 0, func(Pair) bool { return true })
+		n, _ = fx.eng.GetSecondary(p, "ks", "e", keyenc.PutFloat32(1), 0, func(nvme.KVPair) bool { return true })
 		if n != 100 {
 			t.Fatalf("surviving tag count %d", n)
 		}

@@ -7,6 +7,7 @@ import (
 
 	"kvcsd/internal/compaction"
 	"kvcsd/internal/host"
+	"kvcsd/internal/nvme"
 	"kvcsd/internal/obs"
 	"kvcsd/internal/sim"
 	"kvcsd/internal/ssd"
@@ -321,17 +322,11 @@ func (e *Engine) Delete(p *sim.Proc, name string, key []byte) error {
 	return e.ingest(p, ks, &slab, key, nil, true)
 }
 
-// KVOp is one element of a mixed bulk operation.
-type KVOp struct {
-	Key    []byte
-	Value  []byte
-	Delete bool
-}
-
 // BulkOps applies a mixed batch of puts and deletes with one command (paper:
 // bulk puts hide insertion latency; each 128 KiB message carries up to ~2570
-// pairs). The command's pairs are copied into one slab sized to hold them.
-func (e *Engine) BulkOps(p *sim.Proc, name string, ops []KVOp) error {
+// pairs); a pair with Tombstone set is a delete. The command's pairs are
+// copied into one slab sized to hold them.
+func (e *Engine) BulkOps(p *sim.Proc, name string, pairs []nvme.KVPair) error {
 	ks, err := e.writableKeyspace(p, name)
 	if err != nil {
 		return err
@@ -340,34 +335,22 @@ func (e *Engine) BulkOps(p *sim.Proc, name string, ops []KVOp) error {
 	p.Acquire(ks.ingestLock)
 	defer p.Release(ks.ingestLock)
 	n := 0
-	for _, op := range ops {
-		n += len(op.Key)
-		if !op.Delete {
-			n += len(op.Value)
+	for _, pr := range pairs {
+		n += len(pr.Key)
+		if !pr.Tombstone {
+			n += len(pr.Value)
 		}
 	}
 	slab := make([]byte, 0, n)
-	for _, op := range ops {
-		if op.Delete {
+	for _, pr := range pairs {
+		if pr.Tombstone {
 			e.st.Deletes.Add(1)
 		}
-		if err := e.ingest(p, ks, &slab, op.Key, op.Value, op.Delete); err != nil {
+		if err := e.ingest(p, ks, &slab, pr.Key, pr.Value, pr.Tombstone); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// BulkPutKV applies raw key/value slices as one bulk put.
-func (e *Engine) BulkPutKV(p *sim.Proc, name string, keys, values [][]byte) error {
-	if len(keys) != len(values) {
-		return fmt.Errorf("core: bulk put keys/values length mismatch")
-	}
-	ops := make([]KVOp, len(keys))
-	for i := range keys {
-		ops[i] = KVOp{Key: keys[i], Value: values[i]}
-	}
-	return e.BulkOps(p, name, ops)
 }
 
 func (e *Engine) writableKeyspace(p *sim.Proc, name string) (*Keyspace, error) {
@@ -577,7 +560,7 @@ func (e *Engine) Compact(p *sim.Proc, name string) error { return e.compact(p, n
 // CompactWithIndexes invokes compaction with secondary indexes declared
 // upfront. The call returns immediately like Compact; WaitCompacted and
 // WaitIndexBuilt observe the phases.
-func (e *Engine) CompactWithIndexes(p *sim.Proc, name string, specs []SecondarySpec) error {
+func (e *Engine) CompactWithIndexes(p *sim.Proc, name string, specs []nvme.SecondaryIndexSpec) error {
 	return e.compact(p, name, specs)
 }
 
@@ -587,7 +570,7 @@ func (e *Engine) CompactWithIndexes(p *sim.Proc, name string, specs []SecondaryS
 // keyspace compacts and each index then builds on its own, as
 // BuildSecondaryIndex would — and runs the job: ingest takeover, the
 // compaction, its progress stage and error, and the staged index builds.
-func (e *Engine) compact(p *sim.Proc, name string, specs []SecondarySpec) error {
+func (e *Engine) compact(p *sim.Proc, name string, specs []nvme.SecondaryIndexSpec) error {
 	ks, err := e.Keyspace(name)
 	if err != nil {
 		return err
@@ -623,7 +606,7 @@ func (e *Engine) compact(p *sim.Proc, name string, specs []SecondarySpec) error 
 		ks.compactDone.Signal()
 		for _, si := range sis {
 			si.cluster = e.zm.NewCluster(ZoneSIDX)
-			si.done.Signal()
+			si.finish(nil)
 		}
 		return e.mgr.Persist(p)
 	}
@@ -654,7 +637,7 @@ func (e *Engine) compact(p *sim.Proc, name string, specs []SecondarySpec) error 
 		ks.compactDone.Signal()
 		if err != nil {
 			for _, si := range sis {
-				si.done.Signal()
+				si.finish(err)
 			}
 			return err
 		}
@@ -675,16 +658,10 @@ func (e *Engine) Progress(name string) (compaction.Progress, error) {
 	return ks.progress, nil
 }
 
-// ProgressReport is one keyspace's compaction progress, for stats reporting.
-type ProgressReport struct {
-	Keyspace string
-	Progress compaction.Progress
-}
-
 // Progresses lists compaction progress for every keyspace with activity
 // (non-idle stage or a finished split), in name order.
-func (e *Engine) Progresses() []ProgressReport {
-	var out []ProgressReport
+func (e *Engine) Progresses() []compaction.KeyspaceProgress {
+	var out []compaction.KeyspaceProgress
 	for _, name := range e.mgr.Names() {
 		ks, ok := e.mgr.Get(name)
 		if !ok {
@@ -694,7 +671,7 @@ func (e *Engine) Progresses() []ProgressReport {
 		if pr.Stage == compaction.StageIdle && pr.BytesMoved == 0 {
 			continue
 		}
-		out = append(out, ProgressReport{Keyspace: name, Progress: pr})
+		out = append(out, compaction.KeyspaceProgress{Keyspace: name, Progress: pr})
 	}
 	return out
 }
@@ -787,7 +764,7 @@ func (e *Engine) WaitCompacted(p *sim.Proc, name string) error {
 // BuildSecondaryIndex configures and asynchronously builds a secondary index
 // over a value byte range (paper §V). The keyspace must be COMPACTED or
 // COMPACTING (the build waits for compaction to finish).
-func (e *Engine) BuildSecondaryIndex(p *sim.Proc, name string, spec SecondarySpec) error {
+func (e *Engine) BuildSecondaryIndex(p *sim.Proc, name string, spec nvme.SecondaryIndexSpec) error {
 	ks, err := e.Keyspace(name)
 	if err != nil {
 		return err
@@ -798,7 +775,7 @@ func (e *Engine) BuildSecondaryIndex(p *sim.Proc, name string, spec SecondarySpe
 	if ks.state != StateCompacted && ks.state != StateCompacting {
 		return fmt.Errorf("%w: %s is %s", ErrKeyspaceState, name, ks.state)
 	}
-	if err := ks.checkSpecs([]SecondarySpec{spec}); err != nil {
+	if err := ks.checkSpecs([]nvme.SecondaryIndexSpec{spec}); err != nil {
 		return err
 	}
 	si := &secondaryIndex{spec: spec, done: sim.NewEvent(e.env)}
@@ -810,7 +787,8 @@ func (e *Engine) BuildSecondaryIndex(p *sim.Proc, name string, spec SecondarySpe
 	return nil
 }
 
-// WaitIndexBuilt blocks until the named secondary index is ready.
+// WaitIndexBuilt blocks until the named secondary index's construction ends
+// and returns the error it failed with, nil once it is built.
 func (e *Engine) WaitIndexBuilt(p *sim.Proc, name, index string) error {
 	ks, err := e.Keyspace(name)
 	if err != nil {
@@ -821,5 +799,5 @@ func (e *Engine) WaitIndexBuilt(p *sim.Proc, name, index string) error {
 		return fmt.Errorf("%w: %s", ErrIndexNotFound, index)
 	}
 	p.Wait(si.done)
-	return e.bgErr
+	return si.err
 }

@@ -11,6 +11,7 @@ import (
 
 	"kvcsd/internal/host"
 	"kvcsd/internal/keyenc"
+	"kvcsd/internal/nvme"
 	"kvcsd/internal/sim"
 	"kvcsd/internal/ssd"
 	"kvcsd/internal/stats"
@@ -66,20 +67,14 @@ func ingestN(t testing.TB, p *sim.Proc, fx *engineFixture, ks string, n int, ene
 	if err := fx.eng.CreateKeyspace(p, ks); err != nil {
 		t.Fatal(err)
 	}
-	var keys, vals [][]byte
+	var pairs []nvme.KVPair
 	for i := 0; i < n; i++ {
-		keys = append(keys, tkey(i))
-		vals = append(vals, tvalue(i, energyOf(i)))
-		if len(keys) == 256 {
-			if err := fx.eng.BulkPutKV(p, ks, keys, vals); err != nil {
+		pairs = append(pairs, nvme.KVPair{Key: tkey(i), Value: tvalue(i, energyOf(i))})
+		if len(pairs) == 256 || i == n-1 {
+			if err := fx.eng.BulkOps(p, ks, pairs); err != nil {
 				t.Fatal(err)
 			}
-			keys, vals = keys[:0], vals[:0]
-		}
-	}
-	if len(keys) > 0 {
-		if err := fx.eng.BulkPutKV(p, ks, keys, vals); err != nil {
-			t.Fatal(err)
+			pairs = pairs[:0]
 		}
 	}
 }
@@ -211,8 +206,8 @@ func TestRangePrimary(t *testing.T) {
 		n := 2000
 		ingestN(t, p, fx, "ks", n, func(i int) float32 { return 0 })
 		compactAndWait(t, p, fx, "ks")
-		var got []Pair
-		count, err := fx.eng.RangePrimary(p, "ks", tkey(500), tkey(700), 0, func(pr Pair) bool {
+		var got []nvme.KVPair
+		count, err := fx.eng.RangePrimary(p, "ks", tkey(500), tkey(700), 0, func(pr nvme.KVPair) bool {
 			got = append(got, pr)
 			return true
 		})
@@ -236,12 +231,12 @@ func TestRangePrimary(t *testing.T) {
 			}
 		}
 		// Limit and early stop.
-		count, _ = fx.eng.RangePrimary(p, "ks", nil, nil, 10, func(Pair) bool { return true })
+		count, _ = fx.eng.RangePrimary(p, "ks", nil, nil, 10, func(nvme.KVPair) bool { return true })
 		if count != 10 {
 			t.Fatalf("limit ignored: %d", count)
 		}
 		calls := 0
-		_, _ = fx.eng.RangePrimary(p, "ks", nil, nil, 0, func(Pair) bool { calls++; return calls < 5 })
+		_, _ = fx.eng.RangePrimary(p, "ks", nil, nil, 0, func(nvme.KVPair) bool { calls++; return calls < 5 })
 		if calls != 5 {
 			t.Fatalf("early stop ignored: %d", calls)
 		}
@@ -271,7 +266,7 @@ func TestSecondaryIndexBuildAndQuery(t *testing.T) {
 		// Energy descends as i ascends, so secondary order inverts primary.
 		ingestN(t, p, fx, "ks", n, func(i int) float32 { return float32(n - i) })
 		compactAndWait(t, p, fx, "ks")
-		spec := SecondarySpec{Name: "energy", Offset: 28, Length: 4, Type: keyenc.TypeFloat32}
+		spec := nvme.SecondaryIndexSpec{Name: "energy", Offset: 28, Length: 4, Type: keyenc.TypeFloat32}
 		if err := fx.eng.BuildSecondaryIndex(p, "ks", spec); err != nil {
 			t.Fatal(err)
 		}
@@ -285,8 +280,8 @@ func TestSecondaryIndexBuildAndQuery(t *testing.T) {
 		// Query energy in [100, 200): matches i in (n-200, n-100].
 		lo := keyenc.PutFloat32(100)
 		hi := keyenc.PutFloat32(200)
-		var got []Pair
-		count, err := fx.eng.RangeSecondary(p, "ks", "energy", lo, hi, 0, func(pr Pair) bool {
+		var got []nvme.KVPair
+		count, err := fx.eng.RangeSecondary(p, "ks", "energy", lo, hi, 0, func(pr nvme.KVPair) bool {
 			got = append(got, pr)
 			return true
 		})
@@ -330,11 +325,11 @@ func TestSecondaryPointQuery(t *testing.T) {
 			return float32(i) + 1000
 		})
 		compactAndWait(t, p, fx, "ks")
-		spec := SecondarySpec{Name: "e", Offset: 28, Length: 4, Type: keyenc.TypeFloat32}
+		spec := nvme.SecondaryIndexSpec{Name: "e", Offset: 28, Length: 4, Type: keyenc.TypeFloat32}
 		_ = fx.eng.BuildSecondaryIndex(p, "ks", spec)
 		_ = fx.eng.WaitIndexBuilt(p, "ks", "e")
-		var got []Pair
-		count, err := fx.eng.GetSecondary(p, "ks", "e", keyenc.PutFloat32(7), 0, func(pr Pair) bool {
+		var got []nvme.KVPair
+		count, err := fx.eng.GetSecondary(p, "ks", "e", keyenc.PutFloat32(7), 0, func(pr nvme.KVPair) bool {
 			got = append(got, pr)
 			return true
 		})
@@ -349,7 +344,7 @@ func TestSecondaryIndexErrors(t *testing.T) {
 	fx.run(t, func(p *sim.Proc) {
 		ingestN(t, p, fx, "ks", 100, func(i int) float32 { return 0 })
 		// Index build rejected pre-compaction (WRITABLE).
-		spec := SecondarySpec{Name: "e", Offset: 28, Length: 4, Type: keyenc.TypeFloat32}
+		spec := nvme.SecondaryIndexSpec{Name: "e", Offset: 28, Length: 4, Type: keyenc.TypeFloat32}
 		if err := fx.eng.BuildSecondaryIndex(p, "ks", spec); !errors.Is(err, ErrKeyspaceState) {
 			t.Fatalf("build on WRITABLE: %v", err)
 		}
@@ -365,7 +360,7 @@ func TestSecondaryIndexErrors(t *testing.T) {
 			t.Fatalf("dup index: %v", err)
 		}
 		// Bad specs.
-		bad := []SecondarySpec{
+		bad := []nvme.SecondaryIndexSpec{
 			{Name: "", Offset: 0, Length: 4, Type: keyenc.TypeFloat32},
 			{Name: "x", Offset: -1, Length: 4, Type: keyenc.TypeFloat32},
 			{Name: "x", Offset: 0, Length: 0, Type: keyenc.TypeBytes},
@@ -389,7 +384,7 @@ func TestSecondaryRangeBeyondValueFails(t *testing.T) {
 		_ = fx.eng.CreateKeyspace(p, "ks")
 		_ = fx.eng.Put(p, "ks", []byte("k"), []byte("short"))
 		compactAndWait(t, p, fx, "ks")
-		spec := SecondarySpec{Name: "e", Offset: 28, Length: 4, Type: keyenc.TypeFloat32}
+		spec := nvme.SecondaryIndexSpec{Name: "e", Offset: 28, Length: 4, Type: keyenc.TypeFloat32}
 		if err := fx.eng.BuildSecondaryIndex(p, "ks", spec); err != nil {
 			t.Fatal(err)
 		}
@@ -437,7 +432,7 @@ func TestEmptyKeyspaceCompaction(t *testing.T) {
 		if _, found, err := fx.eng.Get(p, "empty", []byte("k")); err != nil || found {
 			t.Fatalf("get on empty: found=%v err=%v", found, err)
 		}
-		n, err := fx.eng.RangePrimary(p, "empty", nil, nil, 0, func(Pair) bool { return true })
+		n, err := fx.eng.RangePrimary(p, "empty", nil, nil, 0, func(nvme.KVPair) bool { return true })
 		if err != nil || n != 0 {
 			t.Fatalf("range on empty: %d %v", n, err)
 		}
@@ -450,7 +445,7 @@ func TestDeleteKeyspaceFreesZones(t *testing.T) {
 		free0 := fx.eng.ZoneManager().FreeZones()
 		ingestN(t, p, fx, "ks", 2000, func(i int) float32 { return float32(i) })
 		compactAndWait(t, p, fx, "ks")
-		spec := SecondarySpec{Name: "e", Offset: 28, Length: 4, Type: keyenc.TypeFloat32}
+		spec := nvme.SecondaryIndexSpec{Name: "e", Offset: 28, Length: 4, Type: keyenc.TypeFloat32}
 		_ = fx.eng.BuildSecondaryIndex(p, "ks", spec)
 		_ = fx.eng.WaitIndexBuilt(p, "ks", "e")
 		if fx.eng.ZoneManager().FreeZones() >= free0 {
@@ -492,7 +487,7 @@ func TestRecoveryAfterRestart(t *testing.T) {
 		n := 1500
 		ingestN(t, p, fx, "ks", n, func(i int) float32 { return float32(i % 50) })
 		compactAndWait(t, p, fx, "ks")
-		spec := SecondarySpec{Name: "e", Offset: 28, Length: 4, Type: keyenc.TypeFloat32}
+		spec := nvme.SecondaryIndexSpec{Name: "e", Offset: 28, Length: 4, Type: keyenc.TypeFloat32}
 		_ = fx.eng.BuildSecondaryIndex(p, "ks", spec)
 		_ = fx.eng.WaitIndexBuilt(p, "ks", "e")
 		_ = fx.eng.Sync(p, "ks")
@@ -517,7 +512,7 @@ func TestRecoveryAfterRestart(t *testing.T) {
 		}
 		// Secondary index survives too.
 		count, err := eng2.RangeSecondary(p, "ks", "e",
-			keyenc.PutFloat32(10), keyenc.PutFloat32(11), 0, func(Pair) bool { return true })
+			keyenc.PutFloat32(10), keyenc.PutFloat32(11), 0, func(nvme.KVPair) bool { return true })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -563,16 +558,6 @@ func TestRecoveryMidCompactionRollsBack(t *testing.T) {
 	})
 }
 
-func TestBulkPutMismatch(t *testing.T) {
-	fx := newEngineFixture(smallEngineConfig())
-	fx.run(t, func(p *sim.Proc) {
-		_ = fx.eng.CreateKeyspace(p, "ks")
-		if err := fx.eng.BulkPutKV(p, "ks", [][]byte{{1}}, nil); err == nil {
-			t.Fatal("mismatched bulk accepted")
-		}
-	})
-}
-
 func TestOversizedRecordsRejected(t *testing.T) {
 	cfg := smallEngineConfig()
 	cfg.MaxKeyLen = 16
@@ -598,7 +583,7 @@ func TestKeyspaceInfo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.Name != "ks" || info.State != StateCompacted || info.Pairs != 800 {
+		if info.Name != "ks" || info.State != StateCompacted.String() || info.Pairs != 800 {
 			t.Fatalf("info %+v", info)
 		}
 		if info.ZoneCount == 0 || info.CompactDur <= 0 {

@@ -13,6 +13,7 @@ import (
 	"kvcsd/internal/codec"
 	"kvcsd/internal/compaction"
 	"kvcsd/internal/keyenc"
+	"kvcsd/internal/nvme"
 	"kvcsd/internal/sim"
 	"kvcsd/internal/ssd"
 	"kvcsd/internal/stats"
@@ -52,6 +53,7 @@ var (
 	ErrKeyspaceState    = errors.New("core: operation invalid in keyspace state")
 	ErrIndexExists      = errors.New("core: secondary index already exists")
 	ErrIndexNotFound    = errors.New("core: secondary index not found")
+	ErrIndexFailed      = errors.New("core: secondary index build failed")
 	ErrMetaCorrupt      = errors.New("core: metadata zone corrupt")
 )
 
@@ -65,12 +67,24 @@ type sketchEntry struct {
 
 // secondaryIndex holds one built (or building) secondary index.
 type secondaryIndex struct {
-	spec    SecondarySpec
+	spec    nvme.SecondaryIndexSpec
 	cluster *Cluster
 	sketch  []sketchEntry
-	done    *sim.Event // fires when construction completes
+	done    *sim.Event // fires when construction ends, built or failed
+	err     error      // why construction failed (wraps ErrIndexFailed)
 	buildNS time.Duration
 }
+
+// finish records how construction ended and wakes its waiters.
+func (si *secondaryIndex) finish(err error) {
+	if err != nil {
+		si.err = fmt.Errorf("%w: %s: %w", ErrIndexFailed, si.spec.Name, err)
+	}
+	si.done.Signal()
+}
+
+// built reports whether construction finished without error.
+func (si *secondaryIndex) built() bool { return si.done.Fired() && si.err == nil }
 
 // Keyspace is one application keyspace: a container of key-value pairs with
 // its own zone clusters, state, and indexes.
@@ -159,12 +173,23 @@ func (ks *Keyspace) MaxKey() []byte { return ks.maxKey }
 func (ks *Keyspace) SecondaryIndexNames() []string {
 	var names []string
 	for n, si := range ks.secondary {
-		if si.done.Fired() {
+		if si.built() {
 			names = append(names, n)
 		}
 	}
 	sort.Strings(names)
 	return names
+}
+
+// IndexStatus reports whether the named secondary index is built, and the
+// error its construction failed with; an index still building or never
+// declared is neither.
+func (ks *Keyspace) IndexStatus(name string) (bool, error) {
+	si, ok := ks.secondary[name]
+	if !ok || !si.done.Fired() {
+		return false, nil
+	}
+	return si.err == nil, si.err
 }
 
 // secondaryNames returns every secondary index name (built or not), sorted,
@@ -397,7 +422,7 @@ func (w *metaWriter) record(ks *Keyspace) *metaKeyspace {
 			offset:  si.spec.Offset,
 			length:  si.spec.Length,
 			typ:     uint8(si.spec.Type),
-			built:   si.done.Fired(),
+			built:   si.built(),
 			cluster: w.cluster(&cl[4+i], si.cluster),
 			sketch:  si.sketch,
 		})
@@ -672,7 +697,7 @@ func (m *Manager) Recover(p *sim.Proc) error {
 				continue // incomplete index builds vanish; reinvoke
 			}
 			si := &secondaryIndex{
-				spec: SecondarySpec{
+				spec: nvme.SecondaryIndexSpec{
 					Name:   ms.name,
 					Offset: ms.offset,
 					Length: ms.length,

@@ -73,7 +73,7 @@ func scrubTargets(ks *Keyspace) []scrubTarget {
 	add(ExtentPIDX, "", ks.pidx)
 	add(ExtentSorted, "", ks.sorted)
 	for _, n := range ks.secondaryNames() {
-		if si := ks.secondary[n]; si.done.Fired() {
+		if si := ks.secondary[n]; si.built() {
 			add(ExtentSIDX, n, si.cluster)
 		}
 	}

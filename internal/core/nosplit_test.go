@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"kvcsd/internal/nvme"
 	"kvcsd/internal/sim"
 )
 
@@ -23,7 +24,7 @@ func TestCombinedLayoutRoundTrip(t *testing.T) {
 			}
 		}
 		// Range works too.
-		cnt, err := fx.eng.RangePrimary(p, "ks", tkey(10), tkey(20), 0, func(Pair) bool { return true })
+		cnt, err := fx.eng.RangePrimary(p, "ks", tkey(10), tkey(20), 0, func(nvme.KVPair) bool { return true })
 		if err != nil || cnt != 10 {
 			t.Fatalf("combined range: %d %v", cnt, err)
 		}

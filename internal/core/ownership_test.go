@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"kvcsd/internal/keyenc"
+	"kvcsd/internal/nvme"
 	"kvcsd/internal/sim"
 )
 
@@ -95,7 +96,7 @@ func TestSortOwnsSourceRecords(t *testing.T) {
 func TestSourcesPoisonTakenRecords(t *testing.T) {
 	withPoison(func() {
 		fx := newEngineFixture(smallEngineConfig())
-		spec := SecondarySpec{Name: "energy", Offset: 28, Length: 4, Type: keyenc.TypeFloat32}
+		spec := nvme.SecondaryIndexSpec{Name: "energy", Offset: 28, Length: 4, Type: keyenc.TypeFloat32}
 		fx.run(t, func(p *sim.Proc) {
 			ingestN(t, p, fx, "ks", 600, func(i int) float32 { return float32(i) })
 			if err := fx.eng.Sync(p, "ks"); err != nil {
@@ -153,10 +154,10 @@ func TestIngestAllocs(t *testing.T) {
 	cfg := smallEngineConfig()
 	cfg.IngestBufferBytes = 64 << 20
 	fx := newEngineFixture(cfg)
-	ops := func(lo, n int) []KVOp {
-		out := make([]KVOp, n)
+	ops := func(lo, n int) []nvme.KVPair {
+		out := make([]nvme.KVPair, n)
 		for i := range out {
-			out[i] = KVOp{Key: tkey(lo + i), Value: tvalue(lo+i, 1)}
+			out[i] = nvme.KVPair{Key: tkey(lo + i), Value: tvalue(lo+i, 1)}
 		}
 		return out
 	}

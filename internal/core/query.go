@@ -6,14 +6,9 @@ import (
 	"fmt"
 	"slices"
 
+	"kvcsd/internal/nvme"
 	"kvcsd/internal/sim"
 )
-
-// Pair is one query result.
-type Pair struct {
-	Key   []byte
-	Value []byte
-}
 
 // queryableKeyspace returns the keyspace if it is COMPACTED (the only state
 // the paper allows queries in).
@@ -142,7 +137,7 @@ func (e *Engine) lookupPidx(p *sim.Proc, ks *Keyspace, key []byte, searchCompare
 // stretch the value span past scanChunk; then it reads exactly that span in
 // one ReadAt and emits from it. A short scan reads only its granules, a long
 // one reads in scanChunk bursts.
-func (e *Engine) RangePrimary(p *sim.Proc, name string, lo, hi []byte, limit int, fn func(Pair) bool) (int, error) {
+func (e *Engine) RangePrimary(p *sim.Proc, name string, lo, hi []byte, limit int, fn func(nvme.KVPair) bool) (int, error) {
 	ks, err := e.queryableKeyspace(name)
 	if err != nil {
 		return 0, err
@@ -274,7 +269,7 @@ func (e *Engine) putPlan(b []pidxEntry) {
 // secondary-key order. The device scans SIDX blocks for matches, then
 // fetches the matching values from SORTED_VALUES with reads coalesced in
 // offset order — only results cross back to the host (paper §V-VI).
-func (e *Engine) RangeSecondary(p *sim.Proc, name, index string, lo, hi []byte, limit int, fn func(Pair) bool) (int, error) {
+func (e *Engine) RangeSecondary(p *sim.Proc, name, index string, lo, hi []byte, limit int, fn func(nvme.KVPair) bool) (int, error) {
 	ks, err := e.queryableKeyspace(name)
 	if err != nil {
 		return 0, err
@@ -282,6 +277,9 @@ func (e *Engine) RangeSecondary(p *sim.Proc, name, index string, lo, hi []byte, 
 	si, ok := ks.secondary[index]
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrIndexNotFound, index)
+	}
+	if si.err != nil {
+		return 0, si.err
 	}
 	if !si.done.Fired() {
 		return 0, fmt.Errorf("%w: index %s still building", ErrKeyspaceState, index)
@@ -338,7 +336,7 @@ func (e *Engine) RangeSecondary(p *sim.Proc, name, index string, lo, hi []byte, 
 	}
 	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(matches[a].svOff, matches[b].svOff) })
 	e.cpu[phaseQuery].Compute(p, e.soc.SortCost(int64(len(order))))
-	pairs := make([]Pair, len(matches))
+	pairs := make([]nvme.KVPair, len(matches))
 	const coalesceGap = 64 << 10
 	i := 0
 	for i < len(order) {
@@ -382,48 +380,35 @@ func (e *Engine) RangeSecondary(p *sim.Proc, name, index string, lo, hi []byte, 
 
 // ownedPair copies a result's key and value into one allocation: a result
 // leaves the engine, so it must not view the block or window it was read from.
-func ownedPair(key, value []byte) Pair {
+func ownedPair(key, value []byte) nvme.KVPair {
 	kv := make([]byte, len(key)+len(value))
 	n := copy(kv, key)
 	copy(kv[n:], value)
-	return Pair{Key: kv[:n:n], Value: kv[n:]}
+	return nvme.KVPair{Key: kv[:n:n], Value: kv[n:]}
 }
 
 // GetSecondary answers a secondary point query (all pairs whose secondary
 // key equals key).
-func (e *Engine) GetSecondary(p *sim.Proc, name, index string, key []byte, limit int, fn func(Pair) bool) (int, error) {
+func (e *Engine) GetSecondary(p *sim.Proc, name, index string, key []byte, limit int, fn func(nvme.KVPair) bool) (int, error) {
 	hi := append(append([]byte(nil), key...), 0) // smallest key > key
 	return e.RangeSecondary(p, name, index, key, hi, limit, fn)
 }
 
-// Info reports the keyspace metadata the keyspace manager tracks.
-type Info struct {
-	Name       string
-	State      KeyspaceState
-	Pairs      int64
-	Bytes      int64
-	MinKey     []byte
-	MaxKey     []byte
-	Secondary  []string
-	ZoneCount  int
-	CompactDur sim.Duration
-}
-
-// KeyspaceInfo returns metadata for one keyspace.
-func (e *Engine) KeyspaceInfo(name string) (Info, error) {
+// KeyspaceInfo returns the keyspace metadata the keyspace manager tracks.
+func (e *Engine) KeyspaceInfo(name string) (nvme.KeyspaceInfo, error) {
 	ks, err := e.Keyspace(name)
 	if err != nil {
-		return Info{}, err
+		return nvme.KeyspaceInfo{}, err
 	}
-	return Info{
+	return nvme.KeyspaceInfo{
 		Name:       ks.name,
-		State:      ks.state,
+		State:      ks.state.String(),
 		Pairs:      ks.count,
 		Bytes:      ks.bytes,
 		MinKey:     ks.minKey,
 		MaxKey:     ks.maxKey,
 		Secondary:  ks.SecondaryIndexNames(),
 		ZoneCount:  ks.ZoneCount(),
-		CompactDur: ks.CompactionDuration(),
+		CompactDur: sim.Time(ks.CompactionDuration()),
 	}, nil
 }

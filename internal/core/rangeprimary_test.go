@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"kvcsd/internal/nvme"
 	"kvcsd/internal/sim"
 )
 
@@ -51,7 +52,7 @@ func withRangeKeyspace(t *testing.T, body func(p *sim.Proc, fx *engineFixture, k
 func scanIndexes(t *testing.T, p *sim.Proc, eng *Engine, lo, hi []byte, limit, stopAt int) ([]int, int) {
 	t.Helper()
 	var got []int
-	n, err := eng.RangePrimary(p, "ks", lo, hi, limit, func(pr Pair) bool {
+	n, err := eng.RangePrimary(p, "ks", lo, hi, limit, func(pr nvme.KVPair) bool {
 		var i int
 		if _, err := fmt.Sscanf(string(pr.Key), "key-%d", &i); err != nil {
 			t.Fatalf("key %q: %v", pr.Key, err)
@@ -88,7 +89,7 @@ func TestRangePrimaryReadsOnlyItsSpan(t *testing.T) {
 		var reads, maxRead int64
 		last := fx.st.MediaRead.Value()
 		start := last
-		n, err := fx.eng.RangePrimary(p, "ks", nil, nil, 0, func(Pair) bool {
+		n, err := fx.eng.RangePrimary(p, "ks", nil, nil, 0, func(nvme.KVPair) bool {
 			if now := fx.st.MediaRead.Value(); now != last {
 				reads++
 				maxRead = max(maxRead, now-last)
@@ -218,7 +219,7 @@ func TestRangePrimaryAllocs(t *testing.T) {
 		const first, n = 1000, 128
 		lo := tkey(first)
 		scan := func() {
-			if got, err := fx.eng.RangePrimary(p, "ks", lo, nil, n, func(Pair) bool { return true }); err != nil || got != n {
+			if got, err := fx.eng.RangePrimary(p, "ks", lo, nil, n, func(nvme.KVPair) bool { return true }); err != nil || got != n {
 				t.Fatalf("scan: %d pairs, err %v", got, err)
 			}
 		}
@@ -245,16 +246,16 @@ func TestRangePrimaryEmptyValues(t *testing.T) {
 		if err := fx.eng.CreateKeyspace(p, "ks"); err != nil {
 			t.Fatal(err)
 		}
-		keys, vals := make([][]byte, n), make([][]byte, n)
-		for i := range keys {
-			keys[i], vals[i] = tkey(i), []byte{}
+		pairs := make([]nvme.KVPair, n)
+		for i := range pairs {
+			pairs[i] = nvme.KVPair{Key: tkey(i), Value: []byte{}}
 		}
-		if err := fx.eng.BulkPutKV(p, "ks", keys, vals); err != nil {
+		if err := fx.eng.BulkOps(p, "ks", pairs); err != nil {
 			t.Fatal(err)
 		}
 		compactAndWait(t, p, fx, "ks")
 		i := 0
-		got, err := fx.eng.RangePrimary(p, "ks", nil, nil, 0, func(pr Pair) bool {
+		got, err := fx.eng.RangePrimary(p, "ks", nil, nil, 0, func(pr nvme.KVPair) bool {
 			if !bytes.Equal(pr.Key, tkey(i)) || len(pr.Value) != 0 {
 				t.Fatalf("pair %d: %q = %q", i, pr.Key, pr.Value)
 			}

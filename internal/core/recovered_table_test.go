@@ -14,6 +14,7 @@ import (
 	"kvcsd/internal/compaction"
 	"kvcsd/internal/host"
 	"kvcsd/internal/keyenc"
+	"kvcsd/internal/nvme"
 	"kvcsd/internal/sim"
 	"kvcsd/internal/ssd"
 	"kvcsd/internal/stats"
@@ -118,14 +119,13 @@ func recoveredTableWorkload(t *testing.T, p *sim.Proc, eng *Engine, checkpoint f
 	}
 	bulk := func(ks string, n int) {
 		t.Helper()
-		var keys, vals [][]byte
+		var pairs []nvme.KVPair
 		for i := 0; i < n; i++ {
 			k := rng.Intn(1 << 20)
-			keys = append(keys, tkey(k))
-			vals = append(vals, tvalue(k, float32(rng.Intn(64))))
-			if len(keys) == 128 || i == n-1 {
-				must(eng.BulkPutKV(p, ks, keys, vals))
-				keys, vals = keys[:0], vals[:0]
+			pairs = append(pairs, nvme.KVPair{Key: tkey(k), Value: tvalue(k, float32(rng.Intn(64)))})
+			if len(pairs) == 128 || i == n-1 {
+				must(eng.BulkOps(p, ks, pairs))
+				pairs = pairs[:0]
 			}
 		}
 	}
@@ -143,7 +143,7 @@ func recoveredTableWorkload(t *testing.T, p *sim.Proc, eng *Engine, checkpoint f
 	}
 	index := func(ks string) {
 		t.Helper()
-		must(eng.BuildSecondaryIndex(p, ks, SecondarySpec{Name: "energy", Offset: 28, Length: 4, Type: keyenc.TypeFloat32}))
+		must(eng.BuildSecondaryIndex(p, ks, nvme.SecondaryIndexSpec{Name: "energy", Offset: 28, Length: 4, Type: keyenc.TypeFloat32}))
 		must(eng.WaitIndexBuilt(p, ks, "energy"))
 	}
 	reads := func(ks string, n int) {
@@ -154,7 +154,7 @@ func recoveredTableWorkload(t *testing.T, p *sim.Proc, eng *Engine, checkpoint f
 			}
 		}
 		lo := tkey(rng.Intn(1 << 19))
-		if _, err := eng.RangePrimary(p, ks, lo, nil, 64, func(Pair) bool { return true }); err != nil {
+		if _, err := eng.RangePrimary(p, ks, lo, nil, 64, func(nvme.KVPair) bool { return true }); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"kvcsd/internal/nvme"
 	"kvcsd/internal/sim"
 )
 
@@ -13,8 +14,8 @@ import (
 // secondary key bytes from every value (paired with the primary key and
 // value location), the pairs are externally sorted by secondary key, and the
 // result is packed into SIDX blocks with a sketch pivot per block.
-func (e *Engine) runIndexBuild(p *sim.Proc, ks *Keyspace, si *secondaryIndex) error {
-	defer si.done.Signal()
+func (e *Engine) runIndexBuild(p *sim.Proc, ks *Keyspace, si *secondaryIndex) (err error) {
+	defer func() { si.finish(err) }()
 	start := p.Now()
 
 	// The build was queued behind a compaction (BuildSecondaryIndex waits on
@@ -56,7 +57,7 @@ func sidxKey(e sidxEntry) []byte { return e.skey }
 // so for keys of at most 4 bytes a stable radix sort on the key alone gives
 // compareSidx order. Wider keys stay on msdSort: eight digit passes can cost
 // more than it does.
-func (e *Engine) newSidxSorter(spec SecondarySpec) *Sorter[sidxEntry] {
+func (e *Engine) newSidxSorter(spec nvme.SecondaryIndexSpec) *Sorter[sidxEntry] {
 	s := newEngineSorter[sidxEntry](e, phaseRunSidx, sidxCodec{}, sidxKey, compareSidx)
 	s.radix = sidxRadixKey(spec.Length)
 	return s
@@ -94,7 +95,7 @@ func compareSidx(a, b sidxEntry) int {
 // PIDX cursor's window and its secondary key views the source's normalization
 // buffer; both are valid until the next call (see recordSource).
 type sidxSource struct {
-	spec SecondarySpec
+	spec nvme.SecondaryIndexSpec
 	pidx *pidxCursor
 	vals clusterWindow // SORTED_VALUES, read ascending
 
@@ -104,7 +105,7 @@ type sidxSource struct {
 
 // newSidxSource returns the scan of compacted keyspace ks for index spec; each
 // PIDX block it decodes is charged to the extraction phase.
-func (e *Engine) newSidxSource(ks *Keyspace, spec SecondarySpec) *sidxSource {
+func (e *Engine) newSidxSource(ks *Keyspace, spec nvme.SecondaryIndexSpec) *sidxSource {
 	cur := &pidxCursor{win: clusterWindow{c: ks.pidx}, cfg: e.cfg, blockCPU: &e.cpu[phaseSidxExtract]}
 	return &sidxSource{spec: spec, pidx: cur, vals: clusterWindow{c: ks.sorted}}
 }
@@ -132,8 +133,8 @@ func (s *sidxSource) next(p *sim.Proc) (sidxEntry, bool, error) {
 // whose value sits at svOff in SORTED_VALUES. The secondary key is
 // normalized onto skey[:0], a buffer the caller reuses from call to call; a
 // byte range running past the value is an error.
-func extractSidx(spec SecondarySpec, skey, pkey []byte, svOff uint64, value []byte) (sidxEntry, error) {
-	if spec.Offset+spec.Length > len(value) {
+func extractSidx(spec nvme.SecondaryIndexSpec, skey, pkey []byte, svOff uint64, value []byte) (sidxEntry, error) {
+	if spec.Offset > len(value)-spec.Length {
 		return sidxEntry{}, fmt.Errorf("core: secondary byte range [%d,%d) exceeds %d-byte value of key %x",
 			spec.Offset, spec.Offset+spec.Length, len(value), pkey)
 	}
@@ -149,19 +150,16 @@ func extractSidx(spec SecondarySpec, skey, pkey []byte, svOff uint64, value []by
 	}, nil
 }
 
-// checkSpecs validates index specs about to be declared on ks: each needs a
-// name, a byte range, and the width its type demands, and no two may share a
-// name with each other or with an index ks has.
-func (ks *Keyspace) checkSpecs(specs []SecondarySpec) error {
+// checkSpecs validates index specs about to be declared on ks: each must
+// pass its Validate, and no two may share a name with each other or with an
+// index ks has.
+func (ks *Keyspace) checkSpecs(specs []nvme.SecondaryIndexSpec) error {
 	for i, spec := range specs {
-		if spec.Name == "" || spec.Offset < 0 || spec.Length <= 0 {
-			return fmt.Errorf("core: invalid secondary index spec %+v", spec)
-		}
-		if w := spec.Type.Width(); w != 0 && spec.Length != w {
-			return fmt.Errorf("core: secondary type %s needs length %d", spec.Type, w)
+		if err := spec.Validate(); err != nil {
+			return err
 		}
 		_, exists := ks.secondary[spec.Name]
-		if exists || slices.ContainsFunc(specs[:i], func(s SecondarySpec) bool { return s.Name == spec.Name }) {
+		if exists || slices.ContainsFunc(specs[:i], func(s nvme.SecondaryIndexSpec) bool { return s.Name == spec.Name }) {
 			return fmt.Errorf("%w: %s", ErrIndexExists, spec.Name)
 		}
 	}

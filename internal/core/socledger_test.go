@@ -8,6 +8,7 @@ import (
 	"kvcsd/internal/compaction"
 	"kvcsd/internal/host"
 	"kvcsd/internal/keyenc"
+	"kvcsd/internal/nvme"
 	"kvcsd/internal/obs"
 	"kvcsd/internal/sim"
 )
@@ -47,7 +48,7 @@ func TestSoCLedgerSumsToBusy(t *testing.T) {
 	fx.eng.SetObs(nil, reg)
 	startHostAssist(fx, false)
 	energy := func(i int) float32 { return float32(i % 97) }
-	spec := SecondarySpec{Name: "energy", Offset: 28, Length: 4, Type: keyenc.TypeFloat32}
+	spec := nvme.SecondaryIndexSpec{Name: "energy", Offset: 28, Length: 4, Type: keyenc.TypeFloat32}
 	fx.run(t, func(p *sim.Proc) {
 		defer fx.eng.CloseAssist()
 		const n = 4000
@@ -63,7 +64,7 @@ func TestSoCLedgerSumsToBusy(t *testing.T) {
 			t.Fatal(err)
 		}
 		ingestN(t, p, fx, "ks2", 1000, energy)
-		if err := fx.eng.CompactWithIndexes(p, "ks2", []SecondarySpec{spec}); err != nil {
+		if err := fx.eng.CompactWithIndexes(p, "ks2", []nvme.SecondaryIndexSpec{spec}); err != nil {
 			t.Fatal(err)
 		}
 		if err := fx.eng.WaitIndexBuilt(p, "ks2", "energy"); err != nil {
@@ -75,11 +76,11 @@ func TestSoCLedgerSumsToBusy(t *testing.T) {
 		if _, err := fx.eng.Exist(p, "ks", tkey(8)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fx.eng.RangePrimary(p, "ks", tkey(10), tkey(90), 0, func(Pair) bool { return true }); err != nil {
+		if _, err := fx.eng.RangePrimary(p, "ks", tkey(10), tkey(90), 0, func(nvme.KVPair) bool { return true }); err != nil {
 			t.Fatal(err)
 		}
 		lo := keyenc.PutFloat32(90)
-		if _, err := fx.eng.RangeSecondary(p, "ks2", "energy", lo, nil, 0, func(Pair) bool { return true }); err != nil {
+		if _, err := fx.eng.RangeSecondary(p, "ks2", "energy", lo, nil, 0, func(nvme.KVPair) bool { return true }); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := fx.eng.MediaScrub(p); err != nil {
@@ -121,7 +122,7 @@ func TestRangePrimaryChargesEachBlockOnce(t *testing.T) {
 				want += charge(16 * soc.CompareCost)
 			}
 			before := query.Value()
-			if _, err := fx.eng.RangePrimary(p, "ks", lo, hi, limit, func(Pair) bool { return true }); err != nil {
+			if _, err := fx.eng.RangePrimary(p, "ks", lo, hi, limit, func(nvme.KVPair) bool { return true }); err != nil {
 				t.Fatal(err)
 			}
 			if got := query.Value() - before; got != want {

@@ -339,8 +339,9 @@ type statusWait struct {
 // park hands a status command whose job is still running to a waiter proc,
 // which blocks on the engine's own wait — the event the job fires when it
 // ends, on success or failure — and then answers with exactly what the
-// non-blocking status command returns at that instant. Waiting for an index
-// nobody asked to build answers StatusNotFound at once.
+// non-blocking status command returns at that instant. An index wait answers
+// with the error the engine's wait returns: StatusNotFound at once for an
+// index nobody asked to build, else the build's own failure.
 func (d *Device) park(cmd *nvme.Command, resp *nvme.Responder, svc *obs.Span) {
 	w := &statusWait{resp: resp, svc: svc}
 	d.parked = append(d.parked, w)
@@ -349,7 +350,10 @@ func (d *Device) park(cmd *nvme.Command, resp *nvme.Responder, svc *obs.Span) {
 		var err error
 		if !w.answered {
 			if cmd.Op == nvme.OpCompactStatus {
-				err = eng.WaitCompacted(p, cmd.Keyspace)
+				// WaitCompacted returns the engine's first background error,
+				// which may be another job's; the status below reports this
+				// compaction's own.
+				_ = eng.WaitCompacted(p, cmd.Keyspace)
 			} else {
 				err = eng.WaitIndexBuilt(p, cmd.Keyspace, cmd.Index.Name)
 			}
@@ -358,7 +362,7 @@ func (d *Device) park(cmd *nvme.Command, resp *nvme.Responder, svc *obs.Span) {
 			return // answered by a power cut or a shutdown
 		}
 		comp := d.execute(p, cmd)
-		if errors.Is(err, core.ErrIndexNotFound) {
+		if err != nil {
 			comp = statusOnly(err)
 		}
 		d.answer(w, &comp)
@@ -416,11 +420,7 @@ func (d *Device) execute(p *sim.Proc, cmd *nvme.Command) nvme.Completion {
 		return statusOnly(eng.Delete(p, cmd.Keyspace, cmd.Key))
 
 	case nvme.OpBulkStore:
-		ops := make([]core.KVOp, len(cmd.Pairs))
-		for i, pr := range cmd.Pairs {
-			ops[i] = core.KVOp{Key: pr.Key, Value: pr.Value, Delete: pr.Tombstone}
-		}
-		return statusOnly(eng.BulkOps(p, cmd.Keyspace, ops))
+		return statusOnly(eng.BulkOps(p, cmd.Keyspace, cmd.Pairs))
 
 	case nvme.OpSync:
 		return statusOnly(eng.Sync(p, cmd.Keyspace))
@@ -429,11 +429,7 @@ func (d *Device) execute(p *sim.Proc, cmd *nvme.Command) nvme.Completion {
 		return statusOnly(eng.Compact(p, cmd.Keyspace))
 
 	case nvme.OpCompactWithIndexes:
-		specs := make([]core.SecondarySpec, len(cmd.Indexes))
-		for i, ix := range cmd.Indexes {
-			specs[i] = core.SecondarySpec{Name: ix.Name, Offset: ix.Offset, Length: ix.Length, Type: ix.Type}
-		}
-		return statusOnly(eng.CompactWithIndexes(p, cmd.Keyspace, specs))
+		return statusOnly(eng.CompactWithIndexes(p, cmd.Keyspace, cmd.Indexes))
 
 	case nvme.OpCompactStatus:
 		ks, err := eng.Keyspace(cmd.Keyspace)
@@ -487,25 +483,18 @@ func (d *Device) execute(p *sim.Proc, cmd *nvme.Command) nvme.Completion {
 		return nvme.Completion{Status: nvme.StatusOK, Count: int64(moved)}
 
 	case nvme.OpBuildSecondaryIndex:
-		spec := core.SecondarySpec{
-			Name:   cmd.Index.Name,
-			Offset: cmd.Index.Offset,
-			Length: cmd.Index.Length,
-			Type:   cmd.Index.Type,
-		}
-		return statusOnly(eng.BuildSecondaryIndex(p, cmd.Keyspace, spec))
+		return statusOnly(eng.BuildSecondaryIndex(p, cmd.Keyspace, cmd.Index))
 
 	case nvme.OpIndexStatus:
 		ks, err := eng.Keyspace(cmd.Keyspace)
 		if err != nil {
 			return statusOnly(err)
 		}
-		for _, n := range ks.SecondaryIndexNames() {
-			if n == cmd.Index.Name {
-				return nvme.Completion{Status: nvme.StatusOK, Done: true}
-			}
+		built, err := ks.IndexStatus(cmd.Index.Name)
+		if err != nil {
+			return statusOnly(err)
 		}
-		return nvme.Completion{Status: nvme.StatusOK, Done: false}
+		return nvme.Completion{Status: nvme.StatusOK, Done: built}
 
 	case nvme.OpRetrieve:
 		v, found, err := eng.Get(p, cmd.Keyspace, cmd.Key)
@@ -524,34 +513,21 @@ func (d *Device) execute(p *sim.Proc, cmd *nvme.Command) nvme.Completion {
 		}
 		return nvme.Completion{Status: nvme.StatusOK, Exists: ok}
 
-	case nvme.OpQueryPrimaryRange, nvme.OpList:
+	case nvme.OpQueryPrimaryRange, nvme.OpQuerySecondaryRange, nvme.OpQuerySecondaryPoint:
 		pairs := make([]nvme.KVPair, 0, resultCap(cmd.ResultLimit))
-		_, err := eng.RangePrimary(p, cmd.Keyspace, cmd.Low, cmd.High, cmd.ResultLimit, func(pr core.Pair) bool {
-			pairs = append(pairs, nvme.KVPair{Key: pr.Key, Value: pr.Value})
+		emit := func(pr nvme.KVPair) bool {
+			pairs = append(pairs, pr)
 			return true
-		})
-		if err != nil {
-			return statusOnly(err)
 		}
-		return nvme.Completion{Status: nvme.StatusOK, Pairs: pairs}
-
-	case nvme.OpQuerySecondaryRange:
-		pairs := make([]nvme.KVPair, 0, resultCap(cmd.ResultLimit))
-		_, err := eng.RangeSecondary(p, cmd.Keyspace, cmd.Index.Name, cmd.Low, cmd.High, cmd.ResultLimit, func(pr core.Pair) bool {
-			pairs = append(pairs, nvme.KVPair{Key: pr.Key, Value: pr.Value})
-			return true
-		})
-		if err != nil {
-			return statusOnly(err)
+		var err error
+		switch cmd.Op {
+		case nvme.OpQueryPrimaryRange:
+			_, err = eng.RangePrimary(p, cmd.Keyspace, cmd.Low, cmd.High, cmd.ResultLimit, emit)
+		case nvme.OpQuerySecondaryRange:
+			_, err = eng.RangeSecondary(p, cmd.Keyspace, cmd.Index.Name, cmd.Low, cmd.High, cmd.ResultLimit, emit)
+		default:
+			_, err = eng.GetSecondary(p, cmd.Keyspace, cmd.Index.Name, cmd.Key, cmd.ResultLimit, emit)
 		}
-		return nvme.Completion{Status: nvme.StatusOK, Pairs: pairs}
-
-	case nvme.OpQuerySecondaryPoint:
-		pairs := make([]nvme.KVPair, 0, resultCap(cmd.ResultLimit))
-		_, err := eng.GetSecondary(p, cmd.Keyspace, cmd.Index.Name, cmd.Key, cmd.ResultLimit, func(pr core.Pair) bool {
-			pairs = append(pairs, nvme.KVPair{Key: pr.Key, Value: pr.Value})
-			return true
-		})
 		if err != nil {
 			return statusOnly(err)
 		}
@@ -586,17 +562,7 @@ func (d *Device) execute(p *sim.Proc, cmd *nvme.Command) nvme.Completion {
 		if err != nil {
 			return statusOnly(err)
 		}
-		return nvme.Completion{Status: nvme.StatusOK, Info: nvme.KeyspaceInfo{
-			Name:       info.Name,
-			State:      info.State.String(),
-			Pairs:      info.Pairs,
-			Bytes:      info.Bytes,
-			MinKey:     info.MinKey,
-			MaxKey:     info.MaxKey,
-			Secondary:  info.Secondary,
-			ZoneCount:  info.ZoneCount,
-			CompactDur: sim.Time(info.CompactDur),
-		}}
+		return nvme.Completion{Status: nvme.StatusOK, Info: info}
 
 	default:
 		return nvme.Completion{Status: nvme.StatusInvalid}
@@ -642,6 +608,11 @@ func statusOf(err error) nvme.Status {
 		return nvme.StatusCorrupted
 	case errors.Is(err, core.ErrExtentGone):
 		return nvme.StatusNotFound
+	case errors.Is(err, core.ErrIndexFailed):
+		// Checked last: a build cut short by a power cut or a rotted extent
+		// reports that cause; one the data itself refused (a byte range past
+		// a value) is an invalid declaration.
+		return nvme.StatusInvalid
 	default:
 		return nvme.StatusInternal
 	}

@@ -2,6 +2,8 @@ package device
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"kvcsd/internal/core"
@@ -124,6 +126,8 @@ func TestStatusMapping(t *testing.T) {
 		{core.ErrNoZones, nvme.StatusNoSpace},
 		{ssd.ErrDeviceCapacity, nvme.StatusNoSpace},
 		{core.ErrKeyTooLarge, nvme.StatusInvalid},
+		{fmt.Errorf("%w: e: %w", core.ErrIndexFailed, errors.New("range past value")), nvme.StatusInvalid},
+		{fmt.Errorf("%w: e: %w", core.ErrIndexFailed, ssd.ErrPoweredOff), nvme.StatusPoweredOff},
 		{errors.New("anything else"), nvme.StatusInternal},
 	}
 	for _, c := range cases {
@@ -171,4 +175,49 @@ func TestDispatchersServeConcurrentCommands(t *testing.T) {
 	if d.Engine().Manager().Names()[0] != "a" {
 		t.Fatal("keyspaces missing")
 	}
+}
+
+// TestBulkStoreAllocs: a bulk command's pairs reach the engine as the command
+// carries them. Executing one allocates the engine's value slab and a few
+// fixed-size objects, never a converted copy of the pair list, which for a
+// full 2570-pair message would be another ~140 KB.
+func TestBulkStoreAllocs(t *testing.T) {
+	const perCmd, runs = 2570, 10
+	env := sim.NewEnv()
+	opts := DefaultOptions()
+	opts.Engine.IngestBufferBytes = 64 << 20
+	d := New(env, opts, stats.NewIOStats())
+	bulk := func(lo, n int) (*nvme.Command, uint64) {
+		cmd := &nvme.Command{Op: nvme.OpBulkStore, Keyspace: "ks", Pairs: make([]nvme.KVPair, n)}
+		var slab uint64
+		for i := range cmd.Pairs {
+			cmd.Pairs[i] = nvme.KVPair{Key: fmt.Appendf(nil, "key-%08d", lo+i), Value: make([]byte, 32)}
+			slab += uint64(len(cmd.Pairs[i].Key) + len(cmd.Pairs[i].Value))
+		}
+		return cmd, slab
+	}
+	warm, _ := bulk(0, perCmd*(runs+1))
+	cmd, slab := bulk(1, perCmd)
+	env.Go("host", func(p *sim.Proc) {
+		defer d.Shutdown()
+		for _, c := range []*nvme.Command{{Op: nvme.OpCreateKeyspace, Keyspace: "ks"}, warm, {Op: nvme.OpSync, Keyspace: "ks"}} {
+			if comp := d.execute(p, c); comp.Status != nvme.StatusOK {
+				t.Fatalf("%s: %v", c.Op, comp.Status)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n := testing.AllocsPerRun(runs, func() {
+			if comp := d.execute(p, cmd); comp.Status != nvme.StatusOK {
+				t.Fatalf("bulk store: %v", comp.Status)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		perCmdBytes := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+		if n > 2 || perCmdBytes > slab+4<<10 {
+			t.Fatalf("a %d-pair BulkStore allocated %v times and %d bytes, want at most 2 and the %d-byte slab + 4 KiB",
+				perCmd, n, perCmdBytes, slab)
+		}
+	})
+	env.Run()
 }

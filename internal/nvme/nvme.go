@@ -1,6 +1,6 @@
 // Package nvme defines the command interface between the KV-CSD client
 // library and the device: the NVMe Key-Value command set (Store, Retrieve,
-// Delete, Exist, List) plus KV-CSD's vendor extensions for operations the
+// Delete, Exist) plus KV-CSD's vendor extensions for operations the
 // standard does not cover — keyspace management, bulk store, compaction,
 // secondary index construction, and offloaded queries (paper §III, "NVMe").
 //
@@ -30,7 +30,7 @@ const (
 	OpRetrieve
 	OpDelete
 	OpExist
-	OpList
+	_ // retired (List); opcode numbers are protocol values and never shift
 
 	// KV-CSD vendor extensions.
 	OpCreateKeyspace
@@ -85,7 +85,6 @@ var opcodes = [...]struct {
 	OpRetrieve:            {"Retrieve", true},
 	OpDelete:              {"Delete", true},
 	OpExist:               {"Exist", true},
-	OpList:                {"List", true},
 	OpCreateKeyspace:      {"CreateKeyspace", false},
 	OpOpenKeyspace:        {"OpenKeyspace", true},
 	OpDeleteKeyspace:      {"DeleteKeyspace", false},
@@ -112,7 +111,7 @@ var opcodes = [...]struct {
 
 // String names the opcode.
 func (o Opcode) String() string {
-	if int(o) < len(opcodes) {
+	if int(o) < len(opcodes) && opcodes[o].name != "" {
 		return opcodes[o].name
 	}
 	return fmt.Sprintf("Opcode(%d)", uint8(o))
@@ -184,8 +183,10 @@ type SecondaryIndexSpec struct {
 	Type   keyenc.SecondaryType
 }
 
-// Validate checks spec sanity against a value size (0 = unknown).
-func (s SecondaryIndexSpec) Validate(valueSize int) error {
+// Validate checks what a spec alone can tell: a name, a byte range, and the
+// width its type demands. Whether the range fits the values is known only
+// when the index builds.
+func (s SecondaryIndexSpec) Validate() error {
 	if s.Name == "" {
 		return errors.New("nvme: secondary index needs a name")
 	}
@@ -194,9 +195,6 @@ func (s SecondaryIndexSpec) Validate(valueSize int) error {
 	}
 	if w := s.Type.Width(); w != 0 && s.Length != w {
 		return fmt.Errorf("nvme: type %s requires length %d, got %d", s.Type, w, s.Length)
-	}
-	if valueSize > 0 && s.Offset+s.Length > valueSize {
-		return fmt.Errorf("nvme: byte range [%d,%d) exceeds value size %d", s.Offset, s.Offset+s.Length, valueSize)
 	}
 	return nil
 }

@@ -29,6 +29,7 @@ import (
 	"kvcsd/internal/client"
 	"kvcsd/internal/compaction"
 	"kvcsd/internal/core"
+	"kvcsd/internal/nvme"
 	"kvcsd/internal/obs"
 	"kvcsd/internal/wire"
 )
@@ -571,7 +572,7 @@ func (c *Client) MigrateCold(device int) (int64, error) {
 // Corrupt flips addr.Bits bits inside one extent of keyspace on a device —
 // the remote fault-injection hook mirroring PowerCut. Returns the server's
 // report line.
-func (c *Client) Corrupt(device int, keyspace string, addr wire.ExtentAddr) (string, error) {
+func (c *Client) Corrupt(device int, keyspace string, addr nvme.ExtentAddr) (string, error) {
 	resp, err := c.call(&wire.Request{
 		Op:       wire.OpCorrupt,
 		Device:   uint32(device),

@@ -162,7 +162,7 @@ func (k *Keyspace) Scan(lo, hi []byte, limit int) ([]nvme.KVPair, error) {
 func (k *Keyspace) QuerySecondaryRange(index string, lo, hi []byte, limit int) ([]nvme.KVPair, error) {
 	resp, err := k.c.call(&wire.Request{
 		Op: wire.OpSecondaryRange, Keyspace: k.name,
-		Index: wire.IndexSpec{Name: index}, Low: lo, High: hi, Limit: uint32(limit),
+		Index: nvme.SecondaryIndexSpec{Name: index}, Low: lo, High: hi, Limit: uint32(limit),
 	})
 	if err != nil {
 		return nil, err
@@ -174,7 +174,7 @@ func (k *Keyspace) QuerySecondaryRange(index string, lo, hi []byte, limit int) (
 func (k *Keyspace) QuerySecondaryPoint(index string, key []byte, limit int) ([]nvme.KVPair, error) {
 	resp, err := k.c.call(&wire.Request{
 		Op: wire.OpSecondaryPoint, Keyspace: k.name,
-		Index: wire.IndexSpec{Name: index}, Key: key, Limit: uint32(limit),
+		Index: nvme.SecondaryIndexSpec{Name: index}, Key: key, Limit: uint32(limit),
 	})
 	if err != nil {
 		return nil, err
@@ -191,11 +191,7 @@ func (k *Keyspace) Compact() error {
 // CompactWithIndexes kicks a compaction that also builds the given
 // secondary indexes in the same pass.
 func (k *Keyspace) CompactWithIndexes(specs []client.IndexSpec) error {
-	indexes := make([]wire.IndexSpec, len(specs))
-	for i, s := range specs {
-		indexes[i] = wire.IndexSpecOf(s)
-	}
-	_, err := k.c.call(&wire.Request{Op: wire.OpCompactWithIndexes, Keyspace: k.name, Indexes: indexes})
+	_, err := k.c.call(&wire.Request{Op: wire.OpCompactWithIndexes, Keyspace: k.name, Indexes: specs})
 	return err
 }
 
@@ -230,13 +226,13 @@ func (k *Keyspace) WaitCompacted() error {
 
 // BuildSecondaryIndex declares and starts building a secondary index.
 func (k *Keyspace) BuildSecondaryIndex(spec client.IndexSpec) error {
-	_, err := k.c.call(&wire.Request{Op: wire.OpBuildIndex, Keyspace: k.name, Index: wire.IndexSpecOf(spec)})
+	_, err := k.c.call(&wire.Request{Op: wire.OpBuildIndex, Keyspace: k.name, Index: spec})
 	return err
 }
 
 // IndexBuilt asks once whether the named index is ready.
 func (k *Keyspace) IndexBuilt(name string) (bool, error) {
-	resp, err := k.c.call(&wire.Request{Op: wire.OpIndexStatus, Keyspace: k.name, Index: wire.IndexSpec{Name: name}})
+	resp, err := k.c.call(&wire.Request{Op: wire.OpIndexStatus, Keyspace: k.name, Index: nvme.SecondaryIndexSpec{Name: name}})
 	if err != nil {
 		return false, err
 	}
@@ -247,7 +243,7 @@ func (k *Keyspace) IndexBuilt(name string) (bool, error) {
 // request carrying the wait flag. An index that was never requested fails
 // with a StatusNotFound error.
 func (k *Keyspace) WaitIndexBuilt(name string) error {
-	return k.wait(&wire.Request{Op: wire.OpIndexStatus, Keyspace: k.name, Index: wire.IndexSpec{Name: name}, Wait: true})
+	return k.wait(&wire.Request{Op: wire.OpIndexStatus, Keyspace: k.name, Index: nvme.SecondaryIndexSpec{Name: name}, Wait: true})
 }
 
 // wait sends a wait-flagged status request until it reports done. The server

@@ -122,6 +122,12 @@ func (s *MemKV) Apply(p *sim.Proc, cmd Command) error {
 	return nil
 }
 
+// Has reports whether key is present, without copying its value.
+func (s *MemKV) Has(key []byte) bool {
+	_, ok := s.m[string(key)]
+	return ok
+}
+
 // Lookup implements StateMachine.
 func (s *MemKV) Lookup(p *sim.Proc, key []byte) ([]byte, bool, error) {
 	v, ok := s.m[string(key)]

@@ -123,9 +123,9 @@ type fleet interface {
 	CorruptExtent(p *sim.Proc, id int, keyspace string, addr nvme.ExtentAddr) (int64, error)
 
 	Stats() *stats.IOStats
-	Health() []array.DeviceHealth
+	Health() []wire.DeviceHealth
 	RingTable() []wire.RingEntry
-	Compactions() []wire.CompactionProgress
+	Compactions() []compaction.KeyspaceProgress
 
 	Shutdown()
 	Tracer() *obs.Tracer
@@ -207,23 +207,19 @@ func (f *deviceFleet) CorruptExtent(p *sim.Proc, _ int, keyspace string, addr nv
 
 func (f *deviceFleet) Stats() *stats.IOStats { return f.members[0].Stats }
 
-func (f *deviceFleet) Health() []array.DeviceHealth {
-	return []array.DeviceHealth{{ID: 0, Down: f.PoweredOff()}}
+func (f *deviceFleet) Health() []wire.DeviceHealth {
+	return []wire.DeviceHealth{{ID: 0, Down: f.PoweredOff()}}
 }
 
 func (f *deviceFleet) RingTable() []wire.RingEntry { return nil }
 
 // Compactions lists the device's keyspaces as they are: nothing is sharded,
 // so there is nothing to fold.
-func (f *deviceFleet) Compactions() []wire.CompactionProgress {
+func (f *deviceFleet) Compactions() []compaction.KeyspaceProgress {
 	if f.PoweredOff() {
 		return nil
 	}
-	var rows []wire.CompactionProgress
-	for _, pr := range f.Engine().Progresses() {
-		rows = append(rows, wire.CompactionProgress{Keyspace: pr.Keyspace, Progress: pr.Progress})
-	}
-	return rows
+	return f.Engine().Progresses()
 }
 
 // arrayFleet is a sharded, replicated device array. With replicated set,
@@ -364,11 +360,7 @@ func (b *backend) Apply(p *sim.Proc, req *wire.Request) *wire.Response {
 	case wire.OpCompact:
 		return respErr(ks.Compact(p))
 	case wire.OpCompactWithIndexes:
-		specs := make([]client.IndexSpec, len(req.Indexes))
-		for i, s := range req.Indexes {
-			specs[i] = s.NVMe()
-		}
-		return respErr(ks.CompactWithIndexes(p, specs))
+		return respErr(ks.CompactWithIndexes(p, req.Indexes))
 	case wire.OpCompactStatus:
 		if req.Wait {
 			if err := ks.WaitCompacted(p); err != nil {
@@ -381,7 +373,7 @@ func (b *backend) Apply(p *sim.Proc, req *wire.Request) *wire.Response {
 		}
 		return &wire.Response{Status: wire.StatusOK, Done: done, Progress: &pr}
 	case wire.OpBuildIndex:
-		return respErr(ks.BuildSecondaryIndex(p, req.Index.NVMe()))
+		return respErr(ks.BuildSecondaryIndex(p, req.Index))
 	case wire.OpIndexStatus:
 		if req.Wait {
 			if err := ks.WaitIndexBuilt(p, req.Index.Name); err != nil {
@@ -425,7 +417,7 @@ func (b *backend) applyMember(p *sim.Proc, id int, req *wire.Request) *wire.Resp
 		if req.Extent == nil {
 			return &wire.Response{Status: wire.StatusInvalid, Err: "corrupt: missing extent address"}
 		}
-		flips, err := b.CorruptExtent(p, id, req.Keyspace, req.Extent.NVMe())
+		flips, err := b.CorruptExtent(p, id, req.Keyspace, *req.Extent)
 		if err != nil {
 			return respErr(err)
 		}
@@ -495,11 +487,6 @@ func (b *backend) BulkApply(p *sim.Proc, keyspace string, pairs []nvme.KVPair) *
 
 func (b *backend) statsReport() *wire.Response {
 	st := b.Stats()
-	health := b.Health()
-	wh := make([]wire.DeviceHealth, len(health))
-	for i, h := range health {
-		wh[i] = wire.DeviceHealth{ID: uint32(h.ID), Down: h.Down, Failures: uint32(h.Failures)}
-	}
 	return &wire.Response{Status: wire.StatusOK, Stats: &wire.StatsReport{
 		Devices:      uint32(len(b.Members())),
 		Commands:     st.Commands.Value(),
@@ -509,7 +496,7 @@ func (b *backend) statsReport() *wire.Response {
 		DeviceToHost: st.DeviceToHost.Value(),
 		AppWrite:     st.AppWrite.Value(),
 		VirtualNanos: int64(b.env.Now()),
-		Health:       wh,
+		Health:       b.Health(),
 		Ring:         b.RingTable(),
 		Compactions:  b.Compactions(),
 	}}

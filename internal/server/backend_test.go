@@ -58,7 +58,7 @@ func TestDeviceIndexOutOfRange(t *testing.T) {
 			beyond := st.Stats.Devices
 			want := fmt.Sprintf("device %d out of range", beyond)
 			for _, op := range []wire.Op{wire.OpPowerCut, wire.OpRecover, wire.OpScrub, wire.OpCorrupt, wire.OpMigrateCold} {
-				resp := call(&wire.Request{Op: op, Device: beyond, Keyspace: "k", Extent: &wire.ExtentAddr{Bits: 1}})
+				resp := call(&wire.Request{Op: op, Device: beyond, Keyspace: "k", Extent: &nvme.ExtentAddr{Bits: 1}})
 				if resp.Status != wire.StatusInvalid || resp.Err != want {
 					t.Errorf("%s -dev %d: %v %q, want %v %q", op, beyond, resp.Status, resp.Err, wire.StatusInvalid, want)
 				}
@@ -88,7 +88,7 @@ func TestEveryClientVerbHandled(t *testing.T) {
 		"array":      func(env *sim.Env) fleet { return arrayFleet{array.New(env, testArrayOptions()), false} },
 		"replicated": func(env *sim.Env) fleet { return arrayFleet{array.New(env, testArrayOptions()), true} },
 	}
-	spec := wire.IndexSpec{Name: "ix", Offset: 0, Length: 4, Type: uint8(keyenc.TypeUint32)}
+	spec := nvme.SecondaryIndexSpec{Name: "ix", Offset: 0, Length: 4, Type: keyenc.TypeUint32}
 	for name, mk := range fleets {
 		t.Run(name, func(t *testing.T) {
 			env := sim.NewEnv()
@@ -104,8 +104,8 @@ func TestEveryClientVerbHandled(t *testing.T) {
 						Key: []byte("key-0001"), Value: []byte("value-01"),
 						Pairs:   []nvme.KVPair{{Key: []byte("key-0002"), Value: []byte("value-02")}},
 						Index:   spec,
-						Indexes: []wire.IndexSpec{spec},
-						Extent:  &wire.ExtentAddr{Bits: 1},
+						Indexes: []nvme.SecondaryIndexSpec{spec},
+						Extent:  &nvme.ExtentAddr{Bits: 1},
 					})
 					unhandled := resp.Status == wire.StatusBadRequest && strings.HasPrefix(resp.Err, "unhandled opcode")
 					switch {

@@ -43,19 +43,19 @@ func goldenRequest(op Op) *Request {
 		}
 	case OpScan, OpSecondaryRange:
 		r.Low, r.High = []byte{0x00, 0x10}, []byte{0xFF}
-		r.Index = IndexSpec{Name: "energy"}
+		r.Index = nvme.SecondaryIndexSpec{Name: "energy"}
 	case OpSecondaryPoint, OpIndexStatus:
-		r.Index = IndexSpec{Name: "energy"}
+		r.Index = nvme.SecondaryIndexSpec{Name: "energy"}
 	case OpBuildIndex:
-		r.Index = IndexSpec{Name: "energy", Offset: 24, Length: 4, Type: 2}
+		r.Index = nvme.SecondaryIndexSpec{Name: "energy", Offset: 24, Length: 4, Type: 2}
 	case OpCompactWithIndexes:
-		r.Indexes = []IndexSpec{{Name: "x", Offset: 0, Length: 4, Type: 1}, {Name: "y", Offset: 4, Length: 8, Type: 3}}
+		r.Indexes = []nvme.SecondaryIndexSpec{{Name: "x", Offset: 0, Length: 4, Type: 1}, {Name: "y", Offset: 4, Length: 8, Type: 3}}
 	case OpCreateKeyspace:
 		r.Parts = 8
 	case OpHello:
 		r.Hello = &HelloMsg{Tenant: "analytics", Class: LaneOverride(LaneBulk), Resume: 0xFEEDFACE}
 	case OpCorrupt:
-		r.Extent = &ExtentAddr{Kind: 2, Index: "energy", Granule: -3, Bits: 5}
+		r.Extent = &nvme.ExtentAddr{Kind: 2, Index: "energy", Granule: -3, Bits: 5}
 	}
 	switch op {
 	case OpRequestVote, OpAppendEntries, OpMigrate:
@@ -115,7 +115,7 @@ func goldenResponse(op Op) *Response {
 			},
 			Ring:        []RingEntry{{Keyspace: "particles", Shard: 1, Epoch: 4, Leader: 2, Members: []uint32{2, 0, 3}}},
 			Tenants:     []TenantStats{{Tenant: "analytics", Weight: 8, Sessions: 2, Lanes: []LaneStats{{Lane: 0, Admitted: 5, Completed: 4, Queued: 1}}}},
-			Compactions: []CompactionProgress{{Keyspace: "particles"}},
+			Compactions: []compaction.KeyspaceProgress{{Keyspace: "particles"}},
 		}
 	case OpPowerCut, OpRecover, OpCorrupt:
 		r.Report = "report for " + op.String()

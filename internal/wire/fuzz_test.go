@@ -40,7 +40,7 @@ func FuzzFrameDecode(f *testing.F) {
 	}
 	f.Add(seed(&Request{ID: 1, Op: OpPut, Keyspace: "ks", Key: []byte("k"), Value: []byte("v")}))
 	f.Add(seed(&Request{ID: 9, Op: OpScan, Keyspace: "ks", Low: []byte{1}, High: []byte{2}, Limit: 10}))
-	f.Add(seed(&Request{ID: 10, Op: OpIndexStatus, Keyspace: "ks", Index: IndexSpec{Name: "ix"}, Wait: true}))
+	f.Add(seed(&Request{ID: 10, Op: OpIndexStatus, Keyspace: "ks", Index: nvme.SecondaryIndexSpec{Name: "ix"}, Wait: true}))
 	resp := &Response{ID: 2, Op: OpScan, Status: StatusOK,
 		Pairs: []nvme.KVPair{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("b"), Tombstone: true}}}
 	f.Add(AppendFrameFull(nil, KindResponse, OpScan, FlagMore, 2, TraceContext{}, 0, EncodeResponse(resp)))

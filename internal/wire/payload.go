@@ -9,6 +9,7 @@ import (
 
 	"kvcsd/internal/codec"
 	"kvcsd/internal/compaction"
+	"kvcsd/internal/keyenc"
 	"kvcsd/internal/nvme"
 	"kvcsd/internal/sim"
 )
@@ -55,6 +56,10 @@ func (d *decoder) strLike(prev string) string {
 
 func (d *decoder) u32() uint32 { return uint32(d.Uint(math.MaxUint32)) }
 
+// int reads an int written as the uvarint of its bits, so every int — a
+// negative one too — crosses unchanged.
+func (d *decoder) int() int { return int(d.Uvarint()) }
+
 func (d *decoder) done() error {
 	if err := d.Done(); err != nil {
 		return fmt.Errorf("%w: %v", ErrDecode, err)
@@ -90,19 +95,19 @@ func decodePairs(d *decoder, scratch []nvme.KVPair) []nvme.KVPair {
 	return pairs
 }
 
-func appendIndexSpec(b []byte, s IndexSpec) []byte {
+func appendIndexSpec(b []byte, s nvme.SecondaryIndexSpec) []byte {
 	b = codec.AppendBytes(b, s.Name)
 	b = binary.AppendUvarint(b, uint64(s.Offset))
 	b = binary.AppendUvarint(b, uint64(s.Length))
-	return append(b, s.Type)
+	return append(b, uint8(s.Type))
 }
 
-func decodeIndexSpec(d *decoder) IndexSpec {
-	return IndexSpec{
+func decodeIndexSpec(d *decoder) nvme.SecondaryIndexSpec {
+	return nvme.SecondaryIndexSpec{
 		Name:   d.str(),
-		Offset: d.u32(),
-		Length: d.u32(),
-		Type:   d.U8(),
+		Offset: d.int(),
+		Length: d.int(),
+		Type:   keyenc.SecondaryType(d.U8()),
 	}
 }
 
@@ -232,11 +237,11 @@ func decodeRequest(h Header, payload []byte, sc *DecodeScratch) (*Request, error
 		r.Hello = decodeHelloMsg(&d)
 	}
 	if d.Bool() {
-		r.Extent = &ExtentAddr{
+		r.Extent = &nvme.ExtentAddr{
 			Kind:    d.U8(),
 			Index:   d.str(),
 			Granule: d.Varint(),
-			Bits:    d.u32(),
+			Bits:    int(d.u32()),
 		}
 	}
 	if err := d.done(); err != nil {
@@ -283,7 +288,7 @@ func decodeInfo(d *decoder) nvme.KeyspaceInfo {
 	for range d.Count(1) {
 		info.Secondary = append(info.Secondary, d.str())
 	}
-	info.ZoneCount = int(d.Uvarint())
+	info.ZoneCount = d.int()
 	info.CompactDur = sim.Time(d.Varint())
 	return info
 }
@@ -312,7 +317,7 @@ func appendStats(b []byte, s *StatsReport) []byte {
 	return appendCompactions(b, s.Compactions)
 }
 
-func appendCompactions(b []byte, cs []CompactionProgress) []byte {
+func appendCompactions(b []byte, cs []compaction.KeyspaceProgress) []byte {
 	b = binary.AppendUvarint(b, uint64(len(cs)))
 	for _, c := range cs {
 		b = codec.AppendBytes(b, c.Keyspace)
@@ -321,11 +326,11 @@ func appendCompactions(b []byte, cs []CompactionProgress) []byte {
 	return b
 }
 
-func decodeCompactions(d *decoder) []CompactionProgress {
-	var cs []CompactionProgress
+func decodeCompactions(d *decoder) []compaction.KeyspaceProgress {
+	var cs []compaction.KeyspaceProgress
 	for range d.Count(9) {
 		name := d.str()
-		cs = append(cs, CompactionProgress{Keyspace: name, Progress: decodeProgress(d)})
+		cs = append(cs, compaction.KeyspaceProgress{Keyspace: name, Progress: decodeProgress(d)})
 	}
 	return cs
 }

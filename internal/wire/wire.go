@@ -24,7 +24,6 @@ import (
 	"fmt"
 
 	"kvcsd/internal/compaction"
-	"kvcsd/internal/keyenc"
 	"kvcsd/internal/nvme"
 )
 
@@ -358,29 +357,6 @@ func (s Status) Err() error {
 	return nil
 }
 
-// IndexSpec is the wire form of a secondary index declaration.
-type IndexSpec struct {
-	Name   string
-	Offset uint32
-	Length uint32
-	Type   uint8
-}
-
-// IndexSpecOf converts a device index declaration to its wire form.
-func IndexSpecOf(s nvme.SecondaryIndexSpec) IndexSpec {
-	return IndexSpec{Name: s.Name, Offset: uint32(s.Offset), Length: uint32(s.Length), Type: uint8(s.Type)}
-}
-
-// NVMe converts the wire form back to the device index declaration.
-func (s IndexSpec) NVMe() nvme.SecondaryIndexSpec {
-	return nvme.SecondaryIndexSpec{
-		Name:   s.Name,
-		Offset: int(s.Offset),
-		Length: int(s.Length),
-		Type:   keyenc.SecondaryType(s.Type),
-	}
-}
-
 // TraceContext is the cross-process trace linkage carried in every frame
 // header: TraceID names the end-to-end trace a request belongs to, SpanID the
 // sender-side span that caused the frame. Zero values mean "untraced".
@@ -467,8 +443,8 @@ type Request struct {
 
 	// Index names/configures a secondary index; Indexes declares several at
 	// compaction time (OpCompactWithIndexes).
-	Index   IndexSpec
-	Indexes []IndexSpec
+	Index   nvme.SecondaryIndexSpec
+	Indexes []nvme.SecondaryIndexSpec
 
 	// Limit caps query results (0 = unlimited).
 	Limit uint32
@@ -483,8 +459,8 @@ type Request struct {
 	Device uint32
 
 	// Extent addresses one checksummed granule for OpCorrupt frames (nil on
-	// every other verb).
-	Extent *ExtentAddr
+	// every other verb); the granule's keyspace is Keyspace.
+	Extent *nvme.ExtentAddr
 
 	// Replica carries the consensus message body for OpRequestVote,
 	// OpAppendEntries, and OpMigrate frames (nil on every client verb).
@@ -496,21 +472,6 @@ type Request struct {
 
 	// body is the pooled frame body the byte fields view (see Release).
 	body *frameBody
-}
-
-// ExtentAddr is the wire form of a logical extent address (keyspace comes
-// from Request.Keyspace): which cluster kind, which secondary index (for
-// sidx extents), which granule, and — for OpCorrupt — how many bits to flip.
-type ExtentAddr struct {
-	Kind    uint8
-	Index   string
-	Granule int64
-	Bits    uint32
-}
-
-// NVMe converts the wire extent body to the NVMe command form.
-func (e ExtentAddr) NVMe() nvme.ExtentAddr {
-	return nvme.ExtentAddr{Kind: e.Kind, Index: e.Index, Granule: e.Granule, Bits: int(e.Bits)}
 }
 
 // DeviceHealth is one array member's health in a stats report.
@@ -578,13 +539,7 @@ type StatsReport struct {
 	// no keyspace has ever compacted). An array backend aggregates shards:
 	// one row per keyspace, counters summed, stage = the furthest-behind
 	// shard's stage.
-	Compactions []CompactionProgress
-}
-
-// CompactionProgress is one keyspace's row in the Stats compaction section.
-type CompactionProgress struct {
-	Keyspace string
-	Progress compaction.Progress
+	Compactions []compaction.KeyspaceProgress
 }
 
 // RingEntry is one row of the shard-ownership table: which devices hold a

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"kvcsd/internal/compaction"
 	"kvcsd/internal/nvme"
 	"kvcsd/internal/sim"
 )
@@ -28,8 +29,8 @@ func sampleRequest() *Request {
 			{Key: []byte("a"), Value: []byte("va")},
 			{Key: []byte("b"), Tombstone: true},
 		},
-		Index:   IndexSpec{Name: "temp", Offset: 4, Length: 8, Type: 3},
-		Indexes: []IndexSpec{{Name: "x", Offset: 0, Length: 4, Type: 1}, {Name: "y", Offset: 4, Length: 4, Type: 2}},
+		Index:   nvme.SecondaryIndexSpec{Name: "temp", Offset: 4, Length: 8, Type: 3},
+		Indexes: []nvme.SecondaryIndexSpec{{Name: "x", Offset: 0, Length: 4, Type: 1}, {Name: "y", Offset: 4, Length: 4, Type: 2}},
 		Limit:   128,
 		Parts:   4,
 		Device:  2,
@@ -129,6 +130,20 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(plainRequest(got), want) {
 		t.Fatalf("request round trip mismatch:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestIndexSpecCrossesWhole: a spec's offset and length cross as the ints
+// they are, past 32 bits and negative alike, never cut to fit.
+func TestIndexSpecCrossesWhole(t *testing.T) {
+	spec := nvme.SecondaryIndexSpec{Name: "w", Offset: 1<<32 + 8, Length: -1, Type: 3}
+	req := &Request{Op: OpBuildIndex, Keyspace: "k", Index: spec, Indexes: []nvme.SecondaryIndexSpec{spec}}
+	got, err := DecodeRequest(Header{Op: req.Op}, EncodeRequest(req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Index != spec || len(got.Indexes) != 1 || got.Indexes[0] != spec {
+		t.Fatalf("specs %+v %+v, want %+v", got.Index, got.Indexes, spec)
 	}
 }
 
@@ -338,7 +353,7 @@ func TestListBoundsAcceptSmallestItems(t *testing.T) {
 		resp *Response
 	}{
 		{name: "request pairs", req: &Request{Pairs: make([]nvme.KVPair, n)}},
-		{name: "index specs", req: &Request{Indexes: make([]IndexSpec, n)}},
+		{name: "index specs", req: &Request{Indexes: make([]nvme.SecondaryIndexSpec, n)}},
 		{name: "replica entries", req: &Request{Replica: &ReplicaMsg{Entries: make([]ReplicaEntry, n)}}},
 		{name: "replica sessions", req: &Request{Replica: &ReplicaMsg{Sessions: make([]ReplicaSession, n)}}},
 		{name: "entry members", req: &Request{Replica: &ReplicaMsg{Entries: []ReplicaEntry{{Members: make([]uint32, n)}}}}},
@@ -348,7 +363,7 @@ func TestListBoundsAcceptSmallestItems(t *testing.T) {
 		{name: "rpc ops", resp: stats(StatsReport{RPC: &RPCReport{Ops: make([]RPCOpStats, n)}})},
 		{name: "tenants", resp: stats(StatsReport{Tenants: make([]TenantStats, n)})},
 		{name: "lanes", resp: stats(StatsReport{Tenants: []TenantStats{{Lanes: make([]LaneStats, n)}}})},
-		{name: "compactions", resp: stats(StatsReport{Compactions: make([]CompactionProgress, n)})},
+		{name: "compactions", resp: stats(StatsReport{Compactions: make([]compaction.KeyspaceProgress, n)})},
 		{name: "ring", resp: stats(StatsReport{Ring: make([]RingEntry, n)})},
 		{name: "ring members", resp: stats(StatsReport{Ring: []RingEntry{{Members: make([]uint32, n)}}})},
 	} {
