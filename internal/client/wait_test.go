@@ -160,7 +160,9 @@ func TestParkedWaitsLeaveDispatchersFree(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			for i := 0; i < 400; i++ {
+			// Enough pairs that every compaction outlasts issuing them all
+			// and the Get: a smaller one sorts in DRAM and can finish first.
+			for i := 0; i < 2400; i++ {
 				_ = busy[w].BulkPut(p, key(i), value(i, 0))
 			}
 			if err := busy[w].Flush(p); err != nil {

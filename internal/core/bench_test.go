@@ -238,6 +238,35 @@ func BenchmarkSorterMakeRuns(b *testing.B) {
 	})
 }
 
+// BenchmarkSorterStream: a sort of 64k records (~10 % duplicate keys) that
+// fits one batch — copy each into the batch, sort it, and hand every record
+// to emit straight from DRAM, with no run written or read back.
+func BenchmarkSorterStream(b *testing.B) {
+	b.Run("klogEntry", func(b *testing.B) {
+		benchStream[klogEntry](b, klogCodec{}, klogKey, compareKlog, benchKlogEntries(benchSortRecords))
+	})
+	b.Run("sidxEntry", func(b *testing.B) {
+		benchStream[sidxEntry](b, sidxCodec{}, sidxKey, compareSidx, benchSidxEntries(benchSortRecords))
+	})
+}
+
+func benchStream[T any](b *testing.B, codec Codec[T], key func(T) []byte, cmp func(a, b T) int, master []T) {
+	benchSorter(b, codec, key, cmp, func(p *sim.Proc, s *Sorter[T]) {
+		n := 0
+		emit := func(*sim.Proc, T) error {
+			n++
+			return nil
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			n = 0
+			if err := s.Stream(p, &sliceSource[T]{recs: master}, emit); err != nil || n != len(master) || s.written != 0 {
+				b.Fatalf("%d of %d records, %d bytes written, err %v", n, len(master), s.written, err)
+			}
+		}
+	})
+}
+
 // BenchmarkRadixSort: one SIDX batch's sort — 10 240 float32 energies drawn
 // from Exp(1), in primary-key order as an index build delivers them, radix
 // sorted on a job's already-grown buffers.

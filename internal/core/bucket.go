@@ -183,7 +183,7 @@ func (v *valuePlacer) place(p *sim.Proc, cpu host.Meter, c *Cluster, lo uint64) 
 	out := v.out[:bound]
 	filled := v.filled[:(bound+63)/64]
 	clear(filled)
-	v.sc = scanner[valueRec]{c: c, codec: valueCodec{}, chunk: scanChunk, buf: v.sc.buf[:0]}
+	v.sc = scanner[valueRec]{c: c, codec: valueCodec{}, buf: v.sc.buf[:0]}
 	var size, end uint64 // value bytes placed, and the end of the furthest one
 	for {
 		rec, ok, err := v.sc.next(p)

@@ -132,7 +132,7 @@ func TestPlaceValueBucketAllocs(t *testing.T) {
 		}
 		var sc scanner[valueRec]
 		scan := func(c *Cluster) {
-			sc = scanner[valueRec]{c: c, codec: valueCodec{}, chunk: scanChunk, buf: sc.buf[:0]}
+			sc = scanner[valueRec]{c: c, codec: valueCodec{}, buf: sc.buf[:0]}
 			for {
 				if _, ok, err := sc.next(p); err != nil || !ok {
 					return

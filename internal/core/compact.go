@@ -84,7 +84,8 @@ func (e *Engine) pipeline(ks *Keyspace) pipeline {
 //     their destinations in SORTED_VALUES order;
 //
 // and then build the PIDX blocks plus the in-memory sketch (one pivot per
-// 4 KiB block). All intermediate runs live in temporarily allocated zone
+// 4 KiB block). A key sort that fits one batch of SoC DRAM never leaves it; a
+// larger one, and the value buckets, live in temporarily allocated zone
 // clusters released as the sort proceeds.
 func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace, stages []*sidxStage) (compacted, error) {
 	// Step 1: sort keys (compareKlog: newest duplicate of a key first).
@@ -115,70 +116,61 @@ func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace, stages []*sidxStage) (
 	}
 	keySorter.submitAssist = e.submitAssist
 	keySorter.collectAssist = e.collectAssist
-	sortedKeys, err := keySorter.Sort(p, newFrameSource(ks.klog, klogCodec{}, ks.logFrames))
-	if err != nil {
-		return compacted{}, err
-	}
-	ks.progress.BytesMoved += keySorter.written
-	ks.progress.HostRuns = clampU16(keySorter.hostRuns)
-	ks.progress.DeviceRuns = clampU16(keySorter.deviceRuns)
 
-	// Pass over sorted keys: drop duplicate keys, assign destination
-	// offsets, build PIDX blocks + sketch, and scatter destination entries
-	// into buckets by VLOG position (the inverse permutation, bucketed so
-	// the value pass needs no log-round merging).
+	// Pass over sorted keys, as the sort hands them over: drop duplicate
+	// keys, assign destination offsets, build PIDX blocks + sketch, and
+	// scatter destination entries into buckets by VLOG position (the inverse
+	// permutation, bucketed so the value pass needs no log-round merging).
 	pidx := e.zm.NewCluster(ZonePIDX)
 	pidxW := newBlockWriter(pidx, e.cfg.BlockBytes)
 	destBuckets := newBucketWriter(e.zm, uint64(ks.vlog.Len())+1, e.cfg.SortBudgetBytes)
 	var destOff uint64
-	var livePairs int64
+	var livePairs, keyBytes int64
 	var lastKey []byte
 	haveLast := false
 	blockSz := int64(e.cfg.BlockBytes)
-	ks.progress.Stage = compaction.StageMerge
-	ks.progress.GranulesDone = 0
-	ks.progress.GranulesTotal = uint32((sortedKeys.Len() + blockSz - 1) / blockSz)
-	sc := newScanner(sortedKeys, klogCodec{}, 0)
 	codec := klogCodec{}
 	dcodec := destCodec{}
 	var enc []byte // one record's encoding; the writers below copy it
-	for {
-		rec, ok, err := sc.next(p)
-		if err != nil {
-			return compacted{}, err
-		}
-		if !ok {
-			break
-		}
-		ks.progress.GranulesDone = uint32(sc.off / blockSz)
+	err := keySorter.Stream(p, newFrameSource(ks.klog, codec, ks.logFrames), func(p *sim.Proc, rec klogEntry) error {
+		// The merge stage walks the sorted-key bytes, in DRAM or in a run.
+		keyBytes += int64(len(codec.Encode(enc[:0], rec)))
+		ks.progress.Stage = compaction.StageMerge
+		ks.progress.GranulesTotal = granules(keySorter.fed, blockSz)
+		ks.progress.GranulesDone = uint32(keyBytes / blockSz)
 		if haveLast && bytes.Equal(rec.key, lastKey) {
-			continue // older duplicate, superseded
+			return nil // older duplicate, superseded
 		}
 		lastKey = append(lastKey[:0], rec.key...)
 		haveLast = true
 		if rec.isTombstone() {
-			continue // newest record is a delete: the key vanishes
+			return nil // newest record is a delete: the key vanishes
 		}
 		livePairs++
 		de := destEntry{vlogOff: rec.vlogOff, destOff: destOff, vlen: rec.vlen}
 		enc = dcodec.Encode(enc[:0], de)
 		if err := destBuckets.add(p, rec.vlogOff, enc); err != nil {
-			return compacted{}, err
+			return err
 		}
 		enc = codec.Encode(enc[:0], pidxEntry{key: rec.key, vlen: rec.vlen, vlogOff: destOff})
 		if err := pidxW.add(p, enc, rec.key); err != nil {
-			return compacted{}, err
+			return err
 		}
 		destOff += uint64(rec.vlen)
+		return nil
+	})
+	if err != nil {
+		return compacted{}, err
 	}
+	ks.progress.GranulesDone = ks.progress.GranulesTotal
+	ks.progress.BytesMoved += keySorter.written
+	ks.progress.HostRuns = clampU16(keySorter.hostRuns)
+	ks.progress.DeviceRuns = clampU16(keySorter.deviceRuns)
 	totalValueBytes := destOff
 	if err := destBuckets.finish(p); err != nil {
 		return compacted{}, err
 	}
 	if err := pidxW.finish(p); err != nil {
-		return compacted{}, err
-	}
-	if err := sortedKeys.Release(p); err != nil {
 		return compacted{}, err
 	}
 
@@ -214,7 +206,7 @@ func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace, stages []*sidxStage) (
 	sorted := e.zm.NewCluster(ZoneSortedValues)
 	ks.progress.Stage = compaction.StageValues
 	ks.progress.GranulesDone = 0
-	ks.progress.GranulesTotal = uint32((int64(totalValueBytes) + blockSz - 1) / blockSz)
+	ks.progress.GranulesTotal = granules(int64(totalValueBytes), blockSz)
 	var w chunkWriter
 	w.open(sorted, e.pipeline(ks), &ks.progress.BytesMoved)
 	defer w.stop(p)
@@ -249,7 +241,7 @@ func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace, stages []*sidxStage) (
 			}
 		}
 		nextDest += uint64(len(vals))
-		ks.progress.GranulesDone = uint32(int64(nextDest) / blockSz)
+		ks.progress.GranulesDone = granules(int64(nextDest), blockSz)
 		if err := w.write(p, vals); err != nil {
 			return compacted{}, err
 		}
@@ -268,6 +260,9 @@ func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace, stages []*sidxStage) (
 	heat := compaction.NewHeatTable(int((sorted.Len() + blockSz - 1) / blockSz))
 	return compacted{pidx: pidx, sorted: sorted, sketch: pidxW.sketch, live: livePairs, heat: heat}, nil
 }
+
+// granules returns how many blockSz granules n bytes touch.
+func granules(n, blockSz int64) uint32 { return uint32((n + blockSz - 1) / blockSz) }
 
 // klogKey is a KLOG entry's sort key.
 func klogKey(e klogEntry) []byte { return e.key }

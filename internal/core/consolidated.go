@@ -8,8 +8,9 @@ import "kvcsd/internal/sim"
 // data into SoC DRAM". Secondary index specs are declared at compaction
 // time; as the compaction's final pass streams sorted values into
 // SORTED_VALUES, the engine extracts every declared secondary key in flight
-// and stages the (skey, pkey) pairs into temp clusters, so each secondary
-// index costs one extra sort but no extra full read-back of the keyspace.
+// and pushes each (skey, pkey) pair straight into its index's run-formation
+// batch, so each secondary index costs one extra sort — none of the media
+// when it fits one batch — but no extra full read-back of the keyspace.
 //
 // As the paper also anticipates, the engine "resort[s] back to separated
 // index construction when DRAM resources become a bottleneck": if the
@@ -26,27 +27,25 @@ func (e *Engine) consolidates(n int) bool {
 	return !e.cfg.DisableKVSeparation && int64(n+1)*int64(e.cfg.SortBudgetBytes) <= e.cfg.DRAMBytes/2
 }
 
-// sidxStage accumulates extraction output for one declared index.
+// sidxStage accumulates extraction output for one declared index: its
+// sorter's run-formation batch, whose DRAM consolidates reserves.
 type sidxStage struct {
-	si      *secondaryIndex
-	cluster *Cluster
-	w       chunkWriter
-	skey    []byte // the secondary key being extracted, reused per pair
+	si     *secondaryIndex
+	sorter *Sorter[sidxEntry]
+	skey   []byte // the secondary key being extracted, reused per pair
 }
 
-// newSidxStages opens a staging cluster for each declared index.
+// newSidxStages opens a sorter for each declared index.
 func (e *Engine) newSidxStages(sis []*secondaryIndex) []*sidxStage {
 	stages := make([]*sidxStage, len(sis))
 	for i, si := range sis {
-		st := &sidxStage{si: si, cluster: e.zm.NewCluster(ZoneTemp)}
-		st.w.open(st.cluster, pipeline{}, nil)
-		stages[i] = st
+		stages[i] = &sidxStage{si: si, sorter: e.newSidxSorter(si.spec)}
 	}
 	return stages
 }
 
-// extractStaged stages every declared index's entry for one pair, as the
-// value pass streams it through SoC DRAM.
+// extractStaged adds every declared index's entry for one pair to its
+// sorter, as the value pass streams the pair through SoC DRAM.
 func extractStaged(p *sim.Proc, stages []*sidxStage, pkey []byte, svOff uint64, value []byte) error {
 	for _, st := range stages {
 		ent, err := extractSidx(st.si.spec, st.skey, pkey, svOff, value)
@@ -54,7 +53,7 @@ func extractStaged(p *sim.Proc, stages []*sidxStage, pkey []byte, svOff uint64, 
 			return err
 		}
 		st.skey = ent.skey
-		if err := putRecord(p, &st.w, sidxCodec{}, ent); err != nil {
+		if err := st.sorter.add(p, ent); err != nil {
 			return err
 		}
 	}
@@ -62,59 +61,53 @@ func extractStaged(p *sim.Proc, stages []*sidxStage, pkey []byte, svOff uint64, 
 }
 
 // buildStaged sorts each staged index and packs its SIDX blocks — no
-// keyspace read-back — then persists. A failure leaves the remaining
-// indexes unbuilt; every index's done event fires either way.
+// keyspace read-back — persists, and only then reports the built ones. A
+// failure fails the remaining indexes; every index's done event fires either
+// way.
 func (e *Engine) buildStaged(p *sim.Proc, stages []*sidxStage) error {
+	var err error
 	for i, st := range stages {
 		start := p.Now()
-		err := st.w.finish(p)
-		var sorted *Cluster
-		if err == nil {
-			sorted, err = e.newSidxSorter(st.si.spec).SortCluster(p, st.cluster)
-		}
-		if err == nil {
-			err = st.cluster.Release(p)
-		}
-		if err == nil {
-			err = e.packSIDX(p, st.si, sorted)
-		}
-		if err != nil {
-			for _, rest := range stages[i:] {
-				rest.si.finish(err)
-			}
-			return err
-		}
-		st.si.buildNS = sim.Duration(p.Now() - start)
-		st.si.finish(nil)
-	}
-	return e.mgr.Persist(p)
-}
-
-// packSIDX drains a sorted sidxEntry cluster into SIDX blocks + sketch and
-// releases the input.
-func (e *Engine) packSIDX(p *sim.Proc, si *secondaryIndex, sorted *Cluster) error {
-	cluster := e.zm.NewCluster(ZoneSIDX)
-	w := newBlockWriter(cluster, e.cfg.BlockBytes)
-	sc := newScanner(sorted, sidxCodec{}, 0)
-	codec := sidxCodec{}
-	var enc []byte
-	for {
-		rec, ok, err := sc.next(p)
-		if err != nil {
-			return err
-		}
-		if !ok {
+		if err = e.packSIDX(p, st.si, st.sorter, nil); err != nil {
+			failStages(stages[i:], err)
+			stages = stages[:i]
 			break
 		}
+		st.si.buildNS = sim.Duration(p.Now() - start)
+	}
+	perr := e.mgr.Persist(p)
+	for _, st := range stages {
+		st.si.finish(perr)
+	}
+	if err == nil {
+		err = perr
+	}
+	return err
+}
+
+// failStages ends staged builds with err and lets go of their batches.
+func failStages(stages []*sidxStage, err error) {
+	for _, st := range stages {
+		st.sorter.drop()
+		st.si.finish(err)
+	}
+}
+
+// packSIDX sorts the entries sorter holds and those of src (nil: none) into
+// SIDX blocks + sketch.
+func (e *Engine) packSIDX(p *sim.Proc, si *secondaryIndex, sorter *Sorter[sidxEntry], src recordSource[sidxEntry]) error {
+	cluster := e.zm.NewCluster(ZoneSIDX)
+	w := newBlockWriter(cluster, e.cfg.BlockBytes)
+	codec := sidxCodec{}
+	var enc []byte
+	err := sorter.Stream(p, src, func(p *sim.Proc, rec sidxEntry) error {
 		enc = codec.Encode(enc[:0], rec)
-		if err := w.add(p, enc, rec.skey); err != nil {
-			return err
-		}
+		return w.add(p, enc, rec.skey)
+	})
+	if err == nil {
+		err = w.finish(p)
 	}
-	if err := w.finish(p); err != nil {
-		return err
-	}
-	if err := sorted.Release(p); err != nil {
+	if err != nil {
 		return err
 	}
 	si.cluster = cluster

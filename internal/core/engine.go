@@ -606,9 +606,12 @@ func (e *Engine) compact(p *sim.Proc, name string, specs []nvme.SecondaryIndexSp
 		ks.compactDone.Signal()
 		for _, si := range sis {
 			si.cluster = e.zm.NewCluster(ZoneSIDX)
-			si.finish(nil)
 		}
-		return e.mgr.Persist(p)
+		err := e.mgr.Persist(p)
+		for _, si := range sis {
+			si.finish(err)
+		}
+		return err
 	}
 	ks.state = StateCompacting
 	ks.compactStart = p.Now()
@@ -624,10 +627,9 @@ func (e *Engine) compact(p *sim.Proc, name string, specs []nvme.SecondaryIndexSp
 	// command itself returns immediately (deferred compaction).
 	e.spawnJob(job, func(jp *sim.Proc) error {
 		ks.progress = compaction.Progress{Stage: compaction.StageFlush}
+		stages := e.newSidxStages(sis)
 		err := e.takeIngest(jp, ks)
-		var stages []*sidxStage
 		if err == nil {
-			stages = e.newSidxStages(sis)
 			err = e.runCompaction(jp, ks, stages)
 		}
 		// The done event fires even on error so waiters never deadlock; they
@@ -636,9 +638,7 @@ func (e *Engine) compact(p *sim.Proc, name string, specs []nvme.SecondaryIndexSp
 		ks.compactErr = err
 		ks.compactDone.Signal()
 		if err != nil {
-			for _, si := range sis {
-				si.finish(err)
-			}
+			failStages(stages, err)
 			return err
 		}
 		if len(stages) == 0 {

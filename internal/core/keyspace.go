@@ -70,12 +70,16 @@ type secondaryIndex struct {
 	spec    nvme.SecondaryIndexSpec
 	cluster *Cluster
 	sketch  []sketchEntry
-	done    *sim.Event // fires when construction ends, built or failed
-	err     error      // why construction failed (wraps ErrIndexFailed)
+	// done fires when construction ends and is reported: failed, or built
+	// with a metadata frame on media that records it built.
+	done    *sim.Event
+	err     error // why construction failed (wraps ErrIndexFailed)
 	buildNS time.Duration
 }
 
-// finish records how construction ended and wakes its waiters.
+// finish records how construction ended and wakes its waiters. A build
+// puts its SIDX cluster in place, persists, and only then finishes, so a
+// waiter is never told "built" before the frame that says so is on media.
 func (si *secondaryIndex) finish(err error) {
 	if err != nil {
 		si.err = fmt.Errorf("%w: %s: %w", ErrIndexFailed, si.spec.Name, err)
@@ -83,7 +87,12 @@ func (si *secondaryIndex) finish(err error) {
 	si.done.Signal()
 }
 
-// built reports whether construction finished without error.
+// packed reports whether the index's SIDX cluster is in place and its build
+// has not failed: what a metadata frame records as built.
+func (si *secondaryIndex) packed() bool { return si.cluster != nil && si.err == nil }
+
+// built reports whether construction finished without error and was
+// reported so.
 func (si *secondaryIndex) built() bool { return si.done.Fired() && si.err == nil }
 
 // Keyspace is one application keyspace: a container of key-value pairs with
@@ -422,7 +431,7 @@ func (w *metaWriter) record(ks *Keyspace) *metaKeyspace {
 			offset:  si.spec.Offset,
 			length:  si.spec.Length,
 			typ:     uint8(si.spec.Type),
-			built:   si.built(),
+			built:   si.packed(),
 			cluster: w.cluster(&cl[4+i], si.cluster),
 			sketch:  si.sketch,
 		})

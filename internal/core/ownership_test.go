@@ -46,40 +46,36 @@ func (s *scribbleSource[T]) next(*sim.Proc) (rec T, ok bool, err error) {
 	return rec, err == nil, err
 }
 
-// checkSortOwnsRecords sorts recs from a scribbling source through several
-// runs and a merge and wants exactly the order stableSort gives the records
-// themselves.
+// checkSortOwnsRecords sorts recs from a scribbling source, once through
+// several runs and a merge and once in a single DRAM batch, and wants exactly
+// the order stableSort gives the records themselves.
 func checkSortOwnsRecords[T any](t *testing.T, codec Codec[T], key func(T) []byte, cmp func(a, b T) int, recs []T) {
 	t.Helper()
 	want := slices.Clone(recs)
 	stableSort(want, make([]T, len(want)), cmp)
-	fx := newSortFixture(16 << 10) // several runs
-	fx.run(t, func(p *sim.Proc) {
-		s := NewSorter(fx.zm, fx.soc, fx.cfg, codec, key, cmp)
-		out, err := s.Sort(p, &scribbleSource[T]{codec: codec, recs: recs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.runs < 2 {
-			t.Fatalf("%d runs, want several", s.runs)
-		}
-		sc := newScanner(out, codec, 0)
-		for i := 0; ; i++ {
-			rec, ok, err := sc.next(p)
+	for _, budget := range []int{16 << 10, 64 << 20} {
+		fx := newSortFixture(budget)
+		fx.run(t, func(p *sim.Proc) {
+			s := NewSorter(fx.zm, fx.soc, fx.cfg, codec, key, cmp)
+			i := 0
+			err := s.Stream(p, &scribbleSource[T]{codec: codec, recs: recs}, func(_ *sim.Proc, rec T) error {
+				if got, exp := codec.Encode(nil, rec), codec.Encode(nil, want[i]); !bytes.Equal(got, exp) {
+					t.Fatalf("budget %d, record %d: got %x, want %x", budget, i, got, exp)
+				}
+				i++
+				return nil
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ok {
-				if i != len(want) {
-					t.Fatalf("%d records out, want %d", i, len(want))
-				}
-				return
+			if i != len(want) {
+				t.Fatalf("budget %d: %d records out, want %d", budget, i, len(want))
 			}
-			if got, exp := codec.Encode(nil, rec), codec.Encode(nil, want[i]); !bytes.Equal(got, exp) {
-				t.Fatalf("record %d: got %x, want %x", i, got, exp)
+			if multi := budget < 1<<20; multi != (s.runs >= 2) {
+				t.Fatalf("budget %d: %d runs", budget, s.runs)
 			}
-		}
-	})
+		})
+	}
 }
 
 // TestSortOwnsSourceRecords: run formation copies every record it keeps, so
@@ -127,7 +123,7 @@ func TestSourcesPoisonTakenRecords(t *testing.T) {
 			if err := run.Seal(p); err != nil {
 				t.Fatal(err)
 			}
-			sc := newScanner(run, klogCodec{}, 0)
+			sc := newScanner(run, klogCodec{})
 			r1, _, _ := sc.next(p)
 			if _, _, err := sc.next(p); err != nil || !isPoison(r1.key) {
 				t.Errorf("scanner left the taken key %q (err %v)", r1.key, err)
@@ -251,6 +247,42 @@ func TestMakeRunsAllocs(t *testing.T) {
 	one, four := allocs(n), allocs(4*n)
 	if one > 100 || (four-one)/(3*n) > 0.01 {
 		t.Fatalf("makeRuns allocated %v times for %d records and %v for %d", one, n, four, 4*n)
+	}
+}
+
+// TestStreamAllocs: a sort that fits one batch streams a KLOG's frames to
+// emit allocating per frame read, arena chunk and growth of the batch slice —
+// never per record.
+func TestStreamAllocs(t *testing.T) {
+	const n = 10240
+	allocs := func(records int) float64 {
+		fx := newEngineFixture(DefaultConfig())
+		var got float64
+		fx.run(t, func(p *sim.Proc) {
+			ingestN(t, p, fx, "ks", records, func(i int) float32 { return 1 })
+			if err := fx.eng.Sync(p, "ks"); err != nil {
+				t.Fatal(err)
+			}
+			ks, _ := fx.eng.Keyspace("ks")
+			s := newEngineSorter[klogEntry](fx.eng, phaseRunKlog, klogCodec{}, klogKey, compareKlog)
+			emitted := 0
+			emit := func(*sim.Proc, klogEntry) error {
+				emitted++
+				return nil
+			}
+			got = testing.AllocsPerRun(1, func() {
+				emitted = 0
+				err := s.Stream(p, newFrameSource(ks.klog, klogCodec{}, ks.logFrames), emit)
+				if err != nil || s.written != 0 || emitted != records {
+					t.Fatalf("%d of %d records emitted, %d bytes written, err %v", emitted, records, s.written, err)
+				}
+			})
+		})
+		return got
+	}
+	one, four := allocs(n), allocs(4*n)
+	if one > 100 || (four-one)/(3*n) > 0.01 {
+		t.Fatalf("Stream allocated %v times for %d records and %v for %d", one, n, four, 4*n)
 	}
 }
 

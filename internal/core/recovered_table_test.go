@@ -62,7 +62,7 @@ func dumpTable(b *bytes.Buffer, m *Manager) {
 		fmt.Fprintf(b, "\n  sketch %s\n", sketchDigest(ks.sketch))
 		for _, sn := range ks.secondaryNames() {
 			si := ks.secondary[sn]
-			if !si.done.Fired() {
+			if !si.packed() {
 				continue
 			}
 			fmt.Fprintf(b, "  secondary %q offset=%d length=%d type=%d sketch %s\n",
@@ -182,9 +182,6 @@ func recoveredTableWorkload(t *testing.T, p *sim.Proc, eng *Engine, checkpoint f
 
 	index("a")
 	index("c")
-	// An index build's own persist still records it unbuilt (its done event
-	// fires after that frame); the next persist makes it durable.
-	must(eng.Sync(p, "e"))
 	eng = checkpoint("energy indexes on a and c")
 
 	compact("d")
@@ -263,5 +260,46 @@ func TestRecoveredTableGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("recovered table changed:\n got:\n%s want:\n%s", got.Bytes(), want)
+	}
+}
+
+// TestIndexBuiltDurableWhenReported: WaitIndexBuilt returns only once the
+// metadata frame that records the index built is on media. Power is cut the
+// instant it returns, on both build paths — a separate build after the
+// compaction and one consolidated into it — and the recovered engine has the
+// index and answers a query from it.
+func TestIndexBuiltDurableWhenReported(t *testing.T) {
+	for _, consolidated := range []bool{false, true} {
+		fx := newEngineFixture(smallEngineConfig())
+		fx.run(t, func(p *sim.Proc) {
+			const n = 1000
+			ingestN(t, p, fx, "ks", n, func(i int) float32 { return float32(i % 10) })
+			spec := energySpec("e")
+			if consolidated {
+				if err := fx.eng.CompactWithIndexes(p, "ks", []nvme.SecondaryIndexSpec{spec}); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				compactAndWait(t, p, fx, "ks")
+				if err := fx.eng.BuildSecondaryIndex(p, "ks", spec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := fx.eng.WaitIndexBuilt(p, "ks", "e"); err != nil {
+				t.Fatal(err)
+			}
+			fx.eng.Halt()
+			fx.dev.PowerCut(p)
+			fx.dev.PowerOn()
+			next, err := recoverFresh(t, fx, p, 31)
+			if err != nil {
+				t.Fatalf("consolidated=%v: recover: %v", consolidated, err)
+			}
+			count, err := next.RangeSecondary(p, "ks", "e",
+				keyenc.PutFloat32(3), keyenc.PutFloat32(4), 0, func(nvme.KVPair) bool { return true })
+			if err != nil || count != n/10 {
+				t.Fatalf("consolidated=%v: the reported index matched %d after the cut (err %v), want %d", consolidated, count, err, n/10)
+			}
+		})
 	}
 }

@@ -12,8 +12,9 @@ import (
 // runIndexBuild constructs one secondary index (paper §V, "Secondary Index
 // Construction"): a full scan of the compacted keyspace extracts the
 // secondary key bytes from every value (paired with the primary key and
-// value location), the pairs are externally sorted by secondary key, and the
-// result is packed into SIDX blocks with a sketch pivot per block.
+// value location), the pairs are sorted by secondary key, and the result is
+// packed into SIDX blocks with a sketch pivot per block. The index is put in
+// place, persisted, and only then reported built.
 func (e *Engine) runIndexBuild(p *sim.Proc, ks *Keyspace, si *secondaryIndex) (err error) {
 	defer func() { si.finish(err) }()
 	start := p.Now()
@@ -26,25 +27,19 @@ func (e *Engine) runIndexBuild(p *sim.Proc, ks *Keyspace, si *secondaryIndex) (e
 	}
 
 	if ks.count == 0 {
-		si.cluster = e.zm.NewCluster(ZoneSIDX)
-		if err := si.cluster.Seal(p); err != nil {
+		cluster := e.zm.NewCluster(ZoneSIDX)
+		if err := cluster.Seal(p); err != nil {
 			return err
 		}
-		si.buildNS = 0
-		return e.mgr.Persist(p)
+		si.cluster = cluster
+	} else {
+		// Validate the byte range against actual values lazily: the extractor
+		// errors on the first undersized value.
+		if err := e.packSIDX(p, si, e.newSidxSorter(si.spec), e.newSidxSource(ks, si.spec)); err != nil {
+			return err
+		}
+		si.buildNS = sim.Duration(p.Now() - start)
 	}
-
-	// Validate the byte range against actual values lazily: the extractor
-	// errors on the first undersized value.
-	sortedEntries, err := e.newSidxSorter(si.spec).Sort(p, e.newSidxSource(ks, si.spec))
-	if err != nil {
-		return err
-	}
-
-	if err := e.packSIDX(p, si, sortedEntries); err != nil {
-		return err
-	}
-	si.buildNS = sim.Duration(p.Now() - start)
 	return e.mgr.Persist(p)
 }
 

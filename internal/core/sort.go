@@ -69,7 +69,6 @@ type scanner[T any] struct {
 	pos   int   // parse position within buf
 	last  int   // start of the record handed out last, within buf
 	off   int64 // logical cluster offset of buf[0]
-	chunk int
 	pf    *prefetcher
 }
 
@@ -82,11 +81,8 @@ const scanChunk = 256 << 10
 // partial record a refill carries over, so refills reuse the window in place.
 const scanSlack = 4 << 10
 
-func newScanner[T any](c *Cluster, codec Codec[T], chunk int) *scanner[T] {
-	if chunk <= 0 {
-		chunk = scanChunk
-	}
-	return &scanner[T]{c: c, codec: codec, chunk: chunk}
+func newScanner[T any](c *Cluster, codec Codec[T]) *scanner[T] {
+	return &scanner[T]{c: c, codec: codec}
 }
 
 // next returns the next record, or ok=false at end of stream. The record
@@ -117,7 +113,7 @@ func (s *scanner[T]) next(p *sim.Proc) (rec T, ok bool, err error) {
 		copy(s.buf, s.buf[s.pos:])
 		s.buf = s.buf[:rem]
 		s.pos, s.last = 0, 0
-		want := s.chunk
+		want := scanChunk
 		if avail := s.c.Len() - (s.off + int64(rem)); int64(want) > avail {
 			want = int(avail)
 		}
@@ -169,7 +165,9 @@ func (m *memSource[T]) next(p *sim.Proc) (rec T, ok bool, err error) {
 
 // Sorter performs a bounded-DRAM external merge sort of record streams —
 // the mechanism behind KV-CSD's deferred compaction ("multiple rounds of
-// merge sorts, depending on available SoC DRAM space", paper §V).
+// merge sorts, depending on available SoC DRAM space", paper §V). A sort
+// that fits one batch of SoC DRAM takes zero rounds and never touches the
+// media (see Stream).
 type Sorter[T any] struct {
 	zm    *ZoneManager
 	cfg   Config
@@ -190,9 +188,16 @@ type Sorter[T any] struct {
 	batch sortBuf[T]
 	arena batchArena
 	out   chunkWriter
+	// batchBytes is the batch's size against SortBudgetBytes: the SizeHint
+	// of its records. dram, when set, counts it while the batch holds it
+	// (the engine's SoC DRAM gauge).
+	batchBytes int
+	dram       *sim.Gauge
+	// formed holds the runs the records added so far were cut into.
+	formed []*Cluster
 
-	// runs and merges record what the last Sort did: runs formed and k-way
-	// merges made.
+	// runs and merges record what the last sort did: runs formed and k-way
+	// merges made (zero and zero for a sort that fit one batch).
 	runs, merges int
 	// runCPU and mergeCPU are where run formation and merges charge the SoC:
 	// the engine's run-formation phase of the record type and its merge phase
@@ -201,7 +206,9 @@ type Sorter[T any] struct {
 	// written counts bytes this sorter appended to scratch and output
 	// clusters (compaction progress accounting).
 	written uint64
-	// hostRuns and deviceRuns record how the last Sort split its reduced runs
+	// fed counts the encoded bytes of the records added.
+	fed int64
+	// hostRuns and deviceRuns record how the last sort split its reduced runs
 	// between the host assist loop and the device (zero/zero when the sort
 	// ran device-only).
 	hostRuns, deviceRuns int
@@ -231,30 +238,56 @@ func NewSorter[T any](zm *ZoneManager, soc *host.Host, cfg Config, codec Codec[T
 }
 
 // newEngineSorter is NewSorter for the engine's own jobs: run formation
-// charges the run phase, merges charge phaseMerge.
+// charges the run phase, merges charge phaseMerge, and the batch counts in
+// the engine's DRAM gauge.
 func newEngineSorter[T any](e *Engine, run socPhase, codec Codec[T], key func(T) []byte, cmp func(a, b T) int) *Sorter[T] {
 	s := NewSorter(e.zm, e.soc, e.cfg, codec, key, cmp)
 	s.runCPU, s.mergeCPU = e.cpu[run], e.cpu[phaseMerge]
+	s.dram = e.dram
 	return s
 }
 
-// SortCluster sorts the records of a cluster (not released — callers own it).
-func (s *Sorter[T]) SortCluster(p *sim.Proc, in *Cluster) (*Cluster, error) {
-	return s.Sort(p, newScanner(in, s.codec, 0))
+// Stream sorts the records added so far and then those of src (nil: none)
+// and hands them to emit in order, each valid until emit returns. Records
+// that end before the first batch fills SortBudgetBytes are ordered in SoC
+// DRAM, charged as run formation, and emitted straight from it: no scratch
+// cluster, no media. More are cut into runs that merge, in part on the host
+// when the assist hooks and the planner say so, into one scratch cluster
+// that is scanned to emit and released.
+func (s *Sorter[T]) Stream(p *sim.Proc, src recordSource[T], emit func(p *sim.Proc, rec T) error) error {
+	defer s.drop()
+	if err := s.feed(p, src); err != nil {
+		return err
+	}
+	if len(s.formed) == 0 {
+		return s.emitBatch(p, emit)
+	}
+	out, err := s.mergeAll(p)
+	if err != nil {
+		return err
+	}
+	sc := newScanner(out, s.codec)
+	for {
+		rec, ok, err := sc.next(p)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return out.Release(p)
+		}
+		if err := emit(p, rec); err != nil {
+			return err
+		}
+	}
 }
 
-// Sort consumes a record source and returns a new sealed cluster with the
-// records in ascending order. When the host-assist hooks are set and the
-// planner assigns it a share, part of the final merge runs on the host while
-// the device merges the rest concurrently.
-func (s *Sorter[T]) Sort(p *sim.Proc, src recordSource[T]) (*Cluster, error) {
-	runs, err := s.reduce(p, src)
+// mergeAll writes the last batch as a run and merges every run formed into
+// one sealed scratch cluster, splitting the final merge with the host when
+// the assist hooks and the planner say so.
+func (s *Sorter[T]) mergeAll(p *sim.Proc) (*Cluster, error) {
+	runs, err := s.reduce(p)
 	if err != nil {
 		return nil, err
-	}
-	if len(runs) == 0 {
-		out := s.zm.NewCluster(ZoneTemp)
-		return out, out.Seal(p)
 	}
 	s.hostRuns, s.deviceRuns = 0, 0
 	if s.planSplit != nil && s.submitAssist != nil && s.collectAssist != nil && len(runs) > 1 {
@@ -361,12 +394,20 @@ func (s *Sorter[T]) sortSplit(p *sim.Proc, runs []*Cluster, h int) (*Cluster, er
 	return merged, err, true
 }
 
-// SortTo sorts the source and streams the ordered records to emit instead of
-// materializing a final cluster — used by the combined layout's compaction,
-// so sorted records land directly in PIDX and SORTED_VALUES.
+// SortTo is Stream with a final merge that streams into emit instead of
+// landing in a scratch cluster — the combined layout's compaction, so sorted
+// records land directly in PIDX and SORTED_VALUES. A source that fits one
+// batch is emitted from DRAM as Stream does.
 func (s *Sorter[T]) SortTo(p *sim.Proc, src recordSource[T], emit func(p *sim.Proc, rec T) error) error {
-	runs, err := s.reduce(p, src)
-	if err != nil || len(runs) == 0 {
+	defer s.drop()
+	if err := s.feed(p, src); err != nil {
+		return err
+	}
+	if len(s.formed) == 0 {
+		return s.emitBatch(p, emit)
+	}
+	runs, err := s.reduce(p)
+	if err != nil {
 		return err
 	}
 	s.merges++
@@ -376,9 +417,10 @@ func (s *Sorter[T]) SortTo(p *sim.Proc, src recordSource[T], emit func(p *sim.Pr
 	return releaseAll(p, runs)
 }
 
-// reduce produces at most MergeFanin sorted runs from the source.
-func (s *Sorter[T]) reduce(p *sim.Proc, src recordSource[T]) ([]*Cluster, error) {
-	runs, err := s.makeRuns(p, src)
+// reduce writes the last batch as a run and merges the runs formed down to
+// at most MergeFanin.
+func (s *Sorter[T]) reduce(p *sim.Proc) ([]*Cluster, error) {
+	runs, err := s.makeRuns(p, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -446,80 +488,111 @@ func (a *batchArena) reset() {
 	a.cur = 0
 }
 
-// own copies rec, whose SizeHint is hint, into the batch arena and returns a
-// record that views the copy: rec is encoded into the arena and decoded back,
-// so a record from a source that reuses its buffer survives in the batch
-// until the flush.
-func (s *Sorter[T]) own(rec T, hint int) (T, error) {
+// add puts rec into the run-formation batch and, once the batch holds a DRAM
+// budget's worth, writes it out as a run. The record is copied once, into the
+// batch arena — encoded there and decoded back — because its source may reuse
+// the bytes at its next call.
+func (s *Sorter[T]) add(p *sim.Proc, rec T) error {
+	hint := s.codec.SizeHint(rec)
 	enc := s.codec.Encode(s.arena.room(hint), rec)
 	s.arena.commit(len(enc))
-	kept, _, err := s.codec.Decode(enc, true)
-	return kept, err
+	rec, _, err := s.codec.Decode(enc, true)
+	if err != nil {
+		return err
+	}
+	s.fed += int64(len(enc))
+	if n := len(s.batch.recs); n == cap(s.batch.recs) {
+		// Double: append grows a large slice by a quarter at a time, which
+		// copies a big batch several times over.
+		s.batch.recs = slices.Grow(s.batch.recs, max(n, 256))
+	}
+	s.batch.recs = append(s.batch.recs, rec)
+	s.hold(hint)
+	if s.batchBytes >= s.cfg.SortBudgetBytes {
+		return s.flushRun(p)
+	}
+	return nil
 }
 
-// makeRuns splits the input into sorted runs that fit the DRAM budget, each
-// batch ordered by sortBatch and charged what it reports. Every record is
-// copied once, into the batch arena, because its source may reuse the bytes
-// at its next call. The batch, its scratch and the arena grow once and serve
-// every flush; they are dropped on return so the merge passes that follow do
-// not pin a DRAM budget's worth of records.
-func (s *Sorter[T]) makeRuns(p *sim.Proc, sc recordSource[T]) ([]*Cluster, error) {
-	var runs []*Cluster
-	var batchBytes int
-	defer func() { s.batch, s.arena = sortBuf[T]{}, batchArena{} }()
+// hold grows the batch's size by n bytes, in the DRAM gauge too.
+func (s *Sorter[T]) hold(n int) {
+	s.batchBytes += n
+	if s.dram != nil && n != 0 {
+		s.dram.Add(float64(n))
+	}
+}
 
-	flush := func() error {
-		batch := s.batch.recs
-		if len(batch) == 0 {
-			return nil
-		}
-		s.runCPU.Compares(p, s.sortBatch())
-		run := s.zm.NewCluster(ZoneTemp)
-		s.out.open(run, pipeline{}, &s.written)
-		for _, rec := range batch {
-			if err := putRecord(p, &s.out, s.codec, rec); err != nil {
-				return err
-			}
-		}
-		if err := s.out.finish(p); err != nil {
+// feed adds every record of src (nil: none).
+func (s *Sorter[T]) feed(p *sim.Proc, src recordSource[T]) error {
+	for src != nil {
+		rec, ok, err := src.next(p)
+		if err != nil || !ok {
 			return err
 		}
-		runs = append(runs, run)
-		s.batch.recs = batch[:0]
-		s.arena.reset()
-		batchBytes = 0
+		if err := s.add(p, rec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// flushRun orders the batch by sortBatch, charged what it reports, writes it
+// to a new scratch run, and empties it for the next records. The batch, its
+// scratch and the arena keep their capacity for every flush of the sort.
+func (s *Sorter[T]) flushRun(p *sim.Proc) error {
+	batch := s.batch.recs
+	if len(batch) == 0 {
 		return nil
 	}
-
-	for {
-		rec, ok, err := sc.next(p)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		hint := s.codec.SizeHint(rec)
-		if rec, err = s.own(rec, hint); err != nil {
-			return nil, err
-		}
-		if n := len(s.batch.recs); n == cap(s.batch.recs) {
-			// Double: append grows a large slice by a quarter at a time,
-			// which copies a big batch several times over.
-			s.batch.recs = slices.Grow(s.batch.recs, max(n, 256))
-		}
-		s.batch.recs = append(s.batch.recs, rec)
-		batchBytes += hint
-		if batchBytes >= s.cfg.SortBudgetBytes {
-			if err := flush(); err != nil {
-				return nil, err
-			}
+	s.runCPU.Compares(p, s.sortBatch())
+	run := s.zm.NewCluster(ZoneTemp)
+	s.out.open(run, pipeline{}, &s.written)
+	for _, rec := range batch {
+		if err := putRecord(p, &s.out, s.codec, rec); err != nil {
+			return err
 		}
 	}
-	if err := flush(); err != nil {
+	if err := s.out.finish(p); err != nil {
+		return err
+	}
+	s.formed = append(s.formed, run)
+	s.batch.recs = batch[:0]
+	s.arena.reset()
+	s.hold(-s.batchBytes)
+	return nil
+}
+
+// emitBatch orders the batch as flushRun does, with the same charge, and
+// hands its records to emit straight from SoC DRAM.
+func (s *Sorter[T]) emitBatch(p *sim.Proc, emit func(p *sim.Proc, rec T) error) error {
+	s.runCPU.Compares(p, s.sortBatch())
+	for _, rec := range s.batch.recs {
+		if err := emit(p, rec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// makeRuns adds the records of src (nil: none), writes the last batch as a
+// run and returns every run formed. The batch, its scratch and the arena are
+// dropped on return so the merge passes that follow do not pin a DRAM
+// budget's worth of records.
+func (s *Sorter[T]) makeRuns(p *sim.Proc, src recordSource[T]) ([]*Cluster, error) {
+	defer s.drop()
+	if err := s.feed(p, src); err != nil {
 		return nil, err
 	}
-	return runs, nil
+	if err := s.flushRun(p); err != nil {
+		return nil, err
+	}
+	return s.formed, nil
+}
+
+// drop lets go of the batch, its arena and the runs formed.
+func (s *Sorter[T]) drop() {
+	s.hold(-s.batchBytes)
+	s.batch, s.arena, s.formed = sortBuf[T]{}, batchArena{}, nil
 }
 
 // sortBatch orders the batch and returns the compares it is charged as:
@@ -583,8 +656,8 @@ func (s *Sorter[T]) merge(p *sim.Proc, runs []*Cluster, mem [][]byte, emit func(
 		if i >= len(runs) {
 			return &memSource[T]{codec: s.codec, buf: mem[i-len(runs)]}
 		}
-		sc := newScanner(runs[i], s.codec, 0)
-		if sc.pf = s.pipe.prefetch(runs[i], sc.chunk); sc.pf != nil {
+		sc := newScanner(runs[i], s.codec)
+		if sc.pf = s.pipe.prefetch(runs[i]); sc.pf != nil {
 			pfs = append(pfs, sc.pf)
 		}
 		return sc
@@ -731,7 +804,7 @@ type prefetcher struct {
 
 // prefetch starts the read stage of cluster c, or returns nil when the
 // pipeline is off and the scanner reads inline.
-func (pl pipeline) prefetch(c *Cluster, chunk int) *prefetcher {
+func (pl pipeline) prefetch(c *Cluster) *prefetcher {
 	if !pl.on() {
 		return nil
 	}
@@ -739,7 +812,7 @@ func (pl pipeline) prefetch(c *Cluster, chunk int) *prefetcher {
 	pf.proc = pl.env.Go("compact:read", func(p *sim.Proc) {
 		defer pf.ring.Close()
 		for off := int64(0); off < c.Len(); {
-			n := int64(chunk)
+			n := int64(scanChunk)
 			if rem := c.Len() - off; n > rem {
 				n = rem
 			}
@@ -789,7 +862,7 @@ type chunkSink interface {
 
 // chunkWriter carries every compaction pass that writes a cluster — run
 // formation, merges, the landing of a host-merged run, the value pass into
-// SORTED_VALUES, consolidated SIDX staging — in appends of writeChunk bytes.
+// SORTED_VALUES — in appends of writeChunk bytes.
 // Append sizes decide media bursts and zone order, so it keeps two flush
 // rules:
 //

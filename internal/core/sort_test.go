@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"kvcsd/internal/host"
 	"kvcsd/internal/sim"
@@ -16,6 +17,7 @@ type sortFixture struct {
 	env *sim.Env
 	zm  *ZoneManager
 	soc *host.Host
+	st  *stats.IOStats
 	cfg Config
 }
 
@@ -24,7 +26,8 @@ func newSortFixture(budget int) *sortFixture {
 	scfg := ssd.DefaultConfig()
 	scfg.ZoneSize = 256 << 10
 	scfg.NumZones = 512
-	dev := ssd.New(env, scfg, stats.NewIOStats())
+	st := stats.NewIOStats()
+	dev := ssd.New(env, scfg, st)
 	cfg := DefaultConfig()
 	if budget > 0 {
 		cfg.SortBudgetBytes = budget
@@ -34,6 +37,7 @@ func newSortFixture(budget int) *sortFixture {
 		env: env,
 		zm:  NewZoneManager(dev, cfg, sim.NewRNG(3)),
 		soc: host.New(env, host.DefaultSoCConfig()),
+		st:  st,
 		cfg: cfg,
 	}
 }
@@ -69,21 +73,20 @@ func writeKlogCluster(t *testing.T, p *sim.Proc, fx *sortFixture, n int, keyOf f
 	return c
 }
 
-func collectSorted(t *testing.T, p *sim.Proc, out *Cluster) []klogEntry {
+// streamSorted streams the records of in through s and returns copies of
+// them in the order emitted.
+func streamSorted(t *testing.T, p *sim.Proc, s *Sorter[klogEntry], in *Cluster) []klogEntry {
 	t.Helper()
-	sc := newScanner(out, klogCodec{}, 0)
 	var got []klogEntry
-	for {
-		rec, ok, err := sc.next(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			return got
-		}
-		rec.key = bytes.Clone(rec.key) // the scanner takes its view back
+	err := s.Stream(p, newScanner(in, klogCodec{}), func(_ *sim.Proc, rec klogEntry) error {
+		rec.key = bytes.Clone(rec.key) // the record is valid until emit returns
 		got = append(got, rec)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return got
 }
 
 func TestSorterSingleRun(t *testing.T) {
@@ -93,14 +96,14 @@ func TestSorterSingleRun(t *testing.T) {
 			return []byte(fmt.Sprintf("k-%04d", (i*7919)%10000))
 		})
 		s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, klogKey, compareKlog)
-		out, err := s.SortCluster(p, in)
-		if err != nil {
-			t.Fatal(err)
+		written0 := fx.st.MediaWrite.Value()
+		got := streamSorted(t, p, s, in)
+		if s.runs != 0 || s.merges != 0 || s.written != 0 {
+			t.Fatalf("runs=%d merges=%d written=%d, want a sort in DRAM", s.runs, s.merges, s.written)
 		}
-		if s.runs != 1 || s.merges != 0 {
-			t.Fatalf("runs=%d merges=%d, want 1/0", s.runs, s.merges)
+		if w := fx.st.MediaWrite.Value() - written0; w != 0 {
+			t.Fatalf("a one-batch sort wrote %d media bytes", w)
 		}
-		got := collectSorted(t, p, out)
 		if len(got) != 500 {
 			t.Fatalf("got %d records", len(got))
 		}
@@ -120,17 +123,13 @@ func TestSorterMultiRunMerge(t *testing.T) {
 			return []byte(fmt.Sprintf("k-%05d", (i*104729)%99991))
 		})
 		s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, klogKey, compareKlog)
-		out, err := s.SortCluster(p, in)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := streamSorted(t, p, s, in)
 		if s.runs < 2 {
 			t.Fatalf("expected multiple runs, got %d", s.runs)
 		}
 		if s.merges < 1 {
 			t.Fatal("expected at least one merge")
 		}
-		got := collectSorted(t, p, out)
 		if len(got) != n {
 			t.Fatalf("got %d of %d records", len(got), n)
 		}
@@ -151,16 +150,12 @@ func TestSorterMultiPassWhenRunsExceedFanin(t *testing.T) {
 			return []byte(fmt.Sprintf("k-%05d", (n-i)*3%99991))
 		})
 		s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, klogKey, compareKlog)
-		out, err := s.SortCluster(p, in)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := streamSorted(t, p, s, in)
 		// A 2-way merge folds two runs into one, so merging them all takes
 		// runs-1 merges at least, over several passes.
 		if s.runs <= 2 || s.merges < s.runs-1 {
 			t.Fatalf("expected %d runs to merge in several passes with fanin 2, got %d merges", s.runs, s.merges)
 		}
-		got := collectSorted(t, p, out)
 		if len(got) != n {
 			t.Fatalf("record count %d", len(got))
 		}
@@ -173,12 +168,8 @@ func TestSorterEmptyInput(t *testing.T) {
 		in := fx.zm.NewCluster(ZoneKLOG)
 		_ = in.Seal(p)
 		s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, klogKey, compareKlog)
-		out, err := s.SortCluster(p, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Len() != 0 {
-			t.Fatal("empty sort produced data")
+		if got := streamSorted(t, p, s, in); len(got) != 0 {
+			t.Fatalf("empty sort emitted %d records", len(got))
 		}
 	})
 }
@@ -196,11 +187,7 @@ func TestSorterStability(t *testing.T) {
 		_ = in.Append(p, buf)
 		_ = in.Seal(p)
 		s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, klogKey, compareKlog)
-		out, err := s.SortCluster(p, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := collectSorted(t, p, out)
+		got := streamSorted(t, p, s, in)
 		for i := 1; i < len(got); i++ {
 			if got[i-1].vlogOff < got[i].vlogOff {
 				t.Fatal("duplicate ordering violated (newest first)")
@@ -217,42 +204,47 @@ func TestSorterReleasesTempZones(t *testing.T) {
 		})
 		used0 := fx.zm.UsedZones()
 		s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, klogKey, compareKlog)
-		out, err := s.SortCluster(p, in)
-		if err != nil {
-			t.Fatal(err)
+		if got := streamSorted(t, p, s, in); len(got) != 2000 {
+			t.Fatalf("emitted %d records", len(got))
 		}
-		// Only the output (and original input) should remain allocated.
-		extra := fx.zm.UsedZones() - used0 - len(out.Zones())
-		if extra != 0 {
+		// Only the input should remain allocated.
+		if extra := fx.zm.UsedZones() - used0; extra != 0 {
 			t.Fatalf("%d temp zones leaked", extra)
 		}
 	})
 }
 
 func TestSortToStreamsInOrder(t *testing.T) {
-	fx := newSortFixture(2 << 10)
-	fx.run(t, func(p *sim.Proc) {
-		in := writeKlogCluster(t, p, fx, 1500, func(i int) []byte {
-			return []byte(fmt.Sprintf("k-%05d", (1500-i)*7%9973))
-		})
-		s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, klogKey, compareKlog)
-		var prev []byte
-		count := 0
-		err := s.SortTo(p, newScanner(in, klogCodec{}, 0), func(sp *sim.Proc, rec klogEntry) error {
-			if prev != nil && bytes.Compare(prev, rec.key) > 0 {
-				return fmt.Errorf("out of order")
+	// Over budget the final merge streams to emit; within it the one batch
+	// does, straight from DRAM.
+	for _, budget := range []int{2 << 10, 1 << 20} {
+		fx := newSortFixture(budget)
+		fx.run(t, func(p *sim.Proc) {
+			in := writeKlogCluster(t, p, fx, 1500, func(i int) []byte {
+				return []byte(fmt.Sprintf("k-%05d", (1500-i)*7%9973))
+			})
+			s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, klogKey, compareKlog)
+			var prev []byte
+			count := 0
+			err := s.SortTo(p, newScanner(in, klogCodec{}), func(sp *sim.Proc, rec klogEntry) error {
+				if prev != nil && bytes.Compare(prev, rec.key) > 0 {
+					return fmt.Errorf("out of order")
+				}
+				prev = append(prev[:0], rec.key...)
+				count++
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			prev = append(prev[:0], rec.key...)
-			count++
-			return nil
+			if count != 1500 {
+				t.Fatalf("emitted %d", count)
+			}
+			if inDRAM := budget >= 1<<20; inDRAM != (s.written == 0) {
+				t.Fatalf("budget %d: sorter wrote %d bytes", budget, s.written)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if count != 1500 {
-			t.Fatalf("emitted %d", count)
-		}
-	})
+	}
 }
 
 func TestSorterPropertySortsArbitraryKeys(t *testing.T) {
@@ -280,12 +272,7 @@ func TestSorterPropertySortsArbitraryKeys(t *testing.T) {
 			}
 			_ = in.Seal(p)
 			s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, klogKey, compareKlog)
-			out, err := s.SortCluster(p, in)
-			if err != nil {
-				ok = false
-				return
-			}
-			got := collectSorted(t, p, out)
+			got := streamSorted(t, p, s, in)
 			if len(got) != len(keys) {
 				ok = false
 				return
@@ -313,7 +300,7 @@ func TestScannerCorruptTail(t *testing.T) {
 		buf = append(buf, 0xFF, 0x07) // truncated header
 		_ = c.Append(p, buf)
 		_ = c.Seal(p)
-		sc := newScanner(c, klogCodec{}, 0)
+		sc := newScanner(c, klogCodec{})
 		if _, ok, err := sc.next(p); err != nil || !ok {
 			t.Fatalf("first record: ok=%v err=%v", ok, err)
 		}
@@ -321,4 +308,111 @@ func TestScannerCorruptTail(t *testing.T) {
 			t.Fatal("corrupt tail not detected")
 		}
 	})
+}
+
+// TestStreamSingleBatchStaysInDRAM: a sort that fits one batch emits the
+// order of the one run makeRuns forms from the same records, pays the same
+// SoC charge, and writes no media — with the msd and the radix batch sort.
+func TestStreamSingleBatchStaysInDRAM(t *testing.T) {
+	t.Run("msd", func(t *testing.T) {
+		checkSingleBatch(t, klogCodec{}, klogKey, compareKlog, nil, benchKlogEntries(4096))
+	})
+	t.Run("radix", func(t *testing.T) {
+		checkSingleBatch(t, sidxCodec{}, sidxKey, compareSidx, sidxRadixKey(4), benchSidxEntries(4096))
+	})
+}
+
+func checkSingleBatch[T any](t *testing.T, codec Codec[T], key func(T) []byte, cmp func(a, b T) int, radix func(T) uint64, recs []T) {
+	t.Helper()
+	var want [][]byte
+	var wantBusy time.Duration
+	fx := newSortFixture(64 << 20)
+	fx.run(t, func(p *sim.Proc) {
+		s := NewSorter(fx.zm, fx.soc, fx.cfg, codec, key, cmp)
+		s.radix = radix
+		busy0 := fx.soc.CPU().BusyTime()
+		runs, err := s.makeRuns(p, &sliceSource[T]{recs: recs})
+		if err != nil || len(runs) != 1 {
+			t.Fatalf("%d runs, err %v", len(runs), err)
+		}
+		wantBusy = fx.soc.CPU().BusyTime() - busy0
+		sc := newScanner(runs[0], codec)
+		for {
+			rec, ok, err := sc.next(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			want = append(want, codec.Encode(nil, rec))
+		}
+	})
+	fx = newSortFixture(64 << 20)
+	fx.run(t, func(p *sim.Proc) {
+		s := NewSorter(fx.zm, fx.soc, fx.cfg, codec, key, cmp)
+		s.radix = radix
+		busy0, written0 := fx.soc.CPU().BusyTime(), fx.st.MediaWrite.Value()
+		var got [][]byte
+		err := s.Stream(p, &sliceSource[T]{recs: recs}, func(_ *sim.Proc, rec T) error {
+			got = append(got, codec.Encode(nil, rec))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := fx.st.MediaWrite.Value() - written0; w != 0 || s.written != 0 || s.runs != 0 {
+			t.Fatalf("media +%d bytes, sorter wrote %d in %d runs; want a sort in DRAM", w, s.written, s.runs)
+		}
+		if busy := fx.soc.CPU().BusyTime() - busy0; busy != wantBusy {
+			t.Fatalf("SoC busy +%v, want the one run's %v", busy, wantBusy)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%d records out, want %d", len(got), len(want))
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("record %d: got %x, want %x", i, got[i], want[i])
+			}
+		}
+	})
+}
+
+// TestStreamOverBudgetWritesAsBefore: a sort over one batch still cuts runs,
+// merges them into one scratch cluster and scans it — every record is written
+// once per merge round plus once into its run — and lands exactly the media
+// bytes the sort wrote before streaming, for one merge round and for several.
+func TestStreamOverBudgetWritesAsBefore(t *testing.T) {
+	for _, tc := range []struct {
+		budget, rounds int
+		media          int64 // media bytes the sort wrote before Stream
+	}{
+		{16 << 10, 1, 290816},
+		{2 << 10, 2, 704512},
+	} {
+		fx := newSortFixture(tc.budget)
+		fx.run(t, func(p *sim.Proc) {
+			s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, klogKey, compareKlog)
+			written0 := fx.st.MediaWrite.Value()
+			var prev []byte
+			n := 0
+			err := s.Stream(p, &sliceSource[klogEntry]{recs: benchKlogEntries(4096)}, func(_ *sim.Proc, rec klogEntry) error {
+				if bytes.Compare(prev, rec.key) > 0 {
+					return fmt.Errorf("record %d out of order", n)
+				}
+				prev = append(prev[:0], rec.key...)
+				n++
+				return nil
+			})
+			if err != nil || n != 4096 {
+				t.Fatalf("budget %d: %d records, err %v", tc.budget, n, err)
+			}
+			if s.runs < 2 || int64(s.written) != int64(tc.rounds+1)*s.fed {
+				t.Fatalf("budget %d: %d runs wrote %d bytes of %d fed, want %d passes", tc.budget, s.runs, s.written, s.fed, tc.rounds+1)
+			}
+			if w := fx.st.MediaWrite.Value() - written0; w != tc.media {
+				t.Fatalf("budget %d: media +%d bytes, want %d", tc.budget, w, tc.media)
+			}
+		})
+	}
 }
