@@ -65,7 +65,7 @@ func parseIndexBlock(offs []uint16, buf []byte, verify bool, f recFormat) (block
 	if n := int(binary.LittleEndian.Uint16(buf)); cap(offs) >= n {
 		offs = offs[:n]
 	} else {
-		all := make([]uint16, n+(n+15)/16)
+		all := make([]uint16, tableWords(n))
 		offs, touched = all[:n:n], all[n:]
 	}
 	pos := indexBlockHdr
@@ -82,6 +82,40 @@ func parseIndexBlock(offs []uint16, buf []byte, verify bool, f recFormat) (block
 	}
 	return blockView{buf: buf, offs: offs, touched: touched}, nil
 }
+
+// parseIndexBlocks parses every bs-byte block of slabs, in order, as
+// parseIndexBlock does with no table given, but carves all their offset
+// tables and touched bitmaps out of one allocation. It returns the views of
+// the blocks before the first that fails to parse, and that failure.
+func parseIndexBlocks(slabs [][]byte, bs int, verify bool, f recFormat) ([]blockView, error) {
+	var blocks, words int
+	for _, slab := range slabs {
+		for off := 0; off+bs <= len(slab); off += bs {
+			blocks++
+			words += tableWords(int(binary.LittleEndian.Uint16(slab[off:])))
+		}
+	}
+	table := make([]uint16, words)
+	views := make([]blockView, 0, blocks)
+	for _, slab := range slabs {
+		for off := 0; off+bs <= len(slab); off += bs {
+			n := int(binary.LittleEndian.Uint16(slab[off:]))
+			all := table[:tableWords(n):tableWords(n)]
+			table = table[len(all):]
+			v, err := parseIndexBlock(all[:n:n], slab[off:off+bs:off+bs], verify, f)
+			if err != nil {
+				return views, err
+			}
+			v.touched = all[n:]
+			views = append(views, v)
+		}
+	}
+	return views, nil
+}
+
+// tableWords is the size of a view's table for n records: the offsets and,
+// behind them, the touched bitmap.
+func tableWords(n int) int { return n + (n+15)/16 }
 
 // pidxBlock reads a view as primary-index records.
 type pidxBlock struct{ blockView }

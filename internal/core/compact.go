@@ -38,20 +38,24 @@ func (e *Engine) runCompaction(p *sim.Proc, ks *Keyspace, stages []*sidxStage) e
 	return e.install(p, ks, out)
 }
 
-// compacted is a compaction's output: the PIDX cluster and its sketch, the
-// SORTED_VALUES cluster, the live pair count, and the heat table to start
-// from (nil for a layout that keeps none).
+// compacted is a compaction's output: the PIDX cluster, its sketch and the
+// blocks of it kept for the index cache, the SORTED_VALUES cluster, the live
+// pair count, and the heat table to start from (nil for a layout that keeps
+// none).
 type compacted struct {
 	pidx, sorted *Cluster
 	sketch       []sketchEntry
+	kept         [][]byte
 	live         int64
 	heat         *compaction.HeatTable
 }
 
-// install replaces the logs with the indexed form. It persists before
-// releasing the old log zones: a power cut after the Persist leaves them as
-// orphans for the recovery sweep, whereas releasing first would let a cut
-// recover a snapshot whose keyspace still claims reset (or reused) zones.
+// install replaces the logs with the indexed form and, once that is
+// persisted, admits the PIDX blocks the compaction kept into the index cache.
+// It persists before releasing the old log zones: a power cut after the
+// Persist leaves them as orphans for the recovery sweep, whereas releasing
+// first would let a cut recover a snapshot whose keyspace still claims reset
+// (or reused) zones.
 func (e *Engine) install(p *sim.Proc, ks *Keyspace, out compacted) error {
 	oldKlog, oldVlog := ks.klog, ks.vlog
 	ks.klog, ks.vlog = nil, nil
@@ -61,6 +65,7 @@ func (e *Engine) install(p *sim.Proc, ks *Keyspace, out compacted) error {
 	if err := e.mgr.Persist(p); err != nil {
 		return err
 	}
+	e.admitBuilt(out.pidx, out.kept, pidxFormat)
 	if err := oldKlog.Release(p); err != nil {
 		return err
 	}
@@ -122,7 +127,7 @@ func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace, stages []*sidxStage) (
 	// scatter destination entries into buckets by VLOG position (the inverse
 	// permutation, bucketed so the value pass needs no log-round merging).
 	pidx := e.zm.NewCluster(ZonePIDX)
-	pidxW := newBlockWriter(pidx, e.cfg.BlockBytes)
+	pidxW := e.newIndexWriter(pidx)
 	destBuckets := newBucketWriter(e.zm, uint64(ks.vlog.Len())+1, e.cfg.SortBudgetBytes)
 	var destOff uint64
 	var livePairs, keyBytes int64
@@ -258,7 +263,7 @@ func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace, stages []*sidxStage) (
 	// Fresh heat table sized to the sorted-values granules: placement
 	// decisions restart from cold after every compaction pass.
 	heat := compaction.NewHeatTable(int((sorted.Len() + blockSz - 1) / blockSz))
-	return compacted{pidx: pidx, sorted: sorted, sketch: pidxW.sketch, live: livePairs, heat: heat}, nil
+	return compacted{pidx: pidx, sorted: sorted, sketch: pidxW.sketch, kept: pidxW.kept, live: livePairs, heat: heat}, nil
 }
 
 // granules returns how many blockSz granules n bytes touch.
@@ -383,7 +388,11 @@ const appendBurst = 64 << 10
 // the remainder is zero padding. The first key of each block becomes a sketch
 // pivot. Finished blocks are staged and appended appendBurst bytes at a time;
 // staging a block reserves its stripe, so the cluster takes its zones from the
-// pool exactly when an Append per block would have.
+// pool exactly when an Append per block would have. A writer opened with a
+// keep budget also copies the blocks it appends, from the first on and one
+// slab per burst, into kept until the copies would pass that budget: the
+// blocks a build hands the index cache (Engine.admitBuilt) once the cluster
+// is reachable.
 type blockWriter struct {
 	cluster   *Cluster
 	blockSize int
@@ -392,10 +401,20 @@ type blockWriter struct {
 	count     uint16
 	blockIdx  int64
 	sketch    []sketchEntry
+	keep      int64    // bytes of blocks still to copy into kept
+	kept      [][]byte // slabs of whole blocks, in block order
 }
 
 func newBlockWriter(c *Cluster, blockSize int) *blockWriter {
 	return &blockWriter{cluster: c, blockSize: blockSize, buf: make([]byte, 0, max(appendBurst, blockSize))}
+}
+
+// newIndexWriter opens a PIDX or SIDX block writer on c that keeps its blocks
+// up to the index cache's free budget as it stands now.
+func (e *Engine) newIndexWriter(c *Cluster) *blockWriter {
+	w := newBlockWriter(c, e.cfg.BlockBytes)
+	w.keep = e.idxCache.free()
+	return w
 }
 
 // add appends one encoded entry, starting a new block when needed.
@@ -438,6 +457,10 @@ func (w *blockWriter) endBlock(p *sim.Proc, last bool) error {
 	}
 	if len(w.buf) == 0 || !last && len(w.buf)+w.blockSize <= cap(w.buf) {
 		return nil
+	}
+	if n := min(int64(len(w.buf)), w.keep/int64(w.blockSize)*int64(w.blockSize)); n > 0 {
+		w.kept = append(w.kept, bytes.Clone(w.buf[:n]))
+		w.keep -= n
 	}
 	if err := w.cluster.Append(p, w.buf); err != nil {
 		return err

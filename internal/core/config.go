@@ -55,6 +55,9 @@ type Config struct {
 	// found in evicted blocks, each charged its on-media bytes (header +
 	// key). Blocks are evicted before records (KV-CSD caches no application
 	// data; this mirrors the baseline pinning its SSTable index blocks).
+	// Compactions and index builds admit the blocks they just wrote into
+	// whatever budget is free, never evicting for them, and those blocks are
+	// evicted first.
 	IndexCacheBytes int64
 	// MaxKeyLen and MaxValueLen bound record sizes.
 	MaxKeyLen   int

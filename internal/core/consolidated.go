@@ -32,7 +32,8 @@ func (e *Engine) consolidates(n int) bool {
 type sidxStage struct {
 	si     *secondaryIndex
 	sorter *Sorter[sidxEntry]
-	skey   []byte // the secondary key being extracted, reused per pair
+	skey   []byte   // the secondary key being extracted, reused per pair
+	kept   [][]byte // the SIDX blocks kept for the index cache
 }
 
 // newSidxStages opens a sorter for each declared index.
@@ -61,14 +62,14 @@ func extractStaged(p *sim.Proc, stages []*sidxStage, pkey []byte, svOff uint64, 
 }
 
 // buildStaged sorts each staged index and packs its SIDX blocks — no
-// keyspace read-back — persists, and only then reports the built ones. A
-// failure fails the remaining indexes; every index's done event fires either
-// way.
+// keyspace read-back — persists, admits the kept blocks into the index cache,
+// and only then reports the built ones. A failure fails the remaining
+// indexes; every index's done event fires either way.
 func (e *Engine) buildStaged(p *sim.Proc, stages []*sidxStage) error {
 	var err error
 	for i, st := range stages {
 		start := p.Now()
-		if err = e.packSIDX(p, st.si, st.sorter, nil); err != nil {
+		if st.kept, err = e.packSIDX(p, st.si, st.sorter, nil); err != nil {
 			failStages(stages[i:], err)
 			stages = stages[:i]
 			break
@@ -77,6 +78,9 @@ func (e *Engine) buildStaged(p *sim.Proc, stages []*sidxStage) error {
 	}
 	perr := e.mgr.Persist(p)
 	for _, st := range stages {
+		if perr == nil {
+			e.admitBuilt(st.si.cluster, st.kept, sidxFormat)
+		}
 		st.si.finish(perr)
 	}
 	if err == nil {
@@ -94,10 +98,10 @@ func failStages(stages []*sidxStage, err error) {
 }
 
 // packSIDX sorts the entries sorter holds and those of src (nil: none) into
-// SIDX blocks + sketch.
-func (e *Engine) packSIDX(p *sim.Proc, si *secondaryIndex, sorter *Sorter[sidxEntry], src recordSource[sidxEntry]) error {
+// SIDX blocks + sketch, and returns the blocks it kept for the index cache.
+func (e *Engine) packSIDX(p *sim.Proc, si *secondaryIndex, sorter *Sorter[sidxEntry], src recordSource[sidxEntry]) ([][]byte, error) {
 	cluster := e.zm.NewCluster(ZoneSIDX)
-	w := newBlockWriter(cluster, e.cfg.BlockBytes)
+	w := e.newIndexWriter(cluster)
 	codec := sidxCodec{}
 	var enc []byte
 	err := sorter.Stream(p, src, func(p *sim.Proc, rec sidxEntry) error {
@@ -108,9 +112,9 @@ func (e *Engine) packSIDX(p *sim.Proc, si *secondaryIndex, sorter *Sorter[sidxEn
 		err = w.finish(p)
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
 	si.cluster = cluster
 	si.sketch = w.sketch
-	return nil
+	return w.kept, nil
 }

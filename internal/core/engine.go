@@ -105,8 +105,9 @@ func (e *Engine) DRAMGauge() *sim.Gauge { return e.dram }
 // the engine publishes its DRAM and background-job gauges, the SoC's busy
 // core time and its ledger (engine/soc_ns/<phase>, which sum to
 // engine/soc_busy_ns), the metadata log's frame and byte counts, its
-// index-cache hit/miss counters (record hits among the hits) and a gauge of
-// the records the cache holds into reg. Either argument may be nil.
+// index-cache hit/miss counters (record hits among the hits), the count of
+// blocks builds admitted into the cache and a gauge of the records the cache
+// holds into reg. Either argument may be nil.
 func (e *Engine) SetObs(tr *obs.Tracer, reg *obs.Registry) {
 	e.tr = tr
 	if reg == nil {
@@ -129,6 +130,7 @@ func (e *Engine) SetObs(tr *obs.Tracer, reg *obs.Registry) {
 		reg.AddCounter("engine/idxcache_hits", &e.idxCache.hits)
 		reg.AddCounter("engine/idxcache_misses", &e.idxCache.misses)
 		reg.AddCounter("engine/idxcache_record_hits", &e.idxCache.recordHits)
+		reg.AddCounter("engine/idxcache_admitted", &e.idxCache.admitted)
 		e.idxCache.gRecords = reg.Gauge("engine/idxcache_records")
 		e.idxCache.publish()
 	}

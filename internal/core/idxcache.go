@@ -25,18 +25,28 @@ import (
 // then the block list. Records come only from verified, cached blocks and go
 // with them in invalidateCluster, so nothing is staler than a cached block.
 // While everything fits nothing is evicted and the record list stays empty.
+//
+// Blocks enter two ways. A lookup that misses reads the block from media and
+// puts it; a block already resident (another lookup read it in while this one
+// waited on media) stays as it is, touched bits included, and the second
+// parse is dropped. A build that just wrote index blocks admits them once the
+// metadata frame that makes them reachable is on media (see admit): at the
+// LRU end, so they are evicted first, into the free budget only, so admission
+// never evicts anything, and never over a block already resident.
 type indexCache struct {
 	capacity int64
 	used     int64
 	ll       *list.List
 	idx      map[idxKey]*list.Element
 	recs     recordList
-	// hits, recordHits and misses are read by the telemetry endpoint while
-	// the simulation runs; everything else belongs to the sim goroutine.
-	// hits counts block and record hits, so hits + misses is every lookup.
+	// hits, recordHits, misses and admitted are read by the telemetry
+	// endpoint while the simulation runs; everything else belongs to the sim
+	// goroutine. hits counts block and record hits, so hits + misses is every
+	// lookup; admitted counts the blocks builds admitted.
 	hits       stats.Counter
 	recordHits stats.Counter
 	misses     stats.Counter
+	admitted   stats.Counter
 	// gRecords, when the engine publishes it, tracks len(recs).
 	gRecords *sim.Gauge
 }
@@ -93,23 +103,22 @@ func (c *indexCache) getRecord(cluster, block int64, key []byte) (pidxEntry, boo
 }
 
 // put caches a parsed block as the most recent one, then evicts down to the
-// budget (see indexCache). A block larger than the whole budget is not kept.
-func (c *indexCache) put(cluster, block int64, v blockView) {
+// budget (see indexCache), and returns the view the cache holds for the
+// block. A block already resident keeps its view and the one given is
+// dropped. A block larger than the whole budget is not kept.
+func (c *indexCache) put(cluster, block int64, v blockView) blockView {
 	if c == nil {
-		return
+		return v
 	}
 	key := idxKey{cluster, block}
 	if el, ok := c.idx[key]; ok {
 		c.ll.MoveToFront(el)
-		ent := el.Value.(*idxEntry)
-		c.used += int64(len(v.buf)) - int64(len(ent.view.buf))
-		ent.view = v
-	} else {
-		c.idx[key] = c.ll.PushFront(&idxEntry{key: key, view: v})
-		c.used += int64(len(v.buf))
+		return el.Value.(*idxEntry).view
 	}
+	c.idx[key] = c.ll.PushFront(&idxEntry{key: key, view: v})
+	c.used += int64(len(v.buf))
 	if c.used <= c.capacity {
-		return
+		return v
 	}
 	for c.used > c.capacity && c.ll.Len() > 1 {
 		c.demote(c.remove(c.ll.Back()))
@@ -121,6 +130,38 @@ func (c *indexCache) put(cluster, block int64, v blockView) {
 		c.remove(c.ll.Front())
 	}
 	c.publish()
+	return v
+}
+
+// free returns the bytes the cache can take without evicting anything.
+func (c *indexCache) free() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.capacity - c.used
+}
+
+// admit caches views[i] as block i of cluster, blocks a build has just
+// written, behind every resident block in block order, so the build's last
+// block is the first evicted. It takes free budget only: it stops at the
+// first block that would overflow the capacity and evicts nothing. A block
+// already resident is skipped.
+func (c *indexCache) admit(cluster int64, views []blockView) {
+	if c == nil {
+		return
+	}
+	for i, v := range views {
+		key := idxKey{cluster, int64(i)}
+		if _, ok := c.idx[key]; ok {
+			continue
+		}
+		if c.used+int64(len(v.buf)) > c.capacity {
+			return
+		}
+		c.idx[key] = c.ll.PushBack(&idxEntry{key: key, view: v})
+		c.used += int64(len(v.buf))
+		c.admitted.Add(1)
+	}
 }
 
 // remove drops a block and returns its entry.
@@ -350,7 +391,8 @@ func (r *recordList) moveToFront(i int32) {
 
 // readViewCached returns the parsed view of one index block through the
 // engine's index cache. A block is parsed (and checksum-verified) when it
-// enters the cache; hits return the resident view as is. Blocks that fail to
+// enters the cache; hits return the resident view as is, and so does a miss
+// whose block another lookup put while this one read it. Blocks that fail to
 // parse are not cached.
 func (e *Engine) readViewCached(p *sim.Proc, c *Cluster, blockIdx int64, f recFormat) (blockView, error) {
 	if v, ok := e.idxCache.get(c.id, blockIdx); ok {
@@ -364,8 +406,18 @@ func (e *Engine) readViewCached(p *sim.Proc, c *Cluster, blockIdx int64, f recFo
 	if err != nil {
 		return blockView{}, err
 	}
-	e.idxCache.put(c.id, blockIdx, v)
-	return v, nil
+	return e.idxCache.put(c.id, blockIdx, v), nil
+}
+
+// admitBuilt hands the index cache the blocks a build kept of cluster c (see
+// blockWriter), parsed and verified as a read from media would be, so a
+// resident block is the same whichever way it came in. Call it once the
+// metadata frame that makes c reachable is on media. A kept block that fails
+// to parse, and every one after it, is left out: a lookup reads it from
+// media and meets the failure there.
+func (e *Engine) admitBuilt(c *Cluster, kept [][]byte, f recFormat) {
+	views, _ := parseIndexBlocks(kept, e.cfg.BlockBytes, !e.cfg.DisableVerify, f)
+	e.idxCache.admit(c.id, views)
 }
 
 // readIndexBlockCached reads a PIDX block through the engine's index cache.

@@ -104,7 +104,7 @@ func (e *Engine) flushBufferCombined(p *sim.Proc, ks *Keyspace) error {
 func (e *Engine) sortPairs(p *sim.Proc, ks *Keyspace) (compacted, error) {
 	sorter := newEngineSorter[pairRec](e, phaseRunPair, pairCodec{}, pairKey, comparePair)
 	pidx := e.zm.NewCluster(ZonePIDX)
-	pidxW := newBlockWriter(pidx, e.cfg.BlockBytes)
+	pidxW := e.newIndexWriter(pidx)
 	sorted := e.zm.NewCluster(ZoneSortedValues)
 	var w chunkWriter
 	w.open(sorted, pipeline{}, nil)
@@ -136,5 +136,5 @@ func (e *Engine) sortPairs(p *sim.Proc, ks *Keyspace) (compacted, error) {
 	if err == nil {
 		err = pidxW.finish(p)
 	}
-	return compacted{pidx: pidx, sorted: sorted, sketch: pidxW.sketch, live: livePairs}, err
+	return compacted{pidx: pidx, sorted: sorted, sketch: pidxW.sketch, kept: pidxW.kept, live: livePairs}, err
 }

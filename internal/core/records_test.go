@@ -160,33 +160,6 @@ func TestIndexCacheBasics(t *testing.T) {
 	}
 }
 
-// A put over a resident key must swap in the new parse and re-account its
-// size: keeping the old view would serve stale records, and keeping the old
-// size lets the cache drift past (or starve below) its budget.
-func TestIndexCacheReplace(t *testing.T) {
-	c := newIndexCache(100)
-	c.put(1, 0, rawView(40, 1))
-	c.put(1, 1, rawView(40, 2))
-	c.put(1, 0, rawView(20, 3)) // smaller replacement, becomes MRU
-	if c.used != 60 || c.ll.Len() != 2 {
-		t.Fatalf("used %d in %d entries after shrinking replace, want 60 in 2", c.used, c.ll.Len())
-	}
-	if v, ok := c.get(1, 0); !ok || len(v.buf) != 20 || v.len() != 3 {
-		t.Fatalf("replace kept the stale view: %d bytes, %d records", len(v.buf), v.len())
-	}
-	c.put(1, 0, rawView(70, 4)) // growing replacement overflows: (1,1) is LRU
-	if _, ok := c.get(1, 1); ok {
-		t.Fatal("growing replace did not evict the LRU block")
-	}
-	if v, ok := c.get(1, 0); !ok || v.len() != 4 || c.used != 70 {
-		t.Fatalf("after growing replace: ok=%v records=%d used=%d, want true 4 70", ok, v.len(), c.used)
-	}
-	c.put(1, 0, rawView(101, 5)) // larger than the whole budget: not retained
-	if c.used != 0 || c.ll.Len() != 0 || len(c.idx) != 0 {
-		t.Fatalf("oversized block left used=%d entries=%d/%d", c.used, c.ll.Len(), len(c.idx))
-	}
-}
-
 func TestIndexCacheNilSafe(t *testing.T) {
 	var c *indexCache
 	if _, ok := c.get(1, 1); ok {

@@ -14,7 +14,8 @@ import (
 // secondary key bytes from every value (paired with the primary key and
 // value location), the pairs are sorted by secondary key, and the result is
 // packed into SIDX blocks with a sketch pivot per block. The index is put in
-// place, persisted, and only then reported built.
+// place, persisted, its kept blocks admitted into the index cache, and only
+// then reported built.
 func (e *Engine) runIndexBuild(p *sim.Proc, ks *Keyspace, si *secondaryIndex) (err error) {
 	defer func() { si.finish(err) }()
 	start := p.Now()
@@ -26,6 +27,7 @@ func (e *Engine) runIndexBuild(p *sim.Proc, ks *Keyspace, si *secondaryIndex) (e
 		return fmt.Errorf("%w: %s is %s, not compacted; index %s not built", ErrKeyspaceState, ks.name, ks.state, si.spec.Name)
 	}
 
+	var kept [][]byte
 	if ks.count == 0 {
 		cluster := e.zm.NewCluster(ZoneSIDX)
 		if err := cluster.Seal(p); err != nil {
@@ -35,12 +37,16 @@ func (e *Engine) runIndexBuild(p *sim.Proc, ks *Keyspace, si *secondaryIndex) (e
 	} else {
 		// Validate the byte range against actual values lazily: the extractor
 		// errors on the first undersized value.
-		if err := e.packSIDX(p, si, e.newSidxSorter(si.spec), e.newSidxSource(ks, si.spec)); err != nil {
+		if kept, err = e.packSIDX(p, si, e.newSidxSorter(si.spec), e.newSidxSource(ks, si.spec)); err != nil {
 			return err
 		}
 		si.buildNS = sim.Duration(p.Now() - start)
 	}
-	return e.mgr.Persist(p)
+	if err := e.mgr.Persist(p); err != nil {
+		return err
+	}
+	e.admitBuilt(si.cluster, kept, sidxFormat)
+	return nil
 }
 
 // sidxKey is a secondary-index entry's sort key: its secondary key.

@@ -205,8 +205,11 @@ func TestTelemetryEndpoints(t *testing.T) {
 		"kvcsd_rpc_accepted_total",
 		"kvcsd_rpc_slow_ops_total",
 		"kvcsd_sim_gauge{",
-		`kvcsd_idxcache_hits_total{scope="engine"} 0`, // one get so far:
-		`kvcsd_idxcache_misses_total{scope="engine"} 1`,
+		// One get so far, answered from the PIDX block the compaction
+		// admitted into the cache: no index block was read from media.
+		`kvcsd_idxcache_hits_total{scope="engine"} 1`,
+		`kvcsd_idxcache_misses_total{scope="engine"} 0`,
+		`kvcsd_idxcache_admitted_total{scope="engine"} 1`,
 		// The cache fits: nothing evicted, no record kept.
 		`kvcsd_idxcache_record_hits_total{scope="engine"} 0`,
 		`kvcsd_sim_gauge{name="engine/idxcache_records"} 0`,
@@ -326,7 +329,8 @@ func TestTelemetryIndexCacheRecords(t *testing.T) {
 	if err := ks.WaitCompacted(); err != nil {
 		t.Fatalf("wait compacted: %v", err)
 	}
-	// The last key's block evicts the first key's, which leaves its record.
+	// The compaction admits the first key's block only; the last key's block,
+	// read from media, evicts it, which leaves the first key's record.
 	for _, k := range [][]byte{key(0), key(n - 1), key(0)} {
 		if _, ok, err := ks.Get(k); err != nil || !ok {
 			t.Fatalf("get %s: %v %v", k, ok, err)
@@ -336,9 +340,10 @@ func TestTelemetryIndexCacheRecords(t *testing.T) {
 	srv.TelemetryHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
 	for _, want := range []string{
-		`kvcsd_idxcache_hits_total{scope="engine"} 1`,
+		`kvcsd_idxcache_admitted_total{scope="engine"} 1`,
+		`kvcsd_idxcache_hits_total{scope="engine"} 2`,
 		`kvcsd_idxcache_record_hits_total{scope="engine"} 1`,
-		`kvcsd_idxcache_misses_total{scope="engine"} 2`,
+		`kvcsd_idxcache_misses_total{scope="engine"} 1`,
 		`kvcsd_sim_gauge{name="engine/idxcache_records"} 1`,
 	} {
 		if !strings.Contains(body, want+"\n") {
