@@ -51,8 +51,9 @@ type Progress struct {
 	// GranulesDone / GranulesTotal track the current stage's sweep.
 	GranulesDone  uint32
 	GranulesTotal uint32
-	// BytesMoved accumulates every byte the compaction has written so far
-	// (runs, merged output, index blocks, sorted values).
+	// BytesMoved accumulates every byte the compaction job has appended to
+	// media so far: sort runs and merged output, spilled value-sort buckets,
+	// PIDX blocks, a consolidated build's SIDX blocks, and sorted values.
 	BytesMoved uint64
 	// HostRuns / DeviceRuns record the planner's split for this pass.
 	HostRuns   uint16

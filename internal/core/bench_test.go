@@ -296,11 +296,11 @@ func BenchmarkGatherDestBucket(b *testing.B) {
 	b.ReportAllocs()
 	fx := newSortFixture(0)
 	fx.env.Go("bench", func(p *sim.Proc) {
-		bucket, vlog := writeDestBucket(b, p, fx, shuffledDests(benchSortRecords, 32, 16), testVlog(benchSortRecords*32))
+		dest, vlog := writeDestBucket(b, p, fx, "spilled", shuffledDests(benchSortRecords, 32, 16), testVlog(benchSortRecords*32))
 		var g valueGatherer
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if got, err := g.gather(p, fx.soc.Account(""), bucket, vlog, 0, benchSortRecords*32); err != nil || len(got) != benchSortRecords {
+			if got, err := g.gather(p, fx.soc.Account(""), dest, vlog, 0, benchSortRecords*32); err != nil || len(got) != benchSortRecords {
 				b.Fatalf("%d records, err %v", len(got), err)
 			}
 		}

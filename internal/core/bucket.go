@@ -9,77 +9,166 @@ import (
 )
 
 // bucketWriter partitions records by a uint64 ordering key into contiguous
-// range buckets, each a temp zone cluster written sequentially. Together
-// with a per-bucket in-DRAM pass on read-back (valueGatherer, valuePlacer),
-// this gives a two-pass distribution sort: the mechanism that lets KV-CSD
-// move value bytes exactly twice during compaction regardless of dataset
-// size, which is the point of key-value separation (paper §V: values are
-// sorted "using the sorted keys" rather than merged through log-many rounds).
+// range buckets. Together with a per-bucket in-DRAM pass on read-back
+// (valueGatherer, valuePlacer), this gives a two-pass distribution sort: the
+// mechanism that lets KV-CSD move value bytes exactly twice during compaction
+// regardless of dataset size, which is the point of key-value separation
+// (paper §V: values are sorted "using the sorted keys" rather than merged
+// through log-many rounds).
+//
+// A writer whose one bucket covers the whole range keeps that bucket in SoC
+// DRAM, counted in the engine's DRAM gauge, until its bytes would pass the
+// sort budget; then the bucket spills to a temp zone cluster. Every bucket of
+// a writer with more than one is a temp zone cluster from the start. A
+// spilled bucket is written sequentially, appendBurst bytes at a time.
 type bucketWriter struct {
-	zm       *ZoneManager
-	width    uint64 // ordering-key span per bucket
-	clusters []*Cluster
-	bufs     [][]byte
+	zm    *ZoneManager
+	width uint64 // ordering-key span per bucket
+	// hold is how many bytes a bucket may keep in DRAM before it spills:
+	// SortBudgetBytes when one bucket covers the range, else 0.
+	hold  int
+	dram  *sim.Gauge // the engine's SoC DRAM gauge: counts held bytes
+	moved *uint64    // counts the bytes appended to bucket clusters
+	bkts  []bucket
+}
+
+// bucket is one range of a bucketWriter. While c is nil the bucket is held:
+// buf is every record of it, in SoC DRAM. Once it has spilled, c holds the
+// records and buf stages the next burst, empty after the writer's finish.
+type bucket struct {
+	c   *Cluster
+	buf []byte
+}
+
+// len returns the bucket's size in bytes.
+func (bk bucket) len() int64 {
+	if bk.c == nil {
+		return int64(len(bk.buf))
+	}
+	return bk.c.Len()
 }
 
 // maxBuckets bounds open clusters (and the per-bucket DRAM needed later).
 const maxBuckets = 64
 
 // newBucketWriter sizes buckets to cover [0, total) with spans of at least
-// budget bytes, capped at maxBuckets buckets.
-func newBucketWriter(zm *ZoneManager, total uint64, budget int) *bucketWriter {
-	width := uint64(budget)
-	if width == 0 {
-		width = 1
+// SortBudgetBytes, capped at maxBuckets buckets. Bytes the writer appends
+// count in moved.
+func (e *Engine) newBucketWriter(total uint64, moved *uint64) *bucketWriter {
+	budget := e.cfg.SortBudgetBytes
+	w := &bucketWriter{zm: e.zm, width: uint64(budget), dram: e.dram, moved: moved}
+	if n := total / w.width; n >= maxBuckets {
+		w.width = (total + maxBuckets - 1) / maxBuckets
 	}
-	if n := total / width; n >= maxBuckets {
-		width = (total + maxBuckets - 1) / maxBuckets
+	if total <= w.width {
+		w.hold = budget
 	}
-	return &bucketWriter{zm: zm, width: width}
+	return w
 }
 
 // add appends an encoded record to the bucket owning ordering key k.
 func (w *bucketWriter) add(p *sim.Proc, k uint64, encoded []byte) error {
 	b := int(k / w.width)
-	for len(w.clusters) <= b {
-		w.clusters = append(w.clusters, w.zm.NewCluster(ZoneTemp))
-		w.bufs = append(w.bufs, nil)
+	for len(w.bkts) <= b {
+		var bk bucket
+		if w.hold == 0 {
+			bk.c = w.zm.NewCluster(ZoneTemp)
+		}
+		w.bkts = append(w.bkts, bk)
 	}
-	w.bufs[b] = append(w.bufs[b], encoded...)
-	if len(w.bufs[b]) >= appendBurst {
-		if err := w.clusters[b].Append(p, w.bufs[b]); err != nil {
+	bk := &w.bkts[b]
+	if bk.c == nil && len(bk.buf)+len(encoded) <= w.hold {
+		if len(bk.buf)+len(encoded) > cap(bk.buf) {
+			// Double, up to the budget: append grows a large slice by a
+			// quarter at a time, which copies a big bucket several times over.
+			bk.buf = slices.Grow(bk.buf, min(max(len(bk.buf), appendBurst), w.hold-len(bk.buf)))
+		}
+		bk.buf = append(bk.buf, encoded...)
+		w.dram.Add(float64(len(encoded)))
+		return nil
+	}
+	if bk.c == nil {
+		if err := w.spill(p, bk); err != nil {
 			return err
 		}
-		w.bufs[b] = w.bufs[b][:0]
+	}
+	bk.buf = append(bk.buf, encoded...)
+	if len(bk.buf) >= appendBurst {
+		return w.flush(p, bk)
 	}
 	return nil
 }
 
-// finish flushes and seals all buckets.
+// spill moves a held bucket to a new temp cluster: it appends what the bucket
+// holds, which stops counting in DRAM.
+func (w *bucketWriter) spill(p *sim.Proc, bk *bucket) error {
+	bk.c = w.zm.NewCluster(ZoneTemp)
+	w.dram.Add(-float64(len(bk.buf)))
+	err := w.flush(p, bk)
+	bk.buf = nil // the next burst stages in a buffer of its own size
+	return err
+}
+
+// flush appends a spilled bucket's staged bytes to its cluster.
+func (w *bucketWriter) flush(p *sim.Proc, bk *bucket) error {
+	if len(bk.buf) == 0 {
+		return nil
+	}
+	if err := bk.c.Append(p, bk.buf); err != nil {
+		return err
+	}
+	*w.moved += uint64(len(bk.buf))
+	bk.buf = bk.buf[:0]
+	return nil
+}
+
+// finish appends the rest of every spilled bucket and seals its cluster. A
+// held bucket stays as it is.
 func (w *bucketWriter) finish(p *sim.Proc) error {
-	for b, c := range w.clusters {
-		if len(w.bufs[b]) > 0 {
-			if err := c.Append(p, w.bufs[b]); err != nil {
+	for i := range w.bkts {
+		bk := &w.bkts[i]
+		if bk.c == nil {
+			continue
+		}
+		if err := w.flush(p, bk); err != nil {
+			return err
+		}
+		bk.buf = nil
+		if err := bk.c.Seal(p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// buckets returns the buckets in range order.
+func (w *bucketWriter) buckets() []bucket { return w.bkts }
+
+// release returns every spilled bucket's zones to the pool and lets go of
+// the held ones.
+func (w *bucketWriter) release(p *sim.Proc) error {
+	bkts := w.bkts
+	w.drop()
+	for _, bk := range bkts {
+		if bk.c != nil {
+			if err := bk.c.Release(p); err != nil {
 				return err
 			}
-			w.bufs[b] = nil
-		}
-		if err := c.Seal(p); err != nil {
-			return err
 		}
 	}
 	return nil
 }
 
-// release returns all bucket zones to the pool.
-func (w *bucketWriter) release(p *sim.Proc) error {
-	for _, c := range w.clusters {
-		if err := c.Release(p); err != nil {
-			return err
+// drop lets go of the held buckets' DRAM and forgets every bucket; zones of
+// spilled ones are left to release (or, after a failed job, to the recovery
+// sweep).
+func (w *bucketWriter) drop() {
+	for _, bk := range w.bkts {
+		if bk.c == nil {
+			w.dram.Add(-float64(len(bk.buf)))
 		}
 	}
-	w.clusters = nil
-	return nil
+	w.bkts = nil
 }
 
 // valueGatherer copies the values of destination buckets out of the VLOG
@@ -92,23 +181,28 @@ func (w *bucketWriter) release(p *sim.Proc) error {
 // it does its valuePlacer.
 type valueGatherer struct {
 	ents   []destEntry
-	buf    []byte // the bucket's bytes, then the VLOG span
+	buf    []byte // a spilled bucket's bytes, then the VLOG span
 	spanAt uint64 // VLOG offset of buf[0] once the span is read
 }
 
-// gather reads destination bucket c and the span of vlog its entries cover,
-// and returns the entries in bucket order, valid until the gatherer's next
-// use; value returns each one's bytes. It charges cpu one compare per record.
-// An entry starting outside [lo, lo+width), or ending past vlog, is an error.
-func (g *valueGatherer) gather(p *sim.Proc, cpu host.Meter, c, vlog *Cluster, lo, width uint64) ([]destEntry, error) {
+// gather decodes destination bucket bk — straight from DRAM while it is
+// held, else read whole from its cluster — reads the span of vlog its entries
+// cover, and returns the entries in bucket order, valid until the gatherer's
+// next use; value returns each one's bytes. It charges cpu one compare per
+// record. An entry starting outside [lo, lo+width), or ending past vlog, is an
+// error.
+func (g *valueGatherer) gather(p *sim.Proc, cpu host.Meter, bk bucket, vlog *Cluster, lo, width uint64) ([]destEntry, error) {
 	g.ents = g.ents[:0]
-	if c == nil || c.Len() == 0 {
+	if bk.len() == 0 {
 		return nil, nil
 	}
-	if err := g.read(p, c, 0, c.Len()); err != nil {
-		return nil, err
+	data := bk.buf
+	if bk.c != nil {
+		if err := g.read(p, bk.c, 0, bk.c.Len()); err != nil {
+			return nil, err
+		}
+		data = g.buf
 	}
-	data := g.buf
 	first, end := uint64(vlog.Len()), uint64(0)
 	for len(data) > 0 {
 		de, k, err := destCodec{}.Decode(data, true)
@@ -158,24 +252,26 @@ func (g *valueGatherer) read(p *sim.Proc, c *Cluster, off, n int64) error {
 // window, the placed span and the tiling check's bitmap — for every bucket;
 // the span and bitmap grow to the largest bucket once.
 type valuePlacer struct {
-	sc     scanner[valueRec] // streams the bucket's records through one window
-	out    []byte            // the bucket's values, each at its destOff − lo
-	filled []uint64          // one bit per byte of out: written by a value already
+	sc     scanner[valueRec]   // streams a spilled bucket's records through one window
+	held   memSource[valueRec] // decodes a held bucket's records in place
+	out    []byte              // the bucket's values, each at its destOff − lo
+	filled []uint64            // one bit per byte of out: written by a value already
 }
 
-// place streams value bucket c, whose values must tile [lo, lo+len(vals))
+// place streams value bucket bk — from DRAM while it is held, else through
+// the window from its cluster — whose values must tile [lo, lo+len(vals))
 // exactly, and copies each to its place. It returns the placed values, valid
 // until the placer's next use, and the bucket's record count, and charges cpu
 // one compare per record. A value before lo, two values overlapping, or a
 // byte of the span no value covers is an error: the value pass did not
 // reproduce the order the key pass assigned.
-func (v *valuePlacer) place(p *sim.Proc, cpu host.Meter, c *Cluster, lo uint64) (vals []byte, n int, err error) {
-	if c == nil || c.Len() == 0 {
-		return nil, 0, nil
-	}
+func (v *valuePlacer) place(p *sim.Proc, cpu host.Meter, bk bucket, lo uint64) (vals []byte, n int, err error) {
 	// Values are at most the records' bytes, so the bucket's length bounds
 	// the span.
-	bound := int(c.Len())
+	bound := int(bk.len())
+	if bound == 0 {
+		return nil, 0, nil
+	}
 	if cap(v.out) < bound {
 		v.out = make([]byte, bound)
 		v.filled = make([]uint64, (bound+63)/64)
@@ -183,10 +279,16 @@ func (v *valuePlacer) place(p *sim.Proc, cpu host.Meter, c *Cluster, lo uint64) 
 	out := v.out[:bound]
 	filled := v.filled[:(bound+63)/64]
 	clear(filled)
-	v.sc = scanner[valueRec]{c: c, codec: valueCodec{}, buf: v.sc.buf[:0]}
+	var src recordSource[valueRec] = &v.sc
+	if bk.c == nil {
+		v.held = memSource[valueRec]{codec: valueCodec{}, buf: bk.buf}
+		src = &v.held
+	} else {
+		v.sc = scanner[valueRec]{c: bk.c, codec: valueCodec{}, buf: v.sc.buf[:0]}
+	}
 	var size, end uint64 // value bytes placed, and the end of the furthest one
 	for {
-		rec, ok, err := v.sc.next(p)
+		rec, ok, err := src.next(p)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -228,6 +330,3 @@ func fillRange(bits []uint64, lo, hi uint64) bool {
 	}
 	return true
 }
-
-// buckets returns the bucket clusters in range order.
-func (w *bucketWriter) buckets() []*Cluster { return w.clusters }

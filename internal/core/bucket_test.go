@@ -24,26 +24,49 @@ func shuffledValues(n, size int, seed int64) []valueRec {
 	return recs
 }
 
-// writeValueBucket encodes recs into a sealed bucket cluster.
-func writeValueBucket(tb testing.TB, p *sim.Proc, fx *sortFixture, recs []valueRec) *Cluster {
-	tb.Helper()
-	c := fx.zm.NewCluster(ZoneTemp)
+// encodeValues encodes recs back to back, as a value bucket holds them.
+func encodeValues(recs []valueRec) []byte {
 	var enc []byte
 	for _, r := range recs {
 		enc = valueCodec{}.Encode(enc, r)
 	}
+	return enc
+}
+
+// writeValueBucket encodes recs into a bucket spilled to a sealed cluster.
+func writeValueBucket(tb testing.TB, p *sim.Proc, fx *sortFixture, recs []valueRec) bucket {
+	tb.Helper()
+	return spilledBucket(tb, p, fx, encodeValues(recs))
+}
+
+// spilledBucket writes enc into a sealed temp cluster.
+func spilledBucket(tb testing.TB, p *sim.Proc, fx *sortFixture, enc []byte) bucket {
+	tb.Helper()
+	c := fx.zm.NewCluster(ZoneTemp)
 	if err := c.Append(p, enc); err != nil {
 		tb.Fatal(err)
 	}
 	if err := c.Seal(p); err != nil {
 		tb.Fatal(err)
 	}
-	return c
+	return bucket{c: c}
+}
+
+// bucketForms names the two forms a bucket takes: held in DRAM, and spilled
+// to a cluster.
+var bucketForms = []string{"held", "spilled"}
+
+// asBucket puts enc into a bucket of the named form.
+func asBucket(tb testing.TB, p *sim.Proc, fx *sortFixture, form string, enc []byte) bucket {
+	if form == "held" {
+		return bucket{buf: enc}
+	}
+	return spilledBucket(tb, p, fx, enc)
 }
 
 // TestPlaceValueBucket: a bucket whose values tile their span — in any order,
-// with zero-length values and values of every size — comes out as the span in
-// destination order; a gap, an overlap, a value before the span and a
+// with zero-length values and values of every size, held or spilled — comes
+// out as the span in destination order; a gap, an overlap, a value before the span and a
 // zero-length value past its end each fail with the value pass's gap error.
 func TestPlaceValueBucket(t *testing.T) {
 	const lo = 1000
@@ -82,38 +105,43 @@ func TestPlaceValueBucket(t *testing.T) {
 		{"before the span", with(valueRec{destOff: lo - 1, value: []byte{9}}), false},
 		{"empty past the end", with(valueRec{destOff: end + 1}), false},
 	} {
-		fx := newSortFixture(0)
-		fx.run(t, func(p *sim.Proc) {
-			var v valuePlacer
-			vals, n, err := v.place(p, fx.soc.Account(""), writeValueBucket(t, p, fx, tc.recs), lo)
-			switch {
-			case tc.ok && (err != nil || n != len(tc.recs) || !bytes.Equal(vals, want)):
-				t.Errorf("%s: %d records, err %v, placed %x, want %x", tc.name, n, err, vals, want)
-			case !tc.ok && (err == nil || !strings.Contains(err.Error(), "value sort produced gap")):
-				t.Errorf("%s: err %v, want a gap error", tc.name, err)
-			}
-		})
+		for _, form := range bucketForms {
+			fx := newSortFixture(0)
+			fx.run(t, func(p *sim.Proc) {
+				var v valuePlacer
+				vals, n, err := v.place(p, fx.soc.Account(""), asBucket(t, p, fx, form, encodeValues(tc.recs)), lo)
+				switch {
+				case tc.ok && (err != nil || n != len(tc.recs) || !bytes.Equal(vals, want)):
+					t.Errorf("%s, %s: %d records, err %v, placed %x, want %x", tc.name, form, n, err, vals, want)
+				case !tc.ok && (err == nil || !strings.Contains(err.Error(), "value sort produced gap")):
+					t.Errorf("%s, %s: err %v, want a gap error", tc.name, form, err)
+				}
+			})
+		}
 	}
 }
 
 // TestPlaceValueBucketCharge: placing a bucket of n records costs the SoC n
-// compares, one per record, whatever their order or sizes.
+// compares, one per record, whatever their order or sizes and whether the
+// bucket is held or spilled.
 func TestPlaceValueBucketCharge(t *testing.T) {
 	for _, n := range []int{1, 300, 5000} {
-		fx := newSortFixture(0)
-		cfg := fx.soc.Config()
-		fx.run(t, func(p *sim.Proc) {
-			c := writeValueBucket(t, p, fx, shuffledValues(n, 1+n%29, int64(n)))
-			var v valuePlacer
-			busy0 := fx.soc.CPU().BusyTime()
-			if _, got, err := v.place(p, fx.soc.Account(""), c, 0); err != nil || got != n {
-				t.Fatalf("n=%d: %d records, err %v", n, got, err)
-			}
-			want := time.Duration(float64(time.Duration(n)*cfg.CompareCost) / cfg.Speed)
-			if d := fx.soc.CPU().BusyTime() - busy0; d != want {
-				t.Errorf("n=%d: SoC busy +%v, want %v", n, d, want)
-			}
-		})
+		for _, form := range bucketForms {
+			fx := newSortFixture(0)
+			cfg := fx.soc.Config()
+			fx.run(t, func(p *sim.Proc) {
+				bk := asBucket(t, p, fx, form, encodeValues(shuffledValues(n, 1+n%29, int64(n))))
+				var v valuePlacer
+				busy0 := fx.soc.CPU().BusyTime()
+				if _, got, err := v.place(p, fx.soc.Account(""), bk, 0); err != nil || got != n {
+					t.Fatalf("n=%d, %s: %d records, err %v", n, form, got, err)
+				}
+				want := time.Duration(float64(time.Duration(n)*cfg.CompareCost) / cfg.Speed)
+				if d := fx.soc.CPU().BusyTime() - busy0; d != want {
+					t.Errorf("n=%d, %s: SoC busy +%v, want %v", n, form, d, want)
+				}
+			})
+		}
 	}
 }
 
@@ -139,10 +167,10 @@ func TestPlaceValueBucketAllocs(t *testing.T) {
 				}
 			}
 		}
-		scan(big)
+		scan(big.c)
 		read := testing.AllocsPerRun(10, func() {
-			scan(big)
-			scan(small)
+			scan(big.c)
+			scan(small.c)
 		})
 		placed := testing.AllocsPerRun(10, func() {
 			v.place(p, cpu, big, 0)
@@ -154,27 +182,28 @@ func TestPlaceValueBucketAllocs(t *testing.T) {
 	})
 }
 
-// writeDestBucket encodes ents into a sealed destination bucket, and vlog
-// bytes into a sealed VLOG cluster.
-func writeDestBucket(tb testing.TB, p *sim.Proc, fx *sortFixture, ents []destEntry, vlog []byte) (bucket, log *Cluster) {
-	tb.Helper()
+// encodeDests encodes ents back to back, as a destination bucket holds them.
+func encodeDests(ents []destEntry) []byte {
 	var enc []byte
 	for _, de := range ents {
 		enc = destCodec{}.Encode(enc, de)
 	}
-	bucket, log = fx.zm.NewCluster(ZoneTemp), fx.zm.NewCluster(ZoneVLOG)
-	for _, c := range []struct {
-		c    *Cluster
-		data []byte
-	}{{bucket, enc}, {log, vlog}} {
-		if err := c.c.Append(p, c.data); err != nil {
-			tb.Fatal(err)
-		}
-		if err := c.c.Seal(p); err != nil {
-			tb.Fatal(err)
-		}
+	return enc
+}
+
+// writeDestBucket puts ents into a destination bucket of the named form, and
+// vlog bytes into a sealed VLOG cluster.
+func writeDestBucket(tb testing.TB, p *sim.Proc, fx *sortFixture, form string, ents []destEntry, vlog []byte) (dest bucket, log *Cluster) {
+	tb.Helper()
+	dest = asBucket(tb, p, fx, form, encodeDests(ents))
+	log = fx.zm.NewCluster(ZoneVLOG)
+	if err := log.Append(p, vlog); err != nil {
+		tb.Fatal(err)
 	}
-	return bucket, log
+	if err := log.Seal(p); err != nil {
+		tb.Fatal(err)
+	}
+	return dest, log
 }
 
 // testVlog returns n VLOG bytes, each a function of its offset.
@@ -210,48 +239,52 @@ func TestGatherDestBucket(t *testing.T) {
 		{"at the range's end", with(destEntry{vlogOff: lo + width}), false},
 		{"past the vlog", with(destEntry{vlogOff: lo + width - 1, vlen: vlogLen}), false},
 	} {
-		fx := newSortFixture(0)
-		fx.run(t, func(p *sim.Proc) {
-			bucket, log := writeDestBucket(t, p, fx, tc.ents, vlog)
-			var g valueGatherer
-			got, err := g.gather(p, fx.soc.Account(""), bucket, log, lo, width)
-			if !tc.ok {
-				if err == nil || !strings.Contains(err.Error(), "outside the span") {
-					t.Errorf("%s: err %v, want an outside-the-span error", tc.name, err)
+		for _, form := range bucketForms {
+			fx := newSortFixture(0)
+			fx.run(t, func(p *sim.Proc) {
+				dest, log := writeDestBucket(t, p, fx, form, tc.ents, vlog)
+				var g valueGatherer
+				got, err := g.gather(p, fx.soc.Account(""), dest, log, lo, width)
+				if !tc.ok {
+					if err == nil || !strings.Contains(err.Error(), "outside the span") {
+						t.Errorf("%s, %s: err %v, want an outside-the-span error", tc.name, form, err)
+					}
+					return
 				}
-				return
-			}
-			if err != nil || len(got) != len(tc.ents) {
-				t.Fatalf("%s: %d entries, err %v", tc.name, len(got), err)
-			}
-			for i, de := range got {
-				if de != tc.ents[i] || !bytes.Equal(g.value(de), vlog[de.vlogOff:de.vlogOff+uint64(de.vlen)]) {
-					t.Fatalf("%s: entry %d is %+v with %d bytes, want %+v", tc.name, i, de, len(g.value(de)), tc.ents[i])
+				if err != nil || len(got) != len(tc.ents) {
+					t.Fatalf("%s, %s: %d entries, err %v", tc.name, form, len(got), err)
 				}
-			}
-		})
+				for i, de := range got {
+					if de != tc.ents[i] || !bytes.Equal(g.value(de), vlog[de.vlogOff:de.vlogOff+uint64(de.vlen)]) {
+						t.Fatalf("%s, %s: entry %d is %+v with %d bytes, want %+v", tc.name, form, i, de, len(g.value(de)), tc.ents[i])
+					}
+				}
+			})
+		}
 	}
 }
 
 // TestGatherDestBucketCharge: gathering a bucket of n records costs the SoC n
-// compares, one per record, whatever their order — no sort pass.
+// compares, one per record, whatever their order and whether the bucket is
+// held or spilled — no sort pass.
 func TestGatherDestBucketCharge(t *testing.T) {
 	for _, n := range []int{1, 300, 5000} {
-		fx := newSortFixture(0)
-		cfg := fx.soc.Config()
-		fx.run(t, func(p *sim.Proc) {
-			ents := shuffledDests(n, 32, int64(n))
-			bucket, log := writeDestBucket(t, p, fx, ents, testVlog(n*32))
-			var g valueGatherer
-			busy0 := fx.soc.CPU().BusyTime()
-			if got, err := g.gather(p, fx.soc.Account(""), bucket, log, 0, uint64(n*32)); err != nil || len(got) != n {
-				t.Fatalf("n=%d: %d records, err %v", n, len(got), err)
-			}
-			want := time.Duration(float64(time.Duration(n)*cfg.CompareCost) / cfg.Speed)
-			if d := fx.soc.CPU().BusyTime() - busy0; d != want {
-				t.Errorf("n=%d: SoC busy +%v, want %v", n, d, want)
-			}
-		})
+		for _, form := range bucketForms {
+			fx := newSortFixture(0)
+			cfg := fx.soc.Config()
+			fx.run(t, func(p *sim.Proc) {
+				dest, log := writeDestBucket(t, p, fx, form, shuffledDests(n, 32, int64(n)), testVlog(n*32))
+				var g valueGatherer
+				busy0 := fx.soc.CPU().BusyTime()
+				if got, err := g.gather(p, fx.soc.Account(""), dest, log, 0, uint64(n*32)); err != nil || len(got) != n {
+					t.Fatalf("n=%d, %s: %d records, err %v", n, form, len(got), err)
+				}
+				want := time.Duration(float64(time.Duration(n)*cfg.CompareCost) / cfg.Speed)
+				if d := fx.soc.CPU().BusyTime() - busy0; d != want {
+					t.Errorf("n=%d, %s: SoC busy +%v, want %v", n, form, d, want)
+				}
+			})
+		}
 	}
 }
 

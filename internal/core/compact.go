@@ -89,9 +89,11 @@ func (e *Engine) pipeline(ks *Keyspace) pipeline {
 //     their destinations in SORTED_VALUES order;
 //
 // and then build the PIDX blocks plus the in-memory sketch (one pivot per
-// 4 KiB block). A key sort that fits one batch of SoC DRAM never leaves it; a
-// larger one, and the value buckets, live in temporarily allocated zone
-// clusters released as the sort proceeds.
+// 4 KiB block). A key sort that fits one batch of SoC DRAM never leaves it,
+// and neither does a bucket pass whose one bucket covers the keyspace and fits
+// the sort budget; a larger sort, and the buckets of a larger pass, live in
+// temporarily allocated zone clusters released as the sort proceeds. Every
+// byte the job appends counts in the keyspace's progress (BytesMoved).
 func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace, stages []*sidxStage) (compacted, error) {
 	// Step 1: sort keys (compareKlog: newest duplicate of a key first).
 	ks.progress.Stage = compaction.StageSort
@@ -128,7 +130,9 @@ func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace, stages []*sidxStage) (
 	// permutation, bucketed so the value pass needs no log-round merging).
 	pidx := e.zm.NewCluster(ZonePIDX)
 	pidxW := e.newIndexWriter(pidx)
-	destBuckets := newBucketWriter(e.zm, uint64(ks.vlog.Len())+1, e.cfg.SortBudgetBytes)
+	pidxW.moved = &ks.progress.BytesMoved
+	destBuckets := e.newBucketWriter(uint64(ks.vlog.Len())+1, &ks.progress.BytesMoved)
+	defer destBuckets.drop()
 	var destOff uint64
 	var livePairs, keyBytes int64
 	var lastKey []byte
@@ -186,7 +190,8 @@ func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace, stages []*sidxStage) (
 	// its destination within the span the bucket tiles, and appends the span
 	// to SORTED_VALUES. Value bytes move exactly twice regardless of dataset
 	// size — the payoff of key-value separation.
-	valBuckets := newBucketWriter(e.zm, totalValueBytes+1, e.cfg.SortBudgetBytes)
+	valBuckets := e.newBucketWriter(totalValueBytes+1, &ks.progress.BytesMoved)
+	defer valBuckets.drop()
 	var gatherer valueGatherer
 	for b, db := range destBuckets.buckets() {
 		lo := uint64(b) * destBuckets.width
@@ -396,7 +401,8 @@ const appendBurst = 64 << 10
 type blockWriter struct {
 	cluster   *Cluster
 	blockSize int
-	buf       []byte // staged blocks, then the block being built from cur on
+	moved     *uint64 // when set, advanced by the bytes of every append
+	buf       []byte  // staged blocks, then the block being built from cur on
 	cur       int
 	count     uint16
 	blockIdx  int64
@@ -464,6 +470,9 @@ func (w *blockWriter) endBlock(p *sim.Proc, last bool) error {
 	}
 	if err := w.cluster.Append(p, w.buf); err != nil {
 		return err
+	}
+	if w.moved != nil {
+		*w.moved += uint64(len(w.buf))
 	}
 	w.buf, w.cur = w.buf[:0], 0
 	return nil

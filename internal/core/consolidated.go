@@ -63,13 +63,14 @@ func extractStaged(p *sim.Proc, stages []*sidxStage, pkey []byte, svOff uint64, 
 
 // buildStaged sorts each staged index and packs its SIDX blocks — no
 // keyspace read-back — persists, admits the kept blocks into the index cache,
-// and only then reports the built ones. A failure fails the remaining
-// indexes; every index's done event fires either way.
-func (e *Engine) buildStaged(p *sim.Proc, stages []*sidxStage) error {
+// and only then reports the built ones. The bytes it appends count in moved,
+// the compaction's progress. A failure fails the remaining indexes; every
+// index's done event fires either way.
+func (e *Engine) buildStaged(p *sim.Proc, stages []*sidxStage, moved *uint64) error {
 	var err error
 	for i, st := range stages {
 		start := p.Now()
-		if st.kept, err = e.packSIDX(p, st.si, st.sorter, nil); err != nil {
+		if st.kept, err = e.packSIDX(p, st.si, st.sorter, nil, moved); err != nil {
 			failStages(stages[i:], err)
 			stages = stages[:i]
 			break
@@ -99,15 +100,20 @@ func failStages(stages []*sidxStage, err error) {
 
 // packSIDX sorts the entries sorter holds and those of src (nil: none) into
 // SIDX blocks + sketch, and returns the blocks it kept for the index cache.
-func (e *Engine) packSIDX(p *sim.Proc, si *secondaryIndex, sorter *Sorter[sidxEntry], src recordSource[sidxEntry]) ([][]byte, error) {
+// The bytes of its runs and blocks count in moved when it is set.
+func (e *Engine) packSIDX(p *sim.Proc, si *secondaryIndex, sorter *Sorter[sidxEntry], src recordSource[sidxEntry], moved *uint64) ([][]byte, error) {
 	cluster := e.zm.NewCluster(ZoneSIDX)
 	w := e.newIndexWriter(cluster)
+	w.moved = moved
 	codec := sidxCodec{}
 	var enc []byte
 	err := sorter.Stream(p, src, func(p *sim.Proc, rec sidxEntry) error {
 		enc = codec.Encode(enc[:0], rec)
 		return w.add(p, enc, rec.skey)
 	})
+	if moved != nil {
+		*moved += sorter.written
+	}
 	if err == nil {
 		err = w.finish(p)
 	}

@@ -646,7 +646,7 @@ func (e *Engine) compact(p *sim.Proc, name string, specs []nvme.SecondaryIndexSp
 		if len(stages) == 0 {
 			return nil
 		}
-		return e.buildStaged(jp, stages)
+		return e.buildStaged(jp, stages, &ks.progress.BytesMoved)
 	})
 	return nil
 }

@@ -105,9 +105,10 @@ func (e *Engine) sortPairs(p *sim.Proc, ks *Keyspace) (compacted, error) {
 	sorter := newEngineSorter[pairRec](e, phaseRunPair, pairCodec{}, pairKey, comparePair)
 	pidx := e.zm.NewCluster(ZonePIDX)
 	pidxW := e.newIndexWriter(pidx)
+	pidxW.moved = &ks.progress.BytesMoved
 	sorted := e.zm.NewCluster(ZoneSortedValues)
 	var w chunkWriter
-	w.open(sorted, pipeline{}, nil)
+	w.open(sorted, pipeline{}, &ks.progress.BytesMoved)
 	var enc []byte
 	var destOff uint64
 	var livePairs int64
@@ -130,6 +131,7 @@ func (e *Engine) sortPairs(p *sim.Proc, ks *Keyspace) (compacted, error) {
 		destOff += uint64(len(rec.value))
 		return w.put(sp, rec.value)
 	})
+	ks.progress.BytesMoved += sorter.written
 	if err == nil {
 		err = w.finish(p)
 	}

@@ -37,7 +37,7 @@ func (e *Engine) runIndexBuild(p *sim.Proc, ks *Keyspace, si *secondaryIndex) (e
 	} else {
 		// Validate the byte range against actual values lazily: the extractor
 		// errors on the first undersized value.
-		if kept, err = e.packSIDX(p, si, e.newSidxSorter(si.spec), e.newSidxSource(ks, si.spec)); err != nil {
+		if kept, err = e.packSIDX(p, si, e.newSidxSorter(si.spec), e.newSidxSource(ks, si.spec), nil); err != nil {
 			return err
 		}
 		si.buildNS = sim.Duration(p.Now() - start)

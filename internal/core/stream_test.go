@@ -10,7 +10,8 @@ import (
 )
 
 // sampleWhile runs sample on its own proc every microsecond of virtual time
-// until body returns.
+// until body returns, or stops the test: a t.Fatal in body must not leave the
+// sampler ticking the simulation on forever.
 func sampleWhile(p *sim.Proc, sample func(), body func()) {
 	done := false
 	q := p.Env().Go("sampler", func(q *sim.Proc) {
@@ -19,6 +20,7 @@ func sampleWhile(p *sim.Proc, sample func(), body func()) {
 			q.Sleep(time.Microsecond)
 		}
 	})
+	defer func() { done = true }()
 	body()
 	done = true
 	p.Join(q)
@@ -26,41 +28,73 @@ func sampleWhile(p *sim.Proc, sample func(), body func()) {
 
 // TestDRAMGaugeCountsSortBatch: engine/dram holds a compaction's key-sort
 // batch — the SizeHint of every KLOG entry — while the batch streams from
-// DRAM, and is back to zero once the compaction and its consolidated index
-// build have ended.
+// DRAM, beside the destination bucket the stream fills; then the destination
+// and value buckets, both held because one bucket covers the keyspace; and,
+// in a consolidated compaction, the index's batch beside the value bucket.
+// It peaks at exactly the largest of those sums, and is back to zero once the
+// compaction and its consolidated index build have ended.
 func TestDRAMGaugeCountsSortBatch(t *testing.T) {
-	fx := newEngineFixture(DefaultConfig())
-	fx.run(t, func(p *sim.Proc) {
-		const n = 4000
-		ingestN(t, p, fx, "ks", n, func(i int) float32 { return float32(i % 10) })
-		ks, _ := fx.eng.Keyspace("ks")
-		gauge := fx.eng.DRAMGauge()
-		var inMerge float64
-		sampleWhile(p, func() {
-			if ks.progress.Stage == compaction.StageMerge {
-				inMerge = max(inMerge, gauge.Value())
+	const n = 4000
+	keyBatch := float64(n * klogCodec{}.SizeHint(klogEntry{key: tkey(0)}))
+	dests := float64(n * destEntrySize)
+	values := float64(len(valueCodec{}.Encode(nil, valueRec{value: tvalue(0, 0)})) * n)
+	sidxBatch := float64(n * sidxCodec{}.SizeHint(sidxEntry{skey: make([]byte, 4), pkey: tkey(0)}))
+	for _, indexed := range []bool{false, true} {
+		fx := newEngineFixture(DefaultConfig())
+		fx.run(t, func(p *sim.Proc) {
+			ingestN(t, p, fx, "ks", n, func(i int) float32 { return float32(i % 10) })
+			ks, _ := fx.eng.Keyspace("ks")
+			gauge := fx.eng.DRAMGauge()
+			var inMerge float64
+			inValues := map[float64]bool{}
+			sampleWhile(p, func() {
+				switch v := gauge.Value(); ks.progress.Stage {
+				case compaction.StageMerge:
+					inMerge = max(inMerge, v)
+				case compaction.StageValues:
+					inValues[v] = true
+				}
+			}, func() {
+				if !indexed {
+					compactAndWait(t, p, fx, "ks")
+					return
+				}
+				if err := fx.eng.CompactWithIndexes(p, "ks", []nvme.SecondaryIndexSpec{energySpec("e")}); err != nil {
+					t.Fatal(err)
+				}
+				if err := fx.eng.WaitIndexBuilt(p, "ks", "e"); err != nil {
+					t.Fatal(err)
+				}
+			})
+			// The ingest flushes before the job hold at most one 192 KiB
+			// buffer, below every sum the job reaches.
+			peak := max(keyBatch+dests, dests+values)
+			if indexed {
+				peak = max(peak, values+sidxBatch)
 			}
-		}, func() {
-			if err := fx.eng.CompactWithIndexes(p, "ks", []nvme.SecondaryIndexSpec{energySpec("e")}); err != nil {
-				t.Fatal(err)
+			if inMerge < keyBatch || inMerge > keyBatch+dests {
+				t.Errorf("indexed=%v: engine/dram read up to %v while the key batch streamed, want its %v bytes and at most %v of destinations", indexed, inMerge, keyBatch, dests)
 			}
-			if err := fx.eng.WaitIndexBuilt(p, "ks", "e"); err != nil {
-				t.Fatal(err)
+			// The value stage holds the value bucket until it is placed,
+			// then nothing while SORTED_VALUES seals and the job installs.
+			if !indexed && (!inValues[values] || len(inValues) > 2 || len(inValues) == 2 && !inValues[0]) {
+				t.Errorf("engine/dram read %v in the value stage, want the value bucket's %v bytes, then 0", inValues, values)
+			}
+			if m := gauge.Max(); m != peak {
+				t.Errorf("indexed=%v: engine/dram peaked at %v, want %v", indexed, m, peak)
+			}
+			if v := gauge.Value(); v != 0 {
+				t.Errorf("indexed=%v: engine/dram reads %v after the compaction, want 0", indexed, v)
 			}
 		})
-		if want := float64(n * klogCodec{}.SizeHint(klogEntry{key: tkey(0)})); inMerge != want {
-			t.Errorf("engine/dram read %v while the key batch streamed, want its %v bytes", inMerge, want)
-		}
-		if v := gauge.Value(); v != 0 {
-			t.Errorf("engine/dram reads %v after the compaction, want 0", v)
-		}
-	})
+	}
 }
 
 // TestCompactionProgressEndsComplete: the merge stage counts granules of the
 // sorted-key bytes whether they sit in one DRAM batch or in runs, and both it
-// and the compaction end with every granule done. BytesMoved counts media
-// writes only: a key sort in DRAM moves nothing beyond SORTED_VALUES.
+// and the compaction end with every granule done. BytesMoved counts every
+// byte the job appends: with both sorts in DRAM that is PIDX and
+// SORTED_VALUES alone.
 func TestCompactionProgressEndsComplete(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -92,9 +126,21 @@ func TestCompactionProgressEndsComplete(t *testing.T) {
 				if end.GranulesTotal == 0 || end.GranulesDone != end.GranulesTotal {
 					t.Errorf("compaction ended at %d of %d granules", end.GranulesDone, end.GranulesTotal)
 				}
-				inDRAM := tc.budget >= 1<<20
-				if sorted := uint64(ks.sorted.Len()); inDRAM != (end.BytesMoved == sorted) || end.BytesMoved < sorted {
-					t.Errorf("moved %d bytes for %d of sorted values (key sort in DRAM: %v)", end.BytesMoved, sorted, inDRAM)
+				// Both sorts in DRAM append only PIDX and SORTED_VALUES; past
+				// the budget the key sort adds whole passes over the key
+				// bytes, and the buckets spill every destination entry and
+				// value record once.
+				out := uint64(ks.pidx.Len() + ks.sorted.Len())
+				if tc.budget >= 1<<20 {
+					if end.BytesMoved != out {
+						t.Errorf("moved %d bytes, want PIDX + SORTED_VALUES = %d", end.BytesMoved, out)
+					}
+				} else {
+					buckets := uint64(n * (destEntrySize + len(valueCodec{}.Encode(nil, valueRec{value: tvalue(0, 0)}))))
+					runs := int64(end.BytesMoved - out - buckets)
+					if end.BytesMoved < out+buckets || runs == 0 || runs%keyBytes != 0 {
+						t.Errorf("moved %d bytes, want PIDX + SORTED_VALUES = %d, %d of buckets and whole passes of %d key bytes", end.BytesMoved, out, buckets, keyBytes)
+					}
 				}
 			})
 		})
