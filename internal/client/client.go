@@ -547,6 +547,8 @@ type IndexSpec = nvme.SecondaryIndexSpec
 
 // BuildSecondaryIndex configures and starts building a secondary index over
 // the given value byte range; the build runs asynchronously in the device.
+// Requested while the keyspace's compaction has not begun its value pass, it
+// joins that pass as a declared index would (CompactWithIndexes).
 func (k *Keyspace) BuildSecondaryIndex(p *sim.Proc, spec IndexSpec) error {
 	_, err := k.c.roundTrip(p, &nvme.Command{
 		Op:       nvme.OpBuildSecondaryIndex,

@@ -355,3 +355,39 @@ func BenchmarkMergeRuns16(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkCompactJoinedIndexes: one compaction of 8 000 pairs that three
+// index builds join, extracted in its value pass and packed in parallel.
+// ns/op is the wall cost of the job and its indexes, ingest excluded;
+// virt_ms/op their virtual time.
+func BenchmarkCompactJoinedIndexes(b *testing.B) {
+	b.ReportAllocs()
+	var virt sim.Time
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fx := newEngineFixture(oneBatchConfig())
+		fx.env.Go("bench", func(p *sim.Proc) {
+			ingestN(b, p, fx, "ks", 8000, func(i int) float32 { return float32(i % 1000) })
+			b.StartTimer()
+			t0 := p.Now()
+			if err := fx.eng.Compact(p, "ks"); err != nil {
+				b.Fatal(err)
+			}
+			for _, s := range variedSpecs {
+				if err := fx.eng.BuildSecondaryIndex(p, "ks", s); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := fx.eng.WaitBackgroundIdle(p); err != nil {
+				b.Fatal(err)
+			}
+			virt += p.Now() - t0
+			b.StopTimer()
+			if got := fx.eng.sidxJoined.Value(); got != int64(len(variedSpecs)) {
+				b.Fatalf("%d builds joined the compaction, want %d", got, len(variedSpecs))
+			}
+		})
+		fx.env.Run()
+	}
+	b.ReportMetric(float64(virt)/1e6/float64(b.N), "virt_ms/op")
+}

@@ -21,7 +21,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/compaction_outpu
 // (overwrites, deletes, and delete-then-put pairs that share a vlogOff),
 // compacts it through the given path, builds the energy index, and returns one
 // "<path> <cluster> <crc32c> <len>" line per output cluster. The sort budget is
-// small enough that every sorter forms several runs and merges them.
+// small enough that every sorter forms several runs and merges them. The
+// "consolidated" path declares the index with the compaction and "joined"
+// requests it right after Compact; both must have joined the value pass.
 func compactionOutputCRCs(t *testing.T, path string) []byte {
 	t.Helper()
 	cfg := smallEngineConfig()
@@ -56,15 +58,30 @@ func compactionOutputCRCs(t *testing.T, path string) []byte {
 		if err := fx.eng.BulkOps(p, "ks", ops); err != nil {
 			t.Fatal(err)
 		}
-		if path == "consolidated" {
+		switch path {
+		case "consolidated":
 			if err := fx.eng.CompactWithIndexes(p, "ks", []nvme.SecondaryIndexSpec{spec}); err != nil {
 				t.Fatal(err)
 			}
-		} else {
+		case "joined":
+			if err := fx.eng.Compact(p, "ks"); err != nil {
+				t.Fatal(err)
+			}
+			if err := fx.eng.BuildSecondaryIndex(p, "ks", spec); err != nil {
+				t.Fatal(err)
+			}
+		default:
 			compactAndWait(t, p, fx, "ks")
 			if err := fx.eng.BuildSecondaryIndex(p, "ks", spec); err != nil {
 				t.Fatal(err)
 			}
+		}
+		want := int64(0)
+		if path == "consolidated" || path == "joined" {
+			want = 1
+		}
+		if got := fx.eng.sidxJoined.Value(); got != want {
+			t.Fatalf("%s: %d builds joined the compaction, want %d", path, got, want)
 		}
 		if err := fx.eng.WaitCompacted(p, "ks"); err != nil {
 			t.Fatal(err)

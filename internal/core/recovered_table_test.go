@@ -265,21 +265,33 @@ func TestRecoveredTableGolden(t *testing.T) {
 
 // TestIndexBuiltDurableWhenReported: WaitIndexBuilt returns only once the
 // metadata frame that records the index built is on media. Power is cut the
-// instant it returns, on both build paths — a separate build after the
-// compaction and one consolidated into it — and the recovered engine has the
-// index and answers a query from it.
+// instant it returns, on every build path — a separate build after the
+// compaction, one declared with it, and one requested while it runs that
+// joins its value pass — and the recovered engine has the index and answers a
+// query from it.
 func TestIndexBuiltDurableWhenReported(t *testing.T) {
-	for _, consolidated := range []bool{false, true} {
+	for _, path := range []string{"separate", "consolidated", "joined"} {
 		fx := newEngineFixture(smallEngineConfig())
 		fx.run(t, func(p *sim.Proc) {
 			const n = 1000
 			ingestN(t, p, fx, "ks", n, func(i int) float32 { return float32(i % 10) })
 			spec := energySpec("e")
-			if consolidated {
+			switch path {
+			case "consolidated":
 				if err := fx.eng.CompactWithIndexes(p, "ks", []nvme.SecondaryIndexSpec{spec}); err != nil {
 					t.Fatal(err)
 				}
-			} else {
+			case "joined":
+				if err := fx.eng.Compact(p, "ks"); err != nil {
+					t.Fatal(err)
+				}
+				if err := fx.eng.BuildSecondaryIndex(p, "ks", spec); err != nil {
+					t.Fatal(err)
+				}
+				if got := fx.eng.sidxJoined.Value(); got != 1 {
+					t.Fatalf("joined: %d builds joined the compaction, want 1", got)
+				}
+			default:
 				compactAndWait(t, p, fx, "ks")
 				if err := fx.eng.BuildSecondaryIndex(p, "ks", spec); err != nil {
 					t.Fatal(err)
@@ -293,12 +305,12 @@ func TestIndexBuiltDurableWhenReported(t *testing.T) {
 			fx.dev.PowerOn()
 			next, err := recoverFresh(t, fx, p, 31)
 			if err != nil {
-				t.Fatalf("consolidated=%v: recover: %v", consolidated, err)
+				t.Fatalf("%s: recover: %v", path, err)
 			}
 			count, err := next.RangeSecondary(p, "ks", "e",
 				keyenc.PutFloat32(3), keyenc.PutFloat32(4), 0, func(nvme.KVPair) bool { return true })
 			if err != nil || count != n/10 {
-				t.Fatalf("consolidated=%v: the reported index matched %d after the cut (err %v), want %d", consolidated, count, err, n/10)
+				t.Fatalf("%s: the reported index matched %d after the cut (err %v), want %d", path, count, err, n/10)
 			}
 		})
 	}

@@ -38,8 +38,9 @@ func checkLedgerSums(t *testing.T, fx *engineFixture, reg *obs.Registry, want ..
 
 // TestSoCLedgerSumsToBusy drives every kind of SoC work the engine does —
 // ingest, a collaborative compaction whose host share lands back in SoC DRAM,
-// a consolidated and a separate index build, every query verb and a media
-// scrub — and requires the per-phase ledger to sum to the SoC's busy time.
+// a separate index build and a consolidated one of three indexes that pack in
+// parallel, every query verb and a media scrub — and requires the per-phase
+// ledger to sum to the SoC's busy time.
 func TestSoCLedgerSumsToBusy(t *testing.T) {
 	cfg := smallEngineConfig()
 	cfg.Compaction = compaction.Config{Policy: compaction.PolicyCollaborative, PipelineWidth: 4}
@@ -64,11 +65,16 @@ func TestSoCLedgerSumsToBusy(t *testing.T) {
 			t.Fatal(err)
 		}
 		ingestN(t, p, fx, "ks2", 1000, energy)
-		if err := fx.eng.CompactWithIndexes(p, "ks2", []nvme.SecondaryIndexSpec{spec}); err != nil {
+		if err := fx.eng.CompactWithIndexes(p, "ks2", variedSpecs); err != nil {
 			t.Fatal(err)
 		}
-		if err := fx.eng.WaitIndexBuilt(p, "ks2", "energy"); err != nil {
-			t.Fatal(err)
+		for _, s := range variedSpecs {
+			if err := fx.eng.WaitIndexBuilt(p, "ks2", s.Name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := fx.eng.sidxJoined.Value(); got != 3 {
+			t.Fatalf("%d builds joined the compaction of ks2, want 3", got)
 		}
 		if _, _, err := fx.eng.Get(p, "ks", tkey(7)); err != nil {
 			t.Fatal(err)
@@ -80,7 +86,7 @@ func TestSoCLedgerSumsToBusy(t *testing.T) {
 			t.Fatal(err)
 		}
 		lo := keyenc.PutFloat32(90)
-		if _, err := fx.eng.RangeSecondary(p, "ks2", "energy", lo, nil, 0, func(nvme.KVPair) bool { return true }); err != nil {
+		if _, err := fx.eng.RangeSecondary(p, "ks2", "e", lo, nil, 0, func(nvme.KVPair) bool { return true }); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := fx.eng.MediaScrub(p); err != nil {

@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"kvcsd/internal/client"
 	"kvcsd/internal/device"
+	"kvcsd/internal/keyenc"
 	"kvcsd/internal/obs"
 	"kvcsd/internal/remote"
 	"kvcsd/internal/sim"
@@ -213,7 +215,8 @@ func TestTelemetryEndpoints(t *testing.T) {
 		// The cache fits: nothing evicted, no record kept.
 		`kvcsd_idxcache_record_hits_total{scope="engine"} 0`,
 		`kvcsd_sim_gauge{name="engine/idxcache_records"} 0`,
-		`kvcsd_meta_frames_total{scope="engine"} `, // the metadata log's cost
+		`kvcsd_meta_frames_total{scope="engine"} `,  // the metadata log's cost
+		`kvcsd_sidx_joined_total{scope="engine"} 0`, // no index built
 		`kvcsd_meta_bytes_total{scope="engine"} `,
 		"kvcsd_io_total{",
 	} {
@@ -349,6 +352,60 @@ func TestTelemetryIndexCacheRecords(t *testing.T) {
 		if !strings.Contains(body, want+"\n") {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestTelemetrySidxJoined: /metrics counts the index builds that rode a
+// compaction's value pass. Two indexes declared with the compaction join it;
+// one requested once it has finished is built on its own and not counted.
+func TestTelemetrySidxJoined(t *testing.T) {
+	opts := device.DefaultOptions()
+	opts.Seed = 11
+	opts.Metrics = true
+	srv := NewDevice(opts, DefaultConfig())
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	defer srv.Close()
+	rc, err := remote.Dial(addr.String(), remote.DefaultOptions())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer rc.Close()
+	ks, err := rc.CreateKeyspace("joined")
+	if err != nil {
+		t.Fatalf("create keyspace: %v", err)
+	}
+	for i := 0; i < 500; i++ {
+		if err := ks.BulkPut([]byte(fmt.Sprintf("key-%06d", i)), []byte(fmt.Sprintf("value-%06d", i))); err != nil {
+			t.Fatalf("put: %v", err)
+		}
+	}
+	if err := ks.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	spec := func(name string, off int) client.IndexSpec {
+		return client.IndexSpec{Name: name, Offset: off, Length: 4, Type: keyenc.TypeBytes}
+	}
+	if err := ks.CompactWithIndexes([]client.IndexSpec{spec("a", 0), spec("b", 6)}); err != nil {
+		t.Fatalf("compact with indexes: %v", err)
+	}
+	if err := ks.WaitCompacted(); err != nil {
+		t.Fatalf("wait compacted: %v", err)
+	}
+	if err := ks.BuildSecondaryIndex(spec("c", 8)); err != nil {
+		t.Fatalf("build index: %v", err)
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		if err := ks.WaitIndexBuilt(name); err != nil {
+			t.Fatalf("wait index %s: %v", name, err)
+		}
+	}
+	rec := httptest.NewRecorder()
+	srv.TelemetryHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if want := `kvcsd_sidx_joined_total{scope="engine"} 2`; !strings.Contains(rec.Body.String(), want+"\n") {
+		t.Errorf("/metrics missing %q", want)
 	}
 }
 
