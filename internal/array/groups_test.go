@@ -3,6 +3,7 @@ package array
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -52,20 +53,11 @@ func TestReplicatedKeyspacePutGet(t *testing.T) {
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("shard %d members %v, want ring owners %v", s, got, want)
 			}
-			if ld := k.Leader(s); !containsInt(want, ld) {
+			if ld := k.Leader(s); !slices.Contains(want, ld) {
 				t.Fatalf("shard %d leader %d not a member of %v", s, ld, want)
 			}
 		}
 	})
-}
-
-func containsInt(v []int, x int) bool {
-	for _, e := range v {
-		if e == x {
-			return true
-		}
-	}
-	return false
 }
 
 func TestReplicatedKeyspaceSurvivesDevicePowerCut(t *testing.T) {
@@ -121,7 +113,7 @@ func TestReplicatedKeyspaceMoveShard(t *testing.T) {
 		members := k.Members(0)
 		to := -1
 		for d := 0; d < opts.Devices; d++ {
-			if !containsInt(members, d) {
+			if !slices.Contains(members, d) {
 				to = d
 				break
 			}
@@ -135,7 +127,7 @@ func TestReplicatedKeyspaceMoveShard(t *testing.T) {
 			t.Fatalf("MoveShard: %v", err)
 		}
 		after := k.Members(0)
-		if containsInt(after, from) || !containsInt(after, to) {
+		if slices.Contains(after, from) || !slices.Contains(after, to) {
 			t.Fatalf("ownership after move = %v, want %d->%d", after, from, to)
 		}
 		if k.Epoch(0) <= epoch {

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -262,7 +263,7 @@ func runNemesis(p *sim.Proc, c *replica.Cluster, opts ClusterOptions, kind int, 
 		members := c.Members(shard)
 		to := -1
 		for n := 0; n < opts.Nodes; n++ {
-			if !containsNode(members, n) {
+			if !slices.Contains(members, n) {
 				to = n
 				break
 			}
@@ -350,13 +351,4 @@ func cutMigration(p *sim.Proc, c *replica.Cluster, rng *sim.RNG, from, to, shard
 	// contract being tested — ownership must stay safe either way.
 	_ = c.MoveShard(p, shard, from, to)
 	p.Join(cutter)
-}
-
-func containsNode(v []int, x int) bool {
-	for _, e := range v {
-		if e == x {
-			return true
-		}
-	}
-	return false
 }

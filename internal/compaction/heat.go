@@ -13,8 +13,7 @@ import (
 // the engine halves every counter after each migration pass so old heat ages
 // out instead of pinning data hot forever.
 type HeatTable struct {
-	counts  []uint32
-	touches uint64
+	counts []uint32
 }
 
 // NewHeatTable sizes a zeroed table for n granules.
@@ -33,14 +32,6 @@ func (h *HeatTable) Len() int {
 	return len(h.counts)
 }
 
-// Touches returns the total touch count since the table was built.
-func (h *HeatTable) Touches() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.touches
-}
-
 // Touch bumps the heat of one granule; out-of-range granules are ignored so
 // callers need not bounds-check speculative offsets.
 func (h *HeatTable) Touch(granule int) {
@@ -50,7 +41,6 @@ func (h *HeatTable) Touch(granule int) {
 	if h.counts[granule] < 1<<31 {
 		h.counts[granule]++
 	}
-	h.touches++
 }
 
 // Heat returns one granule's counter (0 when out of range).
@@ -70,22 +60,6 @@ func (h *HeatTable) Decay() {
 	for i := range h.counts {
 		h.counts[i] >>= 1
 	}
-}
-
-// MaxInRange returns the hottest counter among granules [lo, hi).
-func (h *HeatTable) MaxInRange(lo, hi int) uint32 {
-	if h == nil {
-		return 0
-	}
-	lo = clampInt(lo, 0, len(h.counts))
-	hi = clampInt(hi, lo, len(h.counts))
-	var max uint32
-	for _, c := range h.counts[lo:hi] {
-		if c > max {
-			max = c
-		}
-	}
-	return max
 }
 
 // AppendHeat appends the canonical byte form of a table to dst: the granule

@@ -66,7 +66,7 @@ func (e *Engine) extractStaged(stages []*sidxStage, ents []pidxEntry, vals []byt
 					err = st.sorter.add(q, ent)
 				}
 				if err != nil {
-					st.sorter.drop()
+					st.sorter.drop(q)
 					st.err = err
 					return
 				}
@@ -115,10 +115,11 @@ func (e *Engine) buildStaged(p *sim.Proc, stages []*sidxStage, moved *uint64) er
 }
 
 // failStages ends the staged builds of a failed compaction — with their own
-// error, or as a build queued behind it would — and lets go of their batches.
-func failStages(ks *Keyspace, stages []*sidxStage) {
+// error, or as a build queued behind it would — and lets go of their batches
+// and runs.
+func failStages(p *sim.Proc, ks *Keyspace, stages []*sidxStage) {
 	for _, st := range stages {
-		st.sorter.drop()
+		st.sorter.drop(p)
 		st.si.finish(cmp.Or(st.err, notCompacted(ks, st.si)))
 	}
 }

@@ -593,7 +593,6 @@ func TestJoinedIndexesFailWithCompaction(t *testing.T) {
 		if got := fx.eng.sidxJoined.Value(); got != 2 {
 			t.Fatalf("%d builds joined the compaction, want 2", got)
 		}
-		p.Yield() // the queued build starts and waits on the compaction
 		fx.eng.Halt()
 		fx.dev.PowerCut(p)
 		if err := fx.eng.WaitCompacted(p, "ks"); err == nil {
@@ -611,6 +610,100 @@ func TestJoinedIndexesFailWithCompaction(t *testing.T) {
 			t.Errorf("engine/dram reads %v after the failed job, want 0", v)
 		}
 	})
+}
+
+// TestHaltedJobsReport: jobs spawned but not yet started when the engine
+// halts still run — each fails before touching the media and fires its done
+// events — so waiters on the halted engine get an error instead of blocking.
+// With separate keys and values the build joins the compaction; in the
+// combined layout it is a job of its own queued behind it.
+func TestHaltedJobsReport(t *testing.T) {
+	for _, combined := range []bool{false, true} {
+		t.Run(fmt.Sprintf("combined=%v", combined), func(t *testing.T) {
+			cfg := smallEngineConfig()
+			cfg.DisableKVSeparation = combined
+			fx := newEngineFixture(cfg)
+			fx.run(t, func(p *sim.Proc) {
+				ingestN(t, p, fx, "ks", 800, func(i int) float32 { return float32(i) })
+				if err := fx.eng.Compact(p, "ks"); err != nil {
+					t.Fatal(err)
+				}
+				if err := fx.eng.BuildSecondaryIndex(p, "ks", energySpec("e")); err != nil {
+					t.Fatal(err)
+				}
+				fx.eng.Halt()
+				written := fx.st.MediaWrite.Value()
+				if err := fx.eng.WaitCompacted(p, "ks"); !errors.Is(err, errHalted) {
+					t.Errorf("compaction: %v, want the halt", err)
+				}
+				if err := fx.eng.WaitIndexBuilt(p, "ks", "e"); !errors.Is(err, ErrIndexFailed) {
+					t.Errorf("index: %v, want a failed build", err)
+				}
+				if err := fx.eng.WaitBackgroundIdle(p); !errors.Is(err, errHalted) {
+					t.Errorf("background error: %v, want the halt", err)
+				}
+				if got := fx.st.MediaWrite.Value(); got != written {
+					t.Errorf("halted jobs wrote %d media bytes", got-written)
+				}
+			})
+		})
+	}
+}
+
+// TestFailedIndexSortReleasesRuns: an index build whose byte range runs past
+// a value only after its sort has written runs to ZoneTemp releases them,
+// built separately and joined to the compaction alike. 6 000 pairs at
+// smallEngineConfig's 32 KiB sort budget spill several runs before the last
+// 1 000, whose 16-byte values end before the index's offset 28.
+func TestFailedIndexSortReleasesRuns(t *testing.T) {
+	for _, joined := range []bool{false, true} {
+		t.Run(fmt.Sprintf("joined=%v", joined), func(t *testing.T) {
+			fx := newEngineFixture(smallEngineConfig())
+			fx.run(t, func(p *sim.Proc) {
+				if err := fx.eng.CreateKeyspace(p, "ks"); err != nil {
+					t.Fatal(err)
+				}
+				var pairs []nvme.KVPair
+				for i := 0; i < 6000; i++ {
+					v := tvalue(i, float32(i))
+					if i >= 5000 {
+						v = v[:16]
+					}
+					pairs = append(pairs, nvme.KVPair{Key: tkey(i), Value: v})
+					if len(pairs) == 256 || i == 5999 {
+						if err := fx.eng.BulkOps(p, "ks", pairs); err != nil {
+							t.Fatal(err)
+						}
+						pairs = pairs[:0]
+					}
+				}
+				if err := fx.eng.Compact(p, "ks"); err != nil {
+					t.Fatal(err)
+				}
+				if !joined {
+					if err := fx.eng.WaitCompacted(p, "ks"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := fx.eng.BuildSecondaryIndex(p, "ks", energySpec("e")); err != nil {
+					t.Fatal(err)
+				}
+				if got := fx.eng.sidxJoined.Value(); (got == 1) != joined {
+					t.Fatalf("%d builds joined the compaction", got)
+				}
+				if err := fx.eng.WaitIndexBuilt(p, "ks", "e"); !errors.Is(err, ErrIndexFailed) {
+					t.Fatalf("index: %v, want a failed build", err)
+				}
+				_ = fx.eng.WaitBackgroundIdle(p)
+				if ks, _ := fx.eng.Keyspace("ks"); ks.State() != StateCompacted {
+					t.Fatalf("keyspace %v after the failed build, want COMPACTED", ks.State())
+				}
+				if n := fx.eng.zm.UsedByType()[ZoneTemp]; n != 0 {
+					t.Errorf("%d ZoneTemp zones still owned after the failed build", n)
+				}
+			})
+		})
+	}
 }
 
 // variedSpecs are three indexes over bytes tvalue varies: the id's last four

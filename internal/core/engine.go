@@ -171,7 +171,8 @@ func (e *Engine) CompactionConfig() compaction.Config {
 }
 
 // PipelineOccupancy returns the chunks currently buffered across compaction
-// pipeline stages — the fleet scheduler's "still draining" signal.
+// pipeline stages: the sum of the keyspaces' Progress.Occupancy, which is the
+// fleet scheduler's "still draining" signal.
 func (e *Engine) PipelineOccupancy() int { return e.pipelineOcc }
 
 // noteOccupancy tracks pipeline-buffer occupancy per keyspace and globally.
@@ -509,10 +510,14 @@ func (e *Engine) Sync(p *sim.Proc, name string) error {
 
 // --- Background jobs ------------------------------------------------------
 
-// Halt simulates a device controller crash: scheduled background jobs abort
-// before touching the media, and the engine must be replaced by a new one
-// that Recovers from the metadata zones. Test/fault-injection hook.
+// Halt simulates a device controller crash: scheduled background jobs fail
+// before touching the media (their waiters see the error), and the engine
+// must be replaced by a new one that Recovers from the metadata zones.
+// Test/fault-injection hook.
 func (e *Engine) Halt() { e.halted = true }
+
+// errHalted fails a background job that starts after Halt.
+var errHalted = errors.New("core: engine halted")
 
 // spawnJob runs fn as a device background process on the SoC. With tracing
 // on, the job runs under a root "job:" span so its media operations get stage
@@ -527,10 +532,8 @@ func (e *Engine) spawnJob(name string, fn func(p *sim.Proc) error) {
 		if sp != nil {
 			e.tr.Push(p, sp)
 		}
-		if !e.halted {
-			if err := fn(p); err != nil && e.bgErr == nil {
-				e.bgErr = err
-			}
+		if err := fn(p); err != nil && e.bgErr == nil {
+			e.bgErr = err
 		}
 		if sp != nil {
 			e.tr.Pop(p)
@@ -592,7 +595,10 @@ func (e *Engine) Compact(p *sim.Proc, name string) error {
 	// command itself returns immediately (deferred compaction).
 	e.spawnJob("compact-"+name, func(jp *sim.Proc) error {
 		ks.progress = compaction.Progress{Stage: compaction.StageFlush}
-		err := e.takeIngest(jp, ks)
+		err := errHalted
+		if !e.halted {
+			err = e.takeIngest(jp, ks)
+		}
 		if err == nil {
 			err = e.runCompaction(jp, ks)
 		}
@@ -606,7 +612,7 @@ func (e *Engine) Compact(p *sim.Proc, name string) error {
 		ks.compactErr = err
 		ks.compactDone.Signal()
 		if err != nil {
-			failStages(ks, stages)
+			failStages(jp, ks, stages)
 			return err
 		}
 		if len(stages) == 0 {

@@ -551,9 +551,13 @@ func TestRecoveryMidCompactionRollsBack(t *testing.T) {
 		if err := eng2.WaitCompacted(p, "ks"); err != nil {
 			t.Fatal(err)
 		}
-		// The halted engine's job aborted without touching the media.
-		if err := fx.eng.WaitBackgroundIdle(p); err != nil {
-			t.Fatal(err)
+		// The halted engine's job failed without touching the media, and
+		// said so to its waiters.
+		if err := fx.eng.WaitCompacted(p, "ks"); !errors.Is(err, errHalted) {
+			t.Fatalf("halted engine's compaction: %v", err)
+		}
+		if err := fx.eng.WaitBackgroundIdle(p); !errors.Is(err, errHalted) {
+			t.Fatalf("halted engine's background error: %v", err)
 		}
 	})
 }

@@ -193,7 +193,8 @@ type Sorter[T any] struct {
 	// (the engine's SoC DRAM gauge).
 	batchBytes int
 	dram       *sim.Gauge
-	// formed holds the runs the records added so far were cut into.
+	// formed holds the runs the records added so far were cut into, until
+	// reduce takes them; a sort that fails before then releases them.
 	formed []*Cluster
 
 	// runs and merges record what the last sort did: runs formed and k-way
@@ -255,7 +256,7 @@ func newEngineSorter[T any](e *Engine, run socPhase, codec Codec[T], key func(T)
 // when the assist hooks and the planner say so, into one scratch cluster
 // that is scanned to emit and released.
 func (s *Sorter[T]) Stream(p *sim.Proc, src recordSource[T], emit func(p *sim.Proc, rec T) error) error {
-	defer s.drop()
+	defer s.drop(p)
 	if err := s.feed(p, src); err != nil {
 		return err
 	}
@@ -269,14 +270,15 @@ func (s *Sorter[T]) Stream(p *sim.Proc, src recordSource[T], emit func(p *sim.Pr
 	sc := newScanner(out, s.codec)
 	for {
 		rec, ok, err := sc.next(p)
+		if err == nil && ok {
+			err = emit(p, rec)
+		}
 		if err != nil {
+			abandon(p, out)
 			return err
 		}
 		if !ok {
 			return out.Release(p)
-		}
-		if err := emit(p, rec); err != nil {
-			return err
 		}
 	}
 }
@@ -301,7 +303,11 @@ func (s *Sorter[T]) mergeAll(p *sim.Proc) (*Cluster, error) {
 	}
 	if len(runs) > 1 {
 		s.deviceRuns = len(runs)
-		return s.mergeRuns(p, runs)
+		merged, err := s.mergeRuns(p, runs)
+		if err != nil {
+			abandon(p, runs...)
+		}
+		return merged, err
 	}
 	return runs[0], nil
 }
@@ -399,7 +405,7 @@ func (s *Sorter[T]) sortSplit(p *sim.Proc, runs []*Cluster, h int) (*Cluster, er
 // records land directly in PIDX and SORTED_VALUES. A source that fits one
 // batch is emitted from DRAM as Stream does.
 func (s *Sorter[T]) SortTo(p *sim.Proc, src recordSource[T], emit func(p *sim.Proc, rec T) error) error {
-	defer s.drop()
+	defer s.drop(p)
 	if err := s.feed(p, src); err != nil {
 		return err
 	}
@@ -412,13 +418,15 @@ func (s *Sorter[T]) SortTo(p *sim.Proc, src recordSource[T], emit func(p *sim.Pr
 	}
 	s.merges++
 	if err := s.merge(p, runs, nil, emit); err != nil {
+		abandon(p, runs...)
 		return err
 	}
 	return releaseAll(p, runs)
 }
 
 // reduce writes the last batch as a run and merges the runs formed down to
-// at most MergeFanin.
+// at most MergeFanin. On failure it releases every run it holds, merged or
+// not.
 func (s *Sorter[T]) reduce(p *sim.Proc) ([]*Cluster, error) {
 	runs, err := s.makeRuns(p, nil)
 	if err != nil {
@@ -431,6 +439,8 @@ func (s *Sorter[T]) reduce(p *sim.Proc) ([]*Cluster, error) {
 		for i := 0; i < len(runs); i += s.cfg.MergeFanin {
 			merged, err := s.mergeRuns(p, runs[i:min(i+s.cfg.MergeFanin, len(runs))])
 			if err != nil {
+				abandon(p, next...)
+				abandon(p, runs[i:]...)
 				return nil, err
 			}
 			next = append(next, merged)
@@ -448,6 +458,11 @@ func releaseAll(p *sim.Proc, cs []*Cluster) error {
 	}
 	return nil
 }
+
+// abandon releases the scratch clusters of a sort that failed. A release
+// that fails too — the device lost power — leaves the rest to the restart
+// sweep.
+func abandon(p *sim.Proc, cs ...*Cluster) { _ = releaseAll(p, cs) }
 
 // arenaChunk is the size of one batchArena chunk.
 const arenaChunk = 256 << 10
@@ -546,6 +561,7 @@ func (s *Sorter[T]) flushRun(p *sim.Proc) error {
 	}
 	s.runCPU.Compares(p, s.sortBatch())
 	run := s.zm.NewCluster(ZoneTemp)
+	s.formed = append(s.formed, run) // a failed write leaves it to drop
 	s.out.open(run, pipeline{}, &s.written)
 	for _, rec := range batch {
 		if err := putRecord(p, &s.out, s.codec, rec); err != nil {
@@ -555,7 +571,6 @@ func (s *Sorter[T]) flushRun(p *sim.Proc) error {
 	if err := s.out.finish(p); err != nil {
 		return err
 	}
-	s.formed = append(s.formed, run)
 	s.batch.recs = batch[:0]
 	s.arena.reset()
 	s.hold(-s.batchBytes)
@@ -579,19 +594,23 @@ func (s *Sorter[T]) emitBatch(p *sim.Proc, emit func(p *sim.Proc, rec T) error) 
 // dropped on return so the merge passes that follow do not pin a DRAM
 // budget's worth of records.
 func (s *Sorter[T]) makeRuns(p *sim.Proc, src recordSource[T]) ([]*Cluster, error) {
-	defer s.drop()
+	defer s.drop(p)
 	if err := s.feed(p, src); err != nil {
 		return nil, err
 	}
 	if err := s.flushRun(p); err != nil {
 		return nil, err
 	}
-	return s.formed, nil
+	runs := s.formed
+	s.formed = nil
+	return runs, nil
 }
 
-// drop lets go of the batch, its arena and the runs formed.
-func (s *Sorter[T]) drop() {
+// drop lets go of the batch and its arena, and releases the runs formed that
+// no merge took: the sort that formed them failed.
+func (s *Sorter[T]) drop(p *sim.Proc) {
 	s.hold(-s.batchBytes)
+	abandon(p, s.formed...)
 	s.batch, s.arena, s.formed = sortBuf[T]{}, batchArena{}, nil
 }
 
@@ -630,7 +649,8 @@ func (s *Sorter[T]) mergeRuns(p *sim.Proc, runs []*Cluster, mem ...[]byte) (*Clu
 		err = s.out.finish(p)
 	}
 	if err != nil {
-		s.out.stop(p) // the cluster is abandoned
+		s.out.stop(p)
+		abandon(p, out)
 		return nil, err
 	}
 	if err := releaseAll(p, runs); err != nil {

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"fmt"
+	"slices"
 
 	"kvcsd/internal/obs"
 	"kvcsd/internal/sim"
@@ -226,7 +227,7 @@ func (c *Cluster) routeApplied(p *sim.Proc, shard int, e *wire.ReplicaEntry) {
 	for _, m := range e.Members {
 		rt.members = append(rt.members, int(m))
 	}
-	if !containsInt(rt.members, rt.leader) {
+	if !slices.Contains(rt.members, rt.leader) {
 		rt.leader = -1
 	}
 	if c.gauges != nil {
@@ -579,9 +580,9 @@ func (s *Session) pickGroup(shard int, lastErr error) *group {
 	}
 	target := -1
 	if nl, ok := lastErr.(*NotLeaderError); ok && nl.Hint >= 0 &&
-		containsInt(rt.members, nl.Hint) && s.c.nodes[nl.Hint].running {
+		slices.Contains(rt.members, nl.Hint) && s.c.nodes[nl.Hint].running {
 		target = nl.Hint
-	} else if rt.leader >= 0 && containsInt(rt.members, rt.leader) && s.c.nodes[rt.leader].running {
+	} else if rt.leader >= 0 && slices.Contains(rt.members, rt.leader) && s.c.nodes[rt.leader].running {
 		target = rt.leader
 	} else {
 		s.rrNext++
@@ -596,13 +597,4 @@ func (s *Session) pause(p *sim.Proc, attempt int) {
 	d := s.backoff * sim.Duration(1+attempt/4)
 	jitter := sim.Duration(s.rng.Int63() % int64(s.backoff))
 	p.Sleep(d + jitter)
-}
-
-func containsInt(v []int, x int) bool {
-	for _, e := range v {
-		if e == x {
-			return true
-		}
-	}
-	return false
 }

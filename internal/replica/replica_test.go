@@ -3,6 +3,7 @@ package replica
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"kvcsd/internal/nvme"
@@ -183,7 +184,7 @@ func TestMoveShard(t *testing.T) {
 			}
 		}
 		members := c.Members(0)
-		if containsInt(members, 3) {
+		if slices.Contains(members, 3) {
 			t.Fatalf("node 3 unexpectedly already a member: %v", members)
 		}
 		from := members[0]
@@ -192,7 +193,7 @@ func TestMoveShard(t *testing.T) {
 			t.Fatalf("MoveShard: %v", err)
 		}
 		after := c.Members(0)
-		if !containsInt(after, 3) || containsInt(after, from) {
+		if !slices.Contains(after, 3) || slices.Contains(after, from) {
 			t.Fatalf("ownership did not flip: %v -> %v", members, after)
 		}
 		if c.Epoch(0) <= epochBefore {
@@ -237,7 +238,7 @@ func TestMoveShardSurvivesMidMigrationPowerCut(t *testing.T) {
 			// safe intermediate config, and data must be intact.
 			cur := c.Members(0)
 			for _, m := range members {
-				if !containsInt(cur, m) && m != from {
+				if !slices.Contains(cur, m) && m != from {
 					t.Fatalf("member %d vanished after failed move: %v", m, cur)
 				}
 			}

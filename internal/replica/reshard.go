@@ -3,6 +3,7 @@ package replica
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"kvcsd/internal/nvme"
 	"kvcsd/internal/sim"
@@ -82,7 +83,7 @@ func (c *Cluster) MoveShard(p *sim.Proc, shard, from, to int) error {
 		return fmt.Errorf("%w: no leader for shard %d", ErrMigrate, shard)
 	}
 	g := c.nodes[leaderID].groups[shard]
-	if containsInt(g.members, to) {
+	if slices.Contains(g.members, to) {
 		return c.removeMember(p, shard, from)
 	}
 
@@ -162,7 +163,7 @@ func (c *Cluster) removeMember(p *sim.Proc, shard, from int) error {
 		return fmt.Errorf("%w: no leader for shard %d", ErrMigrate, shard)
 	}
 	g := c.nodes[leaderID].groups[shard]
-	if !containsInt(g.members, from) {
+	if !slices.Contains(g.members, from) {
 		return nil
 	}
 	var members []uint32
@@ -238,7 +239,7 @@ func sameMembers(have []int, want []uint32) bool {
 		return false
 	}
 	for _, w := range want {
-		if !containsInt(have, int(w)) {
+		if !slices.Contains(have, int(w)) {
 			return false
 		}
 	}

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 
 	"kvcsd/internal/host"
@@ -72,9 +70,14 @@ type DB struct {
 	metrics Metrics
 }
 
-// Open creates or reopens a DB named name on the given filesystem. Existing
-// state (MANIFEST, WALs) is recovered. Must run inside a simulation process.
+// Open creates a DB named name on the given filesystem. The baseline writes
+// its WAL and MANIFEST for what they cost but never reads them back, so a
+// name that already holds a MANIFEST is refused (vfs.ErrExist) rather than
+// started empty over its old tables. Must run inside a simulation process.
 func Open(p *sim.Proc, h *host.Host, fsys *vfs.FS, rng *sim.RNG, name string, opts Options) (*DB, error) {
+	if fsys.Exists(name + "/MANIFEST") {
+		return nil, fmt.Errorf("rocks: open %s: %w", name, vfs.ErrExist)
+	}
 	opts = opts.sanitize()
 	db := &DB{
 		env:         p.Env(),
@@ -91,12 +94,6 @@ func Open(p *sim.Proc, h *host.Host, fsys *vfs.FS, rng *sim.RNG, name string, op
 	db.manifestLock = sim.NewResource(p.Env(), name+"-manifest", 1)
 	db.levels = newLevels(opts.Levels)
 	db.mem = newMemtable(rng.Fork(1))
-	if _, err := db.loadManifest(p); err != nil {
-		return nil, err
-	}
-	if err := db.recoverWALs(p); err != nil {
-		return nil, err
-	}
 	if err := db.rotateWAL(p); err != nil {
 		return nil, err
 	}
@@ -110,53 +107,6 @@ func Open(p *sim.Proc, h *host.Host, fsys *vfs.FS, rng *sim.RNG, name string, op
 func (db *DB) fileName(n uint64) string { return db.name + "/" + tableFileName(n) }
 
 func (db *DB) walFileName(n uint64) string { return fmt.Sprintf("%s/wal-%06d.log", db.name, n) }
-
-// recoverWALs replays surviving log files (oldest first) into the memtable.
-func (db *DB) recoverWALs(p *sim.Proc) error {
-	prefix := db.name + "/wal-"
-	var logs []string
-	for _, f := range db.fs.List() {
-		if strings.HasPrefix(f, prefix) {
-			logs = append(logs, f)
-		}
-	}
-	sort.Strings(logs)
-	for _, lg := range logs {
-		f, err := db.fs.Open(p, lg)
-		if err != nil {
-			return err
-		}
-		recs, err := replayWAL(p, f)
-		if err != nil {
-			return err
-		}
-		for _, r := range recs {
-			db.mem.add(r.key, r.value, r.kind, r.seq)
-			if r.seq > db.seq {
-				db.seq = r.seq
-			}
-		}
-	}
-	// Persist replayed data as an L0 table before removing logs, so a crash
-	// during or right after recovery loses nothing.
-	if len(logs) > 0 && !db.mem.empty() {
-		t, err := db.buildTable(p, db.mem.iterator(), 0, false)
-		if err != nil {
-			return err
-		}
-		db.levels.addL0(t)
-		db.mem = newMemtable(db.rng.Fork(int64(db.seq) + 7))
-		if err := db.saveManifest(p); err != nil {
-			return err
-		}
-	}
-	for _, lg := range logs {
-		if err := db.fs.Remove(p, lg); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // rotateWAL starts a fresh log file for the current memtable.
 func (db *DB) rotateWAL(p *sim.Proc) error {
@@ -566,9 +516,6 @@ func (db *DB) LevelTableCounts() []int {
 // TotalTables returns the number of live tables.
 func (db *DB) TotalTables() int { return db.levels.totalTables() }
 
-// Seq returns the last assigned sequence number.
-func (db *DB) Seq() uint64 { return db.seq }
-
 // CacheHitStats returns block-cache hits and misses.
 func (db *DB) CacheHitStats() (hits, misses int64) {
 	if db.cache == nil {
@@ -579,9 +526,6 @@ func (db *DB) CacheHitStats() (hits, misses int64) {
 
 // DropBlockCache empties the DB block cache (test/bench hygiene).
 func (db *DB) DropBlockCache() { db.cache.clear() }
-
-// BackgroundErr returns any error a background job hit.
-func (db *DB) BackgroundErr() error { return db.bgErr }
 
 // Options returns the (sanitized) options in use.
 func (db *DB) Options() Options { return db.opts }

@@ -3,13 +3,15 @@
 // RocksDB/LevelDB, running on a host filesystem (internal/vfs) and host CPU
 // cores (internal/host).
 //
-// The store has a skiplist memtable, a CRC-checked write-ahead log, 4 KiB
+// The store has a skiplist memtable, a CRC-framed write-ahead log, 4 KiB
 // block SSTables with bloom filters and index blocks, L0..Lmax leveled
 // compaction executed by background worker processes, an LRU block cache
 // ("aggressive client-side caching", Fig 10/12), and L0-trigger write
 // slowdown/stall logic (the write stalls of paper §I). Compaction can run
 // automatically, be deferred to an explicit call, or be disabled — the three
-// RocksDB modes of Figure 9.
+// RocksDB modes of Figure 9. The log and the MANIFEST are written and synced
+// for what they cost the baseline, and never read back: a DB is created,
+// never reopened.
 package rocks
 
 import "time"

@@ -2,6 +2,7 @@ package rocks
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -245,73 +246,70 @@ func TestBloomSkipAvoidsBlockReads(t *testing.T) {
 
 // --- WAL -----------------------------------------------------------------
 
-func TestWALRoundTrip(t *testing.T) {
+// TestWALRecordBytes pins what the WAL writer appends per record. No reader
+// checks the log, and its bytes and syncs are what the baseline is charged,
+// so the layout is held here: an 8-byte crc32/length header, then kind, seq,
+// key and value, 25 bytes of framing per record in all.
+func TestWALRecordBytes(t *testing.T) {
 	fx := newTableFixture()
 	fx.env.Go("test", func(p *sim.Proc) {
 		f, _ := fx.fs.Create(p, "test.log")
 		w := newWALWriter(f)
+		if err := w.append(p, kindValue, 1, []byte("k"), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.append(p, kindDelete, 2, []byte("k"), nil); err != nil {
+			t.Fatal(err)
+		}
+		want, _ := hex.DecodeString(
+			"9016ad3c" + "13000000" + "00" + "0100000000000000" + "01000000" + "6b" + "01000000" + "76" +
+				"74bbeca5" + "12000000" + "01" + "0200000000000000" + "01000000" + "6b" + "00000000")
+		got := make([]byte, f.Size())
+		if err := f.ReadAt(p, got, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("log bytes\n%x\nwant\n%x", got, want)
+		}
+		size := f.Size()
 		for i := 0; i < 100; i++ {
-			if err := w.append(p, kindValue, uint64(i+1), key(i), value(i)); err != nil {
+			if err := w.append(p, kindValue, uint64(i+3), key(i), value(i)); err != nil {
 				t.Fatal(err)
 			}
+			size += int64(25 + len(key(i)) + len(value(i)))
+			if f.Size() != size {
+				t.Fatalf("record %d: log is %d bytes, want %d", i, f.Size(), size)
+			}
 		}
-		_ = w.append(p, kindDelete, 101, []byte("dead"), nil)
 		if err := w.sync(p); err != nil {
 			t.Fatal(err)
 		}
-		rf, _ := fx.fs.Open(p, "test.log")
-		recs, err := replayWAL(p, rf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(recs) != 101 {
-			t.Fatalf("replayed %d records", len(recs))
-		}
-		for i := 0; i < 100; i++ {
-			r := recs[i]
-			if r.kind != kindValue || r.seq != uint64(i+1) ||
-				!bytes.Equal(r.key, key(i)) || !bytes.Equal(r.value, value(i)) {
-				t.Fatalf("record %d mismatch: %+v", i, r)
-			}
-		}
-		if recs[100].kind != kindDelete || string(recs[100].key) != "dead" {
-			t.Fatalf("tombstone record wrong: %+v", recs[100])
-		}
 	})
 	fx.env.Run()
 }
 
-func TestWALTornTailIgnored(t *testing.T) {
-	fx := newTableFixture()
-	fx.env.Go("test", func(p *sim.Proc) {
-		f, _ := fx.fs.Create(p, "torn.log")
-		w := newWALWriter(f)
-		_ = w.append(p, kindValue, 1, []byte("k1"), []byte("v1"))
-		_ = w.append(p, kindValue, 2, []byte("k2"), []byte("v2"))
-		// A torn record: header promising more bytes than exist.
-		_ = f.Append(p, []byte{0, 0, 0, 0, 255, 0, 0, 0, 1, 2, 3})
-		_ = f.Sync(p)
-		rf, _ := fx.fs.Open(p, "torn.log")
-		recs, err := replayWAL(p, rf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(recs) != 2 {
-			t.Fatalf("replayed %d records, want 2", len(recs))
-		}
-	})
-	fx.env.Run()
-}
-
+// TestWALEmptyFile: Open starts the DB's first log with no bytes — no header
+// — and a Put appends exactly one record to it.
 func TestWALEmptyFile(t *testing.T) {
-	fx := newTableFixture()
-	fx.env.Go("test", func(p *sim.Proc) {
-		f, _ := fx.fs.Create(p, "empty.log")
-		rf, _ := fx.fs.Open(p, f.Name())
-		recs, err := replayWAL(p, rf)
-		if err != nil || len(recs) != 0 {
-			t.Fatalf("empty replay: %d recs, err %v", len(recs), err)
+	fx := newDBFixture()
+	fx.run(t, func(p *sim.Proc) {
+		db, err := Open(p, fx.h, fx.fs, fx.rng, "db0", smallOpts(CompactionAuto))
+		if err != nil {
+			t.Fatal(err)
 		}
+		f, err := fx.fs.Open(p, "db0/wal-000001.log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Size() != 0 {
+			t.Fatalf("new log is %d bytes", f.Size())
+		}
+		if err := db.Put(p, []byte("k"), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if f.Size() != 27 {
+			t.Fatalf("log after one Put is %d bytes, want 27", f.Size())
+		}
+		_ = db.Close(p)
 	})
-	fx.env.Run()
 }

@@ -147,43 +147,6 @@ func (db *DB) appendManifest(b []byte) []byte {
 	return b
 }
 
-// decodeManifest restores the version state from data. Levels beyond
-// opts.Levels are ignored.
-func (db *DB) decodeManifest(data []byte) error {
-	d := codec.NewDecoder(data)
-	if magic := d.U32(); magic != manifestMagic {
-		d.Fail(fmt.Errorf("magic %#x", magic))
-	}
-	if version := d.U8(); version != manifestVersion {
-		d.Fail(fmt.Errorf("version %d", version))
-	}
-	db.nextFileNum = d.Uvarint()
-	db.seq = d.Uvarint()
-	db.levels = newLevels(db.opts.Levels)
-	for i := range d.Count(1) {
-		for range d.Count(5) {
-			h := &tableHandle{meta: tableMeta{
-				fileNum:  d.Uvarint(),
-				size:     int64(d.Uvarint()),
-				entries:  int64(d.Uvarint()),
-				smallest: d.Bytes(),
-				largest:  d.Bytes(),
-			}}
-			switch {
-			case i >= db.opts.Levels:
-			case i == 0:
-				db.levels.files[0] = append(db.levels.files[0], h)
-			default:
-				db.levels.addSorted(i, h)
-			}
-		}
-	}
-	if err := d.Done(); err != nil {
-		return fmt.Errorf("rocks: manifest decode: %w", err)
-	}
-	return nil
-}
-
 // saveManifest rewrites the manifest atomically (write temp + rename).
 // Concurrent callers serialize on the manifest lock; each write uses a unique
 // temp name so an interrupted writer cannot clobber another's file.
@@ -204,24 +167,4 @@ func (db *DB) saveManifest(p *sim.Proc) error {
 		return err
 	}
 	return db.fs.Rename(p, tmp, db.name+"/MANIFEST")
-}
-
-// loadManifest restores version state; returns false if no manifest exists.
-func (db *DB) loadManifest(p *sim.Proc) (bool, error) {
-	name := db.name + "/MANIFEST"
-	if !db.fs.Exists(name) {
-		return false, nil
-	}
-	f, err := db.fs.Open(p, name)
-	if err != nil {
-		return false, err
-	}
-	data := make([]byte, f.Size())
-	if err := f.ReadAt(p, data, 0); err != nil {
-		return false, err
-	}
-	if err := db.decodeManifest(data); err != nil {
-		return false, err
-	}
-	return true, nil
 }

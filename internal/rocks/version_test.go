@@ -1,8 +1,7 @@
 package rocks
 
 import (
-	"reflect"
-	"strings"
+	"bytes"
 	"testing"
 
 	"kvcsd/internal/sim"
@@ -23,70 +22,32 @@ func manifestDB(opts Options) *DB {
 	return db
 }
 
-func levelMetas(l *levels) [][]tableMeta {
-	out := make([][]tableMeta, len(l.files))
-	for i, fs := range l.files {
-		for _, t := range fs {
-			out[i] = append(out[i], t.meta)
-		}
-	}
-	return out
-}
-
-func TestManifestSaveLoadRoundTrip(t *testing.T) {
+// TestManifestSize pins the MANIFEST a save leaves behind. Nothing reads it
+// back; its size is what saveManifest's host copy and writes are charged
+// for, so the encoding is held here: magic, version, nextFileNum 42 (1 byte),
+// seq 2^40 (6), 7 level counts, and four tables of 9, 9, 8 and 9 bytes.
+func TestManifestSize(t *testing.T) {
 	fx := newDBFixture()
 	fx.run(t, func(p *sim.Proc) {
-		opts := smallOpts(CompactionAuto)
-		want := manifestDB(opts)
-		want.fs, want.name = fx.fs, "db0"
-		want.manifestLock = sim.NewResource(p.Env(), "manifest", 1)
-		if err := want.saveManifest(p); err != nil {
+		db := manifestDB(smallOpts(CompactionAuto))
+		db.fs, db.name = fx.fs, "db0"
+		db.manifestLock = sim.NewResource(p.Env(), "manifest", 1)
+		if err := db.saveManifest(p); err != nil {
 			t.Fatal(err)
 		}
-		got := &DB{fs: fx.fs, name: "db0", opts: opts}
-		if ok, err := got.loadManifest(p); !ok || err != nil {
-			t.Fatalf("load: %v, %v", ok, err)
-		}
-		if got.nextFileNum != want.nextFileNum || got.seq != want.seq {
-			t.Fatalf("loaded nextFileNum %d seq %d, want %d %d", got.nextFileNum, got.seq, want.nextFileNum, want.seq)
-		}
-		if g, w := levelMetas(got.levels), levelMetas(want.levels); !reflect.DeepEqual(g, w) {
-			t.Fatalf("loaded levels\n%+v\nwant\n%+v", g, w)
-		}
-	})
-}
-
-// TestManifestDecodeRefusesDamage: every truncation of a manifest, and
-// garbage, is a "rocks: manifest decode" error, never a panic, and Open
-// reports it.
-func TestManifestDecodeRefusesDamage(t *testing.T) {
-	opts := smallOpts(CompactionAuto)
-	data := manifestDB(opts).appendManifest(nil)
-	for n := 0; n < len(data); n++ {
-		if err := (&DB{opts: opts}).decodeManifest(data[:n]); err == nil || !strings.Contains(err.Error(), "rocks: manifest decode") {
-			t.Fatalf("manifest cut to %d of %d bytes: %v", n, len(data), err)
-		}
-	}
-	fx := newDBFixture()
-	fx.run(t, func(p *sim.Proc) {
-		f, err := fx.fs.Create(p, "db0/MANIFEST")
+		f, err := fx.fs.Open(p, "db0/MANIFEST")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := f.Append(p, []byte("\xff\xfe garbage, not a manifest")); err != nil {
+		if f.Size() != 55 {
+			t.Fatalf("MANIFEST is %d bytes, want 55", f.Size())
+		}
+		got := make([]byte, f.Size())
+		if err := f.ReadAt(p, got, 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Open(p, fx.h, fx.fs, fx.rng, "db0", opts); err == nil || !strings.Contains(err.Error(), "rocks: manifest decode") {
-			t.Fatalf("Open over a garbage manifest: %v", err)
+		if want := db.appendManifest(nil); !bytes.Equal(got, want) {
+			t.Fatalf("MANIFEST bytes\n%x\nwant\n%x", got, want)
 		}
 	})
-}
-
-func TestManifestRefusesOtherVersion(t *testing.T) {
-	opts := smallOpts(CompactionAuto)
-	data := manifestDB(opts).appendManifest(nil)
-	data[4] = manifestVersion + 1
-	if err := (&DB{opts: opts}).decodeManifest(data); err == nil || !strings.Contains(err.Error(), "version 2") {
-		t.Fatalf("decode of a version-2 manifest: %v", err)
-	}
 }

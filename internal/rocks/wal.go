@@ -2,8 +2,6 @@ package rocks
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"hash/crc32"
 
 	"kvcsd/internal/sim"
@@ -15,11 +13,8 @@ import (
 //	crc32(payload) uint32 | payloadLen uint32 | payload
 //	payload: kind uint8 | seq uint64 | keyLen uint32 | key | valLen uint32 | val
 //
-// A torn or corrupt tail record terminates replay without error, matching
-// the recovery semantics of LevelDB's log reader.
-
-// ErrWALCorrupt reports a mid-log checksum failure (not a clean torn tail).
-var ErrWALCorrupt = errors.New("rocks: WAL corrupt")
+// Nothing reads the log back: the baseline is measured for the bytes and
+// syncs it writes, and Open never recovers an existing DB.
 
 type walWriter struct {
 	f *vfs.File
@@ -47,62 +42,3 @@ func (w *walWriter) append(p *sim.Proc, kind entryKind, seq uint64, key, value [
 
 // sync flushes the log to stable storage.
 func (w *walWriter) sync(p *sim.Proc) error { return w.f.Sync(p) }
-
-// walRecord is one recovered entry.
-type walRecord struct {
-	kind  entryKind
-	seq   uint64
-	key   []byte
-	value []byte
-}
-
-// replayWAL reads all intact records from a WAL file. A short or
-// checksum-failing tail ends replay silently; corruption before the tail
-// returns ErrWALCorrupt.
-func replayWAL(p *sim.Proc, f *vfs.File) ([]walRecord, error) {
-	buf := make([]byte, f.Size())
-	if err := f.ReadAt(p, buf, 0); err != nil {
-		return nil, fmt.Errorf("rocks: WAL read: %w", err)
-	}
-	return decodeWAL(buf)
-}
-
-// decodeWAL parses the record stream of a whole WAL image. It is pure (no
-// I/O) so recovery behavior on arbitrary byte sequences can be fuzzed.
-func decodeWAL(buf []byte) ([]walRecord, error) {
-	size := int64(len(buf))
-	var out []walRecord
-	var off int64
-	for off+8 <= size {
-		wantCRC := binary.LittleEndian.Uint32(buf[off:])
-		plen := int64(binary.LittleEndian.Uint32(buf[off+4:]))
-		if off+8+plen > size {
-			return out, nil // torn tail
-		}
-		payload := buf[off+8 : off+8+plen]
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			if off+8+plen == size {
-				return out, nil // corrupt tail record: treated as torn
-			}
-			return out, ErrWALCorrupt
-		}
-		if plen < 17 {
-			return out, ErrWALCorrupt
-		}
-		kind := entryKind(payload[0])
-		seq := binary.LittleEndian.Uint64(payload[1:])
-		klen := int64(binary.LittleEndian.Uint32(payload[9:]))
-		if 13+klen+4 > plen {
-			return out, ErrWALCorrupt
-		}
-		key := append([]byte(nil), payload[13:13+klen]...)
-		vlen := int64(binary.LittleEndian.Uint32(payload[13+klen:]))
-		if 13+klen+4+vlen != plen {
-			return out, ErrWALCorrupt
-		}
-		value := append([]byte(nil), payload[13+klen+4:]...)
-		out = append(out, walRecord{kind: kind, seq: seq, key: key, value: value})
-		off += 8 + plen
-	}
-	return out, nil
-}

@@ -174,9 +174,8 @@ func TestBlockRunParallelFasterThanSerial(t *testing.T) {
 			if run {
 				_, _ = d.ReadBlockRun(p, 0, 4)
 			} else {
-				buf := make([]byte, cfg.BlockSize)
 				for i := int64(0); i < 4; i++ {
-					_ = d.ReadBlock(p, i, buf)
+					_, _ = d.ReadBlockRun(p, i, 1)
 				}
 			}
 			end = p.Now() - t0

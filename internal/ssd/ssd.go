@@ -686,23 +686,6 @@ func (d *Device) ResetZone(p *sim.Proc, idx int) error {
 	return nil
 }
 
-// FinishZone transitions an OPEN zone to FULL, sealing it against writes.
-func (d *Device) FinishZone(p *sim.Proc, idx int) error {
-	if idx < 0 || idx >= len(d.zones) {
-		return ErrZoneBounds
-	}
-	if d.poweredOff {
-		return ErrPoweredOff
-	}
-	z := &d.zones[idx]
-	if z.state != ZoneOpen {
-		return ErrZoneState
-	}
-	z.state = ZoneFull
-	d.noteZoneTransition(ZoneOpen, ZoneFull, 0)
-	return nil
-}
-
 // openZoneCount returns the number of zones currently OPEN (inspection).
 func (d *Device) OpenZones() int {
 	n := 0
@@ -760,35 +743,6 @@ func (d *Device) WriteBlock(p *sim.Proc, lba int64, data []byte) error {
 	}
 	copy(blk, data)
 	d.st.MediaWrite.Add(int64(len(data)))
-	return nil
-}
-
-// ReadBlock reads one logical block; unwritten blocks read as zeros.
-func (d *Device) ReadBlock(p *sim.Proc, lba int64, buf []byte) error {
-	if lba < 0 || lba >= d.cfg.ConvBlocks {
-		return ErrBlockBounds
-	}
-	if len(buf) != d.cfg.BlockSize {
-		return ErrUnalignedRequest
-	}
-	if d.poweredOff {
-		return ErrPoweredOff
-	}
-	if err := d.checkFault("block-read", lba); err != nil {
-		return err
-	}
-	d.busy(p, d.convChannel(lba), "read", d.cfg.ReadLatency+d.faultLatency("block-read"), int64(len(buf)), d.cfg.ReadBandwidth)
-	if d.poweredOff {
-		return ErrPoweredOff
-	}
-	if blk := d.conv[lba]; blk != nil {
-		copy(buf, blk)
-	} else {
-		for i := range buf {
-			buf[i] = 0
-		}
-	}
-	d.st.MediaRead.Add(int64(len(buf)))
 	return nil
 }
 

@@ -135,24 +135,6 @@ func TestZoneBounds(t *testing.T) {
 	})
 }
 
-func TestFinishZone(t *testing.T) {
-	run(t, testCfg(), func(p *sim.Proc, d *Device) {
-		if err := d.FinishZone(p, 0); !errors.Is(err, ErrZoneState) {
-			t.Fatalf("finishing EMPTY zone: %v", err)
-		}
-		if err := d.WriteZone(p, 0, []byte{1}); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.FinishZone(p, 0); err != nil {
-			t.Fatal(err)
-		}
-		zi, _ := d.Zone(0)
-		if zi.State != ZoneFull {
-			t.Fatalf("state %v", zi.State)
-		}
-	})
-}
-
 func TestResetEmptyZoneNoop(t *testing.T) {
 	d, end := run(t, testCfg(), func(p *sim.Proc, d *Device) {
 		if err := d.ResetZone(p, 0); err != nil {
@@ -247,18 +229,18 @@ func TestConventionalReadWrite(t *testing.T) {
 		if err := d.WriteBlock(p, 7, blk); err != nil {
 			t.Fatal(err)
 		}
-		buf := make([]byte, cfg.BlockSize)
-		if err := d.ReadBlock(p, 7, buf); err != nil {
+		got, err := d.ReadBlockRun(p, 7, 1)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(buf, blk) {
+		if !bytes.Equal(got[0], blk) {
 			t.Fatal("block mismatch")
 		}
 		// Unwritten block reads as zeros.
-		if err := d.ReadBlock(p, 8, buf); err != nil {
+		if got, err = d.ReadBlockRun(p, 8, 1); err != nil {
 			t.Fatal(err)
 		}
-		for _, b := range buf {
+		for _, b := range got[0] {
 			if b != 0 {
 				t.Fatal("unwritten block not zero")
 			}
@@ -279,7 +261,10 @@ func TestConventionalBoundsAndAlignment(t *testing.T) {
 		if err := d.WriteBlock(p, 0, blk[:100]); !errors.Is(err, ErrUnalignedRequest) {
 			t.Fatal(err)
 		}
-		if err := d.ReadBlock(p, 0, blk[:100]); !errors.Is(err, ErrUnalignedRequest) {
+		if _, err := d.ReadBlockRun(p, -1, 1); !errors.Is(err, ErrBlockBounds) {
+			t.Fatal(err)
+		}
+		if _, err := d.ReadBlockRun(p, cfg.ConvBlocks, 1); !errors.Is(err, ErrBlockBounds) {
 			t.Fatal(err)
 		}
 		if err := d.TrimBlock(p, cfg.ConvBlocks+5); !errors.Is(err, ErrBlockBounds) {
@@ -402,7 +387,7 @@ func TestFaultInjectionBlock(t *testing.T) {
 		}
 		d.InjectFault("block-read", 5, 1)
 		_ = d.WriteBlock(p, 5, blk)
-		if err := d.ReadBlock(p, 5, blk); !errors.Is(err, ErrInjectedFault) {
+		if _, err := d.ReadBlockRun(p, 5, 1); !errors.Is(err, ErrInjectedFault) {
 			t.Fatalf("err = %v", err)
 		}
 	})

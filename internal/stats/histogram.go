@@ -176,54 +176,3 @@ func (h *Histogram) String() string {
 	return fmt.Sprintf("%s: n=%d mean=%v p50=%v p99=%v max=%v",
 		h.name, h.Count(), h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.Max())
 }
-
-// PhaseTimer records named phase durations in insertion order — used for the
-// Figure 11 write-phase breakdown (insert / compact / secondary index).
-type PhaseTimer struct {
-	names []string
-	durs  map[string]time.Duration
-}
-
-// NewPhaseTimer creates an empty phase timer.
-func NewPhaseTimer() *PhaseTimer {
-	return &PhaseTimer{durs: make(map[string]time.Duration)}
-}
-
-// Record adds (or extends) a named phase.
-func (t *PhaseTimer) Record(name string, d time.Duration) {
-	if _, ok := t.durs[name]; !ok {
-		t.names = append(t.names, name)
-	}
-	t.durs[name] += d
-}
-
-// Get returns the accumulated duration for a phase (0 if absent).
-func (t *PhaseTimer) Get(name string) time.Duration { return t.durs[name] }
-
-// Phases returns phase names in first-recorded order.
-func (t *PhaseTimer) Phases() []string {
-	out := make([]string, len(t.names))
-	copy(out, t.names)
-	return out
-}
-
-// Total returns the sum of all phases.
-func (t *PhaseTimer) Total() time.Duration {
-	var sum time.Duration
-	for _, d := range t.durs {
-		sum += d
-	}
-	return sum
-}
-
-// String renders "name=dur" pairs in order.
-func (t *PhaseTimer) String() string {
-	s := ""
-	for i, n := range t.names {
-		if i > 0 {
-			s += " "
-		}
-		s += fmt.Sprintf("%s=%v", n, t.durs[n])
-	}
-	return s
-}

@@ -126,15 +126,6 @@ func (s *IOStats) ReadInflation() float64 {
 	return float64(s.MediaRead.Value()) / float64(s.AppRead.Value())
 }
 
-// CacheHitRate returns hits/(hits+misses), or 0 with no lookups.
-func (s *IOStats) CacheHitRate() float64 {
-	total := s.CacheHits.Value() + s.CacheMisses.Value()
-	if total == 0 {
-		return 0
-	}
-	return float64(s.CacheHits.Value()) / float64(total)
-}
-
 // Clone returns an independent copy of the stats block with the same
 // counter values — the "previous sample" operand for Delta.
 func (s *IOStats) Clone() *IOStats {

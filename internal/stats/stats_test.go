@@ -54,18 +54,6 @@ func TestReadInflation(t *testing.T) {
 	}
 }
 
-func TestCacheHitRate(t *testing.T) {
-	s := NewIOStats()
-	if s.CacheHitRate() != 0 {
-		t.Fatal("empty hit rate should be 0")
-	}
-	s.CacheHits.Add(3)
-	s.CacheMisses.Add(1)
-	if r := s.CacheHitRate(); r != 0.75 {
-		t.Fatalf("hit rate = %v", r)
-	}
-}
-
 func TestSnapshotContainsAllCounters(t *testing.T) {
 	s := NewIOStats()
 	s.Gets.Add(7)
@@ -315,28 +303,5 @@ func TestHistogramString(t *testing.T) {
 	h.Record(time.Second)
 	if !strings.Contains(h.String(), "n=1") {
 		t.Fatalf("string %q", h.String())
-	}
-}
-
-func TestPhaseTimer(t *testing.T) {
-	pt := NewPhaseTimer()
-	pt.Record("insert", 2*time.Second)
-	pt.Record("compact", 3*time.Second)
-	pt.Record("insert", time.Second) // accumulate
-	if got := pt.Get("insert"); got != 3*time.Second {
-		t.Fatalf("insert %v", got)
-	}
-	if pt.Total() != 6*time.Second {
-		t.Fatalf("total %v", pt.Total())
-	}
-	ph := pt.Phases()
-	if len(ph) != 2 || ph[0] != "insert" || ph[1] != "compact" {
-		t.Fatalf("phases %v", ph)
-	}
-	if pt.Get("missing") != 0 {
-		t.Fatal("missing phase should be 0")
-	}
-	if pt.String() != "insert=3s compact=3s" {
-		t.Fatalf("String() = %q", pt.String())
 	}
 }

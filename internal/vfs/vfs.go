@@ -14,7 +14,6 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
-	"sort"
 
 	"kvcsd/internal/host"
 	"kvcsd/internal/sim"
@@ -206,16 +205,6 @@ func (fs *FS) Rename(p *sim.Proc, from, to string) error {
 	delete(fs.files, from)
 	fs.files[to] = ino
 	return nil
-}
-
-// List returns all file names, sorted.
-func (fs *FS) List() []string {
-	names := make([]string, 0, len(fs.files))
-	for n := range fs.files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // TotalBytes returns the sum of all file sizes.

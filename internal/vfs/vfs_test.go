@@ -317,21 +317,6 @@ func TestJournalWritesOnSync(t *testing.T) {
 	})
 }
 
-func TestListSorted(t *testing.T) {
-	fx := newFixture(DefaultConfig())
-	fx.run(t, func(p *sim.Proc) {
-		for _, n := range []string{"c", "a", "b"} {
-			if _, err := fx.fs.Create(p, n); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got := fx.fs.List()
-		if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
-			t.Fatalf("list %v", got)
-		}
-	})
-}
-
 func TestTotalBytes(t *testing.T) {
 	fx := newFixture(DefaultConfig())
 	fx.run(t, func(p *sim.Proc) {
