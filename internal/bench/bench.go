@@ -181,6 +181,26 @@ func ratio(a, b time.Duration) string {
 	return fmt.Sprintf("%.1fx", float64(a)/float64(b))
 }
 
+// chanSkew renders a row's chan_skew cell: the busiest NAND channel's busy
+// time over the mean busy time, counting only what each channel accrued since
+// the before snapshot of ssd.ChannelBusyTimes (nil: since the device started).
+// 1.00 is an even spread; a striped read waits on its busiest channel.
+func chanSkew(dev *ssd.Device, before []time.Duration) string {
+	var sum, peak time.Duration
+	busy := dev.ChannelBusyTimes(nil)
+	for i, b := range busy {
+		if before != nil {
+			b -= before[i]
+		}
+		sum += b
+		peak = max(peak, b)
+	}
+	if sum == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.2f", float64(peak)*float64(len(busy))/float64(sum))
+}
+
 // --- Rig assembly ----------------------------------------------------------
 
 // kvcsdRig is one host + KV-CSD device environment.
@@ -212,6 +232,7 @@ func newKVCSDRig(hostCores int, dataBytes int64, seed int64) *kvcsdRig {
 type rocksRig struct {
 	env *sim.Env
 	h   *host.Host
+	dev *ssd.Device
 	fs  *vfs.FS
 	st  *stats.IOStats
 	tgt *workload.RocksTarget
@@ -272,7 +293,7 @@ func newRocksRigPer(hostCores int, mode rocks.CompactionMode, dataBytes, perInst
 	}
 	fsys := vfs.New(dev, h, vcfg, st)
 	return &rocksRig{
-		env: env, h: h, fs: fsys, st: st,
+		env: env, h: h, dev: dev, fs: fsys, st: st,
 		tgt: workload.NewRocksTarget(h, fsys, sim.NewRNG(seed), rocksOptions(mode, perInstanceBytes)),
 	}
 }
