@@ -751,14 +751,16 @@ func (e *Engine) MigrateCold(p *sim.Proc) (int, error) {
 	return moved, nil
 }
 
-// WaitCompacted blocks until the keyspace's compaction finishes.
+// WaitCompacted blocks until the keyspace's compaction finishes and returns
+// that compaction's own error: another job's failure, on this keyspace or on
+// another, is not its.
 func (e *Engine) WaitCompacted(p *sim.Proc, name string) error {
 	ks, err := e.Keyspace(name)
 	if err != nil {
 		return err
 	}
 	p.Wait(ks.compactDone)
-	return e.bgErr
+	return ks.compactErr
 }
 
 // BuildSecondaryIndex configures and asynchronously builds a secondary index

@@ -394,6 +394,40 @@ func TestSecondaryRangeBeyondValueFails(t *testing.T) {
 	})
 }
 
+// TestWaitCompactedReportsOwnCompaction fails a separate index build on a
+// COMPACTED keyspace: the build is another job's failure, so a later
+// WaitCompacted on that keyspace, and on another one, reports their own
+// compactions, which both succeeded.
+func TestWaitCompactedReportsOwnCompaction(t *testing.T) {
+	fx := newEngineFixture(smallEngineConfig())
+	fx.run(t, func(p *sim.Proc) {
+		ingestN(t, p, fx, "ks", 500, func(i int) float32 { return float32(i) })
+		ingestN(t, p, fx, "other", 500, func(i int) float32 { return float32(i) })
+		if err := fx.eng.Put(p, "ks", tkey(500), []byte("short")); err != nil {
+			t.Fatal(err)
+		}
+		compactAndWait(t, p, fx, "ks")
+		if err := fx.eng.BuildSecondaryIndex(p, "ks", energySpec("e")); err != nil {
+			t.Fatal(err)
+		}
+		if err := fx.eng.WaitIndexBuilt(p, "ks", "e"); !errors.Is(err, ErrIndexFailed) {
+			t.Fatalf("index: %v, want a failed build", err)
+		}
+		if fx.eng.BackgroundErr() == nil {
+			t.Fatal("the failed build left no background error")
+		}
+		if err := fx.eng.WaitCompacted(p, "ks"); err != nil {
+			t.Errorf("second WaitCompacted on ks: %v, want nil", err)
+		}
+		if err := fx.eng.Compact(p, "other"); err != nil {
+			t.Fatal(err)
+		}
+		if err := fx.eng.WaitCompacted(p, "other"); err != nil {
+			t.Errorf("WaitCompacted on other: %v, want nil", err)
+		}
+	})
+}
+
 func TestCompactionIsAsynchronous(t *testing.T) {
 	fx := newEngineFixture(smallEngineConfig())
 	fx.run(t, func(p *sim.Proc) {
