@@ -94,7 +94,7 @@ func (e *Engine) pipeline(ks *Keyspace) pipeline {
 // byte the job appends counts in the keyspace's progress (BytesMoved). The
 // value pass hands every surviving pair to the extractor of each index that
 // joined the compaction before the pass began.
-func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace) (compacted, error) {
+func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace) (_ compacted, err error) {
 	// Step 1: sort keys (compareKlog: newest duplicate of a key first).
 	ks.progress.Stage = compaction.StageSort
 	keySorter := newEngineSorter[klogEntry](e, phaseRunKlog, klogCodec{}, klogKey, compareKlog)
@@ -132,7 +132,29 @@ func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace) (compacted, error) {
 	pidxW := e.newIndexWriter(pidx)
 	pidxW.moved = &ks.progress.BytesMoved
 	destBuckets := e.newBucketWriter(uint64(ks.vlog.Len())+1, &ks.progress.BytesMoved)
-	defer destBuckets.drop()
+	var (
+		valBuckets *bucketWriter
+		sorted     *Cluster
+		w          chunkWriter
+	)
+	// A job that fails releases what it was writing once its write stage
+	// has stopped: PIDX, SORTED_VALUES and the spilled buckets (a success
+	// released the buckets already). The logs stay the keyspace's. A zone
+	// whose reset fails too is left to the recovery sweep.
+	defer func() {
+		w.stop(p)
+		if err == nil {
+			return
+		}
+		_ = destBuckets.release(p)
+		if valBuckets != nil {
+			_ = valBuckets.release(p)
+		}
+		_ = pidx.Release(p)
+		if sorted != nil {
+			_ = sorted.Release(p)
+		}
+	}()
 	var destOff uint64
 	var livePairs, keyBytes int64
 	var lastKey []byte
@@ -141,7 +163,7 @@ func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace) (compacted, error) {
 	codec := klogCodec{}
 	dcodec := destCodec{}
 	var enc []byte // one record's encoding; the writers below copy it
-	err := keySorter.Stream(p, newFrameSource(ks.klog, codec, ks.logFrames), func(p *sim.Proc, rec klogEntry) error {
+	err = keySorter.Stream(p, newFrameSource(ks.klog, codec, ks.logFrames), func(p *sim.Proc, rec klogEntry) error {
 		// The merge stage walks the sorted-key bytes, in DRAM or in a run.
 		keyBytes += int64(len(codec.Encode(enc[:0], rec)))
 		ks.progress.Stage = compaction.StageMerge
@@ -190,8 +212,7 @@ func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace) (compacted, error) {
 	// its destination within the span the bucket tiles, and appends the span
 	// to SORTED_VALUES. Value bytes move exactly twice regardless of dataset
 	// size — the payoff of key-value separation.
-	valBuckets := e.newBucketWriter(totalValueBytes+1, &ks.progress.BytesMoved)
-	defer valBuckets.drop()
+	valBuckets = e.newBucketWriter(totalValueBytes+1, &ks.progress.BytesMoved)
 	var gatherer valueGatherer
 	for b, db := range destBuckets.buckets() {
 		lo := uint64(b) * destBuckets.width
@@ -213,15 +234,13 @@ func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace) (compacted, error) {
 		return compacted{}, err
 	}
 
-	sorted := e.zm.NewCluster(ZoneSortedValues)
+	sorted = e.zm.NewCluster(ZoneSortedValues)
 	ks.progress.Stage = compaction.StageValues
 	ks.joinable = false
 	stages := ks.joined
 	ks.progress.GranulesDone = 0
 	ks.progress.GranulesTotal = granules(int64(totalValueBytes), blockSz)
-	var w chunkWriter
 	w.open(sorted, e.pipeline(ks), &ks.progress.BytesMoved)
-	defer w.stop(p)
 	var nextDest uint64
 	var cursor *pidxCursor
 	if len(stages) > 0 {

@@ -706,6 +706,51 @@ func TestFailedIndexSortReleasesRuns(t *testing.T) {
 	}
 }
 
+// TestFailedValuePassReleasesClusters fails a compaction in its value pass —
+// a spec declared with CompactWithIndexes whose byte range runs past the last
+// 1 000 values — and checks that the job let go of every cluster it was
+// writing: no ZoneTemp (spilled buckets), PIDX or SORTED_VALUES zone stays
+// owned once the background work is done. The logs stay the keyspace's.
+func TestFailedValuePassReleasesClusters(t *testing.T) {
+	fx := newEngineFixture(smallEngineConfig())
+	fx.run(t, func(p *sim.Proc) {
+		if err := fx.eng.CreateKeyspace(p, "ks"); err != nil {
+			t.Fatal(err)
+		}
+		var pairs []nvme.KVPair
+		for i := 0; i < 6000; i++ {
+			v := tvalue(i, float32(i))
+			if i >= 5000 {
+				v = v[:16]
+			}
+			pairs = append(pairs, nvme.KVPair{Key: tkey(i), Value: v})
+			if len(pairs) == 256 || i == 5999 {
+				if err := fx.eng.BulkOps(p, "ks", pairs); err != nil {
+					t.Fatal(err)
+				}
+				pairs = pairs[:0]
+			}
+		}
+		if err := fx.eng.CompactWithIndexes(p, "ks", []nvme.SecondaryIndexSpec{energySpec("e")}); err != nil {
+			t.Fatal(err)
+		}
+		if err := fx.eng.WaitCompacted(p, "ks"); err == nil {
+			t.Fatal("compaction with an index past the values succeeded")
+		}
+		_ = fx.eng.WaitBackgroundIdle(p)
+		used := fx.eng.zm.UsedByType()
+		for _, typ := range []ZoneType{ZoneTemp, ZonePIDX, ZoneSortedValues} {
+			if used[typ] != 0 {
+				t.Errorf("%d %v zones still owned after the failed compaction", used[typ], typ)
+			}
+		}
+		if used[ZoneKLOG] == 0 || used[ZoneVLOG] == 0 {
+			t.Errorf("the keyspace's logs were released: %v", used)
+		}
+		checkAccounting(t, fx.eng.zm)
+	})
+}
+
 // variedSpecs are three indexes over bytes tvalue varies: the id's last four
 // digits, seven of its digits (wider than radix run formation takes) and the
 // energy.
