@@ -240,18 +240,29 @@ func BenchmarkSorterMakeRuns(b *testing.B) {
 
 // BenchmarkSorterStream: a sort of 64k records (~10 % duplicate keys) that
 // fits one batch — copy each into the batch, sort it, and hand every record
-// to emit straight from DRAM, with no run written or read back.
+// to emit straight from DRAM, with no run written or read back. "spilled"
+// sorts the KLOG entries under a 512 KiB budget instead: they are cut into
+// runs, and the one merge of those runs streams into emit, landing nothing.
 func BenchmarkSorterStream(b *testing.B) {
 	b.Run("klogEntry", func(b *testing.B) {
-		benchStream[klogEntry](b, klogCodec{}, klogKey, compareKlog, benchKlogEntries(benchSortRecords))
+		benchStream[klogEntry](b, klogCodec{}, klogKey, compareKlog, benchKlogEntries(benchSortRecords), 0)
 	})
 	b.Run("sidxEntry", func(b *testing.B) {
-		benchStream[sidxEntry](b, sidxCodec{}, sidxKey, compareSidx, benchSidxEntries(benchSortRecords))
+		benchStream[sidxEntry](b, sidxCodec{}, sidxKey, compareSidx, benchSidxEntries(benchSortRecords), 0)
+	})
+	b.Run("spilled", func(b *testing.B) {
+		benchStream[klogEntry](b, klogCodec{}, klogKey, compareKlog, benchKlogEntries(benchSortRecords), 512<<10)
 	})
 }
 
-func benchStream[T any](b *testing.B, codec Codec[T], key func(T) []byte, cmp func(a, b T) int, master []T) {
+// benchStream sorts master through Stream b.N times, with the sorter's budget
+// set to budget when it is not 0. A sort in one batch must write nothing, a
+// spilled one its runs and nothing more.
+func benchStream[T any](b *testing.B, codec Codec[T], key func(T) []byte, cmp func(a, b T) int, master []T, budget int) {
 	benchSorter(b, codec, key, cmp, func(p *sim.Proc, s *Sorter[T]) {
+		if budget > 0 {
+			s.cfg.SortBudgetBytes = budget
+		}
 		n := 0
 		emit := func(*sim.Proc, T) error {
 			n++
@@ -260,8 +271,14 @@ func benchStream[T any](b *testing.B, codec Codec[T], key func(T) []byte, cmp fu
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			n = 0
-			if err := s.Stream(p, &sliceSource[T]{recs: master}, emit); err != nil || n != len(master) || s.written != 0 {
-				b.Fatalf("%d of %d records, %d bytes written, err %v", n, len(master), s.written, err)
+			written0, fed0 := s.written, s.fed
+			err := s.Stream(p, &sliceSource[T]{recs: master}, emit)
+			landed := s.written - written0
+			if budget > 0 {
+				landed -= uint64(s.fed - fed0)
+			}
+			if err != nil || n != len(master) || landed != 0 || (budget > 0) != (s.runs > 1) {
+				b.Fatalf("%d of %d records, %d runs, %d bytes landed past the runs, err %v", n, len(master), s.runs, landed, err)
 			}
 		}
 	})

@@ -101,7 +101,7 @@ func (e *Engine) flushBufferCombined(p *sim.Proc, ks *Keyspace) error {
 // records in which every merge round reads and writes the full values. The
 // final merge streams the newest live version of each key into PIDX and its
 // value into SORTED_VALUES. It keeps no heat table.
-func (e *Engine) sortPairs(p *sim.Proc, ks *Keyspace) (compacted, error) {
+func (e *Engine) sortPairs(p *sim.Proc, ks *Keyspace) (_ compacted, err error) {
 	sorter := newEngineSorter[pairRec](e, phaseRunPair, pairCodec{}, pairKey, comparePair)
 	pidx := e.zm.NewCluster(ZonePIDX)
 	pidxW := e.newIndexWriter(pidx)
@@ -109,12 +109,22 @@ func (e *Engine) sortPairs(p *sim.Proc, ks *Keyspace) (compacted, error) {
 	sorted := e.zm.NewCluster(ZoneSortedValues)
 	var w chunkWriter
 	w.open(sorted, pipeline{}, &ks.progress.BytesMoved)
+	// A job that fails releases PIDX and SORTED_VALUES once its writer has
+	// stopped. The KLOG stays the keyspace's. A zone whose reset fails too is
+	// left to the recovery sweep.
+	defer func() {
+		w.stop(p)
+		if err != nil {
+			_ = pidx.Release(p)
+			_ = sorted.Release(p)
+		}
+	}()
 	var enc []byte
 	var destOff uint64
 	var livePairs int64
 	var lastKey []byte
 	haveLast := false
-	err := sorter.SortTo(p, newFrameSource(ks.klog, pairCodec{}, ks.logFrames), func(sp *sim.Proc, rec pairRec) error {
+	err = sorter.Stream(p, newFrameSource(ks.klog, pairCodec{}, ks.logFrames), func(sp *sim.Proc, rec pairRec) error {
 		if haveLast && bytes.Equal(rec.key, lastKey) {
 			return nil // older duplicate
 		}

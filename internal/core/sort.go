@@ -138,10 +138,10 @@ func (s *scanner[T]) next(p *sim.Proc) (rec T, ok bool, err error) {
 	}
 }
 
-// memSource streams records straight out of SoC DRAM — the landing path for
-// a host-merged run, which arrives over PCIe and feeds the final merge
-// without ever touching the media. Its records view a buffer it does not own,
-// so it never poisons them.
+// memSource streams records straight out of SoC DRAM — a host-merged run,
+// which arrives over PCIe and feeds the final merge without ever touching the
+// media, or a held bucket. Its records view a buffer it does not own, so it
+// never poisons them.
 type memSource[T any] struct {
 	codec Codec[T]
 	buf   []byte
@@ -204,14 +204,15 @@ type Sorter[T any] struct {
 	// the engine's run-formation phase of the record type and its merge phase
 	// (newEngineSorter); NewSorter points both at the SoC's empty account.
 	runCPU, mergeCPU host.Meter
-	// written counts bytes this sorter appended to scratch and output
-	// clusters (compaction progress accounting).
+	// written counts bytes this sorter appended to its scratch clusters, runs
+	// and merges (compaction progress accounting).
 	written uint64
 	// fed counts the encoded bytes of the records added.
 	fed int64
-	// hostRuns and deviceRuns record how the last sort split its reduced runs
-	// between the host assist loop and the device (zero/zero when the sort
-	// ran device-only).
+	// hostRuns and deviceRuns record how the last sort's final merge split its
+	// reduced runs between the host assist loop and the device: zero and all
+	// of them when the device merged alone, zero and zero when there was one
+	// run to stream.
 	hostRuns, deviceRuns int
 
 	// pipe stages the merges: with it on, every run is read ahead by a
@@ -252,9 +253,9 @@ func newEngineSorter[T any](e *Engine, run socPhase, codec Codec[T], key func(T)
 // and hands them to emit in order, each valid until emit returns. Records
 // that end before the first batch fills SortBudgetBytes are ordered in SoC
 // DRAM, charged as run formation, and emitted straight from it: no scratch
-// cluster, no media. More are cut into runs that merge, in part on the host
-// when the assist hooks and the planner say so, into one scratch cluster
-// that is scanned to emit and released.
+// cluster, no media. More are cut into runs and merged down to MergeFanin;
+// the final merge, split with the host when the assist hooks and the planner
+// say so, streams into emit, and its runs are released once it ends.
 func (s *Sorter[T]) Stream(p *sim.Proc, src recordSource[T], emit func(p *sim.Proc, rec T) error) error {
 	defer s.drop(p)
 	if err := s.feed(p, src); err != nil {
@@ -263,60 +264,36 @@ func (s *Sorter[T]) Stream(p *sim.Proc, src recordSource[T], emit func(p *sim.Pr
 	if len(s.formed) == 0 {
 		return s.emitBatch(p, emit)
 	}
-	out, err := s.mergeAll(p)
+	runs, err := s.reduce(p)
 	if err != nil {
 		return err
 	}
-	sc := newScanner(out, s.codec)
-	for {
-		rec, ok, err := sc.next(p)
-		if err == nil && ok {
-			err = emit(p, rec)
-		}
-		if err != nil {
-			abandon(p, out)
-			return err
-		}
-		if !ok {
-			return out.Release(p)
-		}
-	}
-}
-
-// mergeAll writes the last batch as a run and merges every run formed into
-// one sealed scratch cluster, splitting the final merge with the host when
-// the assist hooks and the planner say so.
-func (s *Sorter[T]) mergeAll(p *sim.Proc) (*Cluster, error) {
-	runs, err := s.reduce(p)
-	if err != nil {
-		return nil, err
-	}
+	var mem [][]byte
 	s.hostRuns, s.deviceRuns = 0, 0
-	if s.planSplit != nil && s.submitAssist != nil && s.collectAssist != nil && len(runs) > 1 {
-		if h := s.planSplit(len(runs)); h > 0 && h <= len(runs) {
-			merged, err, ok := s.sortSplit(p, runs, h)
-			if ok {
-				return merged, err
-			}
-			// Assist unavailable: fall through to the device-only merge.
-		}
-	}
 	if len(runs) > 1 {
 		s.deviceRuns = len(runs)
-		merged, err := s.mergeRuns(p, runs)
-		if err != nil {
-			abandon(p, runs...)
+		if s.planSplit != nil && s.submitAssist != nil && s.collectAssist != nil {
+			if h := s.planSplit(len(runs)); h > 0 && h <= len(runs) {
+				if runs, mem, err = s.sortSplit(p, runs, h); err != nil {
+					return err
+				}
+			}
 		}
-		return merged, err
 	}
-	return runs[0], nil
+	s.merges++
+	if err := s.merge(p, runs, mem, emit); err != nil {
+		abandon(p, runs...)
+		return err
+	}
+	return releaseAll(p, runs)
 }
 
-// sortSplit ships the first h runs to the host assist loop, pre-merges the
-// remainder on the device while the host works, then merges the (at most
-// two) resulting runs. ok is false when the assist queue refused the job —
-// the caller then merges everything device-side.
-func (s *Sorter[T]) sortSplit(p *sim.Proc, runs []*Cluster, h int) (*Cluster, error, bool) {
+// sortSplit ships the first h runs to the host assist loop and pre-merges the
+// rest on the device while the host works. It returns what the final merge
+// reads: the device's run and the host's merged run in SoC DRAM, or — when
+// the assist queue refused the job or the host went away — the runs the
+// device merges itself. On error it has released every run.
+func (s *Sorter[T]) sortSplit(p *sim.Proc, runs []*Cluster, h int) ([]*Cluster, [][]byte, error) {
 	hostGroup, devGroup := runs[:h], runs[h:]
 	// Ship the host group from a stage proc so its media reads overlap the
 	// device group's merge instead of running as a serial prefix — under
@@ -340,25 +317,23 @@ func (s *Sorter[T]) sortSplit(p *sim.Proc, runs []*Cluster, h int) (*Cluster, er
 		job, subErr = s.submitAssist(p, hostGroup)
 		subDone = true
 	}
-	s.hostRuns, s.deviceRuns = h, len(devGroup)
 	// Device share merges while the host chews on its group: the submit is
 	// non-blocking past its reads and the assist loop runs as its own procs.
-	var devRun *Cluster
 	var err error
 	if len(devGroup) > 1 {
-		if devRun, err = s.mergeRuns(p, devGroup); err != nil {
-			return nil, err, true
+		var devRun *Cluster
+		if devRun, err = s.mergeRuns(p, devGroup); err == nil {
+			devGroup = []*Cluster{devRun}
 		}
-	} else if len(devGroup) == 1 {
-		devRun = devGroup[0]
 	}
 	for !subDone {
 		waiter = p
 		p.Block()
 	}
 	waiter = nil
-	if subErr != nil && len(devGroup) <= 1 {
-		return nil, nil, false
+	if err != nil {
+		abandon(p, runs...)
+		return nil, nil, err
 	}
 	var hostRun []byte
 	if subErr == nil {
@@ -366,62 +341,18 @@ func (s *Sorter[T]) sortSplit(p *sim.Proc, runs []*Cluster, h int) (*Cluster, er
 	}
 	if subErr != nil {
 		// The host group never shipped, or the host went away mid-merge
-		// (halt, power cut): merge it on the device instead, behind the
-		// device share's pre-merged run.
-		s.hostRuns = 0
-		fallback := hostGroup
-		if devRun != nil {
-			fallback = append([]*Cluster{devRun}, hostGroup...)
-		}
-		if len(fallback) == 1 {
-			return fallback[0], nil, true
-		}
-		merged, err := s.mergeRuns(p, fallback)
-		return merged, err, true
+		// (halt, power cut): the device merges it, behind its own share.
+		return slices.Concat(devGroup, hostGroup), nil, nil
 	}
+	s.hostRuns, s.deviceRuns = h, len(runs)-h
 	if err := releaseAll(p, hostGroup); err != nil {
-		return nil, err, true
+		abandon(p, devGroup...)
+		return nil, nil, err
 	}
-	if devRun == nil {
-		// The host merged everything; there is nothing to merge against, so
-		// land the bytes in one raw pass without re-decoding them.
-		out := s.zm.NewCluster(ZoneTemp)
-		s.out.open(out, pipeline{}, &s.written)
-		if err := s.out.write(p, hostRun); err != nil {
-			return nil, err, true
-		}
-		return out, s.out.finish(p), true
-	}
-	// Final merge: the device's pre-merged run off the media against the
-	// host's run streamed straight from DRAM (it arrived over PCIe and is
-	// never landed in a scratch cluster — that extra media pass is what made
-	// naive pre-merge splits lose to a monolithic device merge).
-	merged, err := s.mergeRuns(p, []*Cluster{devRun}, hostRun)
-	return merged, err, true
-}
-
-// SortTo is Stream with a final merge that streams into emit instead of
-// landing in a scratch cluster — the combined layout's compaction, so sorted
-// records land directly in PIDX and SORTED_VALUES. A source that fits one
-// batch is emitted from DRAM as Stream does.
-func (s *Sorter[T]) SortTo(p *sim.Proc, src recordSource[T], emit func(p *sim.Proc, rec T) error) error {
-	defer s.drop(p)
-	if err := s.feed(p, src); err != nil {
-		return err
-	}
-	if len(s.formed) == 0 {
-		return s.emitBatch(p, emit)
-	}
-	runs, err := s.reduce(p)
-	if err != nil {
-		return err
-	}
-	s.merges++
-	if err := s.merge(p, runs, nil, emit); err != nil {
-		abandon(p, runs...)
-		return err
-	}
-	return releaseAll(p, runs)
+	// The host's run is merged straight from SoC DRAM: it arrived over PCIe
+	// and is never landed in a scratch cluster — that extra media pass is what
+	// made naive pre-merge splits lose to a monolithic device merge.
+	return devGroup, [][]byte{hostRun}, nil
 }
 
 // reduce writes the last batch as a run and merges the runs formed down to
@@ -635,14 +566,13 @@ func (s *Sorter[T]) sortBatch() int64 {
 	return int64(len(s.batch.recs) * passes)
 }
 
-// mergeRuns merges runs, then any host-merged runs in mem, into a new
-// sealed scratch cluster through the sorter's writer and releases runs — one
-// k-way merge, counted.
-func (s *Sorter[T]) mergeRuns(p *sim.Proc, runs []*Cluster, mem ...[]byte) (*Cluster, error) {
+// mergeRuns merges runs into a new sealed scratch cluster through the
+// sorter's writer and releases runs — one k-way merge, counted.
+func (s *Sorter[T]) mergeRuns(p *sim.Proc, runs []*Cluster) (*Cluster, error) {
 	s.merges++
 	out := s.zm.NewCluster(ZoneTemp)
 	s.out.open(out, s.pipe, &s.written)
-	err := s.merge(p, runs, mem, func(mp *sim.Proc, rec T) error {
+	err := s.merge(p, runs, nil, func(mp *sim.Proc, rec T) error {
 		return putRecord(mp, &s.out, s.codec, rec)
 	})
 	if err == nil {
@@ -881,7 +811,7 @@ type chunkSink interface {
 }
 
 // chunkWriter carries every compaction pass that writes a cluster — run
-// formation, merges, the landing of a host-merged run, the value pass into
+// formation, the merges before the final one, the value pass into
 // SORTED_VALUES — in appends of writeChunk bytes.
 // Append sizes decide media bursts and zone order, so it keeps two flush
 // rules:

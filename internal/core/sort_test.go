@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"kvcsd/internal/compaction"
 	"kvcsd/internal/host"
 	"kvcsd/internal/sim"
 	"kvcsd/internal/ssd"
@@ -214,39 +216,6 @@ func TestSorterReleasesTempZones(t *testing.T) {
 	})
 }
 
-func TestSortToStreamsInOrder(t *testing.T) {
-	// Over budget the final merge streams to emit; within it the one batch
-	// does, straight from DRAM.
-	for _, budget := range []int{2 << 10, 1 << 20} {
-		fx := newSortFixture(budget)
-		fx.run(t, func(p *sim.Proc) {
-			in := writeKlogCluster(t, p, fx, 1500, func(i int) []byte {
-				return []byte(fmt.Sprintf("k-%05d", (1500-i)*7%9973))
-			})
-			s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, klogKey, compareKlog)
-			var prev []byte
-			count := 0
-			err := s.SortTo(p, newScanner(in, klogCodec{}), func(sp *sim.Proc, rec klogEntry) error {
-				if prev != nil && bytes.Compare(prev, rec.key) > 0 {
-					return fmt.Errorf("out of order")
-				}
-				prev = append(prev[:0], rec.key...)
-				count++
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if count != 1500 {
-				t.Fatalf("emitted %d", count)
-			}
-			if inDRAM := budget >= 1<<20; inDRAM != (s.written == 0) {
-				t.Fatalf("budget %d: sorter wrote %d bytes", budget, s.written)
-			}
-		})
-	}
-}
-
 func TestSorterPropertySortsArbitraryKeys(t *testing.T) {
 	f := func(keys [][]byte) bool {
 		if len(keys) == 0 || len(keys) > 500 {
@@ -378,17 +347,21 @@ func checkSingleBatch[T any](t *testing.T, codec Codec[T], key func(T) []byte, c
 	})
 }
 
-// TestStreamOverBudgetWritesAsBefore: a sort over one batch still cuts runs,
-// merges them into one scratch cluster and scans it — every record is written
-// once per merge round plus once into its run — and lands exactly the media
-// bytes the sort wrote before streaming, for one merge round and for several.
+// TestStreamOverBudgetWritesAsBefore: a sort over one batch still cuts runs
+// and merges them down to MergeFanin as before, but its final merge streams
+// into emit — every record is written once into its run and once per merge
+// round before the last — and lands exactly the media bytes the sort wrote
+// before, less that last round, for one merge round and for several. When the
+// final merge still landed in a scratch cluster that was scanned back, the
+// sort wrote (rounds + 1) × fed bytes and 290 816 and 704 512 media bytes; the
+// 122 880 bytes fewer in each are the bytes fed: one pass.
 func TestStreamOverBudgetWritesAsBefore(t *testing.T) {
 	for _, tc := range []struct {
 		budget, rounds int
-		media          int64 // media bytes the sort wrote before Stream
+		media          int64 // media bytes the sort writes
 	}{
-		{16 << 10, 1, 290816},
-		{2 << 10, 2, 704512},
+		{16 << 10, 1, 167936},
+		{2 << 10, 2, 581632},
 	} {
 		fx := newSortFixture(tc.budget)
 		fx.run(t, func(p *sim.Proc) {
@@ -407,12 +380,136 @@ func TestStreamOverBudgetWritesAsBefore(t *testing.T) {
 			if err != nil || n != 4096 {
 				t.Fatalf("budget %d: %d records, err %v", tc.budget, n, err)
 			}
-			if s.runs < 2 || int64(s.written) != int64(tc.rounds+1)*s.fed {
-				t.Fatalf("budget %d: %d runs wrote %d bytes of %d fed, want %d passes", tc.budget, s.runs, s.written, s.fed, tc.rounds+1)
+			if s.runs < 2 || int64(s.written) != int64(tc.rounds)*s.fed {
+				t.Fatalf("budget %d: %d runs wrote %d bytes of %d fed, want %d passes", tc.budget, s.runs, s.written, s.fed, tc.rounds)
 			}
 			if w := fx.st.MediaWrite.Value() - written0; w != tc.media {
 				t.Fatalf("budget %d: media +%d bytes, want %d", tc.budget, w, tc.media)
 			}
+		})
+	}
+}
+
+// fakeAssist is a host assist loop for one sorter: the planner ships all but
+// keep of the reduced runs, and the host merges them in place — unless the
+// queue refuses the job or the host goes away before answering.
+type fakeAssist struct {
+	keep          int  // runs left to the device
+	refuse, fail  bool // submitAssist refuses the job; collectAssist reports the host gone
+	reduced, sent int  // runs the planner saw and the submit shipped
+}
+
+func (fa *fakeAssist) attach(s *Sorter[klogEntry], hostCPU *host.Host) {
+	s.planSplit = func(n int) int {
+		fa.reduced = n
+		return n - fa.keep
+	}
+	s.submitAssist = func(p *sim.Proc, runs []*Cluster) (*compaction.Job, error) {
+		if fa.refuse {
+			return nil, compaction.ErrAssistClosed
+		}
+		enc := make([][]byte, len(runs))
+		for i, r := range runs {
+			enc[i] = make([]byte, r.Len())
+			if err := r.ReadAt(p, enc[i], 0); err != nil {
+				return nil, err
+			}
+		}
+		fa.sent = len(runs)
+		return &compaction.Job{Payload: compaction.EncodeRuns(enc)}, nil
+	}
+	s.collectAssist = func(p *sim.Proc, job *compaction.Job) ([]byte, error) {
+		if fa.fail {
+			return nil, compaction.ErrAssistClosed
+		}
+		runs, err := compaction.DecodeRuns(job.Payload)
+		if err != nil {
+			return nil, err
+		}
+		return MergeEncodedKlogRuns(p, hostCPU, runs)
+	}
+}
+
+// TestStreamSplitFinalMerge drives Stream's host split through fake assist
+// hooks. The final merge of the device's run against the host's run from SoC
+// DRAM streams out exactly what a device-only sort emits, with the device
+// group pre-merged, alone, or empty. A refused submit — with at most one run
+// left to the device — and a host that goes away both leave the device to
+// merge every run, and the sort says so: no host runs. An emit error in the
+// final merge leaves no ZoneTemp zone owned.
+func TestStreamSplitFinalMerge(t *testing.T) {
+	recs := benchKlogEntries(4096)
+	var want [][]byte
+	fx := newSortFixture(16 << 10)
+	fx.run(t, func(p *sim.Proc) {
+		s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, klogKey, compareKlog)
+		if err := s.Stream(p, &sliceSource[klogEntry]{recs: recs}, func(_ *sim.Proc, rec klogEntry) error {
+			want = append(want, klogCodec{}.Encode(nil, rec))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	errEmit := errors.New("consumer failed")
+	for _, tc := range []struct {
+		name     string
+		fa       fakeAssist
+		failAt   int  // emit fails at this record (0: never)
+		hostDone bool // the host's share is merged on the host
+	}{
+		{"collaborative", fakeAssist{keep: 3}, 0, true},
+		{"one device run", fakeAssist{keep: 1}, 0, true},
+		{"host only", fakeAssist{keep: 0}, 0, true},
+		{"refused", fakeAssist{keep: 1, refuse: true}, 0, false},
+		{"host gone", fakeAssist{keep: 3, fail: true}, 0, false},
+		{"emit error", fakeAssist{keep: 3}, len(recs) / 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fx := newSortFixture(16 << 10)
+			fx.run(t, func(p *sim.Proc) {
+				s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, klogKey, compareKlog)
+				s.pipe = pipeline{env: fx.env, width: 2}
+				fa := tc.fa
+				fa.attach(s, host.New(fx.env, host.DefaultSoCConfig()))
+				var got [][]byte
+				err := s.Stream(p, &sliceSource[klogEntry]{recs: recs}, func(_ *sim.Proc, rec klogEntry) error {
+					if len(got)+1 == tc.failAt {
+						return errEmit
+					}
+					got = append(got, klogCodec{}.Encode(nil, rec))
+					return nil
+				})
+				if n := fx.zm.UsedByType()[ZoneTemp]; n != 0 {
+					t.Fatalf("%d ZoneTemp zones still owned after the sort", n)
+				}
+				if tc.failAt > 0 {
+					if !errors.Is(err, errEmit) || len(got) != tc.failAt-1 {
+						t.Fatalf("%d records out, err %v; want the emit error at record %d", len(got), err, tc.failAt)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fa.reduced < 4 || (!fa.refuse && fa.sent != fa.reduced-fa.keep) {
+					t.Fatalf("%d reduced runs, %d shipped: the split did not engage", fa.reduced, fa.sent)
+				}
+				wantHost, wantDev := 0, fa.reduced
+				if tc.hostDone {
+					wantHost, wantDev = fa.reduced-fa.keep, fa.keep
+				}
+				if s.hostRuns != wantHost || s.deviceRuns != wantDev {
+					t.Fatalf("host %d and device %d runs, want %d and %d", s.hostRuns, s.deviceRuns, wantHost, wantDev)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%d records out, want %d", len(got), len(want))
+				}
+				for i := range got {
+					if !bytes.Equal(got[i], want[i]) {
+						t.Fatalf("record %d: got %x, want the device-only sort's %x", i, got[i], want[i])
+					}
+				}
+			})
 		})
 	}
 }
