@@ -65,7 +65,7 @@ func TestBackgroundFaultSurfacesWithoutHangingOtherKeyspaces(t *testing.T) {
 			_ = bad.BulkPut(p, key(i), value(i, 0))
 		}
 		// Arm a media fault that the bad keyspace's compaction will hit.
-		fx.dev.SSD().InjectFault("zone-read", -1, 5)
+		fx.dev.SSD().InjectFault("zone-read", -1, 3)
 		if err := bad.Compact(p); err != nil {
 			t.Fatal(err)
 		}

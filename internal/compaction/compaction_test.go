@@ -123,7 +123,7 @@ func TestRunsCodec(t *testing.T) {
 func TestRingPipelinesAndCloses(t *testing.T) {
 	env := sim.NewEnv()
 	occupancy := 0
-	r := NewRing[int](env, 2, func(d int) { occupancy += d })
+	r := NewRing[int](env, 2, nil, func(d, _ int) { occupancy += d })
 	var got []int
 	producer := env.Go("producer", func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
@@ -161,7 +161,7 @@ func TestRingPipelinesAndCloses(t *testing.T) {
 
 func TestRingCloseUnblocksProducer(t *testing.T) {
 	env := sim.NewEnv()
-	r := NewRing[int](env, 1, nil)
+	r := NewRing[int](env, 1, nil, nil)
 	var refused bool
 	prod := env.Go("producer", func(p *sim.Proc) {
 		r.Push(p, 1)

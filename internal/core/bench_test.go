@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"kvcsd/internal/keyenc"
 	"kvcsd/internal/nvme"
@@ -403,6 +404,27 @@ func BenchmarkCompactJoinedIndexes(b *testing.B) {
 			if got := fx.eng.sidxJoined.Value(); got != int64(len(variedSpecs)) {
 				b.Fatalf("%d builds joined the compaction, want %d", got, len(variedSpecs))
 			}
+		})
+		fx.env.Run()
+	}
+	b.ReportMetric(float64(virt)/1e6/float64(b.N), "virt_ms/op")
+}
+
+// BenchmarkCompactSpilled: one compaction of spilledPairs pairs with an
+// index declared, its key sort and both bucket passes spilled, at the default
+// pipeline width. ns/op is the wall cost of the job and its index, ingest
+// excluded; virt_ms/op their virtual time.
+func BenchmarkCompactSpilled(b *testing.B) {
+	b.ReportAllocs()
+	var virt time.Duration
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fx := newEngineFixture(smallEngineConfig())
+		fx.env.Go("bench", func(p *sim.Proc) {
+			ingestSpilled(b, p, fx)
+			b.StartTimer()
+			virt += compactSpilled(b, p, fx, DefaultConfig().Compaction.PipelineWidth)
+			b.StopTimer()
 		})
 		fx.env.Run()
 	}

@@ -20,7 +20,8 @@ import (
 // DRAM, counted in the engine's DRAM gauge, until its bytes would pass the
 // sort budget; then the bucket spills to a temp zone cluster. Every bucket of
 // a writer with more than one is a temp zone cluster from the start. A
-// spilled bucket is written sequentially, appendBurst bytes at a time.
+// spilled bucket is written sequentially, appendBurst bytes at a time, through
+// the writer's one appender.
 type bucketWriter struct {
 	zm    *ZoneManager
 	width uint64 // ordering-key span per bucket
@@ -30,14 +31,17 @@ type bucketWriter struct {
 	dram  *sim.Gauge // the engine's SoC DRAM gauge: counts held bytes
 	moved *uint64    // counts the bytes appended to bucket clusters
 	bkts  []bucket
+	app   appender
 }
 
 // bucket is one range of a bucketWriter. While c is nil the bucket is held:
 // buf is every record of it, in SoC DRAM. Once it has spilled, c holds the
-// records and buf stages the next burst, empty after the writer's finish.
+// records and buf stages the next burst, empty after the writer's finish; pf,
+// when set, streams c's bytes next (readAhead).
 type bucket struct {
 	c   *Cluster
 	buf []byte
+	pf  *prefetcher
 }
 
 // len returns the bucket's size in bytes.
@@ -110,32 +114,34 @@ func (w *bucketWriter) spill(p *sim.Proc, bk *bucket) error {
 }
 
 // flush appends a spilled bucket's staged bytes to its cluster.
-func (w *bucketWriter) flush(p *sim.Proc, bk *bucket) error {
+func (w *bucketWriter) flush(p *sim.Proc, bk *bucket) (err error) {
 	if len(bk.buf) == 0 {
 		return nil
 	}
-	if err := bk.c.Append(p, bk.buf); err != nil {
-		return err
-	}
 	*w.moved += uint64(len(bk.buf))
-	bk.buf = bk.buf[:0]
-	return nil
+	bk.buf, err = w.app.put(p, bk.c, bk.buf)
+	return err
 }
 
-// finish appends the rest of every spilled bucket and seals its cluster. A
-// held bucket stays as it is.
+// finish appends the rest of every spilled bucket, stops the write stage and
+// seals every spilled bucket's cluster. A held bucket stays as it is.
 func (w *bucketWriter) finish(p *sim.Proc) error {
 	for i := range w.bkts {
-		bk := &w.bkts[i]
-		if bk.c == nil {
-			continue
+		if bk := &w.bkts[i]; bk.c != nil {
+			if err := w.flush(p, bk); err != nil {
+				return err
+			}
+			bk.buf = nil
 		}
-		if err := w.flush(p, bk); err != nil {
-			return err
-		}
-		bk.buf = nil
-		if err := bk.c.Seal(p); err != nil {
-			return err
+	}
+	if err := w.app.stop(p); err != nil {
+		return err
+	}
+	for _, bk := range w.bkts {
+		if bk.c != nil {
+			if err := bk.c.Seal(p); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -147,6 +153,7 @@ func (w *bucketWriter) buckets() []bucket { return w.bkts }
 // release returns every spilled bucket's zones to the pool and lets go of
 // the held ones.
 func (w *bucketWriter) release(p *sim.Proc) error {
+	_ = w.app.stop(p) // stopped already, unless the job failed
 	bkts := w.bkts
 	w.drop()
 	for _, bk := range bkts {
@@ -177,12 +184,14 @@ func (w *bucketWriter) drop() {
 // VLOG span no longer than the width plus one value — the bound the value
 // buckets already keep in DRAM. The gatherer reads that span once and hands
 // each value out of it in the order the entries came in. One compaction
-// reuses a single gatherer — entries and span buffer — for every bucket, as
-// it does its valuePlacer.
+// reuses a single gatherer — entries, buffer and VLOG window — for every
+// bucket, as it does its valuePlacer.
 type valueGatherer struct {
 	ents   []destEntry
-	buf    []byte // a spilled bucket's bytes, then the VLOG span
-	spanAt uint64 // VLOG offset of buf[0] once the span is read
+	buf    []byte // a spilled bucket's bytes
+	vlog   clusterWindow
+	span   []byte // the VLOG span of the last gather
+	spanAt uint64 // VLOG offset of span[0]
 }
 
 // gather decodes destination bucket bk — straight from DRAM while it is
@@ -198,8 +207,15 @@ func (g *valueGatherer) gather(p *sim.Proc, cpu host.Meter, bk bucket, vlog *Clu
 	}
 	data := bk.buf
 	if bk.c != nil {
-		if err := g.read(p, bk.c, 0, bk.c.Len()); err != nil {
-			return nil, err
+		if bk.pf == nil {
+			bk.pf = pipeline{}.prefetch(whole(bk.c))
+		}
+		for g.buf = g.buf[:0]; len(g.buf) < int(bk.c.Len()); {
+			chunk, err := bk.pf.next(p)
+			if err != nil {
+				return nil, err
+			}
+			g.buf = append(g.buf, chunk...)
 		}
 		data = g.buf
 	}
@@ -217,10 +233,14 @@ func (g *valueGatherer) gather(p *sim.Proc, cpu host.Meter, bk bucket, vlog *Clu
 		first, end = min(first, de.vlogOff), max(end, de.vlogOff+uint64(de.vlen))
 		data = data[k:]
 	}
-	if err := g.read(p, vlog, int64(first), int64(end-first)); err != nil {
+	if g.vlog.c != vlog {
+		g.vlog = clusterWindow{c: vlog}
+	}
+	span, err := g.vlog.read(p, int64(first), int(end-first))
+	if err != nil {
 		return nil, err
 	}
-	g.spanAt = first
+	g.span, g.spanAt = span, first
 	cpu.Compares(p, int64(len(g.ents)))
 	return g.ents, nil
 }
@@ -229,19 +249,23 @@ func (g *valueGatherer) gather(p *sim.Proc, cpu host.Meter, bk bucket, vlog *Clu
 // view of the span.
 func (g *valueGatherer) value(de destEntry) []byte {
 	o := de.vlogOff - g.spanAt
-	return g.buf[o : o+uint64(de.vlen) : o+uint64(de.vlen)]
+	return g.span[o : o+uint64(de.vlen) : o+uint64(de.vlen)]
 }
 
-// read fills the buffer with the n bytes of c at off, in the ReadAt sequence
-// a scanner issues: scanChunk bytes at a time, in order.
-func (g *valueGatherer) read(p *sim.Proc, c *Cluster, off, n int64) error {
-	g.buf = slices.Grow(g.buf[:0], int(n))[:n]
-	for o := int64(0); o < n; o += scanChunk {
-		if err := c.ReadAt(p, g.buf[o:min(o+scanChunk, n)], off+o); err != nil {
-			return err
+// readAhead starts one prefetcher reading the spilled buckets back to back,
+// ahead of the one being read, as each one's pf. The caller stops it.
+func (w *bucketWriter) readAhead(pl pipeline) *prefetcher {
+	var spans []span
+	for _, bk := range w.bkts {
+		if bk.c != nil {
+			spans = append(spans, whole(bk.c))
 		}
 	}
-	return nil
+	pf := pl.prefetch(spans...)
+	for i := range w.bkts {
+		w.bkts[i].pf = pf
+	}
+	return pf
 }
 
 // valuePlacer lays value buckets out in SORTED_VALUES order without sorting
@@ -284,7 +308,7 @@ func (v *valuePlacer) place(p *sim.Proc, cpu host.Meter, bk bucket, lo uint64) (
 		v.held = memSource[valueRec]{codec: valueCodec{}, buf: bk.buf}
 		src = &v.held
 	} else {
-		v.sc = scanner[valueRec]{c: bk.c, codec: valueCodec{}, buf: v.sc.buf[:0]}
+		v.sc = scanner[valueRec]{c: bk.c, codec: valueCodec{}, buf: v.sc.buf[:0], pf: bk.pf, left: bk.c.Len()}
 	}
 	var size, end uint64 // value bytes placed, and the end of the furthest one
 	for {

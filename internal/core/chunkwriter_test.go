@@ -137,8 +137,7 @@ func TestChunkWriterStagedAppendError(t *testing.T) {
 	fx.run(t, func(p *sim.Proc) {
 		occupancy := 0
 		var w chunkWriter
-		w.open(fx.zm.NewCluster(ZoneTemp), pipeline{env: fx.env, width: 3, onDelta: func(d int) { occupancy += d }}, nil)
-		stage := w.stage
+		w.open(fx.zm.NewCluster(ZoneTemp), pipeline{env: fx.env, width: 3, onDelta: func(d, _ int) { occupancy += d }}, nil)
 		fx.zm.dev.InjectFault("zone-write", -1, 9) // a few Appends land first
 		raw := make([]byte, writeChunk)
 		var err error
@@ -146,6 +145,7 @@ func TestChunkWriterStagedAppendError(t *testing.T) {
 		for ; appended < 64 && err == nil; appended++ {
 			err = w.write(p, raw)
 		}
+		stage := w.app // the stage starts with the first append
 		if err == nil {
 			err = w.finish(p)
 		}
@@ -155,7 +155,7 @@ func TestChunkWriterStagedAppendError(t *testing.T) {
 		if !errors.Is(err, ssd.ErrInjectedFault) || appended < 2 {
 			t.Fatalf("after %d chunks: %v, want the injected fault mid-stream", appended, err)
 		}
-		if !stage.proc.Done().Fired() || w.stage != nil {
+		if !stage.proc.Done().Fired() || w.app.proc != nil {
 			t.Fatal("the write stage proc was not joined")
 		}
 		if occupancy != 0 || stage.ring.Len() != 0 {
@@ -211,6 +211,57 @@ func TestChunkWriterAllocs(t *testing.T) {
 		chunk := uint64(writeChunk + scanSlack)
 		if got := allocBytes(pass(staged, 64)); got > (width+2)*chunk {
 			t.Errorf("a staged pass of 64 chunks allocated %d bytes, more than %d chunks", got, width+2)
+		}
+	})
+}
+
+// TestPrefetchAllocs: a prefetcher takes back the chunk it handed out last
+// and reads a later one into it, so streaming a cluster of 64 chunks
+// allocates one chunk inline and at most ring width + 2 staged, past what the
+// same 64 ReadAt calls into one buffer allocate — the stage's ring and wake
+// lists are what else it allocates.
+func TestPrefetchAllocs(t *testing.T) {
+	const width, chunks = 4, 64
+	fx := newSortFixture(0)
+	fx.run(t, func(p *sim.Proc) {
+		c := fx.zm.NewCluster(ZoneTemp)
+		raw := make([]byte, scanChunk)
+		for i := 0; i < chunks; i++ {
+			if err := c.Append(p, raw); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Seal(p); err != nil {
+			t.Fatal(err)
+		}
+		pass := func(pl pipeline) func() {
+			return func() {
+				pf := pl.prefetch(whole(c))
+				defer pf.stop(p)
+				for n := 0; n < chunks; n++ {
+					if _, err := pf.next(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if pf.left != 0 {
+					t.Fatalf("%d bytes left after %d chunks", pf.left, chunks)
+				}
+			}
+		}
+		buf := make([]byte, scanChunk)
+		reads := allocBytes(func() {
+			for off := int64(0); off < c.Len(); off += scanChunk {
+				if err := c.ReadAt(p, buf, off); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		chunk := uint64(scanChunk + scanSlack)
+		if got := allocBytes(pass(pipeline{})) - reads; got > chunk {
+			t.Errorf("an inline stream of %d chunks allocated %d bytes, more than one chunk", chunks, got)
+		}
+		if got := allocBytes(pass(pipeline{env: fx.env, width: width})) - reads; got > (width+2)*chunk {
+			t.Errorf("a staged stream of %d chunks allocated %d bytes, more than %d chunks", chunks, got, width+2)
 		}
 	})
 }

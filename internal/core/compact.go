@@ -70,10 +70,14 @@ func (e *Engine) install(p *sim.Proc, ks *Keyspace, out compacted) error {
 	return oldVlog.Release(p)
 }
 
-// pipeline returns the stage configuration of a compaction of ks: the
-// engine's width, with ring occupancy noted against ks.
+// pipeline returns the stage configuration of a compaction or index build
+// of ks: the engine's width, with ring occupancy noted against ks and the
+// bytes its rings hold counted in the SoC DRAM gauge.
 func (e *Engine) pipeline(ks *Keyspace) pipeline {
-	return pipeline{env: e.env, width: e.compactCfg.PipelineWidth, onDelta: func(d int) { e.noteOccupancy(ks, d) }}
+	return pipeline{env: e.env, width: e.compactCfg.PipelineWidth, onDelta: func(n, b int) {
+		e.noteOccupancy(ks, n)
+		e.dram.Add(float64(b))
+	}}
 }
 
 // sortSeparated executes the paper's two-step deferred compaction on the
@@ -97,8 +101,9 @@ func (e *Engine) pipeline(ks *Keyspace) pipeline {
 func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace) (_ compacted, err error) {
 	// Step 1: sort keys (compareKlog: newest duplicate of a key first).
 	ks.progress.Stage = compaction.StageSort
+	pl := e.pipeline(ks)
 	keySorter := newEngineSorter[klogEntry](e, phaseRunKlog, klogCodec{}, klogKey, compareKlog)
-	keySorter.pipe = e.pipeline(ks)
+	keySorter.pipe = pl
 	// The split decision samples utilization over the run-formation phase,
 	// not just the instant the merge starts: closed-loop foreground readers
 	// keep at most one command in flight each, so they are invisible to
@@ -129,20 +134,22 @@ func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace) (_ compacted, err erro
 	// scatter destination entries into buckets by VLOG position (the inverse
 	// permutation, bucketed so the value pass needs no log-round merging).
 	pidx := e.zm.NewCluster(ZonePIDX)
-	pidxW := e.newIndexWriter(pidx)
+	pidxW := e.newIndexWriter(pidx, pl)
 	pidxW.moved = &ks.progress.BytesMoved
 	destBuckets := e.newBucketWriter(uint64(ks.vlog.Len())+1, &ks.progress.BytesMoved)
+	destBuckets.app.pl = pl
 	var (
 		valBuckets *bucketWriter
 		sorted     *Cluster
 		w          chunkWriter
 	)
-	// A job that fails releases what it was writing once its write stage
-	// has stopped: PIDX, SORTED_VALUES and the spilled buckets (a success
+	// A job that fails releases what it was writing once its stages have
+	// stopped: PIDX, SORTED_VALUES and the spilled buckets (a success
 	// released the buckets already). The logs stay the keyspace's. A zone
 	// whose reset fails too is left to the recovery sweep.
 	defer func() {
 		w.stop(p)
+		_ = pidxW.app.stop(p)
 		if err == nil {
 			return
 		}
@@ -155,7 +162,7 @@ func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace) (_ compacted, err erro
 			_ = sorted.Release(p)
 		}
 	}()
-	var destOff uint64
+	var destOff, vlogEnd uint64
 	var livePairs, keyBytes int64
 	var lastKey []byte
 	haveLast := false
@@ -163,7 +170,9 @@ func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace) (_ compacted, err erro
 	codec := klogCodec{}
 	dcodec := destCodec{}
 	var enc []byte // one record's encoding; the writers below copy it
-	err = keySorter.Stream(p, newFrameSource(ks.klog, codec, ks.logFrames), func(p *sim.Proc, rec klogEntry) error {
+	klog := newFrameSource(ks.klog, codec, ks.logFrames, pl)
+	defer klog.pf.stop(p)
+	err = keySorter.Stream(p, klog, func(p *sim.Proc, rec klogEntry) error {
 		// The merge stage walks the sorted-key bytes, in DRAM or in a run.
 		keyBytes += int64(len(codec.Encode(enc[:0], rec)))
 		ks.progress.Stage = compaction.StageMerge
@@ -178,6 +187,7 @@ func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace) (_ compacted, err erro
 			return nil // newest record is a delete: the key vanishes
 		}
 		livePairs++
+		vlogEnd = max(vlogEnd, rec.vlogOff+uint64(rec.vlen))
 		de := destEntry{vlogOff: rec.vlogOff, destOff: destOff, vlen: rec.vlen}
 		enc = dcodec.Encode(enc[:0], de)
 		if err := destBuckets.add(p, rec.vlogOff, enc); err != nil {
@@ -211,9 +221,13 @@ func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace) (_ compacted, err erro
 	// destination; pass two reads each value bucket, copies every value to
 	// its destination within the span the bucket tiles, and appends the span
 	// to SORTED_VALUES. Value bytes move exactly twice regardless of dataset
-	// size — the payoff of key-value separation.
+	// size — the payoff of key-value separation. Each pass reads its buckets
+	// ahead, and pass one reads the VLOG up to its last live value once.
 	valBuckets = e.newBucketWriter(totalValueBytes+1, &ks.progress.BytesMoved)
-	var gatherer valueGatherer
+	valBuckets.app.pl = pl
+	gatherer := valueGatherer{vlog: clusterWindow{c: ks.vlog, pf: pl.prefetch(span{ks.vlog, 0, int64(vlogEnd)})}}
+	defer gatherer.vlog.pf.stop(p)
+	defer destBuckets.readAhead(pl).stop(p)
 	for b, db := range destBuckets.buckets() {
 		lo := uint64(b) * destBuckets.width
 		dents, err := gatherer.gather(p, e.cpu[phaseDestPass], db, ks.vlog, lo, destBuckets.width)
@@ -240,12 +254,13 @@ func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace) (_ compacted, err erro
 	stages := ks.joined
 	ks.progress.GranulesDone = 0
 	ks.progress.GranulesTotal = granules(int64(totalValueBytes), blockSz)
-	w.open(sorted, e.pipeline(ks), &ks.progress.BytesMoved)
+	w.open(sorted, pl, &ks.progress.BytesMoved)
 	var nextDest uint64
 	var cursor *pidxCursor
 	if len(stages) > 0 {
 		cursor = &pidxCursor{win: clusterWindow{c: pidx}, cfg: e.cfg}
 	}
+	defer valBuckets.readAhead(pl).stop(p)
 	var placer valuePlacer
 	var ents []pidxEntry
 	var keys batchArena
@@ -368,9 +383,12 @@ func (cur *pidxCursor) next(p *sim.Proc) (ent pidxEntry, ok bool, err error) {
 }
 
 // clusterWindow reads byte spans from a cluster through a sliding chunked
-// window, turning mostly-ascending access into sequential chunked reads.
+// window, turning mostly-ascending access into sequential chunked reads. With
+// pf set — a prefetcher on c from winOff on — the window slides along pf's
+// chunks instead, and reads must ascend.
 type clusterWindow struct {
 	c      *Cluster
+	pf     *prefetcher
 	win    []byte
 	winOff int64
 	last   []byte // the span read handed out last
@@ -381,7 +399,21 @@ type clusterWindow struct {
 func (w *clusterWindow) read(p *sim.Proc, off int64, n int) ([]byte, error) {
 	poison(w.last)
 	need := int64(n)
+	for w.pf != nil && off+need > w.winOff+int64(len(w.win)) {
+		if k := min(off-w.winOff, int64(len(w.win))); k > 0 {
+			w.win = w.win[:copy(w.win, w.win[k:])]
+			w.winOff += k
+		}
+		chunk, err := w.pf.next(p)
+		if err != nil {
+			return nil, err
+		}
+		w.win = append(w.win, chunk...)
+	}
 	if off < w.winOff || off+need > w.winOff+int64(len(w.win)) {
+		if w.pf != nil {
+			return nil, fmt.Errorf("core: window read at %d behind its stream at %d", off, w.winOff)
+		}
 		chunk := min(max(need, scanChunk), w.c.Len()-off)
 		if chunk < need {
 			return nil, fmt.Errorf("core: cluster truncated at %d", off)
@@ -417,13 +449,13 @@ const appendBurst = 64 << 10
 // blockWriter packs length-prefixed entries into fixed-size blocks: each
 // block starts with the indexBlockHdr header, entries never span blocks, and
 // the remainder is zero padding. The first key of each block becomes a sketch
-// pivot. Finished blocks are staged and appended appendBurst bytes at a time;
-// staging a block reserves its stripe, so the cluster takes its zones from the
-// pool exactly when an Append per block would have. A writer opened with a
-// keep budget also copies the blocks it appends, from the first on and one
-// slab per burst, into kept until the copies would pass that budget: the
-// blocks a build hands the index cache (Engine.admitBuilt) once the cluster
-// is reachable.
+// pivot. Finished blocks are staged and appended appendBurst bytes at a time
+// through app; staging a block reserves its stripe, so the cluster takes its
+// zones from the pool exactly when an Append per block would have. A writer
+// opened with a keep budget also copies the blocks it appends, from the first
+// on and one slab per burst, into kept until the copies would pass that
+// budget: the blocks a build hands the index cache (Engine.admitBuilt) once
+// the cluster is reachable.
 type blockWriter struct {
 	cluster   *Cluster
 	blockSize int
@@ -435,17 +467,19 @@ type blockWriter struct {
 	sketch    []sketchEntry
 	keep      int64    // bytes of blocks still to copy into kept
 	kept      [][]byte // slabs of whole blocks, in block order
+	app       appender
 }
 
 func newBlockWriter(c *Cluster, blockSize int) *blockWriter {
 	return &blockWriter{cluster: c, blockSize: blockSize, buf: make([]byte, 0, max(appendBurst, blockSize))}
 }
 
-// newIndexWriter opens a PIDX or SIDX block writer on c that keeps its blocks
-// up to the index cache's free budget as it stands now.
-func (e *Engine) newIndexWriter(c *Cluster) *blockWriter {
+// newIndexWriter opens a PIDX or SIDX block writer on c, staged by pl, that
+// keeps its blocks up to the index cache's free budget as it stands now.
+func (e *Engine) newIndexWriter(c *Cluster, pl pipeline) *blockWriter {
 	w := newBlockWriter(c, e.cfg.BlockBytes)
 	w.keep = e.idxCache.free()
+	w.app.pl = pl
 	return w
 }
 
@@ -473,7 +507,7 @@ func (w *blockWriter) add(p *sim.Proc, entry []byte, firstKey []byte) error {
 
 // endBlock pads and checksums the block being built and reserves the stripe
 // it lands in. It appends the staged blocks when another would not fit the
-// stage, or when last is set; Append copies them before it yields.
+// stage, or when last is set.
 func (w *blockWriter) endBlock(p *sim.Proc, last bool) error {
 	if len(w.buf) > w.cur {
 		blk := w.buf[w.cur : w.cur+w.blockSize]
@@ -494,19 +528,18 @@ func (w *blockWriter) endBlock(p *sim.Proc, last bool) error {
 		w.kept = append(w.kept, bytes.Clone(w.buf[:n]))
 		w.keep -= n
 	}
-	if err := w.cluster.Append(p, w.buf); err != nil {
-		return err
-	}
 	if w.moved != nil {
 		*w.moved += uint64(len(w.buf))
 	}
-	w.buf, w.cur = w.buf[:0], 0
-	return nil
+	var err error
+	w.buf, err = w.app.put(p, w.cluster, w.buf)
+	w.cur = 0
+	return err
 }
 
-// finish appends the last blocks and seals the cluster.
+// finish appends the last blocks, stops app's stage and seals the cluster.
 func (w *blockWriter) finish(p *sim.Proc) error {
-	if err := w.endBlock(p, true); err != nil {
+	if err := cmp.Or(w.endBlock(p, true), w.app.stop(p)); err != nil {
 		return err
 	}
 	return w.cluster.Seal(p)

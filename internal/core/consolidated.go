@@ -129,7 +129,7 @@ func failStages(p *sim.Proc, ks *Keyspace, stages []*sidxStage) {
 // The bytes of its runs and blocks count in moved when it is set.
 func (e *Engine) packSIDX(p *sim.Proc, si *secondaryIndex, sorter *Sorter[sidxEntry], src recordSource[sidxEntry], moved *uint64) ([][]byte, error) {
 	cluster := e.zm.NewCluster(ZoneSIDX)
-	w := e.newIndexWriter(cluster)
+	w := e.newIndexWriter(cluster, sorter.pipe)
 	w.moved = moved
 	codec := sidxCodec{}
 	var enc []byte
@@ -144,6 +144,8 @@ func (e *Engine) packSIDX(p *sim.Proc, si *secondaryIndex, sorter *Sorter[sidxEn
 		err = w.finish(p)
 	}
 	if err != nil {
+		_ = w.app.stop(p)
+		_ = cluster.Release(p)
 		return nil, err
 	}
 	si.cluster = cluster

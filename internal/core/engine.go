@@ -584,6 +584,9 @@ func (e *Engine) Compact(p *sim.Proc, name string) error {
 		ks.compactDone.Signal()
 		return e.mgr.Persist(p)
 	}
+	if ks.compactDone.Fired() { // an attempt before this one failed
+		ks.compactDone = sim.NewEvent(e.env)
+	}
 	ks.state = StateCompacting
 	ks.compactStart = p.Now()
 	ks.compactErr = nil
@@ -609,6 +612,12 @@ func (e *Engine) Compact(p *sim.Proc, name string) error {
 		// The done event fires even on error so waiters never deadlock; they
 		// observe the failure through CompactErr and BackgroundErr.
 		ks.progress.Stage = compaction.StageIdle
+		if err != nil && !e.halted && ks.state == StateCompacting {
+			// Roll back to WRITABLE as a restart does: the logs are intact,
+			// and Compact may be called again.
+			ks.state = StateWritable
+			_ = e.mgr.Persist(jp)
+		}
 		ks.compactErr = err
 		ks.compactDone.Signal()
 		if err != nil {
@@ -787,7 +796,7 @@ func (e *Engine) BuildSecondaryIndex(p *sim.Proc, name string, spec nvme.Seconda
 	si := &secondaryIndex{spec: spec, done: sim.NewEvent(e.env)}
 	ks.secondary[spec.Name] = si
 	if ks.joinable && e.consolidates(len(ks.joined)+1) {
-		ks.joined = append(ks.joined, &sidxStage{si: si, sorter: e.newSidxSorter(spec)})
+		ks.joined = append(ks.joined, &sidxStage{si: si, sorter: e.newSidxSorter(ks, spec)})
 		e.sidxJoined.Add(1)
 		return nil
 	}

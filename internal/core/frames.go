@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"kvcsd/internal/sim"
 )
@@ -60,9 +61,12 @@ func (ks *Keyspace) appendLogFrame(p *sim.Proc, frame []byte) error {
 	return nil
 }
 
-// logFrameReader reads log frames into one buffer it reuses, so a payload it
-// returns is valid until its next read.
-type logFrameReader struct{ buf []byte }
+// logFrameReader reads log frames into one buffer it reuses, or, with win
+// set, out of that window; a payload it returns is valid until its next read.
+type logFrameReader struct {
+	buf []byte
+	win *clusterWindow
+}
 
 // read reads and verifies one frame at off; limit bounds how far the frame
 // may extend. Returns (payload, frameBytes, nil) on success and (nil, 0, nil)
@@ -71,42 +75,42 @@ func (r *logFrameReader) read(p *sim.Proc, c *Cluster, off, limit int64) ([]byte
 	if off+logFrameHdr > limit {
 		return nil, 0, nil
 	}
-	hdr := r.grow(logFrameHdr)
-	if err := c.ReadAt(p, hdr, off); err != nil {
+	hdr, err := r.span(p, c, off, logFrameHdr)
+	if err != nil {
 		return nil, 0, err
 	}
 	if binary.LittleEndian.Uint32(hdr[0:]) != logFrameMagic {
 		return nil, 0, nil
 	}
-	plen := int64(binary.LittleEndian.Uint32(hdr[4:]))
+	plen, sum := int64(binary.LittleEndian.Uint32(hdr[4:])), binary.LittleEndian.Uint32(hdr[8:])
 	if off+logFrameHdr+plen > limit {
 		return nil, 0, nil
 	}
-	frame := r.grow(logFrameHdr + int(plen))
-	payload := frame[logFrameHdr:]
-	if err := c.ReadAt(p, payload, off+logFrameHdr); err != nil {
+	payload, err := r.span(p, c, off+logFrameHdr, int(plen))
+	if err != nil {
 		return nil, 0, err
 	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[8:]) {
+	if crc32.ChecksumIEEE(payload) != sum {
 		return nil, 0, nil
 	}
 	return payload, logFrameHdr + plen, nil
 }
 
-// grow returns the reader's buffer resized to n bytes, keeping its first
-// logFrameHdr bytes (the header just read).
-func (r *logFrameReader) grow(n int) []byte {
-	if cap(r.buf) < n {
-		r.buf = append(make([]byte, 0, n), r.buf...)
+// span returns the n bytes of c at off: out of the window, or read into the
+// reader's buffer.
+func (r *logFrameReader) span(p *sim.Proc, c *Cluster, off int64, n int) ([]byte, error) {
+	if r.win != nil {
+		return r.win.read(p, off, n)
 	}
-	r.buf = r.buf[:n]
-	return r.buf
+	r.buf = slices.Grow(r.buf[:0], n)[:n]
+	return r.buf, c.ReadAt(p, r.buf, off)
 }
 
 // frameSource streams records of type T out of a log cluster's valid frame
 // extents, verifying each frame's magic and checksum before decoding. Records
 // never span frames (one frame per flush batch), so each payload decodes with
-// atEOF semantics. Every frame is read into the same buffer, so a record is
+// atEOF semantics. Every frame is read into the same buffer, or, when pf
+// reads the extents ahead, parsed out of a window over it, so a record is
 // valid until the next call to next (see recordSource).
 type frameSource[T any] struct {
 	c       *Cluster
@@ -115,15 +119,20 @@ type frameSource[T any] struct {
 	ei      int
 	off     int64
 	frames  logFrameReader
+	pf      *prefetcher // the caller stops it
 	payload []byte
 	pos     int
 	last    int // start of the record handed out last, within payload
 }
 
-func newFrameSource[T any](c *Cluster, codec Codec[T], extents []frameExtent) *frameSource[T] {
+func newFrameSource[T any](c *Cluster, codec Codec[T], extents []frameExtent, pl pipeline) *frameSource[T] {
 	s := &frameSource[T]{c: c, codec: codec, extents: extents}
-	if len(extents) > 0 {
+	if n := len(extents); n > 0 {
 		s.off = extents[0].Start
+		if pl.on() {
+			s.pf = pl.prefetch(span{c, s.off, extents[n-1].End})
+			s.frames.win = &clusterWindow{c: c, pf: s.pf, winOff: s.off}
+		}
 	}
 	return s
 }

@@ -102,18 +102,23 @@ func (e *Engine) flushBufferCombined(p *sim.Proc, ks *Keyspace) error {
 // final merge streams the newest live version of each key into PIDX and its
 // value into SORTED_VALUES. It keeps no heat table.
 func (e *Engine) sortPairs(p *sim.Proc, ks *Keyspace) (_ compacted, err error) {
+	pl := e.pipeline(ks)
 	sorter := newEngineSorter[pairRec](e, phaseRunPair, pairCodec{}, pairKey, comparePair)
+	sorter.pipe = pl
 	pidx := e.zm.NewCluster(ZonePIDX)
-	pidxW := e.newIndexWriter(pidx)
+	pidxW := e.newIndexWriter(pidx, pl)
 	pidxW.moved = &ks.progress.BytesMoved
 	sorted := e.zm.NewCluster(ZoneSortedValues)
 	var w chunkWriter
-	w.open(sorted, pipeline{}, &ks.progress.BytesMoved)
-	// A job that fails releases PIDX and SORTED_VALUES once its writer has
+	w.open(sorted, pl, &ks.progress.BytesMoved)
+	klog := newFrameSource(ks.klog, pairCodec{}, ks.logFrames, pl)
+	// A job that fails releases PIDX and SORTED_VALUES once its stages have
 	// stopped. The KLOG stays the keyspace's. A zone whose reset fails too is
 	// left to the recovery sweep.
 	defer func() {
+		klog.pf.stop(p)
 		w.stop(p)
+		_ = pidxW.app.stop(p)
 		if err != nil {
 			_ = pidx.Release(p)
 			_ = sorted.Release(p)
@@ -124,7 +129,7 @@ func (e *Engine) sortPairs(p *sim.Proc, ks *Keyspace) (_ compacted, err error) {
 	var livePairs int64
 	var lastKey []byte
 	haveLast := false
-	err = sorter.Stream(p, newFrameSource(ks.klog, pairCodec{}, ks.logFrames), func(sp *sim.Proc, rec pairRec) error {
+	err = sorter.Stream(p, klog, func(sp *sim.Proc, rec pairRec) error {
 		if haveLast && bytes.Equal(rec.key, lastKey) {
 			return nil // older duplicate
 		}

@@ -100,7 +100,7 @@ func TestSourcesPoisonTakenRecords(t *testing.T) {
 			}
 			ks, _ := fx.eng.Keyspace("ks")
 
-			frames := newFrameSource(ks.klog, klogCodec{}, ks.logFrames)
+			frames := newFrameSource(ks.klog, klogCodec{}, ks.logFrames, pipeline{})
 			first, _, _ := frames.next(p)
 			if _, _, err := frames.next(p); err != nil || !isPoison(first.key) {
 				t.Errorf("frameSource left the taken key %q (err %v)", first.key, err)
@@ -123,7 +123,7 @@ func TestSourcesPoisonTakenRecords(t *testing.T) {
 			if err := run.Seal(p); err != nil {
 				t.Fatal(err)
 			}
-			sc := newScanner(run, klogCodec{})
+			sc := &scanner[klogEntry]{c: run, codec: klogCodec{}}
 			r1, _, _ := sc.next(p)
 			if _, _, err := sc.next(p); err != nil || !isPoison(r1.key) {
 				t.Errorf("scanner left the taken key %q (err %v)", r1.key, err)
@@ -233,7 +233,7 @@ func TestMakeRunsAllocs(t *testing.T) {
 			ks, _ := fx.eng.Keyspace("ks")
 			s := NewSorter(fx.eng.zm, fx.eng.soc, fx.eng.cfg, klogCodec{}, klogKey, compareKlog)
 			got = testing.AllocsPerRun(1, func() {
-				runs, err := s.makeRuns(p, newFrameSource(ks.klog, klogCodec{}, ks.logFrames))
+				runs, err := s.makeRuns(p, newFrameSource(ks.klog, klogCodec{}, ks.logFrames, pipeline{}))
 				if err != nil || len(runs) != 1 {
 					t.Fatalf("%d runs, err %v", len(runs), err)
 				}
@@ -272,7 +272,7 @@ func TestStreamAllocs(t *testing.T) {
 			}
 			got = testing.AllocsPerRun(1, func() {
 				emitted = 0
-				err := s.Stream(p, newFrameSource(ks.klog, klogCodec{}, ks.logFrames), emit)
+				err := s.Stream(p, newFrameSource(ks.klog, klogCodec{}, ks.logFrames, pipeline{}), emit)
 				if err != nil || s.written != 0 || emitted != records {
 					t.Fatalf("%d of %d records emitted, %d bytes written, err %v", emitted, records, s.written, err)
 				}

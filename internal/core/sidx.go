@@ -36,7 +36,7 @@ func (e *Engine) runIndexBuild(p *sim.Proc, ks *Keyspace, si *secondaryIndex) (e
 	} else {
 		// Validate the byte range against actual values lazily: the extractor
 		// errors on the first undersized value.
-		if kept, err = e.packSIDX(p, si, e.newSidxSorter(si.spec), e.newSidxSource(ks, si.spec), nil); err != nil {
+		if kept, err = e.packSIDX(p, si, e.newSidxSorter(ks, si.spec), e.newSidxSource(ks, si.spec), nil); err != nil {
 			return err
 		}
 	}
@@ -55,15 +55,17 @@ func notCompacted(ks *Keyspace, si *secondaryIndex) error {
 // sidxKey is a secondary-index entry's sort key: its secondary key.
 func sidxKey(e sidxEntry) []byte { return e.skey }
 
-// newSidxSorter returns the sorter of an index build. Both builds feed it in
+// newSidxSorter returns the sorter of an index build on ks, staged as its
+// compaction is. Both builds feed it in
 // ascending primary-key order — sidxSource walks PIDX, the consolidated build
 // walks SORTED_VALUES — and every secondary key is exactly spec.Length bytes,
 // so for keys of at most 4 bytes a stable radix sort on the key alone gives
 // compareSidx order. Wider keys stay on msdSort: eight digit passes can cost
 // more than it does.
-func (e *Engine) newSidxSorter(spec nvme.SecondaryIndexSpec) *Sorter[sidxEntry] {
+func (e *Engine) newSidxSorter(ks *Keyspace, spec nvme.SecondaryIndexSpec) *Sorter[sidxEntry] {
 	s := newEngineSorter[sidxEntry](e, phaseRunSidx, sidxCodec{}, sidxKey, compareSidx)
 	s.radix = sidxRadixKey(spec.Length)
+	s.pipe = e.pipeline(ks)
 	return s
 }
 

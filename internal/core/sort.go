@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -59,38 +60,35 @@ func poison(b []byte) {
 	}
 }
 
-// scanner streams records of type T from a cluster. When pf is set, refills
-// pop chunks a prefetch stage proc read ahead instead of issuing the read
-// inline — the pipeline's read stage.
+// scanner streams records of type T from the next left bytes of pf, or,
+// when pf is nil, from the whole cluster c read inline.
 type scanner[T any] struct {
 	c     *Cluster
 	codec Codec[T]
 	buf   []byte
-	pos   int   // parse position within buf
-	last  int   // start of the record handed out last, within buf
-	off   int64 // logical cluster offset of buf[0]
+	pos   int // parse position within buf
+	last  int // start of the record handed out last, within buf
 	pf    *prefetcher
+	left  int64
 }
 
-// scanChunk is a scanner's default read size. Refills land on multiples of
-// it, so a cluster is read as ReadAt calls of scanChunk bytes in order, the
-// last one short.
+// scanChunk is the size of a prefetcher's reads: a cluster is read as ReadAt
+// calls of scanChunk bytes in order, the last one short.
 const scanChunk = 256 << 10
 
 // scanSlack is the room a scanner's window keeps past one chunk for the
 // partial record a refill carries over, so refills reuse the window in place.
 const scanSlack = 4 << 10
 
-func newScanner[T any](c *Cluster, codec Codec[T]) *scanner[T] {
-	return &scanner[T]{c: c, codec: codec}
-}
-
 // next returns the next record, or ok=false at end of stream. The record
 // views the scanner's window (see recordSource).
 func (s *scanner[T]) next(p *sim.Proc) (rec T, ok bool, err error) {
 	poison(s.buf[s.last:s.pos])
+	if s.pf == nil {
+		s.pf, s.left = pipeline{}.prefetch(whole(s.c)), s.c.Len()
+	}
 	for {
-		atEOF := s.off+int64(len(s.buf)) >= s.c.Len()
+		atEOF := s.left == 0
 		if s.pos < len(s.buf) {
 			r, n, derr := s.codec.Decode(s.buf[s.pos:], atEOF)
 			if derr != nil {
@@ -107,34 +105,19 @@ func (s *scanner[T]) next(p *sim.Proc) (rec T, ok bool, err error) {
 		} else if atEOF {
 			return rec, false, nil
 		}
-		// Refill: keep the unparsed remainder, read the next chunk behind it.
+		// Refill: keep the unparsed remainder, copy the next chunk behind it.
 		rem := len(s.buf) - s.pos
-		s.off += int64(s.pos)
 		copy(s.buf, s.buf[s.pos:])
-		s.buf = s.buf[:rem]
-		s.pos, s.last = 0, 0
-		want := scanChunk
-		if avail := s.c.Len() - (s.off + int64(rem)); int64(want) > avail {
-			want = int(avail)
+		s.buf, s.pos, s.last = s.buf[:rem], 0, 0
+		data, err := s.pf.next(p)
+		if err != nil {
+			return rec, false, err
 		}
-		if want > 0 {
-			if need := rem + want; cap(s.buf) < need {
-				s.buf = append(make([]byte, 0, need+scanSlack), s.buf...)
-			}
-			s.buf = s.buf[:rem+want]
-			if s.pf != nil {
-				data, err := s.pf.next(p)
-				if err != nil {
-					return rec, false, err
-				}
-				if len(data) != want {
-					return rec, false, fmt.Errorf("%w: prefetch chunk %d, want %d", ErrRecordCorrupt, len(data), want)
-				}
-				copy(s.buf[rem:], data)
-			} else if err := s.c.ReadAt(p, s.buf[rem:], s.off+int64(rem)); err != nil {
-				return rec, false, err
-			}
+		s.left -= int64(len(data))
+		if need := rem + len(data); cap(s.buf) < need {
+			s.buf = append(make([]byte, 0, need+scanSlack), s.buf...)
 		}
+		s.buf = append(s.buf, data...)
 	}
 }
 
@@ -215,8 +198,8 @@ type Sorter[T any] struct {
 	// run to stream.
 	hostRuns, deviceRuns int
 
-	// pipe stages the merges: with it on, every run is read ahead by a
-	// prefetch proc and the output lands through a zone-write stage proc.
+	// pipe stages the sort: with it on, every run is read ahead by a
+	// prefetch proc and every output lands through a zone-write stage proc.
 	pipe pipeline
 
 	// Host-assist hooks (collaborative compaction). planSplit decides how
@@ -332,6 +315,9 @@ func (s *Sorter[T]) sortSplit(p *sim.Proc, runs []*Cluster, h int) ([]*Cluster, 
 	}
 	waiter = nil
 	if err != nil {
+		if subErr == nil {
+			_, _ = s.collectAssist(p, job) // settle the job; nothing reads its run
+		}
 		abandon(p, runs...)
 		return nil, nil, err
 	}
@@ -484,23 +470,24 @@ func (s *Sorter[T]) feed(p *sim.Proc, src recordSource[T]) error {
 
 // flushRun orders the batch by sortBatch, charged what it reports, writes it
 // to a new scratch run, and empties it for the next records. The batch, its
-// scratch and the arena keep their capacity for every flush of the sort.
+// scratch and the arena keep their capacity for every flush of the sort. The
+// run lands while the next batch is fed and sorted; the next flush finishes it.
 func (s *Sorter[T]) flushRun(p *sim.Proc) error {
 	batch := s.batch.recs
 	if len(batch) == 0 {
 		return nil
 	}
 	s.runCPU.Compares(p, s.sortBatch())
+	if err := s.out.finish(p); err != nil { // the run before this one
+		return err
+	}
 	run := s.zm.NewCluster(ZoneTemp)
 	s.formed = append(s.formed, run) // a failed write leaves it to drop
-	s.out.open(run, pipeline{}, &s.written)
+	s.out.open(run, s.pipe, &s.written)
 	for _, rec := range batch {
 		if err := putRecord(p, &s.out, s.codec, rec); err != nil {
 			return err
 		}
-	}
-	if err := s.out.finish(p); err != nil {
-		return err
 	}
 	s.batch.recs = batch[:0]
 	s.arena.reset()
@@ -529,7 +516,7 @@ func (s *Sorter[T]) makeRuns(p *sim.Proc, src recordSource[T]) ([]*Cluster, erro
 	if err := s.feed(p, src); err != nil {
 		return nil, err
 	}
-	if err := s.flushRun(p); err != nil {
+	if err := cmp.Or(s.flushRun(p), s.out.finish(p)); err != nil {
 		return nil, err
 	}
 	runs := s.formed
@@ -540,6 +527,7 @@ func (s *Sorter[T]) makeRuns(p *sim.Proc, src recordSource[T]) ([]*Cluster, erro
 // drop lets go of the batch and its arena, and releases the runs formed that
 // no merge took: the sort that formed them failed.
 func (s *Sorter[T]) drop(p *sim.Proc) {
+	_ = s.out.stop(p) // the sort failed already, or every run has landed
 	s.hold(-s.batchBytes)
 	abandon(p, s.formed...)
 	s.batch, s.arena, s.formed = sortBuf[T]{}, batchArena{}, nil
@@ -606,10 +594,8 @@ func (s *Sorter[T]) merge(p *sim.Proc, runs []*Cluster, mem [][]byte, emit func(
 		if i >= len(runs) {
 			return &memSource[T]{codec: s.codec, buf: mem[i-len(runs)]}
 		}
-		sc := newScanner(runs[i], s.codec)
-		if sc.pf = s.pipe.prefetch(runs[i]); sc.pf != nil {
-			pfs = append(pfs, sc.pf)
-		}
+		sc := &scanner[T]{codec: s.codec, pf: s.pipe.prefetch(whole(runs[i])), left: runs[i].Len()}
+		pfs = append(pfs, sc.pf)
 		return sc
 	}
 	return mergeSorted(p, len(runs)+len(mem), open, s.cmp, s.mergeCPU, emit)
@@ -728,91 +714,208 @@ func (t *loserTree[T]) replay(s int) {
 	t.tree[0] = w
 }
 
-// pipeline configures a compaction's stage procs. When it is on — env set
-// and width over 1 — merges read each run through a prefetch proc and
-// writers append through a zone-write stage proc, connected by bounded rings
-// of width chunks, so granule reads, the k-way merge, and zone writes overlap
-// across SoC cores. onDelta (optional) observes every buffered chunk
-// entering (+1) and leaving (-1) a ring. The zero pipeline is off.
+// pipeline configures the stage procs of a compaction or an index build.
+// When it is on — env set and width over 1 — a prefetch proc reads ahead
+// every cluster the job streams, and every writer of the job lands its
+// appends through a zone-write stage proc of its own. Each stage meets the
+// job at a ring bounded at width × writeChunk bytes, so media reads, SoC work
+// and zone writes overlap across SoC cores. onDelta (optional) observes every
+// chunk entering (+1, +bytes) and leaving (-1, -bytes) a ring. The zero
+// pipeline is off: the job reads and appends inline, in the same chunks.
 type pipeline struct {
 	env     *sim.Env
 	width   int
-	onDelta func(int)
+	onDelta func(chunks, bytes int)
 }
 
 func (pl pipeline) on() bool { return pl.env != nil && pl.width > 1 }
 
-// prefetcher is the pipeline's read stage: a proc streaming a cluster's
-// bytes sequentially in chunk-sized pieces through a bounded ring, so the
-// merge stage consumes granules the read stage fetched one-or-more chunks
-// ago. Chunk boundaries match the scanner's refill pattern exactly.
+// prefetcher is the pipeline's read stage: it streams the bytes of a list
+// of cluster spans in order, in chunks of scanChunk bytes, each span's last
+// one short. With the pipeline on, a proc of its own reads the chunks ahead
+// into a ring; otherwise next reads each one inline. A chunk from next is
+// valid until the next call, which takes it back for a later read, so a
+// stream cycles through at most width + 2 chunks.
 type prefetcher struct {
-	ring *compaction.Ring[[]byte]
-	proc *sim.Proc
-	err  error
+	spans []span // still to read, from spans[0].from on
+	left  int64  // bytes next has still to hand out
+	ring  *compaction.Ring[[]byte]
+	proc  *sim.Proc
+	err   error
+	free  [][]byte // chunks taken back, for the next reads
+	last  []byte   // the chunk next handed out last
 }
 
-// prefetch starts the read stage of cluster c, or returns nil when the
-// pipeline is off and the scanner reads inline.
-func (pl pipeline) prefetch(c *Cluster) *prefetcher {
-	if !pl.on() {
-		return nil
-	}
-	pf := &prefetcher{ring: compaction.NewRing[[]byte](pl.env, pl.width, pl.onDelta)}
-	pf.proc = pl.env.Go("compact:read", func(p *sim.Proc) {
-		defer pf.ring.Close()
-		for off := int64(0); off < c.Len(); {
-			n := int64(scanChunk)
-			if rem := c.Len() - off; n > rem {
-				n = rem
-			}
-			buf := make([]byte, n)
-			if err := c.ReadAt(p, buf, off); err != nil {
-				pf.err = err
-				return
-			}
-			off += n
-			if !pf.ring.Push(p, buf) {
-				return // consumer stopped early
-			}
+// span is the bytes [from, to) of cluster c.
+type span struct {
+	c        *Cluster
+	from, to int64
+}
+
+// whole is the span of all of c.
+func whole(c *Cluster) span { return span{c, 0, c.Len()} }
+
+// prefetch starts streaming spans, the slice its own from then on.
+func (pl pipeline) prefetch(spans ...span) *prefetcher {
+	pf := &prefetcher{spans: spans[:0]}
+	for _, sp := range spans {
+		if sp.to > sp.from {
+			pf.spans = append(pf.spans, sp)
+			pf.left += sp.to - sp.from
 		}
-	})
+	}
+	if pl.on() && pf.left > 0 {
+		pf.ring = compaction.NewRing(pl.env, pl.width*writeChunk, func(b []byte) int { return len(b) }, pl.onDelta)
+		pf.proc = pl.env.Go("compact:read", func(p *sim.Proc) {
+			defer pf.ring.Close()
+			for len(pf.spans) > 0 {
+				buf, err := pf.read(p)
+				if err != nil {
+					pf.err = err
+					return
+				}
+				if !pf.ring.Push(p, buf) {
+					return // consumer stopped early
+				}
+			}
+		})
+	}
 	return pf
 }
 
-// next returns the next prefetched chunk.
-func (pf *prefetcher) next(p *sim.Proc) ([]byte, error) {
-	data, ok := pf.ring.Pop(p)
+// read reads the chunk at the read position and moves past it.
+func (pf *prefetcher) read(p *sim.Proc) ([]byte, error) {
+	sp := &pf.spans[0]
+	n := min(scanChunk, int(sp.to-sp.from))
+	var buf []byte
+	if k := len(pf.free); k > 0 && cap(pf.free[k-1]) >= n {
+		buf, pf.free = pf.free[k-1][:n], pf.free[:k-1]
+	} else {
+		buf = make([]byte, n)
+	}
+	if err := sp.c.ReadAt(p, buf, sp.from); err != nil {
+		return nil, err
+	}
+	if sp.from += int64(len(buf)); sp.from == sp.to {
+		pf.spans = pf.spans[1:]
+	}
+	return buf, nil
+}
+
+// next takes back the chunk it returned last and returns the next one.
+func (pf *prefetcher) next(p *sim.Proc) (data []byte, err error) {
+	if pf.last != nil {
+		poison(pf.last)
+		pf.free, pf.last = append(pf.free, pf.last), nil
+	}
+	ok := pf.left > 0
+	if ok && pf.ring == nil {
+		data, err = pf.read(p)
+	} else if ok {
+		data, ok = pf.ring.Pop(p)
+	}
 	if !ok {
-		if pf.err != nil {
-			return nil, pf.err
-		}
-		return nil, fmt.Errorf("%w: prefetch underrun", ErrRecordCorrupt)
+		err = cmp.Or(pf.err, fmt.Errorf("%w: stream read past its end", ErrRecordCorrupt))
+	}
+	if err != nil {
+		return nil, err
+	}
+	pf.left -= int64(len(data))
+	if pf.last = data; pf.left == 0 {
+		pf.free, pf.last = nil, nil // the stream is spent: let its chunks go
 	}
 	return data, nil
 }
 
 // stop shuts the read stage down on any exit path: close the ring (unblocks
-// a producer mid-Push), drop unconsumed chunks so occupancy settles, and
-// join the stage proc.
+// a producer mid-Push), join the stage proc, and drop unconsumed chunks so
+// the gauges settle. It does nothing for a nil, inline or stopped
+// prefetcher.
 func (pf *prefetcher) stop(p *sim.Proc) {
+	if pf == nil || pf.proc == nil {
+		return
+	}
 	pf.ring.Close()
 	p.Join(pf.proc)
 	pf.ring.Discard()
+	pf.proc = nil
 }
 
 // writeChunk is the size of a chunkWriter's appends.
 const writeChunk = 256 << 10
 
-// chunkSink is where a chunkWriter lands its output: a *Cluster.
+// chunkSink is where a writer lands its output: a *Cluster.
 type chunkSink interface {
 	Append(p *sim.Proc, data []byte) error
 	Seal(p *sim.Proc) error
 }
 
-// chunkWriter carries every compaction pass that writes a cluster — run
-// formation, the merges before the final one, the value pass into
-// SORTED_VALUES — in appends of writeChunk bytes.
+// appender lands a writer's bursts: inline on the writer's proc, or, when pl
+// is on, on the writer's zone-write stage proc, started by the first append
+// and fed through a ring whose items each name the output they land in. This
+// is the one place that choice is made; every writer of a compaction or an
+// index build appends through one.
+type appender struct {
+	pl   pipeline
+	ring *compaction.Ring[burst]
+	proc *sim.Proc
+	err  error
+	free [][]byte // bursts the stage has appended, for the writer to refill
+}
+
+// burst is one append the write stage owes.
+type burst struct {
+	out chunkSink
+	buf []byte
+}
+
+// put appends buf to out, or hands it to the write stage, and returns an
+// empty buffer of buf's capacity to fill next: buf itself once an inline
+// Append copied it, else one the stage is done with when there is one, so a
+// writer cycles through a ring's worth of buffers and two more.
+func (a *appender) put(p *sim.Proc, out chunkSink, buf []byte) ([]byte, error) {
+	if a.proc == nil && a.pl.on() {
+		a.ring = compaction.NewRing(a.pl.env, a.pl.width*writeChunk, func(b burst) int { return len(b.buf) }, a.pl.onDelta)
+		a.proc = a.pl.env.Go("compact:write", func(p *sim.Proc) {
+			for b, ok := a.ring.Pop(p); ok; b, ok = a.ring.Pop(p) {
+				if a.err == nil { // after a failed append, drain
+					a.err = b.out.Append(p, b.buf)
+				}
+				a.free = append(a.free, b.buf[:0]) // Append copied it
+			}
+		})
+	}
+	if a.proc == nil {
+		return buf[:0], out.Append(p, buf)
+	}
+	if a.err != nil || !a.ring.Push(p, burst{out, buf}) {
+		return buf[:0], cmp.Or(a.err, errors.New("core: write stage closed"))
+	}
+	if n := len(a.free); n > 0 {
+		buf, a.free = a.free[n-1], a.free[:n-1]
+		return buf, nil
+	}
+	return make([]byte, 0, cap(buf)), nil
+}
+
+// stop drains the write stage, joins its proc and reports its first append
+// error. It does nothing without an open stage, so error paths may always
+// call it.
+func (a *appender) stop(p *sim.Proc) error {
+	if a.proc == nil {
+		return nil
+	}
+	a.ring.Close()
+	p.Join(a.proc)
+	a.ring.Discard()
+	err := a.err
+	a.proc, a.err, a.free = nil, nil, nil
+	return err
+}
+
+// chunkWriter carries the compaction passes that write a cluster as one
+// stream — run formation, the merges before the final one, the value pass
+// into SORTED_VALUES — in appends of writeChunk bytes.
 // Append sizes decide media bursts and zone order, so it keeps two flush
 // rules:
 //
@@ -820,15 +923,12 @@ type chunkSink interface {
 //     once it holds writeChunk bytes or more, so a record never splits;
 //   - raw bytes (write) are cut at exactly writeChunk.
 //
-// The appends run inline on the caller's proc, or, when the pipeline is on,
-// on a zone-write stage proc (pipelineWriter) fed through a bounded ring.
-// This is the one place that choice is made. A writer is reopened for each
-// output and keeps its buffer across them.
+// A writer is reopened for each output and keeps its buffers across them.
 type chunkWriter struct {
 	out   chunkSink
-	buf   []byte          // the chunk being filled
-	stage *pipelineWriter // the zone-write stage; nil when appends run inline
-	moved *uint64         // when set, advanced by the bytes of every append
+	buf   []byte // the chunk being filled
+	app   appender
+	moved *uint64 // when set, advanced by the bytes of every append
 }
 
 // open points the writer at out, staging its appends when pl is on, and
@@ -837,10 +937,7 @@ func (w *chunkWriter) open(out chunkSink, pl pipeline, moved *uint64) {
 	if cap(w.buf) < writeChunk {
 		w.buf = make([]byte, 0, writeChunk+scanSlack)
 	}
-	w.out, w.buf, w.moved = out, w.buf[:0], moved
-	if pl.on() {
-		w.stage = newPipelineWriter(pl, out)
-	}
+	w.out, w.buf, w.moved, w.app.pl = out, w.buf[:0], moved, pl
 }
 
 // putRecord encodes rec onto the writer: the first flush rule.
@@ -878,115 +975,33 @@ func (w *chunkWriter) write(p *sim.Proc, b []byte) error {
 	return nil
 }
 
-// flush appends the buffer, or hands it to the write stage and takes an
-// empty chunk back.
-func (w *chunkWriter) flush(p *sim.Proc) error {
+// flush appends the buffer and takes an empty one back.
+func (w *chunkWriter) flush(p *sim.Proc) (err error) {
 	if w.moved != nil {
 		*w.moved += uint64(len(w.buf))
 	}
-	if w.stage == nil {
-		err := w.out.Append(p, w.buf)
-		w.buf = w.buf[:0]
-		return err
-	}
-	if err := w.stage.write(p, w.buf); err != nil {
-		return err
-	}
-	w.buf = w.stage.buffer()
-	return nil
+	w.buf, err = w.app.put(p, w.out, w.buf)
+	return err
 }
 
 // finish appends what is buffered, stops the write stage and seals the
-// output.
+// output, which the writer then lets go of; without an output it does
+// nothing.
 func (w *chunkWriter) finish(p *sim.Proc) error {
+	if w.out == nil {
+		return nil
+	}
 	var err error
 	if len(w.buf) > 0 {
 		err = w.flush(p)
 	}
-	if serr := w.stop(p); err == nil {
-		err = serr
+	if err = cmp.Or(err, w.stop(p)); err == nil {
+		err = w.out.Seal(p)
 	}
-	if err != nil {
-		return err
-	}
-	return w.out.Seal(p)
-}
-
-// stop drains the write stage, joins its proc and reports its append error;
-// it does nothing once the stage is stopped or when there is none, so error
-// paths may always call it. The writer keeps one of the stage's chunks as its
-// buffer.
-func (w *chunkWriter) stop(p *sim.Proc) error {
-	if w.stage == nil {
-		return nil
-	}
-	err := w.stage.finish(p)
-	w.buf, w.stage = w.stage.buffer(), nil
+	w.out = nil
 	return err
 }
 
-// pipelineWriter is the pipeline's zone-write stage: chunks push into a
-// bounded ring and a dedicated proc appends them to the output, so merge
-// compute and zone writes overlap.
-type pipelineWriter struct {
-	ring *compaction.Ring[[]byte]
-	proc *sim.Proc
-	err  error
-	free [][]byte // chunks the stage has appended, for the producer to refill
-}
-
-func newPipelineWriter(pl pipeline, out chunkSink) *pipelineWriter {
-	w := &pipelineWriter{ring: compaction.NewRing[[]byte](pl.env, pl.width, pl.onDelta)}
-	w.proc = pl.env.Go("compact:write", func(p *sim.Proc) {
-		for {
-			buf, ok := w.ring.Pop(p)
-			if !ok {
-				return
-			}
-			if w.err != nil {
-				continue // drain after a failed append
-			}
-			if err := out.Append(p, buf); err != nil {
-				w.err = err
-			}
-			w.free = append(w.free, buf[:0]) // Append copied it
-		}
-	})
-	return w
-}
-
-// buffer returns an empty chunk for the producer to fill and write: one the
-// stage is done with when there is one, so a pass cycles through at most
-// ring-width + 2 chunks instead of allocating one per 256 KiB of output.
-func (w *pipelineWriter) buffer() []byte {
-	if n := len(w.free); n > 0 {
-		buf := w.free[n-1]
-		w.free = w.free[:n-1]
-		return buf
-	}
-	return make([]byte, 0, writeChunk+scanSlack)
-}
-
-// write hands one chunk to the write stage. The caller must not reuse buf.
-func (w *pipelineWriter) write(p *sim.Proc, buf []byte) error {
-	if w.err != nil {
-		return w.err
-	}
-	if !w.ring.Push(p, buf) {
-		if w.err != nil {
-			return w.err
-		}
-		return fmt.Errorf("core: pipeline writer closed")
-	}
-	return nil
-}
-
-// finish drains the write stage, joins its proc, and reports any append
-// error. Safe on error paths: remaining chunks drain (or fail) and the proc
-// always exits.
-func (w *pipelineWriter) finish(p *sim.Proc) error {
-	w.ring.Close()
-	p.Join(w.proc)
-	w.ring.Discard()
-	return w.err
-}
+// stop drains the write stage, joins its proc and reports its append error;
+// error paths may always call it.
+func (w *chunkWriter) stop(p *sim.Proc) error { return w.app.stop(p) }

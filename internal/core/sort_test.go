@@ -80,7 +80,7 @@ func writeKlogCluster(t *testing.T, p *sim.Proc, fx *sortFixture, n int, keyOf f
 func streamSorted(t *testing.T, p *sim.Proc, s *Sorter[klogEntry], in *Cluster) []klogEntry {
 	t.Helper()
 	var got []klogEntry
-	err := s.Stream(p, newScanner(in, klogCodec{}), func(_ *sim.Proc, rec klogEntry) error {
+	err := s.Stream(p, &scanner[klogEntry]{c: in, codec: klogCodec{}}, func(_ *sim.Proc, rec klogEntry) error {
 		rec.key = bytes.Clone(rec.key) // the record is valid until emit returns
 		got = append(got, rec)
 		return nil
@@ -269,7 +269,7 @@ func TestScannerCorruptTail(t *testing.T) {
 		buf = append(buf, 0xFF, 0x07) // truncated header
 		_ = c.Append(p, buf)
 		_ = c.Seal(p)
-		sc := newScanner(c, klogCodec{})
+		sc := &scanner[klogEntry]{c: c, codec: klogCodec{}}
 		if _, ok, err := sc.next(p); err != nil || !ok {
 			t.Fatalf("first record: ok=%v err=%v", ok, err)
 		}
@@ -305,7 +305,7 @@ func checkSingleBatch[T any](t *testing.T, codec Codec[T], key func(T) []byte, c
 			t.Fatalf("%d runs, err %v", len(runs), err)
 		}
 		wantBusy = fx.soc.CPU().BusyTime() - busy0
-		sc := newScanner(runs[0], codec)
+		sc := &scanner[T]{c: runs[0], codec: codec}
 		for {
 			rec, ok, err := sc.next(p)
 			if err != nil {
@@ -397,6 +397,7 @@ type fakeAssist struct {
 	keep          int  // runs left to the device
 	refuse, fail  bool // submitAssist refuses the job; collectAssist reports the host gone
 	reduced, sent int  // runs the planner saw and the submit shipped
+	jobs          int  // jobs submitted and not collected: the engine's host_merge_jobs
 }
 
 func (fa *fakeAssist) attach(s *Sorter[klogEntry], hostCPU *host.Host) {
@@ -416,9 +417,11 @@ func (fa *fakeAssist) attach(s *Sorter[klogEntry], hostCPU *host.Host) {
 			}
 		}
 		fa.sent = len(runs)
+		fa.jobs++
 		return &compaction.Job{Payload: compaction.EncodeRuns(enc)}, nil
 	}
 	s.collectAssist = func(p *sim.Proc, job *compaction.Job) ([]byte, error) {
+		fa.jobs--
 		if fa.fail {
 			return nil, compaction.ErrAssistClosed
 		}
@@ -512,4 +515,53 @@ func TestStreamSplitFinalMerge(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestFailedPreMergeSettlesHostJob: when the device's pre-merge of its share
+// fails after the host group was submitted — a zone-read fault armed, as the
+// submit starts, on a zone of a run the device kept — the sort still collects
+// the host's job, so the engine's host_merge_jobs gauge (the fake's count of
+// jobs in flight) is back to 0, and it leaves no ZoneTemp zone owned.
+func TestFailedPreMergeSettlesHostJob(t *testing.T) {
+	recs := benchKlogEntries(4096)
+	fx := newSortFixture(16 << 10)
+	fx.run(t, func(p *sim.Proc) {
+		s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, klogKey, compareKlog)
+		s.pipe = pipeline{env: fx.env, width: 2}
+		fa := fakeAssist{keep: 3}
+		fa.attach(s, host.New(fx.env, host.DefaultSoCConfig()))
+		submit := s.submitAssist
+		collect := s.collectAssist
+		var collected bool
+		s.submitAssist = func(sp *sim.Proc, runs []*Cluster) (*compaction.Job, error) {
+			shipped := map[int]bool{}
+			for _, r := range runs {
+				for _, z := range r.Zones() {
+					shipped[z] = true
+				}
+			}
+			kept := -1 // the highest-numbered zone of a run the device kept
+			for z, typ := range fx.zm.used {
+				if typ == ZoneTemp && !shipped[z] {
+					kept = max(kept, z)
+				}
+			}
+			fx.zm.dev.InjectFault("zone-read", int64(kept), 1)
+			return submit(sp, runs)
+		}
+		s.collectAssist = func(cp *sim.Proc, job *compaction.Job) ([]byte, error) {
+			collected = true
+			return collect(cp, job)
+		}
+		err := s.Stream(p, &sliceSource[klogEntry]{recs: recs}, func(*sim.Proc, klogEntry) error { return nil })
+		if !errors.Is(err, ssd.ErrInjectedFault) || fa.sent == 0 || !collected {
+			t.Fatalf("%d runs shipped, collected %v, err %v: want the injected fault in the pre-merge", fa.sent, collected, err)
+		}
+		if fa.jobs != 0 {
+			t.Errorf("%d host jobs left uncollected", fa.jobs)
+		}
+		if n := fx.zm.UsedByType()[ZoneTemp]; n != 0 {
+			t.Errorf("%d ZoneTemp zones still owned after the sort", n)
+		}
+	})
 }

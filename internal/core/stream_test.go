@@ -31,29 +31,44 @@ func sampleWhile(p *sim.Proc, sample func(), body func()) {
 // DRAM, beside the destination bucket the stream fills; then the destination
 // and value buckets, both held because one bucket covers the keyspace; and,
 // in a consolidated compaction, the index's batch beside the value bucket.
-// It peaks at exactly the largest of those sums, and is back to zero once the
-// compaction and its consolidated index build have ended.
+// It counts every chunk its stage rings hold too. It peaks at exactly the
+// largest of those sums, and is back to zero once the compaction and its
+// consolidated index build have ended.
+//
+// A batch streamed from DRAM into staged writers takes no virtual time — the
+// stream yields to no other proc — so the sampler does not read the gauge
+// mid-stream: it reads the gauge's maximum, and a maximum it first sees in
+// the merge stage was reached by the stream.
 func TestDRAMGaugeCountsSortBatch(t *testing.T) {
 	const n = 4000
 	keyBatch := float64(n * klogCodec{}.SizeHint(klogEntry{key: tkey(0)}))
 	dests := float64(n * destEntrySize)
 	values := float64(len(valueCodec{}.Encode(nil, valueRec{value: tvalue(0, 0)})) * n)
 	sidxBatch := float64(n * sidxCodec{}.SizeHint(sidxEntry{skey: make([]byte, 4), pkey: tkey(0)}))
+	// Ring bytes at the peaks: the stream's first PIDX burst, pushed
+	// mid-stream, and SORTED_VALUES' one chunk of value bytes, pushed as the
+	// value pass finishes while the value bucket is still held.
+	pidxBurst := float64(appendBurst)
+	valueBytes := float64(n * len(tvalue(0, 0)))
 	for _, indexed := range []bool{false, true} {
 		fx := newEngineFixture(DefaultConfig())
 		fx.run(t, func(p *sim.Proc) {
 			ingestN(t, p, fx, "ks", n, func(i int) float32 { return float32(i % 10) })
 			ks, _ := fx.eng.Keyspace("ks")
 			gauge := fx.eng.DRAMGauge()
-			var inMerge float64
+			var inMerge, seen float64
 			inValues := map[float64]bool{}
 			sampleWhile(p, func() {
+				m := gauge.Max()
 				switch v := gauge.Value(); ks.progress.Stage {
 				case compaction.StageMerge:
-					inMerge = max(inMerge, v)
+					if m > seen {
+						inMerge = m
+					}
 				case compaction.StageValues:
 					inValues[v] = true
 				}
+				seen = m
 			}, func() {
 				if !indexed {
 					compactAndWait(t, p, fx, "ks")
@@ -68,12 +83,13 @@ func TestDRAMGaugeCountsSortBatch(t *testing.T) {
 			})
 			// The ingest flushes before the job hold at most one 192 KiB
 			// buffer, below every sum the job reaches.
-			peak := max(keyBatch+dests, dests+values)
+			stream := keyBatch + dests + pidxBurst
+			peak := max(stream, values+valueBytes)
 			if indexed {
-				peak = max(peak, values+sidxBatch)
+				peak = max(peak, values+sidxBatch+valueBytes)
 			}
-			if inMerge < keyBatch || inMerge > keyBatch+dests {
-				t.Errorf("indexed=%v: engine/dram read up to %v while the key batch streamed, want its %v bytes and at most %v of destinations", indexed, inMerge, keyBatch, dests)
+			if inMerge != stream {
+				t.Errorf("indexed=%v: engine/dram reached %v while the key batch streamed, want its %v bytes, %v of destinations and a %v-byte PIDX burst", indexed, inMerge, keyBatch, dests, pidxBurst)
 			}
 			// The value stage holds the value bucket until it is placed,
 			// then nothing while SORTED_VALUES seals and the job installs.
