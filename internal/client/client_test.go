@@ -101,6 +101,11 @@ func TestCompactReturnsBeforeWorkFinishes(t *testing.T) {
 		for i := 0; i < 5000; i++ {
 			_ = ks.BulkPut(p, key(i), value(i, 0))
 		}
+		// Ship the buffered puts first, so the ack timed is the compaction
+		// command's alone, not the bulk flush Compact starts with.
+		if err := ks.Flush(p); err != nil {
+			t.Fatal(err)
+		}
 		t0 := p.Now()
 		if err := ks.Compact(p); err != nil {
 			t.Fatal(err)

@@ -17,7 +17,9 @@ type Signals struct {
 	// run-formation phase. Closed-loop foreground readers never pile up in
 	// the submission queue — each has one command in flight and the
 	// dispatchers drain it immediately — so sustained compute pressure is
-	// only visible as busy time.
+	// only visible as busy time. The busy time includes the job's own run
+	// formation, whose batch sorts run on every SoC core but one: the same
+	// core time over a shorter window, so it reads higher than one core's.
 	SoCUtil float64
 	// HostQueue is the host CPU run-queue length the assist loop reported
 	// on its latest merge poll.

@@ -378,7 +378,11 @@ func (e *Engine) writableKeyspace(p *sim.Proc, name string) (*Keyspace, error) {
 			return nil, err
 		}
 	case StateWritable:
-		// ready
+		// A compaction that failed, or that a restart rolled back, sealed the
+		// logs: nothing more can be appended to them, only compacted.
+		if ks.klog.Sealed() {
+			return nil, fmt.Errorf("%w: %s is %s with its logs sealed by a compaction that did not finish; compact it first", ErrKeyspaceState, name, ks.state)
+		}
 	default:
 		return nil, fmt.Errorf("%w: %s is %s", ErrKeyspaceState, name, ks.state)
 	}

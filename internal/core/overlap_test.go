@@ -114,8 +114,9 @@ func TestStagedAppendFaultReleasesZones(t *testing.T) {
 
 // TestCompactAfterFailedCompaction: a compaction that fails — a declared
 // index whose byte range runs past the values — rolls its keyspace back to
-// WRITABLE. WaitCompacted still reports that failure, and a plain Compact
-// then compacts the keyspace, whose gets return the values put.
+// WRITABLE. WaitCompacted still reports that failure; a put is refused, for
+// the failed job sealed the logs; and a plain Compact then compacts the
+// keyspace, whose gets return the values put.
 func TestCompactAfterFailedCompaction(t *testing.T) {
 	fx := newEngineFixture(smallEngineConfig())
 	fx.run(t, func(p *sim.Proc) {
@@ -135,6 +136,9 @@ func TestCompactAfterFailedCompaction(t *testing.T) {
 		}
 		if err := fx.eng.WaitCompacted(p, "ks"); err != failed {
 			t.Fatalf("WaitCompacted after the failure: %v, want %v", err, failed)
+		}
+		if err := fx.eng.Put(p, "ks", tkey(n), tvalue(n, 0)); !errors.Is(err, ErrKeyspaceState) {
+			t.Fatalf("put after the failed compaction: %v, want %v", err, ErrKeyspaceState)
 		}
 		compactAndWait(t, p, fx, "ks")
 		for _, i := range []int{0, 1, n / 2, n - 1} {

@@ -250,6 +250,37 @@ func TestMakeRunsAllocs(t *testing.T) {
 	}
 }
 
+// TestRunFormationSharesAllocs: a batch sort split over three SoC cores
+// allocates per batch — the helper procs of its shares — never per record: a
+// spilled sort of many batches costs at most a few dozen allocations per
+// batch more on a 4-core SoC than on a 1-core one.
+func TestRunFormationSharesAllocs(t *testing.T) {
+	recs := benchKlogEntries(8192)
+	allocs := func(cores int) (got float64, batches int) {
+		fx := newSortFixture(16 << 10).onCores(cores)
+		fx.run(t, func(p *sim.Proc) {
+			s := NewSorter(fx.zm, fx.soc, fx.cfg, klogCodec{}, klogKey, compareKlog)
+			got = testing.AllocsPerRun(1, func() {
+				runs, err := s.makeRuns(p, &sliceSource[klogEntry]{recs: recs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				batches = len(runs)
+				if err := releaseAll(p, runs); err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
+		return got, batches
+	}
+	one, batches := allocs(1)
+	four, _ := allocs(4)
+	t.Logf("%d batches: %v allocations on 4 cores, %v on 1", batches, four, one)
+	if batches < 10 || (four-one)/float64(batches) > 32 {
+		t.Fatalf("%d batches allocated %v times on 4 cores, %v on 1", batches, four, one)
+	}
+}
+
 // TestStreamAllocs: a sort that fits one batch streams a KLOG's frames to
 // emit allocating per frame read, arena chunk and growth of the batch slice —
 // never per record.

@@ -187,6 +187,9 @@ type Sorter[T any] struct {
 	// the engine's run-formation phase of the record type and its merge phase
 	// (newEngineSorter); NewSorter points both at the SoC's empty account.
 	runCPU, mergeCPU host.Meter
+	// shares is a batch sort's charge per core (sortBatch), one for each SoC
+	// core but one — at least one — so a batch sort leaves a core free.
+	shares []int64
 	// written counts bytes this sorter appended to its scratch clusters, runs
 	// and merges (compaction progress accounting).
 	written uint64
@@ -219,7 +222,8 @@ type Sorter[T any] struct {
 // rule; records it calls equal keep their input order.
 func NewSorter[T any](zm *ZoneManager, soc *host.Host, cfg Config, codec Codec[T], key func(T) []byte, cmp func(a, b T) int) *Sorter[T] {
 	cpu := soc.Account("")
-	return &Sorter[T]{zm: zm, runCPU: cpu, mergeCPU: cpu, cfg: cfg, codec: codec, key: key, cmp: cmp}
+	return &Sorter[T]{zm: zm, runCPU: cpu, mergeCPU: cpu, shares: make([]int64, max(1, soc.Config().Cores-1)),
+		cfg: cfg, codec: codec, key: key, cmp: cmp}
 }
 
 // newEngineSorter is NewSorter for the engine's own jobs: run formation
@@ -468,16 +472,17 @@ func (s *Sorter[T]) feed(p *sim.Proc, src recordSource[T]) error {
 	return nil
 }
 
-// flushRun orders the batch by sortBatch, charged what it reports, writes it
-// to a new scratch run, and empties it for the next records. The batch, its
-// scratch and the arena keep their capacity for every flush of the sort. The
-// run lands while the next batch is fed and sorted; the next flush finishes it.
+// flushRun orders the batch by sortBatch, charged the shares it reports on as
+// many cores, writes it to a new scratch run, and empties it for the next
+// records. The batch, its scratch and the arena keep their capacity for every
+// flush of the sort. The run lands while the next batch is fed and sorted;
+// the next flush finishes it.
 func (s *Sorter[T]) flushRun(p *sim.Proc) error {
 	batch := s.batch.recs
 	if len(batch) == 0 {
 		return nil
 	}
-	s.runCPU.Compares(p, s.sortBatch())
+	s.runCPU.ComparesSplit(p, s.sortBatch())
 	if err := s.out.finish(p); err != nil { // the run before this one
 		return err
 	}
@@ -498,7 +503,7 @@ func (s *Sorter[T]) flushRun(p *sim.Proc) error {
 // emitBatch orders the batch as flushRun does, with the same charge, and
 // hands its records to emit straight from SoC DRAM.
 func (s *Sorter[T]) emitBatch(p *sim.Proc, emit func(p *sim.Proc, rec T) error) error {
-	s.runCPU.Compares(p, s.sortBatch())
+	s.runCPU.ComparesSplit(p, s.sortBatch())
 	for _, rec := range s.batch.recs {
 		if err := emit(p, rec); err != nil {
 			return err
@@ -533,14 +538,17 @@ func (s *Sorter[T]) drop(p *sim.Proc) {
 	s.batch, s.arena, s.formed = sortBuf[T]{}, batchArena{}, nil
 }
 
-// sortBatch orders the batch and returns the compares it is charged as:
-// msdSort's count, or with a radix key one per record per digit pass. In
+// sortBatch orders the batch and returns the compares it is charged as, in
+// per-core shares: msdSort's, or with a radix key one per record per digit
+// pass, each pass cut into contiguous slices as msdSort cuts its passes. In
 // race-detector builds a radix-sorted batch is checked, uncharged, to be in
 // cmp order: with a stable sort that holds exactly when the source kept its
 // side of the radix contract.
-func (s *Sorter[T]) sortBatch() int64 {
+func (s *Sorter[T]) sortBatch() []int64 {
+	clear(s.shares)
 	if s.radix == nil {
-		return s.batch.msd(s.key, s.cmp)
+		s.batch.msd(s.key, s.cmp, s.shares)
+		return s.shares
 	}
 	passes := s.batch.radix(s.radix)
 	if raceEnabled {
@@ -551,7 +559,10 @@ func (s *Sorter[T]) sortBatch() int64 {
 			}
 		}
 	}
-	return int64(len(s.batch.recs) * passes)
+	for range passes {
+		spread(s.shares, len(s.batch.recs))
+	}
+	return s.shares
 }
 
 // mergeRuns merges runs into a new sealed scratch cluster through the

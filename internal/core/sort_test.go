@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -42,6 +43,14 @@ func newSortFixture(budget int) *sortFixture {
 		st:  st,
 		cfg: cfg,
 	}
+}
+
+// onCores gives the fixture a SoC of the default kind with the given cores.
+func (fx *sortFixture) onCores(cores int) *sortFixture {
+	cfg := host.DefaultSoCConfig()
+	cfg.Cores = cores
+	fx.soc = host.New(fx.env, cfg)
+	return fx
 }
 
 func (fx *sortFixture) run(t *testing.T, fn func(p *sim.Proc)) {
@@ -345,6 +354,43 @@ func checkSingleBatch[T any](t *testing.T, codec Codec[T], key func(T) []byte, c
 			}
 		}
 	})
+}
+
+// TestRunFormationSpreadsOverCores: a spilled sort on an otherwise idle
+// 4-core SoC sorts each run-formation batch on three cores, never the fourth,
+// writes exactly the runs it writes on a 1-core SoC, and forms them sooner.
+func TestRunFormationSpreadsOverCores(t *testing.T) {
+	recs := benchKlogEntries(8192)
+	form := func(cores int) (runs [][]byte, took sim.Time, maxInUse int) {
+		fx := newSortFixture(64 << 10).onCores(cores)
+		fx.run(t, func(p *sim.Proc) {
+			s := NewSorter(fx.zm, fx.soc, fx.cfg, klogCodec{}, klogKey, compareKlog)
+			start := p.Now()
+			cs, err := s.makeRuns(p, &sliceSource[klogEntry]{recs: recs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			took = p.Now() - start
+			for _, c := range cs {
+				runs = append(runs, readCluster(t, p, c))
+			}
+		})
+		return runs, took, fx.soc.CPU().MaxInUse()
+	}
+	one, oneTook, _ := form(1)
+	four, fourTook, fourMax := form(4)
+	if len(one) < 2 {
+		t.Fatalf("%d runs, want a spilled sort", len(one))
+	}
+	if fourMax != 3 {
+		t.Errorf("run formation held at most %d of 4 cores, want 3", fourMax)
+	}
+	if !reflect.DeepEqual(four, one) {
+		t.Errorf("the runs formed on 4 cores differ from those formed on 1")
+	}
+	if fourTook >= oneTook {
+		t.Errorf("run formation took %v on 4 cores, %v on 1", fourTook, oneTook)
+	}
 }
 
 // TestStreamOverBudgetWritesAsBefore: a sort over one batch still cuts runs

@@ -145,29 +145,38 @@ func radixSort[T any](data, scratch []T, key func(T) uint64) (passes int) {
 // sortBlock records, and groups whose keys are all equal, go to stableSort,
 // where cmp settles the ties.
 //
-// It returns the key comparisons the work is charged as: n per pass over a
-// group of n — the prefix pass, and a count pass together with the
-// distribution that follows it — and m·⌊log2 m⌋ for a group of m handed to
-// stableSort. With more than sortBlock records, scratch must be at least as
-// long as data; its contents are overwritten.
-func msdSort[T any](data, scratch []T, depth int, key func(T) []byte, cmp func(a, b T) int) (compares int64) {
+// The key comparisons the work is charged as are added to shares, one per
+// core, in the form the sort takes on len(shares) cores. The charge is n per
+// pass over a group of n — the prefix pass, and a count pass together with
+// the distribution that follows it — and m·⌊log2 m⌋ for a group of m handed
+// to stableSort. Every pass over the group is cut into len(shares) contiguous
+// slices (spread); each independent piece of work below it — a bucket, or the
+// whole group when it goes to stableSort — stays on one core and is dealt
+// whole, in bucket order, to the smallest share. The shares grow by the same
+// count however many there are, so a single share takes the sequential
+// sort's whole charge. With more than sortBlock records, scratch must be at
+// least as long as data; its contents are overwritten.
+func msdSort[T any](data, scratch []T, depth int, key func(T) []byte, cmp func(a, b T) int, shares []int64) {
 	n := len(data)
 	if n <= sortBlock {
 		stableSort(data, scratch, cmp)
-		return sortCompares(n)
+		deal(shares, sortCompares(n))
+		return
 	}
 	// next[b] counts bucket b's records; distribute turns it into where each
 	// bucket ends.
 	var next [257]int
 	if depth > 0 {
-		compares = int64(n)
+		spread(shares, n)
 		countBuckets(data, depth, key, &next)
 		switch b := msdBucket(key(data[0]), depth); {
 		case next[b] < n:
-			return compares + distribute(data, scratch, depth, &next, key, cmp)
+			distribute(data, scratch, depth, &next, key, cmp, shares)
+			return
 		case b == 0: // every key ends at depth: all equal
 			stableSort(data, scratch, cmp)
-			return compares + sortCompares(n)
+			deal(shares, sortCompares(n))
+			return
 		}
 		next = [257]int{}
 	}
@@ -178,14 +187,43 @@ func msdSort[T any](data, scratch []T, depth int, key func(T) []byte, cmp func(a
 		sameLen = sameLen && len(k) == len(first)
 		shared = commonPrefix(first[:shared], k)
 	}
-	compares += int64(n)
+	spread(shares, n)
 	if sameLen && shared == len(first) {
 		stableSort(data, scratch, cmp)
-		return compares + sortCompares(n)
+		deal(shares, sortCompares(n))
+		return
 	}
 	d := depth + shared
 	countBuckets(data, d, key, &next)
-	return compares + int64(n) + distribute(data, scratch, d, &next, key, cmp)
+	spread(shares, n)
+	distribute(data, scratch, d, &next, key, cmp, shares)
+}
+
+// spread adds one pass over n records to shares, cut into len(shares)
+// contiguous slices, the first n mod len(shares) of them one record longer.
+func spread(shares []int64, n int) {
+	q, r := n/len(shares), n%len(shares)
+	for i := range shares {
+		shares[i] += int64(q)
+		if i < r {
+			shares[i]++
+		}
+	}
+}
+
+// deal adds c, the charge of work that stays on one core, to the smallest
+// share.
+func deal(shares []int64, c int64) { shares[least(shares)] += c }
+
+// least is the index of the smallest of shares, the first of equal ones.
+func least(shares []int64) int {
+	i := 0
+	for j, v := range shares {
+		if v < shares[i] {
+			i = j
+		}
+	}
+	return i
 }
 
 // countBuckets adds each record to its msdBucket count at byte d.
@@ -196,9 +234,9 @@ func countBuckets[T any](data []T, d int, key func(T) []byte, count *[257]int) {
 }
 
 // distribute moves data stably into its buckets at byte d, whose sizes next
-// holds, through scratch, then sorts each bucket and returns what sorting the
-// buckets is charged as. Afterwards next[b] is where bucket b ends.
-func distribute[T any](data, scratch []T, d int, next *[257]int, key func(T) []byte, cmp func(a, b T) int) (compares int64) {
+// holds, through scratch, then sorts each bucket, its charge dealt to
+// shares. Afterwards next[b] is where bucket b ends.
+func distribute[T any](data, scratch []T, d int, next *[257]int, key func(T) []byte, cmp func(a, b T) int, shares []int64) {
 	n := len(data)
 	at := 0
 	for b, c := range next {
@@ -217,13 +255,14 @@ func distribute[T any](data, scratch []T, d int, next *[257]int, key func(T) []b
 		case hi == lo:
 		case b == 0:
 			stableSort(data[lo:hi], scratch[lo:hi], cmp)
-			compares += sortCompares(hi - lo)
+			deal(shares, sortCompares(hi-lo))
 		default:
-			compares += msdSort(data[lo:hi], scratch[lo:hi], d+1, key, cmp)
+			// The bucket's work stays on the smallest share's core.
+			i := least(shares)
+			msdSort(data[lo:hi], scratch[lo:hi], d+1, key, cmp, shares[i:i+1])
 		}
 		lo = hi
 	}
-	return compares
 }
 
 // msdBucket is key's bucket at byte d: 0 when the key ends there, else the
@@ -262,12 +301,12 @@ type sortBuf[T any] struct {
 }
 
 // msd stably orders b.recs by key bytes, then cmp, with msdSort over the
-// batch's scratch and returns the key comparisons it is charged as.
-func (b *sortBuf[T]) msd(key func(T) []byte, cmp func(a, b T) int) int64 {
+// batch's scratch, its charge added to shares.
+func (b *sortBuf[T]) msd(key func(T) []byte, cmp func(a, b T) int, shares []int64) {
 	if n := len(b.recs); n > sortBlock {
 		b.growScratch(n)
 	}
-	return msdSort(b.recs, b.scratch, 0, key, cmp)
+	msdSort(b.recs, b.scratch, 0, key, cmp, shares)
 }
 
 // radix stably orders b.recs by key with radixSort over the same scratch and

@@ -9,6 +9,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -69,7 +70,7 @@ func checkMsdSort[T any](t *testing.T, recs []T, key func(T) []byte, cmp func(a,
 	want := append([]T(nil), recs...)
 	stableSort(want, make([]T, len(want)), cmp)
 	got := append([]T(nil), recs...)
-	compares := msdSort(got, make([]T, len(got)), 0, key, cmp)
+	compares := msdCompares(got, key, cmp)
 	if !reflect.DeepEqual(got, want) {
 		for i := range got {
 			if !reflect.DeepEqual(got[i], want[i]) {
@@ -84,6 +85,30 @@ func checkMsdSort[T any](t *testing.T, recs []T, key func(T) []byte, cmp func(a,
 	if wantCompares := refMsdCompares(keys, 0); compares != wantCompares {
 		t.Fatalf("%T: %d records charged %d compares, want %d", got, len(got), compares, wantCompares)
 	}
+	// Split over more cores, the shares sum to the same charge
+	// (TestSortSharesMatchSequential checks the order).
+	for cores := 2; cores <= 4; cores++ {
+		shares := make([]int64, cores)
+		msdSort(append([]T(nil), recs...), make([]T, len(recs)), 0, key, cmp, shares)
+		if sum := sumShares(shares); sum != compares {
+			t.Fatalf("%T: %d records on %d cores charged %v, sum %d, want %d", got, len(got), cores, shares, sum, compares)
+		}
+	}
+}
+
+func sumShares(shares []int64) (sum int64) {
+	for _, v := range shares {
+		sum += v
+	}
+	return sum
+}
+
+// msdCompares runs msdSort over data on one core and returns its whole
+// charge.
+func msdCompares[T any](data []T, key func(T) []byte, cmp func(a, b T) int) int64 {
+	var total [1]int64
+	msdSort(data, make([]T, len(data)), 0, key, cmp, total[:])
+	return total[0]
 }
 
 // refMsdCompares is msdSort's charge rule worked out over keys already in
@@ -227,7 +252,7 @@ func checkAllRecordTypes(t *testing.T, keys []byte) {
 func checkSidxRadix(t *testing.T, recs []sidxEntry, w int) {
 	t.Helper()
 	want := append([]sidxEntry(nil), recs...)
-	msdSort(want, make([]sidxEntry, len(want)), 0, sidxKey, compareSidx)
+	msdCompares(want, sidxKey, compareSidx)
 	got := sortBuf[sidxEntry]{recs: append([]sidxEntry(nil), recs...)}
 	got.radix(sidxRadixKey(w))
 	for i := range want {
@@ -273,6 +298,64 @@ func FuzzStableSort(f *testing.F) {
 	})
 }
 
+// TestSortSharesMatchSequential: a batch sorted on 1–4 cores comes out in the
+// order the sequential sort gives, its shares sum to the sequential charge,
+// and the largest is at least an even split's — for random keys, keys nearly
+// all in one MSD bucket, all-equal keys (one stableSort, which stays on one
+// core) and narrow SIDX keys sorted by radix.
+func TestSortSharesMatchSequential(t *testing.T) {
+	const n = 6000
+	rng := rand.New(rand.NewSource(45))
+	random := make([]klogEntry, n)
+	dominant := make([]klogEntry, n)
+	equal := make([]klogEntry, n)
+	for i := range random {
+		random[i] = klogEntry{key: binary.BigEndian.AppendUint64(nil, rng.Uint64()), vlen: uint32(i)}
+		k := binary.BigEndian.AppendUint32([]byte{'a'}, rng.Uint32())
+		if i%10 == 0 {
+			k[0] = byte(rng.Intn(256))
+		}
+		dominant[i] = klogEntry{key: k, vlen: uint32(i)}
+		equal[i] = klogEntry{key: []byte("same"), vlogOff: uint64(i % 3), vlen: uint32(i)}
+	}
+	radix := benchSidxEntries(n)
+	for cores := 1; cores <= 4; cores++ {
+		checkShares(t, "random", cores, random, klogKey, compareKlog, nil)
+		checkShares(t, "dominant", cores, dominant, klogKey, compareKlog, nil)
+		shares := checkShares(t, "equal", cores, equal, klogKey, compareKlog, nil)
+		// The prefix pass is split; the stableSort after it is not.
+		if top, want := slices.Max(shares), int64((n+cores-1)/cores)+sortCompares(n); top != want {
+			t.Errorf("equal keys on %d cores: largest share %d, want a pass slice and the whole stableSort, %d", cores, top, want)
+		}
+		checkShares(t, "radix", cores, radix, sidxKey, compareSidx, sidxRadixKey(4))
+	}
+}
+
+// checkShares sorts recs as one run-formation batch with cores shares and
+// with one, requires the same order, the same charge in all and a largest
+// share of at least an even split's, and returns the shares.
+func checkShares[T any](t *testing.T, kind string, cores int, recs []T, key func(T) []byte, cmp func(a, b T) int, radix func(T) uint64) []int64 {
+	t.Helper()
+	sortOn := func(cores int) ([]T, []int64) {
+		s := &Sorter[T]{key: key, cmp: cmp, radix: radix, shares: make([]int64, cores)}
+		s.batch.recs = append([]T(nil), recs...)
+		return s.batch.recs, s.sortBatch()
+	}
+	want, seq := sortOn(1)
+	got, shares := sortOn(cores)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s keys on %d cores sort out of the sequential order", kind, cores)
+	}
+	total := seq[0]
+	if sum := sumShares(shares); sum != total {
+		t.Fatalf("%s keys on %d cores: shares %v sum to %d, want the sequential %d", kind, cores, shares, sum, total)
+	}
+	if top, even := slices.Max(shares), (total+int64(cores)-1)/int64(cores); top < even {
+		t.Fatalf("%s keys on %d cores: largest share %d below an even split's %d", kind, cores, top, even)
+	}
+	return shares
+}
+
 // TestMsdSortNoAllocs: once a sort job's buffers have grown to its batch
 // size, run formation's sort allocates nothing; its bucket counts live on the
 // stack.
@@ -280,10 +363,11 @@ func TestMsdSortNoAllocs(t *testing.T) {
 	master := benchKlogEntries(4096)
 	var b sortBuf[klogEntry]
 	b.recs = append(b.recs, master...)
-	b.msd(klogKey, compareKlog) // warm-up: sizes the scratch
+	shares := make([]int64, 3)
+	b.msd(klogKey, compareKlog, shares) // warm-up: sizes the scratch
 	if n := testing.AllocsPerRun(10, func() {
 		copy(b.recs, master)
-		b.msd(klogKey, compareKlog)
+		b.msd(klogKey, compareKlog, shares)
 	}); n != 0 {
 		t.Fatalf("sortBuf.msd allocated %v times per run after warm-up", n)
 	}
@@ -348,7 +432,7 @@ func TestMsdSortOneBucketFallback(t *testing.T) {
 	want := append([]klogEntry(nil), recs...)
 	stableSort(want, make([]klogEntry, len(want)), compareKlog)
 	got := append([]klogEntry(nil), recs...)
-	compares := msdSort(got, make([]klogEntry, len(got)), 0, klogKey, compareKlog)
+	compares := msdCompares(got, klogKey, compareKlog)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("msdSort order differs from stableSort")
 	}

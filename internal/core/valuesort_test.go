@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -262,7 +263,9 @@ const multiBucketMediaBytes = 506973
 // budget and spread over many buckets — and the recovered engine has the
 // keyspace COMPACTED, reads back every pair, and finds no zone left to sweep
 // and no ZoneTemp zone owned. A cut during a held value pass loses that pass
-// with its DRAM: recovery gives back the logs with every synced pair.
+// with its DRAM: recovery gives back the logs with every synced pair, sealed
+// when a metadata write recorded them so — then a put is refused until the
+// keyspace is compacted.
 func TestCompactedDurableWhenReported(t *testing.T) {
 	const n, vsize = 3000, 4
 	// recoverAfterCut cuts power (a no-op if it is off already), restarts and
@@ -327,6 +330,14 @@ func TestCompactedDurableWhenReported(t *testing.T) {
 			if err := fx.eng.Compact(p, "ks"); err != nil {
 				t.Fatal(err)
 			}
+			// Another keyspace's metadata write records the logs as the job
+			// sealed them.
+			for !ks.klog.Sealed() {
+				p.Sleep(time.Microsecond)
+			}
+			if err := fx.eng.CreateKeyspace(p, "other"); err != nil {
+				t.Fatal(err)
+			}
 			for ks.progress.Stage != compaction.StageValues {
 				p.Sleep(time.Microsecond)
 			}
@@ -349,6 +360,10 @@ func TestCompactedDurableWhenReported(t *testing.T) {
 			}
 			if rks.state != StateWritable || rks.klog == nil || rks.vlog == nil {
 				t.Fatalf("recovered keyspace is %s (logs %v, %v), want WRITABLE with its logs", rks.state, rks.klog != nil, rks.vlog != nil)
+			}
+			// The cut job sealed the logs: a put is refused, a compaction not.
+			if err := next.Put(p, "ks", []byte("late"), []byte("v")); !errors.Is(err, ErrKeyspaceState) {
+				t.Fatalf("put into the recovered keyspace: %v, want %v", err, ErrKeyspaceState)
 			}
 			if err := next.Compact(p, "ks"); err != nil {
 				t.Fatal(err)

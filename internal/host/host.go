@@ -155,7 +155,16 @@ func (m Meter) Compute(p *sim.Proc, d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	d = time.Duration(float64(d) / m.h.cfg.Speed)
+	m.use(p, m.scale(d))
+}
+
+// scale is what d of host-class work takes on one of these cores.
+func (m Meter) scale(d time.Duration) time.Duration {
+	return time.Duration(float64(d) / m.h.cfg.Speed)
+}
+
+// use occupies one core for d, already scaled, and counts it.
+func (m Meter) use(p *sim.Proc, d time.Duration) {
 	m.h.busy.Add(int64(d))
 	if m.ns != nil {
 		m.ns.Add(int64(d))
@@ -176,6 +185,36 @@ func (m Meter) KVOp(p *sim.Proc, n int64) {
 // Compares charges n key comparisons (sort/merge work).
 func (m Meter) Compares(p *sim.Proc, n int64) {
 	m.Compute(p, time.Duration(n)*m.h.cfg.CompareCost)
+}
+
+// ComparesSplit charges one data-parallel step's key comparisons, split into
+// per-core shares: shares[0] on p and every other share on a helper proc of
+// its own, started together and joined before it returns, so the step takes
+// the largest share's time on len(shares) cores. Share i is priced at the
+// cost of the running total through it less the cost through share i−1: the
+// shares cost exactly what Compares charges their sum.
+func (m Meter) ComparesSplit(p *sim.Proc, shares []int64) {
+	var (
+		helpers     []*sim.Proc
+		own, priced time.Duration
+		total       int64
+	)
+	for i, n := range shares {
+		total += n
+		next := m.scale(time.Duration(total) * m.h.cfg.CompareCost)
+		d := next - priced
+		priced = next
+		switch {
+		case i == 0:
+			own = d
+		case d > 0:
+			helpers = append(helpers, p.Env().Go(m.h.cfg.Name+"-share", func(hp *sim.Proc) { m.use(hp, d) }))
+		}
+	}
+	if own > 0 {
+		m.use(p, own)
+	}
+	p.Join(helpers...)
 }
 
 // BlockOp charges assembling/decoding n blocks.

@@ -55,6 +55,34 @@ func TestZeroComputeFree(t *testing.T) {
 	env.Run()
 }
 
+// TestComparesSplit: shares charged on as many cores cost, to the
+// nanosecond, what their sum costs on one, and take the largest share's time
+// when the cores are free. The SoC's speed makes every share's cost
+// fractional, so shares priced one by one would not sum exactly.
+func TestComparesSplit(t *testing.T) {
+	env := sim.NewEnv()
+	h := New(env, DefaultSoCConfig())
+	shares := []int64{1001, 999, 1000}
+	var took sim.Time
+	env.Go("job", func(p *sim.Proc) {
+		h.Account("").ComparesSplit(p, shares)
+		took = p.Now()
+	})
+	env.Run()
+	cost := func(n int64) time.Duration {
+		return time.Duration(float64(time.Duration(n)*h.Config().CompareCost) / h.Config().Speed)
+	}
+	if busy, want := h.CPU().BusyTime(), cost(3000); busy != want {
+		t.Errorf("busy %v, want the sum's %v", busy, want)
+	}
+	if want := sim.Time(cost(1001)); took != want {
+		t.Errorf("took %v, want the largest share's %v", took, want)
+	}
+	if got := h.CPU().MaxInUse(); got != len(shares) {
+		t.Errorf("%d cores held at once, want %d", got, len(shares))
+	}
+}
+
 func TestChargeHelpers(t *testing.T) {
 	env := sim.NewEnv()
 	cfg := Config{Name: "t", Cores: 1, Speed: 1,
