@@ -431,3 +431,25 @@ func BenchmarkCompactSpilled(b *testing.B) {
 	}
 	b.ReportMetric(float64(virt)/1e6/float64(b.N), "virt_ms/op")
 }
+
+// BenchmarkBuildIndexSpilled: one separate build of energySpec("e") on a
+// compacted keyspace of spilledPairs pairs, its sort spilled, at the default
+// pipeline width. ns/op is the wall cost of the build, ingest and compaction
+// excluded; virt_ms/op its virtual time.
+func BenchmarkBuildIndexSpilled(b *testing.B) {
+	b.ReportAllocs()
+	var virt time.Duration
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fx := newEngineFixture(smallEngineConfig())
+		fx.env.Go("bench", func(p *sim.Proc) {
+			ingestSpilled(b, p, fx)
+			compactAndWait(b, p, fx, "ks")
+			b.StartTimer()
+			virt += buildSpilled(b, p, fx)
+			b.StopTimer()
+		})
+		fx.env.Run()
+	}
+	b.ReportMetric(float64(virt)/1e6/float64(b.N), "virt_ms/op")
+}

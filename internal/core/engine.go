@@ -107,7 +107,8 @@ func (e *Engine) DRAMGauge() *sim.Gauge { return e.dram }
 // SetObs attaches observability: background jobs become root "job" spans and
 // the engine publishes its DRAM and background-job gauges, the SoC's busy
 // core time and its ledger (engine/soc_ns/<phase>, which sum to
-// engine/soc_busy_ns), the metadata log's frame and byte counts, its
+// engine/soc_busy_ns, each beside the time its charges waited for a core,
+// engine/soc_wait_ns/<phase>), the metadata log's frame and byte counts, its
 // index-cache hit/miss counters (record hits among the hits), the counts of
 // blocks builds admitted into the cache and of builds that joined a
 // compaction, and a gauge of the records the cache holds into reg. Either
@@ -121,6 +122,7 @@ func (e *Engine) SetObs(tr *obs.Tracer, reg *obs.Registry) {
 	reg.AddCounter("engine/soc_busy_ns", e.soc.BusyNs())
 	for ph, m := range e.cpu {
 		reg.AddCounter("engine/soc_ns/"+socPhaseNames[ph], m.Ns())
+		reg.AddCounter("engine/soc_wait_ns/"+socPhaseNames[ph], m.WaitNs())
 	}
 	reg.AddCounter("engine/meta_frames", &e.mgr.metaFrames)
 	reg.AddCounter("engine/meta_bytes", &e.mgr.metaBytes)

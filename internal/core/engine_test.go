@@ -26,13 +26,18 @@ type engineFixture struct {
 }
 
 func newEngineFixture(cfg Config) *engineFixture {
+	return newEngineFixtureOn(cfg, host.DefaultSoCConfig())
+}
+
+// newEngineFixtureOn is newEngineFixture on a SoC configured by socCfg.
+func newEngineFixtureOn(cfg Config, socCfg host.Config) *engineFixture {
 	env := sim.NewEnv()
 	st := stats.NewIOStats()
 	scfg := ssd.DefaultConfig()
 	scfg.ZoneSize = 256 << 10
 	scfg.NumZones = 1024
 	dev := ssd.New(env, scfg, st)
-	soc := host.New(env, host.DefaultSoCConfig())
+	soc := host.New(env, socCfg)
 	eng := NewEngine(env, dev, soc, cfg, sim.NewRNG(11), st)
 	return &engineFixture{env: env, dev: dev, soc: soc, st: st, eng: eng}
 }

@@ -29,7 +29,7 @@ func MergeEncodedKlogRuns(p *sim.Proc, h *host.Host, runs [][]byte) ([]byte, err
 	out := make([]byte, 0, total)
 	err := mergeSorted(p, len(live), func(i int) recordSource[klogEntry] {
 		return &memSource[klogEntry]{codec: codec, buf: live[i]}
-	}, compareKlog, h.Account(""), func(_ *sim.Proc, rec klogEntry) error {
+	}, compareKlog, h.Account(""), make([]int64, 1), func(_ *sim.Proc, rec klogEntry) error {
 		out = codec.Encode(out, rec)
 		return nil
 	})

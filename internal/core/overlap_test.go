@@ -39,6 +39,20 @@ func compactSpilled(t testing.TB, p *sim.Proc, fx *engineFixture, width int) tim
 	return time.Duration(p.Now() - t0)
 }
 
+// buildSpilled builds energySpec("e") on the compacted keyspace ks by a
+// separate read-back, its sort spilled at smallEngineConfig's budget, and
+// returns the virtual time from BuildSecondaryIndex until the index is built.
+func buildSpilled(t testing.TB, p *sim.Proc, fx *engineFixture) time.Duration {
+	t0 := p.Now()
+	if err := fx.eng.BuildSecondaryIndex(p, "ks", energySpec("e")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fx.eng.WaitIndexBuilt(p, "ks", "e"); err != nil {
+		t.Fatal(err)
+	}
+	return time.Duration(p.Now() - t0)
+}
+
 // TestCompactionOverlapsIO: a spilled, indexed keyspace compacted with every
 // stream staged (width 4) writes PIDX, SORTED_VALUES and SIDX byte for byte
 // as the sequential path (width 1) does, and is queryable in at most 0.85 of

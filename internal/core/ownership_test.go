@@ -348,6 +348,45 @@ func TestMergeSortedAllocs(t *testing.T) {
 	})
 }
 
+// TestSplitMergeAllocs: a merge whose slices are charged over three SoC cores
+// allocates per 4096-record slice — the helper procs of its shares — never
+// per record: the 16-way merge of TestMergeSortedAllocs costs at most a few
+// dozen allocations per slice more on a 4-core SoC than on a 1-core one.
+func TestSplitMergeAllocs(t *testing.T) {
+	all := benchKlogEntries(benchSortRecords)
+	allocs := func(cores int) (got float64) {
+		fx := newSortFixture(64 << 20).onCores(cores)
+		fx.run(t, func(p *sim.Proc) {
+			s := NewSorter[klogEntry](fx.zm, fx.soc, fx.cfg, klogCodec{}, klogKey, compareKlog)
+			s.splitMerges = true
+			runs := make([]*Cluster, 16)
+			for i := range runs {
+				r, err := s.makeRuns(p, &sliceSource[klogEntry]{recs: all[i*len(all)/16 : (i+1)*len(all)/16]})
+				if err != nil {
+					t.Fatal(err)
+				}
+				runs[i] = r[0]
+			}
+			got = testing.AllocsPerRun(3, func() {
+				out, err := mergeKeep(p, s, runs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := out.Release(p); err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
+		return got
+	}
+	one, four := allocs(1), allocs(4)
+	slices := float64(len(all) / 4096)
+	t.Logf("%v slices: %v allocations on 4 cores, %v on 1", slices, four, one)
+	if (four-one)/slices > 32 {
+		t.Fatalf("%v slices allocated %v times on 4 cores, %v on 1", slices, four, one)
+	}
+}
+
 // mergeKeep is mergeRuns without the release: it merges runs into a new
 // sealed cluster through the sorter's writer and leaves them in place, so a
 // test or benchmark can merge the same runs again.

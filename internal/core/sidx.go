@@ -61,10 +61,13 @@ func sidxKey(e sidxEntry) []byte { return e.skey }
 // walks SORTED_VALUES — and every secondary key is exactly spec.Length bytes,
 // so for keys of at most 4 bytes a stable radix sort on the key alone gives
 // compareSidx order. Wider keys stay on msdSort: eight digit passes can cost
-// more than it does.
+// more than it does. Only the radix-keyed sorter merges on as many cores as
+// it sorts on: with the msd-keyed merges split too, a consolidated build with
+// a spilled 7-byte index finished after the separate builds.
 func (e *Engine) newSidxSorter(ks *Keyspace, spec nvme.SecondaryIndexSpec) *Sorter[sidxEntry] {
 	s := newEngineSorter[sidxEntry](e, phaseRunSidx, sidxCodec{}, sidxKey, compareSidx)
 	s.radix = sidxRadixKey(spec.Length)
+	s.splitMerges = s.radix != nil
 	s.pipe = e.pipeline(ks)
 	return s
 }

@@ -14,14 +14,15 @@ import (
 )
 
 // checkLedgerSums requires the published phase counters to sum to
-// engine/soc_busy_ns exactly and every phase in want to have been charged.
+// engine/soc_busy_ns exactly, each phase's wait counter to be published
+// beside it, and every phase in want to have been charged.
 func checkLedgerSums(t *testing.T, fx *engineFixture, reg *obs.Registry, want ...socPhase) {
 	t.Helper()
 	var sum int64
 	for _, name := range socPhaseNames {
 		c := reg.LookupCounter("engine/soc_ns/" + name)
-		if c == nil {
-			t.Fatalf("engine/soc_ns/%s not published", name)
+		if c == nil || reg.LookupCounter("engine/soc_wait_ns/"+name) == nil {
+			t.Fatalf("engine/soc_ns/%s or its wait not published", name)
 		}
 		sum += c.Value()
 	}

@@ -189,7 +189,9 @@ type Sorter[T any] struct {
 	runCPU, mergeCPU host.Meter
 	// shares is a batch sort's charge per core (sortBatch), one for each SoC
 	// core but one — at least one — so a batch sort leaves a core free.
-	shares []int64
+	// splitMerges spreads each merge slice's charge over them too (merge).
+	shares      []int64
+	splitMerges bool
 	// written counts bytes this sorter appended to its scratch clusters, runs
 	// and merges (compaction progress accounting).
 	written uint64
@@ -609,7 +611,11 @@ func (s *Sorter[T]) merge(p *sim.Proc, runs []*Cluster, mem [][]byte, emit func(
 		pfs = append(pfs, sc.pf)
 		return sc
 	}
-	return mergeSorted(p, len(runs)+len(mem), open, s.cmp, s.mergeCPU, emit)
+	shares := s.shares[:1]
+	if s.splitMerges {
+		shares = s.shares
+	}
+	return mergeSorted(p, len(runs)+len(mem), open, s.cmp, s.mergeCPU, shares, emit)
 }
 
 // mergeSorted is the k-way merge loop: it streams the records of k sorted
@@ -619,9 +625,11 @@ func (s *Sorter[T]) merge(p *sim.Proc, runs []*Cluster, mem [][]byte, emit func(
 // starts its read-ahead proc, and the model's event order depends on when.
 // The sources meet in a loser tree: each record out replays one leaf-to-root
 // path of at most ⌈log2 k⌉ matches, and the merge compute is charged to cpu
-// at that many compares per record, in 4096-record slices.
+// at that many compares per record, in 4096-record slices, each spread evenly
+// over len(shares) cores (host.Meter.ComparesSplit): together the shares cost
+// what one core merging the slice would, and take one share's time.
 func mergeSorted[T any](p *sim.Proc, k int, open func(i int) recordSource[T], cmp func(a, b T) int,
-	cpu host.Meter, emit func(p *sim.Proc, rec T) error) error {
+	cpu host.Meter, shares []int64, emit func(p *sim.Proc, rec T) error) error {
 	if k == 0 {
 		return nil
 	}
@@ -636,8 +644,14 @@ func mergeSorted[T any](p *sim.Proc, k int, open func(i int) recordSource[T], cm
 		lf.rec, lf.done = rec, !ok
 	}
 	t.tree[0] = t.play(1)
-	logK := int64(bits.Len(uint(k - 1)))
-	var pending int64 // records merged since last CPU charge
+	logK := bits.Len(uint(k - 1))
+	pending := 0 // records merged since last CPU charge
+	charge := func() {
+		clear(shares)
+		spread(shares, pending*logK)
+		cpu.ComparesSplit(p, shares)
+		pending = 0
+	}
 	for {
 		w := t.tree[0]
 		lf := &t.leaves[w]
@@ -647,10 +661,8 @@ func mergeSorted[T any](p *sim.Proc, k int, open func(i int) recordSource[T], cm
 		if err := emit(p, lf.rec); err != nil {
 			return err
 		}
-		pending++
-		if pending >= 4096 {
-			cpu.Compares(p, pending*logK)
-			pending = 0
+		if pending++; pending >= 4096 {
+			charge()
 		}
 		rec, ok, err := lf.src.next(p)
 		if err != nil {
@@ -660,7 +672,7 @@ func mergeSorted[T any](p *sim.Proc, k int, open func(i int) recordSource[T], cm
 		t.replay(w)
 	}
 	if pending > 0 {
-		cpu.Compares(p, pending*logK)
+		charge()
 	}
 	return nil
 }

@@ -393,6 +393,48 @@ func TestRunFormationSpreadsOverCores(t *testing.T) {
 	}
 }
 
+// TestIndexMergeSpreadsOverCores: a spilled index build on an otherwise idle
+// 4-core SoC merges its runs on three cores, never the fourth, and packs
+// exactly the SIDX it packs on a 1-core SoC with the same merge core time. It
+// finishes sooner by at least half that time: a merge on three cores takes a
+// third of it (run formation alone, already split, saves less than half).
+func TestIndexMergeSpreadsOverCores(t *testing.T) {
+	build := func(cores int) (sidx []byte, mergeNs int64, took time.Duration, maxInUse int) {
+		socCfg := host.DefaultSoCConfig()
+		socCfg.Cores = cores
+		fx := newEngineFixtureOn(smallEngineConfig(), socCfg)
+		fx.run(t, func(p *sim.Proc) {
+			ingestSpilled(t, p, fx)
+			compactAndWait(t, p, fx, "ks")
+			merge := fx.eng.cpu[phaseMerge].Ns()
+			merge0 := merge.Value()
+			took = buildSpilled(t, p, fx)
+			mergeNs = merge.Value() - merge0
+			ks, _ := fx.eng.Keyspace("ks")
+			sidx = readCluster(t, p, ks.secondary["e"].cluster)
+		})
+		return sidx, mergeNs, took, fx.soc.CPU().MaxInUse()
+	}
+	one, oneMerge, oneTook, _ := build(1)
+	four, fourMerge, fourTook, fourMax := build(4)
+	t.Logf("index build: %v on 4 cores, %v on 1; merge core time %d ns", fourTook, oneTook, oneMerge)
+	if oneMerge == 0 {
+		t.Fatal("the index build merged nothing, want a spilled sort")
+	}
+	if !bytes.Equal(four, one) {
+		t.Errorf("the SIDX packed on 4 cores differs from the one packed on 1")
+	}
+	if fourMerge != oneMerge {
+		t.Errorf("merge core time %d ns on 4 cores, %d on 1", fourMerge, oneMerge)
+	}
+	if fourMax > 3 {
+		t.Errorf("held %d of 4 cores at once, want at most 3", fourMax)
+	}
+	if oneTook-fourTook < time.Duration(oneMerge/2) {
+		t.Errorf("the index build took %v on 4 cores, %v on 1: want at least %v sooner", fourTook, oneTook, time.Duration(oneMerge/2))
+	}
+}
+
 // TestStreamOverBudgetWritesAsBefore: a sort over one batch still cuts runs
 // and merges them down to MergeFanin as before, but its final merge streams
 // into emit — every record is written once into its run and once per merge

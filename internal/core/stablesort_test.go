@@ -508,7 +508,9 @@ func (s *sliceSource[T]) next(*sim.Proc) (rec T, ok bool, err error) {
 }
 
 // TestMergeSortedTieBreak: records that compare equal leave the merge in
-// source-index order, whatever order the heap met them in.
+// source-index order, whatever order the heap met them in, and on 1–4 cores
+// alike; the per-core shares cost the sequential charge to the nanosecond and
+// take no longer than it.
 func TestMergeSortedTieBreak(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for _, k := range []int{1, 2, 3, 5, 16, 33} {
@@ -530,22 +532,34 @@ func TestMergeSortedTieBreak(t *testing.T) {
 		// Reference: a stable sort of the runs concatenated in source order.
 		sort.SliceStable(all, func(a, b int) bool { return compareKlog(all[a], all[b]) < 0 })
 
-		env := sim.NewEnv()
-		cpu := host.New(env, host.DefaultSoCConfig())
-		var got []klogEntry
-		env.Go("merge", func(p *sim.Proc) {
-			err := mergeSorted(p, k, func(i int) recordSource[klogEntry] { return &sliceSource[klogEntry]{recs: runs[i]} },
-				compareKlog, cpu.Account(""), func(_ *sim.Proc, rec klogEntry) error {
-					got = append(got, rec)
-					return nil
-				})
-			if err != nil {
-				t.Error(err)
+		var seqBusy, seqTook sim.Duration
+		for cores := 1; cores <= 4; cores++ {
+			env := sim.NewEnv()
+			cpu := host.New(env, host.DefaultSoCConfig())
+			var got []klogEntry
+			var took sim.Time
+			env.Go("merge", func(p *sim.Proc) {
+				err := mergeSorted(p, k, func(i int) recordSource[klogEntry] { return &sliceSource[klogEntry]{recs: runs[i]} },
+					compareKlog, cpu.Account(""), make([]int64, cores), func(_ *sim.Proc, rec klogEntry) error {
+						got = append(got, rec)
+						return nil
+					})
+				if err != nil {
+					t.Error(err)
+				}
+				took = p.Now()
+			})
+			env.Run()
+			if !reflect.DeepEqual(got, all) {
+				t.Fatalf("k=%d on %d cores: merge order differs from the stable reference", k, cores)
 			}
-		})
-		env.Run()
-		if !reflect.DeepEqual(got, all) {
-			t.Fatalf("k=%d: merge order differs from the stable reference", k)
+			busy := cpu.CPU().BusyTime()
+			if cores == 1 {
+				seqBusy, seqTook = busy, sim.Duration(took)
+			}
+			if busy != seqBusy || sim.Duration(took) > seqTook {
+				t.Errorf("k=%d on %d cores: charged %v in %v, sequentially %v in %v", k, cores, busy, sim.Duration(took), seqBusy, seqTook)
+			}
 		}
 	}
 }

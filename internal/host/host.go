@@ -75,8 +75,12 @@ type Host struct {
 	cpu  *sim.Resource
 	busy stats.Counter // ns of core time charged, as cpu.BusyTime, readable off the sim
 
-	accounts map[string]*stats.Counter // named shares of busy, see Account
+	accounts map[string]*account // named shares of busy, see Account
 }
+
+// account is one named share of a host's core time and the time its charges
+// waited for a core.
+type account struct{ ns, wait stats.Counter }
 
 // New creates a host with cfg.Cores cores.
 func New(env *sim.Env, cfg Config) *Host {
@@ -121,7 +125,8 @@ func (h *Host) BlockOp(p *sim.Proc, n int64) { Meter{h: h}.BlockOp(p, n) }
 // Account returns the meter of the named share of this host's core time,
 // creating the share at zero on first use. A meter adds what it charges to its
 // share in the same step as to BusyNs, so when every charge goes through an
-// account the shares sum to BusyNs exactly, at every instant. Shares belong to
+// account the shares sum to BusyNs exactly, at every instant. Beside it the
+// account counts how long its charges waited for a free core. Shares belong to
 // the host, not to whoever charges them: an engine rebuilt after a restart
 // keeps counting into the same ones. The empty name is no share: its meter
 // counts only into BusyNs, as the Host's own methods do.
@@ -130,25 +135,40 @@ func (h *Host) Account(name string) Meter {
 		return Meter{h: h}
 	}
 	if h.accounts == nil {
-		h.accounts = make(map[string]*stats.Counter)
+		h.accounts = make(map[string]*account)
 	}
-	ns, ok := h.accounts[name]
+	a, ok := h.accounts[name]
 	if !ok {
-		ns = new(stats.Counter)
-		h.accounts[name] = ns
+		a = new(account)
+		h.accounts[name] = a
 	}
-	return Meter{h: h, ns: ns}
+	return Meter{h: h, a: a}
 }
 
 // Meter charges work to a host's cores on behalf of one account.
 type Meter struct {
-	h  *Host
-	ns *stats.Counter
+	h *Host
+	a *account
 }
 
 // Ns is the core time charged through this meter's account so far, in
 // nanoseconds; nil for the empty account.
-func (m Meter) Ns() *stats.Counter { return m.ns }
+func (m Meter) Ns() *stats.Counter {
+	if m.a == nil {
+		return nil
+	}
+	return &m.a.ns
+}
+
+// WaitNs is the time the account's charges have waited for a core so far, from
+// each request to its grant, in nanoseconds; nil for the empty account. It is
+// measured, never charged: waiting adds no virtual time of its own.
+func (m Meter) WaitNs() *stats.Counter {
+	if m.a == nil {
+		return nil
+	}
+	return &m.a.wait
+}
 
 // Compute occupies one core for d (scaled by Speed) of virtual time.
 func (m Meter) Compute(p *sim.Proc, d time.Duration) {
@@ -163,13 +183,18 @@ func (m Meter) scale(d time.Duration) time.Duration {
 	return time.Duration(float64(d) / m.h.cfg.Speed)
 }
 
-// use occupies one core for d, already scaled, and counts it.
+// use occupies one core for d, already scaled, and counts it and the time it
+// waited for the core.
 func (m Meter) use(p *sim.Proc, d time.Duration) {
 	m.h.busy.Add(int64(d))
-	if m.ns != nil {
-		m.ns.Add(int64(d))
+	if m.a == nil {
+		p.Use(m.h.cpu, d)
+		return
 	}
+	m.a.ns.Add(int64(d))
+	t0 := p.Now()
 	p.Use(m.h.cpu, d)
+	m.a.wait.Add(int64(p.Now()-t0) - int64(d))
 }
 
 // Copy charges an in-memory move/checksum of n bytes.

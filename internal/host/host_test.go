@@ -42,6 +42,45 @@ func TestCoreContention(t *testing.T) {
 	}
 }
 
+// TestMeterCountsWait: an account counts the time its charges waited for a
+// core, from request to grant, and waiting takes no more virtual time than
+// the contention itself: four 1 ms charges on two cores still end at 2 ms,
+// and the two that queued waited 1 ms each. Split shares wait like any other
+// charge, and the empty account counts nothing.
+func TestMeterCountsWait(t *testing.T) {
+	env := sim.NewEnv()
+	cfg := DefaultHostConfig()
+	cfg.Cores = 2
+	h := New(env, cfg)
+	a, b := h.Account("a"), h.Account("b")
+	var last sim.Time
+	for _, m := range []Meter{a, a, b, b} {
+		env.Go("w", func(p *sim.Proc) {
+			m.Compute(p, time.Millisecond)
+			last = p.Now()
+		})
+	}
+	env.Run()
+	if last != sim.Time(2*time.Millisecond) {
+		t.Fatalf("last %v, want 2ms", last)
+	}
+	if wa, wb := a.WaitNs().Value(), b.WaitNs().Value(); wa != 0 || wb != int64(2*time.Millisecond) {
+		t.Errorf("waited a %d ns, b %d ns; want 0 and 2ms", wa, wb)
+	}
+	// A core held for 1 ms leaves one free for two 1 ms shares: one waits.
+	env = sim.NewEnv()
+	h = New(env, cfg)
+	env.Go("hold", func(p *sim.Proc) { h.Compute(p, time.Millisecond) })
+	env.Go("shares", func(p *sim.Proc) { h.Account("s").ComparesSplit(p, []int64{25000, 25000}) })
+	env.Run()
+	if ws := h.Account("s").WaitNs().Value(); ws != int64(time.Millisecond) {
+		t.Errorf("split shares waited %d ns, want 1ms", ws)
+	}
+	if h.Account("").WaitNs() != nil {
+		t.Errorf("the empty account counts waits")
+	}
+}
+
 func TestZeroComputeFree(t *testing.T) {
 	env := sim.NewEnv()
 	h := New(env, DefaultHostConfig())
