@@ -82,8 +82,7 @@ type compactArgs struct {
 
 func parseCompact(cfg cliConfig, args []string) (compactArgs, error) {
 	fs := flag.NewFlagSet("compact", flag.ContinueOnError)
-	policy := fs.String("policy", "", "install a compaction policy first: device, host, or collaborative")
-	width := fs.Int("width", 0, "install a device compaction pipeline width (0 = sequential)")
+	width := fs.Int("width", 0, "install a device compaction pipeline width first (0 = keep the device's, 1 = sequential)")
 	cold := fs.Bool("migrate-cold", false, "after compaction, sweep every device's cold tier and report zones moved")
 	status := new(bool)
 	if cfg.addr != "" {
@@ -92,20 +91,10 @@ func parseCompact(cfg cliConfig, args []string) (compactArgs, error) {
 	if err := fs.Parse(args); err != nil {
 		return compactArgs{}, err
 	}
-	ca := compactArgs{status: *status, cold: *cold}
-	if *policy == "" && *width == 0 {
-		return ca, nil
+	if *width < 0 {
+		return compactArgs{}, fmt.Errorf("compact: -width %d is negative", *width)
 	}
-	ca.set = true
-	ca.cfg.PipelineWidth = *width
-	if *policy != "" {
-		pol, err := compaction.ParsePolicy(*policy)
-		if err != nil {
-			return compactArgs{}, err
-		}
-		ca.cfg.Policy = pol
-	}
-	return ca, nil
+	return compactArgs{cfg: compaction.Config{PipelineWidth: *width}, set: *width > 0, status: *status, cold: *cold}, nil
 }
 
 // devFlag declares the -dev flag every device-addressed verb takes.

@@ -19,7 +19,7 @@
 //	kvcsd-cli -devices 4 get 0xA1B2...         # point GET (hex or raw key)
 //	kvcsd-cli -devices 4 scan -limit 10        # ordered scatter-gather scan
 //	kvcsd-cli -devices 4 compact               # staggered fleet compaction
-//	kvcsd-cli -devices 4 compact -policy collaborative -width 4   # host/device split + pipeline
+//	kvcsd-cli -devices 4 compact -width 1      # sequential compaction pipeline
 //	kvcsd-cli -cold-zones 256 compact -migrate-cold               # lifetime-aware cold placement
 //	kvcsd-cli -devices 4 delete-keyspace       # drop the preloaded keyspace
 //	kvcsd-cli -devices 3 -replicas 2 power-cut -dev 0    # kill one replica, degraded reads
@@ -314,7 +314,7 @@ func runCompact(cfg cliConfig, args []string) error {
 					return err
 				}
 			}
-			fmt.Printf("installed compaction config: policy=%s width=%d\n", ccfg.Policy, ccfg.PipelineWidth)
+			fmt.Printf("installed compaction config: width=%d\n", ccfg.PipelineWidth)
 		}
 		ks, err := load(p, a, cfg)
 		if err != nil {

@@ -60,11 +60,16 @@ func TestLocalSmoke(t *testing.T) {
 	step(t, cfg, "get", []string{"absent"}, "get absent: not found")
 	step(t, cfg, "scan", []string{"-limit", "5"}, "scan data: 5 pairs across 2 shards")
 	step(t, cfg, "compact", nil, "state=COMPACTED pairs=2000", "compactions:")
+	step(t, cfg, "compact", []string{"-width", "1"}, "installed compaction config: width=1", "state=COMPACTED pairs=2000")
 	step(t, cfg, "stats", nil, "array: 2 devices, 2 replicas, 2000 keys preloaded", "virtual time:")
 
 	if _, err := capture(t, func() error { return dispatch(cfg, "power-cut", []string{"-dev", "2"}) }); err == nil ||
 		err.Error() != "device 2 out of range (0..1)" {
 		t.Errorf("power-cut -dev 2 on a 2-device fleet: %v", err)
+	}
+	if _, err := capture(t, func() error { return dispatch(cfg, "compact", []string{"-width", "-1"}) }); err == nil ||
+		err.Error() != "compact: -width -1 is negative" {
+		t.Errorf("compact -width -1: %v", err)
 	}
 	if _, err := capture(t, func() error { return dispatch(cfg, "put", []string{"only-a-key"}) }); err == nil ||
 		err.Error() != "usage: kvcsd-cli put <key> <value>" {
@@ -89,8 +94,7 @@ func TestRemoteSmoke(t *testing.T) {
 	cfg.addr = addr.String()
 	step(t, cfg, "put", []string{"k1", "v1"}, `put "k1" (2 bytes) into data on `+cfg.addr)
 	step(t, cfg, "put", []string{"k2", "v2"}, `put "k2"`)
-	step(t, cfg, "compact", []string{"-policy", "device", "-width", "2"},
-		"installed compaction config: policy=device width=2", "state=COMPACTED pairs=2")
+	step(t, cfg, "compact", []string{"-width", "2"}, "installed compaction config: width=2", "state=COMPACTED pairs=2")
 	step(t, cfg, "compact", []string{"-status"}, "data: done=true")
 	step(t, cfg, "get", []string{"k1"}, "get k1: 2 bytes in", "value: 0x7631")
 	step(t, cfg, "get", []string{"absent"}, "get absent: not found")

@@ -145,7 +145,7 @@ func remoteCompact(c *remote.Client, cfg cliConfig, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("installed compaction config: policy=%s width=%d\n", ccfg.Policy, ccfg.PipelineWidth)
+		fmt.Printf("installed compaction config: width=%d\n", ccfg.PipelineWidth)
 	}
 	ks, err := c.OpenKeyspace(cfg.ksName)
 	if err != nil {

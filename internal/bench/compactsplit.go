@@ -12,22 +12,25 @@ import (
 	"kvcsd/internal/stats"
 )
 
-// compactSplitCase is one cell of the policy x pipeline-width sweep.
+// compactSplitCase is one cell of the assist x pipeline-width sweep: with a
+// host assist loop attached the device splits its merges with the host
+// (the "collaborative" rows), without one it merges alone ("device").
 type compactSplitCase struct {
-	policy compaction.Policy
+	assist bool
 	width  int
+}
+
+// policy labels a row by where its merges ran.
+func (c compactSplitCase) policy() string {
+	if c.assist {
+		return "collaborative"
+	}
+	return "device"
 }
 
 // compactSplitSweep starts with the sequential device-only row — the seed's
 // monolithic compaction — which is the baseline every speedup divides by.
-var compactSplitSweep = []compactSplitCase{
-	{compaction.PolicyDevice, 1},
-	{compaction.PolicyDevice, 4},
-	{compaction.PolicyHost, 1},
-	{compaction.PolicyHost, 4},
-	{compaction.PolicyCollaborative, 1},
-	{compaction.PolicyCollaborative, 4},
-}
+var compactSplitSweep = []compactSplitCase{{false, 1}, {false, 4}, {true, 1}, {true, 4}}
 
 // The contention model. Collaborative compaction only matters when neither
 // side is idle, so every cell runs the paper's regime: the host is an
@@ -56,12 +59,12 @@ type compactSplitResult struct {
 	deviceRuns int
 }
 
-// CompactSplit measures the collaborative compaction subsystem: who should
-// merge the sorted runs (device SoC, host CPU, or a load-driven split) and
-// how wide the device pipeline should be, judged by compaction wall time
-// while foreground readers hammer an already-compacted keyspace on the same
-// device and an application workload occupies most of the host CPU. Host and
-// collaborative rows run a live host merge loop over the NVMe assist ops, so
+// CompactSplit measures the collaborative compaction subsystem: whether the
+// device SoC should merge the sorted runs alone or split them with the host
+// by load, and how wide the device pipeline should be, judged by compaction
+// wall time while foreground readers hammer an already-compacted keyspace on
+// the same device and an application workload occupies most of the host CPU.
+// Collaborative rows run a live host merge loop over the NVMe assist ops, so
 // host runs pay the PCIe round trips and contend with the application for
 // cores; device runs contend with the foreground readers for the SoC.
 // Virtual-clock, deterministic.
@@ -71,7 +74,7 @@ func CompactSplit(s Scale) (*Table, error) {
 }
 
 // compactSplit is CompactSplit plus each row's unrounded compaction time,
-// which the shape test orders by: two policies can land in one rounded cell.
+// which the shape test orders by: two rows can land in one rounded cell.
 func compactSplit(s Scale) (*Table, []time.Duration, error) {
 	t := &Table{
 		Fig: "compactsplit", Keys: []string{"policy", "width"},
@@ -86,16 +89,16 @@ func compactSplit(s Scale) (*Table, []time.Duration, error) {
 	var base time.Duration
 	var compact []time.Duration
 	for _, c := range compactSplitSweep {
-		res, err := compactSplitRun(t, s, c.policy, c.width)
+		res, err := compactSplitRun(t, s, c)
 		if err != nil {
-			return nil, nil, fmt.Errorf("policy %v width %d: %w", c.policy, c.width, err)
+			return nil, nil, fmt.Errorf("policy %s width %d: %w", c.policy(), c.width, err)
 		}
-		if c.policy == compaction.PolicyDevice && c.width == 1 {
+		if !c.assist && c.width == 1 {
 			base = res.compact
 		}
 		compact = append(compact, res.compact)
 		t.Add(
-			c.policy.String(),
+			c.policy(),
 			fmt.Sprintf("%d", c.width),
 			secs(res.load),
 			secs(res.compact),
@@ -103,7 +106,7 @@ func compactSplit(s Scale) (*Table, []time.Duration, error) {
 			millis(p99(res.fgLat)),
 			fmt.Sprintf("%d", res.hostRuns),
 			fmt.Sprintf("%d", res.deviceRuns),
-			// Two decimals: the policy deltas ride on a constant value-pass
+			// Two decimals: the split's deltas ride on a constant value-pass
 			// floor, so one decimal would round them all to 1.0x.
 			fmt.Sprintf("%.2fx", float64(base)/float64(res.compact)),
 		)
@@ -114,7 +117,7 @@ func compactSplit(s Scale) (*Table, []time.Duration, error) {
 // compactSplitRun executes one cell: load and compact a hot keyspace, bulk
 // load the victim keyspace, then compact the victim while the foreground and
 // application loads run, timing both sides.
-func compactSplitRun(t *Table, s Scale, pol compaction.Policy, width int) (compactSplitResult, error) {
+func compactSplitRun(t *Table, s Scale, c compactSplitCase) (compactSplitResult, error) {
 	env := sim.NewEnv()
 	st := stats.NewIOStats()
 	opts := device.DefaultOptions()
@@ -123,7 +126,7 @@ func compactSplitRun(t *Table, s Scale, pol compaction.Policy, width int) (compa
 	opts.SSD.NumZones = 4096
 	opts.Engine.IngestBufferBytes = 16 << 10
 	opts.Engine.SortBudgetBytes = 96 << 10
-	opts.Engine.Compaction = compaction.Config{Policy: pol, PipelineWidth: width}
+	opts.Engine.Compaction = compaction.Config{PipelineWidth: c.width}
 	opts.Seed = s.Seed
 	dev := device.New(env, opts, st)
 	hcfg := host.DefaultHostConfig()
@@ -233,7 +236,7 @@ func compactSplitRun(t *Table, s Scale, pol compaction.Policy, width int) (compa
 			// a real deployment starts the assist loop on an already-busy
 			// application server, not an idle one.
 			p.Sleep(time.Millisecond)
-			if pol != compaction.PolicyDevice {
+			if c.assist {
 				// The merge loop reports the application's live run-queue so
 				// the collaborative planner sees real host pressure; Shutdown
 				// closes the assist queue and lets the loop return.
@@ -287,7 +290,7 @@ func csKey(i int) []byte { return []byte(fmt.Sprintf("key-%08d", i)) }
 
 // Values are mid-sized on purpose. The key sort is the collaborative half of
 // the compaction, so keys must stay a meaningful share of the bytes for the
-// policies to move work around (the paper's metadata-heavy VPIC regime) —
+// split to move work around (the paper's metadata-heavy VPIC regime) —
 // but the value-distribution passes are the media-bound stages the parallel
 // pipeline overlaps, so values must carry enough bytes for width to matter.
 func csValue(i int) []byte {

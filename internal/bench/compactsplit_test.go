@@ -7,15 +7,14 @@ import (
 
 // TestCompactSplitShape runs the compaction-split figure and asserts the
 // subsystem's acceptance shape: under concurrent foreground load the
-// collaborative policy finishes compaction faster than both the host-only
-// and device-only policies (at width 1 it stays within 1 % of device-only),
-// the parallel
-// device pipeline (width 4) beats the sequential baseline (width 1) for every
-// policy without degrading the foreground p99 beyond a small bound, and the
-// collaborative rows really did split the runs across the link. The harness
-// is a seeded virtual-time simulation, so the orderings are exact, not
-// statistical; they compare the unrounded compaction times, not the table's
-// 4-decimal cells.
+// collaborative rows (a host assist loop attached) finish compaction faster
+// than device-only at width 4 and stay within 1 % of it at width 1, the
+// parallel device pipeline (width 4) beats the sequential baseline (width 1)
+// with and without the assist loop without degrading the foreground p99
+// beyond a small bound, and the collaborative rows really did split the runs
+// across the link. The harness is a seeded virtual-time simulation, so the
+// orderings are exact, not statistical; they compare the unrounded
+// compaction times, not the table's 4-decimal cells.
 func TestCompactSplitShape(t *testing.T) {
 	tab, compact, err := compactSplit(DefaultScale())
 	if err != nil {
@@ -25,25 +24,23 @@ func TestCompactSplitShape(t *testing.T) {
 	if len(tab.Rows) != len(compactSplitSweep) {
 		t.Fatalf("table has %d rows, want %d", len(tab.Rows), len(compactSplitSweep))
 	}
-	// Row layout follows compactSplitSweep: device{1,4}, host{1,4}, collab{1,4}.
+	// Row layout follows compactSplitSweep: device{1,4}, collaborative{1,4}.
 	const (
-		dev1, dev4, host1, host4, col1, col4 = 0, 1, 2, 3, 4, 5
+		dev1, dev4, col1, col4 = 0, 1, 2, 3
 	)
 
-	// Tentpole: the load-driven split beats both fixed placements at the
-	// parallel pipeline width. At width 1 it must beat host-only and may
-	// trail device-only by at most 1 % (measured: 101.277 vs 100.447 ms,
-	// 0.83 %). The key merge, the one stage the split changes, is 0.83 ms
-	// faster than device-only there; the value scatter after it moves the
-	// same bytes 1.80 ms slower, all of it on the four busiest channels,
-	// because the split releases its runs to the LIFO free-zone pool in
-	// another order and the value buckets land on other zones.
+	// Tentpole: the load-driven split beats device-only at the parallel
+	// pipeline width. At width 1 it may trail device-only by at most 1 %: the
+	// split changes only the key merge, and releasing its runs to the LIFO
+	// free-zone pool in another order moves the value buckets to other zones,
+	// which can slow the value scatter by more than the merge gains
+	// (measured at seed 1: 82.493 vs 84.448 ms, collaborative ahead).
 	for _, w := range []struct {
-		col, dev, host int
-		width          string
-	}{{col1, dev1, host1, "1"}, {col4, dev4, host4, "4"}} {
-		c, d, h := compact[w.col], compact[w.dev], compact[w.host]
-		t.Logf("width %s: collaborative %v, device-only %v, host-only %v", w.width, c, d, h)
+		col, dev int
+		width    string
+	}{{col1, dev1, "1"}, {col4, dev4, "4"}} {
+		c, d := compact[w.col], compact[w.dev]
+		t.Logf("width %s: collaborative %v, device-only %v", w.width, c, d)
 		if w.col == col1 {
 			if c-d > d/100 {
 				t.Errorf("width 1: collaborative compaction %v more than 1%% slower than device-only %v", c, d)
@@ -51,12 +48,9 @@ func TestCompactSplitShape(t *testing.T) {
 		} else if c >= d {
 			t.Errorf("width %s: collaborative compaction %v not faster than device-only %v", w.width, c, d)
 		}
-		if c >= h {
-			t.Errorf("width %s: collaborative compaction %v not faster than host-only %v", w.width, c, h)
-		}
 	}
-	// The parallel pipeline beats the sequential baseline per policy...
-	for _, pair := range [][2]int{{dev4, dev1}, {host4, host1}, {col4, col1}} {
+	// The parallel pipeline beats the sequential baseline per row pair...
+	for _, pair := range [][2]int{{dev4, dev1}, {col4, col1}} {
 		if par, seq := compact[pair[0]], compact[pair[1]]; par >= seq {
 			t.Errorf("row %d: pipelined compaction %v not faster than sequential %v", pair[0], par, seq)
 		}
@@ -67,14 +61,12 @@ func TestCompactSplitShape(t *testing.T) {
 			t.Errorf("row %d: pipelined fg p99 %.3fms vs sequential %.3fms, want within 15%%", pair[0], p4, p1)
 		}
 	}
-	// The collaborative planner split the runs; the fixed policies did not.
+	// The collaborative planner split the runs; without a loop the device
+	// merged them all.
 	for _, row := range []int{col1, col4} {
 		if hr, dr := tab.Float(row, "host_runs"), tab.Float(row, "device_runs"); hr == 0 || dr == 0 {
 			t.Errorf("collaborative row %d split %v/%v, want both sides engaged", row, hr, dr)
 		}
-	}
-	if hr := tab.Float(host1, "host_runs"); hr == 0 {
-		t.Error("host-only row merged no runs on the host")
 	}
 	if dr := tab.Float(dev1, "device_runs"); dr == 0 {
 		t.Error("device-only row merged no runs on the device")

@@ -14,11 +14,11 @@ import (
 )
 
 // tunePipeline reshapes the point device so the scripted workload exercises
-// the collaborative planner and the parallel device pipeline: a width-4
-// pipeline, the collaborative policy, and a sort budget small enough that
-// the campaign's ops form several klog runs for the planner to split.
+// the collaborative planner (the phase attaches a host assist loop) and the
+// parallel device pipeline: width 4, and a sort budget small enough that the
+// campaign's ops form several klog runs for the planner to split.
 func tunePipeline(d *device.Options) {
-	d.Engine.Compaction = compaction.Config{Policy: compaction.PolicyCollaborative, PipelineWidth: 4}
+	d.Engine.Compaction = compaction.Config{PipelineWidth: 4}
 	d.Engine.SortBudgetBytes = 2 << 10
 }
 

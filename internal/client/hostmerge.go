@@ -1,7 +1,7 @@
-// Host side of collaborative compaction (the tentpole of paper §V's
-// host/device split): the client long-polls the device for merge jobs,
-// performs the k-way merge of the shipped sorted runs on host cores, and
-// pushes each merged run back over the NVMe extension opcodes.
+// Host side of collaborative compaction, an extension beyond the paper
+// (Co-KV style; the paper's device compacts alone): the client long-polls the
+// device for merge jobs, k-way merges the shipped sorted runs on host cores,
+// and pushes each merged run back over the NVMe extension opcodes.
 package client
 
 import (
@@ -14,14 +14,15 @@ import (
 )
 
 // ServeHostMerges runs the host half of collaborative compaction on the
-// calling proc: long-poll a merge job, k-way merge its runs on the host CPU,
-// push the merged run back, repeat. load (optional) reports the host CPU
-// run-queue length with each poll — the planner's host-pressure signal. The
-// loop returns nil when the device closes its assist queue (shutdown or power
-// cut) and an error on transport failure; call again after a device restart
-// to re-attach. Its commands are untimed: a poll parks inside the device
-// until work arrives, and cutting one short would complete the popped job's
-// payload into an abandoned handle, where no host merge loop would see it.
+// calling proc, and while it runs the device splits its merges: long-poll a
+// merge job, k-way merge its runs on the host CPU, push the merged run back,
+// repeat. load (optional) reports the host CPU run-queue length with each
+// poll — the planner's host-pressure signal. The loop returns nil when the
+// device closes its assist queue (shutdown or power cut) and an error on
+// transport failure; call again after a device restart to re-attach. Its
+// commands are untimed: a poll parks inside the device until work arrives,
+// and cutting one short would complete the popped job's payload into an
+// abandoned handle, where no host merge loop would see it.
 func (c *Client) ServeHostMerges(p *sim.Proc, load func() int) error {
 	for {
 		poll := &nvme.Command{Op: nvme.OpHostMergePoll}
@@ -53,8 +54,8 @@ func (c *Client) ServeHostMerges(p *sim.Proc, load func() int) error {
 	}
 }
 
-// SetCompactionConfig installs the device's compaction policy and pipeline
-// width and returns the device's resulting config.
+// SetCompactionConfig installs the device's compaction pipeline width and
+// returns the device's resulting config.
 func (c *Client) SetCompactionConfig(p *sim.Proc, cfg compaction.Config) (compaction.Config, error) {
 	comp, err := c.roundTrip(p, &nvme.Command{Op: nvme.OpCompactPolicy, Value: compaction.EncodeConfig(cfg)})
 	if err != nil {

@@ -16,14 +16,11 @@ func TestHostMergeEndToEnd(t *testing.T) {
 		_ = fx.cl.ServeHostMerges(p, nil)
 	})
 	fx.run(t, func(p *sim.Proc) {
-		got, err := fx.cl.SetCompactionConfig(p, compaction.Config{
-			Policy:        compaction.PolicyCollaborative,
-			PipelineWidth: 4,
-		})
+		got, err := fx.cl.SetCompactionConfig(p, compaction.Config{PipelineWidth: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Policy != compaction.PolicyCollaborative || got.PipelineWidth != 4 {
+		if got.PipelineWidth != 4 {
 			t.Fatalf("config echo: %+v", got)
 		}
 		ks, err := fx.cl.CreateKeyspace(p, "particles")
@@ -61,14 +58,11 @@ func TestHostMergeEndToEnd(t *testing.T) {
 	})
 }
 
-// Shutdown with no merge loop and a collaborative policy must not hang:
-// the planner sees the queue unattached and merges device-side.
+// Shutdown with no merge loop must not hang: the planner sees the queue
+// unattached and merges device-side.
 func TestCollaborativeWithoutLoopOverNVMe(t *testing.T) {
 	fx := newFixture()
 	fx.run(t, func(p *sim.Proc) {
-		if _, err := fx.cl.SetCompactionConfig(p, compaction.Config{Policy: compaction.PolicyCollaborative}); err != nil {
-			t.Fatal(err)
-		}
 		ks, _ := fx.cl.CreateKeyspace(p, "k")
 		for i := 0; i < 3000; i++ {
 			_ = ks.BulkPut(p, key(i), value(i, 0))

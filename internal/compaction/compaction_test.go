@@ -8,67 +8,55 @@ import (
 	"kvcsd/internal/sim"
 )
 
-func TestPolicyParseRoundTrip(t *testing.T) {
-	for _, pol := range []Policy{PolicyDevice, PolicyHost, PolicyCollaborative} {
-		got, err := ParsePolicy(pol.String())
-		if err != nil || got != pol {
-			t.Fatalf("ParsePolicy(%q) = %v, %v", pol.String(), got, err)
-		}
-	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Fatal("ParsePolicy accepted bogus")
-	}
-	if pol, err := ParsePolicy(""); err != nil || pol != PolicyDevice {
-		t.Fatalf("empty policy: %v, %v", pol, err)
-	}
-}
-
 func TestConfigCodec(t *testing.T) {
-	for _, c := range []Config{{}, {Policy: PolicyHost, PipelineWidth: 1}, {Policy: PolicyCollaborative, PipelineWidth: 8}} {
+	for _, c := range []Config{{}, {PipelineWidth: 1}, {PipelineWidth: 8}, {PipelineWidth: 1 << 20}} {
 		got, err := DecodeConfig(EncodeConfig(c))
 		if err != nil || got != c {
 			t.Fatalf("config round-trip %+v -> %+v, %v", c, got, err)
 		}
 	}
-	if _, err := DecodeConfig([]byte{9, 0}); err == nil {
-		t.Fatal("accepted unknown policy")
+	if _, err := DecodeConfig(EncodeConfig(Config{PipelineWidth: 1<<20 + 1})); err == nil {
+		t.Fatal("accepted out-of-range width")
 	}
 	if _, err := DecodeConfig(append(EncodeConfig(Config{}), 0)); err == nil {
 		t.Fatal("accepted trailing bytes")
 	}
 }
 
+// TestDecideSplit sweeps run counts under idle, device-saturated,
+// host-saturated and detached signals: with a loop attached and two runs or
+// more, the host takes a share in [1, n-1] — never all of them — and
+// otherwise none; the shares always add up to n. Load moves the share the
+// way it should, and the plan is a pure function of its inputs.
 func TestDecideSplit(t *testing.T) {
-	sig := Signals{HostAttached: true}
-	if p := DecideSplit(PolicyDevice, sig, 8); p.HostRuns != 0 || p.DeviceRuns != 8 {
-		t.Fatalf("device policy split %+v", p)
+	idle := Signals{HostAttached: true}
+	busyDev := Signals{HostAttached: true, QueueDepth: 32, ChannelUtil: 1, BgJobs: 4}
+	busyHost := Signals{HostAttached: true, HostQueue: 32}
+	detached := Signals{QueueDepth: 32, ChannelUtil: 1, BgJobs: 4}
+	for _, sig := range []Signals{idle, busyDev, busyHost, detached} {
+		for n := 0; n <= 16; n++ {
+			p := DecideSplit(sig, n)
+			if p.HostRuns+p.DeviceRuns != n {
+				t.Errorf("%+v n=%d: split %+v does not add up", sig, n, p)
+			}
+			if sig.HostAttached && n >= 2 {
+				if p.HostRuns < 1 || p.HostRuns > n-1 {
+					t.Errorf("%+v n=%d: host share %d outside [1, %d]", sig, n, p.HostRuns, n-1)
+				}
+			} else if p.HostRuns != 0 {
+				t.Errorf("%+v n=%d: host share %d, want 0", sig, n, p.HostRuns)
+			}
+			if again := DecideSplit(sig, n); again != p {
+				t.Errorf("%+v n=%d: split not deterministic: %+v vs %+v", sig, n, p, again)
+			}
+		}
 	}
-	if p := DecideSplit(PolicyHost, sig, 8); p.HostRuns != 8 || p.DeviceRuns != 0 {
-		t.Fatalf("host policy split %+v", p)
+	at8 := DecideSplit(idle, 8)
+	if p := DecideSplit(busyDev, 8); p.HostRuns <= at8.HostRuns {
+		t.Errorf("device pressure should push runs to host: idle=%+v busy=%+v", at8, p)
 	}
-	// No assist loop: everything degrades to device-only.
-	if p := DecideSplit(PolicyHost, Signals{}, 8); p.HostRuns != 0 || p.DeviceRuns != 8 {
-		t.Fatalf("detached host split %+v", p)
-	}
-	// Collaborative keeps both sides non-empty and responds to load.
-	idle := DecideSplit(PolicyCollaborative, sig, 8)
-	if idle.HostRuns < 1 || idle.DeviceRuns < 1 || idle.HostRuns+idle.DeviceRuns != 8 {
-		t.Fatalf("collab idle split %+v", idle)
-	}
-	busyDev := DecideSplit(PolicyCollaborative, Signals{HostAttached: true, QueueDepth: 32, ChannelUtil: 1, BgJobs: 4}, 8)
-	if busyDev.HostRuns <= idle.HostRuns {
-		t.Fatalf("device pressure should push runs to host: idle=%+v busy=%+v", idle, busyDev)
-	}
-	busyHost := DecideSplit(PolicyCollaborative, Signals{HostAttached: true, HostQueue: 32}, 8)
-	if busyHost.HostRuns >= idle.HostRuns {
-		t.Fatalf("host pressure should keep runs on device: idle=%+v busy=%+v", idle, busyHost)
-	}
-	// Determinism: same snapshot, same plan.
-	if again := DecideSplit(PolicyCollaborative, sig, 8); again != idle {
-		t.Fatalf("split not deterministic: %+v vs %+v", idle, again)
-	}
-	if p := DecideSplit(PolicyCollaborative, sig, 1); p.HostRuns != 0 || p.DeviceRuns != 1 {
-		t.Fatalf("single-run collab split %+v", p)
+	if p := DecideSplit(busyHost, 8); p.HostRuns >= at8.HostRuns {
+		t.Errorf("host pressure should keep runs on device: idle=%+v busy=%+v", at8, p)
 	}
 }
 

@@ -18,9 +18,9 @@ var codecs = []struct {
 		seeds: [][]byte{
 			nil,
 			EncodeConfig(Config{}),
-			EncodeConfig(Config{Policy: PolicyCollaborative, PipelineWidth: 4}),
+			EncodeConfig(Config{PipelineWidth: 4}),
 			{0xff, 0xff, 0xff},
-			{0, 0x80, 0x00}, // overlong width
+			{0x80, 0x00}, // overlong width
 		},
 		reencode: func(t *testing.T, b []byte) ([]byte, bool) {
 			c, err := DecodeConfig(b)

@@ -24,8 +24,8 @@ type Signals struct {
 	// HostQueue is the host CPU run-queue length the assist loop reported
 	// on its latest merge poll.
 	HostQueue int
-	// HostAttached reports whether a host assist loop is polling at all;
-	// without one every plan degrades to device-only.
+	// HostAttached reports whether a host assist loop is polling at all:
+	// host merging is on exactly when it is.
 	HostAttached bool
 }
 
@@ -37,41 +37,28 @@ type Plan struct {
 	DeviceRuns int
 }
 
-// DecideSplit assigns nRuns sorted runs between host and device under the
-// given policy. The collaborative decision function biases the host share by
-// the ratio of device pressure (queue depth, SoC run-queue, channel
-// utilization, background jobs) to host pressure (CPU run-queue), clamped to [1/4, 3/4] so neither
-// side is starved while both are alive. It is pure arithmetic on the sampled
-// signals, so identical snapshots always produce identical plans.
-func DecideSplit(pol Policy, sig Signals, nRuns int) Plan {
+// DecideSplit assigns nRuns sorted runs between host and device. Without an
+// attached host assist loop, or with fewer than two runs, the device merges
+// them all. Otherwise the host's share is in [1, nRuns-1]: the decision
+// function biases it by the ratio of device pressure (queue depth, SoC
+// run-queue, channel utilization, background jobs) to host pressure (CPU
+// run-queue), clamped to [1/4, 3/4] so neither side is starved while both
+// are alive. It is pure arithmetic on the sampled signals, so identical
+// snapshots always produce identical plans.
+func DecideSplit(sig Signals, nRuns int) Plan {
 	if nRuns < 0 {
 		nRuns = 0
 	}
-	deviceOnly := Plan{HostRuns: 0, DeviceRuns: nRuns}
-	if !sig.HostAttached || nRuns == 0 {
-		return deviceOnly
+	if !sig.HostAttached || nRuns < 2 {
+		return Plan{HostRuns: 0, DeviceRuns: nRuns}
 	}
-	switch pol {
-	case PolicyHost:
-		return Plan{HostRuns: nRuns, DeviceRuns: 0}
-	case PolicyCollaborative:
-		if nRuns < 2 {
-			return deviceOnly
-		}
-		devLoad := 1.0 + sig.ChannelUtil + float64(clampInt(sig.QueueDepth, 0, 32))/8 +
-			float64(clampInt(sig.BgJobs, 0, 8))/2 + float64(clampInt(sig.SoCQueue, 0, 32))/8 +
-			2.5*clampFloat(sig.SoCUtil, 0, 1)
-		hostLoad := 1.0 + float64(clampInt(sig.HostQueue, 0, 32))/8
-		frac := devLoad / (devLoad + hostLoad)
-		if frac < 0.25 {
-			frac = 0.25
-		} else if frac > 0.75 {
-			frac = 0.75
-		}
-		h := clampInt(int(frac*float64(nRuns)+0.5), 1, nRuns-1)
-		return Plan{HostRuns: h, DeviceRuns: nRuns - h}
-	}
-	return deviceOnly
+	devLoad := 1.0 + sig.ChannelUtil + float64(clampInt(sig.QueueDepth, 0, 32))/8 +
+		float64(clampInt(sig.BgJobs, 0, 8))/2 + float64(clampInt(sig.SoCQueue, 0, 32))/8 +
+		2.5*clampFloat(sig.SoCUtil, 0, 1)
+	hostLoad := 1.0 + float64(clampInt(sig.HostQueue, 0, 32))/8
+	frac := clampFloat(devLoad/(devLoad+hostLoad), 0.25, 0.75)
+	h := clampInt(int(frac*float64(nRuns)+0.5), 1, nRuns-1)
+	return Plan{HostRuns: h, DeviceRuns: nRuns - h}
 }
 
 func clampFloat(v, lo, hi float64) float64 {

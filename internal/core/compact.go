@@ -124,7 +124,7 @@ func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace) (_ compacted, err erro
 				}
 			}
 		}
-		return compaction.DecideSplit(e.compactCfg.Policy, sig, n).HostRuns
+		return compaction.DecideSplit(sig, n).HostRuns
 	}
 	keySorter.submitAssist = e.submitAssist
 	keySorter.collectAssist = e.collectAssist

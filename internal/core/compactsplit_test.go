@@ -72,7 +72,7 @@ func verifyAll(t *testing.T, p *sim.Proc, fx *engineFixture, ks string, n int) {
 
 func TestCollaborativeCompactionSplit(t *testing.T) {
 	cfg := smallEngineConfig()
-	cfg.Compaction = compaction.Config{Policy: compaction.PolicyCollaborative, PipelineWidth: 4}
+	cfg.Compaction = compaction.Config{PipelineWidth: 4}
 	fx := newSplitFixture(cfg, nil)
 	startHostAssist(fx, false)
 	fx.run(t, func(p *sim.Proc) {
@@ -100,30 +100,10 @@ func TestCollaborativeCompactionSplit(t *testing.T) {
 	}
 }
 
-func TestHostOnlyCompactionPolicy(t *testing.T) {
-	cfg := smallEngineConfig()
-	cfg.Compaction.Policy = compaction.PolicyHost
-	fx := newSplitFixture(cfg, nil)
-	startHostAssist(fx, false)
-	fx.run(t, func(p *sim.Proc) {
-		defer fx.eng.CloseAssist()
-		const n = 4000
-		ingestN(t, p, fx, "ks", n, func(i int) float32 { return float32(i) })
-		compactAndWait(t, p, fx, "ks")
-		pr, _ := fx.eng.Progress("ks")
-		if pr.HostRuns == 0 || pr.DeviceRuns != 0 {
-			t.Fatalf("host policy split: host=%d device=%d", pr.HostRuns, pr.DeviceRuns)
-		}
-		verifyAll(t, p, fx, "ks", n)
-	})
-}
-
 // A host assist loop that errors every job must not fail compaction: the
 // sorter falls back to merging the host group on the device.
 func TestHostAssistFailureFallsBack(t *testing.T) {
-	cfg := smallEngineConfig()
-	cfg.Compaction.Policy = compaction.PolicyCollaborative
-	fx := newSplitFixture(cfg, nil)
+	fx := newSplitFixture(smallEngineConfig(), nil)
 	startHostAssist(fx, true)
 	fx.run(t, func(p *sim.Proc) {
 		defer fx.eng.CloseAssist()
@@ -138,12 +118,9 @@ func TestHostAssistFailureFallsBack(t *testing.T) {
 	})
 }
 
-// Without an attached assist loop the planner must fall back to device-only
-// merging regardless of policy.
+// Without an attached assist loop the device merges every run itself.
 func TestNoAssistLoopMeansDeviceOnly(t *testing.T) {
-	cfg := smallEngineConfig()
-	cfg.Compaction.Policy = compaction.PolicyHost
-	fx := newSplitFixture(cfg, nil)
+	fx := newSplitFixture(smallEngineConfig(), nil)
 	fx.run(t, func(p *sim.Proc) {
 		const n = 2000
 		ingestN(t, p, fx, "ks", n, func(i int) float32 { return float32(i) })

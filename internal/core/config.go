@@ -76,11 +76,11 @@ type Config struct {
 	// foreground work like compaction does.
 	ScrubInterval time.Duration
 	// Compaction is the starting compaction configuration, the one
-	// Engine.SetCompactionConfig replaces at runtime: who merges sorted runs
-	// (the device SoC alone by default, the host alone, or a collaborative
-	// split driven by live load signals, which needs a host assist loop) and
-	// how many 256 KiB buffers are in flight between the pipeline's read,
-	// merge and write stages (default 4; 1 runs the stages sequentially).
+	// Engine.SetCompactionConfig replaces at runtime: how many 256 KiB
+	// buffers are in flight between the pipeline's read, merge and write
+	// stages (default 4; 1 runs the stages sequentially). Who merges sorted
+	// runs is no setting: the device SoC alone, unless a host assist loop is
+	// attached, and then a split driven by live load signals.
 	Compaction compaction.Config
 	// ColdHeatThreshold is the per-granule read count below which a sorted
 	// zone counts as cold and becomes a migration candidate. Zones whose

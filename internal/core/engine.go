@@ -158,8 +158,8 @@ func (e *Engine) CloseAssist() { e.assist.Close() }
 // planner's foreground-pressure signal).
 func (e *Engine) SetQueueProbe(fn func() int) { e.queueProbe = fn }
 
-// SetCompactionConfig updates the compaction policy and pipeline width at
-// runtime. Zero width keeps the current one.
+// SetCompactionConfig updates the compaction pipeline width at runtime. Zero
+// width keeps the current one.
 func (e *Engine) SetCompactionConfig(c compaction.Config) {
 	if c.PipelineWidth <= 0 {
 		c.PipelineWidth = e.compactCfg.PipelineWidth
@@ -167,7 +167,7 @@ func (e *Engine) SetCompactionConfig(c compaction.Config) {
 	e.compactCfg = c
 }
 
-// CompactionConfig returns the active compaction policy and pipeline width.
+// CompactionConfig returns the active compaction pipeline width.
 func (e *Engine) CompactionConfig() compaction.Config {
 	return e.compactCfg
 }
@@ -201,7 +201,7 @@ func clampU16(v int) uint16 {
 
 // signals snapshots the live load signals the collaborative planner splits
 // on: device-side backlog and channel utilization against host-side CPU
-// pressure reported by the assist loop.
+// pressure reported by the assist loop, and whether one is attached at all.
 func (e *Engine) signals() compaction.Signals {
 	sig := compaction.Signals{
 		BgJobs:       e.bgJobs - 1, // the compaction asking is itself a bg job

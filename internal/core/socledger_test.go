@@ -44,7 +44,7 @@ func checkLedgerSums(t *testing.T, fx *engineFixture, reg *obs.Registry, want ..
 // ledger to sum to the SoC's busy time.
 func TestSoCLedgerSumsToBusy(t *testing.T) {
 	cfg := smallEngineConfig()
-	cfg.Compaction = compaction.Config{Policy: compaction.PolicyCollaborative, PipelineWidth: 4}
+	cfg.Compaction = compaction.Config{PipelineWidth: 4}
 	fx := newSplitFixture(cfg, nil)
 	reg := obs.NewRegistry(fx.env)
 	fx.eng.SetObs(nil, reg)

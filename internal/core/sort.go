@@ -208,10 +208,10 @@ type Sorter[T any] struct {
 	pipe pipeline
 
 	// Host-assist hooks (collaborative compaction). planSplit decides how
-	// many of the reduced runs ship to the host; submitAssist frames and
-	// enqueues them (non-blocking) and collectAssist waits for the merged
-	// run. A collect error falls back to device-side merging. All three must
-	// be set for splitting to happen.
+	// many of the reduced runs ship to the host (the engine's planner: none
+	// unless a host loop is attached); submitAssist enqueues them and
+	// collectAssist waits for the merged run. A collect error falls back to
+	// device-side merging. All three must be set for splitting to happen.
 	planSplit     func(nRuns int) int
 	submitAssist  func(p *sim.Proc, runs []*Cluster) (*compaction.Job, error)
 	collectAssist func(p *sim.Proc, job *compaction.Job) ([]byte, error)

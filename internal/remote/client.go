@@ -538,7 +538,7 @@ func (c *Client) Scrub(device int) (*core.ScrubReport, string, error) {
 	return rep, resp.Report, nil
 }
 
-// SetCompactionPolicy installs the compaction policy and pipeline width on
+// SetCompactionPolicy installs the compaction config (the pipeline width) on
 // the server's device (every healthy member of an array) and returns the
 // resulting active config.
 func (c *Client) SetCompactionPolicy(cfg compaction.Config) (compaction.Config, error) {

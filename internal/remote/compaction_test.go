@@ -32,7 +32,7 @@ func startColdServer(t *testing.T) string {
 	return addr.String()
 }
 
-// The full remote compaction-control surface: install a policy, compact,
+// The full remote compaction-control surface: install a config, compact,
 // read live progress and the stats compaction section, then sweep the cold
 // tier — all over TCP frames.
 func TestRemoteCompactionControl(t *testing.T) {
@@ -43,18 +43,15 @@ func TestRemoteCompactionControl(t *testing.T) {
 	}
 	defer cl.Close()
 
-	got, err := cl.SetCompactionPolicy(compaction.Config{
-		Policy:        compaction.PolicyDevice,
-		PipelineWidth: 4,
-	})
+	got, err := cl.SetCompactionPolicy(compaction.Config{PipelineWidth: 2})
 	if err != nil {
-		t.Fatalf("set policy: %v", err)
+		t.Fatalf("set config: %v", err)
 	}
-	if got.Policy != compaction.PolicyDevice || got.PipelineWidth != 4 {
-		t.Fatalf("policy echo: %+v", got)
+	if got.PipelineWidth != 2 {
+		t.Fatalf("config echo: %+v", got)
 	}
-	if got, err = cl.CompactionPolicy(); err != nil || got.PipelineWidth != 4 {
-		t.Fatalf("policy query: %+v err=%v", got, err)
+	if got, err = cl.CompactionPolicy(); err != nil || got.PipelineWidth != 2 {
+		t.Fatalf("config query: %+v err=%v", got, err)
 	}
 
 	ks, err := cl.CreateKeyspace("remote-tiers")
