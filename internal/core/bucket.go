@@ -10,18 +10,19 @@ import (
 
 // bucketWriter partitions records by a uint64 ordering key into contiguous
 // range buckets. Together with a per-bucket in-DRAM pass on read-back
-// (valueGatherer, valuePlacer), this gives a two-pass distribution sort: the
-// mechanism that lets KV-CSD move value bytes exactly twice during compaction
-// regardless of dataset size, which is the point of key-value separation
-// (paper §V: values are sorted "using the sorted keys" rather than merged
-// through log-many rounds).
+// (valueGatherer, valuePlacer), this gives the value sort its distribution
+// passes: value bytes move once when the live values fit the sort budget and
+// twice otherwise, regardless of dataset size — the point of key-value
+// separation (paper §V: values are sorted "using the sorted keys" rather than
+// merged through log-many rounds).
 //
 // A writer whose one bucket covers the whole range keeps that bucket in SoC
 // DRAM, counted in the engine's DRAM gauge, until its bytes would pass the
-// sort budget; then the bucket spills to a temp zone cluster. Every bucket of
-// a writer with more than one is a temp zone cluster from the start. A
-// spilled bucket is written sequentially, appendBurst bytes at a time, through
-// the writer's one appender.
+// sort budget; then the bucket spills to a temp zone cluster. Only a
+// destination writer is held: values that fit the budget are placed, not
+// bucketed. Every bucket of a writer with more than one is a temp zone
+// cluster from the start. A spilled bucket is written sequentially,
+// appendBurst bytes at a time, through the writer's one appender.
 type bucketWriter struct {
 	zm    *ZoneManager
 	width uint64 // ordering-key span per bucket
@@ -181,11 +182,11 @@ func (w *bucketWriter) drop() {
 // valueGatherer copies the values of destination buckets out of the VLOG
 // without sorting the buckets. A destination bucket holds the entries whose
 // vlogOff falls in its range [lo, lo+width), so its values lie inside one
-// VLOG span no longer than the width plus one value — the bound the value
-// buckets already keep in DRAM. The gatherer reads that span once and hands
-// each value out of it in the order the entries came in. One compaction
-// reuses a single gatherer — entries, buffer and VLOG window — for every
-// bucket, as it does its valuePlacer.
+// VLOG span no longer than the width plus one value — about the sort budget,
+// as the spans a valuePlacer keeps in DRAM. The gatherer reads that span once
+// and hands each value out of it in the order the entries came in. One
+// compaction reuses a single gatherer — entries, buffer and VLOG window — for
+// every bucket.
 type valueGatherer struct {
 	ents   []destEntry
 	buf    []byte // a spilled bucket's bytes
@@ -268,75 +269,82 @@ func (w *bucketWriter) readAhead(pl pipeline) *prefetcher {
 	return pf
 }
 
-// valuePlacer lays value buckets out in SORTED_VALUES order without sorting
-// them. A value bucket holds every value record whose destOff falls in its
-// range, and destination offsets were assigned back to back, so the values of
-// one bucket tile one contiguous span exactly: copying each to destOff − lo
-// leaves the span in order. One compaction reuses a single placer — the read
-// window, the placed span and the tiling check's bitmap — for every bucket;
-// the span and bitmap grow to the largest bucket once.
+// valuePlacer lays values out in SORTED_VALUES order without sorting them.
+// Destination offsets were assigned back to back, so the values whose destOff
+// falls in one range tile one contiguous span exactly: copying each to
+// destOff − lo leaves the span in order. A value sort that fits the sort
+// budget places every value of the keyspace into one span as the destination
+// pass gathers it; a larger one places each value bucket in the value pass,
+// through one placer — the read window, the span and the tiling check's
+// bitmap — that grows to the largest bucket once.
 type valuePlacer struct {
-	sc     scanner[valueRec]   // streams a spilled bucket's records through one window
-	held   memSource[valueRec] // decodes a held bucket's records in place
-	out    []byte              // the bucket's values, each at its destOff − lo
-	filled []uint64            // one bit per byte of out: written by a value already
+	sc        scanner[valueRec] // streams a spilled bucket's records through one window
+	out       []byte            // the span's values, each at its destOff − lo
+	filled    []uint64          // one bit per byte of out: written by a value already
+	lo        uint64            // the destination of out[0]
+	size, end uint64            // value bytes placed, and where the furthest one ends
+	n         int               // values placed
 }
 
-// place streams value bucket bk — from DRAM while it is held, else through
-// the window from its cluster — whose values must tile [lo, lo+len(vals))
-// exactly, and copies each to its place. It returns the placed values, valid
-// until the placer's next use, and the bucket's record count, and charges cpu
-// one compare per record. A value before lo, two values overlapping, or a
-// byte of the span no value covers is an error: the value pass did not
-// reproduce the order the key pass assigned.
-func (v *valuePlacer) place(p *sim.Proc, cpu host.Meter, bk bucket, lo uint64) (vals []byte, n int, err error) {
-	// Values are at most the records' bytes, so the bucket's length bounds
-	// the span.
-	bound := int(bk.len())
-	if bound == 0 {
-		return nil, 0, nil
-	}
+// open starts an empty span of at most bound bytes at destination lo.
+func (v *valuePlacer) open(lo uint64, bound int) {
 	if cap(v.out) < bound {
 		v.out = make([]byte, bound)
 		v.filled = make([]uint64, (bound+63)/64)
 	}
-	out := v.out[:bound]
-	filled := v.filled[:(bound+63)/64]
-	clear(filled)
-	var src recordSource[valueRec] = &v.sc
-	if bk.c == nil {
-		v.held = memSource[valueRec]{codec: valueCodec{}, buf: bk.buf}
-		src = &v.held
-	} else {
-		v.sc = scanner[valueRec]{c: bk.c, codec: valueCodec{}, buf: v.sc.buf[:0], pf: bk.pf, left: bk.c.Len()}
+	v.out, v.filled = v.out[:bound], v.filled[:(bound+63)/64]
+	clear(v.filled)
+	v.lo, v.size, v.end, v.n = lo, 0, 0, 0
+}
+
+// put copies val, the value bound for destOff, to its place in the span. A
+// value before the span, past its bound or over a value placed already is an
+// error: the value sort did not reproduce the order the key pass assigned.
+func (v *valuePlacer) put(destOff uint64, val []byte) error {
+	off := destOff - v.lo
+	vend := off + uint64(len(val))
+	if destOff < v.lo || vend > uint64(len(v.out)) || !fillRange(v.filled, off, vend) {
+		return fmt.Errorf("core: value sort produced gap: %d bytes at dest %d fall outside or over the span from %d",
+			len(val), destOff, v.lo)
 	}
-	var size, end uint64 // value bytes placed, and the end of the furthest one
-	for {
-		rec, ok, err := src.next(p)
+	copy(v.out[off:vend], val)
+	v.size += uint64(len(val))
+	v.end = max(v.end, vend)
+	v.n++
+	return nil
+}
+
+// placed returns the placed values, valid until the placer's next open, and
+// their count. No two values overlap, so they cover [0, end) exactly when
+// their bytes add up to end; a byte there that none covers is an error.
+func (v *valuePlacer) placed() ([]byte, int, error) {
+	if v.size != v.end {
+		return nil, 0, fmt.Errorf("core: value sort produced gap: %d value bytes span %d from dest %d", v.size, v.end, v.lo)
+	}
+	return v.out[:v.size], v.n, nil
+}
+
+// place puts each value of spilled value bucket bk, streamed through the
+// window from its cluster, into a span from lo, charges cpu one compare per
+// record, and returns what placed does.
+func (v *valuePlacer) place(p *sim.Proc, cpu host.Meter, bk bucket, lo uint64) ([]byte, int, error) {
+	if bk.len() == 0 {
+		return nil, 0, nil
+	}
+	// Values are at most the records' bytes, so the bucket's length bounds
+	// the span.
+	v.open(lo, int(bk.len()))
+	v.sc = scanner[valueRec]{c: bk.c, codec: valueCodec{}, buf: v.sc.buf[:0], pf: bk.pf, left: bk.c.Len()}
+	for rec, ok, err := v.sc.next(p); ok || err != nil; rec, ok, err = v.sc.next(p) {
 		if err != nil {
 			return nil, 0, err
 		}
-		if !ok {
-			break
+		if err := v.put(rec.destOff, rec.value); err != nil {
+			return nil, 0, err
 		}
-		off := rec.destOff - lo
-		vend := off + uint64(len(rec.value))
-		if rec.destOff < lo || vend > uint64(len(out)) || !fillRange(filled, off, vend) {
-			return nil, 0, fmt.Errorf("core: value sort produced gap: %d bytes at dest %d fall outside or over the span from %d",
-				len(rec.value), rec.destOff, lo)
-		}
-		copy(out[off:vend], rec.value)
-		size += uint64(len(rec.value))
-		end = max(end, vend)
-		n++
 	}
-	// No two values overlap, so they cover size bytes of [0, end): all of it
-	// exactly when the two agree.
-	if size != end {
-		return nil, 0, fmt.Errorf("core: value sort produced gap: %d value bytes span %d from dest %d", size, end, lo)
-	}
-	cpu.Compares(p, int64(n))
-	return out[:size], n, nil
+	cpu.Compares(p, int64(v.n))
+	return v.placed()
 }
 
 // fillRange sets bits [lo, hi) of bits a word at a time and reports whether

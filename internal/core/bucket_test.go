@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"kvcsd/internal/host"
 	"kvcsd/internal/sim"
 )
 
@@ -64,10 +65,33 @@ func asBucket(tb testing.TB, p *sim.Proc, fx *sortFixture, form string, enc []by
 	return spilledBucket(tb, p, fx, enc)
 }
 
-// TestPlaceValueBucket: a bucket whose values tile their span — in any order,
-// with zero-length values and values of every size, held or spilled — comes
-// out as the span in destination order; a gap, an overlap, a value before the span and a
-// zero-length value past its end each fail with the value pass's gap error.
+// placeForms names the two ways values reach a placer: put straight into a
+// span of the keyspace's value bytes as the destination pass gathers them,
+// and streamed from a spilled value bucket.
+var placeForms = []string{"placed", "spilled"}
+
+// placeAs places recs in the named form into a span from lo — a placed span
+// is opened at the tiled bytes' size, as a compaction opens it at its value
+// bytes' — charging cpu what that form charges.
+func placeAs(tb testing.TB, p *sim.Proc, fx *sortFixture, form string, cpu host.Meter, recs []valueRec, lo uint64, size int) ([]byte, int, error) {
+	var v valuePlacer
+	if form == "spilled" {
+		return v.place(p, cpu, writeValueBucket(tb, p, fx, recs), lo)
+	}
+	v.open(lo, size)
+	for _, r := range recs {
+		if err := v.put(r.destOff, r.value); err != nil {
+			return nil, 0, err
+		}
+	}
+	return v.placed()
+}
+
+// TestPlaceValueBucket: values that tile their span — in any order, with
+// zero-length values and values of every size, placed or spilled — come out
+// as the span in destination order; a gap, an overlap — one as long as a gap
+// elsewhere among them — a value before the span and a zero-length value past
+// its end each fail with the value sort's gap error.
 func TestPlaceValueBucket(t *testing.T) {
 	const lo = 1000
 	var tiled []valueRec
@@ -102,14 +126,14 @@ func TestPlaceValueBucket(t *testing.T) {
 		{"gap before the last value", append(without(7), valueRec{destOff: end - 6, value: make([]byte, 6)}), false},
 		{"overlap", with(valueRec{destOff: lo + 3, value: []byte{9, 9}}), false},
 		{"duplicate", with(valueRec{destOff: lo + 5, value: want[5 : 5+64]}), false},
+		{"overlap the size of a gap", append(without(64), valueRec{destOff: lo, value: make([]byte, 64)}), false},
 		{"before the span", with(valueRec{destOff: lo - 1, value: []byte{9}}), false},
 		{"empty past the end", with(valueRec{destOff: end + 1}), false},
 	} {
-		for _, form := range bucketForms {
+		for _, form := range placeForms {
 			fx := newSortFixture(0)
 			fx.run(t, func(p *sim.Proc) {
-				var v valuePlacer
-				vals, n, err := v.place(p, fx.soc.Account(""), asBucket(t, p, fx, form, encodeValues(tc.recs)), lo)
+				vals, n, err := placeAs(t, p, fx, form, fx.soc.Account(""), tc.recs, lo, len(want))
 				switch {
 				case tc.ok && (err != nil || n != len(tc.recs) || !bytes.Equal(vals, want)):
 					t.Errorf("%s, %s: %d records, err %v, placed %x, want %x", tc.name, form, n, err, vals, want)
@@ -121,22 +145,25 @@ func TestPlaceValueBucket(t *testing.T) {
 	}
 }
 
-// TestPlaceValueBucketCharge: placing a bucket of n records costs the SoC n
-// compares, one per record, whatever their order or sizes and whether the
-// bucket is held or spilled.
+// TestPlaceValueBucketCharge: placing a spilled bucket of n records costs the
+// SoC n compares, one per record, whatever their order or sizes; putting the
+// values straight into a span costs nothing — the gather that hands them out
+// is charged already.
 func TestPlaceValueBucketCharge(t *testing.T) {
 	for _, n := range []int{1, 300, 5000} {
-		for _, form := range bucketForms {
+		for _, form := range placeForms {
 			fx := newSortFixture(0)
 			cfg := fx.soc.Config()
 			fx.run(t, func(p *sim.Proc) {
-				bk := asBucket(t, p, fx, form, encodeValues(shuffledValues(n, 1+n%29, int64(n))))
-				var v valuePlacer
+				// Writing the spilled bucket's cluster charges the SoC nothing.
 				busy0 := fx.soc.CPU().BusyTime()
-				if _, got, err := v.place(p, fx.soc.Account(""), bk, 0); err != nil || got != n {
+				if _, got, err := placeAs(t, p, fx, form, fx.soc.Account(""), shuffledValues(n, 1+n%29, int64(n)), 0, n*(1+n%29)); err != nil || got != n {
 					t.Fatalf("n=%d, %s: %d records, err %v", n, form, got, err)
 				}
 				want := time.Duration(float64(time.Duration(n)*cfg.CompareCost) / cfg.Speed)
+				if form == "placed" {
+					want = 0
+				}
 				if d := fx.soc.CPU().BusyTime() - busy0; d != want {
 					t.Errorf("n=%d, %s: SoC busy +%v, want %v", n, form, d, want)
 				}

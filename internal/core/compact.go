@@ -85,19 +85,19 @@ func (e *Engine) pipeline(ks *Keyspace) pipeline {
 //
 //  1. sort the keys — an external merge sort of the KLOG entries;
 //  2. use the sorted keys to sort the values — compute each value's
-//     destination offset, bucket the destination entries by VLOG position,
-//     gather each bucket's values out of the VLOG span it covers and scatter
-//     them into buckets by destination, then copy each bucket's values to
-//     their destinations in SORTED_VALUES order;
+//     destination offset, bucket the destination entries by VLOG position
+//     and gather each bucket's values out of the VLOG span it covers: straight
+//     to their destinations when the live values fit the sort budget, else
+//     scattered into buckets by destination and placed from each in turn;
 //
 // and then build the PIDX blocks plus the in-memory sketch (one pivot per
 // 4 KiB block). A key sort that fits one batch of SoC DRAM never leaves it,
-// and neither does a bucket pass whose one bucket covers the keyspace and fits
-// the sort budget; a larger sort, and the buckets of a larger pass, live in
-// temporarily allocated zone clusters released as the sort proceeds. Every
-// byte the job appends counts in the keyspace's progress (BytesMoved). The
-// value pass hands every surviving pair to the extractor of each index that
-// joined the compaction before the pass began.
+// and neither does a destination pass whose one bucket covers the keyspace;
+// a larger sort, and the buckets of a larger pass, live in temporarily
+// allocated zone clusters released as the sort proceeds. Every byte the job
+// appends counts in the keyspace's progress (BytesMoved). The value pass
+// hands every surviving pair to the extractor of each index that joined the
+// compaction before the pass began.
 func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace) (_ compacted, err error) {
 	// Step 1: sort keys (compareKlog: newest duplicate of a key first).
 	ks.progress.Stage = compaction.StageSort
@@ -215,14 +215,21 @@ func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace) (_ compacted, err erro
 		return compacted{}, err
 	}
 
-	// Step 2: sort the values using the sorted keys — a two-pass
-	// distribution sort. Pass one reads, per destination bucket, the VLOG
-	// span its entries cover and scatters their values into buckets by
-	// destination; pass two reads each value bucket, copies every value to
-	// its destination within the span the bucket tiles, and appends the span
-	// to SORTED_VALUES. Value bytes move exactly twice regardless of dataset
-	// size — the payoff of key-value separation. Each pass reads its buckets
-	// ahead, and pass one reads the VLOG up to its last live value once.
+	// Step 2: sort the values using the sorted keys. The destination pass
+	// reads, per destination bucket, the VLOG span its entries cover (the
+	// VLOG once, up to its last live value). Values that fit the sort budget
+	// it copies straight to their places in one span of SoC DRAM, which the
+	// value pass appends to SORTED_VALUES; larger ones it scatters into value
+	// buckets by destination, which the value pass reads ahead and places in
+	// turn. Value bytes move once, or twice, regardless of dataset size — the
+	// payoff of key-value separation.
+	var placer valuePlacer
+	fits := totalValueBytes <= uint64(e.cfg.SortBudgetBytes)
+	if fits {
+		placer.open(0, int(totalValueBytes))
+		e.dram.Add(float64(totalValueBytes))
+		defer e.dram.Add(-float64(totalValueBytes))
+	}
 	valBuckets = e.newBucketWriter(totalValueBytes+1, &ks.progress.BytesMoved)
 	valBuckets.app.pl = pl
 	gatherer := valueGatherer{vlog: clusterWindow{c: ks.vlog, pf: pl.prefetch(span{ks.vlog, 0, int64(vlogEnd)})}}
@@ -235,8 +242,13 @@ func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace) (_ compacted, err erro
 			return compacted{}, err
 		}
 		for _, de := range dents {
-			enc = valueCodec{}.Encode(enc[:0], valueRec{destOff: de.destOff, value: gatherer.value(de)})
-			if err := valBuckets.add(p, de.destOff, enc); err != nil {
+			if fits {
+				err = placer.put(de.destOff, gatherer.value(de))
+			} else {
+				enc = valueCodec{}.Encode(enc[:0], valueRec{destOff: de.destOff, value: gatherer.value(de)})
+				err = valBuckets.add(p, de.destOff, enc)
+			}
+			if err != nil {
 				return compacted{}, err
 			}
 		}
@@ -260,29 +272,28 @@ func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace) (_ compacted, err erro
 	if len(stages) > 0 {
 		cursor = &pidxCursor{win: clusterWindow{c: pidx}, cfg: e.cfg}
 	}
-	defer valBuckets.readAhead(pl).stop(p)
-	var placer valuePlacer
 	var ents []pidxEntry
 	var keys batchArena
-	for _, vb := range valBuckets.buckets() {
-		vals, n, err := placer.place(p, e.cpu[phaseValuePass], vb, nextDest)
+	// write appends n placed values to SORTED_VALUES from nextDest on, while
+	// each joined index extracts from them, or returns the placement's error.
+	write := func(vals []byte, n int, err error) error {
 		if err != nil {
-			return compacted{}, err
+			return err
 		}
 		var extract []*sim.Proc
 		if cursor != nil {
-			// The bucket's n records are the next n PIDX entries, their keys
-			// copied for the extraction procs; each slices its value by vlen.
+			// The n values are the next n PIDX entries, their keys copied for
+			// the extraction procs; each slices its value by vlen.
 			ents = ents[:0]
 			keys.reset()
 			at, end := nextDest, nextDest+uint64(len(vals))
 			for i := 0; i < n; i++ {
 				ent, ok, err := cursor.next(p)
 				if err != nil {
-					return compacted{}, err
+					return err
 				}
 				if !ok || ent.vlogOff != at || at+uint64(ent.vlen) > end {
-					return compacted{}, fmt.Errorf("core: pidx/value streams diverged: %d+%d vs %d", ent.vlogOff, ent.vlen, at)
+					return fmt.Errorf("core: pidx/value streams diverged: %d+%d vs %d", ent.vlogOff, ent.vlen, at)
 				}
 				ent.key = append(keys.room(len(ent.key)), ent.key...)
 				keys.commit(len(ent.key))
@@ -293,7 +304,16 @@ func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace) (_ compacted, err erro
 		}
 		nextDest += uint64(len(vals))
 		ks.progress.GranulesDone = granules(int64(nextDest), blockSz)
-		if err := cmp.Or(w.write(p, vals), joinExtract(p, extract, stages)); err != nil {
+		return cmp.Or(w.write(p, vals), joinExtract(p, extract, stages))
+	}
+	if fits {
+		if err := write(placer.placed()); err != nil {
+			return compacted{}, err
+		}
+	}
+	defer valBuckets.readAhead(pl).stop(p)
+	for _, vb := range valBuckets.buckets() {
+		if err := write(placer.place(p, e.cpu[phaseValuePass], vb, nextDest)); err != nil {
 			return compacted{}, err
 		}
 	}

@@ -243,8 +243,9 @@ func newEngineSorter[T any](e *Engine, run socPhase, codec Codec[T], key func(T)
 // that end before the first batch fills SortBudgetBytes are ordered in SoC
 // DRAM, charged as run formation, and emitted straight from it: no scratch
 // cluster, no media. More are cut into runs and merged down to MergeFanin;
-// the final merge, split with the host when the assist hooks and the planner
-// say so, streams into emit, and its runs are released once it ends.
+// the final merge, split with the host when the assist hooks are set and the
+// planner ships some runs but not all, streams into emit, and its runs are
+// released once it ends.
 func (s *Sorter[T]) Stream(p *sim.Proc, src recordSource[T], emit func(p *sim.Proc, rec T) error) error {
 	defer s.drop(p)
 	if err := s.feed(p, src); err != nil {
@@ -262,7 +263,7 @@ func (s *Sorter[T]) Stream(p *sim.Proc, src recordSource[T], emit func(p *sim.Pr
 	if len(runs) > 1 {
 		s.deviceRuns = len(runs)
 		if s.planSplit != nil && s.submitAssist != nil && s.collectAssist != nil {
-			if h := s.planSplit(len(runs)); h > 0 && h <= len(runs) {
+			if h := s.planSplit(len(runs)); h > 0 && h < len(runs) {
 				if runs, mem, err = s.sortSplit(p, runs, h); err != nil {
 					return err
 				}

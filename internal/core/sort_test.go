@@ -524,10 +524,11 @@ func (fa *fakeAssist) attach(s *Sorter[klogEntry], hostCPU *host.Host) {
 // TestStreamSplitFinalMerge drives Stream's host split through fake assist
 // hooks. The final merge of the device's run against the host's run from SoC
 // DRAM streams out exactly what a device-only sort emits, with the device
-// group pre-merged, alone, or empty. A refused submit — with at most one run
-// left to the device — and a host that goes away both leave the device to
-// merge every run, and the sort says so: no host runs. An emit error in the
-// final merge leaves no ZoneTemp zone owned.
+// group pre-merged or alone. A plan that ships every run is not taken: the
+// device merges them all and nothing is submitted. A refused submit — with
+// one run left to the device — and a host that goes away both leave the
+// device to merge every run, and the sort says so: no host runs. An emit
+// error in the final merge leaves no ZoneTemp zone owned.
 func TestStreamSplitFinalMerge(t *testing.T) {
 	recs := benchKlogEntries(4096)
 	var want [][]byte
@@ -547,13 +548,14 @@ func TestStreamSplitFinalMerge(t *testing.T) {
 		fa       fakeAssist
 		failAt   int  // emit fails at this record (0: never)
 		hostDone bool // the host's share is merged on the host
+		shipped  bool // the host's share was submitted and accepted
 	}{
-		{"collaborative", fakeAssist{keep: 3}, 0, true},
-		{"one device run", fakeAssist{keep: 1}, 0, true},
-		{"host only", fakeAssist{keep: 0}, 0, true},
-		{"refused", fakeAssist{keep: 1, refuse: true}, 0, false},
-		{"host gone", fakeAssist{keep: 3, fail: true}, 0, false},
-		{"emit error", fakeAssist{keep: 3}, len(recs) / 2, true},
+		{"collaborative", fakeAssist{keep: 3}, 0, true, true},
+		{"one device run", fakeAssist{keep: 1}, 0, true, true},
+		{"host only", fakeAssist{keep: 0}, 0, false, false},
+		{"refused", fakeAssist{keep: 1, refuse: true}, 0, false, false},
+		{"host gone", fakeAssist{keep: 3, fail: true}, 0, false, true},
+		{"emit error", fakeAssist{keep: 3}, len(recs) / 2, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fx := newSortFixture(16 << 10)
@@ -582,8 +584,12 @@ func TestStreamSplitFinalMerge(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if fa.reduced < 4 || (!fa.refuse && fa.sent != fa.reduced-fa.keep) {
-					t.Fatalf("%d reduced runs, %d shipped: the split did not engage", fa.reduced, fa.sent)
+				wantSent := 0
+				if tc.shipped {
+					wantSent = fa.reduced - fa.keep
+				}
+				if fa.reduced < 4 || fa.sent != wantSent || fa.jobs != 0 {
+					t.Fatalf("%d reduced runs, %d shipped, %d jobs left; want %d shipped and none left", fa.reduced, fa.sent, fa.jobs, wantSent)
 				}
 				wantHost, wantDev := 0, fa.reduced
 				if tc.hostDone {

@@ -29,8 +29,9 @@ func sampleWhile(p *sim.Proc, sample func(), body func()) {
 // TestDRAMGaugeCountsSortBatch: engine/dram holds a compaction's key-sort
 // batch — the SizeHint of every KLOG entry — while the batch streams from
 // DRAM, beside the destination bucket the stream fills; then the destination
-// and value buckets, both held because one bucket covers the keyspace; and,
-// in a consolidated compaction, the index's batch beside the value bucket.
+// bucket, held because one bucket covers the keyspace, and the span its values
+// are placed in, because they fit the sort budget; and, in a consolidated
+// compaction, the index's batch beside the span.
 // It counts every chunk its stage rings hold too. It peaks at exactly the
 // largest of those sums, and is back to zero once the compaction and its
 // consolidated index build have ended.
@@ -43,13 +44,13 @@ func TestDRAMGaugeCountsSortBatch(t *testing.T) {
 	const n = 4000
 	keyBatch := float64(n * klogCodec{}.SizeHint(klogEntry{key: tkey(0)}))
 	dests := float64(n * destEntrySize)
-	values := float64(len(valueCodec{}.Encode(nil, valueRec{value: tvalue(0, 0)})) * n)
+	values := float64(n * len(tvalue(0, 0))) // the placed span
 	sidxBatch := float64(n * sidxCodec{}.SizeHint(sidxEntry{skey: make([]byte, 4), pkey: tkey(0)}))
 	// Ring bytes at the peaks: the stream's first PIDX burst, pushed
 	// mid-stream, and SORTED_VALUES' one chunk of value bytes, pushed as the
-	// value pass finishes while the value bucket is still held.
+	// value pass finishes while the span is still held.
 	pidxBurst := float64(appendBurst)
-	valueBytes := float64(n * len(tvalue(0, 0)))
+	valueBytes := values
 	for _, indexed := range []bool{false, true} {
 		fx := newEngineFixture(DefaultConfig())
 		fx.run(t, func(p *sim.Proc) {
@@ -91,10 +92,10 @@ func TestDRAMGaugeCountsSortBatch(t *testing.T) {
 			if inMerge != stream {
 				t.Errorf("indexed=%v: engine/dram reached %v while the key batch streamed, want its %v bytes, %v of destinations and a %v-byte PIDX burst", indexed, inMerge, keyBatch, dests, pidxBurst)
 			}
-			// The value stage holds the value bucket until it is placed,
-			// then nothing while SORTED_VALUES seals and the job installs.
+			// The value stage holds the span until SORTED_VALUES is sealed,
+			// then nothing while the job installs.
 			if !indexed && (!inValues[values] || len(inValues) > 2 || len(inValues) == 2 && !inValues[0]) {
-				t.Errorf("engine/dram read %v in the value stage, want the value bucket's %v bytes, then 0", inValues, values)
+				t.Errorf("engine/dram read %v in the value stage, want the span's %v bytes, then 0", inValues, values)
 			}
 			if m := gauge.Max(); m != peak {
 				t.Errorf("indexed=%v: engine/dram peaked at %v, want %v", indexed, m, peak)
