@@ -119,7 +119,9 @@ func runValueSort(t *testing.T, budget, n, vsize int) valueSortRun {
 // batch too), owns no ZoneTemp zone at any instant, and appends nothing but
 // those two clusters' bytes. Its PIDX and SORTED_VALUES are byte for byte
 // those of the same compaction with every bucket spilled. The placed value
-// sort is one pass, charged one compare unit per live pair in all.
+// sort is one pass, charged one compare unit per live pair in all; the
+// spilled one is two, each charged exactly one unit per live pair over its
+// buckets.
 func TestValueSortOneBucketStaysInDRAM(t *testing.T) {
 	const n, vsize = 3000, 32
 	held := runValueSort(t, 8<<20, n, vsize)
@@ -139,6 +141,9 @@ func TestValueSortOneBucketStaysInDRAM(t *testing.T) {
 	}
 	if held.destNs+held.valueNs != held.passNs {
 		t.Errorf("held: dest_pass %d ns + value_pass %d ns, want one pass of %d ns in all (%d live pairs)", held.destNs, held.valueNs, held.passNs, held.live)
+	}
+	if spilled.destNs != spilled.passNs || spilled.valueNs != spilled.passNs {
+		t.Errorf("spilled: dest_pass %d ns, value_pass %d ns, want one pass of %d ns each (%d live pairs)", spilled.destNs, spilled.valueNs, spilled.passNs, spilled.live)
 	}
 }
 
@@ -189,7 +194,7 @@ func TestValueSortSpillsPastBudget(t *testing.T) {
 			if err := vlog.Append(p, testVlog(count*vsize)); err != nil {
 				t.Fatal(err)
 			}
-			cpu := fx.soc.Account("")
+			cpu := &passCPU{cpu: fx.soc.Account("")}
 			var fromHeld, fromSpilled valueGatherer
 			want, err := fromHeld.gather(p, cpu, bucket{buf: enc}, vlog, 0, w.width)
 			if err != nil {
@@ -435,7 +440,7 @@ func TestBucketInDRAMAllocs(t *testing.T) {
 		if err := vlog.Seal(p); err != nil {
 			t.Fatal(err)
 		}
-		cpu := fx.soc.Account("")
+		cpu := &passCPU{cpu: fx.soc.Account("")}
 		var g valueGatherer
 		for _, count := range []int{big, small} {
 			dests := bucket{buf: encodeDests(shuffledDests(count, 32, int64(count)))}

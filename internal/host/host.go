@@ -212,6 +212,17 @@ func (m Meter) Compares(p *sim.Proc, n int64) {
 	m.Compute(p, time.Duration(n)*m.h.cfg.CompareCost)
 }
 
+// ComparesAfter charges n key comparisons that follow done others of one step
+// charged piece by piece, priced as ComparesSplit prices a share: the cost of
+// done+n comparisons less the cost of done, so the pieces cost exactly what
+// Compares charges their sum.
+func (m Meter) ComparesAfter(p *sim.Proc, done, n int64) {
+	cc := m.h.cfg.CompareCost
+	if d := m.scale(time.Duration(done+n)*cc) - m.scale(time.Duration(done)*cc); d > 0 {
+		m.use(p, d)
+	}
+}
+
 // ComparesSplit charges one data-parallel step's key comparisons, split into
 // per-core shares: shares[0] on p and every other share on a helper proc of
 // its own, started together and joined before it returns, so the step takes

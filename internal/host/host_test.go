@@ -122,6 +122,36 @@ func TestComparesSplit(t *testing.T) {
 	}
 }
 
+// TestComparesAfter: a step charged in pieces at running totals costs, to
+// the nanosecond, one charge of all its comparisons, where pieces priced one
+// by one fall short by up to a nanosecond each.
+func TestComparesAfter(t *testing.T) {
+	env := sim.NewEnv()
+	h := New(env, DefaultSoCConfig())
+	pieces := []int64{427, 431, 429, 0, 428, 430, 426, 429}
+	var total int64
+	env.Go("job", func(p *sim.Proc) {
+		for _, n := range pieces {
+			h.Account("").ComparesAfter(p, total, n)
+			total += n
+		}
+	})
+	env.Run()
+	cost := func(n int64) time.Duration {
+		return time.Duration(float64(time.Duration(n)*h.Config().CompareCost) / h.Config().Speed)
+	}
+	var alone time.Duration
+	for _, n := range pieces {
+		alone += cost(n)
+	}
+	if busy, want := h.CPU().BusyTime(), cost(total); busy != want {
+		t.Errorf("busy %v, want one charge of all %d comparisons, %v", busy, total, want)
+	}
+	if alone == cost(total) {
+		t.Errorf("pieces priced one by one cost %v, as their sum does: the case shows no drift", alone)
+	}
+}
+
 func TestChargeHelpers(t *testing.T) {
 	env := sim.NewEnv()
 	cfg := Config{Name: "t", Cores: 1, Speed: 1,
