@@ -132,7 +132,8 @@ func TestSourcesPoisonTakenRecords(t *testing.T) {
 			compactAndWait(t, p, fx, "ks")
 			// The secondary key's buffer is poisoned and then refilled with
 			// the next entry's key; the primary key's bytes stay poisoned.
-			src := fx.eng.newSidxSource(ks, spec)
+			src := fx.eng.newSidxSource(ks, spec, fx.eng.pipeline(ks))
+			defer src.stop(p)
 			e1, _, _ := src.next(p)
 			skey := bytes.Clone(e1.skey)
 			if _, _, err := src.next(p); err != nil || bytes.Equal(e1.skey, skey) || !isPoison(e1.pkey) {
