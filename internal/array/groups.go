@@ -118,6 +118,11 @@ func (s *deviceSM) drop(p *sim.Proc) error {
 	return nil
 }
 
+// Close implements the replica cluster's close of a stopped machine: it lets
+// go of the DRAM view, which only the stopped cluster read. The device
+// keyspace stays until the keyspace is deleted.
+func (s *deviceSM) Close() { s.mem = nil }
+
 func (s *deviceSM) handle(p *sim.Proc) (*client.Keyspace, error) {
 	if s.h != nil {
 		return s.h, nil

@@ -279,3 +279,60 @@ func TestDeleteReplicatedKeyspaceUnderLoad(t *testing.T) {
 		}
 	})
 }
+
+// TestStoppedReplicatedKeyspaceReleases: stopping a replicated keyspace's
+// cluster, as a caller that moves on to a fresh keyspace does, lets go of
+// every member's DRAM view and every group's log at once and charges no
+// virtual time; the device keyspaces stay, and DeleteKeyspace still takes
+// them off the devices.
+func TestStoppedReplicatedKeyspaceReleases(t *testing.T) {
+	runReplicated(t, DefaultOptions(), func(p *sim.Proc, a *Array) {
+		k, err := a.CreateReplicated(p, "orders", 2)
+		if err != nil {
+			t.Fatalf("CreateReplicated: %v", err)
+		}
+		for i := 0; i < 40; i++ {
+			if err := k.Put(p, []byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
+				t.Fatalf("put %d: %v", i, err)
+			}
+		}
+		p.Sleep(5 * time.Millisecond) // followers apply what the leaders committed
+		var held []*deviceSM
+		for _, sm := range k.sms {
+			if sm.mem != nil && sm.h != nil {
+				held = append(held, sm)
+			}
+		}
+		if len(held) == 0 {
+			t.Fatal("no member holds a DRAM view before the stop")
+		}
+		t0 := p.Now()
+		k.Cluster().Stop()
+		if p.Now() != t0 {
+			t.Errorf("Stop took %v of virtual time", time.Duration(p.Now()-t0))
+		}
+		for _, sm := range k.sms {
+			if sm.mem != nil {
+				t.Errorf("device %d still holds the DRAM view of %s after the stop", sm.node, sm.ks)
+			}
+		}
+		if _, _, err := k.Get(p, []byte("k001")); !errors.Is(err, replica.ErrStopped) {
+			t.Errorf("get after the stop: %v, want ErrStopped", err)
+		}
+		for _, sm := range held {
+			if _, err := a.members[sm.node].Client.OpenKeyspace(p, sm.ks); err != nil {
+				t.Errorf("device %d lost %s at the stop: %v", sm.node, sm.ks, err)
+			}
+		}
+		if err := a.DeleteKeyspace(p, "orders"); err != nil {
+			t.Fatalf("DeleteKeyspace after the stop: %v", err)
+		}
+		for _, m := range a.Members() {
+			for s := 0; s < 2; s++ {
+				if _, err := m.Client.OpenKeyspace(p, groupName("orders", s)); err == nil {
+					t.Errorf("device %d still holds %s after the delete", m.ID, groupName("orders", s))
+				}
+			}
+		}
+	})
+}

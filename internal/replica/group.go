@@ -1001,6 +1001,18 @@ func (g *group) crash() {
 	g.staging = nil
 }
 
+// release drops what a stopped group keeps that nothing reads any more: its
+// log, snapshot, sessions and staged pairs, and its state machine, which it
+// closes first when the machine can close.
+func (g *group) release() {
+	if sm, ok := g.sm.(interface{ Close() }); ok {
+		sm.Close()
+	}
+	g.sm = nil
+	g.log, g.snapPairs, g.staging = nil, nil, nil
+	g.sessions, g.snapSessions = nil, nil
+}
+
 // restart rebuilds volatile state from the persisted snapshot and log: the
 // state machine is restored to the snapshot and the log will be re-applied as
 // the commit index re-advances (replay is idempotent thanks to session dedup

@@ -92,7 +92,9 @@ type Command struct {
 
 // StateMachine is the replicated application state of one shard. Apply must
 // be deterministic; Snapshot/Restore must round-trip the full state. The
-// sim.Proc lets device-backed implementations charge virtual time.
+// sim.Proc lets device-backed implementations charge virtual time. A machine
+// that also has a Close method is closed once its cluster has stopped and no
+// call into it is in flight: nothing calls it again.
 type StateMachine interface {
 	Apply(p *sim.Proc, cmd Command) error
 	Lookup(p *sim.Proc, key []byte) (value []byte, found bool, err error)

@@ -88,12 +88,14 @@ func (c *Cluster) MoveShard(p *sim.Proc, shard, from, to int) error {
 	}
 
 	// Snapshot the leader's applied state and stream it to the new owner.
+	c.enter()
 	pairs, err := g.sm.Snapshot(p)
+	snapIndex, snapTerm := g.applied, g.termAt(g.applied)
+	sessions := sessionList(g.sessions)
+	c.leave()
 	if err != nil {
 		return fmt.Errorf("%w: snapshot: %v", ErrMigrate, err)
 	}
-	snapIndex, snapTerm := g.applied, g.termAt(g.applied)
-	sessions := sessionList(g.sessions)
 	baseCfg := wire.ReplicaEntry{Kind: entryConfig, Members: memberList(g.members), Epoch: g.epoch}
 	stream := c.nextMsgID()
 	c.countMigration()
@@ -197,6 +199,7 @@ func (c *Cluster) proposeConfig(p *sim.Proc, shard int, members []uint32) error 
 			return nil // already in effect (e.g. committed before a retry)
 		}
 		session.seq++
+		c.enter()
 		pd, err := g.propose(p, wire.ReplicaEntry{
 			Kind:    entryConfig,
 			Client:  session.id,
@@ -204,6 +207,7 @@ func (c *Cluster) proposeConfig(p *sim.Proc, shard int, members []uint32) error 
 			Members: members,
 			Epoch:   g.epoch + 1,
 		})
+		c.leave()
 		if err == nil && pd == nil {
 			return nil
 		}

@@ -464,3 +464,80 @@ func lossyClient(p *sim.Proc, c *Cluster, rec *linearize.Recorder, id uint64, rn
 		}
 	}
 }
+
+// closingSM is a slowSM that counts the commands it applies and its Close
+// calls, and fails a test that calls it after Close.
+type closingSM struct {
+	slowSM
+	t               *testing.T
+	applied, closed int
+}
+
+func (s *closingSM) Apply(p *sim.Proc, cmd Command) error {
+	if s.closed > 0 {
+		s.t.Error("Apply after Close")
+	}
+	s.applied++
+	return s.slowSM.Apply(p, cmd)
+}
+
+func (s *closingSM) Close() { s.closed++ }
+
+// TestStopReleasesAfterApplies: Stop with a follower's apply in flight lets
+// the apply loop drain as before — every entry it had committed reaches the
+// machine — and only then releases the cluster: every group's log, snapshot
+// and sessions go, and every machine is closed once. Stop charges no virtual
+// time.
+func TestStopReleasesAfterApplies(t *testing.T) {
+	var sms []*closingSM
+	opts := opts3(73)
+	opts.NewSM = func(int, int) StateMachine {
+		sm := &closingSM{slowSM: slowSM{MemKV: *NewMemKV()}, t: t}
+		sms = append(sms, sm)
+		return sm
+	}
+	run(t, opts, func(p *sim.Proc, c *Cluster) {
+		_, followers := leaderOf(t, p, c)
+		s := c.Client(1)
+		for i := 0; i < 4; i++ {
+			if err := s.Put(p, 0, []byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g := c.nodes[followers[0]].groups[0]
+		for !g.applyBusy {
+			p.Sleep(10 * time.Microsecond)
+		}
+		puts := 0 // put entries the follower has committed
+		for i := g.base + 1; i <= g.commit; i++ {
+			if g.entryAt(i).Kind == entryPut {
+				puts++
+			}
+		}
+		sm := g.sm.(*closingSM)
+		t0 := p.Now()
+		c.Stop()
+		if p.Now() != t0 {
+			t.Errorf("Stop took %v of virtual time", time.Duration(p.Now()-t0))
+		}
+		if g.log == nil || sm.closed != 0 {
+			t.Fatal("the cluster released its groups with an apply in flight")
+		}
+		for g.applyBusy {
+			p.Sleep(10 * time.Microsecond)
+		}
+		if sm.applied != puts {
+			t.Errorf("the follower applied %d puts, want the %d it had committed at the stop", sm.applied, puts)
+		}
+		for _, n := range c.nodes {
+			if g := n.groups[0]; g.log != nil || g.sm != nil || g.sessions != nil {
+				t.Errorf("node %d kept its log (%d entries), machine or sessions after the stop", n.id, len(g.log))
+			}
+		}
+		for i, sm := range sms {
+			if sm.closed != 1 {
+				t.Errorf("machine %d closed %d times, want once", i, sm.closed)
+			}
+		}
+	})
+}

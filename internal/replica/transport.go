@@ -137,7 +137,9 @@ func (t *transport) carry(p *sim.Proc, d *delivery) {
 	if c.stopped || t.severed(d.from, d.to) || !c.nodes[d.to].running {
 		t.framesDropped++
 	} else {
+		c.enter()
 		c.nodes[d.to].deliver(p, d.frame, &d.scratch)
+		c.leave()
 	}
 	t.recycle(d.frame)
 	d.frame = nil
