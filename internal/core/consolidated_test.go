@@ -116,7 +116,7 @@ func TestConsolidatedReadsLessThanSeparate(t *testing.T) {
 
 func TestConsolidatedFallsBackWhenDRAMTight(t *testing.T) {
 	cfg := smallEngineConfig()
-	cfg.DRAMBytes = int64(cfg.SortBudgetBytes) * 3 // 2 specs + 1 > DRAM/2
+	cfg.DRAMBytes = int64(cfg.SortBudgetBytes) * 3 // 2 specs + 2 spans > DRAM/2
 	fx := newEngineFixture(cfg)
 	fx.run(t, func(p *sim.Proc) {
 		ingestN(t, p, fx, "ks", 500, func(i int) float32 { return float32(i) })
@@ -484,12 +484,12 @@ var fourSpecs = []nvme.SecondaryIndexSpec{
 }
 
 // TestJoinsStopAtDRAMLimit: builds join a compaction only while consolidates
-// holds for one more. With DRAM for the compaction's batch and two index
+// holds for one more. With DRAM for the value pass's two spans and two index
 // batches in half of it, the first two of four join and the other two are
 // built separately; all four answer a full scan with every pair.
 func TestJoinsStopAtDRAMLimit(t *testing.T) {
 	cfg := smallEngineConfig()
-	cfg.DRAMBytes = 7 * int64(cfg.SortBudgetBytes) // 3 batches fit DRAM/2, 4 do not
+	cfg.DRAMBytes = 9 * int64(cfg.SortBudgetBytes) // 2 spans and 2 batches fit DRAM/2, 3 batches do not
 	fx := newEngineFixture(cfg)
 	fx.run(t, func(p *sim.Proc) {
 		const n = 800

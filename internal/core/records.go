@@ -112,8 +112,11 @@ type valueRec struct {
 // valueCodec serializes value records: destOff u64 | vlen u32 | bytes.
 type valueCodec struct{}
 
+// valueHeaderBytes is the length of a value record's destOff and vlen.
+const valueHeaderBytes = 12
+
 func (valueCodec) Encode(dst []byte, r valueRec) []byte {
-	var hdr [12]byte
+	var hdr [valueHeaderBytes]byte
 	binary.LittleEndian.PutUint64(hdr[0:], r.destOff)
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(r.value)))
 	dst = append(dst, hdr[:]...)
