@@ -34,7 +34,7 @@ func TestCompactSplitShape(t *testing.T) {
 	// split changes only the key merge, and releasing its runs to the LIFO
 	// free-zone pool in another order moves the value buckets to other zones,
 	// which can slow the value scatter by more than the merge gains
-	// (measured at seed 1: 82.493 vs 84.448 ms, collaborative ahead).
+	// (measured at seed 1: 86.921 vs 90.455 ms, collaborative ahead).
 	for _, w := range []struct {
 		col, dev int
 		width    string

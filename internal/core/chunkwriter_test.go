@@ -130,8 +130,8 @@ func TestChunkWriterFlushRules(t *testing.T) {
 }
 
 // TestChunkWriterStagedAppendError: an Append failing in the middle of a
-// staged write reaches the producer, and stopping the writer drains the ring
-// and joins the stage proc, leaving no chunk counted in the pipeline.
+// staged write reaches the producer, and stopping the writer joins every
+// write proc, leaving no burst counted in the pipeline.
 func TestChunkWriterStagedAppendError(t *testing.T) {
 	fx := newSortFixture(0)
 	fx.run(t, func(p *sim.Proc) {
@@ -141,11 +141,16 @@ func TestChunkWriterStagedAppendError(t *testing.T) {
 		fx.zm.dev.InjectFault("zone-write", -1, 9) // a few Appends land first
 		raw := make([]byte, writeChunk)
 		var err error
+		var procs []*sim.Proc
 		appended := 0
 		for ; appended < 64 && err == nil; appended++ {
 			err = w.write(p, raw)
+			for _, b := range w.app.live {
+				if !slices.Contains(procs, b.proc) {
+					procs = append(procs, b.proc)
+				}
+			}
 		}
-		stage := w.app // the stage starts with the first append
 		if err == nil {
 			err = w.finish(p)
 		}
@@ -155,13 +160,70 @@ func TestChunkWriterStagedAppendError(t *testing.T) {
 		if !errors.Is(err, ssd.ErrInjectedFault) || appended < 2 {
 			t.Fatalf("after %d chunks: %v, want the injected fault mid-stream", appended, err)
 		}
-		if !stage.proc.Done().Fired() || w.app.proc != nil {
-			t.Fatal("the write stage proc was not joined")
+		for _, q := range procs {
+			if !q.Done().Fired() {
+				t.Fatalf("write proc %d was not joined", q.ID())
+			}
 		}
-		if occupancy != 0 || stage.ring.Len() != 0 {
-			t.Fatalf("%d chunks still counted in the pipeline, %d in the ring", occupancy, stage.ring.Len())
+		if len(procs) < 2 || len(w.app.live) != 0 {
+			t.Fatalf("%d write procs seen, %d still live", len(procs), len(w.app.live))
+		}
+		if occupancy != 0 || w.app.held != 0 {
+			t.Fatalf("%d bursts still counted in the pipeline, %d bytes held", occupancy, w.app.held)
 		}
 	})
+}
+
+// TestSpilledValueSortOverlapsAppends: the buckets of a spilled value sort
+// append at once through the write stage — more than one append is in flight
+// at some instant — while the bursts handed off and not yet appended never
+// hold more than width × writeChunk bytes, and every bucket gets the bytes
+// the same writer appends inline, in the same order.
+func TestSpilledValueSortOverlapsAppends(t *testing.T) {
+	const width, n, vsize = 4, 6000, 200
+	cfg := DefaultConfig()
+	cfg.SortBudgetBytes = 128 << 10 // 1.2 MB of values: ten buckets
+	recs := shuffledValues(n, vsize, 5)
+	run := func(staged bool) (buckets [][]byte, inflight int) {
+		fx := newEngineFixture(cfg)
+		fx.run(t, func(p *sim.Proc) {
+			var moved uint64
+			w := fx.eng.newBucketWriter(uint64(n*vsize)+1, &moved)
+			if staged {
+				queued := 0 // bursts handed off whose Append has not begun
+				w.app.pl = pipeline{env: fx.env, width: width, onDelta: func(d, _ int) {
+					queued += d
+					inflight = max(inflight, len(w.app.live)-queued)
+					if w.app.held > width*writeChunk {
+						t.Errorf("the write stage holds %d bytes, more than %d", w.app.held, width*writeChunk)
+					}
+				}}
+			}
+			for _, r := range recs {
+				if err := w.add(p, r.destOff, valueCodec{}.Encode(nil, r)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.finish(p); err != nil {
+				t.Fatal(err)
+			}
+			for _, bk := range w.buckets() {
+				buckets = append(buckets, readCluster(t, p, bk.c))
+			}
+			if err := w.release(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return buckets, inflight
+	}
+	inline, _ := run(false)
+	staged, inflight := run(true)
+	if len(inline) < 8 || !slices.EqualFunc(inline, staged, bytes.Equal) {
+		t.Fatalf("%d buckets inline, %d staged, or their bytes differ", len(inline), len(staged))
+	}
+	if inflight < 2 {
+		t.Fatalf("at most %d append in flight at once, want the buckets' appends to overlap", inflight)
+	}
 }
 
 // nopSink is a chunkSink that keeps nothing.

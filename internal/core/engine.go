@@ -525,15 +525,17 @@ func (e *Engine) Halt() { e.halted = true }
 // errHalted fails a background job that starts after Halt.
 var errHalted = errors.New("core: engine halted")
 
-// spawnJob runs fn as a device background process on the SoC. With tracing
-// on, the job runs under a root "job:" span so its media operations get stage
-// attribution like foreground commands.
+// spawnJob runs fn as a device background process on the SoC, in the
+// background lane, so its media operations queue behind foreground ones. With
+// tracing on, the job runs under a root "job:" span so its media operations
+// get stage attribution like foreground commands.
 func (e *Engine) spawnJob(name string, fn func(p *sim.Proc) error) {
 	e.bgJobs++
 	if e.gBgJobs != nil {
 		e.gBgJobs.Add(1)
 	}
 	e.env.Go(name, func(p *sim.Proc) {
+		p.SetLane(sim.Background)
 		sp := e.tr.StartRoot(p, "job:"+name, "job")
 		if sp != nil {
 			e.tr.Push(p, sp)

@@ -875,46 +875,54 @@ type chunkSink interface {
 }
 
 // appender lands a writer's bursts: inline on the writer's proc, or, when pl
-// is on, on the writer's zone-write stage proc, started by the first append
-// and fed through a ring whose items each name the output they land in. This
-// is the one place that choice is made; every writer of a compaction or an
-// index build appends through one.
+// is on, each on a write proc of its own that waits behind the previous burst
+// to the same output, so every output gets its bytes in order while bursts to
+// different outputs land at once. The bursts handed off and not yet appended
+// hold at most width × writeChunk bytes, and each counts in the pipeline
+// (onDelta) from hand-off until its Append begins. This is the one place that
+// choice is made; every writer of a compaction or an index build appends
+// through one.
 type appender struct {
-	pl   pipeline
-	ring *compaction.Ring[burst]
-	proc *sim.Proc
-	err  error
-	free [][]byte // bursts the stage has appended, for the writer to refill
+	pl     pipeline
+	held   int       // bytes of the bursts handed off and not yet appended
+	live   []burst   // those bursts, in hand-off order
+	waiter *sim.Proc // the writer, while it waits for room
+	err    error     // the first failed Append's
+	free   [][]byte  // bursts appended, for the writer to refill
 }
 
-// burst is one append the write stage owes.
+// burst is one append the write stage owes to out, landed by proc.
 type burst struct {
-	out chunkSink
-	buf []byte
+	out  chunkSink
+	proc *sim.Proc
 }
 
-// put appends buf to out, or hands it to the write stage, and returns an
-// empty buffer of buf's capacity to fill next: buf itself once an inline
-// Append copied it, else one the stage is done with when there is one, so a
-// writer cycles through a ring's worth of buffers and two more.
+// put appends buf to out, or hands it to a write proc, and returns an empty
+// buffer of buf's capacity to fill next: buf itself once an inline Append
+// copied it, else one a write proc is done with when there is one, so a
+// writer cycles through the stage's worth of buffers and one more.
 func (a *appender) put(p *sim.Proc, out chunkSink, buf []byte) ([]byte, error) {
-	if a.proc == nil && a.pl.on() {
-		a.ring = compaction.NewRing(a.pl.env, a.pl.width*writeChunk, func(b burst) int { return len(b.buf) }, a.pl.onDelta)
-		a.proc = a.pl.env.Go("compact:write", func(p *sim.Proc) {
-			for b, ok := a.ring.Pop(p); ok; b, ok = a.ring.Pop(p) {
-				if a.err == nil { // after a failed append, drain
-					a.err = b.out.Append(p, b.buf)
-				}
-				a.free = append(a.free, b.buf[:0]) // Append copied it
-			}
-		})
-	}
-	if a.proc == nil {
+	if !a.pl.on() {
 		return buf[:0], out.Append(p, buf)
 	}
-	if a.err != nil || !a.ring.Push(p, burst{out, buf}) {
-		return buf[:0], cmp.Or(a.err, errors.New("core: write stage closed"))
+	for a.err == nil && a.held > 0 && a.held+len(buf) > a.pl.width*writeChunk {
+		a.waiter = p
+		p.Block()
 	}
+	if a.err != nil {
+		return buf[:0], a.err
+	}
+	var prev *sim.Proc
+	for i := len(a.live) - 1; i >= 0 && prev == nil; i-- {
+		if a.live[i].out == out {
+			prev = a.live[i].proc
+		}
+	}
+	a.held += len(buf)
+	if a.pl.onDelta != nil {
+		a.pl.onDelta(1, len(buf))
+	}
+	a.live = append(a.live, burst{out, a.land(out, buf, prev)})
 	if n := len(a.free); n > 0 {
 		buf, a.free = a.free[n-1], a.free[:n-1]
 		return buf, nil
@@ -922,18 +930,37 @@ func (a *appender) put(p *sim.Proc, out chunkSink, buf []byte) ([]byte, error) {
 	return make([]byte, 0, cap(buf)), nil
 }
 
-// stop drains the write stage, joins its proc and reports its first append
-// error. It does nothing without an open stage, so error paths may always
-// call it.
+// land starts the write proc that appends buf to out once prev, the burst
+// before it to out, has landed. The proc owns buf until the Append returns.
+func (a *appender) land(out chunkSink, buf []byte, prev *sim.Proc) *sim.Proc {
+	return a.pl.env.Go("compact:write", func(p *sim.Proc) {
+		if prev != nil {
+			p.Join(prev)
+		}
+		if a.pl.onDelta != nil {
+			a.pl.onDelta(-1, -len(buf))
+		}
+		if a.err == nil { // after a failed append, the rest drain
+			a.err = out.Append(p, buf)
+		}
+		a.held -= len(buf)
+		a.live = slices.DeleteFunc(a.live, func(b burst) bool { return b.proc == p })
+		a.free = append(a.free, buf[:0]) // Append copied it
+		if w := a.waiter; w != nil {
+			a.waiter = nil
+			a.pl.env.Wake(w)
+		}
+	})
+}
+
+// stop joins every write proc and reports the first append error. It does
+// nothing without a burst handed off, so error paths may always call it.
 func (a *appender) stop(p *sim.Proc) error {
-	if a.proc == nil {
-		return nil
+	for len(a.live) > 0 {
+		p.Join(a.live[0].proc)
 	}
-	a.ring.Close()
-	p.Join(a.proc)
-	a.ring.Discard()
 	err := a.err
-	a.proc, a.err, a.free = nil, nil, nil
+	a.err, a.free = nil, nil
 	return err
 }
 

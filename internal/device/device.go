@@ -162,11 +162,13 @@ func New(env *sim.Env, opts Options, st *stats.IOStats) *Device {
 }
 
 // scrubLoop runs the background media scrubber every Engine.ScrubInterval of
-// virtual time. Scrub reads go through the SSD channels and its checksum work
-// through the SoC cores, contending with foreground commands the way paper
-// compaction does. The loop exits at Shutdown (it must, or the simulation's
-// event queue never drains) and skips passes while the device is powered off.
+// virtual time. Scrub reads go through the SSD channels in the background
+// lane and its checksum work through the SoC cores, contending with
+// foreground commands the way paper compaction does. The loop exits at
+// Shutdown (it must, or the simulation's event queue never drains) and skips
+// passes while the device is powered off.
 func (d *Device) scrubLoop(p *sim.Proc) {
+	p.SetLane(sim.Background)
 	for {
 		p.Sleep(sim.Duration(d.opts.Engine.ScrubInterval))
 		if d.closed {

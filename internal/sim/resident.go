@@ -30,8 +30,9 @@ func NewResidentProcs[S any](env *Env, name string, body func(p *Proc, s *S)) *R
 }
 
 // Dispatch schedules one run of the body at the current virtual instant, on a
-// parked proc or — only when none is parked — on a new one, and returns that
-// proc's state for the caller to put the unit in before it next yields.
+// parked proc or — only when none is parked — on a new one, in the
+// dispatching process's lane, and returns that proc's state for the caller
+// to put the unit in before it next yields.
 // Waking a parked proc and starting a new one schedule the same event — the
 // body's first step at this instant, after everything scheduled before it —
 // so which of the two happens does not show in virtual time.
@@ -40,6 +41,7 @@ func (r *ResidentProcs[S]) Dispatch() *S {
 		h := r.idle[n-1]
 		r.idle = r.idle[:n-1]
 		h.busy = true
+		h.p.lane = r.env.lane()
 		r.env.Wake(h.p)
 		return &h.state
 	}

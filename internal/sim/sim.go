@@ -117,6 +117,7 @@ type Env struct {
 	procSeq int
 	panicV  interface{} // panic propagated out of a process
 	didRun  bool
+	cur     *Proc // the process that owns the simulation, nil outside Run
 }
 
 // NewEnv creates an empty simulation environment at virtual time zero.
@@ -171,6 +172,7 @@ func (e *Env) handoff(next *Proc) {
 		e.stopped <- struct{}{}
 		return
 	}
+	e.cur = next
 	next.resume <- struct{}{}
 }
 
@@ -183,11 +185,41 @@ type Proc struct {
 	id     int
 	resume chan struct{}
 	done   bool
+	lane   Lane
 	doneEv *Event // fired when the process body returns
 }
 
-// Go spawns a new process that begins at the current virtual time. The
-// returned Proc can be waited on via its Done event.
+// Lane is the class of work a process does, which decides where its channel
+// reservations queue (Resource.Reserve): foreground work is booked ahead of
+// background work that has not started.
+type Lane uint8
+
+// The two lanes. A process starts in its spawner's lane; one spawned outside
+// a process is foreground.
+const (
+	Foreground Lane = iota
+	Background
+)
+
+// String names the lane.
+func (l Lane) String() string {
+	if l == Background {
+		return "background"
+	}
+	return "foreground"
+}
+
+// lane returns the lane of the process that owns the simulation.
+func (e *Env) lane() Lane {
+	if e.cur == nil {
+		return Foreground
+	}
+	return e.cur.lane
+}
+
+// Go spawns a new process that begins at the current virtual time, in the
+// spawning process's lane. The returned Proc can be waited on via its Done
+// event.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	e.procSeq++
 	p := &Proc{
@@ -195,6 +227,7 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 		name:   name,
 		id:     e.procSeq,
 		resume: make(chan struct{}),
+		lane:   e.lane(),
 	}
 	p.doneEv = NewEvent(e)
 	e.live++
@@ -227,6 +260,7 @@ func (e *Env) Run() Time {
 	}
 	e.didRun = true
 	if first := e.next(); first != nil {
+		e.cur = first
 		first.resume <- struct{}{}
 		<-e.stopped
 	}
@@ -258,6 +292,13 @@ func (p *Proc) Now() Time { return p.env.now }
 
 // Done returns an event that fires when the process body has returned.
 func (p *Proc) Done() *Event { return p.doneEv }
+
+// Lane returns the process's lane.
+func (p *Proc) Lane() Lane { return p.lane }
+
+// SetLane moves the process, and the processes it spawns from then on, to
+// lane l.
+func (p *Proc) SetLane(l Lane) { p.lane = l }
 
 // block gives up the simulation until some event of p comes due. Unless the
 // caller scheduled one (Sleep), another process must wake us via
@@ -304,8 +345,12 @@ type Resource struct {
 	inUse    int
 	waiters  []*Proc
 
-	// freeAt holds per-server completion times for Reserve-mode resources.
-	freeAt []Time
+	// Reserve mode: until fixedEnd the server is booked for the operation in
+	// service and the queued foreground ones, whose times no longer move;
+	// queued are the background bookings that have not started, back to back
+	// from fixedEnd on.
+	fixedEnd Time
+	queued   []*queuedBooking
 
 	// accounting
 	busy        Duration // total server-busy virtual time
@@ -376,34 +421,104 @@ func (p *Proc) Release(r *Resource) {
 	r.inUse--
 }
 
-// Reserve books the earliest-available server for d of virtual time without
-// blocking the caller, returning the completion timestamp. This is the
-// queue-depth model for device channels: a caller can reserve several
-// channels at once and SleepUntil the latest completion, getting parallel
-// I/O across channels. A resource must be used either exclusively through
-// Acquire/Use or exclusively through Reserve — mixing the two would let
-// reservations jump the FIFO queue.
-func (r *Resource) Reserve(d Duration) Time {
+// Booking is one operation's span of a Reserve-mode resource. A foreground
+// booking and a background one that started at once are final; a queued
+// background booking moves later whenever a foreground reservation goes
+// ahead of it, so its End must be read again after sleeping until it
+// (WaitBooking).
+type Booking struct {
+	end Time
+	dur Duration
+	q   *queuedBooking // set while the end can move
+}
+
+// queuedBooking is the end of a background booking that was queued when made.
+type queuedBooking struct {
+	end Time
+	dur Duration
+}
+
+// End returns when the booked operation completes, as things stand now.
+func (b Booking) End() Time {
+	if b.q != nil {
+		return b.q.end
+	}
+	return b.end
+}
+
+// Start returns when the booked operation begins, as things stand now.
+func (b Booking) Start() Time { return b.End() - Time(b.dur) }
+
+// Reserve books d of a capacity-1 resource in lane l without blocking the
+// caller. This is the queue-depth model for device channels: a caller can
+// reserve several channels at once and wait for the bookings, getting
+// parallel I/O across channels.
+//
+// A background booking goes after every other. A foreground booking goes
+// after the operation in service and the queued foreground ones, ahead of
+// every background booking that has not started, each of which moves later
+// by as much as it must; nothing in service is preempted. While no
+// foreground booking goes ahead of a queued background one, every booking
+// ends when a FIFO of all of them would end it.
+//
+// A resource must be used either exclusively through Acquire/Use or
+// exclusively through Reserve — mixing the two would let reservations jump
+// the FIFO queue.
+func (r *Resource) Reserve(l Lane, d Duration) Booking {
+	if r.capacity != 1 {
+		panic("sim: Reserve on multi-server resource " + r.name)
+	}
 	if d < 0 {
 		d = 0
 	}
-	if r.freeAt == nil {
-		r.freeAt = make([]Time, r.capacity)
+	now := r.env.now
+	// Background bookings that have started are in service or done: final.
+	k := 0
+	for ; k < len(r.queued) && r.queued[k].end-Time(r.queued[k].dur) <= now; k++ {
+		r.fixedEnd = r.queued[k].end
 	}
-	best := 0
-	for i := 1; i < r.capacity; i++ {
-		if r.freeAt[i] < r.freeAt[best] {
-			best = i
-		}
+	if k > 0 {
+		n := copy(r.queued, r.queued[k:])
+		clear(r.queued[n:])
+		r.queued = r.queued[:n]
 	}
-	start := r.env.now
-	if r.freeAt[best] > start {
-		start = r.freeAt[best]
-	}
-	r.freeAt[best] = start.Add(d)
 	r.busy += d
 	r.acquires++
-	return r.freeAt[best]
+	if l == Foreground {
+		end := max(now, r.fixedEnd).Add(d)
+		r.fixedEnd = end
+		for _, q := range r.queued {
+			if start := q.end - Time(q.dur); start < end {
+				q.end += end - start
+			}
+			end = q.end
+		}
+		return Booking{end: r.fixedEnd, dur: d}
+	}
+	start := r.NextFree()
+	if start == now { // the server is idle: in service at once
+		r.fixedEnd = start.Add(d)
+		return Booking{end: r.fixedEnd, dur: d}
+	}
+	q := &queuedBooking{end: start.Add(d), dur: d}
+	r.queued = append(r.queued, q)
+	return Booking{dur: d, q: q}
+}
+
+// WaitBooking sleeps until the last of bs ends, reading the ends again on
+// each wake, and returns that end. Without a booking it returns at once,
+// with zero.
+func (p *Proc) WaitBooking(bs ...Booking) Time {
+	var last Time
+	for {
+		for _, b := range bs {
+			last = max(last, b.End())
+		}
+		if last <= p.env.now {
+			return last
+		}
+		p.SleepUntil(last)
+	}
 }
 
 // SleepUntil suspends the process until the given virtual timestamp (no-op
@@ -436,24 +551,15 @@ func (r *Resource) Acquires() int64 { return r.acquires }
 // MaxInUse returns the high-water mark of concurrently held servers.
 func (r *Resource) MaxInUse() int { return r.maxObserved }
 
-// NextFree returns the earliest virtual time any server sheds its
-// reservations (never before now). Inspection only — no side effects — for
-// Reserve-mode resources like device channels; a value after now means the
+// NextFree returns when a Reserve-mode resource sheds its last booking (never
+// before now). Inspection only — no side effects; a value after now means the
 // resource has a backlog.
 func (r *Resource) NextFree() Time {
-	if r.freeAt == nil {
-		return r.env.now
+	end := r.fixedEnd
+	if n := len(r.queued); n > 0 {
+		end = r.queued[n-1].end
 	}
-	best := r.freeAt[0]
-	for _, t := range r.freeAt[1:] {
-		if t < best {
-			best = t
-		}
-	}
-	if best < r.env.now {
-		return r.env.now
-	}
-	return best
+	return max(end, r.env.now)
 }
 
 // HeldTime returns the exact integral of held servers over virtual time up to

@@ -20,26 +20,27 @@ import (
 )
 
 // inflightAppend records one zone append whose media operation may still be
-// in flight: the zone, where it started, its length, and when the channel
-// completes it. Appends are recorded in issue order, so per zone the first
-// incomplete entry is the tear point of a power cut.
+// in flight: the zone, where it started, its length, and its channel
+// booking, whose end — as moved by foreground work going ahead of it —
+// decides whether a cut tears it. Appends are recorded in issue order, so per
+// zone the first incomplete entry is the tear point of a power cut.
 type inflightAppend struct {
 	zone    int
 	startWP int64
 	n       int64
-	done    sim.Time
+	book    sim.Booking
 }
 
 // noteAppend records an issued zone append and prunes completed entries.
-func (d *Device) noteAppend(zone int, startWP, n int64, done sim.Time) {
+func (d *Device) noteAppend(zone int, startWP, n int64, book sim.Booking) {
 	now := d.env.Now()
 	keep := d.inflight[:0]
 	for _, a := range d.inflight {
-		if a.done > now {
+		if a.book.End() > now {
 			keep = append(keep, a)
 		}
 	}
-	d.inflight = append(keep, inflightAppend{zone: zone, startWP: startWP, n: n, done: done})
+	d.inflight = append(keep, inflightAppend{zone: zone, startWP: startWP, n: n, book: book})
 }
 
 // SetSeed reseeds the device's internal randomness (torn-append offsets).
@@ -77,7 +78,7 @@ func (d *Device) PowerCut(p *sim.Proc) PowerCutReport {
 	d.poweredOff = true
 	torn := make(map[int]bool)
 	for _, a := range d.inflight {
-		if a.done <= now {
+		if a.book.End() <= now {
 			continue
 		}
 		rep.InFlightAppends++

@@ -13,7 +13,9 @@
 // sim.Resource with per-operation latency and bandwidth. Zones (and block
 // stripes) map statically to channels, so concurrent writers that land on the
 // same channel queue behind each other — the channel-conflict effect the
-// paper's zone-cluster striping is designed to mitigate.
+// paper's zone-cluster striping is designed to mitigate. Each operation books
+// its channel in its process's lane: foreground work goes ahead of queued
+// background work (sim.Resource.Reserve).
 package ssd
 
 import (
@@ -132,6 +134,10 @@ type Device struct {
 	gZonesOpen *sim.Gauge
 	gZonesFull *sim.Gauge
 	gWPBytes   *sim.Gauge
+	// chanWait and chanOps count, per lane, each media operation's wait for
+	// its channel — from issue to the start of its transfer — and the
+	// operations.
+	chanWait, chanOps [2]stats.Counter
 
 	// conventional namespace
 	conv        map[int64][]byte // LBA -> block contents
@@ -260,13 +266,18 @@ func (d *Device) writeCost(zone int, n int64) time.Duration {
 func (d *Device) Stats() *stats.IOStats { return d.st }
 
 // SetObs attaches observability: media operations become "media"-stage child
-// spans of the calling process's current span, and zone-state gauges
-// (ssd/zones_open, ssd/zones_full, ssd/wp_bytes) publish into reg. Either
-// argument may be nil. Gauges are primed from the current zone state.
+// spans of the calling process's current span, zone-state gauges
+// (ssd/zones_open, ssd/zones_full, ssd/wp_bytes) publish into reg, and so do
+// the channel-wait counters (ssd/chan_wait_ns/<lane>, ssd/chan_ops/<lane>).
+// Either argument may be nil. Gauges are primed from the current zone state.
 func (d *Device) SetObs(tr *obs.Tracer, reg *obs.Registry) {
 	d.tr = tr
 	if reg == nil {
 		return
+	}
+	for _, l := range []sim.Lane{sim.Foreground, sim.Background} {
+		reg.AddCounter("ssd/chan_wait_ns/"+l.String(), &d.chanWait[l])
+		reg.AddCounter("ssd/chan_ops/"+l.String(), &d.chanOps[l])
 	}
 	d.gZonesOpen = reg.Gauge("ssd/zones_open")
 	d.gZonesFull = reg.Gauge("ssd/zones_full")
@@ -354,19 +365,29 @@ func (d *Device) checkFault(kind string, id int64) error {
 // media span emitted when tracing is on; the span covers channel queueing as
 // well as the transfer itself (channel conflicts count as media time).
 func (d *Device) busy(p *sim.Proc, ch *sim.Resource, kind string, lat time.Duration, n int64, bw float64) {
-	start := d.env.Now()
-	done := ch.Reserve(lat + sim.TransferTime(n, bw))
-	p.SleepUntil(done)
-	d.traceMedia(p, kind, n, start, done)
+	d.busyDur(p, ch, kind, lat+sim.TransferTime(n, bw), n)
 }
 
 // busyDur is busy with a fully precomputed channel time (used where tier
 // scaling has already been folded into the duration).
 func (d *Device) busyDur(p *sim.Proc, ch *sim.Resource, kind string, dur time.Duration, n int64) {
 	start := d.env.Now()
-	done := ch.Reserve(dur)
-	p.SleepUntil(done)
-	d.traceMedia(p, kind, n, start, done)
+	b := ch.Reserve(p.Lane(), dur)
+	d.traceMedia(p, kind, n, start, d.await(p, start, b))
+}
+
+// await sleeps until the last of an operation's bookings ends — reading the
+// ends again on each wake, since a queued background booking moves — counts
+// each booking's channel wait since issue in its lane, and returns the last
+// end.
+func (d *Device) await(p *sim.Proc, issue sim.Time, books ...sim.Booking) sim.Time {
+	last := p.WaitBooking(books...)
+	l := p.Lane()
+	for _, b := range books {
+		d.chanWait[l].Add(int64(b.Start() - issue))
+	}
+	d.chanOps[l].Add(int64(len(books)))
+	return last
 }
 
 // ZoneSpan names a contiguous byte range inside one zone.
@@ -387,7 +408,8 @@ func (d *Device) ReadZoneSpans(p *sim.Proc, spans []ZoneSpan) ([][]byte, error) 
 	out := make([][]byte, len(spans))
 	start := d.env.Now()
 	var total int64
-	var latest sim.Time
+	var inline [4]sim.Booking
+	books := inline[:0]
 	for i, sp := range spans {
 		if sp.Zone < 0 || sp.Zone >= len(d.zones) {
 			return nil, ErrZoneBounds
@@ -400,15 +422,12 @@ func (d *Device) ReadZoneSpans(p *sim.Proc, spans []ZoneSpan) ([][]byte, error) 
 			return nil, err
 		}
 		d.maybeRot("zone-read", sp.Zone, sp.Off, int64(sp.N))
-		done := d.Channel(sp.Zone).Reserve(d.readCost(sp.Zone, int64(sp.N)) + d.faultLatency("zone-read"))
-		if done > latest {
-			latest = done
-		}
+		books = append(books, d.Channel(sp.Zone).Reserve(p.Lane(), d.readCost(sp.Zone, int64(sp.N))+d.faultLatency("zone-read")))
 		out[i] = z.data[sp.Off : sp.Off+int64(sp.N) : sp.Off+int64(sp.N)]
 		d.st.MediaRead.Add(int64(sp.N))
 		total += int64(sp.N)
 	}
-	p.SleepUntil(latest)
+	latest := d.await(p, start, books...)
 	if d.poweredOff {
 		return nil, ErrPoweredOff
 	}
@@ -431,7 +450,8 @@ func (d *Device) WriteZoneSpans(p *sim.Proc, zones []int, data [][]byte) error {
 	}
 	start := d.env.Now()
 	var total int64
-	var latest sim.Time
+	var inline [4]sim.Booking
+	books := inline[:0]
 	for i, zi := range zones {
 		if zi < 0 || zi >= len(d.zones) {
 			return ErrZoneBounds
@@ -446,11 +466,9 @@ func (d *Device) WriteZoneSpans(p *sim.Proc, zones []int, data [][]byte) error {
 		if err := d.checkFault("zone-write", int64(zi)); err != nil {
 			return err
 		}
-		done := d.Channel(zi).Reserve(d.writeCost(zi, int64(len(data[i]))) + d.faultLatency("zone-write"))
-		if done > latest {
-			latest = done
-		}
-		d.noteAppend(zi, z.wp, int64(len(data[i])), done)
+		b := d.Channel(zi).Reserve(p.Lane(), d.writeCost(zi, int64(len(data[i])))+d.faultLatency("zone-write"))
+		books = append(books, b)
+		d.noteAppend(zi, z.wp, int64(len(data[i])), b)
 		if z.data == nil {
 			z.data = make([]byte, 0, 64<<10)
 		}
@@ -467,7 +485,7 @@ func (d *Device) WriteZoneSpans(p *sim.Proc, zones []int, data [][]byte) error {
 		d.st.MediaWrite.Add(int64(len(data[i])))
 		total += int64(len(data[i]))
 	}
-	p.SleepUntil(latest)
+	latest := d.await(p, start, books...)
 	if d.poweredOff {
 		return ErrPoweredOff
 	}
@@ -488,16 +506,14 @@ func (d *Device) ReadBlockRun(p *sim.Proc, lba int64, count int) ([][]byte, erro
 	}
 	out := make([][]byte, count)
 	start := d.env.Now()
-	var latest sim.Time
+	var inline [8]sim.Booking
+	books := inline[:0]
 	for i := 0; i < count; i++ {
 		cur := lba + int64(i)
 		if err := d.checkFault("block-read", cur); err != nil {
 			return nil, err
 		}
-		done := d.convChannel(cur).Reserve(d.cfg.ReadLatency + d.faultLatency("block-read") + sim.TransferTime(int64(d.cfg.BlockSize), d.cfg.ReadBandwidth))
-		if done > latest {
-			latest = done
-		}
+		books = append(books, d.convChannel(cur).Reserve(p.Lane(), d.cfg.ReadLatency+d.faultLatency("block-read")+sim.TransferTime(int64(d.cfg.BlockSize), d.cfg.ReadBandwidth)))
 		buf := make([]byte, d.cfg.BlockSize)
 		if blk := d.conv[cur]; blk != nil {
 			copy(buf, blk)
@@ -505,7 +521,7 @@ func (d *Device) ReadBlockRun(p *sim.Proc, lba int64, count int) ([][]byte, erro
 		out[i] = buf
 		d.st.MediaRead.Add(int64(d.cfg.BlockSize))
 	}
-	p.SleepUntil(latest)
+	latest := d.await(p, start, books...)
 	if d.poweredOff {
 		return nil, ErrPoweredOff
 	}
@@ -526,7 +542,8 @@ func (d *Device) WriteBlockRun(p *sim.Proc, lba int64, blocks [][]byte) error {
 	}
 	start := d.env.Now()
 	var total int64
-	var latest sim.Time
+	var inline [8]sim.Booking
+	books := inline[:0]
 	for i, b := range blocks {
 		if len(b) != d.cfg.BlockSize {
 			return ErrUnalignedRequest
@@ -542,10 +559,7 @@ func (d *Device) WriteBlockRun(p *sim.Proc, lba int64, blocks [][]byte) error {
 			d.convWritten[cur] = true
 			d.convFree--
 		}
-		done := d.convChannel(cur).Reserve(d.cfg.WriteLatency + d.faultLatency("block-write") + sim.TransferTime(int64(len(b)), d.cfg.WriteBandwidth))
-		if done > latest {
-			latest = done
-		}
+		books = append(books, d.convChannel(cur).Reserve(p.Lane(), d.cfg.WriteLatency+d.faultLatency("block-write")+sim.TransferTime(int64(len(b)), d.cfg.WriteBandwidth)))
 		blk := d.conv[cur]
 		if blk == nil {
 			blk = make([]byte, d.cfg.BlockSize)
@@ -557,7 +571,7 @@ func (d *Device) WriteBlockRun(p *sim.Proc, lba int64, blocks [][]byte) error {
 		d.st.MediaWrite.Add(int64(len(b)))
 		total += int64(len(b))
 	}
-	p.SleepUntil(latest)
+	latest := d.await(p, start, books...)
 	if d.poweredOff {
 		return ErrPoweredOff
 	}
@@ -608,8 +622,8 @@ func (d *Device) WriteZone(p *sim.Proc, idx int, data []byte) error {
 	// The append lands on media at issue time (matching WriteZoneSpans) so a
 	// power cut during the channel sleep can tear it at a byte offset.
 	start := d.env.Now()
-	done := d.Channel(idx).Reserve(d.writeCost(idx, int64(len(data))) + d.faultLatency("zone-write"))
-	d.noteAppend(idx, z.wp, int64(len(data)), done)
+	b := d.Channel(idx).Reserve(p.Lane(), d.writeCost(idx, int64(len(data)))+d.faultLatency("zone-write"))
+	d.noteAppend(idx, z.wp, int64(len(data)), b)
 	if z.data == nil {
 		z.data = make([]byte, 0, 64<<10)
 	}
@@ -624,7 +638,7 @@ func (d *Device) WriteZone(p *sim.Proc, idx int, data []byte) error {
 	}
 	d.noteZoneTransition(prev, z.state, int64(len(data)))
 	d.st.MediaWrite.Add(int64(len(data)))
-	p.SleepUntil(done)
+	done := d.await(p, start, b)
 	if d.poweredOff {
 		return ErrPoweredOff
 	}
