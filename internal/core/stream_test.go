@@ -114,9 +114,9 @@ func TestDRAMGaugeCountsSortBatch(t *testing.T) {
 // holds a chunk: in the value stage engine/dram less the joined index's batch
 // is the two spans, each as long as a full value bucket's values — the 32 KiB
 // sort budget — so the stage holds no more than the three budgets
-// consolidates reserves for one joined index, and the one entry past its
-// budget that the index's batch takes before it flushes. Both spans are let
-// go of when the compaction ends.
+// consolidates reserves for one joined index: the index's batch flushes
+// before an entry would take it past its budget. Both spans are let go of
+// when the compaction ends.
 func dramCountsBothSpans(t *testing.T) {
 	cfg := smallEngineConfig()
 	bucketBytes := cfg.SortBudgetBytes
@@ -148,9 +148,8 @@ func dramCountsBothSpans(t *testing.T) {
 		if want := float64(2 * bucketBytes); spans != want {
 			t.Errorf("engine/dram held %v bytes beside the index's batch in the value stage, want two spans of %d", spans, bucketBytes)
 		}
-		entry := sidxCodec{}.SizeHint(sidxEntry{skey: make([]byte, 4), pkey: tkey(0)})
-		if reserved := float64(3*cfg.SortBudgetBytes + entry); stage > reserved {
-			t.Errorf("engine/dram reached %v bytes in the value stage, past the %v consolidates reserves for one index and an entry", stage, reserved)
+		if reserved := float64(3 * cfg.SortBudgetBytes); stage > reserved {
+			t.Errorf("engine/dram reached %v bytes in the value stage, past the %v consolidates reserves for one index", stage, reserved)
 		}
 		if v := gauge.Value(); v != 0 {
 			t.Errorf("engine/dram reads %v after the compaction, want 0", v)
