@@ -212,32 +212,29 @@ func (m Meter) Compares(p *sim.Proc, n int64) {
 	m.Compute(p, time.Duration(n)*m.h.cfg.CompareCost)
 }
 
-// ComparesAfter charges n key comparisons that follow done others of one step
-// charged piece by piece, priced as ComparesSplit prices a share: the cost of
-// done+n comparisons less the cost of done, so the pieces cost exactly what
-// Compares charges their sum.
-func (m Meter) ComparesAfter(p *sim.Proc, done, n int64) {
-	cc := m.h.cfg.CompareCost
-	if d := m.scale(time.Duration(done+n)*cc) - m.scale(time.Duration(done)*cc); d > 0 {
-		m.use(p, d)
-	}
-}
-
 // ComparesSplit charges one data-parallel step's key comparisons, split into
 // per-core shares: shares[0] on p and every other share on a helper proc of
 // its own, started together and joined before it returns, so the step takes
 // the largest share's time on len(shares) cores. Share i is priced at the
 // cost of the running total through it less the cost through share i−1: the
 // shares cost exactly what Compares charges their sum.
-func (m Meter) ComparesSplit(p *sim.Proc, shares []int64) {
+func (m Meter) ComparesSplit(p *sim.Proc, shares []int64) { m.ComparesAfter(p, 0, shares...) }
+
+// ComparesAfter charges one piece of a step charged piece by piece, whose
+// pieces before it made done comparisons: ComparesSplit of its shares, with
+// the running total that prices them starting at done. The pieces of a step
+// thus cost exactly what Compares charges all their comparisons, however each
+// is split.
+func (m Meter) ComparesAfter(p *sim.Proc, done int64, shares ...int64) {
+	cc := m.h.cfg.CompareCost
 	var (
-		helpers     []*sim.Proc
-		own, priced time.Duration
-		total       int64
+		helpers []*sim.Proc
+		own     time.Duration
 	)
+	total, priced := done, m.scale(time.Duration(done)*cc)
 	for i, n := range shares {
 		total += n
-		next := m.scale(time.Duration(total) * m.h.cfg.CompareCost)
+		next := m.scale(time.Duration(total) * cc)
 		d := next - priced
 		priced = next
 		switch {

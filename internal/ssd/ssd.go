@@ -678,25 +678,51 @@ func (d *Device) ReadZone(p *sim.Proc, idx int, off int64, n int) ([]byte, error
 // ResetZone rewinds a zone to EMPTY, discarding its contents. Resetting an
 // empty zone is a no-op (permitted by ZNS).
 func (d *Device) ResetZone(p *sim.Proc, idx int) error {
-	if idx < 0 || idx >= len(d.zones) {
-		return ErrZoneBounds
+	return d.ResetZones(p, []int{idx})
+}
+
+// ResetZones resets several zones as one burst: each zone's reset — a
+// management command, one write latency on its channel — is booked at once
+// in the caller's lane, and the caller sleeps until the last booking ends, as
+// ReadZoneSpans does. Zones on distinct channels reset in parallel; zones
+// sharing a channel queue behind each other. Empty zones cost nothing. No
+// zone is rewound before the burst ends, so a power cut during it leaves
+// every zone as it was.
+func (d *Device) ResetZones(p *sim.Proc, zones []int) error {
+	for _, z := range zones {
+		if z < 0 || z >= len(d.zones) {
+			return ErrZoneBounds
+		}
 	}
 	if d.poweredOff {
 		return ErrPoweredOff
 	}
-	z := &d.zones[idx]
-	if z.state == ZoneEmpty {
+	start := d.env.Now()
+	var inline [4]sim.Booking
+	books := inline[:0]
+	for _, z := range zones {
+		if d.zones[z].state != ZoneEmpty {
+			books = append(books, d.Channel(z).Reserve(p.Lane(), d.cfg.WriteLatency))
+		}
+	}
+	if len(books) == 0 {
 		return nil
 	}
-	// A reset is a management command: cheap, one latency unit on the channel.
-	d.busy(p, d.Channel(idx), "reset", d.cfg.WriteLatency, 0, d.cfg.WriteBandwidth)
+	end := d.await(p, start, books...)
 	if d.poweredOff {
 		return ErrPoweredOff
 	}
-	d.noteZoneTransition(z.state, ZoneEmpty, -z.wp)
-	z.state = ZoneEmpty
-	z.wp = 0
-	z.data = nil
+	d.traceMedia(p, "reset", 0, start, end)
+	for _, idx := range zones {
+		z := &d.zones[idx]
+		if z.state == ZoneEmpty {
+			continue
+		}
+		d.noteZoneTransition(z.state, ZoneEmpty, -z.wp)
+		z.state = ZoneEmpty
+		z.wp = 0
+		z.data = nil
+	}
 	return nil
 }
 
