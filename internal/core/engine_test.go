@@ -691,3 +691,31 @@ func TestSketchFind(t *testing.T) {
 		t.Fatal("empty sketch should return -1")
 	}
 }
+
+// TestFailedFlushHandsScratchBack: an ingest flush whose first append fails
+// — the VLOG's, or the KLOG's in the combined layout — still hands its
+// scratch buffer back, so the zone manager's free list counts no buffer lent
+// and later appends keep reusing the kept one.
+func TestFailedFlushHandsScratchBack(t *testing.T) {
+	for _, combined := range []bool{false, true} {
+		t.Run(fmt.Sprintf("combined=%v", combined), func(t *testing.T) {
+			cfg := smallEngineConfig()
+			cfg.DisableKVSeparation = combined
+			fx := newEngineFixture(cfg)
+			fx.run(t, func(p *sim.Proc) {
+				ingestN(t, p, fx, "ks", 1000, func(i int) float32 { return float32(i) })
+				fx.dev.InjectFault("zone-write", -1, 1)
+				var err error
+				for i := 1000; err == nil && i < 4000; i++ {
+					err = fx.eng.BulkOps(p, "ks", []nvme.KVPair{{Key: tkey(i), Value: tvalue(i, 0)}})
+				}
+				if !errors.Is(err, ssd.ErrInjectedFault) {
+					t.Fatalf("ingest: %v, want the injected fault", err)
+				}
+				if out := fx.eng.zm.scratch.out; out != 0 {
+					t.Errorf("%d scratch buffers still counted as lent after the failed flush", out)
+				}
+			})
+		})
+	}
+}

@@ -81,6 +81,7 @@ func (e *Engine) flushBufferCombined(p *sim.Proc, ks *Keyspace) error {
 	e.cpu[phaseIngest].KVOp(p, int64(len(ks.buf)))
 	codec := pairCodec{}
 	buf := append(e.zm.scratch.get(0), logFrameReserve[:]...)
+	defer func() { e.zm.scratch.put(buf) }() // on a failed append too
 	for _, pr := range ks.buf {
 		ks.combinedSeq++
 		seq := ks.combinedSeq << 1
@@ -92,7 +93,6 @@ func (e *Engine) flushBufferCombined(p *sim.Proc, ks *Keyspace) error {
 	if err := ks.appendLogFrame(p, buf); err != nil {
 		return err
 	}
-	e.zm.scratch.put(buf)
 	ks.resetBuffer()
 	return nil
 }
