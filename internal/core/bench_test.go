@@ -319,7 +319,7 @@ func BenchmarkGatherDestBucket(b *testing.B) {
 		var g valueGatherer
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if got, err := g.gather(p, &passCPU{cpu: fx.soc.Account("")}, dest, vlog, 0, benchSortRecords*32); err != nil || len(got) != benchSortRecords {
+			if got, err := g.gather(p, passOn(fx.soc.Account(""), 1), dest, vlog, 0, benchSortRecords*32); err != nil || len(got) != benchSortRecords {
 				b.Fatalf("%d records, err %v", len(got), err)
 			}
 		}
@@ -337,7 +337,7 @@ func BenchmarkPlaceValueBucket(b *testing.B) {
 		var v valuePlacer
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, n, err := placeBucket(p, &v, &passCPU{cpu: fx.soc.Account("")}, c, 0); err != nil || n != benchSortRecords {
+			if _, n, err := placeBucket(p, &v, passOn(fx.soc.Account(""), 1), c, 0); err != nil || n != benchSortRecords {
 				b.Fatalf("%d records, err %v", n, err)
 			}
 		}

@@ -142,7 +142,7 @@ func TestPlaceValueBucket(t *testing.T) {
 		for _, form := range placeForms {
 			fx := newSortFixture(0)
 			fx.run(t, func(p *sim.Proc) {
-				vals, n, err := placeAs(t, p, fx, form, &passCPU{cpu: fx.soc.Account("")}, tc.recs, lo, len(want))
+				vals, n, err := placeAs(t, p, fx, form, passOn(fx.soc.Account(""), 1), tc.recs, lo, len(want))
 				switch {
 				case tc.ok && (err != nil || n != len(tc.recs) || !bytes.Equal(vals, want)):
 					t.Errorf("%s, %s: %d records, err %v, placed %x, want %x", tc.name, form, n, err, vals, want)
@@ -166,7 +166,7 @@ func TestPlaceValueBucketCharge(t *testing.T) {
 			fx.run(t, func(p *sim.Proc) {
 				// Writing the spilled bucket's cluster charges the SoC nothing.
 				busy0 := fx.soc.CPU().BusyTime()
-				if _, got, err := placeAs(t, p, fx, form, &passCPU{cpu: fx.soc.Account("")}, shuffledValues(n, 1+n%29, int64(n)), 0, n*(1+n%29)); err != nil || got != n {
+				if _, got, err := placeAs(t, p, fx, form, passOn(fx.soc.Account(""), 1), shuffledValues(n, 1+n%29, int64(n)), 0, n*(1+n%29)); err != nil || got != n {
 					t.Fatalf("n=%d, %s: %d records, err %v", n, form, got, err)
 				}
 				want := time.Duration(float64(time.Duration(n)*cfg.CompareCost) / cfg.Speed)
@@ -190,7 +190,7 @@ func TestPlaceValueBucketAllocs(t *testing.T) {
 		big := writeValueBucket(t, p, fx, shuffledValues(4096, 32, 1))
 		small := writeValueBucket(t, p, fx, shuffledValues(1000, 40, 2))
 		var v valuePlacer
-		cpu := &passCPU{cpu: fx.soc.Account("")}
+		cpu := passOn(fx.soc.Account(""), 1)
 		if _, _, err := placeBucket(p, &v, cpu, big, 0); err != nil { // warm-up: sizes the placer
 			t.Fatal(err)
 		}
@@ -280,7 +280,7 @@ func TestGatherDestBucket(t *testing.T) {
 			fx.run(t, func(p *sim.Proc) {
 				dest, log := writeDestBucket(t, p, fx, form, tc.ents, vlog)
 				var g valueGatherer
-				got, err := g.gather(p, &passCPU{cpu: fx.soc.Account("")}, dest, log, lo, width)
+				got, err := g.gather(p, passOn(fx.soc.Account(""), 1), dest, log, lo, width)
 				if !tc.ok {
 					if err == nil || !strings.Contains(err.Error(), "outside the span") {
 						t.Errorf("%s, %s: err %v, want an outside-the-span error", tc.name, form, err)
@@ -312,7 +312,7 @@ func TestGatherDestBucketCharge(t *testing.T) {
 				dest, log := writeDestBucket(t, p, fx, form, shuffledDests(n, 32, int64(n)), testVlog(n*32))
 				var g valueGatherer
 				busy0 := fx.soc.CPU().BusyTime()
-				if got, err := g.gather(p, &passCPU{cpu: fx.soc.Account("")}, dest, log, 0, uint64(n*32)); err != nil || len(got) != n {
+				if got, err := g.gather(p, passOn(fx.soc.Account(""), 1), dest, log, 0, uint64(n*32)); err != nil || len(got) != n {
 					t.Fatalf("n=%d, %s: %d records, err %v", n, form, len(got), err)
 				}
 				want := time.Duration(float64(time.Duration(n)*cfg.CompareCost) / cfg.Speed)
