@@ -64,10 +64,12 @@ var rpcNames = func() (t [256]struct{ span, op string }) {
 }()
 
 // putGroup is a set of same-keyspace puts coalesced into one bulk device
-// submission.
+// submission. The server reuses its groups batch after batch (splitBatch),
+// so a group's slices keep their capacity.
 type putGroup struct {
 	keyspace string
 	tasks    []*task
+	pairs    []nvme.KVPair // the tasks' pairs, as handleGroup submits them
 }
 
 // handler is the state of one resident handler proc (sim.ResidentProcs): the
@@ -138,7 +140,9 @@ func (s *Server) runBatch(p *sim.Proc, items []*session.Item) {
 // more puts), preserving first-seen order so the grouping is deterministic for
 // a given batch; a lone put gains nothing from the bulk path and runs after
 // the other singles. A batch with fewer than two puts — every batch of a read
-// workload — has nothing to group and touches only the server's scratch.
+// workload — has nothing to group. Groups, like the other scratch, are the
+// server's and valid until the next call: runBatch waits for every unit of a
+// batch before it splits the next.
 func (s *Server) splitBatch(items []*session.Item) []*putGroup {
 	s.singles, s.puts = s.singles[:0], s.puts[:0]
 	for _, it := range items {
@@ -153,24 +157,28 @@ func (s *Server) splitBatch(items []*session.Item) []*putGroup {
 		return nil
 	}
 	clear(s.byKS)
-	var order, groups []*putGroup
+	n := 0 // groups of s.pool in use, in first-seen order
 	for _, t := range s.puts {
 		g, ok := s.byKS[t.req.Keyspace]
 		if !ok {
-			g = &putGroup{keyspace: t.req.Keyspace}
+			if n == len(s.pool) {
+				s.pool = append(s.pool, &putGroup{})
+			}
+			g, n = s.pool[n], n+1
+			g.keyspace, g.tasks = t.req.Keyspace, g.tasks[:0]
 			s.byKS[t.req.Keyspace] = g
-			order = append(order, g)
 		}
 		g.tasks = append(g.tasks, t)
 	}
-	for _, g := range order {
+	s.groups = s.groups[:0]
+	for _, g := range s.pool[:n] {
 		if len(g.tasks) < 2 {
 			s.singles = append(s.singles, g.tasks...)
 			continue
 		}
-		groups = append(groups, g)
+		s.groups = append(s.groups, g)
 	}
-	return groups
+	return s.groups
 }
 
 // handle runs one request in its own sim proc. The request's trace context
@@ -212,10 +220,11 @@ func (s *Server) handle(q *sim.Proc, t *task) {
 // handleGroup runs one coalesced put group: a single bulk submission whose
 // outcome answers every constituent request.
 func (s *Server) handleGroup(q *sim.Proc, g *putGroup) {
-	pairs := make([]nvme.KVPair, len(g.tasks))
-	for i, t := range g.tasks {
-		pairs[i] = nvme.KVPair{Key: t.req.Key, Value: t.req.Value}
+	pairs := g.pairs[:0]
+	for _, t := range g.tasks {
+		pairs = append(pairs, nvme.KVPair{Key: t.req.Key, Value: t.req.Value})
 	}
+	g.pairs = pairs
 	// A coalesced group has many remote parents; the batch span stays local
 	// and each constituent response echoes its own request's trace context.
 	span := s.tr.StartRoot(q, "rpc:PutBatch", "rpc/PutBatch")
@@ -247,6 +256,8 @@ func (s *Server) handleGroup(q *sim.Proc, g *putGroup) {
 		}
 		t.c.out <- t
 	}
+	clear(g.tasks) // the tasks and their pooled frames go back to their pools
+	clear(pairs)
 }
 
 // noteSlowOp applies the slow-op budget: an op whose virtual service time

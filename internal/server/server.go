@@ -199,6 +199,8 @@ type Server struct {
 	singles  []*task
 	puts     []*task
 	byKS     map[string]*putGroup
+	pool     []*putGroup // every group made, reused batch after batch
+	groups   []*putGroup // the running batch's groups
 
 	telemetry *telemetryServer
 

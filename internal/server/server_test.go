@@ -248,6 +248,25 @@ func TestSplitBatchGrouping(t *testing.T) {
 	}
 }
 
+// TestSplitBatchAllocs: once the server has made its groups, splitting a
+// batch of puts on two keyspaces allocates nothing — a put group costs no
+// allocation of its own batch after batch.
+func TestSplitBatchAllocs(t *testing.T) {
+	var items []*session.Item
+	for i := 0; i < 12; i++ {
+		tk := &task{req: &wire.Request{Op: wire.OpPut, Keyspace: []string{"a", "b"}[i%2]}}
+		tk.Value = tk
+		items = append(items, &tk.Item)
+	}
+	s := &Server{byKS: make(map[string]*putGroup)}
+	if groups := s.splitBatch(items); len(groups) != 2 || len(groups[0].tasks) != 6 {
+		t.Fatalf("groups = %+v, want two of 6 puts", groups)
+	}
+	if n := testing.AllocsPerRun(20, func() { s.splitBatch(items) }); n != 0 {
+		t.Fatalf("splitBatch allocates %v times per batch, want 0", n)
+	}
+}
+
 // TestGarbageBytesDropConnection feeds a non-protocol byte stream and
 // verifies the server drops that connection but keeps serving others.
 func TestGarbageBytesDropConnection(t *testing.T) {
