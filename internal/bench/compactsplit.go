@@ -57,6 +57,7 @@ type compactSplitResult struct {
 	fgLat      []time.Duration // foreground GETs issued while compaction ran
 	hostRuns   int
 	deviceRuns int
+	skew       string // chan_skew over the compaction window
 }
 
 // CompactSplit measures the collaborative compaction subsystem: whether the
@@ -79,11 +80,12 @@ func compactSplit(s Scale) (*Table, []time.Duration, error) {
 	t := &Table{
 		Fig: "compactsplit", Keys: []string{"policy", "width"},
 		Title:  "Compaction split: merge placement x pipeline width under foreground load (virtual clock)",
-		Header: []string{"policy", "width", "load_s", "compact_s", "fg_gets", "fg_p99_ms", "host_runs", "device_runs", "speedup"},
+		Header: []string{"policy", "width", "load_s", "compact_s", "fg_gets", "fg_p99_ms", "host_runs", "device_runs", "speedup", "chan_skew"},
 		Notes: []string{
 			fmt.Sprintf("%d keys compacted; %d foreground readers probe a hot keyspace, %d application procs oversubscribe a %d-core host",
 				s.ArrayTotalKeys, csProbers, csHostWorkers, csHostCores),
 			"speedup: compaction wall time relative to the sequential device-only row (the seed's monolithic path)",
+			"chan_skew: the device's busiest NAND channel busy time over the mean, from the victim's Compact to its WaitCompacted",
 		},
 	}
 	var base time.Duration
@@ -109,6 +111,7 @@ func compactSplit(s Scale) (*Table, []time.Duration, error) {
 			// Two decimals: the split's deltas ride on a constant value-pass
 			// floor, so one decimal would round them all to 1.0x.
 			fmt.Sprintf("%.2fx", float64(base)/float64(res.compact)),
+			res.skew,
 		)
 	}
 	return t, compact, nil
@@ -244,6 +247,7 @@ func compactSplitRun(t *Table, s Scale, c compactSplitCase) (compactSplitResult,
 					_ = cl.ServeHostMerges(p, func() int { return hostBusy })
 				})
 			}
+			busy0 := dev.SSD().ChannelBusyTimes(nil)
 			if err := bulk.Compact(p); err != nil {
 				return err
 			}
@@ -251,6 +255,7 @@ func compactSplitRun(t *Table, s Scale, c compactSplitCase) (compactSplitResult,
 				return err
 			}
 			compacting = false
+			res.skew = chanSkew(dev.SSD(), busy0)
 			// The client's wait also spans the Compact command and the
 			// answer's transfer, so read the job's exact duration from the
 			// engine instead.
