@@ -33,6 +33,7 @@ type bucketWriter struct {
 	moved *uint64    // counts the bytes appended to bucket clusters
 	bkts  []bucket
 	app   appender
+	apart []*Cluster // clusters the spilled buckets sit apart from (NewCluster)
 }
 
 // bucket is one range of a bucketWriter. While c is nil the bucket is held:
@@ -83,7 +84,7 @@ func (w *bucketWriter) add(p *sim.Proc, k uint64, encoded []byte) error {
 	for len(w.bkts) <= b {
 		var bk bucket
 		if w.hold == 0 {
-			bk.c = w.zm.NewCluster(ZoneTemp)
+			bk.c = w.zm.NewCluster(ZoneTemp, w.apart...)
 		}
 		w.bkts = append(w.bkts, bk)
 	}
@@ -114,7 +115,7 @@ func (w *bucketWriter) add(p *sim.Proc, k uint64, encoded []byte) error {
 // spill moves a held bucket to a new temp cluster: it appends what the bucket
 // holds, which stops counting in DRAM.
 func (w *bucketWriter) spill(p *sim.Proc, bk *bucket) error {
-	bk.c = w.zm.NewCluster(ZoneTemp)
+	bk.c = w.zm.NewCluster(ZoneTemp, w.apart...)
 	w.dram.Add(-float64(len(bk.buf)))
 	err := w.flush(p, bk)
 	bk.buf = nil // the next burst stages in a buffer of its own size

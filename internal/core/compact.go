@@ -137,8 +137,12 @@ func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace) (_ compacted, err erro
 	pidx := e.zm.NewCluster(ZonePIDX)
 	pidxW := e.newIndexWriter(pidx, pl)
 	pidxW.moved = &ks.progress.BytesMoved
+	// The destination pass reads the VLOG beside the destination buckets and
+	// writes the value buckets: the buckets keep off the VLOG's channels.
+	vlogApart := []*Cluster{ks.vlog}
 	destBuckets := e.newBucketWriter(uint64(ks.vlog.Len())+1, &ks.progress.BytesMoved)
 	destBuckets.app.pl = pl
+	destBuckets.apart = vlogApart
 	var (
 		valBuckets *bucketWriter
 		sorted     *Cluster
@@ -232,6 +236,7 @@ func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace) (_ compacted, err erro
 	}
 	valBuckets = e.newBucketWriter(totalValueBytes+1, &ks.progress.BytesMoved)
 	valBuckets.app.pl = pl
+	valBuckets.apart = vlogApart
 	gatherer := valueGatherer{vlog: clusterWindow{c: ks.vlog, pf: pl.prefetch(span{ks.vlog, 0, int64(vlogEnd)})}}
 	defer gatherer.vlog.pf.stop(p)
 	defer destBuckets.readAhead(pl).stop(p)
@@ -263,7 +268,7 @@ func (e *Engine) sortSeparated(p *sim.Proc, ks *Keyspace) (_ compacted, err erro
 		return compacted{}, err
 	}
 
-	sorted = e.zm.NewCluster(ZoneSortedValues)
+	sorted = e.zm.NewCluster(ZoneSortedValues, pidx) // every get reads both
 	ks.progress.Stage = compaction.StageValues
 	ks.joinable = false
 	ks.progress.GranulesDone = 0

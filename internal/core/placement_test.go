@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"time"
 
 	"kvcsd/internal/nvme"
 	"kvcsd/internal/sim"
@@ -272,65 +273,235 @@ func TestColdZoneOnLeastLoadedChannel(t *testing.T) {
 	checkAccounting(t, zm)
 }
 
-// TestCompactedClustersShareNoChannel compacts four keyspaces one after
-// another, each of whose sorts spills, so scratch runs and value buckets come
-// and go between a keyspace's PIDX and SORTED_VALUES stripes. Every get reads
-// the one and then the other: here, with all 16 channels free, they must sit
-// on distinct channels. Under LIFO free-list placement the second keyspace's
-// two stripes shared all four channels (5 4 3 2 and 2 3 4 5). Compactions
-// that run at once can still share: round-robin repeats every four stripes.
+// TestCompactedClustersShareNoChannel compacts keyspaces whose sorts spill,
+// so scratch runs and value buckets come and go between a keyspace's PIDX and
+// SORTED_VALUES stripes. Every get reads the one and then the other, so they
+// must sit on distinct channels (SORTED_VALUES names its PIDX apart), both
+// when the keyspaces compact one after another — under LIFO free-list
+// placement the second keyspace's two stripes shared all four channels (5 4 3
+// 2 and 2 3 4 5) — and when eight compact at once, where round-robin ties
+// alone repeat every four stripes and stacked the first four keyspaces' two
+// clusters on one channel set.
 func TestCompactedClustersShareNoChannel(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SortBudgetBytes = 32 << 10
-	fx := newEngineFixture(cfg)
-	fx.run(t, func(p *sim.Proc) {
-		for k := 0; k < 4; k++ {
-			name := fmt.Sprint("ks", k)
-			if err := fx.eng.CreateKeyspace(p, name); err != nil {
-				t.Fatal(err)
-			}
-			var pairs []nvme.KVPair
-			for i := 0; i < 8000; i++ {
-				pairs = append(pairs, nvme.KVPair{Key: tkey(i), Value: tvalue(i, float32(i))})
-			}
-			if err := fx.eng.BulkOps(p, name, pairs); err != nil {
-				t.Fatal(err)
-			}
-			if err := fx.eng.Compact(p, name); err != nil {
-				t.Fatal(err)
-			}
-			if err := fx.eng.WaitCompacted(p, name); err != nil {
-				t.Fatal(err)
-			}
-			ks, _ := fx.eng.mgr.Get(name)
-			pidx := channels(fx.eng.zm, ks.pidx.Zones())
-			sorted := channels(fx.eng.zm, ks.sorted.Zones())
-			for _, c := range pidx {
-				if slices.Contains(sorted, c) {
-					t.Errorf("%s: PIDX on channels %v and SORTED_VALUES on %v share channel %d", name, pidx, sorted, c)
-					break
+	for _, tc := range []struct {
+		name     string
+		n        int
+		together bool
+	}{{"one after another", 4, false}, {"eight at once", 8, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.SortBudgetBytes = 32 << 10
+			fx := newEngineFixture(cfg)
+			fx.run(t, func(p *sim.Proc) {
+				names := make([]string, tc.n)
+				for k := range names {
+					names[k] = fmt.Sprint("ks", k)
+					if err := fx.eng.CreateKeyspace(p, names[k]); err != nil {
+						t.Fatal(err)
+					}
+					var pairs []nvme.KVPair
+					for i := 0; i < 8000; i++ {
+						pairs = append(pairs, nvme.KVPair{Key: tkey(i), Value: tvalue(i, float32(i))})
+					}
+					if err := fx.eng.BulkOps(p, names[k], pairs); err != nil {
+						t.Fatal(err)
+					}
+					if tc.together {
+						continue
+					}
+					compactAll(t, p, fx.eng, names[k])
 				}
-			}
+				if tc.together {
+					compactAll(t, p, fx.eng, names...)
+				}
+				for _, name := range names {
+					ks, _ := fx.eng.mgr.Get(name)
+					pidx := channels(fx.eng.zm, ks.pidx.Zones())
+					sorted := channels(fx.eng.zm, ks.sorted.Zones())
+					for _, c := range pidx {
+						if slices.Contains(sorted, c) {
+							t.Errorf("%s: PIDX on channels %v and SORTED_VALUES on %v share channel %d", name, pidx, sorted, c)
+							break
+						}
+					}
+				}
+				checkAccounting(t, fx.eng.zm)
+			})
+		})
+	}
+}
+
+// compactAll starts every named keyspace's compaction, then waits for each.
+func compactAll(t *testing.T, p *sim.Proc, eng *Engine, names ...string) {
+	t.Helper()
+	for _, name := range names {
+		if err := eng.Compact(p, name); err != nil {
+			t.Fatal(err)
 		}
-		checkAccounting(t, fx.eng.zm)
-	})
+	}
+	for _, name := range names {
+		if err := eng.WaitCompacted(p, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestValueBucketsKeepOffVLOG: a spilled value sort's destination and value
+// buckets — its only temp clusters here, the keys fitting the budget — take
+// no zone on the VLOG's channels, which the destination pass reads while it
+// reads the one and writes the other. When only the VLOG's channels have
+// free zones the buckets go there by the plain rule, and the compaction
+// completes.
+func TestValueBucketsKeepOffVLOG(t *testing.T) {
+	for _, onlyVLOG := range []bool{false, true} {
+		t.Run(fmt.Sprint("only VLOG channels free ", onlyVLOG), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.SortBudgetBytes = 32 << 10
+			fx := newEngineFixture(cfg)
+			zm := fx.eng.zm
+			fx.run(t, func(p *sim.Proc) {
+				// 1 KiB values: a 520 KB VLOG in one stripe, 16 value and 16
+				// destination buckets; 15 KB of KLOG entries sort in DRAM.
+				want := ingestShuffled(t, p, fx.eng, "ks", 500, 1024)
+				ks, _ := fx.eng.mgr.Get("ks")
+				vlog := channels(zm, ks.vlog.Zones())
+				if onlyVLOG {
+					for c := range zm.free {
+						for !slices.Contains(vlog, c) && len(zm.free[c]) > 0 {
+							zm.claim(zm.free[c][len(zm.free[c])-1], ZoneKLOG)
+						}
+					}
+				}
+				done, temps := false, 0
+				fx.env.Go("probe", func(p *sim.Proc) {
+					for !done {
+						for z, typ := range zm.used {
+							if typ != ZoneTemp {
+								continue
+							}
+							temps++
+							if c := zm.chanOf(z); slices.Contains(vlog, c) != onlyVLOG {
+								t.Errorf("bucket zone %d on channel %d, VLOG on %v", z, c, vlog)
+								done = true
+							}
+						}
+						p.Sleep(20 * time.Microsecond)
+					}
+				})
+				compactAll(t, p, fx.eng, "ks")
+				done = true
+				if temps == 0 {
+					t.Fatal("the probe saw no bucket zone")
+				}
+				checkPairs(t, p, fx.eng, "ks", want)
+				checkAccounting(t, zm)
+			})
+		})
+	}
 }
 
 func TestAllocStripeAllocs(t *testing.T) {
 	zm, _ := newPlacementZM(4, 0)
-	if _, err := zm.allocStripe(ZoneTemp); err != nil { // uneven loads from here on
+	vlog := zm.NewCluster(ZoneVLOG)
+	s, err := zm.allocStripe(ZoneVLOG) // uneven loads from here on
+	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		s, err := zm.allocStripe(ZoneTemp)
-		if err != nil {
-			t.Fatal(err)
+	vlog.stripes = [][]int{s}
+	for _, apart := range [][]*Cluster{nil, {vlog}} {
+		allocs := testing.AllocsPerRun(200, func() {
+			s, err := zm.allocStripe(ZoneTemp, apart...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			free(zm, s)
+		})
+		if allocs != 1 {
+			t.Fatalf("allocStripe with %d apart clusters allocates %.1f times, want 1 (the stripe slice)", len(apart), allocs)
 		}
-		free(zm, s)
-	})
-	if allocs != 1 {
-		t.Fatalf("allocStripe allocates %.1f times, want 1 (the stripe slice)", allocs)
 	}
+}
+
+// FuzzAllocStripe runs allocate, release and drain sequences, each stripe
+// with an apart set drawn from the clusters held, and checks after every
+// step: a stripe's channels are distinct whenever at least StripeWidth
+// channels have a free zone; it takes min(k, StripeWidth) distinct channels
+// of the k with a free zone that hold no apart cluster's zone, so an apart
+// channel is used only when too few others have one; and the manager's
+// counters match a recount.
+func FuzzAllocStripe(f *testing.F) {
+	f.Add(uint8(2), []byte{0, 0, 0, 3, 0, 7, 1, 0, 0xff})
+	f.Add(uint8(1), []byte{0, 1, 0, 0, 2, 5, 0, 3, 0})
+	f.Add(uint8(3), []byte{2, 0, 2, 1, 2, 2, 0, 0xff, 1, 0})
+	f.Fuzz(func(t *testing.T, widthSel uint8, ops []byte) {
+		w := []int{1, 2, 4, 8}[widthSel%4]
+		ops = ops[:min(len(ops), 512)] // 32 zones a channel: longer adds little
+		zm, _ := newPlacementZM(w, 0)
+		var held []*Cluster
+		for i := 0; i+1 < len(ops); i += 2 {
+			op, arg := ops[i]%3, int(ops[i+1])
+			switch {
+			case op == 0:
+				// arg's bits pick the apart set among the last eight held.
+				var apart []*Cluster
+				for b := 0; b < 8 && b < len(held); b++ {
+					if arg&(1<<b) != 0 {
+						apart = append(apart, held[len(held)-1-b])
+					}
+				}
+				onApart := func(c int) bool {
+					return slices.ContainsFunc(apart, func(a *Cluster) bool {
+						return slices.Contains(channels(zm, a.Zones()), c)
+					})
+				}
+				withFree, others := 0, 0
+				for c := range zm.free {
+					if len(zm.free[c]) > 0 {
+						withFree++
+						if !onApart(c) {
+							others++
+						}
+					}
+				}
+				s, err := zm.allocStripe(ZoneTemp, apart...)
+				if zm.FreeZones()+len(s) < w {
+					if err == nil {
+						t.Fatalf("stripe %v allocated with fewer than %d zones free", s, w)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				chans := channels(zm, s)
+				distinct := slices.Clone(chans)
+				slices.Sort(distinct)
+				distinct = slices.Compact(distinct)
+				if withFree >= w && len(distinct) != w {
+					t.Fatalf("stripe on channels %v with %d channels free", chans, withFree)
+				}
+				off := slices.DeleteFunc(distinct, onApart)
+				if len(off) != min(others, w) {
+					t.Fatalf("stripe on channels %v: %d off the apart clusters' channels, %d such channels had a free zone", chans, len(off), others)
+				}
+				c := zm.NewCluster(ZoneTemp)
+				c.stripes = [][]int{s}
+				held = append(held, c)
+			case op == 1 && len(held) > 0:
+				k := arg % len(held)
+				free(zm, held[k].Zones())
+				held = slices.Delete(held, k, k+1)
+			case op == 2:
+				// Drain one channel's free zones: placement must cope with
+				// channels that have none.
+				c := arg % len(zm.free)
+				for len(zm.free[c]) > 0 {
+					zm.claim(zm.free[c][len(zm.free[c])-1], ZoneKLOG)
+				}
+			}
+			checkAccounting(t, zm)
+		}
+	})
 }
 
 func BenchmarkAllocStripe(b *testing.B) {

@@ -272,12 +272,21 @@ func (zm *ZoneManager) leastLoaded(pool [][]int, skip func(c int) bool) int {
 	return best
 }
 
-// pickChannel returns the least-loaded channel with a free hot zone that no
-// zone of stripe sits on, or, when every such channel is in stripe, the
-// least-loaded one with a free hot zone.
-func (zm *ZoneManager) pickChannel(stripe []int) int {
-	inStripe := func(c int) bool {
-		return slices.ContainsFunc(stripe, func(z int) bool { return zm.chanOf(z) == c })
+// pickChannel returns the least-loaded channel with a free hot zone that
+// holds no zone of stripe or of the apart clusters; failing that, one that
+// holds no zone of stripe; failing that, any with a free hot zone.
+func (zm *ZoneManager) pickChannel(stripe []int, apart []*Cluster) int {
+	on := func(zones []int, c int) bool {
+		return slices.ContainsFunc(zones, func(z int) bool { return zm.chanOf(z) == c })
+	}
+	inStripe := func(c int) bool { return on(stripe, c) }
+	held := func(c int) bool {
+		return inStripe(c) || slices.ContainsFunc(apart, func(a *Cluster) bool {
+			return slices.ContainsFunc(a.stripes, func(s []int) bool { return on(s, c) })
+		})
+	}
+	if c := zm.leastLoaded(zm.free, held); c >= 0 {
+		return c
 	}
 	if c := zm.leastLoaded(zm.free, inStripe); c >= 0 {
 		return c
@@ -294,7 +303,7 @@ func (zm *ZoneManager) allocZone(t ZoneType, bad int, stripe []int) (int, error)
 	}
 	c := zm.chanOf(bad)
 	if len(zm.free[c]) == 0 {
-		c = zm.pickChannel(stripe)
+		c = zm.pickChannel(stripe, nil)
 	}
 	return zm.popFree(zm.free, c, t), nil
 }
@@ -313,19 +322,22 @@ func (zm *ZoneManager) allocColdZone(t ZoneType) (int, error) {
 // then moves past the last channel taken. Placement thus follows each
 // channel's allocated zones, not the order zones were freed in: which
 // channels a cluster gets no longer depends on which scratch clusters were
-// released before it. A stripe wider than the channels
-// with a free zone reuses channels. Each zone costs one pass over the
-// channels, checking each against the stripe so far: O(channels x
-// StripeWidth^2) per stripe, no scan of a free list or of the used set, and
-// no allocation besides the stripe.
-func (zm *ZoneManager) allocStripe(t ZoneType) ([]int, error) {
+// released before it. Channels that hold a zone of an apart cluster — one
+// streamed in the same pass as the stripe's — come last: a zone goes there
+// only when every other channel with a free zone is in the stripe already. A
+// stripe wider than the channels with a free zone reuses channels. Each zone
+// costs one pass over the channels, checking each against the stripe so far
+// and the apart clusters' zones: O(channels x (StripeWidth + apart zones) x
+// StripeWidth) per stripe, no scan of a free list or of the used set, and no
+// allocation besides the stripe.
+func (zm *ZoneManager) allocStripe(t ZoneType, apart ...*Cluster) ([]int, error) {
 	w := zm.cfg.StripeWidth
 	if zm.nfree < w {
 		return nil, fmt.Errorf("%w: need %d, have %d", ErrNoZones, w, zm.nfree)
 	}
 	stripe := make([]int, 0, w)
 	for range w {
-		stripe = append(stripe, zm.popFree(zm.free, zm.pickChannel(stripe), t))
+		stripe = append(stripe, zm.popFree(zm.free, zm.pickChannel(stripe, apart), t))
 	}
 	zm.cursor = (zm.chanOf(stripe[w-1]) + 1) % len(zm.free)
 	return stripe, nil
@@ -362,14 +374,17 @@ func (zm *ZoneManager) release(p *sim.Proc, zones []int) error {
 }
 
 // NewCluster creates an empty zone cluster of the given type. Zones are
-// allocated lazily on first write. The cluster's random stripe offset (paper
-// §IV, Zone Manager) spreads concurrent writers over distinct SSD channels.
-func (zm *ZoneManager) NewCluster(t ZoneType) *Cluster {
+// allocated lazily on first write, off the channels of the apart clusters
+// while others have free zones (allocStripe). The cluster's random stripe
+// offset (paper §IV, Zone Manager) spreads concurrent writers over distinct
+// SSD channels.
+func (zm *ZoneManager) NewCluster(t ZoneType, apart ...*Cluster) *Cluster {
 	zm.clusterSeq++
 	return &Cluster{
 		zm:      zm,
 		id:      zm.clusterSeq,
 		typ:     t,
+		apart:   apart,
 		offset:  zm.rng.Intn(zm.cfg.StripeWidth),
 		blockSz: zm.cfg.BlockBytes,
 		perZone: int(zm.dev.ZoneSize()) / zm.cfg.BlockBytes,
@@ -386,7 +401,8 @@ type Cluster struct {
 	id      int64
 	typ     ZoneType
 	stripes [][]int
-	offset  int // random starting zone within each stripe
+	apart   []*Cluster // clusters its stripes keep off the channels of
+	offset  int        // random starting zone within each stripe
 	blockSz int
 	perZone int // granules per zone
 	length  int64
@@ -434,7 +450,7 @@ func (c *Cluster) locate(granule int64) (zone int, off int64) {
 func (c *Cluster) ensureStripe(granule int64) error {
 	gps := int64(c.granulesPerStripe())
 	for int64(len(c.stripes))*gps <= granule {
-		s, err := c.zm.allocStripe(c.typ)
+		s, err := c.zm.allocStripe(c.typ, c.apart...)
 		if err != nil {
 			return err
 		}
