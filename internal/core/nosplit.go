@@ -108,7 +108,7 @@ func (e *Engine) sortPairs(p *sim.Proc, ks *Keyspace) (_ compacted, err error) {
 	pidx := e.zm.NewCluster(ZonePIDX)
 	pidxW := e.newIndexWriter(pidx, pl)
 	pidxW.moved = &ks.progress.BytesMoved
-	sorted := e.zm.NewCluster(ZoneSortedValues)
+	sorted := e.zm.NewCluster(ZoneSortedValues, pidx) // every get reads both
 	var w chunkWriter
 	w.open(sorted, pl, &ks.progress.BytesMoved)
 	klog := newFrameSource(ks.klog, pairCodec{}, ks.logFrames, pl)
