@@ -102,6 +102,7 @@ func TestCalibrationFig8Shape(t *testing.T) {
 }
 
 func TestCalibrationFig9Shape(t *testing.T) {
+	t.Parallel() // the package's longest test; TestCompactSplitSeedSweep runs beside it
 	s := calScale()
 	s.Threads = []int{4, 32}
 	tb, err := Fig9(s)
